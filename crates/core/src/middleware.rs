@@ -1308,18 +1308,8 @@ fn sampled_distinct(db: &Database, table: &str, column: usize) -> usize {
     let Ok(t) = db.table(table) else {
         return 0;
     };
-    let mut seen: imp_storage::FxHashSet<imp_storage::Value> = imp_storage::FxHashSet::default();
-    let mut n = 0usize;
-    t.scan(
-        None,
-        |row| {
-            if n < SAMPLE {
-                seen.insert(row[column].clone());
-                n += 1;
-            }
-        },
-        |_| {},
-    );
+    let seen: imp_storage::FxHashSet<imp_storage::Value> =
+        t.column_values(column).take(SAMPLE).collect();
     seen.len()
 }
 

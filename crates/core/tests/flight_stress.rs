@@ -10,30 +10,42 @@
 //!    `#[global_allocator]` (each integration test compiles to its own
 //!    binary, so the swap is contained) and asserts `record()` allocates
 //!    nothing — the flight recorder is always on, even with obs disabled,
-//!    so its write cost must stay a `fetch_add` plus a few stores.
+//!    so its write cost must stay a `fetch_add` plus a few stores. The
+//!    count is per thread: the stress test's writer and reader threads run
+//!    in this same binary and allocate freely.
 
 use imp_core::{FlightEvent, FlightRecorder};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: touching it from inside
+    // the allocator neither allocates nor outlives the thread's TLS.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation made by the calling thread.
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// The self-consistency relation every stress write obeys: all four
@@ -132,9 +145,14 @@ fn concurrent_writers_and_mid_write_reader_see_no_torn_slots() {
     assert_eq!(fr.recorded(), WRITERS * PER_WRITER);
     assert!(scans > 0 && seen > 0, "reader never observed live traffic");
 
-    // Quiescent ring: every retained slot is fully formed and valid.
+    // Quiescent ring: every retained slot is fully formed and valid. A
+    // writer preempted while the other seven lap the whole 256-slot ring
+    // still owns its slot, so the newer lap's event for that slot is
+    // dropped and the slot ends up holding an event from outside the
+    // window: each writer may cost the final window at most one slot.
     let settled = fr.events(u64::MAX);
-    assert_eq!(settled.len(), fr.capacity());
+    assert!(settled.len() <= fr.capacity());
+    assert!(settled.len() + WRITERS as usize >= fr.capacity());
     for rec in &settled {
         check_stress_event(&rec.event);
     }

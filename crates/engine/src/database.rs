@@ -92,6 +92,20 @@ impl Database {
         self.version
     }
 
+    /// Run one table mutation under the next snapshot version. The version
+    /// is consumed only when `mutate` succeeds, so a statement that fails
+    /// leaves [`Database::version`] where it was.
+    pub(crate) fn commit<T>(
+        &mut self,
+        table: &str,
+        mutate: impl FnOnce(&mut Table, u64) -> Result<T>,
+    ) -> Result<(T, u64)> {
+        let version = self.version + 1;
+        let out = mutate(self.table_mut(table)?, version)?;
+        self.version = version;
+        Ok((out, version))
+    }
+
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables.get(&name.to_ascii_lowercase()).ok_or_else(|| {

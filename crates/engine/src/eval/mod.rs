@@ -8,6 +8,7 @@ mod topk;
 
 pub use aggregate::NumAcc;
 pub use ranges::{extract_prune_ranges, PruneRanges};
+pub use scan::scan_table;
 pub use topk::top_k;
 
 use crate::database::Database;
@@ -20,11 +21,16 @@ pub type Bag = Vec<(Row, i64)>;
 
 /// Execution counters. `rows_skipped` counts live rows inside chunks that
 /// zone-map pruning never touched — the quantity data skipping saves.
+/// `rows_scanned + rows_skipped` is the live-row count of every scanned
+/// table.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Rows materialized by scans.
+    /// Live rows the scans looked at: the rows of every chunk that
+    /// survived zone-map pruning, plus the open tails. Not the rows
+    /// materialized — inside a surviving chunk only rows in a prune range
+    /// are gathered.
     pub rows_scanned: u64,
-    /// Rows skipped via zone-map chunk pruning.
+    /// Live rows of the chunks skipped whole via zone-map pruning.
     pub rows_skipped: u64,
     /// Hash-join probe operations.
     pub join_probes: u64,
@@ -51,13 +57,9 @@ pub fn execute(plan: &LogicalPlan, db: &Database, stats: &mut ExecStats) -> Resu
             if matches!(predicate, Expr::Lit(imp_storage::Value::Bool(false))) {
                 return Ok(Vec::new());
             }
-            // Push range constraints into a directly-scanned table so the
-            // zone maps can skip chunks (this is what makes the sketch
-            // use-rewrite fast, paper §1 / §8).
+            // A filter directly over a table is fused into the scan.
             if let LogicalPlan::Scan { table, .. } = input.as_ref() {
-                let prune = extract_prune_ranges(predicate);
-                let rows = scan::scan(db, table, prune.as_ref(), stats)?;
-                return filter_bag(rows, predicate);
+                return scan::scan(db, table, Some(predicate), stats);
             }
             let rows = execute(input, db, stats)?;
             filter_bag(rows, predicate)

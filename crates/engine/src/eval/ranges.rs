@@ -10,7 +10,7 @@
 
 use imp_sql::ast::BinOp;
 use imp_sql::Expr;
-use imp_storage::Value;
+use imp_storage::{Value, ValueRange};
 
 /// Inclusive prune ranges on one input column.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,7 +18,14 @@ pub struct PruneRanges {
     /// Column the ranges constrain.
     pub column: usize,
     /// Inclusive `(lo, hi)` bounds; `None` = unbounded on that side.
-    pub ranges: Vec<(Option<Value>, Option<Value>)>,
+    pub ranges: Vec<ValueRange>,
+}
+
+impl PruneRanges {
+    /// The `(column, ranges)` form the scans of [`imp_storage::Table`] take.
+    pub fn as_scan_arg(&self) -> (usize, &[ValueRange]) {
+        (self.column, &self.ranges)
+    }
 }
 
 /// Extract prune ranges from a predicate, if its conjuncts constrain a

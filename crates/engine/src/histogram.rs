@@ -27,17 +27,7 @@ pub fn equi_depth_cuts(
     let idx = t.schema().index_of(column).ok_or_else(|| {
         crate::EngineError::Storage(imp_storage::StorageError::UnknownColumn(column.into()))
     })?;
-    let mut values: Vec<Value> = Vec::with_capacity(t.row_count());
-    t.scan(
-        None,
-        |row| {
-            let v = row[idx].clone();
-            if !v.is_null() {
-                values.push(v);
-            }
-        },
-        |_| {},
-    );
+    let mut values: Vec<Value> = t.column_values(idx).filter(|v| !v.is_null()).collect();
     values.sort();
     Ok(cuts_from_sorted(&values, fragments))
 }

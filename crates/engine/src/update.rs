@@ -4,11 +4,19 @@
 //! delta model of paper §4.2 treats an UPDATE as a delete of the old tuple
 //! followed by an insert of the new one, which is exactly how it is logged
 //! here.
+//!
+//! The victim search of DELETE and UPDATE is the SELECT scan: range
+//! constraints of the predicate prune chunks and pre-select rows in
+//! storage, the full predicate decides. Both statements are atomic —
+//! victims and replacement rows are determined before anything is
+//! written, so an evaluation error leaves table, delta log and
+//! [`Database::version`] untouched.
 
 use crate::database::{Database, QueryResult};
 use crate::error::EngineError;
+use crate::eval::{extract_prune_ranges, PruneRanges};
 use crate::Result;
-use imp_sql::{Catalog, Resolver, Statement};
+use imp_sql::{Catalog, Expr, Resolver, Statement};
 use imp_storage::{Field, Row, Schema, Value};
 
 /// Outcome of executing a statement.
@@ -119,11 +127,13 @@ fn insert(
     })
 }
 
-fn delete(
-    db: &mut Database,
+/// The qualified schema of a DELETE / UPDATE target and the statement's
+/// resolved `WHERE` clause.
+fn dml_target(
+    db: &Database,
     table: &str,
     filter: Option<&imp_sql::AstExpr>,
-) -> Result<StatementResult> {
+) -> Result<(Schema, Option<Expr>)> {
     let schema = db
         .table_schema(table)
         .ok_or_else(|| EngineError::Sql(imp_sql::SqlError::UnknownTable(table.into())))?;
@@ -132,22 +142,31 @@ fn delete(
         Some(f) => Some(Resolver::new(db).resolve_expr(f, &qualified)?),
         None => None,
     };
-    let version = db.next_version();
-    let t = db.table_mut(table)?;
-    let mut eval_err: Option<EngineError> = None;
-    let deleted = t.delete_where(version, |row| match &predicate {
+    Ok((qualified, predicate))
+}
+
+/// Evaluate an optional DML predicate on one row (absent = every row).
+fn matches(predicate: Option<&Expr>, row: &Row) -> Result<bool> {
+    Ok(match predicate {
+        Some(p) => p.eval_predicate(row)?,
         None => true,
-        Some(p) => match p.eval_predicate(row) {
-            Ok(b) => b,
-            Err(e) => {
-                eval_err.get_or_insert(EngineError::Sql(e));
-                false
-            }
-        },
-    });
-    if let Some(e) = eval_err {
-        return Err(e);
-    }
+    })
+}
+
+fn delete(
+    db: &mut Database,
+    table: &str,
+    filter: Option<&imp_sql::AstExpr>,
+) -> Result<StatementResult> {
+    let (_, predicate) = dml_target(db, table, filter)?;
+    let prune = predicate.as_ref().and_then(extract_prune_ranges);
+    let (deleted, version) = db.commit(table, |t, version| {
+        t.delete_where(
+            version,
+            prune.as_ref().map(PruneRanges::as_scan_arg),
+            |row| matches(predicate.as_ref(), row),
+        )
+    })?;
     Ok(StatementResult::Affected {
         table: table.to_ascii_lowercase(),
         count: deleted.len() as u64,
@@ -161,16 +180,9 @@ fn update(
     sets: &[(String, imp_sql::AstExpr)],
     filter: Option<&imp_sql::AstExpr>,
 ) -> Result<StatementResult> {
-    let schema = db
-        .table_schema(table)
-        .ok_or_else(|| EngineError::Sql(imp_sql::SqlError::UnknownTable(table.into())))?;
-    let qualified = schema.with_qualifier(&table.to_ascii_lowercase());
+    let (qualified, predicate) = dml_target(db, table, filter)?;
     let resolver = Resolver::new(db);
-    let predicate = match filter {
-        Some(f) => Some(resolver.resolve_expr(f, &qualified)?),
-        None => None,
-    };
-    let assignments: Vec<(usize, imp_sql::Expr)> = sets
+    let assignments: Vec<(usize, Expr)> = sets
         .iter()
         .map(|(col, e)| {
             let idx = qualified
@@ -179,35 +191,26 @@ fn update(
             Ok((idx, resolver.resolve_expr(e, &qualified)?))
         })
         .collect::<Result<_>>()?;
+    let prune = predicate.as_ref().and_then(extract_prune_ranges);
 
     // Delta model: UPDATE = DELETE old ∪ INSERT new at one version.
-    let version = db.next_version();
-    let t = db.table_mut(table)?;
-    let mut eval_err: Option<EngineError> = None;
-    let old_rows = t.delete_where(version, |row| match &predicate {
-        None => true,
-        Some(p) => match p.eval_predicate(row) {
-            Ok(b) => b,
-            Err(e) => {
-                eval_err.get_or_insert(EngineError::Sql(e));
-                false
-            }
-        },
-    });
-    if let Some(e) = eval_err {
-        return Err(e);
-    }
-    let count = old_rows.len() as u64 * 2;
-    for old in old_rows {
-        let mut vals = old.values().to_vec();
-        for (idx, e) in &assignments {
-            vals[*idx] = e.eval(&old)?;
-        }
-        t.insert(Row::new(vals), version)?;
-    }
+    let (replaced, version) = db.commit(table, |t, version| {
+        t.update_where(
+            version,
+            prune.as_ref().map(PruneRanges::as_scan_arg),
+            |row| matches(predicate.as_ref(), row),
+            |old| {
+                let mut vals = old.values().to_vec();
+                for (idx, e) in &assignments {
+                    vals[*idx] = e.eval(old)?;
+                }
+                Ok(Row::new(vals))
+            },
+        )
+    })?;
     Ok(StatementResult::Affected {
         table: table.to_ascii_lowercase(),
-        count,
+        count: replaced as u64 * 2,
         version,
     })
 }
@@ -284,5 +287,85 @@ mod tests {
         db.execute_sql("INSERT INTO t VALUES (4, 40)").unwrap();
         db.execute_sql("INSERT INTO t VALUES (5, 50)").unwrap();
         assert_eq!(db.version(), v1 + 2);
+    }
+
+    /// `t(a, b) = {(0,1), (1,1), (2,1)}`: `a * i64::MAX` overflows on the
+    /// third row only, after two rows evaluated fine.
+    fn overflow_db() -> Database {
+        let mut db = Database::new();
+        db.execute_sql("CREATE TABLE t (a INT, b INT)").unwrap();
+        db.execute_sql("INSERT INTO t VALUES (0, 1), (1, 1), (2, 1)")
+            .unwrap();
+        db
+    }
+
+    fn assert_untouched(db: &Database, version: u64) {
+        assert_eq!(db.version(), version);
+        let t = db.table("t").unwrap();
+        assert_eq!(t.row_count(), 3);
+        assert_eq!(t.dead_rows(), 0);
+        assert_eq!(t.delta_log().len(), 3);
+        assert_eq!(
+            db.query("SELECT a, b FROM t").unwrap().canonical(),
+            vec![(row![0, 1], 1), (row![1, 1], 1), (row![2, 1], 1)]
+        );
+    }
+
+    #[test]
+    fn delete_is_atomic_under_evaluation_errors() {
+        let mut db = overflow_db();
+        let version = db.version();
+        assert!(db
+            .execute_sql("DELETE FROM t WHERE a * 9223372036854775807 >= 0")
+            .is_err());
+        assert_untouched(&db, version);
+    }
+
+    #[test]
+    fn update_is_atomic_under_evaluation_errors() {
+        let mut db = overflow_db();
+        let version = db.version();
+        // The SET expression fails on the last victim ...
+        assert!(db
+            .execute_sql("UPDATE t SET b = a * 9223372036854775807")
+            .is_err());
+        assert_untouched(&db, version);
+        // ... the WHERE clause fails ...
+        assert!(db
+            .execute_sql("UPDATE t SET b = 2 WHERE a * 9223372036854775807 >= 0")
+            .is_err());
+        assert_untouched(&db, version);
+        // ... or a replacement row does not fit the schema.
+        assert!(db.execute_sql("UPDATE t SET b = 'text'").is_err());
+        assert_untouched(&db, version);
+    }
+
+    #[test]
+    fn dml_prunes_like_select_and_keeps_the_full_predicate() {
+        let mut db = Database::new();
+        db.execute_sql("CREATE TABLE t (a INT, b INT)").unwrap();
+        let t = db.table_mut("t").unwrap();
+        t.bulk_load((0..10_000).map(|i| row![i, i % 7])).unwrap();
+        t.seal();
+        // Range on `a` prunes and pre-selects; `b = 3` is the residual.
+        let StatementResult::Affected { count, .. } = db
+            .execute_sql("DELETE FROM t WHERE a >= 5000 AND a < 5014 AND b = 3")
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(count, 2);
+        let StatementResult::Affected { count, .. } = db
+            .execute_sql("UPDATE t SET b = 9 WHERE a > 9990 AND b < 2")
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(count, 2 * 2);
+        assert_eq!(db.query("SELECT * FROM t").unwrap().cardinality(), 9_998);
+        assert_eq!(
+            db.query("SELECT a FROM t WHERE b = 9").unwrap().canonical(),
+            vec![(row![9996], 1), (row![9997], 1)]
+        );
     }
 }

@@ -19,7 +19,7 @@
 use crate::partition::PartitionSet;
 use crate::sketch::SketchSet;
 use crate::Result;
-use imp_engine::eval::extract_prune_ranges;
+use imp_engine::eval::scan_table;
 use imp_engine::{Bag, Database, EngineError};
 use imp_sql::plan::compare_rows;
 use imp_sql::{AggFunc, AggSpec, Expr, LogicalPlan};
@@ -37,7 +37,9 @@ pub struct CaptureResult {
     pub sketch: SketchSet,
     /// Query result as a plain bag.
     pub result: Bag,
-    /// Rows read from base tables during capture (cost accounting).
+    /// Live rows the capture's scans looked at (cost accounting): the rows
+    /// of every chunk that survived zone-map pruning plus the open tails,
+    /// as [`imp_engine::ExecStats::rows_scanned`] counts them.
     pub rows_scanned: u64,
 }
 
@@ -76,12 +78,11 @@ pub fn eval_annot(
     match plan {
         LogicalPlan::Scan { table, .. } => scan_annot(db, table, None, pset, pool, rows_scanned),
         LogicalPlan::Filter { input, predicate } => {
-            let rows = if let LogicalPlan::Scan { table, .. } = input.as_ref() {
-                let prune = extract_prune_ranges(predicate);
-                scan_annot(db, table, prune.as_ref(), pset, pool, rows_scanned)?
-            } else {
-                eval_annot(input, db, pset, pool, rows_scanned)?
-            };
+            // A filter directly over a table is fused into the scan.
+            if let LogicalPlan::Scan { table, .. } = input.as_ref() {
+                return scan_annot(db, table, Some(predicate), pset, pool, rows_scanned);
+            }
+            let rows = eval_annot(input, db, pset, pool, rows_scanned)?;
             let mut out = DeltaBatch::new();
             for e in rows {
                 if predicate
@@ -183,29 +184,34 @@ pub fn eval_annot(
     }
 }
 
+/// Annotated table access through the engine's fused scan
+/// ([`scan_table`]): only rows satisfying `predicate` are annotated.
 fn scan_annot(
     db: &Database,
     table: &str,
-    prune: Option<&imp_engine::eval::PruneRanges>,
+    predicate: Option<&Expr>,
     pset: &PartitionSet,
     pool: &mut AnnotPool,
     rows_scanned: &mut u64,
 ) -> Result<AnnotBag> {
     let t = db.table(table)?;
-    let mut out = DeltaBatch::with_capacity(t.row_count());
+    // Only an unfiltered scan knows its output size up front.
+    let mut out = DeltaBatch::with_capacity(predicate.map_or(t.row_count(), |_| 0));
     let part = pset.for_table(table);
-    let mut emit = |row: Row| {
-        let annot = match &part {
-            Some((_, offset, p)) => pool.singleton(offset + p.fragment_of(&row[p.column])),
-            None => pool.empty_id(),
-        };
-        out.push_entry(row, annot, 1);
-    };
-    match prune {
-        Some(p) => t.scan(Some((p.column, &p.ranges)), &mut emit, |_| {}),
-        None => t.scan(None, &mut emit, |_| {}),
-    }
-    *rows_scanned += out.len() as u64;
+    let examined = scan_table(
+        t,
+        predicate,
+        |row| {
+            let annot = match &part {
+                Some((_, offset, p)) => pool.singleton(offset + p.fragment_of(&row[p.column])),
+                None => pool.empty_id(),
+            };
+            out.push_entry(row, annot, 1);
+        },
+        |_| {},
+    )
+    .map_err(EngineError::from)?;
+    *rows_scanned += examined as u64;
     Ok(out)
 }
 

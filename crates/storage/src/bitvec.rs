@@ -64,6 +64,19 @@ impl BitVec {
         }
     }
 
+    /// Append one bit, growing the vector by one (amortised O(1)): the
+    /// null bitmap of a column and the tombstones of the open tail grow
+    /// with their rows.
+    pub fn push(&mut self, value: bool) {
+        if self.len.is_multiple_of(WORD_BITS) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        if value {
+            self.set(self.len - 1, true);
+        }
+    }
+
     /// Read bit `i`. Panics when out of bounds.
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of bounds (len {})", self.len);
@@ -193,6 +206,20 @@ mod tests {
         b.set(64, false);
         assert!(!b.get(64));
         assert_eq!(b.count_ones(), 6);
+    }
+
+    #[test]
+    fn push_grows_across_word_boundaries() {
+        let mut b = BitVec::new(0);
+        for i in 0..200 {
+            b.push(i % 3 == 0);
+        }
+        assert_eq!(b.len(), 200);
+        assert_eq!(b, BitVec::from_bits(200, (0..200).step_by(3)));
+        // Pushing onto a pre-sized vector appends after its last bit.
+        let mut c = BitVec::new(64);
+        c.push(true);
+        assert_eq!(c, BitVec::singleton(65, 64));
     }
 
     #[test]

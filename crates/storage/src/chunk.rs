@@ -11,6 +11,7 @@ use crate::bitvec::BitVec;
 use crate::column::ColumnData;
 use crate::row::Row;
 use crate::schema::Schema;
+use crate::table::ValueRange;
 use crate::value::Value;
 use crate::Result;
 
@@ -111,6 +112,27 @@ impl DataChunk {
         true
     }
 
+    /// The chunk's selection vector: append to `out`, ascending, the live
+    /// rows whose `column` value lies in one of the inclusive `ranges`
+    /// (every live row without `prune`). Returns `false`, appending
+    /// nothing, when the zone map rules the whole chunk out; ranges the
+    /// zone map excludes are dropped before the column kernel runs.
+    pub fn select(&self, prune: Option<(usize, &[ValueRange])>, out: &mut Vec<usize>) -> bool {
+        let Some((column, ranges)) = prune else {
+            select_live(self.len, self.deleted.as_ref(), out);
+            return true;
+        };
+        let mut reachable = ranges
+            .iter()
+            .filter(|(lo, hi)| self.zone_map.may_overlap(column, lo.as_ref(), hi.as_ref()))
+            .peekable();
+        if reachable.peek().is_none() {
+            return false;
+        }
+        self.columns[column].select_ranges(reachable, self.deleted.as_ref(), out);
+        true
+    }
+
     /// Materialize row `idx` (whether live or not).
     pub fn row(&self, idx: usize) -> Row {
         self.columns.iter().map(|c| c.get(idx)).collect()
@@ -121,11 +143,12 @@ impl DataChunk {
         self.columns[column].get(idx)
     }
 
-    /// Iterate over live rows as `(index, Row)`.
-    pub fn iter_live(&self) -> impl Iterator<Item = (usize, Row)> + '_ {
+    /// The live values of one column, in row order, without materializing
+    /// the other columns.
+    pub fn live_values(&self, column: usize) -> impl Iterator<Item = Value> + '_ {
         (0..self.len)
             .filter(|&i| self.is_live(i))
-            .map(|i| (i, self.row(i)))
+            .map(move |i| self.columns[column].get(i))
     }
 
     /// Approximate heap footprint.
@@ -135,6 +158,14 @@ impl DataChunk {
             .map(ColumnData::heap_size)
             .sum::<usize>()
             + self.deleted.as_ref().map_or(0, BitVec::heap_size)
+    }
+}
+
+/// Append every index in `0..len` not set in `deleted`.
+pub(crate) fn select_live(len: usize, deleted: Option<&BitVec>, out: &mut Vec<usize>) {
+    match deleted {
+        None => out.extend(0..len),
+        Some(d) => out.extend((0..len).filter(|&i| !d.get(i))),
     }
 }
 
@@ -160,19 +191,42 @@ impl ChunkBuilder {
         }
     }
 
-    /// Append one row.
-    pub fn push(&mut self, row: &Row) -> Result<()> {
+    /// Would [`ChunkBuilder::push`] accept `row`? Checks arity and every
+    /// value's type without storing anything.
+    pub fn check(&self, row: &Row) -> Result<()> {
         if row.arity() != self.schema.arity() {
             return Err(crate::StorageError::ArityMismatch {
                 expected: self.schema.arity(),
                 found: row.arity(),
             });
         }
+        match self
+            .columns
+            .iter()
+            .zip(row.values())
+            .find(|(col, val)| !col.accepts(val))
+        {
+            None => Ok(()),
+            Some((col, val)) => Err(crate::StorageError::TypeMismatch {
+                expected: col.dtype(),
+                found: val.data_type(),
+            }),
+        }
+    }
+
+    /// Append one row. A refused row leaves the builder untouched.
+    pub fn push(&mut self, row: &Row) -> Result<()> {
+        self.check(row)?;
         for (col, val) in self.columns.iter_mut().zip(row.values()) {
-            col.push(val)?;
+            col.push(val).expect("row checked against the schema");
         }
         self.rows += 1;
         Ok(())
+    }
+
+    /// The buffered columns.
+    pub(crate) fn columns(&self) -> &[ColumnData] {
+        &self.columns
     }
 
     /// Rows currently buffered.
@@ -245,8 +299,14 @@ mod tests {
         assert!(c.delete(1));
         assert!(!c.delete(1));
         assert_eq!(c.live_rows(), 2);
-        let rows: Vec<_> = c.iter_live().map(|(_, r)| r).collect();
+        let mut live = Vec::new();
+        assert!(c.select(None, &mut live));
+        let rows: Vec<_> = live.iter().map(|&i| c.row(i)).collect();
         assert_eq!(rows, vec![row![1, "x"], row![3, "z"]]);
+        assert_eq!(
+            c.live_values(0).collect::<Vec<_>>(),
+            vec![Value::Int(1), Value::Int(3)]
+        );
     }
 
     #[test]

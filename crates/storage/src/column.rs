@@ -2,8 +2,10 @@
 
 use crate::bitvec::BitVec;
 use crate::error::StorageError;
+use crate::table::ValueRange;
 use crate::value::{DataType, Value};
 use crate::Result;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// The typed payload of a column.
@@ -63,29 +65,28 @@ impl ColumnData {
         self.len() == 0
     }
 
+    /// Would [`ColumnData::push`] accept `value`? NULL fits every column,
+    /// `Int` widens into `Float` columns, every other mismatch is refused.
+    pub fn accepts(&self, value: &Value) -> bool {
+        matches!(
+            (self.dtype, value),
+            (_, Value::Null)
+                | (DataType::Bool, Value::Bool(_))
+                | (DataType::Int, Value::Int(_))
+                | (DataType::Float, Value::Float(_) | Value::Int(_))
+                | (DataType::Str, Value::Str(_))
+        )
+    }
+
     /// Append a value. `Int` values coerce into `Float` columns (SQL-style
     /// numeric widening); every other mismatch is an error.
     pub fn push(&mut self, value: &Value) -> Result<()> {
-        if value.is_null() {
-            let len = self.len();
-            // Push a placeholder and mark the slot as NULL.
-            match &mut self.values {
-                TypedVec::Bool(v) => v.push(false),
-                TypedVec::Int(v) => v.push(0),
-                TypedVec::Float(v) => v.push(0.0),
-                TypedVec::Str(v) => v.push(Arc::from("")),
-            }
-            let nulls = self.nulls.get_or_insert_with(|| BitVec::new(0));
-            // Grow the bitmap to cover the new slot.
-            let mut grown = BitVec::new(len + 1);
-            for i in nulls.iter_ones() {
-                grown.set(i, true);
-            }
-            grown.set(len, true);
-            *nulls = grown;
-            return Ok(());
-        }
         match (&mut self.values, value) {
+            // A placeholder fills the slot of a NULL; the bitmap marks it.
+            (TypedVec::Bool(v), Value::Null) => v.push(false),
+            (TypedVec::Int(v), Value::Null) => v.push(0),
+            (TypedVec::Float(v), Value::Null) => v.push(0.0),
+            (TypedVec::Str(v), Value::Null) => v.push(Arc::from("")),
             (TypedVec::Bool(v), Value::Bool(b)) => v.push(*b),
             (TypedVec::Int(v), Value::Int(i)) => v.push(*i),
             (TypedVec::Float(v), Value::Float(f)) => v.push(*f),
@@ -98,21 +99,75 @@ impl ColumnData {
                 })
             }
         }
+        // The bitmap, once allocated, always covers the whole column: the
+        // range kernel and `get` index it without a length guard.
+        match &mut self.nulls {
+            Some(nulls) => nulls.push(value.is_null()),
+            None if value.is_null() => {
+                let mut nulls = BitVec::new(self.len() - 1);
+                nulls.push(true);
+                self.nulls = Some(nulls);
+            }
+            None => {}
+        }
         Ok(())
     }
 
     /// Read the value at `idx`.
     pub fn get(&self, idx: usize) -> Value {
-        if let Some(nulls) = &self.nulls {
-            if idx < nulls.len() && nulls.get(idx) {
-                return Value::Null;
-            }
+        if self.nulls.as_ref().is_some_and(|n| n.get(idx)) {
+            return Value::Null;
         }
         match &self.values {
             TypedVec::Bool(v) => Value::Bool(v[idx]),
             TypedVec::Int(v) => Value::Int(v[idx]),
             TypedVec::Float(v) => Value::Float(v[idx]),
             TypedVec::Str(v) => Value::Str(v[idx].clone()),
+        }
+    }
+
+    /// The range kernel: append to `out`, ascending, every index whose
+    /// value is non-NULL, not set in `deleted`, and inside at least one of
+    /// `ranges` (inclusive bounds, `None` = unbounded).
+    ///
+    /// Membership is exactly `lo <= v && v <= hi` under [`Value`]'s `Ord` —
+    /// the comparison [`crate::ZoneMap::may_overlap`] and the SQL
+    /// evaluator use — including `Int`↔`Float` bounds and bounds of a
+    /// foreign type, but it is decided on the native slice: the bounds
+    /// are translated into the column's own domain once, then one tight
+    /// loop per column type compares raw values.
+    pub fn select_ranges<'a>(
+        &self,
+        ranges: impl Iterator<Item = &'a ValueRange>,
+        deleted: Option<&BitVec>,
+        out: &mut Vec<usize>,
+    ) {
+        let skip = |word: usize| {
+            self.nulls.as_ref().map_or(0, |n| n.words()[word])
+                | deleted.map_or(0, |d| d.words()[word])
+        };
+        let rank = self.dtype.rank();
+        match &self.values {
+            TypedVec::Int(vals) => {
+                let native = native_ranges(ranges, rank, |bound, is_lo| match bound {
+                    Value::Float(f) => int_threshold(*f, is_lo),
+                    other => other.as_i64(),
+                });
+                select_keys(vals, |v| *v, &native, skip, out);
+            }
+            TypedVec::Float(vals) => {
+                let native =
+                    native_ranges(ranges, rank, |bound, _| bound.as_f64().map(total_order_key));
+                select_keys(vals, |v| total_order_key(*v), &native, skip, out);
+            }
+            TypedVec::Bool(vals) => {
+                let native = native_ranges(ranges, rank, |bound, _| bound.as_bool());
+                select_keys(vals, |v| *v, &native, skip, out);
+            }
+            TypedVec::Str(vals) => {
+                let native = native_ranges(ranges, rank, |bound, _| bound.as_str());
+                select_keys(vals, |v| &**v, &native, skip, out);
+            }
         }
     }
 
@@ -155,6 +210,111 @@ impl ColumnData {
             }
         };
         data + self.nulls.as_ref().map_or(0, BitVec::heap_size)
+    }
+}
+
+/// An inclusive range in a column's native key domain; `None` = unbounded.
+type NativeRange<K> = (Option<K>, Option<K>);
+
+/// Translate prune ranges into a column's native key domain, dropping
+/// ranges no value of the column can satisfy. `same_rank(bound, is_lo)`
+/// converts a bound of the column's own type family (`None`: nothing
+/// passes it). A bound of another family sorts wholly below or above every
+/// column value (`Value`'s type-rank order), which either lifts that side
+/// of the range or empties it.
+fn native_ranges<'a, K>(
+    ranges: impl Iterator<Item = &'a ValueRange>,
+    rank: u8,
+    same_rank: impl Fn(&'a Value, bool) -> Option<K>,
+) -> Vec<NativeRange<K>> {
+    let side = |bound: &'a Option<Value>, is_lo: bool| -> Option<Option<K>> {
+        let Some(bound) = bound else {
+            return Some(None);
+        };
+        match bound.type_rank().cmp(&rank) {
+            Ordering::Equal => same_rank(bound, is_lo).map(Some),
+            // Below every value: holds as a lower bound, never as an upper.
+            Ordering::Less => is_lo.then_some(None),
+            Ordering::Greater => (!is_lo).then_some(None),
+        }
+    };
+    ranges
+        .filter_map(|(lo, hi)| Some((side(lo, true)?, side(hi, false)?)))
+        .collect()
+}
+
+/// The `i64` bound equivalent to comparing widened ints against `f`, which
+/// is how `Value::cmp` orders `Int` against `Float`: the smallest `x` with
+/// `x as f64 >= f` for a lower bound, the largest with `x as f64 <= f` for
+/// an upper one (both in `total_cmp` order). `None` when no `i64` passes.
+fn int_threshold(f: f64, is_lo: bool) -> Option<i64> {
+    let passes = |x: i128| {
+        let ord = (x as i64 as f64).total_cmp(&f);
+        if is_lo {
+            ord != Ordering::Less
+        } else {
+            ord != Ordering::Greater
+        }
+    };
+    // `x as f64` is monotone in `x`, so `passes` flips at most once over
+    // the i64 domain: bisect for the flip.
+    let (mut lo, mut hi) = (i128::from(i64::MIN), i128::from(i64::MAX));
+    if !passes(if is_lo { hi } else { lo }) {
+        return None;
+    }
+    while lo < hi {
+        if is_lo {
+            let mid = (lo + hi).div_euclid(2);
+            if passes(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        } else {
+            let mid = (lo + hi + 1).div_euclid(2);
+            if passes(mid) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+    }
+    Some(lo as i64)
+}
+
+/// Map a float to an integer that orders like `f64::total_cmp`.
+fn total_order_key(f: f64) -> i64 {
+    let bits = f.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The tight loop shared by every column type: 64 rows at a time, compare
+/// the native key against the ranges into a hit word, mask out NULLs and
+/// tombstones (`skip(word)`), emit the surviving bit positions.
+fn select_keys<'a, T, K: PartialOrd + Copy>(
+    vals: &'a [T],
+    key: impl Fn(&'a T) -> K,
+    ranges: &[NativeRange<K>],
+    skip: impl Fn(usize) -> u64,
+    out: &mut Vec<usize>,
+) {
+    if ranges.is_empty() {
+        return;
+    }
+    for (word, block) in vals.chunks(64).enumerate() {
+        let mut hits = 0u64;
+        for (bit, v) in block.iter().enumerate() {
+            let k = key(v);
+            let hit = ranges
+                .iter()
+                .any(|&(lo, hi)| lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k <= hi));
+            hits |= u64::from(hit) << bit;
+        }
+        hits &= !skip(word);
+        while hits != 0 {
+            out.push(word * 64 + hits.trailing_zeros() as usize);
+            hits &= hits - 1;
+        }
     }
 }
 
@@ -206,5 +366,168 @@ mod tests {
         assert_eq!(c.min_max(), Some((Value::Int(-2), Value::Int(5))));
         let empty = ColumnData::new(DataType::Int);
         assert_eq!(empty.min_max(), None);
+    }
+
+    #[test]
+    fn null_bitmap_grows_in_linear_time_and_covers_the_column() {
+        const N: usize = 50_000;
+        let start = std::time::Instant::now();
+        let mut c = ColumnData::new(DataType::Int);
+        for i in 0..N {
+            let v = if i % 2 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i as i64)
+            };
+            c.push(&v).unwrap();
+        }
+        // Linear work is a few milliseconds even unoptimized; rebuilding
+        // the bitmap on every NULL was seconds.
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(c.nulls.as_ref().map(BitVec::len), Some(N));
+        for i in 0..N {
+            let expect = if i % 2 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i as i64)
+            };
+            assert_eq!(c.get(i), expect);
+        }
+        // A column that met its first NULL late is covered from slot 0.
+        let mut late = ColumnData::new(DataType::Str);
+        for v in [
+            Value::str("a"),
+            Value::str("b"),
+            Value::Null,
+            Value::str("c"),
+        ] {
+            late.push(&v).unwrap();
+        }
+        assert_eq!(late.nulls.as_ref().map(BitVec::len), Some(4));
+        assert_eq!(late.get(1), Value::str("b"));
+        assert_eq!(late.get(2), Value::Null);
+    }
+
+    /// Bounds of every type family, with the numeric corner cases where
+    /// `Int`↔`Float` comparison is lossy or sign-sensitive.
+    fn bound_pool() -> Vec<Option<Value>> {
+        let mut pool = vec![
+            None,
+            Some(Value::Null),
+            Some(Value::Bool(false)),
+            Some(Value::Bool(true)),
+            Some(Value::str("")),
+            Some(Value::str("b")),
+            Some(Value::str("zz")),
+        ];
+        for i in [i64::MIN, -3, 0, 1, 2, (1 << 53) + 1, i64::MAX] {
+            pool.push(Some(Value::Int(i)));
+        }
+        for f in [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            0.5,
+            2.0,
+            9.007_199_254_740_993e15,
+            9.3e18,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            pool.push(Some(Value::Float(f)));
+        }
+        pool
+    }
+
+    fn kernel_matches_value_order(dtype: DataType, values: &[Value]) {
+        let mut c = ColumnData::new(dtype);
+        for v in values {
+            c.push(v).unwrap();
+        }
+        let mut deleted = BitVec::new(values.len());
+        deleted.set(1, true);
+        let pool = bound_pool();
+        for lo in &pool {
+            for hi in &pool {
+                let range = [(lo.clone(), hi.clone())];
+                for tombstones in [None, Some(&deleted)] {
+                    let mut got = Vec::new();
+                    c.select_ranges(range.iter(), tombstones, &mut got);
+                    let want: Vec<usize> = (0..values.len())
+                        .filter(|&i| {
+                            let v = c.get(i);
+                            !v.is_null()
+                                && tombstones.is_none_or(|d| !d.get(i))
+                                && lo.as_ref().is_none_or(|lo| v >= *lo)
+                                && hi.as_ref().is_none_or(|hi| v <= *hi)
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{dtype} column, range [{lo:?}, {hi:?}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_kernel_agrees_with_value_order_on_every_type() {
+        let mut ints: Vec<Value> = [i64::MIN, -3, -1, 0, 1, 2, 3, 1 << 53, (1 << 53) + 1]
+            .map(Value::Int)
+            .into();
+        ints.extend([Value::Null, Value::Int(i64::MAX - 1), Value::Int(i64::MAX)]);
+        // More than one 64-row word, so the masks are indexed past word 0.
+        ints.extend((0..70).map(Value::Int));
+        kernel_matches_value_order(DataType::Int, &ints);
+
+        let floats: Vec<Value> = [
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-2.5),
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(2),
+            Value::Float(2.5),
+            Value::Float(9.3e18),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+        ]
+        .into();
+        kernel_matches_value_order(DataType::Float, &floats);
+
+        let strs: Vec<Value> = ["", "a", "b", "ba", "zz", "zzz"]
+            .map(Value::str)
+            .into_iter()
+            .chain([Value::Null])
+            .collect();
+        kernel_matches_value_order(DataType::Str, &strs);
+
+        let bools = [
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Null,
+            Value::Bool(true),
+        ];
+        kernel_matches_value_order(DataType::Bool, &bools);
+    }
+
+    #[test]
+    fn range_kernel_unions_ranges_and_skips_empty_input() {
+        let mut c = ColumnData::new(DataType::Int);
+        for i in 0..10 {
+            c.push(&Value::Int(i)).unwrap();
+        }
+        let ranges = [
+            (Some(Value::Int(1)), Some(Value::Int(2))),
+            (Some(Value::str("x")), None), // no int reaches a string bound
+            (Some(Value::Int(2)), Some(Value::Float(3.5))),
+            (Some(Value::Int(8)), None),
+        ];
+        let mut got = Vec::new();
+        c.select_ranges(ranges.iter(), None, &mut got);
+        assert_eq!(got, vec![1, 2, 3, 8, 9]);
+        got.clear();
+        c.select_ranges([].iter(), None, &mut got);
+        assert!(got.is_empty());
     }
 }

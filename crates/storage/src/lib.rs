@@ -11,7 +11,10 @@
 //!   bitvectors over the ranges of a partition (paper §7.1).
 //! * [`ColumnData`] / [`DataChunk`] / [`Table`] — columnar storage split
 //!   into horizontal chunks with zone maps (min/max per column per chunk)
-//!   so range predicates produced by the *use rewrite* can skip chunks.
+//!   so range predicates produced by the *use rewrite* can skip chunks,
+//!   and a typed range kernel that selects the qualifying rows inside the
+//!   chunks that survive. Scans, DELETE and UPDATE share that one
+//!   selection path (see [`table`]).
 //! * [`DeltaLog`] — the snapshot-versioned log of inserted/deleted rows a
 //!   backend keeps per table; IMP fetches "the delta between the current
 //!   version of the database and the database instance at the original
@@ -52,7 +55,7 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pool::{AnnotId, AnnotPool, DeltaBatch, DeltaEntry, PoolStats, RowInterner};
 pub use row::Row;
 pub use schema::{Field, Schema};
-pub use table::Table;
+pub use table::{Table, ValueRange};
 pub use value::{DataType, Value};
 
 /// Result alias used throughout the storage crate.

@@ -36,6 +36,19 @@ impl DataType {
     }
 }
 
+impl DataType {
+    /// Position of this type's values in [`Value`]'s cross-type order
+    /// (`Null` ranks 0, below everything).
+    pub(crate) fn rank(self) -> u8 {
+        match self {
+            DataType::Bool => 1,
+            // Int and Float share a rank: they compare numerically.
+            DataType::Int | DataType::Float => 2,
+            DataType::Str => 3,
+        }
+    }
+}
+
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -119,14 +132,8 @@ impl Value {
     }
 
     /// Rank used to order values of different types (total order glue).
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            // Int and Float share a rank: they compare numerically.
-            Value::Int(_) | Value::Float(_) => 2,
-            Value::Str(_) => 3,
-        }
+    pub(crate) fn type_rank(&self) -> u8 {
+        self.data_type().map_or(0, DataType::rank)
     }
 
     /// Approximate heap footprint in bytes, used by the memory-usage

@@ -393,3 +393,39 @@ fn vacuum_keeps_unconsumed_deltas() {
     };
     assert_eq!(result.canonical().len(), 3);
 }
+
+/// A DELETE or UPDATE whose evaluation fails part-way (integer overflow on
+/// the last row here) must leave nothing behind: no tombstone, no log
+/// record, no consumed version — otherwise maintenance faithfully applies
+/// an unmatched delete and the sketch drifts from the data.
+#[test]
+fn failed_dml_leaves_no_trace_for_maintenance() {
+    let db = db_gv(&[(0, 1), (1, 1), (2, 1)]);
+    let mut imp = Imp::new(db, ImpConfig::default());
+    let sql = "SELECT g, sum(v) AS sv FROM t GROUP BY g HAVING sum(v) > 0";
+    let before = imp.execute(sql).unwrap();
+    let ImpResponse::Rows { result: before, .. } = before else {
+        panic!()
+    };
+    let version = imp.db().version();
+
+    for failing in [
+        "DELETE FROM t WHERE g * 9223372036854775807 >= 0",
+        "UPDATE t SET v = g * 9223372036854775807",
+        "UPDATE t SET v = 5 WHERE g * 9223372036854775807 >= 0",
+    ] {
+        assert!(imp.execute(failing).is_err(), "{failing}");
+        let db = imp.db();
+        assert_eq!(db.version(), version, "{failing}");
+        let t = db.table("t").unwrap();
+        assert_eq!(t.row_count(), 3, "{failing}");
+        assert_eq!(t.dead_rows(), 0, "{failing}");
+        assert!(t.delta_log().is_empty(), "{failing}");
+    }
+
+    let ImpResponse::Rows { result, mode } = imp.execute(sql).unwrap() else {
+        panic!()
+    };
+    assert!(matches!(mode, QueryMode::UsedFresh), "{mode:?}");
+    assert_eq!(result.canonical(), before.canonical());
+}
