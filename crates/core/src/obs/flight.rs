@@ -7,20 +7,16 @@
 //! `obs` it is not gated by [`super::ObsConfig::enabled`], because a
 //! post-mortem must not require reproducing the incident under
 //! `IMP_OBS=1`. That is affordable because the hot path is a ticket
-//! `fetch_add`, one compare-exchange and a handful of relaxed atomic
-//! stores into a fixed slot: no locks, no allocation (asserted by
-//! `tests/flight_stress.rs`'s counting allocator).
+//! `fetch_add` plus a handful of relaxed atomic stores into a fixed slot:
+//! no locks, no allocation (asserted by `tests/flight_stress.rs`'s
+//! counting allocator).
 //!
 //! # Protocol
 //!
 //! Each slot is guarded by a seqlock-style stamp. The writer for ticket
 //! `t` (slot `t % cap`, `cap` a power of two):
 //!
-//! 1. claims the slot by compare-exchanging an older lap's even stamp to
-//!    the odd stamp `2t+1` (relaxed), then a `Release` fence — if the
-//!    stamp is odd (a writer a full lap behind is still in the slot) or
-//!    newer than `t`, the event is dropped instead, so a slot never has
-//!    two writers,
+//! 1. stores the odd stamp `2t+1` (relaxed), then a `Release` fence,
 //! 2. stores the payload fields (relaxed),
 //! 3. stores the even stamp `2t+2` with `Release`.
 //!
@@ -286,36 +282,18 @@ impl FlightRecorder {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Record one event. Lock-free, allocation-free: one `fetch_add`, one
-    /// compare-exchange and a fixed number of relaxed stores. Safe to call
-    /// from any thread at any time, including with readers dumping
-    /// concurrently. An event is dropped (its ticket stays counted) in the
-    /// one case where keeping it would mean two writers in one slot: a
-    /// writer that stalled for a whole lap of the ring still owns the
-    /// slot, or resumes to find a newer lap's event already there.
+    /// Record one event. Lock-free, allocation-free: one `fetch_add` and
+    /// a fixed number of relaxed stores. Safe to call from any thread at
+    /// any time, including with readers dumping concurrently.
     #[inline]
     pub fn record(&self, event: FlightEvent) {
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
-        // Claim the slot: odd stamp = under construction. Only a complete
-        // (even) stamp of an older lap may be replaced, and only by one
-        // writer, so payload stores never interleave with another
-        // writer's. `Acquire` pairs with the previous owner's `Release`
-        // of that even stamp: its payload stores happen before ours. The
-        // release fence orders the odd stamp before every payload store,
-        // so a reader that observes any of our payload writes cannot
-        // still read the previous even stamp.
-        let seen = slot.seq.load(Ordering::Relaxed);
-        if seen % 2 == 1
-            || seen > 2 * ticket
-            || slot
-                .seq
-                .compare_exchange(seen, 2 * ticket + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            return;
-        }
+        // Odd stamp: slot under construction. The release fence orders it
+        // before every payload store, so a reader that observes any of
+        // our payload writes cannot still read the previous even stamp.
+        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
         fence(Ordering::Release);
         slot.t_ns.store(t_ns, Ordering::Relaxed);
         slot.kind.store(event.kind(), Ordering::Relaxed);

@@ -77,6 +77,13 @@ impl BitVec {
         }
     }
 
+    /// Drop the last bit (undo of a [`BitVec::push`]). Panics when empty.
+    pub fn pop(&mut self) {
+        self.set(self.len - 1, false);
+        self.len -= 1;
+        self.words.truncate(self.len.div_ceil(WORD_BITS));
+    }
+
     /// Read bit `i`. Panics when out of bounds.
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of bounds (len {})", self.len);
@@ -220,6 +227,11 @@ mod tests {
         let mut c = BitVec::new(64);
         c.push(true);
         assert_eq!(c, BitVec::singleton(65, 64));
+        // Popping undoes a push, set bit and storage word included.
+        c.pop();
+        assert_eq!(c, BitVec::new(64));
+        c.push(false);
+        assert_eq!(c, BitVec::new(65));
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! maps / small materialized aggregates, Moerkotte VLDB'98, cited as \[32\]).
 
 use crate::bitvec::BitVec;
-use crate::column::ColumnData;
+use crate::column::{ColumnData, PruneRanges};
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::table::ValueRange;
 use crate::value::Value;
 use crate::Result;
 
@@ -113,23 +112,20 @@ impl DataChunk {
     }
 
     /// The chunk's selection vector: append to `out`, ascending, the live
-    /// rows whose `column` value lies in one of the inclusive `ranges`
-    /// (every live row without `prune`). Returns `false`, appending
+    /// rows whose value in the pruned column lies in one of the inclusive
+    /// ranges (every live row without `prune`). Returns `false`, appending
     /// nothing, when the zone map rules the whole chunk out; ranges the
     /// zone map excludes are dropped before the column kernel runs.
-    pub fn select(&self, prune: Option<(usize, &[ValueRange])>, out: &mut Vec<usize>) -> bool {
-        let Some((column, ranges)) = prune else {
+    pub fn select(&self, prune: Option<&mut PruneRanges<'_>>, out: &mut Vec<usize>) -> bool {
+        let Some(ranges) = prune else {
             select_live(self.len, self.deleted.as_ref(), out);
             return true;
         };
-        let mut reachable = ranges
-            .iter()
-            .filter(|(lo, hi)| self.zone_map.may_overlap(column, lo.as_ref(), hi.as_ref()))
-            .peekable();
-        if reachable.peek().is_none() {
+        let column = ranges.column();
+        if !ranges.narrow(|(lo, hi)| self.zone_map.may_overlap(column, lo.as_ref(), hi.as_ref())) {
             return false;
         }
-        self.columns[column].select_ranges(reachable, self.deleted.as_ref(), out);
+        self.columns[column].select_ranges(ranges, self.deleted.as_ref(), out);
         true
     }
 
@@ -214,11 +210,20 @@ impl ChunkBuilder {
         }
     }
 
-    /// Append one row. A refused row leaves the builder untouched.
+    /// Append one row. A refused row leaves the builder untouched: the
+    /// columns filled before the offending value are rolled back.
     pub fn push(&mut self, row: &Row) -> Result<()> {
-        self.check(row)?;
-        for (col, val) in self.columns.iter_mut().zip(row.values()) {
-            col.push(val).expect("row checked against the schema");
+        if row.arity() != self.schema.arity() {
+            return Err(crate::StorageError::ArityMismatch {
+                expected: self.schema.arity(),
+                found: row.arity(),
+            });
+        }
+        for (filled, val) in row.values().iter().enumerate() {
+            if let Err(refused) = self.columns[filled].push(val) {
+                self.columns[..filled].iter_mut().for_each(ColumnData::pop);
+                return Err(refused);
+            }
         }
         self.rows += 1;
         Ok(())
@@ -313,5 +318,21 @@ mod tests {
     fn arity_checked() {
         let mut b = ChunkBuilder::new(&schema());
         assert!(b.push(&row![1]).is_err());
+    }
+
+    #[test]
+    fn refused_row_is_rolled_back() {
+        let mut b = ChunkBuilder::new(&schema());
+        b.push(&row![1, "x"]).unwrap();
+        // Column `a` takes the value (and its first NULL) before `b` refuses.
+        assert!(b.push(&row![2, 3]).is_err());
+        assert!(b.push(&row![Value::Null, 3]).is_err());
+        assert!(b.check(&row![2, 3]).is_err());
+        b.push(&row![Value::Null, "y"]).unwrap();
+        assert_eq!(b.len(), 2);
+        let c = b.finish();
+        assert_eq!(c.row(0), row![1, "x"]);
+        assert_eq!(c.row(1), row![Value::Null, "y"]);
+        assert_eq!(c.zone_map().ranges[0], Some((Value::Int(1), Value::Int(1))));
     }
 }

@@ -47,7 +47,7 @@ pub mod value;
 
 pub use bitvec::BitVec;
 pub use chunk::{ChunkBuilder, DataChunk, ZoneMap};
-pub use column::ColumnData;
+pub use column::{ColumnData, PruneRanges};
 pub use columns::{key_runs, sort_keys_stable, DeltaColumns, COLUMNAR_CHUNK};
 pub use delta::{DeltaLog, DeltaOp, DeltaRecord};
 pub use error::StorageError;

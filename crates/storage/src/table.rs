@@ -5,9 +5,10 @@
 //!
 //! 1. **prune** — a chunk whose zone map overlaps no prune range is
 //!    skipped whole;
-//! 2. **select** — the typed range kernel ([`ColumnData::select_ranges`])
-//!    turns the prune column of a surviving chunk into a selection vector
-//!    (live, non-NULL, inside a range);
+//! 2. **select** — the typed range kernel ([`ColumnData::select_ranges`],
+//!    bounds translated once per scan by [`PruneRanges`]) turns the prune
+//!    column of a surviving chunk into a selection vector (live, non-NULL,
+//!    inside a range);
 //! 3. **gather** — rows are materialized for selected indices only;
 //! 4. **residual** — the caller's predicate decides each gathered row.
 //!
@@ -15,9 +16,11 @@
 //! on `&Row` and only hits are cloned.
 //!
 //! [`ColumnData::select_ranges`]: crate::ColumnData::select_ranges
+//! [`PruneRanges`]: crate::PruneRanges
 
 use crate::bitvec::BitVec;
 use crate::chunk::{select_live, ChunkBuilder, DataChunk};
+use crate::column::PruneRanges;
 use crate::delta::{DeltaLog, DeltaOp};
 use crate::row::Row;
 use crate::schema::Schema;
@@ -177,11 +180,16 @@ impl Table {
         mut on_hit: impl FnMut(Slot, Row),
         mut on_chunk_skipped: impl FnMut(usize),
     ) -> std::result::Result<usize, E> {
+        // The bounds depend on the column type only: translate them once
+        // for every chunk and the tail.
+        let mut prune = prune.map(|(column, ranges)| {
+            PruneRanges::new(column, self.schema.fields()[column].dtype, ranges)
+        });
         let mut examined = 0;
         let mut selected = Vec::new();
         for (chunk_no, chunk) in self.chunks.iter().enumerate() {
             selected.clear();
-            if !chunk.select(prune, &mut selected) {
+            if !chunk.select(prune.as_mut(), &mut selected) {
                 on_chunk_skipped(chunk.live_rows());
                 continue;
             }
@@ -203,10 +211,15 @@ impl Table {
         // same kernel over the builder's columns, residual by reference.
         selected.clear();
         let tombstones = Some(&self.tail_deleted);
-        match prune {
+        match &mut prune {
             None => select_live(self.tail_rows.len(), tombstones, &mut selected),
-            Some((column, ranges)) => {
-                self.tail.columns()[column].select_ranges(ranges.iter(), tombstones, &mut selected)
+            Some(ranges) => {
+                ranges.narrow(|_| true);
+                self.tail.columns()[ranges.column()].select_ranges(
+                    ranges,
+                    tombstones,
+                    &mut selected,
+                );
             }
         }
         examined += self.tail_rows.len() - self.tail_deleted.count_ones();
