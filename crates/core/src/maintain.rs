@@ -11,7 +11,7 @@
 
 use crate::delta::{delta_heap_size, delta_heap_size_flat, DeltaBatch, DeltaEntry};
 use crate::metrics::MaintMetrics;
-use crate::ops::{IncNode, MaintCtx, MergeOp, OpConfig};
+use crate::ops::{DbAccess, IncNode, MaintCtx, MergeOp, OpConfig};
 use crate::opt::pushdown::pushable_predicates;
 use crate::Result;
 use imp_engine::{Bag, Database};
@@ -153,8 +153,9 @@ impl SketchMaintainer {
             deltas.insert(table.clone(), self.apply_pushdown(table, delta, None));
         }
         let out = {
+            let db = DbAccess::Held(db);
             let mut ctx = MaintCtx {
-                db,
+                db: &db,
                 pset: &self.pset,
                 deltas: &deltas,
                 pool: &mut self.pool,
@@ -256,7 +257,14 @@ impl SketchMaintainer {
             deltas.insert(table.clone(), normalized);
         }
         self.flush_cold_row_cache(row_hits_before);
-        self.run_prepared(db, deltas, max_seen, metrics, start, pool_stats_before)
+        self.run_prepared(
+            &DbAccess::Held(db),
+            deltas,
+            max_seen,
+            metrics,
+            start,
+            pool_stats_before,
+        )
     }
 
     /// Maintain from scheduler-routed table deltas instead of fetching
@@ -265,10 +273,12 @@ impl SketchMaintainer {
     /// a routed batch may safely overlap history the sketch has already
     /// consumed (e.g. after an on-demand [`Self::maintain`] overtook the
     /// queue). Produces byte-identical sketches and versions to the
-    /// fetching path run over the same record ranges.
+    /// fetching path run over the same record ranges. The deltas come
+    /// with the call, so `db` is touched only if an operator reads base
+    /// tables (see [`DbAccess`]).
     pub fn maintain_from(
         &mut self,
-        db: &Database,
+        db: &DbAccess<'_>,
         routed: &FxHashMap<String, Vec<Arc<crate::sched::TableDelta>>>,
     ) -> Result<MaintReport> {
         let start = Instant::now();
@@ -330,7 +340,7 @@ impl SketchMaintainer {
     /// (split-invariant — see [`Self::maintain`]'s bootstrap notes).
     fn run_prepared(
         &mut self,
-        db: &Database,
+        db: &DbAccess<'_>,
         deltas: FxHashMap<String, DeltaBatch>,
         max_seen: u64,
         mut metrics: MaintMetrics,
@@ -378,7 +388,7 @@ impl SketchMaintainer {
             // (§7.2 / §8.4.3), reporting it — including the bootstrap's
             // own work — so callers can account for it.
             let before = self.sketch.clone();
-            self.bootstrap(db, &mut metrics)?;
+            self.bootstrap(db.get(), &mut metrics)?;
             let sketch_delta = diff_sketches(&before, &self.sketch);
             metrics.record_pool_activity(pool_stats_before, self.pool.stats());
             return Ok(MaintReport {

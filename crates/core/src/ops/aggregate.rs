@@ -350,7 +350,7 @@ impl AggOp {
     }
 
     /// Process one batch (see module docs).
-    pub fn process(&mut self, ctx: &mut MaintCtx<'_>) -> Result<DeltaBatch> {
+    pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let input = self.input.process(ctx)?;
         if input.is_empty() {
             return Ok(DeltaBatch::new());
@@ -417,7 +417,7 @@ impl AggOp {
         input: &DeltaBatch,
         total: usize,
         old_outputs: &mut FxHashMap<Row, Option<(Row, AnnotId)>>,
-        ctx: &mut MaintCtx<'_>,
+        ctx: &mut MaintCtx<'_, '_>,
     ) -> Result<()> {
         for d in input {
             ctx.metrics.rows_processed += 1;
@@ -453,7 +453,7 @@ impl AggOp {
         input: &DeltaBatch,
         total: usize,
         old_outputs: &mut FxHashMap<Row, Option<(Row, AnnotId)>>,
-        ctx: &mut MaintCtx<'_>,
+        ctx: &mut MaintCtx<'_, '_>,
     ) -> Result<()> {
         ctx.metrics.rows_processed += input.len() as u64;
         // Pass 1 — chunked key extraction into a contiguous key column.
@@ -637,7 +637,7 @@ fn apply_entry(
     st: &mut GroupState,
     d: &DeltaEntry,
     aggs: &[AggSpec],
-    ctx: &mut MaintCtx<'_>,
+    ctx: &mut MaintCtx<'_, '_>,
 ) -> Result<()> {
     st.count += d.mult;
     for frag in ctx.pool.get(d.annot).iter_ones() {

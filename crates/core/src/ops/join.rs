@@ -154,7 +154,7 @@ impl JoinOp {
     }
 
     /// Process one batch (see module docs for the delta rule).
-    pub fn process(&mut self, ctx: &mut MaintCtx<'_>) -> Result<DeltaBatch> {
+    pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let dl = self.left.process(ctx)?;
         let dr = self.right.process(ctx)?;
         if dl.is_empty() && dr.is_empty() {
@@ -444,7 +444,7 @@ fn sync_index(
     budget: Option<usize>,
     cache: &mut Option<DeltaBatch>,
     evaluated: &mut bool,
-    ctx: &mut MaintCtx<'_>,
+    ctx: &mut MaintCtx<'_, '_>,
 ) -> Result<()> {
     match state {
         SideState::Ready(_) if delta.is_empty() => {}
@@ -482,7 +482,7 @@ fn build_bloom(
     keys: &[usize],
     cache: &mut Option<DeltaBatch>,
     evaluated: &mut bool,
-    ctx: &mut MaintCtx<'_>,
+    ctx: &mut MaintCtx<'_, '_>,
 ) -> Result<BloomFilter> {
     if let Some(idx) = index {
         let mut bloom = BloomFilter::with_capacity(idx.len());
@@ -517,7 +517,7 @@ fn bloom_filter_delta(
     keys_col: KeyColumn,
     other_bloom: &Option<BloomFilter>,
     use_bloom: bool,
-    ctx: &mut MaintCtx<'_>,
+    ctx: &mut MaintCtx<'_, '_>,
 ) -> (DeltaBatch, KeyColumn) {
     match (other_bloom, use_bloom) {
         (Some(b), true) => {
@@ -546,7 +546,7 @@ fn probe_index(
     index: &JoinSideIndex,
     side_on_left: bool,
     out: &mut DeltaBatch,
-    ctx: &mut MaintCtx<'_>,
+    ctx: &mut MaintCtx<'_, '_>,
 ) {
     // Intern each distinct entry annotation once per probe, not once per
     // (delta row × match): the handles are shared `Arc`s, so pointer
@@ -593,7 +593,7 @@ fn probe_hash(
     table: &FxHashMap<Vec<Value>, Vec<&DeltaEntry>>,
     side_on_left: bool,
     out: &mut DeltaBatch,
-    ctx: &mut MaintCtx<'_>,
+    ctx: &mut MaintCtx<'_, '_>,
 ) {
     for (d, k) in delta.iter().zip(keys_col) {
         ctx.metrics.rows_processed += 1;
@@ -621,10 +621,10 @@ fn probe_hash(
 /// Evaluate one (stateless) join side against the backend: a DB round trip.
 /// The side's annotations are interned into the run's pool. Shared with
 /// the n-ary operator, whose inputs follow the same contract.
-pub(super) fn eval_side(plan: &LogicalPlan, ctx: &mut MaintCtx<'_>) -> Result<DeltaBatch> {
+pub(super) fn eval_side(plan: &LogicalPlan, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
     ctx.metrics.db_roundtrips += 1;
     let mut scanned = 0u64;
-    let bag = eval_annot(plan, ctx.db, ctx.pset, ctx.pool, &mut scanned)?;
+    let bag = eval_annot(plan, ctx.db.get(), ctx.pset, ctx.pool, &mut scanned)?;
     ctx.metrics.db_rows_scanned += scanned;
     Ok(bag)
 }

@@ -50,12 +50,54 @@ use imp_engine::Database;
 use imp_sketch::PartitionSet;
 use imp_sql::{Expr, LogicalPlan};
 use imp_storage::{AnnotPool, DeltaEntry, FxHashMap, Row};
+use parking_lot::{RwLock, RwLockReadGuard};
+use std::cell::OnceCell;
 use std::sync::Arc;
 
+/// How one maintenance run reaches the backend database.
+///
+/// A run over routed deltas reads base tables only when an operator has
+/// to (a join side it does not keep materialized, a recapture); an
+/// aggregation over its delta never does. A shard worker therefore does
+/// not hold the shared database for the length of a claim — every update
+/// statement would wait for it — but takes the read lock at the run's
+/// first base-table read and keeps it to the end of that run, so all of a
+/// run's reads see one database state.
+pub enum DbAccess<'a> {
+    /// The caller holds the database for the whole run.
+    Held(&'a Database),
+    /// The shared database, read-locked from the first [`DbAccess::get`]
+    /// until this value is dropped.
+    Shared {
+        /// The database lock.
+        lock: &'a RwLock<Database>,
+        /// The read guard, once taken.
+        guard: OnceCell<RwLockReadGuard<'a, Database>>,
+    },
+}
+
+impl<'a> DbAccess<'a> {
+    /// Access to the shared database, not locked yet.
+    pub fn shared(lock: &'a RwLock<Database>) -> DbAccess<'a> {
+        DbAccess::Shared {
+            lock,
+            guard: OnceCell::new(),
+        }
+    }
+
+    /// The database (taking the read lock on a shared one's first call).
+    pub fn get(&self) -> &Database {
+        match self {
+            DbAccess::Held(db) => db,
+            DbAccess::Shared { lock, guard } => guard.get_or_init(|| lock.read()),
+        }
+    }
+}
+
 /// Per-run context shared by all operators.
-pub struct MaintCtx<'a> {
+pub struct MaintCtx<'a, 'db> {
     /// The backend database (already at the *new* state).
-    pub db: &'a Database,
+    pub db: &'a DbAccess<'db>,
     /// The partitions `Φ` of the sketch being maintained.
     pub pset: &'a Arc<PartitionSet>,
     /// Annotated deltas per base table, pre-filtered by selection
@@ -264,7 +306,7 @@ impl IncNode {
 
     /// Process one maintenance batch: consume input deltas, update state,
     /// emit the output delta.
-    pub fn process(&mut self, ctx: &mut MaintCtx<'_>) -> Result<DeltaBatch> {
+    pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         match self {
             IncNode::TableAccess { table } => {
                 // I(R, Δ𝒟) = Δℛ — the annotated delta, unmodified (§5.2.1).

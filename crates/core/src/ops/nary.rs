@@ -179,7 +179,7 @@ impl NaryJoinOp {
     }
 
     /// Process one batch (see module docs for the telescoping rule).
-    pub fn process(&mut self, ctx: &mut MaintCtx<'_>) -> Result<DeltaBatch> {
+    pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let n = self.children.len();
         let mut deltas = Vec::with_capacity(n);
         for c in &mut self.children {
@@ -224,7 +224,7 @@ impl NaryJoinOp {
         deltas: &[DeltaBatch],
         transient: &mut [Option<NarySideIndex>],
         evaluated: &mut [bool],
-        ctx: &mut MaintCtx<'_>,
+        ctx: &mut MaintCtx<'_, '_>,
     ) -> Result<()> {
         if self.states[j].ready().is_some() || transient[j].is_some() {
             return Ok(());
@@ -256,7 +256,7 @@ impl NaryJoinOp {
         i: usize,
         delta: &DeltaBatch,
         transient: &mut [Option<NarySideIndex>],
-        ctx: &mut MaintCtx<'_>,
+        ctx: &mut MaintCtx<'_, '_>,
     ) {
         if delta.is_empty() {
             return;
@@ -281,7 +281,7 @@ impl NaryJoinOp {
         transient: &[Option<NarySideIndex>],
         evaluated: &[bool],
         out: &mut DeltaBatch,
-        ctx: &mut MaintCtx<'_>,
+        ctx: &mut MaintCtx<'_, '_>,
     ) -> Result<()> {
         let _span = trace::span("nary_probe");
         let n = self.children.len();

@@ -201,7 +201,7 @@ impl TopKOp {
     }
 
     /// Process one batch.
-    pub fn process(&mut self, ctx: &mut MaintCtx<'_>) -> Result<DeltaBatch> {
+    pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let input = self.input.process(ctx)?;
         if input.is_empty() {
             return Ok(DeltaBatch::new());

@@ -38,6 +38,7 @@ use crate::middleware::{
     SketchStateView, SketchSummary, StoredSketch, MAX_SKETCHES_PER_TEMPLATE,
 };
 use crate::obs::{trace, Obs, ObsEvent};
+use crate::ops::DbAccess;
 use crate::sched::snapshot::{PublishedSketch, SnapshotBoard};
 use crate::sched::steal::{SchedShared, ShardState};
 use crate::Result;
@@ -342,18 +343,15 @@ impl ShardWorker {
             stolen,
             batches: claim.batches,
         });
-        {
-            let db = self.db.read();
-            run_claim(
-                &mut state,
-                &claim.routed,
-                &db,
-                &self.config,
-                &self.metrics,
-                &self.tracker,
-                &self.obs,
-            );
-        }
+        run_claim(
+            &mut state,
+            &claim.routed,
+            &self.db,
+            &self.config,
+            &self.metrics,
+            &self.tracker,
+            &self.obs,
+        );
         publish(shard, &mut state, &self.board, &self.obs);
         true
     }
@@ -471,6 +469,10 @@ impl ShardWorker {
                 let _ = reply.send(self.repartition(&mut state));
             }
             ShardMsg::Drain { reply } => {
+                // A thief may still be inside a claim it took from this
+                // shard's inbox (which the flush then found empty): it
+                // holds this state lock until it has published.
+                drop(self.shared.slots[self.id].state.lock());
                 let _ = reply.send(());
             }
             ShardMsg::Pause { ack, resume } => {
@@ -638,12 +640,15 @@ impl ShardWorker {
 /// the advisor demoted below [`Lifecycle::Maintained`] are skipped —
 /// they are brought current on demand by the next query that needs
 /// them (the delta log keeps their records; vacuum horizons respect
-/// every stored sketch's maintained version). Free function so owner and
-/// thief run the identical pass.
+/// every stored sketch's maintained version). The claim carries its
+/// deltas, so the database is read-locked per sketch and only from that
+/// sketch's first base-table read ([`DbAccess`]): an update statement
+/// does not wait for a claim that never reads a table. Free function so
+/// owner and thief run the identical pass.
 pub(crate) fn run_claim(
     state: &mut ShardState,
     routed: &FxHashMap<String, Vec<Arc<crate::sched::router::TableDelta>>>,
-    db: &Database,
+    db: &RwLock<Database>,
     config: &ImpConfig,
     metrics: &SchedMetrics,
     tracker: &WorkloadTracker,
@@ -664,7 +669,9 @@ pub(crate) fn run_claim(
             let from_version = entry.maintainer.version();
             let mut run = || -> Result<MaintReport> {
                 restore_if_evicted(entry)?;
-                let report = entry.maintainer.maintain_from(db, routed)?;
+                let report = entry
+                    .maintainer
+                    .maintain_from(&DbAccess::shared(db), routed)?;
                 retain_version(entry, config.retain_sketch_versions);
                 Ok(report)
             };

@@ -1,10 +1,11 @@
 //! Batch (non-incremental) grouping and aggregation.
 
+use super::hash_index::{hash_cells, HashIndex};
 use super::{Bag, ExecStats};
 use crate::error::EngineError;
 use crate::Result;
 use imp_sql::{AggFunc, AggSpec, Expr};
-use imp_storage::{FxHashMap, Row, Value};
+use imp_storage::{Cell, Row, Value};
 
 /// Numeric accumulator that stays integral until it sees a float.
 #[derive(Debug, Clone, Copy, Default)]
@@ -17,10 +18,15 @@ pub struct NumAcc {
 impl NumAcc {
     /// Add `v * mult`.
     pub fn add(&mut self, v: &Value, mult: i64) -> Result<()> {
+        self.add_cell(v.as_cell(), mult)
+    }
+
+    /// [`NumAcc::add`] for a cell read straight from a column.
+    pub fn add_cell(&mut self, v: Cell<'_>, mult: i64) -> Result<()> {
         match v {
-            Value::Int(i) => {
+            Cell::Int(i) => {
                 if self.is_float {
-                    self.float += (*i as f64) * mult as f64;
+                    self.float += (i as f64) * mult as f64;
                 } else {
                     self.int = self
                         .int
@@ -28,7 +34,7 @@ impl NumAcc {
                         .ok_or_else(overflow)?;
                 }
             }
-            Value::Float(f) => {
+            Cell::Float(f) => {
                 if !self.is_float {
                     self.float = self.int as f64;
                     self.is_float = true;
@@ -37,7 +43,8 @@ impl NumAcc {
             }
             other => {
                 return Err(EngineError::Execution(format!(
-                    "cannot sum non-numeric value {other}"
+                    "cannot sum non-numeric value {}",
+                    other.to_value()
                 )))
             }
         }
@@ -108,36 +115,33 @@ impl AggAcc {
         }
     }
 
-    fn update(&mut self, arg: Option<&Value>, mult: i64) -> Result<()> {
-        match self {
-            AggAcc::Count { count } => {
-                // count(*) counts rows; count(a) counts non-null values.
-                match arg {
-                    None => *count += mult,
-                    Some(v) if !v.is_null() => *count += mult,
-                    _ => {}
+    fn update(&mut self, arg: Option<Cell<'_>>, mult: i64) -> Result<()> {
+        // `count(*)` has no argument and counts rows; every other
+        // aggregate skips NULL arguments.
+        let arg = match arg {
+            None => {
+                if let AggAcc::Count { count } = self {
+                    *count += mult;
                 }
+                return Ok(());
             }
+            Some(Cell::Null) => return Ok(()),
+            Some(v) => v,
+        };
+        match self {
+            AggAcc::Count { count } => *count += mult,
             AggAcc::Sum { sum, non_null } | AggAcc::Avg { sum, non_null } => {
-                if let Some(v) = arg {
-                    if !v.is_null() {
-                        sum.add(v, mult)?;
-                        *non_null += mult;
-                    }
-                }
+                sum.add_cell(arg, mult)?;
+                *non_null += mult;
             }
             AggAcc::Min { cur } => {
-                if let Some(v) = arg {
-                    if !v.is_null() && cur.as_ref().is_none_or(|c| v < c) {
-                        *cur = Some(v.clone());
-                    }
+                if cur.as_ref().is_none_or(|c| arg < c.as_cell()) {
+                    *cur = Some(arg.to_value());
                 }
             }
             AggAcc::Max { cur } => {
-                if let Some(v) = arg {
-                    if !v.is_null() && cur.as_ref().is_none_or(|c| v > c) {
-                        *cur = Some(v.clone());
-                    }
+                if cur.as_ref().is_none_or(|c| arg > c.as_cell()) {
+                    *cur = Some(arg.to_value());
                 }
             }
         }
@@ -166,6 +170,78 @@ impl AggAcc {
     }
 }
 
+/// The groups of one aggregation, fed a row at a time by either sink: the
+/// batch scan hands in cells read from columns, [`aggregate`] cells of
+/// evaluated rows. A key is hashed and compared cell by cell where it
+/// lies; only a *new* group builds a key [`Row`]. Groups come out in
+/// first-seen order.
+#[derive(Debug)]
+pub(super) struct GroupTable {
+    funcs: Vec<AggFunc>,
+    index: HashIndex,
+    keys: Vec<Row>,
+    /// `funcs.len()` accumulators per group, group after group.
+    accs: Vec<AggAcc>,
+}
+
+impl GroupTable {
+    pub fn new(funcs: impl IntoIterator<Item = AggFunc>) -> GroupTable {
+        GroupTable {
+            funcs: funcs.into_iter().collect(),
+            index: HashIndex::default(),
+            keys: Vec::new(),
+            accs: Vec::new(),
+        }
+    }
+
+    /// The group whose key is `key(0), …, key(width - 1)`, created if new.
+    pub fn group<'k>(&mut self, width: usize, key: impl Fn(usize) -> Cell<'k>) -> usize {
+        let hash = hash_cells((0..width).map(&key));
+        let found = self.index.chain(hash).find(|&group| {
+            let stored = self.keys[group].values();
+            (0..width).all(|i| key(i) == stored[i].as_cell())
+        });
+        found.unwrap_or_else(|| {
+            let group = self.keys.len();
+            self.index.link(hash, group);
+            self.keys
+                .push((0..width).map(|i| key(i).to_value()).collect());
+            self.accs.extend(self.funcs.iter().map(|f| AggAcc::new(*f)));
+            group
+        })
+    }
+
+    /// Feed aggregate number `agg` of `group` one input row: its argument
+    /// (`None` for `count(*)`) with multiplicity `mult`.
+    pub fn update(
+        &mut self,
+        group: usize,
+        agg: usize,
+        arg: Option<Cell<'_>>,
+        mult: i64,
+    ) -> Result<()> {
+        self.accs[group * self.funcs.len() + agg].update(arg, mult)
+    }
+
+    /// One output row per group: key, then aggregates. Aggregation without
+    /// GROUP BY (`global`) yields one row even on empty input.
+    pub fn finish(mut self, global: bool, stats: &mut ExecStats) -> Bag {
+        if global && self.keys.is_empty() {
+            self.group(0, |_| Cell::Null);
+        }
+        stats.agg_groups += self.keys.len() as u64;
+        let per_group = self.funcs.len();
+        let mut accs = self.accs.iter();
+        (self.keys.iter())
+            .map(|key| {
+                let aggregates = accs.by_ref().take(per_group).map(AggAcc::finish);
+                let row = key.values().iter().cloned().chain(aggregates).collect();
+                (row, 1)
+            })
+            .collect()
+    }
+}
+
 /// Group `rows` by `group_by` and compute `aggs` per group.
 pub fn aggregate(
     rows: Bag,
@@ -173,40 +249,20 @@ pub fn aggregate(
     aggs: &[AggSpec],
     stats: &mut ExecStats,
 ) -> Result<Bag> {
-    let mut groups: FxHashMap<Row, Vec<AggAcc>> = FxHashMap::default();
+    let mut groups = GroupTable::new(aggs.iter().map(|a| a.func));
+    let mut key = Vec::with_capacity(group_by.len());
     for (row, m) in rows {
-        let key: Row = group_by
-            .iter()
-            .map(|g| g.eval(&row))
-            .collect::<std::result::Result<_, _>>()?;
-        let accs = groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|a| AggAcc::new(a.func)).collect());
-        for (acc, spec) in accs.iter_mut().zip(aggs) {
-            let arg = match &spec.arg {
-                Some(e) => Some(e.eval(&row)?),
-                None => None,
-            };
-            acc.update(arg.as_ref(), m)?;
+        key.clear();
+        for g in group_by {
+            key.push(g.eval(&row)?);
+        }
+        let group = groups.group(key.len(), |i| key[i].as_cell());
+        for (agg, spec) in aggs.iter().enumerate() {
+            let arg = spec.arg.as_ref().map(|e| e.eval(&row)).transpose()?;
+            groups.update(group, agg, arg.as_ref().map(Value::as_cell), m)?;
         }
     }
-    // Aggregation without GROUP BY yields one row even on empty input.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.insert(
-            Row::new(vec![]),
-            aggs.iter().map(|a| AggAcc::new(a.func)).collect(),
-        );
-    }
-    stats.agg_groups += groups.len() as u64;
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, accs) in groups {
-        let mut vals: Vec<Value> = key.values().to_vec();
-        for acc in &accs {
-            vals.push(acc.finish());
-        }
-        out.push((Row::new(vals), 1));
-    }
-    Ok(out)
+    Ok(groups.finish(group_by.is_empty(), stats))
 }
 
 #[cfg(test)]

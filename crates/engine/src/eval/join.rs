@@ -1,8 +1,9 @@
 //! Hash join / cross product over bags.
 
+use super::hash_index::{hash_cells, HashIndex};
 use super::{Bag, ExecStats};
 use crate::Result;
-use imp_storage::{FxHashMap, Row, Value};
+use imp_storage::Row;
 
 /// Join two bags. Empty keys = cross product. Multiplicities multiply
 /// (`(t ◦ s)^{n·m}`, paper Fig. 4).
@@ -31,17 +32,13 @@ pub fn join(
     }
 }
 
-fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
-    let mut k = Vec::with_capacity(keys.len());
-    for &i in keys {
-        let v = row[i].clone();
-        // SQL equi-join: NULL joins with nothing.
-        if v.is_null() {
-            return None;
-        }
-        k.push(v);
+/// Hash of `row`'s key cells, in place. SQL equi-join: a NULL key cell
+/// joins with nothing (`None`).
+fn key_hash(row: &Row, keys: &[usize]) -> Option<u64> {
+    if keys.iter().any(|&k| row[k].is_null()) {
+        return None;
     }
-    Some(k)
+    Some(hash_cells(keys.iter().map(|&k| row[k].as_cell())))
 }
 
 fn hash_join(
@@ -52,20 +49,23 @@ fn hash_join(
     swapped: bool,
     stats: &mut ExecStats,
 ) -> Result<Bag> {
-    let mut table: FxHashMap<Vec<Value>, Vec<(Row, i64)>> = FxHashMap::default();
-    for (row, m) in build {
-        if let Some(k) = key_of(&row, build_keys) {
-            table.entry(k).or_default().push((row, m));
+    // The build rows keep their keys; the index chains row numbers by key
+    // hash. Linking back to front makes a chain run in build order.
+    let mut index = HashIndex::with_capacity(build.len());
+    for (id, (row, _)) in build.iter().enumerate().rev() {
+        if let Some(hash) = key_hash(row, build_keys) {
+            index.link(hash, id);
         }
     }
     let mut out = Vec::new();
     for (row, n) in probe {
         stats.join_probes += 1;
-        let Some(k) = key_of(&row, probe_keys) else {
+        let Some(hash) = key_hash(&row, probe_keys) else {
             continue;
         };
-        if let Some(matches) = table.get(&k) {
-            for (b, m) in matches {
+        for id in index.chain(hash) {
+            let (b, m) = &build[id];
+            if (probe_keys.iter().zip(build_keys)).all(|(&p, &k)| row[p] == b[k]) {
                 // Preserve (left ◦ right) column order regardless of which
                 // side we built on.
                 let joined = if swapped {
@@ -83,7 +83,7 @@ fn hash_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imp_storage::row;
+    use imp_storage::{row, Value};
 
     #[test]
     fn equi_join_matches_fig5() {
@@ -130,6 +130,32 @@ mod tests {
         let mut stats = ExecStats::default();
         let out = join(l, r, &[0], &[0], &mut stats).unwrap();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn multi_column_keys_match_cell_by_cell_in_build_order() {
+        // Int and Float key cells that compare equal join; a partial match
+        // does not; equal build keys come out in build order.
+        let l: Bag = vec![
+            (row![1, 2.0, "l"], 1),
+            (row![1, 3, "l"], 1),
+            (row![Value::Null, 2, "l"], 1),
+        ];
+        let r: Bag = vec![
+            (row![1.0, 2, "first"], 1),
+            (row![1, 9, "no"], 1),
+            (row![1, 2, "second"], 1),
+        ];
+        let mut stats = ExecStats::default();
+        let out = join(l, r, &[0, 1], &[0, 1], &mut stats).unwrap();
+        assert_eq!(
+            out,
+            vec![
+                (row![1, 2.0, "l", 1.0, 2, "first"], 1),
+                (row![1, 2.0, "l", 1, 2, "second"], 1),
+            ]
+        );
+        assert_eq!(stats.join_probes, 3);
     }
 
     #[test]

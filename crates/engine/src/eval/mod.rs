@@ -1,6 +1,26 @@
 //! Plan evaluation (bag semantics, Fig. 4 of the paper).
+//!
+//! Evaluation is operator-at-a-time over [`Bag`]s, except for the part of
+//! a plan that touches a table. Under any node, the **scan prefix** — the
+//! maximal chain `Aggregate? ← (Project | Filter)* ← Scan` — runs as one
+//! pipeline on column batches (`eval/scan.rs`): storage prunes and
+//! selects, the pipeline refines the selection by the filters' range
+//! constraints and evaluates what is left of them, and the survivors go
+//! into one of two sinks:
+//!
+//! * the **group table** when the prefix ends in an aggregation — group
+//!   keys and aggregate arguments are read as cells from the columns, no
+//!   row is ever built;
+//! * a **bag of rows** otherwise — each row holds the prefix's output
+//!   expressions only, in storage order — for the operators that need
+//!   rows: join, sort, top-k, distinct, except.
+//!
+//! Plan shape alone selects the pipeline. The operators above it (and an
+//! aggregation over a join) consume bags; the group table and its
+//! accumulators are the same in both.
 
 mod aggregate;
+mod hash_index;
 mod join;
 mod ranges;
 mod scan;
@@ -50,16 +70,15 @@ impl ExecStats {
 
 /// Evaluate `plan` against `db`.
 pub fn execute(plan: &LogicalPlan, db: &Database, stats: &mut ExecStats) -> Result<Bag> {
+    if let Some(prefix) = scan::ScanPrefix::of(plan) {
+        return prefix.run(db, stats);
+    }
     match plan {
-        LogicalPlan::Scan { table, .. } => scan::scan(db, table, None, stats),
+        LogicalPlan::Scan { .. } => unreachable!("a scan is a scan prefix"),
         LogicalPlan::Filter { input, predicate } => {
-            // A constant-false predicate (empty sketch) needs no scan.
+            // A constant-false predicate (empty sketch) needs no input.
             if matches!(predicate, Expr::Lit(imp_storage::Value::Bool(false))) {
                 return Ok(Vec::new());
-            }
-            // A filter directly over a table is fused into the scan.
-            if let LogicalPlan::Scan { table, .. } = input.as_ref() {
-                return scan::scan(db, table, Some(predicate), stats);
             }
             let rows = execute(input, db, stats)?;
             filter_bag(rows, predicate)

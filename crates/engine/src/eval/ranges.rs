@@ -1,16 +1,33 @@
-//! Extraction of zone-map prune ranges from filter predicates.
+//! What a filter predicate says about single columns, as value ranges.
 //!
 //! The sketch use-rewrite injects predicates shaped like
-//! `(a >= l1 AND a <= h1) OR (a >= l2 AND a <= h2) OR …` (paper §1, fn. 2).
-//! This module recognizes that shape (and simple comparisons) and converts
-//! it into a set of inclusive ranges for a single column, which the scan
-//! operator feeds to the chunk zone maps. The extraction is conservative:
-//! it only ever returns ranges that *over*-approximate the predicate, so
-//! pruning never drops qualifying rows.
+//! `(a >= l1 AND a < h1) OR (a >= l2 AND a < h2) OR …` (paper §1, fn. 2).
+//! This module recognizes that shape and simple comparisons `col ⋈ lit`
+//! among the conjuncts of a predicate and turns each into an **exact**
+//! [`ColumnRanges`]: the conjunct holds for a row iff the column is
+//! non-NULL and inside one of the ranges (excluded bounds stay excluded).
+//! Storage decides such a constraint on the typed column — one of them also
+//! drives zone-map pruning through its inclusive hull — so the batch scan
+//! drops those conjuncts from the predicate it still has to evaluate
+//! ([`split`]). The row API (capture, DML) takes the hull alone
+//! ([`extract_prune_ranges`]) and keeps the whole predicate as residual;
+//! a hull only ever *over*-approximates, so pruning never drops a
+//! qualifying row.
 
 use imp_sql::ast::BinOp;
 use imp_sql::Expr;
-use imp_storage::{Value, ValueRange};
+use imp_storage::{KeyRange, Value, ValueRange};
+use std::cmp::Ordering;
+use std::ops::Bound;
+
+/// `column ∈ ranges`, exactly as one or more conjuncts state it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnRanges {
+    /// Column the ranges constrain.
+    pub column: usize,
+    /// The union of ranges the column must lie in.
+    pub ranges: Vec<KeyRange>,
+}
 
 /// Inclusive prune ranges on one input column.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,106 +45,173 @@ impl PruneRanges {
     }
 }
 
+/// The filters of one scan, split by who decides what.
+#[derive(Debug, Default)]
+pub struct Split {
+    /// The range constraint that prunes chunks by zone map (through its
+    /// inclusive hull) and makes the first selection, exactly.
+    pub driver: Option<ColumnRanges>,
+    /// The other range constraints storage decides exactly: disjunctive
+    /// range unions first, then one intersected range per column that
+    /// simple comparisons constrain.
+    pub refine: Vec<ColumnRanges>,
+    /// The filters with every decided conjunct replaced by `TRUE`, in
+    /// order; a filter that is decided entirely is gone.
+    pub residual: Vec<Expr>,
+}
+
+/// Split `filters` (each applied to the rows its predecessors let through,
+/// all over the same columns) into range constraints and residual
+/// predicates. A row passes every filter iff it satisfies every constraint
+/// and every residual; the residuals evaluate exactly like the originals
+/// on rows that satisfy the constraints.
+pub fn split<'a>(filters: impl IntoIterator<Item = &'a Expr>) -> Split {
+    let mut unions = Vec::new();
+    let mut per_column: Vec<ColumnRanges> = Vec::new();
+    let mut residual = Vec::new();
+    for filter in filters {
+        let rest = strip_ranges(filter, &mut unions, &mut per_column);
+        if !is_true(&rest) {
+            residual.push(rest);
+        }
+    }
+    let mut refine = unions;
+    refine.append(&mut per_column);
+    // Prefer the most selective constraint for pruning: fully bounded
+    // ranges beat half-open ones.
+    let bounded = |c: &ColumnRanges, both: bool| {
+        let is = |b: &Bound<Value>| !matches!(b, Bound::Unbounded);
+        let count = |(lo, hi): &KeyRange| {
+            if both {
+                is(lo) && is(hi)
+            } else {
+                is(lo) || is(hi)
+            }
+        };
+        c.ranges.iter().filter(|r| count(r)).count()
+    };
+    let driver = (0..refine.len())
+        .filter(|&i| bounded(&refine[i], false) > 0)
+        .max_by_key(|&i| (bounded(&refine[i], true), bounded(&refine[i], false)))
+        .map(|i| refine.remove(i));
+    Split {
+        driver,
+        refine,
+        residual,
+    }
+}
+
 /// Extract prune ranges from a predicate, if its conjuncts constrain a
-/// single column to a union or intersection of ranges.
+/// single column to a union or intersection of ranges: the inclusive hull
+/// of the constraint a batch scan of the same predicate prunes by.
 pub fn extract_prune_ranges(predicate: &Expr) -> Option<PruneRanges> {
-    let mut conjuncts = Vec::new();
-    collect_conjuncts(predicate, &mut conjuncts);
-    let mut candidates: Vec<PruneRanges> = Vec::new();
-    // (a) Disjunctive range unions — the sketch use-rewrite shape
-    //     `(a >= l1 AND a < h1) OR (a >= l2 AND a < h2) …`.
-    for c in &conjuncts {
-        if matches!(c, Expr::Binary { op: BinOp::Or, .. }) {
-            if let Some(p) = range_union(c) {
-                candidates.push(p);
+    let driver = split([predicate]).driver?;
+    let side = |bound: &Bound<Value>| match bound {
+        Bound::Included(v) | Bound::Excluded(v) => Some(v.clone()),
+        Bound::Unbounded => None,
+    };
+    Some(PruneRanges {
+        column: driver.column,
+        ranges: (driver.ranges.iter())
+            .map(|(lo, hi)| (side(lo), side(hi)))
+            .collect(),
+    })
+}
+
+fn is_true(e: &Expr) -> bool {
+    matches!(e, Expr::Lit(Value::Bool(true)))
+}
+
+/// Move the range constraints among the conjuncts of `e` into `unions` /
+/// `per_column` and return `e` with those conjuncts replaced by `TRUE`
+/// (which keeps what the rest evaluates to, errors included, on every row
+/// the constraints admit).
+fn strip_ranges(
+    e: &Expr,
+    unions: &mut Vec<ColumnRanges>,
+    per_column: &mut Vec<ColumnRanges>,
+) -> Expr {
+    let decided = Expr::Lit(Value::Bool(true));
+    match e {
+        Expr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
+            let left = strip_ranges(left, unions, per_column);
+            let right = strip_ranges(right, unions, per_column);
+            if is_true(&left) && is_true(&right) {
+                decided
+            } else {
+                Expr::binary(BinOp::And, left, right)
             }
         }
-    }
-    // (b) Per-column intersection of simple comparison conjuncts —
-    //     `a >= lo AND a < hi` arrives as two separate conjuncts.
-    let mut per_col: Vec<(usize, Option<Value>, Option<Value>)> = Vec::new();
-    for c in &conjuncts {
-        if let Some((col, lo, hi)) = comparison_bounds(c) {
-            match per_col.iter_mut().find(|e| e.0 == col) {
-                Some(e) => {
-                    if let Some(l) = lo {
-                        e.1 = Some(match e.1.take() {
-                            Some(old) if old >= l => old,
-                            _ => l,
-                        });
-                    }
-                    if let Some(h) = hi {
-                        e.2 = Some(match e.2.take() {
-                            Some(old) if old <= h => old,
-                            _ => h,
-                        });
-                    }
+        // (a) Disjunctive range unions — the sketch use-rewrite shape
+        //     `(a >= l1 AND a < h1) OR (a >= l2 AND a < h2) …`.
+        Expr::Binary { op: BinOp::Or, .. } => match range_union(e) {
+            Some(union) => {
+                unions.push(union);
+                decided
+            }
+            None => e.clone(),
+        },
+        // (b) Simple comparisons, intersected per column —
+        //     `a >= lo AND a < hi` arrives as two separate conjuncts.
+        _ => match comparison_bounds(e) {
+            Some((column, range)) => {
+                match per_column.iter_mut().find(|c| c.column == column) {
+                    Some(c) => intersect(&mut c.ranges[0], range),
+                    None => per_column.push(ColumnRanges {
+                        column,
+                        ranges: vec![range],
+                    }),
                 }
-                None => per_col.push((col, lo, hi)),
+                decided
             }
+            None => e.clone(),
+        },
+    }
+}
+
+/// Narrow `range` to its intersection with `other`.
+fn intersect(range: &mut KeyRange, other: KeyRange) {
+    tighten(&mut range.0, other.0, Ordering::Greater);
+    tighten(&mut range.1, other.1, Ordering::Less);
+}
+
+/// Replace `bound` by `other` when `other` is the tighter one: its value
+/// compares `tighter` (greater for a lower bound, less for an upper one),
+/// or equals `bound`'s and is excluded.
+fn tighten(bound: &mut Bound<Value>, other: Bound<Value>, tighter: Ordering) {
+    let replace = match (&*bound, &other) {
+        (_, Bound::Unbounded) => false,
+        (Bound::Unbounded, _) => true,
+        (Bound::Included(old) | Bound::Excluded(old), Bound::Included(new)) => {
+            new.cmp(old) == tighter
         }
-    }
-    for (column, lo, hi) in per_col {
-        candidates.push(PruneRanges {
-            column,
-            ranges: vec![(lo, hi)],
-        });
-    }
-    // Prefer the most selective candidate: fully bounded ranges beat
-    // half-open ones; fall back to any candidate with at least one bound.
-    candidates
-        .into_iter()
-        .filter(|p| p.ranges.iter().any(|(lo, hi)| lo.is_some() || hi.is_some()))
-        .max_by_key(|p| (bounded_count(p), half_bounded_count(p)))
-}
-
-fn bounded_count(p: &PruneRanges) -> usize {
-    p.ranges
-        .iter()
-        .filter(|(lo, hi)| lo.is_some() && hi.is_some())
-        .count()
-}
-
-fn half_bounded_count(p: &PruneRanges) -> usize {
-    p.ranges
-        .iter()
-        .filter(|(lo, hi)| lo.is_some() || hi.is_some())
-        .count()
-}
-
-fn collect_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    if let Expr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        collect_conjuncts(left, out);
-        collect_conjuncts(right, out);
-    } else {
-        out.push(e);
+        (Bound::Included(old), Bound::Excluded(new)) => new.cmp(old) != tighter.reverse(),
+        (Bound::Excluded(old), Bound::Excluded(new)) => new.cmp(old) == tighter,
+    };
+    if replace {
+        *bound = other;
     }
 }
 
 /// Interpret `e` as a union of ranges over one column.
-fn range_union(e: &Expr) -> Option<PruneRanges> {
+fn range_union(e: &Expr) -> Option<ColumnRanges> {
     match e {
         Expr::Binary {
             op: BinOp::Or,
             left,
             right,
         } => {
-            let l = range_union(left)?;
-            let r = range_union(right)?;
-            if l.column != r.column {
+            let mut union = range_union(left)?;
+            let right = range_union(right)?;
+            if union.column != right.column {
                 return None;
             }
-            let mut ranges = l.ranges;
-            ranges.extend(r.ranges);
-            Some(PruneRanges {
-                column: l.column,
-                ranges,
-            })
+            union.ranges.extend(right.ranges);
+            Some(union)
         }
         _ => single_range(e),
     }
@@ -135,41 +219,33 @@ fn range_union(e: &Expr) -> Option<PruneRanges> {
 
 /// Interpret `e` as a conjunction of comparisons over one column, producing
 /// one (possibly half-open) range.
-fn single_range(e: &Expr) -> Option<PruneRanges> {
-    let mut conjuncts = Vec::new();
-    collect_conjuncts(e, &mut conjuncts);
-    let mut column: Option<usize> = None;
-    let mut lo: Option<Value> = None;
-    let mut hi: Option<Value> = None;
-    for c in conjuncts {
-        let (col, clo, chi) = comparison_bounds(c)?;
-        match column {
-            None => column = Some(col),
-            Some(existing) if existing != col => return None,
-            _ => {}
+fn single_range(e: &Expr) -> Option<ColumnRanges> {
+    match e {
+        Expr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
+            let mut range = single_range(left)?;
+            let right = single_range(right)?;
+            if range.column != right.column {
+                return None;
+            }
+            for other in right.ranges {
+                intersect(&mut range.ranges[0], other);
+            }
+            Some(range)
         }
-        if let Some(l) = clo {
-            lo = Some(match lo {
-                Some(old) if old >= l => old,
-                _ => l,
-            });
-        }
-        if let Some(h) = chi {
-            hi = Some(match hi {
-                Some(old) if old <= h => old,
-                _ => h,
-            });
-        }
+        _ => comparison_bounds(e).map(|(column, range)| ColumnRanges {
+            column,
+            ranges: vec![range],
+        }),
     }
-    column.map(|column| PruneRanges {
-        column,
-        ranges: vec![(lo, hi)],
-    })
 }
 
-/// Bounds contributed by a single comparison `col ⋈ lit` / `lit ⋈ col`.
-/// Strict comparisons are widened to inclusive bounds (conservative).
-fn comparison_bounds(e: &Expr) -> Option<(usize, Option<Value>, Option<Value>)> {
+/// The range a single comparison `col ⋈ lit` / `lit ⋈ col` confines the
+/// column to. A comparison with NULL holds for no row and has no range.
+fn comparison_bounds(e: &Expr) -> Option<(usize, KeyRange)> {
     let Expr::Binary { op, left, right } = e else {
         return None;
     };
@@ -182,12 +258,15 @@ fn comparison_bounds(e: &Expr) -> Option<(usize, Option<Value>, Option<Value>)> 
         return None;
     }
     // Interpret as: col <op> lit.
-    match op {
-        BinOp::Eq => Some((col, Some(lit.clone()), Some(lit))),
-        BinOp::Ge | BinOp::Gt => Some((col, Some(lit), None)),
-        BinOp::Le | BinOp::Lt => Some((col, None, Some(lit))),
-        _ => None,
-    }
+    let range = match op {
+        BinOp::Eq => (Bound::Included(lit.clone()), Bound::Included(lit)),
+        BinOp::Ge => (Bound::Included(lit), Bound::Unbounded),
+        BinOp::Gt => (Bound::Excluded(lit), Bound::Unbounded),
+        BinOp::Le => (Bound::Unbounded, Bound::Included(lit)),
+        BinOp::Lt => (Bound::Unbounded, Bound::Excluded(lit)),
+        _ => return None,
+    };
+    Some((col, range))
 }
 
 fn flip(op: BinOp) -> Option<BinOp> {
@@ -268,5 +347,44 @@ mod tests {
     fn non_range_predicates_rejected() {
         let e = Expr::binary(BinOp::Eq, Expr::Col(0), Expr::Col(1));
         assert!(extract_prune_ranges(&e).is_none());
+    }
+
+    #[test]
+    fn split_keeps_bounds_exact_and_the_rest_in_place() {
+        let cmp = |op, col, v: i64| Expr::binary(op, Expr::Col(col), Expr::Lit(Value::Int(v)));
+        let other = Expr::binary(BinOp::Eq, Expr::Col(0), Expr::Col(1));
+        // c0 > 3 AND c0 = c1 AND c0 <= 9 AND c0 >= 3, then c1 < 5 alone.
+        let first = Expr::conjunction([
+            cmp(BinOp::Gt, 0, 3),
+            other.clone(),
+            cmp(BinOp::Le, 0, 9),
+            cmp(BinOp::Ge, 0, 3),
+        ]);
+        let split = split([&first, &cmp(BinOp::Lt, 1, 5)]);
+        assert_eq!(
+            split.driver,
+            Some(ColumnRanges {
+                column: 0,
+                ranges: vec![(
+                    Bound::Excluded(Value::Int(3)),
+                    Bound::Included(Value::Int(9))
+                )],
+            })
+        );
+        assert_eq!(
+            split.refine,
+            vec![ColumnRanges {
+                column: 1,
+                ranges: vec![(Bound::Unbounded, Bound::Excluded(Value::Int(5)))],
+            }]
+        );
+        // The decided conjuncts left `TRUE` behind; the second filter is gone.
+        let t = || Expr::Lit(Value::Bool(true));
+        assert_eq!(
+            split.residual,
+            vec![Expr::conjunction([t(), other, t(), t()])]
+        );
+        // Fully decided predicates leave nothing to evaluate.
+        assert!(super::split([&cmp(BinOp::Lt, 1, 5)]).residual.is_empty());
     }
 }

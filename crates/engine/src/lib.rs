@@ -10,18 +10,19 @@
 //! * evaluate `Δℛ ⋈ 𝒮` joins on behalf of the incremental engine,
 //! * execute updates under snapshot versioning and serve per-table deltas.
 //!
-//! Table access is filter-before-materialise, and it is one path: when a
-//! predicate carries range constraints on a column
-//! ([`eval::extract_prune_ranges`]) storage (1) **prunes** whole chunks
-//! through zone maps, (2) **selects** the rows inside a range with a typed
-//! kernel over that one column of each surviving chunk, (3) **gathers**
-//! only the selected rows, and the engine's (4) **residual** — the full
-//! predicate — runs inside the scan on what was gathered, so a
-//! `Filter(Scan)` never builds a bag of non-qualifying rows. This is what
-//! turns a provenance sketch into actual data skipping. `DELETE` and
-//! `UPDATE` find their victims through the same path ([`update`]) and are
-//! atomic: victims and replacement rows are determined before anything is
-//! written.
+//! Table access is filter-before-materialise, and it is one path: the
+//! range constraints a predicate puts on single columns go to storage,
+//! which (1) **prunes** whole chunks through zone maps, (2) **selects** the
+//! rows inside a range with a typed kernel over that one column of each
+//! surviving chunk and hands over column batches; the engine (3)
+//! **refines** the selection by the remaining range constraints, evaluates
+//! what is left of the predicate on the cells it needs, and (4) **sinks**
+//! the survivors — into the group table when the scan feeds an
+//! aggregation, into rows that hold the output expressions only otherwise
+//! ([`eval`]). This is what turns a provenance sketch into actual data
+//! skipping. `DELETE` and `UPDATE` find their victims through the same
+//! selection, gathered into rows ([`update`]), and are atomic: victims and
+//! replacement rows are determined before anything is written.
 
 pub mod database;
 pub mod error;

@@ -3,8 +3,9 @@
 //! randomized inputs.
 
 use imp_engine::eval::extract_prune_ranges;
-use imp_engine::Database;
-use imp_sql::{Expr, LogicalPlan};
+use imp_engine::{Bag, Database, EngineError, ExecStats};
+use imp_sql::ast::{BinOp, UnOp};
+use imp_sql::{AggFunc, AggSpec, Expr, LogicalPlan};
 use imp_storage::{row, DataType, DeltaOp, Field, Row, Schema, Table, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -451,6 +452,43 @@ impl Model {
     }
 }
 
+/// `m` and its model loaded alike: sealed chunks, optionally one whose
+/// every value is NULL (and optionally tombstoned empty), random
+/// tombstones, an open tail.
+fn populate(
+    sealed: &[MixedRow],
+    null_chunk: bool,
+    wipe_null_chunk: bool,
+    deletes: &[String],
+    tail: &[MixedRow],
+) -> (Database, Model) {
+    let mut db = mixed_db();
+    let mut model = Model::default();
+    let load = |db: &mut Database, model: &mut Model, rows: &[MixedRow]| {
+        if !rows.is_empty() {
+            let values: Vec<String> = rows.iter().map(MixedRow::sql).collect();
+            db.execute_sql(&format!("INSERT INTO m VALUES {}", values.join(", ")))
+                .unwrap();
+            model.insert(rows);
+        }
+    };
+    load(&mut db, &mut model, sealed);
+    db.table_mut("m").unwrap().seal();
+    if null_chunk {
+        load(&mut db, &mut model, &[MixedRow::ALL_NULL; 4]);
+    }
+    for d in deletes
+        .iter()
+        .map(String::as_str)
+        .chain(wipe_null_chunk.then_some("i IS NULL AND f IS NULL AND s IS NULL AND b IS NULL"))
+    {
+        db.execute_sql(&format!("DELETE FROM m WHERE {d}")).unwrap();
+        assert!(model.rewrite(Some(&resolve_predicate(&db, d)), None));
+    }
+    load(&mut db, &mut model, tail);
+    (db, model)
+}
+
 /// One statement of a random DML script over `m`.
 #[derive(Debug, Clone)]
 enum Dml {
@@ -499,29 +537,7 @@ proptest! {
         tail in prop::collection::vec(mixed_row(), 0..4),
         predicate in predicate(),
     ) {
-        // Sealed chunks, optionally one whose every value is NULL (and
-        // optionally tombstoned empty), random tombstones, an open tail.
-        let mut db = mixed_db();
-        let mut model = Model::default();
-        let load = |db: &mut Database, model: &mut Model, rows: &[MixedRow]| {
-            if !rows.is_empty() {
-                let values: Vec<String> = rows.iter().map(MixedRow::sql).collect();
-                db.execute_sql(&format!("INSERT INTO m VALUES {}", values.join(", "))).unwrap();
-                model.insert(rows);
-            }
-        };
-        load(&mut db, &mut model, &sealed);
-        db.table_mut("m").unwrap().seal();
-        if null_chunk {
-            load(&mut db, &mut model, &[MixedRow::ALL_NULL; 4]);
-        }
-        for d in deletes.iter().map(String::as_str).chain(
-            wipe_null_chunk.then_some("i IS NULL AND f IS NULL AND s IS NULL AND b IS NULL"),
-        ) {
-            db.execute_sql(&format!("DELETE FROM m WHERE {d}")).unwrap();
-            prop_assert!(model.rewrite(Some(&resolve_predicate(&db, d)), None));
-        }
-        load(&mut db, &mut model, &tail);
+        let (db, model) = populate(&sealed, null_chunk, wipe_null_chunk, &deletes, &tail);
 
         let expr = resolve_predicate(&db, &predicate);
         let expected: Vec<Row> = model
@@ -611,4 +627,718 @@ proptest! {
             prop_assert_eq!(log, model.log.clone(), "step {}: {}", step, sql);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The column-batch scan pipeline (prune → select → refine → residual →
+// sink) against the operator-at-a-time evaluator the engine used to be:
+// every operator materializes its whole output as rows and hands it on.
+// Both must produce the same bags, the same counters and the same errors.
+// ---------------------------------------------------------------------
+
+/// Evaluate a plan of scans, filters, projections and aggregations the
+/// naive way over `m`'s live rows (given in storage order), counting the
+/// groups every aggregation produces.
+fn naive(plan: &LogicalPlan, m: &[Row], groups_seen: &mut u64) -> Result<Bag, EngineError> {
+    Ok(match plan {
+        LogicalPlan::Scan { .. } => m.iter().map(|r| (r.clone(), 1)).collect(),
+        LogicalPlan::Filter { input, predicate } => {
+            let mut out = Vec::new();
+            for (row, n) in naive(input, m, groups_seen)? {
+                if predicate.eval_predicate(&row)? {
+                    out.push((row, n));
+                }
+            }
+            out
+        }
+        LogicalPlan::Project { input, exprs, .. } => {
+            let mut out = Vec::new();
+            for (row, n) in naive(input, m, groups_seen)? {
+                let vals: Result<Vec<Value>, _> = exprs.iter().map(|e| e.eval(&row)).collect();
+                out.push((Row::new(vals?), n));
+            }
+            out
+        }
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            ..
+        } => {
+            // Groups in first-seen order, found by linear search.
+            let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
+            for (row, _) in naive(input, m, groups_seen)? {
+                let key: Result<Vec<Value>, _> = group_by.iter().map(|g| g.eval(&row)).collect();
+                let key = key?;
+                match groups.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, members)) => members.push(row),
+                    None => groups.push((key, vec![row])),
+                }
+            }
+            if groups.is_empty() && group_by.is_empty() {
+                groups.push((Vec::new(), Vec::new()));
+            }
+            *groups_seen += groups.len() as u64;
+            let mut out = Vec::new();
+            for (mut key, members) in groups {
+                for spec in aggs {
+                    key.push(naive_aggregate(spec, &members)?);
+                }
+                out.push((Row::new(key), 1));
+            }
+            out
+        }
+        other => panic!("not a scan-prefix plan: {other:?}"),
+    })
+}
+
+/// One aggregate over the rows of one group, computed from the list of
+/// its argument values.
+fn naive_aggregate(spec: &AggSpec, members: &[Row]) -> Result<Value, EngineError> {
+    let Some(arg) = &spec.arg else {
+        return Ok(Value::Int(members.len() as i64)); // count(*)
+    };
+    let args: Result<Vec<Value>, _> = members.iter().map(|r| arg.eval(r)).collect();
+    let present: Vec<Value> = args?.into_iter().filter(|v| !v.is_null()).collect();
+    let n = present.len();
+    let sum = || -> Result<Value, EngineError> {
+        if let Some(ints) = present
+            .iter()
+            .map(Value::as_i64)
+            .collect::<Option<Vec<i64>>>()
+        {
+            let mut total = 0i64;
+            for i in ints {
+                total = total
+                    .checked_add(i)
+                    .ok_or_else(|| EngineError::Execution("integer overflow in SUM".into()))?;
+            }
+            return Ok(Value::Int(total));
+        }
+        let mut total = 0.0;
+        for v in &present {
+            total += v.as_f64().ok_or_else(|| {
+                EngineError::Execution(format!("cannot sum non-numeric value {v}"))
+            })?;
+        }
+        Ok(Value::Float(total))
+    };
+    // The first of several equal extremes wins.
+    let extreme = |better: fn(&Value, &Value) -> bool| {
+        present.iter().fold(Value::Null, |best, v| {
+            if best.is_null() || better(v, &best) {
+                v.clone()
+            } else {
+                best
+            }
+        })
+    };
+    Ok(match spec.func {
+        AggFunc::Count => Value::Int(n as i64),
+        AggFunc::Min => extreme(|v, best| v < best),
+        AggFunc::Max => extreme(|v, best| v > best),
+        _ if n == 0 => Value::Null,
+        AggFunc::Sum => sum()?,
+        AggFunc::Avg => Value::Float(sum()?.as_f64().expect("numeric sum") / n as f64),
+    })
+}
+
+/// The scan counters a chain with these filters (all over `m`'s columns)
+/// must report: the chunks whose zone map rules out every prune range are
+/// skipped whole, everything else is examined.
+fn expected_scan_stats(db: &Database, filters: &[Expr]) -> (u64, u64) {
+    if filters.contains(&Expr::Lit(Value::Bool(false))) {
+        return (0, 0); // a constant-false filter needs no scan
+    }
+    let t = db.table("m").unwrap();
+    let prune = extract_prune_ranges(&Expr::conjunction(filters.iter().cloned()));
+    let skipped: usize = (t.chunks().iter())
+        .filter(|chunk| {
+            prune.as_ref().is_some_and(|p| {
+                !p.ranges.iter().any(|(lo, hi)| {
+                    chunk
+                        .zone_map()
+                        .may_overlap(p.column, lo.as_ref(), hi.as_ref())
+                })
+            })
+        })
+        .map(|chunk| chunk.live_rows())
+        .sum();
+    ((t.row_count() - skipped) as u64, skipped as u64)
+}
+
+/// What a column of a generated plan holds (NULLs aside).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Int,
+    Float,
+    Str,
+    Bool,
+}
+
+impl Kind {
+    fn numeric(self) -> bool {
+        matches!(self, Kind::Int | Kind::Float)
+    }
+
+    fn dtype(self) -> DataType {
+        match self {
+            Kind::Int => DataType::Int,
+            Kind::Float => DataType::Float,
+            Kind::Str => DataType::Str,
+            Kind::Bool => DataType::Bool,
+        }
+    }
+}
+
+fn schema_of(kinds: &[Kind]) -> Schema {
+    let field = |(i, k): (usize, &Kind)| Field::nullable(format!("c{i}"), k.dtype());
+    Schema::new(kinds.iter().enumerate().map(field).collect())
+}
+
+/// A stream of random choices that a plan is built from: what a column
+/// may be compared with depends on the columns the plan has so far, and
+/// the proptest shim has no dependent generation.
+struct Choices {
+    raw: Vec<u32>,
+    at: usize,
+}
+
+impl Choices {
+    fn pick(&mut self, n: usize) -> usize {
+        self.at += 1;
+        self.raw[self.at % self.raw.len()] as usize % n
+    }
+
+    fn flip(&mut self) -> bool {
+        self.pick(2) == 1
+    }
+
+    fn one<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.pick(items.len())]
+    }
+
+    /// A column of `kinds` that `wanted` accepts, if there is one.
+    fn column(&mut self, kinds: &[Kind], wanted: impl Fn(Kind) -> bool) -> Option<usize> {
+        let fitting: Vec<usize> = (0..kinds.len()).filter(|&c| wanted(kinds[c])).collect();
+        (!fitting.is_empty()).then(|| self.one(&fitting))
+    }
+
+    fn literal(&mut self, kind: Kind) -> Value {
+        match kind {
+            Kind::Int => Value::Int(self.pick(48) as i64 - 6),
+            Kind::Float => Value::Float((self.pick(100) as i64 - 14) as f64 / 2.0),
+            Kind::Str => Value::str(self.one(&["", "a", "b", "ba", "c", "m", "zz"])),
+            Kind::Bool => Value::Bool(self.flip()),
+        }
+    }
+
+    /// A scalar over columns of `kinds` that cannot fail: a column, simple
+    /// arithmetic on numeric columns, a literal.
+    fn scalar(&mut self, kinds: &[Kind]) -> (Expr, Kind) {
+        let lit = |v: i64| Expr::Lit(Value::Int(v));
+        let Some(n) = self.column(kinds, Kind::numeric) else {
+            let c = self.pick(kinds.len());
+            return (Expr::Col(c), kinds[c]);
+        };
+        match self.pick(8) {
+            0 => (
+                Expr::binary(BinOp::Add, Expr::Col(n), lit(self.pick(4) as i64)),
+                kinds[n],
+            ),
+            1 => (
+                Expr::binary(BinOp::Mul, Expr::Col(n), lit(1 + self.pick(3) as i64)),
+                kinds[n],
+            ),
+            2 => {
+                let other = self.column(kinds, Kind::numeric).expect("n is numeric");
+                let kind = if kinds[n] == Kind::Int && kinds[other] == Kind::Int {
+                    Kind::Int
+                } else {
+                    Kind::Float
+                };
+                (
+                    Expr::binary(BinOp::Sub, Expr::Col(n), Expr::Col(other)),
+                    kind,
+                )
+            }
+            3 => {
+                let negated = Expr::Unary {
+                    op: UnOp::Neg,
+                    expr: Box::new(Expr::Col(n)),
+                };
+                (negated, kinds[n])
+            }
+            4 => {
+                let kind = self.one(&[Kind::Int, Kind::Float, Kind::Str, Kind::Bool]);
+                (Expr::Lit(self.literal(kind)), kind)
+            }
+            _ => {
+                let c = self.pick(kinds.len());
+                (Expr::Col(c), kinds[c])
+            }
+        }
+    }
+
+    /// `col ⋈ lit` (or `lit ⋈ col`), the literal of the column's type
+    /// family — numeric columns meet literals of both numeric types.
+    fn comparison(&mut self, kinds: &[Kind]) -> Expr {
+        let c = self.pick(kinds.len());
+        let kind = match kinds[c] {
+            k if k.numeric() && self.pick(3) == 0 => self.one(&[Kind::Int, Kind::Float]),
+            k => k,
+        };
+        let lit = Expr::Lit(self.literal(kind));
+        let op = self.one(&[
+            BinOp::Eq,
+            BinOp::Neq,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ]);
+        if self.pick(4) == 0 {
+            Expr::binary(op, lit, Expr::Col(c))
+        } else {
+            Expr::binary(op, Expr::Col(c), lit)
+        }
+    }
+
+    /// A predicate over columns of `kinds` that cannot fail.
+    fn predicate(&mut self, kinds: &[Kind], depth: usize) -> Expr {
+        match self.pick(if depth == 0 { 9 } else { 12 }) {
+            // The use-rewrite shape: a union of ranges on one column,
+            // upper bounds excluded or included.
+            0 | 1 => match self.column(kinds, Kind::numeric) {
+                None => self.comparison(kinds),
+                Some(c) => {
+                    let range = |ch: &mut Choices| {
+                        let lo = ch.pick(40) as i64 - 5;
+                        let hi = Value::Int(lo + ch.pick(12) as i64);
+                        let upper = ch.one(&[BinOp::Lt, BinOp::Le]);
+                        Expr::binary(
+                            BinOp::And,
+                            Expr::binary(BinOp::Ge, Expr::Col(c), Expr::Lit(Value::Int(lo))),
+                            Expr::binary(upper, Expr::Col(c), Expr::Lit(hi)),
+                        )
+                    };
+                    let ranges: Vec<Expr> = (0..1 + self.pick(3)).map(|_| range(self)).collect();
+                    Expr::disjunction(ranges)
+                }
+            },
+            2 => {
+                let a = self.pick(kinds.len());
+                let family = |k: Kind| k == kinds[a] || (k.numeric() && kinds[a].numeric());
+                let b = self.column(kinds, family).expect("a itself fits");
+                let op = self.one(&[BinOp::Eq, BinOp::Lt, BinOp::Ge]);
+                Expr::binary(op, Expr::Col(a), Expr::Col(b))
+            }
+            3 => Expr::IsNull {
+                expr: Box::new(Expr::Col(self.pick(kinds.len()))),
+                negated: self.flip(),
+            },
+            4 => match self.column(kinds, |k| k == Kind::Bool) {
+                None => self.comparison(kinds),
+                Some(c) if self.flip() => Expr::Col(c),
+                Some(c) => Expr::Unary {
+                    op: UnOp::Not,
+                    expr: Box::new(Expr::Col(c)),
+                },
+            },
+            5 => {
+                let c = self.pick(kinds.len());
+                Expr::InList {
+                    expr: Box::new(Expr::Col(c)),
+                    list: (0..2).map(|_| Expr::Lit(self.literal(kinds[c]))).collect(),
+                    negated: self.flip(),
+                }
+            }
+            6..=8 => self.comparison(kinds),
+            9 | 10 => Expr::binary(
+                BinOp::And,
+                self.predicate(kinds, depth - 1),
+                self.predicate(kinds, depth - 1),
+            ),
+            _ => Expr::binary(
+                BinOp::Or,
+                self.predicate(kinds, depth - 1),
+                self.predicate(kinds, depth - 1),
+            ),
+        }
+    }
+}
+
+/// A scan prefix under construction: the plan, what its columns hold, and
+/// — for the counters oracle — its filters rewritten over `m`'s columns.
+struct Chain {
+    plan: LogicalPlan,
+    kinds: Vec<Kind>,
+    /// The plan's output over `m`'s columns (`None`: the columns as is).
+    over_m: Option<Vec<Expr>>,
+    scan_filters: Vec<Expr>,
+}
+
+impl Chain {
+    fn scan_m() -> Chain {
+        let kinds = vec![Kind::Int, Kind::Float, Kind::Str, Kind::Bool];
+        Chain {
+            plan: LogicalPlan::Scan {
+                table: "m".into(),
+                schema: schema_of(&kinds),
+            },
+            kinds,
+            over_m: None,
+            scan_filters: Vec::new(),
+        }
+    }
+
+    fn rewritten(&self, e: &Expr) -> Expr {
+        match &self.over_m {
+            None => e.clone(),
+            Some(outputs) => e.substitute(&|i| outputs[i].clone()),
+        }
+    }
+
+    fn filter(mut self, predicate: Expr) -> Chain {
+        self.scan_filters.push(self.rewritten(&predicate));
+        self.plan = LogicalPlan::Filter {
+            input: Box::new(self.plan),
+            predicate,
+        };
+        self
+    }
+
+    fn project(mut self, outputs: Vec<(Expr, Kind)>) -> Chain {
+        let (exprs, kinds): (Vec<Expr>, Vec<Kind>) = outputs.into_iter().unzip();
+        self.over_m = Some(exprs.iter().map(|e| self.rewritten(e)).collect());
+        self.plan = LogicalPlan::Project {
+            input: Box::new(self.plan),
+            schema: schema_of(&kinds),
+            exprs,
+        };
+        self.kinds = kinds;
+        self
+    }
+}
+
+/// How a generated plan is made to fail, if at all. The failing
+/// expression is one the pipeline cannot avoid: it sits on top of the
+/// chain, where every row the filters let through reaches it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    None,
+    NonBooleanPredicate,
+    ProjectionOverflow,
+    SumOverflow,
+}
+
+/// A random scan-prefix plan over `m` — `Scan`, then filters and (stacked,
+/// arithmetic) projections in any order, then possibly an aggregation
+/// with 0–2 group columns and any of the aggregate functions, possibly
+/// under a HAVING filter — with its chain filters over `m`'s columns.
+fn scan_prefix_plan(raw: Vec<u32>) -> (LogicalPlan, Vec<Expr>) {
+    let mut ch = Choices { raw, at: 0 };
+    let fault = match ch.pick(10) {
+        0 => Fault::NonBooleanPredicate,
+        1 => Fault::ProjectionOverflow,
+        2 => Fault::SumOverflow,
+        _ => Fault::None,
+    };
+    let mut chain = Chain::scan_m();
+    for _ in 0..ch.pick(4) {
+        chain = if ch.flip() {
+            let predicate = ch.predicate(&chain.kinds, 2);
+            chain.filter(predicate)
+        } else {
+            let outputs = (0..1 + ch.pick(4)).map(|_| ch.scalar(&chain.kinds));
+            let outputs = outputs.collect();
+            chain.project(outputs)
+        };
+    }
+    let max = Expr::Lit(Value::Int(i64::MAX));
+    match fault {
+        Fault::NonBooleanPredicate => {
+            let numeric = ch.column(&chain.kinds, Kind::numeric);
+            let operand = numeric.map_or(Expr::Lit(Value::Int(7)), Expr::Col);
+            let sum = Expr::binary(BinOp::Add, operand, Expr::Lit(Value::Int(1)));
+            chain = chain.filter(sum);
+        }
+        Fault::ProjectionOverflow => {
+            let int = ch.column(&chain.kinds, |k| k == Kind::Int);
+            let operand = int.map_or(Expr::Lit(Value::Int(2)), Expr::Col);
+            let product = Expr::binary(BinOp::Mul, operand, max.clone());
+            let kept = ch.pick(chain.kinds.len());
+            let outputs = vec![(Expr::Col(kept), chain.kinds[kept]), (product, Kind::Int)];
+            chain = chain.project(outputs);
+            return (chain.plan, chain.scan_filters);
+        }
+        Fault::SumOverflow | Fault::None => {}
+    }
+    if fault != Fault::SumOverflow && ch.flip() {
+        return (chain.plan, chain.scan_filters);
+    }
+
+    let group_by: Vec<(Expr, Kind)> = (0..ch.pick(3)).map(|_| ch.scalar(&chain.kinds)).collect();
+    let mut aggs: Vec<(AggFunc, Option<(Expr, Kind)>)> = Vec::new();
+    if fault == Fault::SumOverflow {
+        aggs.push((AggFunc::Sum, Some((max, Kind::Int))));
+    }
+    for _ in 0..1 + ch.pick(3) {
+        let func = ch.one(&[
+            AggFunc::Sum,
+            AggFunc::Count,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ]);
+        let arg = ch.scalar(&chain.kinds);
+        aggs.push(match func {
+            AggFunc::Count if ch.pick(3) == 0 => (func, None),
+            AggFunc::Sum | AggFunc::Avg if !arg.1.numeric() => (AggFunc::Count, None),
+            _ => (func, Some(arg)),
+        });
+    }
+    let mut kinds: Vec<Kind> = group_by.iter().map(|(_, k)| *k).collect();
+    kinds.extend(aggs.iter().map(|(func, arg)| match (func, arg) {
+        (AggFunc::Count, _) | (_, None) => Kind::Int,
+        (AggFunc::Avg, _) => Kind::Float,
+        (_, Some((_, kind))) => *kind,
+    }));
+    let specs = aggs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (func, arg))| AggSpec {
+            func,
+            arg: arg.map(|(e, _)| e),
+            name: format!("agg{i}"),
+        });
+    let mut plan = LogicalPlan::Aggregate {
+        input: Box::new(chain.plan),
+        group_by: group_by.into_iter().map(|(e, _)| e).collect(),
+        aggs: specs.collect(),
+        schema: schema_of(&kinds),
+    };
+    if ch.flip() {
+        plan = LogicalPlan::Filter {
+            input: Box::new(plan),
+            predicate: ch.predicate(&kinds, 1), // HAVING
+        };
+    }
+    (plan, chain.scan_filters)
+}
+
+fn aggregates(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Aggregate { .. } => true,
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => aggregates(input),
+        _ => false,
+    }
+}
+
+/// Run `plan` both ways and demand the same outcome: rows (in storage
+/// order unless the plan aggregates), counters, or the error.
+fn assert_matches_naive(db: &Database, m: &[Row], plan: &LogicalPlan, scan_filters: &[Expr]) {
+    let aggregates = aggregates(plan);
+    let mut want_stats = ExecStats::default();
+    let want = naive(plan, m, &mut want_stats.agg_groups);
+    let got = db.execute_plan(plan);
+    let context = format!("\n{}over {m:?}", plan.explain());
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            let want = if aggregates {
+                imp_engine::database::canonical_bag(&want)
+            } else {
+                want
+            };
+            let got_rows = if aggregates {
+                got.canonical()
+            } else {
+                got.rows
+            };
+            // `Debug` tells `2` from `2.0`, which compare equal.
+            assert_eq!(format!("{got_rows:?}"), format!("{want:?}"), "{context}");
+            (want_stats.rows_scanned, want_stats.rows_skipped) =
+                expected_scan_stats(db, scan_filters);
+            assert_eq!(got.stats, want_stats, "{context}");
+        }
+        (got, want) => assert_eq!(got.err(), want.err(), "{context}"),
+    }
+}
+
+proptest! {
+    #[test]
+    fn scan_prefix_plans_match_the_naive_evaluator(
+        sealed in prop::collection::vec(mixed_row(), 0..40),
+        null_chunk in prop::bool::ANY,
+        wipe_null_chunk in prop::bool::ANY,
+        deletes in prop::collection::vec(predicate(), 0..3),
+        tail in prop::collection::vec(mixed_row(), 0..4),
+        choices in prop::collection::vec(0u32..u32::MAX, 64..65),
+    ) {
+        let (db, model) = populate(&sealed, null_chunk, wipe_null_chunk, &deletes, &tail);
+        let (plan, scan_filters) = scan_prefix_plan(choices);
+        assert_matches_naive(&db, &model.rows, &plan, &scan_filters);
+    }
+}
+
+/// `m` with `i` = 0..=17 in order (chunks of four, two rows in the open
+/// tail), `f` = `i / 2`, and row 6 deleted.
+fn clustered_m() -> (Database, Vec<Row>) {
+    let rows: Vec<MixedRow> = (0..18)
+        .map(|i| MixedRow {
+            i: Some(i),
+            half_f: Some(i),
+            s: Some(["a", "b", "c"][i as usize % 3]),
+            b: (i % 5 != 0).then_some(i % 2 == 0),
+        })
+        .collect();
+    let (db, model) = populate(&rows[..16], false, false, &["i = 6".into()], &rows[16..]);
+    (db, model.rows)
+}
+
+fn plan_of(db: &Database, sql: &str) -> (LogicalPlan, Vec<Expr>) {
+    let plan = db.plan_sql(sql).unwrap();
+    let filters = match sql.split_once(" WHERE ") {
+        Some((_, predicate)) => vec![resolve_predicate(db, predicate)],
+        None => Vec::new(),
+    };
+    (plan, filters)
+}
+
+#[test]
+fn bounds_on_a_chunk_cut_are_exact() {
+    let (db, m) = clustered_m();
+    // 4, 8 and 12 open chunks (live rows 4, 3, 4, 4; two in the tail, which
+    // is always examined): `< 8` must not deliver 8 although its chunk
+    // survives the (inclusive) zone-map test, `<= 8` must.
+    for (predicate, ids, scanned) in [
+        ("i >= 4 AND i < 8", vec![4, 5, 7], 9),
+        ("i >= 4 AND i <= 8", vec![4, 5, 7, 8], 9),
+        ("i > 4 AND i < 8", vec![5, 7], 9),
+        ("i > 3 AND i <= 7", vec![4, 5, 7], 9),
+        (
+            "(i >= 0 AND i < 4) OR (i >= 12 AND i < 16)",
+            vec![0, 1, 2, 3, 12, 13, 14, 15],
+            13,
+        ),
+        ("(i > 3 AND i <= 4) OR (i >= 16 AND i < 17)", vec![4, 16], 9),
+        ("i > 16", vec![17], 2),
+        ("i < 0", vec![], 6),
+    ] {
+        let (plan, filters) = plan_of(&db, &format!("SELECT i FROM m WHERE {predicate}"));
+        let got = db.execute_plan(&plan).unwrap();
+        let want: Bag = ids.iter().map(|i| (row![*i], 1)).collect();
+        assert_eq!(got.rows, want, "{predicate}");
+        assert_eq!(got.stats.rows_scanned, scanned, "{predicate}");
+        assert_eq!(got.stats.rows_scanned + got.stats.rows_skipped, 17);
+        assert_matches_naive(&db, &m, &plan, &filters);
+    }
+}
+
+#[test]
+fn int_column_meets_float_literals_around_two_to_the_53() {
+    // Above 2^53 several ints widen to one float: `Value`'s order compares
+    // the widened int, and so must the kernel that replaces the predicate.
+    let two53 = 1i64 << 53;
+    let ints = [
+        -two53 - 1,
+        -two53,
+        0,
+        two53 - 1,
+        two53,
+        two53 + 1,
+        two53 + 2,
+        two53 + 3,
+    ];
+    let mut db = mixed_db();
+    let rows: Vec<Row> = ints
+        .iter()
+        .map(|&i| Row::new(vec![Value::Int(i), Value::Null, Value::Null, Value::Null]))
+        .collect();
+    db.table_mut("m").unwrap().bulk_load(rows.clone()).unwrap();
+    let chain = Chain::scan_m();
+    let scan = chain.plan.clone();
+    for literal in [two53 as f64, (two53 + 2) as f64, -(two53 as f64), 0.5] {
+        for op in [BinOp::Eq, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
+            for flipped in [false, true] {
+                let (col, lit) = (Expr::Col(0), Expr::Lit(Value::Float(literal)));
+                let predicate = if flipped {
+                    Expr::binary(op, lit, col)
+                } else {
+                    Expr::binary(op, col, lit)
+                };
+                let plan = LogicalPlan::Filter {
+                    input: Box::new(scan.clone()),
+                    predicate: predicate.clone(),
+                };
+                assert_matches_naive(&db, &rows, &plan, &[predicate]);
+            }
+        }
+    }
+    // The lossy pair itself: 2^53 + 1 equals the float 2^53.
+    let equal = Expr::binary(
+        BinOp::Eq,
+        Expr::Col(0),
+        Expr::Lit(Value::Float(two53 as f64)),
+    );
+    let plan = LogicalPlan::Filter {
+        input: Box::new(scan),
+        predicate: equal,
+    };
+    let hits: Vec<Value> = (db.execute_plan(&plan).unwrap().rows.iter())
+        .map(|(r, _)| r[0].clone())
+        .collect();
+    assert_eq!(hits, [two53, two53 + 1].map(Value::Int));
+}
+
+#[test]
+fn filters_on_columns_that_are_not_output() {
+    let (db, m) = clustered_m();
+    for sql in [
+        // Both conjuncts decided on columns the query never outputs.
+        "SELECT s FROM m WHERE i >= 3 AND f < 6",
+        // One decided, one evaluated, neither output.
+        "SELECT s FROM m WHERE i >= 3 AND b = TRUE AND f > i / 4",
+        // Stacked projections collapse; the filter sits between them.
+        "SELECT x + 1 AS y FROM (SELECT i * 2 AS x, s AS t FROM m WHERE f <= 7.5) q WHERE t <> 'b'",
+        "SELECT s, count(*) AS n, sum(f) AS sf FROM m WHERE i > 2 AND i < 15 GROUP BY s",
+    ] {
+        let plan = db.plan_sql(sql).unwrap();
+        let mut groups = 0;
+        let want = naive(&plan, &m, &mut groups).unwrap();
+        let got = db.execute_plan(&plan).unwrap();
+        assert_eq!(
+            got.canonical(),
+            imp_engine::database::canonical_bag(&want),
+            "{sql}"
+        );
+        assert_eq!(got.stats.agg_groups, groups, "{sql}");
+    }
+}
+
+#[test]
+fn a_constant_false_filter_scans_nothing() {
+    let (db, m) = clustered_m();
+    let never = Expr::Lit(Value::Bool(false));
+    let chain = Chain::scan_m().filter(never.clone());
+    let filters = chain.scan_filters.clone();
+    assert_matches_naive(&db, &m, &chain.plan, &filters);
+    let got = db.execute_plan(&chain.plan).unwrap();
+    assert!(got.rows.is_empty());
+    assert_eq!(got.stats, ExecStats::default());
+    // Under a global aggregation the empty input still yields one row.
+    let plan = LogicalPlan::Aggregate {
+        input: Box::new(chain.plan),
+        group_by: Vec::new(),
+        aggs: vec![AggSpec {
+            func: AggFunc::Count,
+            arg: None,
+            name: "n".into(),
+        }],
+        schema: schema_of(&[Kind::Int]),
+    };
+    assert_matches_naive(&db, &m, &plan, &filters);
+    let got = db.execute_plan(&plan).unwrap();
+    assert_eq!(got.rows, vec![(row![0], 1)]);
+    assert_eq!((got.stats.rows_scanned, got.stats.agg_groups), (0, 1));
 }

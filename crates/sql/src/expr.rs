@@ -93,26 +93,33 @@ impl Expr {
 
     /// Evaluate against a row.
     pub fn eval(&self, row: &Row) -> Result<Value> {
+        self.eval_with(&|i| {
+            row.values().get(i).cloned().ok_or_else(|| {
+                SqlError::Semantic(format!(
+                    "column index {i} out of bounds for arity {}",
+                    row.arity()
+                ))
+            })
+        })
+    }
+
+    /// Evaluate with `column(i)` supplying the value of input column `i`:
+    /// the evaluator asks for exactly the columns the expression reaches
+    /// (short-circuited operands are never read), so a caller that holds
+    /// columns rather than rows materializes nothing else.
+    pub fn eval_with(&self, column: &impl Fn(usize) -> Result<Value>) -> Result<Value> {
         match self {
-            Expr::Col(i) => {
-                if *i >= row.arity() {
-                    return Err(SqlError::Semantic(format!(
-                        "column index {i} out of bounds for arity {}",
-                        row.arity()
-                    )));
-                }
-                Ok(row[*i].clone())
-            }
+            Expr::Col(i) => column(*i),
             Expr::Lit(v) => Ok(v.clone()),
             Expr::Binary { op, left, right } => {
                 // Short-circuit logic handles NULLs Kleene-style enough for
                 // filters: false AND x = false, true OR x = true.
                 if *op == BinOp::And {
-                    let l = left.eval(row)?;
+                    let l = left.eval_with(column)?;
                     if l == Value::Bool(false) {
                         return Ok(Value::Bool(false));
                     }
-                    let r = right.eval(row)?;
+                    let r = right.eval_with(column)?;
                     if r == Value::Bool(false) {
                         return Ok(Value::Bool(false));
                     }
@@ -122,11 +129,11 @@ impl Expr {
                     return Ok(Value::Bool(truthy(&l)? && truthy(&r)?));
                 }
                 if *op == BinOp::Or {
-                    let l = left.eval(row)?;
+                    let l = left.eval_with(column)?;
                     if l == Value::Bool(true) {
                         return Ok(Value::Bool(true));
                     }
-                    let r = right.eval(row)?;
+                    let r = right.eval_with(column)?;
                     if r == Value::Bool(true) {
                         return Ok(Value::Bool(true));
                     }
@@ -135,12 +142,12 @@ impl Expr {
                     }
                     return Ok(Value::Bool(truthy(&l)? || truthy(&r)?));
                 }
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
+                let l = left.eval_with(column)?;
+                let r = right.eval_with(column)?;
                 eval_binary(*op, &l, &r)
             }
             Expr::Unary { op, expr } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_with(column)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
@@ -154,7 +161,7 @@ impl Expr {
                 }
             }
             Expr::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_with(column)?;
                 Ok(Value::Bool(v.is_null() != *negated))
             }
             Expr::InList {
@@ -162,13 +169,13 @@ impl Expr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_with(column)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut found = false;
                 for cand in list {
-                    let c = cand.eval(row)?;
+                    let c = cand.eval_with(column)?;
                     if !c.is_null() && c == v {
                         found = true;
                         break;
@@ -181,13 +188,12 @@ impl Expr {
 
     /// Evaluate as a filter predicate: NULL counts as false.
     pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
-        match self.eval(row)? {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(SqlError::Semantic(format!(
-                "predicate evaluated to non-boolean {other}"
-            ))),
-        }
+        as_predicate(self.eval(row)?)
+    }
+
+    /// [`Expr::eval_predicate`] over [`Expr::eval_with`]'s column source.
+    pub fn eval_predicate_with(&self, column: &impl Fn(usize) -> Result<Value>) -> Result<bool> {
+        as_predicate(self.eval_with(column)?)
     }
 
     /// All column indices referenced by the expression.
@@ -212,20 +218,26 @@ impl Expr {
     /// Rewrite column indices through `map` (used when predicates are
     /// pushed through projections / into delta-fetch queries).
     pub fn remap_columns(&self, map: &dyn Fn(usize) -> usize) -> Expr {
+        self.substitute(&|i| Expr::Col(map(i)))
+    }
+
+    /// Replace every column reference `#i` by `column(i)`: the expression
+    /// over the input of a projection whose output this one reads.
+    pub fn substitute(&self, column: &dyn Fn(usize) -> Expr) -> Expr {
         match self {
-            Expr::Col(i) => Expr::Col(map(*i)),
+            Expr::Col(i) => column(*i),
             Expr::Lit(v) => Expr::Lit(v.clone()),
             Expr::Binary { op, left, right } => Expr::Binary {
                 op: *op,
-                left: Box::new(left.remap_columns(map)),
-                right: Box::new(right.remap_columns(map)),
+                left: Box::new(left.substitute(column)),
+                right: Box::new(right.substitute(column)),
             },
             Expr::Unary { op, expr } => Expr::Unary {
                 op: *op,
-                expr: Box::new(expr.remap_columns(map)),
+                expr: Box::new(expr.substitute(column)),
             },
             Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(expr.remap_columns(map)),
+                expr: Box::new(expr.substitute(column)),
                 negated: *negated,
             },
             Expr::InList {
@@ -233,11 +245,21 @@ impl Expr {
                 list,
                 negated,
             } => Expr::InList {
-                expr: Box::new(expr.remap_columns(map)),
-                list: list.iter().map(|e| e.remap_columns(map)).collect(),
+                expr: Box::new(expr.substitute(column)),
+                list: list.iter().map(|e| e.substitute(column)).collect(),
                 negated: *negated,
             },
         }
+    }
+}
+
+fn as_predicate(v: Value) -> Result<bool> {
+    match v {
+        Value::Bool(b) => Ok(b),
+        Value::Null => Ok(false),
+        other => Err(SqlError::Semantic(format!(
+            "predicate evaluated to non-boolean {other}"
+        ))),
     }
 }
 

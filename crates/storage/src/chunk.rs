@@ -115,18 +115,24 @@ impl DataChunk {
     /// rows whose value in the pruned column lies in one of the inclusive
     /// ranges (every live row without `prune`). Returns `false`, appending
     /// nothing, when the zone map rules the whole chunk out; ranges the
-    /// zone map excludes are dropped before the column kernel runs.
+    /// zone map excludes are dropped before the column kernel runs. The
+    /// zone map tests a range's inclusive hull, the kernel its exact bounds.
     pub fn select(&self, prune: Option<&mut PruneRanges<'_>>, out: &mut Vec<usize>) -> bool {
         let Some(ranges) = prune else {
             select_live(self.len, self.deleted.as_ref(), out);
             return true;
         };
         let column = ranges.column();
-        if !ranges.narrow(|(lo, hi)| self.zone_map.may_overlap(column, lo.as_ref(), hi.as_ref())) {
+        if !ranges.narrow(|lo, hi| self.zone_map.may_overlap(column, lo, hi)) {
             return false;
         }
         self.columns[column].select_ranges(ranges, self.deleted.as_ref(), out);
         true
+    }
+
+    /// The chunk's columns, in schema order (what a batch scan reads).
+    pub fn columns(&self) -> &[ColumnData] {
+        &self.columns
     }
 
     /// Materialize row `idx` (whether live or not).

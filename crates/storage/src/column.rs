@@ -2,10 +2,11 @@
 
 use crate::bitvec::BitVec;
 use crate::error::StorageError;
-use crate::table::ValueRange;
-use crate::value::{DataType, Value};
+use crate::table::{KeyRange, ValueRange};
+use crate::value::{Cell, DataType, Value};
 use crate::Result;
 use std::cmp::Ordering;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// The typed payload of a column.
@@ -113,17 +114,25 @@ impl ColumnData {
         Ok(())
     }
 
-    /// Read the value at `idx`.
-    pub fn get(&self, idx: usize) -> Value {
+    /// The typed read: the cell at `idx` borrowed from the native vector
+    /// and the null bitmap, with no [`Value`] built (a string stays in its
+    /// shared allocation). Batch scans read filter, group-key and
+    /// aggregate-argument cells this way.
+    pub fn cell(&self, idx: usize) -> Cell<'_> {
         if self.nulls.as_ref().is_some_and(|n| n.get(idx)) {
-            return Value::Null;
+            return Cell::Null;
         }
         match &self.values {
-            TypedVec::Bool(v) => Value::Bool(v[idx]),
-            TypedVec::Int(v) => Value::Int(v[idx]),
-            TypedVec::Float(v) => Value::Float(v[idx]),
-            TypedVec::Str(v) => Value::Str(v[idx].clone()),
+            TypedVec::Bool(v) => Cell::Bool(v[idx]),
+            TypedVec::Int(v) => Cell::Int(v[idx]),
+            TypedVec::Float(v) => Cell::Float(v[idx]),
+            TypedVec::Str(v) => Cell::Str(&v[idx]),
         }
+    }
+
+    /// Read the value at `idx` (the owned form of [`ColumnData::cell`]).
+    pub fn get(&self, idx: usize) -> Value {
+        self.cell(idx).to_value()
     }
 
     /// Drop the last entry (undo of a [`ColumnData::push`]).
@@ -143,9 +152,9 @@ impl ColumnData {
     /// value is non-NULL, not set in `deleted`, and inside at least one of
     /// the active `ranges` (see [`PruneRanges::narrow`]).
     ///
-    /// Membership is exactly `lo <= v && v <= hi` under [`Value`]'s `Ord` —
-    /// the comparison [`crate::ZoneMap::may_overlap`] and the SQL
-    /// evaluator use — including `Int`↔`Float` bounds and bounds of a
+    /// Membership is exact under [`Value`]'s `Ord` — the comparison
+    /// [`crate::ZoneMap::may_overlap`] and the SQL evaluator use —
+    /// including excluded bounds, `Int`↔`Float` bounds and bounds of a
     /// foreign type, but it is decided on the native slice: `ranges` holds
     /// the bounds already translated into the column's own domain, and one
     /// tight loop per column type compares raw values. Panics when
@@ -172,6 +181,31 @@ impl ColumnData {
             }
             (TypedVec::Str(vals), NativeKeys::Str(r)) => {
                 select_keys(vals, |v| &**v, &r.active, skip, out)
+            }
+            _ => panic!("prune ranges were built for another column type"),
+        }
+    }
+
+    /// The same kernel over an existing selection vector: keep in
+    /// `selection` the indices whose value is non-NULL and inside at least
+    /// one of the active `ranges`, order preserved. A scan narrows its
+    /// selection with one call per further range constraint, each on its
+    /// own column; tombstones were dropped when the selection was first
+    /// made.
+    pub fn refine_ranges(&self, ranges: &PruneRanges<'_>, selection: &mut Vec<usize>) {
+        let null = |idx: usize| self.nulls.as_ref().is_some_and(|n| n.get(idx));
+        match (&self.values, &ranges.keys) {
+            (TypedVec::Int(vals), NativeKeys::Int(r)) => {
+                selection.retain(|&i| !null(i) && in_any(vals[i], &r.active))
+            }
+            (TypedVec::Float(vals), NativeKeys::Float(r)) => {
+                selection.retain(|&i| !null(i) && in_any(total_order_key(vals[i]), &r.active))
+            }
+            (TypedVec::Bool(vals), NativeKeys::Bool(r)) => {
+                selection.retain(|&i| !null(i) && in_any(vals[i], &r.active))
+            }
+            (TypedVec::Str(vals), NativeKeys::Str(r)) => {
+                selection.retain(|&i| !null(i) && in_any(&*vals[i], &r.active))
             }
             _ => panic!("prune ranges were built for another column type"),
         }
@@ -219,15 +253,19 @@ impl ColumnData {
     }
 }
 
-/// An inclusive range in a column's native key domain; `None` = unbounded.
-type NativeRange<K> = (Option<K>, Option<K>);
+/// A range in a column's native key domain.
+type NativeRange<K> = (Bound<K>, Bound<K>);
 
-/// The prune ranges of one scan, translated **once** into the native key
-/// domain of the pruned column's type (`i64`, the `f64` total-order key,
-/// `bool`, `&str`): the translation depends on the column type and the
-/// bounds only, so every chunk and the open tail share it. Per chunk,
-/// [`PruneRanges::narrow`] picks the ranges the zone map leaves reachable
-/// and [`ColumnData::select_ranges`] runs over those.
+/// The inclusive hull of a source range — what a zone map can test.
+type Hull<'a> = (Option<&'a Value>, Option<&'a Value>);
+
+/// The ranges one scan constrains a column to, translated **once** into
+/// the native key domain of the column's type (`i64`, the `f64`
+/// total-order key, `bool`, `&str`): the translation depends on the column
+/// type and the bounds only, so every chunk and the open tail share it.
+/// Per chunk, [`PruneRanges::narrow`] picks the ranges the zone map leaves
+/// reachable; [`ColumnData::select_ranges`] and
+/// [`ColumnData::refine_ranges`] run over those.
 #[derive(Debug)]
 pub struct PruneRanges<'a> {
     column: usize,
@@ -246,44 +284,65 @@ enum NativeKeys<'a> {
 #[derive(Debug)]
 struct Translated<'a, K> {
     /// `None`: no value of the column type can lie in the range.
-    all: Vec<(&'a ValueRange, Option<NativeRange<K>>)>,
+    all: Vec<(Hull<'a>, Option<NativeRange<K>>)>,
     /// The native ranges the kernel compares against (reused per chunk).
     active: Vec<NativeRange<K>>,
 }
 
 impl<'a> PruneRanges<'a> {
     /// Translate `ranges` over column number `column` of type `dtype`.
-    pub fn new(column: usize, dtype: DataType, ranges: &'a [ValueRange]) -> PruneRanges<'a> {
+    /// Excluded bounds stay excluded: the kernels decide `column ∈ ranges`
+    /// exactly, so a caller need not test the same bounds again.
+    pub fn new(column: usize, dtype: DataType, ranges: &'a [KeyRange]) -> PruneRanges<'a> {
+        let ranges = ranges.iter().map(|(lo, hi)| (lo.as_ref(), hi.as_ref()));
+        PruneRanges::translate(column, dtype, ranges)
+    }
+
+    /// [`PruneRanges::new`] for inclusive ranges with optional endpoints.
+    pub fn inclusive(column: usize, dtype: DataType, ranges: &'a [ValueRange]) -> PruneRanges<'a> {
+        let side =
+            |bound: &'a Option<Value>| bound.as_ref().map_or(Bound::Unbounded, Bound::Included);
+        let ranges = ranges.iter().map(|(lo, hi)| (side(lo), side(hi)));
+        PruneRanges::translate(column, dtype, ranges)
+    }
+
+    fn translate(
+        column: usize,
+        dtype: DataType,
+        ranges: impl Iterator<Item = (Bound<&'a Value>, Bound<&'a Value>)>,
+    ) -> PruneRanges<'a> {
         let rank = dtype.rank();
         let keys = match dtype {
             DataType::Int => {
                 NativeKeys::Int(Translated::new(ranges, rank, |bound, is_lo| match bound {
-                    Value::Float(f) => int_threshold(*f, is_lo),
-                    other => other.as_i64(),
+                    Bound::Included(Value::Float(f)) => int_threshold(*f, is_lo, false),
+                    Bound::Excluded(Value::Float(f)) => int_threshold(*f, is_lo, true),
+                    other => map_bound(other, Value::as_i64),
                 }))
             }
             DataType::Float => NativeKeys::Float(Translated::new(ranges, rank, |bound, _| {
-                bound.as_f64().map(total_order_key)
+                map_bound(bound, |v| v.as_f64().map(total_order_key))
             })),
-            DataType::Bool => {
-                NativeKeys::Bool(Translated::new(ranges, rank, |bound, _| bound.as_bool()))
-            }
-            DataType::Str => {
-                NativeKeys::Str(Translated::new(ranges, rank, |bound, _| bound.as_str()))
-            }
+            DataType::Bool => NativeKeys::Bool(Translated::new(ranges, rank, |bound, _| {
+                map_bound(bound, Value::as_bool)
+            })),
+            DataType::Str => NativeKeys::Str(Translated::new(ranges, rank, |bound, _| {
+                map_bound(bound, Value::as_str)
+            })),
         };
         PruneRanges { column, keys }
     }
 
-    /// The pruned column's position in the schema.
+    /// The constrained column's position in the schema.
     pub fn column(&self) -> usize {
         self.column
     }
 
-    /// Make active exactly the ranges `reachable` accepts (a chunk passes
-    /// its zone-map test; the open tail accepts all). Returns whether it
+    /// Make active exactly the ranges whose inclusive hull `(lo, hi)`
+    /// (`None` = unbounded) `reachable` accepts (a chunk passes its
+    /// zone-map test; the open tail accepts all). Returns whether it
     /// accepted any range at all.
-    pub fn narrow(&mut self, reachable: impl Fn(&ValueRange) -> bool) -> bool {
+    pub fn narrow(&mut self, reachable: impl Fn(Option<&Value>, Option<&Value>) -> bool) -> bool {
         match &mut self.keys {
             NativeKeys::Bool(r) => r.narrow(reachable),
             NativeKeys::Int(r) | NativeKeys::Float(r) => r.narrow(reachable),
@@ -292,39 +351,61 @@ impl<'a> PruneRanges<'a> {
     }
 }
 
+/// Convert the value inside a bound, keeping its kind (`None`: the
+/// conversion failed).
+fn map_bound<'a, K>(
+    bound: Bound<&'a Value>,
+    convert: impl Fn(&'a Value) -> Option<K>,
+) -> Option<Bound<K>> {
+    Some(match bound {
+        Bound::Unbounded => Bound::Unbounded,
+        Bound::Included(v) => Bound::Included(convert(v)?),
+        Bound::Excluded(v) => Bound::Excluded(convert(v)?),
+    })
+}
+
 impl<'a, K: Copy> Translated<'a, K> {
     /// `same_rank(bound, is_lo)` converts a bound of the column's own type
     /// family (`None`: nothing passes it). A bound of another family sorts
     /// wholly below or above every column value (`Value`'s type-rank
     /// order), which either lifts that side of the range or empties it.
     fn new(
-        ranges: &'a [ValueRange],
+        ranges: impl Iterator<Item = (Bound<&'a Value>, Bound<&'a Value>)>,
         rank: u8,
-        same_rank: impl Fn(&'a Value, bool) -> Option<K>,
+        same_rank: impl Fn(Bound<&'a Value>, bool) -> Option<Bound<K>>,
     ) -> Translated<'a, K> {
-        let side = |bound: &'a Option<Value>, is_lo: bool| -> Option<Option<K>> {
-            let Some(bound) = bound else {
-                return Some(None);
+        let value = |bound: Bound<&'a Value>| match bound {
+            Bound::Included(v) | Bound::Excluded(v) => Some(v),
+            Bound::Unbounded => None,
+        };
+        let side = |bound: Bound<&'a Value>, is_lo: bool| -> Option<Bound<K>> {
+            let Some(v) = value(bound) else {
+                return Some(Bound::Unbounded);
             };
-            match bound.type_rank().cmp(&rank) {
-                Ordering::Equal => same_rank(bound, is_lo).map(Some),
+            match v.type_rank().cmp(&rank) {
+                Ordering::Equal => same_rank(bound, is_lo),
                 // Below every value: holds as a lower bound, never as an upper.
-                Ordering::Less => is_lo.then_some(None),
-                Ordering::Greater => (!is_lo).then_some(None),
+                Ordering::Less => is_lo.then_some(Bound::Unbounded),
+                Ordering::Greater => (!is_lo).then_some(Bound::Unbounded),
             }
         };
-        let native = |(lo, hi): &'a ValueRange| Some((side(lo, true)?, side(hi, false)?));
+        let all: Vec<_> = ranges
+            .map(|(lo, hi)| {
+                let native = side(lo, true).zip(side(hi, false));
+                ((value(lo), value(hi)), native)
+            })
+            .collect();
         Translated {
-            all: ranges.iter().map(|range| (range, native(range))).collect(),
-            active: Vec::with_capacity(ranges.len()),
+            active: Vec::with_capacity(all.len()),
+            all,
         }
     }
 
-    fn narrow(&mut self, reachable: impl Fn(&ValueRange) -> bool) -> bool {
+    fn narrow(&mut self, reachable: impl Fn(Option<&Value>, Option<&Value>) -> bool) -> bool {
         self.active.clear();
         let mut any = false;
-        for (source, native) in &self.all {
-            if reachable(source) {
+        for ((lo, hi), native) in &self.all {
+            if reachable(*lo, *hi) {
                 any = true;
                 self.active.extend(*native);
             }
@@ -333,18 +414,20 @@ impl<'a, K: Copy> Translated<'a, K> {
     }
 }
 
-/// The `i64` bound equivalent to comparing widened ints against `f`, which
-/// is how `Value::cmp` orders `Int` against `Float`: the smallest `x` with
-/// `x as f64 >= f` for a lower bound, the largest with `x as f64 <= f` for
-/// an upper one (both in `total_cmp` order). `None` when no `i64` passes.
-fn int_threshold(f: f64, is_lo: bool) -> Option<i64> {
+/// The inclusive `i64` bound equivalent to comparing widened ints against
+/// `f`, which is how `Value::cmp` orders `Int` against `Float`: for a
+/// lower bound the smallest `x` with `x as f64 >= f` (`> f` when `strict`),
+/// for an upper one the largest with `x as f64 <= f` (`< f`), all in
+/// `total_cmp` order. `None` when no `i64` passes.
+fn int_threshold(f: f64, is_lo: bool, strict: bool) -> Option<Bound<i64>> {
     let passes = |x: i128| {
         let ord = (x as i64 as f64).total_cmp(&f);
-        if is_lo {
-            ord != Ordering::Less
+        let beyond = if is_lo {
+            Ordering::Greater
         } else {
-            ord != Ordering::Greater
-        }
+            Ordering::Less
+        };
+        ord == beyond || (!strict && ord == Ordering::Equal)
     };
     // `x as f64` is monotone in `x`, so `passes` flips at most once over
     // the i64 domain: bisect for the flip.
@@ -369,13 +452,29 @@ fn int_threshold(f: f64, is_lo: bool) -> Option<i64> {
             }
         }
     }
-    Some(lo as i64)
+    Some(Bound::Included(lo as i64))
 }
 
 /// Map a float to an integer that orders like `f64::total_cmp`.
 fn total_order_key(f: f64) -> i64 {
     let bits = f.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Is `k` inside at least one of `ranges`?
+#[inline]
+fn in_any<K: PartialOrd + Copy>(k: K, ranges: &[NativeRange<K>]) -> bool {
+    ranges.iter().any(|&(lo, hi)| {
+        (match lo {
+            Bound::Unbounded => true,
+            Bound::Included(lo) => k >= lo,
+            Bound::Excluded(lo) => k > lo,
+        }) && (match hi {
+            Bound::Unbounded => true,
+            Bound::Included(hi) => k <= hi,
+            Bound::Excluded(hi) => k < hi,
+        })
+    })
 }
 
 /// The tight loop shared by every column type: 64 rows at a time, compare
@@ -394,11 +493,7 @@ fn select_keys<'a, T, K: PartialOrd + Copy>(
     for (word, block) in vals.chunks(64).enumerate() {
         let mut hits = 0u64;
         for (bit, v) in block.iter().enumerate() {
-            let k = key(v);
-            let hit = ranges
-                .iter()
-                .any(|&(lo, hi)| lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k <= hi));
-            hits |= u64::from(hit) << bit;
+            hits |= u64::from(in_any(key(v), ranges)) << bit;
         }
         hits &= !skip(word);
         while hits != 0 {
@@ -529,13 +624,22 @@ mod tests {
         pool
     }
 
-    /// Run the kernel over all of `ranges`, as the open tail does.
-    fn select(c: &ColumnData, ranges: &[ValueRange], deleted: Option<&BitVec>) -> Vec<usize> {
-        let mut prune = PruneRanges::new(0, c.dtype(), ranges);
-        assert_eq!(prune.narrow(|_| true), !ranges.is_empty());
+    /// Run the kernel over all of `ranges`, as the open tail does; the
+    /// refining form must keep the same rows of the live selection.
+    fn select(c: &ColumnData, mut prune: PruneRanges<'_>, deleted: Option<&BitVec>) -> Vec<usize> {
+        prune.narrow(|_, _| true);
         let mut out = Vec::new();
         c.select_ranges(&prune, deleted, &mut out);
+        let mut refined: Vec<usize> = (0..c.len())
+            .filter(|&i| deleted.is_none_or(|d| !d.get(i)))
+            .collect();
+        c.refine_ranges(&prune, &mut refined);
+        assert_eq!(refined, out);
         out
+    }
+
+    fn select_inclusive(c: &ColumnData, ranges: &[ValueRange]) -> Vec<usize> {
+        select(c, PruneRanges::inclusive(0, c.dtype(), ranges), None)
     }
 
     fn kernel_matches_value_order(dtype: DataType, values: &[Value]) {
@@ -546,24 +650,52 @@ mod tests {
         let mut deleted = BitVec::new(values.len());
         deleted.set(1, true);
         let pool = bound_pool();
-        for lo in &pool {
-            for hi in &pool {
-                let range = [(lo.clone(), hi.clone())];
+        // Every pair of bounds, each included and excluded.
+        let bound = |b: &Option<Value>, strict: bool| match b {
+            None => Bound::Unbounded,
+            Some(v) if strict => Bound::Excluded(v.clone()),
+            Some(v) => Bound::Included(v.clone()),
+        };
+        let above = |v: &Value, lo: &Bound<Value>| match lo {
+            Bound::Unbounded => true,
+            Bound::Included(lo) => v >= lo,
+            Bound::Excluded(lo) => v > lo,
+        };
+        let below = |v: &Value, hi: &Bound<Value>| match hi {
+            Bound::Unbounded => true,
+            Bound::Included(hi) => v <= hi,
+            Bound::Excluded(hi) => v < hi,
+        };
+        for (lo, hi) in pool
+            .iter()
+            .flat_map(|lo| pool.iter().map(move |hi| (lo, hi)))
+        {
+            for (strict_lo, strict_hi) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let range = [(bound(lo, strict_lo), bound(hi, strict_hi))];
                 for tombstones in [None, Some(&deleted)] {
-                    let got = select(&c, &range, tombstones);
+                    let got = select(&c, PruneRanges::new(0, dtype, &range), tombstones);
                     let want: Vec<usize> = (0..values.len())
                         .filter(|&i| {
                             let v = c.get(i);
                             !v.is_null()
                                 && tombstones.is_none_or(|d| !d.get(i))
-                                && lo.as_ref().is_none_or(|lo| v >= *lo)
-                                && hi.as_ref().is_none_or(|hi| v <= *hi)
+                                && above(&v, &range[0].0)
+                                && below(&v, &range[0].1)
                         })
                         .collect();
-                    assert_eq!(got, want, "{dtype} column, range [{lo:?}, {hi:?}]");
+                    assert_eq!(got, want, "{dtype} column, range {range:?}");
                 }
             }
         }
+        // The inclusive form is the included-bounds case.
+        let range = [(Some(values[0].clone()), None)];
+        let exact = [(Bound::Included(values[0].clone()), Bound::Unbounded)];
+        assert_eq!(
+            select_inclusive(&c, &range),
+            select(&c, PruneRanges::new(0, dtype, &exact), None)
+        );
     }
 
     #[test]
@@ -619,14 +751,14 @@ mod tests {
             (Some(Value::Int(2)), Some(Value::Float(3.5))),
             (Some(Value::Int(8)), None),
         ];
-        assert_eq!(select(&c, &ranges, None), vec![1, 2, 3, 8, 9]);
-        assert!(select(&c, &[], None).is_empty());
+        assert_eq!(select_inclusive(&c, &ranges), vec![1, 2, 3, 8, 9]);
+        assert!(select_inclusive(&c, &[]).is_empty());
         // Narrowed to the ranges a zone map leaves reachable.
-        let mut prune = PruneRanges::new(0, DataType::Int, &ranges);
-        assert!(prune.narrow(|(lo, _)| *lo == Some(Value::Int(8))));
+        let mut prune = PruneRanges::inclusive(0, DataType::Int, &ranges);
+        assert!(prune.narrow(|lo, _| lo == Some(&Value::Int(8))));
         let mut got = Vec::new();
         c.select_ranges(&prune, None, &mut got);
         assert_eq!(got, vec![8, 9]);
-        assert!(!prune.narrow(|_| false));
+        assert!(!prune.narrow(|_, _| false));
     }
 }

@@ -13,7 +13,9 @@
 //!   into horizontal chunks with zone maps (min/max per column per chunk)
 //!   so range predicates produced by the *use rewrite* can skip chunks,
 //!   and a typed range kernel that selects the qualifying rows inside the
-//!   chunks that survive. Scans, DELETE and UPDATE share that one
+//!   chunks that survive. Queries consume the result as column batches
+//!   ([`Batch`]: columns + selection vector, cells read as [`Cell`]s);
+//!   capture, DELETE and UPDATE gather rows from the same batches — one
 //!   selection path (see [`table`]).
 //! * [`DeltaLog`] — the snapshot-versioned log of inserted/deleted rows a
 //!   backend keeps per table; IMP fetches "the delta between the current
@@ -55,8 +57,8 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pool::{AnnotId, AnnotPool, DeltaBatch, DeltaEntry, PoolStats, RowInterner};
 pub use row::Row;
 pub use schema::{Field, Schema};
-pub use table::{Table, ValueRange};
-pub use value::{DataType, Value};
+pub use table::{Batch, KeyRange, Table, ValueRange};
+pub use value::{Cell, DataType, Value};
 
 /// Result alias used throughout the storage crate.
 pub type Result<T> = std::result::Result<T, StorageError>;

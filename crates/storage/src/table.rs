@@ -1,36 +1,51 @@
 //! Base tables: chunked columnar storage plus the per-table delta log.
 //!
 //! Every read of a table — SELECT scans, sketch capture, DELETE and UPDATE
-//! victim search — goes through one selection path (`Table::select`):
+//! victim search — goes through one selection path
+//! ([`Table::scan_batches`]):
 //!
 //! 1. **prune** — a chunk whose zone map overlaps no prune range is
 //!    skipped whole;
 //! 2. **select** — the typed range kernel ([`ColumnData::select_ranges`],
 //!    bounds translated once per scan by [`PruneRanges`]) turns the prune
 //!    column of a surviving chunk into a selection vector (live, non-NULL,
-//!    inside a range);
-//! 3. **gather** — rows are materialized for selected indices only;
-//! 4. **residual** — the caller's predicate decides each gathered row.
+//!    inside a range — exactly, excluded bounds included);
+//! 3. the caller gets one [`Batch`] per surviving chunk, then one for the
+//!    open tail (the same kernel over the builder's columns): the columns
+//!    and the selection vector. Nothing is materialized.
 //!
-//! The open tail keeps its rows materialized, so there the residual runs
-//! on `&Row` and only hits are cloned.
+//! A batch consumer (the query engine) **refines** the selection by
+//! further range constraints ([`ColumnData::refine_ranges`]), evaluates
+//! what is left of its predicate on the cells it needs
+//! ([`ColumnData::cell`]) and sinks the survivors. The row API
+//! ([`Table::scan`], [`Table::scan_where`], [`Table::delete_where`],
+//! [`Table::update_where`]; capture and DML) is a gather-adapter over the
+//! same batches: it materializes each selected row and hands it to the
+//! caller's predicate.
 //!
 //! [`ColumnData::select_ranges`]: crate::ColumnData::select_ranges
+//! [`ColumnData::refine_ranges`]: crate::ColumnData::refine_ranges
+//! [`ColumnData::cell`]: crate::ColumnData::cell
 //! [`PruneRanges`]: crate::PruneRanges
 
 use crate::bitvec::BitVec;
 use crate::chunk::{select_live, ChunkBuilder, DataChunk};
-use crate::column::PruneRanges;
+use crate::column::{ColumnData, PruneRanges};
 use crate::delta::{DeltaLog, DeltaOp};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 use std::convert::Infallible;
+use std::ops::Bound;
 
 /// An inclusive value range with optional (unbounded) endpoints, as used
 /// for zone-map pruning.
 pub type ValueRange = (Option<Value>, Option<Value>);
+
+/// A value range whose endpoints may each be included, excluded or absent:
+/// what a predicate constrains a column to, exactly.
+pub type KeyRange = (Bound<Value>, Bound<Value>);
 
 /// Default number of rows per chunk. Small enough that zone-map pruning is
 /// meaningful on laptop-scale tables, large enough to amortize per-chunk
@@ -43,6 +58,20 @@ pub const DEFAULT_CHUNK_CAPACITY: usize = 4096;
 struct Slot {
     chunk: usize,
     idx: usize,
+}
+
+/// One unit of a batch scan: the columns of a chunk that survived pruning
+/// (or of the open tail) and the selection vector over them.
+#[derive(Debug)]
+pub struct Batch<'a> {
+    /// The chunk's number; `chunks.len()` names the open tail.
+    chunk: usize,
+    /// The columns, in schema order.
+    pub columns: &'a [ColumnData],
+    /// Ascending indices of the rows selected so far: live and, when the
+    /// scan has prune ranges, inside one of them. The consumer may narrow
+    /// it in place.
+    pub selection: &'a mut Vec<usize>,
 }
 
 /// A stored relation.
@@ -167,75 +196,90 @@ impl Table {
     }
 
     /// The one selection path (module docs): zone-map prune → column
-    /// kernel → gather → residual `pred`, calling `on_hit` with every live
-    /// row that lies in a prune range and passes `pred`, in storage order
-    /// (chunks, then the open tail). Returns the number of live rows
-    /// examined — those of every chunk the zone maps did not rule out,
-    /// plus the tail; `on_chunk_skipped` receives the live rows of each
-    /// chunk that was. The first `pred` error aborts the scan.
+    /// kernel → one [`Batch`] per surviving chunk and one for the open
+    /// tail, in storage order. `prune` was built for this table's schema;
+    /// without it every live row is selected. Returns the number of live
+    /// rows examined — those of every chunk the zone maps did not rule
+    /// out, plus the tail; `on_chunk_skipped` receives the live rows of
+    /// each chunk that was. The first `on_batch` error aborts the scan.
+    pub fn scan_batches<E>(
+        &self,
+        mut prune: Option<&mut PruneRanges<'_>>,
+        mut on_batch: impl FnMut(Batch<'_>) -> std::result::Result<(), E>,
+        mut on_chunk_skipped: impl FnMut(usize),
+    ) -> std::result::Result<usize, E> {
+        let mut examined = 0;
+        let mut selection = Vec::new();
+        for (chunk_no, chunk) in self.chunks.iter().enumerate() {
+            selection.clear();
+            if !chunk.select(prune.as_deref_mut(), &mut selection) {
+                on_chunk_skipped(chunk.live_rows());
+                continue;
+            }
+            examined += chunk.live_rows();
+            on_batch(Batch {
+                chunk: chunk_no,
+                columns: chunk.columns(),
+                selection: &mut selection,
+            })?;
+        }
+        // The open tail has no zone map: the kernel runs over the
+        // builder's columns with every range active.
+        selection.clear();
+        let tombstones = Some(&self.tail_deleted);
+        match prune {
+            None => select_live(self.tail.len(), tombstones, &mut selection),
+            Some(ranges) => {
+                ranges.narrow(|_, _| true);
+                self.tail.columns()[ranges.column()].select_ranges(
+                    ranges,
+                    tombstones,
+                    &mut selection,
+                );
+            }
+        }
+        examined += self.tail.len() - self.tail_deleted.count_ones();
+        on_batch(Batch {
+            chunk: self.chunks.len(),
+            columns: self.tail.columns(),
+            selection: &mut selection,
+        })?;
+        Ok(examined)
+    }
+
+    /// The row adapter over [`Table::scan_batches`]: gather each selected
+    /// row, decide it with the residual `pred`, and call `on_hit` with
+    /// every row that passes, in storage order. `prune` ranges are
+    /// inclusive and over-approximate `pred`. The first `pred` error
+    /// aborts the scan.
     fn select<E>(
         &self,
         prune: Option<(usize, &[ValueRange])>,
         mut pred: impl FnMut(&Row) -> std::result::Result<bool, E>,
         mut on_hit: impl FnMut(Slot, Row),
-        mut on_chunk_skipped: impl FnMut(usize),
+        on_chunk_skipped: impl FnMut(usize),
     ) -> std::result::Result<usize, E> {
-        // The bounds depend on the column type only: translate them once
-        // for every chunk and the tail.
         let mut prune = prune.map(|(column, ranges)| {
-            PruneRanges::new(column, self.schema.fields()[column].dtype, ranges)
+            PruneRanges::inclusive(column, self.schema.fields()[column].dtype, ranges)
         });
-        let mut examined = 0;
-        let mut selected = Vec::new();
-        for (chunk_no, chunk) in self.chunks.iter().enumerate() {
-            selected.clear();
-            if !chunk.select(prune.as_mut(), &mut selected) {
-                on_chunk_skipped(chunk.live_rows());
-                continue;
-            }
-            examined += chunk.live_rows();
-            for &idx in &selected {
-                let row = chunk.row(idx);
-                if pred(&row)? {
-                    on_hit(
-                        Slot {
-                            chunk: chunk_no,
-                            idx,
-                        },
-                        row,
-                    );
+        self.scan_batches(
+            prune.as_mut(),
+            |batch| {
+                let chunk = batch.chunk;
+                for &idx in batch.selection.iter() {
+                    // The open tail keeps its rows materialized.
+                    let row = match self.chunks.get(chunk) {
+                        Some(sealed) => sealed.row(idx),
+                        None => self.tail_rows[idx].clone(),
+                    };
+                    if pred(&row)? {
+                        on_hit(Slot { chunk, idx }, row);
+                    }
                 }
-            }
-        }
-        // The open tail has no zone map and keeps its rows materialized:
-        // same kernel over the builder's columns, residual by reference.
-        selected.clear();
-        let tombstones = Some(&self.tail_deleted);
-        match &mut prune {
-            None => select_live(self.tail_rows.len(), tombstones, &mut selected),
-            Some(ranges) => {
-                ranges.narrow(|_| true);
-                self.tail.columns()[ranges.column()].select_ranges(
-                    ranges,
-                    tombstones,
-                    &mut selected,
-                );
-            }
-        }
-        examined += self.tail_rows.len() - self.tail_deleted.count_ones();
-        for &idx in &selected {
-            let row = &self.tail_rows[idx];
-            if pred(row)? {
-                on_hit(
-                    Slot {
-                        chunk: self.chunks.len(),
-                        idx,
-                    },
-                    row.clone(),
-                );
-            }
-        }
-        Ok(examined)
+                Ok(())
+            },
+            on_chunk_skipped,
+        )
     }
 
     /// Scan live rows, restricted to `column ∈ ranges` when `prune` is

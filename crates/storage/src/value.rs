@@ -131,9 +131,22 @@ impl Value {
         }
     }
 
+    /// The borrowed form of this value: comparison and hashing are defined
+    /// on [`Cell`], so a cell read straight from a column and a `Value`
+    /// agree on both.
+    pub fn as_cell(&self) -> Cell<'_> {
+        match self {
+            Value::Null => Cell::Null,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Str(s) => Cell::Str(s),
+        }
+    }
+
     /// Rank used to order values of different types (total order glue).
     pub(crate) fn type_rank(&self) -> u8 {
-        self.data_type().map_or(0, DataType::rank)
+        self.as_cell().type_rank()
     }
 
     /// Approximate heap footprint in bytes, used by the memory-usage
@@ -148,7 +161,7 @@ impl Value {
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.as_cell() == other.as_cell()
     }
 }
 
@@ -162,7 +175,81 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
+        self.as_cell().cmp(&other.as_cell())
+    }
+}
+
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_cell().hash(state);
+    }
+}
+
+/// One cell of a column, borrowed: what [`Value`] owns, without the
+/// `Value`. Scans read cells straight from the typed column vectors
+/// ([`crate::ColumnData::cell`]) and build a `Value` only for what a query
+/// outputs; [`Value`]'s order, equality and hash are the ones defined
+/// here, so a group or join key hashed from cells finds the key stored as
+/// a [`crate::Row`].
+#[derive(Debug, Clone, Copy)]
+pub enum Cell<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// String (the shared allocation, so [`Cell::to_value`] copies no bytes).
+    Str(&'a Arc<str>),
+}
+
+impl Cell<'_> {
+    /// True iff this is `Null`.
+    pub fn is_null(&self) -> bool {
+        matches!(self, Cell::Null)
+    }
+
+    /// The owned form.
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(Arc::clone(s)),
+        }
+    }
+
+    fn type_rank(&self) -> u8 {
+        match self {
+            Cell::Null => 0,
+            Cell::Bool(_) => DataType::Bool.rank(),
+            Cell::Int(_) => DataType::Int.rank(),
+            Cell::Float(_) => DataType::Float.rank(),
+            Cell::Str(_) => DataType::Str.rank(),
+        }
+    }
+}
+
+impl PartialEq for Cell<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Cell<'_> {}
+
+impl PartialOrd for Cell<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Cell<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        use Cell::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
@@ -176,35 +263,31 @@ impl Ord for Value {
     }
 }
 
-impl Hash for Value {
+impl Hash for Cell<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        // An `Int` compares against a `Float` through its widened `f64`,
+        // so both hash from that `f64` alone: equal numbers hash equally
+        // even where widening is lossy (above 2^53).
+        let hash_number = |f: f64, state: &mut H| {
+            state.write_u8(2);
+            // Normalize -0.0 to 0.0.
+            let f = if f == 0.0 { 0.0 } else { f };
+            state.write_u64(f.to_bits());
+            if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 {
+                state.write_i64(f as i64);
+            } else {
+                state.write_i64(0);
+            }
+        };
         match self {
-            Value::Null => state.write_u8(0),
-            Value::Bool(b) => {
+            Cell::Null => state.write_u8(0),
+            Cell::Bool(b) => {
                 state.write_u8(1);
                 b.hash(state);
             }
-            Value::Int(i) => {
-                state.write_u8(2);
-                // Hash ints through their float bits when the value is
-                // exactly representable so Int(2) and Float(2.0), which
-                // compare equal, also hash equal.
-                state.write_u64((*i as f64).to_bits());
-                state.write_i64(*i);
-            }
-            Value::Float(f) => {
-                state.write_u8(2);
-                // Normalize -0.0 to 0.0 so equal values hash equally.
-                let f = if *f == 0.0 { 0.0 } else { *f };
-                state.write_u64(f.to_bits());
-                // Mirror the Int arm when the float is an exact integer.
-                if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 {
-                    state.write_i64(f as i64);
-                } else {
-                    state.write_i64(0);
-                }
-            }
-            Value::Str(s) => {
+            Cell::Int(i) => hash_number(*i as f64, state),
+            Cell::Float(f) => hash_number(*f, state),
+            Cell::Str(s) => {
                 state.write_u8(3);
                 s.hash(state);
             }
@@ -305,6 +388,48 @@ mod tests {
     fn equal_values_hash_equal() {
         assert_eq!(hash_of(&Value::Int(42)), hash_of(&Value::Float(42.0)));
         assert_eq!(hash_of(&Value::Float(0.0)), hash_of(&Value::Float(-0.0)));
+    }
+
+    #[test]
+    fn equal_numbers_hash_equal_where_widening_is_lossy() {
+        // Around ±2^53 and the i64 limits several ints widen to one f64
+        // and compare equal to it (and, through it, hash like each other).
+        let two53 = 1i64 << 53;
+        let ints = [
+            i64::MIN,
+            i64::MIN + 1,
+            -two53 - 2,
+            -two53 - 1,
+            -two53,
+            -two53 + 1,
+            -1,
+            0,
+            1,
+            two53 - 1,
+            two53,
+            two53 + 1,
+            two53 + 2,
+            two53 + 3,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let mut values: Vec<Value> = ints.iter().map(|&i| Value::Int(i)).collect();
+        values.extend(ints.iter().map(|&i| Value::Float(i as f64)));
+        values.extend([-0.0, 0.5, 9.3e18, -9.3e18, f64::INFINITY].map(Value::Float));
+        let mut lossy_pairs = 0;
+        for a in &values {
+            for b in &values {
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                    lossy_pairs += usize::from(matches!(
+                        (a, b),
+                        (Value::Int(x), Value::Float(f)) if *f as i64 != *x
+                    ));
+                }
+            }
+        }
+        assert_eq!(Value::Int(two53 + 1), Value::Float(two53 as f64));
+        assert!(lossy_pairs > 0);
     }
 
     #[test]
