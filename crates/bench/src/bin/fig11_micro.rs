@@ -14,7 +14,7 @@
 //!
 //! The realistic tables also report the delta pipeline's memory and
 //! allocation behaviour: `Δheap pool` is the pool-aware
-//! `delta_heap_size` of the maintenance input batches (shared rows and
+//! `delta_heap_sizes` of the maintenance input batches (shared rows and
 //! hash-consed annotations counted once), `Δheap flat` is what the same
 //! batches would occupy in the flat one-bitvector-per-row representation,
 //! and `memo` is the share of annotation unions answered by the pool's

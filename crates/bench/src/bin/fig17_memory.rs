@@ -5,7 +5,7 @@
 //! size". We report operator-state size after capture and after
 //! maintaining deltas of growing sizes, for Q_groups and Q_joinsel.
 //!
-//! Delta memory is accounted pool-aware (`delta_heap_size`: shared rows
+//! Delta memory is accounted pool-aware (`delta_heap_sizes`: shared rows
 //! and hash-consed annotations counted once) next to the flat
 //! one-bitvector-per-row baseline the batches replaced.
 

@@ -40,6 +40,7 @@ use crate::advisor::tracker::{SketchKey, WorkloadTracker};
 use crate::middleware::{
     evict_stored, maintain_entry, restore_if_evicted, ImpConfig, StoredSketch,
 };
+use crate::obs::Obs;
 use crate::Result;
 use imp_engine::Database;
 use imp_sql::QueryTemplate;
@@ -254,6 +255,7 @@ pub(crate) fn apply_to_store(
     store: &mut FxHashMap<QueryTemplate, Vec<StoredSketch>>,
     db: &Database,
     config: &ImpConfig,
+    obs: &Obs,
     tracker: &WorkloadTracker,
     actions: &[AdviseAction],
 ) -> Result<ApplyOutcome> {
@@ -279,7 +281,7 @@ pub(crate) fn apply_to_store(
                 outcome.freed_bytes += evict_stored(entry);
                 // Retained immutable versions are a memory luxury the
                 // demoted sketch no longer gets.
-                entry.versions.clear();
+                entry.versions = Default::default();
                 outcome.evicted += 1;
             }
             AdviseOp::Drop => {
@@ -297,11 +299,7 @@ pub(crate) fn apply_to_store(
                 let entry = &mut entries[pos];
                 restore_if_evicted(entry)?;
                 if entry.maintainer.is_stale(db) {
-                    let report = maintain_entry(entry, db, config.retain_sketch_versions)?;
-                    tracker.record_maintenance(
-                        SketchKey::new(action.template.text(), action.sql.clone()),
-                        report.advisor_cost(),
-                    );
+                    maintain_entry(entry, &action.template, db, config, obs, tracker)?;
                 }
                 entry.lifecycle = Lifecycle::Maintained;
                 outcome.promoted += 1;

@@ -41,7 +41,7 @@
 //!   allocate per *distinct annotation combination*, not per output row.
 //! * **Interned rows** — delta ingestion routes payloads through a
 //!   [`imp_storage::RowInterner`] so a stream that repeatedly touches the
-//!   same tuple shares one allocation; [`delta_heap_size`] counts each
+//!   same tuple shares one allocation; [`delta_heap_sizes`] counts each
 //!   shared payload / pooled annotation once, which is the quantity the
 //!   Fig. 11/17 memory accounting reports.
 //!
@@ -157,33 +157,41 @@ pub fn delta_magnitude(delta: &DeltaBatch) -> u64 {
     delta.iter().map(|d| d.mult.unsigned_abs()).sum()
 }
 
-/// Pool-aware heap footprint of a delta batch: shared row payloads and
-/// pooled annotations are counted once (memory experiments, Fig. 11/17).
-pub fn delta_heap_size(delta: &DeltaBatch, pool: &AnnotPool) -> usize {
-    let mut seen_rows: FxHashSet<usize> = FxHashSet::default();
-    let mut seen_annots: FxHashSet<AnnotId> = FxHashSet::default();
-    let mut size = delta.len() * std::mem::size_of::<DeltaEntry>();
-    for d in delta.iter() {
-        if seen_rows.insert(d.row.ptr_id()) {
-            size += d.row.heap_size();
-        }
-        if seen_annots.insert(d.annot) {
-            size += pool.get(d.annot).heap_size();
-        }
-    }
-    size
+/// Scratch of [`delta_heap_sizes`]: the row allocations and annotation
+/// ids already counted in the batch at hand. Reusable across batches.
+#[derive(Debug, Default)]
+pub struct DeltaSeen {
+    rows: FxHashSet<usize>,
+    annots: FxHashSet<AnnotId>,
 }
 
-/// What the same batch would occupy in the flat pre-pool representation
-/// (one owned row + bitvector per entry) — the baseline the pool-aware
-/// accounting is compared against.
-pub fn delta_heap_size_flat(delta: &DeltaBatch, pool: &AnnotPool) -> usize {
-    let entry =
+/// `(pooled, flat)` heap footprint of a delta batch, in one pass (memory
+/// experiments, Fig. 11/17). *Pooled* counts each shared row payload and
+/// each pooled annotation once; *flat* is what the same batch would
+/// occupy in the pre-pool representation (one owned row + bitvector per
+/// entry) — the baseline the pool-aware number is compared against.
+pub fn delta_heap_sizes(
+    delta: &DeltaBatch,
+    pool: &AnnotPool,
+    seen: &mut DeltaSeen,
+) -> (usize, usize) {
+    seen.rows.clear();
+    seen.annots.clear();
+    let flat_entry =
         std::mem::size_of::<Row>() + std::mem::size_of::<BitVec>() + std::mem::size_of::<i64>();
-    delta
-        .iter()
-        .map(|d| d.row.heap_size() + pool.get(d.annot).heap_size() + entry)
-        .sum()
+    let mut pooled = delta.len() * std::mem::size_of::<DeltaEntry>();
+    let mut flat = delta.len() * flat_entry;
+    for d in delta.iter() {
+        let (row, annot) = (d.row.heap_size(), pool.get(d.annot).heap_size());
+        flat += row + annot;
+        if seen.rows.insert(d.row.ptr_id()) {
+            pooled += row;
+        }
+        if seen.annots.insert(d.annot) {
+            pooled += annot;
+        }
+    }
+    (pooled, flat)
 }
 
 #[cfg(test)]
@@ -277,8 +285,7 @@ mod tests {
             let row = ri.intern(row![7, "same", 42]);
             d.push_entry(row, p.singleton(3), if i % 2 == 0 { 1 } else { -1 });
         }
-        let pooled = delta_heap_size(&d, &p);
-        let flat = delta_heap_size_flat(&d, &p);
+        let (pooled, flat) = delta_heap_sizes(&d, &p, &mut DeltaSeen::default());
         // The pooled size is dominated by the fixed 32-byte entries; the
         // shared payload/annotation heap is counted exactly once.
         assert!(

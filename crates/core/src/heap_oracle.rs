@@ -1,0 +1,350 @@
+//! The heap-accounting oracle (test-only).
+//!
+//! Every size the system reports is a running total read in O(1). The
+//! walks those totals replaced survive here and in the `tests` modules of
+//! the state-owning files as `walked_heap_size`: the same per-entry
+//! formulas, recomputed naively from the live state. The suites below
+//! assert `running == walked` after every step of a random script, and —
+//! through the visit counter — that nothing on the maintenance path
+//! walks state to size it.
+
+use crate::ops::IncNode;
+use imp_storage::{AnnotPool, BitVec, FxHashSet};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// State entries visited by walkers on this thread, ever.
+    static VISITS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// State entries the walkers have visited on the calling thread.
+pub(crate) fn visits() -> u64 {
+    VISITS.with(Cell::get)
+}
+
+/// One walk over a maintainer's operator state.
+pub(crate) struct Walk<'a> {
+    pool: &'a AnnotPool,
+    seen: FxHashSet<usize>,
+    unpooled: usize,
+}
+
+impl<'a> Walk<'a> {
+    pub(crate) fn new(pool: &'a AnnotPool) -> Walk<'a> {
+        Walk {
+            pool,
+            seen: FxHashSet::default(),
+            unpooled: 0,
+        }
+    }
+
+    /// Count `entries` visited state entries.
+    pub(crate) fn visit(&mut self, entries: usize) {
+        VISITS.with(|v| v.set(v.get() + entries as u64));
+    }
+
+    /// A state-held annotation handle: its allocation must be the pool's
+    /// own (then the pool's total counts it, once); otherwise its bytes
+    /// are counted nowhere and land in [`Walk::unpooled`].
+    pub(crate) fn annot(&mut self, handle: &Arc<BitVec>) {
+        let owned = self
+            .pool
+            .pooled(handle)
+            .is_some_and(|p| Arc::ptr_eq(p, handle));
+        if self.seen.insert(Arc::as_ptr(handle) as usize) && !owned {
+            self.unpooled += handle.heap_size() + std::mem::size_of::<BitVec>();
+        }
+    }
+
+    /// Bytes of state-held annotation allocations the pool does not own.
+    pub(crate) fn unpooled(&self) -> usize {
+        self.unpooled
+    }
+}
+
+impl IncNode {
+    pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+        let mut size = match self {
+            IncNode::Join(j) => j.walked_heap_size(w),
+            IncNode::Nary(n) => n.walked_heap_size(w),
+            IncNode::Aggregate(a) => a.walked_heap_size(w),
+            IncNode::TopK(t) => t.walked_heap_size(w),
+            _ => 0,
+        };
+        self.for_each_child(&mut |c| size += c.walked_heap_size(w));
+        size
+    }
+}
+
+mod tests {
+    use super::visits;
+    use crate::middleware::{stored_heap_size, Imp, ImpConfig, ImpResponse, QueryMode};
+    use crate::ops::DbAccess;
+    use crate::MaintReport;
+    use imp_engine::Database;
+    use imp_sql::{QueryTemplate, Statement};
+    use imp_storage::{row, DataType, Field, FxHashMap, Schema};
+    use proptest::prelude::*;
+
+    const KEYS: i64 = 5;
+    const TABLES: [(&str, &str, &str); 4] = [
+        ("ta", "ka", "va"),
+        ("tb", "kb1", "kb2"),
+        ("tc", "kc1", "kc2"),
+        ("td", "kd", "wd"),
+    ];
+
+    /// 4-table chain `ta ⋈ tb ⋈ tc ⋈ td` on `ka = kb1`, `kb2 = kc1`,
+    /// `kc2 = kd`, `rows` rows per table over `keys` join keys.
+    fn chain_db(rows: i64, keys: i64) -> Database {
+        let mut db = Database::new();
+        for (table, c1, c2) in TABLES {
+            let schema = Schema::new(vec![
+                Field::new(c1, DataType::Int),
+                Field::new(c2, DataType::Int),
+            ]);
+            db.create_table(table, schema).unwrap();
+        }
+        let load = |db: &mut Database, table: &str, f: &dyn Fn(i64) -> i64| {
+            let rows = (0..rows).map(|i| row![i % keys, f(i)]);
+            db.table_mut(table).unwrap().bulk_load(rows).unwrap();
+        };
+        load(&mut db, "ta", &|i| i * 10);
+        load(&mut db, "tb", &|i| (i + 1) % keys);
+        load(&mut db, "tc", &|i| (i + 2) % keys);
+        load(&mut db, "td", &|i| i * 100);
+        db
+    }
+
+    /// N-ary join + aggregate, MIN/MAX, top-k, binary join + aggregate.
+    const QUERIES: [&str; 4] = [
+        "SELECT va, sum(wd) AS s FROM ta JOIN tb ON (ka = kb1) JOIN tc ON (kb2 = kc1) \
+         JOIN td ON (kc2 = kd) GROUP BY va HAVING sum(wd) > 100",
+        "SELECT ka, min(va) AS lo, max(va) AS hi FROM ta GROUP BY ka HAVING min(va) < 100000",
+        "SELECT kd, wd FROM td ORDER BY wd DESC LIMIT 3",
+        "SELECT ka, sum(wd) AS s FROM ta JOIN td ON (ka = kd) GROUP BY ka HAVING sum(wd) > 50",
+    ];
+
+    fn template_of(sql: &str) -> QueryTemplate {
+        let Statement::Select(sel) = imp_sql::parse_one(sql).unwrap() else {
+            panic!("not a select: {sql}")
+        };
+        QueryTemplate::of(&sel)
+    }
+
+    fn config(workers: usize) -> ImpConfig {
+        ImpConfig {
+            fragments: 4,
+            sched_workers: workers,
+            partition_overrides: vec![("ta".into(), "ka".into()), ("td".into(), "kd".into())],
+            allow_unsafe_attributes: true,
+            ..ImpConfig::default()
+        }
+    }
+
+    /// Every stored sketch: running total == walk, nothing state-held
+    /// outside the pool.
+    fn assert_exact(imp: &Imp, context: &str) -> Result<(), TestCaseError> {
+        let mut failure = None;
+        imp.for_each_stored(&mut |e| {
+            let (walked, unpooled) = e.walked_heap_size();
+            if (stored_heap_size(e), 0) != (walked, unpooled) && failure.is_none() {
+                failure = Some(format!(
+                    "{}: running {} != walked {} (unpooled {unpooled}) after {context}",
+                    e.sql,
+                    stored_heap_size(e),
+                    walked
+                ));
+            }
+        });
+        match failure {
+            Some(message) => Err(TestCaseError::fail(message)),
+            None => Ok(()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn running_totals_equal_the_walk_at_every_step(
+            ops in prop::collection::vec((0usize..14, 0usize..4, 0i64..KEYS, 0i64..60), 1..40),
+            sharded in any::<bool>(),
+            topk_buffer in prop_oneof![Just(None), Just(Some(4usize))],
+            tight_index in any::<bool>(),
+        ) {
+            let mut imp = Imp::new(chain_db(KEYS, KEYS), ImpConfig {
+                // Small bounds, so the script crosses them: MIN/MAX trees
+                // evict past 2 values, a join side is dropped (`Disabled`)
+                // past 8 entries, the advisor demotes under 24 KiB.
+                minmax_buffer: Some(2),
+                topk_buffer,
+                join_index_budget: if tight_index { Some(8) } else { ImpConfig::default().join_index_budget },
+                sketch_memory_budget: Some(24 * 1024),
+                ..config(if sharded { 2 } else { 0 })
+            });
+            for (step, &(op, t, key, val)) in ops.iter().enumerate() {
+                let (table, key_col, val_col) = TABLES[t];
+                let val = if t == 1 || t == 2 { val % KEYS } else { val };
+                match op {
+                    0..=3 => {
+                        imp.execute(QUERIES[op]).unwrap();
+                    }
+                    4..=6 => {
+                        imp.execute(&format!("INSERT INTO {table} VALUES ({key}, {val})")).unwrap();
+                    }
+                    7 => {
+                        imp.execute(&format!("DELETE FROM {table} WHERE {key_col} = {key}")).unwrap();
+                    }
+                    8 => {
+                        imp.execute(&format!(
+                            "UPDATE {table} SET {val_col} = {val} WHERE {key_col} = {key}"
+                        )).unwrap();
+                    }
+                    9 => {
+                        imp.evict_state(&template_of(QUERIES[t])).unwrap();
+                    }
+                    10 => {
+                        imp.flush_pool_caches();
+                    }
+                    11 => {
+                        imp.repartition_all().unwrap();
+                    }
+                    12 => {
+                        imp.advise().unwrap();
+                    }
+                    _ => {
+                        imp.vacuum();
+                    }
+                }
+                let context = format!("op {op}({t}, {key}, {val}) at step {step}");
+                assert_exact(&imp, &context)?;
+                // Bring everything current (restores evicted state, runs
+                // the deltas through every operator) and check again.
+                imp.maintain_all_stale().unwrap();
+                assert_exact(&imp, &format!("maintenance after {context}"))?;
+            }
+        }
+    }
+
+    /// The deterministic counts of one maintenance run.
+    fn counts(report: &MaintReport) -> (u64, u64, u64, Vec<u64>) {
+        let m = &report.metrics;
+        (
+            m.delta_rows_fetched,
+            m.rows_processed,
+            m.join_index_probes,
+            report.nary_input_probes.clone(),
+        )
+    }
+
+    /// One single-row insert per chain table, then its retraction (no
+    /// base row of [`chain_db`] is `(1, 7)`).
+    fn single_row_deltas() -> Vec<String> {
+        let mut stmts = Vec::new();
+        for (table, key_col, val_col) in TABLES {
+            stmts.push(format!("INSERT INTO {table} VALUES (1, 7)"));
+            stmts.push(format!(
+                "DELETE FROM {table} WHERE {key_col} = 1 AND {val_col} = 7"
+            ));
+        }
+        stmts
+    }
+
+    /// Veldhuizen's bound as counts, the accounting rule as a tripwire:
+    /// identical single-row deltas against a 4-table chain cost the same
+    /// rows, index probes and per-input probes at 2 k and at 200 k base
+    /// rows — and no run, claim or publish visits one state entry to
+    /// size anything.
+    #[test]
+    fn maintenance_cost_follows_the_delta_not_the_state() {
+        let mut per_size = Vec::new();
+        for rows_per_table in [500i64, 50_000] {
+            // Keys scale with the table, so a key's fan-out — hence the
+            // join's delta — is the same at both sizes.
+            let keys = rows_per_table;
+            let walked_before = visits();
+
+            // In-line: `maintain` through a query of the stale sketch.
+            let mut inline = Imp::new(chain_db(rows_per_table, keys), config(0));
+            inline.execute(QUERIES[0]).unwrap();
+            let mut inline_counts = Vec::new();
+            for stmt in single_row_deltas() {
+                inline.execute(&stmt).unwrap();
+                let ImpResponse::Rows { mode, .. } = inline.execute(QUERIES[0]).unwrap() else {
+                    panic!("rows expected")
+                };
+                if let QueryMode::Maintained(report) = mode {
+                    inline_counts.push(counts(&report));
+                }
+            }
+
+            // Sharded: `run_claim` + `publish` on this thread, workers
+            // parked, and `maintain_from` directly on a maintainer.
+            let mut sharded = Imp::new(chain_db(rows_per_table, keys), config(1));
+            sharded.execute(QUERIES[0]).unwrap();
+            let mut claims = 0;
+            for stmt in single_row_deltas() {
+                let paused = sharded.scheduler().unwrap().pause();
+                sharded.execute(&stmt).unwrap();
+                let sched = sharded.scheduler().unwrap();
+                claims += sched.work_on_caller(sharded.config(), sharded.advisor().tracker());
+                paused.resume();
+            }
+            assert_eq!(
+                claims,
+                2 * TABLES.len(),
+                "every update is one claim, run here"
+            );
+            let mut routed_counts = Vec::new();
+            {
+                let db = chain_db(rows_per_table, keys);
+                let plan = db.plan_sql(QUERIES[0]).unwrap();
+                let pset = crate::middleware::choose_partitions(&db, &config(0), &plan)
+                    .unwrap()
+                    .unwrap();
+                let mut db = db;
+                let (mut m, _) =
+                    crate::SketchMaintainer::capture(&plan, &db, pset, config(0).op_config(), true)
+                        .unwrap();
+                let mut router = crate::sched::DeltaRouter::new();
+                router.register(&db, m.tables(), 0);
+                for stmt in single_row_deltas() {
+                    db.execute_sql(&stmt).unwrap();
+                    let mut routed: FxHashMap<String, Vec<_>> = FxHashMap::default();
+                    for table in m.tables().to_vec() {
+                        if let Some((delta, _)) = router.collect(&db, &table) {
+                            routed.entry(table).or_default().push(delta);
+                        }
+                    }
+                    if !routed.is_empty() {
+                        let report = m.maintain_from(&DbAccess::Held(&db), &routed).unwrap();
+                        routed_counts.push(counts(&report));
+                    }
+                }
+            }
+
+            assert_eq!(
+                visits(),
+                walked_before,
+                "a maintenance path walked state to size it ({rows_per_table} rows/table)"
+            );
+            assert_eq!(
+                inline_counts.len(),
+                2 * TABLES.len(),
+                "every update maintains"
+            );
+            assert_eq!(
+                inline_counts, routed_counts,
+                "fetching and routed paths agree"
+            );
+            // The oracle still agrees at this size (and does visit state).
+            assert_exact(&inline, "the scaling script").unwrap();
+            assert_exact(&sharded, "the scaling script").unwrap();
+            assert!(visits() > walked_before);
+            per_size.push(inline_counts);
+        }
+        assert_eq!(per_size[0], per_size[1], "cost moved with the base size");
+    }
+}

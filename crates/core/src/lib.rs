@@ -52,6 +52,8 @@ pub mod advisor;
 pub mod delta;
 pub mod error;
 pub mod fragcount;
+#[cfg(test)]
+mod heap_oracle;
 pub mod maintain;
 pub mod metrics;
 pub mod middleware;
@@ -65,8 +67,8 @@ pub mod strategy;
 
 pub use advisor::{Advisor, AdvisorParams, AdvisorReport, Lifecycle, WorkloadTracker};
 pub use delta::{
-    delta_heap_size, delta_heap_size_flat, delta_magnitude, normalize_delta, normalize_delta_with,
-    semi_naive, AnnotId, AnnotPool, DeltaBatch, DeltaEntry,
+    delta_heap_sizes, delta_magnitude, normalize_delta, normalize_delta_with, semi_naive, AnnotId,
+    AnnotPool, DeltaBatch, DeltaEntry,
 };
 pub use error::CoreError;
 pub use fragcount::FragCounts;

@@ -9,7 +9,7 @@
 //! maintained version, push it through the operator tree, merge the
 //! result deltas into a sketch delta, apply it.
 
-use crate::delta::{delta_heap_size, delta_heap_size_flat, DeltaBatch, DeltaEntry};
+use crate::delta::{delta_heap_sizes, DeltaBatch, DeltaEntry, DeltaSeen};
 use crate::metrics::MaintMetrics;
 use crate::ops::{DbAccess, IncNode, MaintCtx, MergeOp, OpConfig};
 use crate::opt::pushdown::pushable_predicates;
@@ -27,12 +27,13 @@ use std::time::{Duration, Instant};
 /// cache (fresh-insert streams would otherwise pin dead payloads).
 const COLD_ROW_CACHE_FLUSH: usize = 1024;
 
-/// Pool size (distinct annotations) above which the pool is rebuilt
-/// before a run. Ids are only live *within* one maintenance/bootstrap
-/// call — operator state holds fragment counters or `Arc<BitVec>`
-/// content handles, never ids — so flushing between runs is safe; it
-/// trades memoization warmth for a hard memory bound on churny
-/// annotation populations.
+/// Pool growth (distinct annotations interned since the last flush)
+/// above which the pool is flushed before a run — see
+/// [`SketchMaintainer::flush_pool_caches`]. Ids are only live *within*
+/// one maintenance/bootstrap call — operator state holds fragment
+/// counters or `Arc<BitVec>` content handles, never ids — so flushing
+/// between runs is safe; it trades memoization warmth for a memory bound
+/// on churny annotation populations.
 pub const POOL_FLUSH_LEN: usize = 1 << 16;
 
 /// Outcome of one maintenance run.
@@ -44,9 +45,10 @@ pub struct MaintReport {
     pub metrics: MaintMetrics,
     /// Whether bounded state forced a full recapture.
     pub recaptured: bool,
-    /// Wall-clock duration of the run.
+    /// Wall-clock duration of the run, as the caller waited for it.
     pub duration: Duration,
-    /// Operator-state heap footprint after the run (Fig. 15/17).
+    /// Operator-state heap footprint after the run (Fig. 15/17) — an O(1)
+    /// read of [`SketchMaintainer::state_heap_size`].
     pub state_bytes: usize,
     /// Per-input probe counts of the n-ary join circuit during this run
     /// (empty when the plan compiled to the binary fallback, or on the
@@ -83,6 +85,8 @@ pub struct SketchMaintainer {
     pool: AnnotPool,
     /// Deduplicates delta row payloads at ingestion.
     rows: RowInterner,
+    /// Scratch of the per-run delta-byte accounting.
+    delta_seen: DeltaSeen,
 }
 
 impl SketchMaintainer {
@@ -106,6 +110,7 @@ impl SketchMaintainer {
             sketch: SketchSet::empty(Arc::clone(&pset)),
             pool: AnnotPool::new(pset.total_fragments()),
             rows: RowInterner::new(),
+            delta_seen: DeltaSeen::default(),
             pset,
             root,
             last_version: 0,
@@ -228,7 +233,7 @@ impl SketchMaintainer {
     pub fn maintain(&mut self, db: &Database) -> Result<MaintReport> {
         let start = Instant::now();
         let mut metrics = MaintMetrics::default();
-        if self.pool.len() > POOL_FLUSH_LEN {
+        if self.pool.grown() > POOL_FLUSH_LEN {
             self.flush_pool_caches();
         }
         let pool_stats_before = self.pool.stats();
@@ -283,7 +288,7 @@ impl SketchMaintainer {
     ) -> Result<MaintReport> {
         let start = Instant::now();
         let mut metrics = MaintMetrics::default();
-        if self.pool.len() > POOL_FLUSH_LEN {
+        if self.pool.grown() > POOL_FLUSH_LEN {
             self.flush_pool_caches();
         }
         let pool_stats_before = self.pool.stats();
@@ -347,27 +352,16 @@ impl SketchMaintainer {
         start: Instant,
         pool_stats_before: PoolStats,
     ) -> Result<MaintReport> {
-        // Memory accounting walks every entry; keep its cost out of the
-        // reported maintenance duration (it is measurement, not work the
-        // flat representation would have avoided).
-        let acct_start = Instant::now();
         for batch in deltas.values() {
-            metrics.delta_bytes_pooled += delta_heap_size(batch, &self.pool) as u64;
-            metrics.delta_bytes_flat += delta_heap_size_flat(batch, &self.pool) as u64;
+            let (pooled, flat) = delta_heap_sizes(batch, &self.pool, &mut self.delta_seen);
+            metrics.delta_bytes_pooled += pooled as u64;
+            metrics.delta_bytes_flat += flat as u64;
         }
-        let accounting = acct_start.elapsed();
         if deltas.values().all(|b| b.is_empty()) {
             // Nothing survived (or nothing new): advance past records that
             // were consumed-but-pruned so they are not refetched.
             self.last_version = self.last_version.max(max_seen);
-            return Ok(MaintReport {
-                sketch_delta: SketchDelta::default(),
-                metrics,
-                recaptured: false,
-                duration: start.elapsed().saturating_sub(accounting),
-                state_bytes: self.state_heap_size(),
-                nary_input_probes: Vec::new(),
-            });
+            return Ok(self.report(start, metrics, SketchDelta::default(), false));
         }
 
         let (out, recapture) = {
@@ -391,14 +385,7 @@ impl SketchMaintainer {
             self.bootstrap(db.get(), &mut metrics)?;
             let sketch_delta = diff_sketches(&before, &self.sketch);
             metrics.record_pool_activity(pool_stats_before, self.pool.stats());
-            return Ok(MaintReport {
-                sketch_delta,
-                metrics,
-                recaptured: true,
-                duration: start.elapsed().saturating_sub(accounting),
-                state_bytes: self.state_heap_size(),
-                nary_input_probes: Vec::new(),
-            });
+            return Ok(self.report(start, metrics, sketch_delta, true));
         }
 
         let sketch_delta = self.merge.process(&out, &self.pool)?;
@@ -406,13 +393,28 @@ impl SketchMaintainer {
         self.last_version = self.last_version.max(max_seen);
         metrics.record_pool_activity(pool_stats_before, self.pool.stats());
         Ok(MaintReport {
+            nary_input_probes: self.root.nary_probe_counts().unwrap_or_default(),
+            ..self.report(start, metrics, sketch_delta, false)
+        })
+    }
+
+    /// The report of the run started at `start`, as the state stands now
+    /// (no n-ary probe counts: only a run that probed fills them in).
+    fn report(
+        &self,
+        start: Instant,
+        metrics: MaintMetrics,
+        sketch_delta: SketchDelta,
+        recaptured: bool,
+    ) -> MaintReport {
+        MaintReport {
             sketch_delta,
             metrics,
-            recaptured: false,
-            duration: start.elapsed().saturating_sub(accounting),
+            recaptured,
+            duration: start.elapsed(),
             state_bytes: self.state_heap_size(),
-            nary_input_probes: self.root.nary_probe_counts().unwrap_or_default(),
-        })
+            nary_input_probes: Vec::new(),
+        }
     }
 
     /// Full maintenance: recapture from scratch regardless of staleness
@@ -425,14 +427,7 @@ impl SketchMaintainer {
         let mut metrics = MaintMetrics::default();
         self.bootstrap(db, &mut metrics)?;
         metrics.record_pool_activity(pool_stats_before, self.pool.stats());
-        Ok(MaintReport {
-            sketch_delta: diff_sketches(&before, &self.sketch),
-            metrics,
-            recaptured: true,
-            duration: start.elapsed(),
-            state_bytes: self.state_heap_size(),
-            nary_input_probes: Vec::new(),
-        })
+        Ok(self.report(start, metrics, diff_sketches(&before, &self.sketch), true))
     }
 
     /// The maintained sketch (valid as of [`Self::version`]).
@@ -516,37 +511,20 @@ impl SketchMaintainer {
     }
 
     /// Heap footprint of all operator state + merge counters + sketch +
-    /// the interning pools, with shared-ownership-aware attribution of
-    /// annotation contents (each allocation counted exactly once, whether
-    /// the pool or only the operator state keeps it alive).
+    /// the interning pools. Every term is a running total its owner
+    /// keeps while it inserts and removes, so reading it costs
+    /// O(#operators) whatever the state holds — no run, claim or publish
+    /// walks state to size it. Annotation contents are counted exactly
+    /// once, by the pool: operator state (top-k entries, join-side
+    /// indexes) holds `Arc<BitVec>` handles from [`AnnotPool::share`] and
+    /// counts only the handles, and the pool owns every allocation behind
+    /// them at all times ([`Self::flush_pool_caches`] keeps that true).
     pub fn state_heap_size(&self) -> usize {
         self.root.heap_size()
             + self.merge.heap_size()
             + self.sketch.heap_size()
             + self.pool.heap_size()
             + self.rows.heap_size()
-            + self.unpooled_annot_bytes()
-    }
-
-    /// Heap bytes of annotation contents kept alive *only* by operator
-    /// state `Arc<BitVec>` handles (top-k entries, join-side indexes) and
-    /// not owned by the pool. Normally zero — state handles come from
-    /// [`AnnotPool::share`], so the pool's own `heap_size` covers their
-    /// contents — but after a between-runs pool flush (the
-    /// [`POOL_FLUSH_LEN`] bound, or [`Self::flush_pool_caches`]) those
-    /// bitvectors live on solely through the state's handles and would
-    /// otherwise be counted by neither side. Each distinct allocation
-    /// counts once, however many entries share it.
-    pub fn unpooled_annot_bytes(&self) -> usize {
-        let mut seen: imp_storage::FxHashSet<usize> = imp_storage::FxHashSet::default();
-        let mut bytes = 0usize;
-        let pool = &self.pool;
-        self.root.for_each_annot(&mut |handle| {
-            if seen.insert(std::sync::Arc::as_ptr(handle) as usize) && !pool.owns(handle) {
-                bytes += handle.heap_size() + std::mem::size_of::<imp_storage::BitVec>();
-            }
-        });
-        bytes
     }
 
     /// Flush the annotation pool between runs (the bound-triggered
@@ -554,11 +532,14 @@ impl SketchMaintainer {
     /// tests). Safe at any between-runs point: ids are only live within
     /// one maintenance/bootstrap call — persistent operator state holds
     /// fragment counters or `Arc<BitVec>` content handles, never ids.
-    /// Trades memoization warmth (and the pool's coverage of state-held
-    /// annotation contents — see [`Self::unpooled_annot_bytes`]) for a
-    /// hard bound on the pool's footprint.
+    /// Sheds the union memo and every annotation no live state refers to
+    /// anymore; the pool then re-adopts the allocations state still holds
+    /// — one O(state) pass per flush, amortised over the ≥
+    /// [`POOL_FLUSH_LEN`] annotations interned since the last one — so it
+    /// keeps owning, and counting, every state-held annotation.
     pub fn flush_pool_caches(&mut self) {
         self.pool.clear();
+        self.root.readopt_annots(&mut self.pool);
     }
 
     /// Internal accessors for state persistence (see [`crate::state_codec`]).
@@ -611,4 +592,25 @@ pub fn diff_sketches(before: &SketchSet, after: &SketchSet) -> SketchDelta {
         }
     }
     delta
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::heap_oracle::Walk;
+
+    impl SketchMaintainer {
+        /// The accounting oracle: [`Self::state_heap_size`] recomputed by
+        /// walking the live operator state, plus the bytes of state-held
+        /// annotation allocations the pool does not own (none, ever).
+        pub(crate) fn walked_heap_size(&self) -> (usize, usize) {
+            let mut walk = Walk::new(&self.pool);
+            let walked = self.root.walked_heap_size(&mut walk)
+                + self.merge.heap_size()
+                + self.sketch.heap_size()
+                + self.pool.heap_size()
+                + self.rows.heap_size();
+            (walked, walk.unpooled())
+        }
+    }
 }

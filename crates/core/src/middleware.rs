@@ -21,14 +21,14 @@
 
 use crate::advisor::{
     Advisor, AdvisorParams, AdvisorReport, Lifecycle, SketchCard, SketchKey, UseKind,
-    MAX_ENFORCEMENT_ROUNDS,
+    WorkloadTracker, MAX_ENFORCEMENT_ROUNDS,
 };
 use crate::error::CoreError;
 use crate::maintain::{MaintReport, SketchMaintainer};
 use crate::obs::{HealthConfig, Obs, ObsConfig, Probe};
 use crate::obsd::{start_obsd, ObsdHandle, ObsdState, OBSD_ADDR_ENV};
 use crate::ops::OpConfig;
-use crate::sched::Scheduler;
+use crate::sched::{PublishedSketch, Scheduler};
 use crate::strategy::MaintenanceStrategy;
 use crate::Result;
 use imp_engine::{Bag, Database, QueryResult};
@@ -235,8 +235,8 @@ pub struct StoredSketch {
     pub plan: LogicalPlan,
     /// Sketch + operator state + version.
     pub maintainer: SketchMaintainer,
-    /// Retained immutable sketch versions (version → bits).
-    pub versions: BTreeMap<u64, BitVec>,
+    /// Retained immutable sketch versions.
+    pub(crate) versions: RetainedVersions,
     /// Delta rows accumulated since the last maintenance (eager batching).
     pub pending_rows: u64,
     /// Evicted operator state (paper §2: "when we are running out of
@@ -248,21 +248,40 @@ pub struct StoredSketch {
     /// Everything below [`Lifecycle::Maintained`] is excluded from
     /// proactive maintenance and only brought current on demand.
     pub lifecycle: Lifecycle,
-    /// Cached immutable publication metadata (sharded backend): the
-    /// plan/SQL/tables wrapped in `Arc` once, so snapshot publication
-    /// does not deep-clone them on every maintenance flush. Lazily
-    /// filled by the owning shard worker; survives repartitioning (the
-    /// plan does not change).
-    pub(crate) published_meta: Option<PublishedMeta>,
+    /// What the owning shard worker last published for this sketch
+    /// (sharded backend): the plan/SQL/tables wrapped in `Arc` once, and
+    /// the sketch bits cloned once per *change* — see
+    /// [`crate::sched::shard::publish`]. Survives repartitioning (the plan
+    /// does not change; the new partition set retires the bits).
+    pub(crate) published: Option<PublishedSketch>,
 }
 
-/// The `Arc`-wrapped immutable parts of a published sketch (see
-/// [`crate::sched::PublishedSketch`]).
-#[derive(Debug, Clone)]
-pub(crate) struct PublishedMeta {
-    pub(crate) sql: Arc<str>,
-    pub(crate) plan: Arc<LogicalPlan>,
-    pub(crate) tables: Arc<[String]>,
+/// The retained immutable versions of one sketch (§2: version → bits),
+/// with their heap bytes kept as a running total.
+#[derive(Debug, Default)]
+pub(crate) struct RetainedVersions {
+    bits: BTreeMap<u64, BitVec>,
+    heap_bytes: usize,
+}
+
+impl RetainedVersions {
+    /// Record `bits` as the sketch at `version` (replacing an earlier
+    /// record of the same version).
+    fn retain(&mut self, version: u64, bits: BitVec) {
+        self.heap_bytes += bits.heap_size();
+        if let Some(old) = self.bits.insert(version, bits) {
+            self.heap_bytes -= old.heap_size();
+        }
+    }
+
+    /// Drop every version below `horizon`; returns the bytes released.
+    fn trim_below(&mut self, horizon: u64) -> usize {
+        let kept = self.bits.split_off(&horizon);
+        let dropped = std::mem::replace(&mut self.bits, kept);
+        let freed = dropped.values().map(BitVec::heap_size).sum();
+        self.heap_bytes -= freed;
+        freed
+    }
 }
 
 /// One row of [`Imp::describe_sketches`].
@@ -507,54 +526,49 @@ impl Imp {
         out
     }
 
+    /// Run `apply` over the stored sketches — one template's candidates
+    /// or (`None`) all of them — and sum its results. On the sharded
+    /// backend it travels as a control barrier to the owning shard(s).
+    fn for_each_sketch(
+        &mut self,
+        template: Option<&QueryTemplate>,
+        apply: impl Fn(&mut StoredSketch) -> usize + Send + Sync + 'static,
+    ) -> usize {
+        match &mut self.store {
+            SketchBackend::Inline(store) => match template {
+                Some(t) => store.get_mut(t).into_iter().flatten().map(apply).sum(),
+                None => store.values_mut().flatten().map(apply).sum(),
+            },
+            SketchBackend::Sharded(sched) => sched.for_each(template, Arc::new(apply)),
+        }
+    }
+
     /// Evict the operator state of every stored sketch to its serialized
     /// form, freeing the in-memory structures (paper §2). State is
     /// restored transparently before the next maintenance.
     pub fn evict_all_states(&mut self) -> Result<usize> {
-        match &mut self.store {
-            SketchBackend::Inline(store) => {
-                let mut freed = 0usize;
-                for entry in store.values_mut().flatten() {
-                    freed += evict_stored(entry);
-                }
-                Ok(freed)
-            }
-            SketchBackend::Sharded(sched) => Ok(sched.evict_all()),
-        }
+        Ok(self.for_each_sketch(None, evict_stored))
     }
 
     /// Evict the operator state of every sketch stored for one template
     /// (all constant-variant candidates), returning the bytes freed — the
     /// single-template counterpart of [`Self::evict_all_states`], used by
     /// the advisor autopilot and available for targeted memory pressure.
-    /// On the sharded backend the request travels as an `Evict` control
-    /// barrier to the owning shard only. Unknown templates free 0 bytes.
+    /// Unknown templates free 0 bytes.
     pub fn evict_state(&mut self, template: &QueryTemplate) -> Result<usize> {
-        match &mut self.store {
-            SketchBackend::Inline(store) => Ok(store
-                .get_mut(template)
-                .map(|entries| entries.iter_mut().map(evict_stored).sum())
-                .unwrap_or(0)),
-            SketchBackend::Sharded(sched) => Ok(sched.evict_template(template)),
-        }
+        Ok(self.for_each_sketch(Some(template), evict_stored))
     }
 
-    /// Flush every stored sketch's annotation-pool and row-interner
-    /// caches (the between-runs [`crate::maintain::POOL_FLUSH_LEN`] flush,
-    /// exposed for memory-pressure callers and the heap-accounting
-    /// tests). Returns the number of sketches flushed.
+    /// Flush every stored sketch's annotation pool (the between-runs
+    /// [`crate::maintain::POOL_FLUSH_LEN`] flush — see
+    /// [`SketchMaintainer::flush_pool_caches`] — exposed for
+    /// memory-pressure callers and the heap-accounting tests). Returns
+    /// the number of sketches flushed.
     pub fn flush_pool_caches(&mut self) -> usize {
-        match &mut self.store {
-            SketchBackend::Inline(store) => {
-                let mut flushed = 0usize;
-                for entry in store.values_mut().flatten() {
-                    entry.maintainer.flush_pool_caches();
-                    flushed += 1;
-                }
-                flushed
-            }
-            SketchBackend::Sharded(sched) => sched.flush_pools(),
-        }
+        self.for_each_sketch(None, |entry| {
+            entry.maintainer.flush_pool_caches();
+            1
+        })
     }
 
     /// Recapture every sketch with fresh equi-depth partitions — the §7.4
@@ -576,22 +590,14 @@ impl Imp {
     /// *referencing* that table — so a low-traffic sketch does not pin
     /// every other table's log (maintained versions are table-local, see
     /// [`SketchMaintainer::maintain`]). An unreferenced table's log is
-    /// reclaimed entirely. Returns `(reclaimed row slots, dropped delta
+    /// reclaimed entirely. Retained sketch versions go with the log that
+    /// could still maintain them: every sketch keeps its current version
+    /// and the earlier ones at or above the horizon of each of its tables
+    /// ([`trim_versions`]). Returns `(reclaimed row slots, dropped delta
     /// records)`.
     pub fn vacuum(&mut self) -> (usize, usize) {
         let table_versions: FxHashMap<String, u64> = match &self.store {
-            SketchBackend::Inline(store) => {
-                let mut mins = FxHashMap::default();
-                for e in store.values().flatten() {
-                    for table in e.maintainer.tables() {
-                        let v = mins
-                            .entry(table.clone())
-                            .or_insert_with(|| e.maintainer.version());
-                        *v = (*v).min(e.maintainer.version());
-                    }
-                }
-                mins
-            }
+            SketchBackend::Inline(store) => table_horizons(store.values().flatten()),
             SketchBackend::Sharded(sched) => {
                 let mut mins = FxHashMap::default();
                 for report in sched.inspect() {
@@ -603,6 +609,8 @@ impl Imp {
                 mins
             }
         };
+        let horizons = table_versions.clone();
+        self.for_each_sketch(None, move |e| trim_versions(e, &horizons));
         let mut db = self.db.write();
         let everything = db.version();
         db.vacuum_by(|table| table_versions.get(table).copied().unwrap_or(everything))
@@ -655,20 +663,14 @@ impl Imp {
                         if entry.lifecycle == Lifecycle::Maintained
                             && entry.maintainer.is_stale(&db)
                         {
-                            let report =
-                                maintain_entry(entry, &db, self.config.retain_sketch_versions)?;
-                            let cost = report.advisor_cost();
-                            self.obs.maintain_observed(
-                                template.text(),
-                                cost.nanos,
-                                cost.delta_rows,
-                                report.recaptured,
-                            );
-                            self.advisor.tracker().record_maintenance(
-                                SketchKey::new(template.text(), entry.sql.clone()),
-                                cost,
-                            );
-                            reports.push(report);
+                            reports.push(maintain_entry(
+                                entry,
+                                template,
+                                &db,
+                                &self.config,
+                                &self.obs,
+                                self.advisor.tracker(),
+                            )?);
                         }
                     }
                 }
@@ -789,6 +791,7 @@ impl Imp {
                     store,
                     &db,
                     &self.config,
+                    &self.obs,
                     self.advisor.tracker(),
                     actions,
                 )
@@ -825,23 +828,14 @@ impl Imp {
                                     {
                                         entry.pending_rows += count;
                                         if entry.pending_rows as usize >= batch_size {
-                                            let report = maintain_entry(
+                                            maintenance.push(maintain_entry(
                                                 entry,
+                                                template,
                                                 &db,
-                                                self.config.retain_sketch_versions,
-                                            )?;
-                                            let cost = report.advisor_cost();
-                                            self.obs.maintain_observed(
-                                                template.text(),
-                                                cost.nanos,
-                                                cost.delta_rows,
-                                                report.recaptured,
-                                            );
-                                            self.advisor.tracker().record_maintenance(
-                                                SketchKey::new(template.text(), entry.sql.clone()),
-                                                cost,
-                                            );
-                                            maintenance.push(report);
+                                                &self.config,
+                                                &self.obs,
+                                                self.advisor.tracker(),
+                                            )?);
                                         }
                                     }
                                 }
@@ -917,16 +911,14 @@ impl Imp {
             if let Some(entry) = entries.iter_mut().find(|e| plan_subsumes(&e.plan, &plan)) {
                 let key = SketchKey::new(template.text(), entry.sql.clone());
                 let mode = if entry.maintainer.is_stale(&db) {
-                    let report = maintain_entry(entry, &db, self.config.retain_sketch_versions)?;
-                    let cost = report.advisor_cost();
-                    self.obs.maintain_observed(
-                        template.text(),
-                        cost.nanos,
-                        cost.delta_rows,
-                        report.recaptured,
-                    );
-                    self.advisor.tracker().record_maintenance(key.clone(), cost);
-                    QueryMode::Maintained(Box::new(report))
+                    QueryMode::Maintained(Box::new(maintain_entry(
+                        entry,
+                        &template,
+                        &db,
+                        &self.config,
+                        &self.obs,
+                        self.advisor.tracker(),
+                    )?))
                 } else {
                     // Evicted state stays evicted: the rewrite only needs
                     // the sketch bits (restoration happens lazily before
@@ -1089,23 +1081,18 @@ pub(crate) fn capture_stored(
         rows: order_result(&plan, rows),
         stats: ExecStats::default(),
     };
-    let mut versions = BTreeMap::new();
-    if config.retain_sketch_versions {
-        versions.insert(maintainer.version(), maintainer.sketch().bits().clone());
-    }
-    Ok((
-        StoredSketch {
-            sql: sql.to_string(),
-            plan,
-            maintainer,
-            versions,
-            pending_rows: 0,
-            evicted: None,
-            lifecycle: Lifecycle::Maintained,
-            published_meta: None,
-        },
-        result,
-    ))
+    let mut stored = StoredSketch {
+        sql: sql.to_string(),
+        plan,
+        maintainer,
+        versions: RetainedVersions::default(),
+        pending_rows: 0,
+        evicted: None,
+        lifecycle: Lifecycle::Maintained,
+        published: None,
+    };
+    retain_version(&mut stored, config.retain_sketch_versions);
+    Ok((stored, result))
 }
 
 /// Estimate the backend rows a rewrite with this sketch skips, summed
@@ -1124,36 +1111,91 @@ pub(crate) fn estimate_rows_skipped(db: &Database, sketch: &SketchSet) -> u64 {
     skipped
 }
 
-/// Heap footprint of one stored sketch (state + retained versions).
+/// Heap footprint of one stored sketch (state + retained versions); both
+/// terms are running totals, so this is O(#operators).
 pub(crate) fn stored_heap_size(s: &StoredSketch) -> usize {
-    s.maintainer.state_heap_size() + s.versions.values().map(BitVec::heap_size).sum::<usize>()
+    s.maintainer.state_heap_size() + s.versions.heap_bytes
 }
 
 /// Record the current sketch bits under the maintained version (§2
 /// immutable version retention), when enabled.
 pub(crate) fn retain_version(entry: &mut StoredSketch, retain: bool) {
     if retain {
-        entry.versions.insert(
+        entry.versions.retain(
             entry.maintainer.version(),
             entry.maintainer.sketch().bits().clone(),
         );
     }
 }
 
+/// Per table, the minimum maintained version across the `entries`
+/// referencing it — the table's vacuum horizon.
+pub(crate) fn table_horizons<'a>(
+    entries: impl Iterator<Item = &'a StoredSketch>,
+) -> FxHashMap<String, u64> {
+    let mut mins = FxHashMap::default();
+    for e in entries {
+        for table in e.maintainer.tables() {
+            let v = mins.entry(table.clone()).or_insert(u64::MAX);
+            *v = (*v).min(e.maintainer.version());
+        }
+    }
+    mins
+}
+
+/// Drop the retained versions of `entry` that [`Imp::vacuum`]'s per-table
+/// `horizons` leave unmaintainable: a version below the horizon of one of
+/// the sketch's tables has lost log records it would need. Every horizon
+/// is at most the sketch's own version, so the current one always stays.
+/// Returns the bytes released.
+pub(crate) fn trim_versions(entry: &mut StoredSketch, horizons: &FxHashMap<String, u64>) -> usize {
+    let tables = entry.maintainer.tables().iter();
+    let horizon = tables.filter_map(|t| horizons.get(t)).max();
+    horizon.map_or(0, |&h| entry.versions.trim_below(h))
+}
+
 /// Restore (if evicted) and maintain one stored sketch via the direct
 /// fetching path, resetting its eager batch counter and retaining the
 /// new version — the per-entry maintenance step shared by both backends
-/// (in-line sweeps and shard workers), so their arithmetic cannot drift.
+/// (in-line sweeps, shard workers, advisor promotions), so their
+/// arithmetic and their bookkeeping cannot drift.
 pub(crate) fn maintain_entry(
     entry: &mut StoredSketch,
+    template: &QueryTemplate,
     db: &Database,
-    retain: bool,
+    config: &ImpConfig,
+    obs: &Obs,
+    tracker: &WorkloadTracker,
 ) -> Result<MaintReport> {
     restore_if_evicted(entry)?;
+    let from_version = entry.maintainer.version();
     let report = entry.maintainer.maintain(db)?;
     entry.pending_rows = 0;
-    retain_version(entry, retain);
+    retain_version(entry, config.retain_sketch_versions);
+    record_run(entry, template, &report, from_version, obs, tracker);
     Ok(report)
+}
+
+/// Book one finished maintenance run of `entry`: latency histogram,
+/// flight event and probe (see [`Obs`]), and the advisor's cost window.
+pub(crate) fn record_run(
+    entry: &StoredSketch,
+    template: &QueryTemplate,
+    report: &MaintReport,
+    from_version: u64,
+    obs: &Obs,
+    tracker: &WorkloadTracker,
+) {
+    let cost = report.advisor_cost();
+    obs.maintain_observed_spanned(
+        template.text(),
+        cost.nanos,
+        cost.delta_rows,
+        report.recaptured,
+        from_version,
+        entry.maintainer.version(),
+    );
+    tracker.record_maintenance(SketchKey::new(template.text(), entry.sql.clone()), cost);
 }
 
 /// Recapture every sketch of `store` with fresh equi-depth partitions
@@ -1184,7 +1226,7 @@ pub(crate) fn repartition_store(
             recaptured += 1;
             rebuilt.push(StoredSketch {
                 maintainer,
-                versions: BTreeMap::new(),
+                versions: RetainedVersions::default(),
                 pending_rows: 0,
                 evicted: None,
                 ..old
@@ -1238,7 +1280,7 @@ pub(crate) fn summarize(
         fragments: e.maintainer.sketch().fragment_count(),
         total_fragments: e.maintainer.partitions().total_fragments(),
         state_bytes: stored_heap_size(e),
-        retained_versions: e.versions.len(),
+        retained_versions: e.versions.bits.len(),
         stale: e.maintainer.is_stale(db),
         lifecycle: e.lifecycle,
     }
@@ -1472,6 +1514,27 @@ fn predicate_subsumes(stored: &Expr, new: &Expr) -> bool {
 mod tests {
     use super::*;
     use imp_storage::{row, DataType, Field, Schema};
+
+    /// Test inspection for the accounting oracle ([`crate::heap_oracle`]).
+    impl Imp {
+        /// Visit every stored sketch on either backend (settled).
+        pub(crate) fn for_each_stored(&self, f: &mut dyn FnMut(&StoredSketch)) {
+            match &self.store {
+                SketchBackend::Inline(store) => store.values().flatten().for_each(f),
+                SketchBackend::Sharded(sched) => sched.for_each_stored(f),
+            }
+        }
+    }
+
+    impl StoredSketch {
+        /// [`stored_heap_size`] recomputed by walking state and versions,
+        /// plus the state-held annotation bytes the pool does not own.
+        pub(crate) fn walked_heap_size(&self) -> (usize, usize) {
+            let (state, unpooled) = self.maintainer.walked_heap_size();
+            let versions: usize = self.versions.bits.values().map(BitVec::heap_size).sum();
+            (state + versions, unpooled)
+        }
+    }
 
     fn db() -> Database {
         let mut db = Database::new();

@@ -21,6 +21,7 @@ use imp_sql::{AggFunc, AggSpec, Expr};
 use imp_storage::{
     key_runs, sort_keys_stable, AnnotId, AnnotPool, FxHashMap, Row, Value, COLUMNAR_CHUNK,
 };
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 /// Default input-batch size at which aggregation takes the columnar
@@ -42,6 +43,17 @@ pub struct AggOp {
     minmax_buffer: Option<usize>,
     /// Columnar group-path crossover for input batches.
     columnar_min: usize,
+    /// Running Σ key bytes + [`state_bytes`] over `groups`, adjusted by the
+    /// before/after footprint of each group a batch touches.
+    heap_bytes: usize,
+}
+
+/// Heap footprint one group accounts for (Fig. 15/17) beside its key:
+/// fragment counters, MIN/MAX trees and the state header. O(#aggregates).
+fn state_bytes(st: &GroupState) -> usize {
+    st.frags.heap_size()
+        + st.accs.iter().map(IncAcc::heap_size).sum::<usize>()
+        + std::mem::size_of::<GroupState>()
 }
 
 /// Per-group state `S[g] = (aggregates, CNT, P, ℱ_g)`.
@@ -178,6 +190,13 @@ pub struct OrderedAcc {
     buffer: Option<usize>,
     /// Values beyond the horizon were evicted at some point.
     truncated: bool,
+    /// Running Σ [`tree_entry_bytes`] over the stored values.
+    heap_bytes: usize,
+}
+
+/// Heap bytes one stored value of the ordered multiset accounts for.
+fn tree_entry_bytes(v: &Value) -> usize {
+    std::mem::size_of::<Value>() + std::mem::size_of::<i64>() + 48 + v.heap_size()
 }
 
 impl OrderedAcc {
@@ -187,6 +206,7 @@ impl OrderedAcc {
             is_min,
             buffer,
             truncated: false,
+            heap_bytes: 0,
         }
     }
 
@@ -236,16 +256,22 @@ impl OrderedAcc {
                 // recapture that any horizon underflow triggers.
                 return false;
             }
-            *self.tree.entry(v.clone()).or_insert(0) += mult;
+            match self.tree.get_mut(v) {
+                Some(c) => *c += mult,
+                None => {
+                    self.heap_bytes += tree_entry_bytes(v);
+                    self.tree.insert(v.clone(), mult);
+                }
+            }
             if let Some(l) = self.buffer {
                 while self.tree.len() > l {
-                    let evict = if self.is_min {
-                        self.tree.keys().next_back().cloned()
+                    let evicted = if self.is_min {
+                        self.tree.pop_last()
                     } else {
-                        self.tree.keys().next().cloned()
+                        self.tree.pop_first()
                     };
-                    if let Some(k) = evict {
-                        self.tree.remove(&k);
+                    if let Some((k, _)) = evicted {
+                        self.heap_bytes -= tree_entry_bytes(&k);
                         self.truncated = true;
                     }
                 }
@@ -259,6 +285,7 @@ impl OrderedAcc {
                 if *c <= 0 {
                     let corrupt = *c < 0;
                     self.tree.remove(v);
+                    self.heap_bytes -= tree_entry_bytes(v);
                     if corrupt {
                         // More deletions than insertions seen: only
                         // explicable by truncation; recapture.
@@ -295,8 +322,7 @@ impl OrderedAcc {
     }
 
     fn heap_size(&self) -> usize {
-        self.tree.len() * (std::mem::size_of::<Value>() + std::mem::size_of::<i64>() + 48)
-            + self.tree.keys().map(Value::heap_size).sum::<usize>()
+        self.heap_bytes
     }
 }
 
@@ -318,14 +344,51 @@ impl AggOp {
             global,
             minmax_buffer,
             columnar_min: config.columnar_min,
+            heap_bytes: 0,
         };
-        if global {
-            // The single group of a global aggregate exists even on empty
-            // input (SUM → NULL, COUNT → 0).
-            op.groups
-                .insert(Row::new(vec![]), GroupState::new(&op.aggs, minmax_buffer));
-        }
+        op.clear_groups();
         op
+    }
+
+    /// Back to the empty state. The single group of a global aggregate
+    /// exists even on empty input (SUM → NULL, COUNT → 0).
+    fn clear_groups(&mut self) {
+        self.groups.clear();
+        self.heap_bytes = 0;
+        if self.global {
+            let st = GroupState::new(&self.aggs, self.minmax_buffer);
+            self.insert_group(Row::new(vec![]), st);
+        }
+    }
+
+    fn insert_group(&mut self, key: Row, st: GroupState) {
+        self.heap_bytes += key.heap_size() + state_bytes(&st);
+        self.groups.insert(key, st);
+    }
+
+    /// Apply `entries` to the group of `key` (created on first sight),
+    /// moving `heap_bytes` by the group's before/after footprint — also
+    /// when an entry fails, so the total never drifts from the state.
+    fn apply_to_group<'d>(
+        &mut self,
+        key: Row,
+        entries: impl Iterator<Item = &'d DeltaEntry>,
+        ctx: &mut MaintCtx<'_, '_>,
+    ) -> Result<()> {
+        let key_bytes = key.heap_size();
+        let (st, before) = match self.groups.entry(key) {
+            Entry::Occupied(o) => {
+                let st = o.into_mut();
+                let before = key_bytes + state_bytes(st);
+                (st, before)
+            }
+            Entry::Vacant(v) => (v.insert(GroupState::new(&self.aggs, self.minmax_buffer)), 0),
+        };
+        let result = entries
+            .into_iter()
+            .try_for_each(|d| apply_entry(st, d, &self.aggs, ctx));
+        self.heap_bytes = self.heap_bytes + key_bytes + state_bytes(st) - before;
+        result
     }
 
     /// Current output (row, pooled annotation) of a group, or `None` if
@@ -385,6 +448,7 @@ impl AggOp {
                     )));
                 }
                 if st.count == 0 && !self.global {
+                    self.heap_bytes -= key.heap_size() + state_bytes(st);
                     self.groups.remove(&key);
                 }
             }
@@ -431,11 +495,7 @@ impl AggOp {
                 let snap = self.output_of(&key, total, ctx.pool);
                 old_outputs.insert(key.clone(), snap);
             }
-            let st = self
-                .groups
-                .entry(key)
-                .or_insert_with(|| GroupState::new(&self.aggs, self.minmax_buffer));
-            apply_entry(st, d, &self.aggs, ctx)?;
+            self.apply_to_group(key, std::iter::once(d), ctx)?;
         }
         Ok(())
     }
@@ -477,26 +537,15 @@ impl AggOp {
                 let snap = self.output_of(key, total, ctx.pool);
                 old_outputs.insert(key.clone(), snap);
             }
-            let st = self
-                .groups
-                .entry(key.clone())
-                .or_insert_with(|| GroupState::new(&self.aggs, self.minmax_buffer));
-            for &i in run {
-                apply_entry(st, &input[i as usize], &self.aggs, ctx)?;
-            }
+            let entries = run.iter().map(|&i| &input[i as usize]);
+            self.apply_to_group(key.clone(), entries, ctx)?;
         }
         Ok(())
     }
 
     /// Drop all group state.
     pub fn reset(&mut self) {
-        self.groups.clear();
-        if self.global {
-            self.groups.insert(
-                Row::new(vec![]),
-                GroupState::new(&self.aggs, self.minmax_buffer),
-            );
-        }
+        self.clear_groups();
         self.input.reset();
     }
 
@@ -559,6 +608,7 @@ impl AggOp {
     pub fn decode_state(&mut self, buf: &mut bytes::Bytes) -> crate::Result<()> {
         use imp_storage::codec::*;
         self.groups.clear();
+        self.heap_bytes = 0;
         let n = decode_u64(buf)?;
         for _ in 0..n {
             let key = decode_row(buf)?;
@@ -589,18 +639,15 @@ impl AggOp {
                         non_null: decode_i64(buf)?,
                     },
                     AggFunc::Min | AggFunc::Max => {
-                        let truncated = decode_u64(buf)? != 0;
-                        let len = decode_u64(buf)?;
-                        let mut tree = BTreeMap::new();
-                        for _ in 0..len {
+                        let is_min = spec.func == AggFunc::Min;
+                        let mut o = OrderedAcc::new(is_min, self.minmax_buffer);
+                        o.truncated = decode_u64(buf)? != 0;
+                        for _ in 0..decode_u64(buf)? {
                             let v = decode_value(buf)?;
-                            let c = decode_i64(buf)?;
-                            tree.insert(v, c);
+                            o.heap_bytes += tree_entry_bytes(&v);
+                            o.tree.insert(v, decode_i64(buf)?);
                         }
-                        let mut o = OrderedAcc::new(spec.func == AggFunc::Min, self.minmax_buffer);
-                        o.tree = tree;
-                        o.truncated = truncated;
-                        if spec.func == AggFunc::Min {
+                        if is_min {
                             IncAcc::Min(o)
                         } else {
                             IncAcc::Max(o)
@@ -609,24 +656,15 @@ impl AggOp {
                 };
                 accs.push(acc);
             }
-            self.groups.insert(key, GroupState { count, frags, accs });
+            self.insert_group(key, GroupState { count, frags, accs });
         }
         Ok(())
     }
 
-    /// Heap footprint of the group state (Fig. 15/17).
-    pub fn heap_size(&self) -> usize {
-        let per_group: usize = self
-            .groups
-            .iter()
-            .map(|(k, st)| {
-                k.heap_size()
-                    + st.frags.heap_size()
-                    + st.accs.iter().map(IncAcc::heap_size).sum::<usize>()
-                    + std::mem::size_of::<GroupState>()
-            })
-            .sum();
-        per_group + self.input.heap_size()
+    /// Heap footprint of the group state (Fig. 15/17), input excluded.
+    /// O(1): the per-group sum is a running total.
+    pub fn own_heap_size(&self) -> usize {
+        self.heap_bytes
     }
 }
 
@@ -658,6 +696,31 @@ fn apply_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap_oracle::Walk;
+
+    /// The accounting oracle: the walks the running totals replaced.
+    impl OrderedAcc {
+        fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+            w.visit(self.tree.len());
+            self.tree.keys().map(tree_entry_bytes).sum()
+        }
+    }
+
+    impl AggOp {
+        pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+            w.visit(self.groups.len());
+            let mut size = 0;
+            for (k, st) in &self.groups {
+                size += k.heap_size() + st.frags.heap_size() + std::mem::size_of::<GroupState>();
+                for acc in &st.accs {
+                    if let IncAcc::Min(o) | IncAcc::Max(o) = acc {
+                        size += o.walked_heap_size(w);
+                    }
+                }
+            }
+            size
+        }
+    }
 
     #[test]
     fn ordered_acc_min_tracks_best() {

@@ -33,7 +33,7 @@
 //! operator falls back to the per-batch outsourced evaluation until the
 //! next recapture, mirroring the bounded MIN/MAX state's fallback. Index
 //! state is persisted/restored through `state_codec` (annotations by
-//! content, re-interned on restore) and accounted in [`JoinOp::heap_size`].
+//! content, re-interned on restore) and accounted in [`JoinOp::own_heap_size`].
 //!
 //! # Bloom filters
 //!
@@ -360,14 +360,14 @@ impl JoinOp {
         self.right.reset();
     }
 
-    /// Visit every annotation handle held by this operator's own state
-    /// (the shared-ownership-aware accounting walk over the side indexes).
-    pub fn for_each_annot(&self, f: &mut dyn FnMut(&std::sync::Arc<imp_storage::BitVec>)) {
+    /// Hand every annotation handle of the side indexes back to a
+    /// just-flushed pool.
+    pub fn readopt_annots(&self, pool: &mut imp_storage::AnnotPool) {
         for idx in [self.left_index.ready(), self.right_index.ready()]
             .into_iter()
             .flatten()
         {
-            idx.for_each_annot(f);
+            idx.readopt_annots(pool);
         }
     }
 
@@ -421,13 +421,12 @@ impl JoinOp {
         Ok(())
     }
 
-    /// Heap footprint (bloom filters + side indexes + children).
-    pub fn heap_size(&self) -> usize {
+    /// Heap footprint of this operator's own state (bloom filters + side
+    /// indexes; the inputs are stateless or count themselves).
+    pub fn own_heap_size(&self) -> usize {
         self.left_bloom.as_ref().map_or(0, BloomFilter::heap_size)
             + self.right_bloom.as_ref().map_or(0, BloomFilter::heap_size)
             + self.index_state().1
-            + self.left.heap_size()
-            + self.right.heap_size()
     }
 }
 
@@ -640,4 +639,22 @@ fn build_hash<'a>(
         }
     }
     table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::heap_oracle::Walk;
+
+    /// The accounting oracle: side indexes recomputed by walking them.
+    impl JoinOp {
+        pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+            let indexes = [self.left_index.ready(), self.right_index.ready()];
+            let walked = indexes
+                .into_iter()
+                .flatten()
+                .map(|idx| idx.walked_heap_size(w));
+            self.own_heap_size() - self.index_state().1 + walked.sum::<usize>()
+        }
+    }
 }

@@ -367,94 +367,78 @@ impl IncNode {
         }
     }
 
+    /// Visit this node's direct inputs, in plan order.
+    pub(crate) fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a IncNode)) {
+        match self {
+            IncNode::TableAccess { .. } => {}
+            IncNode::Selection { input, .. }
+            | IncNode::Projection { input, .. }
+            | IncNode::Passthrough { input } => f(input),
+            IncNode::Join(j) => {
+                f(j.left_child());
+                f(j.right_child());
+            }
+            IncNode::Nary(n) => n.children().iter().for_each(f),
+            IncNode::Aggregate(a) => f(a.input_child()),
+            IncNode::TopK(t) => f(t.input_child()),
+        }
+    }
+
     /// Entries and own-state bytes of the topmost top-k operator, if any
     /// (Fig. 13e/f reports this against the buffer bound).
     pub fn topk_state(&self) -> Option<(usize, usize)> {
-        match self {
-            IncNode::TableAccess { .. } => None,
-            IncNode::Selection { input, .. }
-            | IncNode::Projection { input, .. }
-            | IncNode::Passthrough { input } => input.topk_state(),
-            IncNode::Join(j) => {
-                let (l, r) = (j.left_child(), j.right_child());
-                l.topk_state().or_else(|| r.topk_state())
-            }
-            IncNode::Nary(n) => n.children().iter().find_map(IncNode::topk_state),
-            IncNode::Aggregate(a) => a.input_child().topk_state(),
-            IncNode::TopK(t) => Some((t.stored_entries(), t.own_heap_size())),
+        if let IncNode::TopK(t) = self {
+            return Some((t.stored_entries(), t.own_heap_size()));
         }
+        let mut found = None;
+        self.for_each_child(&mut |c| found = found.or_else(|| c.topk_state()));
+        found
     }
 
     /// Aggregate `(entries, bytes)` of every join-side index in the tree
     /// (Fig. 17 reports the index footprint next to the operator state).
     pub fn join_index_state(&self) -> (usize, usize) {
-        match self {
-            IncNode::TableAccess { .. } => (0, 0),
-            IncNode::Selection { input, .. }
-            | IncNode::Projection { input, .. }
-            | IncNode::Passthrough { input } => input.join_index_state(),
-            IncNode::Join(j) => {
-                let (own_e, own_b) = j.index_state();
-                let (le, lb) = j.left_child().join_index_state();
-                let (re, rb) = j.right_child().join_index_state();
-                (own_e + le + re, own_b + lb + rb)
-            }
-            IncNode::Nary(n) => {
-                let (mut e, mut b) = n.index_state();
-                for c in n.children() {
-                    let (ce, cb) = c.join_index_state();
-                    e += ce;
-                    b += cb;
-                }
-                (e, b)
-            }
-            IncNode::Aggregate(a) => a.input_child().join_index_state(),
-            IncNode::TopK(t) => t.input_child().join_index_state(),
-        }
+        let (mut entries, mut bytes) = match self {
+            IncNode::Join(j) => j.index_state(),
+            IncNode::Nary(n) => n.index_state(),
+            _ => (0, 0),
+        };
+        self.for_each_child(&mut |c| {
+            let (e, b) = c.join_index_state();
+            entries += e;
+            bytes += b;
+        });
+        (entries, bytes)
     }
 
-    /// Visit every `Arc<BitVec>` annotation handle held anywhere in the
-    /// tree's persistent state (top-k entries, join-side indexes).
+    /// Hand every `Arc<BitVec>` annotation handle held in the tree's
+    /// persistent state (top-k entries, join-side indexes) back to a
+    /// just-flushed `pool`, restoring "the pool owns every state-held
+    /// annotation" — the one O(state) pass a pool flush costs.
     /// Aggregation and merge state hold fragment *counters*, never
-    /// handles, so they contribute nothing. Used by the maintainer's
-    /// shared-ownership-aware heap accounting.
-    pub fn for_each_annot(&self, f: &mut dyn FnMut(&Arc<imp_storage::BitVec>)) {
+    /// handles, so they contribute nothing.
+    pub fn readopt_annots(&self, pool: &mut AnnotPool) {
         match self {
-            IncNode::TableAccess { .. } => {}
-            IncNode::Selection { input, .. }
-            | IncNode::Projection { input, .. }
-            | IncNode::Passthrough { input } => input.for_each_annot(f),
-            IncNode::Join(j) => {
-                j.for_each_annot(f);
-                j.left_child().for_each_annot(f);
-                j.right_child().for_each_annot(f);
-            }
-            IncNode::Nary(n) => {
-                n.for_each_annot(f);
-                for c in n.children() {
-                    c.for_each_annot(f);
-                }
-            }
-            IncNode::Aggregate(a) => a.input_child().for_each_annot(f),
-            IncNode::TopK(t) => {
-                t.for_each_annot(f);
-                t.input_child().for_each_annot(f);
-            }
+            IncNode::Join(j) => j.readopt_annots(pool),
+            IncNode::Nary(n) => n.readopt_annots(pool),
+            IncNode::TopK(t) => t.readopt_annots(pool),
+            _ => {}
         }
+        self.for_each_child(&mut |c| c.readopt_annots(pool));
     }
 
-    /// Approximate heap footprint of all operator state (Fig. 15/17).
+    /// Heap footprint of all operator state (Fig. 15/17). Every operator
+    /// keeps a running total, so this costs O(#operators).
     pub fn heap_size(&self) -> usize {
-        match self {
-            IncNode::TableAccess { .. } => 0,
-            IncNode::Selection { input, .. }
-            | IncNode::Projection { input, .. }
-            | IncNode::Passthrough { input } => input.heap_size(),
-            IncNode::Join(j) => j.heap_size(),
-            IncNode::Nary(n) => n.heap_size(),
-            IncNode::Aggregate(a) => a.heap_size(),
-            IncNode::TopK(t) => t.heap_size(),
-        }
+        let mut size = match self {
+            IncNode::Join(j) => j.own_heap_size(),
+            IncNode::Nary(n) => n.index_state().1,
+            IncNode::Aggregate(a) => a.own_heap_size(),
+            IncNode::TopK(t) => t.own_heap_size(),
+            _ => 0,
+        };
+        self.for_each_child(&mut |c| size += c.heap_size());
+        size
     }
 
     /// Arity of the topmost n-ary join in the circuit, if any (`fig_deep`
@@ -476,19 +460,12 @@ impl IncNode {
     }
 
     fn find_nary<T>(&self, f: &mut dyn FnMut(&NaryJoinOp) -> T) -> Option<T> {
-        match self {
-            IncNode::TableAccess { .. } => None,
-            IncNode::Selection { input, .. }
-            | IncNode::Projection { input, .. }
-            | IncNode::Passthrough { input } => input.find_nary(f),
-            IncNode::Join(j) => j
-                .left_child()
-                .find_nary(f)
-                .or_else(|| j.right_child().find_nary(f)),
-            IncNode::Nary(n) => Some(f(n)),
-            IncNode::Aggregate(a) => a.input_child().find_nary(f),
-            IncNode::TopK(t) => t.input_child().find_nary(f),
+        if let IncNode::Nary(n) = self {
+            return Some(f(n));
         }
+        let mut found = None;
+        self.for_each_child(&mut |c| found = found.take().or_else(|| c.find_nary(f)));
+        found
     }
 }
 

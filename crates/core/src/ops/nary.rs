@@ -401,10 +401,11 @@ impl NaryJoinOp {
         }
     }
 
-    /// Visit every annotation handle held by the per-input indexes.
-    pub fn for_each_annot(&self, f: &mut dyn FnMut(&Arc<imp_storage::BitVec>)) {
+    /// Hand every annotation handle of the per-input indexes back to a
+    /// just-flushed pool.
+    pub fn readopt_annots(&self, pool: &mut imp_storage::AnnotPool) {
         for idx in self.states.iter().filter_map(InputState::ready) {
-            idx.for_each_annot(f);
+            idx.readopt_annots(pool);
         }
     }
 
@@ -459,11 +460,6 @@ impl NaryJoinOp {
         }
         Ok(())
     }
-
-    /// Heap footprint (per-input indexes + children).
-    pub fn heap_size(&self) -> usize {
-        self.index_state().1 + self.children.iter().map(IncNode::heap_size).sum::<usize>()
-    }
 }
 
 /// Greedy extension order per seeding input: repeatedly pick the input
@@ -515,6 +511,15 @@ fn extension_orders(n: usize, specs: &[ClassSpec]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap_oracle::Walk;
+
+    /// The accounting oracle: per-input indexes recomputed by walking them.
+    impl NaryJoinOp {
+        pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+            let indexes = self.states.iter().filter_map(InputState::ready);
+            indexes.map(|idx| idx.walked_heap_size(w)).sum()
+        }
+    }
 
     #[test]
     fn extension_order_prefers_bound_inputs() {

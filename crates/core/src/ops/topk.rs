@@ -31,7 +31,7 @@ use imp_sql::plan::sort_key_values;
 use imp_sql::SortKey;
 use imp_storage::{AnnotPool, BitVec, Row, Value};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::sync::Arc;
 
 /// ORDER BY key with per-column direction baked into its `Ord`.
@@ -73,6 +73,20 @@ impl Ord for OrderKey {
 
 type Entries = BTreeMap<(Row, Arc<BitVec>), i64>;
 
+/// Heap bytes one ORDER BY key of the state accounts for.
+fn key_bytes(key: &OrderKey) -> usize {
+    key.vals.len() * std::mem::size_of::<Value>()
+        + key.vals.iter().map(Value::heap_size).sum::<usize>()
+        + 48
+}
+
+/// Heap bytes one stored annotated tuple accounts for. Annotation
+/// *contents* are not ours: every stored `Arc<BitVec>` is a handle into
+/// the maintainer's pool, whose `heap_size` counts the bitvectors.
+fn entry_bytes(row: &Row) -> usize {
+    row.heap_size() + std::mem::size_of::<Arc<BitVec>>() + 56
+}
+
 /// The top-k emitted at the end of the previous batch (`τ_{k,O}(S)`),
 /// cached so a batch does not start by re-walking the state tree.
 #[derive(Debug)]
@@ -97,6 +111,9 @@ pub struct TopKOp {
     buffer: Option<usize>,
     truncated: bool,
     entries: usize,
+    /// Running Σ [`key_bytes`] + [`entry_bytes`] over `state`, moved per
+    /// key / entry inserted or removed.
+    heap_bytes: usize,
     /// Cached previous top-k; `None` after reset / restore (recomputed
     /// from the state before the next batch is ingested).
     cache: Option<TopKCache>,
@@ -113,6 +130,7 @@ impl TopKOp {
             buffer,
             truncated: false,
             entries: 0,
+            heap_bytes: 0,
             cache: None,
         }
     }
@@ -230,12 +248,21 @@ impl TopKOp {
                     // invariant as the bounded MIN/MAX state).
                     continue;
                 }
-                let entries = self.state.entry(key).or_default();
-                let slot = entries.entry((d.row, annot)).or_insert(0);
-                if *slot == 0 {
-                    self.entries += 1;
+                let entries = match self.state.entry(key) {
+                    btree_map::Entry::Occupied(o) => o.into_mut(),
+                    btree_map::Entry::Vacant(v) => {
+                        self.heap_bytes += key_bytes(v.key());
+                        v.insert(Entries::new())
+                    }
+                };
+                match entries.entry((d.row, annot)) {
+                    btree_map::Entry::Occupied(mut o) => *o.get_mut() += d.mult,
+                    btree_map::Entry::Vacant(v) => {
+                        self.entries += 1;
+                        self.heap_bytes += entry_bytes(&v.key().0);
+                        v.insert(d.mult);
+                    }
                 }
-                *slot += d.mult;
                 // Evict past the buffer bound.
                 if let Some(l) = self.buffer {
                     while self.entries > l {
@@ -243,9 +270,12 @@ impl TopKOp {
                             break;
                         };
                         let victims = last.get_mut();
-                        victims.pop_last();
+                        if let Some(((row, _), _)) = victims.pop_last() {
+                            self.heap_bytes -= entry_bytes(&row);
+                        }
                         self.entries -= 1;
                         if victims.is_empty() {
+                            self.heap_bytes -= key_bytes(last.key());
                             last.remove();
                         }
                         self.truncated = true;
@@ -264,7 +294,9 @@ impl TopKOp {
                                     let corrupt = *slot < 0;
                                     entries.remove(&slot_key);
                                     self.entries -= 1;
+                                    self.heap_bytes -= entry_bytes(&slot_key.0);
                                     if entries.is_empty() {
+                                        self.heap_bytes -= key_bytes(&key);
                                         self.state.remove(&key);
                                     }
                                     if corrupt {
@@ -322,6 +354,7 @@ impl TopKOp {
     pub fn reset(&mut self) {
         self.state.clear();
         self.entries = 0;
+        self.heap_bytes = 0;
         self.truncated = false;
         self.cache = None;
         self.input.reset();
@@ -332,14 +365,11 @@ impl TopKOp {
         self.entries
     }
 
-    /// Visit every annotation handle held by this operator's state (the
-    /// shared-ownership-aware accounting walk; the diff cache only clones
-    /// handles already present in the state).
-    pub fn for_each_annot(&self, f: &mut dyn FnMut(&Arc<BitVec>)) {
-        for entries in self.state.values() {
-            for (_, annot) in entries.keys() {
-                f(annot);
-            }
+    /// Hand every annotation handle of the state back to a just-flushed
+    /// pool (the diff cache only clones handles present in the state).
+    pub fn readopt_annots(&self, pool: &mut AnnotPool) {
+        for (_, annot) in self.state.values().flat_map(Entries::keys) {
+            pool.adopt(annot);
         }
     }
 
@@ -381,6 +411,7 @@ impl TopKOp {
         use imp_storage::codec::*;
         self.state.clear();
         self.entries = 0;
+        self.heap_bytes = 0;
         self.cache = None;
         self.truncated = decode_u64(buf)? != 0;
         let n = decode_u64(buf)?;
@@ -396,41 +427,44 @@ impl TopKOp {
             for _ in 0..len {
                 let row = decode_row(buf)?;
                 let id = pool.intern(decode_bitvec(buf)?);
+                self.heap_bytes += entry_bytes(&row);
                 entries.insert((row, pool.share(id)), decode_i64(buf)?);
                 self.entries += 1;
             }
+            self.heap_bytes += key_bytes(&key);
             self.state.insert(key, entries);
         }
         Ok(())
     }
 
     /// Heap footprint of this operator's own state (excludes children) —
-    /// the quantity Fig. 13e/f plots against the buffer bound. Annotation
-    /// *contents* are not counted here: every stored `Arc<BitVec>` comes
-    /// from the maintainer's pool, whose `heap_size` already accounts for
-    /// the bitvectors — only the per-entry handle overhead is ours.
+    /// the quantity Fig. 13e/f plots against the buffer bound. O(1): a
+    /// running total of [`key_bytes`] and [`entry_bytes`].
     pub fn own_heap_size(&self) -> usize {
-        let mut size = 0usize;
-        for (key, entries) in &self.state {
-            size += key.vals.len() * std::mem::size_of::<Value>()
-                + key.vals.iter().map(Value::heap_size).sum::<usize>()
-                + 48;
-            for (row, _annot) in entries.keys() {
-                size += row.heap_size() + std::mem::size_of::<Arc<BitVec>>() + 56;
-            }
-        }
-        size
-    }
-
-    /// Heap footprint of the state (Fig. 15 memory plots).
-    pub fn heap_size(&self) -> usize {
-        self.own_heap_size() + self.input.heap_size()
+        self.heap_bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap_oracle::Walk;
+
+    /// The accounting oracle: the walk the running total replaced.
+    impl TopKOp {
+        pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+            let mut size = 0;
+            for (key, entries) in &self.state {
+                w.visit(1 + entries.len());
+                size += key_bytes(key);
+                for (row, annot) in entries.keys() {
+                    size += entry_bytes(row);
+                    w.annot(annot);
+                }
+            }
+            size
+        }
+    }
 
     #[test]
     fn order_key_directions() {

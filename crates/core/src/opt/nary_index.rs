@@ -23,8 +23,7 @@
 
 use crate::delta::DeltaBatch;
 use crate::opt::side_index::{annot_eq, entry_heap, key_heap, IndexEntry};
-use imp_storage::{codec, AnnotPool, BitVec, FxHashMap, Row, Value};
-use std::sync::Arc;
+use imp_storage::{codec, AnnotPool, FxHashMap, Row, Value};
 
 /// One input's class participation: `(class id, columns of this input in
 /// that class)`, ascending by class id. An input whose row carries the
@@ -260,12 +259,10 @@ impl NarySideIndex {
         }
     }
 
-    /// Visit every annotation handle (shared-ownership-aware accounting).
-    pub fn for_each_annot(&self, f: &mut dyn FnMut(&Arc<BitVec>)) {
-        for b in &self.buckets {
-            for e in &b.entries {
-                f(&e.annot);
-            }
+    /// Hand every annotation handle back to a just-flushed pool.
+    pub fn readopt_annots(&self, pool: &mut AnnotPool) {
+        for e in self.buckets.iter().flat_map(|b| &b.entries) {
+            pool.adopt(&e.annot);
         }
     }
 
@@ -356,7 +353,24 @@ impl NarySideIndex {
 mod tests {
     use super::*;
     use crate::delta::DeltaEntry;
+    use crate::heap_oracle::Walk;
     use imp_storage::row;
+
+    /// The accounting oracle: `heap_bytes` recomputed from the live arena.
+    impl NarySideIndex {
+        pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+            let mut bytes = 0;
+            for b in self.buckets.iter().filter(|b| !b.entries.is_empty()) {
+                w.visit(1 + b.entries.len());
+                bytes += key_heap(&b.key);
+                for e in &b.entries {
+                    bytes += entry_heap(e);
+                    w.annot(&e.annot);
+                }
+            }
+            bytes + (self.heap_size() - self.heap_bytes)
+        }
+    }
 
     fn batch(pool: &mut AnnotPool, items: &[(Row, usize, i64)]) -> DeltaBatch {
         items

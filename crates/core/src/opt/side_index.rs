@@ -141,13 +141,10 @@ impl JoinSideIndex {
         self.map.keys()
     }
 
-    /// Visit every annotation handle held by the index (the
-    /// shared-ownership-aware accounting walk).
-    pub fn for_each_annot(&self, f: &mut dyn FnMut(&Arc<BitVec>)) {
-        for bucket in self.map.values() {
-            for e in bucket {
-                f(&e.annot);
-            }
+    /// Hand every annotation handle back to a just-flushed pool.
+    pub fn readopt_annots(&self, pool: &mut AnnotPool) {
+        for e in self.map.values().flatten() {
+            pool.adopt(&e.annot);
         }
     }
 
@@ -164,11 +161,9 @@ impl JoinSideIndex {
     /// Heap footprint of the index (Fig. 17), tracked incrementally so
     /// accounting stays O(|Δ|) per batch. Annotation *contents* are
     /// counted like the top-k state counts them: the `Arc<BitVec>`
-    /// handles come from the maintainer's pool, whose own `heap_size`
-    /// accounts for the bitvectors — only per-entry handle overhead is
-    /// ours. (Known accounting gap shared with the top-k state: after a
-    /// between-runs pool flush, contents kept alive only by these
-    /// handles are counted by neither side until re-interned.)
+    /// handles are handles into the maintainer's pool (re-adopted by it
+    /// after a flush), whose own `heap_size` accounts for the bitvectors
+    /// — only per-entry handle overhead is ours.
     pub fn heap_size(&self) -> usize {
         self.heap_bytes
             + self.map.capacity() * (std::mem::size_of::<Vec<Value>>() + 8)
@@ -236,7 +231,24 @@ pub(crate) fn annot_eq(a: &Arc<BitVec>, b: &Arc<BitVec>) -> bool {
 mod tests {
     use super::*;
     use crate::delta::DeltaEntry;
+    use crate::heap_oracle::Walk;
     use imp_storage::row;
+
+    /// The accounting oracle: `heap_bytes` recomputed from the live map.
+    impl JoinSideIndex {
+        pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+            let mut bytes = 0;
+            for (key, bucket) in &self.map {
+                w.visit(1 + bucket.len());
+                bytes += key_heap(key);
+                for e in bucket {
+                    bytes += entry_heap(e);
+                    w.annot(&e.annot);
+                }
+            }
+            bytes + (self.heap_size() - self.heap_bytes)
+        }
+    }
 
     fn batch(pool: &mut AnnotPool, items: &[(Row, usize, i64)]) -> DeltaBatch {
         items

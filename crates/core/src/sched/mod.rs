@@ -65,7 +65,7 @@ use crate::maintain::MaintReport;
 use crate::metrics::{SchedMetrics, SchedStats};
 use crate::middleware::{plan_subsumes, ImpConfig, StoredSketch};
 use crate::obs::{Obs, ObsEvent};
-use crate::sched::shard::ShardMsg;
+use crate::sched::shard::{ShardMsg, SketchFn};
 use crate::sched::steal::SchedShared;
 use crossbeam::channel::bounded;
 use imp_engine::Database;
@@ -317,36 +317,25 @@ impl Scheduler {
         self.broadcast(|tx| ShardMsg::Inspect { reply: tx })
     }
 
-    /// Evict all operator state on every shard; returns bytes freed.
-    pub fn evict_all(&self) -> usize {
-        self.broadcast(|tx| ShardMsg::Evict {
-            template: None,
+    /// Run `apply` over the stored sketches — one template's candidates
+    /// on its owning shard, or (`None`) everything on every shard — as a
+    /// control barrier; returns the sum of its results. The evict /
+    /// pool-flush / version-trim admin calls of
+    /// [`crate::middleware::Imp`] all travel this way.
+    pub(crate) fn for_each(&self, template: Option<&QueryTemplate>, apply: SketchFn) -> usize {
+        let msg = |tx| ShardMsg::ForEach {
+            template: template.cloned(),
+            apply: Arc::clone(&apply),
             reply: tx,
-        })
-        .into_iter()
-        .sum()
-    }
-
-    /// Evict the operator state of one template's candidates on its
-    /// owning shard; returns bytes freed.
-    pub fn evict_template(&self, template: &QueryTemplate) -> usize {
-        let (tx, rx) = bounded(1);
-        self.pool.send(
-            self.shard_of(template),
-            ShardMsg::Evict {
-                template: Some(template.clone()),
-                reply: tx,
-            },
-        );
-        rx.recv().unwrap_or(0)
-    }
-
-    /// Flush every sketch's annotation-pool / row-interner caches on
-    /// every shard; returns the number of sketches flushed.
-    pub fn flush_pools(&self) -> usize {
-        self.broadcast(|tx| ShardMsg::FlushPools { reply: tx })
-            .into_iter()
-            .sum()
+        };
+        match template {
+            None => self.broadcast(msg).into_iter().sum(),
+            Some(t) => {
+                let (tx, rx) = bounded(1);
+                self.pool.send(self.shard_of(t), msg(tx));
+                rx.recv().unwrap_or(0)
+            }
+        }
     }
 
     /// Gather the advisor's view of every stored sketch (control
@@ -407,5 +396,52 @@ impl Scheduler {
         self.broadcast(|tx| ShardMsg::Repartition { reply: tx })
             .into_iter()
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sched::shard::{publish, run_claim};
+
+    /// Test hooks for the accounting oracle ([`crate::heap_oracle`]).
+    impl Scheduler {
+        /// Visit every stored sketch of every shard, settled.
+        pub(crate) fn for_each_stored(&self, f: &mut dyn FnMut(&StoredSketch)) {
+            self.drain();
+            for slot in &self.shared.slots {
+                slot.state.lock().store.values().flatten().for_each(&mut *f);
+            }
+        }
+
+        /// With the workers paused: ingest what is staged, then claim,
+        /// maintain and publish every loaded shard on the calling thread
+        /// — a worker's claim loop minus the worker. Returns claims run.
+        pub(crate) fn work_on_caller(
+            &self,
+            config: &ImpConfig,
+            tracker: &WorkloadTracker,
+        ) -> usize {
+            self.shared.ingest(&self.db, None);
+            let mut claims = 0;
+            for shard in 0..self.shared.slots.len() {
+                let mut state = self.shared.slots[shard].state.lock();
+                while let Some(claim) = self.shared.claim(shard, config.coalesce_budget) {
+                    let routed = &claim.routed;
+                    run_claim(
+                        &mut state,
+                        routed,
+                        &self.db,
+                        config,
+                        &self.metrics,
+                        tracker,
+                        &self.obs,
+                    );
+                    publish(shard, &mut state, &self.board, &self.obs);
+                    claims += 1;
+                }
+            }
+            claims
+        }
     }
 }

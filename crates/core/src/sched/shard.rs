@@ -34,8 +34,9 @@ use crate::advisor::{
 use crate::maintain::MaintReport;
 use crate::metrics::SchedMetrics;
 use crate::middleware::{
-    restore_if_evicted, retain_version, stored_heap_size, summarize, ImpConfig, PublishedMeta,
-    SketchStateView, SketchSummary, StoredSketch, MAX_SKETCHES_PER_TEMPLATE,
+    maintain_entry, record_run, restore_if_evicted, retain_version, stored_heap_size, summarize,
+    table_horizons, ImpConfig, SketchStateView, SketchSummary, StoredSketch,
+    MAX_SKETCHES_PER_TEMPLATE,
 };
 use crate::obs::{trace, Obs, ObsEvent};
 use crate::ops::DbAccess;
@@ -73,18 +74,17 @@ pub struct ShardReport {
     pub states: Vec<SketchStateView>,
     /// Total heap bytes of the shard's sketch state.
     pub heap: usize,
-    /// Minimum maintained version across the shard's sketches.
-    pub min_version: Option<u64>,
     /// Per table, the minimum maintained version across the shard's
     /// sketches referencing it (the table's vacuum horizon).
     pub table_versions: Vec<(String, u64)>,
-    /// Number of stored sketches.
-    pub count: usize,
     /// Last maintenance error, if any — sticky: it stays reported until a
     /// newer error supersedes it, so unrelated admin inspections cannot
     /// swallow the only record of an async routed-maintenance failure.
     pub last_error: Option<String>,
 }
+
+/// A per-sketch admin action shipped to the shard workers.
+pub(crate) type SketchFn = Arc<dyn Fn(&mut StoredSketch) -> usize + Send + Sync>;
 
 /// Messages a shard worker understands. Routed deltas do **not** travel
 /// here — they go through the shared inboxes (`crate::sched::steal`);
@@ -122,17 +122,14 @@ pub(crate) enum ShardMsg {
         /// Reply channel.
         reply: Sender<ShardReport>,
     },
-    /// Evict operator state to serialized form; reply = bytes freed.
-    Evict {
+    /// Run `apply` over the shard's sketches and reply with the sum of
+    /// its results — the evict / pool-flush / version-trim controls.
+    ForEach {
         /// `None` = every sketch of the shard; `Some` = only that
         /// template's candidates ([`crate::middleware::Imp::evict_state`]).
         template: Option<QueryTemplate>,
-        /// Reply channel.
-        reply: Sender<usize>,
-    },
-    /// Flush every sketch's annotation-pool / row-interner caches; reply
-    /// = sketches flushed.
-    FlushPools {
+        /// What to do to each sketch.
+        apply: SketchFn,
         /// Reply channel.
         reply: Sender<usize>,
     },
@@ -411,29 +408,23 @@ impl ShardWorker {
                 let mut state = self.shared.slots[self.id].state.lock();
                 let _ = reply.send(self.inspect(&mut state));
             }
-            ShardMsg::Evict { template, reply } => {
+            ShardMsg::ForEach {
+                template,
+                apply,
+                reply,
+            } => {
                 let mut state = self.shared.slots[self.id].state.lock();
-                let mut freed = 0usize;
-                let targeted: Box<dyn Iterator<Item = &mut StoredSketch>> = match &template {
-                    Some(t) => match state.store.get_mut(t) {
-                        Some(entries) => Box::new(entries.iter_mut()),
-                        None => Box::new(std::iter::empty()),
-                    },
-                    None => Box::new(state.store.values_mut().flatten()),
+                let total: usize = match &template {
+                    Some(t) => state
+                        .store
+                        .get_mut(t)
+                        .into_iter()
+                        .flatten()
+                        .map(|e| apply(e))
+                        .sum(),
+                    None => state.store.values_mut().flatten().map(|e| apply(e)).sum(),
                 };
-                for entry in targeted {
-                    freed += crate::middleware::evict_stored(entry);
-                }
-                let _ = reply.send(freed);
-            }
-            ShardMsg::FlushPools { reply } => {
-                let mut state = self.shared.slots[self.id].state.lock();
-                let mut flushed = 0usize;
-                for entry in state.store.values_mut().flatten() {
-                    entry.maintainer.flush_pool_caches();
-                    flushed += 1;
-                }
-                let _ = reply.send(flushed);
+                let _ = reply.send(total);
             }
             ShardMsg::AdviseGather { reply } => {
                 let state = self.shared.slots[self.id].state.lock();
@@ -456,6 +447,7 @@ impl ShardWorker {
                         &mut state.store,
                         &db,
                         &self.config,
+                        &self.obs,
                         &self.tracker,
                         &actions,
                     )
@@ -503,22 +495,8 @@ impl ShardWorker {
         };
         let db = self.db.read();
         let _span = self.obs.span("maintain_on_demand");
-        let from_version = entry.maintainer.version();
-        let report =
-            crate::middleware::maintain_entry(entry, &db, self.config.retain_sketch_versions)?;
+        let report = maintain_entry(entry, template, &db, &self.config, &self.obs, &self.tracker)?;
         self.metrics.maintain_runs.inc();
-        self.obs.maintain_observed_spanned(
-            template.text(),
-            report.duration.as_nanos() as u64,
-            report.advisor_cost().delta_rows,
-            report.recaptured,
-            from_version,
-            entry.maintainer.version(),
-        );
-        self.tracker.record_maintenance(
-            SketchKey::new(template.text(), entry.sql.clone()),
-            report.advisor_cost(),
-        );
         Ok(Some(MaintainReply {
             report: Box::new(report),
             sketch: entry.maintainer.sketch().clone(),
@@ -541,26 +519,9 @@ impl ShardWorker {
                     continue;
                 }
                 let _span = self.obs.span("maintain_stale");
-                let from_version = entry.maintainer.version();
-                match crate::middleware::maintain_entry(
-                    entry,
-                    &db,
-                    self.config.retain_sketch_versions,
-                ) {
+                match maintain_entry(entry, template, &db, &self.config, &self.obs, &self.tracker) {
                     Ok(report) => {
                         self.metrics.maintain_runs.inc();
-                        self.obs.maintain_observed_spanned(
-                            template.text(),
-                            report.duration.as_nanos() as u64,
-                            report.advisor_cost().delta_rows,
-                            report.recaptured,
-                            from_version,
-                            entry.maintainer.version(),
-                        );
-                        self.tracker.record_maintenance(
-                            SketchKey::new(template.text(), entry.sql.clone()),
-                            report.advisor_cost(),
-                        );
                         reports.push(report);
                     }
                     Err(e) => {
@@ -581,9 +542,6 @@ impl ShardWorker {
         let mut summaries = Vec::new();
         let mut states = Vec::new();
         let mut heap = 0usize;
-        let mut min_version: Option<u64> = None;
-        let mut table_versions: FxHashMap<String, u64> = FxHashMap::default();
-        let mut count = 0usize;
         for (template, entries) in &state.store {
             for e in entries {
                 summaries.push(summarize(template, e, &db));
@@ -594,25 +552,15 @@ impl ShardWorker {
                     bits: e.maintainer.sketch().bits().clone(),
                 });
                 heap += stored_heap_size(e);
-                min_version = Some(
-                    min_version.map_or(e.maintainer.version(), |m| m.min(e.maintainer.version())),
-                );
-                for table in e.maintainer.tables() {
-                    let v = table_versions
-                        .entry(table.clone())
-                        .or_insert_with(|| e.maintainer.version());
-                    *v = (*v).min(e.maintainer.version());
-                }
-                count += 1;
             }
         }
         ShardReport {
             summaries,
             states,
             heap,
-            min_version,
-            table_versions: table_versions.into_iter().collect(),
-            count,
+            table_versions: table_horizons(state.store.values().flatten())
+                .into_iter()
+                .collect(),
             last_error: state.last_error.clone(),
         }
     }
@@ -678,18 +626,7 @@ pub(crate) fn run_claim(
             match run() {
                 Ok(report) => {
                     metrics.maintain_runs.inc();
-                    obs.maintain_observed_spanned(
-                        template.text(),
-                        report.duration.as_nanos() as u64,
-                        report.advisor_cost().delta_rows,
-                        report.recaptured,
-                        from_version,
-                        entry.maintainer.version(),
-                    );
-                    tracker.record_maintenance(
-                        SketchKey::new(template.text(), entry.sql.clone()),
-                        report.advisor_cost(),
-                    );
+                    record_run(entry, template, &report, from_version, obs, tracker);
                 }
                 Err(e) => state.last_error = Some(e.to_string()),
             }
@@ -697,10 +634,14 @@ pub(crate) fn run_claim(
     }
 }
 
-/// Publish `shard`'s current sketches as an immutable snapshot.
-/// The plan/SQL/tables of each entry are `Arc`-wrapped once and
-/// cached — per flush only the sketch bits are cloned. Free function so
-/// a thief can publish the victim's shard after a stolen claim.
+/// Publish `shard`'s current sketches as an immutable snapshot, at a
+/// cost proportional to what changed since the last one: every entry
+/// keeps what it last published, so an entry whose maintained version
+/// (and partition set) did not move republishes the same
+/// `Arc<SketchSet>` — only a changed sketch clones its bits, once — the
+/// plan/SQL/tables are `Arc`-wrapped once per sketch, and `state_bytes`
+/// is an O(1) read of running totals. Free function so a thief can
+/// publish the victim's shard after a stolen claim.
 pub(crate) fn publish(shard: usize, state: &mut ShardState, board: &SnapshotBoard, obs: &Obs) {
     let _span = obs.span("snapshot_publish");
     let sketches: Vec<PublishedSketch> = state
@@ -708,24 +649,24 @@ pub(crate) fn publish(shard: usize, state: &mut ShardState, board: &SnapshotBoar
         .iter_mut()
         .flat_map(|(template, entries)| {
             entries.iter_mut().map(|e| {
-                if e.published_meta.is_none() {
-                    e.published_meta = Some(PublishedMeta {
-                        sql: Arc::from(e.sql.as_str()),
-                        plan: Arc::new(e.plan.clone()),
-                        tables: e.maintainer.tables().to_vec().into(),
-                    });
-                }
-                let meta = e.published_meta.as_ref().expect("just filled");
-                PublishedSketch {
+                let (version, state_bytes) = (e.maintainer.version(), stored_heap_size(e));
+                let live = e.maintainer.sketch();
+                let p = e.published.get_or_insert_with(|| PublishedSketch {
                     template: template.clone(),
-                    sql: Arc::clone(&meta.sql),
-                    plan: Arc::clone(&meta.plan),
-                    tables: Arc::clone(&meta.tables),
-                    sketch: Arc::new(e.maintainer.sketch().clone()),
-                    version: e.maintainer.version(),
+                    sql: Arc::from(e.sql.as_str()),
+                    plan: Arc::new(e.plan.clone()),
+                    tables: e.maintainer.tables().to_vec().into(),
+                    sketch: Arc::new(live.clone()),
+                    version,
                     lifecycle: e.lifecycle,
-                    state_bytes: stored_heap_size(e),
+                    state_bytes,
+                });
+                if p.version != version || !Arc::ptr_eq(p.sketch.partitions(), live.partitions()) {
+                    p.sketch = Arc::new(live.clone());
+                    p.version = version;
                 }
+                (p.lifecycle, p.state_bytes) = (e.lifecycle, state_bytes);
+                p.clone()
             })
         })
         .collect();

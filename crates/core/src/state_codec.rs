@@ -73,30 +73,13 @@ pub fn load_state(m: &mut SketchMaintainer, mut bytes: Bytes) -> Result<()> {
 
 fn encode_node(node: &IncNode, buf: &mut BytesMut) {
     match node {
-        IncNode::TableAccess { .. } => {}
-        IncNode::Selection { input, .. }
-        | IncNode::Projection { input, .. }
-        | IncNode::Passthrough { input } => encode_node(input, buf),
-        IncNode::Join(j) => {
-            j.encode_state(buf);
-            encode_node(j.left_child(), buf);
-            encode_node(j.right_child(), buf);
-        }
-        IncNode::Nary(n) => {
-            n.encode_state(buf);
-            for child in n.children() {
-                encode_node(child, buf);
-            }
-        }
-        IncNode::Aggregate(a) => {
-            a.encode_state(buf);
-            encode_node(a.input_child(), buf);
-        }
-        IncNode::TopK(t) => {
-            t.encode_state(buf);
-            encode_node(t.input_child(), buf);
-        }
+        IncNode::Join(j) => j.encode_state(buf),
+        IncNode::Nary(n) => n.encode_state(buf),
+        IncNode::Aggregate(a) => a.encode_state(buf),
+        IncNode::TopK(t) => t.encode_state(buf),
+        _ => {}
     }
+    node.for_each_child(&mut |child| encode_node(child, buf));
 }
 
 fn decode_node(node: &mut IncNode, buf: &mut Bytes, pool: &mut AnnotPool) -> Result<()> {

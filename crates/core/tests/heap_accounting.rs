@@ -3,7 +3,11 @@
 //! on both backends, across capture / update / evict / restore /
 //! pool-flush / advisor cycles. The two numbers travel different paths
 //! (the heap total sums shard inspection reports; the summaries are
-//! built per sketch), so this guards the accounting against drift.
+//! built per sketch), so this guards the accounting against drift. On
+//! the sharded backend a third path joins them: the `state_bytes` a
+//! shard publishes after a claim. (Whether the numbers are *right* —
+//! equal to a walk of the live state — is the in-crate `heap_oracle`
+//! suite's job.) Also here: `vacuum()` trims retained sketch versions.
 
 use imp_core::middleware::{Imp, ImpConfig};
 use imp_engine::Database;
@@ -63,6 +67,106 @@ fn assert_consistent(imp: &Imp, context: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// After a drained claim over `table`'s delta, every shard that ran one
+/// has republished: the `state_bytes` it published for the sketches over
+/// `table` are the bytes an inspection barrier reports now.
+fn assert_published_sizes(imp: &Imp, table: &str) -> Result<(), TestCaseError> {
+    let Some(sched) = imp.scheduler() else {
+        return Ok(());
+    };
+    sched.drain();
+    let inspected = imp.describe_sketches();
+    let board = sched.board_handle();
+    for shard in 0..board.shards() {
+        for p in &board.read(shard).sketches {
+            if !p.tables.iter().any(|t| t == table) {
+                continue;
+            }
+            let summary = inspected.iter().find(|s| *s.sql == *p.sql);
+            prop_assert_eq!(
+                Some(p.state_bytes),
+                summary.map(|s| s.state_bytes),
+                "published state_bytes != inspected for {}",
+                p.sql
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `retain_sketch_versions` records one bitvector per maintenance run;
+/// `vacuum()` must trim them with the delta log — to the current version
+/// plus whatever a lagging sketch over the same table still pins — and
+/// the store's byte total must drop by exactly the trimmed bitvectors.
+#[test]
+fn vacuum_trims_retained_versions() {
+    const RUNS: usize = 12;
+    let lagging = "SELECT g, sum(v) AS s FROM ha GROUP BY g HAVING sum(v) > 90".to_string();
+    for workers in [0, 2] {
+        let mut imp = Imp::new(
+            seed_db(),
+            ImpConfig {
+                fragments: 5,
+                sched_workers: workers,
+                ..ImpConfig::default()
+            },
+        );
+        let q = &queries()[0];
+        imp.execute(q).unwrap();
+        for run in 0..RUNS {
+            imp.execute(&format!("INSERT INTO ha VALUES (1, {run})"))
+                .unwrap();
+            imp.maintain_all_stale().unwrap();
+        }
+        let retained = |imp: &Imp, sql: &str| {
+            let all = imp.describe_sketches();
+            all.iter().find(|s| s.sql == sql).unwrap().retained_versions
+        };
+        assert_eq!(
+            retained(&imp, q),
+            1 + RUNS,
+            "one version per run (workers {workers})"
+        );
+
+        // Every version is one 5-fragment bitvector: one word.
+        let version_bytes = std::mem::size_of::<u64>();
+        let before = imp.store_heap_size();
+        imp.vacuum();
+        assert_eq!(retained(&imp, q), 1, "only the current version survives");
+        assert_eq!(before - imp.store_heap_size(), RUNS * version_bytes);
+
+        // A second sketch over the same table pins the table's horizon at
+        // its version while it lags: the versions since then are still
+        // maintainable from the log and stay. (Only the in-line lazy
+        // store lets a sketch lag — shard workers maintain both.)
+        imp.execute(&lagging).unwrap();
+        for run in 0..RUNS {
+            imp.execute(&format!("INSERT INTO ha VALUES (2, {run})"))
+                .unwrap();
+            imp.execute(q).unwrap();
+        }
+        imp.vacuum();
+        if workers == 0 {
+            assert_eq!(
+                retained(&imp, q),
+                1 + RUNS,
+                "runs since the horizon are kept"
+            );
+            assert_eq!(retained(&imp, &lagging), 1);
+        }
+        imp.maintain_all_stale().unwrap();
+        imp.vacuum();
+        assert_eq!(retained(&imp, q), 1);
+        assert_eq!(retained(&imp, &lagging), 1);
+        // The trimmed store still maintains correctly.
+        imp.execute("INSERT INTO ha VALUES (3, 1000)").unwrap();
+        let imp_core::ImpResponse::Rows { result, .. } = imp.execute(q).unwrap() else {
+            panic!("rows expected")
+        };
+        assert_eq!(result.canonical(), imp.db().query(q).unwrap().canonical());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -92,6 +196,7 @@ proptest! {
                     let table = TABLES[arg % TABLES.len()];
                     imp.execute(&format!("INSERT INTO {table} VALUES ({}, {step})", arg))
                         .unwrap();
+                    assert_published_sizes(&imp, table)?;
                 }
                 3 => {
                     imp.evict_all_states().unwrap();

@@ -583,12 +583,14 @@ fn background_maintainer_tick_driven_convergence() {
 }
 
 #[test]
-fn shared_ownership_accounting_counts_annot_contents_once() {
+fn pool_owns_state_held_annotations_across_a_flush() {
     // Fig. 13e/f / 17 memory columns: annotation contents held by
-    // top-k / join-index `Arc<BitVec>` handles must be counted exactly
-    // once — by the pool while it owns the allocations (no double count),
-    // and by the state after a between-runs pool flush leaves the handles
-    // as sole owners (no zero count).
+    // top-k / join-index `Arc<BitVec>` handles are counted exactly once —
+    // by the pool, always. State counts only its handles; a between-runs
+    // pool flush sheds what no state refers to and re-adopts the rest, so
+    // nothing is double counted before it and nothing vanishes after it.
+    // (The in-crate `heap_oracle` suite checks handle-by-handle ownership
+    // at every step; this is the same invariant through the public API.)
     let mut db = sales_db();
     db.create_table(
         "brands",
@@ -620,38 +622,31 @@ fn shared_ownership_accounting_counts_annot_contents_once() {
             "state must hold annotation handles for {sql}"
         );
 
-        // While the pool owns the allocations the state contributes no
-        // extra annotation bytes (no double count).
-        assert_eq!(m.unpooled_annot_bytes(), 0, "double count for {sql}");
-
-        // Between-runs pool flush: the handles become sole owners and the
-        // accounting attributes their contents to the state (no zero
-        // count), exactly once per distinct allocation.
-        let total_before = m.state_heap_size();
-        let pool_before = m.pool().heap_size();
+        // The flush moves the pool's term only: the state's own bytes
+        // (handles, rows, keys) are untouched, so the total drops by
+        // exactly what the pool shed.
+        let (total_before, pool_before) = (m.state_heap_size(), m.pool().heap_size());
         m.flush_pool_caches();
-        let unpooled = m.unpooled_annot_bytes();
-        assert!(unpooled > 0, "zero count after pool flush for {sql}");
-        // The flush may only shed bytes the pool alone held: the drop in
-        // the total must not exceed the pool's own shrinkage (the state's
-        // handle contents did not vanish from the accounting).
-        let total_after = m.state_heap_size();
-        let pool_shrunk = pool_before - m.pool().heap_size();
-        assert!(
-            total_before - total_after <= pool_shrunk,
-            "state-held annotation contents vanished from the accounting for {sql}"
+        let (total_after, pool_after) = (m.state_heap_size(), m.pool().heap_size());
+        assert!(pool_after <= pool_before);
+        assert_eq!(
+            total_before - total_after,
+            pool_before - pool_after,
+            "a flush may only shed pool bytes for {sql}"
         );
-
-        // Eviction round trip re-interns the state's annotations: the
-        // pool owns them again and the extra attribution returns to zero.
+        // What it kept is exactly the state-held annotations (plus the
+        // empty one), each distinct allocation once: an eviction round
+        // trip, which re-interns precisely the contents the state
+        // carries, lands on the same pool population and the same bytes.
+        let pooled_after_flush = m.pool().len();
+        assert!(
+            pooled_after_flush > 1,
+            "state-held contents vanished for {sql}"
+        );
         let saved = imp_core::state_codec::save_state(&m);
         m.drop_state();
         imp_core::state_codec::load_state(&mut m, saved).unwrap();
-        assert_eq!(
-            m.unpooled_annot_bytes(),
-            0,
-            "double count after restore for {sql}"
-        );
+        assert_eq!(m.pool().len(), pooled_after_flush, "miscount for {sql}");
 
         // And maintenance stays exact across the whole exercise.
         db.execute_sql("DELETE FROM sales WHERE sid = 30").unwrap();

@@ -205,3 +205,60 @@ fn background_maintainer_converges_on_sharded_store() {
     let states = guard.sketch_states();
     assert_eq!(states.len(), 1);
 }
+
+#[test]
+fn publish_reuses_what_a_claim_did_not_touch() {
+    // One shard, N sketches over N tables: a claim that maintains one of
+    // them republishes the other N−1 as the very same `Arc<SketchSet>`s —
+    // publish clones bits only for what changed — and the board's epoch
+    // still advances (readers see one consistent new snapshot).
+    use std::sync::Arc;
+    const TABLES: [&str; 4] = ["p0", "p1", "p2", "p3"];
+    let mut db = Database::new();
+    for name in TABLES {
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]);
+        db.create_table(name, schema).unwrap();
+        let rows = (0..60).map(|i| row![i % 6, i]);
+        db.table_mut(name).unwrap().bulk_load(rows).unwrap();
+    }
+    let mut imp = Imp::new(db, sharded_config(1));
+    for name in TABLES {
+        let q = format!("SELECT g, sum(v) AS s FROM {name} GROUP BY g HAVING sum(v) > 100");
+        imp.execute(&q).unwrap();
+    }
+    let board = imp.scheduler().unwrap().board_handle();
+    let before = board.read(0);
+    assert_eq!(before.sketches.len(), TABLES.len());
+
+    imp.execute("INSERT INTO p2 VALUES (3, 500)").unwrap();
+    imp.scheduler().unwrap().drain();
+    let after = board.read(0);
+    assert!(after.epoch > before.epoch, "a claim publishes a new epoch");
+    assert_eq!(after.sketches.len(), TABLES.len());
+    for new in &after.sketches {
+        let old = before
+            .sketches
+            .iter()
+            .find(|old| old.sql == new.sql)
+            .expect("same sketches published");
+        let touched = new.tables.iter().any(|t| t == "p2");
+        assert_eq!(
+            Arc::ptr_eq(&old.sketch, &new.sketch),
+            !touched,
+            "only the maintained sketch may republish new bits ({})",
+            new.sql
+        );
+        assert_eq!(new.version > old.version, touched);
+        assert!(Arc::ptr_eq(&old.plan, &new.plan), "plans are wrapped once");
+    }
+    // Repartitioning keeps versions but retires the bits with the old
+    // partition set: nothing may be reused across it.
+    assert_eq!(imp.repartition_all().unwrap(), TABLES.len());
+    let repartitioned = board.read(0);
+    for (old, new) in after.sketches.iter().zip(&repartitioned.sketches) {
+        assert!(!Arc::ptr_eq(&old.sketch, &new.sketch));
+    }
+}

@@ -96,22 +96,31 @@ pub struct AnnotPool {
     /// Memoized unions, keyed by the unordered pair `(min, max)`.
     union_memo: FxHashMap<(AnnotId, AnnotId), AnnotId>,
     stats: PoolStats,
+    /// Running Σ of the pooled bitvectors' bytes (contents + header).
+    vec_bytes: usize,
+    /// Entries re-registered by [`AnnotPool::adopt`] since the last clear.
+    adopted: usize,
 }
 
 impl AnnotPool {
     /// Fresh pool over `width` fragments; id 0 is the empty annotation.
     pub fn new(width: usize) -> AnnotPool {
-        let empty = Arc::new(BitVec::new(width));
-        let mut index = FxHashMap::default();
-        index.insert(Arc::clone(&empty), AnnotId(0));
-        AnnotPool {
+        AnnotPool::with_empty(width, Arc::new(BitVec::new(width)))
+    }
+
+    fn with_empty(width: usize, empty: Arc<BitVec>) -> AnnotPool {
+        let mut pool = AnnotPool {
             width,
-            vecs: vec![empty],
-            index,
+            vecs: Vec::with_capacity(1),
+            index: FxHashMap::default(),
             singletons: FxHashMap::default(),
             union_memo: FxHashMap::default(),
             stats: PoolStats::default(),
-        }
+            vec_bytes: 0,
+            adopted: 0,
+        };
+        pool.insert_new(empty);
+        pool
     }
 
     /// Number of bits of every pooled annotation.
@@ -141,6 +150,7 @@ impl AnnotPool {
             self.stats.intern_hits += 1;
             return id;
         }
+        self.stats.interned += 1;
         self.insert_new(Arc::new(bits))
     }
 
@@ -151,14 +161,32 @@ impl AnnotPool {
             self.stats.intern_hits += 1;
             return id;
         }
+        self.stats.interned += 1;
         self.insert_new(bits)
+    }
+
+    /// Re-register an allocation that outlived [`AnnotPool::clear`]
+    /// through an operator-state handle, so the pool owns — and
+    /// [`AnnotPool::heap_size`] counts — it again. State handles of equal
+    /// content share one allocation (they all came from this pool), so
+    /// the first sighting adopts it and later ones are no-ops. Not an
+    /// intern request: the activity counters do not move.
+    pub fn adopt(&mut self, handle: &Arc<BitVec>) {
+        debug_assert_eq!(handle.len(), self.width, "annotation width mismatch");
+        match self.index.get_key_value(handle.as_ref()) {
+            Some((owned, _)) => debug_assert!(Arc::ptr_eq(owned, handle), "forked allocation"),
+            None => {
+                self.adopted += 1;
+                self.insert_new(Arc::clone(handle));
+            }
+        }
     }
 
     fn insert_new(&mut self, bits: Arc<BitVec>) -> AnnotId {
         let id = AnnotId(u32::try_from(self.vecs.len()).expect("annotation pool overflow"));
+        self.vec_bytes += bits.heap_size() + std::mem::size_of::<BitVec>();
         self.index.insert(Arc::clone(&bits), id);
         self.vecs.push(bits);
-        self.stats.interned += 1;
         id
     }
 
@@ -222,16 +250,10 @@ impl AnnotPool {
         Arc::clone(&self.vecs[id.index()])
     }
 
-    /// Does the pool own this exact allocation? True only when `handle`
-    /// points at a pooled bitvector (not merely an equal one), i.e. the
-    /// contents are already covered by [`AnnotPool::heap_size`]. Used by
-    /// shared-ownership-aware accounting: operator-state `Arc<BitVec>`
-    /// handles whose allocation the pool does *not* own (e.g. after a
-    /// between-runs [`AnnotPool::clear`]) must be attributed to the state.
-    pub fn owns(&self, handle: &Arc<BitVec>) -> bool {
-        self.index
-            .get(handle.as_ref())
-            .is_some_and(|id| Arc::ptr_eq(&self.vecs[id.index()], handle))
+    /// The pool's own handle for `bits`' content, if pooled (a read-only
+    /// probe: nothing is interned, no counter moves).
+    pub fn pooled(&self, bits: &BitVec) -> Option<&Arc<BitVec>> {
+        self.index.get_key_value(bits).map(|(owned, _)| owned)
     }
 
     /// Cumulative activity counters.
@@ -239,14 +261,21 @@ impl AnnotPool {
         self.stats
     }
 
-    /// Heap footprint of the pooled bitvectors and index structures.
+    /// Annotations interned since the last [`AnnotPool::clear`], not
+    /// counting what [`AnnotPool::adopt`] re-registered afterwards — the
+    /// growth a flush bound is measured against.
+    pub fn grown(&self) -> usize {
+        self.vecs.len() - self.adopted
+    }
+
+    /// Heap footprint of the pooled bitvectors and index structures. O(1):
+    /// the bitvector bytes are a running total kept by intern / adopt /
+    /// clear (pooled bitvectors are immutable), the rest are capacities.
+    /// Operator state holds `Arc` handles into the pool and counts only
+    /// the handles, so every annotation allocation is counted here, once.
     pub fn heap_size(&self) -> usize {
-        let vecs: usize = self
-            .vecs
-            .iter()
-            .map(|v| v.heap_size() + std::mem::size_of::<BitVec>())
-            .sum();
-        vecs + self.vecs.capacity() * std::mem::size_of::<Arc<BitVec>>()
+        self.vec_bytes
+            + self.vecs.capacity() * std::mem::size_of::<Arc<BitVec>>()
             + self.index.capacity()
                 * (std::mem::size_of::<Arc<BitVec>>() + std::mem::size_of::<AnnotId>() + 8)
             + self.union_memo.capacity()
@@ -255,11 +284,12 @@ impl AnnotPool {
                 * (std::mem::size_of::<u32>() + std::mem::size_of::<AnnotId>() + 8)
     }
 
-    /// Drop every pooled annotation except the empty one, invalidating all
+    /// Drop every pooled annotation except the empty one (the same
+    /// allocation, so handles to it stay pool-owned), invalidating all
     /// previously issued ids. Statistics survive (they are cumulative).
     pub fn clear(&mut self) {
         let stats = self.stats;
-        *self = AnnotPool::new(self.width);
+        *self = AnnotPool::with_empty(self.width, Arc::clone(&self.vecs[0]));
         self.stats = stats;
     }
 }
@@ -277,6 +307,8 @@ pub struct RowInterner {
     limit: usize,
     interned: u64,
     hits: u64,
+    /// Running Σ `Row::heap_size` of the held rows.
+    row_bytes: usize,
 }
 
 /// Default bound on distinct rows held by a [`RowInterner`].
@@ -295,6 +327,7 @@ impl RowInterner {
             limit: limit.max(1),
             interned: 0,
             hits: 0,
+            row_bytes: 0,
         }
     }
 
@@ -306,9 +339,10 @@ impl RowInterner {
             return existing.clone();
         }
         if self.set.len() >= self.limit {
-            self.set.clear();
+            self.clear();
         }
         self.interned += 1;
+        self.row_bytes += row.heap_size();
         self.set.insert(row.clone());
         row
     }
@@ -336,12 +370,13 @@ impl RowInterner {
     /// Drop all held rows (counters survive).
     pub fn clear(&mut self) {
         self.set.clear();
+        self.row_bytes = 0;
     }
 
-    /// Heap footprint of the held row payloads.
+    /// Heap footprint of the held row payloads (O(1): a running total
+    /// kept by intern / clear, plus the table's capacity).
     pub fn heap_size(&self) -> usize {
-        self.set.iter().map(Row::heap_size).sum::<usize>()
-            + self.set.capacity() * (std::mem::size_of::<Row>() + 8)
+        self.row_bytes + self.set.capacity() * (std::mem::size_of::<Row>() + 8)
     }
 }
 
@@ -452,6 +487,67 @@ impl<'a> IntoIterator for &'a DeltaBatch {
 mod tests {
     use super::*;
     use crate::row;
+    use proptest::prelude::*;
+
+    /// The accounting oracle: both sizes recomputed from the live
+    /// contents by the walks the running totals replaced.
+    impl AnnotPool {
+        fn walked_heap_size(&self) -> usize {
+            let header = std::mem::size_of::<BitVec>();
+            let vecs: usize = self.vecs.iter().map(|v| v.heap_size() + header).sum();
+            vecs + (self.heap_size() - self.vec_bytes)
+        }
+    }
+
+    impl RowInterner {
+        fn walked_heap_size(&self) -> usize {
+            self.set.iter().map(Row::heap_size).sum::<usize>()
+                + self.set.capacity() * (std::mem::size_of::<Row>() + 8)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn running_totals_equal_the_walk(
+            ops in prop::collection::vec((0usize..6, 0usize..24, 0usize..24), 1..80),
+        ) {
+            let mut pool = AnnotPool::new(24);
+            let mut rows = RowInterner::with_limit(8);
+            let mut ids = vec![pool.empty_id()];
+            let mut held: Vec<Arc<BitVec>> = Vec::new();
+            for (op, a, b) in ops {
+                match op {
+                    0 => ids.push(pool.singleton(a)),
+                    1 => ids.push(pool.intern(BitVec::from_bits(24, [a, b]))),
+                    2 => {
+                        let (x, y) = (ids[a % ids.len()], ids[b % ids.len()]);
+                        ids.push(pool.union(x, y));
+                    }
+                    3 => held.push(pool.share(ids[a % ids.len()])),
+                    4 => {
+                        // A flush: clear, then re-adopt what state holds.
+                        pool.clear();
+                        ids = vec![pool.empty_id()];
+                        for h in &held {
+                            pool.adopt(h);
+                        }
+                        prop_assert_eq!(pool.grown(), 1);
+                        for h in &held {
+                            prop_assert!(pool.pooled(h).is_some_and(|p| Arc::ptr_eq(p, h)));
+                        }
+                    }
+                    _ => {
+                        rows.intern(row![a as i64, "payload".repeat(b % 3)]);
+                        if a == b {
+                            rows.clear();
+                        }
+                    }
+                }
+                prop_assert_eq!(pool.heap_size(), pool.walked_heap_size());
+                prop_assert_eq!(rows.heap_size(), rows.walked_heap_size());
+            }
+        }
+    }
 
     #[test]
     fn interning_is_canonical() {
