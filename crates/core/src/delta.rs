@@ -111,47 +111,6 @@ pub fn normalize_delta_rowwise(delta: DeltaBatch) -> DeltaBatch {
     out
 }
 
-/// Semi-naive fixpoint over delta batches — the recursion hook for
-/// monotone queries (transitive closure, reachability) on top of the
-/// same signed-delta algebra the operators use.
-///
-/// Starting from `seed`, repeatedly calls `step(acc, frontier)` — which
-/// must derive the facts *newly producible* from the frontier against
-/// the accumulated set — keeps only genuinely new `(row, annotation)`
-/// facts as the next frontier, and stops when a round adds nothing.
-/// Distinct-set semantics: accumulated facts are capped at multiplicity
-/// one, the standard semi-naive regime (negative multiplicities in
-/// `step` output retract pending frontier facts but never un-derive
-/// accumulated ones). Returns the accumulated batch, normalized.
-///
-/// This is deliberately a *library* hook rather than an `IncNode`:
-/// recursive plans are not yet compiled from SQL, but the n-ary circuit
-/// emits exactly the `DeltaBatch`es a recursive step consumes, so a
-/// caller can stack `semi_naive` on any maintained plan's output today.
-pub fn semi_naive(
-    seed: DeltaBatch,
-    mut step: impl FnMut(&DeltaBatch, &DeltaBatch) -> DeltaBatch,
-) -> DeltaBatch {
-    let mut acc = normalize_delta(seed);
-    let mut seen: FxHashSet<(Row, AnnotId)> =
-        acc.iter().map(|d| (d.row.clone(), d.annot)).collect();
-    let mut frontier = acc.clone();
-    while !frontier.is_empty() {
-        let produced = normalize_delta(step(&acc, &frontier));
-        let mut next = DeltaBatch::new();
-        for d in produced {
-            if d.mult > 0 && seen.insert((d.row.clone(), d.annot)) {
-                next.push(DeltaEntry { mult: 1, ..d });
-            }
-        }
-        for d in &next {
-            acc.push(d.clone());
-        }
-        frontier = next;
-    }
-    normalize_delta(acc)
-}
-
 /// Total number of touched tuples (sum of |mult|).
 pub fn delta_magnitude(delta: &DeltaBatch) -> u64 {
     delta.iter().map(|d| d.mult.unsigned_abs()).sum()
@@ -228,43 +187,6 @@ mod tests {
         let mut p = AnnotPool::new(4);
         let d: DeltaBatch = vec![entry(&mut p, row![1], 0, 1), entry(&mut p, row![1], 1, 1)].into();
         assert_eq!(normalize_delta(d).len(), 2);
-    }
-
-    #[test]
-    fn semi_naive_reaches_transitive_closure() {
-        use imp_storage::Value;
-        // Path 0→1→2→3 with a back edge 3→1 (a cycle — naive iteration
-        // would rederive pairs forever; the frontier discipline stops).
-        let mut p = AnnotPool::new(8);
-        let edges: Vec<(i64, i64)> = vec![(0, 1), (1, 2), (2, 3), (3, 1)];
-        let annot = p.singleton(0);
-        let seed: DeltaBatch = edges
-            .iter()
-            .map(|&(a, b)| DeltaEntry {
-                row: row![a, b],
-                annot,
-                mult: 1,
-            })
-            .collect::<Vec<_>>()
-            .into();
-        let closure = semi_naive(seed, |_, frontier| {
-            let mut out = DeltaBatch::new();
-            for f in frontier {
-                for &(x, y) in &edges {
-                    if f.row[1] == Value::Int(x) {
-                        out.push(DeltaEntry {
-                            row: Row::new(vec![f.row[0].clone(), Value::Int(y)]),
-                            annot: f.annot,
-                            mult: 1,
-                        });
-                    }
-                }
-            }
-            out
-        });
-        // Reachability: 0 reaches {1,2,3}; each of 1,2,3 reaches {1,2,3}.
-        assert_eq!(closure.len(), 12);
-        assert!(closure.iter().all(|d| d.mult == 1));
     }
 
     #[test]

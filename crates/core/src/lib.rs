@@ -67,8 +67,8 @@ pub mod strategy;
 
 pub use advisor::{Advisor, AdvisorParams, AdvisorReport, Lifecycle, WorkloadTracker};
 pub use delta::{
-    delta_heap_sizes, delta_magnitude, normalize_delta, normalize_delta_with, semi_naive, AnnotId,
-    AnnotPool, DeltaBatch, DeltaEntry,
+    delta_heap_sizes, delta_magnitude, normalize_delta, normalize_delta_with, AnnotId, AnnotPool,
+    DeltaBatch, DeltaEntry,
 };
 pub use error::CoreError;
 pub use fragcount::FragCounts;

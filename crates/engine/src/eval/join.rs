@@ -1,98 +1,388 @@
-//! Hash join / cross product over bags.
+//! Late-materialized relations: joins, and the filters, projections and
+//! aggregations above them, on position tuples.
+//!
+//! A [`Relation`] has *sources* — the surviving batches of a scan prefix
+//! (the table's columns, chunk by chunk) or a materialized [`Bag`] for an
+//! input that is not one (aggregation, DISTINCT, EXCEPT, sort, top-k) — and
+//! per tuple one [`Pos`] per source and a multiplicity. Its *raw columns*
+//! are the sources' columns side by side, and its output is a list of
+//! expressions over them. A join concatenates position tuples, a filter
+//! keeps tuples, reading the cells its predicate reaches, a projection
+//! rewrites the output expressions, an aggregation feeds the group table
+//! cell by cell; [`Relation::materialize`] builds one row per tuple,
+//! holding the output expressions only.
 
+use super::aggregate::{Aggregation, Grouping, Operand};
 use super::hash_index::{hash_cells, HashIndex};
-use super::{Bag, ExecStats};
+use super::scan::{out_of_bounds, ScanPrefix};
+use super::{execute, new_row, Bag, ExecStats};
+use crate::database::Database;
 use crate::Result;
-use imp_storage::Row;
+use imp_sql::{AggSpec, Expr, LogicalPlan, SqlError};
+use imp_storage::{Cell, ColumnData, Value};
+use std::borrow::Cow;
 
-/// Join two bags. Empty keys = cross product. Multiplicities multiply
-/// (`(t ◦ s)^{n·m}`, paper Fig. 4).
-pub fn join(
-    left: Bag,
-    right: Bag,
+/// Where one source's part of a tuple lives: a batch of the source (a bag
+/// is one batch) and a row in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Pos(u32, u32);
+
+impl Pos {
+    pub fn new(batch: usize, row: usize) -> Pos {
+        let narrow = |n| u32::try_from(n).expect("chunks, and rows per chunk or bag, < 2^32");
+        Pos(narrow(batch), narrow(row))
+    }
+}
+
+/// One input of a relation.
+#[derive(Debug)]
+enum Source<'t> {
+    /// The surviving batches of a scan prefix: the table's columns.
+    Batches(Vec<&'t [ColumnData]>),
+    /// A materialized bag.
+    Bag(Bag),
+}
+
+/// A bag as position tuples over its sources (module docs).
+#[derive(Debug)]
+pub(super) struct Relation<'t> {
+    sources: Vec<Source<'t>>,
+    /// Raw column `c` is column `columns[c].1` of source `columns[c].0`.
+    columns: Vec<(usize, usize)>,
+    /// `sources.len()` positions per tuple, tuple after tuple.
+    positions: Vec<Pos>,
+    mults: Vec<i64>,
+    /// The output, over the raw columns.
+    exprs: Vec<Expr>,
+}
+
+/// The relation of `plan`: a scan prefix that does not aggregate as
+/// positions over its batches, joins and the filters and projections above
+/// them on tuples, anything else materialized by [`execute`].
+pub(super) fn relation<'t>(
+    plan: &LogicalPlan,
+    db: &'t Database,
+    stats: &mut ExecStats,
+) -> Result<Relation<'t>> {
+    if let Some(prefix) = ScanPrefix::of(plan).filter(|p| !p.aggregates()) {
+        return prefix.relation(db, stats);
+    }
+    let arity = || plan.schema().arity();
+    match plan {
+        // A constant-false predicate (empty sketch) needs no input.
+        LogicalPlan::Filter {
+            predicate: Expr::Lit(Value::Bool(false)),
+            ..
+        } => Ok(Relation::bag(Vec::new(), arity())),
+        LogicalPlan::Filter { input, predicate } => {
+            let mut rel = relation(input, db, stats)?;
+            rel.retain(predicate)?;
+            Ok(rel)
+        }
+        LogicalPlan::Project { input, exprs, .. } => {
+            let mut rel = relation(input, db, stats)?;
+            rel.exprs = exprs.iter().map(|e| rel.over_raw(e)).collect();
+            Ok(rel)
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            left_keys,
+            right_keys,
+        } => {
+            let left = relation(left, db, stats)?;
+            let right = relation(right, db, stats)?;
+            join(left, right, left_keys, right_keys, stats)
+        }
+        _ => Ok(Relation::bag(execute(plan, db, stats)?, arity())),
+    }
+}
+
+/// `left ⋈ right` on `left_keys = right_keys`, the cross product without
+/// keys; multiplicities multiply (`(t ◦ s)^{n·m}`, paper Fig. 4). The hash
+/// table is built on the side with fewer tuples (the right one on a tie),
+/// the other side probes in order, matches of a probe come in build order,
+/// and every output tuple is `left ◦ right`. A cross product runs
+/// left-major and counts no probes.
+pub(super) fn join<'t>(
+    left: Relation<'t>,
+    right: Relation<'t>,
     left_keys: &[usize],
     right_keys: &[usize],
     stats: &mut ExecStats,
-) -> Result<Bag> {
-    if left_keys.is_empty() {
-        // Cross product.
-        let mut out = Vec::new();
-        for (l, n) in &left {
-            for (r, m) in &right {
-                out.push((l.concat(r), n * m));
-            }
-        }
-        return Ok(out);
-    }
-    // Build on the smaller side.
-    if right.len() <= left.len() {
-        hash_join(left, right, left_keys, right_keys, false, stats)
+) -> Result<Relation<'t>> {
+    let swapped = !left_keys.is_empty() && right.len() > left.len();
+    let ((probe, probe_keys), (build, build_keys)) = if swapped {
+        ((&right, right_keys), (&left, left_keys))
     } else {
-        hash_join(right, left, right_keys, left_keys, true, stats)
-    }
-}
-
-/// Hash of `row`'s key cells, in place. SQL equi-join: a NULL key cell
-/// joins with nothing (`None`).
-fn key_hash(row: &Row, keys: &[usize]) -> Option<u64> {
-    if keys.iter().any(|&k| row[k].is_null()) {
-        return None;
-    }
-    Some(hash_cells(keys.iter().map(|&k| row[k].as_cell())))
-}
-
-fn hash_join(
-    probe: Bag,
-    build: Bag,
-    probe_keys: &[usize],
-    build_keys: &[usize],
-    swapped: bool,
-    stats: &mut ExecStats,
-) -> Result<Bag> {
-    // The build rows keep their keys; the index chains row numbers by key
-    // hash. Linking back to front makes a chain run in build order.
+        ((&left, left_keys), (&right, right_keys))
+    };
+    let mut build_key = JoinKey::new(build, build_keys);
+    let hashes = (0..build.len())
+        .map(|id| build_key.hash(build, id))
+        .collect::<Result<Vec<_>>>()?;
+    // Linking back to front makes a chain run in build order.
     let mut index = HashIndex::with_capacity(build.len());
-    for (id, (row, _)) in build.iter().enumerate().rev() {
-        if let Some(hash) = key_hash(row, build_keys) {
-            index.link(hash, id);
+    for (id, hash) in hashes.iter().enumerate().rev() {
+        if let Some(hash) = hash {
+            index.link(*hash, id);
         }
     }
-    let mut out = Vec::new();
-    for (row, n) in probe {
-        stats.join_probes += 1;
-        let Some(hash) = key_hash(&row, probe_keys) else {
+    let mut probe_key = JoinKey::new(probe, probe_keys);
+    let width = left.sources.len() + right.sources.len();
+    let mut positions = Vec::with_capacity(probe.len() * width);
+    let mut mults = Vec::with_capacity(probe.len());
+    for t in 0..probe.len() {
+        stats.join_probes += u64::from(!probe_keys.is_empty());
+        let Some(hash) = probe_key.hash(probe, t)? else {
             continue;
         };
         for id in index.chain(hash) {
-            let (b, m) = &build[id];
-            if (probe_keys.iter().zip(build_keys)).all(|(&p, &k)| row[p] == b[k]) {
-                // Preserve (left ◦ right) column order regardless of which
-                // side we built on.
-                let joined = if swapped {
-                    b.concat(&row)
-                } else {
-                    row.concat(b)
-                };
-                out.push((joined, n * m));
+            let mut keys = 0..probe_keys.len();
+            if keys.all(|i| probe_key.cell(probe, t, i) == build_key.cell(build, id, i)) {
+                let (l, r) = if swapped { (id, t) } else { (t, id) };
+                positions.extend_from_slice(left.tuple(l));
+                positions.extend_from_slice(right.tuple(r));
+                mults.push(left.mults[l] * right.mults[r]);
             }
         }
     }
-    Ok(out)
+    Ok(Relation::joined(left, right, positions, mults))
+}
+
+/// One side's join key: key columns read as cells through the positions,
+/// computed keys evaluated once per tuple.
+struct JoinKey<'r> {
+    operands: Vec<Operand<'r>>,
+    /// `stride` values per tuple hashed so far (a NULL stands in for a key
+    /// column); `stride` is 0 when no key is computed.
+    values: Vec<Value>,
+    stride: usize,
+}
+
+impl<'r> JoinKey<'r> {
+    /// Output columns `keys` of `rel`.
+    fn new(rel: &'r Relation<'_>, keys: &[usize]) -> JoinKey<'r> {
+        let operands: Vec<_> = keys.iter().map(|&k| rel.output(k)).collect();
+        let computed = operands.iter().any(|o| matches!(o, Operand::Computed(_)));
+        JoinKey {
+            stride: if computed { operands.len() } else { 0 },
+            operands,
+            values: Vec::new(),
+        }
+    }
+
+    /// The hash of tuple `t`'s key, `None` when a key cell is NULL (SQL
+    /// equi-join: NULL joins with nothing). Tuples are hashed in order.
+    fn hash(&mut self, rel: &Relation<'_>, t: usize) -> Result<Option<u64>> {
+        for operand in self.operands.iter().take(self.stride) {
+            self.values.push(match operand {
+                Operand::Computed(e) => e.eval_with(&|c| rel.value(t, c))?,
+                Operand::Column(_) => Value::Null,
+            });
+        }
+        let cells = (0..self.operands.len()).map(|i| self.cell(rel, t, i));
+        if cells.clone().any(|cell| cell.is_null()) {
+            return Ok(None);
+        }
+        Ok(Some(hash_cells(cells)))
+    }
+
+    /// Key cell `i` of tuple `t`, which was hashed.
+    fn cell<'a>(&'a self, rel: &'a Relation<'_>, t: usize, i: usize) -> Cell<'a> {
+        match self.operands[i] {
+            Operand::Column(c) => rel.cell(t, c),
+            Operand::Computed(_) => self.values[t * self.stride + i].as_cell(),
+        }
+    }
+}
+
+impl<'t> Relation<'t> {
+    /// The rows a scan prefix selected from `batches` of a table with
+    /// `arity` columns, and its output (`None`: the table's columns).
+    pub fn scanned(
+        batches: Vec<&'t [ColumnData]>,
+        arity: usize,
+        positions: Vec<Pos>,
+        exprs: Option<Vec<Expr>>,
+    ) -> Relation<'t> {
+        Relation {
+            sources: vec![Source::Batches(batches)],
+            columns: (0..arity).map(|c| (0, c)).collect(),
+            mults: vec![1; positions.len()],
+            positions,
+            exprs: exprs.unwrap_or_else(|| (0..arity).map(Expr::Col).collect()),
+        }
+    }
+
+    /// A bag of rows with `arity` columns.
+    pub fn bag(rows: Bag, arity: usize) -> Relation<'t> {
+        Relation {
+            columns: (0..arity).map(|c| (0, c)).collect(),
+            positions: (0..rows.len()).map(|row| Pos::new(0, row)).collect(),
+            mults: rows.iter().map(|(_, m)| *m).collect(),
+            sources: vec![Source::Bag(rows)],
+            exprs: (0..arity).map(Expr::Col).collect(),
+        }
+    }
+
+    /// `left ◦ right` for the given tuples.
+    fn joined(
+        left: Relation<'t>,
+        right: Relation<'t>,
+        positions: Vec<Pos>,
+        mults: Vec<i64>,
+    ) -> Self {
+        let (shift, offset) = (left.sources.len(), left.columns.len());
+        let mut exprs = left.exprs;
+        exprs.extend(right.exprs.iter().map(|e| e.remap_columns(&|c| c + offset)));
+        let mut columns = left.columns;
+        columns.extend(right.columns.iter().map(|&(s, c)| (s + shift, c)));
+        let mut sources = left.sources;
+        sources.extend(right.sources);
+        Relation {
+            sources,
+            columns,
+            positions,
+            mults,
+            exprs,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.mults.len()
+    }
+
+    fn tuple(&self, t: usize) -> &[Pos] {
+        let width = self.sources.len();
+        &self.positions[t * width..(t + 1) * width]
+    }
+
+    /// Raw column `c` of tuple `t`.
+    fn cell(&self, t: usize, c: usize) -> Cell<'_> {
+        let (source, column) = self.columns[c];
+        let Pos(batch, row) = self.positions[t * self.sources.len() + source];
+        match &self.sources[source] {
+            Source::Batches(batches) => batches[batch as usize][column].cell(row as usize),
+            Source::Bag(rows) => rows[row as usize].0[column].as_cell(),
+        }
+    }
+
+    /// [`Relation::cell`] as [`Expr::eval_with`] asks for it.
+    fn value(&self, t: usize, c: usize) -> std::result::Result<Value, SqlError> {
+        let arity = self.columns.len();
+        let cell = (c < arity).then(|| self.cell(t, c));
+        cell.map(Cell::to_value)
+            .ok_or_else(|| out_of_bounds(c, arity))
+    }
+
+    /// `e`, which reads the output, over the raw columns.
+    fn over_raw(&self, e: &Expr) -> Expr {
+        e.substitute(&|i| self.exprs[i].clone())
+    }
+
+    /// Output column `k`.
+    fn output(&self, k: usize) -> Operand<'_> {
+        Operand::of(&self.exprs[k], self.columns.len())
+    }
+
+    /// Keep the tuples `predicate` (over the output) accepts, in order.
+    fn retain(&mut self, predicate: &Expr) -> Result<()> {
+        let predicate = self.over_raw(predicate);
+        let width = self.sources.len();
+        let mut kept = 0;
+        for t in 0..self.len() {
+            if predicate.eval_predicate_with(&|c| self.value(t, c))? {
+                self.positions
+                    .copy_within(t * width..(t + 1) * width, kept * width);
+                self.mults[kept] = self.mults[t];
+                kept += 1;
+            }
+        }
+        self.positions.truncate(kept * width);
+        self.mults.truncate(kept);
+        Ok(())
+    }
+
+    /// Group the tuples by `group_by` and compute `aggs` (both over the
+    /// output) per group.
+    pub fn aggregate(
+        &self,
+        group_by: &[Expr],
+        aggs: &[AggSpec],
+        stats: &mut ExecStats,
+    ) -> Result<Bag> {
+        let aggregation = Aggregation::new(group_by, aggs, |e| Cow::Owned(self.over_raw(e)));
+        let mut grouping = Grouping::new(&aggregation, self.columns.len());
+        for t in 0..self.len() {
+            grouping.add(|c| self.cell(t, c), |c| self.value(t, c), self.mults[t])?;
+        }
+        Ok(grouping.finish(stats))
+    }
+
+    /// One row per tuple, holding the output expressions.
+    pub fn materialize(&self) -> Result<Bag> {
+        let mut out = Vec::with_capacity(self.len());
+        let mut values = Vec::with_capacity(self.exprs.len());
+        for t in 0..self.len() {
+            for e in &self.exprs {
+                values.push(e.eval_with(&|c| self.value(t, c))?);
+            }
+            out.push((new_row(values.drain(..)), self.mults[t]));
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imp_storage::{row, Value};
+    use imp_storage::{row, DataType, Row};
+
+    /// A bag as the single source of a relation.
+    fn bag(rows: Bag) -> Relation<'static> {
+        let arity = rows.first().map_or(1, |(row, _)| row.arity());
+        Relation::bag(rows, arity)
+    }
+
+    /// `rows` stored as the columns of one batch.
+    fn batch(dtypes: &[DataType], rows: &[Row]) -> Vec<ColumnData> {
+        let mut columns: Vec<ColumnData> = dtypes.iter().map(|&t| ColumnData::new(t)).collect();
+        for row in rows {
+            for (column, value) in columns.iter_mut().zip(row.values()) {
+                column.push(value).unwrap();
+            }
+        }
+        columns
+    }
+
+    /// Every row of one batch, as a scan prefix without filters hands it on.
+    fn scanned(columns: &[ColumnData]) -> Relation<'_> {
+        let positions = (0..columns[0].len()).map(|row| Pos::new(0, row));
+        Relation::scanned(vec![columns], columns.len(), positions.collect(), None)
+    }
+
+    fn join_bags(l: Bag, r: Bag, lk: &[usize], rk: &[usize], stats: &mut ExecStats) -> Bag {
+        let joined = join(bag(l), bag(r), lk, rk, stats).unwrap();
+        joined.materialize().unwrap()
+    }
 
     #[test]
     fn equi_join_matches_fig5() {
         // ΔR = {(5,8)}, S = {(6,9),(7,8)}; join on b = d keeps (5,8,7,8).
-        let l: Bag = vec![(row![5, 8], 1)];
-        let r: Bag = vec![(row![6, 9], 1), (row![7, 8], 1)];
+        let s = batch(&[DataType::Int; 2], &[row![6, 9], row![7, 8]]);
         let mut stats = ExecStats::default();
-        let out = join(l, r, &[1], &[1], &mut stats).unwrap();
-        assert_eq!(out, vec![(row![5, 8, 7, 8], 1)]);
+        let out = join(
+            bag(vec![(row![5, 8], 1)]),
+            scanned(&s),
+            &[1],
+            &[1],
+            &mut stats,
+        )
+        .unwrap();
+        // One tuple: row 0 of the bag, row 1 of S's batch.
+        assert_eq!(out.positions, [Pos::new(0, 0), Pos::new(0, 1)]);
+        assert_eq!(out.materialize().unwrap(), vec![(row![5, 8, 7, 8], 1)]);
     }
 
     #[test]
@@ -100,18 +390,22 @@ mod tests {
         let l: Bag = vec![(row![1], 2)];
         let r: Bag = vec![(row![1], 3)];
         let mut stats = ExecStats::default();
-        let out = join(l, r, &[0], &[0], &mut stats).unwrap();
+        let out = join_bags(l, r, &[0], &[0], &mut stats);
         assert_eq!(out, vec![(row![1, 1], 6)]);
     }
 
     #[test]
     fn column_order_stable_when_build_side_swapped() {
         // Left bigger than right and vice versa must both produce l ◦ r.
-        let l: Bag = vec![(row![1, 10], 1), (row![2, 20], 1), (row![3, 30], 1)];
+        let l = batch(
+            &[DataType::Int; 2],
+            &[row![1, 10], row![2, 20], row![3, 30]],
+        );
         let r: Bag = vec![(row![10, "x"], 1)];
         let mut stats = ExecStats::default();
-        let a = join(l.clone(), r.clone(), &[1], &[0], &mut stats).unwrap();
-        assert_eq!(a, vec![(row![1, 10, 10, "x"], 1)]);
+        let a = join(scanned(&l), bag(r), &[1], &[0], &mut stats).unwrap();
+        assert_eq!(a.positions, [Pos::new(0, 0), Pos::new(0, 0)]);
+        assert_eq!(a.materialize().unwrap(), vec![(row![1, 10, 10, "x"], 1)]);
         // Now right bigger: builds on left instead.
         let r2: Bag = vec![
             (row![10, "x"], 1),
@@ -119,8 +413,10 @@ mod tests {
             (row![98, "z"], 1),
             (row![97, "w"], 1),
         ];
-        let b = join(l, r2, &[1], &[0], &mut stats).unwrap();
-        assert_eq!(b, vec![(row![1, 10, 10, "x"], 1)]);
+        let b = join(scanned(&l), bag(r2), &[1], &[0], &mut stats).unwrap();
+        assert_eq!(b.positions, [Pos::new(0, 0), Pos::new(0, 0)]);
+        assert_eq!(b.materialize().unwrap(), vec![(row![1, 10, 10, "x"], 1)]);
+        assert_eq!(stats.join_probes, 3 + 4);
     }
 
     #[test]
@@ -128,7 +424,7 @@ mod tests {
         let l: Bag = vec![(Row::new(vec![Value::Null]), 1)];
         let r: Bag = vec![(Row::new(vec![Value::Null]), 1)];
         let mut stats = ExecStats::default();
-        let out = join(l, r, &[0], &[0], &mut stats).unwrap();
+        let out = join_bags(l, r, &[0], &[0], &mut stats);
         assert!(out.is_empty());
     }
 
@@ -141,18 +437,21 @@ mod tests {
             (row![1, 3, "l"], 1),
             (row![Value::Null, 2, "l"], 1),
         ];
-        let r: Bag = vec![
-            (row![1.0, 2, "first"], 1),
-            (row![1, 9, "no"], 1),
-            (row![1, 2, "second"], 1),
-        ];
+        let r = batch(
+            &[DataType::Float, DataType::Int, DataType::Str],
+            &[
+                row![1.0, 2, "first"],
+                row![1, 9, "no"],
+                row![1, 2, "second"],
+            ],
+        );
         let mut stats = ExecStats::default();
-        let out = join(l, r, &[0, 1], &[0, 1], &mut stats).unwrap();
+        let out = join(bag(l), scanned(&r), &[0, 1], &[0, 1], &mut stats).unwrap();
         assert_eq!(
-            out,
+            out.materialize().unwrap(),
             vec![
                 (row![1, 2.0, "l", 1.0, 2, "first"], 1),
-                (row![1, 2.0, "l", 1, 2, "second"], 1),
+                (row![1, 2.0, "l", 1.0, 2, "second"], 1),
             ]
         );
         assert_eq!(stats.join_probes, 3);
@@ -160,11 +459,49 @@ mod tests {
 
     #[test]
     fn cross_product() {
+        // Left-major whichever side is bigger, and no probes.
         let l: Bag = vec![(row![1], 1), (row![2], 1)];
-        let r: Bag = vec![(row!["a"], 2)];
+        let r: Bag = vec![(row!["a"], 2), (row!["b"], 1), (row!["c"], 1)];
         let mut stats = ExecStats::default();
-        let out = join(l, r, &[], &[], &mut stats).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].1, 2);
+        let out = join_bags(l, r, &[], &[], &mut stats);
+        let firsts: Vec<(Value, i64)> = out.iter().map(|(row, m)| (row[0].clone(), *m)).collect();
+        let ones = [(1, 2), (1, 1), (1, 1), (2, 2), (2, 1), (2, 1)];
+        assert_eq!(firsts, ones.map(|(v, m)| (Value::Int(v), m)));
+        assert_eq!(stats.join_probes, 0);
+    }
+
+    #[test]
+    fn equal_sizes_build_on_the_right_and_probe_in_left_order() {
+        let l: Bag = vec![(row![1, "a"], 1), (row![2, "b"], 1)];
+        let r: Bag = vec![(row![2, "x"], 1), (row![1, "y"], 1)];
+        let mut stats = ExecStats::default();
+        let out = join_bags(l, r, &[0], &[0], &mut stats);
+        assert_eq!(
+            out,
+            vec![(row![1, "a", 1, "y"], 1), (row![2, "b", 2, "x"], 1)]
+        );
+        assert_eq!(stats.join_probes, 2);
+    }
+
+    #[test]
+    fn multiplicities_carry_from_bag_sources_through_filter_and_aggregation() {
+        let l: Bag = vec![(row![1], 3), (row![2], 2), (row![3], 5)];
+        let r = batch(&[DataType::Int], &[row![1], row![1], row![2]]);
+        let mut stats = ExecStats::default();
+        let mut out = join(bag(l), scanned(&r), &[0], &[0], &mut stats).unwrap();
+        assert_eq!(out.mults, [3, 3, 2]);
+        out.retain(&imp_sql::Expr::binary(
+            imp_sql::ast::BinOp::Lt,
+            Expr::Col(0),
+            Expr::Lit(Value::Int(3)),
+        ))
+        .unwrap();
+        let count = AggSpec {
+            func: imp_sql::AggFunc::Count,
+            arg: None,
+            name: "n".into(),
+        };
+        let groups = out.aggregate(&[Expr::Col(0)], &[count], &mut stats);
+        assert_eq!(groups.unwrap(), vec![(row![1, 6], 1), (row![2, 2], 1)]);
     }
 }

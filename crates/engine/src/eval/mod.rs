@@ -1,23 +1,27 @@
 //! Plan evaluation (bag semantics, Fig. 4 of the paper).
 //!
-//! Evaluation is operator-at-a-time over [`Bag`]s, except for the part of
-//! a plan that touches a table. Under any node, the **scan prefix** — the
-//! maximal chain `Aggregate? ← (Project | Filter)* ← Scan` — runs as one
-//! pipeline on column batches (`eval/scan.rs`): storage prunes and
-//! selects, the pipeline refines the selection by the filters' range
-//! constraints and evaluates what is left of them, and the survivors go
-//! into one of two sinks:
+//! Under any node, the **scan prefix** — the maximal chain
+//! `Aggregate? ← (Project | Filter)* ← Scan` — runs as one pipeline on
+//! column batches (`eval/scan.rs`): storage prunes and selects, the
+//! pipeline refines the selection by the filters' range constraints and
+//! evaluates what is left of them, and the survivors go into one of three
+//! sinks:
 //!
 //! * the **group table** when the prefix ends in an aggregation — group
-//!   keys and aggregate arguments are read as cells from the columns, no
-//!   row is ever built;
-//! * a **bag of rows** otherwise — each row holds the prefix's output
-//!   expressions only, in storage order — for the operators that need
-//!   rows: join, sort, top-k, distinct, except.
+//!   keys and aggregate arguments are read as cells from the columns;
+//! * **positions** when the prefix feeds a join, a filter or a projection
+//!   above it — the batches and their selected rows, nothing evaluated;
+//! * **rows** holding the prefix's output expressions only, in storage
+//!   order, otherwise — for the caller, sort, top-k, distinct, except.
 //!
-//! Plan shape alone selects the pipeline. The operators above it (and an
-//! aggregation over a join) consume bags; the group table and its
-//! accumulators are the same in both.
+//! Joins, and the filters, projections and aggregations above them, run
+//! on **position tuples** over those batches (`eval/join.rs`): a join
+//! concatenates positions, a filter reads the cells its predicate reaches,
+//! a projection stays a list of expressions, an aggregation feeds the
+//! group table cell by cell. Plan shape alone selects the pipeline. A
+//! `Row` is built only for output: a group of the group table, a row of
+//! the query's result, or a row of the bag a row-consuming operator (sort,
+//! top-k, distinct, except) needs, holding its input expressions only.
 
 mod aggregate;
 mod hash_index;
@@ -33,8 +37,8 @@ pub use topk::top_k;
 
 use crate::database::Database;
 use crate::Result;
-use imp_sql::{Expr, LogicalPlan};
-use imp_storage::Row;
+use imp_sql::LogicalPlan;
+use imp_storage::{Row, Value};
 
 /// A bag of rows: each row with a positive multiplicity.
 pub type Bag = Vec<(Row, i64)>;
@@ -74,46 +78,12 @@ pub fn execute(plan: &LogicalPlan, db: &Database, stats: &mut ExecStats) -> Resu
         return prefix.run(db, stats);
     }
     match plan {
-        LogicalPlan::Scan { .. } => unreachable!("a scan is a scan prefix"),
-        LogicalPlan::Filter { input, predicate } => {
-            // A constant-false predicate (empty sketch) needs no input.
-            if matches!(predicate, Expr::Lit(imp_storage::Value::Bool(false))) {
-                return Ok(Vec::new());
-            }
-            let rows = execute(input, db, stats)?;
-            filter_bag(rows, predicate)
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let rows = execute(input, db, stats)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for (row, m) in rows {
-                let vals = exprs
-                    .iter()
-                    .map(|e| e.eval(&row))
-                    .collect::<std::result::Result<Vec<_>, _>>()?;
-                out.push((Row::new(vals), m));
-            }
-            Ok(out)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-        } => {
-            let l = execute(left, db, stats)?;
-            let r = execute(right, db, stats)?;
-            join::join(l, r, left_keys, right_keys, stats)
-        }
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
             ..
-        } => {
-            let rows = execute(input, db, stats)?;
-            aggregate::aggregate(rows, group_by, aggs, stats)
-        }
+        } => join::relation(input, db, stats)?.aggregate(group_by, aggs, stats),
         LogicalPlan::Distinct { input } => {
             let rows = execute(input, db, stats)?;
             let mut seen: std::collections::BTreeMap<Row, ()> = Default::default();
@@ -139,7 +109,17 @@ pub fn execute(plan: &LogicalPlan, db: &Database, stats: &mut ExecStats) -> Resu
             let r = execute(right, db, stats)?;
             Ok(except(l, r, *all))
         }
+        // Scan (a scan prefix), filter, projection, join.
+        _ => join::relation(plan, db, stats)?.materialize(),
     }
+}
+
+/// Every row the engine builds: a group, an output row, a row of a bag an
+/// operator consumes. Tests count them.
+fn new_row(values: impl IntoIterator<Item = Value>) -> Row {
+    #[cfg(test)]
+    tests::ROWS_BUILT.with(|n| n.set(n.get() + 1));
+    values.into_iter().collect()
 }
 
 /// Bag / set difference. `EXCEPT ALL`: multiplicity `max(L(t) − R(t), 0)`;
@@ -167,13 +147,87 @@ pub fn except(left: Bag, right: Bag, all: bool) -> Bag {
         .collect()
 }
 
-/// Apply a predicate to a bag.
-pub fn filter_bag(rows: Bag, predicate: &Expr) -> Result<Bag> {
-    let mut out = Vec::new();
-    for (row, m) in rows {
-        if predicate.eval_predicate(&row)? {
-            out.push((row, m));
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use imp_sql::{AggFunc, AggSpec, Expr};
+    use imp_storage::{row, DataType, Field, Schema};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Rows [`new_row`] built on this thread.
+        pub(super) static ROWS_BUILT: Cell<u64> = const { Cell::new(0) };
     }
-    Ok(out)
+
+    /// `plan`'s result and the number of rows the engine built for it.
+    fn rows_built(db: &Database, plan: &LogicalPlan) -> (Bag, u64) {
+        let before = ROWS_BUILT.with(Cell::get);
+        let rows = execute(plan, db, &mut ExecStats::default()).unwrap();
+        (rows, ROWS_BUILT.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn a_join_builds_rows_for_output_only() {
+        let schema = |a: &str, b: &str| {
+            Schema::new(vec![
+                Field::new(a, DataType::Int),
+                Field::new(b, DataType::Int),
+            ])
+        };
+        let mut db = Database::new();
+        db.create_table("l", schema("k", "v")).unwrap();
+        db.create_table("r", schema("k", "w")).unwrap();
+        let l = (0..40).map(|i| row![i % 4, i]);
+        db.table_mut("l").unwrap().bulk_load(l).unwrap();
+        db.table_mut("r")
+            .unwrap()
+            .bulk_load((0..6).map(|i| row![i, 10 * i]))
+            .unwrap();
+        let scan = |table: &str, a, b| LogicalPlan::Scan {
+            table: table.into(),
+            schema: schema(a, b),
+        };
+        // 30 of l's rows survive the filter; each meets one row of r.
+        let selected = LogicalPlan::Filter {
+            input: Box::new(scan("l", "k", "v")),
+            predicate: Expr::binary(
+                imp_sql::ast::BinOp::Lt,
+                Expr::Col(1),
+                Expr::Lit(Value::Int(30)),
+            ),
+        };
+        let join = |right| LogicalPlan::Join {
+            left: Box::new(selected.clone()),
+            right: Box::new(right),
+            left_keys: vec![0],
+            right_keys: vec![0],
+        };
+        let aggregate = |input, group_by, func, arg| LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group_by: vec![Expr::Col(group_by)],
+            aggs: vec![AggSpec {
+                func,
+                arg: Some(Expr::Col(arg)),
+                name: "a".into(),
+            }],
+            schema: schema("g", "a"),
+        };
+
+        // Aggregate(Join(prefix, prefix)): one row per group, nothing else.
+        let plan = aggregate(join(scan("r", "k", "w")), 0, AggFunc::Sum, 1);
+        let (rows, built) = rows_built(&db, &plan);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(built, 4);
+
+        // Project(Join(prefix, bag)): the output rows and the bag's rows.
+        let bag = aggregate(scan("r", "k", "w"), 0, AggFunc::Max, 1);
+        let plan = LogicalPlan::Project {
+            input: Box::new(join(bag)),
+            exprs: vec![Expr::Col(1), Expr::Col(3)],
+            schema: schema("v", "m"),
+        };
+        let (rows, built) = rows_built(&db, &plan);
+        assert_eq!(rows.len(), 30);
+        assert_eq!(built, 30 + 6);
+    }
 }

@@ -14,9 +14,13 @@
 //!    exact, so the predicate no longer repeats them);
 //! 3. **residual**: what is left of each filter is evaluated per selected
 //!    row, reading only the cells it reaches;
-//! 4. **sink**: either the group table (key and argument cells read from
-//!    the columns, a key row built once per new group) or a bag of rows
-//!    holding the output expressions only, in storage order.
+//! 4. **sink**: the group table (key and argument cells read from the
+//!    columns, key values copied once per new group) — [`ScanPrefix::run`]
+//!    on an aggregating prefix; positions, the batches kept with their
+//!    selections and nothing evaluated — [`ScanPrefix::relation`], for the
+//!    joins, filters and projections above (`eval/join.rs`); or rows
+//!    holding the output expressions only, in storage order —
+//!    [`ScanPrefix::run`] otherwise, the one place a scan builds a `Row`.
 //!
 //! No [`Value`] is built for a cell the query neither outputs nor hands to
 //! a general expression. An expression is evaluated only for the rows that
@@ -24,12 +28,13 @@
 //! operator-at-a-time fails here too unless the failing expression is one
 //! the pipeline never needs.
 
-use super::aggregate::GroupTable;
+use super::aggregate::{Aggregation, Grouping};
+use super::join::{Pos, Relation};
 use super::ranges::{extract_prune_ranges, split, ColumnRanges, PruneRanges};
-use super::{Bag, ExecStats};
+use super::{new_row, Bag, ExecStats};
 use crate::database::Database;
 use crate::Result;
-use imp_sql::{AggFunc, Expr, LogicalPlan, SqlError};
+use imp_sql::{Expr, LogicalPlan, SqlError};
 use imp_storage::{ColumnData, Row, Table, Value};
 use std::borrow::Cow;
 
@@ -68,13 +73,6 @@ pub(super) struct ScanPrefix<'p> {
     aggregate: Option<Aggregation<'p>>,
 }
 
-/// Group keys and aggregates (function and argument, `None` = `count(*)`)
-/// over the table's columns.
-struct Aggregation<'p> {
-    group_by: Vec<Cow<'p, Expr>>,
-    aggs: Vec<(AggFunc, Option<Cow<'p, Expr>>)>,
-}
-
 impl<'p> ScanPrefix<'p> {
     /// The pipeline for `plan`, if `plan` is the top of a scan prefix.
     pub fn of(plan: &'p LogicalPlan) -> Option<ScanPrefix<'p>> {
@@ -88,13 +86,7 @@ impl<'p> ScanPrefix<'p> {
             return ScanPrefix::chain(plan);
         };
         let mut chain = ScanPrefix::chain(input)?;
-        let group_by = group_by.iter().map(|e| chain.over_columns(e));
-        let aggs =
-            (aggs.iter()).map(|spec| (spec.func, spec.arg.as_ref().map(|e| chain.over_columns(e))));
-        chain.aggregate = Some(Aggregation {
-            group_by: group_by.collect(),
-            aggs: aggs.collect(),
-        });
+        chain.aggregate = Some(Aggregation::new(group_by, aggs, |e| chain.over_columns(e)));
         Some(chain)
     }
 
@@ -132,36 +124,80 @@ impl<'p> ScanPrefix<'p> {
         }
     }
 
-    /// Execute the pipeline.
+    /// Does the prefix end in an aggregation?
+    pub fn aggregates(&self) -> bool {
+        self.aggregate.is_some()
+    }
+
+    /// Execute the pipeline into the group table, or into rows holding the
+    /// output expressions.
     pub fn run(&self, db: &Database, stats: &mut ExecStats) -> Result<Bag> {
         let t = db.table(self.table)?;
         let arity = t.schema().arity();
-        let mut sink = match &self.aggregate {
-            Some(aggregation) => Sink::groups(aggregation, arity),
-            None => {
-                let identity = || Cow::Owned((0..arity).map(Expr::Col).collect());
-                let exprs = (self.exprs.as_deref()).map_or_else(identity, Cow::Borrowed);
-                // Only an unfiltered scan knows its output size up front.
-                let rows = if self.filters.is_empty() {
-                    t.row_count()
-                } else {
-                    0
-                };
-                Sink::Rows {
-                    exprs,
-                    out: Vec::with_capacity(rows),
+        if let Some(aggregation) = &self.aggregate {
+            let mut grouping = Grouping::new(aggregation, arity);
+            self.scan(t, stats, |columns, selection| {
+                for &idx in selection {
+                    let cell = |c: usize| columns[c].cell(idx);
+                    grouping.add(cell, |c| column_value(columns, c, idx), 1)?;
                 }
-            }
-        };
-        // A constant-false filter (empty sketch) needs no scan.
-        let is_false = |f: &Cow<'_, Expr>| matches!(**f, Expr::Lit(Value::Bool(false)));
-        if !self.filters.iter().any(is_false) {
-            self.scan(t, &mut sink, stats)?;
+                Ok(())
+            })?;
+            return Ok(grouping.finish(stats));
         }
-        Ok(sink.finish(stats))
+        let identity = || Cow::Owned((0..arity).map(Expr::Col).collect());
+        let exprs: Cow<'_, [Expr]> = (self.exprs.as_deref()).map_or_else(identity, Cow::Borrowed);
+        // Only an unfiltered scan knows its output size up front.
+        let mut out = Vec::with_capacity(if self.filters.is_empty() {
+            t.row_count()
+        } else {
+            0
+        });
+        let mut values = Vec::with_capacity(exprs.len());
+        self.scan(t, stats, |columns, selection| {
+            for &idx in selection {
+                for e in exprs.iter() {
+                    values.push(e.eval_with(&|c| column_value(columns, c, idx))?);
+                }
+                out.push((new_row(values.drain(..)), 1));
+            }
+            Ok(())
+        })?;
+        Ok(out)
     }
 
-    fn scan(&self, t: &Table, sink: &mut Sink<'_>, stats: &mut ExecStats) -> Result<()> {
+    /// Execute the pipeline, which does not aggregate, into positions: the
+    /// surviving batches with their selected rows, and the output
+    /// expressions still to evaluate.
+    pub fn relation<'t>(&self, db: &'t Database, stats: &mut ExecStats) -> Result<Relation<'t>> {
+        let t = db.table(self.table)?;
+        let mut batches = Vec::new();
+        let mut positions = Vec::new();
+        self.scan(t, stats, |columns, selection| {
+            if !selection.is_empty() {
+                let batch = batches.len();
+                batches.push(columns);
+                positions.extend(selection.iter().map(|&row| Pos::new(batch, row)));
+            }
+            Ok(())
+        })?;
+        let (arity, exprs) = (t.schema().arity(), self.exprs.clone());
+        Ok(Relation::scanned(batches, arity, positions, exprs))
+    }
+
+    /// Steps 1–3 over every batch, then hand `sink` the batch's columns and
+    /// its selection.
+    fn scan<'t>(
+        &self,
+        t: &'t Table,
+        stats: &mut ExecStats,
+        mut sink: impl FnMut(&'t [ColumnData], &[usize]) -> Result<()>,
+    ) -> Result<()> {
+        // A constant-false filter (empty sketch) needs no scan.
+        let is_false = |f: &Cow<'_, Expr>| matches!(**f, Expr::Lit(Value::Bool(false)));
+        if self.filters.iter().any(is_false) {
+            return Ok(());
+        }
         let split = split(self.filters.iter().map(|f| &**f));
         // The bounds depend on the column type only: translate each
         // constraint once for every chunk and the tail.
@@ -182,7 +218,7 @@ impl<'p> ScanPrefix<'p> {
                 for filter in &split.residual {
                     retain_where(batch.columns, batch.selection, filter)?;
                 }
-                sink.consume(batch.columns, batch.selection)
+                sink(batch.columns, batch.selection)
             },
             |n| skipped += n as u64,
         )?;
@@ -192,7 +228,7 @@ impl<'p> ScanPrefix<'p> {
     }
 }
 
-fn out_of_bounds(column: usize, arity: usize) -> SqlError {
+pub(super) fn out_of_bounds(column: usize, arity: usize) -> SqlError {
     SqlError::Semantic(format!(
         "column index {column} out of bounds for arity {arity}"
     ))
@@ -245,102 +281,4 @@ fn retain_where(
                 })
     });
     failed.map_or(Ok(()), Err)
-}
-
-/// Where a group key or an aggregate argument comes from: straight from a
-/// column (read as a cell), or from a general expression (evaluated).
-enum Operand<'a> {
-    Column(usize),
-    Computed(&'a Expr),
-}
-
-impl<'a> Operand<'a> {
-    fn of(e: &'a Expr, arity: usize) -> Operand<'a> {
-        match e {
-            Expr::Col(c) if *c < arity => Operand::Column(*c),
-            other => Operand::Computed(other),
-        }
-    }
-}
-
-/// What the pipeline feeds the selected rows of each batch into.
-enum Sink<'a> {
-    /// Rows holding the output expressions, for the operators that need
-    /// rows (join, sort, top-k, distinct, except, the caller).
-    Rows { exprs: Cow<'a, [Expr]>, out: Bag },
-    /// The group table of the aggregation on top of the chain.
-    Groups {
-        keys: Vec<Operand<'a>>,
-        /// `None`: `count(*)`.
-        args: Vec<Option<Operand<'a>>>,
-        table: GroupTable,
-        /// The values of the computed keys of the current row.
-        computed: Vec<Value>,
-    },
-}
-
-impl<'a> Sink<'a> {
-    fn groups(aggregation: &'a Aggregation<'_>, arity: usize) -> Sink<'a> {
-        let Aggregation { group_by, aggs } = aggregation;
-        let args = aggs.iter().map(|(_, arg)| arg.as_ref());
-        Sink::Groups {
-            keys: group_by.iter().map(|e| Operand::of(e, arity)).collect(),
-            args: args.map(|a| a.map(|e| Operand::of(e, arity))).collect(),
-            table: GroupTable::new(aggs.iter().map(|(func, _)| *func)),
-            computed: vec![Value::Null; group_by.len()],
-        }
-    }
-
-    fn consume(&mut self, columns: &[ColumnData], selection: &[usize]) -> Result<()> {
-        match self {
-            Sink::Rows { exprs, out } => {
-                let mut values = Vec::with_capacity(exprs.len());
-                for &idx in selection {
-                    for e in exprs.iter() {
-                        values.push(e.eval_with(&|c| column_value(columns, c, idx))?);
-                    }
-                    out.push((values.drain(..).collect(), 1));
-                }
-            }
-            Sink::Groups {
-                keys,
-                args,
-                table,
-                computed,
-            } => {
-                for &idx in selection {
-                    let eval = |e: &Expr| e.eval_with(&|c| column_value(columns, c, idx));
-                    for (slot, key) in computed.iter_mut().zip(keys.iter()) {
-                        if let Operand::Computed(e) = key {
-                            *slot = eval(e)?;
-                        }
-                    }
-                    let group = table.group(keys.len(), |i| match keys[i] {
-                        Operand::Column(c) => columns[c].cell(idx),
-                        Operand::Computed(_) => computed[i].as_cell(),
-                    });
-                    for (agg, arg) in args.iter().enumerate() {
-                        match arg {
-                            None => table.update(group, agg, None, 1)?,
-                            Some(Operand::Column(c)) => {
-                                table.update(group, agg, Some(columns[*c].cell(idx)), 1)?
-                            }
-                            Some(Operand::Computed(e)) => {
-                                let value = eval(e)?;
-                                table.update(group, agg, Some(value.as_cell()), 1)?
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self, stats: &mut ExecStats) -> Bag {
-        match self {
-            Sink::Rows { out, .. } => out,
-            Sink::Groups { keys, table, .. } => table.finish(keys.is_empty(), stats),
-        }
-    }
 }

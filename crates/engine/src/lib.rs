@@ -18,7 +18,9 @@
 //! **refines** the selection by the remaining range constraints, evaluates
 //! what is left of the predicate on the cells it needs, and (4) **sinks**
 //! the survivors — into the group table when the scan feeds an
-//! aggregation, into rows that hold the output expressions only otherwise
+//! aggregation, into positions when it feeds a join (joins and the
+//! operators above them run on position tuples and build a row only for
+//! output), into rows that hold the output expressions only otherwise
 //! ([`eval`]). This is what turns a provenance sketch into actual data
 //! skipping. `DELETE` and `UPDATE` find their victims through the same
 //! selection, gathered into rows ([`update`]), and are atomic: victims and

@@ -5,10 +5,12 @@
 use imp_engine::eval::extract_prune_ranges;
 use imp_engine::{Bag, Database, EngineError, ExecStats};
 use imp_sql::ast::{BinOp, UnOp};
-use imp_sql::{AggFunc, AggSpec, Expr, LogicalPlan};
+use imp_sql::plan::compare_rows;
+use imp_sql::{AggFunc, AggSpec, Expr, LogicalPlan, SortKey};
 use imp_storage::{row, DataType, DeltaOp, Field, Row, Schema, Table, Value};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 fn build(rows: &[(i64, i64, i64)]) -> Database {
     let mut db = Database::new();
@@ -254,6 +256,18 @@ fn mixed_row() -> impl Strategy<Value = MixedRow> {
         .prop_map(|(i, half_f, s, b)| MixedRow { i, half_f, s, b })
 }
 
+/// A row of `m` from small domains, so that join keys meet: `i` and `f`
+/// overlap on whole numbers.
+fn key_row() -> impl Strategy<Value = MixedRow> {
+    (
+        nullable(0i64..8),
+        nullable(0i64..16),
+        nullable(prop::sample::select(vec!["a", "b", "ba"])),
+        nullable(prop::bool::ANY),
+    )
+        .prop_map(|(i, half_f, s, b)| MixedRow { i, half_f, s, b })
+}
+
 /// WHERE clauses over `m`: ranges on every column type (strict and
 /// inclusive, Int bounds on the Float column and Float bounds on the Int
 /// column, multi-range disjunctions), each optionally followed by a
@@ -340,18 +354,22 @@ fn predicate() -> impl Strategy<Value = String> {
     (ranged, residual).prop_map(|(p, r)| format!("{p}{r}"))
 }
 
-/// `m` with 4-row chunks so that pruning, the column kernel and the open
-/// tail all engage on small inputs.
-fn mixed_db() -> Database {
-    let mut db = Database::new();
+/// Add a table `name` shaped like `m`, with 4-row chunks so that pruning,
+/// the column kernel and the open tail all engage on small inputs.
+fn add_mixed_table(db: &mut Database, name: &str) {
     let schema = Schema::new(vec![
         Field::nullable("i", DataType::Int),
         Field::nullable("f", DataType::Float),
         Field::nullable("s", DataType::Str),
         Field::nullable("b", DataType::Bool),
     ]);
-    db.register_table(Table::with_chunk_capacity("m", schema, 4))
+    db.register_table(Table::with_chunk_capacity(name, schema, 4))
         .unwrap();
+}
+
+fn mixed_db() -> Database {
+    let mut db = Database::new();
+    add_mixed_table(&mut db, "m");
     db
 }
 
@@ -452,9 +470,72 @@ impl Model {
     }
 }
 
-/// `m` and its model loaded alike: sealed chunks, optionally one whose
-/// every value is NULL (and optionally tombstoned empty), random
-/// tombstones, an open tail.
+/// What a table is loaded with: sealed chunks, optionally one whose every
+/// value is NULL (and optionally tombstoned empty), random tombstones, an
+/// open tail.
+#[derive(Debug, Clone)]
+struct Contents {
+    sealed: Vec<MixedRow>,
+    null_chunk: bool,
+    wipe_null_chunk: bool,
+    deletes: Vec<String>,
+    tail: Vec<MixedRow>,
+}
+
+fn contents<S: Strategy<Value = MixedRow>>(
+    row: impl Fn() -> S,
+    sealed: Range<usize>,
+    deletes: Range<usize>,
+) -> impl Strategy<Value = Contents> {
+    (
+        prop::collection::vec(row(), sealed),
+        prop::bool::ANY,
+        prop::bool::ANY,
+        prop::collection::vec(predicate(), deletes),
+        prop::collection::vec(row(), 0..4),
+    )
+        .prop_map(
+            |(sealed, null_chunk, wipe_null_chunk, deletes, tail)| Contents {
+                sealed,
+                null_chunk,
+                wipe_null_chunk,
+                deletes,
+                tail,
+            },
+        )
+}
+
+/// Add the table `name` shaped like `m` to `db` and load it and its model
+/// alike. `m` itself is loaded first: predicates are resolved over it.
+fn load(db: &mut Database, name: &str, contents: &Contents) -> Model {
+    add_mixed_table(db, name);
+    let mut model = Model::default();
+    let insert = |db: &mut Database, model: &mut Model, rows: &[MixedRow]| {
+        if !rows.is_empty() {
+            let values: Vec<String> = rows.iter().map(MixedRow::sql).collect();
+            db.execute_sql(&format!("INSERT INTO {name} VALUES {}", values.join(", ")))
+                .unwrap();
+            model.insert(rows);
+        }
+    };
+    insert(db, &mut model, &contents.sealed);
+    db.table_mut(name).unwrap().seal();
+    if contents.null_chunk {
+        insert(db, &mut model, &[MixedRow::ALL_NULL; 4]);
+    }
+    let wipe = "i IS NULL AND f IS NULL AND s IS NULL AND b IS NULL";
+    for d in (contents.deletes.iter().map(String::as_str))
+        .chain(contents.wipe_null_chunk.then_some(wipe))
+    {
+        db.execute_sql(&format!("DELETE FROM {name} WHERE {d}"))
+            .unwrap();
+        assert!(model.rewrite(Some(&resolve_predicate(db, d)), None));
+    }
+    insert(db, &mut model, &contents.tail);
+    model
+}
+
+/// `m` and its model loaded alike (see [`Contents`]).
 fn populate(
     sealed: &[MixedRow],
     null_chunk: bool,
@@ -462,30 +543,15 @@ fn populate(
     deletes: &[String],
     tail: &[MixedRow],
 ) -> (Database, Model) {
-    let mut db = mixed_db();
-    let mut model = Model::default();
-    let load = |db: &mut Database, model: &mut Model, rows: &[MixedRow]| {
-        if !rows.is_empty() {
-            let values: Vec<String> = rows.iter().map(MixedRow::sql).collect();
-            db.execute_sql(&format!("INSERT INTO m VALUES {}", values.join(", ")))
-                .unwrap();
-            model.insert(rows);
-        }
+    let contents = Contents {
+        sealed: sealed.to_vec(),
+        null_chunk,
+        wipe_null_chunk,
+        deletes: deletes.to_vec(),
+        tail: tail.to_vec(),
     };
-    load(&mut db, &mut model, sealed);
-    db.table_mut("m").unwrap().seal();
-    if null_chunk {
-        load(&mut db, &mut model, &[MixedRow::ALL_NULL; 4]);
-    }
-    for d in deletes
-        .iter()
-        .map(String::as_str)
-        .chain(wipe_null_chunk.then_some("i IS NULL AND f IS NULL AND s IS NULL AND b IS NULL"))
-    {
-        db.execute_sql(&format!("DELETE FROM m WHERE {d}")).unwrap();
-        assert!(model.rewrite(Some(&resolve_predicate(&db, d)), None));
-    }
-    load(&mut db, &mut model, tail);
+    let mut db = Database::new();
+    let model = load(&mut db, "m", &contents);
     (db, model)
 }
 
@@ -636,15 +702,26 @@ proptest! {
 // Both must produce the same bags, the same counters and the same errors.
 // ---------------------------------------------------------------------
 
-/// Evaluate a plan of scans, filters, projections and aggregations the
-/// naive way over `m`'s live rows (given in storage order), counting the
-/// groups every aggregation produces.
-fn naive(plan: &LogicalPlan, m: &[Row], groups_seen: &mut u64) -> Result<Bag, EngineError> {
+/// Live rows per table, in storage order.
+type Tables = BTreeMap<String, Vec<Row>>;
+
+/// Evaluate a plan the naive way over the tables' live rows, counting the
+/// groups every aggregation produces and the probes every keyed join
+/// makes. A join runs as nested loops in the order the engine's hash join
+/// promises: the larger input (the left one on a tie) is the outer loop,
+/// matches of one outer tuple come in the inner input's order, and every
+/// joined row is `left ◦ right`. A cross product is left-major.
+fn naive(plan: &LogicalPlan, tables: &Tables, stats: &mut ExecStats) -> Result<Bag, EngineError> {
     Ok(match plan {
-        LogicalPlan::Scan { .. } => m.iter().map(|r| (r.clone(), 1)).collect(),
+        LogicalPlan::Scan { table, .. } => tables[table].iter().map(|r| (r.clone(), 1)).collect(),
+        // A constant-false predicate (empty sketch) needs no input.
+        LogicalPlan::Filter {
+            predicate: Expr::Lit(Value::Bool(false)),
+            ..
+        } => Vec::new(),
         LogicalPlan::Filter { input, predicate } => {
             let mut out = Vec::new();
-            for (row, n) in naive(input, m, groups_seen)? {
+            for (row, n) in naive(input, tables, stats)? {
                 if predicate.eval_predicate(&row)? {
                     out.push((row, n));
                 }
@@ -653,9 +730,39 @@ fn naive(plan: &LogicalPlan, m: &[Row], groups_seen: &mut u64) -> Result<Bag, En
         }
         LogicalPlan::Project { input, exprs, .. } => {
             let mut out = Vec::new();
-            for (row, n) in naive(input, m, groups_seen)? {
+            for (row, n) in naive(input, tables, stats)? {
                 let vals: Result<Vec<Value>, _> = exprs.iter().map(|e| e.eval(&row)).collect();
                 out.push((Row::new(vals?), n));
+            }
+            out
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            left_keys,
+            right_keys,
+        } => {
+            let l = naive(left, tables, stats)?;
+            let r = naive(right, tables, stats)?;
+            let keyed = !left_keys.is_empty();
+            let joins = |a: &Row, b: &Row| {
+                (left_keys.iter().zip(right_keys)).all(|(&i, &j)| !a[i].is_null() && a[i] == b[j])
+            };
+            let mut out = Vec::new();
+            if !keyed || r.len() <= l.len() {
+                stats.join_probes += if keyed { l.len() as u64 } else { 0 };
+                for ((a, n), (b, m)) in l.iter().flat_map(|x| r.iter().map(move |y| (x, y))) {
+                    if joins(a, b) {
+                        out.push((a.concat(b), n * m));
+                    }
+                }
+            } else {
+                stats.join_probes += r.len() as u64;
+                for ((b, m), (a, n)) in r.iter().flat_map(|y| l.iter().map(move |x| (y, x))) {
+                    if joins(a, b) {
+                        out.push((a.concat(b), n * m));
+                    }
+                }
             }
             out
         }
@@ -665,20 +772,23 @@ fn naive(plan: &LogicalPlan, m: &[Row], groups_seen: &mut u64) -> Result<Bag, En
             aggs,
             ..
         } => {
-            // Groups in first-seen order, found by linear search.
+            // Groups in first-seen order; every input row as often as its
+            // multiplicity says.
             let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
-            for (row, _) in naive(input, m, groups_seen)? {
+            let mut index: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
+            for (row, n) in naive(input, tables, stats)? {
                 let key: Result<Vec<Value>, _> = group_by.iter().map(|g| g.eval(&row)).collect();
                 let key = key?;
-                match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members)) => members.push(row),
-                    None => groups.push((key, vec![row])),
-                }
+                let group = *index.entry(key.clone()).or_insert_with(|| {
+                    groups.push((key, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[group].1.extend(std::iter::repeat_n(row, n as usize));
             }
             if groups.is_empty() && group_by.is_empty() {
                 groups.push((Vec::new(), Vec::new()));
             }
-            *groups_seen += groups.len() as u64;
+            stats.agg_groups += groups.len() as u64;
             let mut out = Vec::new();
             for (mut key, members) in groups {
                 for spec in aggs {
@@ -688,7 +798,50 @@ fn naive(plan: &LogicalPlan, m: &[Row], groups_seen: &mut u64) -> Result<Bag, En
             }
             out
         }
-        other => panic!("not a scan-prefix plan: {other:?}"),
+        LogicalPlan::Distinct { input } => {
+            let mut seen = BTreeSet::new();
+            let rows = naive(input, tables, stats)?.into_iter();
+            rows.filter(|(row, _)| seen.insert(row.clone()))
+                .map(|(row, _)| (row, 1))
+                .collect()
+        }
+        LogicalPlan::Sort { input, keys } => {
+            let mut rows = naive(input, tables, stats)?;
+            rows.sort_by(|a, b| compare_rows(&a.0, &b.0, keys));
+            rows
+        }
+        LogicalPlan::TopK { input, keys, k } => {
+            // Sort order, ties broken by the whole row; the tuple on the
+            // boundary keeps the part of its multiplicity that fits.
+            let mut rows = naive(input, tables, stats)?;
+            rows.sort_by(|a, b| compare_rows(&a.0, &b.0, keys).then_with(|| a.0.cmp(&b.0)));
+            let mut left = *k as i64;
+            let mut out = Vec::new();
+            for (row, n) in rows {
+                if left > 0 {
+                    out.push((row, n.min(left)));
+                    left -= n;
+                }
+            }
+            out
+        }
+        LogicalPlan::Except { left, right, all } => {
+            // Rows in order, each with its multiplicities on both sides.
+            let mut counts: BTreeMap<Row, (i64, i64)> = BTreeMap::new();
+            for (row, n) in naive(left, tables, stats)? {
+                counts.entry(row).or_default().0 += n;
+            }
+            for (row, n) in naive(right, tables, stats)? {
+                if let Some((_, r)) = counts.get_mut(&row) {
+                    *r += n;
+                }
+            }
+            let kept = counts.into_iter().filter_map(|(row, (l, r))| match all {
+                true => (l > r).then_some((row, l - r)),
+                false => (r == 0).then_some((row, 1)),
+            });
+            kept.collect()
+        }
     })
 }
 
@@ -743,14 +896,14 @@ fn naive_aggregate(spec: &AggSpec, members: &[Row]) -> Result<Value, EngineError
     })
 }
 
-/// The scan counters a chain with these filters (all over `m`'s columns)
-/// must report: the chunks whose zone map rules out every prune range are
-/// skipped whole, everything else is examined.
-fn expected_scan_stats(db: &Database, filters: &[Expr]) -> (u64, u64) {
+/// The scan counters a chain over `table` with these filters (all over
+/// the table's columns) must report: the chunks whose zone map rules out
+/// every prune range are skipped whole, everything else is examined.
+fn expected_scan_stats(db: &Database, table: &str, filters: &[Expr]) -> (u64, u64) {
     if filters.contains(&Expr::Lit(Value::Bool(false))) {
         return (0, 0); // a constant-false filter needs no scan
     }
-    let t = db.table("m").unwrap();
+    let t = db.table(table).unwrap();
     let prune = extract_prune_ranges(&Expr::conjunction(filters.iter().cloned()));
     let skipped: usize = (t.chunks().iter())
         .filter(|chunk| {
@@ -802,6 +955,10 @@ fn schema_of(kinds: &[Kind]) -> Schema {
 struct Choices {
     raw: Vec<u32>,
     at: usize,
+    /// How many Int literals there are, an eighth of them negative; twice
+    /// as many Float ones (in halves): the span of the data the plan is
+    /// made for.
+    span: usize,
 }
 
 impl Choices {
@@ -826,8 +983,11 @@ impl Choices {
 
     fn literal(&mut self, kind: Kind) -> Value {
         match kind {
-            Kind::Int => Value::Int(self.pick(48) as i64 - 6),
-            Kind::Float => Value::Float((self.pick(100) as i64 - 14) as f64 / 2.0),
+            Kind::Int => Value::Int(self.pick(self.span) as i64 - (self.span / 8) as i64),
+            Kind::Float => {
+                let halves = self.pick(2 * self.span + 4) as i64 - (self.span / 4 + 2) as i64;
+                Value::Float(halves as f64 / 2.0)
+            }
             Kind::Str => Value::str(self.one(&["", "a", "b", "ba", "c", "m", "zz"])),
             Kind::Bool => Value::Bool(self.flip()),
         }
@@ -913,7 +1073,7 @@ impl Choices {
                 None => self.comparison(kinds),
                 Some(c) => {
                     let range = |ch: &mut Choices| {
-                        let lo = ch.pick(40) as i64 - 5;
+                        let lo = ch.pick(ch.span * 5 / 6) as i64 - (ch.span / 8) as i64 + 1;
                         let hi = Value::Int(lo + ch.pick(12) as i64);
                         let upper = ch.one(&[BinOp::Lt, BinOp::Le]);
                         Expr::binary(
@@ -968,39 +1128,46 @@ impl Choices {
     }
 }
 
+/// A table a plan scans and the filters of its scan prefix, rewritten over
+/// the table's columns: what the counters oracle needs of a scan.
+type ScanFilters = (String, Vec<Expr>);
+
 /// A scan prefix under construction: the plan, what its columns hold, and
-/// — for the counters oracle — its filters rewritten over `m`'s columns.
+/// its scan for the counters oracle.
+#[derive(Clone)]
 struct Chain {
     plan: LogicalPlan,
     kinds: Vec<Kind>,
-    /// The plan's output over `m`'s columns (`None`: the columns as is).
-    over_m: Option<Vec<Expr>>,
-    scan_filters: Vec<Expr>,
+    /// The plan's output over the table's columns (`None`: the columns as
+    /// is).
+    over_table: Option<Vec<Expr>>,
+    scan: ScanFilters,
 }
 
 impl Chain {
-    fn scan_m() -> Chain {
+    /// A scan of `table`, which is shaped like `m`.
+    fn scan(table: &str) -> Chain {
         let kinds = vec![Kind::Int, Kind::Float, Kind::Str, Kind::Bool];
         Chain {
             plan: LogicalPlan::Scan {
-                table: "m".into(),
+                table: table.into(),
                 schema: schema_of(&kinds),
             },
             kinds,
-            over_m: None,
-            scan_filters: Vec::new(),
+            over_table: None,
+            scan: (table.into(), Vec::new()),
         }
     }
 
     fn rewritten(&self, e: &Expr) -> Expr {
-        match &self.over_m {
+        match &self.over_table {
             None => e.clone(),
             Some(outputs) => e.substitute(&|i| outputs[i].clone()),
         }
     }
 
     fn filter(mut self, predicate: Expr) -> Chain {
-        self.scan_filters.push(self.rewritten(&predicate));
+        self.scan.1.push(self.rewritten(&predicate));
         self.plan = LogicalPlan::Filter {
             input: Box::new(self.plan),
             predicate,
@@ -1010,7 +1177,7 @@ impl Chain {
 
     fn project(mut self, outputs: Vec<(Expr, Kind)>) -> Chain {
         let (exprs, kinds): (Vec<Expr>, Vec<Kind>) = outputs.into_iter().unzip();
-        self.over_m = Some(exprs.iter().map(|e| self.rewritten(e)).collect());
+        self.over_table = Some(exprs.iter().map(|e| self.rewritten(e)).collect());
         self.plan = LogicalPlan::Project {
             input: Box::new(self.plan),
             schema: schema_of(&kinds),
@@ -1019,11 +1186,27 @@ impl Chain {
         self.kinds = kinds;
         self
     }
+
+    /// Fewer than `max` filters and (stacked, arithmetic) projections on
+    /// top, in any order.
+    fn grow(mut self, ch: &mut Choices, max: usize) -> Chain {
+        for _ in 0..ch.pick(max) {
+            self = if ch.flip() {
+                let predicate = ch.predicate(&self.kinds, 2);
+                self.filter(predicate)
+            } else {
+                let outputs = (0..1 + ch.pick(4)).map(|_| ch.scalar(&self.kinds));
+                let outputs = outputs.collect();
+                self.project(outputs)
+            };
+        }
+        self
+    }
 }
 
 /// How a generated plan is made to fail, if at all. The failing
 /// expression is one the pipeline cannot avoid: it sits on top of the
-/// chain, where every row the filters let through reaches it.
+/// chain or join, where every row the filters let through reaches it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Fault {
     None,
@@ -1032,56 +1215,50 @@ enum Fault {
     SumOverflow,
 }
 
-/// A random scan-prefix plan over `m` — `Scan`, then filters and (stacked,
-/// arithmetic) projections in any order, then possibly an aggregation
-/// with 0–2 group columns and any of the aggregate functions, possibly
-/// under a HAVING filter — with its chain filters over `m`'s columns.
-fn scan_prefix_plan(raw: Vec<u32>) -> (LogicalPlan, Vec<Expr>) {
-    let mut ch = Choices { raw, at: 0 };
-    let fault = match ch.pick(10) {
-        0 => Fault::NonBooleanPredicate,
-        1 => Fault::ProjectionOverflow,
-        2 => Fault::SumOverflow,
-        _ => Fault::None,
-    };
-    let mut chain = Chain::scan_m();
-    for _ in 0..ch.pick(4) {
-        chain = if ch.flip() {
-            let predicate = ch.predicate(&chain.kinds, 2);
-            chain.filter(predicate)
-        } else {
-            let outputs = (0..1 + ch.pick(4)).map(|_| ch.scalar(&chain.kinds));
-            let outputs = outputs.collect();
-            chain.project(outputs)
-        };
-    }
-    let max = Expr::Lit(Value::Int(i64::MAX));
-    match fault {
-        Fault::NonBooleanPredicate => {
-            let numeric = ch.column(&chain.kinds, Kind::numeric);
-            let operand = numeric.map_or(Expr::Lit(Value::Int(7)), Expr::Col);
-            let sum = Expr::binary(BinOp::Add, operand, Expr::Lit(Value::Int(1)));
-            chain = chain.filter(sum);
+impl Fault {
+    fn pick(ch: &mut Choices) -> Fault {
+        match ch.pick(10) {
+            0 => Fault::NonBooleanPredicate,
+            1 => Fault::ProjectionOverflow,
+            2 => Fault::SumOverflow,
+            _ => Fault::None,
         }
-        Fault::ProjectionOverflow => {
-            let int = ch.column(&chain.kinds, |k| k == Kind::Int);
-            let operand = int.map_or(Expr::Lit(Value::Int(2)), Expr::Col);
-            let product = Expr::binary(BinOp::Mul, operand, max.clone());
-            let kept = ch.pick(chain.kinds.len());
-            let outputs = vec![(Expr::Col(kept), chain.kinds[kept]), (product, Kind::Int)];
-            chain = chain.project(outputs);
-            return (chain.plan, chain.scan_filters);
-        }
-        Fault::SumOverflow | Fault::None => {}
     }
-    if fault != Fault::SumOverflow && ch.flip() {
-        return (chain.plan, chain.scan_filters);
-    }
+}
 
-    let group_by: Vec<(Expr, Kind)> = (0..ch.pick(3)).map(|_| ch.scalar(&chain.kinds)).collect();
+/// A filter predicate over columns of `kinds` that evaluates to a number.
+fn non_boolean_predicate(ch: &mut Choices, kinds: &[Kind]) -> Expr {
+    let numeric = ch.column(kinds, Kind::numeric);
+    let operand = numeric.map_or(Expr::Lit(Value::Int(7)), Expr::Col);
+    Expr::binary(BinOp::Add, operand, Expr::Lit(Value::Int(1)))
+}
+
+/// Projection outputs over columns of `kinds`: one column as is, then an
+/// Int column (or 2) times `i64::MAX`.
+fn overflowing_projection(ch: &mut Choices, kinds: &[Kind]) -> Vec<(Expr, Kind)> {
+    let int = ch.column(kinds, |k| k == Kind::Int);
+    let operand = int.map_or(Expr::Lit(Value::Int(2)), Expr::Col);
+    let product = Expr::binary(BinOp::Mul, operand, Expr::Lit(Value::Int(i64::MAX)));
+    let kept = ch.pick(kinds.len());
+    vec![(Expr::Col(kept), kinds[kept]), (product, Kind::Int)]
+}
+
+/// An aggregation over `input`, whose columns hold `kinds`: 0–2 group
+/// columns and 1–3 aggregates of any function (after `sum(i64::MAX)` when
+/// `sum_overflow`).
+fn aggregate_over(
+    ch: &mut Choices,
+    input: LogicalPlan,
+    kinds: &[Kind],
+    sum_overflow: bool,
+) -> (LogicalPlan, Vec<Kind>) {
+    let group_by: Vec<(Expr, Kind)> = (0..ch.pick(3)).map(|_| ch.scalar(kinds)).collect();
     let mut aggs: Vec<(AggFunc, Option<(Expr, Kind)>)> = Vec::new();
-    if fault == Fault::SumOverflow {
-        aggs.push((AggFunc::Sum, Some((max, Kind::Int))));
+    if sum_overflow {
+        aggs.push((
+            AggFunc::Sum,
+            Some((Expr::Lit(Value::Int(i64::MAX)), Kind::Int)),
+        ));
     }
     for _ in 0..1 + ch.pick(3) {
         let func = ch.one(&[
@@ -1091,7 +1268,7 @@ fn scan_prefix_plan(raw: Vec<u32>) -> (LogicalPlan, Vec<Expr>) {
             AggFunc::Min,
             AggFunc::Max,
         ]);
-        let arg = ch.scalar(&chain.kinds);
+        let arg = ch.scalar(kinds);
         aggs.push(match func {
             AggFunc::Count if ch.pick(3) == 0 => (func, None),
             AggFunc::Sum | AggFunc::Avg if !arg.1.numeric() => (AggFunc::Count, None),
@@ -1112,57 +1289,83 @@ fn scan_prefix_plan(raw: Vec<u32>) -> (LogicalPlan, Vec<Expr>) {
             arg: arg.map(|(e, _)| e),
             name: format!("agg{i}"),
         });
-    let mut plan = LogicalPlan::Aggregate {
-        input: Box::new(chain.plan),
+    let plan = LogicalPlan::Aggregate {
+        input: Box::new(input),
         group_by: group_by.into_iter().map(|(e, _)| e).collect(),
         aggs: specs.collect(),
         schema: schema_of(&kinds),
     };
-    if ch.flip() {
-        plan = LogicalPlan::Filter {
-            input: Box::new(plan),
-            predicate: ch.predicate(&kinds, 1), // HAVING
-        };
-    }
-    (plan, chain.scan_filters)
+    (plan, kinds)
 }
 
-fn aggregates(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Aggregate { .. } => true,
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => aggregates(input),
-        _ => false,
+/// `plan` (with columns `kinds`), possibly under a HAVING filter.
+fn maybe_having(ch: &mut Choices, plan: LogicalPlan, kinds: &[Kind]) -> LogicalPlan {
+    if !ch.flip() {
+        return plan;
+    }
+    LogicalPlan::Filter {
+        input: Box::new(plan),
+        predicate: ch.predicate(kinds, 1),
     }
 }
 
-/// Run `plan` both ways and demand the same outcome: rows (in storage
-/// order unless the plan aggregates), counters, or the error.
-fn assert_matches_naive(db: &Database, m: &[Row], plan: &LogicalPlan, scan_filters: &[Expr]) {
-    let aggregates = aggregates(plan);
+/// A random scan-prefix plan over `m` — `Scan`, then filters and (stacked,
+/// arithmetic) projections in any order, then possibly an aggregation —
+/// with its scan.
+fn scan_prefix_plan(raw: Vec<u32>) -> (LogicalPlan, ScanFilters) {
+    let mut ch = Choices {
+        raw,
+        at: 0,
+        span: 48,
+    };
+    let fault = Fault::pick(&mut ch);
+    let mut chain = Chain::scan("m").grow(&mut ch, 4);
+    match fault {
+        Fault::NonBooleanPredicate => {
+            let predicate = non_boolean_predicate(&mut ch, &chain.kinds);
+            chain = chain.filter(predicate);
+        }
+        Fault::ProjectionOverflow => {
+            let outputs = overflowing_projection(&mut ch, &chain.kinds);
+            chain = chain.project(outputs);
+            return (chain.plan, chain.scan);
+        }
+        Fault::SumOverflow | Fault::None => {}
+    }
+    if fault != Fault::SumOverflow && ch.flip() {
+        return (chain.plan, chain.scan);
+    }
+    let sum_overflow = fault == Fault::SumOverflow;
+    let (plan, kinds) = aggregate_over(&mut ch, chain.plan, &chain.kinds, sum_overflow);
+    (maybe_having(&mut ch, plan, &kinds), chain.scan)
+}
+
+/// Run `plan` both ways and demand the same outcome: the same rows in the
+/// same order and the same counters, or the same error. `scans` are the
+/// scan prefixes the engine runs.
+fn assert_matches_naive(db: &Database, tables: &Tables, plan: &LogicalPlan, scans: &[ScanFilters]) {
     let mut want_stats = ExecStats::default();
-    let want = naive(plan, m, &mut want_stats.agg_groups);
+    let want = naive(plan, tables, &mut want_stats);
     let got = db.execute_plan(plan);
-    let context = format!("\n{}over {m:?}", plan.explain());
+    let context = format!("\n{}over {tables:?}", plan.explain());
     match (got, want) {
         (Ok(got), Ok(want)) => {
-            let want = if aggregates {
-                imp_engine::database::canonical_bag(&want)
-            } else {
-                want
-            };
-            let got_rows = if aggregates {
-                got.canonical()
-            } else {
-                got.rows
-            };
             // `Debug` tells `2` from `2.0`, which compare equal.
-            assert_eq!(format!("{got_rows:?}"), format!("{want:?}"), "{context}");
-            (want_stats.rows_scanned, want_stats.rows_skipped) =
-                expected_scan_stats(db, scan_filters);
+            assert_eq!(format!("{:?}", got.rows), format!("{want:?}"), "{context}");
+            for (table, filters) in scans {
+                let (scanned, skipped) = expected_scan_stats(db, table, filters);
+                want_stats.rows_scanned += scanned;
+                want_stats.rows_skipped += skipped;
+            }
             assert_eq!(got.stats, want_stats, "{context}");
         }
         (got, want) => assert_eq!(got.err(), want.err(), "{context}"),
     }
+}
+
+/// `m`'s live rows as the only table.
+fn only_m(rows: Vec<Row>) -> Tables {
+    Tables::from([("m".to_string(), rows)])
 }
 
 proptest! {
@@ -1176,14 +1379,212 @@ proptest! {
         choices in prop::collection::vec(0u32..u32::MAX, 64..65),
     ) {
         let (db, model) = populate(&sealed, null_chunk, wipe_null_chunk, &deletes, &tail);
-        let (plan, scan_filters) = scan_prefix_plan(choices);
-        assert_matches_naive(&db, &model.rows, &plan, &scan_filters);
+        let (plan, scan) = scan_prefix_plan(choices);
+        assert_matches_naive(&db, &only_m(model.rows), &plan, &[scan]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Joins and the operators above them, against the same naive evaluator:
+// 2–4 tables, each with tombstones and an open tail, joined in any tree
+// shape over scan prefixes and bag inputs.
+// ---------------------------------------------------------------------
+
+/// A plan under construction above the scan prefixes: the plan, what its
+/// columns hold, and every scan prefix it runs.
+struct Node {
+    plan: LogicalPlan,
+    kinds: Vec<Kind>,
+    scans: Vec<ScanFilters>,
+}
+
+impl Node {
+    fn filter(mut self, predicate: Expr) -> Node {
+        self.plan = LogicalPlan::Filter {
+            input: Box::new(self.plan),
+            predicate,
+        };
+        self
+    }
+
+    fn project(mut self, outputs: Vec<(Expr, Kind)>) -> Node {
+        let (exprs, kinds): (Vec<Expr>, Vec<Kind>) = outputs.into_iter().unzip();
+        self.plan = LogicalPlan::Project {
+            input: Box::new(self.plan),
+            schema: schema_of(&kinds),
+            exprs,
+        };
+        self.kinds = kinds;
+        self
+    }
+}
+
+/// `m`, `m1`, `m2`, `m3`.
+fn table_name(k: usize) -> String {
+    match k {
+        0 => "m".into(),
+        k => format!("m{k}"),
+    }
+}
+
+/// A join input over `table`: a scan prefix, or a bag — an aggregate
+/// subquery, a DISTINCT, or an EXCEPT [ALL], whose multiplicities exceed
+/// one — over one.
+fn join_input(ch: &mut Choices, table: &str) -> Node {
+    let chain = Chain::scan(table).grow(ch, 2);
+    let mut scans = vec![chain.scan.clone()];
+    let (plan, kinds) = match ch.pick(7) {
+        0 => aggregate_over(ch, chain.plan, &chain.kinds, false),
+        1 => {
+            let distinct = LogicalPlan::Distinct {
+                input: Box::new(chain.plan),
+            };
+            (distinct, chain.kinds)
+        }
+        2 => {
+            // One column of the chain (duplicates likely), less the rows a
+            // filter picks.
+            let output = ch.scalar(&chain.kinds);
+            let column = chain.project(vec![output]);
+            let predicate = ch.predicate(&column.kinds, 1);
+            let less = column.clone().filter(predicate);
+            scans.push(less.scan);
+            let except = LogicalPlan::Except {
+                left: Box::new(column.plan),
+                right: Box::new(less.plan),
+                all: ch.pick(4) > 0,
+            };
+            (except, column.kinds)
+        }
+        _ => (chain.plan, chain.kinds),
+    };
+    Node { plan, kinds, scans }
+}
+
+/// `left ⋈ right` on 0–2 key pairs of one type family (an Int key meets a
+/// Float one), a cross product when there are none.
+fn join_nodes(ch: &mut Choices, left: Node, right: Node) -> Node {
+    let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+    for _ in 0..ch.one(&[0, 1, 1, 1, 1, 2]) {
+        let l = ch.pick(left.kinds.len());
+        let kind = left.kinds[l];
+        let family = |k: Kind| k == kind || (k.numeric() && kind.numeric());
+        if let Some(r) = ch.column(&right.kinds, family) {
+            left_keys.push(l);
+            right_keys.push(r);
+        }
+    }
+    let plan = LogicalPlan::Join {
+        left: Box::new(left.plan),
+        right: Box::new(right.plan),
+        left_keys,
+        right_keys,
+    };
+    let kinds = [left.kinds, right.kinds].concat();
+    let scans = [left.scans, right.scans].concat();
+    Node { plan, kinds, scans }
+}
+
+/// `inputs` joined in order — left-deep, right-deep or bushy at each
+/// level — with a filter or a projection over some of the joins.
+fn join_tree(ch: &mut Choices, mut inputs: Vec<Node>) -> Node {
+    if inputs.len() == 1 {
+        return inputs.pop().expect("one input");
+    }
+    let split = match ch.pick(3) {
+        0 => inputs.len() - 1,
+        1 => 1,
+        _ => inputs.len() / 2,
+    };
+    let right = inputs.split_off(split);
+    let left = join_tree(ch, inputs);
+    let right = join_tree(ch, right);
+    let node = join_nodes(ch, left, right);
+    match ch.pick(4) {
+        0 => {
+            let predicate = ch.predicate(&node.kinds, 2);
+            node.filter(predicate)
+        }
+        1 => {
+            let outputs = (0..1 + ch.pick(4)).map(|_| ch.scalar(&node.kinds));
+            let outputs = outputs.collect();
+            node.project(outputs)
+        }
+        _ => node,
+    }
+}
+
+/// A random plan joining `m`, `m1`, … (`tables` of them), with possibly a
+/// fault, an aggregation, a top-k, a sort or a DISTINCT on top.
+fn join_plan(raw: Vec<u32>, tables: usize) -> Node {
+    let mut ch = Choices {
+        raw,
+        at: 0,
+        span: 12,
+    };
+    let fault = Fault::pick(&mut ch);
+    let inputs: Vec<Node> = (0..tables)
+        .map(|k| join_input(&mut ch, &table_name(k)))
+        .collect();
+    let mut node = join_tree(&mut ch, inputs);
+    match fault {
+        Fault::NonBooleanPredicate => {
+            let predicate = non_boolean_predicate(&mut ch, &node.kinds);
+            node = node.filter(predicate);
+        }
+        Fault::ProjectionOverflow => {
+            let outputs = overflowing_projection(&mut ch, &node.kinds);
+            return node.project(outputs);
+        }
+        Fault::SumOverflow | Fault::None => {}
+    }
+    let input = Box::new(node.plan);
+    (node.plan, node.kinds) = match (fault, ch.pick(5)) {
+        (Fault::SumOverflow, _) | (_, 0) => {
+            let sum_overflow = fault == Fault::SumOverflow;
+            let (plan, kinds) = aggregate_over(&mut ch, *input, &node.kinds, sum_overflow);
+            (maybe_having(&mut ch, plan, &kinds), kinds)
+        }
+        (_, 1 | 2) => {
+            let keys = (0..1 + ch.pick(2)).map(|_| SortKey {
+                column: ch.pick(node.kinds.len()),
+                asc: ch.flip(),
+            });
+            let keys = keys.collect();
+            let plan = if ch.flip() {
+                LogicalPlan::Sort { input, keys }
+            } else {
+                let k = ch.pick(8) as u64;
+                LogicalPlan::TopK { input, keys, k }
+            };
+            (plan, node.kinds)
+        }
+        (_, 3) => (LogicalPlan::Distinct { input }, node.kinds),
+        _ => (*input, node.kinds),
+    };
+    node
+}
+
+proptest! {
+    #[test]
+    fn join_plans_match_the_naive_evaluator(
+        contents in prop::collection::vec(contents(key_row, 2..14, 0..2), 2..5),
+        choices in prop::collection::vec(0u32..u32::MAX, 128..129),
+    ) {
+        let mut db = Database::new();
+        let mut tables = Tables::new();
+        for (k, c) in contents.iter().enumerate() {
+            let model = load(&mut db, &table_name(k), c);
+            tables.insert(table_name(k), model.rows);
+        }
+        let node = join_plan(choices, contents.len());
+        assert_matches_naive(&db, &tables, &node.plan, &node.scans);
     }
 }
 
 /// `m` with `i` = 0..=17 in order (chunks of four, two rows in the open
 /// tail), `f` = `i / 2`, and row 6 deleted.
-fn clustered_m() -> (Database, Vec<Row>) {
+fn clustered_m() -> (Database, Tables) {
     let rows: Vec<MixedRow> = (0..18)
         .map(|i| MixedRow {
             i: Some(i),
@@ -1193,16 +1594,16 @@ fn clustered_m() -> (Database, Vec<Row>) {
         })
         .collect();
     let (db, model) = populate(&rows[..16], false, false, &["i = 6".into()], &rows[16..]);
-    (db, model.rows)
+    (db, only_m(model.rows))
 }
 
-fn plan_of(db: &Database, sql: &str) -> (LogicalPlan, Vec<Expr>) {
+fn plan_of(db: &Database, sql: &str) -> (LogicalPlan, ScanFilters) {
     let plan = db.plan_sql(sql).unwrap();
     let filters = match sql.split_once(" WHERE ") {
         Some((_, predicate)) => vec![resolve_predicate(db, predicate)],
         None => Vec::new(),
     };
-    (plan, filters)
+    (plan, ("m".into(), filters))
 }
 
 #[test]
@@ -1225,13 +1626,13 @@ fn bounds_on_a_chunk_cut_are_exact() {
         ("i > 16", vec![17], 2),
         ("i < 0", vec![], 6),
     ] {
-        let (plan, filters) = plan_of(&db, &format!("SELECT i FROM m WHERE {predicate}"));
+        let (plan, scan) = plan_of(&db, &format!("SELECT i FROM m WHERE {predicate}"));
         let got = db.execute_plan(&plan).unwrap();
         let want: Bag = ids.iter().map(|i| (row![*i], 1)).collect();
         assert_eq!(got.rows, want, "{predicate}");
         assert_eq!(got.stats.rows_scanned, scanned, "{predicate}");
         assert_eq!(got.stats.rows_scanned + got.stats.rows_skipped, 17);
-        assert_matches_naive(&db, &m, &plan, &filters);
+        assert_matches_naive(&db, &m, &plan, &[scan]);
     }
 }
 
@@ -1256,8 +1657,8 @@ fn int_column_meets_float_literals_around_two_to_the_53() {
         .map(|&i| Row::new(vec![Value::Int(i), Value::Null, Value::Null, Value::Null]))
         .collect();
     db.table_mut("m").unwrap().bulk_load(rows.clone()).unwrap();
-    let chain = Chain::scan_m();
-    let scan = chain.plan.clone();
+    let m = only_m(rows);
+    let scan = Chain::scan("m").plan;
     for literal in [two53 as f64, (two53 + 2) as f64, -(two53 as f64), 0.5] {
         for op in [BinOp::Eq, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
             for flipped in [false, true] {
@@ -1271,7 +1672,7 @@ fn int_column_meets_float_literals_around_two_to_the_53() {
                     input: Box::new(scan.clone()),
                     predicate: predicate.clone(),
                 };
-                assert_matches_naive(&db, &rows, &plan, &[predicate]);
+                assert_matches_naive(&db, &m, &plan, &[("m".into(), vec![predicate])]);
             }
         }
     }
@@ -1304,15 +1705,15 @@ fn filters_on_columns_that_are_not_output() {
         "SELECT s, count(*) AS n, sum(f) AS sf FROM m WHERE i > 2 AND i < 15 GROUP BY s",
     ] {
         let plan = db.plan_sql(sql).unwrap();
-        let mut groups = 0;
-        let want = naive(&plan, &m, &mut groups).unwrap();
+        let mut want_stats = ExecStats::default();
+        let want = naive(&plan, &m, &mut want_stats).unwrap();
         let got = db.execute_plan(&plan).unwrap();
         assert_eq!(
             got.canonical(),
             imp_engine::database::canonical_bag(&want),
             "{sql}"
         );
-        assert_eq!(got.stats.agg_groups, groups, "{sql}");
+        assert_eq!(got.stats.agg_groups, want_stats.agg_groups, "{sql}");
     }
 }
 
@@ -1320,15 +1721,15 @@ fn filters_on_columns_that_are_not_output() {
 fn a_constant_false_filter_scans_nothing() {
     let (db, m) = clustered_m();
     let never = Expr::Lit(Value::Bool(false));
-    let chain = Chain::scan_m().filter(never.clone());
-    let filters = chain.scan_filters.clone();
-    assert_matches_naive(&db, &m, &chain.plan, &filters);
+    let chain = Chain::scan("m").filter(never.clone());
+    let scans = [chain.scan.clone()];
+    assert_matches_naive(&db, &m, &chain.plan, &scans);
     let got = db.execute_plan(&chain.plan).unwrap();
     assert!(got.rows.is_empty());
     assert_eq!(got.stats, ExecStats::default());
     // Under a global aggregation the empty input still yields one row.
-    let plan = LogicalPlan::Aggregate {
-        input: Box::new(chain.plan),
+    let count = |input: LogicalPlan| LogicalPlan::Aggregate {
+        input: Box::new(input),
         group_by: Vec::new(),
         aggs: vec![AggSpec {
             func: AggFunc::Count,
@@ -1337,8 +1738,28 @@ fn a_constant_false_filter_scans_nothing() {
         }],
         schema: schema_of(&[Kind::Int]),
     };
-    assert_matches_naive(&db, &m, &plan, &filters);
+    let plan = count(chain.plan);
+    assert_matches_naive(&db, &m, &plan, &scans);
     let got = db.execute_plan(&plan).unwrap();
     assert_eq!(got.rows, vec![(row![0], 1)]);
     assert_eq!((got.stats.rows_scanned, got.stats.agg_groups), (0, 1));
+    // Above a join it needs neither input: nothing is scanned or probed.
+    let join = LogicalPlan::Join {
+        left: Box::new(Chain::scan("m").plan),
+        right: Box::new(Chain::scan("m").plan),
+        left_keys: vec![0],
+        right_keys: vec![1],
+    };
+    let plan = count(LogicalPlan::Filter {
+        input: Box::new(join),
+        predicate: never,
+    });
+    assert_matches_naive(&db, &m, &plan, &[]);
+    let got = db.execute_plan(&plan).unwrap();
+    assert_eq!(got.rows, vec![(row![0], 1)]);
+    let stats = ExecStats {
+        agg_groups: 1,
+        ..ExecStats::default()
+    };
+    assert_eq!(got.stats, stats);
 }

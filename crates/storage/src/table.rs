@@ -12,7 +12,9 @@
 //!    inside a range — exactly, excluded bounds included);
 //! 3. the caller gets one [`Batch`] per surviving chunk, then one for the
 //!    open tail (the same kernel over the builder's columns): the columns
-//!    and the selection vector. Nothing is materialized.
+//!    and the selection vector. Nothing is materialized, and the columns
+//!    borrow from the table, so a consumer may keep them — and the
+//!    selection it takes — past the callback.
 //!
 //! A batch consumer (the query engine) **refines** the selection by
 //! further range constraints ([`ColumnData::refine_ranges`]), evaluates
@@ -61,17 +63,18 @@ struct Slot {
 }
 
 /// One unit of a batch scan: the columns of a chunk that survived pruning
-/// (or of the open tail) and the selection vector over them.
+/// (or of the open tail), borrowed for the table's lifetime `'t`, and the
+/// selection vector over them.
 #[derive(Debug)]
-pub struct Batch<'a> {
+pub struct Batch<'t, 's> {
     /// The chunk's number; `chunks.len()` names the open tail.
     chunk: usize,
     /// The columns, in schema order.
-    pub columns: &'a [ColumnData],
+    pub columns: &'t [ColumnData],
     /// Ascending indices of the rows selected so far: live and, when the
     /// scan has prune ranges, inside one of them. The consumer may narrow
-    /// it in place.
-    pub selection: &'a mut Vec<usize>,
+    /// it in place, or take it.
+    pub selection: &'s mut Vec<usize>,
 }
 
 /// A stored relation.
@@ -202,10 +205,10 @@ impl Table {
     /// rows examined — those of every chunk the zone maps did not rule
     /// out, plus the tail; `on_chunk_skipped` receives the live rows of
     /// each chunk that was. The first `on_batch` error aborts the scan.
-    pub fn scan_batches<E>(
-        &self,
+    pub fn scan_batches<'t, E>(
+        &'t self,
         mut prune: Option<&mut PruneRanges<'_>>,
-        mut on_batch: impl FnMut(Batch<'_>) -> std::result::Result<(), E>,
+        mut on_batch: impl FnMut(Batch<'t, '_>) -> std::result::Result<(), E>,
         mut on_chunk_skipped: impl FnMut(usize),
     ) -> std::result::Result<usize, E> {
         let mut examined = 0;
@@ -476,6 +479,34 @@ mod tests {
             Field::new("id", DataType::Int),
             Field::new("price", DataType::Int),
         ])
+    }
+
+    #[test]
+    fn batches_kept_past_the_scan_read_back_the_same_cells() {
+        let mut t = Table::with_chunk_capacity("s", sales_schema(), 2);
+        for i in 0..5 {
+            t.insert(row![i, i * 100], 1).unwrap();
+        }
+        // Two sealed chunks, one with a tombstone, and the open tail.
+        delete_all_where(&mut t, 2, |r| r[0] == Value::Int(2));
+        let mut kept = Vec::new();
+        let scan = t.scan_batches(
+            None,
+            |batch| {
+                kept.push((batch.columns, std::mem::take(batch.selection)));
+                Ok::<_, Infallible>(())
+            },
+            |_| {},
+        );
+        assert!(matches!(scan, Ok(4)));
+        let cells: Vec<Row> = (kept.iter())
+            .flat_map(|(columns, selection)| {
+                let row = move |&i: &usize| columns.iter().map(|c| c.get(i)).collect();
+                selection.iter().map(row)
+            })
+            .collect();
+        assert_eq!(cells, t.rows());
+        assert_eq!(cells.len(), 4);
     }
 
     #[test]
