@@ -172,8 +172,9 @@ fn exp_bloom(report: &mut BenchReport) {
 fn exp_index(report: &mut BenchReport) {
     // Q_joinsel at 100% join selectivity so every delta row has partners
     // and the `Q ⋈ Δ` terms run each batch. With the side index on, the
-    // only round trips are the initial builds (during capture); steady
-    // state answers from memory.
+    // only round trip is the first batch's build of the side its delta
+    // probes (capture joins the two full deltas in memory and indexes
+    // nothing); every later batch answers from memory.
     let rows = scaled(20_000, 2_000);
     let groups = 2_000i64;
     let batches = reps().max(2); // ≥2 so a steady-state batch exists
@@ -239,7 +240,9 @@ fn exp_index(report: &mut BenchReport) {
                 format!("{:.1}KB", idx_bytes as f64 / 1e3),
             ]);
             if index {
-                // CI guard: the index must actually save round trips.
+                // CI guard: the index must actually save round trips — the
+                // first batch may build the probed side, no later one may
+                // round-trip.
                 assert!(
                     total.db_roundtrips_avoided > 0,
                     "join-side index enabled but zero db_roundtrips saved \

@@ -140,6 +140,15 @@ impl FragCounts {
         self.iter().any(|(_, c)| c < 0)
     }
 
+    /// The only fragment with a count, if that count is positive: a
+    /// one-bit sketch, which needs no bitvector.
+    pub fn single(&self) -> Option<u32> {
+        match self {
+            FragCounts::Small(v) if v.len() == 1 && v[0].1 > 0 => Some(v[0].0),
+            _ => None,
+        }
+    }
+
     /// Approximate heap footprint.
     pub fn heap_size(&self) -> usize {
         match self {

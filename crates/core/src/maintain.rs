@@ -165,6 +165,7 @@ impl SketchMaintainer {
                 deltas: &deltas,
                 pool: &mut self.pool,
                 metrics,
+                from_empty: true,
                 needs_recapture: false,
             };
             self.root.process(&mut ctx)?
@@ -281,11 +282,22 @@ impl SketchMaintainer {
     /// fetching path run over the same record ranges. The deltas come
     /// with the call, so `db` is touched only if an operator reads base
     /// tables (see [`DbAccess`]).
+    /// A run that would read one sees the database past the routed
+    /// batches, so it is run as [`Self::maintain`] instead: a log fetch to
+    /// that same version (later routed batches are then skipped).
     pub fn maintain_from(
         &mut self,
         db: &DbAccess<'_>,
         routed: &FxHashMap<String, Vec<Arc<crate::sched::TableDelta>>>,
     ) -> Result<MaintReport> {
+        let last = self.last_version;
+        let changed = |table: &str| {
+            let mut entries = routed.get(table).into_iter().flatten();
+            entries.any(|b| b.entries.iter().any(|e| e.version > last))
+        };
+        if self.root.reads_base_tables(&changed) {
+            return self.maintain(db.get());
+        }
         let start = Instant::now();
         let mut metrics = MaintMetrics::default();
         if self.pool.grown() > POOL_FLUSH_LEN {
@@ -371,6 +383,7 @@ impl SketchMaintainer {
                 deltas: &deltas,
                 pool: &mut self.pool,
                 metrics: &mut metrics,
+                from_empty: false,
                 needs_recapture: false,
             };
             let out = self.root.process(&mut ctx)?;

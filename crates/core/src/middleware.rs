@@ -70,8 +70,8 @@ pub struct ImpConfig {
     /// oracle configuration the `nary_differential` suite compares
     /// against.
     pub nary_join: bool,
-    /// Batch size at which delta normalization, annotation, and
-    /// aggregation switch from row-at-a-time to their columnar kernels.
+    /// Batch size at which delta normalization and annotation switch
+    /// from row-at-a-time to their columnar kernels.
     /// Defaults to [`crate::ops::DEFAULT_COLUMNAR_MIN`].
     pub columnar_min: usize,
     /// Explicit partition-attribute choices (table → attribute), taking

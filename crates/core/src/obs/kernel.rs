@@ -1,8 +1,7 @@
 //! Per-batch columnar-vs-row kernel timing and the measured crossover.
 //!
-//! The delta-normalization and aggregation operators each dispatch
-//! between a row-wise and a columnar kernel on `OpConfig::columnar_min`
-//! — a compile-time default that ROADMAP's "raw speed, round 2" flags as
+//! Delta normalization dispatches between a row-wise and a columnar
+//! kernel on `OpConfig::columnar_min` — a compile-time default that ROADMAP's "raw speed, round 2" flags as
 //! untuned. This module closes the *observation* half of that gap: every
 //! dispatched batch records its wall-clock into
 //! `imp_kernel_ns{path="columnar"|"row"}` histograms (batch rows into

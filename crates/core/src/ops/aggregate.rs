@@ -4,12 +4,18 @@
 //! count `CNT`, and the fragment counters `ℱ_g`. SUM / COUNT / AVG share a
 //! numeric accumulator; MIN / MAX keep an ordered multiset (`BTreeMap`, the
 //! paper's red-black tree) — optionally bounded to the best `l` values
-//! with a recapture fallback (§7.2). Group results are emitted as one
-//! `Δ-⟨old⟩, Δ+⟨new⟩` pair per *touched* group per batch, using lazily
-//! created snapshots of the pre-batch output (§7.1: "to avoid producing
-//! multiple delta tuples per group we maintain copies of the previous
-//! states of groups … created lazily when a group is updated for the first
-//! time when processing a delta").
+//! with a recapture fallback (§7.2).
+//!
+//! Group results are emitted as one `Δ-⟨old⟩, Δ+⟨new⟩` pair per *touched*
+//! group per batch (§7.1: "to avoid producing multiple delta tuples per
+//! group we maintain copies of the previous states of groups"). Whatever
+//! its size, a batch takes one path: its group keys are extracted into a
+//! key column, a stable sort makes each group's rows one run, and each run
+//! is one visit to its group — one hash lookup that snapshots the old
+//! output, applies the rows in input order, checks the counters, emits the
+//! pair and removes the group if it died. A group whose rows all fall in
+//! one fragment takes that fragment's pooled singleton annotation instead
+//! of building and hashing a bitvector.
 
 use super::{IncNode, MaintCtx};
 use crate::delta::{DeltaBatch, DeltaEntry};
@@ -18,17 +24,9 @@ use crate::fragcount::FragCounts;
 use crate::Result;
 use imp_engine::eval::NumAcc;
 use imp_sql::{AggFunc, AggSpec, Expr};
-use imp_storage::{
-    key_runs, sort_keys_stable, AnnotId, AnnotPool, FxHashMap, Row, Value, COLUMNAR_CHUNK,
-};
+use imp_storage::{key_runs, sort_keys_stable, AnnotId, AnnotPool, FxHashMap, Row, Value};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
-
-/// Default input-batch size at which aggregation takes the columnar
-/// group path (chunked key extraction + sort-then-run-length group-by);
-/// smaller batches keep the per-row hash path, whose setup cost is
-/// lower. Configurable per run via `OpConfig::columnar_min`.
-pub const AGG_COLUMNAR_MIN: usize = 32;
 
 /// Incremental aggregation operator (also implements δ when `aggs` is
 /// empty: output is the group key alone).
@@ -41,8 +39,6 @@ pub struct AggOp {
     /// Aggregation without GROUP BY: the single group always exists.
     global: bool,
     minmax_buffer: Option<usize>,
-    /// Columnar group-path crossover for input batches.
-    columnar_min: usize,
     /// Running Σ key bytes + [`state_bytes`] over `groups`, adjusted by the
     /// before/after footprint of each group a batch touches.
     heap_bytes: usize,
@@ -343,7 +339,6 @@ impl AggOp {
             groups: FxHashMap::default(),
             global,
             minmax_buffer,
-            columnar_min: config.columnar_min,
             heap_bytes: 0,
         };
         op.clear_groups();
@@ -366,52 +361,6 @@ impl AggOp {
         self.groups.insert(key, st);
     }
 
-    /// Apply `entries` to the group of `key` (created on first sight),
-    /// moving `heap_bytes` by the group's before/after footprint — also
-    /// when an entry fails, so the total never drifts from the state.
-    fn apply_to_group<'d>(
-        &mut self,
-        key: Row,
-        entries: impl Iterator<Item = &'d DeltaEntry>,
-        ctx: &mut MaintCtx<'_, '_>,
-    ) -> Result<()> {
-        let key_bytes = key.heap_size();
-        let (st, before) = match self.groups.entry(key) {
-            Entry::Occupied(o) => {
-                let st = o.into_mut();
-                let before = key_bytes + state_bytes(st);
-                (st, before)
-            }
-            Entry::Vacant(v) => (v.insert(GroupState::new(&self.aggs, self.minmax_buffer)), 0),
-        };
-        let result = entries
-            .into_iter()
-            .try_for_each(|d| apply_entry(st, d, &self.aggs, ctx));
-        self.heap_bytes = self.heap_bytes + key_bytes + state_bytes(st) - before;
-        result
-    }
-
-    /// Current output (row, pooled annotation) of a group, or `None` if
-    /// the group does not (or no longer) exist(s). The group's sketch
-    /// `{ρ | ℱ_g[ρ] > 0}` is interned, so unchanged groups re-use the
-    /// same id and equal sketches share one bitvector.
-    fn output_of(
-        &self,
-        key: &Row,
-        total_frags: usize,
-        pool: &mut AnnotPool,
-    ) -> Option<(Row, AnnotId)> {
-        let st = self.groups.get(key)?;
-        if st.count <= 0 && !self.global {
-            return None;
-        }
-        let mut vals: Vec<Value> = key.values().to_vec();
-        for acc in &st.accs {
-            vals.push(acc.finish());
-        }
-        Some((Row::new(vals), pool.intern(st.frags.to_bits(total_frags))))
-    }
-
     /// Process one batch (see module docs).
     pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let input = self.input.process(ctx)?;
@@ -419,126 +368,71 @@ impl AggOp {
             return Ok(DeltaBatch::new());
         }
         let _span = crate::obs::trace::span("aggregate_delta");
+        ctx.metrics.rows_processed += input.len() as u64;
+        let keys: Vec<Row> = input
+            .iter()
+            .map(|d| self.group_by.iter().map(|g| g.eval(&d.row)).collect())
+            .collect::<std::result::Result<_, _>>()
+            .map_err(imp_engine::EngineError::from)?;
         let total = ctx.pset.total_fragments();
-        // Lazy pre-batch snapshots of each touched group's output (§7.1).
-        let mut old_outputs: FxHashMap<Row, Option<(Row, AnnotId)>> = FxHashMap::default();
-        if input.len() >= self.columnar_min {
-            crate::obs::kernel::timed(crate::obs::KernelPath::Columnar, input.len(), || {
-                self.apply_columnar(&input, total, &mut old_outputs, ctx)
-            })?;
-        } else {
-            crate::obs::kernel::timed(crate::obs::KernelPath::Row, input.len(), || {
-                self.apply_rowwise(&input, total, &mut old_outputs, ctx)
-            })?;
-        }
-        ctx.metrics.groups_touched += old_outputs.len() as u64;
-        // Emit Δ-old / Δ+new per touched group; drop dead groups.
         let mut out = DeltaBatch::new();
-        for (key, old) in old_outputs {
-            if let Some(st) = self.groups.get(&key) {
-                if st.count < 0 {
-                    return Err(CoreError::StateCorrupt(format!(
-                        "group {key} has negative count {}",
-                        st.count
-                    )));
-                }
-                if st.frags.any_negative() {
-                    return Err(CoreError::StateCorrupt(format!(
-                        "group {key} has a negative fragment counter"
-                    )));
-                }
-                if st.count == 0 && !self.global {
-                    self.heap_bytes -= key.heap_size() + state_bytes(st);
-                    self.groups.remove(&key);
-                }
-            }
-            let new = self.output_of(&key, total, ctx.pool);
-            if old == new {
-                continue; // group output unchanged, no delta
-            }
-            if let Some((row, annot)) = old {
-                out.push(DeltaEntry {
-                    row,
-                    annot,
-                    mult: -1,
-                });
-            }
-            if let Some((row, annot)) = new {
-                out.push(DeltaEntry {
-                    row,
-                    annot,
-                    mult: 1,
-                });
-            }
+        for run in key_runs(&keys, &sort_keys_stable(&keys)) {
+            ctx.metrics.groups_touched += 1;
+            let rows = run.iter().map(|&i| &input[i as usize]);
+            self.visit_group(&keys[run[0] as usize], rows, total, &mut out, ctx)?;
         }
         Ok(out)
     }
 
-    /// Row-at-a-time group maintenance (the fallback for small batches):
-    /// one hash probe and one snapshot check per input row.
-    fn apply_rowwise(
+    /// One visit to the group of `key` (created on first sight): snapshot
+    /// its output, apply `rows`, check its counters, emit `Δ-old / Δ+new`
+    /// when the output changed, and remove it if it died. `heap_bytes`
+    /// moves by the group's before/after footprint — also when a row
+    /// fails, so the total never drifts from the state.
+    fn visit_group<'d>(
         &mut self,
-        input: &DeltaBatch,
+        key: &Row,
+        rows: impl Iterator<Item = &'d DeltaEntry>,
         total: usize,
-        old_outputs: &mut FxHashMap<Row, Option<(Row, AnnotId)>>,
+        out: &mut DeltaBatch,
         ctx: &mut MaintCtx<'_, '_>,
     ) -> Result<()> {
-        for d in input {
-            ctx.metrics.rows_processed += 1;
-            let key: Row = self
-                .group_by
-                .iter()
-                .map(|g| g.eval(&d.row))
-                .collect::<std::result::Result<_, _>>()
-                .map_err(imp_engine::EngineError::from)?;
-            if !old_outputs.contains_key(&key) {
-                let snap = self.output_of(&key, total, ctx.pool);
-                old_outputs.insert(key.clone(), snap);
+        let key_bytes = key.heap_size();
+        let (mut group, old, before) = match self.groups.entry(key.clone()) {
+            Entry::Occupied(o) => {
+                let old = output(o.key(), o.get(), self.global, total, ctx.pool);
+                let before = key_bytes + state_bytes(o.get());
+                (o, old, before)
             }
-            self.apply_to_group(key, std::iter::once(d), ctx)?;
+            Entry::Vacant(v) => {
+                let st = GroupState::new(&self.aggs, self.minmax_buffer);
+                (v.insert_entry(st), None, 0)
+            }
+        };
+        let applied = rows
+            .into_iter()
+            .try_for_each(|d| apply_entry(group.get_mut(), d, &self.aggs, ctx));
+        let st = group.get();
+        self.heap_bytes = self.heap_bytes + key_bytes + state_bytes(st) - before;
+        applied?;
+        if st.count < 0 || st.frags.any_negative() {
+            return Err(CoreError::StateCorrupt(format!(
+                "group {key} has a negative count ({}) or fragment counter",
+                st.count
+            )));
         }
-        Ok(())
-    }
-
-    /// Columnar group maintenance: the group keys of the whole batch are
-    /// extracted into one contiguous key column in [`COLUMNAR_CHUNK`]-row
-    /// windows, then a stable index sort makes equal keys adjacent and
-    /// each run is applied to its group in one go — one hash lookup and
-    /// one pre-batch snapshot per *distinct* group instead of per row.
-    /// The stable order preserves each group's input order, so
-    /// order-sensitive accumulator state (bounded MIN/MAX buffers)
-    /// evolves exactly as under [`AggOp::apply_rowwise`].
-    fn apply_columnar(
-        &mut self,
-        input: &DeltaBatch,
-        total: usize,
-        old_outputs: &mut FxHashMap<Row, Option<(Row, AnnotId)>>,
-        ctx: &mut MaintCtx<'_, '_>,
-    ) -> Result<()> {
-        ctx.metrics.rows_processed += input.len() as u64;
-        // Pass 1 — chunked key extraction into a contiguous key column.
-        let mut keys: Vec<Row> = Vec::with_capacity(input.len());
-        for chunk in input.entries().chunks(COLUMNAR_CHUNK) {
-            for d in chunk {
-                keys.push(
-                    self.group_by
-                        .iter()
-                        .map(|g| g.eval(&d.row))
-                        .collect::<std::result::Result<_, _>>()
-                        .map_err(imp_engine::EngineError::from)?,
-                );
-            }
+        let new = output(key, st, self.global, total, ctx.pool);
+        if st.count == 0 && !self.global {
+            self.heap_bytes -= key_bytes + state_bytes(st);
+            group.remove();
         }
-        // Pass 2 — sort-then-run-length group-by over the key column.
-        let order = sort_keys_stable(&keys);
-        for run in key_runs(&keys, &order) {
-            let key = &keys[run[0] as usize];
-            if !old_outputs.contains_key(key) {
-                let snap = self.output_of(key, total, ctx.pool);
-                old_outputs.insert(key.clone(), snap);
+        if old != new {
+            for (row, annot, mult) in [(old, -1), (new, 1)]
+                .into_iter()
+                .filter_map(|(o, mult)| o.map(|(row, annot)| (row, annot, mult)))
+            {
+                out.push(DeltaEntry { row, annot, mult });
             }
-            let entries = run.iter().map(|&i| &input[i as usize]);
-            self.apply_to_group(key.clone(), entries, ctx)?;
         }
         Ok(())
     }
@@ -668,9 +562,32 @@ impl AggOp {
     }
 }
 
+/// Current output (row, pooled annotation) of a group's state, or `None`
+/// once the group is empty (a global aggregate's single group always has
+/// one). The group's sketch `{ρ | ℱ_g[ρ] > 0}` is interned, so unchanged
+/// groups re-use the same id; a one-fragment sketch is the pool's cached
+/// singleton, which is the same id without building the bitvector.
+fn output(
+    key: &Row,
+    st: &GroupState,
+    global: bool,
+    total: usize,
+    pool: &mut AnnotPool,
+) -> Option<(Row, AnnotId)> {
+    if st.count <= 0 && !global {
+        return None;
+    }
+    let mut vals: Vec<Value> = key.values().to_vec();
+    vals.extend(st.accs.iter().map(IncAcc::finish));
+    let annot = match st.frags.single() {
+        Some(frag) => pool.singleton(frag as usize),
+        None => pool.intern(st.frags.to_bits(total)),
+    };
+    Some((Row::new(vals), annot))
+}
+
 /// Apply one input entry to a group's state: tuple count, fragment
-/// counters `ℱ_g`, and every accumulator. Shared by the row-wise and
-/// columnar paths so both evolve the state identically.
+/// counters `ℱ_g`, and every accumulator.
 fn apply_entry(
     st: &mut GroupState,
     d: &DeltaEntry,

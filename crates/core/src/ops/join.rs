@@ -14,26 +14,38 @@
 //! where signed multiplicities multiply (the sign cases fall out of the
 //! algebra).
 //!
+//! # From the empty state: `ΔQ₁ ⋈ ΔQ₂`, in memory
+//!
+//! Capture, recapture and full maintenance run the tree from the empty
+//! state ([`MaintCtx::from_empty`]): each side's delta is its whole
+//! result, so the join is Term 3 with a positive sign, `ΔQ₁ ⋈ ΔQ₂`,
+//! hashed in memory. No side is evaluated, indexed or summarised in a
+//! bloom filter — join state only where a later term reads it.
+//!
 //! # Side indexes: `Q ⋈ Δ` without round trips
 //!
 //! The `Q ⋈ Δ` terms are "outsourced to the backend database" (§1, §7):
 //! evaluating the non-delta side is a round trip counted in the metrics.
-//! Instead of paying it per batch, each side is materialised on first use
-//! as a [`JoinSideIndex`] — one round trip — and then maintained *in
-//! place*: the operator already holds exactly the delta that separates
-//! the side's states (`Q₂ᴺᴱᵂ = Q₂ᴼᴸᴰ + ΔQ₂`), so each batch first
-//! absorbs the children's own deltas into their indexes (bringing them to
-//! the new state the rewriting above expects; an index built this batch
-//! comes from a new-state evaluation and already includes the delta) and
-//! then probes them for Terms 1/2. Steady-state join maintenance is
-//! thereby O(|Δ|) amortized with **zero** backend round trips.
+//! Instead of paying it per batch, a side is materialised as a
+//! [`JoinSideIndex`] — one round trip — the first time the *other* side's
+//! delta probes it, and then maintained *in place*: the operator already
+//! holds exactly the delta that separates the side's states
+//! (`Q₂ᴺᴱᵂ = Q₂ᴼᴸᴰ + ΔQ₂`), so each batch first absorbs the children's own
+//! deltas into their live indexes (bringing them to the new state the
+//! rewriting above expects; an index built this batch comes from a
+//! new-state evaluation and already includes the delta) and then probes
+//! them for Terms 1/2. Steady-state join maintenance is thereby O(|Δ|)
+//! amortized with **zero** backend round trips, and a side whose partner
+//! never changes is never evaluated and holds no bytes.
 //!
 //! The indexes are memory-bounded by `OpConfig::join_index_budget`
-//! (annotated tuples per side): a side over budget is dropped and the
-//! operator falls back to the per-batch outsourced evaluation until the
-//! next recapture, mirroring the bounded MIN/MAX state's fallback. Index
-//! state is persisted/restored through `state_codec` (annotations by
-//! content, re-interned on restore) and accounted in [`JoinOp::own_heap_size`].
+//! (annotated tuples per side): a side over budget is dropped at the end
+//! of the batch that outgrew it, and the operator falls back to per-batch
+//! outsourced evaluation until the next recapture, mirroring the bounded
+//! MIN/MAX state's fallback. Only a side without a live index reads the
+//! database ([`IncNode::reads_base_tables`]). Index state is persisted
+//! through `state_codec` (annotations by content, re-interned on restore)
+//! and accounted in [`JoinOp::own_heap_size`].
 //!
 //! # Bloom filters
 //!
@@ -51,7 +63,7 @@
 //! matches many partners in the same fragment combination pays for one
 //! union, not one allocation per output row.
 
-use super::{IncNode, MaintCtx, OpConfig};
+use super::{IncNode, MaintCtx, OpConfig, SideState};
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::obs::trace;
 use crate::opt::side_index::key_of;
@@ -59,45 +71,18 @@ use crate::opt::{BloomFilter, JoinSideIndex};
 use crate::Result;
 use imp_sketch::capture::eval_annot;
 use imp_sql::LogicalPlan;
-use imp_storage::{FxHashMap, Value, COLUMNAR_CHUNK};
+use imp_storage::{FxHashMap, Value};
 use std::sync::Arc;
 
 /// One side's extracted join-key column: `col[i]` is the key of delta row
 /// `i`, `None` for NULL keys (which never join).
 type KeyColumn = Vec<Option<Vec<Value>>>;
 
-/// Columnar key extraction: project a whole delta's join keys into one
-/// contiguous key column, walked in [`COLUMNAR_CHUNK`]-row windows. Every
-/// consumer of the batch (bloom maintenance, pruning, the three join
-/// terms) reads this column instead of re-projecting rows.
+/// Project a whole delta's join keys into one contiguous key column:
+/// every consumer of the batch (bloom maintenance, pruning, the three join
+/// terms) reads it instead of re-projecting rows.
 fn extract_keys(delta: &DeltaBatch, keys: &[usize]) -> KeyColumn {
-    let mut out = Vec::with_capacity(delta.len());
-    for chunk in delta.entries().chunks(COLUMNAR_CHUNK) {
-        out.extend(chunk.iter().map(|d| key_of(&d.row, keys)));
-    }
-    out
-}
-
-/// Lifecycle of one side's materialised index.
-#[derive(Debug, Default)]
-enum SideState {
-    /// Not yet built (first use builds it from one round trip).
-    #[default]
-    Absent,
-    /// Live and maintained from the side's own deltas.
-    Ready(JoinSideIndex),
-    /// Outgrew the budget: per-batch outsourced evaluation until the next
-    /// [`JoinOp::reset`] (rebuilding would exhaust the budget again).
-    Disabled,
-}
-
-impl SideState {
-    fn ready(&self) -> Option<&JoinSideIndex> {
-        match self {
-            SideState::Ready(idx) => Some(idx),
-            _ => None,
-        }
-    }
+    delta.iter().map(|d| key_of(&d.row, keys)).collect()
 }
 
 /// Incremental join operator.
@@ -115,9 +100,9 @@ pub struct JoinOp {
     right_bloom: Option<BloomFilter>,
     bloom_enabled: bool,
     /// Materialised left side (probed by Term 2).
-    left_index: SideState,
+    left_index: SideState<JoinSideIndex>,
     /// Materialised right side (probed by Term 1).
-    right_index: SideState,
+    right_index: SideState<JoinSideIndex>,
     /// Max annotated tuples per side index; `None` disables the indexes.
     index_budget: Option<usize>,
     /// Columnar-normalize crossover for the output batch.
@@ -161,8 +146,19 @@ impl JoinOp {
             return Ok(DeltaBatch::new());
         }
         let _span = trace::span("join_delta");
-        let use_bloom = self.bloom_enabled && !self.left_keys.is_empty();
         let mut out = DeltaBatch::new();
+        // Each delta's join keys, projected once for every use below.
+        let dl_keys = extract_keys(&dl, &self.left_keys);
+        let dr_keys = extract_keys(&dr, &self.right_keys);
+        if ctx.from_empty {
+            // From the empty state each side *is* its delta, so the result
+            // is Term 3 with a positive sign, joined in memory: no side is
+            // evaluated, indexed or summarised in a bloom filter.
+            ctx.metrics.rows_processed += (dl.len() + dr.len()) as u64;
+            join_deltas((&dl, &dl_keys), (&dr, &dr_keys), 1, &mut out, ctx);
+            return Ok(crate::delta::normalize_delta_with(out, self.columnar_min));
+        }
+        let use_bloom = self.bloom_enabled && !self.left_keys.is_empty();
 
         // Evaluated sides are cached across uses within this batch; the
         // flags record whether the side's round trip already happened
@@ -201,12 +197,6 @@ impl JoinOp {
             &mut right_evaluated,
             ctx,
         )?;
-
-        // Columnar key extraction — each delta's join keys are projected
-        // once into a contiguous key column shared by bloom maintenance,
-        // pruning, and all three terms below.
-        let dl_keys = extract_keys(&dl, &self.left_keys);
-        let dr_keys = extract_keys(&dr, &self.right_keys);
 
         // Keep the bloom filters in sync *before* filtering: new keys from
         // this batch's deltas must be visible (no false negatives). Each
@@ -302,35 +292,28 @@ impl JoinOp {
             }
         }
 
-        // Term 3: − ΔQ₁ ⋈ ΔQ₂ (fully in memory). The build side hashes
-        // *references into* the right key column and stores row indexes —
-        // no key is cloned or re-projected on either side.
+        // Term 3: − ΔQ₁ ⋈ ΔQ₂ (fully in memory).
         if !dl_f.is_empty() && !dr_f.is_empty() {
             let _span = trace::span("join_delta_delta");
-            let mut dr_hash: FxHashMap<&Vec<Value>, Vec<u32>> = FxHashMap::default();
-            for (i, k) in dr_fk.iter().enumerate() {
-                if let Some(k) = k {
-                    dr_hash.entry(k).or_default().push(i as u32);
-                }
-            }
-            for (d, k) in dl_f.iter().zip(&dl_fk) {
-                let Some(k) = k else {
-                    continue;
-                };
-                if let Some(matches) = dr_hash.get(k) {
-                    for &i in matches {
-                        let r = &dr_f[i as usize];
-                        out.push(DeltaEntry {
-                            row: d.row.concat(&r.row),
-                            annot: ctx.pool.union(d.annot, r.annot),
-                            mult: -(d.mult * r.mult),
-                        });
-                    }
-                }
-            }
+            join_deltas((&dl_f, &dl_fk), (&dr_f, &dr_fk), -1, &mut out, ctx);
+        }
+
+        // A live index that outgrew the budget still answered this batch
+        // (it is at the new state); it is dropped only now, so a side with
+        // a live index is never evaluated mid-batch.
+        for side in [&mut self.left_index, &mut self.right_index] {
+            side.retire_over(self.index_budget, JoinSideIndex::len);
         }
 
         Ok(crate::delta::normalize_delta_with(out, self.columnar_min))
+    }
+
+    /// Each side's plan and index state.
+    pub(crate) fn inputs(
+        &self,
+    ) -> impl Iterator<Item = (&LogicalPlan, &SideState<JoinSideIndex>)> + Clone {
+        let left = (&self.left_plan, &self.left_index);
+        [left, (&self.right_plan, &self.right_index)].into_iter()
     }
 
     /// Left child (state persistence walks the tree).
@@ -388,14 +371,7 @@ impl JoinOp {
     /// Serialize the side indexes (blooms are rebuilt lazily instead).
     pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
         for state in [&self.left_index, &self.right_index] {
-            match state {
-                SideState::Absent => imp_storage::codec::encode_u64(buf, 0),
-                SideState::Ready(idx) => {
-                    imp_storage::codec::encode_u64(buf, 1);
-                    idx.encode_state(buf);
-                }
-                SideState::Disabled => imp_storage::codec::encode_u64(buf, 2),
-            }
+            state.encode(buf, JoinSideIndex::encode_state);
         }
     }
 
@@ -407,16 +383,7 @@ impl JoinOp {
         pool: &mut imp_storage::AnnotPool,
     ) -> Result<()> {
         for side in [&mut self.left_index, &mut self.right_index] {
-            *side = match imp_storage::codec::decode_u64(buf)? {
-                0 => SideState::Absent,
-                1 => SideState::Ready(JoinSideIndex::decode_state(buf, pool)?),
-                2 => SideState::Disabled,
-                tag => {
-                    return Err(crate::error::CoreError::Codec(format!(
-                        "invalid join-side index tag {tag}"
-                    )))
-                }
-            };
+            *side = SideState::decode(buf, |buf| JoinSideIndex::decode_state(buf, pool))?;
         }
         Ok(())
     }
@@ -431,11 +398,12 @@ impl JoinOp {
 }
 
 /// Bring one side's index to the new state: apply the side's own delta to
-/// a live index (dropping it when it outgrows the budget), or build it
-/// from one new-state evaluation when `probed` and not yet materialised.
+/// a live index, or build it from one new-state evaluation the first time
+/// the other side's delta probes it. A side nothing probes stays absent —
+/// it costs no evaluation, no per-delta work and no bytes.
 #[allow(clippy::too_many_arguments)]
 fn sync_index(
-    state: &mut SideState,
+    state: &mut SideState<JoinSideIndex>,
     delta: &DeltaBatch,
     probed: bool,
     plan: &LogicalPlan,
@@ -446,13 +414,7 @@ fn sync_index(
     ctx: &mut MaintCtx<'_, '_>,
 ) -> Result<()> {
     match state {
-        SideState::Ready(_) if delta.is_empty() => {}
-        SideState::Ready(idx) => {
-            idx.apply(delta, keys, ctx.pool);
-            if budget.is_some_and(|b| idx.len() > b) {
-                *state = SideState::Disabled;
-            }
-        }
+        SideState::Ready(idx) => idx.apply(delta, keys, ctx.pool),
         SideState::Absent if probed && budget.is_some() => {
             let side = eval_side(plan, ctx)?;
             *evaluated = true;
@@ -471,6 +433,37 @@ fn sync_index(
         _ => {}
     }
     Ok(())
+}
+
+/// `sign · (ΔQ₁ ⋈ ΔQ₂)`, fully in memory. The build side hashes
+/// *references into* the right key column and stores row indexes — no key
+/// is cloned or re-projected on either side.
+fn join_deltas(
+    (dl, dl_keys): (&DeltaBatch, &KeyColumn),
+    (dr, dr_keys): (&DeltaBatch, &KeyColumn),
+    sign: i64,
+    out: &mut DeltaBatch,
+    ctx: &mut MaintCtx<'_, '_>,
+) {
+    let mut dr_hash: FxHashMap<&Vec<Value>, Vec<u32>> = FxHashMap::default();
+    for (i, k) in dr_keys.iter().enumerate() {
+        if let Some(k) = k {
+            dr_hash.entry(k).or_default().push(i as u32);
+        }
+    }
+    for (d, k) in dl.iter().zip(dl_keys) {
+        let Some(matches) = k.as_ref().and_then(|k| dr_hash.get(k)) else {
+            continue;
+        };
+        for &i in matches {
+            let r = &dr[i as usize];
+            out.push(DeltaEntry {
+                row: d.row.concat(&r.row),
+                annot: ctx.pool.union(d.annot, r.annot),
+                mult: sign * d.mult * r.mult,
+            });
+        }
+    }
 }
 
 /// Build one side's bloom filter: from a live index's keys (free), or

@@ -108,6 +108,9 @@ pub struct MaintCtx<'a, 'db> {
     pub pool: &'a mut AnnotPool,
     /// Cost counters.
     pub metrics: &'a mut MaintMetrics,
+    /// The run starts from the empty state (capture, recapture, full
+    /// maintenance): every delta is its operator's whole input.
+    pub from_empty: bool,
     /// Set by bounded-state operators when their buffer can no longer
     /// answer (paper §7.2 / §8.4.3: "our IMP will fully maintain the
     /// sketches"). The maintainer responds with a full recapture.
@@ -126,8 +129,8 @@ pub const DEFAULT_MINMAX_BUFFER: usize = 64;
 pub const DEFAULT_JOIN_INDEX_BUDGET: usize = 1 << 20;
 
 /// Default row-count crossover at which delta kernels switch from the
-/// row-at-a-time path to the columnar one (normalize, aggregate,
-/// annotate). Measured on the smoke workloads; override per run via
+/// row-at-a-time path to the columnar one (normalize, annotate).
+/// Measured on the smoke workloads; override per run via
 /// [`OpConfig::columnar_min`] (harnesses expose `IMP_COLUMNAR_MIN`).
 pub const DEFAULT_COLUMNAR_MIN: usize = 32;
 
@@ -155,7 +158,7 @@ pub struct OpConfig {
     /// binary [`JoinOp`] — the differential oracle configuration.
     pub nary_join: bool,
     /// Batch-size crossover for the columnar delta kernels (normalize /
-    /// aggregate / annotate): batches of at least this many rows take
+    /// annotate): batches of at least this many rows take
     /// the columnar path. Promoted from the former hardcoded
     /// `*_COLUMNAR_MIN = 32` constants so crossover tuning needs no
     /// rebuild.
@@ -173,6 +176,85 @@ impl Default for OpConfig {
             columnar_min: DEFAULT_COLUMNAR_MIN,
         }
     }
+}
+
+/// Lifecycle of one join input's materialised index (both join operators).
+#[derive(Debug)]
+pub(crate) enum SideState<I> {
+    /// Not built: no other input's delta has probed it since the last
+    /// reset (the first probe builds it from one round trip).
+    Absent,
+    /// Live and maintained from the input's own deltas.
+    Ready(I),
+    /// Outgrew the budget: per-batch evaluation until the next reset
+    /// (rebuilding would exhaust the budget again).
+    Disabled,
+}
+
+impl<I> SideState<I> {
+    pub(crate) fn ready(&self) -> Option<&I> {
+        match self {
+            SideState::Ready(idx) => Some(idx),
+            _ => None,
+        }
+    }
+
+    /// Drop a live index that outgrew `budget` — once the batch that grew
+    /// it is done, since it answered that batch at its new state.
+    pub(crate) fn retire_over(&mut self, budget: Option<usize>, len: impl Fn(&I) -> usize) {
+        if matches!(self, SideState::Ready(idx) if budget.is_some_and(|b| len(idx) > b)) {
+            *self = SideState::Disabled;
+        }
+    }
+
+    /// Persist: a tag, then a live index's own encoding.
+    pub(crate) fn encode(
+        &self,
+        buf: &mut bytes::BytesMut,
+        encode: impl FnOnce(&I, &mut bytes::BytesMut),
+    ) {
+        match self {
+            SideState::Absent => imp_storage::codec::encode_u64(buf, 0),
+            SideState::Ready(idx) => {
+                imp_storage::codec::encode_u64(buf, 1);
+                encode(idx, buf);
+            }
+            SideState::Disabled => imp_storage::codec::encode_u64(buf, 2),
+        }
+    }
+
+    /// Restore what [`SideState::encode`] wrote.
+    pub(crate) fn decode(
+        buf: &mut bytes::Bytes,
+        decode: impl FnOnce(&mut bytes::Bytes) -> Result<I>,
+    ) -> Result<SideState<I>> {
+        Ok(match imp_storage::codec::decode_u64(buf)? {
+            0 => SideState::Absent,
+            1 => SideState::Ready(decode(buf)?),
+            2 => SideState::Disabled,
+            tag => {
+                return Err(CoreError::Codec(format!(
+                    "invalid join input index tag {tag}"
+                )))
+            }
+        })
+    }
+}
+
+/// Is some join input without a live index probed by another input whose
+/// tables `changed` accepts?
+fn probes_unindexed<'a, I: 'a>(
+    inputs: impl Iterator<Item = (&'a LogicalPlan, &'a SideState<I>)> + Clone,
+    changed: &dyn Fn(&str) -> bool,
+) -> bool {
+    let touched = |plan: &LogicalPlan| plan.tables().iter().any(|t| changed(t));
+    inputs.clone().enumerate().any(|(j, (_, state))| {
+        state.ready().is_none()
+            && inputs
+                .clone()
+                .enumerate()
+                .any(|(i, (p, _))| i != j && touched(p))
+    })
 }
 
 /// One node of the incremental plan.
@@ -393,6 +475,19 @@ impl IncNode {
         let mut found = None;
         self.for_each_child(&mut |c| found = found.or_else(|| c.topk_state()));
         found
+    }
+
+    /// Would a run whose deltas touch the tables `changed` accepts read a
+    /// base table (a join input without a live index that another input's
+    /// delta probes)?
+    pub fn reads_base_tables(&self, changed: &dyn Fn(&str) -> bool) -> bool {
+        let mut reads = match self {
+            IncNode::Join(j) => probes_unindexed(j.inputs(), changed),
+            IncNode::Nary(n) => probes_unindexed(n.inputs(), changed),
+            _ => false,
+        };
+        self.for_each_child(&mut |c| reads = reads || c.reads_base_tables(changed));
+        reads
     }
 
     /// Aggregate `(entries, bytes)` of every join-side index in the tree

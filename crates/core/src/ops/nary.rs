@@ -46,7 +46,7 @@
 //! to save (the binary fallback keeps its blooms for exactly that
 //! reason).
 
-use super::{IncNode, MaintCtx, OpConfig};
+use super::{IncNode, MaintCtx, OpConfig, SideState};
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::error::CoreError;
 use crate::obs::trace;
@@ -56,29 +56,6 @@ use imp_sql::plan::NaryJoin;
 use imp_sql::LogicalPlan;
 use imp_storage::{AnnotId, FxHashMap, Row, Value};
 use std::sync::Arc;
-
-/// Lifecycle of one input's materialised index (mirrors the binary
-/// operator's side states).
-#[derive(Debug, Default)]
-enum InputState {
-    /// Not yet built (first probe builds it from one round trip).
-    #[default]
-    Absent,
-    /// Live and maintained from the input's own deltas.
-    Ready(NarySideIndex),
-    /// Outgrew the budget: per-batch transient evaluation until the next
-    /// [`NaryJoinOp::reset`].
-    Disabled,
-}
-
-impl InputState {
-    fn ready(&self) -> Option<&NarySideIndex> {
-        match self {
-            InputState::Ready(idx) => Some(idx),
-            _ => None,
-        }
-    }
-}
 
 /// A partial join tuple mid-extension: the rows matched so far (slot per
 /// input), the class values bound so far, and the running annotation /
@@ -100,7 +77,7 @@ pub struct NaryJoinOp {
     /// Per input: the join classes it participates in.
     specs: Vec<ClassSpec>,
     n_classes: usize,
-    states: Vec<InputState>,
+    states: Vec<SideState<NarySideIndex>>,
     /// Greedy extension order per seeding input.
     orders: Vec<Vec<usize>>,
     index_budget: Option<usize>,
@@ -138,7 +115,7 @@ impl NaryJoinOp {
             plans: nary.inputs.clone(),
             specs,
             n_classes: nary.classes.len(),
-            states: (0..n).map(|_| InputState::Absent).collect(),
+            states: (0..n).map(|_| SideState::Absent).collect(),
             orders,
             index_budget: config.join_index_budget,
             columnar_min: config.columnar_min,
@@ -210,6 +187,11 @@ impl NaryJoinOp {
         for (t, l) in self.probes_total.iter_mut().zip(&self.probes_last) {
             *t += l;
         }
+        // A live index that outgrew the budget served the later terms of
+        // this batch at its new state; it is dropped only now.
+        for state in &mut self.states {
+            state.retire_over(self.index_budget, NarySideIndex::len);
+        }
         Ok(crate::delta::normalize_delta_with(out, self.columnar_min))
     }
 
@@ -235,14 +217,14 @@ impl NaryJoinOp {
         if j > i && !deltas[j].is_empty() {
             idx.apply_negated(&deltas[j], ctx.pool);
         }
-        let adopt = matches!(self.states[j], InputState::Absent)
+        let adopt = matches!(self.states[j], SideState::Absent)
             && self.index_budget.is_some_and(|b| idx.len() <= b);
         if adopt {
             ctx.metrics.join_index_builds += 1;
-            self.states[j] = InputState::Ready(idx);
+            self.states[j] = SideState::Ready(idx);
         } else {
-            if matches!(self.states[j], InputState::Absent) && self.index_budget.is_some() {
-                self.states[j] = InputState::Disabled;
+            if matches!(self.states[j], SideState::Absent) && self.index_budget.is_some() {
+                self.states[j] = SideState::Disabled;
             }
             transient[j] = Some(idx);
         }
@@ -261,11 +243,8 @@ impl NaryJoinOp {
         if delta.is_empty() {
             return;
         }
-        if let InputState::Ready(idx) = &mut self.states[i] {
+        if let SideState::Ready(idx) = &mut self.states[i] {
             idx.apply(delta, ctx.pool);
-            if self.index_budget.is_some_and(|b| idx.len() > b) {
-                self.states[i] = InputState::Disabled;
-            }
         }
         if let Some(idx) = transient[i].as_mut() {
             idx.apply(delta, ctx.pool);
@@ -378,6 +357,13 @@ impl NaryJoinOp {
         Ok(())
     }
 
+    /// Each input's plan and index state.
+    pub(crate) fn inputs(
+        &self,
+    ) -> impl Iterator<Item = (&LogicalPlan, &SideState<NarySideIndex>)> + Clone {
+        self.plans.iter().zip(&self.states)
+    }
+
     /// The input operators (state persistence walks the tree).
     pub fn children(&self) -> &[IncNode] {
         &self.children
@@ -392,7 +378,7 @@ impl NaryJoinOp {
     /// use, giving previously over-budget inputs a fresh chance).
     pub fn reset(&mut self) {
         for s in &mut self.states {
-            *s = InputState::Absent;
+            *s = SideState::Absent;
         }
         self.probes_last = vec![0; self.children.len()];
         self.probes_total = vec![0; self.children.len()];
@@ -404,7 +390,7 @@ impl NaryJoinOp {
     /// Hand every annotation handle of the per-input indexes back to a
     /// just-flushed pool.
     pub fn readopt_annots(&self, pool: &mut imp_storage::AnnotPool) {
-        for idx in self.states.iter().filter_map(InputState::ready) {
+        for idx in self.states.iter().filter_map(SideState::ready) {
             idx.readopt_annots(pool);
         }
     }
@@ -415,7 +401,7 @@ impl NaryJoinOp {
     pub fn index_state(&self) -> (usize, usize) {
         let mut entries = 0;
         let mut bytes = 0;
-        for idx in self.states.iter().filter_map(InputState::ready) {
+        for idx in self.states.iter().filter_map(SideState::ready) {
             entries += idx.len();
             bytes += idx.heap_size();
         }
@@ -425,14 +411,7 @@ impl NaryJoinOp {
     /// Serialize the per-input indexes in input order.
     pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
         for state in &self.states {
-            match state {
-                InputState::Absent => imp_storage::codec::encode_u64(buf, 0),
-                InputState::Ready(idx) => {
-                    imp_storage::codec::encode_u64(buf, 1);
-                    idx.encode_state(buf);
-                }
-                InputState::Disabled => imp_storage::codec::encode_u64(buf, 2),
-            }
+            state.encode(buf, NarySideIndex::encode_state);
         }
     }
 
@@ -442,21 +421,10 @@ impl NaryJoinOp {
         buf: &mut bytes::Bytes,
         pool: &mut imp_storage::AnnotPool,
     ) -> Result<()> {
-        for (j, side) in self.states.iter_mut().enumerate() {
-            *side = match imp_storage::codec::decode_u64(buf)? {
-                0 => InputState::Absent,
-                1 => InputState::Ready(NarySideIndex::decode_state(
-                    buf,
-                    pool,
-                    self.specs[j].clone(),
-                )?),
-                2 => InputState::Disabled,
-                tag => {
-                    return Err(CoreError::Codec(format!(
-                        "invalid n-ary input index tag {tag}"
-                    )))
-                }
-            };
+        for (state, spec) in self.states.iter_mut().zip(&self.specs) {
+            *state = SideState::decode(buf, |buf| {
+                NarySideIndex::decode_state(buf, pool, spec.clone())
+            })?;
         }
         Ok(())
     }
@@ -516,7 +484,7 @@ mod tests {
     /// The accounting oracle: per-input indexes recomputed by walking them.
     impl NaryJoinOp {
         pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
-            let indexes = self.states.iter().filter_map(InputState::ready);
+            let indexes = self.states.iter().filter_map(SideState::ready);
             indexes.map(|idx| idx.walked_heap_size(w)).sum()
         }
     }

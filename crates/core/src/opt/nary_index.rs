@@ -16,13 +16,14 @@
 //! id (probes skip empty buckets) until a compaction pass rebuilds the
 //! arena — amortized O(|Δ|).
 //!
-//! Annotations are `Arc<BitVec>` content handles (pool-independent),
-//! exactly like [`super::JoinSideIndex`] — see that module's docs for
-//! the persistence rules. The codec writes the primary contents only;
-//! secondaries are derived data, rebuilt on decode.
+//! Annotations are `Arc<BitVec>` content handles (pool-independent), and
+//! buckets are sorted and merged exactly like [`super::JoinSideIndex`]'s
+//! (one shared merge) — see that module's docs for the persistence
+//! rules. The codec writes the primary contents only; secondaries are
+//! derived data, rebuilt on decode.
 
 use crate::delta::DeltaBatch;
-use crate::opt::side_index::{annot_eq, entry_heap, key_heap, IndexEntry};
+use crate::opt::side_index::{entry_heap, key_heap, merge_entry, IndexEntry};
 use imp_storage::{codec, AnnotPool, FxHashMap, Row, Value};
 
 /// One input's class participation: `(class id, columns of this input in
@@ -116,62 +117,38 @@ impl NarySideIndex {
             let Some(key) = participation_key(&d.row, &self.spec) else {
                 continue;
             };
-            let mult = d.mult * sign;
             let annot = pool.share(d.annot);
-            match self.primary.get(&key) {
-                Some(&slot) => {
-                    let bucket = &mut self.buckets[slot as usize];
-                    let pos = bucket
-                        .entries
-                        .iter()
-                        .position(|e| annot_eq(&e.annot, &annot) && e.row == d.row);
-                    match pos {
-                        Some(i) => {
-                            bucket.entries[i].mult += mult;
-                            if bucket.entries[i].mult == 0 {
-                                self.heap_bytes -= entry_heap(&bucket.entries[i]);
-                                self.entries -= 1;
-                                bucket.entries.swap_remove(i);
-                                if bucket.entries.is_empty() {
-                                    self.heap_bytes -= key_heap(&key);
-                                    // Lazy delete: unlink from the primary,
-                                    // leave stale slot ids in the secondaries.
-                                    bucket.key = Vec::new();
-                                    self.primary.remove(&key);
-                                    self.dead += 1;
-                                }
-                            }
-                        }
-                        None => {
-                            let e = IndexEntry {
-                                row: d.row.clone(),
-                                annot,
-                                mult,
-                            };
-                            self.heap_bytes += entry_heap(&e);
-                            self.entries += 1;
-                            bucket.entries.push(e);
-                        }
-                    }
-                }
+            let slot = match self.primary.get(&key) {
+                Some(&slot) => slot,
                 None => {
-                    let e = IndexEntry {
-                        row: d.row.clone(),
-                        annot,
-                        mult,
-                    };
-                    self.heap_bytes += key_heap(&key) + entry_heap(&e);
-                    self.entries += 1;
+                    self.heap_bytes += key_heap(&key);
                     let slot = self.buckets.len() as u32;
                     for (pos, v) in key.iter().enumerate() {
                         self.secondary[pos].entry(v.clone()).or_default().push(slot);
                     }
                     self.buckets.push(Bucket {
                         key: key.clone(),
-                        entries: vec![e],
+                        entries: Vec::with_capacity(1),
                     });
                     self.primary.insert(key, slot);
+                    slot
                 }
+            };
+            let bucket = &mut self.buckets[slot as usize];
+            merge_entry(
+                &mut bucket.entries,
+                &d.row,
+                annot,
+                d.mult * sign,
+                &mut self.entries,
+                &mut self.heap_bytes,
+            );
+            if bucket.entries.is_empty() {
+                // Lazy delete: unlink from the primary, leave stale slot
+                // ids in the secondaries.
+                self.heap_bytes -= key_heap(&bucket.key);
+                self.primary.remove(&std::mem::take(&mut bucket.key));
+                self.dead += 1;
             }
         }
         if self.dead > COMPACT_MIN_DEAD && self.dead * 2 > self.buckets.len() {

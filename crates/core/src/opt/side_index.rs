@@ -9,16 +9,21 @@
 //! Maintenance for Leapfrog Triejoin*, Veldhuizen 2013). A
 //! [`JoinSideIndex`] is that materialisation: a hash index
 //! `join key → [(row, annotation, multiplicity)]` built from one backend
-//! round trip on first use and absorbed deltas thereafter, turning
-//! steady-state join maintenance from O(|side|) per batch into O(|Δ|)
-//! amortized with zero round trips.
+//! round trip the first time the other side's delta probes it, and from
+//! absorbed deltas thereafter, turning steady-state join maintenance from
+//! O(|side|) per batch into O(|Δ|) amortized with zero round trips. A side
+//! nothing probes is never built.
+//!
+//! Each bucket is kept sorted by `(row, annotation content)`, so absorbing
+//! a delta row finds its entry by binary search — O(log b) comparisons in
+//! a bucket of b entries, not a scan of it. `merge_entry` is that merge,
+//! shared with the n-ary join's per-input indexes.
 //!
 //! Annotations are stored as `Arc<BitVec>` *content* handles from
 //! [`AnnotPool::share`], never as [`imp_storage::AnnotId`]s: the index is
-//! persistent
-//! operator state, and pool ids are only live within one maintenance run
-//! (the pool may be flushed between runs — see the `imp_core::delta`
-//! invariants). Probing re-enters the pool via
+//! persistent operator state, and pool ids are only live within one
+//! maintenance run (the pool may be flushed between runs — see the
+//! `imp_core::delta` invariants). Probing re-enters the pool via
 //! [`AnnotPool::intern_arc`], an O(1) probe for already-known contents.
 //!
 //! The index is memory-bounded by `OpConfig::join_index_budget` (entries
@@ -27,6 +32,8 @@
 
 use crate::delta::DeltaBatch;
 use imp_storage::{codec, AnnotPool, BitVec, FxHashMap, Row, Value};
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// One annotated tuple of a materialised join side.
@@ -77,55 +84,31 @@ impl JoinSideIndex {
         idx
     }
 
-    /// Absorb one delta of the side: `Q₂ᴺᴱᵂ = Q₂ᴼᴸᴰ + ΔQ₂`. Entries merge
-    /// by `(row, annotation content)`; multiplicities that cancel to zero
-    /// are removed.
+    /// Absorb one delta of the side: `Q₂ᴺᴱᵂ = Q₂ᴼᴸᴰ + ΔQ₂`, each row through
+    /// `merge_entry`; a bucket that cancels away takes its key with it.
     pub fn apply(&mut self, delta: &DeltaBatch, keys: &[usize], pool: &AnnotPool) {
         for d in delta {
             let Some(key) = key_of(&d.row, keys) else {
                 continue;
             };
-            let annot = pool.share(d.annot);
-            match self.map.get_mut(&key) {
-                Some(bucket) => {
-                    let pos = bucket
-                        .iter()
-                        .position(|e| annot_eq(&e.annot, &annot) && e.row == d.row);
-                    match pos {
-                        Some(i) => {
-                            bucket[i].mult += d.mult;
-                            if bucket[i].mult == 0 {
-                                self.heap_bytes -= entry_heap(&bucket[i]);
-                                self.entries -= 1;
-                                bucket.swap_remove(i);
-                                if bucket.is_empty() {
-                                    self.heap_bytes -= key_heap(&key);
-                                    self.map.remove(&key);
-                                }
-                            }
-                        }
-                        None => {
-                            let e = IndexEntry {
-                                row: d.row.clone(),
-                                annot,
-                                mult: d.mult,
-                            };
-                            self.heap_bytes += entry_heap(&e);
-                            self.entries += 1;
-                            bucket.push(e);
-                        }
-                    }
+            let mut slot = match self.map.entry(key) {
+                Entry::Occupied(o) => o,
+                Entry::Vacant(v) => {
+                    self.heap_bytes += key_heap(v.key());
+                    v.insert_entry(Vec::with_capacity(1))
                 }
-                None => {
-                    let e = IndexEntry {
-                        row: d.row.clone(),
-                        annot,
-                        mult: d.mult,
-                    };
-                    self.heap_bytes += key_heap(&key) + entry_heap(&e);
-                    self.entries += 1;
-                    self.map.insert(key, vec![e]);
-                }
+            };
+            merge_entry(
+                slot.get_mut(),
+                &d.row,
+                pool.share(d.annot),
+                d.mult,
+                &mut self.entries,
+                &mut self.heap_bytes,
+            );
+            if slot.get().is_empty() {
+                self.heap_bytes -= key_heap(slot.key());
+                slot.remove();
             }
         }
     }
@@ -221,10 +204,55 @@ pub(crate) fn entry_heap(e: &IndexEntry) -> usize {
     e.row.heap_size() + std::mem::size_of::<IndexEntry>()
 }
 
-/// Content equality with an `Arc` pointer fast path (entries built from
-/// the same pool share allocations).
-pub(crate) fn annot_eq(a: &Arc<BitVec>, b: &Arc<BitVec>) -> bool {
-    Arc::ptr_eq(a, b) || a == b
+/// The order a bucket is kept in: by row, then by annotation content (an
+/// `Arc` pointer match — entries built from one pool share allocations —
+/// settles the annotation without reading it).
+fn entry_cmp(e: &IndexEntry, row: &Row, annot: &Arc<BitVec>) -> Ordering {
+    #[cfg(test)]
+    tests::COMPARISONS.with(|c| c.set(c.get() + 1));
+    e.row.cmp(row).then_with(|| {
+        if Arc::ptr_eq(&e.annot, annot) {
+            Ordering::Equal
+        } else {
+            e.annot.as_ref().cmp(annot)
+        }
+    })
+}
+
+/// Absorb `mult` copies of `(row, annot)` into a bucket kept sorted by
+/// `(row, annotation content)` — the one merge both side-index kinds use.
+/// A binary search finds the entry: its multiplicity moves, and it leaves
+/// the bucket when that reaches zero; a row not found is inserted in
+/// place. `entries` / `heap_bytes` are the owning index's running totals.
+pub(crate) fn merge_entry(
+    bucket: &mut Vec<IndexEntry>,
+    row: &Row,
+    annot: Arc<BitVec>,
+    mult: i64,
+    entries: &mut usize,
+    heap_bytes: &mut usize,
+) {
+    match bucket.binary_search_by(|e| entry_cmp(e, row, &annot)) {
+        Ok(i) => {
+            bucket[i].mult += mult;
+            if bucket[i].mult == 0 {
+                *heap_bytes -= entry_heap(&bucket[i]);
+                *entries -= 1;
+                bucket.remove(i);
+            }
+        }
+        Err(_) if mult == 0 => {}
+        Err(i) => {
+            let e = IndexEntry {
+                row: row.clone(),
+                annot,
+                mult,
+            };
+            *heap_bytes += entry_heap(&e);
+            *entries += 1;
+            bucket.insert(i, e);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +261,12 @@ mod tests {
     use crate::delta::DeltaEntry;
     use crate::heap_oracle::Walk;
     use imp_storage::row;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bucket-order comparisons made on this thread.
+        pub(super) static COMPARISONS: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// The accounting oracle: `heap_bytes` recomputed from the live map.
     impl JoinSideIndex {
@@ -297,6 +331,33 @@ mod tests {
         let delta = batch(&mut p, &[(row![1, 10], 0, 1)]);
         idx.apply(&delta, &[0], &p);
         assert_eq!(idx.get(&[Value::Int(1)]).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn absorbing_a_row_costs_log_comparisons_in_its_bucket() {
+        // Finding an absorbed row's entry used to scan its whole bucket.
+        // In the sorted bucket it takes at most 2⌈log₂ b⌉ + 2 comparisons,
+        // whatever the bucket size b and wherever the row lands.
+        for b in [8i64, 4096] {
+            let mut p = AnnotPool::new(8);
+            let rows: Vec<(Row, usize, i64)> = (0..b).map(|i| (row![1, i], 0, 1)).collect();
+            let mut idx = JoinSideIndex::build(&batch(&mut p, &rows), &[0], &p);
+            let bound = 2 * (b as f64).log2().ceil() as u64 + 2;
+            for i in [-1, 0, b / 2, b - 1, b] {
+                // Merge or insert, a second annotation of the same row,
+                // then cancel both.
+                for (bit, mult) in [(0, 1), (1, 1), (0, -1), (1, -1)] {
+                    let delta = batch(&mut p, &[(row![1, i], bit, mult)]);
+                    let before = COMPARISONS.with(Cell::get);
+                    idx.apply(&delta, &[0], &p);
+                    let made = COMPARISONS.with(Cell::get) - before;
+                    assert!(made <= bound, "{made} comparisons in a bucket of {b}");
+                }
+            }
+            let bucket = idx.get(&[Value::Int(1)]).unwrap();
+            assert_eq!(bucket.len(), b as usize);
+            assert!(bucket.windows(2).all(|w| w[0].row < w[1].row));
+        }
     }
 
     #[test]

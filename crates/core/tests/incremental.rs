@@ -611,8 +611,11 @@ fn pool_owns_state_held_annotations_across_a_flush() {
         let (mut m, _) =
             SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
                 .unwrap();
-        // Run one real maintenance so join-side indexes exist.
+        // Run one real maintenance whose deltas probe both join sides, so
+        // both side indexes exist (a side is indexed when first probed).
         db.execute_sql("INSERT INTO sales VALUES (30, 'HP', 1250, 1)")
+            .unwrap();
+        db.execute_sql("INSERT INTO brands VALUES ('Lenovo')")
             .unwrap();
         m.maintain(&db).unwrap();
         let (topk_entries, _) = m.topk_state().unwrap_or((0, 0));
@@ -650,6 +653,8 @@ fn pool_owns_state_held_annotations_across_a_flush() {
 
         // And maintenance stays exact across the whole exercise.
         db.execute_sql("DELETE FROM sales WHERE sid = 30").unwrap();
+        db.execute_sql("DELETE FROM brands WHERE bname = 'Lenovo'")
+            .unwrap();
         m.maintain(&db).unwrap();
         assert_eq!(m.sketch(), &capture(&plan, &db, &pset).unwrap().sketch);
     }
@@ -769,9 +774,10 @@ fn bloom_delete_keys_preserve_delta_delta_cancellation() {
 
 #[test]
 fn join_index_eliminates_steady_state_roundtrips() {
-    // With the side indexes on (default), the bootstrap builds both
-    // sides once; every subsequent batch is answered in memory — zero
-    // backend round trips, probes and avoided-trips counted instead.
+    // With the side indexes on (default), each side costs exactly one
+    // backend evaluation, in the first batch whose partner delta probes
+    // it; every other batch is answered in memory — zero round trips,
+    // probes and avoided trips counted instead.
     let (mut db, pset) = two_key_join_db();
     let plan = db
         .plan_sql("SELECT v, w FROM r JOIN s ON (k = k2)")
@@ -783,14 +789,21 @@ fn join_index_eliminates_steady_state_roundtrips() {
     for i in 0..5 {
         db.execute_sql(&format!("INSERT INTO r VALUES ({}, {})", 1 + i % 2, 30 + i))
             .unwrap();
-        if i % 2 == 0 {
-            db.execute_sql(&format!("DELETE FROM s WHERE w = {}", 100 + i))
-                .unwrap();
+        if i == 1 {
+            db.execute_sql("INSERT INTO s VALUES (1, 101)").unwrap();
+        } else if i == 3 {
+            db.execute_sql("DELETE FROM s WHERE w = 101").unwrap();
         }
         let report = m.maintain(&db).unwrap();
+        // Batch 0: Δr probes s (built). Batch 1: Δs probes r (built).
+        let expected = u64::from(i < 2);
         assert_eq!(
-            report.metrics.db_roundtrips, 0,
-            "steady-state join maintenance must not outsource (batch {i})"
+            (
+                report.metrics.db_roundtrips,
+                report.metrics.join_index_builds
+            ),
+            (expected, expected),
+            "one evaluation per side, when first probed (batch {i})"
         );
         assert_eq!(report.metrics.rows_sent_to_db, 0);
         assert!(report.metrics.join_index_probes > 0);
@@ -802,6 +815,46 @@ fn join_index_eliminates_steady_state_roundtrips() {
     let (entries, bytes) = m.join_index_state();
     assert!(entries > 0 && bytes > 0, "index state must be accounted");
     assert!(m.state_heap_size() >= bytes);
+}
+
+#[test]
+fn a_join_side_whose_partner_never_changes_is_never_indexed() {
+    // From the empty state a join joins its two deltas in memory: capture
+    // (and any recapture) evaluates and indexes no side. Afterwards a side
+    // is indexed only once the *other* side's delta probes it, so under a
+    // stream that only ever changes r, s is evaluated once and r never.
+    let (mut db, pset) = two_key_join_db();
+    let plan = db
+        .plan_sql("SELECT v, w FROM r JOIN s ON (k = k2)")
+        .unwrap();
+    let (mut m, _) =
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
+            .unwrap();
+    assert_eq!(m.join_index_state(), (0, 0), "capture indexes no side");
+    let report = m.full_maintain(&db).unwrap();
+    assert_eq!(report.metrics.db_roundtrips, 0, "capture evaluates no side");
+    assert_eq!(report.metrics.join_index_builds, 0);
+    assert_eq!(m.join_index_state(), (0, 0));
+
+    for i in 0..6i64 {
+        if i % 3 == 2 {
+            db.execute_sql(&format!("DELETE FROM r WHERE v = {}", 40 + i - 1))
+                .unwrap();
+        } else {
+            db.execute_sql(&format!("INSERT INTO r VALUES ({}, {})", 1 + i % 3, 40 + i))
+                .unwrap();
+        }
+        let report = m.maintain(&db).unwrap();
+        assert_eq!(
+            report.metrics.db_roundtrips,
+            u64::from(i == 0),
+            "s is evaluated once, when Δr first probes it (batch {i})"
+        );
+        // Only s — two rows — is indexed; r (≥ 2 rows) never is.
+        assert_eq!(m.join_index_state().0, 2, "batch {i}");
+        let truth = capture(&plan, &db, &pset).unwrap();
+        assert_eq!(m.sketch(), &truth.sketch, "diverged at batch {i}");
+    }
 }
 
 #[test]
@@ -835,8 +888,9 @@ fn join_index_budget_falls_back_to_reevaluation() {
 #[test]
 fn join_index_persistence_roundtrip_avoids_rebuild() {
     // Eviction + restore must re-intern the indexed annotations and keep
-    // the zero-round-trip steady state: the restored index answers the
-    // next batch and the blooms are rebuilt from its keys, not a scan.
+    // the zero-round-trip steady state: once a batch has probed (and so
+    // built) both sides, the restored indexes answer the next batch and
+    // the blooms are rebuilt from their keys, not a scan.
     let (mut db, pset) = two_key_join_db();
     let plan = db
         .plan_sql("SELECT v, w FROM r JOIN s ON (k = k2)")
@@ -844,6 +898,10 @@ fn join_index_persistence_roundtrip_avoids_rebuild() {
     let (mut live, _) =
         SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
             .unwrap();
+    db.execute_sql("INSERT INTO r VALUES (1, 11)").unwrap();
+    db.execute_sql("INSERT INTO s VALUES (2, 201)").unwrap();
+    let report = live.maintain(&db).unwrap();
+    assert_eq!(report.metrics.db_roundtrips, 2, "each side built once");
     let saved = imp_core::state_codec::save_state(&live);
     live.drop_state();
 

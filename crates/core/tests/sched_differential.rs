@@ -57,11 +57,12 @@ fn seed_db() -> Database {
     db
 }
 
-fn config(workers: usize) -> ImpConfig {
+fn config(workers: usize, join_index_budget: Option<usize>) -> ImpConfig {
     ImpConfig {
         fragments: 4,
         topk_buffer: Some(4),
         sched_workers: workers,
+        join_index_budget,
         // Tiny budget: multi-statement rounds overflow it, exercising the
         // budget-bounded gather path too.
         coalesce_budget: 8,
@@ -99,10 +100,14 @@ proptest! {
             1..40,
         ),
         workers in 2usize..5,
+        // Default side indexes, or a budget every join side outgrows: an
+        // over-budget side is evaluated per batch against the database.
+        tight_index in any::<bool>(),
         evict in any::<bool>(),
     ) {
-        let mut seq = Imp::new(seed_db(), config(0));
-        let mut par = Imp::new(seed_db(), config(workers));
+        let budget = if tight_index { Some(1) } else { ImpConfig::default().join_index_budget };
+        let mut seq = Imp::new(seed_db(), config(0, budget));
+        let mut par = Imp::new(seed_db(), config(workers, budget));
         for sql in QUERIES {
             let a = run_query(&mut seq, sql);
             let b = run_query(&mut par, sql);

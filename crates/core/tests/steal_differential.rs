@@ -59,10 +59,11 @@ fn seed_db() -> Database {
     db
 }
 
-fn config(workers: usize) -> ImpConfig {
+fn config(workers: usize, join_index_budget: Option<usize>) -> ImpConfig {
     ImpConfig {
         fragments: 4,
         sched_workers: workers,
+        join_index_budget,
         // Tiny budget: every claim covers at most a couple of batches, so
         // a backlog takes many claims to drain — steal opportunities.
         coalesce_budget: 2,
@@ -112,9 +113,13 @@ proptest! {
             1..48,
         ),
         workers in 2usize..5,
+        // Default side indexes, or a budget every join side outgrows: an
+        // over-budget side is evaluated per batch against the database.
+        tight_index in any::<bool>(),
     ) {
-        let mut seq = Imp::new(seed_db(), config(0));
-        let mut par = Imp::new(seed_db(), config(workers));
+        let budget = if tight_index { Some(1) } else { ImpConfig::default().join_index_budget };
+        let mut seq = Imp::new(seed_db(), config(0, budget));
+        let mut par = Imp::new(seed_db(), config(workers, budget));
         for sql in QUERIES {
             let a = run_query(&mut seq, sql);
             let b = run_query(&mut par, sql);
