@@ -12,10 +12,9 @@
 //! projection, the binary and n-ary joins, and aggregation exactly like
 //! an insert-only batch — state merges by `(row, annotation content)`
 //! and cancels at zero multiplicity everywhere
-//! ([`crate::opt::JoinSideIndex`], [`crate::opt::NarySideIndex`],
-//! aggregation groups), and [`normalize_delta_with`] annihilates
-//! same-batch insert+delete pairs before an operator's output reaches
-//! its parent. The `nary_differential` and `fig_churn`/`fig_deep`
+//! ([`crate::opt::SideIndex`], aggregation groups), and
+//! [`normalize_delta_with`] annihilates same-batch insert+delete pairs
+//! before an operator's output reaches its parent. The `nary_differential` and `fig_churn`/`fig_deep`
 //! suites drive eviction/restore cycles under such churn and require
 //! byte-identical sketches against the oracles.
 //!

@@ -22,8 +22,9 @@
 //! * [`opt`] — the optimizations of §7.2: bloom filters for join deltas,
 //!   selection push-down into delta retrieval, and bounded (top-l) state
 //!   for MIN / MAX / top-k with recapture fallback — plus the
-//!   delta-maintained [`opt::JoinSideIndex`]es that answer steady-state
-//!   `Q ⋈ Δ` join terms without backend round trips.
+//!   delta-maintained [`opt::SideIndex`], one per join input of either
+//!   join operator, that answers steady-state `Q ⋈ Δ` join terms without
+//!   backend round trips.
 //! * [`maintain`] — [`maintain::SketchMaintainer`], the incremental
 //!   maintenance procedure `I(Q, Φ, S, Δ𝒟) = (ΔP, S′)` of Def. 4.5.
 //! * [`advisor`] — workload-driven, cost-based sketch selection: a

@@ -27,16 +27,18 @@
 //! The `Q ⋈ Δ` terms are "outsourced to the backend database" (§1, §7):
 //! evaluating the non-delta side is a round trip counted in the metrics.
 //! Instead of paying it per batch, a side is materialised as a
-//! [`JoinSideIndex`] — one round trip — the first time the *other* side's
-//! delta probes it, and then maintained *in place*: the operator already
-//! holds exactly the delta that separates the side's states
-//! (`Q₂ᴺᴱᵂ = Q₂ᴼᴸᴰ + ΔQ₂`), so each batch first absorbs the children's own
-//! deltas into their live indexes (bringing them to the new state the
-//! rewriting above expects; an index built this batch comes from a
-//! new-state evaluation and already includes the delta) and then probes
-//! them for Terms 1/2. Steady-state join maintenance is thereby O(|Δ|)
-//! amortized with **zero** backend round trips, and a side whose partner
-//! never changes is never evaluated and holds no bytes.
+//! [`SideIndex`] keyed by its join columns — one round trip — the first
+//! time the *other* side's delta probes it, and then maintained *in
+//! place*: the operator already holds exactly the delta that separates
+//! the side's states (`Q₂ᴺᴱᵂ = Q₂ᴼᴸᴰ + ΔQ₂`), so each batch first absorbs
+//! the children's own deltas into their live indexes (bringing them to
+//! the new state the rewriting above expects; an index built this batch
+//! comes from a new-state evaluation and already includes the delta) and
+//! then probes them for Terms 1/2. Steady-state join maintenance is
+//! thereby O(|Δ|) amortized with **zero** backend round trips, and a side
+//! whose partner never changes is never evaluated and holds no bytes. It
+//! is the same index the n-ary operator keeps per input; a binary probe
+//! always binds the whole key, so it carries no secondary chains.
 //!
 //! The indexes are memory-bounded by `OpConfig::join_index_budget`
 //! (annotated tuples per side): a side over budget is dropped at the end
@@ -66,17 +68,30 @@
 use super::{IncNode, MaintCtx, OpConfig, SideState};
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::obs::trace;
-use crate::opt::side_index::key_of;
-use crate::opt::{BloomFilter, JoinSideIndex};
+use crate::opt::{BloomFilter, SideIndex};
 use crate::Result;
 use imp_sketch::capture::eval_annot;
 use imp_sql::LogicalPlan;
-use imp_storage::{FxHashMap, Value};
+use imp_storage::{FxHashMap, Row, Value};
 use std::sync::Arc;
 
 /// One side's extracted join-key column: `col[i]` is the key of delta row
 /// `i`, `None` for NULL keys (which never join).
 type KeyColumn = Vec<Option<Vec<Value>>>;
+
+/// Join-key values of a row; `None` when any key attribute is NULL (such a
+/// row joins nothing).
+fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
+    let mut k = Vec::with_capacity(keys.len());
+    for &i in keys {
+        let v = row[i].clone();
+        if v.is_null() {
+            return None;
+        }
+        k.push(v);
+    }
+    Some(k)
+}
 
 /// Project a whole delta's join keys into one contiguous key column:
 /// every consumer of the batch (bloom maintenance, pruning, the three join
@@ -100,9 +115,9 @@ pub struct JoinOp {
     right_bloom: Option<BloomFilter>,
     bloom_enabled: bool,
     /// Materialised left side (probed by Term 2).
-    left_index: SideState<JoinSideIndex>,
+    left_index: SideState<SideIndex>,
     /// Materialised right side (probed by Term 1).
-    right_index: SideState<JoinSideIndex>,
+    right_index: SideState<SideIndex>,
     /// Max annotated tuples per side index; `None` disables the indexes.
     index_budget: Option<usize>,
     /// Columnar-normalize crossover for the output batch.
@@ -302,7 +317,7 @@ impl JoinOp {
         // (it is at the new state); it is dropped only now, so a side with
         // a live index is never evaluated mid-batch.
         for side in [&mut self.left_index, &mut self.right_index] {
-            side.retire_over(self.index_budget, JoinSideIndex::len);
+            side.retire_over(self.index_budget, SideIndex::len);
         }
 
         Ok(crate::delta::normalize_delta_with(out, self.columnar_min))
@@ -311,7 +326,7 @@ impl JoinOp {
     /// Each side's plan and index state.
     pub(crate) fn inputs(
         &self,
-    ) -> impl Iterator<Item = (&LogicalPlan, &SideState<JoinSideIndex>)> + Clone {
+    ) -> impl Iterator<Item = (&LogicalPlan, &SideState<SideIndex>)> + Clone {
         let left = (&self.left_plan, &self.left_index);
         [left, (&self.right_plan, &self.right_index)].into_iter()
     }
@@ -371,7 +386,7 @@ impl JoinOp {
     /// Serialize the side indexes (blooms are rebuilt lazily instead).
     pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
         for state in [&self.left_index, &self.right_index] {
-            state.encode(buf, JoinSideIndex::encode_state);
+            state.encode(buf, SideIndex::encode_state);
         }
     }
 
@@ -382,8 +397,14 @@ impl JoinOp {
         buf: &mut bytes::Bytes,
         pool: &mut imp_storage::AnnotPool,
     ) -> Result<()> {
-        for side in [&mut self.left_index, &mut self.right_index] {
-            *side = SideState::decode(buf, |buf| JoinSideIndex::decode_state(buf, pool))?;
+        let sides = [
+            (&mut self.left_index, &self.left_keys),
+            (&mut self.right_index, &self.right_keys),
+        ];
+        for (side, keys) in sides {
+            *side = SideState::decode(buf, |buf| {
+                SideIndex::on_columns(keys).decode_state(buf, pool)
+            })?;
         }
         Ok(())
     }
@@ -403,7 +424,7 @@ impl JoinOp {
 /// it costs no evaluation, no per-delta work and no bytes.
 #[allow(clippy::too_many_arguments)]
 fn sync_index(
-    state: &mut SideState<JoinSideIndex>,
+    state: &mut SideState<SideIndex>,
     delta: &DeltaBatch,
     probed: bool,
     plan: &LogicalPlan,
@@ -414,14 +435,15 @@ fn sync_index(
     ctx: &mut MaintCtx<'_, '_>,
 ) -> Result<()> {
     match state {
-        SideState::Ready(idx) => idx.apply(delta, keys, ctx.pool),
+        SideState::Ready(idx) => idx.apply(delta, ctx.pool),
         SideState::Absent if probed && budget.is_some() => {
             let side = eval_side(plan, ctx)?;
             *evaluated = true;
             // Budget the *merged* index size, not the raw evaluation:
             // NULL-keyed rows are excluded and duplicates fold, so the
             // index can fit where the bag would not.
-            let idx = JoinSideIndex::build(&side, keys, ctx.pool);
+            let mut idx = SideIndex::on_columns(keys);
+            idx.apply(&side, ctx.pool);
             if budget.is_some_and(|b| idx.len() > b) {
                 *state = SideState::Disabled;
             } else {
@@ -469,7 +491,7 @@ fn join_deltas(
 /// Build one side's bloom filter: from a live index's keys (free), or
 /// from one evaluation of the side (cached for the terms).
 fn build_bloom(
-    index: Option<&JoinSideIndex>,
+    index: Option<&SideIndex>,
     plan: &LogicalPlan,
     keys: &[usize],
     cache: &mut Option<DeltaBatch>,
@@ -479,7 +501,7 @@ fn build_bloom(
     if let Some(idx) = index {
         let mut bloom = BloomFilter::with_capacity(idx.len());
         for k in idx.keys() {
-            bloom.insert(k);
+            bloom.insert(&k);
         }
         return Ok(bloom);
     }
@@ -535,7 +557,7 @@ fn bloom_filter_delta(
 fn probe_index(
     delta: &DeltaBatch,
     keys_col: &KeyColumn,
-    index: &JoinSideIndex,
+    index: &SideIndex,
     side_on_left: bool,
     out: &mut DeltaBatch,
     ctx: &mut MaintCtx<'_, '_>,

@@ -146,8 +146,8 @@ pub struct OpConfig {
     pub minmax_buffer: Option<usize>,
     /// Keep only the best `l` entries in top-k state; `None` = unbounded.
     pub topk_buffer: Option<usize>,
-    /// Materialise each join side as a delta-maintained
-    /// [`crate::opt::JoinSideIndex`] holding at most this many annotated
+    /// Materialise each join input as a delta-maintained
+    /// [`crate::opt::SideIndex`] holding at most this many annotated
     /// tuples, so steady-state `Q ⋈ Δ` terms are answered in memory
     /// without a backend round trip. A side over budget falls back to
     /// per-batch outsourced evaluation (like `minmax_buffer`'s recapture

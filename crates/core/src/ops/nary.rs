@@ -22,7 +22,7 @@
 //! churn (Δ⋈Δ annihilation).
 //!
 //! The operator walks the terms in input order and absorbs `ΔRᵢ` into
-//! input i's [`NarySideIndex`] immediately *after* term i — so indexes
+//! input i's [`SideIndex`] immediately *after* term i — so indexes
 //! left of the cursor are at the new state and indexes right of it still
 //! at the old state, exactly the frontier the rule reads. No upfront
 //! sync, no state copies. An index first built mid-batch (one backend
@@ -37,8 +37,12 @@
 //! cross-product component — a full index scan). Every extension probes
 //! that input's per-input index with the classes bound so far, in the
 //! spirit of leapfrog triejoin's variable-at-a-time expansion (hash
-//! indexes standing in for sorted tries). The only operator state is the
-//! n per-input indexes: nothing materialises `R₁ ⋈ R₂` or any other
+//! indexes standing in for sorted tries). The probe hashes the bound
+//! values where the partial tuple holds them; an input gets a secondary
+//! chain only on the positions some order reaches with that class bound
+//! and another of its classes unbound — every other probe is fully bound
+//! and answered by the primary. The only operator state is the n
+//! per-input indexes: nothing materialises `R₁ ⋈ R₂` or any other
 //! intermediate pair, so deep plans carry no pair-state heap at all.
 //!
 //! Bloom filters are not used on this path: every probe is an in-memory
@@ -50,7 +54,7 @@ use super::{IncNode, MaintCtx, OpConfig, SideState};
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::error::CoreError;
 use crate::obs::trace;
-use crate::opt::nary_index::{ClassSpec, NarySideIndex};
+use crate::opt::{ClassSpec, SideIndex};
 use crate::Result;
 use imp_sql::plan::NaryJoin;
 use imp_sql::LogicalPlan;
@@ -76,8 +80,10 @@ pub struct NaryJoinOp {
     plans: Vec<LogicalPlan>,
     /// Per input: the join classes it participates in.
     specs: Vec<ClassSpec>,
+    /// Per input: the spec positions a partial probe binds.
+    partial: Vec<Vec<usize>>,
     n_classes: usize,
-    states: Vec<SideState<NarySideIndex>>,
+    states: Vec<SideState<SideIndex>>,
     /// Greedy extension order per seeding input.
     orders: Vec<Vec<usize>>,
     index_budget: Option<usize>,
@@ -109,11 +115,12 @@ impl NaryJoinOp {
                 }
             }
         }
-        let orders = extension_orders(n, &specs);
+        let (orders, partial) = extension_orders(n, &specs);
         Ok(NaryJoinOp {
             children,
             plans: nary.inputs.clone(),
             specs,
+            partial,
             n_classes: nary.classes.len(),
             states: (0..n).map(|_| SideState::Absent).collect(),
             orders,
@@ -170,7 +177,7 @@ impl NaryJoinOp {
         // Per-batch transient indexes for inputs whose persistent index
         // is disabled/over budget, plus evaluation bookkeeping so
         // "round trip avoided" is only claimed when none happened.
-        let mut transient: Vec<Option<NarySideIndex>> = (0..n).map(|_| None).collect();
+        let mut transient: Vec<Option<SideIndex>> = (0..n).map(|_| None).collect();
         let mut evaluated = vec![false; n];
         let mut out = DeltaBatch::new();
 
@@ -190,7 +197,7 @@ impl NaryJoinOp {
         // A live index that outgrew the budget served the later terms of
         // this batch at its new state; it is dropped only now.
         for state in &mut self.states {
-            state.retire_over(self.index_budget, NarySideIndex::len);
+            state.retire_over(self.index_budget, SideIndex::len);
         }
         Ok(crate::delta::normalize_delta_with(out, self.columnar_min))
     }
@@ -204,7 +211,7 @@ impl NaryJoinOp {
         j: usize,
         i: usize,
         deltas: &[DeltaBatch],
-        transient: &mut [Option<NarySideIndex>],
+        transient: &mut [Option<SideIndex>],
         evaluated: &mut [bool],
         ctx: &mut MaintCtx<'_, '_>,
     ) -> Result<()> {
@@ -213,7 +220,8 @@ impl NaryJoinOp {
         }
         let side = super::join::eval_side(&self.plans[j], ctx)?;
         evaluated[j] = true;
-        let mut idx = NarySideIndex::build(self.specs[j].clone(), &side, ctx.pool);
+        let mut idx = self.empty_index(j);
+        idx.apply(&side, ctx.pool);
         if j > i && !deltas[j].is_empty() {
             idx.apply_negated(&deltas[j], ctx.pool);
         }
@@ -237,7 +245,7 @@ impl NaryJoinOp {
         &mut self,
         i: usize,
         delta: &DeltaBatch,
-        transient: &mut [Option<NarySideIndex>],
+        transient: &mut [Option<SideIndex>],
         ctx: &mut MaintCtx<'_, '_>,
     ) {
         if delta.is_empty() {
@@ -257,7 +265,7 @@ impl NaryJoinOp {
         &mut self,
         i: usize,
         deltas: &[DeltaBatch],
-        transient: &[Option<NarySideIndex>],
+        transient: &[Option<SideIndex>],
         evaluated: &[bool],
         out: &mut DeltaBatch,
         ctx: &mut MaintCtx<'_, '_>,
@@ -312,11 +320,7 @@ impl NaryJoinOp {
             let mut next = Vec::new();
             for p in &partials {
                 ctx.metrics.rows_processed += 1;
-                let proj: Vec<Option<Value>> = spec_j
-                    .iter()
-                    .map(|(class, _)| p.bound[*class].clone())
-                    .collect();
-                view.for_each_match(&proj, &mut |key, entries| {
+                view.for_each_match(&p.bound, &mut |entries| {
                     for e in entries {
                         let ptr = Arc::as_ptr(&e.annot) as usize;
                         let ea = match interned.get(&ptr) {
@@ -331,9 +335,9 @@ impl NaryJoinOp {
                         q.parts[j] = Some(e.row.clone());
                         q.annot = ctx.pool.union(p.annot, ea);
                         q.mult = p.mult * e.mult;
-                        for (pos, (class, _)) in spec_j.iter().enumerate() {
+                        for (class, cols) in spec_j {
                             if q.bound[*class].is_none() {
-                                q.bound[*class] = Some(key[pos].clone());
+                                q.bound[*class] = Some(e.row[cols[0]].clone());
                             }
                         }
                         next.push(q);
@@ -360,7 +364,7 @@ impl NaryJoinOp {
     /// Each input's plan and index state.
     pub(crate) fn inputs(
         &self,
-    ) -> impl Iterator<Item = (&LogicalPlan, &SideState<NarySideIndex>)> + Clone {
+    ) -> impl Iterator<Item = (&LogicalPlan, &SideState<SideIndex>)> + Clone {
         self.plans.iter().zip(&self.states)
     }
 
@@ -411,7 +415,7 @@ impl NaryJoinOp {
     /// Serialize the per-input indexes in input order.
     pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
         for state in &self.states {
-            state.encode(buf, NarySideIndex::encode_state);
+            state.encode(buf, SideIndex::encode_state);
         }
     }
 
@@ -421,12 +425,16 @@ impl NaryJoinOp {
         buf: &mut bytes::Bytes,
         pool: &mut imp_storage::AnnotPool,
     ) -> Result<()> {
-        for (state, spec) in self.states.iter_mut().zip(&self.specs) {
-            *state = SideState::decode(buf, |buf| {
-                NarySideIndex::decode_state(buf, pool, spec.clone())
-            })?;
+        for j in 0..self.states.len() {
+            let idx = self.empty_index(j);
+            self.states[j] = SideState::decode(buf, |buf| idx.decode_state(buf, pool))?;
         }
         Ok(())
+    }
+
+    /// An empty index for input `j`.
+    fn empty_index(&self, j: usize) -> SideIndex {
+        SideIndex::new(self.specs[j].clone(), &self.partial[j])
     }
 }
 
@@ -435,45 +443,57 @@ impl NaryJoinOp {
 /// bound beats unbound; ties to the lowest input index). An unbound pick
 /// is a disconnected cross-product component — that extension is a full
 /// index scan and is *not* O(|Δ|); connected equi-joins never hit it.
-fn extension_orders(n: usize, specs: &[ClassSpec]) -> Vec<Vec<usize>> {
-    (0..n)
+/// Also returns, per input, the spec positions a partially bound pick of
+/// it binds: the only positions its index keeps a secondary for.
+fn extension_orders(n: usize, specs: &[ClassSpec]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let n_classes = specs
+        .iter()
+        .flatten()
+        .map(|(c, _)| c + 1)
+        .max()
+        .unwrap_or(0);
+    let mut partial = vec![Vec::new(); n];
+    let orders = (0..n)
         .map(|seed| {
-            let mut bound: Vec<bool> = Vec::new();
+            let mut bound = vec![false; n_classes];
             let mark = |bound: &mut Vec<bool>, spec: &ClassSpec| {
-                for (class, _) in spec {
-                    if *class >= bound.len() {
-                        bound.resize(class + 1, false);
-                    }
-                    bound[*class] = true;
-                }
+                spec.iter().for_each(|(class, _)| bound[*class] = true);
             };
             mark(&mut bound, &specs[seed]);
             let mut remaining: Vec<usize> = (0..n).filter(|&j| j != seed).collect();
             let mut order = Vec::with_capacity(n - 1);
             while !remaining.is_empty() {
+                // The spec positions of input j whose class is bound.
+                let hits = |j: usize| -> Vec<usize> {
+                    let spec: &ClassSpec = &specs[j];
+                    (0..spec.len()).filter(|&pos| bound[spec[pos].0]).collect()
+                };
                 let best = remaining
                     .iter()
                     .enumerate()
                     .max_by_key(|&(_, &j)| {
-                        let hits = specs[j]
-                            .iter()
-                            .filter(|(c, _)| bound.get(*c).copied().unwrap_or(false))
-                            .count();
-                        (
-                            hits == specs[j].len() && hits > 0,
-                            hits,
-                            std::cmp::Reverse(j),
-                        )
+                        let hits = hits(j).len();
+                        let full = hits == specs[j].len() && hits > 0;
+                        (full, hits, std::cmp::Reverse(j))
                     })
                     .map(|(pos, _)| pos)
                     .expect("remaining is non-empty");
                 let j = remaining.remove(best);
+                let hit = hits(j);
+                if hit.len() < specs[j].len() {
+                    for pos in hit {
+                        if !partial[j].contains(&pos) {
+                            partial[j].push(pos);
+                        }
+                    }
+                }
                 mark(&mut bound, &specs[j]);
                 order.push(j);
             }
             order
         })
-        .collect()
+        .collect();
+    (orders, partial)
 }
 
 #[cfg(test)]
@@ -498,7 +518,7 @@ mod tests {
             vec![(1, vec![0]), (2, vec![1])],
             vec![(2, vec![0])],
         ];
-        let orders = extension_orders(4, &specs);
+        let (orders, mut partial) = extension_orders(4, &specs);
         // Seeding at A: B first (bound via c0), then C, then D.
         assert_eq!(orders[0], vec![1, 2, 3]);
         // Seeding at D: C, then B, then A.
@@ -506,13 +526,17 @@ mod tests {
         // Seeding at B: both A and C have one bound class; A (lower
         // index, fully bound) wins, then C, then D.
         assert_eq!(orders[1], vec![0, 2, 3]);
+        // Only the middle inputs are ever probed partially: B with c0
+        // bound (from A) or c1 bound (from C, D), C likewise.
+        partial.iter_mut().for_each(|p| p.sort());
+        assert_eq!(partial, [vec![], vec![0, 1], vec![0, 1], vec![]]);
     }
 
     #[test]
     fn disconnected_component_ordered_last() {
         // A(c0) — B(c0), and E with no classes at all.
         let specs: Vec<ClassSpec> = vec![vec![(0, vec![0])], vec![(0, vec![0])], vec![]];
-        let orders = extension_orders(3, &specs);
+        let (orders, _) = extension_orders(3, &specs);
         assert_eq!(orders[0], vec![1, 2]);
         assert_eq!(orders[2], vec![0, 1]);
     }

@@ -2,11 +2,9 @@
 //! indexes that eliminate the per-batch `Q ⋈ Δ` round trips.
 
 pub mod bloom;
-pub mod nary_index;
 pub mod pushdown;
 pub mod side_index;
 
 pub use bloom::BloomFilter;
-pub use nary_index::NarySideIndex;
 pub use pushdown::pushable_predicates;
-pub use side_index::{IndexEntry, JoinSideIndex};
+pub use side_index::{ClassSpec, IndexEntry, SideIndex};

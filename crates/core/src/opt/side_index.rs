@@ -1,4 +1,5 @@
-//! Delta-maintained hash indexes over the join sides (`Q ⋈ Δ` caching).
+//! Delta-maintained indexes over join inputs (`Q ⋈ Δ` caching), one
+//! structure for both join operators.
 //!
 //! The paper outsources the `ΔQ₁ ⋈ Q₂ᴺᴱᵂ` terms of join maintenance to the
 //! backend database (§1, §7): evaluating the non-delta side is a round
@@ -6,18 +7,43 @@
 //! the delta that separates the side's old state from its new one —
 //! `Q₂ᴺᴱᵂ = Q₂ᴼᴸᴰ + ΔQ₂` — so the side can be materialised once and then
 //! maintained in place, the classic IVM trick (cf. *Incremental
-//! Maintenance for Leapfrog Triejoin*, Veldhuizen 2013). A
-//! [`JoinSideIndex`] is that materialisation: a hash index
-//! `join key → [(row, annotation, multiplicity)]` built from one backend
-//! round trip the first time the other side's delta probes it, and from
-//! absorbed deltas thereafter, turning steady-state join maintenance from
-//! O(|side|) per batch into O(|Δ|) amortized with zero round trips. A side
-//! nothing probes is never built.
+//! Maintenance for Leapfrog Triejoin*, Veldhuizen 2013, which keeps one
+//! structure per relation). A [`SideIndex`] is that materialisation: the
+//! input's `(row, annotation, multiplicity)` bag, grouped by join key,
+//! built from one backend round trip the first time another input's delta
+//! probes it and from absorbed deltas thereafter. The binary
+//! [`crate::ops::JoinOp`] keys it by its equi-join columns
+//! ([`SideIndex::on_columns`]); the n-ary [`crate::ops::NaryJoinOp`] by the
+//! input's participation in each join class ([`ClassSpec`]).
 //!
-//! Each bucket is kept sorted by `(row, annotation content)`, so absorbing
-//! a delta row finds its entry by binary search — O(log b) comparisons in
-//! a bucket of b entries, not a scan of it. `merge_entry` is that merge,
-//! shared with the n-ary join's per-input indexes.
+//! # Layout: each key held once, in its own rows
+//!
+//! * **Buckets** live in an arena, one per key. A bucket is a
+//!   `Vec<IndexEntry>` kept sorted by `(row, annotation content)`, so
+//!   absorbing a delta row finds its entry by binary search — O(log b)
+//!   comparisons in a bucket of b (`merge_entry`). No bucket stores its
+//!   key: the key cells are read in place from its first entry's row.
+//! * **The primary** maps the hash of a key's cells to its bucket, the
+//!   buckets of one hash chained through `u32` links (the engine's
+//!   `eval/hash_index.rs` pattern); a chain hit compares cells. Every
+//!   fully bound probe goes here — all of the binary join's, and an n-ary
+//!   probe that binds each of the input's classes.
+//! * **Secondaries** chain the buckets by the hash of one key cell, and
+//!   exist only for the positions a *partial* probe binds. A chain join
+//!   `A ⋈ B ⋈ C` probing `C` from a `ΔA` seed knows only `C`'s
+//!   `B`-adjacent class; that position's chain narrows the candidates
+//!   without scanning the input. A one-class input and the binary join
+//!   are always probed fully bound and carry none.
+//!
+//! Absorbing and probing hash the key cells where they lie — in the delta
+//! row, in the probe's bound values — so neither copies a key.
+//!
+//! Deletion is lazy in the secondaries: a bucket whose entries cancel
+//! away frees its allocation and leaves the primary, while secondary
+//! chains keep the stale slot (probes skip empty buckets) until a
+//! compaction rebuilds the arena — amortized O(|Δ|). The codec writes, per
+//! live bucket, its key row and then its entries; the chains are derived
+//! data, rebuilt on decode.
 //!
 //! Annotations are stored as `Arc<BitVec>` *content* handles from
 //! [`AnnotPool::share`], never as [`imp_storage::AnnotId`]s: the index is
@@ -27,106 +53,344 @@
 //! [`AnnotPool::intern_arc`], an O(1) probe for already-known contents.
 //!
 //! The index is memory-bounded by `OpConfig::join_index_budget` (entries
-//! per side); the join operator falls back to per-batch re-evaluation
-//! when a side outgrows the budget, mirroring the bounded MIN/MAX state.
+//! per input); the join operators fall back to per-batch re-evaluation
+//! when an input outgrows the budget, mirroring the bounded MIN/MAX state.
 
 use crate::delta::DeltaBatch;
-use imp_storage::{codec, AnnotPool, BitVec, FxHashMap, Row, Value};
+use imp_storage::{codec, AnnotPool, BitVec, FxHashMap, FxHasher, Row, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::sync::Arc;
 
-/// One annotated tuple of a materialised join side.
+/// One annotated tuple of a materialised join input.
 #[derive(Debug, Clone)]
 pub struct IndexEntry {
-    /// The side's tuple (`Arc`-shared; clone is O(1)).
+    /// The input's tuple (`Arc`-shared; clone is O(1)).
     pub row: Row,
     /// Annotation content handle (pool-independent).
     pub annot: Arc<BitVec>,
-    /// Bag multiplicity of `(row, annot)` in the side's result.
+    /// Bag multiplicity of `(row, annot)` in the input's result.
     pub mult: i64,
 }
 
-/// A persistent, delta-maintained hash index over one join side.
+/// An input's join key, one position per `(class id, columns of this
+/// input in that class)`. An input whose row carries the same class in
+/// several columns (self-equality) only indexes rows where those columns
+/// agree — others can never join.
+pub type ClassSpec = Vec<(usize, Vec<usize>)>;
+
+/// Rebuild the arena once more than half of it is dead and the dead run
+/// is big enough to be worth the rebuild.
+const COMPACT_MIN_DEAD: usize = 16;
+
+/// The end of a chain.
+const END: u32 = u32::MAX;
+
+/// Arena slots filed by hash: `hash → (first, last)`, the slots of one
+/// hash linked in ascending order through `next`. Different keys can share
+/// a hash: the caller compares cells.
 #[derive(Debug, Clone, Default)]
-pub struct JoinSideIndex {
-    /// Join-key values → entries, merged by `(row, annotation content)`.
-    map: FxHashMap<Vec<Value>, Vec<IndexEntry>>,
-    entries: usize,
-    heap_bytes: usize,
+struct Chains {
+    heads: FxHashMap<u64, (u32, u32)>,
+    next: Vec<u32>,
 }
 
-/// Join-key values of a row; `None` when any key attribute is NULL (such a
-/// row joins nothing). An empty key set (cross product) maps every row to
-/// the same bucket.
-pub(crate) fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
-    let mut k = Vec::with_capacity(keys.len());
-    for &i in keys {
-        let v = row[i].clone();
-        if v.is_null() {
-            return None;
+impl Chains {
+    /// Append `slot`, newer than every slot already linked, to `hash`'s
+    /// chain.
+    fn link(&mut self, hash: u64, slot: u32) {
+        if self.next.len() <= slot as usize {
+            self.next.resize(slot as usize + 1, END);
         }
-        k.push(v);
-    }
-    Some(k)
-}
-
-pub(crate) fn key_heap(key: &[Value]) -> usize {
-    key.iter().map(Value::heap_size).sum::<usize>() + std::mem::size_of_val(key)
-}
-
-impl JoinSideIndex {
-    /// Build the index from a full evaluation of the side (one backend
-    /// round trip, already at the state the index should represent).
-    pub fn build(side: &DeltaBatch, keys: &[usize], pool: &AnnotPool) -> JoinSideIndex {
-        let mut idx = JoinSideIndex::default();
-        idx.apply(side, keys, pool);
-        idx
-    }
-
-    /// Absorb one delta of the side: `Q₂ᴺᴱᵂ = Q₂ᴼᴸᴰ + ΔQ₂`, each row through
-    /// `merge_entry`; a bucket that cancels away takes its key with it.
-    pub fn apply(&mut self, delta: &DeltaBatch, keys: &[usize], pool: &AnnotPool) {
-        for d in delta {
-            let Some(key) = key_of(&d.row, keys) else {
-                continue;
-            };
-            let mut slot = match self.map.entry(key) {
-                Entry::Occupied(o) => o,
-                Entry::Vacant(v) => {
-                    self.heap_bytes += key_heap(v.key());
-                    v.insert_entry(Vec::with_capacity(1))
-                }
-            };
-            merge_entry(
-                slot.get_mut(),
-                &d.row,
-                pool.share(d.annot),
-                d.mult,
-                &mut self.entries,
-                &mut self.heap_bytes,
-            );
-            if slot.get().is_empty() {
-                self.heap_bytes -= key_heap(slot.key());
-                slot.remove();
+        match self.heads.entry(hash) {
+            Entry::Occupied(mut o) => {
+                let last = &mut o.get_mut().1;
+                self.next[*last as usize] = slot;
+                *last = slot;
+            }
+            Entry::Vacant(v) => {
+                v.insert((slot, slot));
             }
         }
     }
 
-    /// Entries matching a join key.
-    pub fn get(&self, key: &[Value]) -> Option<&[IndexEntry]> {
-        self.map.get(key).map(Vec::as_slice)
+    /// The slots filed under `hash`, in ascending order.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+        let mut at = self.heads.get(&hash).map_or(END, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            (at != END).then(|| {
+                let slot = at;
+                at = self.next[slot as usize];
+                slot
+            })
+        })
     }
 
-    /// Iterate the distinct join keys (bloom filters are rebuilt from
-    /// these without a backend round trip).
-    pub fn keys(&self) -> impl Iterator<Item = &Vec<Value>> {
-        self.map.keys()
+    /// Take `slot` out of `hash`'s chain, where it is linked.
+    fn unlink(&mut self, hash: u64, slot: u32) {
+        let Entry::Occupied(mut o) = self.heads.entry(hash) else {
+            return;
+        };
+        let (first, last) = *o.get();
+        let after = self.next[slot as usize];
+        if first == slot && after == END {
+            o.remove();
+            return;
+        }
+        if first == slot {
+            o.get_mut().0 = after;
+            return;
+        }
+        let mut prev = first;
+        while self.next[prev as usize] != slot {
+            prev = self.next[prev as usize];
+        }
+        self.next[prev as usize] = after;
+        if last == slot {
+            o.get_mut().1 = prev;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.next.clear();
+    }
+
+    fn heap_size(&self) -> usize {
+        map_bytes(self.heads.capacity(), size_of::<(u64, (u32, u32))>())
+            + self.next.capacity() * size_of::<u32>()
+    }
+}
+
+/// Bytes a `HashMap` of this `capacity` allocates: a power-of-two number
+/// of buckets, at least 8/7 of the capacity, each holding one `slot` and
+/// one control byte, plus a trailing 16-byte control group.
+fn map_bytes(capacity: usize, slot: usize) -> usize {
+    match capacity {
+        0 => 0,
+        cap => (cap * 8 / 7).next_power_of_two() * (slot + 1) + 16,
+    }
+}
+
+/// Hash of a key given value by value; a row's key hashes alike (see
+/// [`SideIndex::row_hash`]).
+fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+    let mut hasher = FxHasher::default();
+    for v in values {
+        v.hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
+/// A persistent, delta-maintained index over one join input.
+#[derive(Debug, Clone, Default)]
+pub struct SideIndex {
+    spec: ClassSpec,
+    /// Buckets, each non-empty and sorted, or emptied (dead) until the
+    /// next compaction.
+    buckets: Vec<Vec<IndexEntry>>,
+    /// Hash of the key cells → live buckets.
+    primary: Chains,
+    /// Per spec position, where a partial probe binds it: hash of that
+    /// cell → buckets (may hold dead slots — probes skip them, compaction
+    /// drops them).
+    secondary: Vec<Option<Chains>>,
+    entries: usize,
+    heap_bytes: usize,
+    dead: usize,
+}
+
+impl SideIndex {
+    /// Empty index keyed by `spec`, with a secondary on each position in
+    /// `partial` (the positions some partial probe binds).
+    pub fn new(spec: ClassSpec, partial: &[usize]) -> SideIndex {
+        let secondary = (0..spec.len())
+            .map(|pos| partial.contains(&pos).then(Chains::default))
+            .collect();
+        SideIndex {
+            spec,
+            secondary,
+            ..SideIndex::default()
+        }
+    }
+
+    /// Empty index keyed by equi-join columns (the binary join's: its
+    /// probes are always fully bound). No key columns (a cross product)
+    /// put every row in one bucket.
+    pub fn on_columns(keys: &[usize]) -> SideIndex {
+        let spec = keys.iter().enumerate().map(|(i, &c)| (i, vec![c]));
+        SideIndex::new(spec.collect(), &[])
+    }
+
+    /// The key cell of `row` at spec position `pos`.
+    fn cell<'r>(&self, row: &'r Row, pos: usize) -> &'r Value {
+        &row[self.spec[pos].1[0]]
+    }
+
+    /// Hash of `row`'s key; `None` when a key column is NULL or the row's
+    /// own columns of a class disagree (such a row joins nothing).
+    fn row_hash(&self, row: &Row) -> Option<u64> {
+        let mut hasher = FxHasher::default();
+        for (_, cols) in &self.spec {
+            let v = &row[cols[0]];
+            if v.is_null() || cols[1..].iter().any(|&c| row[c] != *v) {
+                return None;
+            }
+            v.hash(&mut hasher);
+        }
+        Some(hasher.finish())
+    }
+
+    /// The live bucket whose key hashes to `hash` and has `key(pos)` at
+    /// every position.
+    fn find<'k>(&self, hash: u64, key: impl Fn(usize) -> &'k Value) -> Option<u32> {
+        self.primary.chain(hash).find(|&slot| {
+            let row = &self.buckets[slot as usize][0].row;
+            (0..self.spec.len()).all(|pos| *self.cell(row, pos) == *key(pos))
+        })
+    }
+
+    /// File the arena's next slot under `row`'s key: in the primary by
+    /// `hash`, in each secondary by its cell.
+    fn link(&mut self, hash: u64, row: &Row) {
+        let slot = self.buckets.len() as u32;
+        self.primary.link(hash, slot);
+        for ((_, cols), chains) in self.spec.iter().zip(&mut self.secondary) {
+            if let Some(chains) = chains {
+                chains.link(hash_values([&row[cols[0]]]), slot);
+            }
+        }
+    }
+
+    /// Absorb one delta of the input (`Qᴺᴱᵂ = Qᴼᴸᴰ + ΔQ`): each row merges
+    /// into its key's bucket by `(row, annotation content)`, and cancels at
+    /// zero multiplicity.
+    pub fn apply(&mut self, delta: &DeltaBatch, pool: &AnnotPool) {
+        self.apply_signed(delta, pool, 1);
+    }
+
+    /// Absorb a delta with *negated* multiplicities: rewinds an index
+    /// evaluated at the new state back to the old one (the n-ary rule
+    /// probes inputs right of the current term at their old state).
+    pub fn apply_negated(&mut self, delta: &DeltaBatch, pool: &AnnotPool) {
+        self.apply_signed(delta, pool, -1);
+    }
+
+    fn apply_signed(&mut self, delta: &DeltaBatch, pool: &AnnotPool, sign: i64) {
+        for d in delta {
+            let Some(hash) = self.row_hash(&d.row) else {
+                continue;
+            };
+            // The slot, and the bucket capacity already booked for it.
+            let (slot, booked) = match self.find(hash, |pos| self.cell(&d.row, pos)) {
+                Some(slot) => (slot, self.buckets[slot as usize].capacity()),
+                None => {
+                    self.link(hash, &d.row);
+                    self.buckets.push(Vec::with_capacity(1));
+                    (self.buckets.len() as u32 - 1, 0)
+                }
+            };
+            let bucket = &mut self.buckets[slot as usize];
+            merge_entry(
+                bucket,
+                &d.row,
+                pool.share(d.annot),
+                d.mult * sign,
+                &mut self.entries,
+                &mut self.heap_bytes,
+            );
+            if bucket.is_empty() {
+                // Lazy delete: free the bucket and unlink it from the
+                // primary; the secondaries keep the stale slot.
+                *bucket = Vec::new();
+                self.primary.unlink(hash, slot);
+                self.dead += 1;
+            }
+            self.heap_bytes += bucket.capacity() * size_of::<IndexEntry>();
+            self.heap_bytes -= booked * size_of::<IndexEntry>();
+        }
+        if self.dead > COMPACT_MIN_DEAD && self.dead * 2 > self.buckets.len() {
+            self.compact();
+        }
+    }
+
+    /// Rebuild the arena and the chains from the live buckets.
+    fn compact(&mut self) {
+        let buckets = std::mem::take(&mut self.buckets);
+        self.primary.clear();
+        for chains in self.secondary.iter_mut().flatten() {
+            chains.clear();
+        }
+        for bucket in buckets.into_iter().filter(|b| !b.is_empty()) {
+            let hash = self
+                .row_hash(&bucket[0].row)
+                .expect("indexed rows have keys");
+            self.link(hash, &bucket[0].row);
+            self.buckets.push(bucket);
+        }
+        self.dead = 0;
+    }
+
+    /// Entries under a fully bound key, one value per spec position.
+    pub fn get(&self, key: &[Value]) -> Option<&[IndexEntry]> {
+        let slot = self.find(hash_values(key), |pos| &key[pos])?;
+        Some(&self.buckets[slot as usize])
+    }
+
+    /// Visit every bucket matching the bound values — `bound[class]` per
+    /// join class, `None` where unbound. A fully bound probe hits the
+    /// primary; a partial one walks the secondary of a bound position and
+    /// compares the other bound cells; a probe binding nothing (a
+    /// disconnected cross-product component) visits every live bucket.
+    pub fn for_each_match(&self, bound: &[Option<Value>], f: &mut dyn FnMut(&[IndexEntry])) {
+        let want = |pos: usize| bound[self.spec[pos].0].as_ref();
+        let positions = 0..self.spec.len();
+        if positions.clone().all(|pos| want(pos).is_some()) {
+            let hash = hash_values(positions.filter_map(want));
+            if let Some(slot) = self.find(hash, |pos| want(pos).expect("fully bound")) {
+                f(&self.buckets[slot as usize]);
+            }
+            return;
+        }
+        let mut matching = |bucket: &Vec<IndexEntry>| {
+            let hit = bucket.first().is_some_and(|e| {
+                let mut positions = 0..self.spec.len();
+                positions.all(|pos| want(pos).is_none_or(|v| self.cell(&e.row, pos) == v))
+            });
+            if hit {
+                f(bucket);
+            }
+        };
+        let narrow = positions.clone().find_map(|pos| {
+            let chains = self.secondary[pos].as_ref()?;
+            Some(chains.chain(hash_values([want(pos)?])))
+        });
+        match narrow {
+            Some(slots) => slots.for_each(|slot| matching(&self.buckets[slot as usize])),
+            None => self.buckets.iter().for_each(matching),
+        }
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Vec<IndexEntry>> {
+        self.buckets.iter().filter(|b| !b.is_empty())
+    }
+
+    /// The distinct keys, one per live bucket (bloom filters are rebuilt
+    /// from these without a backend round trip).
+    pub fn keys(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
+        self.live().map(|b| {
+            let positions = 0..self.spec.len();
+            positions
+                .map(|pos| self.cell(&b[0].row, pos).clone())
+                .collect()
+        })
     }
 
     /// Hand every annotation handle back to a just-flushed pool.
     pub fn readopt_annots(&self, pool: &mut AnnotPool) {
-        for e in self.map.values().flatten() {
+        for e in self.buckets.iter().flatten() {
             pool.adopt(&e.annot);
         }
     }
@@ -142,23 +406,28 @@ impl JoinSideIndex {
     }
 
     /// Heap footprint of the index (Fig. 17), tracked incrementally so
-    /// accounting stays O(|Δ|) per batch. Annotation *contents* are
-    /// counted like the top-k state counts them: the `Arc<BitVec>`
-    /// handles are handles into the maintainer's pool (re-adopted by it
-    /// after a flush), whose own `heap_size` accounts for the bitvectors
-    /// — only per-entry handle overhead is ours.
+    /// accounting stays O(|Δ|) per batch: entry rows and bucket
+    /// allocations as a running total, the arena and the chains from their
+    /// capacities. Annotation *contents* are counted like the top-k state
+    /// counts them: the `Arc<BitVec>` handles are handles into the
+    /// maintainer's pool (re-adopted by it after a flush), whose own
+    /// `heap_size` accounts for the bitvectors.
     pub fn heap_size(&self) -> usize {
+        let secondary: usize = self.secondary.iter().flatten().map(Chains::heap_size).sum();
         self.heap_bytes
-            + self.map.capacity() * (std::mem::size_of::<Vec<Value>>() + 8)
-            + std::mem::size_of::<JoinSideIndex>()
+            + self.buckets.capacity() * size_of::<Vec<IndexEntry>>()
+            + self.primary.heap_size()
+            + secondary
+            + size_of::<SideIndex>()
     }
 
-    /// Serialize the index (annotations by content, so the encoding is
-    /// independent of pool id assignment).
+    /// Serialize the index: per live bucket its key row, then its entries
+    /// (annotations by content, so the encoding is independent of pool id
+    /// assignment).
     pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
-        codec::encode_u64(buf, self.map.len() as u64);
-        for (key, bucket) in &self.map {
-            codec::encode_row(buf, &Row::new(key.clone()));
+        codec::encode_u64(buf, self.live().count() as u64);
+        for (key, bucket) in self.keys().zip(self.live()) {
+            codec::encode_row(buf, &Row::new(key));
             codec::encode_u64(buf, bucket.len() as u64);
             for e in bucket {
                 codec::encode_row(buf, &e.row);
@@ -168,20 +437,20 @@ impl JoinSideIndex {
         }
     }
 
-    /// Restore an index written by [`JoinSideIndex::encode_state`],
-    /// re-interning every annotation into `pool` so restored state shares
-    /// allocations (and ids) with the live pipeline.
+    /// Restore what [`SideIndex::encode_state`] wrote into this empty
+    /// index (the spec is operator metadata, derived from the plan, so it
+    /// travels beside the codec), re-interning every annotation into
+    /// `pool` so restored state shares allocations with the live pipeline.
     pub fn decode_state(
+        mut self,
         buf: &mut bytes::Bytes,
         pool: &mut AnnotPool,
-    ) -> crate::Result<JoinSideIndex> {
-        let mut idx = JoinSideIndex::default();
+    ) -> crate::Result<SideIndex> {
         let n_keys = codec::decode_u64(buf)?;
         for _ in 0..n_keys {
-            let key = codec::decode_row(buf)?.values().to_vec();
+            codec::decode_row(buf)?; // the key: read back from the entries
             let len = codec::decode_u64(buf)?;
             let mut bucket = Vec::with_capacity(len as usize);
-            idx.heap_bytes += key_heap(&key);
             for _ in 0..len {
                 let row = codec::decode_row(buf)?;
                 let id = pool.intern(codec::decode_bitvec(buf)?);
@@ -190,18 +459,27 @@ impl JoinSideIndex {
                     annot: pool.share(id),
                     mult: codec::decode_i64(buf)?,
                 };
-                idx.heap_bytes += entry_heap(&e);
-                idx.entries += 1;
+                self.heap_bytes += entry_heap(&e);
+                self.entries += 1;
                 bucket.push(e);
             }
-            idx.map.insert(key, bucket);
+            let Some(hash) = bucket.first().and_then(|e| self.row_hash(&e.row)) else {
+                return Err(crate::CoreError::Codec(
+                    "side-index bucket without a key".into(),
+                ));
+            };
+            self.heap_bytes += bucket.capacity() * size_of::<IndexEntry>();
+            self.link(hash, &bucket[0].row);
+            self.buckets.push(bucket);
         }
-        Ok(idx)
+        Ok(self)
     }
 }
 
-pub(crate) fn entry_heap(e: &IndexEntry) -> usize {
-    e.row.heap_size() + std::mem::size_of::<IndexEntry>()
+/// Bytes an entry's row payload is booked at; the entry itself is part of
+/// its bucket's allocation.
+fn entry_heap(e: &IndexEntry) -> usize {
+    e.row.heap_size()
 }
 
 /// The order a bucket is kept in: by row, then by annotation content (an
@@ -220,11 +498,11 @@ fn entry_cmp(e: &IndexEntry, row: &Row, annot: &Arc<BitVec>) -> Ordering {
 }
 
 /// Absorb `mult` copies of `(row, annot)` into a bucket kept sorted by
-/// `(row, annotation content)` — the one merge both side-index kinds use.
-/// A binary search finds the entry: its multiplicity moves, and it leaves
-/// the bucket when that reaches zero; a row not found is inserted in
-/// place. `entries` / `heap_bytes` are the owning index's running totals.
-pub(crate) fn merge_entry(
+/// `(row, annotation content)`. A binary search finds the entry: its
+/// multiplicity moves, and it leaves the bucket when that reaches zero; a
+/// row not found is inserted in place. `entries` / `heap_bytes` are the
+/// owning index's running totals.
+fn merge_entry(
     bucket: &mut Vec<IndexEntry>,
     row: &Row,
     annot: Arc<BitVec>,
@@ -250,6 +528,11 @@ pub(crate) fn merge_entry(
             };
             *heap_bytes += entry_heap(&e);
             *entries += 1;
+            // Grow by half, not by doubling from four: most buckets hold
+            // one or two entries.
+            if bucket.len() == bucket.capacity() {
+                bucket.reserve_exact(bucket.len() / 2 + 1);
+            }
             bucket.insert(i, e);
         }
     }
@@ -268,14 +551,14 @@ mod tests {
         pub(super) static COMPARISONS: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// The accounting oracle: `heap_bytes` recomputed from the live map.
-    impl JoinSideIndex {
+    /// The accounting oracle: `heap_bytes` recomputed from the live arena.
+    impl SideIndex {
         pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
             let mut bytes = 0;
-            for (key, bucket) in &self.map {
-                w.visit(1 + bucket.len());
-                bytes += key_heap(key);
-                for e in bucket {
+            for b in self.live() {
+                w.visit(1 + b.len());
+                bytes += b.capacity() * size_of::<IndexEntry>();
+                for e in b {
                     bytes += entry_heap(e);
                     w.annot(&e.annot);
                 }
@@ -295,6 +578,28 @@ mod tests {
             .collect()
     }
 
+    fn build(mut idx: SideIndex, side: &DeltaBatch, pool: &AnnotPool) -> SideIndex {
+        idx.apply(side, pool);
+        idx
+    }
+
+    /// Two classes: class 0 on column 0, class 2 on column 1, both bound
+    /// by partial probes.
+    fn two_class() -> SideIndex {
+        SideIndex::new(vec![(0, vec![0]), (2, vec![1])], &[0, 1])
+    }
+
+    /// Entries reached by a probe binding `bound` (indexed by class).
+    fn matched(idx: &SideIndex, bound: &[Option<Value>]) -> usize {
+        let mut n = 0;
+        idx.for_each_match(bound, &mut |entries| n += entries.len());
+        n
+    }
+
+    fn int(i: i64) -> Option<Value> {
+        Some(Value::Int(i))
+    }
+
     #[test]
     fn build_groups_by_key_and_merges() {
         let mut p = AnnotPool::new(8);
@@ -307,7 +612,7 @@ mod tests {
                 (row![1, 10], 0, 1), // duplicate of the first entry
             ],
         );
-        let idx = JoinSideIndex::build(&side, &[0], &p);
+        let idx = build(SideIndex::on_columns(&[0]), &side, &p);
         assert_eq!(idx.len(), 3);
         let bucket = idx.get(&[Value::Int(1)]).unwrap();
         assert_eq!(bucket.len(), 2);
@@ -320,16 +625,16 @@ mod tests {
     fn apply_deletes_cancel_entries() {
         let mut p = AnnotPool::new(8);
         let side = batch(&mut p, &[(row![1, 10], 0, 1), (row![2, 20], 1, 1)]);
-        let mut idx = JoinSideIndex::build(&side, &[0], &p);
+        let mut idx = build(SideIndex::on_columns(&[0]), &side, &p);
         let before = idx.heap_size();
         let delta = batch(&mut p, &[(row![1, 10], 0, -1)]);
-        idx.apply(&delta, &[0], &p);
+        idx.apply(&delta, &p);
         assert_eq!(idx.len(), 1);
         assert!(idx.get(&[Value::Int(1)]).is_none());
         assert!(idx.heap_size() < before);
         // Re-insert brings it back.
         let delta = batch(&mut p, &[(row![1, 10], 0, 1)]);
-        idx.apply(&delta, &[0], &p);
+        idx.apply(&delta, &p);
         assert_eq!(idx.get(&[Value::Int(1)]).unwrap().len(), 1);
     }
 
@@ -341,7 +646,7 @@ mod tests {
         for b in [8i64, 4096] {
             let mut p = AnnotPool::new(8);
             let rows: Vec<(Row, usize, i64)> = (0..b).map(|i| (row![1, i], 0, 1)).collect();
-            let mut idx = JoinSideIndex::build(&batch(&mut p, &rows), &[0], &p);
+            let mut idx = build(SideIndex::on_columns(&[0]), &batch(&mut p, &rows), &p);
             let bound = 2 * (b as f64).log2().ceil() as u64 + 2;
             for i in [-1, 0, b / 2, b - 1, b] {
                 // Merge or insert, a second annotation of the same row,
@@ -349,7 +654,7 @@ mod tests {
                 for (bit, mult) in [(0, 1), (1, 1), (0, -1), (1, -1)] {
                     let delta = batch(&mut p, &[(row![1, i], bit, mult)]);
                     let before = COMPARISONS.with(Cell::get);
-                    idx.apply(&delta, &[0], &p);
+                    idx.apply(&delta, &p);
                     let made = COMPARISONS.with(Cell::get) - before;
                     assert!(made <= bound, "{made} comparisons in a bucket of {b}");
                 }
@@ -369,7 +674,7 @@ mod tests {
             mult: 1,
         }]
         .into();
-        let idx = JoinSideIndex::build(&side, &[0], &p);
+        let idx = build(SideIndex::on_columns(&[0]), &side, &p);
         assert!(idx.is_empty());
     }
 
@@ -384,13 +689,15 @@ mod tests {
                 (row![5, 50], 1, 1),
             ],
         );
-        let idx = JoinSideIndex::build(&side, &[0], &p);
+        let idx = build(SideIndex::on_columns(&[0]), &side, &p);
         let mut buf = bytes::BytesMut::new();
         idx.encode_state(&mut buf);
         // Restore into a *fresh* pool (mirrors post-eviction restore).
         let mut p2 = AnnotPool::new(8);
         let mut bytes = buf.freeze();
-        let restored = JoinSideIndex::decode_state(&mut bytes, &mut p2).unwrap();
+        let restored = SideIndex::on_columns(&[0])
+            .decode_state(&mut bytes, &mut p2)
+            .unwrap();
         assert!(bytes.is_empty());
         assert_eq!(restored.len(), idx.len());
         let a = idx.get(&[Value::Int(1)]).unwrap();
@@ -401,5 +708,169 @@ mod tests {
                 .iter()
                 .any(|r| r.row == e.row && *r.annot == *e.annot && r.mult == e.mult));
         }
+    }
+
+    #[test]
+    fn partial_probes_use_secondaries() {
+        let mut p = AnnotPool::new(8);
+        let side = batch(
+            &mut p,
+            &[
+                (row![1, 10, 7], 0, 1),
+                (row![1, 11, 8], 1, 1),
+                (row![2, 10, 9], 2, 1),
+            ],
+        );
+        let idx = build(two_class(), &side, &p);
+        assert_eq!(idx.len(), 3);
+        // Bind only class 0 = 1: two buckets.
+        let mut seen = Vec::new();
+        idx.for_each_match(&[int(1), None, None], &mut |entries| {
+            seen.push(entries[0].row.clone());
+        });
+        assert_eq!(seen, [row![1, 10, 7], row![1, 11, 8]]);
+        // Bind only class 2 = 10: two buckets across class-0 values.
+        assert_eq!(matched(&idx, &[None, None, int(10)]), 2);
+        // Fully bound: exactly one bucket.
+        assert_eq!(matched(&idx, &[int(2), None, int(10)]), 1);
+        // Unbound: full scan.
+        assert_eq!(matched(&idx, &[None, None, None]), 3);
+        // Without secondaries the same partial probes scan and filter.
+        let plain = build(SideIndex::new(two_class().spec, &[]), &side, &p);
+        assert_eq!(matched(&plain, &[int(1), None, None]), 2);
+        assert_eq!(matched(&plain, &[None, None, int(10)]), 2);
+    }
+
+    #[test]
+    fn cancellation_tombstones_then_reinserts() {
+        let mut p = AnnotPool::new(8);
+        let side = batch(&mut p, &[(row![1, 10, 7], 0, 1), (row![2, 20, 8], 1, 1)]);
+        let mut idx = build(two_class(), &side, &p);
+        idx.apply_negated(&batch(&mut p, &[(row![1, 10, 7], 0, 1)]), &p);
+        assert_eq!(idx.len(), 1);
+        assert_eq!(
+            matched(&idx, &[int(1), None, None]),
+            0,
+            "emptied bucket must be skipped via stale link"
+        );
+        // Re-insert lands in a fresh slot and is visible again.
+        idx.apply(&batch(&mut p, &[(row![1, 10, 7], 0, 1)]), &p);
+        assert_eq!(matched(&idx, &[int(1), None, None]), 1);
+        assert_eq!(matched(&idx, &[int(1), None, int(10)]), 1);
+    }
+
+    #[test]
+    fn self_equality_and_nulls_excluded() {
+        let mut p = AnnotPool::new(8);
+        // Spec demanding columns 0 and 1 agree on class 0.
+        let spec: ClassSpec = vec![(0, vec![0, 1])];
+        let ok = row![5, 5, 1];
+        let bad = row![5, 6, 1];
+        let null = Row::new(vec![Value::Null, Value::Null, Value::Int(1)]);
+        let side: DeltaBatch = vec![
+            DeltaEntry {
+                row: ok.clone(),
+                annot: p.singleton(0),
+                mult: 1,
+            },
+            DeltaEntry {
+                row: bad,
+                annot: p.singleton(1),
+                mult: 1,
+            },
+            DeltaEntry {
+                row: null,
+                annot: p.singleton(2),
+                mult: 1,
+            },
+        ]
+        .into();
+        let idx = build(SideIndex::new(spec, &[]), &side, &p);
+        assert_eq!(idx.len(), 1);
+        assert_eq!(matched(&idx, &[int(5)]), 1);
+    }
+
+    #[test]
+    fn compaction_preserves_contents() {
+        let mut p = AnnotPool::new(64);
+        let mut idx = two_class();
+        for i in 0..40i64 {
+            idx.apply(&batch(&mut p, &[(row![i, i * 10, 0], 0, 1)]), &p);
+        }
+        // Cancel most buckets to trigger compaction.
+        for i in 0..30i64 {
+            idx.apply(&batch(&mut p, &[(row![i, i * 10, 0], 0, -1)]), &p);
+        }
+        assert_eq!(idx.len(), 10);
+        assert!(idx.buckets.len() < 40, "compaction must have run");
+        for i in 30..40i64 {
+            assert_eq!(
+                matched(&idx, &[int(i), None, None]),
+                1,
+                "row {i} must survive compaction"
+            );
+            assert_eq!(matched(&idx, &[int(i), None, int(i * 10)]), 1);
+        }
+    }
+
+    #[test]
+    fn codec_roundtrip_rebuilds_secondaries() {
+        let mut p = AnnotPool::new(8);
+        let side = batch(
+            &mut p,
+            &[
+                (row![1, 10, 7], 0, 2),
+                (row![1, 11, 8], 1, 1),
+                (row![2, 10, 9], 2, -1),
+            ],
+        );
+        let idx = build(two_class(), &side, &p);
+        let mut buf = bytes::BytesMut::new();
+        idx.encode_state(&mut buf);
+        let mut p2 = AnnotPool::new(8);
+        let mut bytes = buf.freeze();
+        let restored = two_class().decode_state(&mut bytes, &mut p2).unwrap();
+        assert!(bytes.is_empty());
+        assert_eq!(restored.len(), idx.len());
+        assert_eq!(matched(&restored, &[None, None, int(10)]), 2);
+    }
+
+    #[test]
+    fn distinct_keys_in_one_hash_chain_stay_apart() {
+        // 0.0 and -0.0 hash alike (the hash normalizes the sign) but are
+        // distinct values under `Value`'s total order.
+        let (pos, neg) = ([Value::Float(0.0)], [Value::Float(-0.0)]);
+        assert_ne!(pos, neg);
+        assert_eq!(hash_values(&pos), hash_values(&neg));
+        let mut p = AnnotPool::new(8);
+        let rows = [
+            (Row::new(vec![pos[0].clone(), Value::Int(1)]), 0, 1),
+            (Row::new(vec![neg[0].clone(), Value::Int(2)]), 1, 1),
+        ];
+        let mut idx = build(SideIndex::on_columns(&[0]), &batch(&mut p, &rows), &p);
+        assert_eq!(idx.primary.chain(hash_values(&pos)).count(), 2);
+        assert_eq!(idx.get(&pos).unwrap()[0].row, rows[0].0);
+        assert_eq!(idx.get(&neg).unwrap()[0].row, rows[1].0);
+        // Cancelling the first key unlinks it and leaves the second found.
+        idx.apply_negated(&batch(&mut p, &rows[..1]), &p);
+        assert!(idx.get(&pos).is_none());
+        assert_eq!(idx.get(&neg).unwrap()[0].row, rows[1].0);
+        assert_eq!(idx.primary.chain(hash_values(&pos)).count(), 1);
+    }
+
+    #[test]
+    fn int_and_float_keys_share_a_bucket() {
+        let mut p = AnnotPool::new(8);
+        let side = batch(
+            &mut p,
+            &[
+                (Row::new(vec![Value::Int(2), Value::str("a")]), 0, 1),
+                (Row::new(vec![Value::Float(2.0), Value::str("b")]), 1, 1),
+            ],
+        );
+        let idx = build(SideIndex::on_columns(&[0]), &side, &p);
+        assert_eq!(idx.keys().count(), 1);
+        assert_eq!(idx.get(&[Value::Int(2)]).unwrap().len(), 2);
+        assert_eq!(idx.get(&[Value::Float(2.0)]).unwrap().len(), 2);
     }
 }
