@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use imp_core::maintain::SketchMaintainer;
 use imp_core::ops::OpConfig;
-use imp_data::synthetic::{load, load_join_helper, SyntheticConfig};
+use imp_data::synthetic::{load, SyntheticConfig};
 use imp_data::workload::{insert_stream, WorkloadOp};
 use imp_engine::Database;
 use imp_sketch::{capture, PartitionSet, RangePartition};
@@ -68,40 +68,6 @@ fn bench_capture_vs_maintain(c: &mut Criterion) {
     });
 }
 
-fn bench_ablation_bloom(c: &mut Criterion) {
-    for (label, bloom) in [("bloom_on", true), ("bloom_off", false)] {
-        let name = format!("tj_{label}");
-        let mut db = setup(&name);
-        load_join_helper(&mut db, "h", GROUPS, 5, 1, 5).unwrap();
-        let sql = imp_data::queries::q_joinsel(&name, "h");
-        let plan = db.plan_sql(&sql).unwrap();
-        let pset = Arc::new(
-            PartitionSet::new(vec![
-                RangePartition::equi_depth(&db, &name, "a", 100).unwrap()
-            ])
-            .unwrap(),
-        );
-        let cfg = OpConfig {
-            bloom,
-            ..OpConfig::default()
-        };
-        let (mut m, _) =
-            SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true).unwrap();
-        let ups = insert_stream(&name, 4096, 100, GROUPS, ROWS * 10, 7);
-        let mut i = 0usize;
-        c.bench_function(&format!("join_maintain_{label}"), |bench| {
-            bench.iter(|| {
-                let WorkloadOp::Update { sql, .. } = &ups[i % ups.len()] else {
-                    unreachable!()
-                };
-                i += 1;
-                db.execute_sql(sql).unwrap();
-                black_box(m.maintain(&db).unwrap())
-            })
-        });
-    }
-}
-
 fn bench_ablation_pushdown(c: &mut Criterion) {
     for (label, pushdown) in [("pushdown_on", true), ("pushdown_off", false)] {
         let name = format!("tp_{label}");
@@ -135,6 +101,6 @@ fn bench_ablation_pushdown(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_capture_vs_maintain, bench_ablation_bloom, bench_ablation_pushdown
+    targets = bench_capture_vs_maintain, bench_ablation_pushdown
 }
 criterion_main!(benches);

@@ -1,11 +1,9 @@
 //! Micro-benchmarks of the storage primitives behind sketches: bitvector
-//! union/containment (the sketch algebra of §1), fragment counters, and
-//! the bloom filter of §7.2.
+//! union/containment (the sketch algebra of §1) and fragment counters.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use imp_core::fragcount::FragCounts;
-use imp_core::opt::BloomFilter;
-use imp_storage::{BitVec, Value};
+use imp_storage::BitVec;
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -53,30 +51,9 @@ fn bench_fragcounts(c: &mut Criterion) {
     });
 }
 
-fn bench_bloom(c: &mut Criterion) {
-    let mut filter = BloomFilter::with_capacity(10_000);
-    for i in 0..10_000i64 {
-        filter.insert(&[Value::Int(i)]);
-    }
-    c.bench_function("bloom_query_hit", |bench| {
-        bench.iter(|| black_box(filter.may_contain(&[Value::Int(black_box(5000))])))
-    });
-    c.bench_function("bloom_query_miss", |bench| {
-        bench.iter(|| black_box(filter.may_contain(&[Value::Int(black_box(999_999))])))
-    });
-    c.bench_function("bloom_insert", |bench| {
-        let mut f = BloomFilter::with_capacity(10_000);
-        let mut i = 0i64;
-        bench.iter(|| {
-            i += 1;
-            f.insert(&[Value::Int(black_box(i))])
-        })
-    });
-}
-
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_bitvec, bench_fragcounts, bench_bloom
+    targets = bench_bitvec, bench_fragcounts
 }
 criterion_main!(benches);

@@ -3,8 +3,6 @@
 //! * `selpd` — selection push-down for deltas (13a/13c): delta fixed at
 //!   2.5% of the table, fraction of delta rows passing the WHERE clause
 //!   varied 2%→100%; with vs without push-down.
-//! * `bloom` — bloom filters for joins (13b/13d): join selectivity ×
-//!   delta size, with vs without bloom filters.
 //! * `index` — delta-maintained join-side indexes: round trips, rows
 //!   scanned, and maintenance time with vs without the `Q ⋈ Δ` index.
 //!   Self-verifying: with the index on, steady-state batches must report
@@ -12,6 +10,10 @@
 //!   harness panics (the CI bench-smoke job turns that into a failure).
 //! * `space` — top-l state buffers (13e/13f): Q_space (TPC-H Q10) state
 //!   memory as a function of the buffer bound l.
+//!
+//! Fig. 13b/d (bloom filters for joins) has no experiment: the join-side
+//! indexes answer the `Q ⋈ Δ` terms in memory, so there is no outsourced
+//! round trip left for a bloom filter to skip, and the filters are gone.
 
 use imp_bench::*;
 use imp_core::maintain::SketchMaintainer;
@@ -95,76 +97,6 @@ fn exp_selpd(report: &mut BenchReport) {
     print_table(
         "Fig. 13a/c: selection push-down (delta = 2.5% of table)",
         &["delta-sel", "pushdown", "maintain", "pruned"],
-        &out,
-    );
-}
-
-fn exp_bloom(report: &mut BenchReport) {
-    let rows = scaled(20_000, 2_000);
-    let groups = 2_000i64;
-    let mut out = Vec::new();
-    for sel in [1u32, 5, 10] {
-        for delta in [10usize, 100, 1000] {
-            for bloom in [true, false] {
-                let name = format!("tb{sel}");
-                let helper = format!("hb{sel}");
-                let mut db = Database::new();
-                load(
-                    &mut db,
-                    &SyntheticConfig {
-                        name: name.clone(),
-                        rows,
-                        groups,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                load_join_helper(&mut db, &helper, groups, sel, 1, 5).unwrap();
-                let sql = queries::q_joinsel(&name, &helper);
-                let plan = db.plan_sql(&sql).unwrap();
-                let pset = pset_for(&db, &name, "a", 100);
-                let cfg = OpConfig {
-                    bloom,
-                    ..bench_op_config()
-                };
-                let ups = insert_stream(&name, reps(), delta, groups, rows * 8, 3);
-                let (mut m, _) =
-                    SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true).unwrap();
-                let mut times = Vec::new();
-                let mut pruned = 0u64;
-                for op in &ups {
-                    let WorkloadOp::Update { sql, .. } = op else {
-                        continue;
-                    };
-                    db.execute_sql(sql).unwrap();
-                    let (t, rep) = time_once(|| m.maintain(&db).unwrap());
-                    times.push(t);
-                    pruned += rep.metrics.bloom_pruned;
-                }
-                report.add(
-                    Record::new(
-                        "bloom",
-                        format!(
-                            "sel{sel}/d{delta}/bloom_{}",
-                            if bloom { "on" } else { "off" }
-                        ),
-                    )
-                    .time_stats("maintain", &criterion::sample_stats(&times))
-                    .count("bloom_pruned", pruned, false),
-                );
-                out.push(vec![
-                    format!("{sel}%"),
-                    delta.to_string(),
-                    if bloom { "on" } else { "off" }.to_string(),
-                    ms(median_ms(times)),
-                    pruned.to_string(),
-                ]);
-            }
-        }
-    }
-    print_table(
-        "Fig. 13b/d: bloom-filter join optimization",
-        &["join-sel", "delta", "bloom", "maintain", "pruned"],
         &out,
     );
 }
@@ -320,12 +252,10 @@ fn main() {
     let mut report = BenchReport::new("fig13_opts");
     match which {
         "selpd" => exp_selpd(&mut report),
-        "bloom" => exp_bloom(&mut report),
         "index" => exp_index(&mut report),
         "space" => exp_space(&mut report),
         _ => {
             exp_selpd(&mut report);
-            exp_bloom(&mut report);
             exp_index(&mut report);
             exp_space(&mut report);
         }

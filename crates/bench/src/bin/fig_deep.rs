@@ -11,21 +11,19 @@
 //!
 //! The harness **panics** when the contract breaks:
 //!
-//! * the chain must compile n-ary (`nary_arity() == Some(4)`) while the
-//!   `nary_join: false` oracle stays on the binary tree;
-//! * zero intermediate pair state: after the final batch the n-ary
-//!   index entries equal the live base-table rows exactly (each row in
-//!   exactly one per-input index), while the binary tree holds strictly
-//!   more (its upper joins index intermediate join outputs);
+//! * the chain must compile to one 4-input operator
+//!   (`nary_arity() == Some(4)`);
+//! * zero intermediate pair state: after the final batch the index
+//!   entries equal the live base-table rows exactly (each row in exactly
+//!   one per-input index);
 //! * steady state is round-trip-free and O(|Δ|): after the first batch
 //!   builds the four indexes, every maintenance run reports
 //!   `db_roundtrips == 0` and total per-input probes bounded by a small
 //!   constant times the batch's delta rows;
-//! * both configurations end byte-identical to a fresh recapture.
+//! * the maintained sketch ends byte-identical to a fresh recapture.
 
 use imp_bench::*;
 use imp_core::maintain::SketchMaintainer;
-use imp_core::ops::OpConfig;
 use imp_engine::Database;
 use imp_sketch::capture;
 use imp_storage::{row, DataType, Field, Schema};
@@ -111,24 +109,17 @@ struct Run {
     index_bytes: usize,
 }
 
-fn run_config(
-    label: &str,
-    cfg: OpConfig,
-    keys: i64,
-    batches: usize,
-    delta: usize,
-    expect_nary: bool,
-) -> Run {
+fn run(keys: i64, batches: usize, delta: usize) -> Run {
     let mut db = seed_db(keys);
     let plan = db.plan_sql(SQL).unwrap();
     let pset = pset_for(&db, "d0", "k0", 40);
-    let mut m = SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true)
+    let mut m = SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), bench_op_config(), true)
         .unwrap()
         .0;
     assert_eq!(
         m.nary_arity(),
-        expect_nary.then_some(4),
-        "{label}: wrong join-circuit compilation for the 4-table chain"
+        Some(4),
+        "wrong join-circuit compilation for the 4-table chain"
     );
 
     let mut times = Vec::new();
@@ -146,37 +137,28 @@ fn run_config(
         pending_deletes = deletes;
         let (t, report) = time_once(|| m.maintain(&db).unwrap());
         times.push(t);
-        assert!(
-            !report.recaptured,
-            "{label}: churn must not force recapture"
-        );
+        assert!(!report.recaptured, "churn must not force recapture");
         if batch >= 1 {
             // Steady state: the per-input indexes were built during the
             // first batch; from then on maintenance is round-trip-free.
             steady_roundtrips += report.metrics.db_roundtrips;
-            if expect_nary {
-                let probes: u64 = report.nary_input_probes.iter().sum();
-                assert!(
-                    probes as usize <= delta_rows * 16 * 4,
-                    "{label}: batch {batch} probed {probes} times for {delta_rows} \
-                     delta rows — steady-state maintenance must stay O(|Δ|)"
-                );
-            }
+            let probes: u64 = report.nary_input_probes.iter().sum();
+            assert!(
+                probes as usize <= delta_rows * 16 * 4,
+                "batch {batch} probed {probes} times for {delta_rows} \
+                 delta rows — steady-state maintenance must stay O(|Δ|)"
+            );
         }
-        if expect_nary {
-            assert_eq!(report.nary_input_probes.len(), 4);
-            for (acc, p) in probes_total.iter_mut().zip(&report.nary_input_probes) {
-                *acc += p;
-            }
-            probes_last = report.nary_input_probes;
+        assert_eq!(report.nary_input_probes.len(), 4);
+        for (acc, p) in probes_total.iter_mut().zip(&report.nary_input_probes) {
+            *acc += p;
         }
+        probes_last = report.nary_input_probes;
     }
-    if expect_nary {
-        assert_eq!(
-            steady_roundtrips, 0,
-            "{label}: steady-state n-ary maintenance must avoid backend round trips"
-        );
-    }
+    assert_eq!(
+        steady_roundtrips, 0,
+        "steady-state n-ary maintenance must avoid backend round trips"
+    );
 
     // Retract the last slab too, so the final content is exactly the
     // seed plus the cycled join-side rows — then compare to recapture.
@@ -188,21 +170,19 @@ fn run_config(
     assert_eq!(
         m.sketch(),
         &truth.sketch,
-        "{label}: maintained sketch diverged from fresh recapture after churn"
+        "maintained sketch diverged from fresh recapture after churn"
     );
 
     let (index_entries, index_bytes) = m.join_index_state();
-    if expect_nary {
-        let live: usize = ["d0", "d1", "d2", "d3"]
-            .iter()
-            .map(|t| db.table(t).unwrap().row_count())
-            .sum();
-        assert_eq!(
-            index_entries, live,
-            "{label}: n-ary state must hold exactly the n per-input indexes \
-             (one entry per live base row — zero intermediate pair state)"
-        );
-    }
+    let live: usize = ["d0", "d1", "d2", "d3"]
+        .iter()
+        .map(|t| db.table(t).unwrap().row_count())
+        .sum();
+    assert_eq!(
+        index_entries, live,
+        "n-ary state must hold exactly the n per-input indexes \
+         (one entry per live base row — zero intermediate pair state)"
+    );
     Run {
         times,
         steady_roundtrips,
@@ -219,52 +199,29 @@ fn main() {
     let delta = scaled(600, 24);
     println!("deep: 4-table chain, {batches} churn batches x {delta} rows, {keys} keys");
 
-    let nary = run_config("nary", bench_op_config(), keys, batches, delta, true);
-    let binary = run_config(
-        "binary",
-        OpConfig {
-            nary_join: false,
-            ..bench_op_config()
-        },
-        keys,
-        batches,
-        delta,
-        false,
-    );
-    assert!(
-        binary.index_entries > nary.index_entries,
-        "binary tree must hold more index entries than the n per-input \
-         indexes (pair state: {} vs {})",
-        binary.index_entries,
-        nary.index_entries
-    );
+    let nary = run(keys, batches, delta);
 
     let mut report = BenchReport::new("fig_deep");
-    let mut out = Vec::new();
-    for (label, run) in [("nary", &nary), ("binary", &binary)] {
-        let mut rec = Record::new("deep", label.to_string())
-            .time_ms("maintain_med", median_ms(run.times.clone()))
-            .count("steady_roundtrips", run.steady_roundtrips, false)
-            .count("index_entries", run.index_entries as u64, true)
-            .heap("index_bytes", run.index_bytes as u64);
-        if label == "nary" {
-            for (i, p) in run.probes_total.iter().enumerate() {
-                rec = rec.count(format!("probes_in{i}"), *p, false);
-            }
-        }
-        report.add(rec);
-        out.push(vec![
-            label.to_string(),
-            ms(median_ms(run.times.clone())),
-            run.steady_roundtrips.to_string(),
-            run.index_entries.to_string(),
-            bytes_h(run.index_bytes as u64),
-            format!("{:?}", run.probes_total),
-            format!("{:?}", run.probes_last),
-        ]);
+    let mut rec = Record::new("deep", "nary".to_string())
+        .time_ms("maintain_med", median_ms(nary.times.clone()))
+        .count("steady_roundtrips", nary.steady_roundtrips, false)
+        .count("index_entries", nary.index_entries as u64, true)
+        .heap("index_bytes", nary.index_bytes as u64);
+    for (i, p) in nary.probes_total.iter().enumerate() {
+        rec = rec.count(format!("probes_in{i}"), *p, false);
     }
+    report.add(rec);
+    let out = vec![vec![
+        "nary".to_string(),
+        ms(median_ms(nary.times.clone())),
+        nary.steady_roundtrips.to_string(),
+        nary.index_entries.to_string(),
+        bytes_h(nary.index_bytes as u64),
+        format!("{:?}", nary.probes_total),
+        format!("{:?}", nary.probes_last),
+    ]];
     print_table(
-        "deep: n-ary circuit vs binary tree on a 4-table chain",
+        "deep: n-ary circuit on a 4-table chain",
         &[
             "config",
             "maintain",

@@ -111,7 +111,7 @@ pub struct Metric {
 /// One experiment data point: an (experiment, config) key plus metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
-    /// Experiment family within the harness (e.g. `mixed`, `bloom`).
+    /// Experiment family within the harness (e.g. `mixed`, `index`).
     pub experiment: String,
     /// Configuration label within the experiment (e.g. `1U5Q/d200`).
     pub config: String,

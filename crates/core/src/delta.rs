@@ -9,7 +9,7 @@
 //!
 //! Every operator is *symmetric in the sign*: a high-churn batch mixing
 //! inserts and deletes of the same tuples flows through selection,
-//! projection, the binary and n-ary joins, and aggregation exactly like
+//! projection, the join, and aggregation exactly like
 //! an insert-only batch — state merges by `(row, annotation content)`
 //! and cancels at zero multiplicity everywhere
 //! ([`crate::opt::SideIndex`], aggregation groups), and

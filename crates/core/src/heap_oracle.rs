@@ -66,7 +66,6 @@ impl<'a> Walk<'a> {
 impl IncNode {
     pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
         let mut size = match self {
-            IncNode::Join(j) => j.walked_heap_size(w),
             IncNode::Nary(n) => n.walked_heap_size(w),
             IncNode::Aggregate(a) => a.walked_heap_size(w),
             IncNode::TopK(t) => t.walked_heap_size(w),
@@ -117,7 +116,7 @@ mod tests {
         db
     }
 
-    /// N-ary join + aggregate, MIN/MAX, top-k, binary join + aggregate.
+    /// 4-input join + aggregate, MIN/MAX, top-k, 2-input join + aggregate.
     const QUERIES: [&str; 4] = [
         "SELECT va, sum(wd) AS s FROM ta JOIN tb ON (ka = kb1) JOIN tc ON (kb2 = kc1) \
          JOIN td ON (kc2 = kd) GROUP BY va HAVING sum(wd) > 100",

@@ -15,16 +15,16 @@
 //!   relational operator the paper covers — table access, selection,
 //!   projection, cross product / join, aggregation (SUM / COUNT / AVG /
 //!   MIN / MAX), duplicate removal, and top-k (§5.2) — plus the merge
-//!   operator `μ` (§5.1). Flattenable equi-join trees of three or more
-//!   inputs compile to a single [`ops::NaryJoinOp`] maintaining
+//!   operator `μ` (§5.1). Every join — two inputs or more, cross products
+//!   included — compiles to one [`ops::NaryJoinOp`] maintaining
 //!   `Δ(R₁ ⋈ … ⋈ Rₙ)` against n per-input indexes with no intermediate
-//!   pair state; the binary tree remains as the differential oracle.
-//! * [`opt`] — the optimizations of §7.2: bloom filters for join deltas,
-//!   selection push-down into delta retrieval, and bounded (top-l) state
-//!   for MIN / MAX / top-k with recapture fallback — plus the
-//!   delta-maintained [`opt::SideIndex`], one per join input of either
-//!   join operator, that answers steady-state `Q ⋈ Δ` join terms without
-//!   backend round trips.
+//!   pair state.
+//! * [`opt`] — the optimizations of §7.2: selection push-down into delta
+//!   retrieval and bounded (top-l) state for MIN / MAX / top-k with
+//!   recapture fallback — plus the delta-maintained [`opt::SideIndex`],
+//!   one per join input, that answers steady-state `Q ⋈ Δ` join terms
+//!   without backend round trips. (§7.2's join bloom filters are not
+//!   kept: the round trip they could skip is one the indexes never make.)
 //! * [`maintain`] — [`maintain::SketchMaintainer`], the incremental
 //!   maintenance procedure `I(Q, Φ, S, Δ𝒟) = (ΔP, S′)` of Def. 4.5.
 //! * [`advisor`] — workload-driven, cost-based sketch selection: a

@@ -50,9 +50,9 @@ pub struct MaintReport {
     /// Operator-state heap footprint after the run (Fig. 15/17) — an O(1)
     /// read of [`SketchMaintainer::state_heap_size`].
     pub state_bytes: usize,
-    /// Per-input probe counts of the n-ary join circuit during this run
-    /// (empty when the plan compiled to the binary fallback, or on the
-    /// empty fast-path / recapture paths where no probing happened).
+    /// Per-input probe counts of the topmost join during this run (empty
+    /// when the plan has no join, or on the empty fast-path / recapture
+    /// paths where no probing happened).
     pub nary_input_probes: Vec<u64>,
 }
 
@@ -492,8 +492,7 @@ impl SketchMaintainer {
         self.root.topk_state()
     }
 
-    /// Number of inputs of the n-ary join circuit, if the plan compiled
-    /// to one (`None` means the binary-tree fallback is in use).
+    /// Number of inputs of the topmost join, if the plan has one.
     pub fn nary_arity(&self) -> Option<usize> {
         self.root.nary_arity()
     }

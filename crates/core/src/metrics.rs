@@ -21,8 +21,6 @@ pub struct MaintMetrics {
     /// Delta tuples pruned by selection push-down before entering the
     /// engine (§7.2 "Filtering Deltas Based On Selections").
     pub delta_rows_pruned: u64,
-    /// Delta tuples pruned by join bloom filters (§7.2).
-    pub bloom_pruned: u64,
     /// Round trips to the backend (join evaluations).
     pub db_roundtrips: u64,
     /// Round trips avoided because a join-side index answered a `Q ⋈ Δ`
@@ -31,8 +29,8 @@ pub struct MaintMetrics {
     pub db_roundtrips_avoided: u64,
     /// Delta rows shipped to the backend for an outsourced `Q ⋈ Δ`
     /// evaluation. Bumped only when the term actually triggers a round
-    /// trip — not when the side was already evaluated this batch (bloom /
-    /// index build) or answered by a side index.
+    /// trip — not when the side was already evaluated this batch (index
+    /// build) or answered by a side index.
     pub rows_sent_to_db: u64,
     /// Delta rows answered by probing a join-side index instead of an
     /// outsourced evaluation.
@@ -67,7 +65,6 @@ impl MaintMetrics {
     pub fn absorb(&mut self, other: &MaintMetrics) {
         self.delta_rows_fetched += other.delta_rows_fetched;
         self.delta_rows_pruned += other.delta_rows_pruned;
-        self.bloom_pruned += other.bloom_pruned;
         self.db_roundtrips += other.db_roundtrips;
         self.db_roundtrips_avoided += other.db_roundtrips_avoided;
         self.rows_sent_to_db += other.rows_sent_to_db;

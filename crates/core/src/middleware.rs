@@ -48,7 +48,10 @@ pub struct ImpConfig {
     pub strategy: MaintenanceStrategy,
     /// Fragments per range partition (`#frag`, §8.3.5).
     pub fragments: usize,
-    /// Maintain bloom filters for joins (§7.2).
+    /// Ignored: join bloom filters (§7.2) are gone, since the join-side
+    /// indexes already avoid the round trip they could skip. Kept only for
+    /// the `bench_cycle` replica, which still reads it into an [`OpConfig`]
+    /// struct literal; removed together with that replica.
     pub bloom: bool,
     /// Push selections into delta retrieval (§7.2).
     pub selection_pushdown: bool,
@@ -64,11 +67,9 @@ pub struct ImpConfig {
     /// per-batch evaluation. `None` disables the indexes. Bounded to
     /// [`crate::ops::DEFAULT_JOIN_INDEX_BUDGET`] by default.
     pub join_index_budget: Option<usize>,
-    /// Compile flattenable equi-join trees of three or more inputs into
-    /// the n-ary delta circuit ([`crate::ops::NaryJoinOp`], `true` by
-    /// default). `false` keeps every join on the binary-tree path — the
-    /// oracle configuration the `nary_differential` suite compares
-    /// against.
+    /// Ignored: every join compiles to [`crate::ops::NaryJoinOp`]. Kept
+    /// only for the `bench_cycle` replica, which still reads it into an
+    /// [`OpConfig`] struct literal; removed together with that replica.
     pub nary_join: bool,
     /// Batch size at which delta normalization and annotation switch
     /// from row-at-a-time to their columnar kernels.
@@ -172,12 +173,11 @@ impl Default for ImpConfig {
 impl ImpConfig {
     pub(crate) fn op_config(&self) -> OpConfig {
         OpConfig {
-            bloom: self.bloom,
             minmax_buffer: self.minmax_buffer,
             topk_buffer: self.topk_buffer,
             join_index_budget: self.join_index_budget,
-            nary_join: self.nary_join,
             columnar_min: self.columnar_min,
+            ..OpConfig::default()
         }
     }
 }

@@ -17,7 +17,7 @@
 //!   ([`Obs::metrics_json`]).
 //! * **[`trace`]** — bounded per-thread span rings instrumenting the full
 //!   pipeline: update staged → router ingest → fan-out → shard
-//!   claim/steal → per-term join maintenance (binary and n-ary probe
+//!   claim/steal → per-term join maintenance (`nary_delta` / `nary_probe`
 //!   phases) → snapshot publish. Spans carry ids, parent links, and
 //!   monotonic timestamps; [`Obs::trace_chrome_json`] renders Chrome
 //!   trace-event JSON loadable in `chrome://tracing`.

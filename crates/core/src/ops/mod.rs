@@ -11,33 +11,25 @@
 //! [`merge::MergeOp`] sits above the root and turns result deltas into a
 //! sketch delta `ΔP` (§5.1).
 //!
-//! # Join compilation: n-ary circuit vs. binary fallback
+//! # Joins: one operator
 //!
-//! Equi-join trees are canonicalized by
-//! [`imp_sql::plan::flatten_join`] (left-deep, right-deep, and bushy
-//! shapes all normalize to one join set) and — when the flattened form
-//! has ≥ 3 inputs and [`OpConfig::nary_join`] is on — compiled into a
-//! single [`NaryJoinOp`] maintaining `Δ(R₁ ⋈ … ⋈ Rₙ)` by the
-//! telescoping generalization of the paper's three-term rule, probing n
-//! per-input indexes with **no intermediate pair state** (see
-//! [`nary`]'s module docs).
-//!
-//! The binary [`JoinOp`] remains in exactly these cases, and doubles as
-//! the differential oracle for the n-ary path (`nary_differential`):
-//!
-//! * two-input joins (the three-term rule *is* the n = 2 telescoping);
-//! * cross products (no equi-keys to canonicalize — an empty-key join
-//!   stays one leaf input of the flattened form);
-//! * `OpConfig::nary_join` disabled (the oracle configuration).
+//! Every join compiles to one [`NaryJoinOp`], which maintains
+//! `Δ(R₁ ⋈ … ⋈ Rₙ)` by the telescoping generalization of the paper's
+//! three-term rule (for n = 2 it *is* the three-term rule), probing n
+//! per-input indexes with **no intermediate pair state** (see [`nary`]'s
+//! module docs). Equi-join trees are canonicalized by
+//! [`imp_sql::plan::flatten_join`] — left-deep, right-deep and bushy
+//! shapes all normalize to one join set, two inputs included. A cross
+//! product (no equi-keys, so nothing to flatten) is two inputs with no
+//! join classes: each term scans the other input's index. An equi-join
+//! over a cross-product input therefore compiles to nested operators.
 
 pub mod aggregate;
-pub mod join;
 pub mod merge;
 pub mod nary;
 pub mod topk;
 
 pub use aggregate::AggOp;
-pub use join::JoinOp;
 pub use merge::MergeOp;
 pub use nary::NaryJoinOp;
 pub use topk::TopKOp;
@@ -48,6 +40,7 @@ use crate::metrics::MaintMetrics;
 use crate::Result;
 use imp_engine::Database;
 use imp_sketch::PartitionSet;
+use imp_sql::plan::NaryJoin;
 use imp_sql::{Expr, LogicalPlan};
 use imp_storage::{AnnotPool, DeltaEntry, FxHashMap, Row};
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -137,7 +130,10 @@ pub const DEFAULT_COLUMNAR_MIN: usize = 32;
 /// Tuning knobs for operator construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpConfig {
-    /// Maintain bloom filters for join deltas (§7.2).
+    /// Ignored. Join bloom filters (§7.2) are gone: they saved an
+    /// outsourced round trip that the join-side indexes already avoid.
+    /// Kept only for the `bench_cycle` replica, which still sets it by
+    /// struct literal; removed together with that replica.
     pub bloom: bool,
     /// Keep only the best `l` values per group in MIN/MAX state (§7.2
     /// "Optimizing Minimum, Maximum, and Top-k"); `None` = unbounded.
@@ -153,9 +149,10 @@ pub struct OpConfig {
     /// per-batch outsourced evaluation (like `minmax_buffer`'s recapture
     /// fallback). `None` disables the indexes entirely.
     pub join_index_budget: Option<usize>,
-    /// Compile flattenable equi-join trees of ≥ 3 inputs into one
-    /// [`NaryJoinOp`] (the delta-circuit path). Off = every join stays a
-    /// binary [`JoinOp`] — the differential oracle configuration.
+    /// Ignored. Every join compiles to a [`NaryJoinOp`]; there is no
+    /// binary-tree path left to choose. Kept only for the `bench_cycle`
+    /// replica, which still sets it by struct literal; removed together
+    /// with that replica.
     pub nary_join: bool,
     /// Batch-size crossover for the columnar delta kernels (normalize /
     /// annotate): batches of at least this many rows take
@@ -176,85 +173,6 @@ impl Default for OpConfig {
             columnar_min: DEFAULT_COLUMNAR_MIN,
         }
     }
-}
-
-/// Lifecycle of one join input's materialised index (both join operators).
-#[derive(Debug)]
-pub(crate) enum SideState<I> {
-    /// Not built: no other input's delta has probed it since the last
-    /// reset (the first probe builds it from one round trip).
-    Absent,
-    /// Live and maintained from the input's own deltas.
-    Ready(I),
-    /// Outgrew the budget: per-batch evaluation until the next reset
-    /// (rebuilding would exhaust the budget again).
-    Disabled,
-}
-
-impl<I> SideState<I> {
-    pub(crate) fn ready(&self) -> Option<&I> {
-        match self {
-            SideState::Ready(idx) => Some(idx),
-            _ => None,
-        }
-    }
-
-    /// Drop a live index that outgrew `budget` — once the batch that grew
-    /// it is done, since it answered that batch at its new state.
-    pub(crate) fn retire_over(&mut self, budget: Option<usize>, len: impl Fn(&I) -> usize) {
-        if matches!(self, SideState::Ready(idx) if budget.is_some_and(|b| len(idx) > b)) {
-            *self = SideState::Disabled;
-        }
-    }
-
-    /// Persist: a tag, then a live index's own encoding.
-    pub(crate) fn encode(
-        &self,
-        buf: &mut bytes::BytesMut,
-        encode: impl FnOnce(&I, &mut bytes::BytesMut),
-    ) {
-        match self {
-            SideState::Absent => imp_storage::codec::encode_u64(buf, 0),
-            SideState::Ready(idx) => {
-                imp_storage::codec::encode_u64(buf, 1);
-                encode(idx, buf);
-            }
-            SideState::Disabled => imp_storage::codec::encode_u64(buf, 2),
-        }
-    }
-
-    /// Restore what [`SideState::encode`] wrote.
-    pub(crate) fn decode(
-        buf: &mut bytes::Bytes,
-        decode: impl FnOnce(&mut bytes::Bytes) -> Result<I>,
-    ) -> Result<SideState<I>> {
-        Ok(match imp_storage::codec::decode_u64(buf)? {
-            0 => SideState::Absent,
-            1 => SideState::Ready(decode(buf)?),
-            2 => SideState::Disabled,
-            tag => {
-                return Err(CoreError::Codec(format!(
-                    "invalid join input index tag {tag}"
-                )))
-            }
-        })
-    }
-}
-
-/// Is some join input without a live index probed by another input whose
-/// tables `changed` accepts?
-fn probes_unindexed<'a, I: 'a>(
-    inputs: impl Iterator<Item = (&'a LogicalPlan, &'a SideState<I>)> + Clone,
-    changed: &dyn Fn(&str) -> bool,
-) -> bool {
-    let touched = |plan: &LogicalPlan| plan.tables().iter().any(|t| changed(t));
-    inputs.clone().enumerate().any(|(j, (_, state))| {
-        state.ready().is_none()
-            && inputs
-                .clone()
-                .enumerate()
-                .any(|(i, (p, _))| i != j && touched(p))
-    })
 }
 
 /// One node of the incremental plan.
@@ -279,11 +197,8 @@ pub enum IncNode {
         /// Projection expressions.
         exprs: Vec<Expr>,
     },
-    /// Join / cross product (§5.2.4), with bloom filters (§7.2). The
-    /// binary fallback and differential oracle of the n-ary path.
-    Join(Box<JoinOp>),
-    /// Flattened n-ary equi-join (≥ 3 inputs) maintained by the
-    /// telescoping delta rule with per-input indexes only.
+    /// Join / cross product (§5.2.4) of any number of inputs, maintained
+    /// by the telescoping delta rule with per-input indexes only.
     Nary(Box<NaryJoinOp>),
     /// Aggregation (§5.2.5/§5.2.6); also implements duplicate removal δ.
     Aggregate(Box<AggOp>),
@@ -311,12 +226,7 @@ impl IncNode {
                 input: Box::new(IncNode::build(input, config)?),
                 exprs: exprs.clone(),
             },
-            LogicalPlan::Join {
-                left,
-                right,
-                left_keys,
-                right_keys,
-            } => {
+            LogicalPlan::Join { left, right, .. } => {
                 if !is_stateless(left) || !is_stateless(right) {
                     return Err(CoreError::Unsupported(
                         "incremental joins require SPJ inputs; aggregation below a \
@@ -325,25 +235,12 @@ impl IncNode {
                             .into(),
                     ));
                 }
-                // Canonicalize the equi-join tree; deep enough trees
-                // compile to the n-ary circuit (see the module docs for
-                // when the binary fallback below is used instead).
-                if config.nary_join {
-                    if let Some(flat) = imp_sql::plan::flatten_join(plan) {
-                        if flat.inputs.len() >= 3 {
-                            return Ok(IncNode::Nary(Box::new(NaryJoinOp::new(&flat, config)?)));
-                        }
-                    }
-                }
-                IncNode::Join(Box::new(JoinOp::new(
-                    IncNode::build(left, config)?,
-                    IncNode::build(right, config)?,
-                    (**left).clone(),
-                    (**right).clone(),
-                    left_keys.clone(),
-                    right_keys.clone(),
-                    config,
-                )))
+                // A cross product does not flatten: two inputs, no classes.
+                let flat = imp_sql::plan::flatten_join(plan).unwrap_or_else(|| NaryJoin {
+                    inputs: vec![(**left).clone(), (**right).clone()],
+                    classes: Vec::new(),
+                });
+                IncNode::Nary(Box::new(NaryJoinOp::new(&flat, config)?))
             }
             LogicalPlan::Aggregate {
                 input,
@@ -427,7 +324,6 @@ impl IncNode {
                 }
                 Ok(out)
             }
-            IncNode::Join(j) => j.process(ctx),
             IncNode::Nary(n) => n.process(ctx),
             IncNode::Aggregate(a) => a.process(ctx),
             IncNode::TopK(t) => t.process(ctx),
@@ -442,7 +338,6 @@ impl IncNode {
             IncNode::Selection { input, .. }
             | IncNode::Projection { input, .. }
             | IncNode::Passthrough { input } => input.reset(),
-            IncNode::Join(j) => j.reset(),
             IncNode::Nary(n) => n.reset(),
             IncNode::Aggregate(a) => a.reset(),
             IncNode::TopK(t) => t.reset(),
@@ -456,10 +351,6 @@ impl IncNode {
             IncNode::Selection { input, .. }
             | IncNode::Projection { input, .. }
             | IncNode::Passthrough { input } => f(input),
-            IncNode::Join(j) => {
-                f(j.left_child());
-                f(j.right_child());
-            }
             IncNode::Nary(n) => n.children().iter().for_each(f),
             IncNode::Aggregate(a) => f(a.input_child()),
             IncNode::TopK(t) => f(t.input_child()),
@@ -482,8 +373,7 @@ impl IncNode {
     /// delta probes)?
     pub fn reads_base_tables(&self, changed: &dyn Fn(&str) -> bool) -> bool {
         let mut reads = match self {
-            IncNode::Join(j) => probes_unindexed(j.inputs(), changed),
-            IncNode::Nary(n) => probes_unindexed(n.inputs(), changed),
+            IncNode::Nary(n) => n.probes_unindexed(changed),
             _ => false,
         };
         self.for_each_child(&mut |c| reads = reads || c.reads_base_tables(changed));
@@ -494,7 +384,6 @@ impl IncNode {
     /// (Fig. 17 reports the index footprint next to the operator state).
     pub fn join_index_state(&self) -> (usize, usize) {
         let (mut entries, mut bytes) = match self {
-            IncNode::Join(j) => j.index_state(),
             IncNode::Nary(n) => n.index_state(),
             _ => (0, 0),
         };
@@ -514,7 +403,6 @@ impl IncNode {
     /// handles, so they contribute nothing.
     pub fn readopt_annots(&self, pool: &mut AnnotPool) {
         match self {
-            IncNode::Join(j) => j.readopt_annots(pool),
             IncNode::Nary(n) => n.readopt_annots(pool),
             IncNode::TopK(t) => t.readopt_annots(pool),
             _ => {}
@@ -526,7 +414,6 @@ impl IncNode {
     /// keeps a running total, so this costs O(#operators).
     pub fn heap_size(&self) -> usize {
         let mut size = match self {
-            IncNode::Join(j) => j.own_heap_size(),
             IncNode::Nary(n) => n.index_state().1,
             IncNode::Aggregate(a) => a.own_heap_size(),
             IncNode::TopK(t) => t.own_heap_size(),
@@ -536,19 +423,19 @@ impl IncNode {
         size
     }
 
-    /// Arity of the topmost n-ary join in the circuit, if any (`fig_deep`
-    /// and the differential tests assert which path compiled).
+    /// Arity of the topmost join in the circuit, if any (`fig_deep` and
+    /// the differential tests assert how a plan flattened).
     pub fn nary_arity(&self) -> Option<usize> {
         self.find_nary(&mut |n| n.arity())
     }
 
-    /// Per-input probe counts (last batch) of the topmost n-ary join, if
+    /// Per-input probe counts (last batch) of the topmost join, if
     /// any — surfaced through `MaintReport::nary_input_probes`.
     pub fn nary_probe_counts(&self) -> Option<Vec<u64>> {
         self.find_nary(&mut |n| n.probes_last().to_vec())
     }
 
-    /// Canonical shape signature of the topmost n-ary join, if any (the
+    /// Canonical shape signature of the topmost join, if any (the
     /// canonicalization proptests compare these across parse trees).
     pub fn nary_signature(&self) -> Option<String> {
         self.find_nary(&mut |n| n.signature())

@@ -1,10 +1,13 @@
-//! N-ary incremental equi-join: one operator maintaining
-//! `Δ(R₁ ⋈ … ⋈ Rₙ)` without intermediate pair state.
+//! Incremental join / cross product (paper §5.2.4), any number of
+//! inputs: one operator maintaining `Δ(R₁ ⋈ … ⋈ Rₙ)` without intermediate
+//! pair state. Every `LogicalPlan::Join` compiles to it — an equi-join
+//! tree as [`imp_sql::plan::flatten_join`] canonicalizes it, a cross
+//! product as two inputs with no join classes.
 //!
 //! # The telescoping n-ary delta rule
 //!
-//! The binary rule of [`super::join`] generalizes by inclusion–exclusion,
-//! but the 2ⁿ−1 signed terms collapse into n all-positive terms once each
+//! The paper's three-term rule generalizes by inclusion–exclusion, but
+//! the 2ⁿ−1 signed terms collapse into n all-positive terms once each
 //! input is read at a *mixed* frontier — inputs left of the current term
 //! at their new state, inputs right of it at their old state:
 //!
@@ -15,51 +18,128 @@
 //! (Substitute `Rᴺᴱᵂ = Rᴼᴸᴰ + ΔR` term by term and the cross terms
 //! telescope; for n = 2 this is exactly
 //! `ΔR₁ ⋈ R₂ᴼᴸᴰ + R₁ᴺᴱᵂ ⋈ ΔR₂ = ΔR₁ ⋈ R₂ᴺᴱᵂ + R₁ᴺᴱᵂ ⋈ ΔR₂ − ΔR₁ ⋈ ΔR₂`,
-//! the paper's three-term rule.) Signed multiplicities multiply, so
-//! high-churn retraction batches flow through the same n terms: a delete
-//! meeting a delete inserts, and a same-batch insert+delete pair cancels
-//! in the final normalize *inside* this operator — parents never see the
-//! churn (Δ⋈Δ annihilation).
+//! the paper's three-term rule.) Signed multiplicities multiply, so the
+//! paper's sign cases (del×del → insert, del×ins → delete, …) fall out of
+//! the algebra and high-churn retraction batches flow through the same
+//! n terms: a same-batch insert+delete pair cancels in the final
+//! normalize *inside* this operator — parents never see the churn.
 //!
 //! The operator walks the terms in input order and absorbs `ΔRᵢ` into
 //! input i's [`SideIndex`] immediately *after* term i — so indexes
 //! left of the cursor are at the new state and indexes right of it still
 //! at the old state, exactly the frontier the rule reads. No upfront
-//! sync, no state copies. An index first built mid-batch (one backend
-//! evaluation, which always sees the *new* table state) is rewound to
-//! the old state with a negated delta when its own term is still ahead.
+//! sync, no state copies.
+//!
+//! # Side indexes: `Q ⋈ Δ` without round trips
+//!
+//! The paper outsources the `Q ⋈ Δ` terms to the backend (§1, §7), a
+//! round trip per batch. Here an input is materialised as a [`SideIndex`]
+//! the first time another input's delta probes it — one backend
+//! evaluation, which always sees the *new* table state and is rewound to
+//! the old one with a negated delta when the input's own term is still
+//! ahead — and is maintained from the input's own deltas thereafter. An
+//! input whose partners never change is never evaluated and holds no
+//! bytes. The indexes are bounded by `OpConfig::join_index_budget`
+//! (annotated tuples per input): an input over budget is dropped at the
+//! end of the batch that outgrew it and evaluated per batch into a
+//! transient index until the next reset, mirroring the bounded MIN/MAX
+//! state's fallback.
+//!
+//! # From the empty state: the join of the deltas, in memory
+//!
+//! Capture, recapture and full maintenance run the circuit from the empty
+//! state ([`MaintCtx::from_empty`]): each input's delta is its whole
+//! result, so the output is `ΔR₁ ⋈ … ⋈ ΔRₙ`. It is computed by seeding
+//! from the largest delta and probing transient indexes over the others;
+//! nothing is evaluated and nothing is kept.
 //!
 //! # Leapfrog-style probing, no pair state
 //!
 //! Each term seeds partial tuples from `ΔRᵢ` and extends them one input
 //! at a time along a precomputed greedy order (next input with all join
-//! classes bound, else the most bound classes, else — a disconnected
-//! cross-product component — a full index scan). Every extension probes
-//! that input's per-input index with the classes bound so far, in the
-//! spirit of leapfrog triejoin's variable-at-a-time expansion (hash
-//! indexes standing in for sorted tries). The probe hashes the bound
-//! values where the partial tuple holds them; an input gets a secondary
-//! chain only on the positions some order reaches with that class bound
-//! and another of its classes unbound — every other probe is fully bound
-//! and answered by the primary. The only operator state is the n
-//! per-input indexes: nothing materialises `R₁ ⋈ R₂` or any other
-//! intermediate pair, so deep plans carry no pair-state heap at all.
+//! classes bound, else the most bound classes, else — a cross product or
+//! a disconnected component — a full index scan). Every extension probes
+//! that input's index with the classes bound so far, in the spirit of
+//! leapfrog triejoin's variable-at-a-time expansion (hash indexes
+//! standing in for sorted tries); the last extension emits output rows
+//! directly. The only operator state is the n per-input indexes: nothing
+//! materialises `R₁ ⋈ R₂` or any other intermediate pair, so deep plans
+//! carry no pair-state heap at all.
 //!
-//! Bloom filters are not used on this path: every probe is an in-memory
-//! hash lookup already, so there is no outsourced round trip for a bloom
-//! to save (the binary fallback keeps its blooms for exactly that
-//! reason).
+//! Output annotations are produced by the memoized
+//! [`AnnotPool::union`](imp_storage::AnnotPool::union): a delta tuple that
+//! matches many partners in the same fragment combination pays for one
+//! union, not one allocation per output row.
 
-use super::{IncNode, MaintCtx, OpConfig, SideState};
+use super::{IncNode, MaintCtx, OpConfig};
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::error::CoreError;
+use crate::metrics::MaintMetrics;
 use crate::obs::trace;
 use crate::opt::{ClassSpec, SideIndex};
 use crate::Result;
+use imp_sketch::capture::eval_annot;
 use imp_sql::plan::NaryJoin;
 use imp_sql::LogicalPlan;
-use imp_storage::{AnnotId, FxHashMap, Row, Value};
+use imp_storage::{codec, AnnotId, AnnotPool, FxHashMap, Row, Value};
 use std::sync::Arc;
+
+/// Lifecycle of one join input's materialised index.
+#[derive(Debug)]
+enum SideState {
+    /// Not built: no other input's delta has probed it since the last
+    /// reset (the first probe builds it from one round trip).
+    Absent,
+    /// Live and maintained from the input's own deltas.
+    Ready(SideIndex),
+    /// Outgrew the budget: per-batch evaluation until the next reset
+    /// (rebuilding would exhaust the budget again).
+    Disabled,
+}
+
+impl SideState {
+    fn ready(&self) -> Option<&SideIndex> {
+        match self {
+            SideState::Ready(idx) => Some(idx),
+            _ => None,
+        }
+    }
+
+    /// Drop a live index that outgrew `budget` — once the batch that grew
+    /// it is done, since it answered that batch at its new state.
+    fn retire_over(&mut self, budget: Option<usize>) {
+        if matches!(self, SideState::Ready(idx) if budget.is_some_and(|b| idx.len() > b)) {
+            *self = SideState::Disabled;
+        }
+    }
+
+    /// Persist: a tag, then a live index's own encoding.
+    fn encode(&self, buf: &mut bytes::BytesMut) {
+        match self {
+            SideState::Absent => codec::encode_u64(buf, 0),
+            SideState::Ready(idx) => {
+                codec::encode_u64(buf, 1);
+                idx.encode_state(buf);
+            }
+            SideState::Disabled => codec::encode_u64(buf, 2),
+        }
+    }
+
+    /// Restore what [`SideState::encode`] wrote, decoding a live index
+    /// into `empty`.
+    fn decode(buf: &mut bytes::Bytes, empty: SideIndex, pool: &mut AnnotPool) -> Result<SideState> {
+        Ok(match codec::decode_u64(buf)? {
+            0 => SideState::Absent,
+            1 => SideState::Ready(empty.decode_state(buf, pool)?),
+            2 => SideState::Disabled,
+            tag => {
+                return Err(CoreError::Codec(format!(
+                    "invalid join input index tag {tag}"
+                )))
+            }
+        })
+    }
+}
 
 /// A partial join tuple mid-extension: the rows matched so far (slot per
 /// input), the class values bound so far, and the running annotation /
@@ -72,8 +152,9 @@ struct Partial {
     mult: i64,
 }
 
-/// Incremental n-ary equi-join operator over a canonicalized
-/// [`NaryJoin`] (see [`imp_sql::plan::flatten_join`]).
+/// Incremental join operator over a canonicalized [`NaryJoin`] (see
+/// [`imp_sql::plan::flatten_join`]); a cross product is two inputs and no
+/// classes.
 #[derive(Debug)]
 pub struct NaryJoinOp {
     children: Vec<IncNode>,
@@ -83,21 +164,19 @@ pub struct NaryJoinOp {
     /// Per input: the spec positions a partial probe binds.
     partial: Vec<Vec<usize>>,
     n_classes: usize,
-    states: Vec<SideState<SideIndex>>,
+    states: Vec<SideState>,
     /// Greedy extension order per seeding input.
     orders: Vec<Vec<usize>>,
     index_budget: Option<usize>,
     columnar_min: usize,
     /// Probes against each input's index, last completed batch.
     probes_last: Vec<u64>,
-    /// Probes against each input's index, cumulative since build/reset.
-    probes_total: Vec<u64>,
 }
 
 impl NaryJoinOp {
-    /// Compile a canonical n-ary join. Every input must be stateless
-    /// (checked by the caller for the whole subtree, same contract as
-    /// the binary operator).
+    /// Compile a canonical n-ary join (a cross product: two inputs, no
+    /// classes). Every input must be stateless (checked by the caller for
+    /// the whole subtree).
     pub fn new(nary: &NaryJoin, config: &OpConfig) -> Result<NaryJoinOp> {
         let n = nary.inputs.len();
         let children = nary
@@ -127,7 +206,6 @@ impl NaryJoinOp {
             index_budget: config.join_index_budget,
             columnar_min: config.columnar_min,
             probes_last: vec![0; n],
-            probes_total: vec![0; n],
         })
     }
 
@@ -157,11 +235,6 @@ impl NaryJoinOp {
         &self.probes_last
     }
 
-    /// Per-input probe counts since build/reset.
-    pub fn probes_total(&self) -> &[u64] {
-        &self.probes_total
-    }
-
     /// Process one batch (see module docs for the telescoping rule).
     pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let n = self.children.len();
@@ -174,32 +247,75 @@ impl NaryJoinOp {
             return Ok(DeltaBatch::new());
         }
         let _span = trace::span("nary_delta");
+        let mut out = DeltaBatch::new();
+        if ctx.from_empty {
+            self.join_deltas(&deltas, &mut out, ctx);
+            return Ok(crate::delta::normalize_delta_with(out, self.columnar_min));
+        }
         // Per-batch transient indexes for inputs whose persistent index
         // is disabled/over budget, plus evaluation bookkeeping so
         // "round trip avoided" is only claimed when none happened.
         let mut transient: Vec<Option<SideIndex>> = (0..n).map(|_| None).collect();
         let mut evaluated = vec![false; n];
-        let mut out = DeltaBatch::new();
-
+        let mut probes = std::mem::take(&mut self.probes_last);
         for i in 0..n {
             if !deltas[i].is_empty() {
                 for j in (0..n).filter(|&j| j != i) {
                     self.ensure_view(j, i, &deltas, &mut transient, &mut evaluated, ctx)?;
                 }
-                self.probe_term(i, &deltas, &transient, &evaluated, &mut out, ctx)?;
+                let views: Vec<Option<&SideIndex>> = (0..n)
+                    .map(|j| {
+                        let view = self.states[j].ready().or(transient[j].as_ref());
+                        view.filter(|_| j != i)
+                    })
+                    .collect();
+                let mut step = |j: usize, partials: u64, metrics: &mut MaintMetrics| {
+                    probes[j] += partials;
+                    if self.states[j].ready().is_none() {
+                        metrics.rows_sent_to_db += partials;
+                        return;
+                    }
+                    metrics.join_index_probes += partials;
+                    if !evaluated[j] {
+                        metrics.db_roundtrips_avoided += 1;
+                    }
+                };
+                self.extend(i, &deltas[i], &views, &mut step, &mut out, ctx)?;
             }
             // Term i done: absorb ΔRᵢ, moving the frontier one input right.
             self.absorb(i, &deltas[i], &mut transient, ctx);
         }
-        for (t, l) in self.probes_total.iter_mut().zip(&self.probes_last) {
-            *t += l;
-        }
+        self.probes_last = probes;
         // A live index that outgrew the budget served the later terms of
         // this batch at its new state; it is dropped only now.
         for state in &mut self.states {
-            state.retire_over(self.index_budget, SideIndex::len);
+            state.retire_over(self.index_budget);
         }
         Ok(crate::delta::normalize_delta_with(out, self.columnar_min))
+    }
+
+    /// From the empty state every input *is* its delta: push
+    /// `ΔR₁ ⋈ … ⋈ ΔRₙ`, seeded from the largest delta and probing
+    /// transient indexes over the others. Nothing is evaluated or kept.
+    fn join_deltas(&self, deltas: &[DeltaBatch], out: &mut DeltaBatch, ctx: &mut MaintCtx<'_, '_>) {
+        if deltas.iter().any(|d| d.is_empty()) {
+            return;
+        }
+        let seed = (0..deltas.len())
+            .max_by_key(|&i| (deltas[i].len(), std::cmp::Reverse(i)))
+            .expect("a join has inputs");
+        let indexes: Vec<Option<SideIndex>> = (0..deltas.len())
+            .map(|j| {
+                (j != seed).then(|| {
+                    let mut idx = self.empty_index(j);
+                    idx.apply(&deltas[j], ctx.pool);
+                    idx
+                })
+            })
+            .collect();
+        let views: Vec<Option<&SideIndex>> = indexes.iter().map(Option::as_ref).collect();
+        self.extend(seed, &deltas[seed], &views, &mut |_, _, _| {}, out, ctx)
+            .expect("every input but the seed has a view");
     }
 
     /// Guarantee input `j` has a probe-able index at the state term `i`
@@ -218,8 +334,10 @@ impl NaryJoinOp {
         if self.states[j].ready().is_some() || transient[j].is_some() {
             return Ok(());
         }
-        let side = super::join::eval_side(&self.plans[j], ctx)?;
+        let side = eval_side(&self.plans[j], ctx)?;
         evaluated[j] = true;
+        // Budget the *merged* index size, not the raw evaluation: rows
+        // that can never join are excluded and duplicates fold.
         let mut idx = self.empty_index(j);
         idx.apply(&side, ctx.pool);
         if j > i && !deltas[j].is_empty() {
@@ -259,23 +377,25 @@ impl NaryJoinOp {
         }
     }
 
-    /// Term i: seed partials from `ΔRᵢ`, extend along the greedy order,
-    /// emit fully assembled rows in input order.
-    fn probe_term(
-        &mut self,
-        i: usize,
-        deltas: &[DeltaBatch],
-        transient: &[Option<SideIndex>],
-        evaluated: &[bool],
+    /// Seed partials from `delta` (input `seed`'s), extend them along the
+    /// seed's greedy order through `views`, and push every complete tuple
+    /// onto `out`, its parts in input order. `step(j, n, metrics)`
+    /// accounts for `n` partials probing input j.
+    fn extend(
+        &self,
+        seed: usize,
+        delta: &DeltaBatch,
+        views: &[Option<&SideIndex>],
+        step: &mut dyn FnMut(usize, u64, &mut MaintMetrics),
         out: &mut DeltaBatch,
         ctx: &mut MaintCtx<'_, '_>,
     ) -> Result<()> {
         let _span = trace::span("nary_probe");
         let n = self.children.len();
-        let mut partials: Vec<Partial> = Vec::with_capacity(deltas[i].len());
-        'seed: for d in &deltas[i] {
+        let mut partials: Vec<Partial> = Vec::with_capacity(delta.len());
+        'seed: for d in delta {
             let mut bound = vec![None; self.n_classes];
-            for (class, cols) in &self.specs[i] {
+            for (class, cols) in &self.specs[seed] {
                 let v = d.row[cols[0]].clone();
                 if v.is_null() || cols[1..].iter().any(|&c| d.row[c] != v) {
                     continue 'seed; // this row can never join
@@ -283,7 +403,7 @@ impl NaryJoinOp {
                 bound[*class] = Some(v);
             }
             let mut parts = vec![None; n];
-            parts[i] = Some(d.row.clone());
+            parts[seed] = Some(d.row.clone());
             partials.push(Partial {
                 parts,
                 bound,
@@ -294,28 +414,18 @@ impl NaryJoinOp {
         // Intern each distinct index annotation once per term (Arc
         // pointer identity stands in for the content hash).
         let mut interned: FxHashMap<usize, AnnotId> = FxHashMap::default();
-        for &j in &self.orders[i] {
+        let order = &self.orders[seed];
+        for (pos, &j) in order.iter().enumerate() {
             if partials.is_empty() {
                 return Ok(());
             }
-            let (view, persistent) = match (self.states[j].ready(), transient[j].as_ref()) {
-                (Some(idx), _) => (idx, true),
-                (None, Some(idx)) => (idx, false),
-                (None, None) => {
-                    return Err(CoreError::StateCorrupt(format!(
-                        "n-ary join input {j} has no probe-able view"
-                    )))
-                }
+            let Some(view) = views[j] else {
+                return Err(CoreError::StateCorrupt(format!(
+                    "join input {j} has no probe-able view"
+                )));
             };
-            self.probes_last[j] += partials.len() as u64;
-            if persistent {
-                ctx.metrics.join_index_probes += partials.len() as u64;
-                if !evaluated[j] {
-                    ctx.metrics.db_roundtrips_avoided += 1;
-                }
-            } else {
-                ctx.metrics.rows_sent_to_db += partials.len() as u64;
-            }
+            step(j, partials.len() as u64, ctx.metrics);
+            let last = pos + 1 == order.len();
             let spec_j = &self.specs[j];
             let mut next = Vec::new();
             for p in &partials {
@@ -323,18 +433,23 @@ impl NaryJoinOp {
                 view.for_each_match(&p.bound, &mut |entries| {
                     for e in entries {
                         let ptr = Arc::as_ptr(&e.annot) as usize;
-                        let ea = match interned.get(&ptr) {
-                            Some(&id) => id,
-                            None => {
-                                let id = ctx.pool.intern_arc(Arc::clone(&e.annot));
-                                interned.insert(ptr, id);
-                                id
-                            }
-                        };
+                        let ea = *interned
+                            .entry(ptr)
+                            .or_insert_with(|| ctx.pool.intern_arc(Arc::clone(&e.annot)));
+                        let annot = ctx.pool.union(p.annot, ea);
+                        let mult = p.mult * e.mult;
+                        if last {
+                            out.push(DeltaEntry {
+                                row: assemble(&p.parts, j, &e.row),
+                                annot,
+                                mult,
+                            });
+                            continue;
+                        }
                         let mut q = p.clone();
                         q.parts[j] = Some(e.row.clone());
-                        q.annot = ctx.pool.union(p.annot, ea);
-                        q.mult = p.mult * e.mult;
+                        q.annot = annot;
+                        q.mult = mult;
                         for (class, cols) in spec_j {
                             if q.bound[*class].is_none() {
                                 q.bound[*class] = Some(e.row[cols[0]].clone());
@@ -346,26 +461,15 @@ impl NaryJoinOp {
             }
             partials = next;
         }
-        for p in partials {
-            let mut parts = p.parts.into_iter().map(Option::unwrap);
-            let mut row = parts.next().expect("n-ary join has ≥ 2 inputs");
-            for part in parts {
-                row = row.concat(&part);
-            }
-            out.push(DeltaEntry {
-                row,
-                annot: p.annot,
-                mult: p.mult,
-            });
-        }
         Ok(())
     }
 
-    /// Each input's plan and index state.
-    pub(crate) fn inputs(
-        &self,
-    ) -> impl Iterator<Item = (&LogicalPlan, &SideState<SideIndex>)> + Clone {
-        self.plans.iter().zip(&self.states)
+    /// Is some input without a live index probed by another input whose
+    /// tables `changed` accepts (a run that would read a base table)?
+    pub(crate) fn probes_unindexed(&self, changed: &dyn Fn(&str) -> bool) -> bool {
+        let touched = |i: usize| self.plans[i].tables().iter().any(|t| changed(t));
+        let n = self.plans.len();
+        (0..n).any(|j| self.states[j].ready().is_none() && (0..n).any(|i| i != j && touched(i)))
     }
 
     /// The input operators (state persistence walks the tree).
@@ -385,7 +489,6 @@ impl NaryJoinOp {
             *s = SideState::Absent;
         }
         self.probes_last = vec![0; self.children.len()];
-        self.probes_total = vec![0; self.children.len()];
         for c in &mut self.children {
             c.reset();
         }
@@ -393,7 +496,7 @@ impl NaryJoinOp {
 
     /// Hand every annotation handle of the per-input indexes back to a
     /// just-flushed pool.
-    pub fn readopt_annots(&self, pool: &mut imp_storage::AnnotPool) {
+    pub fn readopt_annots(&self, pool: &mut AnnotPool) {
         for idx in self.states.iter().filter_map(SideState::ready) {
             idx.readopt_annots(pool);
         }
@@ -415,19 +518,15 @@ impl NaryJoinOp {
     /// Serialize the per-input indexes in input order.
     pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
         for state in &self.states {
-            state.encode(buf, SideIndex::encode_state);
+            state.encode(buf);
         }
     }
 
     /// Restore state written by [`NaryJoinOp::encode_state`].
-    pub fn decode_state(
-        &mut self,
-        buf: &mut bytes::Bytes,
-        pool: &mut imp_storage::AnnotPool,
-    ) -> Result<()> {
+    pub fn decode_state(&mut self, buf: &mut bytes::Bytes, pool: &mut AnnotPool) -> Result<()> {
         for j in 0..self.states.len() {
             let idx = self.empty_index(j);
-            self.states[j] = SideState::decode(buf, |buf| idx.decode_state(buf, pool))?;
+            self.states[j] = SideState::decode(buf, idx, pool)?;
         }
         Ok(())
     }
@@ -436,6 +535,33 @@ impl NaryJoinOp {
     fn empty_index(&self, j: usize) -> SideIndex {
         SideIndex::new(self.specs[j].clone(), &self.partial[j])
     }
+}
+
+/// The output row of a partial whose last missing part, input `j`'s, is
+/// `row`: every part's values in input order, in one allocation.
+fn assemble(parts: &[Option<Row>], j: usize, row: &Row) -> Row {
+    let part = |k: usize| {
+        if k == j {
+            row
+        } else {
+            parts[k].as_ref().expect("every other input matched")
+        }
+    };
+    let mut values = Vec::with_capacity((0..parts.len()).map(|k| part(k).arity()).sum());
+    for k in 0..parts.len() {
+        values.extend_from_slice(part(k).values());
+    }
+    Row::new(values)
+}
+
+/// Evaluate one (stateless) join input against the backend: a round
+/// trip. Its annotations are interned into the run's pool.
+fn eval_side(plan: &LogicalPlan, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
+    ctx.metrics.db_roundtrips += 1;
+    let mut scanned = 0u64;
+    let bag = eval_annot(plan, ctx.db.get(), ctx.pset, ctx.pool, &mut scanned)?;
+    ctx.metrics.db_rows_scanned += scanned;
+    Ok(bag)
 }
 
 /// Greedy extension order per seeding input: repeatedly pick the input

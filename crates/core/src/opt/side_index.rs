@@ -1,5 +1,4 @@
-//! Delta-maintained indexes over join inputs (`Q ⋈ Δ` caching), one
-//! structure for both join operators.
+//! Delta-maintained indexes over join inputs (`Q ⋈ Δ` caching).
 //!
 //! The paper outsources the `ΔQ₁ ⋈ Q₂ᴺᴱᵂ` terms of join maintenance to the
 //! backend database (§1, §7): evaluating the non-delta side is a round
@@ -11,10 +10,10 @@
 //! structure per relation). A [`SideIndex`] is that materialisation: the
 //! input's `(row, annotation, multiplicity)` bag, grouped by join key,
 //! built from one backend round trip the first time another input's delta
-//! probes it and from absorbed deltas thereafter. The binary
-//! [`crate::ops::JoinOp`] keys it by its equi-join columns
-//! ([`SideIndex::on_columns`]); the n-ary [`crate::ops::NaryJoinOp`] by the
-//! input's participation in each join class ([`ClassSpec`]).
+//! probes it and from absorbed deltas thereafter. The join operator
+//! [`crate::ops::NaryJoinOp`] keys it by the input's participation in each
+//! join class ([`ClassSpec`]); a cross-product input has no classes and
+//! keeps every row in one bucket.
 //!
 //! # Layout: each key held once, in its own rows
 //!
@@ -26,14 +25,14 @@
 //! * **The primary** maps the hash of a key's cells to its bucket, the
 //!   buckets of one hash chained through `u32` links (the engine's
 //!   `eval/hash_index.rs` pattern); a chain hit compares cells. Every
-//!   fully bound probe goes here — all of the binary join's, and an n-ary
-//!   probe that binds each of the input's classes.
+//!   fully bound probe goes here — every probe of a two-input join, and
+//!   a probe of a deeper join that binds each of the input's classes.
 //! * **Secondaries** chain the buckets by the hash of one key cell, and
 //!   exist only for the positions a *partial* probe binds. A chain join
 //!   `A ⋈ B ⋈ C` probing `C` from a `ΔA` seed knows only `C`'s
 //!   `B`-adjacent class; that position's chain narrows the candidates
-//!   without scanning the input. A one-class input and the binary join
-//!   are always probed fully bound and carry none.
+//!   without scanning the input. A one-class input and both inputs of a
+//!   two-input join are always probed fully bound and carry none.
 //!
 //! Absorbing and probing hash the key cells where they lie — in the delta
 //! row, in the probe's bound values — so neither copies a key.
@@ -42,8 +41,8 @@
 //! away frees its allocation and leaves the primary, while secondary
 //! chains keep the stale slot (probes skip empty buckets) until a
 //! compaction rebuilds the arena — amortized O(|Δ|). The codec writes, per
-//! live bucket, its key row and then its entries; the chains are derived
-//! data, rebuilt on decode.
+//! live bucket, its entries; the keys and chains are derived data,
+//! rebuilt on decode.
 //!
 //! Annotations are stored as `Arc<BitVec>` *content* handles from
 //! [`AnnotPool::share`], never as [`imp_storage::AnnotId`]s: the index is
@@ -53,7 +52,7 @@
 //! [`AnnotPool::intern_arc`], an O(1) probe for already-known contents.
 //!
 //! The index is memory-bounded by `OpConfig::join_index_budget` (entries
-//! per input); the join operators fall back to per-batch re-evaluation
+//! per input); the join operator falls back to per-batch re-evaluation
 //! when an input outgrows the budget, mirroring the bounded MIN/MAX state.
 
 use crate::delta::DeltaBatch;
@@ -216,14 +215,6 @@ impl SideIndex {
         }
     }
 
-    /// Empty index keyed by equi-join columns (the binary join's: its
-    /// probes are always fully bound). No key columns (a cross product)
-    /// put every row in one bucket.
-    pub fn on_columns(keys: &[usize]) -> SideIndex {
-        let spec = keys.iter().enumerate().map(|(i, &c)| (i, vec![c]));
-        SideIndex::new(spec.collect(), &[])
-    }
-
     /// The key cell of `row` at spec position `pos`.
     fn cell<'r>(&self, row: &'r Row, pos: usize) -> &'r Value {
         &row[self.spec[pos].1[0]]
@@ -333,12 +324,6 @@ impl SideIndex {
         self.dead = 0;
     }
 
-    /// Entries under a fully bound key, one value per spec position.
-    pub fn get(&self, key: &[Value]) -> Option<&[IndexEntry]> {
-        let slot = self.find(hash_values(key), |pos| &key[pos])?;
-        Some(&self.buckets[slot as usize])
-    }
-
     /// Visit every bucket matching the bound values — `bound[class]` per
     /// join class, `None` where unbound. A fully bound probe hits the
     /// primary; a partial one walks the secondary of a bound position and
@@ -377,17 +362,6 @@ impl SideIndex {
         self.buckets.iter().filter(|b| !b.is_empty())
     }
 
-    /// The distinct keys, one per live bucket (bloom filters are rebuilt
-    /// from these without a backend round trip).
-    pub fn keys(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        self.live().map(|b| {
-            let positions = 0..self.spec.len();
-            positions
-                .map(|pos| self.cell(&b[0].row, pos).clone())
-                .collect()
-        })
-    }
-
     /// Hand every annotation handle back to a just-flushed pool.
     pub fn readopt_annots(&self, pool: &mut AnnotPool) {
         for e in self.buckets.iter().flatten() {
@@ -421,13 +395,11 @@ impl SideIndex {
             + size_of::<SideIndex>()
     }
 
-    /// Serialize the index: per live bucket its key row, then its entries
-    /// (annotations by content, so the encoding is independent of pool id
-    /// assignment).
+    /// Serialize the index: per live bucket its entries (annotations by
+    /// content, so the encoding is independent of pool id assignment).
     pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
         codec::encode_u64(buf, self.live().count() as u64);
-        for (key, bucket) in self.keys().zip(self.live()) {
-            codec::encode_row(buf, &Row::new(key));
+        for bucket in self.live() {
             codec::encode_u64(buf, bucket.len() as u64);
             for e in bucket {
                 codec::encode_row(buf, &e.row);
@@ -448,7 +420,6 @@ impl SideIndex {
     ) -> crate::Result<SideIndex> {
         let n_keys = codec::decode_u64(buf)?;
         for _ in 0..n_keys {
-            codec::decode_row(buf)?; // the key: read back from the entries
             let len = codec::decode_u64(buf)?;
             let mut bucket = Vec::with_capacity(len as usize);
             for _ in 0..len {
@@ -583,6 +554,18 @@ mod tests {
         idx
     }
 
+    /// One class on column 0, probed fully bound only.
+    fn on_first() -> SideIndex {
+        SideIndex::new(vec![(0, vec![0])], &[])
+    }
+
+    /// The bucket under key `k` of a one-class index, if any.
+    fn bucket(idx: &SideIndex, k: Value) -> Option<Vec<IndexEntry>> {
+        let mut found = None;
+        idx.for_each_match(&[Some(k)], &mut |entries| found = Some(entries.to_vec()));
+        found
+    }
+
     /// Two classes: class 0 on column 0, class 2 on column 1, both bound
     /// by partial probes.
     fn two_class() -> SideIndex {
@@ -612,30 +595,30 @@ mod tests {
                 (row![1, 10], 0, 1), // duplicate of the first entry
             ],
         );
-        let idx = build(SideIndex::on_columns(&[0]), &side, &p);
+        let idx = build(on_first(), &side, &p);
         assert_eq!(idx.len(), 3);
-        let bucket = idx.get(&[Value::Int(1)]).unwrap();
-        assert_eq!(bucket.len(), 2);
-        let dup = bucket.iter().find(|e| e.row == row![1, 10]).unwrap();
+        let ones = bucket(&idx, Value::Int(1)).unwrap();
+        assert_eq!(ones.len(), 2);
+        let dup = ones.iter().find(|e| e.row == row![1, 10]).unwrap();
         assert_eq!(dup.mult, 2);
-        assert!(idx.get(&[Value::Int(3)]).is_none());
+        assert!(bucket(&idx, Value::Int(3)).is_none());
     }
 
     #[test]
     fn apply_deletes_cancel_entries() {
         let mut p = AnnotPool::new(8);
         let side = batch(&mut p, &[(row![1, 10], 0, 1), (row![2, 20], 1, 1)]);
-        let mut idx = build(SideIndex::on_columns(&[0]), &side, &p);
+        let mut idx = build(on_first(), &side, &p);
         let before = idx.heap_size();
         let delta = batch(&mut p, &[(row![1, 10], 0, -1)]);
         idx.apply(&delta, &p);
         assert_eq!(idx.len(), 1);
-        assert!(idx.get(&[Value::Int(1)]).is_none());
+        assert!(bucket(&idx, Value::Int(1)).is_none());
         assert!(idx.heap_size() < before);
         // Re-insert brings it back.
         let delta = batch(&mut p, &[(row![1, 10], 0, 1)]);
         idx.apply(&delta, &p);
-        assert_eq!(idx.get(&[Value::Int(1)]).unwrap().len(), 1);
+        assert_eq!(bucket(&idx, Value::Int(1)).unwrap().len(), 1);
     }
 
     #[test]
@@ -646,7 +629,7 @@ mod tests {
         for b in [8i64, 4096] {
             let mut p = AnnotPool::new(8);
             let rows: Vec<(Row, usize, i64)> = (0..b).map(|i| (row![1, i], 0, 1)).collect();
-            let mut idx = build(SideIndex::on_columns(&[0]), &batch(&mut p, &rows), &p);
+            let mut idx = build(on_first(), &batch(&mut p, &rows), &p);
             let bound = 2 * (b as f64).log2().ceil() as u64 + 2;
             for i in [-1, 0, b / 2, b - 1, b] {
                 // Merge or insert, a second annotation of the same row,
@@ -659,9 +642,9 @@ mod tests {
                     assert!(made <= bound, "{made} comparisons in a bucket of {b}");
                 }
             }
-            let bucket = idx.get(&[Value::Int(1)]).unwrap();
-            assert_eq!(bucket.len(), b as usize);
-            assert!(bucket.windows(2).all(|w| w[0].row < w[1].row));
+            let ones = bucket(&idx, Value::Int(1)).unwrap();
+            assert_eq!(ones.len(), b as usize);
+            assert!(ones.windows(2).all(|w| w[0].row < w[1].row));
         }
     }
 
@@ -674,7 +657,7 @@ mod tests {
             mult: 1,
         }]
         .into();
-        let idx = build(SideIndex::on_columns(&[0]), &side, &p);
+        let idx = build(on_first(), &side, &p);
         assert!(idx.is_empty());
     }
 
@@ -689,19 +672,17 @@ mod tests {
                 (row![5, 50], 1, 1),
             ],
         );
-        let idx = build(SideIndex::on_columns(&[0]), &side, &p);
+        let idx = build(on_first(), &side, &p);
         let mut buf = bytes::BytesMut::new();
         idx.encode_state(&mut buf);
         // Restore into a *fresh* pool (mirrors post-eviction restore).
         let mut p2 = AnnotPool::new(8);
         let mut bytes = buf.freeze();
-        let restored = SideIndex::on_columns(&[0])
-            .decode_state(&mut bytes, &mut p2)
-            .unwrap();
+        let restored = on_first().decode_state(&mut bytes, &mut p2).unwrap();
         assert!(bytes.is_empty());
         assert_eq!(restored.len(), idx.len());
-        let a = idx.get(&[Value::Int(1)]).unwrap();
-        let b = restored.get(&[Value::Int(1)]).unwrap();
+        let a = bucket(&idx, Value::Int(1)).unwrap();
+        let b = bucket(&restored, Value::Int(1)).unwrap();
         assert_eq!(a.len(), b.len());
         for e in a {
             assert!(b
@@ -847,14 +828,14 @@ mod tests {
             (Row::new(vec![pos[0].clone(), Value::Int(1)]), 0, 1),
             (Row::new(vec![neg[0].clone(), Value::Int(2)]), 1, 1),
         ];
-        let mut idx = build(SideIndex::on_columns(&[0]), &batch(&mut p, &rows), &p);
+        let mut idx = build(on_first(), &batch(&mut p, &rows), &p);
         assert_eq!(idx.primary.chain(hash_values(&pos)).count(), 2);
-        assert_eq!(idx.get(&pos).unwrap()[0].row, rows[0].0);
-        assert_eq!(idx.get(&neg).unwrap()[0].row, rows[1].0);
+        assert_eq!(bucket(&idx, pos[0].clone()).unwrap()[0].row, rows[0].0);
+        assert_eq!(bucket(&idx, neg[0].clone()).unwrap()[0].row, rows[1].0);
         // Cancelling the first key unlinks it and leaves the second found.
         idx.apply_negated(&batch(&mut p, &rows[..1]), &p);
-        assert!(idx.get(&pos).is_none());
-        assert_eq!(idx.get(&neg).unwrap()[0].row, rows[1].0);
+        assert!(bucket(&idx, pos[0].clone()).is_none());
+        assert_eq!(bucket(&idx, neg[0].clone()).unwrap()[0].row, rows[1].0);
         assert_eq!(idx.primary.chain(hash_values(&pos)).count(), 1);
     }
 
@@ -868,9 +849,9 @@ mod tests {
                 (Row::new(vec![Value::Float(2.0), Value::str("b")]), 1, 1),
             ],
         );
-        let idx = build(SideIndex::on_columns(&[0]), &side, &p);
-        assert_eq!(idx.keys().count(), 1);
-        assert_eq!(idx.get(&[Value::Int(2)]).unwrap().len(), 2);
-        assert_eq!(idx.get(&[Value::Float(2.0)]).unwrap().len(), 2);
+        let idx = build(on_first(), &side, &p);
+        assert_eq!(idx.live().count(), 1);
+        assert_eq!(bucket(&idx, Value::Int(2)).unwrap().len(), 2);
+        assert_eq!(bucket(&idx, Value::Float(2.0)).unwrap().len(), 2);
     }
 }

@@ -9,11 +9,9 @@
 //! The encoding walks the operator tree in a fixed order; restoring
 //! requires a maintainer built from the *same plan and configuration*
 //! (the store keys state by query template, so that is guaranteed).
-//! Join bloom filters are deliberately not persisted — they are insert-only
-//! summaries rebuilt lazily on first use (from the restored side indexes
-//! when present, without a backend round trip). Join-side indexes *are*
-//! persisted: rebuilding one costs a full evaluation of the side, which
-//! is exactly the round trip the index exists to avoid.
+//! Join-side indexes are persisted: rebuilding one costs a full
+//! evaluation of the input, which is exactly the round trip the index
+//! exists to avoid.
 //!
 //! Pooled annotations are encoded by *content* (their bitvectors), never
 //! by [`imp_storage::AnnotId`] — ids are only canonical within one live
@@ -73,7 +71,6 @@ pub fn load_state(m: &mut SketchMaintainer, mut bytes: Bytes) -> Result<()> {
 
 fn encode_node(node: &IncNode, buf: &mut BytesMut) {
     match node {
-        IncNode::Join(j) => j.encode_state(buf),
         IncNode::Nary(n) => n.encode_state(buf),
         IncNode::Aggregate(a) => a.encode_state(buf),
         IncNode::TopK(t) => t.encode_state(buf),
@@ -88,12 +85,6 @@ fn decode_node(node: &mut IncNode, buf: &mut Bytes, pool: &mut AnnotPool) -> Res
         IncNode::Selection { input, .. }
         | IncNode::Projection { input, .. }
         | IncNode::Passthrough { input } => decode_node(input, buf, pool),
-        IncNode::Join(j) => {
-            j.decode_state(buf, pool)?;
-            let (l, r) = j.children_mut();
-            decode_node(l, buf, pool)?;
-            decode_node(r, buf, pool)
-        }
         IncNode::Nary(n) => {
             n.decode_state(buf, pool)?;
             for child in n.children_mut() {

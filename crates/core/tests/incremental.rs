@@ -729,20 +729,19 @@ fn two_key_join_db() -> (Database, Arc<PartitionSet>) {
 }
 
 #[test]
-fn bloom_delete_keys_preserve_delta_delta_cancellation() {
+fn evicted_join_keeps_delete_delete_cancellation_without_indexes() {
     // Regression: r and s each hold the only partner of key 2. After a
-    // state eviction (bloom filters are not persisted and are rebuilt
-    // lazily), deleting both partners in one batch means the rebuilt
-    // blooms — scans of the *post-update* sides — no longer contain
-    // key 2. The delta sync must insert *delete* keys into the blooms
-    // too, or both deltas are pruned and the Term 3 cancellation
-    // (−ΔQ₁ ⋈ ΔQ₂, here del×del → the removal itself) is silently lost,
-    // leaving the sketch with fragments a recapture would drop.
+    // state eviction, deleting both partners in one batch makes the
+    // del×del term carry the removal itself: with no side indexes, both
+    // inputs are evaluated at the new state (where key 2 is gone), so
+    // the term is only found if the right input is rewound to its old
+    // state with its own delta. Losing it leaves the sketch with
+    // fragments a recapture would drop.
     let (mut db, pset) = two_key_join_db();
     let plan = db
         .plan_sql("SELECT v, w FROM r JOIN s ON (k = k2)")
         .unwrap();
-    // Index off: this pins the bloom + outsourced-evaluation path.
+    // Index off: every `Q ⋈ Δ` term is an outsourced evaluation.
     let cfg = OpConfig {
         join_index_budget: None,
         ..OpConfig::default()
@@ -761,11 +760,7 @@ fn bloom_delete_keys_preserve_delta_delta_cancellation() {
     imp_core::state_codec::load_state(&mut m, saved).unwrap();
     m.maintain(&db).unwrap();
     let truth = capture(&plan, &db, &pset).unwrap();
-    assert_eq!(
-        m.sketch(),
-        &truth.sketch,
-        "lost Δ⋈Δ cancellation: delete keys must be inserted into the blooms"
-    );
+    assert_eq!(m.sketch(), &truth.sketch, "lost the del×del cancellation");
     assert_eq!(
         m.sketch().bits().iter_ones().collect::<Vec<_>>(),
         vec![0, 2]
@@ -858,6 +853,96 @@ fn a_join_side_whose_partner_never_changes_is_never_indexed() {
 }
 
 #[test]
+fn capture_builds_no_join_state_and_a_first_batch_only_what_it_probes() {
+    // From the empty state every join is the join of its deltas, computed
+    // in memory, whatever its arity: capture and full maintenance
+    // evaluate no input and keep no index. The first batch then indexes
+    // exactly the inputs its delta probes — for a delta on one input of
+    // an n-input chain, the other n − 1, one round trip each.
+    let (db, pset) = two_key_join_db();
+    let plan = db
+        .plan_sql("SELECT v, w FROM r JOIN s ON (k = k2)")
+        .unwrap();
+    let (mut m, _) =
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
+            .unwrap();
+    assert_eq!(
+        m.join_index_state(),
+        (0, 0),
+        "2-table capture indexes nothing"
+    );
+    let report = m.full_maintain(&db).unwrap();
+    assert_eq!(
+        report.metrics.db_roundtrips, 0,
+        "2-table bootstrap evaluates nothing"
+    );
+    assert_eq!(m.join_index_state(), (0, 0));
+
+    let mut db = Database::new();
+    let tables = [
+        ("c0", "k0", "v0"),
+        ("c1", "a1", "b1"),
+        ("c2", "a2", "b2"),
+        ("c3", "k3", "v3"),
+    ];
+    for (table, c1, c2) in tables {
+        let schema = Schema::new(vec![
+            Field::new(c1, DataType::Int),
+            Field::new(c2, DataType::Int),
+        ]);
+        db.create_table(table, schema).unwrap();
+        db.table_mut(table)
+            .unwrap()
+            .bulk_load((0..6i64).map(|k| row![k, k]))
+            .unwrap();
+    }
+    let plan = db
+        .plan_sql(
+            "SELECT v0, v3 FROM c0 JOIN c1 ON (k0 = a1) JOIN c2 ON (b1 = a2) \
+             JOIN c3 ON (b2 = k3)",
+        )
+        .unwrap();
+    let pset = Arc::new(
+        PartitionSet::new(vec![RangePartition::new(
+            "c0",
+            "k0",
+            0,
+            vec![Value::Int(3)],
+        )
+        .unwrap()])
+        .unwrap(),
+    );
+    let (mut m, _) =
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
+            .unwrap();
+    assert_eq!(m.nary_arity(), Some(4));
+    assert_eq!(
+        m.join_index_state(),
+        (0, 0),
+        "chain capture indexes nothing"
+    );
+    let report = m.full_maintain(&db).unwrap();
+    assert_eq!(
+        report.metrics.db_roundtrips, 0,
+        "chain bootstrap evaluates nothing"
+    );
+    assert_eq!(m.join_index_state(), (0, 0));
+
+    db.execute_sql("INSERT INTO c0 VALUES (2, 20)").unwrap();
+    let report = m.maintain(&db).unwrap();
+    assert_eq!(
+        (
+            report.metrics.db_roundtrips,
+            report.metrics.join_index_builds
+        ),
+        (3, 3),
+        "a delta on c0 builds exactly the three indexes it probes"
+    );
+    assert_eq!(m.join_index_state().0, 18, "c1, c2 and c3 indexed; c0 not");
+    assert_eq!(m.sketch(), &capture(&plan, &db, &pset).unwrap().sketch);
+}
+
+#[test]
 fn join_index_budget_falls_back_to_reevaluation() {
     // A side over budget is dropped: maintenance stays correct but pays
     // the per-batch outsourced evaluation again.
@@ -889,8 +974,7 @@ fn join_index_budget_falls_back_to_reevaluation() {
 fn join_index_persistence_roundtrip_avoids_rebuild() {
     // Eviction + restore must re-intern the indexed annotations and keep
     // the zero-round-trip steady state: once a batch has probed (and so
-    // built) both sides, the restored indexes answer the next batch and
-    // the blooms are rebuilt from their keys, not a scan.
+    // built) both sides, the restored indexes answer the next batch.
     let (mut db, pset) = two_key_join_db();
     let plan = db
         .plan_sql("SELECT v, w FROM r JOIN s ON (k = k2)")

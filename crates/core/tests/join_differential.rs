@@ -1,14 +1,19 @@
 //! Differential property test for join maintenance: random insert/delete
-//! workloads through a two-join plan, run under all four combinations of
-//! {bloom filters, side indexes} × {on, off}. Every configuration must
-//! produce the *same* sketch delta each batch and the same final sketch
-//! as a fresh recapture — the optimizations may only change cost, never
-//! results. Periodic state eviction/restore cycles are woven in so the
-//! lazily rebuilt bloom filters and the persisted side indexes face
-//! in-flight deletes (the Δ⋈Δ cancellation corner).
+//! workloads through every join shape the planner produces — a two-table
+//! equi-join, a two-key join with a self-equality, a comma cross product
+//! with a residual filter, an equi-join over a cross-product input
+//! (nested operators) and a three-table chain — each under the three
+//! join-index settings (default budget, indexes off, a budget of one
+//! tuple so every input falls back to per-batch evaluation). The index
+//! setting may only change cost, never results: after every batch each
+//! maintainer's sketch must equal a fresh capture, and its report's
+//! added/removed bits must be exactly the difference between consecutive
+//! captures. Periodic state eviction/restore cycles are woven in so the
+//! persisted side indexes face in-flight deletes (the Δ⋈Δ cancellation
+//! corner).
 
 use imp_core::maintain::SketchMaintainer;
-use imp_core::ops::OpConfig;
+use imp_core::ops::{OpConfig, DEFAULT_JOIN_INDEX_BUDGET};
 use imp_core::state_codec::{load_state, save_state};
 use imp_engine::Database;
 use imp_sketch::{capture, PartitionSet, RangePartition};
@@ -20,30 +25,16 @@ const KEYS: i64 = 5;
 
 fn seed_db() -> Database {
     let mut db = Database::new();
-    db.create_table(
-        "ta",
-        Schema::new(vec![
-            Field::new("ka", DataType::Int),
-            Field::new("va", DataType::Int),
-        ]),
-    )
-    .unwrap();
-    db.create_table(
-        "tb",
-        Schema::new(vec![
-            Field::new("kb1", DataType::Int),
-            Field::new("kb2", DataType::Int),
-        ]),
-    )
-    .unwrap();
-    db.create_table(
-        "tc",
-        Schema::new(vec![
-            Field::new("kc", DataType::Int),
-            Field::new("wc", DataType::Int),
-        ]),
-    )
-    .unwrap();
+    for (table, c1, c2) in [("ta", "ka", "va"), ("tb", "kb1", "kb2"), ("tc", "kc", "wc")] {
+        db.create_table(
+            table,
+            Schema::new(vec![
+                Field::new(c1, DataType::Int),
+                Field::new(c2, DataType::Int),
+            ]),
+        )
+        .unwrap();
+    }
     for k in 0..KEYS {
         db.table_mut("ta")
             .unwrap()
@@ -73,11 +64,30 @@ fn pset() -> Arc<PartitionSet> {
 
 const TABLES: [(&str, &str); 3] = [("ta", "ka"), ("tb", "kb1"), ("tc", "kc")];
 
+/// One plan per join shape.
+const PLANS: [&str; 5] = [
+    // Two-table equi-join.
+    "SELECT va, wc FROM ta JOIN tc ON (ka = kc)",
+    // Two keys, one of them a self-equality on tb.
+    "SELECT va, kb2 FROM ta JOIN tb ON (ka = kb1 AND ka = kb2)",
+    // Comma cross product with a residual filter.
+    "SELECT va, wc FROM ta, tc WHERE va < wc",
+    // Equi-join over a cross-product input: nested operators.
+    "SELECT va, kb2 FROM (SELECT * FROM ta, tc) AS x JOIN tb ON (ka = kb1)",
+    // Three-table chain.
+    "SELECT va, wc FROM ta JOIN tb ON (ka = kb1) JOIN tc ON (kb2 = kc)",
+];
+
+/// The join-index settings: the only axis (default, off, every input
+/// over budget).
+const BUDGETS: [Option<usize>; 3] = [Some(DEFAULT_JOIN_INDEX_BUDGET), None, Some(1)];
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn four_configurations_agree_on_every_batch(
+    fn index_settings_match_a_fresh_capture_on_every_batch(
+        plan_no in 0usize..PLANS.len(),
         // (table, key, delete?, value) — chunked into multi-op batches so
         // inserts and deletes of the same key collide within one delta.
         ops in prop::collection::vec(
@@ -87,17 +97,15 @@ proptest! {
         evict in any::<bool>(),
     ) {
         let mut db = seed_db();
-        let sql = "SELECT va, wc FROM ta JOIN tb ON (ka = kb1) JOIN tc ON (kb2 = kc)";
+        let sql = PLANS[plan_no];
         let plan = db.plan_sql(sql).unwrap();
         let pset = pset();
 
-        let configs = [(true, true), (true, false), (false, true), (false, false)];
-        let mut maintainers: Vec<SketchMaintainer> = configs
+        let mut maintainers: Vec<SketchMaintainer> = BUDGETS
             .iter()
-            .map(|&(bloom, index)| {
+            .map(|&budget| {
                 let cfg = OpConfig {
-                    bloom,
-                    join_index_budget: index.then_some(1 << 20),
+                    join_index_budget: budget,
                     ..OpConfig::default()
                 };
                 SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true)
@@ -105,6 +113,7 @@ proptest! {
                     .0
             })
             .collect();
+        let mut before = capture(&plan, &db, &pset).unwrap().sketch;
 
         for (batch_no, batch) in ops.chunks(4).enumerate() {
             for &(t, key, delete, val) in batch {
@@ -119,8 +128,7 @@ proptest! {
                 db.execute_sql(&sql).unwrap();
             }
             // Every other batch (when enabled): evict + restore state so
-            // the blooms are rebuilt from post-update side scans and the
-            // side indexes go through their codec round trip.
+            // the side indexes go through their codec round trip.
             if evict && batch_no % 2 == 1 {
                 for m in maintainers.iter_mut() {
                     let saved = save_state(m);
@@ -128,26 +136,30 @@ proptest! {
                     load_state(m, saved).unwrap();
                 }
             }
-            let mut deltas = Vec::new();
-            for m in maintainers.iter_mut() {
+            let truth = capture(&plan, &db, &pset).unwrap().sketch;
+            let added: Vec<usize> = truth
+                .bits()
+                .iter_ones()
+                .filter(|&b| !before.bits().get(b))
+                .collect();
+            let removed: Vec<usize> = before
+                .bits()
+                .iter_ones()
+                .filter(|&b| !truth.bits().get(b))
+                .collect();
+            for (m, budget) in maintainers.iter_mut().zip(BUDGETS) {
                 let report = m.maintain(&db).unwrap();
-                deltas.push((report.sketch_delta.added, report.sketch_delta.removed));
-            }
-            for (i, d) in deltas.iter().enumerate().skip(1) {
                 prop_assert_eq!(
-                    d, &deltas[0],
-                    "config {:?} diverged from {:?} at batch {}",
-                    configs[i], configs[0], batch_no
+                    m.sketch(), &truth,
+                    "{} with budget {:?} != capture at batch {}", sql, budget, batch_no
+                );
+                prop_assert_eq!(
+                    (&report.sketch_delta.added, &report.sketch_delta.removed),
+                    (&added, &removed),
+                    "{} with budget {:?}: wrong sketch delta at batch {}", sql, budget, batch_no
                 );
             }
-            let truth = capture(&plan, &db, &pset).unwrap();
-            for (i, m) in maintainers.iter().enumerate() {
-                prop_assert_eq!(
-                    m.sketch(), &truth.sketch,
-                    "config {:?} != recapture at batch {}",
-                    configs[i], batch_no
-                );
-            }
+            before = truth;
         }
     }
 }

@@ -1,12 +1,11 @@
 //! Differential property tests for the n-ary join circuit.
 //!
-//! 1. `nary_matches_binary_oracle` — random insert/delete workloads over
-//!    a 4-table chain join, maintained side-by-side on the n-ary circuit
-//!    (`nary_join: true`, the default) and on the binary-tree oracle
-//!    (`nary_join: false`). Every batch must produce byte-identical
-//!    sketch deltas and the same final sketch as a fresh recapture,
-//!    through periodic state eviction/restore cycles (the persisted
-//!    n-ary indexes face in-flight deletes and the codec round trip).
+//! 1. `nary_matches_fresh_capture` — random insert/delete workloads over
+//!    a 4-table chain join. After every batch the maintained sketch must
+//!    equal a fresh capture and the report's added/removed bits must be
+//!    exactly the difference between consecutive captures, through
+//!    periodic state eviction/restore cycles (the persisted n-ary
+//!    indexes face in-flight deletes and the codec round trip).
 //! 2. `tree_shapes_maintain_identically` — left-deep, right-deep, and
 //!    bushy parses of the same equi-join set must compile to the same
 //!    canonical `NaryJoinOp` (equal signatures) and maintain
@@ -105,7 +104,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     #[test]
-    fn nary_matches_binary_oracle(
+    fn nary_matches_fresh_capture(
         ops in prop::collection::vec(
             (0usize..4, 0i64..KEYS, any::<bool>(), 0i64..50),
             1..36,
@@ -116,44 +115,36 @@ proptest! {
         let plan = db.plan_sql(SQL4).unwrap();
         let pset = pset();
 
-        let nary_cfg = OpConfig::default();
-        let oracle_cfg = OpConfig {
-            nary_join: false,
-            ..OpConfig::default()
-        };
-        let mut nary = SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), nary_cfg, true)
-            .unwrap()
-            .0;
-        let mut oracle =
-            SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), oracle_cfg, true)
+        let mut nary =
+            SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
                 .unwrap()
                 .0;
         prop_assert_eq!(nary.nary_arity(), Some(4), "4-table chain must compile n-ary");
-        prop_assert_eq!(oracle.nary_arity(), None, "oracle must stay on the binary tree");
+        let mut before = capture(&plan, &db, &pset).unwrap().sketch;
 
         for (batch_no, batch) in ops.chunks(4).enumerate() {
             apply_batch(&mut db, batch);
-            // Every other batch (when enabled): evict + restore both
-            // sides so the persisted n-ary indexes go through their
-            // codec round trip with in-flight deletes pending.
+            // Every other batch (when enabled): evict + restore so the
+            // persisted n-ary indexes go through their codec round trip
+            // with in-flight deletes pending.
             if evict && batch_no % 2 == 1 {
-                for m in [&mut nary, &mut oracle] {
-                    let saved = save_state(m);
-                    m.drop_state();
-                    load_state(m, saved).unwrap();
-                }
+                let saved = save_state(&nary);
+                nary.drop_state();
+                load_state(&mut nary, saved).unwrap();
             }
-            let rn = nary.maintain(&db).unwrap();
-            let ro = oracle.maintain(&db).unwrap();
+            let report = nary.maintain(&db).unwrap();
+            let truth = capture(&plan, &db, &pset).unwrap().sketch;
+            prop_assert_eq!(nary.sketch(), &truth, "n-ary != capture at batch {}", batch_no);
+            let diff = |a: &imp_sketch::SketchSet, b: &imp_sketch::SketchSet| -> Vec<usize> {
+                a.bits().iter_ones().filter(|&f| !b.bits().get(f)).collect()
+            };
             prop_assert_eq!(
-                (&rn.sketch_delta.added, &rn.sketch_delta.removed),
-                (&ro.sketch_delta.added, &ro.sketch_delta.removed),
-                "n-ary sketch delta diverged from binary oracle at batch {}",
+                (&report.sketch_delta.added, &report.sketch_delta.removed),
+                (&diff(&truth, &before), &diff(&before, &truth)),
+                "n-ary sketch delta != capture difference at batch {}",
                 batch_no
             );
-            let truth = capture(&plan, &db, &pset).unwrap();
-            prop_assert_eq!(nary.sketch(), &truth.sketch, "n-ary != recapture at batch {}", batch_no);
-            prop_assert_eq!(oracle.sketch(), &truth.sketch, "oracle != recapture at batch {}", batch_no);
+            before = truth;
         }
     }
 }

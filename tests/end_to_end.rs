@@ -66,7 +66,7 @@ fn mixed_workload_without_optimizations_matches_baseline() {
     let wl = mixed_workload(1, 2, 45, 30, 200, 5_000, 5);
     assert_imp_matches_baseline(
         ImpConfig {
-            bloom: false,
+            join_index_budget: None,
             selection_pushdown: false,
             ..ImpConfig::default()
         },
