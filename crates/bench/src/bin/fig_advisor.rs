@@ -265,8 +265,9 @@ fn main() {
             let imp_sql::Statement::Select(sel) = imp_sql::parse_one(&query_for(name)).ok()? else {
                 return None;
             };
-            let entry = all.sketch_entry(&imp_sql::QueryTemplate::of(&sel))?;
-            Some(entry.maintainer.sketch().selectivity())
+            all.with_sketch(&imp_sql::QueryTemplate::of(&sel), |entry| {
+                entry.maintainer.sketch().selectivity()
+            })
         })
         .collect();
     let mean_sel = selectivities.iter().sum::<f64>() / selectivities.len().max(1) as f64;

@@ -7,18 +7,20 @@
 //! target table of every update batch, so one template-hash shard's
 //! queue grows far deeper than the rest.
 //!
-//! The contract under test: the shard pool keeps draining under skew,
-//! and with work stealing enabled the idle workers help drain the hot
-//! shard instead of watching it. The harness **panics** when any shard
-//! queue is non-empty after `drain()`, when the skewed pools' final
-//! sketch states differ from the sequential in-line store, when the
-//! stream was not actually skewed (hot table short of a majority of the
-//! batches), or when a multi-worker pool records **zero steals** — under
-//! this skew the tail workers must claim batches from the hot shard's
-//! inbox. The config forces per-batch claims (coalesce budget = batch
-//! size) and a tiny staging queue (inline drains push the backlog into
-//! inboxes while paused), so the hot shard holds many small claims for
-//! thieves to take.
+//! The contract under test: the shard pool keeps draining under skew.
+//! The harness **panics** when any shard queue is non-empty after
+//! `drain()`, when the skewed pools' final sketch states differ from the
+//! zero-worker store, when the stream was not actually skewed (hot table
+//! short of a majority of the batches), or when a steal is misattributed
+//! (per-victim counts must sum to the steal count, and every victim must
+//! have had backlog). How many steals happen depends on thread timing —
+//! `drain()` claims on the calling thread too — so their count is
+//! reported, not asserted; that a steal happens and is attributed is
+//! pinned without a clock by the `an_idle_worker_steals_a_backlog` unit
+//! test of `imp_core::sched`. The config forces per-batch claims
+//! (coalesce budget = batch size) and a tiny staging queue (inline
+//! drains push the backlog into inboxes while paused), so the hot shard
+//! holds many small claims for thieves to take.
 
 use imp_bench::*;
 use imp_core::middleware::{Imp, ImpConfig};
@@ -157,12 +159,6 @@ fn main() {
             truth,
             "{workers}-worker pool diverged from the sequential store under skew"
         );
-        assert!(
-            workers < 2 || stats.steals >= 1,
-            "no steals with {workers} workers under a {:.0}% hot-table stream — \
-             idle workers must drain the hot shard: {stats:?}",
-            hot_share * 100.0
-        );
         // Steal-aware placement invariants. The victim-selection gauges
         // are deliberately racy (a stale pick costs one miss), so the
         // hottest-by-high-water shard is not *always* the top victim;
@@ -243,7 +239,7 @@ fn main() {
     );
     println!(
         "\nall pools drained and byte-identical to the sequential store under skew ✓ \
-         (hot shard drained with help from thieves)"
+         (steals are counted, and each is attributed to a backlogged victim)"
     );
     report.finish();
 }

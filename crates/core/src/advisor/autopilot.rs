@@ -79,9 +79,8 @@ impl Lifecycle {
     }
 }
 
-/// The advisor-relevant view of one stored sketch, gathered from the
-/// in-line store directly or from shard workers via the `AdviseGather`
-/// control barrier.
+/// The advisor-relevant view of one stored sketch, gathered shard by
+/// shard under each shard's state lock.
 #[derive(Debug, Clone)]
 pub struct SketchCard {
     /// Store key.
@@ -213,7 +212,7 @@ pub fn plan_round(
 }
 
 /// Outcome of applying a batch of actions to one store (summed across
-/// shards on the sharded backend).
+/// shards).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyOutcome {
     /// Sketches newly marked [`Lifecycle::Lazy`].
@@ -245,12 +244,10 @@ impl ApplyOutcome {
     }
 }
 
-/// Apply planned actions to a sketch-store map — shared by the in-line
-/// backend and the shard workers, so their lifecycle arithmetic cannot
-/// drift. Actions addressing sketches that no longer exist are skipped
-/// (a query may have raced a capture or drop in between on the sharded
-/// backend). Promotion maintenance errors propagate; the maintenance
-/// cost of successful promotions is recorded in `tracker`.
+/// Apply planned actions to one shard's sketch store. Actions addressing
+/// sketches the shard does not hold are skipped (another shard's, or one
+/// dropped in between). Promotion maintenance errors propagate; the
+/// maintenance cost of successful promotions is recorded in `tracker`.
 pub(crate) fn apply_to_store(
     store: &mut FxHashMap<QueryTemplate, Vec<StoredSketch>>,
     db: &Database,

@@ -9,9 +9,9 @@
 //! sketch that costs more than it returns is not worth budget even when
 //! budget is free (see [`crate::advisor::cost`]).
 //!
-//! Ties break deterministically (higher score, then lower index), so the
-//! in-line and sharded stores — and repeated runs over identical
-//! histories — always select the same keep-set.
+//! Ties break deterministically (higher score, then lower index), so
+//! every worker count — and repeated runs over identical histories —
+//! selects the same keep-set.
 
 /// One knapsack candidate: a stored sketch's score and current heap use.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,8 +7,8 @@
 //!   reuse, or a maintain-then-use — together with the estimated number
 //!   of backend rows the sketch rewrite skipped for that query
 //!   (equi-depth estimate, see [`imp_engine::histogram::estimate_skipped_rows`]);
-//! * every maintenance run (in-line sweeps, eager flushes, and the
-//!   [`crate::sched`] shard workers' routed flushes) records its
+//! * every maintenance run (stale queries, sweeps, eager flushes, and
+//!   the [`crate::sched`] routed claims) records its
 //!   **cost** — wall-clock nanoseconds and delta rows consumed, taken
 //!   from the run's [`crate::maintain::MaintReport`].
 //!

@@ -279,16 +279,16 @@ mod tests {
                 }
             }
 
-            // Sharded: `run_claim` + `publish` on this thread, workers
-            // parked, and `maintain_from` directly on a maintainer.
+            // Sharded: a drain runs `run_claim` + `publish` on this
+            // thread, workers parked, and `maintain_from` directly on a
+            // maintainer.
             let mut sharded = Imp::new(chain_db(rows_per_table, keys), config(1));
             sharded.execute(QUERIES[0]).unwrap();
             let mut claims = 0;
             for stmt in single_row_deltas() {
                 let paused = sharded.scheduler().unwrap().pause();
                 sharded.execute(&stmt).unwrap();
-                let sched = sharded.scheduler().unwrap();
-                claims += sched.work_on_caller(sharded.config(), sharded.advisor().tracker());
+                claims += sharded.scheduler().unwrap().drain();
                 paused.resume();
             }
             assert_eq!(

@@ -34,11 +34,13 @@
 //!   the best set under [`middleware::ImpConfig::sketch_memory_budget`],
 //!   demoting the rest (maintained → lazy → evicted → dropped) and
 //!   promoting re-hot templates back.
-//! * [`sched`] — the sharded multi-query maintenance scheduler: a
-//!   per-table [`sched::DeltaRouter`], a [`sched::ShardPool`] of workers
-//!   owning disjoint template-hash shards of the sketch store (per-table
-//!   batch coalescing, bounded-queue backpressure), and versioned
-//!   published [`sched::SnapshotBoard`] sketches for the USE path.
+//! * [`sched`] — the sketch store and its multi-query maintenance
+//!   scheduler: template-hash shards of stored sketches, each behind a
+//!   state lock that a stale query, a caller's control, or a
+//!   [`sched::ShardPool`] worker takes to work on it; a per-table
+//!   [`sched::DeltaRouter`] feeding the workers (per-table batch
+//!   coalescing, bounded-queue backpressure); and versioned published
+//!   [`sched::SnapshotBoard`] sketches for the USE path.
 //! * [`obs`] — unified observability: a [`obs::MetricsRegistry`] of
 //!   counters / gauges / log-bucketed latency histograms with Prometheus
 //!   text and JSON exports, bounded per-thread span tracing over the full
@@ -46,8 +48,9 @@
 //!   [`obs::Probe`] event bus — gated by [`middleware::ImpConfig::obs`]
 //!   so the disabled hot path costs a branch and allocates nothing.
 //! * [`strategy`] / [`middleware`] — eager / lazy / batched maintenance and
-//!   the user-facing [`middleware::Imp`] system (in-line or sharded store,
-//!   selected by [`middleware::ImpConfig::sched_workers`]).
+//!   the user-facing [`middleware::Imp`] system over one sketch store,
+//!   with the worker count set by [`middleware::ImpConfig::sched_workers`]
+//!   (0: the caller does all the work).
 
 pub mod advisor;
 pub mod delta;

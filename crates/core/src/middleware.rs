@@ -7,17 +7,13 @@
 //! query." Updates route to the backend and, under the eager strategy,
 //! trigger incremental maintenance of the affected sketches.
 //!
-//! The sketch store has two backends, selected by
-//! [`ImpConfig::sched_workers`]:
-//!
-//! * **In-line** (`sched_workers == 0`, the default): sketches live in a
-//!   map owned by [`Imp`] and are maintained on the calling thread,
-//!   exactly as the paper describes.
-//! * **Sharded** (`sched_workers ≥ 1`): sketch ownership moves into the
-//!   [`crate::sched`] scheduler — a pool of shard workers fed by a
-//!   per-table delta router. Updates return as soon as the delta is
-//!   routed; queries read versioned published sketch snapshots and only
-//!   synchronize with a shard when they need a stale sketch maintained.
+//! The sketch store is one [`crate::sched::Scheduler`]: template-hash
+//! shards of stored sketches, each behind a state lock. Queries read
+//! published sketch snapshots; a query whose sketch is stale maintains
+//! that sketch itself, on its own thread, under its shard's state lock.
+//! [`ImpConfig::sched_workers`] only adds help: with `0` (the default)
+//! the caller does all the work, exactly as the paper describes; with
+//! `≥ 1`, shard workers maintain routed deltas beside the query path.
 
 use crate::advisor::{
     Advisor, AdvisorParams, AdvisorReport, Lifecycle, SketchCard, SketchKey, UseKind,
@@ -44,7 +40,11 @@ use std::sync::Arc;
 /// Middleware configuration.
 #[derive(Debug, Clone)]
 pub struct ImpConfig {
-    /// Eager or lazy maintenance (§2, §8.5).
+    /// Eager or lazy maintenance (§2, §8.5). Lazy: a sketch is maintained
+    /// when a query needs it. Eager: with no shard workers, an update
+    /// maintains every sketch whose pending delta rows reached the batch
+    /// size, on the updating thread; with workers, routing supersedes it
+    /// (see [`Self::sched_workers`]).
     pub strategy: MaintenanceStrategy,
     /// Fragments per range partition (`#frag`, §8.3.5).
     pub fragments: usize,
@@ -83,15 +83,18 @@ pub struct ImpConfig {
     pub allow_unsafe_attributes: bool,
     /// Retain immutable past sketch versions (§2).
     pub retain_sketch_versions: bool,
-    /// Shard workers of the maintenance scheduler ([`crate::sched`]).
-    /// `0` (default) keeps the in-line store: sketches are maintained on
-    /// the calling thread according to `strategy`. With `≥ 1`, sketch
-    /// ownership moves into a [`crate::sched::ShardPool`]: every update
-    /// is ingested once per table and fanned out to the shards whose
-    /// sketches reference it, and maintenance runs asynchronously with
-    /// per-table coalescing (the scheduler supersedes the foreground
-    /// behavior of `strategy`; the `maintenance` reports of
-    /// [`ImpResponse::Affected`] are then always empty).
+    /// Shard workers of the sketch store ([`crate::sched`]). With `0`
+    /// (default) the store has one shard and no threads: the caller does
+    /// all the work — a stale query maintains its own sketch, an update
+    /// touches no sketch state (or, under [`MaintenanceStrategy::Eager`],
+    /// maintains the sketches whose batch filled), and
+    /// [`Imp::tick_maintenance`] sweeps. With `≥ 1`, the store has one
+    /// shard per worker: every update is ingested once per table and
+    /// fanned out to the shards whose sketches reference it, and the
+    /// workers maintain it asynchronously with per-table coalescing
+    /// (superseding the foreground behavior of `strategy`; the
+    /// `maintenance` reports of [`ImpResponse::Affected`] are then always
+    /// empty). A stale query still maintains its own sketch either way.
     pub sched_workers: usize,
     /// Scheduler coalescing bound: pending routed delta rows *per table*
     /// a shard folds into a single maintenance run before flushing.
@@ -106,8 +109,8 @@ pub struct ImpConfig {
     /// Capacity of the async-ingest staging queue: committed updates
     /// stage their table name here and return immediately, leaving log
     /// collection and fan-out to the shard workers. `0` disables async
-    /// ingest (updates collect and fan out inline, as in the in-line
-    /// store); a full queue also falls back inline, counted in
+    /// ingest (updates collect and fan out on the writer's thread); a
+    /// full queue also falls back to that, counted in
     /// [`crate::metrics::SchedStats::backpressure_stalls`].
     pub ingest_queue_cap: usize,
     /// Heap-byte budget for the sketch store, enforced by the
@@ -248,8 +251,8 @@ pub struct StoredSketch {
     /// Everything below [`Lifecycle::Maintained`] is excluded from
     /// proactive maintenance and only brought current on demand.
     pub lifecycle: Lifecycle,
-    /// What the owning shard worker last published for this sketch
-    /// (sharded backend): the plan/SQL/tables wrapped in `Arc` once, and
+    /// What the owning shard last published for this sketch: the
+    /// plan/SQL/tables wrapped in `Arc` once, and
     /// the sketch bits cloned once per *change* — see
     /// [`crate::sched::shard::publish`]. Survives repartitioning (the plan
     /// does not change; the new partition set retires the bits).
@@ -309,7 +312,7 @@ pub struct SketchSummary {
 
 /// One row of [`Imp::sketch_states`]: the externally comparable state of
 /// a stored sketch (the differential scheduler tests assert byte-identical
-/// rows between the in-line and sharded backends).
+/// rows between the zero-worker store and worker pools).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SketchStateView {
     /// Canonical query template.
@@ -326,18 +329,13 @@ pub struct SketchStateView {
 /// constants; the template prefilter of §7.1 narrows to these).
 pub(crate) const MAX_SKETCHES_PER_TEMPLATE: usize = 4;
 
-/// The sketch store: in-line map or the sharded scheduler.
-enum SketchBackend {
-    /// Owned by [`Imp`], maintained on the calling thread.
-    Inline(FxHashMap<QueryTemplate, Vec<StoredSketch>>),
-    /// Owned by the shard workers of a [`Scheduler`].
-    Sharded(Scheduler),
-}
+/// One shard's slice of the sketch store: template → stored candidates.
+pub(crate) type Store = FxHashMap<QueryTemplate, Vec<StoredSketch>>;
 
 /// The IMP system.
 pub struct Imp {
     db: Arc<RwLock<Database>>,
-    store: SketchBackend,
+    sched: Scheduler,
     config: ImpConfig,
     advisor: Advisor,
     obs: Arc<Obs>,
@@ -346,21 +344,17 @@ pub struct Imp {
 
 impl Imp {
     /// Wrap a backend database. With [`ImpConfig::sched_workers`] ≥ 1 the
-    /// sketch store is sharded across a worker pool (see [`crate::sched`]).
+    /// sketch store gets a worker pool (see [`crate::sched`]).
     pub fn new(db: Database, config: ImpConfig) -> Imp {
         let db = Arc::new(RwLock::new(db));
         let advisor = Advisor::new(config.advisor);
         let obs = Obs::new(&config.obs);
-        let store = if config.sched_workers > 0 {
-            SketchBackend::Sharded(Scheduler::new(
-                Arc::clone(&db),
-                &config,
-                Arc::clone(advisor.tracker()),
-                Arc::clone(&obs),
-            ))
-        } else {
-            SketchBackend::Inline(FxHashMap::default())
-        };
+        let sched = Scheduler::new(
+            Arc::clone(&db),
+            &config,
+            Arc::clone(advisor.tracker()),
+            Arc::clone(&obs),
+        );
         // An explicit empty address means "no endpoint", so a config can
         // override an inherited IMP_OBSD_ADDR environment variable off.
         let obsd_addr = config
@@ -372,10 +366,7 @@ impl Imp {
             let state = ObsdState {
                 obs: Arc::clone(&obs),
                 health: crate::obs::HealthState::new(),
-                board: match &store {
-                    SketchBackend::Sharded(sched) => Some(sched.board_handle()),
-                    SketchBackend::Inline(_) => None,
-                },
+                board: sched.board_handle(),
                 tracker: Arc::clone(advisor.tracker()),
                 advisor: config.advisor,
             };
@@ -391,7 +382,7 @@ impl Imp {
         });
         Imp {
             db,
-            store,
+            sched,
             config,
             advisor,
             obs,
@@ -464,83 +455,80 @@ impl Imp {
         &self.config
     }
 
-    /// The maintenance scheduler, when the sharded backend is active.
+    /// The sketch store and its maintenance scheduler (always present;
+    /// [`crate::sched::Scheduler::workers`] is 0 without a worker pool).
     pub fn scheduler(&self) -> Option<&Scheduler> {
-        match &self.store {
-            SketchBackend::Inline(_) => None,
-            SketchBackend::Sharded(s) => Some(s),
-        }
+        Some(&self.sched)
     }
 
     /// Number of stored sketches.
     pub fn sketch_count(&self) -> usize {
-        match &self.store {
-            SketchBackend::Inline(store) => store.values().map(Vec::len).sum(),
-            // Snapshots mirror the store after every count-changing
-            // operation (capture, template eviction, repartition), so no
-            // inspection barrier is needed.
-            SketchBackend::Sharded(sched) => sched.published_count(),
-        }
+        // Snapshots mirror the store after every count-changing operation
+        // (capture, template eviction, repartition, advisor drop).
+        self.sched.published_count()
     }
 
-    /// First stored sketch for a template (tests / inspection; in-line
-    /// backend only — sharded sketches live on their worker threads).
-    pub fn sketch_entry(&self, template: &QueryTemplate) -> Option<&StoredSketch> {
-        match &self.store {
-            SketchBackend::Inline(store) => store.get(template).and_then(|v| v.first()),
-            SketchBackend::Sharded(_) => None,
-        }
+    /// Run `f` on the first sketch stored for `template`, under its
+    /// shard's state lock (tests / inspection). `None` when the template
+    /// has no stored sketch.
+    pub fn with_sketch<R>(
+        &self,
+        template: &QueryTemplate,
+        f: impl FnOnce(&StoredSketch) -> R,
+    ) -> Option<R> {
+        self.sched.with_sketch(template, f)
     }
 
     /// Total heap footprint of all sketch state.
     pub fn store_heap_size(&self) -> usize {
-        match &self.store {
-            SketchBackend::Inline(store) => store.values().flatten().map(stored_heap_size).sum(),
-            SketchBackend::Sharded(sched) => sched.inspect().iter().map(|r| r.heap).sum(),
-        }
+        let mut total = 0;
+        let _ = self.sched.visit(None, false, |store, _| {
+            total += store
+                .values()
+                .flatten()
+                .map(stored_heap_size)
+                .sum::<usize>();
+            Ok(())
+        });
+        total
     }
 
-    /// Comparable state of every stored sketch, sorted. Both backends
-    /// produce identical rows for identical maintenance histories (the
-    /// scheduler's differential guarantee).
+    /// Comparable state of every stored sketch, sorted. Every worker
+    /// count produces identical rows for identical maintenance histories
+    /// (the scheduler's differential guarantee).
     pub fn sketch_states(&self) -> Vec<SketchStateView> {
-        let mut out = match &self.store {
-            SketchBackend::Inline(store) => store
-                .iter()
-                .flat_map(|(template, entries)| {
-                    entries.iter().map(|e| SketchStateView {
-                        template: template.text().to_string(),
-                        sql: e.sql.clone(),
-                        version: e.maintainer.version(),
-                        bits: e.maintainer.sketch().bits().clone(),
-                    })
-                })
-                .collect(),
-            SketchBackend::Sharded(sched) => sched
-                .inspect()
-                .into_iter()
-                .flat_map(|r| r.states)
-                .collect::<Vec<_>>(),
-        };
+        let mut out = Vec::new();
+        let _ = self.sched.visit(None, false, |store, _| {
+            for (template, entries) in store.iter() {
+                out.extend(entries.iter().map(|e| SketchStateView {
+                    template: template.text().to_string(),
+                    sql: e.sql.clone(),
+                    version: e.maintainer.version(),
+                    bits: e.maintainer.sketch().bits().clone(),
+                }));
+            }
+            Ok(())
+        });
         out.sort();
         out
     }
 
     /// Run `apply` over the stored sketches — one template's candidates
-    /// or (`None`) all of them — and sum its results. On the sharded
-    /// backend it travels as a control barrier to the owning shard(s).
+    /// or (`None`) all of them — and sum its results.
     fn for_each_sketch(
         &mut self,
         template: Option<&QueryTemplate>,
-        apply: impl Fn(&mut StoredSketch) -> usize + Send + Sync + 'static,
+        mut apply: impl FnMut(&mut StoredSketch) -> usize,
     ) -> usize {
-        match &mut self.store {
-            SketchBackend::Inline(store) => match template {
-                Some(t) => store.get_mut(t).into_iter().flatten().map(apply).sum(),
-                None => store.values_mut().flatten().map(apply).sum(),
-            },
-            SketchBackend::Sharded(sched) => sched.for_each(template, Arc::new(apply)),
-        }
+        let mut total = 0;
+        let _ = self.sched.visit(template, true, |store, _| {
+            total += match template {
+                Some(t) => store.get_mut(t).into_iter().flatten().map(&mut apply).sum(),
+                None => store.values_mut().flatten().map(&mut apply).sum::<usize>(),
+            };
+            Ok(())
+        });
+        total
     }
 
     /// Evict the operator state of every stored sketch to its serialized
@@ -575,13 +563,12 @@ impl Imp {
     /// response to a significant change in data distribution ("we can
     /// simply update the ranges and recapture sketches").
     pub fn repartition_all(&mut self) -> Result<usize> {
-        match &mut self.store {
-            SketchBackend::Inline(store) => {
-                let db = self.db.read();
-                repartition_store(store, &db, &self.config)
-            }
-            SketchBackend::Sharded(sched) => Ok(sched.repartition_all()),
-        }
+        let mut recaptured = 0;
+        self.sched.visit(None, true, |store, db| {
+            recaptured += repartition_store(store, db, &self.config)?;
+            Ok(())
+        })?;
+        Ok(recaptured)
     }
 
     /// VACUUM the backend: compact table storage and drop delta-log
@@ -596,44 +583,29 @@ impl Imp {
     /// ([`trim_versions`]). Returns `(reclaimed row slots, dropped delta
     /// records)`.
     pub fn vacuum(&mut self) -> (usize, usize) {
-        let table_versions: FxHashMap<String, u64> = match &self.store {
-            SketchBackend::Inline(store) => table_horizons(store.values().flatten()),
-            SketchBackend::Sharded(sched) => {
-                let mut mins = FxHashMap::default();
-                for report in sched.inspect() {
-                    for (table, version) in report.table_versions {
-                        let v = mins.entry(table).or_insert(version);
-                        *v = (*v).min(version);
-                    }
-                }
-                mins
+        let mut horizons: FxHashMap<String, u64> = FxHashMap::default();
+        let _ = self.sched.visit(None, false, |store, _| {
+            for (table, version) in table_horizons(store.values().flatten()) {
+                let v = horizons.entry(table).or_insert(version);
+                *v = (*v).min(version);
             }
-        };
-        let horizons = table_versions.clone();
-        self.for_each_sketch(None, move |e| trim_versions(e, &horizons));
+            Ok(())
+        });
+        self.for_each_sketch(None, |e| trim_versions(e, &horizons));
         let mut db = self.db.write();
         let everything = db.version();
-        db.vacuum_by(|table| table_versions.get(table).copied().unwrap_or(everything))
+        db.vacuum_by(|table| horizons.get(table).copied().unwrap_or(everything))
     }
 
     /// Summaries of all stored sketches (the store view of paper Fig. 2).
     pub fn describe_sketches(&self) -> Vec<SketchSummary> {
-        let mut out = match &self.store {
-            SketchBackend::Inline(store) => {
-                let db = self.db.read();
-                store
-                    .iter()
-                    .flat_map(|(template, entries)| {
-                        entries.iter().map(|e| summarize(template, e, &db))
-                    })
-                    .collect()
+        let mut out = Vec::new();
+        let _ = self.sched.visit(None, false, |store, db| {
+            for (template, entries) in store.iter() {
+                out.extend(entries.iter().map(|e| summarize(template, e, db)));
             }
-            SketchBackend::Sharded(sched) => sched
-                .inspect()
-                .into_iter()
-                .flat_map(|r| r.summaries)
-                .collect::<Vec<_>>(),
-        };
+            Ok(())
+        });
         out.sort_by(|a: &SketchSummary, b| a.template.cmp(&b.template));
         out
     }
@@ -649,54 +621,25 @@ impl Imp {
 
     /// Maintain every stale [`Lifecycle::Maintained`] sketch (used by
     /// eager flushes and the background maintainer; advisor-demoted
-    /// sketches are only maintained on demand by a query). On the sharded
-    /// backend this is a synchronous sweep: queued routed deltas are
-    /// processed first (queue order), then every still-stale sketch is
-    /// brought current.
+    /// sketches are only maintained on demand by a query), on this
+    /// thread. Queued routed deltas are processed first (queue order),
+    /// then every still-stale sketch is brought current.
     pub fn maintain_all_stale(&mut self) -> Result<Vec<MaintReport>> {
-        match &mut self.store {
-            SketchBackend::Inline(store) => {
-                let db = self.db.read();
-                let mut reports = Vec::new();
-                for (template, entries) in store.iter_mut() {
-                    for entry in entries.iter_mut() {
-                        if entry.lifecycle == Lifecycle::Maintained
-                            && entry.maintainer.is_stale(&db)
-                        {
-                            reports.push(maintain_entry(
-                                entry,
-                                template,
-                                &db,
-                                &self.config,
-                                &self.obs,
-                                self.advisor.tracker(),
-                            )?);
-                        }
-                    }
-                }
-                Ok(reports)
-            }
-            SketchBackend::Sharded(sched) => sched.maintain_stale(),
-        }
+        self.sched.maintain_stale()
     }
 
-    /// One background-maintenance tick: the in-line backend maintains all
-    /// stale sketches on this thread; the sharded backend enqueues a
-    /// maintain-stale sweep on every shard and returns immediately (the
-    /// workers do the maintenance in parallel, off this thread). With a
-    /// [`ImpConfig::sketch_memory_budget`] configured, every tick also
-    /// runs one advisor autopilot pass ([`Self::advise`]).
+    /// One background-maintenance tick: without shard workers it
+    /// maintains all stale sketches on this thread; with workers it
+    /// enqueues a maintain-stale sweep on each and returns immediately
+    /// (the workers do the maintenance in parallel, off this thread).
+    /// With a [`ImpConfig::sketch_memory_budget`] configured, every tick
+    /// also runs one advisor autopilot pass ([`Self::advise`]).
     pub fn tick_maintenance(&mut self) -> Result<usize> {
-        let maintained = match &mut self.store {
-            SketchBackend::Inline(_) => None,
-            SketchBackend::Sharded(sched) => {
-                sched.kick_maintenance();
-                Some(0)
-            }
-        };
-        let maintained = match maintained {
-            Some(n) => n,
-            None => self.maintain_all_stale()?.len(),
+        let maintained = if self.sched.workers() == 0 {
+            self.maintain_all_stale()?.len()
+        } else {
+            self.sched.kick_maintenance();
+            0
         };
         if self.config.sketch_memory_budget.is_some() {
             self.advise()?;
@@ -709,9 +652,8 @@ impl Imp {
     /// [`ImpConfig::sketch_memory_budget`], demote the losers along the
     /// lifecycle ladder (escalating until the store fits the budget), and
     /// promote re-hot demoted sketches back to full maintenance. A no-op
-    /// (default report) when no budget is configured. On the sharded
-    /// backend the gather/apply steps run as control barriers on the
-    /// shard workers.
+    /// (default report) when no budget is configured. The gather/apply
+    /// steps run on this thread under each shard's state lock.
     pub fn advise(&mut self) -> Result<AdvisorReport> {
         let Some(budget) = self.config.sketch_memory_budget else {
             return Ok(AdvisorReport::default());
@@ -723,8 +665,7 @@ impl Imp {
         let mut applied_last = false;
         for escalation in 0..=MAX_ENFORCEMENT_ROUNDS {
             // One gather per round serves both planning and the budget
-            // check — the cards' resident sum equals `store_heap_size`
-            // without the full bits-and-summaries inspection barrier.
+            // check — the cards' resident sum equals `store_heap_size`.
             let cards = self.gather_cards();
             let resident: usize = cards.iter().map(|c| c.resident).sum();
             if escalation == 0 {
@@ -764,40 +705,38 @@ impl Imp {
     }
 
     /// The advisor's view of every stored sketch, sorted by store key so
-    /// both backends (and repeated passes) plan over identical orders.
+    /// every worker count (and repeated passes) plans over identical
+    /// orders.
     fn gather_cards(&self) -> Vec<SketchCard> {
-        let mut cards = match &self.store {
-            SketchBackend::Inline(store) => store
-                .iter()
-                .flat_map(|(template, entries)| entries.iter().map(|e| advisor_card(template, e)))
-                .collect(),
-            SketchBackend::Sharded(sched) => sched.advise_gather(),
-        };
+        let mut cards = Vec::new();
+        let _ = self.sched.visit(None, false, |store, _| {
+            for (template, entries) in store.iter() {
+                cards.extend(entries.iter().map(|e| advisor_card(template, e)));
+            }
+            Ok(())
+        });
         cards.sort_by(|a: &SketchCard, b| {
             (a.template.text(), &a.sql).cmp(&(b.template.text(), &b.sql))
         });
         cards
     }
 
-    /// Apply one planned advisor round to the store.
+    /// Apply one planned advisor round to the store (each shard applies
+    /// the actions addressed to its own templates).
     fn apply_advice(
         &mut self,
         actions: &[crate::advisor::AdviseAction],
     ) -> Result<crate::advisor::ApplyOutcome> {
-        match &mut self.store {
-            SketchBackend::Inline(store) => {
-                let db = self.db.read();
-                crate::advisor::autopilot::apply_to_store(
-                    store,
-                    &db,
-                    &self.config,
-                    &self.obs,
-                    self.advisor.tracker(),
-                    actions,
-                )
-            }
-            SketchBackend::Sharded(sched) => sched.advise_apply(actions),
-        }
+        let mut outcome = crate::advisor::ApplyOutcome::default();
+        let (config, obs, tracker) = (&self.config, &self.obs, self.advisor.tracker());
+        self.sched.visit(None, true, |store, db| {
+            let applied = crate::advisor::autopilot::apply_to_store(
+                store, db, config, obs, tracker, actions,
+            )?;
+            outcome.absorb(&applied);
+            Ok(())
+        })?;
+        Ok(outcome)
     }
 
     // ---- updates ----
@@ -816,39 +755,18 @@ impl Imp {
                 count,
                 version,
             } => {
-                let mut maintenance = Vec::new();
-                match &mut self.store {
-                    SketchBackend::Inline(store) => {
-                        if let MaintenanceStrategy::Eager { batch_size } = self.config.strategy {
-                            let db = self.db.read();
-                            for (template, entries) in store.iter_mut() {
-                                for entry in entries.iter_mut() {
-                                    if entry.lifecycle == Lifecycle::Maintained
-                                        && entry.maintainer.tables().contains(&table)
-                                    {
-                                        entry.pending_rows += count;
-                                        if entry.pending_rows as usize >= batch_size {
-                                            maintenance.push(maintain_entry(
-                                                entry,
-                                                template,
-                                                &db,
-                                                &self.config,
-                                                &self.obs,
-                                                self.advisor.tracker(),
-                                            )?);
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                let maintenance = match self.config.strategy {
+                    MaintenanceStrategy::Eager { batch_size } if self.sched.workers() == 0 => {
+                        self.maintain_eager(&table, count, batch_size)?
                     }
-                    SketchBackend::Sharded(sched) => {
-                        // Ingest the table's delta once; the router fans it
-                        // out to the shards whose sketches reference it and
-                        // maintenance proceeds asynchronously.
-                        sched.route(&table);
+                    // Ingest the table's delta once; the router fans it
+                    // out to the shards whose sketches reference it and
+                    // the workers maintain it (no workers: a no-op).
+                    _ => {
+                        self.sched.route(&table);
+                        Vec::new()
                     }
-                }
+                };
                 Ok(ImpResponse::Affected {
                     table,
                     count,
@@ -857,6 +775,36 @@ impl Imp {
                 })
             }
         }
+    }
+
+    /// Eager batching on the updating thread: count `rows` against every
+    /// fully maintained sketch over `table`, and maintain each whose
+    /// pending rows reached `batch_size`.
+    fn maintain_eager(
+        &self,
+        table: &str,
+        rows: u64,
+        batch_size: usize,
+    ) -> Result<Vec<MaintReport>> {
+        let mut reports = Vec::new();
+        let (config, obs, tracker) = (&self.config, &self.obs, self.advisor.tracker());
+        self.sched.visit(None, true, |store, db| {
+            for (template, entries) in store.iter_mut() {
+                for entry in entries.iter_mut() {
+                    if entry.lifecycle != Lifecycle::Maintained
+                        || !entry.maintainer.tables().iter().any(|t| t == table)
+                    {
+                        continue;
+                    }
+                    entry.pending_rows += rows;
+                    if entry.pending_rows as usize >= batch_size {
+                        reports.push(maintain_entry(entry, template, db, config, obs, tracker)?);
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        Ok(reports)
     }
 
     // ---- queries ----
@@ -869,11 +817,7 @@ impl Imp {
             .resolve_select(select)
             .map_err(EngineError::from)?;
         let key = SketchKey::new(template.text(), sql.to_string());
-        let response = if matches!(self.store, SketchBackend::Sharded(_)) {
-            self.select_sharded(sql, template, plan)
-        } else {
-            self.select_inline(sql, template, plan)
-        }?;
+        let response = self.select(sql, template, plan)?;
         if let ImpResponse::Rows { mode, .. } = &response {
             let nanos = start.elapsed().as_nanos() as u64;
             let label = match mode {
@@ -892,100 +836,15 @@ impl Imp {
         Ok(response)
     }
 
-    /// The in-line (i)/(ii)/(iii) decision of paper Fig. 2.
-    fn select_inline(
-        &mut self,
-        sql: &str,
-        template: QueryTemplate,
-        plan: LogicalPlan,
-    ) -> Result<ImpResponse> {
-        let SketchBackend::Inline(store) = &mut self.store else {
-            unreachable!("select_inline on sharded backend")
-        };
-        let db = self.db.read();
-
-        // (ii)/(iii): an existing sketch with the same template — check the
-        // reuse condition (from [37]; here: structural subsumption) against
-        // every stored candidate.
-        if let Some(entries) = store.get_mut(&template) {
-            if let Some(entry) = entries.iter_mut().find(|e| plan_subsumes(&e.plan, &plan)) {
-                let key = SketchKey::new(template.text(), entry.sql.clone());
-                let mode = if entry.maintainer.is_stale(&db) {
-                    QueryMode::Maintained(Box::new(maintain_entry(
-                        entry,
-                        &template,
-                        &db,
-                        &self.config,
-                        &self.obs,
-                        self.advisor.tracker(),
-                    )?))
-                } else {
-                    // Evicted state stays evicted: the rewrite only needs
-                    // the sketch bits (restoration happens lazily before
-                    // the next maintenance).
-                    QueryMode::UsedFresh
-                };
-                let kind = match &mode {
-                    QueryMode::Maintained(_) => UseKind::Maintained,
-                    _ => UseKind::Fresh,
-                };
-                self.advisor.tracker().record_use(
-                    key,
-                    kind,
-                    estimate_rows_skipped(&db, entry.maintainer.sketch()),
-                );
-                let rewritten = apply_sketch_filter(&plan, entry.maintainer.sketch())?;
-                let result = db.execute_plan(&rewritten)?;
-                return Ok(ImpResponse::Rows { result, mode });
-            }
-        }
-
-        // (i): capture a new sketch — pick partition attributes.
-        let Some(pset) = choose_partitions(&db, &self.config, &plan)? else {
-            // No sketchable attribute: answer directly (NS path).
-            let result = db.execute_plan(&plan)?;
-            return Ok(ImpResponse::Rows {
-                result,
-                mode: QueryMode::NoSketch,
-            });
-        };
-        let (stored, result) = capture_stored(&db, &self.config, sql, plan, pset)?;
-        self.advisor.tracker().record_use(
-            SketchKey::new(template.text(), stored.sql.clone()),
-            UseKind::Captured,
-            estimate_rows_skipped(&db, stored.maintainer.sketch()),
-        );
-        if let Some(entries) = store.get_mut(&template) {
-            if entries.len() >= MAX_SKETCHES_PER_TEMPLATE {
-                let old = entries.remove(0); // evict the oldest candidate
-                self.advisor
-                    .tracker()
-                    .forget(&SketchKey::new(template.text(), old.sql));
-            }
-        }
-        store.entry(template).or_default().push(stored);
-        Ok(ImpResponse::Rows {
-            result,
-            mode: QueryMode::Captured,
-        })
-    }
-
-    /// The sharded decision: read the owning shard's published snapshot
-    /// without blocking maintenance; only a stale reuse synchronizes with
-    /// the worker (which brings the sketch current and replies with the
-    /// fresh bits).
-    fn select_sharded(
-        &mut self,
-        sql: &str,
-        template: QueryTemplate,
-        plan: LogicalPlan,
-    ) -> Result<ImpResponse> {
-        let SketchBackend::Sharded(sched) = &self.store else {
-            unreachable!("select_sharded on inline backend")
-        };
-
-        if let Some(published) = sched.find_published(&template, &plan) {
-            let key = SketchKey::new(template.text(), published.sql.to_string());
+    /// The (i)/(ii)/(iii) decision of paper Fig. 2. The candidate is read
+    /// from the owning shard's published snapshot, without blocking
+    /// maintenance; only a stale candidate takes the shard's state lock,
+    /// to maintain that one sketch on this thread.
+    fn select(&self, sql: &str, template: QueryTemplate, plan: LogicalPlan) -> Result<ImpResponse> {
+        // (ii)/(iii): an existing sketch with the same template — the
+        // reuse condition (from [37]; here: structural subsumption) is
+        // checked against every stored candidate.
+        if let Some(published) = self.sched.find_published(&template, &plan) {
             let stale = {
                 let db = self.db.read();
                 published.tables.iter().any(|t| {
@@ -994,65 +853,54 @@ impl Imp {
                         .unwrap_or(false)
                 })
             };
-            if !stale {
-                // (ii): use the published snapshot as-is — no shard
-                // round trip, maintenance never blocked.
-                let rewritten = apply_sketch_filter(&plan, &published.sketch)?;
+            let used = if stale {
+                // (iii): maintain it here. `None`: the candidate vanished
+                // since the snapshot; fall through to a fresh capture.
+                self.sched
+                    .maintain_sketch(&template, &plan)?
+                    .map(|(report, sketch)| (sketch, QueryMode::Maintained(Box::new(report))))
+            } else {
+                // (ii): the published snapshot as-is. Evicted state stays
+                // evicted: the rewrite only needs the sketch bits.
+                Some((published.sketch, QueryMode::UsedFresh))
+            };
+            if let Some((sketch, mode)) = used {
+                let kind = match &mode {
+                    QueryMode::Maintained(_) => UseKind::Maintained,
+                    _ => UseKind::Fresh,
+                };
                 let db = self.db.read();
                 self.advisor.tracker().record_use(
-                    key,
-                    UseKind::Fresh,
-                    estimate_rows_skipped(&db, &published.sketch),
+                    SketchKey::new(template.text(), published.sql.to_string()),
+                    kind,
+                    estimate_rows_skipped(&db, &sketch),
                 );
+                let rewritten = apply_sketch_filter(&plan, &sketch)?;
                 let result = db.execute_plan(&rewritten)?;
-                return Ok(ImpResponse::Rows {
-                    result,
-                    mode: QueryMode::UsedFresh,
-                });
+                return Ok(ImpResponse::Rows { result, mode });
             }
-            // (iii): ask the owning shard to bring the sketch current
-            // (queued routed deltas are processed first — queue order).
-            // A worker-side maintenance failure propagates like the
-            // in-line backend's would. The worker records the maintenance
-            // cost; only the use is recorded here.
-            if let Some(reply) = sched.maintain_sketch(&template, &plan)? {
-                let rewritten = apply_sketch_filter(&plan, &reply.sketch)?;
-                let db = self.db.read();
-                self.advisor.tracker().record_use(
-                    key,
-                    UseKind::Maintained,
-                    estimate_rows_skipped(&db, &reply.sketch),
-                );
-                let result = db.execute_plan(&rewritten)?;
-                return Ok(ImpResponse::Rows {
-                    result,
-                    mode: QueryMode::Maintained(reply.report),
-                });
-            }
-            // The candidate vanished between snapshot and request
-            // (concurrent template eviction): fall through to a fresh
-            // capture.
         }
 
-        // (i): capture on this thread, then hand ownership to the shard.
-        let captured = {
+        // (i): capture a new sketch — pick partition attributes.
+        let (stored, result) = {
             let db = self.db.read();
             let Some(pset) = choose_partitions(&db, &self.config, &plan)? else {
+                // No sketchable attribute: answer directly (NS path).
                 let result = db.execute_plan(&plan)?;
                 return Ok(ImpResponse::Rows {
                     result,
                     mode: QueryMode::NoSketch,
                 });
             };
-            capture_stored(&db, &self.config, sql, plan, pset)?
+            let (stored, result) = capture_stored(&db, &self.config, sql, plan, pset)?;
+            self.advisor.tracker().record_use(
+                SketchKey::new(template.text(), stored.sql.clone()),
+                UseKind::Captured,
+                estimate_rows_skipped(&db, stored.maintainer.sketch()),
+            );
+            (stored, result)
         };
-        let (stored, result) = captured;
-        self.advisor.tracker().record_use(
-            SketchKey::new(template.text(), stored.sql.clone()),
-            UseKind::Captured,
-            estimate_rows_skipped(&self.db.read(), stored.maintainer.sketch()),
-        );
-        sched.add_sketch(template, stored);
+        self.sched.add_sketch(template, stored);
         Ok(ImpResponse::Rows {
             result,
             mode: QueryMode::Captured,
@@ -1130,9 +978,7 @@ pub(crate) fn retain_version(entry: &mut StoredSketch, retain: bool) {
 
 /// Per table, the minimum maintained version across the `entries`
 /// referencing it — the table's vacuum horizon.
-pub(crate) fn table_horizons<'a>(
-    entries: impl Iterator<Item = &'a StoredSketch>,
-) -> FxHashMap<String, u64> {
+fn table_horizons<'a>(entries: impl Iterator<Item = &'a StoredSketch>) -> FxHashMap<String, u64> {
     let mut mins = FxHashMap::default();
     for e in entries {
         for table in e.maintainer.tables() {
@@ -1156,8 +1002,8 @@ pub(crate) fn trim_versions(entry: &mut StoredSketch, horizons: &FxHashMap<Strin
 
 /// Restore (if evicted) and maintain one stored sketch via the direct
 /// fetching path, resetting its eager batch counter and retaining the
-/// new version — the per-entry maintenance step shared by both backends
-/// (in-line sweeps, shard workers, advisor promotions), so their
+/// new version — the per-entry maintenance step of every fetching path
+/// (stale queries, sweeps, eager batches, advisor promotions), so their
 /// arithmetic and their bookkeeping cannot drift.
 pub(crate) fn maintain_entry(
     entry: &mut StoredSketch,
@@ -1198,13 +1044,9 @@ pub(crate) fn record_run(
     tracker.record_maintenance(SketchKey::new(template.text(), entry.sql.clone()), cost);
 }
 
-/// Recapture every sketch of `store` with fresh equi-depth partitions
-/// (§7.4) — shared by [`Imp::repartition_all`] and the shard workers.
-pub(crate) fn repartition_store(
-    store: &mut FxHashMap<QueryTemplate, Vec<StoredSketch>>,
-    db: &Database,
-    config: &ImpConfig,
-) -> Result<usize> {
+/// Recapture every sketch of one shard's `store` with fresh equi-depth
+/// partitions (§7.4).
+fn repartition_store(store: &mut Store, db: &Database, config: &ImpConfig) -> Result<usize> {
     let templates: Vec<QueryTemplate> = store.keys().cloned().collect();
     let mut recaptured = 0usize;
     for template in templates {
@@ -1251,12 +1093,11 @@ pub(crate) fn evict_stored(entry: &mut StoredSketch) -> usize {
     freed
 }
 
-/// Build the advisor's [`SketchCard`] for one stored sketch — shared by
-/// the in-line gather and the shard workers' `AdviseGather` barrier. The
-/// card's `heap` prices the sketch at its *kept-maintained* footprint:
+/// Build the advisor's [`SketchCard`] for one stored sketch. The card's
+/// `heap` prices the sketch at its *kept-maintained* footprint:
 /// resident bytes plus, when evicted, the serialized state size (the
 /// restore proxy).
-pub(crate) fn advisor_card(template: &QueryTemplate, e: &StoredSketch) -> SketchCard {
+fn advisor_card(template: &QueryTemplate, e: &StoredSketch) -> SketchCard {
     let resident = stored_heap_size(e);
     SketchCard {
         template: template.clone(),
@@ -1268,11 +1109,7 @@ pub(crate) fn advisor_card(template: &QueryTemplate, e: &StoredSketch) -> Sketch
 }
 
 /// Build the [`SketchSummary`] row for one stored sketch.
-pub(crate) fn summarize(
-    template: &QueryTemplate,
-    e: &StoredSketch,
-    db: &Database,
-) -> SketchSummary {
+fn summarize(template: &QueryTemplate, e: &StoredSketch, db: &Database) -> SketchSummary {
     SketchSummary {
         template: template.text().to_string(),
         sql: e.sql.clone(),
@@ -1517,12 +1354,12 @@ mod tests {
 
     /// Test inspection for the accounting oracle ([`crate::heap_oracle`]).
     impl Imp {
-        /// Visit every stored sketch on either backend (settled).
+        /// Visit every stored sketch of the settled store.
         pub(crate) fn for_each_stored(&self, f: &mut dyn FnMut(&StoredSketch)) {
-            match &self.store {
-                SketchBackend::Inline(store) => store.values().flatten().for_each(f),
-                SketchBackend::Sharded(sched) => sched.for_each_stored(f),
-            }
+            let _ = self.sched.visit(None, false, |store, _| {
+                store.values().flatten().for_each(&mut *f);
+                Ok(())
+            });
         }
     }
 

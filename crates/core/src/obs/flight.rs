@@ -74,7 +74,8 @@ pub enum FlightEvent {
         /// Distinct destination shards.
         shards: u64,
     },
-    /// A worker claimed a run from its own inbox.
+    /// A run was claimed from a shard's inbox by the shard's own worker
+    /// or by a caller draining the store (`worker` = the shard).
     Claimed {
         /// Inbox the run came from.
         shard: u64,

@@ -39,11 +39,12 @@ pub enum ObsEvent {
         /// Batches appended (post-coalescing).
         batches: usize,
     },
-    /// A worker claimed a batch run from an inbox.
+    /// A batch run was claimed from an inbox.
     ShardClaim {
         /// Inbox the run came from.
         shard: usize,
-        /// Worker that claimed it (differs from `shard` on a steal).
+        /// Worker that claimed it (differs from `shard` on a steal; a
+        /// caller draining the store claims as the shard's own).
         worker: usize,
         /// True when claimed by a thief.
         stolen: bool,

@@ -54,9 +54,8 @@ pub(crate) struct ObsdState {
     pub(crate) obs: Arc<Obs>,
     /// Latest published watchdog verdict.
     pub(crate) health: Arc<HealthState>,
-    /// Snapshot board of the sharded backend (`None` in-line: `/sketches`
-    /// then serves an empty board).
-    pub(crate) board: Option<Arc<SnapshotBoard>>,
+    /// Snapshot board of the sketch store.
+    pub(crate) board: Arc<SnapshotBoard>,
     /// Workload tracker feeding the advisor score on `/sketches`.
     pub(crate) tracker: Arc<WorkloadTracker>,
     /// Cost-model weights used to score each published sketch.
@@ -172,10 +171,7 @@ pub(crate) fn start_obsd(
 /// per-shard queue depths) and the workload tracker (advisor score).
 fn render_sketches(state: &ObsdState) -> String {
     let mut out = String::from("{\"sketches\":{");
-    let Some(board) = &state.board else {
-        out.push_str("\"epoch\":0,\"shards\":0,\"entries\":[]}}");
-        return out;
-    };
+    let board = &state.board;
 
     let samples = state.obs.registry().sample();
     let queue_depth = |shard: usize| -> u64 {
@@ -270,7 +266,7 @@ mod tests {
         let obs = Obs::new(&ObsConfig::metrics_only());
         ObsdState {
             health: HealthState::new(),
-            board: None,
+            board: Arc::new(SnapshotBoard::new(1)),
             tracker: Arc::new(WorkloadTracker::new()),
             advisor: AdvisorParams::default(),
             obs,

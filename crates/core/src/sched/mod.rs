@@ -1,26 +1,29 @@
-//! # `imp_core::sched` — sharded multi-query maintenance scheduling
+//! # `imp_core::sched` — the sketch store and its maintenance scheduler
 //!
 //! The paper's middleware maintains *many* sketches against one shared
-//! update stream. The in-line store serializes that work on whichever
-//! thread triggers it; this module scales it out while preserving the
-//! in-line semantics bit-for-bit (the differential property the
-//! `sched_differential` and `steal_differential` suites prove).
+//! update stream. This module is its one sketch store: template-hash
+//! shards of stored sketches, each behind a state lock, plus the
+//! machinery that maintains them beside the query path. Whoever holds a
+//! shard's state lock may work on it: a shard worker, an idle worker of
+//! another shard (a steal), or the calling thread itself.
 //!
-//! ## Flow: staging → router → shared inboxes → workers → snapshots
+//! ## Flow: staging → router → shared inboxes → claims → snapshots
 //!
 //! ```text
-//!   update ──▶ staging queue ─(worker drains)─▶ DeltaRouter
-//!                │ (bounded; full ⇒ inline)        │ one collect per
-//!                ▼                                 ▼ table, fan out
-//!   query ◀── Imp::execute       ┌─────────┬─────────┬─────────┐
-//!              ▲                 │ inbox 0 │ inbox 1 │ inbox N │
-//!              │ read            └────┬────┴────┬────┴────┬────┘
-//!       SnapshotBoard ◀─ publish ─ worker 0  worker 1  worker N
-//!            (versioned)              └──── work stealing ───┘
+//!   update ──▶ staging queue ─(drained)─▶ DeltaRouter
+//!                │ (bounded; full ⇒ inline)  │ one collect per
+//!                ▼                           ▼ table, fan out
+//!                              ┌─────────┬─────────┬─────────┐
+//!                              │ inbox 0 │ inbox 1 │ inbox N │
+//!                              └────┬────┴────┬────┴────┬────┘
+//!                                   ▼ claims under a shard's state lock:
+//!                               worker 0  worker 1  worker N (+ steals)
+//!   query ─┬─ fresh: read ──▶ SnapshotBoard ◀── publish ──┘
+//!          └─ stale: lock its shard, maintain its own sketch, publish
 //! ```
 //!
 //! * **Async ingest** — [`Scheduler::route`] *stages* the updated table
-//!   name on a bounded queue and returns: the writer no longer pays for
+//!   name on a bounded queue and returns: the writer does not pay for
 //!   log collection or fan-out. Workers drain the staging queue; a full
 //!   queue falls back to inline ingestion on the writer's thread
 //!   (backpressure, counted in
@@ -39,15 +42,25 @@
 //!   victim's state lock, so the result stays byte-identical).
 //! * **[`snapshot::SnapshotBoard`]** publishes each shard's sketches as
 //!   immutable, epoch-stamped snapshots after every state change, so the
-//!   USE/rewrite path reads fresh sketches without ever blocking (or
-//!   being blocked by) maintenance. Only a query that *needs* a stale
-//!   sketch synchronizes with the owning shard.
+//!   USE/rewrite path reads a fresh sketch without blocking maintenance.
+//! * **Caller-side controls.** A query that finds its sketch stale does
+//!   not queue behind the workers: it takes the owning shard's state lock
+//!   and maintains *its own* sketch through the fetching path, then
+//!   publishes; routed batches still queued for that sketch become
+//!   version-filtered no-ops. Captures, inspections, admin and advisor
+//!   passes and [`Scheduler::drain`] likewise run on the calling thread,
+//!   each under a shard's state lock. The lock order is a worker's:
+//!   state lock, then the database read lock.
+//! * **Zero workers** (`sched_workers: 0`, the default) is the same
+//!   store with one shard and no threads: nothing is routed, so an
+//!   update touches no sketch state, and the caller does all the work —
+//!   a stale query maintains its sketch, `tick_maintenance` sweeps.
 //!
 //! Maintenance arithmetic is split-invariant (see
 //! [`crate::maintain::SketchMaintainer::maintain_from`]): however the
 //! update stream is chopped into routed batches, coalesced groups, and
 //! stolen claims, sketch bits and maintained versions equal the
-//! sequential in-line outcome.
+//! zero-worker outcome.
 
 pub mod pool;
 pub mod router;
@@ -57,64 +70,48 @@ pub(crate) mod steal;
 
 pub use pool::{PausedShards, ShardPool, SHARD_QUEUE_CAP};
 pub use router::{DeltaRouter, RoutedEntry, TableDelta};
-pub use shard::{MaintainReply, ShardReport};
 pub use snapshot::{PublishedSketch, ShardSnapshot, SnapshotBoard};
 
-use crate::advisor::{AdviseAction, ApplyOutcome, SketchCard, WorkloadTracker};
+use crate::advisor::{SketchKey, WorkloadTracker};
 use crate::maintain::MaintReport;
-use crate::metrics::{SchedMetrics, SchedStats};
-use crate::middleware::{plan_subsumes, ImpConfig, StoredSketch};
+use crate::metrics::SchedStats;
+use crate::middleware::{
+    maintain_entry, plan_subsumes, ImpConfig, Store, StoredSketch, MAX_SKETCHES_PER_TEMPLATE,
+};
 use crate::obs::{Obs, ObsEvent};
-use crate::sched::shard::{ShardMsg, SketchFn};
+use crate::sched::shard::{maintain_stale, publish, ShardMsg};
 use crate::sched::steal::SchedShared;
-use crossbeam::channel::bounded;
 use imp_engine::Database;
+use imp_sketch::SketchSet;
 use imp_sql::{LogicalPlan, QueryTemplate};
 use parking_lot::RwLock;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// The scheduler facade: staging + router + shard pool + snapshot board.
+/// The sketch store: shards + staging + router + worker pool + snapshot
+/// board.
 pub struct Scheduler {
     pool: ShardPool,
     shared: Arc<SchedShared>,
-    board: Arc<SnapshotBoard>,
-    metrics: Arc<SchedMetrics>,
-    obs: Arc<Obs>,
-    db: Arc<RwLock<Database>>,
 }
 
 impl Scheduler {
-    /// Spawn the scheduler for `config.sched_workers` shards (≥ 1).
+    /// The store for `config.sched_workers` workers: one shard per
+    /// worker, and one shard with no worker when that is 0.
     pub(crate) fn new(
         db: Arc<RwLock<Database>>,
         config: &ImpConfig,
         tracker: Arc<WorkloadTracker>,
         obs: Arc<Obs>,
     ) -> Scheduler {
-        let workers = config.sched_workers.max(1);
-        let board = Arc::new(SnapshotBoard::new(workers));
-        let metrics = Arc::new(SchedMetrics::registered(workers, obs.registry()));
-        let shared = Arc::new(SchedShared::new(
-            workers,
-            config.ingest_queue_cap,
-            Arc::clone(&metrics),
-            Arc::clone(&obs),
-        ));
-        let pool = ShardPool::spawn(
-            workers, &db, config, &board, &metrics, &tracker, &shared, &obs,
-        );
-        Scheduler {
-            pool,
-            shared,
-            board,
-            metrics,
-            obs,
-            db,
-        }
+        let shards = config.sched_workers.max(1);
+        let shared = Arc::new(SchedShared::new(shards, db, config, tracker, obs));
+        let pool = ShardPool::spawn(config.sched_workers, &shared);
+        Scheduler { pool, shared }
     }
 
-    /// Number of shard workers.
+    /// Number of shard workers (0: callers do every claim).
     pub fn workers(&self) -> usize {
         self.pool.len()
     }
@@ -123,37 +120,41 @@ impl Scheduler {
     pub fn shard_of(&self, template: &QueryTemplate) -> usize {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         template.hash(&mut hasher);
-        (hasher.finish() % self.pool.len() as u64) as usize
+        (hasher.finish() % self.shared.slots.len() as u64) as usize
     }
 
     /// Current scheduler counters.
     pub fn stats(&self) -> SchedStats {
-        self.metrics.snapshot()
+        self.shared.metrics.snapshot()
     }
 
     /// Shared handle to the snapshot board (obsd's `/sketches` reads
     /// published snapshots through this without touching the scheduler).
     pub fn board_handle(&self) -> Arc<SnapshotBoard> {
-        Arc::clone(&self.board)
-    }
-
-    /// Shared handle to the scheduler counters.
-    pub fn metrics_handle(&self) -> Arc<SchedMetrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.shared.board)
     }
 
     /// Epoch of the latest published snapshot (0 = none yet).
     pub fn snapshot_epoch(&self) -> u64 {
-        self.board.epoch()
+        self.shared.board.epoch()
     }
 
     /// Number of sketches currently published across all shards.
     /// Snapshots are republished on every count-changing operation, so
-    /// this equals the stored count without an inspection barrier.
+    /// this equals the stored count without taking a state lock.
     pub fn published_count(&self) -> usize {
-        (0..self.pool.len())
-            .map(|shard| self.board.read(shard).sketches.len())
+        let board = &self.shared.board;
+        (0..board.shards())
+            .map(|s| board.read(s).sketches.len())
             .sum()
+    }
+
+    /// The last error of maintenance no caller waited for (a routed claim
+    /// or a background sweep), from the lowest shard that has one. Sticky:
+    /// it stays reported until a newer error of that shard supersedes it.
+    pub fn last_error(&self) -> Option<String> {
+        let mut slots = self.shared.slots.iter();
+        slots.find_map(|slot| slot.state.lock().last_error.clone())
     }
 
     /// Note that `table` committed an update. Normally this just stages
@@ -162,55 +163,52 @@ impl Scheduler {
     /// — or async ingest is disabled via
     /// [`ImpConfig::ingest_queue_cap`]` = 0` — the delta is ingested
     /// inline on this thread (backpressure, counted as a stall), which
-    /// keeps ingestion live even while every worker is paused.
+    /// keeps ingestion live even while every worker is paused. With no
+    /// workers nothing would ever drain an inbox, so nothing is routed:
+    /// the update touches no sketch state.
     pub fn route(&self, table: &str) {
-        let _span = self.obs.span("route");
-        if self.shared.stage(table) {
-            self.obs.flight().record(crate::obs::FlightEvent::Staged {
-                table: crate::obs::flight::fid(table),
-                queued: 1,
-            });
-            self.obs.emit(|| ObsEvent::UpdateStaged {
-                table: table.to_string(),
-                queued: true,
-            });
-            self.shared.wake_any();
+        if self.pool.is_empty() {
+            return;
+        }
+        let (shared, obs) = (&self.shared, &self.shared.obs);
+        let _span = obs.span("route");
+        let queued = shared.stage(table);
+        if !queued && shared.async_enabled() {
+            // A full staging queue (not a disabled one) is pressure.
+            shared.metrics.backpressure_stalls.inc();
+        }
+        obs.flight().record(crate::obs::FlightEvent::Staged {
+            table: crate::obs::flight::fid(table),
+            queued: queued as u64,
+        });
+        obs.emit(|| ObsEvent::UpdateStaged {
+            table: table.to_string(),
+            queued,
+        });
+        if queued {
+            shared.wake_any();
         } else {
-            if self.shared.async_enabled() {
-                // A full staging queue (not a disabled one) is pressure.
-                self.metrics.backpressure_stalls.inc();
-            }
-            self.obs.flight().record(crate::obs::FlightEvent::Staged {
-                table: crate::obs::flight::fid(table),
-                queued: 0,
-            });
-            self.obs.emit(|| ObsEvent::UpdateStaged {
-                table: table.to_string(),
-                queued: false,
-            });
-            self.shared.ingest(&self.db, Some(table));
+            shared.ingest(Some(table));
         }
     }
 
-    /// Hand a freshly captured sketch to its owning shard (synchronous:
-    /// the sketch is stored and published when this returns, so the next
-    /// query sees it).
+    /// Store a freshly captured sketch in its owning shard, on the
+    /// calling thread: the sketch is stored and published when this
+    /// returns, so the next query sees it. A template already holding
+    /// [`MAX_SKETCHES_PER_TEMPLATE`] candidates evicts its oldest.
     pub(crate) fn add_sketch(&self, template: QueryTemplate, sketch: StoredSketch) {
         let shard = self.shard_of(&template);
-        {
-            let db = self.db.read();
-            self.shared.register(&db, sketch.maintainer.tables(), shard);
+        self.shared.register(sketch.maintainer.tables(), shard);
+        let mut state = self.shared.slots[shard].state.lock();
+        if let Some(entries) = state.store.get_mut(&template) {
+            if entries.len() >= MAX_SKETCHES_PER_TEMPLATE {
+                let old = entries.remove(0); // evict the oldest candidate
+                let key = SketchKey::new(template.text(), old.sql);
+                self.shared.tracker.forget(&key);
+            }
         }
-        let (tx, rx) = bounded(1);
-        self.pool.send(
-            shard,
-            ShardMsg::AddSketch {
-                template,
-                sketch: Box::new(sketch),
-                reply: tx,
-            },
-        );
-        let _ = rx.recv();
+        state.store.entry(template).or_default().push(sketch);
+        publish(shard, &mut state, &self.shared.board, &self.shared.obs);
     }
 
     /// The published candidate subsuming `plan`, if any (non-blocking
@@ -220,7 +218,7 @@ impl Scheduler {
         template: &QueryTemplate,
         plan: &LogicalPlan,
     ) -> Option<PublishedSketch> {
-        let snapshot = self.board.read(self.shard_of(template));
+        let snapshot = self.shared.board.read(self.shard_of(template));
         snapshot
             .sketches
             .iter()
@@ -228,81 +226,119 @@ impl Scheduler {
             .cloned()
     }
 
-    /// Ask the owning shard to bring the subsuming candidate fully
-    /// current (synchronous; staged and queued routed deltas are
-    /// processed first). `Ok(None)` when no stored candidate subsumes the
-    /// plan anymore; a worker-side maintenance failure propagates like
-    /// the in-line backend's would.
+    /// Paper Fig. 2 (iii) on the calling thread: under the owning shard's
+    /// state lock, bring the candidate subsuming `plan` current through
+    /// the fetching path, publish, and return the report with the fresh
+    /// sketch. Only this sketch is maintained, and nothing waits for the
+    /// workers: routed batches still queued for it become
+    /// version-filtered no-ops. `Ok(None)` when no stored candidate
+    /// subsumes the plan anymore.
     pub(crate) fn maintain_sketch(
         &self,
         template: &QueryTemplate,
         plan: &LogicalPlan,
-    ) -> crate::Result<Option<MaintainReply>> {
-        let (tx, rx) = bounded(1);
-        self.pool.send(
-            self.shard_of(template),
-            ShardMsg::MaintainSketch {
-                template: template.clone(),
-                plan: Box::new(plan.clone()),
-                reply: tx,
-            },
-        );
-        rx.recv().unwrap_or(Ok(None))
+    ) -> crate::Result<Option<(MaintReport, Arc<SketchSet>)>> {
+        let shard = self.shard_of(template);
+        let mut state = self.shared.slots[shard].state.lock();
+        let mut entries = state.store.get_mut(template).into_iter().flatten();
+        let Some(entry) = entries.find(|e| plan_subsumes(&e.plan, plan)) else {
+            return Ok(None);
+        };
+        let report = {
+            let db = self.shared.db.read();
+            let _span = self.shared.obs.span("maintain_on_demand");
+            let (config, obs, tracker) =
+                (&self.shared.config, &self.shared.obs, &self.shared.tracker);
+            maintain_entry(entry, template, &db, config, obs, tracker)?
+        };
+        let sketch = Arc::new(entry.maintainer.sketch().clone());
+        self.shared.metrics.maintain_runs.inc();
+        publish(shard, &mut state, &self.shared.board, &self.shared.obs);
+        Ok(Some((report, sketch)))
     }
 
-    /// Scatter one control message to every shard, then gather every
-    /// reply (shards process in parallel; replies collect in shard
-    /// order). A shard whose worker died is skipped — its reply channel
-    /// closes.
-    fn broadcast<R>(&self, make: impl Fn(crossbeam::channel::Sender<R>) -> ShardMsg) -> Vec<R> {
-        let mut replies = Vec::with_capacity(self.pool.len());
-        for shard in 0..self.pool.len() {
-            let (tx, rx) = bounded(1);
-            self.pool.send(shard, make(tx));
-            replies.push(rx);
+    /// Run `f` on the first sketch stored for `template`, under its
+    /// shard's state lock (tests and inspection). `None` when the
+    /// template has no stored sketch.
+    pub(crate) fn with_sketch<R>(
+        &self,
+        template: &QueryTemplate,
+        f: impl FnOnce(&StoredSketch) -> R,
+    ) -> Option<R> {
+        let state = self.shared.slots[self.shard_of(template)].state.lock();
+        state.store.get(template).and_then(|v| v.first()).map(f)
+    }
+
+    /// The shard holding `template`'s candidates, or (`None`) every shard.
+    fn shards(&self, template: Option<&QueryTemplate>) -> Range<usize> {
+        match template {
+            Some(t) => self.shard_of(t)..self.shard_of(t) + 1,
+            None => 0..self.shared.slots.len(),
         }
-        replies
-            .into_iter()
-            .filter_map(|rx| rx.recv().ok())
-            .collect()
     }
 
-    /// Synchronously maintain every stale sketch on every shard (shards
-    /// work in parallel; reports are collected in shard order). Every
-    /// shard completes its sweep; the first error, if any, is returned
-    /// after the successful reports are collected.
+    /// Run `f` over the store of `template`'s shard, or (`None`) of every
+    /// shard, on the calling thread, after a [`Self::drain`] — so `f`
+    /// sees every update routed before the call. Each shard's state lock
+    /// is taken before the database read lock, a worker's order; with
+    /// `publish_after`, the shard is republished after `f`. Stops at
+    /// `f`'s first error.
+    pub(crate) fn visit(
+        &self,
+        template: Option<&QueryTemplate>,
+        publish_after: bool,
+        mut f: impl FnMut(&mut Store, &Database) -> crate::Result<()>,
+    ) -> crate::Result<()> {
+        self.drain();
+        for shard in self.shards(template) {
+            let mut state = self.shared.slots[shard].state.lock();
+            let result = f(&mut state.store, &self.shared.db.read());
+            if publish_after {
+                publish(shard, &mut state, &self.shared.board, &self.shared.obs);
+            }
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Maintain every stale sketch of every shard on the calling thread,
+    /// after a [`Self::drain`] (queued routed deltas first, in queue
+    /// order, then the fetching path for what is still stale). Reports
+    /// come in shard order; the first error stops the sweep.
     pub fn maintain_stale(&self) -> crate::Result<Vec<MaintReport>> {
+        self.drain();
         let mut reports = Vec::new();
-        let mut first_error = None;
-        for (shard_reports, error) in
-            self.broadcast(|tx| ShardMsg::MaintainStale { reply: Some(tx) })
-        {
-            reports.extend(shard_reports);
-            if first_error.is_none() {
-                first_error = error;
+        for shard in 0..self.shared.slots.len() {
+            maintain_stale(&self.shared, shard, &mut reports)?;
+        }
+        Ok(reports)
+    }
+
+    /// Fire-and-forget maintain-stale sweep on every worker (background
+    /// ticks; a no-op without workers).
+    pub fn kick_maintenance(&self) {
+        for worker in 0..self.pool.len() {
+            self.pool.send(worker, ShardMsg::MaintainStale);
+        }
+    }
+
+    /// Barrier on the calling thread: ingest everything staged, then
+    /// claim and run every shard's inbox here — a worker's claim loop
+    /// minus the worker, racing the workers for the same state locks.
+    /// Returns once every update routed (or staged) before the call has
+    /// been maintained: taking a shard's state lock also waits out a claim
+    /// another thread has in flight. Works while the workers are paused.
+    /// Returns the claims run here.
+    pub fn drain(&self) -> usize {
+        self.shared.ingest(None);
+        let mut claims = 0;
+        for (shard, slot) in self.shared.slots.iter().enumerate() {
+            let mut state = slot.state.lock();
+            while self.shared.claim_and_run(shard, &mut state, shard) {
+                claims += 1;
             }
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(reports),
-        }
-    }
-
-    /// Fire-and-forget maintain-stale sweep (background ticks).
-    pub fn kick_maintenance(&self) {
-        for shard in 0..self.pool.len() {
-            self.pool
-                .send(shard, ShardMsg::MaintainStale { reply: None });
-        }
-    }
-
-    /// Barrier: returns once every update routed (or staged) before this
-    /// call has been fully processed on every shard. Each worker drains
-    /// the staging queue and flushes its own inbox before replying; a
-    /// claim stolen mid-flight is finished before the thief releases the
-    /// victim's state lock, which every subsequent store access takes.
-    pub fn drain(&self) {
-        let _: Vec<()> = self.broadcast(|tx| ShardMsg::Drain { reply: tx });
+        claims
     }
 
     /// Park every worker after it finishes its current claim (inboxes
@@ -311,137 +347,96 @@ impl Scheduler {
     pub fn pause(&self) -> PausedShards {
         self.pool.pause()
     }
-
-    /// Synchronous store reports from every shard.
-    pub fn inspect(&self) -> Vec<ShardReport> {
-        self.broadcast(|tx| ShardMsg::Inspect { reply: tx })
-    }
-
-    /// Run `apply` over the stored sketches — one template's candidates
-    /// on its owning shard, or (`None`) everything on every shard — as a
-    /// control barrier; returns the sum of its results. The evict /
-    /// pool-flush / version-trim admin calls of
-    /// [`crate::middleware::Imp`] all travel this way.
-    pub(crate) fn for_each(&self, template: Option<&QueryTemplate>, apply: SketchFn) -> usize {
-        let msg = |tx| ShardMsg::ForEach {
-            template: template.cloned(),
-            apply: Arc::clone(&apply),
-            reply: tx,
-        };
-        match template {
-            None => self.broadcast(msg).into_iter().sum(),
-            Some(t) => {
-                let (tx, rx) = bounded(1);
-                self.pool.send(self.shard_of(t), msg(tx));
-                rx.recv().unwrap_or(0)
-            }
-        }
-    }
-
-    /// Gather the advisor's view of every stored sketch (control
-    /// barrier; shards reply in parallel, order is normalized by the
-    /// caller's sort).
-    pub fn advise_gather(&self) -> Vec<SketchCard> {
-        self.broadcast(|tx| ShardMsg::AdviseGather { reply: tx })
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Scatter one planned advisor round to the owning shards and gather
-    /// the summed outcome. Promotion maintenance errors propagate (first
-    /// error, after every shard replied).
-    pub fn advise_apply(&self, actions: &[AdviseAction]) -> crate::Result<ApplyOutcome> {
-        let mut per_shard: Vec<Vec<AdviseAction>> =
-            (0..self.pool.len()).map(|_| Vec::new()).collect();
-        for action in actions {
-            per_shard[self.shard_of(&action.template)].push(action.clone());
-        }
-        let mut replies = Vec::new();
-        for (shard, shard_actions) in per_shard.into_iter().enumerate() {
-            if shard_actions.is_empty() {
-                continue;
-            }
-            let (tx, rx) = bounded(1);
-            self.pool.send(
-                shard,
-                ShardMsg::AdviseApply {
-                    actions: shard_actions,
-                    reply: tx,
-                },
-            );
-            replies.push(rx);
-        }
-        let mut outcome = ApplyOutcome::default();
-        let mut first_error = None;
-        for rx in replies {
-            match rx.recv() {
-                Ok(Ok(o)) => outcome.absorb(&o),
-                Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Err(_) => {} // worker gone (shutdown race)
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(outcome),
-        }
-    }
-
-    /// Recapture every sketch with fresh partitions on every shard.
-    pub fn repartition_all(&self) -> usize {
-        self.broadcast(|tx| ShardMsg::Repartition { reply: tx })
-            .into_iter()
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::shard::{publish, run_claim};
+    use crate::middleware::{capture_stored, choose_partitions, Imp};
+    use crate::obs::ObsConfig;
+    use crate::sched::shard::ShardWorker;
+    use crossbeam::channel::bounded;
+    use imp_storage::{row, DataType, Field, Schema};
 
-    /// Test hooks for the accounting oracle ([`crate::heap_oracle`]).
-    impl Scheduler {
-        /// Visit every stored sketch of every shard, settled.
-        pub(crate) fn for_each_stored(&self, f: &mut dyn FnMut(&StoredSketch)) {
-            self.drain();
-            for slot in &self.shared.slots {
-                slot.state.lock().store.values().flatten().for_each(&mut *f);
-            }
-        }
+    const Q: &str = "SELECT g, sum(v) AS s FROM t GROUP BY g HAVING sum(v) > 100";
 
-        /// With the workers paused: ingest what is staged, then claim,
-        /// maintain and publish every loaded shard on the calling thread
-        /// — a worker's claim loop minus the worker. Returns claims run.
-        pub(crate) fn work_on_caller(
-            &self,
-            config: &ImpConfig,
-            tracker: &WorkloadTracker,
-        ) -> usize {
-            self.shared.ingest(&self.db, None);
-            let mut claims = 0;
-            for shard in 0..self.shared.slots.len() {
-                let mut state = self.shared.slots[shard].state.lock();
-                while let Some(claim) = self.shared.claim(shard, config.coalesce_budget) {
-                    let routed = &claim.routed;
-                    run_claim(
-                        &mut state,
-                        routed,
-                        &self.db,
-                        config,
-                        &self.metrics,
-                        tracker,
-                        &self.obs,
-                    );
-                    publish(shard, &mut state, &self.board, &self.obs);
-                    claims += 1;
-                }
-            }
-            claims
+    fn seed_db() -> Database {
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]);
+        db.create_table("t", schema).unwrap();
+        let rows = (0..60).map(|i| row![i % 6, i]);
+        db.table_mut("t").unwrap().bulk_load(rows).unwrap();
+        db
+    }
+
+    /// A steal, without a clock: two shards and no threads, a backlog
+    /// routed into shard 0 only, and one `work_once` of worker 1 run on
+    /// this thread. There is no worker 0 to race it, so the claim is
+    /// worker 1's, stolen, and attributed to shard 0.
+    #[test]
+    fn an_idle_worker_steals_a_backlog() {
+        let config = ImpConfig {
+            fragments: 6,
+            sched_workers: 2,
+            ..ImpConfig::default()
+        };
+        let db = Arc::new(RwLock::new(seed_db()));
+        let obs = Obs::new(&ObsConfig::default());
+        let tracker = Arc::new(WorkloadTracker::new());
+        let shared = Arc::new(SchedShared::new(2, Arc::clone(&db), &config, tracker, obs));
+
+        let template = {
+            let imp_sql::Statement::Select(sel) = imp_sql::parse_one(Q).unwrap() else {
+                unreachable!()
+            };
+            QueryTemplate::of(&sel)
+        };
+        let stored = {
+            let db = db.read();
+            let plan = db.plan_sql(Q).unwrap();
+            let pset = choose_partitions(&db, &config, &plan).unwrap().unwrap();
+            capture_stored(&db, &config, Q, plan, pset).unwrap().0
+        };
+        shared.register(stored.maintainer.tables(), 0);
+        let mut state = shared.slots[0].state.lock();
+        state.store.entry(template).or_default().push(stored);
+        drop(state);
+
+        let updates = ["INSERT INTO t VALUES (2, 500)", "DELETE FROM t WHERE v = 7"];
+        for sql in updates {
+            db.write().execute_sql(sql).unwrap();
+            shared.ingest(Some("t"));
         }
+        assert_eq!(shared.metrics.snapshot().per_shard[0].depth, 2);
+
+        let (_tx, rx) = bounded(1);
+        let thief = ShardWorker::new(1, rx, Arc::clone(&shared));
+        assert!(thief.work_once(), "worker 1 found shard 0's backlog");
+        let stats = shared.metrics.snapshot();
+        assert_eq!(stats.steals, 1, "{stats:?}");
+        assert_eq!(stats.stolen_from, vec![1, 0], "{stats:?}");
+        assert_eq!(stats.per_shard[0].depth, 0, "one claim took the backlog");
+        assert!(!thief.work_once(), "nothing left anywhere");
+
+        let mut sequential = Imp::new(
+            seed_db(),
+            ImpConfig {
+                sched_workers: 0,
+                ..config
+            },
+        );
+        sequential.execute(Q).unwrap();
+        for sql in updates {
+            sequential.execute(sql).unwrap();
+        }
+        sequential.maintain_all_stale().unwrap();
+        let state = shared.slots[0].state.lock();
+        let stolen = state.store.values().flatten().next().unwrap();
+        let expected = &sequential.sketch_states()[0];
+        assert_eq!(stolen.maintainer.version(), expected.version);
+        assert_eq!(stolen.maintainer.sketch().bits(), &expected.bits);
     }
 }

@@ -1,27 +1,23 @@
-//! Worker-pool lifecycle: spawn, control plumbing, pause/resume, join.
+//! Worker-pool lifecycle: spawn, pause/resume, join.
 //!
-//! Routed deltas no longer travel through these channels — they live in
-//! the shared per-shard inboxes (`crate::sched::steal`). The channels
-//! carry only control messages and edge-triggered wake nudges, so they
-//! never need to block the update path: `SHARD_QUEUE_CAP` merely bounds
-//! how many controls can be queued ahead of a worker.
+//! Routed deltas do not travel through the workers' channels — they live
+//! in the shared per-shard inboxes (`crate::sched::steal`) — and neither
+//! do controls, which run on the calling thread. The channels carry wake
+//! nudges, background sweeps, pause and stop, so they never need to
+//! block the update path: `SHARD_QUEUE_CAP` merely bounds how many
+//! messages can be queued ahead of a worker. A pool may have no workers
+//! at all (`sched_workers: 0`): then callers do every claim.
 
-use crate::advisor::WorkloadTracker;
-use crate::metrics::SchedMetrics;
-use crate::middleware::ImpConfig;
-use crate::obs::Obs;
 use crate::sched::shard::{ShardMsg, ShardWorker};
-use crate::sched::snapshot::SnapshotBoard;
 use crate::sched::steal::SchedShared;
 use crossbeam::channel::{bounded, Sender};
-use imp_engine::Database;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Capacity of each shard's control queue. Controls are rare and always
-/// answered; wake nudges are dropped (not blocked) when the queue is
-/// full, so a full queue never stalls ingestion.
+/// Capacity of each worker's message queue. Wake nudges are dropped (not
+/// blocked) when the queue is full, so a full queue never stalls
+/// ingestion.
 pub const SHARD_QUEUE_CAP: usize = 256;
 
 struct ShardHandle {
@@ -41,34 +37,15 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Spawn `workers` shard threads sharing `db` and `shared`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spawn(
-        workers: usize,
-        db: &Arc<RwLock<Database>>,
-        config: &ImpConfig,
-        board: &Arc<SnapshotBoard>,
-        metrics: &Arc<SchedMetrics>,
-        tracker: &Arc<WorkloadTracker>,
-        shared: &Arc<SchedShared>,
-        obs: &Arc<Obs>,
-    ) -> ShardPool {
+    /// Spawn `workers` shard threads (worker `i` serves shard `i`) over
+    /// `shared`.
+    pub(crate) fn spawn(workers: usize, shared: &Arc<SchedShared>) -> ShardPool {
         let mut txs = Vec::with_capacity(workers);
         let shards = (0..workers)
             .map(|id| {
                 let (tx, rx) = bounded::<ShardMsg>(SHARD_QUEUE_CAP);
                 txs.push(tx.clone());
-                let worker = ShardWorker::new(
-                    id,
-                    Arc::clone(db),
-                    rx,
-                    config.clone(),
-                    Arc::clone(board),
-                    Arc::clone(metrics),
-                    Arc::clone(shared),
-                    Arc::clone(tracker),
-                    Arc::clone(obs),
-                );
+                let worker = ShardWorker::new(id, rx, Arc::clone(shared));
                 let handle = std::thread::Builder::new()
                     .name(format!("imp-shard-{id}"))
                     .spawn(move || worker.run())
@@ -86,18 +63,17 @@ impl ShardPool {
         }
     }
 
-    /// Number of shards.
+    /// Number of worker threads.
     pub fn len(&self) -> usize {
         self.shards.len()
     }
 
-    /// True iff the pool has no shards (never: spawn requires ≥ 1).
+    /// True iff the pool has no workers (`sched_workers: 0`).
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
     }
 
-    /// Send a control to one shard (blocking; control queues only ever
-    /// fill with controls, each of which the worker answers promptly).
+    /// Send a message to one worker (blocking while its queue is full).
     pub(crate) fn send(&self, shard: usize, msg: ShardMsg) {
         let _ = self.shards[shard].tx.send(msg);
     }

@@ -1,56 +1,57 @@
-//! Shared shard inboxes, the async-ingest staging queue, and work
-//! stealing.
+//! Shared shard inboxes, the async-ingest staging queue, and claims.
 //!
-//! PR 4's scheduler delivered routed deltas through each worker's message
-//! channel, so a batch was pinned to its shard's thread: one hot shard
-//! under a skewed stream kept one worker saturated while the rest idled.
-//! This module moves delta delivery into *shared* per-shard state:
+//! Routed deltas live in *shared* per-shard state, not in a worker's
+//! private channel:
 //!
 //! * **[`ShardSlot`]** — per shard, a FIFO `inbox` of routed
 //!   [`TableDelta`] batches plus the lockable [`ShardState`] (the sketch
 //!   store). Whoever holds the state lock may *claim* a coalesced prefix
-//!   of the inbox and run maintenance — the owning worker usually, but
-//!   under load **any idle worker** (a steal). Claims are serialized by
-//!   the state lock and always take a version-ordered whole-batch prefix,
-//!   so however ownership of a claim moves between threads, every sketch
-//!   consumes its delta stream in exactly the in-line order — the
-//!   split-invariant arithmetic keeps the bits byte-identical (the
-//!   `steal_differential` suite proves it).
+//!   of the inbox and run maintenance — the owning worker usually, an
+//!   idle worker of another shard (a steal), or a caller draining the
+//!   store. Claims are serialized by the state lock and always take a
+//!   version-ordered whole-batch prefix, so however a claim moves between
+//!   threads, every sketch consumes its delta stream in exactly the
+//!   sequential order — the split-invariant arithmetic keeps the bits
+//!   byte-identical (the `steal_differential` suite proves it).
 //! * **Async ingest** — [`SchedShared::stage`] appends the updated
 //!   table's name to a bounded staging queue and returns immediately:
-//!   the writer no longer pays for log collection and fan-out. Workers
-//!   (and control barriers) drain the staging queue through
-//!   [`SchedShared::ingest`], which collects and fans out **under one
-//!   router hold** so inbox pushes happen in global collect order — the
-//!   ordering claims rely on. A full staging queue falls back to inline
-//!   ingestion on the writer's thread (counted as a backpressure stall),
-//!   which keeps the update path live even while every worker is paused.
+//!   the writer does not pay for log collection and fan-out. Workers and
+//!   drains empty the staging queue through [`SchedShared::ingest`],
+//!   which collects and fans out **under one router hold** so inbox
+//!   pushes happen in global collect order — the ordering claims rely
+//!   on. A full staging queue falls back to inline ingestion on the
+//!   writer's thread (counted as a backpressure stall), which keeps the
+//!   update path live even while every worker is paused.
 //!
-//! Lock order (no cycles): `router → staging/inbox` on the ingest side,
-//! `state → inbox` on the claim side, `state → db.read` while
-//! maintaining. No thread ever holds two different shards' state locks.
+//! Lock order (no cycles): `router → db.read → staging/inbox` on the
+//! ingest side, `state → inbox` on the claim side, `state → db.read`
+//! while maintaining. No thread ever holds two different shards' state
+//! locks, and no thread waits for a state lock while it holds the
+//! database lock.
 
+use crate::advisor::WorkloadTracker;
 use crate::metrics::SchedMetrics;
-use crate::middleware::StoredSketch;
+use crate::middleware::{ImpConfig, Store};
 use crate::obs::{trace, Obs, ObsEvent};
 use crate::sched::router::{DeltaRouter, TableDelta};
-use crate::sched::shard::ShardMsg;
+use crate::sched::shard::{publish, run_claim, ShardMsg};
+use crate::sched::snapshot::SnapshotBoard;
 use crossbeam::channel::Sender;
 use imp_engine::Database;
-use imp_sql::QueryTemplate;
 use imp_storage::FxHashMap;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// One shard's lockable sketch store. Control messages and claims both
-/// go through the [`ShardSlot::state`] lock, so a thief never races the
-/// owner's store mutations.
+/// One shard's lockable sketch store. Every access — a caller's
+/// control, a query's claim, a worker's or a thief's routed claim — goes
+/// through the [`ShardSlot::state`] lock, so none races another.
 pub(crate) struct ShardState {
     /// Template → stored candidates (the shard's slice of the store).
-    pub(crate) store: FxHashMap<QueryTemplate, Vec<StoredSketch>>,
-    /// Sticky last maintenance error (surfaced through inspection).
+    pub(crate) store: Store,
+    /// Sticky last error of maintenance no caller waited for (routed
+    /// claims, background sweeps); see [`crate::Scheduler::last_error`].
     pub(crate) last_error: Option<String>,
 }
 
@@ -98,7 +99,8 @@ impl ClaimBuilder {
     }
 }
 
-/// State shared by the scheduler facade and every shard worker.
+/// State shared by the scheduler facade and every shard worker:
+/// everything a claim needs, whichever thread runs it.
 pub(crate) struct SchedShared {
     /// One slot per shard.
     pub(crate) slots: Vec<ShardSlot>,
@@ -108,25 +110,36 @@ pub(crate) struct SchedShared {
     staging: Mutex<VecDeque<String>>,
     /// Staging capacity; `0` disables async ingest (inline routing).
     staging_cap: usize,
+    /// The backend database (read-locked per maintenance run).
+    pub(crate) db: Arc<RwLock<Database>>,
+    /// Middleware configuration (operator knobs, coalescing, stealing).
+    pub(crate) config: ImpConfig,
+    /// Published sketch snapshots, one slot per shard.
+    pub(crate) board: Arc<SnapshotBoard>,
+    /// Workload tracker (maintenance costs, template evictions).
+    pub(crate) tracker: Arc<WorkloadTracker>,
     /// Shared scheduler counters.
-    metrics: Arc<SchedMetrics>,
-    /// Observability hub (spans + probe events on the ingest path).
-    obs: Arc<Obs>,
-    /// Control-channel senders, for wake nudges (set once after spawn).
+    pub(crate) metrics: Arc<SchedMetrics>,
+    /// Observability hub (spans, latency histograms, probe events).
+    pub(crate) obs: Arc<Obs>,
+    /// Worker channel senders, for wake nudges (set once after spawn).
     wakers: OnceLock<Vec<Sender<ShardMsg>>>,
     /// Round-robin cursor for [`SchedShared::wake_any`].
     next_wake: AtomicUsize,
 }
 
 impl SchedShared {
+    /// `shards` empty slots over `db`, with the scheduler counters
+    /// registered in `obs`'s registry.
     pub(crate) fn new(
-        workers: usize,
-        staging_cap: usize,
-        metrics: Arc<SchedMetrics>,
+        shards: usize,
+        db: Arc<RwLock<Database>>,
+        config: &ImpConfig,
+        tracker: Arc<WorkloadTracker>,
         obs: Arc<Obs>,
     ) -> SchedShared {
         SchedShared {
-            slots: (0..workers)
+            slots: (0..shards)
                 .map(|_| ShardSlot {
                     inbox: Mutex::new(VecDeque::new()),
                     state: Mutex::new(ShardState {
@@ -137,22 +150,27 @@ impl SchedShared {
                 .collect(),
             router: Mutex::new(DeltaRouter::new()),
             staging: Mutex::new(VecDeque::new()),
-            staging_cap,
-            metrics,
+            staging_cap: config.ingest_queue_cap,
+            db,
+            config: config.clone(),
+            board: Arc::new(SnapshotBoard::new(shards)),
+            tracker,
+            metrics: Arc::new(SchedMetrics::registered(shards, obs.registry())),
             obs,
             wakers: OnceLock::new(),
             next_wake: AtomicUsize::new(0),
         }
     }
 
-    /// Install the control-channel senders (once, right after spawn).
+    /// Install the workers' channel senders (once, right after spawn).
     pub(crate) fn set_wakers(&self, wakers: Vec<Sender<ShardMsg>>) {
         let _ = self.wakers.set(wakers);
     }
 
     /// Register `shard`'s interest in `tables` with the router.
-    pub(crate) fn register(&self, db: &Database, tables: &[String], shard: usize) {
-        self.router.lock().register(db, tables, shard);
+    pub(crate) fn register(&self, tables: &[String], shard: usize) {
+        let mut router = self.router.lock();
+        router.register(&self.db.read(), tables, shard);
     }
 
     /// Stage `table` for asynchronous ingestion. Returns `false` when the
@@ -184,8 +202,8 @@ impl SchedShared {
     /// Drain the staging queue (and collect `extra`, when given) under
     /// **one** router hold: every staged table is collected from the log
     /// and fanned out before the hold ends, so "staging empty" is only
-    /// observable once all its pushes have landed — the property control
-    /// barriers rely on.
+    /// observable once all its pushes have landed — the property
+    /// [`crate::Scheduler::drain`] relies on.
     ///
     /// Deferred collection can produce batches whose version ranges
     /// *interleave*: `collect(hot)` may merge versions 1 and 3 into one
@@ -200,10 +218,10 @@ impl SchedShared {
     /// drained to empty under the router hold, and the middleware's
     /// single-writer update path stages each commit before the next one
     /// can produce a higher version.
-    pub(crate) fn ingest(&self, db: &RwLock<Database>, extra: Option<&str>) {
+    pub(crate) fn ingest(&self, extra: Option<&str>) {
         let _span = self.obs.span("router_ingest");
         let mut router = self.router.lock();
-        let db = db.read();
+        let db = self.db.read();
         let mut collected: Vec<(Arc<TableDelta>, Vec<usize>)> = Vec::new();
         loop {
             let Some(table) = self.staging.lock().pop_front() else {
@@ -331,11 +349,63 @@ impl SchedShared {
         })
     }
 
-    /// Nudge `shard`'s worker (edge-triggered; dropped when its control
+    /// Claim one coalesced batch group from `shard`'s inbox and run it —
+    /// maintain, then publish — on the calling thread. `state` is
+    /// `shard`'s, held by the caller. `worker` is the claimant: `shard`
+    /// itself for its own worker or a caller draining the store on its
+    /// behalf, another shard's worker for a steal. Returns `false` when
+    /// the inbox was empty.
+    pub(crate) fn claim_and_run(
+        &self,
+        shard: usize,
+        state: &mut ShardState,
+        worker: usize,
+    ) -> bool {
+        let Some(claim) = self.claim(shard, self.config.coalesce_budget) else {
+            return false;
+        };
+        let stolen = worker != shard;
+        if stolen {
+            self.metrics.stole_from(shard, claim.batches);
+        }
+        let (shard_id, worker_id) = (shard as u64, worker as u64);
+        self.obs.flight().record(if stolen {
+            crate::obs::FlightEvent::Stolen {
+                shard: shard_id,
+                worker: worker_id,
+                batches: claim.batches,
+            }
+        } else {
+            crate::obs::FlightEvent::Claimed {
+                shard: shard_id,
+                worker: worker_id,
+                batches: claim.batches,
+            }
+        });
+        self.obs.emit(|| ObsEvent::ShardClaim {
+            shard,
+            worker,
+            stolen,
+            batches: claim.batches,
+        });
+        run_claim(
+            state,
+            &claim.routed,
+            &self.db,
+            &self.config,
+            &self.metrics,
+            &self.tracker,
+            &self.obs,
+        );
+        publish(shard, state, &self.board, &self.obs);
+        true
+    }
+
+    /// Nudge `shard`'s worker (edge-triggered; dropped when its message
     /// queue is already full — it will see the work anyway).
     pub(crate) fn wake(&self, shard: usize) {
-        if let Some(wakers) = self.wakers.get() {
-            let _ = wakers[shard].try_send(ShardMsg::Wake);
+        if let Some(waker) = self.wakers.get().and_then(|w| w.get(shard)) {
+            let _ = waker.try_send(ShardMsg::Wake);
         }
     }
 

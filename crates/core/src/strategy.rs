@@ -11,11 +11,11 @@
 //! primitives, e.g., triggering eager maintenance during times of low
 //! resource usage": [`BackgroundMaintainer`] is that primitive — a thread
 //! that periodically ticks maintenance while the system is otherwise
-//! idle. On the in-line store a tick maintains every stale sketch on the
-//! ticker thread; on the sharded scheduler ([`crate::sched`]) a tick
-//! merely enqueues a maintain-stale sweep on every shard — the pool's
-//! workers do the maintenance in parallel, and the `Imp` lock is held
-//! only for the enqueue.
+//! idle. Without shard workers a tick maintains every stale sketch on the
+//! ticker thread; with a worker pool ([`crate::sched`]) a tick merely
+//! enqueues a maintain-stale sweep on every worker — the workers do the
+//! maintenance in parallel, and the `Imp` lock is held only for the
+//! enqueue.
 
 use crate::middleware::Imp;
 use crossbeam::channel::{bounded, tick, Sender};
@@ -55,9 +55,9 @@ impl BackgroundMaintainer {
                 recv(ticker) -> _ => {
                     let mut guard = imp.lock();
                     // Best effort: a failure here surfaces on the next
-                    // foreground maintenance of the same sketch. Sharded
-                    // stores only enqueue here; the shard workers maintain
-                    // off this thread.
+                    // foreground maintenance of the same sketch. With a
+                    // worker pool this only enqueues; the shard workers
+                    // maintain off this thread.
                     let _ = guard.tick_maintenance();
                 }
             }

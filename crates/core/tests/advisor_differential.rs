@@ -1,7 +1,7 @@
 //! Differential property test for the advisor autopilot: a randomized
 //! multi-table insert/delete workload runs through (a) an unbudgeted
-//! keep-everything store, (b) a tightly budgeted in-line store, and (c) a
-//! tightly budgeted 2–4-worker sharded store. The budget is half the
+//! keep-everything store, (b) a tightly budgeted zero-worker store, and
+//! (c) a tightly budgeted 2–4-worker store. The budget is half the
 //! keep-everything heap, so every autopilot pass demotes (and re-hot
 //! templates promote back). Advisor decisions may change *cost*, never
 //! *answers*: all three stores must return byte-identical query answers

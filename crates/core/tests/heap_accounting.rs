@@ -137,7 +137,7 @@ fn vacuum_trims_retained_versions() {
 
         // A second sketch over the same table pins the table's horizon at
         // its version while it lags: the versions since then are still
-        // maintainable from the log and stay. (Only the in-line lazy
+        // maintainable from the log and stay. (Only the zero-worker lazy
         // store lets a sketch lag — shard workers maintain both.)
         imp.execute(&lagging).unwrap();
         for run in 0..RUNS {

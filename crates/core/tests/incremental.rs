@@ -566,20 +566,24 @@ fn background_maintainer_tick_driven_convergence() {
         panic!()
     };
     let template = imp_sql::QueryTemplate::of(&sel);
-    let entry = guard.sketch_entry(&template).expect("sketch stored");
-    assert!(!entry.maintainer.is_stale(&guard.db()));
-    let truth = capture(
-        entry.maintainer.plan(),
-        &guard.db(),
-        entry.maintainer.partitions(),
-    )
-    .unwrap();
-    assert_eq!(entry.maintainer.sketch(), &truth.sketch);
-    // HP joined the result via the tick-driven maintenance: ρ2 + ρ3 marked.
-    assert_eq!(
-        entry.maintainer.sketch().fragments_of_partition(0),
-        vec![1, 2, 3]
-    );
+    guard
+        .with_sketch(&template, |entry| {
+            assert!(!entry.maintainer.is_stale(&guard.db()));
+            let truth = capture(
+                entry.maintainer.plan(),
+                &guard.db(),
+                entry.maintainer.partitions(),
+            )
+            .unwrap();
+            assert_eq!(entry.maintainer.sketch(), &truth.sketch);
+            // HP joined the result via the tick-driven maintenance: ρ2 + ρ3
+            // marked.
+            assert_eq!(
+                entry.maintainer.sketch().fragments_of_partition(0),
+                vec![1, 2, 3]
+            );
+        })
+        .expect("sketch stored");
 }
 
 #[test]

@@ -11,10 +11,11 @@
 //!    canonical `NaryJoinOp` (equal signatures) and maintain
 //!    byte-identically batch by batch.
 //! 3. `nary_pool_matches_sequential_store` — the 4-input circuit under
-//!    the sharded scheduler: a 2–4-worker stealing pool must stay
-//!    byte-identical to the sequential in-line store while maintaining a
-//!    4-table join template, proving the per-table version closure keeps
-//!    all n inputs at one version frontier.
+//!    the scheduler: a 2–4-worker stealing pool (routed deltas) must stay
+//!    byte-identical to the zero-worker store (the caller maintains
+//!    through the fetching path) while maintaining a 4-table join
+//!    template, proving the per-table version closure keeps all n inputs
+//!    at one version frontier.
 
 use imp_core::maintain::SketchMaintainer;
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};

@@ -1,8 +1,9 @@
 //! Observability must be a pure observer: running the *same* workload
 //! with `ImpConfig::obs` fully enabled (histograms + tracing + a probe
 //! subscriber) and fully disabled must produce byte-identical sketch
-//! states and identical query answers, on both the in-line and the
-//! sharded backend (the PR 4/8 differential pattern). The enabled sides
+//! states and identical query answers, both with zero workers (the
+//! caller maintains every sketch) and with a worker pool (routed
+//! deltas). The enabled sides
 //! double-check that observation actually happened — non-empty latency
 //! histograms, recorded spans, delivered probe events — so this can't
 //! pass vacuously.

@@ -1,11 +1,15 @@
-//! Integration tests of the sharded maintenance scheduler
+//! Integration tests of the sketch store and its maintenance scheduler
 //! (`imp_core::sched`): lifecycle through the middleware, deterministic
-//! coalescing under pause, snapshot publication, and pool-backed
-//! background maintenance.
+//! coalescing under pause, snapshot publication, pool-backed background
+//! maintenance, a stale query that maintains its own sketch while the
+//! workers are parked, and the zero-worker store that routes nothing.
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse, QueryMode};
 use imp_engine::Database;
+use imp_sql::{QueryTemplate, Statement};
 use imp_storage::{row, DataType, Field, Schema};
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::Duration;
 
 const Q: &str = "SELECT g, sum(v) AS s FROM t GROUP BY g HAVING sum(v) > 100";
 
@@ -261,4 +265,95 @@ fn publish_reuses_what_a_claim_did_not_touch() {
     for (old, new) in after.sketches.iter().zip(&repartitioned.sketches) {
         assert!(!Arc::ptr_eq(&old.sketch, &new.sketch));
     }
+}
+
+fn template_of(sql: &str) -> QueryTemplate {
+    let Statement::Select(select) = imp_sql::parse_one(sql).unwrap() else {
+        panic!("not a select: {sql}")
+    };
+    QueryTemplate::of(&select)
+}
+
+#[test]
+fn a_stale_query_does_not_wait_for_the_workers() {
+    // Synchronous ingestion, so the update's batch sits in the owning
+    // shard's inbox behind parked workers.
+    let mut imp = Imp::new(
+        seed_db(),
+        ImpConfig {
+            ingest_queue_cap: 0,
+            ..sharded_config(2)
+        },
+    );
+    imp.execute(Q).unwrap();
+    let paused = imp.scheduler().unwrap().pause();
+    imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
+    let depths = |imp: &Imp| -> Vec<u64> {
+        let stats = imp.scheduler().unwrap().stats();
+        stats.per_shard.iter().map(|s| s.depth).collect()
+    };
+    let queued = depths(&imp);
+    assert_eq!(queued.iter().sum::<u64>(), 1, "the routed batch waits");
+
+    // The query runs on its own thread: if it waited for a parked
+    // worker, it would never answer.
+    let (answered, answer) = std::sync::mpsc::channel();
+    let query = std::thread::spawn(move || {
+        let response = imp.execute(Q);
+        let _ = answered.send(());
+        (imp, response)
+    });
+    if let Err(RecvTimeoutError::Timeout) = answer.recv_timeout(Duration::from_secs(30)) {
+        panic!("the stale query blocked behind the paused workers");
+    }
+    let (imp, response) = query.join().expect("the query thread panicked");
+    let ImpResponse::Rows { result, mode } = response.unwrap() else {
+        panic!("rows expected")
+    };
+    assert!(matches!(mode, QueryMode::Maintained(_)), "{mode:?}");
+    let unrewritten = imp.db().query(Q).unwrap().canonical();
+    assert_eq!(result.canonical(), unrewritten);
+    imp.with_sketch(&template_of(Q), |entry| {
+        let db = imp.db();
+        let m = &entry.maintainer;
+        let fresh = imp_sketch::capture(m.plan(), &db, m.partitions()).unwrap();
+        assert_eq!(m.sketch(), &fresh.sketch);
+    })
+    .expect("sketch stored");
+    assert_eq!(
+        depths(&imp),
+        queued,
+        "the query maintained only its own sketch; the routed batch still waits"
+    );
+    drop(paused);
+}
+
+#[test]
+fn zero_workers_route_nothing_and_maintain_on_the_next_query() {
+    let mut imp = Imp::new(seed_db(), sharded_config(0));
+    imp.execute(Q).unwrap();
+    for i in 0..100 {
+        imp.execute(&format!("INSERT INTO t VALUES ({}, {i})", i % 6))
+            .unwrap();
+        let stats = imp.scheduler().unwrap().stats();
+        assert_eq!(
+            (
+                stats.staged_updates,
+                stats.routed_batches,
+                stats.fanout_messages
+            ),
+            (0, 0, 0),
+            "an update touched the router: {stats:?}"
+        );
+        assert!(
+            imp.describe_sketches().iter().all(|s| s.stale),
+            "nothing maintains before the next query"
+        );
+    }
+    let ImpResponse::Rows { mode, result } = imp.execute(Q).unwrap() else {
+        panic!("rows expected")
+    };
+    assert!(matches!(mode, QueryMode::Maintained(_)), "{mode:?}");
+    assert_eq!(result.canonical(), imp.db().query(Q).unwrap().canonical());
+    assert!(imp.describe_sketches().iter().all(|s| !s.stale));
 }

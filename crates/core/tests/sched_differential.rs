@@ -1,7 +1,9 @@
 //! Differential property test for the maintenance scheduler: the same
 //! randomized multi-query, multi-table insert/delete workload runs
-//! through the sequential in-line store (`sched_workers = 0`) and through
-//! a ≥2-worker `ShardPool`. After every round both sides must hold
+//! through the zero-worker store (`sched_workers = 0`: nothing is routed,
+//! and the caller maintains every sketch through the fetching path) and
+//! through a ≥2-worker `ShardPool` (routed deltas, claimed by workers and
+//! by the caller's drains). After every round both sides must hold
 //! **byte-identical sketch sets and maintained versions** — coalescing,
 //! batch splits, fan-out order, and worker parallelism may change cost,
 //! never results. Eviction/restore cycles are woven in mid-run, and query

@@ -1,10 +1,12 @@
 //! Differential property test for work stealing and async ingest: a
 //! randomized, *skewed* insert/delete workload (most updates hammer one
 //! hot table, so one shard's inbox backs up while others idle) runs
-//! through the sequential in-line store and through a steal-enabled
-//! 2–4-worker pool with a tiny staging queue and coalesce budget —
-//! claims split small, steals interleave with owner drains, and staging
-//! overflows onto the inline-ingest fallback. After every round both
+//! through the zero-worker store (the caller maintains every sketch
+//! through the fetching path) and through a steal-enabled 2–4-worker
+//! pool with a tiny staging queue and coalesce budget — claims split
+//! small, steals interleave with owner claims and with the caller's
+//! drains, and staging overflows onto the inline-ingest fallback. After
+//! every round both
 //! sides must hold byte-identical sketch sets and maintained versions,
 //! and answer queries identically. Updates land while the pool is paused
 //! so backlogs deterministically exist for thieves to find on resume.
