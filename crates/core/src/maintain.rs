@@ -36,6 +36,50 @@ const COLD_ROW_CACHE_FLUSH: usize = 1024;
 /// on churny annotation populations.
 pub const POOL_FLUSH_LEN: usize = 1 << 16;
 
+/// The cold row-cache check of one maintenance run. A stream of fresh
+/// inserts never hits the interner, so a grown cache that found no hits is
+/// dropped, and dead payloads don't stay pinned for the maintainer's
+/// lifetime (in-flight batches keep their `Arc`s). The check runs once at
+/// the end of the run, or — `per_statement` — after each statement too.
+struct ColdCheck {
+    per_statement: bool,
+    /// Version of the statement being interned (`per_statement` only).
+    open: Option<u64>,
+    /// Interner hits before the run, or before the open statement.
+    hits_before: u64,
+}
+
+impl ColdCheck {
+    fn new(rows: &RowInterner, per_statement: bool) -> ColdCheck {
+        ColdCheck {
+            per_statement,
+            open: None,
+            hits_before: rows.hits(),
+        }
+    }
+
+    /// The rows of the statement at `version` are about to be interned.
+    fn statement(&mut self, rows: &mut RowInterner, version: u64) {
+        if self.per_statement && self.open != Some(version) {
+            if self.open.is_some() {
+                self.flush(rows);
+            }
+            (self.open, self.hits_before) = (Some(version), rows.hits());
+        }
+    }
+
+    /// The run's last statement is interned.
+    fn end(self, rows: &mut RowInterner) {
+        self.flush(rows);
+    }
+
+    fn flush(&self, rows: &mut RowInterner) {
+        if rows.hits() == self.hits_before && rows.len() >= COLD_ROW_CACHE_FLUSH {
+            rows.clear();
+        }
+    }
+}
+
 /// Outcome of one maintenance run.
 #[derive(Debug, Clone)]
 pub struct MaintReport {
@@ -232,13 +276,27 @@ impl SketchMaintainer {
 
     /// Incrementally maintain the sketch to the current database version.
     pub fn maintain(&mut self, db: &Database) -> Result<MaintReport> {
+        self.maintain_fetching(db, false)
+    }
+
+    /// [`Self::maintain`] for a store whose runs are split by timing, one
+    /// with shard workers: the cold row cache is checked after each
+    /// statement, as in [`Self::maintain_from`], not once per run. However
+    /// routed claims and stale queries split a sketch's statements into
+    /// runs, its row cache — and its state bytes — then come out as one
+    /// run per statement leaves them.
+    pub(crate) fn maintain_by_statement(&mut self, db: &Database) -> Result<MaintReport> {
+        self.maintain_fetching(db, true)
+    }
+
+    fn maintain_fetching(&mut self, db: &Database, by_statement: bool) -> Result<MaintReport> {
         let start = Instant::now();
         let mut metrics = MaintMetrics::default();
         if self.pool.grown() > POOL_FLUSH_LEN {
             self.flush_pool_caches();
         }
         let pool_stats_before = self.pool.stats();
-        let row_hits_before = self.rows.hits();
+        let mut cold = ColdCheck::new(&self.rows, by_statement);
 
         // Fetch + annotate + (optionally) pre-filter the deltas.
         let mut deltas: FxHashMap<String, DeltaBatch> = FxHashMap::default();
@@ -249,20 +307,31 @@ impl SketchMaintainer {
             if let Some(last) = records.last() {
                 max_seen = max_seen.max(last.version);
             }
-            let annotated = annotate_delta_with(
-                &mut self.pool,
-                &mut self.rows,
-                &self.pset,
-                table,
-                records,
-                self.op_config.columnar_min,
-            );
+            let (pool, rows, pset) = (&mut self.pool, &mut self.rows, &self.pset);
+            let columnar_min = self.op_config.columnar_min;
+            let annotated = if by_statement {
+                let mut annotated = DeltaBatch::with_capacity(records.len());
+                for statement in records.chunk_by(|a, b| a.version == b.version) {
+                    cold.statement(rows, statement[0].version);
+                    annotated.extend(annotate_delta_with(
+                        pool,
+                        rows,
+                        pset,
+                        table,
+                        statement,
+                        columnar_min,
+                    ));
+                }
+                annotated
+            } else {
+                annotate_delta_with(pool, rows, pset, table, records, columnar_min)
+            };
             let filtered = self.apply_pushdown(table, annotated, Some(&mut metrics));
             let normalized =
                 crate::delta::normalize_delta_with(filtered, self.op_config.columnar_min);
             deltas.insert(table.clone(), normalized);
         }
-        self.flush_cold_row_cache(row_hits_before);
+        cold.end(&mut self.rows);
         self.run_prepared(
             &DbAccess::Held(db),
             deltas,
@@ -296,7 +365,7 @@ impl SketchMaintainer {
             entries.any(|b| b.entries.iter().any(|e| e.version > last))
         };
         if self.root.reads_base_tables(&changed) {
-            return self.maintain(db.get());
+            return self.maintain_by_statement(db.get());
         }
         let start = Instant::now();
         let mut metrics = MaintMetrics::default();
@@ -304,14 +373,16 @@ impl SketchMaintainer {
             self.flush_pool_caches();
         }
         let pool_stats_before = self.pool.stats();
-        let row_hits_before = self.rows.hits();
+        // However a claim coalesces batches, the row cache — and the state
+        // bytes — come out as one run per statement leaves them.
+        let mut cold = ColdCheck::new(&self.rows, true);
 
         let mut deltas: FxHashMap<String, DeltaBatch> = FxHashMap::default();
         let mut max_seen = 0u64;
         for table in &self.tables {
-            // Columnar gather: version-filter the routed batches into
-            // contiguous row/multiplicity arrays, then annotate (chunked
-            // fragment extraction) and intern in whole-column passes.
+            // Columnar gather: version-filter and intern the routed batches
+            // into contiguous row/multiplicity arrays, then annotate
+            // (chunked fragment extraction) in a whole-column pass.
             let mut rows_col: Vec<Row> = Vec::new();
             let mut mults: Vec<i64> = Vec::new();
             for batch in routed.get(table).map(Vec::as_slice).unwrap_or_default() {
@@ -320,7 +391,8 @@ impl SketchMaintainer {
                     .iter()
                     .filter(|e| e.version > self.last_version)
                 {
-                    rows_col.push(entry.row.clone());
+                    cold.statement(&mut self.rows, entry.version);
+                    rows_col.push(self.rows.intern(entry.row.clone()));
                     mults.push(entry.mult);
                 }
                 max_seen = max_seen.max(batch.to_version);
@@ -329,7 +401,7 @@ impl SketchMaintainer {
             let annots = annotation_ids_for_rows(&mut self.pool, &self.pset, table, &rows_col);
             let mut cols = DeltaColumns::with_capacity(rows_col.len());
             for (row, (annot, mult)) in rows_col.into_iter().zip(annots.into_iter().zip(mults)) {
-                cols.push(self.rows.intern(row), annot, mult);
+                cols.push(row, annot, mult);
             }
             let annotated = cols.into_batch();
             let filtered = self.apply_pushdown(table, annotated, Some(&mut metrics));
@@ -337,17 +409,8 @@ impl SketchMaintainer {
                 crate::delta::normalize_delta_with(filtered, self.op_config.columnar_min);
             deltas.insert(table.clone(), normalized);
         }
-        self.flush_cold_row_cache(row_hits_before);
+        cold.end(&mut self.rows);
         self.run_prepared(db, deltas, max_seen, metrics, start, pool_stats_before)
-    }
-
-    /// A stream of fresh inserts never hits the interner; drop a grown
-    /// cold cache so dead payloads don't stay pinned for the maintainer's
-    /// lifetime (the in-flight batches keep their `Arc`s).
-    fn flush_cold_row_cache(&mut self, row_hits_before: u64) {
-        if self.rows.hits() == row_hits_before && self.rows.len() >= COLD_ROW_CACHE_FLUSH {
-            self.rows.clear();
-        }
     }
 
     /// Shared tail of [`Self::maintain`] / [`Self::maintain_from`]: push

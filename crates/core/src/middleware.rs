@@ -1015,7 +1015,13 @@ pub(crate) fn maintain_entry(
 ) -> Result<MaintReport> {
     restore_if_evicted(entry)?;
     let from_version = entry.maintainer.version();
-    let report = entry.maintainer.maintain(db)?;
+    // A store with workers splits a sketch's statements into runs by
+    // timing; see `maintain_by_statement`.
+    let report = if config.sched_workers > 0 {
+        entry.maintainer.maintain_by_statement(db)?
+    } else {
+        entry.maintainer.maintain(db)?
+    };
     entry.pending_rows = 0;
     retain_version(entry, config.retain_sketch_versions);
     record_run(entry, template, &report, from_version, obs, tracker);

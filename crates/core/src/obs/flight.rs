@@ -7,8 +7,8 @@
 //! `obs` it is not gated by [`super::ObsConfig::enabled`], because a
 //! post-mortem must not require reproducing the incident under
 //! `IMP_OBS=1`. That is affordable because the hot path is a ticket
-//! `fetch_add` plus a handful of relaxed atomic stores into a fixed slot:
-//! no locks, no allocation (asserted by `tests/flight_stress.rs`'s
+//! `fetch_add`, one compare-and-swap and a handful of relaxed atomic
+//! stores into a fixed slot: no locks, no allocation (asserted by `tests/flight_stress.rs`'s
 //! counting allocator).
 //!
 //! # Protocol
@@ -16,9 +16,19 @@
 //! Each slot is guarded by a seqlock-style stamp. The writer for ticket
 //! `t` (slot `t % cap`, `cap` a power of two):
 //!
-//! 1. stores the odd stamp `2t+1` (relaxed), then a `Release` fence,
+//! 1. claims the slot: a compare-and-swap (`Acquire`) from the settled
+//!    (even) stamp of an older lap to the odd stamp `2t+1`, then a
+//!    `Release` fence,
 //! 2. stores the payload fields (relaxed),
 //! 3. stores the even stamp `2t+2` with `Release`.
+//!
+//! So a slot has one writer at a time. A writer that finds its slot
+//! mid-write by an older lap waits for those few stores to land. A writer
+//! that finds it claimed or settled by a newer lap — it was preempted for
+//! a whole lap of the ring — drops its event instead of tearing the newer
+//! one, and counts it in [`FlightRecorder::dropped`]. A dropped ticket is
+//! therefore always older than the retained window: once writers are
+//! quiescent, every retained slot is settled.
 //!
 //! A reader loads the stamp with `Acquire` and skips the slot unless it
 //! equals `2t+2`; it then reads the fields (relaxed), issues an `Acquire`
@@ -258,6 +268,7 @@ struct Slot {
 pub struct FlightRecorder {
     slots: Box<[Slot]>,
     head: AtomicU64,
+    dropped: AtomicU64,
     epoch: Instant,
 }
 
@@ -268,6 +279,7 @@ impl FlightRecorder {
         FlightRecorder {
             slots: (0..cap).map(|_| Slot::default()).collect(),
             head: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
         }
     }
@@ -278,24 +290,65 @@ impl FlightRecorder {
     }
 
     /// Events recorded over the recorder's lifetime (including ones the
-    /// ring has since overwritten).
+    /// ring has since overwritten, and [`Self::dropped`] ones).
     pub fn recorded(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Record one event. Lock-free, allocation-free: one `fetch_add` and
-    /// a fixed number of relaxed stores. Safe to call from any thread at
-    /// any time, including with readers dumping concurrently.
+    /// Events dropped because their writer was lapped: a newer ticket
+    /// had already claimed its slot.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Record one event. Lock-free, allocation-free: one `fetch_add`, one
+    /// compare-and-swap and a fixed number of relaxed stores. Safe to call
+    /// from any thread at any time, including with readers dumping
+    /// concurrently.
     #[inline]
     pub fn record(&self, event: FlightEvent) {
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = self.claim(ticket) {
+            Self::fill(slot, ticket, t_ns, event);
+        }
+    }
+
+    /// Claim `ticket`'s slot: swap a settled stamp of an older lap for the
+    /// odd stamp `2·ticket + 1`, waiting out an older lap's writer still
+    /// mid-write. `None` — the event is dropped and counted — when a newer
+    /// lap already claimed the slot.
+    fn claim(&self, ticket: u64) -> Option<&Slot> {
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
-        // Odd stamp: slot under construction. The release fence orders it
-        // before every payload store, so a reader that observes any of
-        // our payload writes cannot still read the previous even stamp.
-        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
+        let odd = 2 * ticket + 1;
+        loop {
+            let stamp = slot.seq.load(Ordering::Relaxed);
+            if stamp > odd {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+            if stamp % 2 == 1 {
+                std::thread::yield_now(); // an older writer's few stores
+                continue;
+            }
+            // Acquire: the previous writer's payload stores happen before
+            // ours.
+            let swap =
+                slot.seq
+                    .compare_exchange_weak(stamp, odd, Ordering::Acquire, Ordering::Relaxed);
+            if swap.is_ok() {
+                break;
+            }
+        }
+        // The release fence orders the odd stamp before every payload
+        // store, so a reader that observes any of our payload writes
+        // cannot still read the previous even stamp.
         fence(Ordering::Release);
+        Some(slot)
+    }
+
+    /// Write a claimed slot's payload, then settle it with the even stamp.
+    fn fill(slot: &Slot, ticket: u64, t_ns: u64, event: FlightEvent) {
         slot.t_ns.store(t_ns, Ordering::Relaxed);
         slot.kind.store(event.kind(), Ordering::Relaxed);
         let p = event.payload();
@@ -474,6 +527,42 @@ mod tests {
         assert_eq!(events.first().unwrap().ticket, 17);
         assert_eq!(events.last().unwrap().ticket, cap + 16);
         assert_eq!(fr.recorded(), cap + 17);
+    }
+
+    /// A writer preempted for a whole lap, replayed step by step on one
+    /// thread. Ticket 0 stalls before its claim; the rest of the lap is
+    /// written, and ticket `cap` claims slot 0 and stalls mid-write. The
+    /// lapped writer then drops its event instead of tearing ticket
+    /// `cap`'s, so every ticket of the window is settled or dropped.
+    #[test]
+    fn a_lapped_writer_drops_instead_of_tearing() {
+        let event = |i: u64| FlightEvent::Published {
+            shard: 0,
+            sketches: i,
+            epoch: i,
+        };
+        let fr = FlightRecorder::new(64);
+        let cap = fr.capacity() as u64;
+        let take_ticket = || fr.head.fetch_add(1, Ordering::Relaxed);
+
+        let lapped = take_ticket();
+        for i in 1..cap {
+            fr.record(event(i));
+        }
+        let newer = take_ticket();
+        let slot = fr.claim(newer).expect("slot 0 was never written");
+        assert!(fr.claim(lapped).is_none(), "a newer lap holds slot 0");
+        let settled = fr.events(u64::MAX);
+        assert_eq!(settled.len() as u64 + fr.dropped(), cap);
+        assert!(settled.iter().all(|r| r.event == event(r.ticket)));
+
+        // The newer write lands whole; the lapped one never does.
+        FlightRecorder::fill(slot, newer, 0, event(newer));
+        assert!(fr.claim(lapped).is_none(), "and once it has settled");
+        let settled = fr.events(u64::MAX);
+        assert_eq!(settled.len() as u64, cap);
+        assert!(settled.iter().all(|r| r.event == event(r.ticket)));
+        assert_eq!(fr.dropped(), 2);
     }
 
     #[test]

@@ -44,13 +44,16 @@
 //!   immutable, epoch-stamped snapshots after every state change, so the
 //!   USE/rewrite path reads a fresh sketch without blocking maintenance.
 //! * **Caller-side controls.** A query that finds its sketch stale does
-//!   not queue behind the workers: it takes the owning shard's state lock
-//!   and maintains *its own* sketch through the fetching path, then
-//!   publishes; routed batches still queued for that sketch become
-//!   version-filtered no-ops. Captures, inspections, admin and advisor
+//!   not queue behind the workers' inboxes: it takes the owning shard's
+//!   state lock and maintains *its own* sketch through the fetching path,
+//!   then publishes; routed batches still queued for that sketch become
+//!   version-filtered no-ops. A claim holding the lock hands it over
+//!   between two of its sketches, so the query waits for at most the one
+//!   sketch run in progress. Captures, inspections, admin and advisor
 //!   passes and [`Scheduler::drain`] likewise run on the calling thread,
-//!   each under a shard's state lock. The lock order is a worker's:
-//!   state lock, then the database read lock.
+//!   each under a shard's state lock; all but captures and lock-only
+//!   reads wait out a claim that handed the lock over. The lock order is
+//!   a worker's: state lock, then the database read lock.
 //! * **Zero workers** (`sched_workers: 0`, the default) is the same
 //!   store with one shard and no threads: nothing is routed, so an
 //!   update touches no sketch state, and the caller does all the work —
@@ -229,17 +232,19 @@ impl Scheduler {
     /// Paper Fig. 2 (iii) on the calling thread: under the owning shard's
     /// state lock, bring the candidate subsuming `plan` current through
     /// the fetching path, publish, and return the report with the fresh
-    /// sketch. Only this sketch is maintained, and nothing waits for the
-    /// workers: routed batches still queued for it become
-    /// version-filtered no-ops. `Ok(None)` when no stored candidate
-    /// subsumes the plan anymore.
+    /// sketch. Only this sketch is maintained, and the query does not wait
+    /// for the workers' inboxes: routed batches still queued for it become
+    /// version-filtered no-ops. A routed claim holding the lock hands it
+    /// over at its next sketch, so the wait is at most the one sketch run
+    /// in progress. `Ok(None)` when no stored candidate subsumes the plan
+    /// anymore.
     pub(crate) fn maintain_sketch(
         &self,
         template: &QueryTemplate,
         plan: &LogicalPlan,
     ) -> crate::Result<Option<(MaintReport, Arc<SketchSet>)>> {
         let shard = self.shard_of(template);
-        let mut state = self.shared.slots[shard].state.lock();
+        let mut state = self.shared.slots[shard].lock_for_query();
         let mut entries = state.store.get_mut(template).into_iter().flatten();
         let Some(entry) = entries.find(|e| plan_subsumes(&e.plan, plan)) else {
             return Ok(None);
@@ -280,9 +285,9 @@ impl Scheduler {
     /// Run `f` over the store of `template`'s shard, or (`None`) of every
     /// shard, on the calling thread, after a [`Self::drain`] — so `f`
     /// sees every update routed before the call. Each shard's state lock
-    /// is taken before the database read lock, a worker's order; with
-    /// `publish_after`, the shard is republished after `f`. Stops at
-    /// `f`'s first error.
+    /// is taken with no claim in flight, and before the database read
+    /// lock, a worker's order; with `publish_after`, the shard is
+    /// republished after `f`. Stops at `f`'s first error.
     pub(crate) fn visit(
         &self,
         template: Option<&QueryTemplate>,
@@ -291,7 +296,7 @@ impl Scheduler {
     ) -> crate::Result<()> {
         self.drain();
         for shard in self.shards(template) {
-            let mut state = self.shared.slots[shard].state.lock();
+            let mut state = self.shared.slots[shard].lock_settled();
             let result = f(&mut state.store, &self.shared.db.read());
             if publish_after {
                 publish(shard, &mut state, &self.shared.board, &self.shared.obs);
@@ -326,15 +331,16 @@ impl Scheduler {
     /// claim and run every shard's inbox here — a worker's claim loop
     /// minus the worker, racing the workers for the same state locks.
     /// Returns once every update routed (or staged) before the call has
-    /// been maintained: taking a shard's state lock also waits out a claim
-    /// another thread has in flight. Works while the workers are paused.
+    /// been maintained: each shard's state lock is taken with no claim in
+    /// flight, so a claim another thread runs — one that handed the lock
+    /// to a query included — is waited out. Works while the workers are
+    /// paused.
     /// Returns the claims run here.
     pub fn drain(&self) -> usize {
         self.shared.ingest(None);
         let mut claims = 0;
         for (shard, slot) in self.shared.slots.iter().enumerate() {
-            let mut state = slot.state.lock();
-            while self.shared.claim_and_run(shard, &mut state, shard) {
+            while self.shared.claim_and_run(shard, slot.lock_settled(), shard) {
                 claims += 1;
             }
         }
@@ -355,8 +361,10 @@ mod tests {
     use crate::middleware::{capture_stored, choose_partitions, Imp};
     use crate::obs::ObsConfig;
     use crate::sched::shard::ShardWorker;
+    use crate::sched::steal::ShardState;
     use crossbeam::channel::bounded;
     use imp_storage::{row, DataType, Field, Schema};
+    use std::sync::atomic::Ordering;
 
     const Q: &str = "SELECT g, sum(v) AS s FROM t GROUP BY g HAVING sum(v) > 100";
 
@@ -438,5 +446,106 @@ mod tests {
         let expected = &sequential.sketch_states()[0];
         assert_eq!(stolen.maintainer.version(), expected.version);
         assert_eq!(stolen.maintainer.sketch().bits(), &expected.bits);
+    }
+
+    const Q2: &str = "SELECT g, max(v) AS m FROM t GROUP BY g HAVING max(v) > 50";
+
+    /// Each stored sketch's SQL and maintained version, by SQL.
+    fn versions(state: &ShardState) -> Vec<(String, u64)> {
+        let entries = state.store.values().flatten();
+        let mut out: Vec<_> = entries
+            .map(|e| (e.sql.clone(), e.maintainer.version()))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The hand-over, without a clock: the zero-worker store (one shard,
+    /// no threads), two sketches, a routed backlog for both, and a stale
+    /// query counted as waiting before the claim starts. The claim, run
+    /// on a spawned thread, stops after exactly one sketch with the claim
+    /// in flight; in that gap a thief skips the shard and this thread —
+    /// the query — maintains the other sketch. The claim then finishes,
+    /// and both sketches equal the zero-worker store's.
+    #[test]
+    fn a_claim_hands_the_lock_to_a_waiting_query() {
+        let config = ImpConfig {
+            fragments: 6,
+            sched_workers: 0,
+            ..ImpConfig::default()
+        };
+        let mut imp = Imp::new(seed_db(), config.clone());
+        let updates = [
+            "INSERT INTO t VALUES (2, 500)",
+            "DELETE FROM t WHERE v = 7",
+            "INSERT INTO t VALUES (3, 900)",
+        ];
+        imp.execute(Q).unwrap();
+        imp.execute(Q2).unwrap();
+        let shared = Arc::clone(&imp.scheduler().unwrap().shared);
+        let slot = &shared.slots[0];
+        for sql in &updates[..2] {
+            imp.execute(sql).unwrap();
+            shared.ingest(Some("t"));
+        }
+        let captured = versions(&slot.state.lock());
+
+        slot.waiting.store(1, Ordering::SeqCst);
+        let claimant = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            move || shared.claim_and_run(0, shared.slots[0].state.lock(), 0)
+        });
+        let handed_over = loop {
+            let state = slot.state.lock();
+            if slot.claim_in_flight.load(Ordering::SeqCst) {
+                break versions(&state);
+            }
+            assert!(!claimant.is_finished(), "the claim never handed over");
+            drop(state);
+            std::thread::yield_now();
+        };
+        let ran: Vec<bool> = (handed_over.iter().zip(&captured))
+            .map(|(now, before)| now.1 > before.1)
+            .collect();
+        assert_eq!(ran.iter().filter(|&&ran| ran).count(), 1, "{ran:?}");
+
+        // Routed work arriving in the gap waits for the claim in flight.
+        imp.execute(updates[2]).unwrap();
+        shared.ingest(Some("t"));
+        assert!(!shared.claim_and_run(0, slot.state.lock(), 1), "thief");
+
+        // This thread is the waiting query: it maintains the other sketch.
+        slot.waiting.fetch_sub(1, Ordering::SeqCst);
+        let other = &handed_over[ran.iter().position(|&ran| !ran).unwrap()].0;
+        let template = {
+            let imp_sql::Statement::Select(sel) = imp_sql::parse_one(other).unwrap() else {
+                unreachable!()
+            };
+            QueryTemplate::of(&sel)
+        };
+        let plan = imp.db().plan_sql(other).unwrap();
+        let sched = imp.scheduler().unwrap();
+        assert!(sched.maintain_sketch(&template, &plan).unwrap().is_some());
+        let version = |sql: &str| {
+            let state = slot.state.lock();
+            versions(&state)
+                .into_iter()
+                .find(|(s, _)| s == sql)
+                .unwrap()
+                .1
+        };
+        assert_eq!(version(other), imp.db().version(), "through the gap");
+        assert!(claimant.join().unwrap(), "the claim ran");
+        assert!(!slot.claim_in_flight.load(Ordering::SeqCst));
+        sched.drain();
+
+        let mut sequential = Imp::new(seed_db(), config);
+        sequential.execute(Q).unwrap();
+        sequential.execute(Q2).unwrap();
+        for sql in updates {
+            sequential.execute(sql).unwrap();
+        }
+        sequential.maintain_all_stale().unwrap();
+        assert_eq!(imp.sketch_states(), sequential.sketch_states());
     }
 }

@@ -11,9 +11,10 @@
 //!    shard's state lock, the way a claim does.
 //! 2. **Own work** — claim a coalesced whole-batch prefix of its own
 //!    inbox (see `crate::sched::steal`) and run one maintenance pass
-//!    over it. Routed batches gathered for the same table **coalesce**
-//!    into one run per sketch (the paper's batched-eager maintenance,
-//!    applied per shard), bounded by
+//!    over it, one sketch at a time, handing the state lock to a waiting
+//!    stale query between two sketches. Routed batches gathered for the
+//!    same table **coalesce** into one run per sketch (the paper's
+//!    batched-eager maintenance, applied per shard), bounded by
 //!    [`crate::middleware::ImpConfig::coalesce_budget`].
 //! 3. **Stealing** — when its own inbox is empty and
 //!    [`crate::middleware::ImpConfig::work_stealing`] is on, claim from
@@ -30,22 +31,22 @@
 //! `Arc<RwLock<Database>>` read guards and publish results as immutable
 //! snapshots (see [`crate::sched::snapshot`]).
 
-use crate::advisor::{Lifecycle, WorkloadTracker};
+use crate::advisor::Lifecycle;
 use crate::maintain::MaintReport;
-use crate::metrics::SchedMetrics;
 use crate::middleware::{
-    maintain_entry, record_run, restore_if_evicted, retain_version, stored_heap_size, ImpConfig,
-    Store, StoredSketch,
+    maintain_entry, record_run, restore_if_evicted, retain_version, stored_heap_size, Store,
+    StoredSketch,
 };
 use crate::obs::{trace, Obs, ObsEvent};
 use crate::ops::DbAccess;
+use crate::sched::router::TableDelta;
 use crate::sched::snapshot::{PublishedSketch, SnapshotBoard};
-use crate::sched::steal::{SchedShared, ShardState};
+use crate::sched::steal::{ClaimInFlight, SchedShared, ShardState};
 use crate::Result;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use imp_engine::Database;
+use imp_sql::QueryTemplate;
 use imp_storage::FxHashMap;
-use parking_lot::RwLock;
+use parking_lot::MutexGuard;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -172,14 +173,15 @@ impl ShardWorker {
     /// (a steal unless `shard` is this worker's own). Blocks on the
     /// shard's state lock: under contention the lock serializes claims,
     /// so claimants interleave whole claims in inbox order. Returns
-    /// `false` when the inbox was empty.
+    /// `false` when the inbox was empty or another claim is in flight
+    /// there (the shard is skipped).
     fn work_on(&self, shard: usize) -> bool {
         if !self.shared.has_work(shard) {
             return false;
         }
         let _span = self.shared.obs.span("shard_claim");
-        let mut state = self.shared.slots[shard].state.lock();
-        self.shared.claim_and_run(shard, &mut state, self.id)
+        let state = self.shared.slots[shard].state.lock();
+        self.shared.claim_and_run(shard, state, self.id)
     }
 }
 
@@ -194,7 +196,7 @@ pub(crate) fn maintain_stale(
     shard: usize,
     reports: &mut Vec<MaintReport>,
 ) -> Result<()> {
-    let mut state = shared.slots[shard].state.lock();
+    let mut state = shared.slots[shard].lock_settled();
     let before = reports.len();
     let result = sweep_stale(shared, &mut state.store, reports);
     if let Err(e) = &result {
@@ -226,54 +228,85 @@ fn sweep_stale(
     Ok(())
 }
 
-/// One maintenance run over a claim's coalesced routed batches. Sketches
-/// the advisor demoted below [`Lifecycle::Maintained`] are skipped —
-/// they are brought current on demand by the next query that needs
-/// them (the delta log keeps their records; vacuum horizons respect
-/// every stored sketch's maintained version). The claim carries its
-/// deltas, so the database is read-locked per sketch and only from that
-/// sketch's first base-table read ([`DbAccess`]): an update statement
-/// does not wait for a claim that never reads a table. Free function so
-/// owner, thief and draining caller run the identical pass.
-pub(crate) fn run_claim(
-    state: &mut ShardState,
-    routed: &FxHashMap<String, Vec<Arc<crate::sched::router::TableDelta>>>,
-    db: &RwLock<Database>,
-    config: &ImpConfig,
-    metrics: &SchedMetrics,
-    tracker: &WorkloadTracker,
-    obs: &Obs,
-) {
-    for (template, entries) in state.store.iter_mut() {
-        for entry in entries.iter_mut() {
-            if entry.lifecycle != Lifecycle::Maintained
-                || !entry
-                    .maintainer
-                    .tables()
-                    .iter()
-                    .any(|t| routed.contains_key(t))
-            {
-                continue;
+/// One maintenance run over a claim's coalesced routed batches, one
+/// sketch at a time, on `shard`'s held state lock. Sketches the advisor
+/// demoted below [`Lifecycle::Maintained`] are skipped — they are
+/// brought current on demand by the next query that needs them (the
+/// delta log keeps their records; vacuum horizons respect every stored
+/// sketch's maintained version). The claim carries its deltas, so the
+/// database is read-locked per sketch and only from that sketch's first
+/// base-table read ([`DbAccess`]): an update statement does not wait for
+/// a claim that never reads a table. Free function so owner, thief and
+/// draining caller run the identical pass.
+///
+/// Between two sketches the shard is published, so a query reading the
+/// snapshot finds what is done fresh, and the lock goes to a waiting
+/// stale query ([`crate::sched::steal::ShardSlot::hand_over`]): the
+/// query waits for at most the one sketch run in progress. A capture may
+/// evict a candidate in that gap, so the claim finds its sketches by
+/// (template, SQL) after each hand-over. A sketch with no routed record
+/// past its version — the query maintained it meanwhile, or overtook the
+/// queue before the claim — is not run. Returns the lock, with the claim
+/// no longer in flight.
+pub(crate) fn run_claim<'a>(
+    shared: &'a SchedShared,
+    shard: usize,
+    mut state: MutexGuard<'a, ShardState>,
+    routed: &FxHashMap<String, Vec<Arc<TableDelta>>>,
+) -> MutexGuard<'a, ShardState> {
+    // A sketch the claim would only version-filter (a query overtook the
+    // queue) is left alone: its run would change nothing.
+    let pending = |entry: &StoredSketch| {
+        let version = entry.maintainer.version();
+        let newer = |t: &String| {
+            routed
+                .get(t)
+                .into_iter()
+                .flatten()
+                .any(|b| b.to_version > version)
+        };
+        entry.lifecycle == Lifecycle::Maintained && entry.maintainer.tables().iter().any(newer)
+    };
+    let sketches: Vec<(QueryTemplate, String)> = (state.store.iter())
+        .flat_map(|(template, entries)| {
+            let pending = entries.iter().filter(|e| pending(e));
+            pending.map(|e| (template.clone(), e.sql.clone()))
+        })
+        .collect();
+    let (config, obs, tracker) = (&shared.config, &shared.obs, &shared.tracker);
+    let _in_flight = ClaimInFlight(&shared.slots[shard].claim_in_flight);
+    for (i, (template, sql)) in sketches.iter().enumerate() {
+        if i > 0 {
+            // What is done is published before a query may take over.
+            publish(shard, &mut state, &shared.board, obs);
+            state = shared.slots[shard].hand_over(state);
+        }
+        let ShardState {
+            store, last_error, ..
+        } = &mut *state;
+        let entries = store.get_mut(template).into_iter().flatten();
+        let Some(entry) = entries.filter(|e| pending(e)).find(|e| e.sql == *sql) else {
+            continue; // maintained, evicted or demoted during a hand-over
+        };
+        let _span = trace::span("maintain_routed");
+        let from_version = entry.maintainer.version();
+        let mut run = || -> Result<MaintReport> {
+            restore_if_evicted(entry)?;
+            let report = entry
+                .maintainer
+                .maintain_from(&DbAccess::shared(&shared.db), routed)?;
+            retain_version(entry, config.retain_sketch_versions);
+            Ok(report)
+        };
+        match run() {
+            Ok(report) => {
+                shared.metrics.maintain_runs.inc();
+                record_run(entry, template, &report, from_version, obs, tracker);
             }
-            let _span = trace::span("maintain_routed");
-            let from_version = entry.maintainer.version();
-            let mut run = || -> Result<MaintReport> {
-                restore_if_evicted(entry)?;
-                let report = entry
-                    .maintainer
-                    .maintain_from(&DbAccess::shared(db), routed)?;
-                retain_version(entry, config.retain_sketch_versions);
-                Ok(report)
-            };
-            match run() {
-                Ok(report) => {
-                    metrics.maintain_runs.inc();
-                    record_run(entry, template, &report, from_version, obs, tracker);
-                }
-                Err(e) => state.last_error = Some(e.to_string()),
-            }
+            Err(e) => *last_error = Some(e.to_string()),
         }
     }
+    state
 }
 
 /// Publish `shard`'s current sketches as an immutable snapshot, at a

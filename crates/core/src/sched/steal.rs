@@ -22,12 +22,21 @@
 //!   on. A full staging queue falls back to inline ingestion on the
 //!   writer's thread (counted as a backpressure stall), which keeps the
 //!   update path live even while every worker is paused.
+//! * **Hand-over** — a claim maintains its sketches one at a time. When a
+//!   stale query waits for the shard's state lock
+//!   ([`ShardSlot::lock_for_query`]), the claimant hands the lock over
+//!   between two sketches and takes it back once the query is done, so a
+//!   stale query waits for at most the one sketch run in progress, not
+//!   for the whole claim. The claim stays *in flight* meanwhile: no other
+//!   claim starts on the shard, and drains, visits and sweeps wait it out
+//!   ([`ShardSlot::lock_settled`]), so every sketch still consumes routed
+//!   batches in inbox order.
 //!
 //! Lock order (no cycles): `router → db.read → staging/inbox` on the
 //! ingest side, `state → inbox` on the claim side, `state → db.read`
 //! while maintaining. No thread ever holds two different shards' state
-//! locks, and no thread waits for a state lock while it holds the
-//! database lock.
+//! locks, no thread waits for a state lock while it holds the database
+//! lock, and a claimant handing over holds no lock while it waits.
 
 use crate::advisor::WorkloadTracker;
 use crate::metrics::SchedMetrics;
@@ -39,9 +48,9 @@ use crate::sched::snapshot::SnapshotBoard;
 use crossbeam::channel::Sender;
 use imp_engine::Database;
 use imp_storage::FxHashMap;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One shard's lockable sketch store. Every access — a caller's
@@ -58,11 +67,77 @@ pub(crate) struct ShardState {
 /// One shard: the routed-delta inbox plus the stealable state.
 pub(crate) struct ShardSlot {
     /// FIFO of routed batches, in global collect order (pushes happen
-    /// under the router lock). `inbox empty && state lock held` ⇒ no
-    /// batch is in flight for this shard.
+    /// under the router lock). `inbox empty && state lock held && no
+    /// claim in flight` ⇒ no batch is in flight for this shard.
     inbox: Mutex<VecDeque<Arc<TableDelta>>>,
     /// The shard's store; holding it grants the right to claim.
     pub(crate) state: Mutex<ShardState>,
+    /// A claim handed [`Self::state`] to a stale query between two of its
+    /// sketches and has sketches left: no other claim may start. Set and
+    /// cleared under the lock; an atomic so that a claim which panics
+    /// still clears it ([`ClaimInFlight`]).
+    pub(crate) claim_in_flight: AtomicBool,
+    /// Stale queries waiting for [`Self::state`].
+    pub(crate) waiting: AtomicUsize,
+    /// Times a stale query took [`Self::state`] (a hand-over's signal).
+    handed_over: AtomicU64,
+}
+
+impl ShardSlot {
+    /// The state lock for a stale query: counted in [`Self::waiting`]
+    /// until it is held, so a claim in progress hands the lock over at its
+    /// next sketch ([`Self::hand_over`]).
+    pub(crate) fn lock_for_query(&self) -> MutexGuard<'_, ShardState> {
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let state = self.state.lock();
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        self.handed_over.fetch_add(1, Ordering::SeqCst);
+        state
+    }
+
+    /// The state lock with no claim in flight: a drain, visit or sweep
+    /// waits out a claim that handed the lock to a query, and so never
+    /// overtakes the claim's routed batches.
+    pub(crate) fn lock_settled(&self) -> MutexGuard<'_, ShardState> {
+        loop {
+            let state = self.state.lock();
+            if !self.claim_in_flight.load(Ordering::SeqCst) {
+                return state;
+            }
+            drop(state);
+            std::thread::yield_now();
+        }
+    }
+
+    /// Between two sketches of a claim: when a stale query waits, mark the
+    /// claim in flight, release the lock until the query holds it, and
+    /// lock again — which waits for the query's run to finish.
+    pub(crate) fn hand_over<'a>(
+        &'a self,
+        state: MutexGuard<'a, ShardState>,
+    ) -> MutexGuard<'a, ShardState> {
+        if self.waiting.load(Ordering::SeqCst) == 0 {
+            return state;
+        }
+        self.claim_in_flight.store(true, Ordering::SeqCst);
+        let handed_over = self.handed_over.load(Ordering::SeqCst);
+        drop(state);
+        while self.handed_over.load(Ordering::SeqCst) == handed_over {
+            std::thread::yield_now();
+        }
+        self.state.lock()
+    }
+}
+
+/// Held by a running claim: clears its shard's in-flight mark when the
+/// claim ends — by return, or by a panic, which would otherwise leave
+/// every later drain waiting for the shard forever.
+pub(crate) struct ClaimInFlight<'a>(pub(crate) &'a AtomicBool);
+
+impl Drop for ClaimInFlight<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
 }
 
 /// A claimed, coalesced unit of maintenance work: a whole-batch FIFO
@@ -146,6 +221,9 @@ impl SchedShared {
                         store: FxHashMap::default(),
                         last_error: None,
                     }),
+                    claim_in_flight: AtomicBool::new(false),
+                    waiting: AtomicUsize::new(0),
+                    handed_over: AtomicU64::new(0),
                 })
                 .collect(),
             router: Mutex::new(DeltaRouter::new()),
@@ -310,14 +388,17 @@ impl SchedShared {
     /// maintenance run. **Caller must hold `shard`'s state lock.**
     ///
     /// After the budget stop the claim extends to **version closure**:
-    /// while the next queued batch holds versions below the highest
+    /// while the next queued batch's first record is below the highest
     /// version already claimed, it is pulled in too. Deferred collection
     /// may merge a table's versions 1 and 3 into one batch while another
     /// table's version 2 sits behind it (see [`SchedShared::ingest`]);
     /// splitting those across claims would break the three-term join
     /// rule's telescoping (cross-run delta products are never produced).
     /// Closure over the front suffices because drain groups land under
-    /// one inbox hold and interleaving only occurs within a group.
+    /// one inbox hold, interleaving only occurs within a group, and a
+    /// group's batches are pushed in order of their first record. (A
+    /// batch's `from_version` is its own table's cursor, so it says
+    /// nothing about other tables' versions.)
     pub(crate) fn claim(&self, shard: usize, budget: usize) -> Option<Claim> {
         let mut inbox = self.slots[shard].inbox.lock();
         if inbox.is_empty() {
@@ -335,9 +416,8 @@ impl SchedShared {
                 break;
             }
         }
-        while inbox
-            .front()
-            .is_some_and(|front| front.from_version < claim.max_to)
+        while (inbox.front().and_then(|front| front.entries.first()))
+            .is_some_and(|first| first.version < claim.max_to)
         {
             let batch = inbox.pop_front().expect("front was Some");
             self.metrics.dequeued(shard);
@@ -351,16 +431,21 @@ impl SchedShared {
 
     /// Claim one coalesced batch group from `shard`'s inbox and run it —
     /// maintain, then publish — on the calling thread. `state` is
-    /// `shard`'s, held by the caller. `worker` is the claimant: `shard`
-    /// itself for its own worker or a caller draining the store on its
-    /// behalf, another shard's worker for a steal. Returns `false` when
-    /// the inbox was empty.
+    /// `shard`'s lock, held by the caller; the claim may hand it to a
+    /// waiting stale query between two sketches (see
+    /// [`ShardSlot::hand_over`]). `worker` is the claimant: `shard` itself
+    /// for its own worker or a caller draining the store on its behalf,
+    /// another shard's worker for a steal. Returns `false` when the inbox
+    /// was empty or another claim is in flight on the shard.
     pub(crate) fn claim_and_run(
         &self,
         shard: usize,
-        state: &mut ShardState,
+        state: MutexGuard<'_, ShardState>,
         worker: usize,
     ) -> bool {
+        if self.slots[shard].claim_in_flight.load(Ordering::SeqCst) {
+            return false;
+        }
         let Some(claim) = self.claim(shard, self.config.coalesce_budget) else {
             return false;
         };
@@ -388,16 +473,8 @@ impl SchedShared {
             stolen,
             batches: claim.batches,
         });
-        run_claim(
-            state,
-            &claim.routed,
-            &self.db,
-            &self.config,
-            &self.metrics,
-            &self.tracker,
-            &self.obs,
-        );
-        publish(shard, state, &self.board, &self.obs);
+        let mut state = run_claim(self, shard, state, &claim.routed);
+        publish(shard, &mut state, &self.board, &self.obs);
         true
     }
 
@@ -417,5 +494,61 @@ impl SchedShared {
         }
         let next = self.next_wake.fetch_add(1, Ordering::Relaxed) % self.slots.len();
         self.wake(next);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::ObsConfig;
+    use crate::sched::router::RoutedEntry;
+    use imp_storage::row;
+
+    /// One shard's claim builder over an empty database.
+    fn shared() -> SchedShared {
+        let db = Arc::new(RwLock::new(Database::new()));
+        let tracker = Arc::new(WorkloadTracker::new());
+        let obs = Obs::new(&ObsConfig::default());
+        SchedShared::new(1, db, &ImpConfig::default(), tracker, obs)
+    }
+
+    /// A routed batch of `table` after its cursor `from`, one row per
+    /// version.
+    fn batch(table: &str, from: u64, versions: &[u64]) -> Arc<TableDelta> {
+        let entries = versions.iter().map(|&version| RoutedEntry {
+            row: row![version as i64],
+            mult: 1,
+            version,
+        });
+        Arc::new(TableDelta {
+            table: table.to_string(),
+            from_version: from,
+            to_version: *versions.iter().max().unwrap(),
+            entries: entries.collect(),
+        })
+    }
+
+    /// Claim sizes (in batches) until the inbox is empty.
+    fn claims(shared: &SchedShared, budget: usize) -> Vec<u64> {
+        std::iter::from_fn(|| shared.claim(0, budget).map(|c| c.batches)).collect()
+    }
+
+    /// Table `b`'s cursor (0) is below everything `a` claimed, but its
+    /// batch's first record (version 2) is not: the claims split.
+    #[test]
+    fn other_tables_batches_are_not_pulled_into_a_claim() {
+        let shared = shared();
+        shared.inbox_push_group(0, vec![batch("a", 0, &[1]), batch("b", 0, &[2])]);
+        assert_eq!(claims(&shared, 1), [1, 1]);
+    }
+
+    /// Deferred collection merged `a`'s versions 1 and 3 into one batch
+    /// while `b`'s version 2 sits behind it: one claim takes both.
+    #[test]
+    fn an_interleaved_group_is_one_claim() {
+        let shared = shared();
+        shared.inbox_push_group(0, vec![batch("a", 0, &[1, 3]), batch("b", 0, &[2])]);
+        shared.inbox_push_group(0, vec![batch("b", 2, &[4])]);
+        assert_eq!(claims(&shared, 1), [2, 1]);
     }
 }

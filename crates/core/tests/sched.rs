@@ -357,3 +357,57 @@ fn zero_workers_route_nothing_and_maintain_on_the_next_query() {
     assert_eq!(result.canonical(), imp.db().query(Q).unwrap().canonical());
     assert!(imp.describe_sketches().iter().all(|s| !s.stale));
 }
+
+/// However a worker store splits a sketch's statements into runs — one
+/// claim per statement, one coalesced claim, or a stale query's fetching
+/// run — the sketch ends with the same bits and the same state bytes: its
+/// cold row cache is checked per statement. Seven fresh 200-row inserts
+/// cross the cache's flush threshold between the sixth and the seventh.
+/// (Retained versions are off: a store keeps one per run by design.)
+#[test]
+fn state_bytes_do_not_depend_on_how_statements_split_into_runs() {
+    let inserts: Vec<String> = (0..7)
+        .map(|s| {
+            let rows: Vec<String> = (0..200)
+                .map(|i| format!("({}, {})", i % 6, 1000 + 200 * s + i))
+                .collect();
+            format!("INSERT INTO t VALUES {}", rows.join(", "))
+        })
+        .collect();
+    let store = |split: &dyn Fn(&mut Imp)| {
+        let config = ImpConfig {
+            ingest_queue_cap: 0,
+            retain_sketch_versions: false,
+            ..sharded_config(1)
+        };
+        let mut imp = Imp::new(seed_db(), config);
+        imp.execute(Q).unwrap();
+        let paused = imp.scheduler().unwrap().pause();
+        split(&mut imp);
+        drop(paused);
+        (imp.sketch_states(), imp.store_heap_size())
+    };
+    let per_statement = store(&|imp| {
+        for sql in &inserts {
+            imp.execute(sql).unwrap();
+            imp.scheduler().unwrap().drain();
+        }
+    });
+    let coalesced = store(&|imp| {
+        for sql in &inserts {
+            imp.execute(sql).unwrap();
+        }
+        assert_eq!(imp.scheduler().unwrap().drain(), 1, "one claim");
+    });
+    let stale_query = store(&|imp| {
+        for sql in &inserts {
+            imp.execute(sql).unwrap();
+        }
+        let ImpResponse::Rows { mode, .. } = imp.execute(Q).unwrap() else {
+            panic!("rows expected")
+        };
+        assert!(matches!(mode, QueryMode::Maintained(_)), "{mode:?}");
+    });
+    assert_eq!(coalesced, per_statement);
+    assert_eq!(stale_query, per_statement);
+}

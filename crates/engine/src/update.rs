@@ -5,6 +5,9 @@
 //! followed by an insert of the new one, which is exactly how it is logged
 //! here.
 //!
+//! An INSERT's literal VALUES cells arrive from the parser as values and
+//! are stored as they are; only other cells are resolved and evaluated.
+//!
 //! The victim search of DELETE and UPDATE is the SELECT scan: range
 //! constraints of the predicate prune chunks and pre-select rows in
 //! storage, the full predicate decides. Both statements are atomic —
@@ -16,7 +19,7 @@ use crate::database::{Database, QueryResult};
 use crate::error::EngineError;
 use crate::eval::{extract_prune_ranges, PruneRanges};
 use crate::Result;
-use imp_sql::{Catalog, Expr, Resolver, Statement};
+use imp_sql::{AstExpr, Catalog, Expr, Resolver, Statement};
 use imp_storage::{Field, Row, Schema, Value};
 
 /// Outcome of executing a statement.
@@ -78,7 +81,7 @@ fn insert(
     db: &mut Database,
     table: &str,
     columns: Option<&[String]>,
-    rows: &[Vec<imp_sql::AstExpr>],
+    rows: &[Vec<AstExpr>],
 ) -> Result<StatementResult> {
     let schema = db
         .table_schema(table)
@@ -96,7 +99,7 @@ fn insert(
             .collect::<Result<_>>()?,
     };
     let resolver = Resolver::new(db);
-    let empty = Row::new(vec![]);
+    let (empty_schema, empty) = (Schema::empty(), Row::new(vec![]));
     let mut materialized = Vec::with_capacity(rows.len());
     for row_exprs in rows {
         if row_exprs.len() != positions.len() {
@@ -108,9 +111,12 @@ fn insert(
         }
         let mut vals = vec![Value::Null; schema.arity()];
         for (pos, e) in positions.iter().zip(row_exprs) {
-            // VALUES expressions are constant: resolve over the empty schema.
-            let resolved = resolver.resolve_expr(e, &Schema::empty())?;
-            vals[*pos] = resolved.eval(&empty)?;
+            vals[*pos] = match e {
+                AstExpr::Literal(value) => value.clone(),
+                // Other VALUES expressions are constant: resolve over the
+                // empty schema.
+                e => resolver.resolve_expr(e, &empty_schema)?.eval(&empty)?,
+            };
         }
         materialized.push(Row::new(vals));
     }
@@ -132,7 +138,7 @@ fn insert(
 fn dml_target(
     db: &Database,
     table: &str,
-    filter: Option<&imp_sql::AstExpr>,
+    filter: Option<&AstExpr>,
 ) -> Result<(Schema, Option<Expr>)> {
     let schema = db
         .table_schema(table)
@@ -153,11 +159,7 @@ fn matches(predicate: Option<&Expr>, row: &Row) -> Result<bool> {
     })
 }
 
-fn delete(
-    db: &mut Database,
-    table: &str,
-    filter: Option<&imp_sql::AstExpr>,
-) -> Result<StatementResult> {
+fn delete(db: &mut Database, table: &str, filter: Option<&AstExpr>) -> Result<StatementResult> {
     let (_, predicate) = dml_target(db, table, filter)?;
     let prune = predicate.as_ref().and_then(extract_prune_ranges);
     let (deleted, version) = db.commit(table, |t, version| {
@@ -177,8 +179,8 @@ fn delete(
 fn update(
     db: &mut Database,
     table: &str,
-    sets: &[(String, imp_sql::AstExpr)],
-    filter: Option<&imp_sql::AstExpr>,
+    sets: &[(String, AstExpr)],
+    filter: Option<&AstExpr>,
 ) -> Result<StatementResult> {
     let (qualified, predicate) = dml_target(db, table, filter)?;
     let resolver = Resolver::new(db);

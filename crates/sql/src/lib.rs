@@ -8,6 +8,8 @@
 //!   parser for the SQL dialect the paper's workloads use (Appendix A):
 //!   SELECT with joins / GROUP BY / HAVING / ORDER BY / LIMIT / BETWEEN,
 //!   subqueries in FROM, and INSERT / DELETE / UPDATE / CREATE TABLE.
+//!   A VALUES cell that is one literal token is parsed straight to its
+//!   value, skipping the expression precedence ladder.
 //! * [`expr`] — resolved scalar expressions with an evaluator (shared by
 //!   the backend engine, the capture rewrites, and the incremental engine).
 //! * [`plan`] — the logical bag-algebra of paper Fig. 4.

@@ -279,12 +279,15 @@ impl Parser {
             None
         };
         self.expect_keyword(Keyword::Values)?;
-        let mut rows = Vec::new();
+        let mut rows: Vec<Vec<AstExpr>> = Vec::new();
         loop {
             self.expect(&Token::LParen)?;
-            let mut row = vec![self.parse_expr()?];
+            // Rows are as wide as the first one, unless the statement is
+            // malformed.
+            let mut row = Vec::with_capacity(rows.first().map_or(1, Vec::len));
+            row.push(self.parse_value()?);
             while self.eat(&Token::Comma) {
-                row.push(self.parse_expr()?);
+                row.push(self.parse_value()?);
             }
             self.expect(&Token::RParen)?;
             rows.push(row);
@@ -297,6 +300,41 @@ impl Parser {
             columns,
             rows,
         })
+    }
+
+    /// One VALUES cell: a literal cell is taken as its value, any other
+    /// cell goes down the precedence ladder.
+    fn parse_value(&mut self) -> Result<AstExpr> {
+        match self.literal_cell() {
+            Some(value) => Ok(AstExpr::Literal(value)),
+            None => self.parse_expr(),
+        }
+    }
+
+    /// Consume a cell that is one literal token — `Int`, `Float`, `Str`,
+    /// `NULL`, `TRUE`, `FALSE`, or `-` and a number — followed by `,` or
+    /// `)`, and return its value (a string payload is moved out of the
+    /// token, not cloned). `None`, with nothing consumed, for every other
+    /// cell.
+    fn literal_cell(&mut self) -> Option<Value> {
+        let negated = self.peek() == &Token::Minus;
+        let at = self.pos + negated as usize;
+        if !matches!(self.tokens.get(at + 1), Some(Token::Comma | Token::RParen)) {
+            return None;
+        }
+        let value = match (&mut self.tokens[at], negated) {
+            (Token::Int(i), true) => Value::Int(i.checked_neg()?),
+            (Token::Int(i), false) => Value::Int(*i),
+            (Token::Float(f), true) => Value::Float(-*f),
+            (Token::Float(f), false) => Value::Float(*f),
+            (Token::Str(s), false) => Value::str(std::mem::take(s)),
+            (Token::Keyword(Keyword::Null), false) => Value::Null,
+            (Token::Keyword(Keyword::True), false) => Value::Bool(true),
+            (Token::Keyword(Keyword::False), false) => Value::Bool(false),
+            _ => return None,
+        };
+        self.pos = at + 1;
+        Some(value)
     }
 
     fn parse_delete(&mut self) -> Result<Statement> {
@@ -639,6 +677,36 @@ mod tests {
             parse_one("UPDATE t SET a = a + 1 WHERE b < 2").unwrap(),
             Statement::Update { sets, .. } if sets.len() == 1
         ));
+    }
+
+    #[test]
+    fn literal_values_cells_are_literals() {
+        let Statement::Insert { rows, .. } =
+            parse_one("INSERT INTO t VALUES (-1, 2.5, 'a', NULL)").unwrap()
+        else {
+            panic!()
+        };
+        let expected = [
+            Value::Int(-1),
+            Value::Float(2.5),
+            Value::str("a"),
+            Value::Null,
+        ];
+        assert_eq!(rows[0], expected.map(AstExpr::Literal));
+    }
+
+    #[test]
+    fn other_values_cells_are_expressions() {
+        let Statement::Insert { rows, .. } =
+            parse_one("INSERT INTO t VALUES (1 + 2, -(3), - - 4, -5 * 2, -a)").unwrap()
+        else {
+            panic!()
+        };
+        let rendered: Vec<String> = rows[0].iter().map(ToString::to_string).collect();
+        assert_eq!(
+            rendered,
+            ["(1 + 2)", "(-3)", "(-(-4))", "((-5) * 2)", "(-a)"]
+        );
     }
 
     #[test]
