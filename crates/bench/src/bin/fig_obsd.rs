@@ -12,8 +12,8 @@
 //!    `1.10 × off + OVERHEAD_FLOOR_NS` (tail quantiles at smoke scale
 //!    sit near the scheduler-jitter floor; a pure ratio would gate on
 //!    noise).
-//! 2. **Watchdog latency** — a deliberately wedged shard (workers
-//!    parked, inboxes non-empty) flips `/health` to degraded within
+//! 2. **Watchdog latency** — deliberately wedged workers (all parked,
+//!    the inbox non-empty) flip `/health` to degraded within
 //!    **2 watchdog ticks**, naming `shard_liveness`, with a flight dump
 //!    captured at the transition (`/flight?trip=1`).
 //! 3. **No lost scrapes** — every request the fleet issues gets a
@@ -340,10 +340,10 @@ fn main() {
     let scrape_p50 = percentile(&fleet_total.latencies_ns, 0.50);
     let scrape_p99 = percentile(&fleet_total.latencies_ns, 0.99);
 
-    // ---- Phase 2: wedged shard → degraded within 2 watchdog ticks.
+    // ---- Phase 2: wedged workers → degraded within 2 watchdog ticks.
     let paused = on.scheduler().unwrap().pause();
     // Push enough batches per table to overflow the tiny staging queue
-    // (cap 4): overflow routes inline, so the paused shards' inboxes fill
+    // (cap 4): overflow routes inline, so the paused workers' inbox fills
     // and the liveness rule sees frozen heartbeats *with queued work* —
     // a single staged batch would just look idle.
     for name in table_names() {

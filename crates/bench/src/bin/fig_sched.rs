@@ -1,17 +1,18 @@
 //! Scheduler scale-out experiment (`imp_core::sched`).
 //!
 //! A multi-query workload — two sketch templates per table over K
-//! synthetic tables — takes the same routed update stream through shard
+//! synthetic tables — takes the same routed update stream through worker
 //! pools of 1, 2, and 4 workers (plus the sequential in-line store as
-//! ground truth). Shards are paused while the updates are routed, so
-//! every queue fills deterministically; the timed section is
+//! ground truth). The workers are paused while the updates are routed, so
+//! the inbox fills deterministically; the timed section is
 //! resume → drain, i.e. pure maintenance.
 //!
 //! Reported per pool size: drain wall-clock, per-maintain latency
 //! percentiles (p50/p95/p99 from the `imp_core::obs` histograms, which
 //! run in metrics-only mode here and fully — spans included — under
-//! `IMP_OBS=1`), maintenance runs, routed / fanned-out / coalesced
-//! batches, backpressure stalls, and the maximum per-shard queue depth. The harness **panics** when coalescing never
+//! `IMP_OBS=1`), maintenance runs, routed / pushed / coalesced batches,
+//! backpressure stalls, and the maximum inbox depth. The harness
+//! **panics** when coalescing never
 //! fires, when the parallel speedup line cannot be computed, or when any
 //! pool's final sketch states differ from the sequential store's
 //! (byte-identical results are the scheduler's contract).
@@ -54,10 +55,10 @@ fn build_imp(workers: usize, rows: usize, groups: i64) -> Imp {
             columnar_min: columnar_min(),
             sched_workers: workers,
             // A tiny staging queue: paused-phase routing overflows onto
-            // the inline-ingest fallback every few updates, so inboxes
-            // fill (and coalesce) deterministically while the workers
+            // the inline-ingest fallback every few updates, so the inbox
+            // fills (and coalesces) deterministically while the workers
             // are parked — the queue-depth and coalescing observations
-            // below need batches in inboxes, not names in staging.
+            // below need batches in the inbox, not names in staging.
             ingest_queue_cap: 4,
             // Maintain-latency histograms are always on here (they feed
             // the ungated p50/p95/p99 trajectory metrics below); full
@@ -72,9 +73,7 @@ fn build_imp(workers: usize, rows: usize, groups: i64) -> Imp {
     );
     // Two templates per table (structurally different — same structure
     // with different constants would template-match and reuse instead of
-    // capturing): 2·K sketches spread over the shards by template hash;
-    // tables whose two templates land on different shards exercise
-    // fan-out > 1.
+    // capturing): 2·K sketches, each table's batch shared by two.
     for name in table_names() {
         imp.execute(&queries::q_groups(&name, 1_600)).unwrap();
         imp.execute(&queries::q_having(&name, 3)).unwrap();
@@ -138,13 +137,7 @@ fn main() {
                 imp.execute(sql).unwrap();
             }
         }
-        let queued = imp.scheduler().unwrap().stats();
-        let max_depth = queued
-            .per_shard
-            .iter()
-            .map(|s| s.max_depth)
-            .max()
-            .unwrap_or(0);
+        let max_depth = imp.scheduler().unwrap().stats().per_shard[0].max_depth;
         let t0 = Instant::now();
         paused.resume();
         imp.scheduler().unwrap().drain();
@@ -169,7 +162,7 @@ fn main() {
             .throughput_per_sec(Throughput::Elements(total_rows))
             .unwrap_or(0.0);
 
-        // Per-maintain latency tail across every shard of this pool,
+        // Per-maintain latency tail across every worker of this pool,
         // from the unified obs registry (trajectory-only — the gated
         // `drain` wall clock catches regressions).
         let maint = imp
@@ -195,7 +188,6 @@ fn main() {
                 .count("coalesced_batches", stats.coalesced_batches, false)
                 .count("backpressure_stalls", stats.backpressure_stalls, false)
                 .count("staged_updates", stats.staged_updates, false)
-                .count("steals", stats.steals, false)
                 .count("max_queue_depth", max_depth, false),
         );
         drain_ms.push(drained.as_secs_f64() * 1e3);
@@ -207,7 +199,6 @@ fn main() {
             stats.fanout_messages.to_string(),
             stats.coalesced_batches.to_string(),
             stats.backpressure_stalls.to_string(),
-            stats.steals.to_string(),
             max_depth.to_string(),
         ]);
     }
@@ -226,7 +217,6 @@ fn main() {
             "fanout",
             "coalesced",
             "stalls",
-            "steals",
             "max q",
         ],
         &rows_out,

@@ -11,10 +11,9 @@
 //! (who wins, slopes in delta size, break-even crossovers as a fraction of
 //! the table) are scale-free.
 //!
-//! Beyond the paper's figures, two stress harnesses exercise regimes
-//! the evaluation skips: `fig_skew` (Zipfian update routing against the
-//! sharded scheduler) and `fig_churn` (insert+delete streams dominated
-//! by Δ⋈Δ cancellations). Every harness additionally writes its
+//! Beyond the paper's figures, a stress harness exercises a regime the
+//! evaluation skips: `fig_churn` (insert+delete streams dominated by
+//! Δ⋈Δ cancellations). Every harness additionally writes its
 //! machine-readable trajectory point as `BENCH_<harness>.json` (see
 //! [`report`]), and the `bench_check` binary gates CI on regressions
 //! against the committed `bench/baseline/` snapshot.

@@ -79,8 +79,8 @@ impl Lifecycle {
     }
 }
 
-/// The advisor-relevant view of one stored sketch, gathered shard by
-/// shard under each shard's state lock.
+/// The advisor-relevant view of one stored sketch, gathered under the
+/// store's state lock.
 #[derive(Debug, Clone)]
 pub struct SketchCard {
     /// Store key.
@@ -123,7 +123,7 @@ pub enum AdviseOp {
 /// One planned action, addressed by store identity.
 #[derive(Debug, Clone)]
 pub struct AdviseAction {
-    /// Store key (also routes the action to its owning shard).
+    /// Store key.
     pub template: QueryTemplate,
     /// Candidate identity within the template.
     pub sql: String,
@@ -211,8 +211,8 @@ pub fn plan_round(
     }
 }
 
-/// Outcome of applying a batch of actions to one store (summed across
-/// shards).
+/// Outcome of applying a batch of actions to the store (summed across
+/// enforcement rounds).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyOutcome {
     /// Sketches newly marked [`Lifecycle::Lazy`].
@@ -229,7 +229,7 @@ pub struct ApplyOutcome {
 }
 
 impl ApplyOutcome {
-    /// Merge another outcome (per-shard replies).
+    /// Merge another outcome (a later round's).
     pub fn absorb(&mut self, other: &ApplyOutcome) {
         self.demoted_lazy += other.demoted_lazy;
         self.evicted += other.evicted;
@@ -244,9 +244,8 @@ impl ApplyOutcome {
     }
 }
 
-/// Apply planned actions to one shard's sketch store. Actions addressing
-/// sketches the shard does not hold are skipped (another shard's, or one
-/// dropped in between). Promotion maintenance errors propagate; the
+/// Apply planned actions to the sketch store. Actions addressing
+/// sketches the store does not hold (dropped in between) are skipped. Promotion maintenance errors propagate; the
 /// maintenance cost of successful promotions is recorded in `tracker`.
 pub(crate) fn apply_to_store(
     store: &mut FxHashMap<QueryTemplate, Vec<StoredSketch>>,

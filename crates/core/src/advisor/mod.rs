@@ -40,9 +40,9 @@
 //!   on its next query).
 //!
 //! The autopilot runs from [`crate::middleware::Imp::tick_maintenance`]
-//! (and on demand via [`crate::middleware::Imp::advise`]); on sharded
-//! stores the gather/apply steps travel as [`crate::sched`] control
-//! barriers so shard workers stay the only writers of their stores.
+//! (and on demand via [`crate::middleware::Imp::advise`]); the
+//! gather/apply steps run on the calling thread under the
+//! [`crate::sched`] store's state lock, as every control does.
 //! Decisions change **cost, never answers**: every demoted sketch still
 //! answers through the store's existing on-demand maintenance / restore /
 //! re-capture paths, and a demoted-then-promoted sketch is byte-identical
@@ -83,8 +83,8 @@ impl Advisor {
         }
     }
 
-    /// The shared workload tracker (the sharded store hands clones to its
-    /// shard workers).
+    /// The shared workload tracker (the sketch store hands clones to its
+    /// workers).
     pub fn tracker(&self) -> &Arc<WorkloadTracker> {
         &self.tracker
     }

@@ -21,7 +21,7 @@
 //! lifetime history stays intact.
 //!
 //! The tracker is shared (`Arc` + mutex) between the [`crate::middleware::Imp`]
-//! front end and the shard workers of a sharded store; all methods take
+//! front end and the workers of the sketch store; all methods take
 //! `&self`.
 
 use imp_storage::FxHashMap;

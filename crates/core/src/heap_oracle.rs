@@ -308,12 +308,12 @@ mod tests {
                     crate::SketchMaintainer::capture(&plan, &db, pset, config(0).op_config(), true)
                         .unwrap();
                 let mut router = crate::sched::DeltaRouter::new();
-                router.register(&db, m.tables(), 0);
+                router.register(&db, m.tables());
                 for stmt in single_row_deltas() {
                     db.execute_sql(&stmt).unwrap();
                     let mut routed: FxHashMap<String, Vec<_>> = FxHashMap::default();
                     for table in m.tables().to_vec() {
-                        if let Some((delta, _)) = router.collect(&db, &table) {
+                        if let Some(delta) = router.collect(&db, &table) {
                             routed.entry(table).or_default().push(delta);
                         }
                     }

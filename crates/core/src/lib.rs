@@ -35,10 +35,10 @@
 //!   demoting the rest (maintained → lazy → evicted → dropped) and
 //!   promoting re-hot templates back.
 //! * [`sched`] — the sketch store and its multi-query maintenance
-//!   scheduler: template-hash shards of stored sketches, each behind a
-//!   state lock that a stale query, a caller's control, or a
-//!   [`sched::ShardPool`] worker takes to work on it; a per-table
-//!   [`sched::DeltaRouter`] feeding the workers (per-table batch
+//!   scheduler: the stored sketches behind one state lock that a stale
+//!   query, a caller's control, or a [`sched::ShardPool`] worker takes
+//!   to work on them; a per-table [`sched::DeltaRouter`] feeding the
+//!   workers' one inbox (per-table batch
 //!   coalescing, bounded-queue backpressure); and versioned published
 //!   [`sched::SnapshotBoard`] sketches for the USE path.
 //! * [`obs`] — unified observability: a [`obs::MetricsRegistry`] of

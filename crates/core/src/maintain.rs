@@ -280,7 +280,7 @@ impl SketchMaintainer {
     }
 
     /// [`Self::maintain`] for a store whose runs are split by timing, one
-    /// with shard workers: the cold row cache is checked after each
+    /// with workers: the cold row cache is checked after each
     /// statement, as in [`Self::maintain_from`], not once per run. However
     /// routed claims and stale queries split a sketch's statements into
     /// runs, its row cache — and its state bytes — then come out as one
@@ -343,7 +343,7 @@ impl SketchMaintainer {
     }
 
     /// Maintain from scheduler-routed table deltas instead of fetching
-    /// from the backend's delta logs (the [`crate::sched`] shard workers'
+    /// from the backend's delta logs (the [`crate::sched`] workers'
     /// path). Entries at or below the maintained version are skipped, so
     /// a routed batch may safely overlap history the sketch has already
     /// consumed (e.g. after an on-demand [`Self::maintain`] overtook the

@@ -1,12 +1,12 @@
 //! Maintenance metrics: cost and memory accounting for the experiments,
 //! plus the shared atomic counters of the [`crate::sched`] scheduler
-//! (queue depths, coalescing, backpressure).
+//! (queue depth, coalescing, backpressure).
 //!
 //! The scheduler counters are [`crate::obs::registry`] handles: when the
 //! scheduler is built through [`crate::middleware::Imp`], they register in
 //! the `Imp`'s unified [`crate::obs::MetricsRegistry`] (names prefixed
-//! `imp_sched_`, per-shard gauges labeled `shard="i"`), so the text and
-//! JSON expositions show routing, stealing, and backlog alongside the
+//! `imp_sched_`, per-worker heartbeats labeled `worker="i"`), so the text
+//! and JSON expositions show routing and backlog alongside the
 //! latency histograms. [`SchedMetrics::new`] without a registry keeps
 //! them detached (tests, standalone pools) — same behavior, unexported.
 
@@ -91,164 +91,100 @@ impl MaintMetrics {
     }
 }
 
-/// Shared atomic counters of the sharded maintenance scheduler
-/// ([`crate::sched`]): the router and every shard worker update them
+/// Shared atomic counters of the maintenance scheduler
+/// ([`crate::sched`]): the router and every worker update them
 /// lock-free; [`SchedMetrics::snapshot`] captures a consistent-enough
 /// view for reporting (the `fig_sched` harness and tests).
 #[derive(Debug)]
 pub struct SchedMetrics {
     /// Table-delta batches built by the router (one per table flush).
     pub routed_batches: Counter,
-    /// Delta rows shipped inside routed batches (each counted once,
-    /// however many shards the batch fans out to).
+    /// Delta rows shipped inside routed batches.
     pub routed_rows: Counter,
-    /// Shard-queue messages produced by fan-out (≥ `routed_batches`).
-    pub fanout_messages: Counter,
-    /// Pending same-table batches folded into an earlier batch by a
-    /// shard's coalescing pass.
+    /// Pending same-table batches folded into an earlier batch by the
+    /// inbox's coalescing pass.
     pub coalesced_batches: Counter,
     /// Updates that found the ingest staging queue full (or async ingest
     /// disabled) and fell back to inline ingestion on the writer's
     /// thread (backpressure onto the update path).
     pub backpressure_stalls: Counter,
     /// Updates staged for asynchronous ingestion (the writer returned
-    /// without collecting or fanning out).
+    /// without collecting).
     pub staged_updates: Counter,
-    /// Claims an idle worker took from another shard's inbox.
-    pub steals: Counter,
-    /// Routed batches processed inside stolen claims.
-    pub stolen_batches: Counter,
-    /// Maintenance runs executed by shard workers (routed + on-demand).
+    /// Maintenance runs executed by the store (routed + on-demand).
     pub maintain_runs: Counter,
-    /// Per-shard worker liveness heartbeat (gauge): bumped once per
-    /// worker-loop iteration. The health watchdogs compare it across
-    /// ticks — a heartbeat that stops advancing while the shard's inbox
-    /// is non-empty means the worker is wedged (parked, deadlocked, or
-    /// stuck in one maintain).
+    /// Per-worker liveness heartbeat (gauge): bumped once per worker-loop
+    /// iteration. The health watchdogs compare them across ticks — no
+    /// heartbeat advancing while the inbox is non-empty means the workers
+    /// are wedged (parked, deadlocked, or stuck in one maintain).
     heartbeat: Vec<Gauge>,
-    /// Per-shard current inbox depth (gauge): routed batches queued and
-    /// not yet claimed.
-    queue_depth: Vec<Gauge>,
-    /// Per-shard high-water queue depth.
-    max_queue_depth: Vec<Gauge>,
-    /// Per-shard count of claims stolen *from* this shard's inbox by
-    /// other workers (victim-side view of [`Self::steals`]).
-    stolen_from: Vec<Counter>,
+    /// Current inbox depth (gauge): routed batches queued and not yet
+    /// claimed.
+    queue_depth: Gauge,
+    /// High-water inbox depth.
+    max_queue_depth: Gauge,
 }
 
 impl SchedMetrics {
-    /// Fresh detached counters for `shards` queues (not exported by any
+    /// Fresh detached counters for `workers` workers (not exported by any
     /// registry).
-    pub fn new(shards: usize) -> SchedMetrics {
-        SchedMetrics::registered(shards, &MetricsRegistry::new())
+    pub fn new(workers: usize) -> SchedMetrics {
+        SchedMetrics::registered(workers, &MetricsRegistry::new())
     }
 
-    /// Counters for `shards` queues, registered in `registry` under
-    /// `imp_sched_*` names (per-shard series labeled `shard="i"`).
-    pub fn registered(shards: usize, registry: &MetricsRegistry) -> SchedMetrics {
+    /// Counters for `workers` workers, registered in `registry` under
+    /// `imp_sched_*` names (heartbeats labeled `worker="i"`).
+    pub fn registered(workers: usize, registry: &MetricsRegistry) -> SchedMetrics {
         SchedMetrics {
             routed_batches: registry.counter("imp_sched_routed_batches"),
             routed_rows: registry.counter("imp_sched_routed_rows"),
-            fanout_messages: registry.counter("imp_sched_fanout_messages"),
             coalesced_batches: registry.counter("imp_sched_coalesced_batches"),
             backpressure_stalls: registry.counter("imp_sched_backpressure_stalls"),
             staged_updates: registry.counter("imp_sched_staged_updates"),
-            steals: registry.counter("imp_sched_steals"),
-            stolen_batches: registry.counter("imp_sched_stolen_batches"),
             maintain_runs: registry.counter("imp_sched_maintain_runs"),
-            heartbeat: (0..shards)
-                .map(|i| registry.gauge_with("imp_sched_heartbeat", &[("shard", &i.to_string())]))
+            heartbeat: (0..workers)
+                .map(|i| registry.gauge_with("imp_sched_heartbeat", &[("worker", &i.to_string())]))
                 .collect(),
-            queue_depth: (0..shards)
-                .map(|i| registry.gauge_with("imp_sched_queue_depth", &[("shard", &i.to_string())]))
-                .collect(),
-            max_queue_depth: (0..shards)
-                .map(|i| {
-                    registry.gauge_with("imp_sched_max_queue_depth", &[("shard", &i.to_string())])
-                })
-                .collect(),
-            stolen_from: (0..shards)
-                .map(|i| {
-                    registry.counter_with("imp_sched_stolen_from", &[("shard", &i.to_string())])
-                })
-                .collect(),
+            queue_depth: registry.gauge("imp_sched_queue_depth"),
+            max_queue_depth: registry.gauge("imp_sched_max_queue_depth"),
         }
     }
 
-    /// Record one worker-loop iteration of `shard`'s worker (liveness
-    /// heartbeat; see [`Self::heartbeat`]).
+    /// Record one loop iteration of worker `worker` (liveness heartbeat;
+    /// see [`Self::heartbeat`]).
     #[inline]
-    pub fn beat(&self, shard: usize) {
-        self.heartbeat[shard].inc();
+    pub fn beat(&self, worker: usize) {
+        self.heartbeat[worker].inc();
     }
 
-    /// Current heartbeat value of `shard`'s worker.
-    pub fn heartbeat_of(&self, shard: usize) -> u64 {
-        self.heartbeat[shard].get()
+    /// Record a batch entering the inbox.
+    pub fn enqueued(&self) {
+        let d = self.queue_depth.inc_get();
+        self.max_queue_depth.max_of(d);
     }
 
-    /// Record a message entering `shard`'s queue.
-    pub fn enqueued(&self, shard: usize) {
-        let d = self.queue_depth[shard].inc_get();
-        self.max_queue_depth[shard].max_of(d);
-    }
-
-    /// Record a message leaving `shard`'s queue. Saturates at 0: a
-    /// mismatched dequeue must not wrap the gauge to `u64::MAX`, which
-    /// would poison [`Self::deepest_backlog`] victim selection until the
-    /// pool restarts.
-    pub fn dequeued(&self, shard: usize) {
-        self.queue_depth[shard].dec_saturating();
-    }
-
-    /// Record a claim of `batches` routed batches stolen from `victim`'s
-    /// inbox by another worker.
-    pub fn stole_from(&self, victim: usize, batches: u64) {
-        self.steals.inc();
-        self.stolen_batches.add(batches);
-        self.stolen_from[victim].inc();
-    }
-
-    /// Shard with the deepest non-empty inbox, skipping `exclude` (the
-    /// thief's own shard). Ties break to the lowest shard id. The gauges
-    /// are racy, which is fine: a stale pick only costs the thief one
-    /// `has_work` miss before its round-robin fallback sweep.
-    pub fn deepest_backlog(&self, exclude: usize) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (shard, depth) in self.queue_depth.iter().enumerate() {
-            if shard == exclude {
-                continue;
-            }
-            let d = depth.get();
-            if d > 0 && best.is_none_or(|(bd, _)| d > bd) {
-                best = Some((d, shard));
-            }
-        }
-        best.map(|(_, shard)| shard)
+    /// Record a batch leaving the inbox. Saturates at 0: a mismatched
+    /// dequeue must not wrap the gauge to `u64::MAX`, which would trip
+    /// the `queue_depth` watchdog until the pool restarts.
+    pub fn dequeued(&self) {
+        self.queue_depth.dec_saturating();
     }
 
     /// Plain-value view of the counters.
     pub fn snapshot(&self) -> SchedStats {
+        let routed_batches = self.routed_batches.get();
         SchedStats {
-            routed_batches: self.routed_batches.get(),
+            routed_batches,
             routed_rows: self.routed_rows.get(),
-            fanout_messages: self.fanout_messages.get(),
+            fanout_messages: routed_batches,
             coalesced_batches: self.coalesced_batches.get(),
             backpressure_stalls: self.backpressure_stalls.get(),
             staged_updates: self.staged_updates.get(),
-            steals: self.steals.get(),
-            stolen_batches: self.stolen_batches.get(),
             maintain_runs: self.maintain_runs.get(),
-            per_shard: self
-                .queue_depth
-                .iter()
-                .zip(&self.max_queue_depth)
-                .map(|(d, m)| ShardQueueStats {
-                    depth: d.get(),
-                    max_depth: m.get(),
-                })
-                .collect(),
-            stolen_from: self.stolen_from.iter().map(|s| s.get()).collect(),
+            per_shard: vec![ShardQueueStats {
+                depth: self.queue_depth.get(),
+                max_depth: self.max_queue_depth.get(),
+            }],
         }
     }
 }
@@ -260,7 +196,8 @@ pub struct SchedStats {
     pub routed_batches: u64,
     /// See [`SchedMetrics::routed_rows`].
     pub routed_rows: u64,
-    /// See [`SchedMetrics::fanout_messages`].
+    /// Inbox pushes: every routed batch lands in the one inbox once, so
+    /// this equals [`Self::routed_batches`].
     pub fanout_messages: u64,
     /// See [`SchedMetrics::coalesced_batches`].
     pub coalesced_batches: u64,
@@ -268,22 +205,18 @@ pub struct SchedStats {
     pub backpressure_stalls: u64,
     /// See [`SchedMetrics::staged_updates`].
     pub staged_updates: u64,
-    /// See [`SchedMetrics::steals`].
-    pub steals: u64,
-    /// See [`SchedMetrics::stolen_batches`].
-    pub stolen_batches: u64,
     /// See [`SchedMetrics::maintain_runs`].
     pub maintain_runs: u64,
-    /// Per-shard queue gauges.
+    /// The inbox's queue gauges: always one entry, since the store has
+    /// one inbox. A `Vec` so that readers of `per_shard[].max_depth`
+    /// (the `bench_cycle` report among them) keep working.
     pub per_shard: Vec<ShardQueueStats>,
-    /// Per-shard claims stolen from that shard's inbox.
-    pub stolen_from: Vec<u64>,
 }
 
-/// Queue gauges of one shard.
+/// Queue gauges of the inbox.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardQueueStats {
-    /// Messages currently queued.
+    /// Batches currently queued.
     pub depth: u64,
     /// High-water depth since spawn.
     pub max_depth: u64,
@@ -298,27 +231,14 @@ mod tests {
         let m = SchedMetrics::new(2);
         // A mismatched dequeue on an empty queue must not wrap to
         // u64::MAX.
-        m.dequeued(0);
+        m.dequeued();
         assert_eq!(m.snapshot().per_shard[0].depth, 0);
-        m.enqueued(0);
-        m.dequeued(0);
-        m.dequeued(0);
+        m.enqueued();
+        m.dequeued();
+        m.dequeued();
         let snap = m.snapshot();
         assert_eq!(snap.per_shard[0].depth, 0);
         assert_eq!(snap.per_shard[0].max_depth, 1);
-    }
-
-    #[test]
-    fn underflowed_gauge_does_not_poison_victim_selection() {
-        let m = SchedMetrics::new(3);
-        // Shard 0 underflows; shard 2 has real backlog. The thief (shard
-        // 1) must pick the real backlog, not a wrapped-around shard 0.
-        m.dequeued(0);
-        m.enqueued(2);
-        assert_eq!(m.deepest_backlog(1), Some(2));
-        // No backlog anywhere: no victim, rather than the underflowed one.
-        m.dequeued(2);
-        assert_eq!(m.deepest_backlog(1), None);
     }
 
     #[test]
@@ -326,14 +246,14 @@ mod tests {
         let registry = MetricsRegistry::new();
         let m = SchedMetrics::registered(2, &registry);
         m.routed_batches.add(3);
-        m.enqueued(1);
-        m.beat(0);
-        m.beat(0);
-        assert_eq!(m.heartbeat_of(0), 2);
+        m.enqueued();
+        m.beat(1);
+        m.beat(1);
         let text = registry.render_text();
         assert!(text.contains("imp_sched_routed_batches 3"));
-        assert!(text.contains("imp_sched_heartbeat{shard=\"0\"} 2"));
-        assert!(text.contains("imp_sched_queue_depth{shard=\"1\"} 1"));
-        assert!(text.contains("imp_sched_max_queue_depth{shard=\"1\"} 1"));
+        assert!(text.contains("imp_sched_heartbeat{worker=\"1\"} 2"));
+        assert!(text.contains("imp_sched_queue_depth 1"));
+        assert!(text.contains("imp_sched_max_queue_depth 1"));
+        assert_eq!(m.snapshot().fanout_messages, 3, "one inbox push per batch");
     }
 }

@@ -7,13 +7,13 @@
 //! query." Updates route to the backend and, under the eager strategy,
 //! trigger incremental maintenance of the affected sketches.
 //!
-//! The sketch store is one [`crate::sched::Scheduler`]: template-hash
-//! shards of stored sketches, each behind a state lock. Queries read
-//! published sketch snapshots; a query whose sketch is stale maintains
-//! that sketch itself, on its own thread, under its shard's state lock.
-//! [`ImpConfig::sched_workers`] only adds help: with `0` (the default)
-//! the caller does all the work, exactly as the paper describes; with
-//! `≥ 1`, shard workers maintain routed deltas beside the query path.
+//! The sketch store is one [`crate::sched::Scheduler`]: the stored
+//! sketches behind one state lock. Queries read published sketch
+//! snapshots; a query whose sketch is stale maintains that sketch itself,
+//! on its own thread, under the state lock. [`ImpConfig::sched_workers`]
+//! only adds help: with `0` (the default) the caller does all the work,
+//! exactly as the paper describes; with `≥ 1`, background workers
+//! maintain routed deltas beside the query path.
 
 use crate::advisor::{
     Advisor, AdvisorParams, AdvisorReport, Lifecycle, SketchCard, SketchKey, UseKind,
@@ -41,7 +41,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct ImpConfig {
     /// Eager or lazy maintenance (§2, §8.5). Lazy: a sketch is maintained
-    /// when a query needs it. Eager: with no shard workers, an update
+    /// when a query needs it. Eager: with no workers, an update
     /// maintains every sketch whose pending delta rows reached the batch
     /// size, on the updating thread; with workers, routing supersedes it
     /// (see [`Self::sched_workers`]).
@@ -83,33 +83,28 @@ pub struct ImpConfig {
     pub allow_unsafe_attributes: bool,
     /// Retain immutable past sketch versions (§2).
     pub retain_sketch_versions: bool,
-    /// Shard workers of the sketch store ([`crate::sched`]). With `0`
-    /// (default) the store has one shard and no threads: the caller does
-    /// all the work — a stale query maintains its own sketch, an update
-    /// touches no sketch state (or, under [`MaintenanceStrategy::Eager`],
-    /// maintains the sketches whose batch filled), and
-    /// [`Imp::tick_maintenance`] sweeps. With `≥ 1`, the store has one
-    /// shard per worker: every update is ingested once per table and
-    /// fanned out to the shards whose sketches reference it, and the
-    /// workers maintain it asynchronously with per-table coalescing
+    /// Background worker threads of the sketch store ([`crate::sched`]).
+    /// With `0` (default) there are none: the caller does all the work —
+    /// a stale query maintains its own sketch, an update touches no
+    /// sketch state (or, under [`MaintenanceStrategy::Eager`], maintains
+    /// the sketches whose batch filled), and [`Imp::tick_maintenance`]
+    /// sweeps. With `N ≥ 1`, every update referenced by a stored sketch
+    /// is ingested once per table into the store's one inbox, and the `N`
+    /// workers claim from it and maintain it asynchronously with
+    /// per-table coalescing, taking turns on the store's one state lock
     /// (superseding the foreground behavior of `strategy`; the
     /// `maintenance` reports of [`ImpResponse::Affected`] are then always
     /// empty). A stale query still maintains its own sketch either way.
+    /// One worker is what the benchmark measures; more share the one lock
+    /// and have not measured faster.
     pub sched_workers: usize,
     /// Scheduler coalescing bound: pending routed delta rows *per table*
-    /// a shard folds into a single maintenance run before flushing.
+    /// a claim folds into a single maintenance run before flushing.
     pub coalesce_budget: usize,
-    /// Work stealing between shard workers (`true` by default): an idle
-    /// worker claims whole coalesced batches from a loaded shard's inbox,
-    /// serialized by the victim's state lock so sketch bits stay
-    /// byte-identical to the owner draining alone (the
-    /// `steal_differential` suite proves it). Set `false` to pin every
-    /// shard's maintenance to its own worker thread.
-    pub work_stealing: bool,
     /// Capacity of the async-ingest staging queue: committed updates
     /// stage their table name here and return immediately, leaving log
-    /// collection and fan-out to the shard workers. `0` disables async
-    /// ingest (updates collect and fan out on the writer's thread); a
+    /// collection to the workers. `0` disables async ingest (updates
+    /// collect on the writer's thread); a
     /// full queue also falls back to that, counted in
     /// [`crate::metrics::SchedStats::backpressure_stalls`].
     pub ingest_queue_cap: usize,
@@ -162,7 +157,6 @@ impl Default for ImpConfig {
             retain_sketch_versions: true,
             sched_workers: 0,
             coalesce_budget: DEFAULT_COALESCE_BUDGET,
-            work_stealing: true,
             ingest_queue_cap: DEFAULT_INGEST_QUEUE_CAP,
             sketch_memory_budget: None,
             advisor: AdvisorParams::default(),
@@ -251,7 +245,7 @@ pub struct StoredSketch {
     /// Everything below [`Lifecycle::Maintained`] is excluded from
     /// proactive maintenance and only brought current on demand.
     pub lifecycle: Lifecycle,
-    /// What the owning shard last published for this sketch: the
+    /// What the store last published for this sketch: the
     /// plan/SQL/tables wrapped in `Arc` once, and
     /// the sketch bits cloned once per *change* — see
     /// [`crate::sched::shard::publish`]. Survives repartitioning (the plan
@@ -329,7 +323,7 @@ pub struct SketchStateView {
 /// constants; the template prefilter of §7.1 narrows to these).
 pub(crate) const MAX_SKETCHES_PER_TEMPLATE: usize = 4;
 
-/// One shard's slice of the sketch store: template → stored candidates.
+/// The sketch store: template → stored candidates.
 pub(crate) type Store = FxHashMap<QueryTemplate, Vec<StoredSketch>>;
 
 /// The IMP system.
@@ -444,7 +438,7 @@ impl Imp {
         self.db.write()
     }
 
-    /// The shared database handle (shard workers and harnesses hold
+    /// The shared database handle (workers and harnesses hold
     /// additional readers).
     pub fn shared_db(&self) -> &Arc<RwLock<Database>> {
         &self.db
@@ -468,8 +462,8 @@ impl Imp {
         self.sched.published_count()
     }
 
-    /// Run `f` on the first sketch stored for `template`, under its
-    /// shard's state lock (tests / inspection). `None` when the template
+    /// Run `f` on the first sketch stored for `template`, under the
+    /// store's state lock (tests / inspection). `None` when the template
     /// has no stored sketch.
     pub fn with_sketch<R>(
         &self,
@@ -482,7 +476,7 @@ impl Imp {
     /// Total heap footprint of all sketch state.
     pub fn store_heap_size(&self) -> usize {
         let mut total = 0;
-        let _ = self.sched.visit(None, false, |store, _| {
+        let _ = self.sched.visit(false, |store, _| {
             total += store
                 .values()
                 .flatten()
@@ -498,7 +492,7 @@ impl Imp {
     /// (the scheduler's differential guarantee).
     pub fn sketch_states(&self) -> Vec<SketchStateView> {
         let mut out = Vec::new();
-        let _ = self.sched.visit(None, false, |store, _| {
+        let _ = self.sched.visit(false, |store, _| {
             for (template, entries) in store.iter() {
                 out.extend(entries.iter().map(|e| SketchStateView {
                     template: template.text().to_string(),
@@ -521,7 +515,7 @@ impl Imp {
         mut apply: impl FnMut(&mut StoredSketch) -> usize,
     ) -> usize {
         let mut total = 0;
-        let _ = self.sched.visit(template, true, |store, _| {
+        let _ = self.sched.visit(true, |store, _| {
             total += match template {
                 Some(t) => store.get_mut(t).into_iter().flatten().map(&mut apply).sum(),
                 None => store.values_mut().flatten().map(&mut apply).sum::<usize>(),
@@ -564,7 +558,7 @@ impl Imp {
     /// simply update the ranges and recapture sketches").
     pub fn repartition_all(&mut self) -> Result<usize> {
         let mut recaptured = 0;
-        self.sched.visit(None, true, |store, db| {
+        self.sched.visit(true, |store, db| {
             recaptured += repartition_store(store, db, &self.config)?;
             Ok(())
         })?;
@@ -584,7 +578,7 @@ impl Imp {
     /// records)`.
     pub fn vacuum(&mut self) -> (usize, usize) {
         let mut horizons: FxHashMap<String, u64> = FxHashMap::default();
-        let _ = self.sched.visit(None, false, |store, _| {
+        let _ = self.sched.visit(false, |store, _| {
             for (table, version) in table_horizons(store.values().flatten()) {
                 let v = horizons.entry(table).or_insert(version);
                 *v = (*v).min(version);
@@ -600,7 +594,7 @@ impl Imp {
     /// Summaries of all stored sketches (the store view of paper Fig. 2).
     pub fn describe_sketches(&self) -> Vec<SketchSummary> {
         let mut out = Vec::new();
-        let _ = self.sched.visit(None, false, |store, db| {
+        let _ = self.sched.visit(false, |store, db| {
             for (template, entries) in store.iter() {
                 out.extend(entries.iter().map(|e| summarize(template, e, db)));
             }
@@ -628,10 +622,10 @@ impl Imp {
         self.sched.maintain_stale()
     }
 
-    /// One background-maintenance tick: without shard workers it
-    /// maintains all stale sketches on this thread; with workers it
-    /// enqueues a maintain-stale sweep on each and returns immediately
-    /// (the workers do the maintenance in parallel, off this thread).
+    /// One background-maintenance tick: without workers it maintains all
+    /// stale sketches on this thread; with workers it nudges one worker
+    /// to sweep and returns immediately, without blocking even while the
+    /// workers are paused (the sweep runs off this thread).
     /// With a [`ImpConfig::sketch_memory_budget`] configured, every tick
     /// also runs one advisor autopilot pass ([`Self::advise`]).
     pub fn tick_maintenance(&mut self) -> Result<usize> {
@@ -653,7 +647,7 @@ impl Imp {
     /// lifecycle ladder (escalating until the store fits the budget), and
     /// promote re-hot demoted sketches back to full maintenance. A no-op
     /// (default report) when no budget is configured. The gather/apply
-    /// steps run on this thread under each shard's state lock.
+    /// steps run on this thread under the store's state lock.
     pub fn advise(&mut self) -> Result<AdvisorReport> {
         let Some(budget) = self.config.sketch_memory_budget else {
             return Ok(AdvisorReport::default());
@@ -709,7 +703,7 @@ impl Imp {
     /// orders.
     fn gather_cards(&self) -> Vec<SketchCard> {
         let mut cards = Vec::new();
-        let _ = self.sched.visit(None, false, |store, _| {
+        let _ = self.sched.visit(false, |store, _| {
             for (template, entries) in store.iter() {
                 cards.extend(entries.iter().map(|e| advisor_card(template, e)));
             }
@@ -721,15 +715,14 @@ impl Imp {
         cards
     }
 
-    /// Apply one planned advisor round to the store (each shard applies
-    /// the actions addressed to its own templates).
+    /// Apply one planned advisor round to the store.
     fn apply_advice(
         &mut self,
         actions: &[crate::advisor::AdviseAction],
     ) -> Result<crate::advisor::ApplyOutcome> {
         let mut outcome = crate::advisor::ApplyOutcome::default();
         let (config, obs, tracker) = (&self.config, &self.obs, self.advisor.tracker());
-        self.sched.visit(None, true, |store, db| {
+        self.sched.visit(true, |store, db| {
             let applied = crate::advisor::autopilot::apply_to_store(
                 store, db, config, obs, tracker, actions,
             )?;
@@ -759,9 +752,9 @@ impl Imp {
                     MaintenanceStrategy::Eager { batch_size } if self.sched.workers() == 0 => {
                         self.maintain_eager(&table, count, batch_size)?
                     }
-                    // Ingest the table's delta once; the router fans it
-                    // out to the shards whose sketches reference it and
-                    // the workers maintain it (no workers: a no-op).
+                    // Ingest the table's delta once into the inbox when a
+                    // sketch references it, and the workers maintain it
+                    // (no workers: a no-op).
                     _ => {
                         self.sched.route(&table);
                         Vec::new()
@@ -788,7 +781,7 @@ impl Imp {
     ) -> Result<Vec<MaintReport>> {
         let mut reports = Vec::new();
         let (config, obs, tracker) = (&self.config, &self.obs, self.advisor.tracker());
-        self.sched.visit(None, true, |store, db| {
+        self.sched.visit(true, |store, db| {
             for (template, entries) in store.iter_mut() {
                 for entry in entries.iter_mut() {
                     if entry.lifecycle != Lifecycle::Maintained
@@ -837,8 +830,8 @@ impl Imp {
     }
 
     /// The (i)/(ii)/(iii) decision of paper Fig. 2. The candidate is read
-    /// from the owning shard's published snapshot, without blocking
-    /// maintenance; only a stale candidate takes the shard's state lock,
+    /// from the published snapshot, without blocking maintenance; only a
+    /// stale candidate takes the store's state lock,
     /// to maintain that one sketch on this thread.
     fn select(&self, sql: &str, template: QueryTemplate, plan: LogicalPlan) -> Result<ImpResponse> {
         // (ii)/(iii): an existing sketch with the same template — the
@@ -1050,7 +1043,7 @@ pub(crate) fn record_run(
     tracker.record_maintenance(SketchKey::new(template.text(), entry.sql.clone()), cost);
 }
 
-/// Recapture every sketch of one shard's `store` with fresh equi-depth
+/// Recapture every sketch of `store` with fresh equi-depth
 /// partitions (§7.4).
 fn repartition_store(store: &mut Store, db: &Database, config: &ImpConfig) -> Result<usize> {
     let templates: Vec<QueryTemplate> = store.keys().cloned().collect();
@@ -1362,7 +1355,7 @@ mod tests {
     impl Imp {
         /// Visit every stored sketch of the settled store.
         pub(crate) fn for_each_stored(&self, f: &mut dyn FnMut(&StoredSketch)) {
-            let _ = self.sched.visit(None, false, |store, _| {
+            let _ = self.sched.visit(false, |store, _| {
                 store.values().flatten().for_each(&mut *f);
                 Ok(())
             });

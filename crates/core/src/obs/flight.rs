@@ -81,24 +81,11 @@ pub enum FlightEvent {
         table: u64,
         /// Delta rows routed.
         rows: u64,
-        /// Distinct destination shards.
-        shards: u64,
     },
-    /// A run was claimed from a shard's inbox by the shard's own worker
-    /// or by a caller draining the store (`worker` = the shard).
+    /// A run was claimed from the inbox by a worker or by a caller
+    /// draining the store (as worker 0).
     Claimed {
-        /// Inbox the run came from.
-        shard: u64,
         /// Claiming worker.
-        worker: u64,
-        /// Batches in the run.
-        batches: u64,
-    },
-    /// A thief claimed a run from another shard's inbox.
-    Stolen {
-        /// Inbox the run came from.
-        shard: u64,
-        /// Thief worker.
         worker: u64,
         /// Batches in the run.
         batches: u64,
@@ -115,10 +102,8 @@ pub enum FlightEvent {
         /// Wall-clock nanoseconds of the run.
         dur_ns: u64,
     },
-    /// A shard published a fresh snapshot onto the board.
+    /// The store published a fresh snapshot onto the board.
     Published {
-        /// Publishing shard.
-        shard: u64,
         /// Sketch entries in the snapshot.
         sketches: u64,
         /// Board epoch after the publish.
@@ -127,13 +112,13 @@ pub enum FlightEvent {
 }
 
 impl FlightEvent {
-    /// Numeric kind tag (stable across releases; 0 means "empty slot").
+    /// Numeric kind tag (stable across releases; 0 means "empty slot",
+    /// 4 was a retired kind).
     fn kind(&self) -> u64 {
         match self {
             FlightEvent::Staged { .. } => 1,
             FlightEvent::Routed { .. } => 2,
             FlightEvent::Claimed { .. } => 3,
-            FlightEvent::Stolen { .. } => 4,
             FlightEvent::Maintained { .. } => 5,
             FlightEvent::Published { .. } => 6,
         }
@@ -145,7 +130,6 @@ impl FlightEvent {
             FlightEvent::Staged { .. } => "staged",
             FlightEvent::Routed { .. } => "routed",
             FlightEvent::Claimed { .. } => "claimed",
-            FlightEvent::Stolen { .. } => "stolen",
             FlightEvent::Maintained { .. } => "maintained",
             FlightEvent::Published { .. } => "published",
         }
@@ -155,32 +139,15 @@ impl FlightEvent {
     fn payload(&self) -> [u64; 4] {
         match *self {
             FlightEvent::Staged { table, queued } => [table, queued, 0, 0],
-            FlightEvent::Routed {
-                table,
-                rows,
-                shards,
-            } => [table, rows, shards, 0],
-            FlightEvent::Claimed {
-                shard,
-                worker,
-                batches,
-            }
-            | FlightEvent::Stolen {
-                shard,
-                worker,
-                batches,
-            } => [shard, worker, batches, 0],
+            FlightEvent::Routed { table, rows } => [table, rows, 0, 0],
+            FlightEvent::Claimed { worker, batches } => [worker, batches, 0, 0],
             FlightEvent::Maintained {
                 template,
                 versions,
                 rows,
                 dur_ns,
             } => [template, versions, rows, dur_ns],
-            FlightEvent::Published {
-                shard,
-                sketches,
-                epoch,
-            } => [shard, sketches, epoch, 0],
+            FlightEvent::Published { sketches, epoch } => [sketches, epoch, 0, 0],
         }
     }
 
@@ -195,17 +162,10 @@ impl FlightEvent {
             2 => FlightEvent::Routed {
                 table: p[0],
                 rows: p[1],
-                shards: p[2],
             },
             3 => FlightEvent::Claimed {
-                shard: p[0],
-                worker: p[1],
-                batches: p[2],
-            },
-            4 => FlightEvent::Stolen {
-                shard: p[0],
-                worker: p[1],
-                batches: p[2],
+                worker: p[0],
+                batches: p[1],
             },
             5 => FlightEvent::Maintained {
                 template: p[0],
@@ -214,9 +174,8 @@ impl FlightEvent {
                 dur_ns: p[3],
             },
             6 => FlightEvent::Published {
-                shard: p[0],
-                sketches: p[1],
-                epoch: p[2],
+                sketches: p[0],
+                epoch: p[1],
             },
             _ => return None,
         })
@@ -227,12 +186,10 @@ impl FlightEvent {
         let p = self.payload();
         let names: [&'static str; 4] = match self {
             FlightEvent::Staged { .. } => ["table", "queued", "", ""],
-            FlightEvent::Routed { .. } => ["table", "rows", "shards", ""],
-            FlightEvent::Claimed { .. } | FlightEvent::Stolen { .. } => {
-                ["shard", "worker", "batches", ""]
-            }
+            FlightEvent::Routed { .. } => ["table", "rows", "", ""],
+            FlightEvent::Claimed { .. } => ["worker", "batches", "", ""],
             FlightEvent::Maintained { .. } => ["template", "versions", "rows", "dur_ns"],
-            FlightEvent::Published { .. } => ["shard", "sketches", "epoch", ""],
+            FlightEvent::Published { .. } => ["sketches", "epoch", "", ""],
         };
         [
             (names[0], p[0]),
@@ -493,7 +450,6 @@ mod tests {
             fr.record(FlightEvent::Routed {
                 table: fid("t"),
                 rows: i,
-                shards: 1,
             });
         }
         let events = fr.events(u64::MAX);
@@ -505,7 +461,6 @@ mod tests {
                 FlightEvent::Routed {
                     table: fid("t"),
                     rows: i as u64,
-                    shards: 1,
                 }
             );
         }
@@ -517,7 +472,6 @@ mod tests {
         let cap = fr.capacity() as u64;
         for i in 0..cap + 17 {
             fr.record(FlightEvent::Published {
-                shard: 0,
                 sketches: i,
                 epoch: i,
             });
@@ -537,7 +491,6 @@ mod tests {
     #[test]
     fn a_lapped_writer_drops_instead_of_tearing() {
         let event = |i: u64| FlightEvent::Published {
-            shard: 0,
             sketches: i,
             epoch: i,
         };
@@ -602,20 +555,10 @@ mod tests {
                 table: 7,
                 queued: 0,
             },
-            FlightEvent::Routed {
-                table: 7,
-                rows: 8,
-                shards: 2,
-            },
+            FlightEvent::Routed { table: 7, rows: 8 },
             FlightEvent::Claimed {
-                shard: 1,
                 worker: 1,
                 batches: 3,
-            },
-            FlightEvent::Stolen {
-                shard: 0,
-                worker: 1,
-                batches: 2,
             },
             FlightEvent::Maintained {
                 template: 9,
@@ -624,7 +567,6 @@ mod tests {
                 dur_ns: 7,
             },
             FlightEvent::Published {
-                shard: 2,
                 sketches: 4,
                 epoch: 11,
             },

@@ -7,12 +7,13 @@
 //! store itself, so a wedged shard cannot wedge its own diagnosis. Four
 //! rule families:
 //!
-//! * **`shard_liveness`** — a shard's `imp_sched_heartbeat` gauge did not
-//!   advance since the previous tick while its `imp_sched_queue_depth`
-//!   was non-zero: the worker is parked, deadlocked, or stuck inside one
-//!   maintain with work waiting.
-//! * **`queue_depth`** — a shard's inbox depth exceeds the configured
-//!   limit (backlog building faster than it drains).
+//! * **`shard_liveness`** — no worker's `imp_sched_heartbeat` gauge
+//!   advanced since the previous tick while `imp_sched_queue_depth` was
+//!   non-zero: every worker is parked, deadlocked, or stuck inside one
+//!   maintain with work waiting. One live worker drains the one inbox,
+//!   so one frozen heartbeat beside an advancing one does not fire.
+//! * **`queue_depth`** — the inbox depth exceeds the configured limit
+//!   (backlog building faster than it drains).
 //! * **`backpressure_stalls`** — the `imp_sched_backpressure_stalls`
 //!   counter advanced by more than the configured delta in one tick
 //!   (writers are being punished inline).
@@ -44,7 +45,7 @@ use super::{Obs, ObsEvent, MAINTAIN_LATENCY};
 pub struct HealthConfig {
     /// Evaluation interval of the ticker thread.
     pub tick: Duration,
-    /// `queue_depth` fires above this many queued batches on one shard.
+    /// `queue_depth` fires above this many queued batches in the inbox.
     pub queue_depth_limit: u64,
     /// `backpressure_stalls` fires when the stall counter advances by at
     /// least this much within one tick.
@@ -200,21 +201,17 @@ impl HealthMonitor {
     pub fn tick(&mut self, samples: &[MetricSample]) -> HealthReport {
         self.tick += 1;
         let mut heartbeats: BTreeMap<String, u64> = BTreeMap::new();
-        let mut depths: BTreeMap<String, u64> = BTreeMap::new();
+        let mut depth = 0u64;
         let mut stalls = 0u64;
         let mut maint = HistSnapshot::empty();
         for s in samples {
             match &s.value {
                 SampleValue::Gauge(v) if s.name == "imp_sched_heartbeat" => {
-                    if let Some(shard) = s.label("shard") {
-                        heartbeats.insert(shard.to_string(), *v);
+                    if let Some(worker) = s.label("worker") {
+                        heartbeats.insert(worker.to_string(), *v);
                     }
                 }
-                SampleValue::Gauge(v) if s.name == "imp_sched_queue_depth" => {
-                    if let Some(shard) = s.label("shard") {
-                        depths.insert(shard.to_string(), *v);
-                    }
-                }
+                SampleValue::Gauge(v) if s.name == "imp_sched_queue_depth" => depth = *v,
                 SampleValue::Counter(v) if s.name == "imp_sched_backpressure_stalls" => {
                     stalls = *v;
                 }
@@ -227,32 +224,29 @@ impl HealthMonitor {
 
         let mut firing = Vec::new();
 
-        // shard_liveness: heartbeat frozen while the inbox holds work.
+        // shard_liveness: every heartbeat frozen while the inbox holds work.
         if let Some(prev) = &self.prev {
-            for (shard, hb) in &heartbeats {
-                let depth = depths.get(shard).copied().unwrap_or(0);
-                if depth > 0 && prev.heartbeats.get(shard) == Some(hb) {
-                    firing.push(FiringRule {
-                        name: "shard_liveness",
-                        detail: format!(
-                            "shard {shard}: heartbeat stuck at {hb} with {depth} queued batch(es)"
-                        ),
-                    });
-                }
+            let frozen = |(worker, hb): (&String, &u64)| prev.heartbeats.get(worker) == Some(hb);
+            if depth > 0 && !heartbeats.is_empty() && heartbeats.iter().all(frozen) {
+                firing.push(FiringRule {
+                    name: "shard_liveness",
+                    detail: format!(
+                        "no heartbeat of {} worker(s) advanced with {depth} queued batch(es)",
+                        heartbeats.len()
+                    ),
+                });
             }
         }
 
         // queue_depth: backlog beyond the limit.
-        for (shard, depth) in &depths {
-            if *depth > self.config.queue_depth_limit {
-                firing.push(FiringRule {
-                    name: "queue_depth",
-                    detail: format!(
-                        "shard {shard}: {depth} queued batches > limit {}",
-                        self.config.queue_depth_limit
-                    ),
-                });
-            }
+        if depth > self.config.queue_depth_limit {
+            firing.push(FiringRule {
+                name: "queue_depth",
+                detail: format!(
+                    "{depth} queued batches > limit {}",
+                    self.config.queue_depth_limit
+                ),
+            });
         }
 
         // backpressure_stalls: stall counter slope.
@@ -443,20 +437,15 @@ mod tests {
     use super::*;
     use crate::obs::registry::MetricsRegistry;
 
-    fn sched_samples(
-        heartbeats: &[(usize, u64)],
-        depths: &[(usize, u64)],
-        stalls: u64,
-    ) -> Vec<MetricSample> {
+    /// Samples of one tick: per-worker heartbeats, the inbox depth, and
+    /// the stall counter.
+    fn sched_samples(heartbeats: &[u64], depth: u64, stalls: u64) -> Vec<MetricSample> {
         let reg = MetricsRegistry::new();
-        for (shard, v) in heartbeats {
-            reg.gauge_with("imp_sched_heartbeat", &[("shard", &shard.to_string())])
+        for (worker, v) in heartbeats.iter().enumerate() {
+            reg.gauge_with("imp_sched_heartbeat", &[("worker", &worker.to_string())])
                 .set(*v);
         }
-        for (shard, v) in depths {
-            reg.gauge_with("imp_sched_queue_depth", &[("shard", &shard.to_string())])
-                .set(*v);
-        }
+        reg.gauge("imp_sched_queue_depth").set(depth);
         reg.counter("imp_sched_backpressure_stalls").add(stalls);
         reg.sample()
     }
@@ -465,24 +454,39 @@ mod tests {
     fn liveness_fires_on_frozen_heartbeat_with_backlog() {
         let mut m = HealthMonitor::new(HealthConfig::default());
         // Tick 1: baseline only, nothing can fire.
-        let r1 = m.tick(&sched_samples(&[(0, 5)], &[(0, 3)], 0));
+        let r1 = m.tick(&sched_samples(&[5], 3, 0));
         assert_eq!(r1.verdict, Verdict::Ok);
         // Tick 2: heartbeat unchanged, inbox non-empty → degraded.
-        let r2 = m.tick(&sched_samples(&[(0, 5)], &[(0, 3)], 0));
+        let r2 = m.tick(&sched_samples(&[5], 3, 0));
         assert_eq!(r2.verdict, Verdict::Degraded);
         assert_eq!(r2.firing[0].name, "shard_liveness");
-        assert!(r2.firing[0].detail.contains("shard 0"));
+        assert!(r2.firing[0].detail.contains("3 queued"));
         // Tick 3: heartbeat advanced → recovered.
-        let r3 = m.tick(&sched_samples(&[(0, 6)], &[(0, 3)], 0));
+        let r3 = m.tick(&sched_samples(&[6], 3, 0));
         assert_eq!(r3.verdict, Verdict::Ok);
+    }
+
+    /// Two workers share the one inbox: one live worker drains it, so a
+    /// frozen heartbeat beside an advancing one is not a wedge; both
+    /// frozen is.
+    #[test]
+    fn liveness_fires_only_when_no_worker_advances() {
+        let mut m = HealthMonitor::new(HealthConfig::default());
+        m.tick(&sched_samples(&[5, 9], 3, 0));
+        let r = m.tick(&sched_samples(&[5, 10], 3, 0));
+        assert_eq!(r.verdict, Verdict::Ok, "{r:?}");
+        let r = m.tick(&sched_samples(&[5, 10], 3, 0));
+        assert_eq!(r.verdict, Verdict::Degraded);
+        assert_eq!(r.firing[0].name, "shard_liveness");
+        assert!(r.firing[0].detail.contains("2 worker(s)"), "{r:?}");
     }
 
     #[test]
     fn liveness_ignores_idle_frozen_workers() {
         let mut m = HealthMonitor::new(HealthConfig::default());
-        m.tick(&sched_samples(&[(0, 5)], &[(0, 0)], 0));
+        m.tick(&sched_samples(&[5], 0, 0));
         // Frozen heartbeat with an *empty* inbox is just an idle worker.
-        let r = m.tick(&sched_samples(&[(0, 5)], &[(0, 0)], 0));
+        let r = m.tick(&sched_samples(&[5], 0, 0));
         assert_eq!(r.verdict, Verdict::Ok);
     }
 
@@ -493,7 +497,7 @@ mod tests {
             ..HealthConfig::default()
         });
         // Fires on the first tick already — no previous state needed.
-        let r = m.tick(&sched_samples(&[(1, 1)], &[(1, 11)], 0));
+        let r = m.tick(&sched_samples(&[1], 11, 0));
         assert_eq!(r.verdict, Verdict::Degraded);
         assert_eq!(r.firing[0].name, "queue_depth");
     }
@@ -504,11 +508,11 @@ mod tests {
             stall_delta_limit: 100,
             ..HealthConfig::default()
         });
-        m.tick(&sched_samples(&[], &[], 1000));
+        m.tick(&sched_samples(&[], 0, 1000));
         // +50 per tick: under the slope limit despite the large total.
-        let r = m.tick(&sched_samples(&[], &[], 1050));
+        let r = m.tick(&sched_samples(&[], 0, 1050));
         assert_eq!(r.verdict, Verdict::Ok);
-        let r = m.tick(&sched_samples(&[], &[], 1200));
+        let r = m.tick(&sched_samples(&[], 0, 1200));
         assert_eq!(r.verdict, Verdict::Degraded);
         assert_eq!(r.firing[0].name, "backpressure_stalls");
     }

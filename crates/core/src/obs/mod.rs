@@ -16,9 +16,9 @@
 //!   ([`Obs::metrics_text`]) and a deterministic JSON snapshot
 //!   ([`Obs::metrics_json`]).
 //! * **[`trace`]** — bounded per-thread span rings instrumenting the full
-//!   pipeline: update staged → router ingest → fan-out → shard
-//!   claim/steal → per-term join maintenance (`nary_delta` / `nary_probe`
-//!   phases) → snapshot publish. Spans carry ids, parent links, and
+//!   pipeline: update staged → router ingest → claim → per-term join
+//!   maintenance (`nary_delta` / `nary_probe` phases) → snapshot
+//!   publish. Spans carry ids, parent links, and
 //!   monotonic timestamps; [`Obs::trace_chrome_json`] renders Chrome
 //!   trace-event JSON loadable in `chrome://tracing`.
 //! * **[`probe`]** — a [`Probe`] subscriber registry emitting typed

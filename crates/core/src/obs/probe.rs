@@ -29,25 +29,12 @@ pub enum ObsEvent {
         table: String,
         /// Delta rows routed out of the collect.
         rows: u64,
-        /// Distinct shards the batches fan out to.
-        shards: usize,
     },
-    /// Batches landed in one shard's inbox.
-    FanOut {
-        /// Destination shard.
-        shard: usize,
-        /// Batches appended (post-coalescing).
-        batches: usize,
-    },
-    /// A batch run was claimed from an inbox.
+    /// A batch run was claimed from the inbox.
     ShardClaim {
-        /// Inbox the run came from.
-        shard: usize,
-        /// Worker that claimed it (differs from `shard` on a steal; a
-        /// caller draining the store claims as the shard's own).
+        /// Worker that claimed it (a caller draining the store claims as
+        /// worker 0).
         worker: usize,
-        /// True when claimed by a thief.
-        stolen: bool,
         /// Batches in the claimed run.
         batches: u64,
     },
@@ -62,10 +49,8 @@ pub enum ObsEvent {
         /// True when the run fell back to recapture.
         recaptured: bool,
     },
-    /// A shard published a fresh snapshot onto the board.
+    /// The store published a fresh snapshot onto the board.
     SnapshotPublish {
-        /// Publishing shard.
-        shard: usize,
         /// Sketch entries in the published snapshot.
         sketches: usize,
     },
@@ -159,9 +144,9 @@ mod tests {
         let hub = ProbeHub::new();
         let probe = Arc::new(CountingProbe(AtomicUsize::new(0)));
         hub.subscribe(Arc::clone(&probe) as Arc<dyn Probe>);
-        hub.emit(|| ObsEvent::FanOut {
-            shard: 0,
-            batches: 1,
+        hub.emit(|| ObsEvent::UpdateStaged {
+            table: "t".to_string(),
+            queued: true,
         });
         hub.emit(|| ObsEvent::QueryAnswered {
             mode: "fresh",

@@ -4,9 +4,9 @@
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap clones of
 //! `Arc`-shared atomics — registration takes the registry lock once, and
 //! every update after that is a relaxed atomic on the shared cell. The
-//! scheduler's [`crate::metrics::SchedMetrics`] counters and per-shard
-//! queue gauges are registered here, so one exposition shows routing,
-//! stealing, backlog depth, and per-template maintain latency together.
+//! scheduler's [`crate::metrics::SchedMetrics`] counters and queue
+//! gauges are registered here, so one exposition shows routing, backlog
+//! depth, and per-template maintain latency together.
 //!
 //! Exports:
 //! * [`MetricsRegistry::render_text`] — Prometheus-style text exposition
@@ -93,7 +93,7 @@ impl Gauge {
 
     /// Subtract 1, saturating at 0: a mismatched decrement must not wrap
     /// the gauge to `u64::MAX` (which would poison consumers like the
-    /// steal path's deepest-backlog victim selection).
+    /// `queue_depth` watchdog).
     #[inline]
     pub fn dec_saturating(&self) {
         let _ = self

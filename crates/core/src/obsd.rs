@@ -18,7 +18,7 @@
 //! | `/metrics.json` | Deterministic JSON snapshot of the registry           |
 //! | `/trace`        | Chrome trace-event JSON of recorded pipeline spans    |
 //! | `/health`       | Watchdog verdict (`503` while degraded), firing rules |
-//! | `/sketches`     | Per-template introspection: lifecycle rung, heap bytes, advisor score, maintain p50/p95/p99, owning shard and its queue depth |
+//! | `/sketches`     | Per-template introspection: lifecycle rung, heap bytes, advisor score, maintain p50/p95/p99; the inbox's queue depth |
 //! | `/flight`       | Flight-recorder dump (`?window_ns=` bounds the window)|
 //!
 //! Starting obsd also starts the [`health`](crate::obs::health) watchdog
@@ -167,82 +167,68 @@ pub(crate) fn start_obsd(
 }
 
 /// Render `/sketches`: one entry per published sketch, joined against a
-/// single registry sample (per-template maintain-latency histograms,
-/// per-shard queue depths) and the workload tracker (advisor score).
+/// single registry sample (per-template maintain-latency histograms, the
+/// inbox's queue depth) and the workload tracker (advisor score).
 fn render_sketches(state: &ObsdState) -> String {
     let mut out = String::from("{\"sketches\":{");
-    let board = &state.board;
-
     let samples = state.obs.registry().sample();
-    let queue_depth = |shard: usize| -> u64 {
-        let shard = shard.to_string();
-        samples
-            .iter()
-            .find(|s| s.name == "imp_sched_queue_depth" && s.label("shard") == Some(&shard))
-            .and_then(|s| s.value.scalar())
-            .unwrap_or(0)
-    };
+    let queue_depth = samples
+        .iter()
+        .find(|s| s.name == "imp_sched_queue_depth")
+        .and_then(|s| s.value.scalar())
+        .unwrap_or(0);
 
+    let snapshot = state.board.read();
     out.push_str("\"epoch\":");
-    out.push_str(&board.epoch().to_string());
-    out.push_str(",\"shards\":");
-    out.push_str(&board.shards().to_string());
+    out.push_str(&snapshot.epoch.to_string());
+    out.push_str(",\"queue_depth\":");
+    out.push_str(&queue_depth.to_string());
     out.push_str(",\"entries\":[");
-    let mut first = true;
-    for shard in 0..board.shards() {
-        let snapshot = board.read(shard);
-        let depth = queue_depth(shard);
-        for sketch in &snapshot.sketches {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let template = sketch.template.text();
-            out.push_str("{\"template\":");
-            json_string(&mut out, template);
-            out.push_str(",\"fid\":");
-            out.push_str(&fid(template).to_string());
-            out.push_str(",\"shard\":");
-            out.push_str(&shard.to_string());
-            out.push_str(",\"queue_depth\":");
-            out.push_str(&depth.to_string());
-            out.push_str(",\"lifecycle\":\"");
-            out.push_str(sketch.lifecycle.label());
-            out.push_str("\",\"state_bytes\":");
-            out.push_str(&sketch.state_bytes.to_string());
-            out.push_str(",\"version\":");
-            out.push_str(&sketch.version.to_string());
-
-            let key = SketchKey::new(template, sketch.sql.as_ref());
-            let score = state
-                .advisor
-                .score(&state.tracker.get(&key), sketch.state_bytes);
-            out.push_str(",\"advisor_score\":");
-            out.push_str(&format!("{score:.3}"));
-
-            out.push_str(",\"maintain_ns\":");
-            let hist = samples.iter().find_map(|s| match &s.value {
-                SampleValue::Histogram(h)
-                    if s.name == MAINTAIN_LATENCY && s.label("template") == Some(template) =>
-                {
-                    Some(h)
-                }
-                _ => None,
-            });
-            match hist {
-                Some(h) => {
-                    out.push_str(&format!(
-                        "{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                        h.count,
-                        h.p50(),
-                        h.p95(),
-                        h.p99()
-                    ));
-                }
-                None => out.push_str("null"),
-            }
-            out.push('}');
+    for (i, sketch) in snapshot.sketches.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        let template = sketch.template.text();
+        out.push_str("{\"template\":");
+        json_string(&mut out, template);
+        out.push_str(",\"fid\":");
+        out.push_str(&fid(template).to_string());
+        out.push_str(",\"lifecycle\":\"");
+        out.push_str(sketch.lifecycle.label());
+        out.push_str("\",\"state_bytes\":");
+        out.push_str(&sketch.state_bytes.to_string());
+        out.push_str(",\"version\":");
+        out.push_str(&sketch.version.to_string());
+
+        let key = SketchKey::new(template, sketch.sql.as_ref());
+        let score = state
+            .advisor
+            .score(&state.tracker.get(&key), sketch.state_bytes);
+        out.push_str(",\"advisor_score\":");
+        out.push_str(&format!("{score:.3}"));
+
+        out.push_str(",\"maintain_ns\":");
+        let hist = samples.iter().find_map(|s| match &s.value {
+            SampleValue::Histogram(h)
+                if s.name == MAINTAIN_LATENCY && s.label("template") == Some(template) =>
+            {
+                Some(h)
+            }
+            _ => None,
+        });
+        match hist {
+            Some(h) => {
+                out.push_str(&format!(
+                    "{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+                    h.count,
+                    h.p50(),
+                    h.p95(),
+                    h.p99()
+                ));
+            }
+            None => out.push_str("null"),
+        }
+        out.push('}');
     }
     out.push_str("]}}");
     out
@@ -266,7 +252,7 @@ mod tests {
         let obs = Obs::new(&ObsConfig::metrics_only());
         ObsdState {
             health: HealthState::new(),
-            board: Arc::new(SnapshotBoard::new(1)),
+            board: Arc::new(SnapshotBoard::new()),
             tracker: Arc::new(WorkloadTracker::new()),
             advisor: AdvisorParams::default(),
             obs,

@@ -1,47 +1,45 @@
-//! Shared shard inboxes, the async-ingest staging queue, and claims.
+//! The sketch store's inbox, the async-ingest staging queue, and claims.
 //!
-//! Routed deltas live in *shared* per-shard state, not in a worker's
-//! private channel:
+//! Routed deltas live in *shared* state, not in a worker's private
+//! channel:
 //!
-//! * **[`ShardSlot`]** — per shard, a FIFO `inbox` of routed
-//!   [`TableDelta`] batches plus the lockable [`ShardState`] (the sketch
-//!   store). Whoever holds the state lock may *claim* a coalesced prefix
-//!   of the inbox and run maintenance — the owning worker usually, an
-//!   idle worker of another shard (a steal), or a caller draining the
-//!   store. Claims are serialized by the state lock and always take a
-//!   version-ordered whole-batch prefix, so however a claim moves between
-//!   threads, every sketch consumes its delta stream in exactly the
-//!   sequential order — the split-invariant arithmetic keeps the bits
-//!   byte-identical (the `steal_differential` suite proves it).
+//! * **[`ShardSlot`]** — the FIFO `inbox` of routed [`TableDelta`]
+//!   batches plus the lockable [`ShardState`] (the sketch store). Whoever
+//!   holds the state lock may *claim* a coalesced prefix of the inbox and
+//!   run maintenance — any worker, or a caller draining the store. Claims
+//!   are serialized by the state lock and always take a version-ordered
+//!   whole-batch prefix, so however claims move between threads, every
+//!   sketch consumes its delta stream in exactly the sequential order —
+//!   the split-invariant arithmetic keeps the bits byte-identical (the
+//!   `sched_differential` suite proves it).
 //! * **Async ingest** — [`SchedShared::stage`] appends the updated
 //!   table's name to a bounded staging queue and returns immediately:
-//!   the writer does not pay for log collection and fan-out. Workers and
-//!   drains empty the staging queue through [`SchedShared::ingest`],
-//!   which collects and fans out **under one router hold** so inbox
-//!   pushes happen in global collect order — the ordering claims rely
-//!   on. A full staging queue falls back to inline ingestion on the
-//!   writer's thread (counted as a backpressure stall), which keeps the
-//!   update path live even while every worker is paused.
+//!   the writer does not pay for log collection. Workers and drains empty
+//!   the staging queue through [`SchedShared::ingest`], which collects
+//!   and pushes **under one router hold** so inbox pushes happen in
+//!   global collect order — the ordering claims rely on. A full staging
+//!   queue falls back to inline ingestion on the writer's thread (counted
+//!   as a backpressure stall), which keeps the update path live even
+//!   while every worker is paused.
 //! * **Hand-over** — a claim maintains its sketches one at a time. When a
-//!   stale query waits for the shard's state lock
-//!   ([`ShardSlot::lock_for_query`]), the claimant hands the lock over
-//!   between two sketches and takes it back once the query is done, so a
-//!   stale query waits for at most the one sketch run in progress, not
-//!   for the whole claim. The claim stays *in flight* meanwhile: no other
-//!   claim starts on the shard, and drains, visits and sweeps wait it out
-//!   ([`ShardSlot::lock_settled`]), so every sketch still consumes routed
-//!   batches in inbox order.
+//!   stale query waits for the state lock ([`ShardSlot::lock_for_query`]),
+//!   the claimant hands the lock over between two sketches and takes it
+//!   back once the query is done, so a stale query waits for at most the
+//!   one sketch run in progress, not for the whole claim. The claim stays
+//!   *in flight* meanwhile: no other claim starts, and drains, visits and
+//!   sweeps wait it out ([`ShardSlot::lock_settled`]), so every sketch
+//!   still consumes routed batches in inbox order.
 //!
 //! Lock order (no cycles): `router → db.read → staging/inbox` on the
 //! ingest side, `state → inbox` on the claim side, `state → db.read`
-//! while maintaining. No thread ever holds two different shards' state
-//! locks, no thread waits for a state lock while it holds the database
-//! lock, and a claimant handing over holds no lock while it waits.
+//! while maintaining. No thread waits for the state lock while it holds
+//! the database lock, and a claimant handing over holds no lock while it
+//! waits.
 
 use crate::advisor::WorkloadTracker;
 use crate::metrics::SchedMetrics;
 use crate::middleware::{ImpConfig, Store};
-use crate::obs::{trace, Obs, ObsEvent};
+use crate::obs::{Obs, ObsEvent};
 use crate::sched::router::{DeltaRouter, TableDelta};
 use crate::sched::shard::{publish, run_claim, ShardMsg};
 use crate::sched::snapshot::SnapshotBoard;
@@ -53,24 +51,26 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// One shard's lockable sketch store. Every access — a caller's
-/// control, a query's claim, a worker's or a thief's routed claim — goes
-/// through the [`ShardSlot::state`] lock, so none races another.
+/// The lockable sketch store. Every access — a caller's control, a
+/// query's claim, a worker's routed claim — goes through the
+/// [`ShardSlot::state`] lock, so none races another.
+#[derive(Default)]
 pub(crate) struct ShardState {
-    /// Template → stored candidates (the shard's slice of the store).
+    /// Template → stored candidates.
     pub(crate) store: Store,
     /// Sticky last error of maintenance no caller waited for (routed
     /// claims, background sweeps); see [`crate::Scheduler::last_error`].
     pub(crate) last_error: Option<String>,
 }
 
-/// One shard: the routed-delta inbox plus the stealable state.
+/// The store's one shard: the routed-delta inbox plus the claimable state.
+#[derive(Default)]
 pub(crate) struct ShardSlot {
     /// FIFO of routed batches, in global collect order (pushes happen
     /// under the router lock). `inbox empty && state lock held && no
-    /// claim in flight` ⇒ no batch is in flight for this shard.
+    /// claim in flight` ⇒ no batch is in flight.
     inbox: Mutex<VecDeque<Arc<TableDelta>>>,
-    /// The shard's store; holding it grants the right to claim.
+    /// The store; holding it grants the right to claim.
     pub(crate) state: Mutex<ShardState>,
     /// A claim handed [`Self::state`] to a stale query between two of its
     /// sketches and has sketches left: no other claim may start. Set and
@@ -129,9 +129,9 @@ impl ShardSlot {
     }
 }
 
-/// Held by a running claim: clears its shard's in-flight mark when the
-/// claim ends — by return, or by a panic, which would otherwise leave
-/// every later drain waiting for the shard forever.
+/// Held by a running claim: clears the in-flight mark when the claim
+/// ends — by return, or by a panic, which would otherwise leave every
+/// later drain waiting forever.
 pub(crate) struct ClaimInFlight<'a>(pub(crate) &'a AtomicBool);
 
 impl Drop for ClaimInFlight<'_> {
@@ -141,7 +141,7 @@ impl Drop for ClaimInFlight<'_> {
 }
 
 /// A claimed, coalesced unit of maintenance work: a whole-batch FIFO
-/// prefix of one shard's inbox, grouped per table for a single
+/// prefix of the inbox, grouped per table for a single
 /// [`crate::maintain::SketchMaintainer::maintain_from`] pass.
 pub(crate) struct Claim {
     /// Table → coalesced batches, in arrival (version) order.
@@ -174,11 +174,11 @@ impl ClaimBuilder {
     }
 }
 
-/// State shared by the scheduler facade and every shard worker:
-/// everything a claim needs, whichever thread runs it.
+/// State shared by the scheduler facade and every worker: everything a
+/// claim needs, whichever thread runs it.
 pub(crate) struct SchedShared {
-    /// One slot per shard.
-    pub(crate) slots: Vec<ShardSlot>,
+    /// The inbox and the store.
+    pub(crate) slot: ShardSlot,
     /// The single ingestion point (log collection + interning).
     router: Mutex<DeltaRouter>,
     /// Async-ingest staging queue: table names awaiting collection.
@@ -187,9 +187,9 @@ pub(crate) struct SchedShared {
     staging_cap: usize,
     /// The backend database (read-locked per maintenance run).
     pub(crate) db: Arc<RwLock<Database>>,
-    /// Middleware configuration (operator knobs, coalescing, stealing).
+    /// Middleware configuration (operator knobs, coalescing).
     pub(crate) config: ImpConfig,
-    /// Published sketch snapshots, one slot per shard.
+    /// Published sketch snapshots.
     pub(crate) board: Arc<SnapshotBoard>,
     /// Workload tracker (maintenance costs, template evictions).
     pub(crate) tracker: Arc<WorkloadTracker>,
@@ -197,43 +197,34 @@ pub(crate) struct SchedShared {
     pub(crate) metrics: Arc<SchedMetrics>,
     /// Observability hub (spans, latency histograms, probe events).
     pub(crate) obs: Arc<Obs>,
-    /// Worker channel senders, for wake nudges (set once after spawn).
+    /// Worker channel senders, for nudges (set once after spawn).
     wakers: OnceLock<Vec<Sender<ShardMsg>>>,
-    /// Round-robin cursor for [`SchedShared::wake_any`].
+    /// Round-robin cursor for [`SchedShared::nudge`].
     next_wake: AtomicUsize,
 }
 
 impl SchedShared {
-    /// `shards` empty slots over `db`, with the scheduler counters
-    /// registered in `obs`'s registry.
+    /// An empty store over `db`, with the scheduler counters of
+    /// `config.sched_workers` workers registered in `obs`'s registry.
     pub(crate) fn new(
-        shards: usize,
         db: Arc<RwLock<Database>>,
         config: &ImpConfig,
         tracker: Arc<WorkloadTracker>,
         obs: Arc<Obs>,
     ) -> SchedShared {
         SchedShared {
-            slots: (0..shards)
-                .map(|_| ShardSlot {
-                    inbox: Mutex::new(VecDeque::new()),
-                    state: Mutex::new(ShardState {
-                        store: FxHashMap::default(),
-                        last_error: None,
-                    }),
-                    claim_in_flight: AtomicBool::new(false),
-                    waiting: AtomicUsize::new(0),
-                    handed_over: AtomicU64::new(0),
-                })
-                .collect(),
+            slot: ShardSlot::default(),
             router: Mutex::new(DeltaRouter::new()),
             staging: Mutex::new(VecDeque::new()),
             staging_cap: config.ingest_queue_cap,
             db,
             config: config.clone(),
-            board: Arc::new(SnapshotBoard::new(shards)),
+            board: Arc::new(SnapshotBoard::new()),
             tracker,
-            metrics: Arc::new(SchedMetrics::registered(shards, obs.registry())),
+            metrics: Arc::new(SchedMetrics::registered(
+                config.sched_workers,
+                obs.registry(),
+            )),
             obs,
             wakers: OnceLock::new(),
             next_wake: AtomicUsize::new(0),
@@ -245,10 +236,10 @@ impl SchedShared {
         let _ = self.wakers.set(wakers);
     }
 
-    /// Register `shard`'s interest in `tables` with the router.
-    pub(crate) fn register(&self, tables: &[String], shard: usize) {
+    /// Register interest in `tables` with the router.
+    pub(crate) fn register(&self, tables: &[String]) {
         let mut router = self.router.lock();
-        router.register(&self.db.read(), tables, shard);
+        router.register(&self.db.read(), tables);
     }
 
     /// Stage `table` for asynchronous ingestion. Returns `false` when the
@@ -279,7 +270,7 @@ impl SchedShared {
 
     /// Drain the staging queue (and collect `extra`, when given) under
     /// **one** router hold: every staged table is collected from the log
-    /// and fanned out before the hold ends, so "staging empty" is only
+    /// and pushed before the hold ends, so "staging empty" is only
     /// observable once all its pushes have landed — the property
     /// [`crate::Scheduler::drain`] relies on.
     ///
@@ -288,55 +279,33 @@ impl SchedShared {
     /// batch while version 2 belongs to a still-staged table. Join
     /// maintenance is only split-invariant across version-contiguous
     /// runs, so interleaved batches must never land in different claims.
-    /// Two rules enforce that: all of a drain's batches for one shard
-    /// are pushed under a **single inbox hold** (a concurrent claim sees
-    /// the whole group or none of it), and [`SchedShared::claim`] extends
-    /// to version closure over the inbox. Staged-but-uncollected updates
-    /// cannot interleave with a drain's batches: the staging queue is
-    /// drained to empty under the router hold, and the middleware's
-    /// single-writer update path stages each commit before the next one
-    /// can produce a higher version.
+    /// Two rules enforce that: all of a drain's batches are pushed under a
+    /// **single inbox hold** (a concurrent claim sees the whole group or
+    /// none of it), and [`SchedShared::claim`] extends to version closure
+    /// over the inbox. Staged-but-uncollected updates cannot interleave
+    /// with a drain's batches: the staging queue is drained to empty under
+    /// the router hold, and the middleware's single-writer update path
+    /// stages each commit before the next one can produce a higher
+    /// version.
     pub(crate) fn ingest(&self, extra: Option<&str>) {
         let _span = self.obs.span("router_ingest");
         let mut router = self.router.lock();
         let db = self.db.read();
-        let mut collected: Vec<(Arc<TableDelta>, Vec<usize>)> = Vec::new();
+        let mut collected: Vec<Arc<TableDelta>> = Vec::new();
         loop {
             let Some(table) = self.staging.lock().pop_front() else {
                 break;
             };
-            if let Some(c) = self.collect(&mut router, &db, &table) {
-                collected.push(c);
-            }
+            collected.extend(self.collect(&mut router, &db, &table));
         }
         if let Some(table) = extra {
-            if let Some(c) = self.collect(&mut router, &db, table) {
-                collected.push(c);
-            }
+            collected.extend(self.collect(&mut router, &db, table));
         }
         if collected.is_empty() {
             return;
         }
-        let _fanout = trace::span("fanout");
-        let mut per_shard: Vec<Vec<Arc<TableDelta>>> =
-            (0..self.slots.len()).map(|_| Vec::new()).collect();
-        for (delta, shards) in collected {
-            for shard in shards {
-                self.metrics.fanout_messages.inc();
-                per_shard[shard].push(Arc::clone(&delta));
-            }
-        }
-        for (shard, batches) in per_shard.into_iter().enumerate() {
-            if batches.is_empty() {
-                continue;
-            }
-            self.obs.emit(|| ObsEvent::FanOut {
-                shard,
-                batches: batches.len(),
-            });
-            self.inbox_push_group(shard, batches);
-            self.wake(shard);
-        }
+        self.inbox_push_group(collected);
+        self.nudge(ShardMsg::Wake);
     }
 
     /// Collect `table`'s unrouted log suffix (caller holds the router).
@@ -345,47 +314,45 @@ impl SchedShared {
         router: &mut DeltaRouter,
         db: &Database,
         table: &str,
-    ) -> Option<(Arc<TableDelta>, Vec<usize>)> {
-        let (delta, shards) = router.collect(db, table)?;
+    ) -> Option<Arc<TableDelta>> {
+        let delta = router.collect(db, table)?;
         self.metrics.routed_batches.inc();
         self.metrics.routed_rows.add(delta.entries.len() as u64);
         self.obs.flight().record(crate::obs::FlightEvent::Routed {
             table: crate::obs::flight::fid(&delta.table),
             rows: delta.entries.len() as u64,
-            shards: shards.len() as u64,
         });
         self.obs.emit(|| ObsEvent::RouterIngest {
             table: delta.table.clone(),
             rows: delta.entries.len() as u64,
-            shards: shards.len(),
         });
-        Some((delta, shards))
+        Some(delta)
     }
 
-    /// Push one drain's routed batches into `shard`'s inbox under a
-    /// single hold (claims must see the group whole — see
-    /// [`SchedShared::ingest`]), counting coalescing (a same-table batch
-    /// already queued will fold into one run).
-    fn inbox_push_group(&self, shard: usize, batches: Vec<Arc<TableDelta>>) {
-        let mut inbox = self.slots[shard].inbox.lock();
+    /// Push one drain's routed batches into the inbox under a single hold
+    /// (claims must see the group whole — see [`SchedShared::ingest`]),
+    /// counting coalescing (a same-table batch already queued will fold
+    /// into one run).
+    fn inbox_push_group(&self, batches: Vec<Arc<TableDelta>>) {
+        let mut inbox = self.slot.inbox.lock();
         for batch in batches {
             if inbox.iter().any(|b| b.table == batch.table) {
                 self.metrics.coalesced_batches.inc();
             }
             inbox.push_back(batch);
-            self.metrics.enqueued(shard);
+            self.metrics.enqueued();
         }
     }
 
-    /// True iff `shard`'s inbox has queued batches (lock-cheap peek).
-    pub(crate) fn has_work(&self, shard: usize) -> bool {
-        !self.slots[shard].inbox.lock().is_empty()
+    /// True iff the inbox has queued batches (lock-cheap peek).
+    pub(crate) fn has_work(&self) -> bool {
+        !self.slot.inbox.lock().is_empty()
     }
 
-    /// Claim a whole-batch FIFO prefix of `shard`'s inbox, stopping once
-    /// any table's claimed rows reach `budget` (that batch is included —
+    /// Claim a whole-batch FIFO prefix of the inbox, stopping once any
+    /// table's claimed rows reach `budget` (that batch is included —
     /// matching the PR 4 gather rule). Same-table batches group into one
-    /// maintenance run. **Caller must hold `shard`'s state lock.**
+    /// maintenance run. **Caller must hold the state lock.**
     ///
     /// After the budget stop the claim extends to **version closure**:
     /// while the next queued batch's first record is below the highest
@@ -399,8 +366,8 @@ impl SchedShared {
     /// group's batches are pushed in order of their first record. (A
     /// batch's `from_version` is its own table's cursor, so it says
     /// nothing about other tables' versions.)
-    pub(crate) fn claim(&self, shard: usize, budget: usize) -> Option<Claim> {
-        let mut inbox = self.slots[shard].inbox.lock();
+    pub(crate) fn claim(&self, budget: usize) -> Option<Claim> {
+        let mut inbox = self.slot.inbox.lock();
         if inbox.is_empty() {
             return None;
         }
@@ -411,7 +378,7 @@ impl SchedShared {
             max_to: 0,
         };
         while let Some(batch) = inbox.pop_front() {
-            self.metrics.dequeued(shard);
+            self.metrics.dequeued();
             if claim.take(batch, budget) {
                 break;
             }
@@ -420,7 +387,7 @@ impl SchedShared {
             .is_some_and(|first| first.version < claim.max_to)
         {
             let batch = inbox.pop_front().expect("front was Some");
-            self.metrics.dequeued(shard);
+            self.metrics.dequeued();
             claim.take(batch, budget);
         }
         Some(Claim {
@@ -429,71 +396,42 @@ impl SchedShared {
         })
     }
 
-    /// Claim one coalesced batch group from `shard`'s inbox and run it —
-    /// maintain, then publish — on the calling thread. `state` is
-    /// `shard`'s lock, held by the caller; the claim may hand it to a
+    /// Claim one coalesced batch group from the inbox and run it —
+    /// maintain, then publish — on the calling thread. `state` is the
+    /// store's lock, held by the caller; the claim may hand it to a
     /// waiting stale query between two sketches (see
-    /// [`ShardSlot::hand_over`]). `worker` is the claimant: `shard` itself
-    /// for its own worker or a caller draining the store on its behalf,
-    /// another shard's worker for a steal. Returns `false` when the inbox
-    /// was empty or another claim is in flight on the shard.
-    pub(crate) fn claim_and_run(
-        &self,
-        shard: usize,
-        state: MutexGuard<'_, ShardState>,
-        worker: usize,
-    ) -> bool {
-        if self.slots[shard].claim_in_flight.load(Ordering::SeqCst) {
+    /// [`ShardSlot::hand_over`]). `worker` is the claimant (a caller
+    /// draining the store claims as worker 0). Returns `false` when the
+    /// inbox was empty or another claim is in flight.
+    pub(crate) fn claim_and_run(&self, state: MutexGuard<'_, ShardState>, worker: usize) -> bool {
+        if self.slot.claim_in_flight.load(Ordering::SeqCst) {
             return false;
         }
-        let Some(claim) = self.claim(shard, self.config.coalesce_budget) else {
+        let Some(claim) = self.claim(self.config.coalesce_budget) else {
             return false;
         };
-        let stolen = worker != shard;
-        if stolen {
-            self.metrics.stole_from(shard, claim.batches);
-        }
-        let (shard_id, worker_id) = (shard as u64, worker as u64);
-        self.obs.flight().record(if stolen {
-            crate::obs::FlightEvent::Stolen {
-                shard: shard_id,
-                worker: worker_id,
-                batches: claim.batches,
-            }
-        } else {
-            crate::obs::FlightEvent::Claimed {
-                shard: shard_id,
-                worker: worker_id,
-                batches: claim.batches,
-            }
-        });
-        self.obs.emit(|| ObsEvent::ShardClaim {
-            shard,
-            worker,
-            stolen,
+        self.obs.flight().record(crate::obs::FlightEvent::Claimed {
+            worker: worker as u64,
             batches: claim.batches,
         });
-        let mut state = run_claim(self, shard, state, &claim.routed);
-        publish(shard, &mut state, &self.board, &self.obs);
+        self.obs.emit(|| ObsEvent::ShardClaim {
+            worker,
+            batches: claim.batches,
+        });
+        let mut state = run_claim(self, state, &claim.routed);
+        publish(&mut state, &self.board, &self.obs);
         true
     }
 
-    /// Nudge `shard`'s worker (edge-triggered; dropped when its message
-    /// queue is already full — it will see the work anyway).
-    pub(crate) fn wake(&self, shard: usize) {
-        if let Some(waker) = self.wakers.get().and_then(|w| w.get(shard)) {
-            let _ = waker.try_send(ShardMsg::Wake);
-        }
-    }
-
-    /// Nudge one worker, round-robin (staged ingest has no target shard
-    /// until collection resolves interest).
-    pub(crate) fn wake_any(&self) {
-        if self.slots.is_empty() {
+    /// Send `msg` to one worker, round-robin, without blocking: dropped
+    /// when that worker's message queue is full — it will see queued work
+    /// anyway, and a sweep already queued covers the next one.
+    pub(crate) fn nudge(&self, msg: ShardMsg) {
+        let Some(wakers) = self.wakers.get().filter(|w| !w.is_empty()) else {
             return;
-        }
-        let next = self.next_wake.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        self.wake(next);
+        };
+        let next = self.next_wake.fetch_add(1, Ordering::Relaxed) % wakers.len();
+        let _ = wakers[next].try_send(msg);
     }
 }
 
@@ -504,12 +442,12 @@ mod tests {
     use crate::sched::router::RoutedEntry;
     use imp_storage::row;
 
-    /// One shard's claim builder over an empty database.
+    /// A claim builder over an empty database.
     fn shared() -> SchedShared {
         let db = Arc::new(RwLock::new(Database::new()));
         let tracker = Arc::new(WorkloadTracker::new());
         let obs = Obs::new(&ObsConfig::default());
-        SchedShared::new(1, db, &ImpConfig::default(), tracker, obs)
+        SchedShared::new(db, &ImpConfig::default(), tracker, obs)
     }
 
     /// A routed batch of `table` after its cursor `from`, one row per
@@ -530,7 +468,7 @@ mod tests {
 
     /// Claim sizes (in batches) until the inbox is empty.
     fn claims(shared: &SchedShared, budget: usize) -> Vec<u64> {
-        std::iter::from_fn(|| shared.claim(0, budget).map(|c| c.batches)).collect()
+        std::iter::from_fn(|| shared.claim(budget).map(|c| c.batches)).collect()
     }
 
     /// Table `b`'s cursor (0) is below everything `a` claimed, but its
@@ -538,7 +476,7 @@ mod tests {
     #[test]
     fn other_tables_batches_are_not_pulled_into_a_claim() {
         let shared = shared();
-        shared.inbox_push_group(0, vec![batch("a", 0, &[1]), batch("b", 0, &[2])]);
+        shared.inbox_push_group(vec![batch("a", 0, &[1]), batch("b", 0, &[2])]);
         assert_eq!(claims(&shared, 1), [1, 1]);
     }
 
@@ -547,8 +485,8 @@ mod tests {
     #[test]
     fn an_interleaved_group_is_one_claim() {
         let shared = shared();
-        shared.inbox_push_group(0, vec![batch("a", 0, &[1, 3]), batch("b", 0, &[2])]);
-        shared.inbox_push_group(0, vec![batch("b", 2, &[4])]);
+        shared.inbox_push_group(vec![batch("a", 0, &[1, 3]), batch("b", 0, &[2])]);
+        shared.inbox_push_group(vec![batch("b", 2, &[4])]);
         assert_eq!(claims(&shared, 1), [2, 1]);
     }
 }

@@ -1,75 +1,72 @@
 //! # `imp_core::sched` — the sketch store and its maintenance scheduler
 //!
 //! The paper's middleware maintains *many* sketches against one shared
-//! update stream. This module is its one sketch store: template-hash
-//! shards of stored sketches, each behind a state lock, plus the
-//! machinery that maintains them beside the query path. Whoever holds a
-//! shard's state lock may work on it: a shard worker, an idle worker of
-//! another shard (a steal), or the calling thread itself.
+//! update stream. This module is its one sketch store: the stored
+//! sketches behind one state lock, plus the machinery that maintains them
+//! beside the query path. Whoever holds the state lock may work on the
+//! store: a background worker or the calling thread itself.
 //!
-//! ## Flow: staging → router → shared inboxes → claims → snapshots
+//! ## Flow: staging → router → inbox → claims → snapshot
 //!
 //! ```text
 //!   update ──▶ staging queue ─(drained)─▶ DeltaRouter
-//!                │ (bounded; full ⇒ inline)  │ one collect per
-//!                ▼                           ▼ table, fan out
-//!                              ┌─────────┬─────────┬─────────┐
-//!                              │ inbox 0 │ inbox 1 │ inbox N │
-//!                              └────┬────┴────┬────┴────┬────┘
-//!                                   ▼ claims under a shard's state lock:
-//!                               worker 0  worker 1  worker N (+ steals)
+//!                │ (bounded; full ⇒ inline)  │ one collect per table
+//!                ▼                           ▼
+//!                                        ┌───────┐
+//!                                        │ inbox │
+//!                                        └───┬───┘
+//!                                            ▼ claims under the state lock:
+//!                                   worker 0 … worker N−1 (take turns)
 //!   query ─┬─ fresh: read ──▶ SnapshotBoard ◀── publish ──┘
-//!          └─ stale: lock its shard, maintain its own sketch, publish
+//!          └─ stale: take the state lock, maintain its own sketch, publish
 //! ```
 //!
 //! * **Async ingest** — [`Scheduler::route`] *stages* the updated table
 //!   name on a bounded queue and returns: the writer does not pay for
-//!   log collection or fan-out. Workers drain the staging queue; a full
-//!   queue falls back to inline ingestion on the writer's thread
-//!   (backpressure, counted in
-//!   [`crate::metrics::SchedStats::backpressure_stalls`]).
+//!   log collection. Workers drain the staging queue; a full queue falls
+//!   back to inline ingestion on the writer's thread (backpressure,
+//!   counted in [`crate::metrics::SchedStats::backpressure_stalls`]).
 //! * **[`router::DeltaRouter`]** ingests each table's delta-log suffix
 //!   once, as a shared [`router::TableDelta`] (`Arc` rows via the row
-//!   interner), pushed only into the inboxes of shards whose sketches
-//!   reference the table. Per-record versions make redelivery/overlap
+//!   interner), pushed into the inbox only when a stored sketch
+//!   references the table. Per-record versions make redelivery/overlap
 //!   harmless (receivers skip already-consumed versions).
-//! * **`steal::SchedShared`** holds the per-shard inboxes and stores.
-//!   Each worker drains its own inbox in claimed batches with per-table
-//!   **coalescing** (pending batches for one table merge into a single
-//!   maintenance run, bounded by
-//!   [`crate::middleware::ImpConfig::coalesce_budget`]); an idle worker
-//!   **steals** whole claims from loaded shards (serialized by the
-//!   victim's state lock, so the result stays byte-identical).
-//! * **[`snapshot::SnapshotBoard`]** publishes each shard's sketches as
-//!   immutable, epoch-stamped snapshots after every state change, so the
+//! * **`inbox::SchedShared`** holds the inbox and the store. Workers
+//!   drain the inbox in claimed batches with per-table **coalescing**
+//!   (pending batches for one table merge into a single maintenance run,
+//!   bounded by [`crate::middleware::ImpConfig::coalesce_budget`]). With
+//!   several workers, each claims from the one inbox and they take turns
+//!   on the one state lock. The benchmark measures one worker.
+//! * **[`snapshot::SnapshotBoard`]** publishes the store's sketches as an
+//!   immutable, epoch-stamped snapshot after every state change, so the
 //!   USE/rewrite path reads a fresh sketch without blocking maintenance.
 //! * **Caller-side controls.** A query that finds its sketch stale does
-//!   not queue behind the workers' inboxes: it takes the owning shard's
-//!   state lock and maintains *its own* sketch through the fetching path,
-//!   then publishes; routed batches still queued for that sketch become
-//!   version-filtered no-ops. A claim holding the lock hands it over
-//!   between two of its sketches, so the query waits for at most the one
-//!   sketch run in progress. Captures, inspections, admin and advisor
-//!   passes and [`Scheduler::drain`] likewise run on the calling thread,
-//!   each under a shard's state lock; all but captures and lock-only
-//!   reads wait out a claim that handed the lock over. The lock order is
-//!   a worker's: state lock, then the database read lock.
+//!   not queue behind the inbox: it takes the state lock and maintains
+//!   *its own* sketch through the fetching path, then publishes; routed
+//!   batches still queued for that sketch become version-filtered no-ops.
+//!   A claim holding the lock hands it over between two of its sketches,
+//!   so the query waits for at most the one sketch run in progress.
+//!   Captures, inspections, admin and advisor passes and
+//!   [`Scheduler::drain`] likewise run on the calling thread under the
+//!   state lock; all but captures and lock-only reads wait out a claim
+//!   that handed the lock over. The lock order is a worker's: state lock,
+//!   then the database read lock.
 //! * **Zero workers** (`sched_workers: 0`, the default) is the same
-//!   store with one shard and no threads: nothing is routed, so an
-//!   update touches no sketch state, and the caller does all the work —
-//!   a stale query maintains its sketch, `tick_maintenance` sweeps.
+//!   store with no threads: nothing is routed, so an update touches no
+//!   sketch state, and the caller does all the work — a stale query
+//!   maintains its sketch, `tick_maintenance` sweeps.
 //!
 //! Maintenance arithmetic is split-invariant (see
 //! [`crate::maintain::SketchMaintainer::maintain_from`]): however the
 //! update stream is chopped into routed batches, coalesced groups, and
-//! stolen claims, sketch bits and maintained versions equal the
-//! zero-worker outcome.
+//! claims, sketch bits and maintained versions equal the zero-worker
+//! outcome.
 
+pub(crate) mod inbox;
 pub mod pool;
 pub mod router;
 pub mod shard;
 pub mod snapshot;
-pub(crate) mod steal;
 
 pub use pool::{PausedShards, ShardPool, SHARD_QUEUE_CAP};
 pub use router::{DeltaRouter, RoutedEntry, TableDelta};
@@ -82,48 +79,37 @@ use crate::middleware::{
     maintain_entry, plan_subsumes, ImpConfig, Store, StoredSketch, MAX_SKETCHES_PER_TEMPLATE,
 };
 use crate::obs::{Obs, ObsEvent};
+use crate::sched::inbox::SchedShared;
 use crate::sched::shard::{maintain_stale, publish, ShardMsg};
-use crate::sched::steal::SchedShared;
 use imp_engine::Database;
 use imp_sketch::SketchSet;
 use imp_sql::{LogicalPlan, QueryTemplate};
 use parking_lot::RwLock;
-use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::sync::Arc;
 
-/// The sketch store: shards + staging + router + worker pool + snapshot
-/// board.
+/// The sketch store: one inbox and state lock + staging + router +
+/// worker pool + snapshot board.
 pub struct Scheduler {
     pool: ShardPool,
     shared: Arc<SchedShared>,
 }
 
 impl Scheduler {
-    /// The store for `config.sched_workers` workers: one shard per
-    /// worker, and one shard with no worker when that is 0.
+    /// The store for `config.sched_workers` background threads (0: none).
     pub(crate) fn new(
         db: Arc<RwLock<Database>>,
         config: &ImpConfig,
         tracker: Arc<WorkloadTracker>,
         obs: Arc<Obs>,
     ) -> Scheduler {
-        let shards = config.sched_workers.max(1);
-        let shared = Arc::new(SchedShared::new(shards, db, config, tracker, obs));
+        let shared = Arc::new(SchedShared::new(db, config, tracker, obs));
         let pool = ShardPool::spawn(config.sched_workers, &shared);
         Scheduler { pool, shared }
     }
 
-    /// Number of shard workers (0: callers do every claim).
+    /// Number of workers (0: callers do every claim).
     pub fn workers(&self) -> usize {
         self.pool.len()
-    }
-
-    /// The shard owning `template` (stable template-hash partitioning).
-    pub fn shard_of(&self, template: &QueryTemplate) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        template.hash(&mut hasher);
-        (hasher.finish() % self.shared.slots.len() as u64) as usize
     }
 
     /// Current scheduler counters.
@@ -142,32 +128,28 @@ impl Scheduler {
         self.shared.board.epoch()
     }
 
-    /// Number of sketches currently published across all shards.
-    /// Snapshots are republished on every count-changing operation, so
-    /// this equals the stored count without taking a state lock.
+    /// Number of sketches currently published. Snapshots are republished
+    /// on every count-changing operation, so this equals the stored count
+    /// without taking the state lock.
     pub fn published_count(&self) -> usize {
-        let board = &self.shared.board;
-        (0..board.shards())
-            .map(|s| board.read(s).sketches.len())
-            .sum()
+        self.shared.board.read().sketches.len()
     }
 
     /// The last error of maintenance no caller waited for (a routed claim
-    /// or a background sweep), from the lowest shard that has one. Sticky:
-    /// it stays reported until a newer error of that shard supersedes it.
+    /// or a background sweep). Sticky: it stays reported until a newer
+    /// error supersedes it.
     pub fn last_error(&self) -> Option<String> {
-        let mut slots = self.shared.slots.iter();
-        slots.find_map(|slot| slot.state.lock().last_error.clone())
+        self.shared.slot.state.lock().last_error.clone()
     }
 
     /// Note that `table` committed an update. Normally this just stages
     /// the table name for asynchronous ingestion (a worker collects the
-    /// delta-log suffix and fans it out); when the staging queue is full
+    /// delta-log suffix into the inbox); when the staging queue is full
     /// — or async ingest is disabled via
     /// [`ImpConfig::ingest_queue_cap`]` = 0` — the delta is ingested
     /// inline on this thread (backpressure, counted as a stall), which
     /// keeps ingestion live even while every worker is paused. With no
-    /// workers nothing would ever drain an inbox, so nothing is routed:
+    /// workers nothing would ever drain the inbox, so nothing is routed:
     /// the update touches no sketch state.
     pub fn route(&self, table: &str) {
         if self.pool.is_empty() {
@@ -189,20 +171,19 @@ impl Scheduler {
             queued,
         });
         if queued {
-            shared.wake_any();
+            shared.nudge(ShardMsg::Wake);
         } else {
             shared.ingest(Some(table));
         }
     }
 
-    /// Store a freshly captured sketch in its owning shard, on the
-    /// calling thread: the sketch is stored and published when this
-    /// returns, so the next query sees it. A template already holding
-    /// [`MAX_SKETCHES_PER_TEMPLATE`] candidates evicts its oldest.
+    /// Store a freshly captured sketch, on the calling thread: the sketch
+    /// is stored and published when this returns, so the next query sees
+    /// it. A template already holding [`MAX_SKETCHES_PER_TEMPLATE`]
+    /// candidates evicts its oldest.
     pub(crate) fn add_sketch(&self, template: QueryTemplate, sketch: StoredSketch) {
-        let shard = self.shard_of(&template);
-        self.shared.register(sketch.maintainer.tables(), shard);
-        let mut state = self.shared.slots[shard].state.lock();
+        self.shared.register(sketch.maintainer.tables());
+        let mut state = self.shared.slot.state.lock();
         if let Some(entries) = state.store.get_mut(&template) {
             if entries.len() >= MAX_SKETCHES_PER_TEMPLATE {
                 let old = entries.remove(0); // evict the oldest candidate
@@ -211,7 +192,7 @@ impl Scheduler {
             }
         }
         state.store.entry(template).or_default().push(sketch);
-        publish(shard, &mut state, &self.shared.board, &self.shared.obs);
+        publish(&mut state, &self.shared.board, &self.shared.obs);
     }
 
     /// The published candidate subsuming `plan`, if any (non-blocking
@@ -221,7 +202,7 @@ impl Scheduler {
         template: &QueryTemplate,
         plan: &LogicalPlan,
     ) -> Option<PublishedSketch> {
-        let snapshot = self.shared.board.read(self.shard_of(template));
+        let snapshot = self.shared.board.read();
         snapshot
             .sketches
             .iter()
@@ -229,22 +210,20 @@ impl Scheduler {
             .cloned()
     }
 
-    /// Paper Fig. 2 (iii) on the calling thread: under the owning shard's
-    /// state lock, bring the candidate subsuming `plan` current through
-    /// the fetching path, publish, and return the report with the fresh
-    /// sketch. Only this sketch is maintained, and the query does not wait
-    /// for the workers' inboxes: routed batches still queued for it become
-    /// version-filtered no-ops. A routed claim holding the lock hands it
-    /// over at its next sketch, so the wait is at most the one sketch run
-    /// in progress. `Ok(None)` when no stored candidate subsumes the plan
-    /// anymore.
+    /// Paper Fig. 2 (iii) on the calling thread: under the state lock,
+    /// bring the candidate subsuming `plan` current through the fetching
+    /// path, publish, and return the report with the fresh sketch. Only
+    /// this sketch is maintained, and the query does not wait for the
+    /// inbox: routed batches still queued for it become version-filtered
+    /// no-ops. A routed claim holding the lock hands it over at its next
+    /// sketch, so the wait is at most the one sketch run in progress.
+    /// `Ok(None)` when no stored candidate subsumes the plan anymore.
     pub(crate) fn maintain_sketch(
         &self,
         template: &QueryTemplate,
         plan: &LogicalPlan,
     ) -> crate::Result<Option<(MaintReport, Arc<SketchSet>)>> {
-        let shard = self.shard_of(template);
-        let mut state = self.shared.slots[shard].lock_for_query();
+        let mut state = self.shared.slot.lock_for_query();
         let mut entries = state.store.get_mut(template).into_iter().flatten();
         let Some(entry) = entries.find(|e| plan_subsumes(&e.plan, plan)) else {
             return Ok(None);
@@ -258,97 +237,80 @@ impl Scheduler {
         };
         let sketch = Arc::new(entry.maintainer.sketch().clone());
         self.shared.metrics.maintain_runs.inc();
-        publish(shard, &mut state, &self.shared.board, &self.shared.obs);
+        publish(&mut state, &self.shared.board, &self.shared.obs);
         Ok(Some((report, sketch)))
     }
 
-    /// Run `f` on the first sketch stored for `template`, under its
-    /// shard's state lock (tests and inspection). `None` when the
-    /// template has no stored sketch.
+    /// Run `f` on the first sketch stored for `template`, under the state
+    /// lock (tests and inspection). `None` when the template has no
+    /// stored sketch.
     pub(crate) fn with_sketch<R>(
         &self,
         template: &QueryTemplate,
         f: impl FnOnce(&StoredSketch) -> R,
     ) -> Option<R> {
-        let state = self.shared.slots[self.shard_of(template)].state.lock();
+        let state = self.shared.slot.state.lock();
         state.store.get(template).and_then(|v| v.first()).map(f)
     }
 
-    /// The shard holding `template`'s candidates, or (`None`) every shard.
-    fn shards(&self, template: Option<&QueryTemplate>) -> Range<usize> {
-        match template {
-            Some(t) => self.shard_of(t)..self.shard_of(t) + 1,
-            None => 0..self.shared.slots.len(),
-        }
-    }
-
-    /// Run `f` over the store of `template`'s shard, or (`None`) of every
-    /// shard, on the calling thread, after a [`Self::drain`] — so `f`
-    /// sees every update routed before the call. Each shard's state lock
-    /// is taken with no claim in flight, and before the database read
-    /// lock, a worker's order; with `publish_after`, the shard is
-    /// republished after `f`. Stops at `f`'s first error.
+    /// Run `f` over the store on the calling thread, after a
+    /// [`Self::drain`] — so `f` sees every update routed before the call.
+    /// The state lock is taken with no claim in flight, and before the
+    /// database read lock, a worker's order; with `publish_after`, the
+    /// store is republished after `f`.
     pub(crate) fn visit(
         &self,
-        template: Option<&QueryTemplate>,
         publish_after: bool,
-        mut f: impl FnMut(&mut Store, &Database) -> crate::Result<()>,
+        f: impl FnOnce(&mut Store, &Database) -> crate::Result<()>,
     ) -> crate::Result<()> {
         self.drain();
-        for shard in self.shards(template) {
-            let mut state = self.shared.slots[shard].lock_settled();
-            let result = f(&mut state.store, &self.shared.db.read());
-            if publish_after {
-                publish(shard, &mut state, &self.shared.board, &self.shared.obs);
-            }
-            result?;
+        let mut state = self.shared.slot.lock_settled();
+        let result = f(&mut state.store, &self.shared.db.read());
+        if publish_after {
+            publish(&mut state, &self.shared.board, &self.shared.obs);
         }
-        Ok(())
+        result
     }
 
-    /// Maintain every stale sketch of every shard on the calling thread,
-    /// after a [`Self::drain`] (queued routed deltas first, in queue
-    /// order, then the fetching path for what is still stale). Reports
-    /// come in shard order; the first error stops the sweep.
+    /// Maintain every stale sketch on the calling thread, after a
+    /// [`Self::drain`] (queued routed deltas first, in queue order, then
+    /// the fetching path for what is still stale). The first error stops
+    /// the sweep.
     pub fn maintain_stale(&self) -> crate::Result<Vec<MaintReport>> {
         self.drain();
         let mut reports = Vec::new();
-        for shard in 0..self.shared.slots.len() {
-            maintain_stale(&self.shared, shard, &mut reports)?;
-        }
+        maintain_stale(&self.shared, &mut reports)?;
         Ok(reports)
     }
 
-    /// Fire-and-forget maintain-stale sweep on every worker (background
-    /// ticks; a no-op without workers).
+    /// Fire-and-forget maintain-stale sweep on one worker (background
+    /// ticks; a no-op without workers). Never blocks: when that worker's
+    /// message queue is full — a paused worker's, say — the sweep is
+    /// dropped, and one already queued covers it.
     pub fn kick_maintenance(&self) {
-        for worker in 0..self.pool.len() {
-            self.pool.send(worker, ShardMsg::MaintainStale);
-        }
+        self.shared.nudge(ShardMsg::MaintainStale);
     }
 
     /// Barrier on the calling thread: ingest everything staged, then
-    /// claim and run every shard's inbox here — a worker's claim loop
-    /// minus the worker, racing the workers for the same state locks.
-    /// Returns once every update routed (or staged) before the call has
-    /// been maintained: each shard's state lock is taken with no claim in
-    /// flight, so a claim another thread runs — one that handed the lock
-    /// to a query included — is waited out. Works while the workers are
-    /// paused.
+    /// claim and run the inbox here — a worker's claim loop minus the
+    /// worker, racing the workers for the same state lock. Returns once
+    /// every update routed (or staged) before the call has been
+    /// maintained: the state lock is taken with no claim in flight, so a
+    /// claim another thread runs — one that handed the lock to a query
+    /// included — is waited out. Works while the workers are paused.
     /// Returns the claims run here.
     pub fn drain(&self) -> usize {
-        self.shared.ingest(None);
+        let shared = &self.shared;
+        shared.ingest(None);
         let mut claims = 0;
-        for (shard, slot) in self.shared.slots.iter().enumerate() {
-            while self.shared.claim_and_run(shard, slot.lock_settled(), shard) {
-                claims += 1;
-            }
+        while shared.claim_and_run(shared.slot.lock_settled(), 0) {
+            claims += 1;
         }
         claims
     }
 
-    /// Park every worker after it finishes its current claim (inboxes
-    /// keep accepting routed batches — the deterministic way to observe
+    /// Park every worker after it finishes its current claim (the inbox
+    /// keeps accepting routed batches — the deterministic way to observe
     /// coalescing and queue depth). Resume by dropping the guard.
     pub fn pause(&self) -> PausedShards {
         self.pool.pause()
@@ -360,8 +322,8 @@ mod tests {
     use super::*;
     use crate::middleware::{capture_stored, choose_partitions, Imp};
     use crate::obs::ObsConfig;
+    use crate::sched::inbox::ShardState;
     use crate::sched::shard::ShardWorker;
-    use crate::sched::steal::ShardState;
     use crossbeam::channel::bounded;
     use imp_storage::{row, DataType, Field, Schema};
     use std::sync::atomic::Ordering;
@@ -380,12 +342,13 @@ mod tests {
         db
     }
 
-    /// A steal, without a clock: two shards and no threads, a backlog
-    /// routed into shard 0 only, and one `work_once` of worker 1 run on
-    /// this thread. There is no worker 0 to race it, so the claim is
-    /// worker 1's, stolen, and attributed to shard 0.
+    /// Two workers, without a clock: no threads, a routed backlog, and
+    /// one `work_once` of worker 1 run on this thread. Worker 0 never
+    /// runs, so the claim is worker 1's: there is no owner, every worker
+    /// claims from the one inbox. The sketch equals the zero-worker
+    /// store's.
     #[test]
-    fn an_idle_worker_steals_a_backlog() {
+    fn any_worker_claims_the_backlog() {
         let config = ImpConfig {
             fragments: 6,
             sched_workers: 2,
@@ -394,7 +357,7 @@ mod tests {
         let db = Arc::new(RwLock::new(seed_db()));
         let obs = Obs::new(&ObsConfig::default());
         let tracker = Arc::new(WorkloadTracker::new());
-        let shared = Arc::new(SchedShared::new(2, Arc::clone(&db), &config, tracker, obs));
+        let shared = Arc::new(SchedShared::new(Arc::clone(&db), &config, tracker, obs));
 
         let template = {
             let imp_sql::Statement::Select(sel) = imp_sql::parse_one(Q).unwrap() else {
@@ -408,8 +371,8 @@ mod tests {
             let pset = choose_partitions(&db, &config, &plan).unwrap().unwrap();
             capture_stored(&db, &config, Q, plan, pset).unwrap().0
         };
-        shared.register(stored.maintainer.tables(), 0);
-        let mut state = shared.slots[0].state.lock();
+        shared.register(stored.maintainer.tables());
+        let mut state = shared.slot.state.lock();
         state.store.entry(template).or_default().push(stored);
         drop(state);
 
@@ -420,14 +383,13 @@ mod tests {
         }
         assert_eq!(shared.metrics.snapshot().per_shard[0].depth, 2);
 
-        let (_tx, rx) = bounded(1);
-        let thief = ShardWorker::new(1, rx, Arc::clone(&shared));
-        assert!(thief.work_once(), "worker 1 found shard 0's backlog");
-        let stats = shared.metrics.snapshot();
-        assert_eq!(stats.steals, 1, "{stats:?}");
-        assert_eq!(stats.stolen_from, vec![1, 0], "{stats:?}");
-        assert_eq!(stats.per_shard[0].depth, 0, "one claim took the backlog");
-        assert!(!thief.work_once(), "nothing left anywhere");
+        let workers: Vec<ShardWorker> = (0..2)
+            .map(|id| ShardWorker::new(id, bounded(1).1, Arc::clone(&shared)))
+            .collect();
+        assert!(workers[1].work_once(), "worker 1 found the backlog");
+        assert_eq!(shared.metrics.snapshot().per_shard[0].depth, 0, "one claim");
+        assert!(!workers[1].work_once(), "nothing left");
+        assert!(!workers[0].work_once(), "nothing left for worker 0 either");
 
         let mut sequential = Imp::new(
             seed_db(),
@@ -441,11 +403,11 @@ mod tests {
             sequential.execute(sql).unwrap();
         }
         sequential.maintain_all_stale().unwrap();
-        let state = shared.slots[0].state.lock();
-        let stolen = state.store.values().flatten().next().unwrap();
+        let state = shared.slot.state.lock();
+        let claimed = state.store.values().flatten().next().unwrap();
         let expected = &sequential.sketch_states()[0];
-        assert_eq!(stolen.maintainer.version(), expected.version);
-        assert_eq!(stolen.maintainer.sketch().bits(), &expected.bits);
+        assert_eq!(claimed.maintainer.version(), expected.version);
+        assert_eq!(claimed.maintainer.sketch().bits(), &expected.bits);
     }
 
     const Q2: &str = "SELECT g, max(v) AS m FROM t GROUP BY g HAVING max(v) > 50";
@@ -460,12 +422,12 @@ mod tests {
         out
     }
 
-    /// The hand-over, without a clock: the zero-worker store (one shard,
-    /// no threads), two sketches, a routed backlog for both, and a stale
+    /// The hand-over, without a clock: the zero-worker store (no
+    /// threads), two sketches, a routed backlog for both, and a stale
     /// query counted as waiting before the claim starts. The claim, run
     /// on a spawned thread, stops after exactly one sketch with the claim
-    /// in flight; in that gap a thief skips the shard and this thread —
-    /// the query — maintains the other sketch. The claim then finishes,
+    /// in flight; in that gap another claimant skips the store and this
+    /// thread — the query — maintains the other sketch. The claim then finishes,
     /// and both sketches equal the zero-worker store's.
     #[test]
     fn a_claim_hands_the_lock_to_a_waiting_query() {
@@ -483,7 +445,7 @@ mod tests {
         imp.execute(Q).unwrap();
         imp.execute(Q2).unwrap();
         let shared = Arc::clone(&imp.scheduler().unwrap().shared);
-        let slot = &shared.slots[0];
+        let slot = &shared.slot;
         for sql in &updates[..2] {
             imp.execute(sql).unwrap();
             shared.ingest(Some("t"));
@@ -493,7 +455,7 @@ mod tests {
         slot.waiting.store(1, Ordering::SeqCst);
         let claimant = std::thread::spawn({
             let shared = Arc::clone(&shared);
-            move || shared.claim_and_run(0, shared.slots[0].state.lock(), 0)
+            move || shared.claim_and_run(shared.slot.state.lock(), 0)
         });
         let handed_over = loop {
             let state = slot.state.lock();
@@ -512,7 +474,7 @@ mod tests {
         // Routed work arriving in the gap waits for the claim in flight.
         imp.execute(updates[2]).unwrap();
         shared.ingest(Some("t"));
-        assert!(!shared.claim_and_run(0, slot.state.lock(), 1), "thief");
+        assert!(!shared.claim_and_run(slot.state.lock(), 1), "second claim");
 
         // This thread is the waiting query: it maintains the other sketch.
         slot.waiting.fetch_sub(1, Ordering::SeqCst);

@@ -1,34 +1,33 @@
 //! Worker-pool lifecycle: spawn, pause/resume, join.
 //!
 //! Routed deltas do not travel through the workers' channels — they live
-//! in the shared per-shard inboxes (`crate::sched::steal`) — and neither
-//! do controls, which run on the calling thread. The channels carry wake
-//! nudges, background sweeps, pause and stop, so they never need to
-//! block the update path: `SHARD_QUEUE_CAP` merely bounds how many
-//! messages can be queued ahead of a worker. A pool may have no workers
-//! at all (`sched_workers: 0`): then callers do every claim.
+//! in the store's shared inbox (`crate::sched::inbox`) — and neither do
+//! controls, which run on the calling thread. The channels carry wake
+//! nudges, background sweeps, pause and stop; nudges and sweeps are sent
+//! without blocking, so `SHARD_QUEUE_CAP` merely bounds how many messages
+//! can be queued ahead of a worker. A pool may have no workers at all
+//! (`sched_workers: 0`): then callers do every claim.
 
+use crate::sched::inbox::SchedShared;
 use crate::sched::shard::{ShardMsg, ShardWorker};
-use crate::sched::steal::SchedShared;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Capacity of each worker's message queue. Wake nudges are dropped (not
-/// blocked) when the queue is full, so a full queue never stalls
-/// ingestion.
+/// Capacity of each worker's message queue. Wake nudges and sweeps are
+/// dropped (not blocked) when the queue is full, so a full queue never
+/// stalls ingestion or a maintenance tick.
 pub const SHARD_QUEUE_CAP: usize = 256;
 
-struct ShardHandle {
+struct WorkerHandle {
     tx: Sender<ShardMsg>,
     handle: Option<JoinHandle<()>>,
 }
 
-/// `N` worker threads, each serving one shard of the sketch store (and,
-/// with work stealing on, helping with any other shard's backlog).
+/// `N` worker threads, all claiming from the sketch store's one inbox.
 pub struct ShardPool {
-    shards: Vec<ShardHandle>,
+    workers: Vec<WorkerHandle>,
     /// Resume senders of outstanding pauses, so dropping the pool while a
     /// [`PausedShards`] guard is still alive unparks the workers instead
     /// of deadlocking the join (sends to already-resumed workers are
@@ -37,20 +36,19 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Spawn `workers` shard threads (worker `i` serves shard `i`) over
-    /// `shared`.
+    /// Spawn `workers` worker threads over `shared`.
     pub(crate) fn spawn(workers: usize, shared: &Arc<SchedShared>) -> ShardPool {
         let mut txs = Vec::with_capacity(workers);
-        let shards = (0..workers)
+        let handles = (0..workers)
             .map(|id| {
                 let (tx, rx) = bounded::<ShardMsg>(SHARD_QUEUE_CAP);
                 txs.push(tx.clone());
                 let worker = ShardWorker::new(id, rx, Arc::clone(shared));
                 let handle = std::thread::Builder::new()
-                    .name(format!("imp-shard-{id}"))
+                    .name(format!("imp-worker-{id}"))
                     .spawn(move || worker.run())
-                    .expect("spawn shard worker");
-                ShardHandle {
+                    .expect("spawn worker");
+                WorkerHandle {
                     tx,
                     handle: Some(handle),
                 }
@@ -58,35 +56,35 @@ impl ShardPool {
             .collect();
         shared.set_wakers(txs);
         ShardPool {
-            shards,
+            workers: handles,
             paused: Mutex::new(Vec::new()),
         }
     }
 
     /// Number of worker threads.
     pub fn len(&self) -> usize {
-        self.shards.len()
+        self.workers.len()
     }
 
     /// True iff the pool has no workers (`sched_workers: 0`).
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.workers.is_empty()
     }
 
     /// Send a message to one worker (blocking while its queue is full).
-    pub(crate) fn send(&self, shard: usize, msg: ShardMsg) {
-        let _ = self.shards[shard].tx.send(msg);
+    fn send(&self, worker: usize, msg: ShardMsg) {
+        let _ = self.workers[worker].tx.send(msg);
     }
 
     /// Park every worker (acked), returning the resume handles.
     pub(crate) fn pause(&self) -> PausedShards {
-        let mut resumes = Vec::with_capacity(self.shards.len());
-        let mut acks = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
+        let mut resumes = Vec::with_capacity(self.workers.len());
+        let mut acks = Vec::with_capacity(self.workers.len());
+        for worker in 0..self.workers.len() {
             let (ack_tx, ack_rx) = bounded::<()>(1);
             let (resume_tx, resume_rx) = bounded::<()>(1);
             self.send(
-                shard,
+                worker,
                 ShardMsg::Pause {
                     ack: ack_tx,
                     resume: resume_rx,
@@ -110,21 +108,20 @@ impl Drop for ShardPool {
         for tx in self.paused.lock().drain(..) {
             let _ = tx.send(());
         }
-        for shard in 0..self.shards.len() {
-            self.send(shard, ShardMsg::Stop);
+        for worker in 0..self.workers.len() {
+            self.send(worker, ShardMsg::Stop);
         }
-        for s in &mut self.shards {
-            if let Some(handle) = s.handle.take() {
+        for w in &mut self.workers {
+            if let Some(handle) = w.handle.take() {
                 let _ = handle.join();
             }
         }
     }
 }
 
-/// Guard returned by [`crate::sched::Scheduler::pause`]: every shard
-/// worker is parked (their inboxes keep filling — the deterministic way
-/// to observe coalescing and queue depth). Dropping the guard resumes
-/// them.
+/// Guard returned by [`crate::sched::Scheduler::pause`]: every worker is
+/// parked (the inbox keeps filling — the deterministic way to observe
+/// coalescing and queue depth). Dropping the guard resumes them.
 pub struct PausedShards {
     resumes: Vec<Sender<()>>,
 }

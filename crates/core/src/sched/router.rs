@@ -3,11 +3,11 @@
 //! The router is the scheduler's single ingestion point: each committed
 //! update is read out of the backend's delta log **once**, interned into
 //! a shared [`TableDelta`] (rows are `Arc`-backed [`Row`]s deduplicated
-//! by a [`RowInterner`], so fan-out ships pointers, not payloads), and
-//! delivered only to the shards whose sketches reference the table. A
-//! table nobody references is never materialised at all.
+//! by a [`RowInterner`], so the inbox holds pointers, not payloads), and
+//! only when a stored sketch references the table. A table nobody
+//! references is never materialised at all.
 //!
-//! Batches carry per-record versions: a shard-side maintainer skips
+//! Batches carry per-record versions: a maintainer skips
 //! entries at or below its own maintained version, so routed batches may
 //! safely overlap history a sketch has already consumed (registration
 //! races, on-demand maintenance overtaking the queue). Per table, the
@@ -15,7 +15,7 @@
 //! increasing version ranges.
 
 use imp_engine::Database;
-use imp_storage::{FxHashMap, Row, RowInterner};
+use imp_storage::{FxHashMap, FxHashSet, Row, RowInterner};
 use std::sync::Arc;
 
 /// One routed change: a shared row payload with signed multiplicity,
@@ -30,8 +30,8 @@ pub struct RoutedEntry {
     pub version: u64,
 }
 
-/// One table's update batch, shared (`Arc`) across every interested
-/// shard. Cheap to ship between threads: entries hold `Arc` rows and
+/// One table's update batch, shared (`Arc`) by every sketch over the
+/// table. Cheap to ship between threads: entries hold `Arc` rows and
 /// plain integers.
 #[derive(Debug)]
 pub struct TableDelta {
@@ -45,16 +45,16 @@ pub struct TableDelta {
     pub entries: Vec<RoutedEntry>,
 }
 
-/// Routes each table's delta-log suffix to the shards that need it.
+/// Routes each table's delta-log suffix into the sketch store's inbox.
 #[derive(Debug, Default)]
 pub struct DeltaRouter {
-    /// Table → shards with at least one sketch referencing it. Interest
-    /// is sticky: a shard that drops its last sketch for a table keeps
-    /// receiving (harmless, version-filtered) batches until restart.
-    interest: FxHashMap<String, Vec<usize>>,
+    /// Tables at least one stored sketch references. Interest is sticky:
+    /// a table whose last sketch is dropped keeps being routed (harmless,
+    /// version-filtered batches) until restart.
+    interest: FxHashSet<String>,
     /// Table → highest version already routed.
     last_routed: FxHashMap<String, u64>,
-    /// Dedupe row payloads once, for all shards. Self-bounding: the
+    /// Dedupe row payloads once, for all sketches. Self-bounding: the
     /// interner flushes its cache when it outgrows
     /// `imp_storage::pool::ROW_INTERNER_LIMIT` distinct rows, so a stream of
     /// fresh inserts cannot pin payloads for the router's lifetime
@@ -68,17 +68,13 @@ impl DeltaRouter {
         DeltaRouter::default()
     }
 
-    /// Register `shard`'s interest in `tables`. The first registration of
-    /// a table starts routing *after* the table's current log tail — the
+    /// Register interest in `tables`. The first registration of a table
+    /// starts routing *after* the table's current log tail — the
     /// registering sketch's capture already covers everything before it.
-    pub fn register(&mut self, db: &Database, tables: &[String], shard: usize) {
+    pub fn register(&mut self, db: &Database, tables: &[String]) {
         for table in tables {
             let key = table.to_ascii_lowercase();
-            let shards = self.interest.entry(key.clone()).or_default();
-            if !shards.contains(&shard) {
-                shards.push(shard);
-                shards.sort_unstable();
-            }
+            self.interest.insert(key.clone());
             self.last_routed.entry(key).or_insert_with(|| {
                 db.table(table)
                     .ok()
@@ -88,21 +84,12 @@ impl DeltaRouter {
         }
     }
 
-    /// Shards currently interested in `table`.
-    pub fn interested(&self, table: &str) -> &[usize] {
-        self.interest
-            .get(&table.to_ascii_lowercase())
-            .map(Vec::as_slice)
-            .unwrap_or_default()
-    }
-
     /// Build the shared batch for `table`'s unrouted log suffix, advancing
     /// the routing cursor. `None` when nobody is interested or nothing new
     /// was logged.
-    pub fn collect(&mut self, db: &Database, table: &str) -> Option<(Arc<TableDelta>, Vec<usize>)> {
+    pub fn collect(&mut self, db: &Database, table: &str) -> Option<Arc<TableDelta>> {
         let key = table.to_ascii_lowercase();
-        let shards = self.interest.get(&key)?.clone();
-        if shards.is_empty() {
+        if !self.interest.contains(&key) {
             return None;
         }
         let from_version = *self.last_routed.get(&key)?;
@@ -121,15 +108,12 @@ impl DeltaRouter {
             });
         }
         self.last_routed.insert(key.clone(), to_version);
-        Some((
-            Arc::new(TableDelta {
-                table: key,
-                from_version,
-                to_version,
-                entries,
-            }),
-            shards,
-        ))
+        Some(Arc::new(TableDelta {
+            table: key,
+            from_version,
+            to_version,
+            entries,
+        }))
     }
 }
 
@@ -165,13 +149,12 @@ mod tests {
         let mut db = db();
         let mut router = DeltaRouter::new();
         db.execute_sql("INSERT INTO t VALUES (2, 20)").unwrap();
-        router.register(&db, &["t".into()], 0);
+        router.register(&db, &["t".into()]);
         // History before registration is covered by the capture.
         assert!(router.collect(&db, "t").is_none());
         db.execute_sql("INSERT INTO t VALUES (3, 30)").unwrap();
         db.execute_sql("DELETE FROM t WHERE k = 1").unwrap();
-        let (batch, shards) = router.collect(&db, "t").unwrap();
-        assert_eq!(shards, vec![0]);
+        let batch = router.collect(&db, "t").unwrap();
         assert_eq!(batch.entries.len(), 2);
         assert_eq!(batch.entries[0].mult, 1);
         assert_eq!(batch.entries[1].mult, -1);
@@ -180,27 +163,29 @@ mod tests {
         assert!(router.collect(&db, "t").is_none());
     }
 
+    /// A second sketch over a routed table registers it again: the
+    /// cursor stays where routing left it, so nothing logged in between
+    /// is skipped.
     #[test]
-    fn fanout_lists_every_interested_shard_once() {
+    fn re_registering_a_table_keeps_its_cursor() {
         let mut db = db();
         let mut router = DeltaRouter::new();
-        router.register(&db, &["t".into()], 2);
-        router.register(&db, &["t".into()], 0);
-        router.register(&db, &["t".into()], 2);
+        router.register(&db, &["t".into()]);
         db.execute_sql("INSERT INTO t VALUES (4, 40)").unwrap();
-        let (_, shards) = router.collect(&db, "t").unwrap();
-        assert_eq!(shards, vec![0, 2]);
+        router.register(&db, &["t".into()]);
+        let batch = router.collect(&db, "t").unwrap();
+        assert_eq!(batch.entries.len(), 1);
     }
 
     #[test]
     fn shared_rows_are_interned_across_batches() {
         let mut db = db();
         let mut router = DeltaRouter::new();
-        router.register(&db, &["t".into()], 0);
+        router.register(&db, &["t".into()]);
         db.execute_sql("INSERT INTO t VALUES (5, 50)").unwrap();
-        let (a, _) = router.collect(&db, "t").unwrap();
+        let a = router.collect(&db, "t").unwrap();
         db.execute_sql("DELETE FROM t WHERE k = 5").unwrap();
-        let (b, _) = router.collect(&db, "t").unwrap();
+        let b = router.collect(&db, "t").unwrap();
         // Same tuple payload → same allocation through the interner.
         assert_eq!(a.entries[0].row.ptr_id(), b.entries[0].row.ptr_id());
     }

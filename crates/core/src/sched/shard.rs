@@ -1,31 +1,27 @@
-//! Shard workers: each claims maintenance work from the shared inboxes,
-//! its own shard's first.
+//! Workers: background threads that claim maintenance work from the
+//! store's one inbox.
 //!
-//! A worker's loop alternates between three duties:
+//! A worker's loop alternates between two duties:
 //!
 //! 1. **Messages** on its own channel: wake nudges, the fire-and-forget
 //!    stale sweep of [`crate::Scheduler::kick_maintenance`], pause and
 //!    stop. Nothing else travels here: every other control — a capture's
 //!    hand-over, a stale query's maintenance, inspection, admin and
 //!    advisor passes, drains — runs on the calling thread under the
-//!    shard's state lock, the way a claim does.
-//! 2. **Own work** — claim a coalesced whole-batch prefix of its own
-//!    inbox (see `crate::sched::steal`) and run one maintenance pass
-//!    over it, one sketch at a time, handing the state lock to a waiting
-//!    stale query between two sketches. Routed batches gathered for the
-//!    same table **coalesce** into one run per sketch (the paper's
-//!    batched-eager maintenance, applied per shard), bounded by
-//!    [`crate::middleware::ImpConfig::coalesce_budget`].
-//! 3. **Stealing** — when its own inbox is empty and
-//!    [`crate::middleware::ImpConfig::work_stealing`] is on, claim from
-//!    another shard's inbox. The victim's state lock serializes the
-//!    claim against every other claimant, so stolen batches are
-//!    processed with the victim's own sketch state, in the victim's
-//!    inbox order — byte-identical to the owner doing the work itself.
+//!    store's state lock, the way a claim does.
+//! 2. **Claims** — claim a coalesced whole-batch prefix of the inbox (see
+//!    `crate::sched::inbox`) and run one maintenance pass over it, one
+//!    sketch at a time, handing the state lock to a waiting stale query
+//!    between two sketches. Routed batches gathered for the same table
+//!    **coalesce** into one run per sketch (the paper's batched-eager
+//!    maintenance), bounded by
+//!    [`crate::middleware::ImpConfig::coalesce_budget`]. With several
+//!    workers, all claim from the one inbox and take turns on the one
+//!    state lock.
 //!
-//! When nothing is queued anywhere the worker blocks on its channel with
-//! a short timeout (`IDLE_WAIT`) — wake nudges make routed work prompt,
-//! the timeout is only the safety net for lost nudges.
+//! When the inbox is empty the worker blocks on its channel with a short
+//! timeout (`IDLE_WAIT`) — wake nudges make routed work prompt, the
+//! timeout is only the safety net for lost nudges.
 //!
 //! Workers never take the middleware lock — they share the database via
 //! `Arc<RwLock<Database>>` read guards and publish results as immutable
@@ -39,9 +35,9 @@ use crate::middleware::{
 };
 use crate::obs::{trace, Obs, ObsEvent};
 use crate::ops::DbAccess;
+use crate::sched::inbox::{ClaimInFlight, SchedShared, ShardState};
 use crate::sched::router::TableDelta;
 use crate::sched::snapshot::{PublishedSketch, SnapshotBoard};
-use crate::sched::steal::{ClaimInFlight, SchedShared, ShardState};
 use crate::Result;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use imp_sql::QueryTemplate;
@@ -53,16 +49,16 @@ use std::time::Duration;
 /// Idle block on the message channel: the safety net behind wake nudges.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
 
-/// Messages a shard worker understands: only work that must run on the
-/// worker's own thread. Routed deltas travel through the shared inboxes
-/// (`crate::sched::steal`), and no message carries a result back: every
+/// Messages a worker understands: only work that must run on the
+/// worker's own thread. Routed deltas travel through the shared inbox
+/// (`crate::sched::inbox`), and no message carries a result back: every
 /// control with a result runs on its caller's thread. (`Pause`'s ack
 /// only confirms that the worker is parked.)
 pub(crate) enum ShardMsg {
     /// Nudge: queued work may exist (staged ingest or a routed batch).
     Wake,
-    /// Maintain every stale sketch of the worker's shard (background
-    /// ticks); an error is parked in the shard's sticky `last_error`.
+    /// Maintain every stale sketch (background ticks); an error is parked
+    /// in the store's sticky `last_error`.
     MaintainStale,
     /// Park the worker until `resume` yields (or its sender drops).
     Pause {
@@ -75,7 +71,7 @@ pub(crate) enum ShardMsg {
     Stop,
 }
 
-/// One shard worker (runs on its own thread, serves shard `id`).
+/// One worker (runs on its own thread; `id` labels its heartbeat).
 pub(crate) struct ShardWorker {
     id: usize,
     rx: Receiver<ShardMsg>,
@@ -87,12 +83,12 @@ impl ShardWorker {
         ShardWorker { id, rx, shared }
     }
 
-    /// The worker loop: messages → own claims → steals → idle block.
+    /// The worker loop: messages → claims → idle block.
     pub(crate) fn run(self) {
         loop {
-            // Liveness heartbeat: the health watchdogs compare this gauge
-            // across ticks — frozen while the inbox is non-empty means
-            // this worker is wedged.
+            // Liveness heartbeat: the health watchdogs compare these gauges
+            // across ticks — all frozen while the inbox is non-empty means
+            // the workers are wedged.
             self.shared.metrics.beat(self.id);
             let mut stop = false;
             while let Ok(msg) = self.rx.try_recv() {
@@ -102,7 +98,7 @@ impl ShardWorker {
                 }
             }
             if !stop {
-                // One unit of maintenance work, own shard first.
+                // One unit of maintenance work.
                 if self.work_once() {
                     continue;
                 }
@@ -116,7 +112,7 @@ impl ShardWorker {
             if stop {
                 // Work queued before Stop is flushed before the thread
                 // exits.
-                while self.work_on(self.id) {}
+                while self.claim() {}
                 break;
             }
         }
@@ -128,7 +124,7 @@ impl ShardWorker {
             ShardMsg::Wake => false,
             ShardMsg::MaintainStale => {
                 // The sweep parks its error in `last_error` itself.
-                let _ = maintain_stale(&self.shared, self.id, &mut Vec::new());
+                let _ = maintain_stale(&self.shared, &mut Vec::new());
                 false
             }
             ShardMsg::Pause { ack, resume } => {
@@ -140,70 +136,44 @@ impl ShardWorker {
         }
     }
 
-    /// One unit of work: staged ingest, then a claim from the own inbox,
-    /// then (with stealing on) a claim from another shard — preferring
-    /// the victim with the deepest inbox backlog (the queue-depth gauges
-    /// of [`crate::SchedMetrics`]), falling back to a round-robin sweep
-    /// when the gauge read was stale or every gauge is zero. Returns
-    /// `false` when there was nothing to do anywhere.
+    /// One unit of work: staged ingest, then a claim. Returns `false`
+    /// when there was nothing to claim.
     pub(crate) fn work_once(&self) -> bool {
         if !self.shared.staging_is_empty() {
             self.shared.ingest(None);
         }
-        if self.work_on(self.id) {
-            return true;
-        }
-        if self.shared.config.work_stealing {
-            if let Some(victim) = self.shared.metrics.deepest_backlog(self.id) {
-                if self.work_on(victim) {
-                    return true;
-                }
-            }
-            let shards = self.shared.slots.len();
-            for offset in 1..shards {
-                if self.work_on((self.id + offset) % shards) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.claim()
     }
 
-    /// Claim and process one coalesced batch group from `shard`'s inbox
-    /// (a steal unless `shard` is this worker's own). Blocks on the
-    /// shard's state lock: under contention the lock serializes claims,
-    /// so claimants interleave whole claims in inbox order. Returns
-    /// `false` when the inbox was empty or another claim is in flight
-    /// there (the shard is skipped).
-    fn work_on(&self, shard: usize) -> bool {
-        if !self.shared.has_work(shard) {
+    /// Claim and process one coalesced batch group from the inbox. Blocks
+    /// on the state lock: under contention the lock serializes claims, so
+    /// claimants interleave whole claims in inbox order. Returns `false`
+    /// when the inbox was empty or another claim is in flight.
+    fn claim(&self) -> bool {
+        if !self.shared.has_work() {
             return false;
         }
         let _span = self.shared.obs.span("shard_claim");
-        let state = self.shared.slots[shard].state.lock();
-        self.shared.claim_and_run(shard, state, self.id)
+        let state = self.shared.slot.state.lock();
+        self.shared.claim_and_run(state, self.id)
     }
 }
 
-/// Maintain every stale [`Lifecycle::Maintained`] sketch of `shard`
-/// through the fetching path, on the calling thread, and republish the
-/// shard if anything changed; advisor-demoted sketches wait for a query
-/// that needs them. Any routed batch still queued for a maintained
-/// sketch becomes a version-filtered no-op. Stops at the first error,
-/// which is also parked in the shard's sticky `last_error`.
-pub(crate) fn maintain_stale(
-    shared: &SchedShared,
-    shard: usize,
-    reports: &mut Vec<MaintReport>,
-) -> Result<()> {
-    let mut state = shared.slots[shard].lock_settled();
+/// Maintain every stale [`Lifecycle::Maintained`] sketch through the
+/// fetching path, on the calling thread, and republish if anything
+/// changed; advisor-demoted sketches wait for a query that needs them.
+/// Any routed batch still queued for a maintained sketch becomes a
+/// version-filtered no-op. Stops at the first error, which is also parked
+/// in the store's sticky `last_error`.
+pub(crate) fn maintain_stale(shared: &SchedShared, reports: &mut Vec<MaintReport>) -> Result<()> {
+    let mut state = shared.slot.lock_settled();
     let before = reports.len();
     let result = sweep_stale(shared, &mut state.store, reports);
     if let Err(e) = &result {
         state.last_error = Some(e.to_string());
     }
     if result.is_err() || reports.len() > before {
-        publish(shard, &mut state, &shared.board, &shared.obs);
+        publish(&mut state, &shared.board, &shared.obs);
     }
     result
 }
@@ -229,19 +199,19 @@ fn sweep_stale(
 }
 
 /// One maintenance run over a claim's coalesced routed batches, one
-/// sketch at a time, on `shard`'s held state lock. Sketches the advisor
+/// sketch at a time, on the held state lock. Sketches the advisor
 /// demoted below [`Lifecycle::Maintained`] are skipped — they are
 /// brought current on demand by the next query that needs them (the
 /// delta log keeps their records; vacuum horizons respect every stored
 /// sketch's maintained version). The claim carries its deltas, so the
 /// database is read-locked per sketch and only from that sketch's first
 /// base-table read ([`DbAccess`]): an update statement does not wait for
-/// a claim that never reads a table. Free function so owner, thief and
+/// a claim that never reads a table. Free function so a worker and a
 /// draining caller run the identical pass.
 ///
-/// Between two sketches the shard is published, so a query reading the
+/// Between two sketches the store is published, so a query reading the
 /// snapshot finds what is done fresh, and the lock goes to a waiting
-/// stale query ([`crate::sched::steal::ShardSlot::hand_over`]): the
+/// stale query ([`crate::sched::inbox::ShardSlot::hand_over`]): the
 /// query waits for at most the one sketch run in progress. A capture may
 /// evict a candidate in that gap, so the claim finds its sketches by
 /// (template, SQL) after each hand-over. A sketch with no routed record
@@ -250,7 +220,6 @@ fn sweep_stale(
 /// no longer in flight.
 pub(crate) fn run_claim<'a>(
     shared: &'a SchedShared,
-    shard: usize,
     mut state: MutexGuard<'a, ShardState>,
     routed: &FxHashMap<String, Vec<Arc<TableDelta>>>,
 ) -> MutexGuard<'a, ShardState> {
@@ -274,12 +243,12 @@ pub(crate) fn run_claim<'a>(
         })
         .collect();
     let (config, obs, tracker) = (&shared.config, &shared.obs, &shared.tracker);
-    let _in_flight = ClaimInFlight(&shared.slots[shard].claim_in_flight);
+    let _in_flight = ClaimInFlight(&shared.slot.claim_in_flight);
     for (i, (template, sql)) in sketches.iter().enumerate() {
         if i > 0 {
             // What is done is published before a query may take over.
-            publish(shard, &mut state, &shared.board, obs);
-            state = shared.slots[shard].hand_over(state);
+            publish(&mut state, &shared.board, obs);
+            state = shared.slot.hand_over(state);
         }
         let ShardState {
             store, last_error, ..
@@ -309,15 +278,15 @@ pub(crate) fn run_claim<'a>(
     state
 }
 
-/// Publish `shard`'s current sketches as an immutable snapshot, at a
+/// Publish the store's current sketches as an immutable snapshot, at a
 /// cost proportional to what changed since the last one: every entry
 /// keeps what it last published, so an entry whose maintained version
 /// (and partition set) did not move republishes the same
 /// `Arc<SketchSet>` — only a changed sketch clones its bits, once — the
 /// plan/SQL/tables are `Arc`-wrapped once per sketch, and `state_bytes`
 /// is an O(1) read of running totals. Free function so whoever holds the
-/// shard's state lock — a worker, a thief, a caller — publishes it.
-pub(crate) fn publish(shard: usize, state: &mut ShardState, board: &SnapshotBoard, obs: &Obs) {
+/// state lock — a worker or a caller — publishes it.
+pub(crate) fn publish(state: &mut ShardState, board: &SnapshotBoard, obs: &Obs) {
     let _span = obs.span("snapshot_publish");
     let sketches: Vec<PublishedSketch> = state
         .store
@@ -346,13 +315,9 @@ pub(crate) fn publish(shard: usize, state: &mut ShardState, board: &SnapshotBoar
         })
         .collect();
     let count = sketches.len();
-    obs.emit(|| ObsEvent::SnapshotPublish {
-        shard,
-        sketches: count,
-    });
-    let epoch = board.publish(shard, sketches);
+    obs.emit(|| ObsEvent::SnapshotPublish { sketches: count });
+    let epoch = board.publish(sketches);
     obs.flight().record(crate::obs::FlightEvent::Published {
-        shard: shard as u64,
         sketches: count as u64,
         epoch,
     });

@@ -1,13 +1,13 @@
 //! Versioned published sketch snapshots.
 //!
-//! Shard workers own the live [`crate::middleware::StoredSketch`]s; the
-//! USE/rewrite path of [`crate::middleware::Imp::execute`] must read
-//! fresh sketches *without* blocking maintenance. After every state
-//! change a worker publishes an immutable [`ShardSnapshot`] of its shard
-//! — `Arc`-shared plans and sketch bits, stamped with a monotonically
-//! increasing board epoch — into its slot of the [`SnapshotBoard`].
-//! Readers lock a slot only long enough to clone the `Arc`; writers only
-//! long enough to swap it.
+//! The live [`crate::middleware::StoredSketch`]s sit behind the store's
+//! state lock; the USE/rewrite path of [`crate::middleware::Imp::execute`]
+//! must read fresh sketches *without* blocking maintenance. After every
+//! state change, whoever holds the state lock publishes an immutable
+//! [`ShardSnapshot`] of the store — `Arc`-shared plans and sketch bits,
+//! stamped with a monotonically increasing board epoch — into the
+//! [`SnapshotBoard`]'s one slot. Readers lock the slot only long enough to
+//! clone the `Arc`; writers only long enough to swap it.
 
 use crate::advisor::Lifecycle;
 use imp_sketch::SketchSet;
@@ -39,48 +39,39 @@ pub struct PublishedSketch {
     pub state_bytes: usize,
 }
 
-/// Immutable snapshot of one shard's sketches.
+/// Immutable snapshot of the store's sketches.
 #[derive(Debug, Default)]
 pub struct ShardSnapshot {
     /// Board epoch at publication (0 = never published).
     pub epoch: u64,
-    /// The shard's sketches at that epoch.
+    /// The store's sketches at that epoch.
     pub sketches: Vec<PublishedSketch>,
 }
 
-/// One slot per shard, swapped atomically under a short mutex.
-#[derive(Debug)]
+/// One snapshot slot, swapped atomically under a short mutex.
+#[derive(Debug, Default)]
 pub struct SnapshotBoard {
-    slots: Vec<Mutex<Arc<ShardSnapshot>>>,
+    slot: Mutex<Arc<ShardSnapshot>>,
     epoch: AtomicU64,
 }
 
 impl SnapshotBoard {
-    /// Empty board for `shards` slots.
-    pub fn new(shards: usize) -> SnapshotBoard {
-        SnapshotBoard {
-            slots: (0..shards)
-                .map(|_| Mutex::new(Arc::new(ShardSnapshot::default())))
-                .collect(),
-            epoch: AtomicU64::new(0),
-        }
+    /// Empty board.
+    pub fn new() -> SnapshotBoard {
+        SnapshotBoard::default()
     }
 
-    /// Number of slots.
-    pub fn shards(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Publish `sketches` as `shard`'s new snapshot; returns its epoch.
-    pub fn publish(&self, shard: usize, sketches: Vec<PublishedSketch>) -> u64 {
+    /// Publish `sketches` as the new snapshot; returns its epoch.
+    pub fn publish(&self, sketches: Vec<PublishedSketch>) -> u64 {
+        let mut slot = self.slot.lock();
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        *self.slots[shard].lock() = Arc::new(ShardSnapshot { epoch, sketches });
+        *slot = Arc::new(ShardSnapshot { epoch, sketches });
         epoch
     }
 
-    /// `shard`'s current snapshot (O(1): clones the `Arc`).
-    pub fn read(&self, shard: usize) -> Arc<ShardSnapshot> {
-        Arc::clone(&self.slots[shard].lock())
+    /// The current snapshot (O(1): clones the `Arc`).
+    pub fn read(&self) -> Arc<ShardSnapshot> {
+        Arc::clone(&self.slot.lock())
     }
 
     /// Highest epoch published so far.
@@ -95,14 +86,15 @@ mod tests {
 
     #[test]
     fn publish_bumps_epoch_and_swaps_slot() {
-        let board = SnapshotBoard::new(2);
+        let board = SnapshotBoard::new();
         assert_eq!(board.epoch(), 0);
-        assert_eq!(board.read(0).epoch, 0);
-        let e1 = board.publish(0, Vec::new());
-        let e2 = board.publish(1, Vec::new());
+        assert_eq!(board.read().epoch, 0);
+        let e1 = board.publish(Vec::new());
+        let first = board.read();
+        let e2 = board.publish(Vec::new());
         assert!(e1 < e2);
-        assert_eq!(board.read(0).epoch, e1);
-        assert_eq!(board.read(1).epoch, e2);
+        assert_eq!(first.epoch, e1, "a reader keeps the snapshot it read");
+        assert_eq!(board.read().epoch, e2);
         assert_eq!(board.epoch(), e2);
     }
 }

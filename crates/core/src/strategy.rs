@@ -11,11 +11,10 @@
 //! primitives, e.g., triggering eager maintenance during times of low
 //! resource usage": [`BackgroundMaintainer`] is that primitive — a thread
 //! that periodically ticks maintenance while the system is otherwise
-//! idle. Without shard workers a tick maintains every stale sketch on the
+//! idle. Without workers a tick maintains every stale sketch on the
 //! ticker thread; with a worker pool ([`crate::sched`]) a tick merely
-//! enqueues a maintain-stale sweep on every worker — the workers do the
-//! maintenance in parallel, and the `Imp` lock is held only for the
-//! enqueue.
+//! nudges one worker to sweep — the worker does the maintenance, and the
+//! `Imp` lock is held only for the nudge.
 
 use crate::middleware::Imp;
 use crossbeam::channel::{bounded, tick, Sender};
@@ -56,8 +55,8 @@ impl BackgroundMaintainer {
                     let mut guard = imp.lock();
                     // Best effort: a failure here surfaces on the next
                     // foreground maintenance of the same sketch. With a
-                    // worker pool this only enqueues; the shard workers
-                    // maintain off this thread.
+                    // worker pool this only nudges; a worker maintains
+                    // off this thread.
                     let _ = guard.tick_maintenance();
                 }
             }

@@ -2,10 +2,10 @@
 //! equal the sum of per-sketch `state_bytes` in `describe_sketches()`,
 //! on both backends, across capture / update / evict / restore /
 //! pool-flush / advisor cycles. The two numbers travel different paths
-//! (the heap total sums shard inspection reports; the summaries are
-//! built per sketch), so this guards the accounting against drift. On
-//! the sharded backend a third path joins them: the `state_bytes` a
-//! shard publishes after a claim. (Whether the numbers are *right* —
+//! (the heap total sums an inspection of the store; the summaries are
+//! built per sketch), so this guards the accounting against drift. With
+//! workers a third path joins them: the `state_bytes` the store
+//! publishes after a claim. (Whether the numbers are *right* —
 //! equal to a walk of the live state — is the in-crate `heap_oracle`
 //! suite's job.) Also here: `vacuum()` trims retained sketch versions.
 
@@ -67,29 +67,26 @@ fn assert_consistent(imp: &Imp, context: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// After a drained claim over `table`'s delta, every shard that ran one
-/// has republished: the `state_bytes` it published for the sketches over
-/// `table` are the bytes an inspection barrier reports now.
+/// After a drained claim over `table`'s delta the store has republished:
+/// the `state_bytes` it published for the sketches over `table` are the
+/// bytes an inspection barrier reports now.
 fn assert_published_sizes(imp: &Imp, table: &str) -> Result<(), TestCaseError> {
     let Some(sched) = imp.scheduler() else {
         return Ok(());
     };
     sched.drain();
     let inspected = imp.describe_sketches();
-    let board = sched.board_handle();
-    for shard in 0..board.shards() {
-        for p in &board.read(shard).sketches {
-            if !p.tables.iter().any(|t| t == table) {
-                continue;
-            }
-            let summary = inspected.iter().find(|s| *s.sql == *p.sql);
-            prop_assert_eq!(
-                Some(p.state_bytes),
-                summary.map(|s| s.state_bytes),
-                "published state_bytes != inspected for {}",
-                p.sql
-            );
+    for p in &sched.board_handle().read().sketches {
+        if !p.tables.iter().any(|t| t == table) {
+            continue;
         }
+        let summary = inspected.iter().find(|s| *s.sql == *p.sql);
+        prop_assert_eq!(
+            Some(p.state_bytes),
+            summary.map(|s| s.state_bytes),
+            "published state_bytes != inspected for {}",
+            p.sql
+        );
     }
     Ok(())
 }

@@ -11,7 +11,7 @@
 //!    canonical `NaryJoinOp` (equal signatures) and maintain
 //!    byte-identically batch by batch.
 //! 3. `nary_pool_matches_sequential_store` — the 4-input circuit under
-//!    the scheduler: a 2–4-worker stealing pool (routed deltas) must stay
+//!    the scheduler: a 2–4-worker pool (routed deltas) must stay
 //!    byte-identical to the zero-worker store (the caller maintains
 //!    through the fetching path) while maintaining a 4-table join
 //!    template, proving the per-table version closure keeps all n inputs
@@ -248,7 +248,6 @@ fn imp_config(workers: usize) -> ImpConfig {
         sched_workers: workers,
         coalesce_budget: 2,
         ingest_queue_cap: 2,
-        work_stealing: true,
         ..ImpConfig::default()
     }
 }
@@ -283,7 +282,7 @@ proptest! {
         prop_assert_eq!(par.sketch_count(), 1);
 
         for (round, batch) in ops.chunks(6).enumerate() {
-            // Updates land against a paused pool so shard inboxes hold
+            // Updates land against a paused pool so the inbox holds
             // multi-table backlogs; the claim's per-table version closure
             // must keep all four join inputs on one frontier.
             let paused = par.scheduler().unwrap().pause();

@@ -58,8 +58,8 @@ fn disabled_obs_hot_path_allocates_nothing() {
             obs.query_observed("fresh", 777 + i);
             metrics.routed_batches.inc();
             metrics.routed_rows.add(3);
-            metrics.enqueued(i as usize % 2);
-            metrics.dequeued(i as usize % 2);
+            metrics.enqueued();
+            metrics.dequeued();
         }
     };
     exercise(8);

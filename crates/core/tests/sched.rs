@@ -2,7 +2,8 @@
 //! (`imp_core::sched`): lifecycle through the middleware, deterministic
 //! coalescing under pause, snapshot publication, pool-backed background
 //! maintenance, a stale query that maintains its own sketch while the
-//! workers are parked, and the zero-worker store that routes nothing.
+//! workers are parked, maintenance ticks that never block on parked
+//! workers, and the zero-worker store that routes nothing.
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse, QueryMode};
 use imp_engine::Database;
@@ -82,8 +83,8 @@ fn sharded_lifecycle_capture_use_maintain() {
 #[test]
 fn paused_shards_coalesce_same_table_batches() {
     // Synchronous ingestion (`ingest_queue_cap: 0`): with workers paused,
-    // each insert routes inline into the owning shard's inbox, so queue
-    // depth and coalescing are deterministic.
+    // each insert routes inline into the inbox, so queue depth and
+    // coalescing are deterministic.
     let mut imp = Imp::new(
         seed_db(),
         ImpConfig {
@@ -99,11 +100,11 @@ fn paused_shards_coalesce_same_table_batches() {
         imp.execute(&format!("INSERT INTO t VALUES (2, {})", 50 + i))
             .unwrap();
     }
-    // All four batches sit in the owning shard's queue.
+    // All four batches sit in the inbox.
     let stats = imp.scheduler().unwrap().stats();
     assert_eq!(stats.routed_batches, 4);
     assert!(
-        stats.per_shard.iter().any(|s| s.max_depth >= 4),
+        stats.per_shard[0].max_depth >= 4,
         "queue depth must reflect the parked batches: {stats:?}"
     );
     paused.resume();
@@ -212,7 +213,7 @@ fn background_maintainer_converges_on_sharded_store() {
 
 #[test]
 fn publish_reuses_what_a_claim_did_not_touch() {
-    // One shard, N sketches over N tables: a claim that maintains one of
+    // N sketches over N tables: a claim that maintains one of
     // them republishes the other N−1 as the very same `Arc<SketchSet>`s —
     // publish clones bits only for what changed — and the board's epoch
     // still advances (readers see one consistent new snapshot).
@@ -234,12 +235,12 @@ fn publish_reuses_what_a_claim_did_not_touch() {
         imp.execute(&q).unwrap();
     }
     let board = imp.scheduler().unwrap().board_handle();
-    let before = board.read(0);
+    let before = board.read();
     assert_eq!(before.sketches.len(), TABLES.len());
 
     imp.execute("INSERT INTO p2 VALUES (3, 500)").unwrap();
     imp.scheduler().unwrap().drain();
-    let after = board.read(0);
+    let after = board.read();
     assert!(after.epoch > before.epoch, "a claim publishes a new epoch");
     assert_eq!(after.sketches.len(), TABLES.len());
     for new in &after.sketches {
@@ -261,7 +262,7 @@ fn publish_reuses_what_a_claim_did_not_touch() {
     // Repartitioning keeps versions but retires the bits with the old
     // partition set: nothing may be reused across it.
     assert_eq!(imp.repartition_all().unwrap(), TABLES.len());
-    let repartitioned = board.read(0);
+    let repartitioned = board.read();
     for (old, new) in after.sketches.iter().zip(&repartitioned.sketches) {
         assert!(!Arc::ptr_eq(&old.sketch, &new.sketch));
     }
@@ -276,8 +277,8 @@ fn template_of(sql: &str) -> QueryTemplate {
 
 #[test]
 fn a_stale_query_does_not_wait_for_the_workers() {
-    // Synchronous ingestion, so the update's batch sits in the owning
-    // shard's inbox behind parked workers.
+    // Synchronous ingestion, so the update's batch sits in the inbox
+    // behind parked workers.
     let mut imp = Imp::new(
         seed_db(),
         ImpConfig {
@@ -288,12 +289,9 @@ fn a_stale_query_does_not_wait_for_the_workers() {
     imp.execute(Q).unwrap();
     let paused = imp.scheduler().unwrap().pause();
     imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
-    let depths = |imp: &Imp| -> Vec<u64> {
-        let stats = imp.scheduler().unwrap().stats();
-        stats.per_shard.iter().map(|s| s.depth).collect()
-    };
-    let queued = depths(&imp);
-    assert_eq!(queued.iter().sum::<u64>(), 1, "the routed batch waits");
+    let depth = |imp: &Imp| imp.scheduler().unwrap().stats().per_shard[0].depth;
+    let queued = depth(&imp);
+    assert_eq!(queued, 1, "the routed batch waits");
 
     // The query runs on its own thread: if it waited for a parked
     // worker, it would never answer.
@@ -321,11 +319,40 @@ fn a_stale_query_does_not_wait_for_the_workers() {
     })
     .expect("sketch stored");
     assert_eq!(
-        depths(&imp),
+        depth(&imp),
         queued,
         "the query maintained only its own sketch; the routed batch still waits"
     );
     drop(paused);
+}
+
+/// A maintenance tick never waits for a parked worker: 300 ticks — more
+/// than a worker's message queue holds — return while the pause guard
+/// is alive, and the store converges once the workers resume.
+#[test]
+fn ticks_under_a_pause_do_not_block() {
+    let mut imp = Imp::new(seed_db(), sharded_config(1));
+    imp.execute(Q).unwrap();
+    let paused = imp.scheduler().unwrap().pause();
+    imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
+
+    // The ticks run on their own thread: if one blocked on the parked
+    // worker, they would never finish.
+    let (ticked, done) = std::sync::mpsc::channel();
+    let ticker = std::thread::spawn(move || {
+        for _ in 0..300 {
+            imp.tick_maintenance().unwrap();
+        }
+        let _ = ticked.send(());
+        imp
+    });
+    if let Err(RecvTimeoutError::Timeout) = done.recv_timeout(Duration::from_secs(30)) {
+        panic!("a maintenance tick blocked behind the paused worker");
+    }
+    let mut imp = ticker.join().expect("the tick thread panicked");
+    drop(paused);
+    imp.maintain_all_stale().unwrap();
+    assert!(imp.describe_sketches().iter().all(|s| !s.stale));
 }
 
 #[test]

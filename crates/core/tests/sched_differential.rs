@@ -2,11 +2,11 @@
 //! randomized multi-query, multi-table insert/delete workload runs
 //! through the zero-worker store (`sched_workers = 0`: nothing is routed,
 //! and the caller maintains every sketch through the fetching path) and
-//! through a ≥2-worker `ShardPool` (routed deltas, claimed by workers and
-//! by the caller's drains). After every round both sides must hold
-//! **byte-identical sketch sets and maintained versions** — coalescing,
-//! batch splits, fan-out order, and worker parallelism may change cost,
-//! never results. Eviction/restore cycles are woven in mid-run, and query
+//! through a ≥2-worker `ShardPool` (routed deltas, claimed from the one
+//! inbox by workers and by the caller's drains). After every round both
+//! sides must hold **byte-identical sketch sets and maintained versions**
+//! — coalescing, batch splits, claim interleaving, and worker parallelism
+//! may change cost, never results. Eviction/restore cycles are woven in mid-run, and query
 //! answers through the USE/rewrite path are compared as well.
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};

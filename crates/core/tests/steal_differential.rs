@@ -1,15 +1,17 @@
-//! Differential property test for work stealing and async ingest: a
+//! Differential property test for a skewed backlog and async ingest: a
 //! randomized, *skewed* insert/delete workload (most updates hammer one
-//! hot table, so one shard's inbox backs up while others idle) runs
+//! hot table, so the inbox backs up with one table's batches) runs
 //! through the zero-worker store (the caller maintains every sketch
-//! through the fetching path) and through a steal-enabled 2–4-worker
-//! pool with a tiny staging queue and coalesce budget — claims split
-//! small, steals interleave with owner claims and with the caller's
-//! drains, and staging overflows onto the inline-ingest fallback. After
-//! every round both
-//! sides must hold byte-identical sketch sets and maintained versions,
-//! and answer queries identically. Updates land while the pool is paused
-//! so backlogs deterministically exist for thieves to find on resume.
+//! through the fetching path) and through a 2–4-worker pool with a tiny
+//! staging queue and coalesce budget — claims split small, workers'
+//! claims interleave with one another and with the caller's drains, and
+//! staging overflows onto the inline-ingest fallback. After every round
+//! both sides must hold byte-identical sketch sets and maintained
+//! versions, and answer queries identically. Updates land while the pool
+//! is paused so a backlog deterministically exists for the resumed
+//! workers to race for. (The suite keeps the name it had when idle
+//! workers stole from other shards' inboxes; the pool now has one inbox
+//! that every worker claims from.)
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
 use imp_engine::Database;
@@ -67,12 +69,11 @@ fn config(workers: usize, join_index_budget: Option<usize>) -> ImpConfig {
         sched_workers: workers,
         join_index_budget,
         // Tiny budget: every claim covers at most a couple of batches, so
-        // a backlog takes many claims to drain — steal opportunities.
+        // a backlog takes many claims to drain, and the workers race.
         coalesce_budget: 2,
         // Tiny staging queue: routed updates exercise both the async
         // staging path and the full-queue inline fallback.
         ingest_queue_cap: 2,
-        work_stealing: true,
         ..ImpConfig::default()
     }
 }
@@ -131,9 +132,9 @@ proptest! {
         prop_assert_eq!(par.sketch_count(), 3);
 
         for (round, batch) in ops.chunks(6).enumerate() {
-            // Updates land against a paused pool: the hot shard's inbox
-            // accumulates the whole round before any worker may claim,
-            // so on resume idle workers find a backlog to steal from.
+            // Updates land against a paused pool: the inbox accumulates
+            // the whole round before any worker may claim, so on resume
+            // every worker finds a backlog to claim from.
             let paused = par.scheduler().unwrap().pause();
             for &(skewed, key, delete, val) in batch {
                 let (table, key_col) = pick_table(skewed);
@@ -146,8 +147,8 @@ proptest! {
                 par.execute(&sql).unwrap();
             }
             paused.resume();
-            // Converge both sides: the pool drains staging and inboxes
-            // (owners and thieves racing) behind the control barrier.
+            // Converge both sides: the pool drains staging and the inbox
+            // (workers and the caller's drain racing).
             seq.maintain_all_stale().unwrap();
             par.maintain_all_stale().unwrap();
             prop_assert_eq!(
