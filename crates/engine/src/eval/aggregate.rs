@@ -1,11 +1,26 @@
 //! Batch (non-incremental) grouping and aggregation.
+//!
+//! One kernel, [`Grouping`], serves both feeders: the scan prefix hands it
+//! each batch's columns and selection, a relation over joins hands it its
+//! key and argument columns gathered through the positions, with the
+//! tuples' multiplicities. A batch whose every key and argument is a plain
+//! NULL-free Int or Float column ([`Slice`]) is fed a batch at a time:
+//! first every row becomes a group id, then each aggregate is updated in
+//! one loop over those ids. Any other batch — a computed key or argument, a
+//! Str, Bool or nullable column, a bag source — is fed row by row, every
+//! key and aggregate of a row before the next row, so that the first
+//! expression to fail raises its error as operator-at-a-time evaluation
+//! would. On both paths a row whose key equals the previous row's joins
+//! that row's group without a hash lookup, and both find a key's group by
+//! the same hash and comparison, so batches that take different paths
+//! still form one group per key.
 
 use super::hash_index::{hash_cells, HashIndex};
 use super::{new_row, Bag, ExecStats};
 use crate::error::EngineError;
 use crate::Result;
 use imp_sql::{AggFunc, AggSpec, Expr, SqlError};
-use imp_storage::{Cell, Value};
+use imp_storage::{Cell, ColumnData, Value};
 use std::borrow::Cow;
 
 /// Numeric accumulator that stays integral until it sees a float.
@@ -25,31 +40,40 @@ impl NumAcc {
     /// [`NumAcc::add`] for a cell read straight from a column.
     pub fn add_cell(&mut self, v: Cell<'_>, mult: i64) -> Result<()> {
         match v {
-            Cell::Int(i) => {
-                if self.is_float {
-                    self.float += (i as f64) * mult as f64;
-                } else {
-                    self.int = self
-                        .int
-                        .checked_add(i.checked_mul(mult).ok_or_else(overflow)?)
-                        .ok_or_else(overflow)?;
-                }
-            }
+            Cell::Int(i) => self.add_int(i, mult),
             Cell::Float(f) => {
-                if !self.is_float {
-                    self.float = self.int as f64;
-                    self.is_float = true;
-                }
-                self.float += f * mult as f64;
+                self.add_float(f, mult);
+                Ok(())
             }
-            other => {
-                return Err(EngineError::Execution(format!(
-                    "cannot sum non-numeric value {}",
-                    other.to_value()
-                )))
-            }
+            other => Err(EngineError::Execution(format!(
+                "cannot sum non-numeric value {}",
+                other.to_value()
+            ))),
+        }
+    }
+
+    /// Add `i * mult`; overflow-checked while the sum is integral.
+    #[inline]
+    fn add_int(&mut self, i: i64, mult: i64) -> Result<()> {
+        if self.is_float {
+            self.float += (i as f64) * mult as f64;
+        } else {
+            self.int = self
+                .int
+                .checked_add(i.checked_mul(mult).ok_or_else(overflow)?)
+                .ok_or_else(overflow)?;
         }
         Ok(())
+    }
+
+    /// Add `f * mult`, widening the sum to a float.
+    #[inline]
+    fn add_float(&mut self, f: f64, mult: i64) {
+        if !self.is_float {
+            self.float = self.int as f64;
+            self.is_float = true;
+        }
+        self.float += f * mult as f64;
     }
 
     /// Current value.
@@ -149,6 +173,32 @@ impl AggAcc {
         Ok(())
     }
 
+    /// [`AggAcc::update`] with a non-NULL Int argument.
+    #[inline]
+    fn update_int(&mut self, i: i64, mult: i64) -> Result<()> {
+        match self {
+            AggAcc::Sum { sum, non_null } | AggAcc::Avg { sum, non_null } => {
+                sum.add_int(i, mult)?;
+                *non_null += mult;
+                Ok(())
+            }
+            other => other.update(Some(Cell::Int(i)), mult),
+        }
+    }
+
+    /// [`AggAcc::update`] with a non-NULL Float argument.
+    #[inline]
+    fn update_float(&mut self, f: f64, mult: i64) -> Result<()> {
+        match self {
+            AggAcc::Sum { sum, non_null } | AggAcc::Avg { sum, non_null } => {
+                sum.add_float(f, mult);
+                *non_null += mult;
+                Ok(())
+            }
+            other => other.update(Some(Cell::Float(f)), mult),
+        }
+    }
+
     fn finish(&self) -> Value {
         match self {
             AggAcc::Count { count } => Value::Int(*count),
@@ -213,10 +263,33 @@ impl<'p> Aggregation<'p> {
     }
 }
 
-/// An aggregation fed one input row at a time, wherever the rows live
-/// (column batches, position tuples): a key or argument that is a plain
+/// An Int or Float column without NULLs, as its native slice: where
+/// [`Grouping::add_batch`] reads keys and arguments.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Slice<'c> {
+    Int(&'c [i64]),
+    Float(&'c [f64]),
+}
+
+impl<'c> Slice<'c> {
+    /// `column` as a slice, if it is an Int or Float column without NULLs.
+    pub fn of(column: &'c ColumnData) -> Option<Slice<'c>> {
+        (column.ints().map(Slice::Int)).or_else(|| column.floats().map(Slice::Float))
+    }
+
+    fn cell(self, row: usize) -> Cell<'static> {
+        match self {
+            Slice::Int(v) => Cell::Int(v[row]),
+            Slice::Float(v) => Cell::Float(v[row]),
+        }
+    }
+}
+
+/// An aggregation fed a batch or a row at a time, wherever the rows live
+/// (column batches, position tuples): see the module docs for which path
+/// a batch takes. On the row path a key or argument that is a plain
 /// column is read as a cell, anything else is evaluated. Generic over how
-/// a row is read, so each feeder gets its own loop.
+/// a row is read, so each feeder gets its own loops.
 pub(super) struct Grouping<'a> {
     keys: Vec<Operand<'a>>,
     /// `None`: `count(*)`.
@@ -224,6 +297,8 @@ pub(super) struct Grouping<'a> {
     table: GroupTable,
     /// The values of the computed keys of the current row.
     computed: Vec<Value>,
+    /// The group of each row of the current batch.
+    ids: Vec<usize>,
 }
 
 impl<'a> Grouping<'a> {
@@ -240,7 +315,91 @@ impl<'a> Grouping<'a> {
                 ..GroupTable::default()
             },
             computed: vec![Value::Null; group_by.len()],
+            ids: Vec::new(),
         }
+    }
+
+    /// The columns the keys and arguments read, if every one of them is a
+    /// plain column: what [`Grouping::add_batch`] needs slices of.
+    pub fn plain_columns(&self) -> Option<Vec<usize>> {
+        let args = self.args.iter().flatten();
+        let mut columns = (self.keys.iter().chain(args))
+            .map(|operand| match operand {
+                Operand::Column(c) => Some(*c),
+                Operand::Computed(_) => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        columns.sort_unstable();
+        columns.dedup();
+        Some(columns)
+    }
+
+    /// Feed `n` rows a batch at a time: row `i` is row `row(i)` of the
+    /// slices and has multiplicity `mult(i)`. Only if `slice` reads every
+    /// key and argument column as a [`Slice`]; `false`, feeding nothing,
+    /// otherwise — the caller then feeds the rows through
+    /// [`Grouping::add`]. Updating one aggregate after another cannot
+    /// change the outcome here: the only error left is an Int SUM or AVG
+    /// overflowing, and it is the same error whichever raises it.
+    #[inline]
+    pub fn add_batch<'c>(
+        &mut self,
+        n: usize,
+        slice: impl Fn(usize) -> Option<Slice<'c>>,
+        row: impl Fn(usize) -> usize,
+        mult: impl Fn(usize) -> i64,
+    ) -> Result<bool> {
+        let column = |operand: &Operand<'_>| match operand {
+            Operand::Column(c) => slice(*c),
+            Operand::Computed(_) => None,
+        };
+        let Some(keys) = self.keys.iter().map(column).collect::<Option<Vec<_>>>() else {
+            return Ok(false);
+        };
+        let args = self.args.iter().map(|arg| match arg {
+            None => Some(None),
+            Some(operand) => column(operand).map(Some),
+        });
+        let Some(args) = args.collect::<Option<Vec<_>>>() else {
+            return Ok(false);
+        };
+        #[cfg(test)]
+        super::tests::TYPED_BATCHES.with(|b| b.set(b.get() + 1));
+        let (table, ids) = (&mut self.table, &mut self.ids);
+        ids.clear();
+        match keys[..] {
+            // A single Int key is compared natively along its runs.
+            [Slice::Int(keys)] => {
+                let mut run = table.last_int();
+                ids.extend((0..n).map(|i| {
+                    let key = keys[row(i)];
+                    match run {
+                        Some((last, group)) if last == key => group,
+                        _ => {
+                            let group = table.lookup(|_| Cell::Int(key));
+                            run = Some((key, group));
+                            group
+                        }
+                    }
+                }));
+            }
+            _ => ids.extend((0..n).map(|i| table.group(|k| keys[k].cell(row(i))))),
+        }
+        let per_group = table.funcs.len();
+        for (agg, arg) in args.into_iter().enumerate() {
+            let acc = |i: usize| ids[i] * per_group + agg;
+            let accs = &mut table.accs;
+            match arg {
+                None => (0..n).try_for_each(|i| accs[acc(i)].update(None, mult(i)))?,
+                Some(Slice::Int(v)) => {
+                    (0..n).try_for_each(|i| accs[acc(i)].update_int(v[row(i)], mult(i)))?
+                }
+                Some(Slice::Float(v)) => {
+                    (0..n).try_for_each(|i| accs[acc(i)].update_float(v[row(i)], mult(i)))?
+                }
+            }
+        }
+        Ok(true)
     }
 
     /// Feed one row with multiplicity `mult`: `cell(c)` reads its column
@@ -257,6 +416,7 @@ impl<'a> Grouping<'a> {
             args,
             table,
             computed,
+            ..
         } = self;
         for (slot, key) in computed.iter_mut().zip(keys.iter()) {
             if let Operand::Computed(e) = key {
@@ -288,7 +448,8 @@ impl<'a> Grouping<'a> {
 
 /// The groups of one aggregation. A key is hashed and compared cell by
 /// cell where it lies; only a *new* group copies its key cells into
-/// `keys`. The output rows are the only rows it builds. (Folded into
+/// `keys`. A row whose key equals the last row's joins its group without
+/// hashing. The output rows are the only rows it builds. (Folded into
 /// [`Grouping`], the scan prefix's group loop measured 20 % slower.)
 #[derive(Debug, Default)]
 struct GroupTable {
@@ -301,25 +462,53 @@ struct GroupTable {
     groups: usize,
     /// `funcs.len()` accumulators per group, group after group.
     accs: Vec<AggAcc>,
+    /// The group [`GroupTable::lookup`] found last.
+    last: Option<usize>,
 }
 
 impl GroupTable {
-    /// The group whose key is `key(0), …, key(width - 1)`, created if new.
+    /// The group whose key is `key(0), …, key(width - 1)`, created if new:
+    /// the last group found if its key is that key, else looked up.
     fn group<'k>(&mut self, key: impl Fn(usize) -> Cell<'k>) -> usize {
+        let width = self.width;
+        if let Some(last) = self.last {
+            let stored = &self.keys[last * width..(last + 1) * width];
+            if (0..width).all(|i| key(i) == stored[i].as_cell()) {
+                return last;
+            }
+        }
+        self.lookup(key)
+    }
+
+    /// [`GroupTable::group`] through the hash index.
+    fn lookup<'k>(&mut self, key: impl Fn(usize) -> Cell<'k>) -> usize {
+        #[cfg(test)]
+        super::tests::GROUP_LOOKUPS.with(|n| n.set(n.get() + 1));
         let width = self.width;
         let hash = hash_cells((0..width).map(&key));
         let found = self.index.chain(hash).find(|&group| {
             let stored = &self.keys[group * width..(group + 1) * width];
             (0..width).all(|i| key(i) == stored[i].as_cell())
         });
-        found.unwrap_or_else(|| {
+        let group = found.unwrap_or_else(|| {
             let group = self.groups;
             self.groups += 1;
             self.index.link(hash, group);
             self.keys.extend((0..width).map(|i| key(i).to_value()));
             self.accs.extend(self.funcs.iter().map(|f| AggAcc::new(*f)));
             group
-        })
+        });
+        self.last = Some(group);
+        group
+    }
+
+    /// The last group found and its key, if that is one Int.
+    fn last_int(&self) -> Option<(i64, usize)> {
+        let last = self.last?;
+        match self.keys[last * self.width..(last + 1) * self.width] {
+            [Value::Int(key)] => Some((key, last)),
+            _ => None,
+        }
     }
 
     /// Feed aggregate number `agg` of `group` one input row: its argument
@@ -332,7 +521,7 @@ impl GroupTable {
     /// GROUP BY yields one row even on empty input.
     fn finish(mut self, stats: &mut ExecStats) -> Bag {
         if self.width == 0 && self.groups == 0 {
-            self.group(|_| Cell::Null);
+            self.lookup(|_| Cell::Null);
         }
         stats.agg_groups += self.groups as u64;
         let (width, per_group) = (self.width, self.funcs.len());

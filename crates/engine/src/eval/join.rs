@@ -8,18 +8,21 @@
 //! are the sources' columns side by side, and its output is a list of
 //! expressions over them. A join concatenates position tuples, a filter
 //! keeps tuples, reading the cells its predicate reaches, a projection
-//! rewrites the output expressions, an aggregation feeds the group table
-//! cell by cell; [`Relation::materialize`] builds one row per tuple,
-//! holding the output expressions only.
+//! rewrites the output expressions, an aggregation gathers each key and
+//! argument column once through the positions and hands them, with the
+//! multiplicities, to the group table as one batch (row by row, reading
+//! cells, when a column is not a NULL-free Int or Float column of a scan
+//! prefix); [`Relation::materialize`] builds one row per tuple, holding
+//! the output expressions only.
 
-use super::aggregate::{Aggregation, Grouping, Operand};
+use super::aggregate::{Aggregation, Grouping, Operand, Slice};
 use super::hash_index::{hash_cells, HashIndex};
 use super::scan::{out_of_bounds, ScanPrefix};
 use super::{execute, new_row, Bag, ExecStats};
 use crate::database::Database;
 use crate::Result;
 use imp_sql::{AggSpec, Expr, LogicalPlan, SqlError};
-use imp_storage::{Cell, ColumnData, Value};
+use imp_storage::{Cell, ColumnData, DataType, Value};
 use std::borrow::Cow;
 
 /// Where one source's part of a tuple lives: a batch of the source (a bag
@@ -31,6 +34,21 @@ impl Pos {
     pub fn new(batch: usize, row: usize) -> Pos {
         let narrow = |n| u32::try_from(n).expect("chunks, and rows per chunk or bag, < 2^32");
         Pos(narrow(batch), narrow(row))
+    }
+}
+
+/// A raw column gathered through the positions ([`Relation::gather`]).
+enum Gathered {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+}
+
+impl Gathered {
+    fn slice(&self) -> Slice<'_> {
+        match self {
+            Gathered::Int(v) => Slice::Int(v),
+            Gathered::Float(v) => Slice::Float(v),
+        }
     }
 }
 
@@ -314,10 +332,56 @@ impl<'t> Relation<'t> {
     ) -> Result<Bag> {
         let aggregation = Aggregation::new(group_by, aggs, |e| Cow::Owned(self.over_raw(e)));
         let mut grouping = Grouping::new(&aggregation, self.columns.len());
+        let gathered = grouping.plain_columns().and_then(|columns| {
+            let gathered = columns.into_iter().map(|c| Some((c, self.gather(c)?)));
+            gathered.collect::<Option<Vec<_>>>()
+        });
+        if let Some(gathered) = gathered {
+            let slice = |c| {
+                gathered
+                    .iter()
+                    .find(|(g, _)| *g == c)
+                    .map(|(_, v)| v.slice())
+            };
+            if grouping.add_batch(self.len(), slice, |t| t, |t| self.mults[t])? {
+                return Ok(grouping.finish(stats));
+            }
+        }
         for t in 0..self.len() {
             grouping.add(|c| self.cell(t, c), |c| self.value(t, c), self.mults[t])?;
         }
         Ok(grouping.finish(stats))
+    }
+
+    /// Raw column `c` of every tuple, in tuple order, if its source is a
+    /// scan prefix's batches and the column is NULL-free Int or Float in
+    /// each of them.
+    fn gather(&self, c: usize) -> Option<Gathered> {
+        let (source, column) = self.columns[c];
+        let Source::Batches(batches) = &self.sources[source] else {
+            return None;
+        };
+        let width = self.sources.len();
+        let rows = self.positions.iter().skip(source).step_by(width);
+        fn gather<'p, T: Copy>(
+            batches: &[&[ColumnData]],
+            column: usize,
+            read: fn(&ColumnData) -> Option<&[T]>,
+            rows: impl Iterator<Item = &'p Pos>,
+        ) -> Option<Vec<T>> {
+            let slices = (batches.iter().map(|b| read(&b[column]))).collect::<Option<Vec<_>>>()?;
+            Some(
+                rows.map(|&Pos(batch, row)| slices[batch as usize][row as usize])
+                    .collect(),
+            )
+        }
+        match batches.first()?[column].dtype() {
+            DataType::Int => gather(batches, column, ColumnData::ints, rows).map(Gathered::Int),
+            DataType::Float => {
+                gather(batches, column, ColumnData::floats, rows).map(Gathered::Float)
+            }
+            _ => None,
+        }
     }
 
     /// One row per tuple, holding the output expressions.

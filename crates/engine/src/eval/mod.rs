@@ -7,8 +7,10 @@
 //! evaluates what is left of them, and the survivors go into one of three
 //! sinks:
 //!
-//! * the **group table** when the prefix ends in an aggregation — group
-//!   keys and aggregate arguments are read as cells from the columns;
+//! * the **group table** when the prefix ends in an aggregation — fed a
+//!   batch at a time: NULL-free Int and Float keys and arguments are read
+//!   as slices, anything else as cells, and a run of equal keys is looked
+//!   up once (`eval/aggregate.rs`);
 //! * **positions** when the prefix feeds a join, a filter or a projection
 //!   above it — the batches and their selected rows, nothing evaluated;
 //! * **rows** holding the prefix's output expressions only, in storage
@@ -17,11 +19,14 @@
 //! Joins, and the filters, projections and aggregations above them, run
 //! on **position tuples** over those batches (`eval/join.rs`): a join
 //! concatenates positions, a filter reads the cells its predicate reaches,
-//! a projection stays a list of expressions, an aggregation feeds the
-//! group table cell by cell. Plan shape alone selects the pipeline. A
-//! `Row` is built only for output: a group of the group table, a row of
-//! the query's result, or a row of the bag a row-consuming operator (sort,
-//! top-k, distinct, except) needs, holding its input expressions only.
+//! a projection stays a list of expressions, an aggregation gathers its
+//! key and argument columns through the positions and feeds them to the
+//! same group table with the tuples' multiplicities. Plan shape alone
+//! selects the pipeline; inside the group table, a batch's column types
+//! and NULL bitmaps select slices or cells. A `Row` is built only for
+//! output: a group of the group table, a row of the query's result, or a
+//! row of the bag a row-consuming operator (sort, top-k, distinct, except)
+//! needs, holding its input expressions only.
 
 mod aggregate;
 mod hash_index;
@@ -151,19 +156,32 @@ pub fn except(left: Bag, right: Bag, all: bool) -> Bag {
 mod tests {
     use super::*;
     use imp_sql::{AggFunc, AggSpec, Expr};
-    use imp_storage::{row, DataType, Field, Schema};
+    use imp_storage::{row, DataType, Field, Schema, Table};
     use std::cell::Cell;
 
     thread_local! {
         /// Rows [`new_row`] built on this thread.
         pub(super) static ROWS_BUILT: Cell<u64> = const { Cell::new(0) };
+        /// Hash lookups the group tables made on this thread.
+        pub(super) static GROUP_LOOKUPS: Cell<u64> = const { Cell::new(0) };
+        /// Batches the group tables took a batch at a time on this thread.
+        pub(super) static TYPED_BATCHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `plan`'s result, and how much `counter` grew while running it.
+    fn counted(
+        counter: &'static std::thread::LocalKey<Cell<u64>>,
+        db: &Database,
+        plan: &LogicalPlan,
+    ) -> (Bag, u64) {
+        let before = counter.with(Cell::get);
+        let rows = execute(plan, db, &mut ExecStats::default()).unwrap();
+        (rows, counter.with(Cell::get) - before)
     }
 
     /// `plan`'s result and the number of rows the engine built for it.
     fn rows_built(db: &Database, plan: &LogicalPlan) -> (Bag, u64) {
-        let before = ROWS_BUILT.with(Cell::get);
-        let rows = execute(plan, db, &mut ExecStats::default()).unwrap();
-        (rows, ROWS_BUILT.with(Cell::get) - before)
+        counted(&ROWS_BUILT, db, plan)
     }
 
     #[test]
@@ -229,5 +247,198 @@ mod tests {
         let (rows, built) = rows_built(&db, &plan);
         assert_eq!(rows.len(), 30);
         assert_eq!(built, 30 + 6);
+    }
+
+    /// A table `name` with the columns `kinds` (`g`, `v`, …), nullable,
+    /// in chunks of four rows, loaded with `rows` and left with its last
+    /// rows in the open tail.
+    fn add_table(db: &mut Database, name: &str, kinds: &[DataType], rows: Vec<Row>) {
+        let fields = (kinds.iter().enumerate())
+            .map(|(i, &kind)| Field::nullable(["g", "v", "w"][i], kind))
+            .collect();
+        let mut table = Table::with_chunk_capacity(name, Schema::new(fields), 4);
+        table.bulk_load(rows).unwrap();
+        db.register_table(table).unwrap();
+    }
+
+    fn scan(db: &Database, table: &str) -> LogicalPlan {
+        let t = db.table(table).unwrap();
+        LogicalPlan::Scan {
+            table: table.into(),
+            schema: t.schema().clone(),
+        }
+    }
+
+    /// `input` grouped by its column `key`, with `sum(arg)` and `count(*)`.
+    fn group_sum(input: LogicalPlan, key: usize, arg: Expr) -> LogicalPlan {
+        let spec = |func, arg| AggSpec {
+            func,
+            arg,
+            name: "a".into(),
+        };
+        LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group_by: vec![Expr::Col(key)],
+            aggs: vec![spec(AggFunc::Sum, Some(arg)), spec(AggFunc::Count, None)],
+            schema: Schema::new(vec![
+                Field::new("g", DataType::Int),
+                Field::new("s", DataType::Int),
+                Field::new("n", DataType::Int),
+            ]),
+        }
+    }
+
+    /// `(g, v)` for 22 rows: `g = i / 3` in runs of three that cross the
+    /// four-row chunks and reach into the two-row tail.
+    fn clustered() -> Vec<Row> {
+        (0..22).map(|i| row![i / 3, i]).collect()
+    }
+
+    /// The groups of `clustered()` (or any order of its rows), sorted.
+    fn clustered_groups() -> Bag {
+        (0..8)
+            .map(|g| {
+                let members: Vec<i64> = (3 * g..(3 * g + 3).min(22)).collect();
+                let sum: i64 = members.iter().sum();
+                (row![g, sum, members.len() as i64], 1)
+            })
+            .collect()
+    }
+
+    fn sorted(mut rows: Bag) -> Bag {
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn the_group_table_looks_up_a_key_once_per_run() {
+        let mut db = Database::new();
+        add_table(&mut db, "c", &[DataType::Int; 2], clustered());
+        // The same rows, no two neighbours in one group: g = 0..8, 0..8, 0..7.
+        let mut shuffled = clustered();
+        shuffled.sort_by_key(|r| (r[1].as_i64().unwrap() % 3, r[0].as_i64().unwrap()));
+        add_table(&mut db, "u", &[DataType::Int; 2], shuffled);
+        // The clustered rows again, with a NULL `v` in the open tail: that
+        // batch goes row by row, the run that reaches it goes on.
+        let mut nulls = clustered();
+        nulls.push(row![7, Value::Null]);
+        add_table(&mut db, "n", &[DataType::Int; 2], nulls);
+        db.create_table("r", Schema::new(vec![Field::new("k", DataType::Int)]))
+            .unwrap();
+        (db.table_mut("r").unwrap())
+            .bulk_load((0..8).map(|k| row![k]))
+            .unwrap();
+
+        let plan = group_sum(scan(&db, "c"), 0, Expr::Col(1));
+        let (rows, lookups) = counted(&GROUP_LOOKUPS, &db, &plan);
+        assert_eq!(rows, clustered_groups());
+        assert_eq!(lookups, 8);
+
+        let plan = group_sum(scan(&db, "u"), 0, Expr::Col(1));
+        let (rows, lookups) = counted(&GROUP_LOOKUPS, &db, &plan);
+        assert_eq!(sorted(rows), clustered_groups());
+        assert_eq!(lookups, 22);
+
+        let plan = group_sum(scan(&db, "n"), 0, Expr::Col(1));
+        let (rows, lookups) = counted(&GROUP_LOOKUPS, &db, &plan);
+        assert_eq!(rows[..7], clustered_groups()[..7]);
+        assert_eq!(rows[7], (row![7, 21, 2], 1));
+        assert_eq!(lookups, 8);
+
+        // Aggregate(Join(c, r)): c, the larger side, probes in its own
+        // order, so the joined tuples keep its runs.
+        let join = LogicalPlan::Join {
+            left: Box::new(scan(&db, "c")),
+            right: Box::new(scan(&db, "r")),
+            left_keys: vec![0],
+            right_keys: vec![0],
+        };
+        let plan = group_sum(join, 2, Expr::Col(1));
+        let (rows, lookups) = counted(&GROUP_LOOKUPS, &db, &plan);
+        assert_eq!(rows, clustered_groups());
+        assert_eq!(lookups, 8);
+    }
+
+    #[test]
+    fn only_null_free_numeric_plain_columns_are_grouped_a_batch_at_a_time() {
+        let mut db = Database::new();
+        add_table(&mut db, "c", &[DataType::Int; 2], clustered());
+        let strs = (0..22).map(|i| row![["a", "b"][i as usize / 11], i]);
+        add_table(
+            &mut db,
+            "s",
+            &[DataType::Str, DataType::Int],
+            strs.collect(),
+        );
+        let mut nulls = clustered();
+        nulls[5] = row![1, Value::Null];
+        add_table(&mut db, "n", &[DataType::Int; 2], nulls);
+        let floats = (0..22).map(|i| row![i / 3, i as f64 / 2.0]);
+        add_table(
+            &mut db,
+            "f",
+            &[DataType::Int, DataType::Float],
+            floats.collect(),
+        );
+
+        // Five chunks and the tail, every one a batch at a time.
+        let plan = group_sum(scan(&db, "c"), 0, Expr::Col(1));
+        assert_eq!(counted(&TYPED_BATCHES, &db, &plan), (clustered_groups(), 6));
+        let plan = group_sum(scan(&db, "f"), 0, Expr::Col(1));
+        let (rows, typed) = counted(&TYPED_BATCHES, &db, &plan);
+        assert_eq!((rows[0].clone(), typed), ((row![0, 1.5, 3], 1), 6));
+        // A NULL in the second chunk sends that chunk alone row by row.
+        let plan = group_sum(scan(&db, "n"), 0, Expr::Col(1));
+        let (rows, typed) = counted(&TYPED_BATCHES, &db, &plan);
+        assert_eq!((rows[1].clone(), typed), ((row![1, 3 + 4, 3], 1), 5));
+
+        // A Str key, a nullable column, a computed argument: none.
+        let plan = group_sum(scan(&db, "s"), 0, Expr::Col(1));
+        assert_eq!(counted(&TYPED_BATCHES, &db, &plan).1, 0);
+        let mut nulls = clustered();
+        nulls
+            .iter_mut()
+            .for_each(|r| *r = row![r[0].clone(), Value::Null]);
+        add_table(&mut db, "all_null", &[DataType::Int; 2], nulls);
+        let plan = group_sum(scan(&db, "all_null"), 0, Expr::Col(1));
+        assert_eq!(counted(&TYPED_BATCHES, &db, &plan).1, 0);
+        let doubled = Expr::binary(
+            imp_sql::ast::BinOp::Mul,
+            Expr::Col(1),
+            Expr::Lit(Value::Int(2)),
+        );
+        let plan = group_sum(scan(&db, "c"), 0, doubled);
+        let (rows, typed) = counted(&TYPED_BATCHES, &db, &plan);
+        assert_eq!((rows[0].clone(), typed), ((row![0, 6, 3], 1), 0));
+    }
+
+    #[test]
+    fn a_join_is_grouped_a_batch_at_a_time_with_its_multiplicities() {
+        let mut db = Database::new();
+        add_table(&mut db, "c", &[DataType::Int; 2], clustered());
+        let keys = [0, 0, 0, 1, 1, 2].map(|k| row![k]);
+        add_table(&mut db, "k", &[DataType::Int], keys.to_vec());
+        // A bag of k's rows, each once with its count as multiplicity.
+        let bag = LogicalPlan::Except {
+            left: Box::new(scan(&db, "k")),
+            right: Box::new(LogicalPlan::Filter {
+                input: Box::new(scan(&db, "k")),
+                predicate: Expr::Lit(Value::Bool(false)),
+            }),
+            all: true,
+        };
+        let join = LogicalPlan::Join {
+            left: Box::new(bag),
+            right: Box::new(scan(&db, "c")),
+            left_keys: vec![0],
+            right_keys: vec![0],
+        };
+        // Group by c.g, sum(c.v), count(*): c's columns are gathered
+        // through the positions and weighted by the bag's multiplicities.
+        let plan = group_sum(join, 1, Expr::Col(2));
+        let (rows, typed) = counted(&TYPED_BATCHES, &db, &plan);
+        let want = [(0, 3 * 3, 3 * 3), (1, 2 * 12, 2 * 3), (2, 21, 3)];
+        assert_eq!(rows, want.map(|(g, s, n)| (row![g, s, n], 1)));
+        assert_eq!(typed, 1);
     }
 }

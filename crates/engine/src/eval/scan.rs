@@ -14,9 +14,12 @@
 //!    exact, so the predicate no longer repeats them);
 //! 3. **residual**: what is left of each filter is evaluated per selected
 //!    row, reading only the cells it reaches;
-//! 4. **sink**: the group table (key and argument cells read from the
-//!    columns, key values copied once per new group) — [`ScanPrefix::run`]
-//!    on an aggregating prefix; positions, the batches kept with their
+//! 4. **sink**: the group table — [`ScanPrefix::run`] on an aggregating
+//!    prefix, which hands it each batch's columns and selection: a batch
+//!    whose keys and arguments are NULL-free Int or Float columns is read
+//!    as slices and grouped a batch at a time, any other batch row by row
+//!    as cells, and key values are copied once per new group
+//!    (`eval/aggregate.rs`); positions, the batches kept with their
 //!    selections and nothing evaluated — [`ScanPrefix::relation`], for the
 //!    joins, filters and projections above (`eval/join.rs`); or rows
 //!    holding the output expressions only, in storage order —
@@ -28,7 +31,7 @@
 //! operator-at-a-time fails here too unless the failing expression is one
 //! the pipeline never needs.
 
-use super::aggregate::{Aggregation, Grouping};
+use super::aggregate::{Aggregation, Grouping, Slice};
 use super::join::{Pos, Relation};
 use super::ranges::{extract_prune_ranges, split, ColumnRanges, PruneRanges};
 use super::{new_row, Bag, ExecStats};
@@ -137,6 +140,10 @@ impl<'p> ScanPrefix<'p> {
         if let Some(aggregation) = &self.aggregate {
             let mut grouping = Grouping::new(aggregation, arity);
             self.scan(t, stats, |columns, selection| {
+                let slice = |c: usize| Slice::of(&columns[c]);
+                if grouping.add_batch(selection.len(), slice, |i| selection[i], |_| 1)? {
+                    return Ok(());
+                }
                 for &idx in selection {
                     let cell = |c: usize| columns[c].cell(idx);
                     grouping.add(cell, |c| column_value(columns, c, idx), 1)?;

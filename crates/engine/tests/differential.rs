@@ -535,6 +535,43 @@ fn load(db: &mut Database, name: &str, contents: &Contents) -> Model {
     model
 }
 
+/// An `i` that overflows a SUM that adds it twice.
+const HUGE: i64 = i64::MAX / 2 + 1;
+
+/// `sealed` and `tail` reshaped for the batch-at-a-time group table: with
+/// `dense` no `i` or `f` is NULL, so whole chunks read as slices; with
+/// `huge` every `i` ≥ 30 is [`HUGE`]; with `clustered(step)` every `i` is
+/// rounded down to a multiple of `step` and the rows are sorted on it,
+/// sealed rows and tail together, so that runs of one key cross chunk cuts
+/// and reach into the tail.
+fn shaped(
+    sealed: &[MixedRow],
+    tail: &[MixedRow],
+    dense: bool,
+    clustered: Option<i64>,
+    huge: bool,
+) -> (Vec<MixedRow>, Vec<MixedRow>) {
+    let mut rows: Vec<MixedRow> = sealed.iter().chain(tail).cloned().collect();
+    for row in &mut rows {
+        if dense {
+            let i = (row.i).unwrap_or_else(|| row.half_f.map_or(3, |h| h / 2));
+            row.half_f = Some(row.half_f.unwrap_or(2 * i + 1));
+            row.i = Some(i);
+        }
+        if huge {
+            row.i = row.i.map(|i| if i >= 30 { HUGE } else { i });
+        }
+    }
+    if let Some(step) = clustered {
+        for row in &mut rows {
+            row.i = row.i.map(|i| i - i.rem_euclid(step));
+        }
+        rows.sort_by_key(|row| row.i);
+    }
+    let tail = rows.split_off(sealed.len());
+    (rows, tail)
+}
+
 /// `m` and its model loaded alike (see [`Contents`]).
 fn populate(
     sealed: &[MixedRow],
@@ -959,6 +996,9 @@ struct Choices {
     /// as many Float ones (in halves): the span of the data the plan is
     /// made for.
     span: usize,
+    /// May a scalar compute? Not over [`HUGE`] values, where adding or
+    /// multiplying would overflow outside any SUM.
+    arithmetic: bool,
 }
 
 impl Choices {
@@ -994,10 +1034,12 @@ impl Choices {
     }
 
     /// A scalar over columns of `kinds` that cannot fail: a column, simple
-    /// arithmetic on numeric columns, a literal.
+    /// arithmetic on numeric columns, a literal. Only a column without
+    /// `arithmetic`.
     fn scalar(&mut self, kinds: &[Kind]) -> (Expr, Kind) {
         let lit = |v: i64| Expr::Lit(Value::Int(v));
-        let Some(n) = self.column(kinds, Kind::numeric) else {
+        let numeric = self.arithmetic.then(|| self.column(kinds, Kind::numeric));
+        let Some(n) = numeric.flatten() else {
             let c = self.pick(kinds.len());
             return (Expr::Col(c), kinds[c]);
         };
@@ -1159,6 +1201,22 @@ impl Chain {
         }
     }
 
+    /// Which output columns are table columns as they are.
+    fn stored(&self) -> Vec<bool> {
+        match &self.over_table {
+            None => vec![true; self.kinds.len()],
+            Some(outputs) => outputs.iter().map(|e| matches!(e, Expr::Col(_))).collect(),
+        }
+    }
+
+    /// The output column that is table column `column` as it is.
+    fn output_of(&self, column: usize) -> Option<usize> {
+        match &self.over_table {
+            None => Some(column),
+            Some(outputs) => outputs.iter().position(|e| *e == Expr::Col(column)),
+        }
+    }
+
     fn rewritten(&self, e: &Expr) -> Expr {
         match &self.over_table {
             None => e.clone(),
@@ -1244,21 +1302,33 @@ fn overflowing_projection(ch: &mut Choices, kinds: &[Kind]) -> Vec<(Expr, Kind)>
 }
 
 /// An aggregation over `input`, whose columns hold `kinds`: 0–2 group
-/// columns and 1–3 aggregates of any function (after `sum(i64::MAX)` when
-/// `sum_overflow`).
+/// columns and 1–3 aggregates of any function (after `sum(overflow)`, an
+/// Int that overflows the sum of a group, if given). Half of them, and
+/// all without arithmetic, read only numeric columns that are `stored`
+/// table columns, where there are any: the shape that is grouped a batch
+/// at a time where the columns hold no NULL.
 fn aggregate_over(
     ch: &mut Choices,
     input: LogicalPlan,
     kinds: &[Kind],
-    sum_overflow: bool,
+    stored: &[bool],
+    overflow: Option<Expr>,
 ) -> (LogicalPlan, Vec<Kind>) {
-    let group_by: Vec<(Expr, Kind)> = (0..ch.pick(3)).map(|_| ch.scalar(kinds)).collect();
+    let plain = ch.flip() || !ch.arithmetic;
+    let operand = |ch: &mut Choices| {
+        let columns = (0..kinds.len()).filter(|&c| stored[c] && kinds[c].numeric());
+        match plain.then(|| columns.collect::<Vec<_>>()) {
+            Some(columns) if !columns.is_empty() => {
+                let c = ch.one(&columns);
+                (Expr::Col(c), kinds[c])
+            }
+            _ => ch.scalar(kinds),
+        }
+    };
+    let group_by: Vec<(Expr, Kind)> = (0..ch.pick(3)).map(|_| operand(ch)).collect();
     let mut aggs: Vec<(AggFunc, Option<(Expr, Kind)>)> = Vec::new();
-    if sum_overflow {
-        aggs.push((
-            AggFunc::Sum,
-            Some((Expr::Lit(Value::Int(i64::MAX)), Kind::Int)),
-        ));
+    if let Some(overflow) = overflow {
+        aggs.push((AggFunc::Sum, Some((overflow, Kind::Int))));
     }
     for _ in 0..1 + ch.pick(3) {
         let func = ch.one(&[
@@ -1268,7 +1338,7 @@ fn aggregate_over(
             AggFunc::Min,
             AggFunc::Max,
         ]);
-        let arg = ch.scalar(kinds);
+        let arg = operand(ch);
         aggs.push(match func {
             AggFunc::Count if ch.pick(3) == 0 => (func, None),
             AggFunc::Sum | AggFunc::Avg if !arg.1.numeric() => (AggFunc::Count, None),
@@ -1311,14 +1381,19 @@ fn maybe_having(ch: &mut Choices, plan: LogicalPlan, kinds: &[Kind]) -> LogicalP
 
 /// A random scan-prefix plan over `m` — `Scan`, then filters and (stacked,
 /// arithmetic) projections in any order, then possibly an aggregation —
-/// with its scan.
-fn scan_prefix_plan(raw: Vec<u32>) -> (LogicalPlan, ScanFilters) {
+/// with its scan, and whether it wants `m`'s data [`HUGE`]: half the
+/// `Fault::SumOverflow` plans sum `i` itself instead of a literal, and
+/// compute nothing else.
+fn scan_prefix_plan(raw: Vec<u32>) -> (LogicalPlan, ScanFilters, bool) {
     let mut ch = Choices {
         raw,
         at: 0,
         span: 48,
+        arithmetic: true,
     };
     let fault = Fault::pick(&mut ch);
+    let huge = fault == Fault::SumOverflow && ch.flip();
+    ch.arithmetic = !huge;
     let mut chain = Chain::scan("m").grow(&mut ch, 4);
     match fault {
         Fault::NonBooleanPredicate => {
@@ -1328,16 +1403,22 @@ fn scan_prefix_plan(raw: Vec<u32>) -> (LogicalPlan, ScanFilters) {
         Fault::ProjectionOverflow => {
             let outputs = overflowing_projection(&mut ch, &chain.kinds);
             chain = chain.project(outputs);
-            return (chain.plan, chain.scan);
+            return (chain.plan, chain.scan, false);
         }
         Fault::SumOverflow | Fault::None => {}
     }
     if fault != Fault::SumOverflow && ch.flip() {
-        return (chain.plan, chain.scan);
+        return (chain.plan, chain.scan, false);
     }
-    let sum_overflow = fault == Fault::SumOverflow;
-    let (plan, kinds) = aggregate_over(&mut ch, chain.plan, &chain.kinds, sum_overflow);
-    (maybe_having(&mut ch, plan, &kinds), chain.scan)
+    let i = chain.output_of(0).filter(|_| huge);
+    let overflow = match i {
+        Some(i) => Expr::Col(i),
+        None => Expr::Lit(Value::Int(i64::MAX)),
+    };
+    let overflow = (fault == Fault::SumOverflow).then_some(overflow);
+    let stored = chain.stored();
+    let (plan, kinds) = aggregate_over(&mut ch, chain.plan, &chain.kinds, &stored, overflow);
+    (maybe_having(&mut ch, plan, &kinds), chain.scan, i.is_some())
 }
 
 /// Run `plan` both ways and demand the same outcome: the same rows in the
@@ -1376,10 +1457,15 @@ proptest! {
         wipe_null_chunk in prop::bool::ANY,
         deletes in prop::collection::vec(predicate(), 0..3),
         tail in prop::collection::vec(mixed_row(), 0..4),
+        dense in prop::bool::ANY,
+        clustered in prop::bool::ANY,
         choices in prop::collection::vec(0u32..u32::MAX, 64..65),
     ) {
+        let (plan, scan, huge) = scan_prefix_plan(choices);
+        // A HUGE sum overflows in the middle of a run read as a slice.
+        let clustered = (clustered || huge).then_some(4);
+        let (sealed, tail) = shaped(&sealed, &tail, dense || huge, clustered, huge);
         let (db, model) = populate(&sealed, null_chunk, wipe_null_chunk, &deletes, &tail);
-        let (plan, scan) = scan_prefix_plan(choices);
         assert_matches_naive(&db, &only_m(model.rows), &plan, &[scan]);
     }
 }
@@ -1395,6 +1481,8 @@ proptest! {
 struct Node {
     plan: LogicalPlan,
     kinds: Vec<Kind>,
+    /// Which columns are a scanned table's columns as they are.
+    stored: Vec<bool>,
     scans: Vec<ScanFilters>,
 }
 
@@ -1409,6 +1497,9 @@ impl Node {
 
     fn project(mut self, outputs: Vec<(Expr, Kind)>) -> Node {
         let (exprs, kinds): (Vec<Expr>, Vec<Kind>) = outputs.into_iter().unzip();
+        self.stored = (exprs.iter())
+            .map(|e| matches!(e, Expr::Col(c) if self.stored[*c]))
+            .collect();
         self.plan = LogicalPlan::Project {
             input: Box::new(self.plan),
             schema: schema_of(&kinds),
@@ -1434,7 +1525,10 @@ fn join_input(ch: &mut Choices, table: &str) -> Node {
     let chain = Chain::scan(table).grow(ch, 2);
     let mut scans = vec![chain.scan.clone()];
     let (plan, kinds) = match ch.pick(7) {
-        0 => aggregate_over(ch, chain.plan, &chain.kinds, false),
+        0 => {
+            let stored = chain.stored();
+            aggregate_over(ch, chain.plan, &chain.kinds, &stored, None)
+        }
         1 => {
             let distinct = LogicalPlan::Distinct {
                 input: Box::new(chain.plan),
@@ -1456,9 +1550,25 @@ fn join_input(ch: &mut Choices, table: &str) -> Node {
             };
             (except, column.kinds)
         }
-        _ => (chain.plan, chain.kinds),
+        _ => return scanned(chain),
     };
-    Node { plan, kinds, scans }
+    let stored = vec![false; kinds.len()];
+    Node {
+        plan,
+        kinds,
+        stored,
+        scans,
+    }
+}
+
+/// A scan prefix as a join input.
+fn scanned(chain: Chain) -> Node {
+    Node {
+        stored: chain.stored(),
+        plan: chain.plan,
+        kinds: chain.kinds,
+        scans: vec![chain.scan],
+    }
 }
 
 /// `left ⋈ right` on 0–2 key pairs of one type family (an Int key meets a
@@ -1480,9 +1590,12 @@ fn join_nodes(ch: &mut Choices, left: Node, right: Node) -> Node {
         left_keys,
         right_keys,
     };
-    let kinds = [left.kinds, right.kinds].concat();
-    let scans = [left.scans, right.scans].concat();
-    Node { plan, kinds, scans }
+    Node {
+        plan,
+        kinds: [left.kinds, right.kinds].concat(),
+        stored: [left.stored, right.stored].concat(),
+        scans: [left.scans, right.scans].concat(),
+    }
 }
 
 /// `inputs` joined in order — left-deep, right-deep or bushy at each
@@ -1521,6 +1634,7 @@ fn join_plan(raw: Vec<u32>, tables: usize) -> Node {
         raw,
         at: 0,
         span: 12,
+        arithmetic: true,
     };
     let fault = Fault::pick(&mut ch);
     let inputs: Vec<Node> = (0..tables)
@@ -1539,13 +1653,15 @@ fn join_plan(raw: Vec<u32>, tables: usize) -> Node {
         Fault::SumOverflow | Fault::None => {}
     }
     let input = Box::new(node.plan);
-    (node.plan, node.kinds) = match (fault, ch.pick(5)) {
-        (Fault::SumOverflow, _) | (_, 0) => {
-            let sum_overflow = fault == Fault::SumOverflow;
-            let (plan, kinds) = aggregate_over(&mut ch, *input, &node.kinds, sum_overflow);
+    (node.plan, node.kinds) = match (fault, ch.pick(6)) {
+        (Fault::SumOverflow, _) | (_, 0 | 1) => {
+            let overflow = Expr::Lit(Value::Int(i64::MAX));
+            let overflow = (fault == Fault::SumOverflow).then_some(overflow);
+            let (plan, kinds) =
+                aggregate_over(&mut ch, *input, &node.kinds, &node.stored, overflow);
             (maybe_having(&mut ch, plan, &kinds), kinds)
         }
-        (_, 1 | 2) => {
+        (_, 2 | 3) => {
             let keys = (0..1 + ch.pick(2)).map(|_| SortKey {
                 column: ch.pick(node.kinds.len()),
                 asc: ch.flip(),
@@ -1559,7 +1675,7 @@ fn join_plan(raw: Vec<u32>, tables: usize) -> Node {
             };
             (plan, node.kinds)
         }
-        (_, 3) => (LogicalPlan::Distinct { input }, node.kinds),
+        (_, 4) => (LogicalPlan::Distinct { input }, node.kinds),
         _ => (*input, node.kinds),
     };
     node
@@ -1569,17 +1685,77 @@ proptest! {
     #[test]
     fn join_plans_match_the_naive_evaluator(
         contents in prop::collection::vec(contents(key_row, 2..14, 0..2), 2..5),
+        dense in prop::bool::ANY,
+        clustered in prop::bool::ANY,
         choices in prop::collection::vec(0u32..u32::MAX, 128..129),
     ) {
-        let mut db = Database::new();
-        let mut tables = Tables::new();
-        for (k, c) in contents.iter().enumerate() {
-            let model = load(&mut db, &table_name(k), c);
-            tables.insert(table_name(k), model.rows);
-        }
+        let (db, tables) = load_tables(&contents, dense, clustered);
         let node = join_plan(choices, contents.len());
         assert_matches_naive(&db, &tables, &node.plan, &node.scans);
     }
+
+    #[test]
+    fn weighted_join_aggregations_match_the_naive_evaluator(
+        contents in prop::collection::vec(contents(key_row, 2..14, 0..2), 2..3),
+        dense in prop::bool::ANY,
+        clustered in prop::bool::ANY,
+        choices in prop::collection::vec(0u32..u32::MAX, 64..65),
+    ) {
+        let (db, tables) = load_tables(&contents, dense, clustered);
+        let (plan, scans) = weighted_join_plan(choices);
+        assert_matches_naive(&db, &tables, &plan, &scans);
+    }
+}
+
+/// `m`, `m1`, … loaded with `contents`, each shaped alike ([`shaped`]).
+fn load_tables(contents: &[Contents], dense: bool, clustered: bool) -> (Database, Tables) {
+    let mut db = Database::new();
+    let mut tables = Tables::new();
+    for (k, c) in contents.iter().enumerate() {
+        let clustered = clustered.then_some(1);
+        let (sealed, tail) = shaped(&c.sealed, &c.tail, dense, clustered, false);
+        let c = Contents {
+            sealed,
+            tail,
+            ..c.clone()
+        };
+        let model = load(&mut db, &table_name(k), &c);
+        tables.insert(table_name(k), model.rows);
+    }
+    (db, tables)
+}
+
+/// `Aggregate(Join(bag, scan prefix))`, possibly under a HAVING filter:
+/// the bag a numeric column of `m` with its duplicates as multiplicities
+/// (EXCEPT ALL of the rows a filter picks), the scan prefix over `m1`.
+/// The shape that brings multiplicities above one to a group table that
+/// reads scanned columns as slices, which random join trees seldom reach
+/// with tuples left.
+fn weighted_join_plan(raw: Vec<u32>) -> (LogicalPlan, Vec<ScanFilters>) {
+    let mut ch = Choices {
+        raw,
+        at: 0,
+        span: 12,
+        arithmetic: true,
+    };
+    let c = ch.pick(2);
+    let column = Chain::scan("m").project(vec![(Expr::Col(c), [Kind::Int, Kind::Float][c])]);
+    let predicate = ch.predicate(&column.kinds, 1);
+    let less = column.clone().filter(predicate);
+    let bag = Node {
+        plan: LogicalPlan::Except {
+            left: Box::new(column.plan),
+            right: Box::new(less.plan),
+            all: true,
+        },
+        kinds: column.kinds,
+        stored: vec![false],
+        scans: vec![column.scan, less.scan],
+    };
+    let right = scanned(Chain::scan("m1").grow(&mut ch, 2));
+    let node = join_nodes(&mut ch, bag, right);
+    let (plan, kinds) = aggregate_over(&mut ch, node.plan, &node.kinds, &node.stored, None);
+    (maybe_having(&mut ch, plan, &kinds), node.scans)
 }
 
 /// `m` with `i` = 0..=17 in order (chunks of four, two rows in the open

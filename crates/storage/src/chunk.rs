@@ -321,6 +321,59 @@ mod tests {
     }
 
     #[test]
+    fn typed_slices_only_for_null_free_columns_of_their_type() {
+        let schema = Schema::new(vec![
+            Field::nullable("i", DataType::Int),
+            Field::nullable("f", DataType::Float),
+            Field::nullable("s", DataType::Str),
+        ]);
+        let mut tail = ChunkBuilder::new(&schema);
+        tail.push(&row![1, 0.5, "x"]).unwrap();
+        tail.push(&row![2, 3, "y"]).unwrap();
+        let [i, f, s] = tail.columns() else {
+            panic!("three columns")
+        };
+        assert_eq!(i.ints(), Some(&[1, 2][..]));
+        assert_eq!(f.floats(), Some(&[0.5, 3.0][..]));
+        // Every other type answers `None`.
+        assert_eq!(
+            (i.floats(), f.ints(), s.ints(), s.floats()),
+            (None, None, None, None)
+        );
+
+        let sealed = tail.finish();
+        let [i, f, _] = sealed.columns() else {
+            panic!("three columns")
+        };
+        assert_eq!(i.ints(), Some(&[1, 2][..]));
+        assert_eq!(f.floats(), Some(&[0.5, 3.0][..]));
+
+        // One NULL takes the slice away, in the tail and in the sealed
+        // chunk alike.
+        tail.push(&row![3, Value::Null, "z"]).unwrap();
+        tail.push(&row![Value::Null, 1.5, "z"]).unwrap();
+        let [i, f, _] = tail.columns() else {
+            panic!("three columns")
+        };
+        assert_eq!((i.ints(), f.floats()), (None, None));
+        let sealed = tail.finish();
+        let [i, f, _] = sealed.columns() else {
+            panic!("three columns")
+        };
+        assert_eq!((i.ints(), f.floats()), (None, None));
+
+        // So does a NULL whose row was refused and rolled back: the bitmap
+        // is never dropped.
+        tail.push(&row![4, 1.0, "w"]).unwrap();
+        assert!(tail.push(&row![Value::Null, Value::Null, 7]).is_err());
+        let [i, f, _] = tail.columns() else {
+            panic!("three columns")
+        };
+        assert_eq!((i.len(), f.len()), (1, 1));
+        assert_eq!((i.ints(), f.floats()), (None, None));
+    }
+
+    #[test]
     fn arity_checked() {
         let mut b = ChunkBuilder::new(&schema());
         assert!(b.push(&row![1]).is_err());

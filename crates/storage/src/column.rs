@@ -130,6 +130,25 @@ impl ColumnData {
         }
     }
 
+    /// The native slice of an `Int` column that holds no NULL; `None` for
+    /// a column of another type or one that ever held a NULL (its bitmap,
+    /// once allocated, stays). Batch aggregation reads group keys and
+    /// arguments this way.
+    pub fn ints(&self) -> Option<&[i64]> {
+        match (&self.values, &self.nulls) {
+            (TypedVec::Int(v), None) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// [`ColumnData::ints`] for a `Float` column.
+    pub fn floats(&self) -> Option<&[f64]> {
+        match (&self.values, &self.nulls) {
+            (TypedVec::Float(v), None) => Some(v),
+            _ => None,
+        }
+    }
+
     /// Read the value at `idx` (the owned form of [`ColumnData::cell`]).
     pub fn get(&self, idx: usize) -> Value {
         self.cell(idx).to_value()
