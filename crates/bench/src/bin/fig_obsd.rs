@@ -59,8 +59,9 @@ const HEALTH_TICK: Duration = Duration::from_millis(25);
 /// single-core CI runners).
 const SCRAPE_INTERVAL: Duration = Duration::from_millis(100);
 /// Noise floor under the 10% overhead bound (same shape as the
-/// `obs_overhead` guard and the bench_check gate: `factor × baseline +
-/// floor`). At smoke scale a maintain p99 is ~100µs, where a few tens of
+/// bench_check gate: `factor × baseline + floor`; this harness, not
+/// tier-1, is where obs overhead is bounded in wall clock — the
+/// `obs_overhead` test counts allocations). At smoke scale a maintain p99 is ~100µs, where a few tens of
 /// µs of scheduler jitter would dominate a pure ratio; at real scale the
 /// floor is small against millisecond tails and the 10% bound governs.
 const OVERHEAD_FLOOR_NS: u64 = 250_000;

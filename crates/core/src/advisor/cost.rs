@@ -1,9 +1,9 @@
 //! The advisor's cost model.
 //!
-//! Every stored sketch is scored in *row equivalents*:
+//! Every stored sketch is scored in *rows*:
 //!
 //! ```text
-//!   score = benefit − α · maintain_cost − β · heap_size
+//!   score = hot_rows_skipped − α · hot_maint_delta_rows − β · heap_size
 //! ```
 //!
 //! * **benefit** — the hot-window estimate of backend rows the sketch's
@@ -11,9 +11,11 @@
 //!   A capture seeds the window with the query's own skip estimate, so a
 //!   fresh sketch gets a grace period of a few passes before a cold
 //!   template decays to zero benefit.
-//! * **maintain_cost** — hot-window delta rows consumed plus wall-clock
-//!   converted at [`AdvisorParams::nanos_per_row`] nanoseconds per row
-//!   equivalent, weighted by `α`.
+//! * **maintain_cost** — hot-window delta rows consumed by maintenance
+//!   ([`crate::advisor::tracker::UseStats::hot_maint_delta_rows`]),
+//!   weighted by `α`. It is a count, not a duration: how fast the machine
+//!   happens to run never decides which sketch is demoted, so the same
+//!   workload yields the same decisions on every run.
 //! * **heap_size** — current heap bytes of the stored sketch (operator
 //!   state + retained versions), weighted by `β` rows per byte: holding
 //!   memory is a standing cost even for a sketch whose table never
@@ -30,15 +32,12 @@ use crate::advisor::tracker::UseStats;
 /// Tuning weights of the advisor cost model (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvisorParams {
-    /// Weight of the maintenance term, in kept-benefit rows per
-    /// maintenance row equivalent.
+    /// Weight of the maintenance term, in kept-benefit rows per delta row
+    /// maintained.
     pub alpha: f64,
     /// Weight of the heap term, in rows per byte. The default charges one
-    /// row equivalent per KiB held.
+    /// row per KiB held.
     pub beta: f64,
-    /// Wall-clock to row-equivalent conversion for the maintenance term
-    /// (default: 1 µs of maintenance ≈ processing one delta row).
-    pub nanos_per_row: f64,
     /// Promotion hysteresis: a demoted sketch's score is damped by this
     /// factor when competing for the keep-set, so it must beat the
     /// incumbents by a real margin before displacing one. Without it two
@@ -53,7 +52,6 @@ impl Default for AdvisorParams {
         AdvisorParams {
             alpha: 1.0,
             beta: 1.0 / 1024.0,
-            nanos_per_row: 1_000.0,
             promote_margin: 0.8,
         }
     }
@@ -61,11 +59,11 @@ impl Default for AdvisorParams {
 
 impl AdvisorParams {
     /// Score one stored sketch from its workload stats and current heap
-    /// footprint, in row equivalents.
+    /// footprint, in rows.
     pub fn score(&self, stats: &UseStats, heap_bytes: usize) -> f64 {
-        let benefit = stats.hot_rows_skipped;
-        let maintain = stats.hot_maint_delta_rows + stats.hot_maint_nanos / self.nanos_per_row;
-        benefit - self.alpha * maintain - self.beta * heap_bytes as f64
+        stats.hot_rows_skipped
+            - self.alpha * stats.hot_maint_delta_rows
+            - self.beta * heap_bytes as f64
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!   execute()/maintenance ──▶ WorkloadTracker   (uses, est. rows skipped,
-//!            │                     │             maintenance cost)
+//!            │                     │             delta rows maintained)
 //!            │                     ▼
 //!            │                AdvisorParams::score   benefit − α·maint − β·heap
 //!            │                     │
@@ -27,11 +27,12 @@
 //! * [`tracker`] — [`WorkloadTracker`]: per-sketch USE hits (capture /
 //!   fresh / maintained), estimated backend rows skipped (equi-depth
 //!   histogram estimate × sketch selectivity), and maintenance cost
-//!   (wall-clock + delta rows, from each run's
+//!   (delta rows consumed, from each run's
 //!   [`crate::maintain::MaintReport`]). Lifetime totals plus a decayed
 //!   hot window.
-//! * [`cost`] — [`AdvisorParams`]: scores each stored sketch in row
-//!   equivalents as `benefit − α·maintain_cost − β·heap_size`.
+//! * [`cost`] — [`AdvisorParams`]: scores each stored sketch in rows as
+//!   `hot_rows_skipped − α·hot_maint_delta_rows − β·heap_size`, all
+//!   counts (see [`cost`] for why no duration enters).
 //! * [`select`] — [`select::select_keep`]: greedy knapsack choosing the
 //!   keep-set under the configured memory budget.
 //! * [`autopilot`] — plans and applies lifecycle transitions along the
@@ -56,7 +57,7 @@ pub mod tracker;
 
 pub use autopilot::{AdviseAction, AdviseOp, ApplyOutcome, Lifecycle, PlannedRound, SketchCard};
 pub use cost::AdvisorParams;
-pub use tracker::{MaintCost, SketchKey, UseKind, UseStats, WorkloadTracker};
+pub use tracker::{SketchKey, UseKind, UseStats, WorkloadTracker};
 
 use std::sync::Arc;
 

@@ -18,7 +18,7 @@
 pub struct Candidate {
     /// Caller-side index of the sketch (into its card list).
     pub index: usize,
-    /// Cost-model score, in row equivalents.
+    /// Cost-model score, in rows.
     pub score: f64,
     /// Current heap bytes of the stored sketch.
     pub heap: usize,

@@ -9,8 +9,8 @@
 //!   (equi-depth estimate, see [`imp_engine::histogram::estimate_skipped_rows`]);
 //! * every maintenance run (stale queries, sweeps, eager flushes, and
 //!   the [`crate::sched`] routed claims) records its
-//!   **cost** — wall-clock nanoseconds and delta rows consumed, taken
-//!   from the run's [`crate::maintain::MaintReport`].
+//!   **cost** — the delta rows it consumed, taken from the run's
+//!   [`crate::maintain::MaintReport`].
 //!
 //! Stats are keyed by `(template, sql)` — the same identity the store
 //! uses for its per-template candidate lists — and carry two views:
@@ -58,15 +58,6 @@ pub enum UseKind {
     Maintained,
 }
 
-/// The maintenance cost of one run, as the advisor accounts it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintCost {
-    /// Wall-clock nanoseconds of the run.
-    pub nanos: u64,
-    /// Delta rows consumed (fetched from the log or routed in).
-    pub delta_rows: u64,
-}
-
 /// Per-sketch workload statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UseStats {
@@ -81,39 +72,14 @@ pub struct UseStats {
     pub rows_skipped_est: u64,
     /// Lifetime maintenance runs.
     pub maint_runs: u64,
-    /// Lifetime maintenance wall-clock nanoseconds.
-    pub maint_nanos: u64,
     /// Lifetime delta rows consumed by maintenance.
     pub maint_delta_rows: u64,
-    /// Hot-window uses (decayed; capture counts as a use).
-    pub hot_uses: f64,
     /// Hot-window estimated rows skipped (decayed) — the benefit input of
     /// the cost model.
     pub hot_rows_skipped: f64,
-    /// Hot-window maintenance nanoseconds (decayed).
-    pub hot_maint_nanos: f64,
-    /// Hot-window maintenance delta rows (decayed).
+    /// Hot-window maintenance delta rows (decayed) — the cost input of
+    /// the cost model.
     pub hot_maint_delta_rows: f64,
-    /// Lifetime end-to-end latency (nanoseconds) of sketch-answered
-    /// SELECTs under this key, as observed by the middleware's obs layer.
-    pub query_nanos: u64,
-    /// Number of latency samples in [`UseStats::query_nanos`].
-    pub query_samples: u64,
-}
-
-impl UseStats {
-    /// Total lifetime uses (captures + reuses).
-    pub fn total_uses(&self) -> u64 {
-        self.captures + self.fresh_uses + self.maintained_uses
-    }
-
-    /// Mean observed end-to-end query latency in nanoseconds (0 before
-    /// any sample).
-    pub fn mean_query_nanos(&self) -> u64 {
-        self.query_nanos
-            .checked_div(self.query_samples)
-            .unwrap_or(0)
-    }
 }
 
 /// Shared per-sketch workload statistics (see the module docs).
@@ -141,32 +107,17 @@ impl WorkloadTracker {
             UseKind::Maintained => s.maintained_uses += 1,
         }
         s.rows_skipped_est += rows_skipped_est;
-        s.hot_uses += 1.0;
         s.hot_rows_skipped += rows_skipped_est as f64;
     }
 
-    /// Record one maintenance run of the sketch.
-    pub fn record_maintenance(&self, key: SketchKey, cost: MaintCost) {
+    /// Record one maintenance run of the sketch that consumed
+    /// `delta_rows` delta rows (fetched from the log or routed in).
+    pub fn record_maintenance(&self, key: SketchKey, delta_rows: u64) {
         let mut stats = self.stats.lock();
         let s = stats.entry(key).or_default();
         s.maint_runs += 1;
-        s.maint_nanos += cost.nanos;
-        s.maint_delta_rows += cost.delta_rows;
-        s.hot_maint_nanos += cost.nanos as f64;
-        s.hot_maint_delta_rows += cost.delta_rows as f64;
-    }
-
-    /// Record the observed end-to-end latency of one sketch-answered
-    /// SELECT. Only updates keys already tracked by a use — a subsumed
-    /// query's SQL differs from the capturing SQL of the sketch that
-    /// answered it, and a latency-only entry under the wrong key would
-    /// just be pruned by the next `retain_live` pass.
-    pub fn record_query_latency(&self, key: &SketchKey, nanos: u64) {
-        let mut stats = self.stats.lock();
-        if let Some(s) = stats.get_mut(key) {
-            s.query_nanos += nanos;
-            s.query_samples += 1;
-        }
+        s.maint_delta_rows += delta_rows;
+        s.hot_maint_delta_rows += delta_rows as f64;
     }
 
     /// Drop the stats of one sketch. Every path that removes a sketch
@@ -206,9 +157,7 @@ impl WorkloadTracker {
     /// and cost estimates are exponential moving averages over passes.
     pub fn decay(&self) {
         for s in self.stats.lock().values_mut() {
-            s.hot_uses /= 2.0;
             s.hot_rows_skipped /= 2.0;
-            s.hot_maint_nanos /= 2.0;
             s.hot_maint_delta_rows /= 2.0;
         }
     }
@@ -238,51 +187,32 @@ mod tests {
         t.record_use(key("q"), UseKind::Captured, 100);
         t.record_use(key("q"), UseKind::Fresh, 80);
         t.record_use(key("q"), UseKind::Maintained, 60);
-        t.record_maintenance(
-            key("q"),
-            MaintCost {
-                nanos: 5_000,
-                delta_rows: 42,
-            },
-        );
+        t.record_maintenance(key("q"), 42);
+        t.record_maintenance(key("q"), 8);
         let s = t.get(&key("q"));
         assert_eq!(s.captures, 1);
         assert_eq!(s.fresh_uses, 1);
         assert_eq!(s.maintained_uses, 1);
-        assert_eq!(s.total_uses(), 3);
         assert_eq!(s.rows_skipped_est, 240);
-        assert_eq!(s.maint_runs, 1);
-        assert_eq!(s.maint_delta_rows, 42);
-        assert_eq!(s.hot_uses, 3.0);
+        assert_eq!(s.maint_runs, 2);
+        assert_eq!(s.maint_delta_rows, 50);
         assert_eq!(s.hot_rows_skipped, 240.0);
+        assert_eq!(s.hot_maint_delta_rows, 50.0);
     }
 
     #[test]
     fn decay_halves_hot_windows_only() {
         let t = WorkloadTracker::new();
         t.record_use(key("q"), UseKind::Fresh, 100);
+        t.record_maintenance(key("q"), 40);
         t.decay();
         t.decay();
         let s = t.get(&key("q"));
         assert_eq!(s.fresh_uses, 1);
         assert_eq!(s.rows_skipped_est, 100);
-        assert_eq!(s.hot_uses, 0.25);
+        assert_eq!(s.maint_delta_rows, 40);
         assert_eq!(s.hot_rows_skipped, 25.0);
-    }
-
-    #[test]
-    fn query_latency_feeds_only_tracked_keys() {
-        let t = WorkloadTracker::new();
-        // Unknown key: ignored, no entry created.
-        t.record_query_latency(&key("ghost"), 1_000);
-        assert!(t.is_empty());
-        t.record_use(key("q"), UseKind::Fresh, 10);
-        t.record_query_latency(&key("q"), 1_000);
-        t.record_query_latency(&key("q"), 3_000);
-        let s = t.get(&key("q"));
-        assert_eq!(s.query_samples, 2);
-        assert_eq!(s.query_nanos, 4_000);
-        assert_eq!(s.mean_query_nanos(), 2_000);
+        assert_eq!(s.hot_maint_delta_rows, 10.0);
     }
 
     #[test]

@@ -100,18 +100,6 @@ pub struct MaintReport {
     pub nary_input_probes: Vec<u64>,
 }
 
-impl MaintReport {
-    /// The run's cost as the [`crate::advisor`] accounts it: wall-clock
-    /// nanoseconds plus the delta rows consumed (fetched from the log or
-    /// routed in).
-    pub fn advisor_cost(&self) -> crate::advisor::MaintCost {
-        crate::advisor::MaintCost {
-            nanos: self.duration.as_nanos() as u64,
-            delta_rows: self.metrics.delta_rows_fetched,
-        }
-    }
-}
-
 /// Per-query maintenance state: sketch + operator states + version.
 #[derive(Debug)]
 pub struct SketchMaintainer {

@@ -809,22 +809,16 @@ impl Imp {
         let plan = Resolver::new(&*self.db.read())
             .resolve_select(select)
             .map_err(EngineError::from)?;
-        let key = SketchKey::new(template.text(), sql.to_string());
         let response = self.select(sql, template, plan)?;
         if let ImpResponse::Rows { mode, .. } = &response {
-            let nanos = start.elapsed().as_nanos() as u64;
             let label = match mode {
                 QueryMode::NoSketch => "none",
                 QueryMode::Captured => "capture",
                 QueryMode::UsedFresh => "fresh",
                 QueryMode::Maintained(_) => "maintained",
             };
-            self.obs.query_observed(label, nanos);
-            if !matches!(mode, QueryMode::NoSketch) {
-                // Feed the advisor's tracker with the observed end-to-end
-                // latency of sketch-answered queries.
-                self.advisor.tracker().record_query_latency(&key, nanos);
-            }
+            self.obs
+                .query_observed(label, start.elapsed().as_nanos() as u64);
         }
         Ok(response)
     }
@@ -1031,16 +1025,19 @@ pub(crate) fn record_run(
     obs: &Obs,
     tracker: &WorkloadTracker,
 ) {
-    let cost = report.advisor_cost();
+    let delta_rows = report.metrics.delta_rows_fetched;
     obs.maintain_observed_spanned(
         template.text(),
-        cost.nanos,
-        cost.delta_rows,
+        report.duration.as_nanos() as u64,
+        delta_rows,
         report.recaptured,
         from_version,
         entry.maintainer.version(),
     );
-    tracker.record_maintenance(SketchKey::new(template.text(), entry.sql.clone()), cost);
+    tracker.record_maintenance(
+        SketchKey::new(template.text(), entry.sql.clone()),
+        delta_rows,
+    );
 }
 
 /// Recapture every sketch of `store` with fresh equi-depth

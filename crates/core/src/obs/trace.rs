@@ -83,7 +83,9 @@ thread_local! {
     /// The tracer attached to this thread, if any.
     static CURRENT: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
     /// Ring cache: one ring per (tracer token) per thread, so repeated
-    /// attaches in a worker loop reuse the same ring.
+    /// attaches in a worker loop reuse the same ring. A ring only this
+    /// cache still holds belongs to a dropped tracer and is pruned when
+    /// the next ring is cached.
     static RINGS: RefCell<Vec<(u64, Arc<Ring>)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -127,6 +129,7 @@ impl Tracer {
                 dropped: AtomicU64::new(0),
             });
             self.rings.lock().push(Arc::clone(&ring));
+            cache.retain(|(_, cached)| Arc::strong_count(cached) > 1);
             cache.push((self.token, Arc::clone(&ring)));
             ring
         })
@@ -335,6 +338,19 @@ mod tests {
     fn detached_span_is_noop() {
         let _s = span("nothing");
         // No tracer attached: nothing recorded anywhere, no panic.
+    }
+
+    #[test]
+    fn dropped_tracers_leave_the_thread_ring_cache() {
+        let cached = std::thread::spawn(|| {
+            for _ in 0..5 {
+                let tracer = Arc::new(Tracer::new(true, 64));
+                let _g = tracer.attach();
+                let _s = span("work");
+            }
+            RINGS.with(|cache| cache.borrow().len())
+        });
+        assert_eq!(cached.join().unwrap(), 1);
     }
 
     #[test]

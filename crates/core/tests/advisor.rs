@@ -301,3 +301,82 @@ fn advise_without_budget_is_a_no_op() {
         Some(Lifecycle::Maintained)
     );
 }
+
+/// What one pass of the promotion script leaves behind: the pass's
+/// report and every stored sketch's lifecycle, sorted by SQL.
+type Pass = (imp_core::advisor::AdvisorReport, Vec<(String, Lifecycle)>);
+
+fn lifecycles(imp: &Imp) -> Vec<(String, Lifecycle)> {
+    let mut out: Vec<_> = imp
+        .describe_sketches()
+        .into_iter()
+        .map(|s| (s.sql, s.lifecycle))
+        .collect();
+    out.sort();
+    out
+}
+
+/// The promotion scenario above as a fixed script, run on a fresh `Imp`:
+/// heat A until the budget squeezes B out, then make B hot for four
+/// passes. With `settle`, every pass is preceded by `maintain_all_stale()`
+/// so routed deltas are consumed before the advisor scores them.
+fn promotion_script(workers: usize, settle: bool) -> (Vec<Pass>, Imp) {
+    let one = {
+        let mut probe = Imp::new(db_with(&["ta"]), config(None, 0));
+        probe.execute(&selective("ta")).unwrap();
+        probe.store_heap_size()
+    };
+    let (qa, qb) = (selective("ta"), selective("tb"));
+    let mut imp = Imp::new(db_with(&["ta", "tb"]), config(Some(one + one / 2), workers));
+    let mut passes = Vec::new();
+    let mut advise = |imp: &mut Imp| {
+        if settle {
+            imp.maintain_all_stale().unwrap();
+        }
+        let report = imp.advise().unwrap();
+        passes.push((report, lifecycles(imp)));
+    };
+    imp.execute(&qa).unwrap();
+    imp.execute(&qb).unwrap();
+    for _ in 0..3 {
+        imp.execute(&qa).unwrap();
+    }
+    imp.execute("INSERT INTO tb VALUES (5, 1)").unwrap();
+    imp.execute("INSERT INTO ta VALUES (6, 1)").unwrap();
+    advise(&mut imp);
+    for round in 0..4 {
+        for _ in 0..5 {
+            run(&mut imp, &qb);
+        }
+        imp.execute(&format!("INSERT INTO tb VALUES (7, {round})"))
+            .unwrap();
+        advise(&mut imp);
+    }
+    (passes, imp)
+}
+
+#[test]
+fn advisor_decisions_repeat_exactly_across_runs_and_worker_counts() {
+    // The advisor decides from counts only, so the same script yields the
+    // same reports, lifecycles and tracker stats on every run.
+    let (first, a) = promotion_script(0, false);
+    let (second, b) = promotion_script(0, false);
+    assert_eq!(first, second, "advisor reports differ between runs");
+    assert_eq!(
+        a.advisor().tracker().snapshot(),
+        b.advisor().tracker().snapshot()
+    );
+    assert!(
+        first.iter().any(|(r, _)| r.outcome.promoted > 0),
+        "the script must exercise a promotion: {first:?}"
+    );
+
+    // A two-worker store settled before each pass takes the same
+    // lifecycle decisions as the zero-worker store.
+    let (inline, _) = promotion_script(0, true);
+    let (pooled, _) = promotion_script(2, true);
+    assert_eq!(inline.len(), pooled.len());
+    for (pass, ((_, want), (_, got))) in inline.iter().zip(&pooled).enumerate() {
+        assert_eq!(want, got, "pass {pass}: lifecycles differ with two workers");
+    }
+}

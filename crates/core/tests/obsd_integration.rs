@@ -139,6 +139,9 @@ fn obsd_serves_all_endpoints_during_live_maintenance() {
         })
         .collect();
     churn(&mut imp, 6);
+    // Churn ended with `maintain_all_stale()`: the inbox is empty and no
+    // maintenance runs from here on.
+    let settled_at = health_tick(addr);
     for h in scrapers {
         h.join().unwrap();
     }
@@ -170,9 +173,29 @@ fn obsd_serves_all_endpoints_during_live_maintenance() {
         );
     }
 
+    // The verdict comes from a ticker over heartbeats, queue depth and
+    // windowed latencies, so a tick that lands mid-churn may judge a busy
+    // worker. Judge the settled system instead: tick `settled_at + 2`
+    // sampled after churn ended, and tick `settled_at + 3` compares it
+    // against a sample that did too, so every rule sees the same idle
+    // state however the threads were scheduled.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while health_tick(addr) < settled_at + 3 {
+        assert!(Instant::now() < deadline, "health ticker stopped ticking");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let (status, health) = http_get(addr, "/health");
     assert_eq!(status, 200, "healthy system reported: {health}");
     assert!(health.contains("\"verdict\":\"ok\""), "{health}");
+}
+
+/// The tick number of the latest `/health` report.
+fn health_tick(addr: SocketAddr) -> u64 {
+    let (_, body) = http_get(addr, "/health");
+    body.split_once("\"tick\":")
+        .and_then(|(_, rest)| rest.split(',').next())
+        .and_then(|tick| tick.parse().ok())
+        .unwrap_or_else(|| panic!("no tick in {body}"))
 }
 
 #[test]

@@ -215,8 +215,16 @@ fn background_maintainer_keeps_sketches_fresh() {
     imp.lock()
         .execute("INSERT INTO edb1 VALUES (99999, 50, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140)")
         .unwrap();
-    // Give the worker a few ticks.
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    // Wait for a tick to maintain the sketch (bounded wait; each poll
+    // yields the lock so the maintainer can take it).
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while imp.lock().describe_sketches().iter().any(|s| s.stale) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "background maintainer never ran"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
     bg.stop();
     // The sketch is fresh: the next query needs no maintenance.
     let ImpResponse::Rows { mode, .. } = imp.lock().execute(&q).unwrap() else {
