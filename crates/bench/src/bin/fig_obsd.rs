@@ -13,7 +13,7 @@
 //!    sit near the scheduler-jitter floor; a pure ratio would gate on
 //!    noise).
 //! 2. **Watchdog latency** — deliberately wedged workers (all parked,
-//!    the inbox non-empty) flip `/health` to degraded within
+//!    updates waiting) flip `/health` to degraded within
 //!    **2 watchdog ticks**, naming `shard_liveness`, with a flight dump
 //!    captured at the transition (`/flight?trip=1`).
 //! 3. **No lost scrapes** — every request the fleet issues gets a
@@ -90,10 +90,6 @@ fn build_imp(obsd: bool, rows: usize, groups: i64) -> Imp {
             fragments: 50,
             columnar_min: columnar_min(),
             sched_workers: 2,
-            // Tiny staging queue so paused-phase routing falls back
-            // inline and fills inboxes deterministically (fig_sched's
-            // trick) — the wedge phase needs visible queue depths.
-            ingest_queue_cap: 4,
             obs: if obs_enabled() {
                 ObsConfig::on()
             } else {
@@ -343,10 +339,9 @@ fn main() {
 
     // ---- Phase 2: wedged workers → degraded within 2 watchdog ticks.
     let paused = on.scheduler().unwrap().pause();
-    // Push enough batches per table to overflow the tiny staging queue
-    // (cap 4): overflow routes inline, so the paused workers' inbox fills
-    // and the liveness rule sees frozen heartbeats *with queued work* —
-    // a single staged batch would just look idle.
+    // Updates wait for the paused workers, so the liveness rule sees
+    // frozen heartbeats *with work waiting* — with none waiting they
+    // would just look idle.
     for name in table_names() {
         for op in insert_stream(&name, 6, delta, groups, rows * 8, 99) {
             let WorkloadOp::Update { sql, .. } = op else {

@@ -1,21 +1,21 @@
 //! Scheduler scale-out experiment (`imp_core::sched`).
 //!
 //! A multi-query workload — two sketch templates per table over K
-//! synthetic tables — takes the same routed update stream through worker
-//! pools of 1, 2, and 4 workers (plus the sequential in-line store as
-//! ground truth). The workers are paused while the updates are routed, so
-//! the inbox fills deterministically; the timed section is
-//! resume → drain, i.e. pure maintenance.
+//! synthetic tables — takes the same update stream through worker pools
+//! of 1, 2, and 4 workers (plus the sequential in-line store as ground
+//! truth). The workers are paused while the updates land, so a backlog
+//! builds deterministically; the timed section is resume → drain, i.e.
+//! pure maintenance.
 //!
 //! Reported per pool size: drain wall-clock, per-maintain latency
 //! percentiles (p50/p95/p99 from the `imp_core::obs` histograms, which
 //! run in metrics-only mode here and fully — spans included — under
-//! `IMP_OBS=1`), maintenance runs, routed / pushed / coalesced batches,
-//! backpressure stalls, and the maximum inbox depth. The harness
-//! **panics** when coalescing never
-//! fires, when the parallel speedup line cannot be computed, or when any
-//! pool's final sketch states differ from the sequential store's
-//! (byte-identical results are the scheduler's contract).
+//! `IMP_OBS=1`), maintenance runs, and the most updates that waited for a
+//! sweep. The harness **panics** when the backlog does not fold (as many
+//! maintenance runs as updates × sketches), when the parallel speedup
+//! line cannot be computed, or when any pool's final sketch states differ
+//! from the sequential store's (byte-identical results are the
+//! scheduler's contract).
 
 use criterion::Throughput;
 use imp_bench::*;
@@ -54,12 +54,6 @@ fn build_imp(workers: usize, rows: usize, groups: i64) -> Imp {
             fragments: 50,
             columnar_min: columnar_min(),
             sched_workers: workers,
-            // A tiny staging queue: paused-phase routing overflows onto
-            // the inline-ingest fallback every few updates, so the inbox
-            // fills (and coalesces) deterministically while the workers
-            // are parked — the queue-depth and coalescing observations
-            // below need batches in the inbox, not names in staging.
-            ingest_queue_cap: 4,
             // Maintain-latency histograms are always on here (they feed
             // the ungated p50/p95/p99 trajectory metrics below); full
             // tracing only under IMP_OBS=1.
@@ -144,9 +138,13 @@ fn main() {
         let drained = t0.elapsed();
         let stats = imp.scheduler().unwrap().stats();
 
+        // Each table's ROUNDS parked updates fold into fewer runs of its
+        // two sketches than one per update.
+        let updates = (ROUNDS * TABLES) as u64;
+        let sketches = imp.sketch_count() as u64;
         assert!(
-            stats.coalesced_batches > 0,
-            "coalescing never fired with {workers} workers: {stats:?}"
+            stats.maintain_runs < updates * sketches,
+            "the backlog never folded with {workers} workers: {stats:?}"
         );
         assert_eq!(
             imp.sketch_states(),
@@ -183,11 +181,6 @@ fn main() {
                 .metric("maintain_ns_p95", maint.p95() as f64, Unit::Ns, false)
                 .metric("maintain_ns_p99", maint.p99() as f64, Unit::Ns, false)
                 .count("maintain_runs", stats.maintain_runs, true)
-                .count("routed_batches", stats.routed_batches, true)
-                .count("fanout_messages", stats.fanout_messages, true)
-                .count("coalesced_batches", stats.coalesced_batches, false)
-                .count("backpressure_stalls", stats.backpressure_stalls, false)
-                .count("staged_updates", stats.staged_updates, false)
                 .count("max_queue_depth", max_depth, false),
         );
         drain_ms.push(drained.as_secs_f64() * 1e3);
@@ -195,10 +188,6 @@ fn main() {
             workers.to_string(),
             ms(drained.as_secs_f64() * 1e3),
             stats.maintain_runs.to_string(),
-            stats.routed_batches.to_string(),
-            stats.fanout_messages.to_string(),
-            stats.coalesced_batches.to_string(),
-            stats.backpressure_stalls.to_string(),
             max_depth.to_string(),
         ]);
     }
@@ -209,16 +198,7 @@ fn main() {
              (seq maintain_all_stale {})",
             ms(seq_time.as_secs_f64() * 1e3)
         ),
-        &[
-            "workers",
-            "drain",
-            "runs",
-            "routed",
-            "fanout",
-            "coalesced",
-            "stalls",
-            "max q",
-        ],
+        &["workers", "drain", "runs", "max q"],
         &rows_out,
     );
 

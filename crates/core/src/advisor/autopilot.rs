@@ -10,8 +10,8 @@
 //!                                      to one that was never demoted)
 //! ```
 //!
-//! * **Maintained** — proactively maintained: routed scheduler deltas,
-//!   eager batches, and stale sweeps all include it.
+//! * **Maintained** — proactively maintained: eager batches and the
+//!   sweeps of tick and worker alike include it.
 //! * **Lazy** — state stays in memory but nothing maintains it
 //!   proactively; the first query that needs it maintains it on demand
 //!   (split-invariant versioning makes the result identical to eager
@@ -41,6 +41,7 @@ use crate::middleware::{
     evict_stored, maintain_entry, restore_if_evicted, ImpConfig, StoredSketch,
 };
 use crate::obs::Obs;
+use crate::ops::DbAccess;
 use crate::Result;
 use imp_engine::Database;
 use imp_sql::QueryTemplate;
@@ -295,7 +296,8 @@ pub(crate) fn apply_to_store(
                 let entry = &mut entries[pos];
                 restore_if_evicted(entry)?;
                 if entry.maintainer.is_stale(db) {
-                    maintain_entry(entry, &action.template, db, config, obs, tracker)?;
+                    let held = &DbAccess::Held(db);
+                    maintain_entry(entry, &action.template, held, config, obs, tracker)?;
                 }
                 entry.lifecycle = Lifecycle::Maintained;
                 outcome.promoted += 1;

@@ -7,8 +7,8 @@
 //!   reuse, or a maintain-then-use — together with the estimated number
 //!   of backend rows the sketch rewrite skipped for that query
 //!   (equi-depth estimate, see [`imp_engine::histogram::estimate_skipped_rows`]);
-//! * every maintenance run (stale queries, sweeps, eager flushes, and
-//!   the [`crate::sched`] routed claims) records its
+//! * every maintenance run (stale queries, eager flushes, and the
+//!   [`crate::sched`] sweeps) records its
 //!   **cost** — the delta rows it consumed, taken from the run's
 //!   [`crate::maintain::MaintReport`].
 //!
@@ -111,7 +111,7 @@ impl WorkloadTracker {
     }
 
     /// Record one maintenance run of the sketch that consumed
-    /// `delta_rows` delta rows (fetched from the log or routed in).
+    /// `delta_rows` delta rows fetched from the log.
     pub fn record_maintenance(&self, key: SketchKey, delta_rows: u64) {
         let mut stats = self.stats.lock();
         let s = stats.entry(key).or_default();

@@ -83,7 +83,8 @@ mod tests {
     use crate::MaintReport;
     use imp_engine::Database;
     use imp_sql::{QueryTemplate, Statement};
-    use imp_storage::{row, DataType, Field, FxHashMap, Schema};
+    use imp_storage::{row, DataType, Field, Schema};
+    use parking_lot::RwLock;
     use proptest::prelude::*;
 
     const KEYS: i64 = 5;
@@ -254,7 +255,7 @@ mod tests {
     /// Veldhuizen's bound as counts, the accounting rule as a tripwire:
     /// identical single-row deltas against a 4-table chain cost the same
     /// rows, index probes and per-input probes at 2 k and at 200 k base
-    /// rows — and no run, claim or publish visits one state entry to
+    /// rows — and no run, sweep or publish visits one state entry to
     /// size anything.
     #[test]
     fn maintenance_cost_follows_the_delta_not_the_state() {
@@ -279,48 +280,35 @@ mod tests {
                 }
             }
 
-            // Sharded: a drain runs `run_claim` + `publish` on this
-            // thread, workers parked, and `maintain_from` directly on a
-            // maintainer.
+            // Sharded: a drain sweeps and publishes on this thread,
+            // workers parked, and a maintainer runs the sweep's path —
+            // fetch under a short read lock, operators on the shared
+            // database — directly.
             let mut sharded = Imp::new(chain_db(rows_per_table, keys), config(1));
             sharded.execute(QUERIES[0]).unwrap();
-            let mut claims = 0;
+            let mut runs = 0;
             for stmt in single_row_deltas() {
                 let paused = sharded.scheduler().unwrap().pause();
                 sharded.execute(&stmt).unwrap();
-                claims += sharded.scheduler().unwrap().drain();
+                runs += sharded.scheduler().unwrap().drain();
                 paused.resume();
             }
-            assert_eq!(
-                claims,
-                2 * TABLES.len(),
-                "every update is one claim, run here"
-            );
-            let mut routed_counts = Vec::new();
+            assert_eq!(runs, 2 * TABLES.len(), "every update is one run, made here");
+            let mut shared_counts = Vec::new();
             {
                 let db = chain_db(rows_per_table, keys);
                 let plan = db.plan_sql(QUERIES[0]).unwrap();
                 let pset = crate::middleware::choose_partitions(&db, &config(0), &plan)
                     .unwrap()
                     .unwrap();
-                let mut db = db;
                 let (mut m, _) =
                     crate::SketchMaintainer::capture(&plan, &db, pset, config(0).op_config(), true)
                         .unwrap();
-                let mut router = crate::sched::DeltaRouter::new();
-                router.register(&db, m.tables());
+                let db = RwLock::new(db);
                 for stmt in single_row_deltas() {
-                    db.execute_sql(&stmt).unwrap();
-                    let mut routed: FxHashMap<String, Vec<_>> = FxHashMap::default();
-                    for table in m.tables().to_vec() {
-                        if let Some(delta) = router.collect(&db, &table) {
-                            routed.entry(table).or_default().push(delta);
-                        }
-                    }
-                    if !routed.is_empty() {
-                        let report = m.maintain_from(&DbAccess::Held(&db), &routed).unwrap();
-                        routed_counts.push(counts(&report));
-                    }
+                    db.write().execute_sql(&stmt).unwrap();
+                    let report = m.maintain_with(&DbAccess::shared(&db), true).unwrap();
+                    shared_counts.push(counts(&report));
                 }
             }
 
@@ -335,8 +323,8 @@ mod tests {
                 "every update maintains"
             );
             assert_eq!(
-                inline_counts, routed_counts,
-                "fetching and routed paths agree"
+                inline_counts, shared_counts,
+                "a query's run and a sweep's run agree"
             );
             // The oracle still agrees at this size (and does visit state).
             assert_exact(&inline, "the scaling script").unwrap();

@@ -37,9 +37,8 @@
 //! * [`sched`] — the sketch store and its multi-query maintenance
 //!   scheduler: the stored sketches behind one state lock that a stale
 //!   query, a caller's control, or a [`sched::ShardPool`] worker takes
-//!   to work on them; a per-table [`sched::DeltaRouter`] feeding the
-//!   workers' one inbox (per-table batch
-//!   coalescing, bounded-queue backpressure); and versioned published
+//!   to work on them; workers that an update nudges to sweep every stale
+//!   sketch from the delta log; and versioned published
 //!   [`sched::SnapshotBoard`] sketches for the USE path.
 //! * [`obs`] — unified observability: a [`obs::MetricsRegistry`] of
 //!   counters / gauges / log-bucketed latency histograms with Prometheus

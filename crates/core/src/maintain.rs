@@ -15,11 +15,9 @@ use crate::ops::{DbAccess, IncNode, MaintCtx, MergeOp, OpConfig};
 use crate::opt::pushdown::pushable_predicates;
 use crate::Result;
 use imp_engine::{Bag, Database};
-use imp_sketch::{
-    annotate_delta_with, annotation_ids_for_rows, PartitionSet, SketchDelta, SketchSet,
-};
+use imp_sketch::{annotate_delta_with, PartitionSet, SketchDelta, SketchSet};
 use imp_sql::{Expr, LogicalPlan};
-use imp_storage::{AnnotPool, DeltaColumns, FxHashMap, PoolStats, Row, RowInterner};
+use imp_storage::{AnnotPool, FxHashMap, PoolStats, RowInterner};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,8 +37,8 @@ pub const POOL_FLUSH_LEN: usize = 1 << 16;
 /// The cold row-cache check of one maintenance run. A stream of fresh
 /// inserts never hits the interner, so a grown cache that found no hits is
 /// dropped, and dead payloads don't stay pinned for the maintainer's
-/// lifetime (in-flight batches keep their `Arc`s). The check runs once at
-/// the end of the run, or — `per_statement` — after each statement too.
+/// lifetime. The check runs once at the end of the run, or —
+/// `per_statement` — after each statement too.
 struct ColdCheck {
     per_statement: bool,
     /// Version of the statement being interned (`per_statement` only).
@@ -98,6 +96,16 @@ pub struct MaintReport {
     /// when the plan has no join, or on the empty fast-path / recapture
     /// paths where no probing happened).
     pub nary_input_probes: Vec<u64>,
+}
+
+/// The deltas of one run, fetched and prepared, before the operators run.
+struct Prepared {
+    deltas: FxHashMap<String, DeltaBatch>,
+    /// Highest record version fetched.
+    max_seen: u64,
+    metrics: MaintMetrics,
+    start: Instant,
+    pool_stats_before: PoolStats,
 }
 
 /// Per-query maintenance state: sketch + operator states + version.
@@ -207,9 +215,9 @@ impl SketchMaintainer {
         // Split-invariant versioning: the scan consumed every row of the
         // sketch's tables, i.e. everything up to the last logged record of
         // those tables. Using that (instead of the global `db.version()`)
-        // makes the version a pure function of the consumed content, so a
-        // sequential full-range run and a scheduler-routed sub-range run
-        // land on byte-identical versions. The `max` guards against
+        // makes the version a pure function of the consumed content, so one
+        // run over a range and several runs over its pieces land on
+        // byte-identical versions. The `max` guards against
         // regression when a vacuumed log no longer holds its tail.
         self.last_version = self.last_version.max(tables_log_version(db, &self.tables)?);
         // Bootstrap output from the empty state is the full query result.
@@ -264,20 +272,45 @@ impl SketchMaintainer {
 
     /// Incrementally maintain the sketch to the current database version.
     pub fn maintain(&mut self, db: &Database) -> Result<MaintReport> {
-        self.maintain_fetching(db, false)
+        self.maintain_with(&DbAccess::Held(db), false)
     }
 
-    /// [`Self::maintain`] for a store whose runs are split by timing, one
-    /// with workers: the cold row cache is checked after each
-    /// statement, as in [`Self::maintain_from`], not once per run. However
-    /// routed claims and stale queries split a sketch's statements into
-    /// runs, its row cache — and its state bytes — then come out as one
-    /// run per statement leaves them.
-    pub(crate) fn maintain_by_statement(&mut self, db: &Database) -> Result<MaintReport> {
-        self.maintain_fetching(db, true)
+    /// [`Self::maintain`] through `db`. With `by_statement` — on a store
+    /// with workers, where timing decides how a sketch's statements split
+    /// into runs — the cold row cache is checked after each statement, not
+    /// once per run, so the row cache and state bytes come out as one run
+    /// per statement leaves them, however the statements split.
+    ///
+    /// On a shared database the delta is fetched, annotated and
+    /// normalized under a short read lock. The operators then run without
+    /// it, unless one probes a base table
+    /// ([`IncNode::reads_base_tables`]): such a run keeps that read lock in
+    /// `db` to its end, so it sees the database its delta came from. An
+    /// update statement, which needs the write lock, does not wait for a
+    /// run that reads no table — every aggregation over its delta.
+    pub(crate) fn maintain_with(
+        &mut self,
+        db: &DbAccess<'_>,
+        by_statement: bool,
+    ) -> Result<MaintReport> {
+        let DbAccess::Shared { lock, guard } = db else {
+            let prepared = self.prepare(db.get(), by_statement)?;
+            return self.run_prepared(db, prepared);
+        };
+        let held = lock.read();
+        let prepared = self.prepare(&held, by_statement)?;
+        let changed = |t: &str| prepared.deltas.get(t).is_some_and(|b| !b.is_empty());
+        if self.root.reads_base_tables(&changed) {
+            let _ = guard.set(held);
+        } else {
+            drop(held);
+        }
+        self.run_prepared(db, prepared)
     }
 
-    fn maintain_fetching(&mut self, db: &Database, by_statement: bool) -> Result<MaintReport> {
+    /// Fetch, annotate, (optionally) pre-filter and normalize the deltas
+    /// of every table since the maintained version.
+    fn prepare(&mut self, db: &Database, by_statement: bool) -> Result<Prepared> {
         let start = Instant::now();
         let mut metrics = MaintMetrics::default();
         if self.pool.grown() > POOL_FLUSH_LEN {
@@ -286,7 +319,6 @@ impl SketchMaintainer {
         let pool_stats_before = self.pool.stats();
         let mut cold = ColdCheck::new(&self.rows, by_statement);
 
-        // Fetch + annotate + (optionally) pre-filter the deltas.
         let mut deltas: FxHashMap<String, DeltaBatch> = FxHashMap::default();
         let mut max_seen = 0u64;
         for table in &self.tables {
@@ -320,101 +352,27 @@ impl SketchMaintainer {
             deltas.insert(table.clone(), normalized);
         }
         cold.end(&mut self.rows);
-        self.run_prepared(
-            &DbAccess::Held(db),
+        Ok(Prepared {
             deltas,
             max_seen,
             metrics,
             start,
             pool_stats_before,
-        )
+        })
     }
 
-    /// Maintain from scheduler-routed table deltas instead of fetching
-    /// from the backend's delta logs (the [`crate::sched`] workers'
-    /// path). Entries at or below the maintained version are skipped, so
-    /// a routed batch may safely overlap history the sketch has already
-    /// consumed (e.g. after an on-demand [`Self::maintain`] overtook the
-    /// queue). Produces byte-identical sketches and versions to the
-    /// fetching path run over the same record ranges. The deltas come
-    /// with the call, so `db` is touched only if an operator reads base
-    /// tables (see [`DbAccess`]).
-    /// A run that would read one sees the database past the routed
-    /// batches, so it is run as [`Self::maintain`] instead: a log fetch to
-    /// that same version (later routed batches are then skipped).
-    pub fn maintain_from(
-        &mut self,
-        db: &DbAccess<'_>,
-        routed: &FxHashMap<String, Vec<Arc<crate::sched::TableDelta>>>,
-    ) -> Result<MaintReport> {
-        let last = self.last_version;
-        let changed = |table: &str| {
-            let mut entries = routed.get(table).into_iter().flatten();
-            entries.any(|b| b.entries.iter().any(|e| e.version > last))
-        };
-        if self.root.reads_base_tables(&changed) {
-            return self.maintain_by_statement(db.get());
-        }
-        let start = Instant::now();
-        let mut metrics = MaintMetrics::default();
-        if self.pool.grown() > POOL_FLUSH_LEN {
-            self.flush_pool_caches();
-        }
-        let pool_stats_before = self.pool.stats();
-        // However a claim coalesces batches, the row cache — and the state
-        // bytes — come out as one run per statement leaves them.
-        let mut cold = ColdCheck::new(&self.rows, true);
-
-        let mut deltas: FxHashMap<String, DeltaBatch> = FxHashMap::default();
-        let mut max_seen = 0u64;
-        for table in &self.tables {
-            // Columnar gather: version-filter and intern the routed batches
-            // into contiguous row/multiplicity arrays, then annotate
-            // (chunked fragment extraction) in a whole-column pass.
-            let mut rows_col: Vec<Row> = Vec::new();
-            let mut mults: Vec<i64> = Vec::new();
-            for batch in routed.get(table).map(Vec::as_slice).unwrap_or_default() {
-                for entry in batch
-                    .entries
-                    .iter()
-                    .filter(|e| e.version > self.last_version)
-                {
-                    cold.statement(&mut self.rows, entry.version);
-                    rows_col.push(self.rows.intern(entry.row.clone()));
-                    mults.push(entry.mult);
-                }
-                max_seen = max_seen.max(batch.to_version);
-            }
-            metrics.delta_rows_fetched += rows_col.len() as u64;
-            let annots = annotation_ids_for_rows(&mut self.pool, &self.pset, table, &rows_col);
-            let mut cols = DeltaColumns::with_capacity(rows_col.len());
-            for (row, (annot, mult)) in rows_col.into_iter().zip(annots.into_iter().zip(mults)) {
-                cols.push(row, annot, mult);
-            }
-            let annotated = cols.into_batch();
-            let filtered = self.apply_pushdown(table, annotated, Some(&mut metrics));
-            let normalized =
-                crate::delta::normalize_delta_with(filtered, self.op_config.columnar_min);
-            deltas.insert(table.clone(), normalized);
-        }
-        cold.end(&mut self.rows);
-        self.run_prepared(db, deltas, max_seen, metrics, start, pool_stats_before)
-    }
-
-    /// Shared tail of [`Self::maintain`] / [`Self::maintain_from`]: push
-    /// prepared per-table batches through the operator tree, fall back to
-    /// recapture when bounded state exhausts, apply the sketch delta, and
-    /// advance the version to the highest record version consumed
-    /// (split-invariant — see [`Self::maintain`]'s bootstrap notes).
-    fn run_prepared(
-        &mut self,
-        db: &DbAccess<'_>,
-        deltas: FxHashMap<String, DeltaBatch>,
-        max_seen: u64,
-        mut metrics: MaintMetrics,
-        start: Instant,
-        pool_stats_before: PoolStats,
-    ) -> Result<MaintReport> {
+    /// Push prepared per-table batches through the operator tree, fall
+    /// back to recapture when bounded state exhausts, apply the sketch
+    /// delta, and advance the version to the highest record version
+    /// consumed (split-invariant — see [`Self::bootstrap`]'s notes).
+    fn run_prepared(&mut self, db: &DbAccess<'_>, prepared: Prepared) -> Result<MaintReport> {
+        let Prepared {
+            deltas,
+            max_seen,
+            mut metrics,
+            start,
+            pool_stats_before,
+        } = prepared;
         for batch in deltas.values() {
             let (pooled, flat) = delta_heap_sizes(batch, &self.pool, &mut self.delta_seen);
             metrics.delta_bytes_pooled += pooled as u64;
@@ -576,7 +534,7 @@ impl SketchMaintainer {
     /// Heap footprint of all operator state + merge counters + sketch +
     /// the interning pools. Every term is a running total its owner
     /// keeps while it inserts and removes, so reading it costs
-    /// O(#operators) whatever the state holds — no run, claim or publish
+    /// O(#operators) whatever the state holds — no run, sweep or publish
     /// walks state to size it. Annotation contents are counted exactly
     /// once, by the pool: operator state (top-k entries, join-side
     /// indexes) holds `Arc<BitVec>` handles from [`AnnotPool::share`] and
@@ -661,6 +619,9 @@ pub fn diff_sketches(before: &SketchSet, after: &SketchSet) -> SketchDelta {
 mod tests {
     use super::*;
     use crate::heap_oracle::Walk;
+    use crate::middleware::{choose_partitions, ImpConfig};
+    use imp_storage::{row, DataType, Field, Schema};
+    use parking_lot::RwLock;
 
     impl SketchMaintainer {
         /// The accounting oracle: [`Self::state_heap_size`] recomputed by
@@ -675,5 +636,62 @@ mod tests {
                 + self.rows.heap_size();
             (walked, walk.unpooled())
         }
+    }
+
+    /// Two tables `a(k, v)` and `b(k, w)`, six rows each over six keys.
+    fn two_tables() -> Database {
+        let mut db = Database::new();
+        for (name, col) in [("a", "v"), ("b", "w")] {
+            let schema = Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::new(col, DataType::Int),
+            ]);
+            db.create_table(name, schema).unwrap();
+            let rows = (0..6).map(|i| row![i, i * 10]);
+            db.table_mut(name).unwrap().bulk_load(rows).unwrap();
+        }
+        db
+    }
+
+    /// Whether a run through the shared database, after `update`, kept
+    /// the read lock for its operators (the lazy guard is taken).
+    fn keeps_the_lock(sql: &str, config: ImpConfig, update: &str) -> bool {
+        let mut db = two_tables();
+        let plan = db.plan_sql(sql).unwrap();
+        let pset = choose_partitions(&db, &config, &plan).unwrap().unwrap();
+        let (mut m, _) =
+            SketchMaintainer::capture(&plan, &db, pset, config.op_config(), true).unwrap();
+        db.execute_sql(update).unwrap();
+        let lock = RwLock::new(db);
+        let access = DbAccess::shared(&lock);
+        let report = m.maintain_with(&access, true).unwrap();
+        assert_eq!(report.metrics.delta_rows_fetched, 1);
+        assert!(!m.is_stale(&lock.read()));
+        let DbAccess::Shared { guard, .. } = &access else {
+            unreachable!()
+        };
+        guard.get().is_some()
+    }
+
+    /// The lock scope of a sweep's run: an aggregation over its delta
+    /// leaves the lazy guard untaken, so an update statement need not wait
+    /// for it; a join that probes a side it keeps no index for holds the
+    /// read lock its fetch took.
+    #[test]
+    fn only_a_run_that_reads_a_base_table_keeps_the_read_lock() {
+        let config = ImpConfig {
+            fragments: 3,
+            ..ImpConfig::default()
+        };
+        let aggregate = "SELECT k, sum(v) AS s FROM a GROUP BY k HAVING sum(v) > 10";
+        let insert = "INSERT INTO a VALUES (1, 70)";
+        assert!(!keeps_the_lock(aggregate, config.clone(), insert));
+        let join = "SELECT a.k, sum(w) AS s FROM a JOIN b ON (a.k = b.k) GROUP BY a.k \
+                    HAVING sum(w) > 10";
+        let unindexed = ImpConfig {
+            join_index_budget: None,
+            ..config
+        };
+        assert!(keeps_the_lock(join, unindexed, insert));
     }
 }

@@ -1,12 +1,12 @@
 //! Maintenance metrics: cost and memory accounting for the experiments,
 //! plus the shared atomic counters of the [`crate::sched`] scheduler
-//! (queue depth, coalescing, backpressure).
+//! (noted updates, maintenance runs, the pending-update depth).
 //!
 //! The scheduler counters are [`crate::obs::registry`] handles: when the
 //! scheduler is built through [`crate::middleware::Imp`], they register in
 //! the `Imp`'s unified [`crate::obs::MetricsRegistry`] (names prefixed
 //! `imp_sched_`, per-worker heartbeats labeled `worker="i"`), so the text
-//! and JSON expositions show routing and backlog alongside the
+//! and JSON expositions show the backlog alongside the
 //! latency histograms. [`SchedMetrics::new`] without a registry keeps
 //! them detached (tests, standalone pools) — same behavior, unexported.
 
@@ -92,36 +92,25 @@ impl MaintMetrics {
 }
 
 /// Shared atomic counters of the maintenance scheduler
-/// ([`crate::sched`]): the router and every worker update them
-/// lock-free; [`SchedMetrics::snapshot`] captures a consistent-enough
-/// view for reporting (the `fig_sched` harness and tests).
+/// ([`crate::sched`]): writers and every worker update them lock-free;
+/// [`SchedMetrics::snapshot`] captures a consistent-enough view for
+/// reporting (the `fig_sched` harness and tests).
 #[derive(Debug)]
 pub struct SchedMetrics {
-    /// Table-delta batches built by the router (one per table flush).
-    pub routed_batches: Counter,
-    /// Delta rows shipped inside routed batches.
-    pub routed_rows: Counter,
-    /// Pending same-table batches folded into an earlier batch by the
-    /// inbox's coalescing pass.
-    pub coalesced_batches: Counter,
-    /// Updates that found the ingest staging queue full (or async ingest
-    /// disabled) and fell back to inline ingestion on the writer's
-    /// thread (backpressure onto the update path).
-    pub backpressure_stalls: Counter,
-    /// Updates staged for asynchronous ingestion (the writer returned
-    /// without collecting).
+    /// Updates noted for the workers (the writer returned without
+    /// maintaining anything).
     pub staged_updates: Counter,
-    /// Maintenance runs executed by the store (routed + on-demand).
+    /// Maintenance runs executed by the store (sweeps + on-demand).
     pub maintain_runs: Counter,
     /// Per-worker liveness heartbeat (gauge): bumped once per worker-loop
     /// iteration. The health watchdogs compare them across ticks — no
-    /// heartbeat advancing while the inbox is non-empty means the workers
-    /// are wedged (parked, deadlocked, or stuck in one maintain).
+    /// heartbeat advancing while updates wait means the workers are
+    /// wedged (parked, deadlocked, or stuck in one maintain).
     heartbeat: Vec<Gauge>,
-    /// Current inbox depth (gauge): routed batches queued and not yet
-    /// claimed.
+    /// Updates noted since the last sweep began (gauge): the work a
+    /// worker has not started yet.
     queue_depth: Gauge,
-    /// High-water inbox depth.
+    /// High-water [`Self::queue_depth`].
     max_queue_depth: Gauge,
 }
 
@@ -136,10 +125,6 @@ impl SchedMetrics {
     /// `imp_sched_*` names (heartbeats labeled `worker="i"`).
     pub fn registered(workers: usize, registry: &MetricsRegistry) -> SchedMetrics {
         SchedMetrics {
-            routed_batches: registry.counter("imp_sched_routed_batches"),
-            routed_rows: registry.counter("imp_sched_routed_rows"),
-            coalesced_batches: registry.counter("imp_sched_coalesced_batches"),
-            backpressure_stalls: registry.counter("imp_sched_backpressure_stalls"),
             staged_updates: registry.counter("imp_sched_staged_updates"),
             maintain_runs: registry.counter("imp_sched_maintain_runs"),
             heartbeat: (0..workers)
@@ -157,28 +142,30 @@ impl SchedMetrics {
         self.heartbeat[worker].inc();
     }
 
-    /// Record a batch entering the inbox.
-    pub fn enqueued(&self) {
+    /// Record an update noted for the workers.
+    pub fn noted(&self) {
+        self.staged_updates.inc();
         let d = self.queue_depth.inc_get();
         self.max_queue_depth.max_of(d);
     }
 
-    /// Record a batch leaving the inbox. Saturates at 0: a mismatched
-    /// dequeue must not wrap the gauge to `u64::MAX`, which would trip
-    /// the `queue_depth` watchdog until the pool restarts.
-    pub fn dequeued(&self) {
-        self.queue_depth.dec_saturating();
+    /// True iff an update was noted since the last sweep began.
+    pub fn pending(&self) -> bool {
+        self.queue_depth.get() > 0
+    }
+
+    /// Record a sweep beginning: it covers every update noted so far.
+    pub fn swept(&self) {
+        self.queue_depth.set(0);
     }
 
     /// Plain-value view of the counters.
     pub fn snapshot(&self) -> SchedStats {
-        let routed_batches = self.routed_batches.get();
         SchedStats {
-            routed_batches,
-            routed_rows: self.routed_rows.get(),
-            fanout_messages: routed_batches,
-            coalesced_batches: self.coalesced_batches.get(),
-            backpressure_stalls: self.backpressure_stalls.get(),
+            routed_batches: 0,
+            fanout_messages: 0,
+            coalesced_batches: 0,
+            backpressure_stalls: 0,
             staged_updates: self.staged_updates.get(),
             maintain_runs: self.maintain_runs.get(),
             per_shard: vec![ShardQueueStats {
@@ -192,31 +179,34 @@ impl SchedMetrics {
 /// Point-in-time values of [`SchedMetrics`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedStats {
-    /// See [`SchedMetrics::routed_batches`].
+    /// Always 0: no update is copied out of the delta log any more; a
+    /// sweep fetches each stale sketch's delta from the log itself. Kept
+    /// for the `bench_cycle` report, which still reads it.
     pub routed_batches: u64,
-    /// See [`SchedMetrics::routed_rows`].
-    pub routed_rows: u64,
-    /// Inbox pushes: every routed batch lands in the one inbox once, so
-    /// this equals [`Self::routed_batches`].
+    /// Always 0, like [`Self::routed_batches`]: nothing is pushed to a
+    /// queue. Kept for the `bench_cycle` report.
     pub fanout_messages: u64,
-    /// See [`SchedMetrics::coalesced_batches`].
+    /// Always 0: a sweep maintains each stale sketch once from its own
+    /// version, so there are no queued batches to fold. Kept for the
+    /// `bench_cycle` report.
     pub coalesced_batches: u64,
-    /// See [`SchedMetrics::backpressure_stalls`].
+    /// Always 0: a writer only notes its update, so nothing stalls it.
+    /// Kept for the `bench_cycle` report.
     pub backpressure_stalls: u64,
     /// See [`SchedMetrics::staged_updates`].
     pub staged_updates: u64,
     /// See [`SchedMetrics::maintain_runs`].
     pub maintain_runs: u64,
-    /// The inbox's queue gauges: always one entry, since the store has
-    /// one inbox. A `Vec` so that readers of `per_shard[].max_depth`
-    /// (the `bench_cycle` report among them) keep working.
+    /// The store's pending-update gauges: always one entry. A `Vec` so
+    /// that readers of `per_shard[].max_depth` (the `bench_cycle` report
+    /// among them) keep working.
     pub per_shard: Vec<ShardQueueStats>,
 }
 
-/// Queue gauges of the inbox.
+/// Pending-update gauges of the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardQueueStats {
-    /// Batches currently queued.
+    /// Updates noted since the last sweep began.
     pub depth: u64,
     /// High-water depth since spawn.
     pub max_depth: u64,
@@ -227,33 +217,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dequeued_saturates_at_zero() {
+    fn a_sweep_takes_every_noted_update() {
         let m = SchedMetrics::new(2);
-        // A mismatched dequeue on an empty queue must not wrap to
-        // u64::MAX.
-        m.dequeued();
-        assert_eq!(m.snapshot().per_shard[0].depth, 0);
-        m.enqueued();
-        m.dequeued();
-        m.dequeued();
+        assert!(!m.pending());
+        m.noted();
+        m.noted();
+        assert!(m.pending());
+        m.swept();
+        assert!(!m.pending());
         let snap = m.snapshot();
         assert_eq!(snap.per_shard[0].depth, 0);
-        assert_eq!(snap.per_shard[0].max_depth, 1);
+        assert_eq!(snap.per_shard[0].max_depth, 2);
+        assert_eq!(snap.staged_updates, 2);
     }
 
     #[test]
     fn registered_metrics_share_registry_cells() {
         let registry = MetricsRegistry::new();
         let m = SchedMetrics::registered(2, &registry);
-        m.routed_batches.add(3);
-        m.enqueued();
+        m.noted();
+        m.maintain_runs.add(3);
         m.beat(1);
         m.beat(1);
         let text = registry.render_text();
-        assert!(text.contains("imp_sched_routed_batches 3"));
+        assert!(text.contains("imp_sched_staged_updates 1"));
+        assert!(text.contains("imp_sched_maintain_runs 3"));
         assert!(text.contains("imp_sched_heartbeat{worker=\"1\"} 2"));
         assert!(text.contains("imp_sched_queue_depth 1"));
         assert!(text.contains("imp_sched_max_queue_depth 1"));
-        assert_eq!(m.snapshot().fanout_messages, 3, "one inbox push per batch");
+        assert_eq!(m.snapshot().routed_batches, 0, "nothing is routed");
     }
 }

@@ -12,8 +12,8 @@
 //! snapshots; a query whose sketch is stale maintains that sketch itself,
 //! on its own thread, under the state lock. [`ImpConfig::sched_workers`]
 //! only adds help: with `0` (the default) the caller does all the work,
-//! exactly as the paper describes; with `≥ 1`, background workers
-//! maintain routed deltas beside the query path.
+//! exactly as the paper describes; with `≥ 1`, background workers sweep
+//! stale sketches beside the query path.
 
 use crate::advisor::{
     Advisor, AdvisorParams, AdvisorReport, Lifecycle, SketchCard, SketchKey, UseKind,
@@ -23,7 +23,7 @@ use crate::error::CoreError;
 use crate::maintain::{MaintReport, SketchMaintainer};
 use crate::obs::{HealthConfig, Obs, ObsConfig, Probe};
 use crate::obsd::{start_obsd, ObsdHandle, ObsdState, OBSD_ADDR_ENV};
-use crate::ops::OpConfig;
+use crate::ops::{DbAccess, OpConfig};
 use crate::sched::{PublishedSketch, Scheduler};
 use crate::strategy::MaintenanceStrategy;
 use crate::Result;
@@ -43,8 +43,8 @@ pub struct ImpConfig {
     /// Eager or lazy maintenance (§2, §8.5). Lazy: a sketch is maintained
     /// when a query needs it. Eager: with no workers, an update
     /// maintains every sketch whose pending delta rows reached the batch
-    /// size, on the updating thread; with workers, routing supersedes it
-    /// (see [`Self::sched_workers`]).
+    /// size, on the updating thread; with workers, their sweeps supersede
+    /// it (see [`Self::sched_workers`]).
     pub strategy: MaintenanceStrategy,
     /// Fragments per range partition (`#frag`, §8.3.5).
     pub fragments: usize,
@@ -88,26 +88,16 @@ pub struct ImpConfig {
     /// a stale query maintains its own sketch, an update touches no
     /// sketch state (or, under [`MaintenanceStrategy::Eager`], maintains
     /// the sketches whose batch filled), and [`Imp::tick_maintenance`]
-    /// sweeps. With `N ≥ 1`, every update referenced by a stored sketch
-    /// is ingested once per table into the store's one inbox, and the `N`
-    /// workers claim from it and maintain it asynchronously with
-    /// per-table coalescing, taking turns on the store's one state lock
-    /// (superseding the foreground behavior of `strategy`; the
-    /// `maintenance` reports of [`ImpResponse::Affected`] are then always
-    /// empty). A stale query still maintains its own sketch either way.
-    /// One worker is what the benchmark measures; more share the one lock
-    /// and have not measured faster.
+    /// sweeps. With `N ≥ 1`, an update only nudges a worker, which sweeps
+    /// the store: every stale sketch is brought current from the delta
+    /// log, one at a time, however many updates it missed. The workers
+    /// take turns on the store's one state lock (superseding the
+    /// foreground behavior of `strategy`; the `maintenance` reports of
+    /// [`ImpResponse::Affected`] are then always empty). A stale query
+    /// still maintains its own sketch either way. One worker is what the
+    /// benchmark measures; more share the one lock and have not measured
+    /// faster.
     pub sched_workers: usize,
-    /// Scheduler coalescing bound: pending routed delta rows *per table*
-    /// a claim folds into a single maintenance run before flushing.
-    pub coalesce_budget: usize,
-    /// Capacity of the async-ingest staging queue: committed updates
-    /// stage their table name here and return immediately, leaving log
-    /// collection to the workers. `0` disables async ingest (updates
-    /// collect on the writer's thread); a
-    /// full queue also falls back to that, counted in
-    /// [`crate::metrics::SchedStats::backpressure_stalls`].
-    pub ingest_queue_cap: usize,
     /// Heap-byte budget for the sketch store, enforced by the
     /// [`crate::advisor`] autopilot: every [`Imp::tick_maintenance`] (and
     /// explicit [`Imp::advise`]) runs a selection pass that keeps the
@@ -134,12 +124,6 @@ pub struct ImpConfig {
     pub health: HealthConfig,
 }
 
-/// Default [`ImpConfig::coalesce_budget`].
-pub const DEFAULT_COALESCE_BUDGET: usize = 4096;
-
-/// Default [`ImpConfig::ingest_queue_cap`].
-pub const DEFAULT_INGEST_QUEUE_CAP: usize = 256;
-
 impl Default for ImpConfig {
     fn default() -> Self {
         ImpConfig {
@@ -156,8 +140,6 @@ impl Default for ImpConfig {
             allow_unsafe_attributes: false,
             retain_sketch_versions: true,
             sched_workers: 0,
-            coalesce_budget: DEFAULT_COALESCE_BUDGET,
-            ingest_queue_cap: DEFAULT_INGEST_QUEUE_CAP,
             sketch_memory_budget: None,
             advisor: AdvisorParams::default(),
             obs: ObsConfig::default(),
@@ -616,8 +598,8 @@ impl Imp {
     /// Maintain every stale [`Lifecycle::Maintained`] sketch (used by
     /// eager flushes and the background maintainer; advisor-demoted
     /// sketches are only maintained on demand by a query), on this
-    /// thread. Queued routed deltas are processed first (queue order),
-    /// then every still-stale sketch is brought current.
+    /// thread: one sweep of the store. A sketch whose run fails does not
+    /// stop the sweep; the first error is returned once it is done.
     pub fn maintain_all_stale(&mut self) -> Result<Vec<MaintReport>> {
         self.sched.maintain_stale()
     }
@@ -752,11 +734,9 @@ impl Imp {
                     MaintenanceStrategy::Eager { batch_size } if self.sched.workers() == 0 => {
                         self.maintain_eager(&table, count, batch_size)?
                     }
-                    // Ingest the table's delta once into the inbox when a
-                    // sketch references it, and the workers maintain it
-                    // (no workers: a no-op).
+                    // Nudge a worker to sweep (no workers: a no-op).
                     _ => {
-                        self.sched.route(&table);
+                        self.sched.note_update(&table);
                         Vec::new()
                     }
                 };
@@ -791,6 +771,7 @@ impl Imp {
                     }
                     entry.pending_rows += rows;
                     if entry.pending_rows as usize >= batch_size {
+                        let db = &DbAccess::Held(db);
                         reports.push(maintain_entry(entry, template, db, config, obs, tracker)?);
                     }
                 }
@@ -987,15 +968,15 @@ pub(crate) fn trim_versions(entry: &mut StoredSketch, horizons: &FxHashMap<Strin
     horizon.map_or(0, |&h| entry.versions.trim_below(h))
 }
 
-/// Restore (if evicted) and maintain one stored sketch via the direct
+/// Restore (if evicted) and maintain one stored sketch through the
 /// fetching path, resetting its eager batch counter and retaining the
-/// new version — the per-entry maintenance step of every fetching path
-/// (stale queries, sweeps, eager batches, advisor promotions), so their
+/// new version — the per-entry maintenance step of every path (stale
+/// queries, sweeps, eager batches, advisor promotions), so their
 /// arithmetic and their bookkeeping cannot drift.
 pub(crate) fn maintain_entry(
     entry: &mut StoredSketch,
     template: &QueryTemplate,
-    db: &Database,
+    db: &DbAccess<'_>,
     config: &ImpConfig,
     obs: &Obs,
     tracker: &WorkloadTracker,
@@ -1003,12 +984,10 @@ pub(crate) fn maintain_entry(
     restore_if_evicted(entry)?;
     let from_version = entry.maintainer.version();
     // A store with workers splits a sketch's statements into runs by
-    // timing; see `maintain_by_statement`.
-    let report = if config.sched_workers > 0 {
-        entry.maintainer.maintain_by_statement(db)?
-    } else {
-        entry.maintainer.maintain(db)?
-    };
+    // timing; see `SketchMaintainer::maintain_with`.
+    let report = entry
+        .maintainer
+        .maintain_with(db, config.sched_workers > 0)?;
     entry.pending_rows = 0;
     retain_version(entry, config.retain_sketch_versions);
     record_run(entry, template, &report, from_version, obs, tracker);
@@ -1191,8 +1170,11 @@ fn sampled_distinct(db: &Database, table: &str, column: usize) -> usize {
 /// Reload evicted operator state before the maintainer is used ("fetched
 /// from the database" in paper §2 terms).
 pub(crate) fn restore_if_evicted(entry: &mut StoredSketch) -> Result<()> {
-    if let Some(bytes) = entry.evicted.take() {
-        crate::state_codec::load_state(&mut entry.maintainer, bytes)?;
+    if let Some(bytes) = &entry.evicted {
+        // The blob goes only once it has loaded: a sketch whose blob does
+        // not decode fails every run, instead of maintaining reset state.
+        crate::state_codec::load_state(&mut entry.maintainer, bytes.clone())?;
+        entry.evicted = None;
     }
     Ok(())
 }

@@ -68,27 +68,10 @@ pub fn fid(s: &str) -> u64 {
 /// field meanings on each variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightEvent {
-    /// An update batch entered staging (or fell back inline).
+    /// An update was noted for the workers.
     Staged {
         /// [`fid`] of the base table.
         table: u64,
-        /// 1 when queued, 0 when backpressure forced inline ingest.
-        queued: u64,
-    },
-    /// The router collected one table's staged deltas.
-    Routed {
-        /// [`fid`] of the base table.
-        table: u64,
-        /// Delta rows routed.
-        rows: u64,
-    },
-    /// A run was claimed from the inbox by a worker or by a caller
-    /// draining the store (as worker 0).
-    Claimed {
-        /// Claiming worker.
-        worker: u64,
-        /// Batches in the run.
-        batches: u64,
     },
     /// One sketch maintenance run finished.
     Maintained {
@@ -112,13 +95,11 @@ pub enum FlightEvent {
 }
 
 impl FlightEvent {
-    /// Numeric kind tag (stable across releases; 0 means "empty slot",
-    /// 4 was a retired kind).
+    /// Numeric kind tag (stable across releases; 0 means "empty slot";
+    /// 2, 3 and 4 were retired kinds).
     fn kind(&self) -> u64 {
         match self {
             FlightEvent::Staged { .. } => 1,
-            FlightEvent::Routed { .. } => 2,
-            FlightEvent::Claimed { .. } => 3,
             FlightEvent::Maintained { .. } => 5,
             FlightEvent::Published { .. } => 6,
         }
@@ -128,8 +109,6 @@ impl FlightEvent {
     pub fn kind_name(&self) -> &'static str {
         match self {
             FlightEvent::Staged { .. } => "staged",
-            FlightEvent::Routed { .. } => "routed",
-            FlightEvent::Claimed { .. } => "claimed",
             FlightEvent::Maintained { .. } => "maintained",
             FlightEvent::Published { .. } => "published",
         }
@@ -138,9 +117,7 @@ impl FlightEvent {
     /// Flatten into the four generic payload words.
     fn payload(&self) -> [u64; 4] {
         match *self {
-            FlightEvent::Staged { table, queued } => [table, queued, 0, 0],
-            FlightEvent::Routed { table, rows } => [table, rows, 0, 0],
-            FlightEvent::Claimed { worker, batches } => [worker, batches, 0, 0],
+            FlightEvent::Staged { table } => [table, 0, 0, 0],
             FlightEvent::Maintained {
                 template,
                 versions,
@@ -155,18 +132,7 @@ impl FlightEvent {
     /// [`Self::payload`]); `None` on an unknown tag.
     fn from_slot(kind: u64, p: [u64; 4]) -> Option<FlightEvent> {
         Some(match kind {
-            1 => FlightEvent::Staged {
-                table: p[0],
-                queued: p[1],
-            },
-            2 => FlightEvent::Routed {
-                table: p[0],
-                rows: p[1],
-            },
-            3 => FlightEvent::Claimed {
-                worker: p[0],
-                batches: p[1],
-            },
+            1 => FlightEvent::Staged { table: p[0] },
             5 => FlightEvent::Maintained {
                 template: p[0],
                 versions: p[1],
@@ -185,9 +151,7 @@ impl FlightEvent {
     fn fields(&self) -> [(&'static str, u64); 4] {
         let p = self.payload();
         let names: [&'static str; 4] = match self {
-            FlightEvent::Staged { .. } => ["table", "queued", "", ""],
-            FlightEvent::Routed { .. } => ["table", "rows", "", ""],
-            FlightEvent::Claimed { .. } => ["worker", "batches", "", ""],
+            FlightEvent::Staged { .. } => ["table", "", "", ""],
             FlightEvent::Maintained { .. } => ["template", "versions", "rows", "dur_ns"],
             FlightEvent::Published { .. } => ["sketches", "epoch", "", ""],
         };
@@ -447,9 +411,9 @@ mod tests {
     fn record_and_read_back_in_order() {
         let fr = FlightRecorder::new(64);
         for i in 0..10u64 {
-            fr.record(FlightEvent::Routed {
-                table: fid("t"),
-                rows: i,
+            fr.record(FlightEvent::Published {
+                sketches: i,
+                epoch: i + 1,
             });
         }
         let events = fr.events(u64::MAX);
@@ -458,9 +422,9 @@ mod tests {
             assert_eq!(rec.ticket, i as u64);
             assert_eq!(
                 rec.event,
-                FlightEvent::Routed {
-                    table: fid("t"),
-                    rows: i as u64,
+                FlightEvent::Published {
+                    sketches: i as u64,
+                    epoch: i as u64 + 1,
                 }
             );
         }
@@ -521,10 +485,7 @@ mod tests {
     #[test]
     fn window_filters_by_time() {
         let fr = FlightRecorder::new(64);
-        fr.record(FlightEvent::Staged {
-            table: fid("a"),
-            queued: 1,
-        });
+        fr.record(FlightEvent::Staged { table: fid("a") });
         // A zero-width window drops everything already recorded …
         assert!(fr.events(0).is_empty());
         // … while the max window keeps it.
@@ -551,15 +512,7 @@ mod tests {
     #[test]
     fn event_roundtrip_all_kinds() {
         let all = [
-            FlightEvent::Staged {
-                table: 7,
-                queued: 0,
-            },
-            FlightEvent::Routed { table: 7, rows: 8 },
-            FlightEvent::Claimed {
-                worker: 1,
-                batches: 3,
-            },
+            FlightEvent::Staged { table: 7 },
             FlightEvent::Maintained {
                 template: 9,
                 versions: 5,

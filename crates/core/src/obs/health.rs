@@ -4,19 +4,17 @@
 //! [`spawn_health_ticker`] starts, or directly in tests) against a
 //! [`MetricsRegistry::sample`](super::registry::MetricsRegistry::sample)
 //! snapshot — watchdogs never touch scheduler internals, locks, or the
-//! store itself, so a wedged shard cannot wedge its own diagnosis. Four
+//! store itself, so a wedged shard cannot wedge its own diagnosis. Three
 //! rule families:
 //!
 //! * **`shard_liveness`** — no worker's `imp_sched_heartbeat` gauge
-//!   advanced since the previous tick while `imp_sched_queue_depth` was
-//!   non-zero: every worker is parked, deadlocked, or stuck inside one
-//!   maintain with work waiting. One live worker drains the one inbox,
-//!   so one frozen heartbeat beside an advancing one does not fire.
-//! * **`queue_depth`** — the inbox depth exceeds the configured limit
-//!   (backlog building faster than it drains).
-//! * **`backpressure_stalls`** — the `imp_sched_backpressure_stalls`
-//!   counter advanced by more than the configured delta in one tick
-//!   (writers are being punished inline).
+//!   advanced since the previous tick while `imp_sched_queue_depth` (the
+//!   updates noted since the last sweep began) was non-zero: every worker
+//!   is parked, deadlocked, or stuck inside one maintain with work
+//!   waiting. One live worker sweeps the whole store, so one frozen
+//!   heartbeat beside an advancing one does not fire.
+//! * **`queue_depth`** — more updates wait for a sweep than the
+//!   configured limit (a backlog building faster than sweeps clear it).
 //! * **`maintain_p99_slo`** — the windowed maintain-latency p99 exceeds
 //!   the SLO in **both** a short (one tick) and a long
 //!   ([`HealthConfig::long_window_ticks`]) window: the classic 2-window
@@ -45,11 +43,8 @@ use super::{Obs, ObsEvent, MAINTAIN_LATENCY};
 pub struct HealthConfig {
     /// Evaluation interval of the ticker thread.
     pub tick: Duration,
-    /// `queue_depth` fires above this many queued batches in the inbox.
+    /// `queue_depth` fires above this many updates waiting for a sweep.
     pub queue_depth_limit: u64,
-    /// `backpressure_stalls` fires when the stall counter advances by at
-    /// least this much within one tick.
-    pub stall_delta_limit: u64,
     /// `maintain_p99_slo` fires when the windowed maintain p99 exceeds
     /// this many nanoseconds in both burn-rate windows. 0 disables the
     /// rule.
@@ -63,7 +58,6 @@ impl Default for HealthConfig {
         HealthConfig {
             tick: Duration::from_millis(50),
             queue_depth_limit: 192,
-            stall_delta_limit: 512,
             p99_slo_ns: 1_000_000_000,
             long_window_ticks: 8,
         }
@@ -93,7 +87,7 @@ impl Verdict {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiringRule {
     /// Rule family name (`shard_liveness`, `queue_depth`,
-    /// `backpressure_stalls`, `maintain_p99_slo`).
+    /// `maintain_p99_slo`).
     pub name: &'static str,
     /// Human-readable specifics (shard id, observed vs limit, …).
     pub detail: String,
@@ -148,7 +142,6 @@ impl HealthReport {
 #[derive(Debug, Default)]
 struct PrevTick {
     heartbeats: BTreeMap<String, u64>,
-    stalls: u64,
 }
 
 /// The watchdog evaluator (pure state machine over metric samples; the
@@ -202,7 +195,6 @@ impl HealthMonitor {
         self.tick += 1;
         let mut heartbeats: BTreeMap<String, u64> = BTreeMap::new();
         let mut depth = 0u64;
-        let mut stalls = 0u64;
         let mut maint = HistSnapshot::empty();
         for s in samples {
             match &s.value {
@@ -212,9 +204,6 @@ impl HealthMonitor {
                     }
                 }
                 SampleValue::Gauge(v) if s.name == "imp_sched_queue_depth" => depth = *v,
-                SampleValue::Counter(v) if s.name == "imp_sched_backpressure_stalls" => {
-                    stalls = *v;
-                }
                 SampleValue::Histogram(h) if s.name == MAINTAIN_LATENCY => {
                     maint.merge(h);
                 }
@@ -224,14 +213,14 @@ impl HealthMonitor {
 
         let mut firing = Vec::new();
 
-        // shard_liveness: every heartbeat frozen while the inbox holds work.
+        // shard_liveness: every heartbeat frozen while updates wait.
         if let Some(prev) = &self.prev {
             let frozen = |(worker, hb): (&String, &u64)| prev.heartbeats.get(worker) == Some(hb);
             if depth > 0 && !heartbeats.is_empty() && heartbeats.iter().all(frozen) {
                 firing.push(FiringRule {
                     name: "shard_liveness",
                     detail: format!(
-                        "no heartbeat of {} worker(s) advanced with {depth} queued batch(es)",
+                        "no heartbeat of {} worker(s) advanced with {depth} update(s) waiting",
                         heartbeats.len()
                     ),
                 });
@@ -243,24 +232,10 @@ impl HealthMonitor {
             firing.push(FiringRule {
                 name: "queue_depth",
                 detail: format!(
-                    "{depth} queued batches > limit {}",
+                    "{depth} updates waiting > limit {}",
                     self.config.queue_depth_limit
                 ),
             });
-        }
-
-        // backpressure_stalls: stall counter slope.
-        if let Some(prev) = &self.prev {
-            let delta = stalls.saturating_sub(prev.stalls);
-            if delta >= self.config.stall_delta_limit {
-                firing.push(FiringRule {
-                    name: "backpressure_stalls",
-                    detail: format!(
-                        "{delta} inline-ingest stalls in one tick >= limit {}",
-                        self.config.stall_delta_limit
-                    ),
-                });
-            }
         }
 
         // maintain_p99_slo: 2-window burn rate over windowed histograms.
@@ -293,7 +268,7 @@ impl HealthMonitor {
             }
         }
 
-        self.prev = Some(PrevTick { heartbeats, stalls });
+        self.prev = Some(PrevTick { heartbeats });
         HealthReport {
             tick: self.tick,
             verdict: if firing.is_empty() {
@@ -437,16 +412,15 @@ mod tests {
     use super::*;
     use crate::obs::registry::MetricsRegistry;
 
-    /// Samples of one tick: per-worker heartbeats, the inbox depth, and
-    /// the stall counter.
-    fn sched_samples(heartbeats: &[u64], depth: u64, stalls: u64) -> Vec<MetricSample> {
+    /// Samples of one tick: per-worker heartbeats and the updates waiting
+    /// for a sweep.
+    fn sched_samples(heartbeats: &[u64], depth: u64) -> Vec<MetricSample> {
         let reg = MetricsRegistry::new();
         for (worker, v) in heartbeats.iter().enumerate() {
             reg.gauge_with("imp_sched_heartbeat", &[("worker", &worker.to_string())])
                 .set(*v);
         }
         reg.gauge("imp_sched_queue_depth").set(depth);
-        reg.counter("imp_sched_backpressure_stalls").add(stalls);
         reg.sample()
     }
 
@@ -454,28 +428,28 @@ mod tests {
     fn liveness_fires_on_frozen_heartbeat_with_backlog() {
         let mut m = HealthMonitor::new(HealthConfig::default());
         // Tick 1: baseline only, nothing can fire.
-        let r1 = m.tick(&sched_samples(&[5], 3, 0));
+        let r1 = m.tick(&sched_samples(&[5], 3));
         assert_eq!(r1.verdict, Verdict::Ok);
-        // Tick 2: heartbeat unchanged, inbox non-empty → degraded.
-        let r2 = m.tick(&sched_samples(&[5], 3, 0));
+        // Tick 2: heartbeat unchanged, updates waiting → degraded.
+        let r2 = m.tick(&sched_samples(&[5], 3));
         assert_eq!(r2.verdict, Verdict::Degraded);
         assert_eq!(r2.firing[0].name, "shard_liveness");
-        assert!(r2.firing[0].detail.contains("3 queued"));
+        assert!(r2.firing[0].detail.contains("3 update(s) waiting"));
         // Tick 3: heartbeat advanced → recovered.
-        let r3 = m.tick(&sched_samples(&[6], 3, 0));
+        let r3 = m.tick(&sched_samples(&[6], 3));
         assert_eq!(r3.verdict, Verdict::Ok);
     }
 
-    /// Two workers share the one inbox: one live worker drains it, so a
-    /// frozen heartbeat beside an advancing one is not a wedge; both
-    /// frozen is.
+    /// Two workers sweep the one store: one live worker clears the
+    /// backlog, so a frozen heartbeat beside an advancing one is not a
+    /// wedge; both frozen is.
     #[test]
     fn liveness_fires_only_when_no_worker_advances() {
         let mut m = HealthMonitor::new(HealthConfig::default());
-        m.tick(&sched_samples(&[5, 9], 3, 0));
-        let r = m.tick(&sched_samples(&[5, 10], 3, 0));
+        m.tick(&sched_samples(&[5, 9], 3));
+        let r = m.tick(&sched_samples(&[5, 10], 3));
         assert_eq!(r.verdict, Verdict::Ok, "{r:?}");
-        let r = m.tick(&sched_samples(&[5, 10], 3, 0));
+        let r = m.tick(&sched_samples(&[5, 10], 3));
         assert_eq!(r.verdict, Verdict::Degraded);
         assert_eq!(r.firing[0].name, "shard_liveness");
         assert!(r.firing[0].detail.contains("2 worker(s)"), "{r:?}");
@@ -484,9 +458,9 @@ mod tests {
     #[test]
     fn liveness_ignores_idle_frozen_workers() {
         let mut m = HealthMonitor::new(HealthConfig::default());
-        m.tick(&sched_samples(&[5], 0, 0));
-        // Frozen heartbeat with an *empty* inbox is just an idle worker.
-        let r = m.tick(&sched_samples(&[5], 0, 0));
+        m.tick(&sched_samples(&[5], 0));
+        // Frozen heartbeat with no update waiting is just an idle worker.
+        let r = m.tick(&sched_samples(&[5], 0));
         assert_eq!(r.verdict, Verdict::Ok);
     }
 
@@ -497,24 +471,9 @@ mod tests {
             ..HealthConfig::default()
         });
         // Fires on the first tick already — no previous state needed.
-        let r = m.tick(&sched_samples(&[1], 11, 0));
+        let r = m.tick(&sched_samples(&[1], 11));
         assert_eq!(r.verdict, Verdict::Degraded);
         assert_eq!(r.firing[0].name, "queue_depth");
-    }
-
-    #[test]
-    fn stall_slope_fires_on_delta_not_total() {
-        let mut m = HealthMonitor::new(HealthConfig {
-            stall_delta_limit: 100,
-            ..HealthConfig::default()
-        });
-        m.tick(&sched_samples(&[], 0, 1000));
-        // +50 per tick: under the slope limit despite the large total.
-        let r = m.tick(&sched_samples(&[], 0, 1050));
-        assert_eq!(r.verdict, Verdict::Ok);
-        let r = m.tick(&sched_samples(&[], 0, 1200));
-        assert_eq!(r.verdict, Verdict::Degraded);
-        assert_eq!(r.firing[0].name, "backpressure_stalls");
     }
 
     #[test]

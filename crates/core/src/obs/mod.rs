@@ -8,7 +8,7 @@
 //! * **[`registry`]** — a [`MetricsRegistry`] unifying counters, gauges,
 //!   and lock-free log-bucketed latency [`hist`]ograms under one
 //!   `(name, labels)` namespace. The scheduler's
-//!   [`crate::metrics::SchedMetrics`] counters and per-shard queue gauges
+//!   [`crate::metrics::SchedMetrics`] counters and pending-update gauges
 //!   register here, and the USE/maintain paths record latency histograms
 //!   keyed per template (`imp_maintain_latency_ns{template=…}`), so every
 //!   sketch gets its own maintain-latency distribution with
@@ -16,9 +16,9 @@
 //!   ([`Obs::metrics_text`]) and a deterministic JSON snapshot
 //!   ([`Obs::metrics_json`]).
 //! * **[`trace`]** — bounded per-thread span rings instrumenting the full
-//!   pipeline: update staged → router ingest → claim → per-term join
-//!   maintenance (`nary_delta` / `nary_probe` phases) → snapshot
-//!   publish. Spans carry ids, parent links, and
+//!   pipeline: update → a sweep's per-sketch run (`maintain_stale`) →
+//!   per-term join maintenance (`nary_delta` / `nary_probe` phases) →
+//!   snapshot publish. Spans carry ids, parent links, and
 //!   monotonic timestamps; [`Obs::trace_chrome_json`] renders Chrome
 //!   trace-event JSON loadable in `chrome://tracing`.
 //! * **[`probe`]** — a [`Probe`] subscriber registry emitting typed

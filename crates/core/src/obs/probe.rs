@@ -1,8 +1,8 @@
 //! Typed pipeline events and the `Probe` subscriber registry.
 //!
 //! Harnesses and tests subscribe a [`Probe`] to observe the pipeline —
-//! staging, ingest, fan-out, claims, maintenance runs, snapshot
-//! publishes, query answers — as typed [`ObsEvent`]s instead of reaching
+//! noted updates, maintenance runs, snapshot publishes, query answers —
+//! as typed [`ObsEvent`]s instead of reaching
 //! into scheduler internals. Emission sites pass a closure, which is only
 //! evaluated when at least one subscriber exists: with no subscribers an
 //! emit is a single relaxed atomic load and allocates nothing.
@@ -16,27 +16,10 @@ use parking_lot::Mutex;
 /// when a subscriber is registered).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObsEvent {
-    /// An update batch entered the staging queue (or fell back inline).
+    /// An update was noted for the workers.
     UpdateStaged {
-        /// Base table the delta targets.
+        /// Base table the update changed.
         table: String,
-        /// False when backpressure forced the inline-ingest fallback.
-        queued: bool,
-    },
-    /// The router collected one table's staged deltas.
-    RouterIngest {
-        /// Base table collected.
-        table: String,
-        /// Delta rows routed out of the collect.
-        rows: u64,
-    },
-    /// A batch run was claimed from the inbox.
-    ShardClaim {
-        /// Worker that claimed it (a caller draining the store claims as
-        /// worker 0).
-        worker: usize,
-        /// Batches in the claimed run.
-        batches: u64,
     },
     /// One sketch maintenance run finished.
     MaintainRun {
@@ -57,7 +40,7 @@ pub enum ObsEvent {
     /// A health watchdog rule fired (see [`crate::obs::health`]).
     WatchdogFired {
         /// Rule family name (`shard_liveness`, `queue_depth`,
-        /// `backpressure_stalls`, `maintain_p99_slo`).
+        /// `maintain_p99_slo`).
         rule: &'static str,
         /// Human-readable specifics of the firing.
         detail: String,
@@ -146,7 +129,6 @@ mod tests {
         hub.subscribe(Arc::clone(&probe) as Arc<dyn Probe>);
         hub.emit(|| ObsEvent::UpdateStaged {
             table: "t".to_string(),
-            queued: true,
         });
         hub.emit(|| ObsEvent::QueryAnswered {
             mode: "fresh",

@@ -2,8 +2,8 @@
 //! as Chrome trace-event JSON.
 //!
 //! A [`Tracer`] owns one bounded ring buffer per participating thread.
-//! Pipeline entry points (the middleware SELECT/UPDATE paths, the shard
-//! workers' claim loop) [`Tracer::attach`] the tracer to the current
+//! Pipeline entry points (the middleware SELECT/UPDATE paths, the
+//! workers' sweeps) [`Tracer::attach`] the tracer to the current
 //! thread; from there any code — however deep in the operator stack —
 //! opens spans with the free function [`span`], which finds the attached
 //! tracer through a thread-local and needs no handle plumbing. Spans

@@ -18,7 +18,7 @@
 //! | `/metrics.json` | Deterministic JSON snapshot of the registry           |
 //! | `/trace`        | Chrome trace-event JSON of recorded pipeline spans    |
 //! | `/health`       | Watchdog verdict (`503` while degraded), firing rules |
-//! | `/sketches`     | Per-template introspection: lifecycle rung, heap bytes, advisor score, maintain p50/p95/p99; the inbox's queue depth |
+//! | `/sketches`     | Per-template introspection: lifecycle rung, heap bytes, advisor score, maintain p50/p95/p99; the updates waiting for a sweep |
 //! | `/flight`       | Flight-recorder dump (`?window_ns=` bounds the window)|
 //!
 //! Starting obsd also starts the [`health`](crate::obs::health) watchdog
@@ -168,7 +168,7 @@ pub(crate) fn start_obsd(
 
 /// Render `/sketches`: one entry per published sketch, joined against a
 /// single registry sample (per-template maintain-latency histograms, the
-/// inbox's queue depth) and the workload tracker (advisor score).
+/// updates waiting for a sweep) and the workload tracker (advisor score).
 fn render_sketches(state: &ObsdState) -> String {
     let mut out = String::from("{\"sketches\":{");
     let samples = state.obs.registry().sample();
@@ -280,10 +280,8 @@ mod tests {
         let state = test_state();
         let obs = Arc::clone(&state.obs);
         let handle = start_obsd("127.0.0.1:0", state, HealthConfig::default()).unwrap();
-        obs.flight().record(crate::obs::FlightEvent::Staged {
-            table: 7,
-            queued: 1,
-        });
+        obs.flight()
+            .record(crate::obs::FlightEvent::Staged { table: 7 });
         let all = read_url(handle.addr(), "/flight");
         assert!(all.contains("\"kind\":\"staged\""), "{all}");
         let none = read_url(handle.addr(), "/flight?window_ns=0");

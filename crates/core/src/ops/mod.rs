@@ -49,13 +49,14 @@ use std::sync::Arc;
 
 /// How one maintenance run reaches the backend database.
 ///
-/// A run over routed deltas reads base tables only when an operator has
-/// to (a join side it does not keep materialized, a recapture); an
-/// aggregation over its delta never does. A shard worker therefore does
-/// not hold the shared database for the length of a claim — every update
-/// statement would wait for it — but takes the read lock at the run's
-/// first base-table read and keeps it to the end of that run, so all of a
-/// run's reads see one database state.
+/// A run's operators read base tables only when they have to: a join side
+/// they do not keep materialized, or a recapture. An aggregation over its
+/// delta never does. So a sketch store's sweep keeps the database read
+/// lock past a run's fetch only when the run's operators probe a base
+/// table ([`IncNode::reads_base_tables`]); otherwise they run on
+/// [`DbAccess::Shared`], which takes the lock at a first read (a
+/// recapture) and keeps it to the end of the run. An update statement,
+/// which needs the write lock, then does not wait for the run.
 pub enum DbAccess<'a> {
     /// The caller holds the database for the whole run.
     Held(&'a Database),

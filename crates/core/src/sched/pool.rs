@@ -1,23 +1,22 @@
 //! Worker-pool lifecycle: spawn, pause/resume, join.
 //!
-//! Routed deltas do not travel through the workers' channels — they live
-//! in the store's shared inbox (`crate::sched::inbox`) — and neither do
-//! controls, which run on the calling thread. The channels carry wake
-//! nudges, background sweeps, pause and stop; nudges and sweeps are sent
-//! without blocking, so `SHARD_QUEUE_CAP` merely bounds how many messages
-//! can be queued ahead of a worker. A pool may have no workers at all
-//! (`sched_workers: 0`): then callers do every claim.
+//! Deltas do not travel through the workers' channels — a sweep fetches
+//! them from the delta log — and neither do controls, which run on the
+//! calling thread. The channels carry sweep nudges, pause and stop;
+//! nudges are sent without blocking, so `SHARD_QUEUE_CAP` merely bounds
+//! how many messages can be queued ahead of a worker. A pool may have no
+//! workers at all (`sched_workers: 0`): then callers do all the work.
 
-use crate::sched::inbox::SchedShared;
 use crate::sched::shard::{ShardMsg, ShardWorker};
+use crate::sched::store::SchedShared;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Capacity of each worker's message queue. Wake nudges and sweeps are
-/// dropped (not blocked) when the queue is full, so a full queue never
-/// stalls ingestion or a maintenance tick.
+/// Capacity of each worker's message queue. Nudges are dropped (not
+/// blocked) when the queue is full, so a full queue never stalls an
+/// update or a maintenance tick.
 pub const SHARD_QUEUE_CAP: usize = 256;
 
 struct WorkerHandle {
@@ -25,7 +24,7 @@ struct WorkerHandle {
     handle: Option<JoinHandle<()>>,
 }
 
-/// `N` worker threads, all claiming from the sketch store's one inbox.
+/// `N` worker threads, all sweeping the one sketch store.
 pub struct ShardPool {
     workers: Vec<WorkerHandle>,
     /// Resume senders of outstanding pauses, so dropping the pool while a
@@ -120,8 +119,8 @@ impl Drop for ShardPool {
 }
 
 /// Guard returned by [`crate::sched::Scheduler::pause`]: every worker is
-/// parked (the inbox keeps filling — the deterministic way to observe
-/// coalescing and queue depth). Dropping the guard resumes them.
+/// parked (updates keep being noted — the deterministic way to observe a
+/// backlog). Dropping the guard resumes them.
 pub struct PausedShards {
     resumes: Vec<Sender<()>>,
 }

@@ -1,27 +1,25 @@
-//! Workers: background threads that claim maintenance work from the
-//! store's one inbox.
+//! Workers: background threads that sweep the store's stale sketches.
 //!
-//! A worker's loop alternates between two duties:
+//! A worker's loop reads the messages on its own channel — sweep nudges
+//! (an update's, or the fire-and-forget one of
+//! [`crate::Scheduler::kick_maintenance`]), pause and stop — and then
+//! sweeps when asked to or when updates were noted since the last sweep
+//! began. Nothing else travels on the channel: every other control — a
+//! capture, a stale query's maintenance, inspection, admin and advisor
+//! passes, drains — runs on the calling thread under the store's state
+//! lock, the way a sweep does.
 //!
-//! 1. **Messages** on its own channel: wake nudges, the fire-and-forget
-//!    stale sweep of [`crate::Scheduler::kick_maintenance`], pause and
-//!    stop. Nothing else travels here: every other control — a capture's
-//!    hand-over, a stale query's maintenance, inspection, admin and
-//!    advisor passes, drains — runs on the calling thread under the
-//!    store's state lock, the way a claim does.
-//! 2. **Claims** — claim a coalesced whole-batch prefix of the inbox (see
-//!    `crate::sched::inbox`) and run one maintenance pass over it, one
-//!    sketch at a time, handing the state lock to a waiting stale query
-//!    between two sketches. Routed batches gathered for the same table
-//!    **coalesce** into one run per sketch (the paper's batched-eager
-//!    maintenance), bounded by
-//!    [`crate::middleware::ImpConfig::coalesce_budget`]. With several
-//!    workers, all claim from the one inbox and take turns on the one
-//!    state lock.
+//! A **sweep** ([`sweep`]) maintains every stale [`Lifecycle::Maintained`]
+//! sketch through the fetching path, one sketch at a time, handing the
+//! state lock to a waiting stale query between two sketches. A sketch
+//! brings itself current from its own version, so updates that arrived
+//! while the workers were busy or parked fold into one run per sketch
+//! (the paper's batched-eager maintenance). With several workers, all
+//! sweep the one store and take turns on the one state lock.
 //!
-//! When the inbox is empty the worker blocks on its channel with a short
-//! timeout (`IDLE_WAIT`) — wake nudges make routed work prompt, the
-//! timeout is only the safety net for lost nudges.
+//! When nothing is noted the worker blocks on its channel with a short
+//! timeout (`IDLE_WAIT`) — nudges make a sweep prompt, the timeout is
+//! only the safety net for a dropped nudge.
 //!
 //! Workers never take the middleware lock — they share the database via
 //! `Arc<RwLock<Database>>` read guards and publish results as immutable
@@ -29,37 +27,30 @@
 
 use crate::advisor::Lifecycle;
 use crate::maintain::MaintReport;
-use crate::middleware::{
-    maintain_entry, record_run, restore_if_evicted, retain_version, stored_heap_size, Store,
-    StoredSketch,
-};
-use crate::obs::{trace, Obs, ObsEvent};
+use crate::middleware::{maintain_entry, stored_heap_size, StoredSketch};
+use crate::obs::{Obs, ObsEvent};
 use crate::ops::DbAccess;
-use crate::sched::inbox::{ClaimInFlight, SchedShared, ShardState};
-use crate::sched::router::TableDelta;
 use crate::sched::snapshot::{PublishedSketch, SnapshotBoard};
+use crate::sched::store::{SchedShared, ShardState};
 use crate::Result;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use imp_engine::Database;
 use imp_sql::QueryTemplate;
-use imp_storage::FxHashMap;
 use parking_lot::MutexGuard;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Idle block on the message channel: the safety net behind wake nudges.
+/// Idle block on the message channel: the safety net behind nudges.
 const IDLE_WAIT: Duration = Duration::from_millis(20);
 
 /// Messages a worker understands: only work that must run on the
-/// worker's own thread. Routed deltas travel through the shared inbox
-/// (`crate::sched::inbox`), and no message carries a result back: every
-/// control with a result runs on its caller's thread. (`Pause`'s ack
-/// only confirms that the worker is parked.)
+/// worker's own thread. No message carries a result back: every control
+/// with a result runs on its caller's thread. (`Pause`'s ack only
+/// confirms that the worker is parked.)
 pub(crate) enum ShardMsg {
-    /// Nudge: queued work may exist (staged ingest or a routed batch).
-    Wake,
-    /// Maintain every stale sketch (background ticks); an error is parked
-    /// in the store's sticky `last_error`.
-    MaintainStale,
+    /// Sweep the store (an update's nudge or a background tick); errors
+    /// are parked in the store's sticky `last_error`.
+    Sweep,
     /// Park the worker until `resume` yields (or its sender drops).
     Pause {
         /// Acked once parked.
@@ -83,199 +74,126 @@ impl ShardWorker {
         ShardWorker { id, rx, shared }
     }
 
-    /// The worker loop: messages → claims → idle block.
+    /// The worker loop: messages → sweep → idle block.
     pub(crate) fn run(self) {
         loop {
             // Liveness heartbeat: the health watchdogs compare these gauges
-            // across ticks — all frozen while the inbox is non-empty means
-            // the workers are wedged.
+            // across ticks — all frozen while updates wait means the
+            // workers are wedged.
             self.shared.metrics.beat(self.id);
-            let mut stop = false;
-            while let Ok(msg) = self.rx.try_recv() {
-                if self.handle(msg) {
-                    stop = true;
-                    break;
-                }
-            }
-            if !stop {
-                // One unit of maintenance work.
-                if self.work_once() {
-                    continue;
-                }
+            let mut next = self.rx.try_recv().ok();
+            if next.is_none() && !self.shared.metrics.pending() {
                 // Idle: block until a message or the safety net fires.
-                stop = match self.rx.recv_timeout(IDLE_WAIT) {
-                    Ok(msg) => self.handle(msg),
-                    Err(RecvTimeoutError::Timeout) => false,
-                    Err(RecvTimeoutError::Disconnected) => true,
+                next = match self.rx.recv_timeout(IDLE_WAIT) {
+                    Ok(msg) => Some(msg),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => return,
                 };
             }
-            if stop {
-                // Work queued before Stop is flushed before the thread
-                // exits.
-                while self.claim() {}
-                break;
+            let mut asked = false;
+            while let Some(msg) = next {
+                match msg {
+                    ShardMsg::Sweep => asked = true,
+                    ShardMsg::Pause { ack, resume } => {
+                        let _ = ack.send(());
+                        let _ = resume.recv(); // parked until resumed (or dropped)
+                    }
+                    ShardMsg::Stop => return,
+                }
+                next = self.rx.try_recv().ok();
             }
+            self.work_once(asked);
         }
     }
 
-    /// Handle one message; `true` = stop.
-    fn handle(&self, msg: ShardMsg) -> bool {
-        match msg {
-            ShardMsg::Wake => false,
-            ShardMsg::MaintainStale => {
-                // The sweep parks its error in `last_error` itself.
-                let _ = maintain_stale(&self.shared, &mut Vec::new());
-                false
-            }
-            ShardMsg::Pause { ack, resume } => {
-                let _ = ack.send(());
-                let _ = resume.recv(); // parked until resumed (or dropped)
-                false
-            }
-            ShardMsg::Stop => true,
-        }
-    }
-
-    /// One unit of work: staged ingest, then a claim. Returns `false`
-    /// when there was nothing to claim.
-    pub(crate) fn work_once(&self) -> bool {
-        if !self.shared.staging_is_empty() {
-            self.shared.ingest(None);
-        }
-        self.claim()
-    }
-
-    /// Claim and process one coalesced batch group from the inbox. Blocks
-    /// on the state lock: under contention the lock serializes claims, so
-    /// claimants interleave whole claims in inbox order. Returns `false`
-    /// when the inbox was empty or another claim is in flight.
-    fn claim(&self) -> bool {
-        if !self.shared.has_work() {
+    /// Sweep on this thread when `asked` or when updates were noted since
+    /// the last sweep began; errors are parked in `last_error`. Returns
+    /// `false` when there was no reason to sweep.
+    pub(crate) fn work_once(&self, asked: bool) -> bool {
+        if !asked && !self.shared.metrics.pending() {
             return false;
         }
-        let _span = self.shared.obs.span("shard_claim");
         let state = self.shared.slot.state.lock();
-        self.shared.claim_and_run(state, self.id)
+        let _ = sweep(&self.shared, state, &mut Vec::new());
+        true
     }
 }
 
-/// Maintain every stale [`Lifecycle::Maintained`] sketch through the
-/// fetching path, on the calling thread, and republish if anything
-/// changed; advisor-demoted sketches wait for a query that needs them.
-/// Any routed batch still queued for a maintained sketch becomes a
-/// version-filtered no-op. Stops at the first error, which is also parked
-/// in the store's sticky `last_error`.
-pub(crate) fn maintain_stale(shared: &SchedShared, reports: &mut Vec<MaintReport>) -> Result<()> {
-    let mut state = shared.slot.lock_settled();
-    let before = reports.len();
-    let result = sweep_stale(shared, &mut state.store, reports);
-    if let Err(e) = &result {
-        state.last_error = Some(e.to_string());
-    }
-    if result.is_err() || reports.len() > before {
-        publish(&mut state, &shared.board, &shared.obs);
-    }
-    result
+/// Is `entry` one a sweep maintains: fully maintained, and stale?
+/// Advisor-demoted sketches wait for a query that needs them (the delta
+/// log keeps their records; vacuum horizons respect every stored sketch's
+/// maintained version).
+fn due(entry: &StoredSketch, db: &Database) -> bool {
+    entry.lifecycle == Lifecycle::Maintained && entry.maintainer.is_stale(db)
 }
 
-fn sweep_stale(
-    shared: &SchedShared,
-    store: &mut Store,
-    reports: &mut Vec<MaintReport>,
-) -> Result<()> {
-    let db = shared.db.read();
-    for (template, entries) in store.iter_mut() {
-        let stale = |e: &&mut StoredSketch| {
-            e.lifecycle == Lifecycle::Maintained && e.maintainer.is_stale(&db)
-        };
-        for entry in entries.iter_mut().filter(stale) {
-            let _span = shared.obs.span("maintain_stale");
-            let (config, obs, tracker) = (&shared.config, &shared.obs, &shared.tracker);
-            reports.push(maintain_entry(entry, template, &db, config, obs, tracker)?);
-            shared.metrics.maintain_runs.inc();
-        }
-    }
-    Ok(())
-}
-
-/// One maintenance run over a claim's coalesced routed batches, one
-/// sketch at a time, on the held state lock. Sketches the advisor
-/// demoted below [`Lifecycle::Maintained`] are skipped — they are
-/// brought current on demand by the next query that needs them (the
-/// delta log keeps their records; vacuum horizons respect every stored
-/// sketch's maintained version). The claim carries its deltas, so the
-/// database is read-locked per sketch and only from that sketch's first
-/// base-table read ([`DbAccess`]): an update statement does not wait for
-/// a claim that never reads a table. Free function so a worker and a
-/// draining caller run the identical pass.
+/// One sweep over the store, on the held state lock: every stale
+/// [`Lifecycle::Maintained`] sketch is brought current through the
+/// fetching path, one at a time, and its report pushed to `reports`.
+/// Free function so a worker and a caller run the identical pass.
+///
+/// Each run fetches its delta under a short database read lock and keeps
+/// the lock only if its operators probe a base table (see
+/// [`crate::maintain::SketchMaintainer::maintain`]), so an update
+/// statement does not wait for a run that never reads a table.
 ///
 /// Between two sketches the store is published, so a query reading the
 /// snapshot finds what is done fresh, and the lock goes to a waiting
-/// stale query ([`crate::sched::inbox::ShardSlot::hand_over`]): the
+/// stale query ([`crate::sched::store::ShardSlot::hand_over`]): the
 /// query waits for at most the one sketch run in progress. A capture may
-/// evict a candidate in that gap, so the claim finds its sketches by
-/// (template, SQL) after each hand-over. A sketch with no routed record
-/// past its version — the query maintained it meanwhile, or overtook the
-/// queue before the claim — is not run. Returns the lock, with the claim
-/// no longer in flight.
-pub(crate) fn run_claim<'a>(
+/// evict a candidate in that gap, so the sweep finds its sketches by
+/// (template, SQL) after each hand-over, and skips one that is no longer
+/// due. A sketch whose run fails does not stop the sweep: its error is
+/// parked in the store's sticky `last_error`, and the first one is
+/// returned with the lock once the sweep is done.
+pub(crate) fn sweep<'a>(
     shared: &'a SchedShared,
     mut state: MutexGuard<'a, ShardState>,
-    routed: &FxHashMap<String, Vec<Arc<TableDelta>>>,
-) -> MutexGuard<'a, ShardState> {
-    // A sketch the claim would only version-filter (a query overtook the
-    // queue) is left alone: its run would change nothing.
-    let pending = |entry: &StoredSketch| {
-        let version = entry.maintainer.version();
-        let newer = |t: &String| {
-            routed
-                .get(t)
-                .into_iter()
-                .flatten()
-                .any(|b| b.to_version > version)
-        };
-        entry.lifecycle == Lifecycle::Maintained && entry.maintainer.tables().iter().any(newer)
+    reports: &mut Vec<MaintReport>,
+) -> (MutexGuard<'a, ShardState>, Result<()>) {
+    shared.metrics.swept();
+    let stale: Vec<(QueryTemplate, String)> = {
+        let db = shared.db.read();
+        (state.store.iter())
+            .flat_map(|(template, entries)| {
+                let stale = entries.iter().filter(|e| due(e, &db));
+                stale.map(|e| (template.clone(), e.sql.clone()))
+            })
+            .collect()
     };
-    let sketches: Vec<(QueryTemplate, String)> = (state.store.iter())
-        .flat_map(|(template, entries)| {
-            let pending = entries.iter().filter(|e| pending(e));
-            pending.map(|e| (template.clone(), e.sql.clone()))
-        })
-        .collect();
     let (config, obs, tracker) = (&shared.config, &shared.obs, &shared.tracker);
-    let _in_flight = ClaimInFlight(&shared.slot.claim_in_flight);
-    for (i, (template, sql)) in sketches.iter().enumerate() {
+    let mut first_error = None;
+    for (i, (template, sql)) in stale.iter().enumerate() {
         if i > 0 {
             // What is done is published before a query may take over.
             publish(&mut state, &shared.board, obs);
             state = shared.slot.hand_over(state);
         }
-        let ShardState {
-            store, last_error, ..
-        } = &mut *state;
-        let entries = store.get_mut(template).into_iter().flatten();
-        let Some(entry) = entries.filter(|e| pending(e)).find(|e| e.sql == *sql) else {
-            continue; // maintained, evicted or demoted during a hand-over
+        let ShardState { store, last_error } = &mut *state;
+        let mut entries = store.get_mut(template).into_iter().flatten();
+        let Some(entry) = entries.find(|e| e.sql == *sql) else {
+            continue; // evicted during a hand-over
         };
-        let _span = trace::span("maintain_routed");
-        let from_version = entry.maintainer.version();
-        let mut run = || -> Result<MaintReport> {
-            restore_if_evicted(entry)?;
-            let report = entry
-                .maintainer
-                .maintain_from(&DbAccess::shared(&shared.db), routed)?;
-            retain_version(entry, config.retain_sketch_versions);
-            Ok(report)
-        };
-        match run() {
+        if !due(entry, &shared.db.read()) {
+            continue; // maintained or demoted during a hand-over
+        }
+        let _span = obs.span("maintain_stale");
+        let db = DbAccess::shared(&shared.db);
+        match maintain_entry(entry, template, &db, config, obs, tracker) {
             Ok(report) => {
                 shared.metrics.maintain_runs.inc();
-                record_run(entry, template, &report, from_version, obs, tracker);
+                reports.push(report);
             }
-            Err(e) => *last_error = Some(e.to_string()),
+            Err(e) => {
+                *last_error = Some(e.to_string());
+                first_error.get_or_insert(e);
+            }
         }
     }
-    state
+    if !stale.is_empty() {
+        publish(&mut state, &shared.board, obs);
+    }
+    (state, first_error.map_or(Ok(()), Err))
 }
 
 /// Publish the store's current sketches as an immutable snapshot, at a

@@ -23,11 +23,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// When sketches are maintained relative to updates.
+/// When sketches are maintained relative to updates. Either way a query
+/// that finds its sketch stale maintains it first. With workers
+/// (`ImpConfig::sched_workers ≥ 1`) neither applies to updates: each one
+/// nudges a worker to sweep every stale sketch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintenanceStrategy {
     /// Maintain affected sketches as soon as `batch_size` delta rows have
-    /// accumulated for them (1 = maintain on every update).
+    /// accumulated for them (1 = maintain on every update), on the
+    /// updating thread.
     Eager {
         /// Pending-row threshold that triggers maintenance.
         batch_size: usize,

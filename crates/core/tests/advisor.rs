@@ -319,7 +319,8 @@ fn lifecycles(imp: &Imp) -> Vec<(String, Lifecycle)> {
 /// The promotion scenario above as a fixed script, run on a fresh `Imp`:
 /// heat A until the budget squeezes B out, then make B hot for four
 /// passes. With `settle`, every pass is preceded by `maintain_all_stale()`
-/// so routed deltas are consumed before the advisor scores them.
+/// so the workers' pending maintenance is done before the advisor scores
+/// it.
 fn promotion_script(workers: usize, settle: bool) -> (Vec<Pass>, Imp) {
     let one = {
         let mut probe = Imp::new(db_with(&["ta"]), config(None, 0));

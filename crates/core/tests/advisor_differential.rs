@@ -63,7 +63,6 @@ fn config(workers: usize, budget: Option<usize>) -> ImpConfig {
         fragments: 4,
         topk_buffer: Some(4),
         sched_workers: workers,
-        coalesce_budget: 8,
         sketch_memory_budget: budget,
         ..ImpConfig::default()
     }

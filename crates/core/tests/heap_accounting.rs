@@ -5,7 +5,7 @@
 //! (the heap total sums an inspection of the store; the summaries are
 //! built per sketch), so this guards the accounting against drift. With
 //! workers a third path joins them: the `state_bytes` the store
-//! publishes after a claim. (Whether the numbers are *right* —
+//! publishes after a sweep. (Whether the numbers are *right* —
 //! equal to a walk of the live state — is the in-crate `heap_oracle`
 //! suite's job.) Also here: `vacuum()` trims retained sketch versions.
 
@@ -67,7 +67,7 @@ fn assert_consistent(imp: &Imp, context: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// After a drained claim over `table`'s delta the store has republished:
+/// After a drained sweep over `table`'s delta the store has republished:
 /// the `state_bytes` it published for the sketches over `table` are the
 /// bytes an inspection barrier reports now.
 fn assert_published_sizes(imp: &Imp, table: &str) -> Result<(), TestCaseError> {
@@ -208,7 +208,7 @@ proptest! {
                     imp.advise().unwrap();
                 }
             }
-            // Settle async routed maintenance (sharded backend) so both
+            // Settle the workers' maintenance (sharded backend) so both
             // accounting paths observe the same quiescent store.
             imp.maintain_all_stale().unwrap();
             assert_consistent(&imp, &format!("op {op}({arg}) at step {step}, workers {workers}"))?;

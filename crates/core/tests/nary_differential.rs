@@ -11,11 +11,11 @@
 //!    canonical `NaryJoinOp` (equal signatures) and maintain
 //!    byte-identically batch by batch.
 //! 3. `nary_pool_matches_sequential_store` — the 4-input circuit under
-//!    the scheduler: a 2–4-worker pool (routed deltas) must stay
-//!    byte-identical to the zero-worker store (the caller maintains
-//!    through the fetching path) while maintaining a 4-table join
-//!    template, proving the per-table version closure keeps all n inputs
-//!    at one version frontier.
+//!    the scheduler: a 2–4-worker pool (workers sweeping beside the
+//!    caller) must stay byte-identical to the zero-worker store (the
+//!    caller maintains through the fetching path) while maintaining a
+//!    4-table join template: every run fetches all n inputs' deltas up to
+//!    one version frontier.
 
 use imp_core::maintain::SketchMaintainer;
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
@@ -246,8 +246,6 @@ fn imp_config(workers: usize) -> ImpConfig {
     ImpConfig {
         fragments: 4,
         sched_workers: workers,
-        coalesce_budget: 2,
-        ingest_queue_cap: 2,
         ..ImpConfig::default()
     }
 }
@@ -282,9 +280,9 @@ proptest! {
         prop_assert_eq!(par.sketch_count(), 1);
 
         for (round, batch) in ops.chunks(6).enumerate() {
-            // Updates land against a paused pool so the inbox holds
-            // multi-table backlogs; the claim's per-table version closure
-            // must keep all four join inputs on one frontier.
+            // Updates land against a paused pool so a multi-table backlog
+            // waits; a sweep's run fetches all four join inputs up to one
+            // version frontier.
             let paused = par.scheduler().unwrap().pause();
             for &(t, key, delete, val) in batch {
                 let (table, key_col) = TABLES[t];

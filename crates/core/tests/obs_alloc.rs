@@ -65,14 +65,13 @@ fn disabled_obs_hot_path_allocates_nothing() {
     // fast-path load, anything the first call touches.
     let exercise = |n: u64| {
         for i in 0..n {
-            let _span = obs.span("maintain_routed");
+            let _span = obs.span("maintain_stale");
             obs.emit(|| unreachable!("no subscribers registered"));
             obs.maintain_observed("SELECT g, sum(v) FROM t GROUP BY g", 1234 + i, 10, false);
             obs.query_observed("fresh", 777 + i);
-            metrics.routed_batches.inc();
-            metrics.routed_rows.add(3);
-            metrics.enqueued();
-            metrics.dequeued();
+            metrics.noted();
+            metrics.maintain_runs.add(3);
+            metrics.swept();
         }
     };
     exercise(8);

@@ -2,8 +2,8 @@
 //! with `ImpConfig::obs` fully enabled (histograms + tracing + a probe
 //! subscriber) and fully disabled must produce byte-identical sketch
 //! states and identical query answers, both with zero workers (the
-//! caller maintains every sketch) and with a worker pool (routed
-//! deltas). The enabled sides
+//! caller maintains every sketch) and with a worker pool (sweeping
+//! workers). The enabled sides
 //! double-check that observation actually happened — non-empty latency
 //! histograms, recorded spans, delivered probe events — so this can't
 //! pass vacuously.
@@ -53,7 +53,6 @@ fn config(workers: usize, obs: ObsConfig) -> ImpConfig {
         fragments: 4,
         topk_buffer: Some(4),
         sched_workers: workers,
-        coalesce_budget: 8,
         obs,
         ..ImpConfig::default()
     }
@@ -188,10 +187,10 @@ fn obs_on_and_off_agree_on_both_backends() {
             "{name}: trace export malformed"
         );
     }
-    // The sharded+obs side routes through the scheduler pipeline, so its
+    // The sharded+obs side goes through the scheduler pipeline, so its
     // counters must be live in the unified registry too.
     let text = sharded_on.metrics_text();
-    assert!(text.contains("imp_sched_routed_batches"));
+    assert!(text.contains("imp_sched_staged_updates"));
     assert!(text.contains("imp_sched_maintain_runs"));
     assert!(probe.maintains.load(Ordering::Relaxed) > 0);
     assert!(probe.queries.load(Ordering::Relaxed) > 0);

@@ -38,8 +38,6 @@ fn config(workers: usize, obsd: bool) -> ImpConfig {
     ImpConfig {
         fragments: 4,
         sched_workers: workers,
-        coalesce_budget: 8,
-        ingest_queue_cap: 4,
         obs: ObsConfig::metrics_only(),
         obsd_addr: obsd.then(|| "127.0.0.1:0".to_string()),
         health: HealthConfig {
@@ -139,7 +137,7 @@ fn obsd_serves_all_endpoints_during_live_maintenance() {
         })
         .collect();
     churn(&mut imp, 6);
-    // Churn ended with `maintain_all_stale()`: the inbox is empty and no
+    // Churn ended with `maintain_all_stale()`: no update waits and no
     // maintenance runs from here on.
     let settled_at = health_tick(addr);
     for h in scrapers {
@@ -166,7 +164,7 @@ fn obsd_serves_all_endpoints_during_live_maintenance() {
     assert!(sketches.contains("\"maintain_ns\""), "{sketches}");
 
     let (_, flight) = http_get(addr, "/flight");
-    for kind in ["staged", "routed", "claimed", "maintained", "published"] {
+    for kind in ["staged", "maintained", "published"] {
         assert!(
             flight.contains(&format!("\"kind\":\"{kind}\"")),
             "missing {kind}: {flight}"
@@ -204,8 +202,8 @@ fn wedged_shard_flips_health_to_degraded_with_trip_dump() {
     let addr = imp.obsd_addr().unwrap();
     churn(&mut imp, 2);
 
-    // Wedge: park every shard worker while the router keeps filling
-    // inboxes — frozen heartbeats with non-empty queues.
+    // Wedge: park every worker while updates keep being noted — frozen
+    // heartbeats with updates waiting.
     let paused = imp.scheduler().unwrap().pause();
     for k in 0..KEYS {
         imp.execute(&format!("INSERT INTO ta VALUES ({k}, 1)"))

@@ -1,9 +1,10 @@
 //! Integration tests of the sketch store and its maintenance scheduler
-//! (`imp_core::sched`): lifecycle through the middleware, deterministic
-//! coalescing under pause, snapshot publication, pool-backed background
-//! maintenance, a stale query that maintains its own sketch while the
-//! workers are parked, maintenance ticks that never block on parked
-//! workers, and the zero-worker store that routes nothing.
+//! (`imp_core::sched`): lifecycle through the middleware, a parked
+//! backlog folding into one run per sketch, snapshot publication,
+//! pool-backed background maintenance, a stale query that maintains its
+//! own sketch while the workers are parked, maintenance ticks that never
+//! block on parked workers, and the zero-worker store that notes
+//! nothing.
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse, QueryMode};
 use imp_engine::Database;
@@ -56,7 +57,7 @@ fn sharded_lifecycle_capture_use_maintain() {
     let expected = imp.db().query(Q).unwrap().canonical();
     assert_eq!(result.canonical(), expected);
 
-    // An update routes its delta; after a drain the snapshot is fresh
+    // An update nudges a worker; after a drain the snapshot is fresh
     // again and the query must not need maintenance.
     imp.execute("INSERT INTO t VALUES (3, 500)").unwrap();
     imp.scheduler().unwrap().drain();
@@ -82,16 +83,9 @@ fn sharded_lifecycle_capture_use_maintain() {
 
 #[test]
 fn paused_shards_coalesce_same_table_batches() {
-    // Synchronous ingestion (`ingest_queue_cap: 0`): with workers paused,
-    // each insert routes inline into the inbox, so queue depth and
-    // coalescing are deterministic.
-    let mut imp = Imp::new(
-        seed_db(),
-        ImpConfig {
-            ingest_queue_cap: 0,
-            ..sharded_config(2)
-        },
-    );
+    // With the workers paused, the four inserts only wait; once they
+    // resume, one run of the one sketch covers all four.
+    let mut imp = Imp::new(seed_db(), sharded_config(2));
     imp.execute(Q).unwrap(); // capture
 
     let epoch_before = imp.scheduler().unwrap().snapshot_epoch();
@@ -100,25 +94,24 @@ fn paused_shards_coalesce_same_table_batches() {
         imp.execute(&format!("INSERT INTO t VALUES (2, {})", 50 + i))
             .unwrap();
     }
-    // All four batches sit in the inbox.
+    // All four updates wait for a sweep.
     let stats = imp.scheduler().unwrap().stats();
-    assert_eq!(stats.routed_batches, 4);
+    assert_eq!(stats.staged_updates, 4);
     assert!(
-        stats.per_shard[0].max_depth >= 4,
-        "queue depth must reflect the parked batches: {stats:?}"
+        stats.per_shard[0].depth >= 4,
+        "the pending depth must reflect the parked updates: {stats:?}"
     );
     paused.resume();
     imp.scheduler().unwrap().drain();
 
     let stats = imp.scheduler().unwrap().stats();
-    assert!(
-        stats.coalesced_batches >= 3,
-        "4 parked same-table batches must coalesce, got {stats:?}"
+    assert_eq!(
+        stats.maintain_runs, 1,
+        "4 parked same-table updates must fold into one run, got {stats:?}"
     );
-    assert!(stats.maintain_runs >= 1);
     assert!(imp.scheduler().unwrap().snapshot_epoch() > epoch_before);
 
-    // Coalesced maintenance converged to the ground truth.
+    // The folded run converged to the ground truth.
     let truth = Imp::new(
         seed_db(),
         ImpConfig {
@@ -143,7 +136,7 @@ fn sharded_evict_restore_and_admin_ops() {
     imp.execute(Q).unwrap();
     imp.execute("INSERT INTO t VALUES (1, 40)").unwrap();
     let reports = imp.maintain_all_stale().unwrap();
-    assert!(reports.len() <= 1); // routed processing may already be done
+    assert!(reports.len() <= 1); // a worker's sweep may already be done
 
     let freed = imp.evict_all_states().unwrap();
     assert!(freed > 0);
@@ -213,7 +206,7 @@ fn background_maintainer_converges_on_sharded_store() {
 
 #[test]
 fn publish_reuses_what_a_claim_did_not_touch() {
-    // N sketches over N tables: a claim that maintains one of
+    // N sketches over N tables: a sweep that maintains one of
     // them republishes the other N−1 as the very same `Arc<SketchSet>`s —
     // publish clones bits only for what changed — and the board's epoch
     // still advances (readers see one consistent new snapshot).
@@ -241,7 +234,7 @@ fn publish_reuses_what_a_claim_did_not_touch() {
     imp.execute("INSERT INTO p2 VALUES (3, 500)").unwrap();
     imp.scheduler().unwrap().drain();
     let after = board.read();
-    assert!(after.epoch > before.epoch, "a claim publishes a new epoch");
+    assert!(after.epoch > before.epoch, "a sweep publishes a new epoch");
     assert_eq!(after.sketches.len(), TABLES.len());
     for new in &after.sketches {
         let old = before
@@ -277,21 +270,14 @@ fn template_of(sql: &str) -> QueryTemplate {
 
 #[test]
 fn a_stale_query_does_not_wait_for_the_workers() {
-    // Synchronous ingestion, so the update's batch sits in the inbox
-    // behind parked workers.
-    let mut imp = Imp::new(
-        seed_db(),
-        ImpConfig {
-            ingest_queue_cap: 0,
-            ..sharded_config(2)
-        },
-    );
+    // The update waits behind parked workers.
+    let mut imp = Imp::new(seed_db(), sharded_config(2));
     imp.execute(Q).unwrap();
     let paused = imp.scheduler().unwrap().pause();
     imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
     let depth = |imp: &Imp| imp.scheduler().unwrap().stats().per_shard[0].depth;
     let queued = depth(&imp);
-    assert_eq!(queued, 1, "the routed batch waits");
+    assert_eq!(queued, 1, "the update waits");
 
     // The query runs on its own thread: if it waited for a parked
     // worker, it would never answer.
@@ -321,7 +307,7 @@ fn a_stale_query_does_not_wait_for_the_workers() {
     assert_eq!(
         depth(&imp),
         queued,
-        "the query maintained only its own sketch; the routed batch still waits"
+        "the query maintained only its own sketch; no sweep began"
     );
     drop(paused);
 }
@@ -357,6 +343,8 @@ fn ticks_under_a_pause_do_not_block() {
 
 #[test]
 fn zero_workers_route_nothing_and_maintain_on_the_next_query() {
+    // Nothing is noted without workers: the update touches no sketch
+    // state.
     let mut imp = Imp::new(seed_db(), sharded_config(0));
     imp.execute(Q).unwrap();
     for i in 0..100 {
@@ -370,7 +358,7 @@ fn zero_workers_route_nothing_and_maintain_on_the_next_query() {
                 stats.fanout_messages
             ),
             (0, 0, 0),
-            "an update touched the router: {stats:?}"
+            "an update touched the scheduler: {stats:?}"
         );
         assert!(
             imp.describe_sketches().iter().all(|s| s.stale),
@@ -386,7 +374,7 @@ fn zero_workers_route_nothing_and_maintain_on_the_next_query() {
 }
 
 /// However a worker store splits a sketch's statements into runs — one
-/// claim per statement, one coalesced claim, or a stale query's fetching
+/// sweep per statement, one sweep over all of them, or a stale query's
 /// run — the sketch ends with the same bits and the same state bytes: its
 /// cold row cache is checked per statement. Seven fresh 200-row inserts
 /// cross the cache's flush threshold between the sixth and the seventh.
@@ -403,7 +391,6 @@ fn state_bytes_do_not_depend_on_how_statements_split_into_runs() {
         .collect();
     let store = |split: &dyn Fn(&mut Imp)| {
         let config = ImpConfig {
-            ingest_queue_cap: 0,
             retain_sketch_versions: false,
             ..sharded_config(1)
         };
@@ -420,11 +407,11 @@ fn state_bytes_do_not_depend_on_how_statements_split_into_runs() {
             imp.scheduler().unwrap().drain();
         }
     });
-    let coalesced = store(&|imp| {
+    let one_sweep = store(&|imp| {
         for sql in &inserts {
             imp.execute(sql).unwrap();
         }
-        assert_eq!(imp.scheduler().unwrap().drain(), 1, "one claim");
+        assert_eq!(imp.scheduler().unwrap().drain(), 1, "one run");
     });
     let stale_query = store(&|imp| {
         for sql in &inserts {
@@ -435,6 +422,6 @@ fn state_bytes_do_not_depend_on_how_statements_split_into_runs() {
         };
         assert!(matches!(mode, QueryMode::Maintained(_)), "{mode:?}");
     });
-    assert_eq!(coalesced, per_statement);
+    assert_eq!(one_sweep, per_statement);
     assert_eq!(stale_query, per_statement);
 }

@@ -1,13 +1,13 @@
 //! Differential property test for the maintenance scheduler: the same
 //! randomized multi-query, multi-table insert/delete workload runs
-//! through the zero-worker store (`sched_workers = 0`: nothing is routed,
+//! through the zero-worker store (`sched_workers = 0`: nothing is noted,
 //! and the caller maintains every sketch through the fetching path) and
-//! through a ≥2-worker `ShardPool` (routed deltas, claimed from the one
-//! inbox by workers and by the caller's drains). After every round both
-//! sides must hold **byte-identical sketch sets and maintained versions**
-//! — coalescing, batch splits, claim interleaving, and worker parallelism
-//! may change cost, never results. Eviction/restore cycles are woven in mid-run, and query
-//! answers through the USE/rewrite path are compared as well.
+//! through a ≥2-worker `ShardPool` (workers sweeping beside the caller's
+//! sweeps). After every round both sides must hold **byte-identical
+//! sketch sets and maintained versions** — how sweeps split the stream
+//! into runs, and worker parallelism, may change cost, never results.
+//! Eviction/restore cycles are woven in mid-run, and query answers
+//! through the USE/rewrite path are compared as well.
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
 use imp_engine::Database;
@@ -65,16 +65,12 @@ fn config(workers: usize, join_index_budget: Option<usize>) -> ImpConfig {
         topk_buffer: Some(4),
         sched_workers: workers,
         join_index_budget,
-        // Tiny budget: multi-statement rounds overflow it, exercising the
-        // budget-bounded gather path too.
-        coalesce_budget: 8,
         ..ImpConfig::default()
     }
 }
 
 /// The multi-query workload: aggregation, join + aggregation, and top-k
-/// over grouped sums — three templates, spread across shards, touching
-/// overlapping table sets.
+/// over grouped sums — three templates touching overlapping table sets.
 const QUERIES: [&str; 3] = [
     "SELECT ka, sum(va) AS s FROM ta GROUP BY ka HAVING sum(va) > 40",
     "SELECT kb, sum(va) AS s FROM ta JOIN tb ON (ka = kb) GROUP BY kb HAVING sum(va) > 10",
@@ -96,7 +92,7 @@ proptest! {
     #[test]
     fn shard_pool_matches_sequential_store(
         // (table, key, delete?, value), chunked into multi-statement
-        // rounds so routed batches interleave tables and coalesce.
+        // rounds so a run spans several statements and tables.
         ops in prop::collection::vec(
             (0usize..3, 0i64..KEYS, any::<bool>(), 0i64..60),
             1..40,
@@ -135,8 +131,8 @@ proptest! {
                 seq.evict_all_states().unwrap();
                 par.evict_all_states().unwrap();
             }
-            // Converge both sides (the pool processes queued routed
-            // batches first — queue order — then sweeps stragglers).
+            // Converge both sides (one sweep on the caller, racing the
+            // workers').
             seq.maintain_all_stale().unwrap();
             par.maintain_all_stale().unwrap();
             prop_assert_eq!(

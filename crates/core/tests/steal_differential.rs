@@ -1,17 +1,14 @@
-//! Differential property test for a skewed backlog and async ingest: a
-//! randomized, *skewed* insert/delete workload (most updates hammer one
-//! hot table, so the inbox backs up with one table's batches) runs
-//! through the zero-worker store (the caller maintains every sketch
-//! through the fetching path) and through a 2–4-worker pool with a tiny
-//! staging queue and coalesce budget — claims split small, workers'
-//! claims interleave with one another and with the caller's drains, and
-//! staging overflows onto the inline-ingest fallback. After every round
-//! both sides must hold byte-identical sketch sets and maintained
-//! versions, and answer queries identically. Updates land while the pool
-//! is paused so a backlog deterministically exists for the resumed
-//! workers to race for. (The suite keeps the name it had when idle
-//! workers stole from other shards' inboxes; the pool now has one inbox
-//! that every worker claims from.)
+//! Differential property test for a skewed backlog: a randomized,
+//! *skewed* insert/delete workload (most updates hammer one hot table, so
+//! the backlog is mostly one table's) runs through the zero-worker store
+//! (the caller maintains every sketch through the fetching path) and
+//! through a 2–4-worker pool — workers' sweeps interleave with one
+//! another and with the caller's. After every round both sides must hold
+//! byte-identical sketch sets and maintained versions, and answer queries
+//! identically. Updates land while the pool is paused so a backlog
+//! deterministically exists for the resumed workers to race for. (The
+//! suite keeps the name it had when idle workers stole from other
+//! shards' inboxes; every worker now sweeps the one store.)
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
 use imp_engine::Database;
@@ -68,12 +65,6 @@ fn config(workers: usize, join_index_budget: Option<usize>) -> ImpConfig {
         fragments: 4,
         sched_workers: workers,
         join_index_budget,
-        // Tiny budget: every claim covers at most a couple of batches, so
-        // a backlog takes many claims to drain, and the workers race.
-        coalesce_budget: 2,
-        // Tiny staging queue: routed updates exercise both the async
-        // staging path and the full-queue inline fallback.
-        ingest_queue_cap: 2,
         ..ImpConfig::default()
     }
 }
@@ -110,7 +101,7 @@ proptest! {
     #[test]
     fn stealing_pool_matches_sequential_store(
         // (skewed table pick, key, delete?, value), chunked into rounds
-        // applied against a paused pool so inboxes hold real backlogs.
+        // applied against a paused pool so real backlogs wait.
         ops in prop::collection::vec(
             (0usize..8, 0i64..KEYS, any::<bool>(), 0i64..60),
             1..48,
@@ -132,9 +123,9 @@ proptest! {
         prop_assert_eq!(par.sketch_count(), 3);
 
         for (round, batch) in ops.chunks(6).enumerate() {
-            // Updates land against a paused pool: the inbox accumulates
-            // the whole round before any worker may claim, so on resume
-            // every worker finds a backlog to claim from.
+            // Updates land against a paused pool: the whole round waits
+            // before any worker may sweep, so on resume every worker finds
+            // a backlog to sweep.
             let paused = par.scheduler().unwrap().pause();
             for &(skewed, key, delete, val) in batch {
                 let (table, key_col) = pick_table(skewed);
@@ -147,8 +138,8 @@ proptest! {
                 par.execute(&sql).unwrap();
             }
             paused.resume();
-            // Converge both sides: the pool drains staging and the inbox
-            // (workers and the caller's drain racing).
+            // Converge both sides (workers and the caller's sweep
+            // racing).
             seq.maintain_all_stale().unwrap();
             par.maintain_all_stale().unwrap();
             prop_assert_eq!(
@@ -165,13 +156,13 @@ proptest! {
             prop_assert_eq!(seq.sketch_states(), par.sketch_states());
         }
 
-        // Every staged update was either drained or inlined — the
-        // accounting must cover the round trips exactly.
+        // Every update reached the workers through the one path: noted,
+        // never copied out of the log.
         let stats = par.scheduler().unwrap().stats();
         prop_assert!(
             stats.staged_updates + stats.backpressure_stalls > 0
                 || stats.routed_batches == 0,
-            "updates must flow through staging or the inline fallback: {:?}",
+            "updates must be noted, not routed: {:?}",
             stats
         );
     }
