@@ -35,6 +35,7 @@ use imp_engine::Database;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,6 +66,9 @@ const SCRAPE_INTERVAL: Duration = Duration::from_millis(100);
 /// µs of scheduler jitter would dominate a pure ratio; at real scale the
 /// floor is small against millisecond tails and the 10% bound governs.
 const OVERHEAD_FLOOR_NS: u64 = 250_000;
+/// Liveness bound on the fleet's first whole scrape, which each attempt
+/// waits for before it churns.
+const FIRST_SCRAPE_DEADLINE: Duration = Duration::from_secs(30);
 
 fn table_names() -> Vec<String> {
     (0..TABLES).map(|i| format!("o{i}")).collect()
@@ -174,8 +178,8 @@ fn maint_hist(imp: &Imp) -> HistSnapshot {
         .unwrap_or_else(HistSnapshot::empty)
 }
 
-/// Bucket-wise window `cur − prev` (same math as the health burn-rate
-/// windows): the p99 of only the samples recorded between two snapshots.
+/// Bucket-wise window `cur − prev`: the p99 of only the samples recorded
+/// between two snapshots.
 fn hist_window(prev: &HistSnapshot, cur: &HistSnapshot) -> HistSnapshot {
     let mut buckets = cur.buckets.clone();
     for (b, p) in buckets.iter_mut().zip(prev.buckets.iter()) {
@@ -210,14 +214,20 @@ struct FleetResult {
 }
 
 /// Run `SCRAPERS` concurrent clients against every endpoint until `stop`
-/// flips, then return aggregate counts and per-request latencies.
-fn scrape_fleet(addr: SocketAddr, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<FleetResult> {
-    std::thread::spawn(move || {
+/// flips, then return aggregate counts and per-request latencies. The
+/// receiver gets a message once the first scrape has come back whole.
+fn scrape_fleet(
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+) -> (std::thread::JoinHandle<FleetResult>, Receiver<()>) {
+    let (first_tx, first_rx) = sync_channel(1);
+    let fleet = std::thread::spawn(move || {
         let failures = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..SCRAPERS)
             .map(|i| {
                 let stop = Arc::clone(&stop);
                 let failures = Arc::clone(&failures);
+                let first_tx = first_tx.clone();
                 std::thread::spawn(move || {
                     let mut lat = Vec::new();
                     let mut n = 0usize;
@@ -229,6 +239,7 @@ fn scrape_fleet(addr: SocketAddr, stop: Arc<AtomicBool>) -> std::thread::JoinHan
                                 if (status == 200 || status == 503) && !body.is_empty() =>
                             {
                                 lat.push(t0.elapsed().as_nanos() as u64);
+                                let _ = first_tx.try_send(());
                             }
                             _ => {
                                 failures.fetch_add(1, Ordering::Relaxed);
@@ -250,7 +261,8 @@ fn scrape_fleet(addr: SocketAddr, stop: Arc<AtomicBool>) -> std::thread::JoinHan
             failures: failures.load(Ordering::Relaxed),
             latencies_ns,
         }
-    })
+    });
+    (fleet, first_rx)
 }
 
 /// The gate: obsd-on maintain p99 within `10% + floor` of obsd-off.
@@ -296,7 +308,12 @@ fn main() {
         let p99_off = hist_window(&off_before, &maint_hist(&off)).p99().max(1);
 
         let stop = Arc::new(AtomicBool::new(false));
-        let fleet = scrape_fleet(addr, Arc::clone(&stop));
+        let (fleet, first_scrape) = scrape_fleet(addr, Arc::clone(&stop));
+        // Churn only under load: at smoke scale it can finish before a
+        // scraper's first request comes back.
+        first_scrape
+            .recv_timeout(FIRST_SCRAPE_DEADLINE)
+            .unwrap_or_else(|_| panic!("attempt {attempt}: fleet never got a scrape through"));
         let on_before = maint_hist(&on);
         churn(&mut on, &updates);
         stop.store(true, Ordering::Release);

@@ -292,7 +292,7 @@ pub fn measure_inc_vs_full(
         let nanos = t.as_nanos() as u64;
         hist.record(nanos);
         if let Some(o) = obs {
-            o.maintain_observed("inc_vs_full", nanos, *rows as u64, report.recaptured);
+            o.maintain_observed_spanned("inc_vs_full", nanos, *rows as u64, 0, 0);
         }
         metrics.absorb(&report.metrics);
         imp_times.push(t);

@@ -20,7 +20,8 @@
 //!   [`crate::state_codec`] (the paper's §2 eviction hook) and the
 //!   in-memory structures are freed; the sketch bits stay available for
 //!   fresh reuse, and the state is restored transparently before the next
-//!   maintenance. Retained immutable versions are released too.
+//!   maintenance (a blob that does not decode is dropped and the sketch
+//!   recaptured from the database instead).
 //! * **dropped** — the sketch leaves the store entirely (its tracker
 //!   stats go too); a re-hot template re-captures on its next query and
 //!   re-enters the ladder at `Maintained` with a fresh capture-seeded
@@ -38,7 +39,7 @@ use crate::advisor::cost::AdvisorParams;
 use crate::advisor::select::{select_keep, Candidate};
 use crate::advisor::tracker::{SketchKey, WorkloadTracker};
 use crate::middleware::{
-    evict_stored, maintain_entry, restore_if_evicted, ImpConfig, StoredSketch,
+    evict_stored, maintain_entry, record_run, restore_if_evicted, ImpConfig, StoredSketch,
 };
 use crate::obs::Obs;
 use crate::ops::DbAccess;
@@ -276,9 +277,6 @@ pub(crate) fn apply_to_store(
                 let entry = &mut entries[pos];
                 entry.lifecycle = Lifecycle::Evicted;
                 outcome.freed_bytes += evict_stored(entry);
-                // Retained immutable versions are a memory luxury the
-                // demoted sketch no longer gets.
-                entry.versions = Default::default();
                 outcome.evicted += 1;
             }
             AdviseOp::Drop => {
@@ -294,9 +292,18 @@ pub(crate) fn apply_to_store(
             }
             AdviseOp::Promote => {
                 let entry = &mut entries[pos];
-                restore_if_evicted(entry)?;
-                if entry.maintainer.is_stale(db) {
-                    let held = &DbAccess::Held(db);
+                let held = &DbAccess::Held(db);
+                let from_version = entry.maintainer.version();
+                if let Some(recapture) = restore_if_evicted(entry, held)? {
+                    record_run(
+                        entry,
+                        &action.template,
+                        &recapture,
+                        from_version,
+                        obs,
+                        tracker,
+                    );
+                } else if entry.maintainer.is_stale(db) {
                     maintain_entry(entry, &action.template, held, config, obs, tracker)?;
                 }
                 entry.lifecycle = Lifecycle::Maintained;

@@ -16,10 +16,11 @@
 //!   weighted by `α`. It is a count, not a duration: how fast the machine
 //!   happens to run never decides which sketch is demoted, so the same
 //!   workload yields the same decisions on every run.
-//! * **heap_size** — current heap bytes of the stored sketch (operator
-//!   state + retained versions), weighted by `β` rows per byte: holding
-//!   memory is a standing cost even for a sketch whose table never
-//!   changes.
+//! * **heap_size** — current heap bytes of the stored sketch (its
+//!   maintainer's operator state, sketch and pools), weighted by `β` rows
+//!   per byte: holding memory is a standing cost even for a sketch whose
+//!   table never changes. It prices the sketch by its own size, so it
+//!   does not depend on how a scheduler split the updates into runs.
 //!
 //! The absolute numbers are heuristic; what matters is the *ordering* it
 //! induces (the greedy knapsack of [`crate::advisor::select`]) and the

@@ -78,15 +78,10 @@ pub fn normalize_delta_with(delta: DeltaBatch, columnar_min: usize) -> DeltaBatc
     if delta.len() <= 1 {
         return delta;
     }
-    let rows = delta.len();
-    if rows >= columnar_min {
-        crate::obs::kernel::timed(crate::obs::KernelPath::Columnar, rows, || {
-            DeltaColumns::from_owned(delta).merged()
-        })
+    if delta.len() >= columnar_min {
+        DeltaColumns::from_owned(delta).merged()
     } else {
-        crate::obs::kernel::timed(crate::obs::KernelPath::Row, rows, || {
-            normalize_delta_rowwise(delta)
-        })
+        normalize_delta_rowwise(delta)
     }
 }
 

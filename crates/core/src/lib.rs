@@ -43,9 +43,10 @@
 //! * [`obs`] — unified observability: a [`obs::MetricsRegistry`] of
 //!   counters / gauges / log-bucketed latency histograms with Prometheus
 //!   text and JSON exports, bounded per-thread span tracing over the full
-//!   maintenance pipeline (Chrome trace-event export), and a typed
-//!   [`obs::Probe`] event bus — gated by [`middleware::ImpConfig::obs`]
-//!   so the disabled hot path costs a branch and allocates nothing.
+//!   maintenance pipeline (Chrome trace-event export) — gated by
+//!   [`middleware::ImpConfig::obs`] so the disabled hot path costs a
+//!   branch and allocates nothing — plus the always-on
+//!   [`obs::FlightRecorder`] and the [`obs::health`] watchdogs.
 //! * [`strategy`] / [`middleware`] — eager / lazy / batched maintenance and
 //!   the user-facing [`middleware::Imp`] system over one sketch store,
 //!   with the worker count set by [`middleware::ImpConfig::sched_workers`]
@@ -80,8 +81,8 @@ pub use metrics::{MaintMetrics, SchedMetrics, SchedStats};
 pub use middleware::{Imp, ImpConfig, ImpResponse, QueryMode, SketchStateView};
 pub use obs::{
     FlightEvent, FlightRecord, FlightRecorder, HealthConfig, HealthReport, HealthState,
-    HistSnapshot, KernelHub, KernelPath, LatencyHistogram, MetricSample, MetricsRegistry, Obs,
-    ObsConfig, ObsEvent, Probe, SampleValue, Verdict,
+    HistSnapshot, LatencyHistogram, MetricSample, MetricsRegistry, Obs, ObsConfig, SampleValue,
+    Verdict,
 };
 pub use obsd::ObsdHandle;
 pub use sched::Scheduler;

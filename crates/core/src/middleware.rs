@@ -21,7 +21,7 @@ use crate::advisor::{
 };
 use crate::error::CoreError;
 use crate::maintain::{MaintReport, SketchMaintainer};
-use crate::obs::{HealthConfig, Obs, ObsConfig, Probe};
+use crate::obs::{HealthConfig, Obs, ObsConfig};
 use crate::obsd::{start_obsd, ObsdHandle, ObsdState, OBSD_ADDR_ENV};
 use crate::ops::{DbAccess, OpConfig};
 use crate::sched::{PublishedSketch, Scheduler};
@@ -34,7 +34,6 @@ use imp_sql::ast::BinOp;
 use imp_sql::{Expr, LogicalPlan, QueryTemplate, Resolver, SelectStmt, Statement};
 use imp_storage::{BitVec, FxHashMap};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Middleware configuration.
@@ -73,7 +72,9 @@ pub struct ImpConfig {
     pub nary_join: bool,
     /// Batch size at which delta normalization and annotation switch
     /// from row-at-a-time to their columnar kernels.
-    /// Defaults to [`crate::ops::DEFAULT_COLUMNAR_MIN`].
+    /// Defaults to [`crate::ops::DEFAULT_COLUMNAR_MIN`]; `bench_cycle`'s
+    /// `core.normalize_ns_per_row` and `sketch.annotate_ns_per_row` price
+    /// the crossover.
     pub columnar_min: usize,
     /// Explicit partition-attribute choices (table → attribute), taking
     /// precedence over the safety heuristic (§7.4).
@@ -81,8 +82,6 @@ pub struct ImpConfig {
     /// Permit partitions on attributes the safety analysis cannot prove
     /// safe (paper §4.4 assumes safety; Fig. 5 uses such an attribute).
     pub allow_unsafe_attributes: bool,
-    /// Retain immutable past sketch versions (§2).
-    pub retain_sketch_versions: bool,
     /// Background worker threads of the sketch store ([`crate::sched`]).
     /// With `0` (default) there are none: the caller does all the work —
     /// a stale query maintains its own sketch, an update touches no
@@ -138,7 +137,6 @@ impl Default for ImpConfig {
             columnar_min: crate::ops::DEFAULT_COLUMNAR_MIN,
             partition_overrides: Vec::new(),
             allow_unsafe_attributes: false,
-            retain_sketch_versions: true,
             sched_workers: 0,
             sketch_memory_budget: None,
             advisor: AdvisorParams::default(),
@@ -214,8 +212,6 @@ pub struct StoredSketch {
     pub plan: LogicalPlan,
     /// Sketch + operator state + version.
     pub maintainer: SketchMaintainer,
-    /// Retained immutable sketch versions.
-    pub(crate) versions: RetainedVersions,
     /// Delta rows accumulated since the last maintenance (eager batching).
     pub pending_rows: u64,
     /// Evicted operator state (paper §2: "when we are running out of
@@ -235,34 +231,6 @@ pub struct StoredSketch {
     pub(crate) published: Option<PublishedSketch>,
 }
 
-/// The retained immutable versions of one sketch (§2: version → bits),
-/// with their heap bytes kept as a running total.
-#[derive(Debug, Default)]
-pub(crate) struct RetainedVersions {
-    bits: BTreeMap<u64, BitVec>,
-    heap_bytes: usize,
-}
-
-impl RetainedVersions {
-    /// Record `bits` as the sketch at `version` (replacing an earlier
-    /// record of the same version).
-    fn retain(&mut self, version: u64, bits: BitVec) {
-        self.heap_bytes += bits.heap_size();
-        if let Some(old) = self.bits.insert(version, bits) {
-            self.heap_bytes -= old.heap_size();
-        }
-    }
-
-    /// Drop every version below `horizon`; returns the bytes released.
-    fn trim_below(&mut self, horizon: u64) -> usize {
-        let kept = self.bits.split_off(&horizon);
-        let dropped = std::mem::replace(&mut self.bits, kept);
-        let freed = dropped.values().map(BitVec::heap_size).sum();
-        self.heap_bytes -= freed;
-        freed
-    }
-}
-
 /// One row of [`Imp::describe_sketches`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchSummary {
@@ -278,8 +246,6 @@ pub struct SketchSummary {
     pub total_fragments: usize,
     /// Operator-state heap bytes.
     pub state_bytes: usize,
-    /// Retained immutable versions.
-    pub retained_versions: usize,
     /// Stale w.r.t. the current database?
     pub stale: bool,
     /// Rung on the advisor's lifecycle ladder.
@@ -383,7 +349,7 @@ impl Imp {
         &self.advisor
     }
 
-    /// The observability hub (metrics registry, tracer, probes).
+    /// The observability hub (metrics registry, tracer, flight recorder).
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
     }
@@ -403,11 +369,6 @@ impl Imp {
     /// [`ObsConfig::trace`] is on.
     pub fn trace_export(&self) -> String {
         self.obs.trace_chrome_json()
-    }
-
-    /// Subscribe a typed-event probe (works even with obs disabled).
-    pub fn subscribe_probe(&self, probe: Arc<dyn Probe>) {
-        self.obs.subscribe(probe);
     }
 
     /// Shared read access to the backend database.
@@ -553,10 +514,7 @@ impl Imp {
     /// *referencing* that table — so a low-traffic sketch does not pin
     /// every other table's log (maintained versions are table-local, see
     /// [`SketchMaintainer::maintain`]). An unreferenced table's log is
-    /// reclaimed entirely. Retained sketch versions go with the log that
-    /// could still maintain them: every sketch keeps its current version
-    /// and the earlier ones at or above the horizon of each of its tables
-    /// ([`trim_versions`]). Returns `(reclaimed row slots, dropped delta
+    /// reclaimed entirely. Returns `(reclaimed row slots, dropped delta
     /// records)`.
     pub fn vacuum(&mut self) -> (usize, usize) {
         let mut horizons: FxHashMap<String, u64> = FxHashMap::default();
@@ -567,7 +525,6 @@ impl Imp {
             }
             Ok(())
         });
-        self.for_each_sketch(None, |e| trim_versions(e, &horizons));
         let mut db = self.db.write();
         let everything = db.version();
         db.vacuum_by(|table| horizons.get(table).copied().unwrap_or(everything))
@@ -897,17 +854,15 @@ pub(crate) fn capture_stored(
         rows: order_result(&plan, rows),
         stats: ExecStats::default(),
     };
-    let mut stored = StoredSketch {
+    let stored = StoredSketch {
         sql: sql.to_string(),
         plan,
         maintainer,
-        versions: RetainedVersions::default(),
         pending_rows: 0,
         evicted: None,
         lifecycle: Lifecycle::Maintained,
         published: None,
     };
-    retain_version(&mut stored, config.retain_sketch_versions);
     Ok((stored, result))
 }
 
@@ -927,21 +882,10 @@ pub(crate) fn estimate_rows_skipped(db: &Database, sketch: &SketchSet) -> u64 {
     skipped
 }
 
-/// Heap footprint of one stored sketch (state + retained versions); both
-/// terms are running totals, so this is O(#operators).
+/// Heap footprint of one stored sketch: its maintainer's state, a
+/// running total, so this is O(#operators).
 pub(crate) fn stored_heap_size(s: &StoredSketch) -> usize {
-    s.maintainer.state_heap_size() + s.versions.heap_bytes
-}
-
-/// Record the current sketch bits under the maintained version (§2
-/// immutable version retention), when enabled.
-pub(crate) fn retain_version(entry: &mut StoredSketch, retain: bool) {
-    if retain {
-        entry.versions.retain(
-            entry.maintainer.version(),
-            entry.maintainer.sketch().bits().clone(),
-        );
-    }
+    s.maintainer.state_heap_size()
 }
 
 /// Per table, the minimum maintained version across the `entries`
@@ -957,22 +901,11 @@ fn table_horizons<'a>(entries: impl Iterator<Item = &'a StoredSketch>) -> FxHash
     mins
 }
 
-/// Drop the retained versions of `entry` that [`Imp::vacuum`]'s per-table
-/// `horizons` leave unmaintainable: a version below the horizon of one of
-/// the sketch's tables has lost log records it would need. Every horizon
-/// is at most the sketch's own version, so the current one always stays.
-/// Returns the bytes released.
-pub(crate) fn trim_versions(entry: &mut StoredSketch, horizons: &FxHashMap<String, u64>) -> usize {
-    let tables = entry.maintainer.tables().iter();
-    let horizon = tables.filter_map(|t| horizons.get(t)).max();
-    horizon.map_or(0, |&h| entry.versions.trim_below(h))
-}
-
 /// Restore (if evicted) and maintain one stored sketch through the
-/// fetching path, resetting its eager batch counter and retaining the
-/// new version — the per-entry maintenance step of every path (stale
-/// queries, sweeps, eager batches, advisor promotions), so their
-/// arithmetic and their bookkeeping cannot drift.
+/// fetching path, resetting its eager batch counter — the per-entry
+/// maintenance step of every path (stale queries, sweeps, eager batches,
+/// advisor promotions), so their arithmetic and their bookkeeping cannot
+/// drift.
 pub(crate) fn maintain_entry(
     entry: &mut StoredSketch,
     template: &QueryTemplate,
@@ -981,21 +914,22 @@ pub(crate) fn maintain_entry(
     obs: &Obs,
     tracker: &WorkloadTracker,
 ) -> Result<MaintReport> {
-    restore_if_evicted(entry)?;
     let from_version = entry.maintainer.version();
-    // A store with workers splits a sketch's statements into runs by
-    // timing; see `SketchMaintainer::maintain_with`.
-    let report = entry
-        .maintainer
-        .maintain_with(db, config.sched_workers > 0)?;
+    let report = match restore_if_evicted(entry, db)? {
+        Some(recapture) => recapture,
+        // A store with workers splits a sketch's statements into runs by
+        // timing; see `SketchMaintainer::maintain_with`.
+        None => entry
+            .maintainer
+            .maintain_with(db, config.sched_workers > 0)?,
+    };
     entry.pending_rows = 0;
-    retain_version(entry, config.retain_sketch_versions);
     record_run(entry, template, &report, from_version, obs, tracker);
     Ok(report)
 }
 
-/// Book one finished maintenance run of `entry`: latency histogram,
-/// flight event and probe (see [`Obs`]), and the advisor's cost window.
+/// Book one finished maintenance run of `entry`: latency histogram and
+/// flight event (see [`Obs`]), and the advisor's cost window.
 pub(crate) fn record_run(
     entry: &StoredSketch,
     template: &QueryTemplate,
@@ -1009,7 +943,6 @@ pub(crate) fn record_run(
         template.text(),
         report.duration.as_nanos() as u64,
         delta_rows,
-        report.recaptured,
         from_version,
         entry.maintainer.version(),
     );
@@ -1043,7 +976,6 @@ fn repartition_store(store: &mut Store, db: &Database, config: &ImpConfig) -> Re
             recaptured += 1;
             rebuilt.push(StoredSketch {
                 maintainer,
-                versions: RetainedVersions::default(),
                 pending_rows: 0,
                 evicted: None,
                 ..old
@@ -1092,7 +1024,6 @@ fn summarize(template: &QueryTemplate, e: &StoredSketch, db: &Database) -> Sketc
         fragments: e.maintainer.sketch().fragment_count(),
         total_fragments: e.maintainer.partitions().total_fragments(),
         state_bytes: stored_heap_size(e),
-        retained_versions: e.versions.bits.len(),
         stale: e.maintainer.is_stale(db),
         lifecycle: e.lifecycle,
     }
@@ -1168,15 +1099,32 @@ fn sampled_distinct(db: &Database, table: &str, column: usize) -> usize {
 }
 
 /// Reload evicted operator state before the maintainer is used ("fetched
-/// from the database" in paper §2 terms).
-pub(crate) fn restore_if_evicted(entry: &mut StoredSketch) -> Result<()> {
-    if let Some(bytes) = &entry.evicted {
-        // The blob goes only once it has loaded: a sketch whose blob does
-        // not decode fails every run, instead of maintaining reset state.
-        crate::state_codec::load_state(&mut entry.maintainer, bytes.clone())?;
-        entry.evicted = None;
+/// from the database" in paper §2 terms). A blob that does not decode is
+/// dropped and the sketch recaptured from `db` — the fallback an
+/// exhausted MIN/MAX or top-k buffer takes — so one bad blob cannot fail
+/// every later run. Returns the recapture's report (`recaptured: true`),
+/// which the caller books as the sketch's run.
+pub(crate) fn restore_if_evicted(
+    entry: &mut StoredSketch,
+    db: &DbAccess<'_>,
+) -> Result<Option<MaintReport>> {
+    let Some(bytes) = entry.evicted.take() else {
+        return Ok(None);
+    };
+    if crate::state_codec::load_state(&mut entry.maintainer, bytes).is_ok() {
+        return Ok(None);
     }
-    Ok(())
+    // A partial load leaves operator state and the pools half-written:
+    // start from empty ones, as a fresh capture does.
+    entry.maintainer.drop_state();
+    match entry.maintainer.full_maintain(db.get()) {
+        Ok(report) => Ok(Some(report)),
+        Err(e) => {
+            // An empty blob never decodes: the next run retries.
+            entry.evicted = Some(bytes::Bytes::new());
+            Err(e)
+        }
+    }
 }
 
 /// Order a capture result the way the plan's top Sort/TopK demands (the
@@ -1342,12 +1290,10 @@ mod tests {
     }
 
     impl StoredSketch {
-        /// [`stored_heap_size`] recomputed by walking state and versions,
-        /// plus the state-held annotation bytes the pool does not own.
+        /// [`stored_heap_size`] recomputed by walking state, plus the
+        /// state-held annotation bytes the pool does not own.
         pub(crate) fn walked_heap_size(&self) -> (usize, usize) {
-            let (state, unpooled) = self.maintainer.walked_heap_size();
-            let versions: usize = self.versions.bits.values().map(BitVec::heap_size).sum();
-            (state + versions, unpooled)
+            self.maintainer.walked_heap_size()
         }
     }
 

@@ -4,8 +4,10 @@
 //! [`spawn_health_ticker`] starts, or directly in tests) against a
 //! [`MetricsRegistry::sample`](super::registry::MetricsRegistry::sample)
 //! snapshot — watchdogs never touch scheduler internals, locks, or the
-//! store itself, so a wedged shard cannot wedge its own diagnosis. Three
-//! rule families:
+//! store itself, so a wedged shard cannot wedge its own diagnosis. The
+//! verdict reads counts and gauges only, never a latency: a wall-clock
+//! tail says how loaded the machine is, not whether the store is stuck.
+//! Two rule families:
 //!
 //! * **`shard_liveness`** — no worker's `imp_sched_heartbeat` gauge
 //!   advanced since the previous tick while `imp_sched_queue_depth` (the
@@ -15,28 +17,20 @@
 //!   heartbeat beside an advancing one does not fire.
 //! * **`queue_depth`** — more updates wait for a sweep than the
 //!   configured limit (a backlog building faster than sweeps clear it).
-//! * **`maintain_p99_slo`** — the windowed maintain-latency p99 exceeds
-//!   the SLO in **both** a short (one tick) and a long
-//!   ([`HealthConfig::long_window_ticks`]) window: the classic 2-window
-//!   burn-rate alert, immune to both single-spike noise (short window
-//!   alone) and stale history (cumulative histogram alone). Windows are
-//!   bucket-wise differences of the cumulative histogram snapshots.
 //!
 //! Each firing rule is reported by name in the [`HealthReport`] (and on
-//! `/health`), emitted as a typed [`ObsEvent::WatchdogFired`] through the
-//! probe registry, and — on the ok→degraded transition — triggers a
+//! `/health`), and — on the ok→degraded transition — triggers a
 //! flight-recorder dump captured in [`HealthState::trip_dump`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use super::hist::HistSnapshot;
 use super::registry::{json_string, MetricSample, SampleValue};
-use super::{Obs, ObsEvent, MAINTAIN_LATENCY};
+use super::Obs;
 
 /// Watchdog thresholds and cadence (`ImpConfig::health`).
 #[derive(Debug, Clone, PartialEq)]
@@ -45,12 +39,6 @@ pub struct HealthConfig {
     pub tick: Duration,
     /// `queue_depth` fires above this many updates waiting for a sweep.
     pub queue_depth_limit: u64,
-    /// `maintain_p99_slo` fires when the windowed maintain p99 exceeds
-    /// this many nanoseconds in both burn-rate windows. 0 disables the
-    /// rule.
-    pub p99_slo_ns: u64,
-    /// Long burn-rate window length, in ticks.
-    pub long_window_ticks: usize,
 }
 
 impl Default for HealthConfig {
@@ -58,8 +46,6 @@ impl Default for HealthConfig {
         HealthConfig {
             tick: Duration::from_millis(50),
             queue_depth_limit: 192,
-            p99_slo_ns: 1_000_000_000,
-            long_window_ticks: 8,
         }
     }
 }
@@ -86,8 +72,7 @@ impl Verdict {
 /// One firing watchdog rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiringRule {
-    /// Rule family name (`shard_liveness`, `queue_depth`,
-    /// `maintain_p99_slo`).
+    /// Rule family name (`shard_liveness`, `queue_depth`).
     pub name: &'static str,
     /// Human-readable specifics (shard id, observed vs limit, …).
     pub detail: String,
@@ -151,26 +136,6 @@ pub struct HealthMonitor {
     config: HealthConfig,
     tick: u64,
     prev: Option<PrevTick>,
-    /// Cumulative merged maintain-latency snapshots, newest last; length
-    /// capped at `long_window_ticks + 1` so the front is the long-window
-    /// baseline.
-    maint_window: VecDeque<HistSnapshot>,
-}
-
-/// Bucket-wise window difference of two cumulative snapshots.
-fn hist_diff(now: &HistSnapshot, then: &HistSnapshot) -> HistSnapshot {
-    let mut buckets = now.buckets.clone();
-    for (b, t) in buckets.iter_mut().zip(then.buckets.iter()) {
-        *b = b.saturating_sub(*t);
-    }
-    HistSnapshot {
-        buckets,
-        count: now.count.saturating_sub(then.count),
-        sum: now.sum.wrapping_sub(then.sum),
-        // The true window max is unknowable from cumulative snapshots;
-        // the lifetime max only loosens the (bucket-clamped) quantiles.
-        max: now.max,
-    }
 }
 
 impl HealthMonitor {
@@ -180,7 +145,6 @@ impl HealthMonitor {
             config,
             tick: 0,
             prev: None,
-            maint_window: VecDeque::new(),
         }
     }
 
@@ -195,7 +159,6 @@ impl HealthMonitor {
         self.tick += 1;
         let mut heartbeats: BTreeMap<String, u64> = BTreeMap::new();
         let mut depth = 0u64;
-        let mut maint = HistSnapshot::empty();
         for s in samples {
             match &s.value {
                 SampleValue::Gauge(v) if s.name == "imp_sched_heartbeat" => {
@@ -204,9 +167,6 @@ impl HealthMonitor {
                     }
                 }
                 SampleValue::Gauge(v) if s.name == "imp_sched_queue_depth" => depth = *v,
-                SampleValue::Histogram(h) if s.name == MAINTAIN_LATENCY => {
-                    maint.merge(h);
-                }
                 _ => {}
             }
         }
@@ -236,36 +196,6 @@ impl HealthMonitor {
                     self.config.queue_depth_limit
                 ),
             });
-        }
-
-        // maintain_p99_slo: 2-window burn rate over windowed histograms.
-        if self.config.p99_slo_ns > 0 {
-            if let (Some(short_base), Some(long_base)) =
-                (self.maint_window.back(), self.maint_window.front())
-            {
-                let short = hist_diff(&maint, short_base);
-                let long = hist_diff(&maint, long_base);
-                if short.count > 0
-                    && long.count > 0
-                    && short.p99() > self.config.p99_slo_ns
-                    && long.p99() > self.config.p99_slo_ns
-                {
-                    firing.push(FiringRule {
-                        name: "maintain_p99_slo",
-                        detail: format!(
-                            "maintain p99 {}ns (short) / {}ns (long {}-tick) > slo {}ns",
-                            short.p99(),
-                            long.p99(),
-                            self.maint_window.len(),
-                            self.config.p99_slo_ns
-                        ),
-                    });
-                }
-            }
-            self.maint_window.push_back(maint);
-            while self.maint_window.len() > self.config.long_window_ticks + 1 {
-                self.maint_window.pop_front();
-            }
         }
 
         self.prev = Some(PrevTick { heartbeats });
@@ -348,9 +278,8 @@ impl Drop for HealthTicker {
 }
 
 /// Start the watchdog ticker: every `config.tick` it samples the hub's
-/// registry, evaluates the monitor, publishes to `state`, emits one
-/// [`ObsEvent::WatchdogFired`] per firing rule, and on the ok→degraded
-/// transition captures a flight dump into the state (and stderr).
+/// registry, evaluates the monitor, publishes to `state`, and on the
+/// ok→degraded transition captures a flight dump into the state (and stderr).
 ///
 /// The loop blocks on `recv_timeout` against its shutdown channel
 /// directly — deliberately not the shim's `select!`, whose registered
@@ -376,12 +305,6 @@ pub fn spawn_health_ticker(
                 }
                 let report = monitor.tick(&obs.registry().sample());
                 let degraded = report.verdict == Verdict::Degraded;
-                for rule in &report.firing {
-                    obs.emit(|| ObsEvent::WatchdogFired {
-                        rule: rule.name,
-                        detail: rule.detail.clone(),
-                    });
-                }
                 if degraded && !was_degraded {
                     let dump = obs.flight().dump_json(u64::MAX);
                     eprintln!(
@@ -474,35 +397,6 @@ mod tests {
         let r = m.tick(&sched_samples(&[1], 11));
         assert_eq!(r.verdict, Verdict::Degraded);
         assert_eq!(r.firing[0].name, "queue_depth");
-    }
-
-    #[test]
-    fn slo_needs_both_windows_burning() {
-        let config = HealthConfig {
-            p99_slo_ns: 1_000,
-            long_window_ticks: 2,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(config);
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram_with(MAINTAIN_LATENCY, &[("template", "q")]);
-        // Baseline tick with an empty histogram.
-        assert_eq!(m.tick(&reg.sample()).verdict, Verdict::Ok);
-        // One slow burst: short window burns, but the long window's
-        // baseline is the same tick, so both windows see it → this *is*
-        // a sustained signal only after it persists. First burning tick:
-        h.record(50_000);
-        let r = m.tick(&reg.sample());
-        assert_eq!(r.verdict, Verdict::Degraded);
-        assert_eq!(r.firing[0].name, "maintain_p99_slo");
-        // Quiet ticks push the burst out of the short window: recovered,
-        // even though the cumulative histogram still holds the slow
-        // sample (this is exactly what windowing buys over cumulative
-        // p99).
-        let r = m.tick(&reg.sample());
-        assert_eq!(r.verdict, Verdict::Ok, "{:?}", r.firing);
-        let r = m.tick(&reg.sample());
-        assert_eq!(r.verdict, Verdict::Ok);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! `imp_core::obs` — unified observability: metrics registry, latency
-//! histograms, pipeline tracing, and typed probe events.
+//! histograms, pipeline tracing, the flight recorder and health
+//! watchdogs.
 //!
 //! The paper's evaluation is built on post-hoc cost counters; this module
 //! is the runtime view. One [`Obs`] instance per [`crate::middleware::Imp`]
@@ -21,9 +22,12 @@
 //!   snapshot publish. Spans carry ids, parent links, and
 //!   monotonic timestamps; [`Obs::trace_chrome_json`] renders Chrome
 //!   trace-event JSON loadable in `chrome://tracing`.
-//! * **[`probe`]** — a [`Probe`] subscriber registry emitting typed
-//!   [`ObsEvent`]s, so harnesses and tests observe the pipeline without
-//!   reaching into scheduler internals.
+//! * **[`flight`]** — the always-on flight recorder: a bounded ring of
+//!   compact pipeline events (`staged`, `maintained`, `published`) that
+//!   harnesses and tests read instead of reaching into scheduler
+//!   internals, dumped on panic and when health degrades.
+//! * **[`health`]** — watchdog rules over registry snapshots (heartbeats
+//!   and queue depth), served on obsd's `/health`.
 //!
 //! Everything is gated by [`ObsConfig`] (`ImpConfig::obs`, `IMP_OBS=1` in
 //! the harnesses): with obs off, the hot-path cost is a branch on a plain
@@ -38,8 +42,6 @@
 pub mod flight;
 pub mod health;
 pub mod hist;
-pub mod kernel;
-pub mod probe;
 pub mod registry;
 pub mod trace;
 
@@ -50,8 +52,6 @@ pub use health::{
     FiringRule, HealthConfig, HealthMonitor, HealthReport, HealthState, HealthTicker, Verdict,
 };
 pub use hist::{HistSnapshot, LatencyHistogram};
-pub use kernel::{KernelHub, KernelPath};
-pub use probe::{ObsEvent, Probe};
 pub use registry::{Counter, Gauge, Histogram, MetricSample, MetricsRegistry, SampleValue};
 pub use trace::{SpanRecord, Tracer};
 
@@ -95,7 +95,7 @@ impl ObsConfig {
         }
     }
 
-    /// Enabled with tracing off (histograms and probes only).
+    /// Enabled with tracing off (histograms only).
     pub fn metrics_only() -> ObsConfig {
         ObsConfig {
             enabled: true,
@@ -111,9 +111,7 @@ pub struct Obs {
     enabled: bool,
     registry: MetricsRegistry,
     tracer: Arc<Tracer>,
-    probes: probe::ProbeHub,
     flight: Arc<FlightRecorder>,
-    kernel: Option<Arc<KernelHub>>,
 }
 
 impl Obs {
@@ -124,7 +122,6 @@ impl Obs {
     /// panic hook); only its capacity comes from the config.
     pub fn new(config: &ObsConfig) -> Arc<Obs> {
         let registry = MetricsRegistry::new();
-        let kernel = config.enabled.then(|| KernelHub::registered(&registry));
         let flight = Arc::new(FlightRecorder::new(config.flight_cap));
         flight::register_panic_dump(&flight);
         Arc::new(Obs {
@@ -134,9 +131,7 @@ impl Obs {
                 config.enabled && config.trace,
                 config.trace_ring_cap,
             )),
-            probes: probe::ProbeHub::new(),
             flight,
-            kernel,
         })
     }
 
@@ -170,57 +165,31 @@ impl Obs {
     }
 
     /// Attach and open one span: the usual entry-point pattern. Returns a
-    /// cheap no-op when tracing is off. Whenever obs is enabled (tracing
-    /// on or not), the span also attaches the kernel-timing hub to the
-    /// thread, so [`kernel::timed`] dispatch sites under this entry
-    /// point record their columnar/row batch timings.
+    /// cheap no-op when tracing is off.
     #[inline]
     pub fn span(&self, name: &'static str) -> PipelineSpan {
-        let kernel = match &self.kernel {
-            Some(hub) => kernel::attach(hub),
-            None => kernel::KernelAttachGuard::inactive(),
-        };
         if !self.tracer.is_enabled() {
             return PipelineSpan {
                 span: trace::Span::noop(),
                 _attach: trace::AttachGuard::inactive(),
-                _kernel: kernel,
             };
         }
         let attach = self.tracer.attach();
         PipelineSpan {
             span: trace::span(name),
             _attach: attach,
-            _kernel: kernel,
         }
     }
 
-    /// Register a probe subscriber.
-    pub fn subscribe(&self, probe: Arc<dyn Probe>) {
-        self.probes.subscribe(probe);
-    }
-
-    /// Emit a typed event (closure evaluated only with subscribers).
-    #[inline]
-    pub fn emit(&self, f: impl FnOnce() -> ObsEvent) {
-        self.probes.emit(f);
-    }
-
-    /// Record one maintenance run: per-template latency histogram (when
-    /// enabled), an always-on flight-recorder event, plus a
-    /// [`ObsEvent::MaintainRun`] probe event.
-    pub fn maintain_observed(&self, template: &str, nanos: u64, delta_rows: u64, recaptured: bool) {
-        self.maintain_observed_spanned(template, nanos, delta_rows, recaptured, 0, 0);
-    }
-
-    /// [`Self::maintain_observed`] with the maintained database-version
-    /// span (the sched call sites know it; `0,0` when unknown).
+    /// Record one maintenance run over the database versions
+    /// `from_version..to_version` (`0, 0` when unknown): per-template
+    /// latency histogram (when enabled) and an always-on flight-recorder
+    /// event.
     pub fn maintain_observed_spanned(
         &self,
         template: &str,
         nanos: u64,
         delta_rows: u64,
-        recaptured: bool,
         from_version: u64,
         to_version: u64,
     ) {
@@ -235,23 +204,16 @@ impl Obs {
             rows: delta_rows,
             dur_ns: nanos,
         });
-        self.probes.emit(|| ObsEvent::MaintainRun {
-            template: template.to_string(),
-            nanos,
-            delta_rows,
-            recaptured,
-        });
     }
 
-    /// Record one answered SELECT: mode-labeled latency histogram (when
-    /// enabled) plus a [`ObsEvent::QueryAnswered`] probe event.
+    /// Record one answered SELECT in the mode-labeled latency histogram
+    /// (when enabled).
     pub fn query_observed(&self, mode: &'static str, nanos: u64) {
         if self.enabled {
             self.registry
                 .histogram_with(QUERY_LATENCY, &[("mode", mode)])
                 .record(nanos);
         }
-        self.probes.emit(|| ObsEvent::QueryAnswered { mode, nanos });
     }
 
     /// All maintain-latency samples merged across templates.
@@ -283,19 +245,13 @@ impl Obs {
     pub fn flight_dump(&self) -> String {
         self.flight.dump_json(u64::MAX)
     }
-
-    /// The kernel-timing hub (present iff obs is enabled).
-    pub fn kernel_hub(&self) -> Option<&Arc<KernelHub>> {
-        self.kernel.as_ref()
-    }
 }
 
 /// An attached entry-point span (see [`Obs::span`]). Field order matters:
-/// the span must drop (and record) before the attach guards detach.
+/// the span must drop (and record) before the attach guard detaches.
 pub struct PipelineSpan {
     span: trace::Span,
     _attach: trace::AttachGuard,
-    _kernel: kernel::KernelAttachGuard,
 }
 
 impl PipelineSpan {
@@ -312,7 +268,7 @@ mod tests {
     #[test]
     fn disabled_obs_records_no_metrics() {
         let obs = Obs::off();
-        obs.maintain_observed("q", 123, 4, false);
+        obs.maintain_observed_spanned("q", 123, 4, 0, 0);
         obs.query_observed("fresh", 55);
         assert!(obs.registry().is_empty());
         assert!(obs.maintain_latency().is_none());
@@ -325,9 +281,9 @@ mod tests {
     #[test]
     fn enabled_obs_builds_per_template_histograms() {
         let obs = Obs::new(&ObsConfig::on());
-        obs.maintain_observed("q1", 100, 1, false);
-        obs.maintain_observed("q1", 200, 1, false);
-        obs.maintain_observed("q2", 300, 1, true);
+        obs.maintain_observed_spanned("q1", 100, 1, 0, 0);
+        obs.maintain_observed_spanned("q1", 200, 1, 0, 0);
+        obs.maintain_observed_spanned("q2", 300, 1, 0, 0);
         let merged = obs.maintain_latency().unwrap();
         assert_eq!(merged.count, 3);
         let text = obs.metrics_text();
@@ -354,7 +310,7 @@ mod tests {
     #[test]
     fn flight_records_even_when_disabled() {
         let obs = Obs::off();
-        obs.maintain_observed("q", 123, 4, false);
+        obs.maintain_observed_spanned("q", 123, 4, 0, 0);
         assert!(obs.registry().is_empty(), "flight must not touch metrics");
         let events = obs.flight().events(u64::MAX);
         assert_eq!(events.len(), 1);
@@ -371,27 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn enabled_span_attaches_kernel_timing() {
-        let obs = Obs::new(&ObsConfig::metrics_only());
-        {
-            let _s = obs.span("maintain");
-            kernel::timed(KernelPath::Row, 3, || {});
-        }
-        // Outside the span nothing is attached.
-        kernel::timed(KernelPath::Row, 100, || {});
-        let text = obs.metrics_text();
-        assert!(text.contains("imp_kernel_ns_count{path=\"row\"} 1"));
-        assert!(text.contains("imp_kernel_rows{path=\"row\"} 3"));
-    }
-
-    #[test]
     fn metrics_only_disables_tracing() {
         let obs = Obs::new(&ObsConfig::metrics_only());
         {
             let _s = obs.span("invisible");
         }
         assert!(obs.tracer().export_spans().is_empty());
-        obs.maintain_observed("q", 10, 0, false);
+        obs.maintain_observed_spanned("q", 10, 0, 0, 0);
         assert_eq!(obs.maintain_latency().unwrap().count, 1);
     }
 }

@@ -64,7 +64,7 @@ use crate::metrics::SchedStats;
 use crate::middleware::{
     maintain_entry, plan_subsumes, ImpConfig, Store, StoredSketch, MAX_SKETCHES_PER_TEMPLATE,
 };
-use crate::obs::{Obs, ObsEvent};
+use crate::obs::Obs;
 use crate::ops::DbAccess;
 use crate::sched::shard::{publish, sweep};
 use crate::sched::store::{SchedShared, ShardState};
@@ -140,9 +140,6 @@ impl Scheduler {
         shared.metrics.noted();
         obs.flight().record(crate::obs::FlightEvent::Staged {
             table: crate::obs::flight::fid(table),
-        });
-        obs.emit(|| ObsEvent::UpdateStaged {
-            table: table.to_string(),
         });
         shared.nudge();
     }
@@ -295,7 +292,8 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::middleware::{capture_stored, choose_partitions, Imp};
+    use crate::maintain::SketchMaintainer;
+    use crate::middleware::{capture_stored, choose_partitions, Imp, ImpResponse, QueryMode};
     use crate::obs::ObsConfig;
     use crate::sched::shard::ShardWorker;
     use crossbeam::channel::bounded;
@@ -495,9 +493,11 @@ mod tests {
     }
 
     /// A sketch whose every run fails does not stall a worker's sweep:
-    /// one of two sketches is evicted and its state blob truncated. The
-    /// sweep parks the error in `last_error` and brings the other sketch
-    /// current; `maintain_all_stale` still returns the error.
+    /// one of two sketches loses its operator state (dropped, with no
+    /// blob to restore it from), so the aggregate reports a DELETE as
+    /// corrupt state. The sweep parks the error in `last_error` and
+    /// brings the other sketch current; `maintain_all_stale` still
+    /// returns the error.
     #[test]
     fn one_failing_sketch_does_not_stall_a_worker_sweep() {
         let config = ImpConfig {
@@ -508,20 +508,22 @@ mod tests {
         let mut imp = Imp::new(seed_db(), config);
         imp.execute(Q).unwrap();
         imp.execute(Q2).unwrap();
-        assert!(imp.evict_state(&template_of(Q)).unwrap() > 0);
         let shared = Arc::clone(&imp.scheduler().unwrap().shared);
         {
             let mut state = shared.slot.state.lock();
             let entry = &mut state.store.get_mut(&template_of(Q)).unwrap()[0];
-            let blob = entry.evicted.take().unwrap();
-            entry.evicted = Some(blob.slice(..blob.len() / 2));
+            entry.maintainer.drop_state();
         }
-        imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
+        imp.execute("DELETE FROM t WHERE v = 7").unwrap();
 
         let worker = ShardWorker::new(0, bounded(1).1, Arc::clone(&shared));
         assert!(worker.work_once(true));
         let error = imp.scheduler().unwrap().last_error();
         assert!(error.is_some(), "the failure was parked");
+        assert!(
+            error.unwrap().contains("state corrupt"),
+            "not a codec error"
+        );
         let current = imp.db().version();
         let state = versions(&shared.slot.state.lock());
         let version = |sql: &str| state.iter().find(|(s, _)| s == sql).unwrap().1;
@@ -531,5 +533,66 @@ mod tests {
             imp.maintain_all_stale().is_err(),
             "the caller sees the error"
         );
+    }
+
+    /// An evicted sketch whose state blob does not decode is recaptured
+    /// from the database, as an exhausted MIN/MAX or top-k buffer is: the
+    /// run reports `recaptured`, the answer equals the engine's, and the
+    /// sketch equals a fresh capture on the final database (Thm. 6.1) —
+    /// with no workers and with one, paused so that the stale query is
+    /// the one that recaptures.
+    #[test]
+    fn an_undecodable_blob_is_recaptured_from_the_database() {
+        for workers in [0, 1] {
+            let config = ImpConfig {
+                fragments: 6,
+                sched_workers: workers,
+                ..ImpConfig::default()
+            };
+            let mut imp = Imp::new(seed_db(), config.clone());
+            imp.execute(Q).unwrap();
+            assert!(imp.evict_state(&template_of(Q)).unwrap() > 0);
+            let sched = imp.scheduler().unwrap();
+            let paused = (workers > 0).then(|| sched.pause());
+            {
+                let mut state = sched.shared.slot.state.lock();
+                let entry = &mut state.store.get_mut(&template_of(Q)).unwrap()[0];
+                let blob = entry.evicted.take().unwrap();
+                entry.evicted = Some(blob.slice(..blob.len() / 2));
+            }
+            imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
+
+            let ImpResponse::Rows { result, mode } = imp.execute(Q).unwrap() else {
+                panic!("rows expected")
+            };
+            let QueryMode::Maintained(report) = mode else {
+                panic!("workers {workers}: the stale query maintains, got {mode:?}")
+            };
+            assert!(report.recaptured, "workers {workers}: {report:?}");
+            drop(paused);
+            let engine = imp.db().query(Q).unwrap();
+            assert_eq!(result.canonical(), engine.canonical(), "workers {workers}");
+            imp.maintain_all_stale().unwrap();
+            assert_eq!(imp.scheduler().unwrap().last_error(), None);
+
+            let state = imp.scheduler().unwrap().shared.slot.state.lock();
+            let entry = &state.store[&template_of(Q)][0];
+            assert!(entry.evicted.is_none(), "the bad blob is gone");
+            let db = imp.db();
+            let (fresh, _) = SketchMaintainer::capture(
+                &entry.plan,
+                &db,
+                Arc::clone(entry.maintainer.partitions()),
+                config.op_config(),
+                config.selection_pushdown,
+            )
+            .unwrap();
+            assert_eq!(entry.maintainer.version(), db.version());
+            assert_eq!(
+                entry.maintainer.sketch().bits(),
+                fresh.sketch().bits(),
+                "workers {workers}"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@
 use crate::advisor::Lifecycle;
 use crate::maintain::MaintReport;
 use crate::middleware::{maintain_entry, stored_heap_size, StoredSketch};
-use crate::obs::{Obs, ObsEvent};
+use crate::obs::Obs;
 use crate::ops::DbAccess;
 use crate::sched::snapshot::{PublishedSketch, SnapshotBoard};
 use crate::sched::store::{SchedShared, ShardState};
@@ -233,7 +233,6 @@ pub(crate) fn publish(state: &mut ShardState, board: &SnapshotBoard, obs: &Obs) 
         })
         .collect();
     let count = sketches.len();
-    obs.emit(|| ObsEvent::SnapshotPublish { sketches: count });
     let epoch = board.publish(sketches);
     obs.flight().record(crate::obs::FlightEvent::Published {
         sketches: count as u64,

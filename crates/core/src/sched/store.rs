@@ -102,7 +102,7 @@ pub(crate) struct SchedShared {
     pub(crate) tracker: Arc<WorkloadTracker>,
     /// Shared scheduler counters.
     pub(crate) metrics: Arc<SchedMetrics>,
-    /// Observability hub (spans, latency histograms, probe events).
+    /// Observability hub (spans, latency histograms, flight recorder).
     pub(crate) obs: Arc<Obs>,
     /// Worker channel senders, for nudges (set once after spawn).
     wakers: OnceLock<Vec<Sender<ShardMsg>>>,

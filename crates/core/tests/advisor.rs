@@ -113,7 +113,6 @@ fn zero_benefit_sketch_descends_the_ladder_one_rung_per_pass() {
         .unwrap();
     assert_eq!(after.lifecycle, Lifecycle::Evicted);
     assert!(after.state_bytes < before);
-    assert_eq!(after.retained_versions, 0, "versions released on eviction");
 
     // Pass 3: off the ladder entirely.
     imp.execute(&hot).unwrap();

@@ -7,7 +7,7 @@
 //! workers a third path joins them: the `state_bytes` the store
 //! publishes after a sweep. (Whether the numbers are *right* —
 //! equal to a walk of the live state — is the in-crate `heap_oracle`
-//! suite's job.) Also here: `vacuum()` trims retained sketch versions.
+//! suite's job.)
 
 use imp_core::middleware::{Imp, ImpConfig};
 use imp_engine::Database;
@@ -89,79 +89,6 @@ fn assert_published_sizes(imp: &Imp, table: &str) -> Result<(), TestCaseError> {
         );
     }
     Ok(())
-}
-
-/// `retain_sketch_versions` records one bitvector per maintenance run;
-/// `vacuum()` must trim them with the delta log — to the current version
-/// plus whatever a lagging sketch over the same table still pins — and
-/// the store's byte total must drop by exactly the trimmed bitvectors.
-#[test]
-fn vacuum_trims_retained_versions() {
-    const RUNS: usize = 12;
-    let lagging = "SELECT g, sum(v) AS s FROM ha GROUP BY g HAVING sum(v) > 90".to_string();
-    for workers in [0, 2] {
-        let mut imp = Imp::new(
-            seed_db(),
-            ImpConfig {
-                fragments: 5,
-                sched_workers: workers,
-                ..ImpConfig::default()
-            },
-        );
-        let q = &queries()[0];
-        imp.execute(q).unwrap();
-        for run in 0..RUNS {
-            imp.execute(&format!("INSERT INTO ha VALUES (1, {run})"))
-                .unwrap();
-            imp.maintain_all_stale().unwrap();
-        }
-        let retained = |imp: &Imp, sql: &str| {
-            let all = imp.describe_sketches();
-            all.iter().find(|s| s.sql == sql).unwrap().retained_versions
-        };
-        assert_eq!(
-            retained(&imp, q),
-            1 + RUNS,
-            "one version per run (workers {workers})"
-        );
-
-        // Every version is one 5-fragment bitvector: one word.
-        let version_bytes = std::mem::size_of::<u64>();
-        let before = imp.store_heap_size();
-        imp.vacuum();
-        assert_eq!(retained(&imp, q), 1, "only the current version survives");
-        assert_eq!(before - imp.store_heap_size(), RUNS * version_bytes);
-
-        // A second sketch over the same table pins the table's horizon at
-        // its version while it lags: the versions since then are still
-        // maintainable from the log and stay. (Only the zero-worker lazy
-        // store lets a sketch lag — shard workers maintain both.)
-        imp.execute(&lagging).unwrap();
-        for run in 0..RUNS {
-            imp.execute(&format!("INSERT INTO ha VALUES (2, {run})"))
-                .unwrap();
-            imp.execute(q).unwrap();
-        }
-        imp.vacuum();
-        if workers == 0 {
-            assert_eq!(
-                retained(&imp, q),
-                1 + RUNS,
-                "runs since the horizon are kept"
-            );
-            assert_eq!(retained(&imp, &lagging), 1);
-        }
-        imp.maintain_all_stale().unwrap();
-        imp.vacuum();
-        assert_eq!(retained(&imp, q), 1);
-        assert_eq!(retained(&imp, &lagging), 1);
-        // The trimmed store still maintains correctly.
-        imp.execute("INSERT INTO ha VALUES (3, 1000)").unwrap();
-        let imp_core::ImpResponse::Rows { result, .. } = imp.execute(q).unwrap() else {
-            panic!("rows expected")
-        };
-        assert_eq!(result.canonical(), imp.db().query(q).unwrap().canonical());
-    }
 }
 
 proptest! {

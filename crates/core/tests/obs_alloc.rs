@@ -2,8 +2,8 @@
 //! (ISSUE 9 acceptance). This test binary installs a counting
 //! `#[global_allocator]` (each integration test compiles to its own
 //! binary, so the allocator swap is contained) and asserts that with obs
-//! off, the instrumented call sites — span open/close, probe emission,
-//! maintain/query observation, scheduler counter updates — allocate
+//! off, the instrumented call sites — span open/close, maintain/query
+//! observation, scheduler counter updates — allocate
 //! **nothing**: their cost is a branch or a relaxed atomic. The count is
 //! per thread: the call sites run on the test's thread, and the test
 //! harness's own threads, which may allocate at any moment, stay out of
@@ -61,13 +61,12 @@ fn disabled_obs_hot_path_allocates_nothing() {
     let obs = Obs::off();
     let metrics = SchedMetrics::new(2);
 
-    // Warm up every call site once: lazy thread-locals, the probe hub's
-    // fast-path load, anything the first call touches.
+    // Warm up every call site once: lazy thread-locals, anything the
+    // first call touches.
     let exercise = |n: u64| {
         for i in 0..n {
             let _span = obs.span("maintain_stale");
-            obs.emit(|| unreachable!("no subscribers registered"));
-            obs.maintain_observed("SELECT g, sum(v) FROM t GROUP BY g", 1234 + i, 10, false);
+            obs.maintain_observed_spanned("SELECT g, sum(v) FROM t GROUP BY g", 1234 + i, 10, 0, 0);
             obs.query_observed("fresh", 777 + i);
             metrics.noted();
             metrics.maintain_runs.add(3);
@@ -89,6 +88,6 @@ fn disabled_obs_hot_path_allocates_nothing() {
     let on = Obs::new(&imp_core::ObsConfig::on());
     let before = allocations();
     let _s = on.span("x");
-    on.maintain_observed("q", 1, 1, false);
+    on.maintain_observed_spanned("q", 1, 1, 0, 0);
     assert!(allocations() > before, "counting allocator inert");
 }

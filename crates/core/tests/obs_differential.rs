@@ -1,19 +1,17 @@
 //! Observability must be a pure observer: running the *same* workload
-//! with `ImpConfig::obs` fully enabled (histograms + tracing + a probe
-//! subscriber) and fully disabled must produce byte-identical sketch
-//! states and identical query answers, both with zero workers (the
-//! caller maintains every sketch) and with a worker pool (sweeping
-//! workers). The enabled sides
-//! double-check that observation actually happened — non-empty latency
-//! histograms, recorded spans, delivered probe events — so this can't
-//! pass vacuously.
+//! with `ImpConfig::obs` fully enabled (histograms + tracing) and fully
+//! disabled must produce byte-identical sketch states and identical
+//! query answers, both with zero workers (the caller maintains every
+//! sketch) and with a worker pool (sweeping workers). The enabled sides
+//! double-check that observation actually happened — latency histograms
+//! counting every query, recorded spans, one flight `maintained` event
+//! per maintenance run — so this can't pass vacuously.
 
-use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
-use imp_core::{ObsConfig, ObsEvent, Probe};
+use imp_core::middleware::{Imp, ImpConfig, ImpResponse, QueryMode};
+use imp_core::obs::QUERY_LATENCY;
+use imp_core::{FlightEvent, ObsConfig};
 use imp_engine::Database;
 use imp_storage::{row, DataType, Field, Schema};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 const KEYS: i64 = 6;
 
@@ -64,41 +62,30 @@ const QUERIES: [&str; 3] = [
     "SELECT ka, sum(va) AS s FROM ta GROUP BY ka ORDER BY s DESC LIMIT 2",
 ];
 
-fn run_query(imp: &mut Imp, sql: &str) -> Vec<(imp_storage::Row, i64)> {
-    let ImpResponse::Rows { result, .. } = imp.execute(sql).unwrap() else {
+/// What one workload run saw: every query answer, and the maintenance
+/// reports handed to this thread (stale queries and its own sweeps).
+#[derive(Default)]
+struct Seen {
+    answers: Vec<Vec<(imp_storage::Row, i64)>>,
+    reports: u64,
+}
+
+fn run_query(imp: &mut Imp, sql: &str, seen: &mut Seen) {
+    let ImpResponse::Rows { result, mode } = imp.execute(sql).unwrap() else {
         panic!("expected rows for {sql}")
     };
-    result.canonical()
-}
-
-/// A counting probe subscriber: proves typed events flow on the enabled
-/// sides without perturbing anything.
-#[derive(Default)]
-struct CountingProbe {
-    maintains: AtomicU64,
-    queries: AtomicU64,
-}
-
-impl Probe for CountingProbe {
-    fn on_event(&self, event: &ObsEvent) {
-        match event {
-            ObsEvent::MaintainRun { .. } => {
-                self.maintains.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::QueryAnswered { .. } => {
-                self.queries.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
+    if let QueryMode::Maintained(_) = mode {
+        seen.reports += 1;
     }
+    seen.answers.push(result.canonical());
 }
 
 /// The deterministic workload: interleaved inserts/deletes across both
 /// tables, periodic convergence, queries through the USE path each round.
-fn run_workload(imp: &mut Imp) -> Vec<Vec<(imp_storage::Row, i64)>> {
-    let mut answers = Vec::new();
+fn run_workload(imp: &mut Imp) -> Seen {
+    let mut seen = Seen::default();
     for sql in QUERIES {
-        answers.push(run_query(imp, sql));
+        run_query(imp, sql, &mut seen);
     }
     for round in 0..6 {
         for k in 0..KEYS {
@@ -118,12 +105,26 @@ fn run_workload(imp: &mut Imp) -> Vec<Vec<(imp_storage::Row, i64)>> {
         if round % 2 == 1 {
             imp.evict_all_states().unwrap();
         }
-        imp.maintain_all_stale().unwrap();
+        seen.reports += imp.maintain_all_stale().unwrap().len() as u64;
         for sql in QUERIES {
-            answers.push(run_query(imp, sql));
+            run_query(imp, sql, &mut seen);
         }
     }
-    answers
+    seen
+}
+
+/// Flight `maintained` events retained by `imp`'s recorder.
+fn flight_maintained(imp: &Imp) -> u64 {
+    let flight = imp.obs().flight();
+    assert_eq!(flight.dropped(), 0, "a flight event was lost");
+    assert!(
+        flight.recorded() <= flight.capacity() as u64,
+        "ring wrapped"
+    );
+    let events = flight.events(u64::MAX).into_iter();
+    events
+        .filter(|r| matches!(r.event, FlightEvent::Maintained { .. }))
+        .count() as u64
 }
 
 #[test]
@@ -134,19 +135,25 @@ fn obs_on_and_off_agree_on_both_backends() {
     let mut sharded_off = Imp::new(seed_db(), config(3, ObsConfig::default()));
     let mut sharded_on = Imp::new(seed_db(), config(3, ObsConfig::on()));
 
-    let probe = Arc::new(CountingProbe::default());
-    inline_on.subscribe_probe(probe.clone());
-    sharded_on.subscribe_probe(probe.clone());
-
     let base = run_workload(&mut inline_off);
+    let mut inline_reports = 0;
     for (name, imp) in [
         ("inline+obs", &mut inline_on),
         ("sharded", &mut sharded_off),
         ("sharded+obs", &mut sharded_on),
     ] {
-        let answers = run_workload(imp);
-        assert_eq!(base, answers, "query answers diverged on {name}");
+        let seen = run_workload(imp);
+        assert_eq!(
+            base.answers, seen.answers,
+            "query answers diverged on {name}"
+        );
+        if name == "inline+obs" {
+            inline_reports = seen.reports;
+        }
     }
+    // Workers finish their current sweep before they park: from here on
+    // no run is in flight, so every count below is final.
+    let _paused = sharded_on.scheduler().unwrap().pause();
 
     let states = inline_off.sketch_states();
     assert!(!states.is_empty());
@@ -163,7 +170,8 @@ fn obs_on_and_off_agree_on_both_backends() {
     }
 
     // The observed sides actually observed: per-template maintain
-    // histograms, mode-labeled query histograms, spans, probe events.
+    // histograms, mode-labeled query histograms counting every query,
+    // spans, and one flight `maintained` event per maintenance run.
     for (name, imp) in [("inline+obs", &inline_on), ("sharded+obs", &sharded_on)] {
         let maint = imp
             .obs()
@@ -181,19 +189,32 @@ fn obs_on_and_off_agree_on_both_backends() {
                 || text.contains("imp_query_latency_ns_count{mode=\"maintained\"}"),
             "{name}: USE-path latency missing from exposition"
         );
+        let queries = imp.obs().registry().merged_histogram(QUERY_LATENCY);
+        assert_eq!(
+            queries.map(|h| h.count),
+            Some(base.answers.len() as u64),
+            "{name}: every query is in the latency histogram"
+        );
         let trace = imp.trace_export();
         assert!(
             trace.contains("\"traceEvents\""),
             "{name}: trace export malformed"
         );
+        let runs = imp.scheduler().unwrap().stats().maintain_runs;
+        assert!(runs > 0, "{name}: nothing was maintained");
+        assert_eq!(
+            flight_maintained(imp),
+            runs,
+            "{name}: one flight event per maintenance run"
+        );
     }
+    // Without workers, every run's report came back to this thread.
+    assert_eq!(flight_maintained(&inline_on), inline_reports);
     // The sharded+obs side goes through the scheduler pipeline, so its
     // counters must be live in the unified registry too.
     let text = sharded_on.metrics_text();
     assert!(text.contains("imp_sched_staged_updates"));
     assert!(text.contains("imp_sched_maintain_runs"));
-    assert!(probe.maintains.load(Ordering::Relaxed) > 0);
-    assert!(probe.queries.load(Ordering::Relaxed) > 0);
     // The disabled sides recorded nothing.
     assert!(inline_off.obs().maintain_latency().is_none());
     assert!(inline_off.trace_export().contains("\"traceEvents\":[]"));

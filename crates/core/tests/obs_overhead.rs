@@ -1,5 +1,5 @@
-//! Overhead guard: full observability — histograms, tracing, an attached
-//! probe — must stay within 10% of the obs-off allocations on a
+//! Overhead guard: full observability — histograms and tracing — must
+//! stay within 10% of the obs-off allocations on a
 //! smoke-scale workload, and what it adds must be paid per statement,
 //! not per delta row.
 //!
@@ -13,12 +13,11 @@
 //! (`fig_obsd`, and `bench_cycle`'s `trace.overhead_frac`).
 
 use imp_core::middleware::{Imp, ImpConfig};
-use imp_core::{ObsConfig, ObsEvent, Probe};
+use imp_core::ObsConfig;
 use imp_engine::Database;
 use imp_storage::{row, DataType, Field, Schema};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -94,17 +93,11 @@ fn seed_db() -> Database {
     db
 }
 
-struct NullProbe;
-
-impl Probe for NullProbe {
-    fn on_event(&self, _event: &ObsEvent) {}
-}
-
 /// One full workload pass: capture, churn (one INSERT of `insert_rows`
 /// rows and one DELETE per round), maintain, re-query. The statements
 /// are built before counting starts. Returns the allocations the pass
 /// made, `Imp::new` included.
-fn allocations_of_run(obs: ObsConfig, with_probe: bool, insert_rows: i64) -> u64 {
+fn allocations_of_run(obs: ObsConfig, insert_rows: i64) -> u64 {
     let config = ImpConfig {
         fragments: 8,
         obs,
@@ -128,13 +121,9 @@ fn allocations_of_run(obs: ObsConfig, with_probe: bool, insert_rows: i64) -> u64
         })
         .collect();
     let db = seed_db();
-    let probe: Arc<dyn Probe> = Arc::new(NullProbe);
 
     let before = allocations();
     let mut imp = Imp::new(db, config);
-    if with_probe {
-        imp.subscribe_probe(probe);
-    }
     for sql in queries {
         imp.execute(sql).unwrap();
     }
@@ -155,17 +144,17 @@ fn full_obs_within_ten_percent_of_disabled() {
     // Warm both paths once: process-wide one-time setup (the flight
     // recorder's panic hook, lazily built statics) is paid by whichever
     // run comes first and must not land in either count.
-    allocations_of_run(ObsConfig::default(), false, 20);
-    allocations_of_run(ObsConfig::on(), true, 20);
+    allocations_of_run(ObsConfig::default(), 20);
+    allocations_of_run(ObsConfig::on(), 20);
 
     let mut extras = Vec::new();
     for insert_rows in [20, 200] {
-        let off = allocations_of_run(ObsConfig::default(), false, insert_rows);
-        let on = allocations_of_run(ObsConfig::on(), true, insert_rows);
+        let off = allocations_of_run(ObsConfig::default(), insert_rows);
+        let on = allocations_of_run(ObsConfig::on(), insert_rows);
         eprintln!("{insert_rows} rows per INSERT: obs off {off} allocations, obs on {on}");
         assert_eq!(
             on,
-            allocations_of_run(ObsConfig::on(), true, insert_rows),
+            allocations_of_run(ObsConfig::on(), insert_rows),
             "obs-on allocations differ between two identical runs"
         );
         assert!(

@@ -378,7 +378,6 @@ fn zero_workers_route_nothing_and_maintain_on_the_next_query() {
 /// run — the sketch ends with the same bits and the same state bytes: its
 /// cold row cache is checked per statement. Seven fresh 200-row inserts
 /// cross the cache's flush threshold between the sixth and the seventh.
-/// (Retained versions are off: a store keeps one per run by design.)
 #[test]
 fn state_bytes_do_not_depend_on_how_statements_split_into_runs() {
     let inserts: Vec<String> = (0..7)
@@ -390,11 +389,7 @@ fn state_bytes_do_not_depend_on_how_statements_split_into_runs() {
         })
         .collect();
     let store = |split: &dyn Fn(&mut Imp)| {
-        let config = ImpConfig {
-            retain_sketch_versions: false,
-            ..sharded_config(1)
-        };
-        let mut imp = Imp::new(seed_db(), config);
+        let mut imp = Imp::new(seed_db(), sharded_config(1));
         imp.execute(Q).unwrap();
         let paused = imp.scheduler().unwrap().pause();
         split(&mut imp);
