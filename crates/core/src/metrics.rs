@@ -102,10 +102,10 @@ pub struct SchedMetrics {
     pub staged_updates: Counter,
     /// Maintenance runs executed by the store (sweeps + on-demand).
     pub maintain_runs: Counter,
-    /// Per-worker liveness heartbeat (gauge): bumped once per worker-loop
-    /// iteration. The health watchdogs compare them across ticks — no
-    /// heartbeat advancing while updates wait means the workers are
-    /// wedged (parked, deadlocked, or stuck in one maintain).
+    /// Per-worker liveness heartbeat (gauge): bumped each time the worker
+    /// takes a sweep request. The health watchdogs compare them across
+    /// ticks — no heartbeat advancing while updates wait means the
+    /// workers are wedged (parked, deadlocked, or stuck in one maintain).
     heartbeat: Vec<Gauge>,
     /// Updates noted since the last sweep began (gauge): the work a
     /// worker has not started yet.
@@ -147,11 +147,6 @@ impl SchedMetrics {
         self.staged_updates.inc();
         let d = self.queue_depth.inc_get();
         self.max_queue_depth.max_of(d);
-    }
-
-    /// True iff an update was noted since the last sweep began.
-    pub fn pending(&self) -> bool {
-        self.queue_depth.get() > 0
     }
 
     /// Record a sweep beginning: it covers every update noted so far.
@@ -219,12 +214,13 @@ mod tests {
     #[test]
     fn a_sweep_takes_every_noted_update() {
         let m = SchedMetrics::new(2);
-        assert!(!m.pending());
+        let depth = |m: &SchedMetrics| m.snapshot().per_shard[0].depth;
+        assert_eq!(depth(&m), 0);
         m.noted();
         m.noted();
-        assert!(m.pending());
+        assert_eq!(depth(&m), 2);
         m.swept();
-        assert!(!m.pending());
+        assert_eq!(depth(&m), 0);
         let snap = m.snapshot();
         assert_eq!(snap.per_shard[0].depth, 0);
         assert_eq!(snap.per_shard[0].max_depth, 2);

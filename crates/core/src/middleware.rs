@@ -779,11 +779,10 @@ impl Imp {
                 })
             };
             let used = if stale {
-                // (iii): maintain it here. `None`: the candidate vanished
-                // since the snapshot; fall through to a fresh capture.
-                self.sched
-                    .maintain_sketch(&template, &plan)?
-                    .map(|(report, sketch)| (sketch, QueryMode::Maintained(Box::new(report))))
+                // (iii): maintain it here (or find that a sweep did).
+                // `None`: the candidate vanished since the snapshot; fall
+                // through to a fresh capture.
+                self.sched.maintain_sketch(&template, &plan)?
             } else {
                 // (ii): the published snapshot as-is. Evicted state stays
                 // evicted: the rewrite only needs the sketch bits.

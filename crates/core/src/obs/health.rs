@@ -281,11 +281,8 @@ impl Drop for HealthTicker {
 /// registry, evaluates the monitor, publishes to `state`, and on the
 /// ok→degraded transition captures a flight dump into the state (and stderr).
 ///
-/// The loop blocks on `recv_timeout` against its shutdown channel
-/// directly — deliberately not the shim's `select!`, whose registered
-/// -waker path degrades to a 10 ms poll under contention (see the
-/// `shims/crossbeam` fidelity notes) — so shutdown is immediate and the
-/// cadence is exact.
+/// The loop blocks on `recv_timeout` against its shutdown channel, so
+/// shutdown is immediate and the cadence is exact.
 pub fn spawn_health_ticker(
     obs: Arc<Obs>,
     state: Arc<HealthState>,

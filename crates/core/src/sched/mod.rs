@@ -6,11 +6,9 @@
 //! beside the query path. Whoever holds the state lock may work on the
 //! store: a background worker or the calling thread itself.
 //!
-//! ## Flow: note → sweep → snapshot
-//!
 //! ```text
 //!   update ──▶ delta log (the database's own)
-//!      └─ note + nudge ──▶ worker 0 … worker N−1 (take turns on the state lock)
+//!      └─ note + wake signal ──▶ worker 0 … worker N−1 (take turns on the state lock)
 //!                              │ sweep: per stale sketch, fetch its delta
 //!                              │ from the log since its version, run it
 //!                              ▼
@@ -19,50 +17,39 @@
 //! ```
 //!
 //! * **Updates** — [`Scheduler::note_update`] counts the update and
-//!   nudges one worker, and returns: the writer neither copies its delta
-//!   nor maintains anything. The delta stays where the update wrote it,
-//!   in the database's delta log.
-//! * **Sweeps** — a worker that is nudged, or finds updates noted since
-//!   the last sweep began, sweeps the store: every stale
-//!   [`crate::advisor::Lifecycle::Maintained`] sketch is maintained
-//!   through the fetching path a stale query uses, from that sketch's own
-//!   version, so however many updates it missed fold into one run. With
-//!   several workers, each sweeps the one store and they take turns on
-//!   the one state lock. The benchmark measures one worker.
-//! * **[`snapshot::SnapshotBoard`]** publishes the store's sketches as an
-//!   immutable, epoch-stamped snapshot after every state change, so the
-//!   USE/rewrite path reads a fresh sketch without blocking maintenance.
-//! * **Caller-side controls.** A query that finds its sketch stale does
-//!   not wait for the workers: it takes the state lock and maintains
-//!   *its own* sketch through the fetching path, then publishes. A sweep
-//!   holding the lock hands it over between two of its sketches, so the
-//!   query waits for at most the one sketch run in progress. Captures,
-//!   inspections, admin and advisor passes and [`Scheduler::drain`]
-//!   likewise run on the calling thread under the state lock. The lock
-//!   order is a worker's: state lock, then the database read lock.
-//! * **Zero workers** (`sched_workers: 0`, the default) is the same
-//!   store with no threads: nothing is noted, so an update touches no
-//!   sketch state, and the caller does all the work — a stale query
-//!   maintains its sketch, `tick_maintenance` sweeps.
+//!   raises the workers' one wake signal ([`pool::Wake`]); the delta
+//!   stays in the database's delta log, and the writer maintains nothing.
+//! * **Sweeps** — the worker that takes the request maintains every stale
+//!   [`crate::advisor::Lifecycle::Maintained`] sketch through the fetching
+//!   path a stale query uses, from that sketch's own version, so however
+//!   many updates it missed fold into one run ([`shard::sweep`]).
+//! * **Snapshots** — [`SnapshotBoard`] publishes the store after every
+//!   state change, so the USE/rewrite path reads without blocking.
+//! * **Caller-side controls** — a stale query maintains *its own* sketch
+//!   under the state lock, which a sweep hands over between two of its
+//!   sketches; captures, inspection, admin and advisor passes and
+//!   [`Scheduler::drain`] also run on the calling thread.
+//! * **Zero workers** (`sched_workers: 0`, the default) is the same store
+//!   with no threads: nothing is noted, and the caller does all the work.
 //!
-//! Maintenance arithmetic is split-invariant (a sketch's version is the
-//! highest record version it consumed): however sweeps and stale queries
-//! split the update stream into runs, sketch bits and maintained versions
-//! equal the zero-worker outcome.
+//! Maintenance arithmetic is split-invariant: however sweeps and stale
+//! queries split the update stream into runs, sketch bits and maintained
+//! versions equal the zero-worker outcome (`sched_differential`).
 
 pub mod pool;
 pub mod shard;
 pub mod snapshot;
 pub(crate) mod store;
 
-pub use pool::{PausedShards, ShardPool, SHARD_QUEUE_CAP};
+pub use pool::{PausedShards, ShardPool};
 pub use snapshot::{PublishedSketch, ShardSnapshot, SnapshotBoard};
 
 use crate::advisor::{SketchKey, WorkloadTracker};
 use crate::maintain::MaintReport;
 use crate::metrics::SchedStats;
 use crate::middleware::{
-    maintain_entry, plan_subsumes, ImpConfig, Store, StoredSketch, MAX_SKETCHES_PER_TEMPLATE,
+    maintain_entry, plan_subsumes, ImpConfig, QueryMode, Store, StoredSketch,
+    MAX_SKETCHES_PER_TEMPLATE,
 };
 use crate::obs::Obs;
 use crate::ops::DbAccess;
@@ -103,8 +90,7 @@ impl Scheduler {
         self.shared.metrics.snapshot()
     }
 
-    /// Shared handle to the snapshot board (obsd's `/sketches` reads
-    /// published snapshots through this without touching the scheduler).
+    /// Shared handle to the snapshot board (obsd's `/sketches`).
     pub fn board_handle(&self) -> Arc<SnapshotBoard> {
         Arc::clone(&self.shared.board)
     }
@@ -114,40 +100,34 @@ impl Scheduler {
         self.shared.board.epoch()
     }
 
-    /// Number of sketches currently published. Snapshots are republished
-    /// on every count-changing operation, so this equals the stored count
-    /// without taking the state lock.
+    /// Number of sketches published: the stored count, read without the
+    /// state lock (every count-changing operation republishes).
     pub fn published_count(&self) -> usize {
         self.shared.board.read().sketches.len()
     }
 
     /// The last error of maintenance no caller waited for (a background
-    /// sweep). Sticky: it stays reported until a newer error supersedes
-    /// it.
+    /// sweep); it stays until a newer error supersedes it.
     pub fn last_error(&self) -> Option<String> {
         self.shared.slot.state.lock().last_error.clone()
     }
 
-    /// Note that `table` committed an update: count it and nudge a worker
-    /// to sweep, without blocking. The delta stays in the database's log,
-    /// where the sweep fetches it. With no workers nothing would sweep,
-    /// so nothing is noted: the update touches no sketch state.
+    /// Note that `table` committed an update: count it and ask the workers
+    /// for a sweep, without blocking. With no workers nothing would sweep,
+    /// so nothing is noted.
     pub fn note_update(&self, table: &str) {
         if self.pool.is_empty() {
             return;
         }
-        let (shared, obs) = (&self.shared, &self.shared.obs);
-        shared.metrics.noted();
-        obs.flight().record(crate::obs::FlightEvent::Staged {
-            table: crate::obs::flight::fid(table),
-        });
-        shared.nudge();
+        self.shared.metrics.noted();
+        let table = crate::obs::flight::fid(table);
+        let staged = crate::obs::FlightEvent::Staged { table };
+        self.shared.obs.flight().record(staged);
+        self.shared.wake.nudge();
     }
 
-    /// Store a freshly captured sketch, on the calling thread: the sketch
-    /// is stored and published when this returns, so the next query sees
-    /// it. A template already holding [`MAX_SKETCHES_PER_TEMPLATE`]
-    /// candidates evicts its oldest.
+    /// Store and publish a freshly captured sketch; a template already
+    /// holding [`MAX_SKETCHES_PER_TEMPLATE`] candidates evicts its oldest.
     pub(crate) fn add_sketch(&self, template: QueryTemplate, sketch: StoredSketch) {
         let mut state = self.shared.slot.state.lock();
         if let Some(entries) = state.store.get_mut(&template) {
@@ -169,25 +149,22 @@ impl Scheduler {
         plan: &LogicalPlan,
     ) -> Option<PublishedSketch> {
         let snapshot = self.shared.board.read();
-        snapshot
-            .sketches
-            .iter()
-            .find(|p| p.template == *template && plan_subsumes(&p.plan, plan))
-            .cloned()
+        let subsumes =
+            |p: &&PublishedSketch| p.template == *template && plan_subsumes(&p.plan, plan);
+        snapshot.sketches.iter().find(subsumes).cloned()
     }
 
-    /// Paper Fig. 2 (iii) on the calling thread: under the state lock,
-    /// bring the candidate subsuming `plan` current through the fetching
-    /// path, publish, and return the report with the fresh sketch. Only
-    /// this sketch is maintained, and the query does not wait for the
-    /// workers. A sweep holding the lock hands it over at its next
-    /// sketch, so the wait is at most the one sketch run in progress.
-    /// `Ok(None)` when no stored candidate subsumes the plan anymore.
+    /// Paper Fig. 2 (iii) on the calling thread: under the state lock
+    /// (a sweep hands it over at its next sketch), bring the candidate
+    /// subsuming `plan` current through the fetching path and publish.
+    /// A candidate that a sweep brought current meanwhile is answered as
+    /// it is, [`QueryMode::UsedFresh`], with no run. `Ok(None)` when no
+    /// stored candidate subsumes the plan anymore.
     pub(crate) fn maintain_sketch(
         &self,
         template: &QueryTemplate,
         plan: &LogicalPlan,
-    ) -> crate::Result<Option<(MaintReport, Arc<SketchSet>)>> {
+    ) -> crate::Result<Option<(Arc<SketchSet>, QueryMode)>> {
         let mut state = self.shared.slot.lock_for_query();
         let mut entries = state.store.get_mut(template).into_iter().flatten();
         let Some(entry) = entries.find(|e| plan_subsumes(&e.plan, plan)) else {
@@ -195,6 +172,10 @@ impl Scheduler {
         };
         let report = {
             let db = self.shared.db.read();
+            if !entry.maintainer.is_stale(&db) {
+                let sketch = Arc::new(entry.maintainer.sketch().clone());
+                return Ok(Some((sketch, QueryMode::UsedFresh)));
+            }
             let _span = self.shared.obs.span("maintain_on_demand");
             let (config, obs, tracker) =
                 (&self.shared.config, &self.shared.obs, &self.shared.tracker);
@@ -204,12 +185,11 @@ impl Scheduler {
         let sketch = Arc::new(entry.maintainer.sketch().clone());
         self.shared.metrics.maintain_runs.inc();
         publish(&mut state, &self.shared.board, &self.shared.obs);
-        Ok(Some((report, sketch)))
+        Ok(Some((sketch, QueryMode::Maintained(Box::new(report)))))
     }
 
     /// Run `f` on the first sketch stored for `template`, under the state
-    /// lock (tests and inspection). `None` when the template has no
-    /// stored sketch.
+    /// lock (tests and inspection).
     pub(crate) fn with_sketch<R>(
         &self,
         template: &QueryTemplate,
@@ -219,17 +199,15 @@ impl Scheduler {
         state.store.get(template).and_then(|v| v.first()).map(f)
     }
 
-    /// Run `f` over the store on the calling thread, under the state lock
-    /// and after a [`Self::drain`] under the same hold — so on a store with
-    /// workers `f` sees every update made before the call maintained. The
-    /// database read lock is taken after the state lock, a worker's order;
-    /// with `publish_after`, the store is republished after `f`.
+    /// Run `f` over the store under the state lock, after a
+    /// [`Self::drain`] under the same hold, so `f` sees every earlier
+    /// update maintained; with `publish_after`, republish after `f`.
     pub(crate) fn visit(
         &self,
         publish_after: bool,
         f: impl FnOnce(&mut Store, &Database) -> crate::Result<()>,
     ) -> crate::Result<()> {
-        let (mut state, _) = self.drained(&mut Vec::new());
+        let mut state = self.drained(&mut Vec::new());
         let result = f(&mut state.store, &self.shared.db.read());
         if publish_after {
             publish(&mut state, &self.shared.board, &self.shared.obs);
@@ -237,9 +215,8 @@ impl Scheduler {
         result
     }
 
-    /// Maintain every stale sketch on the calling thread: one sweep (see
-    /// [`shard::sweep`]). A failing sketch does not stop the sweep; the
-    /// first error is returned once it is done.
+    /// Maintain every stale sketch on the calling thread: one sweep,
+    /// which returns its first error once it is done.
     pub fn maintain_stale(&self) -> crate::Result<Vec<MaintReport>> {
         let mut reports = Vec::new();
         let state = self.shared.slot.state.lock();
@@ -247,43 +224,34 @@ impl Scheduler {
         Ok(reports)
     }
 
-    /// Fire-and-forget sweep on one worker (background ticks; a no-op
-    /// without workers). Never blocks: when that worker's message queue
-    /// is full — a paused worker's, say — the nudge is dropped, and one
-    /// already queued covers it.
+    /// Fire-and-forget sweep request (background ticks; nothing takes it
+    /// without workers). Never blocks: while the workers are paused the
+    /// request stays pending, and one of them takes it on resume.
     pub fn kick_maintenance(&self) {
-        self.shared.nudge();
+        self.shared.wake.nudge();
     }
 
-    /// Barrier on the calling thread: with workers, run a sweep here,
-    /// racing the workers for the same state lock. Returns once every
-    /// update made before the call has been maintained — the sweep
-    /// fetches each stale sketch's delta up to the current version — even
-    /// while the workers are paused. Errors are parked in
-    /// [`Self::last_error`]. Returns the maintenance runs made here (0
-    /// without workers, where nothing is noted and queries maintain).
+    /// Barrier on the calling thread: with workers, sweep here, so every
+    /// earlier update is maintained when this returns, even while the
+    /// workers are paused (errors go to [`Self::last_error`]). Returns
+    /// the runs made here (0 without workers: queries maintain).
     pub fn drain(&self) -> usize {
         let mut reports = Vec::new();
-        let _ = self.drained(&mut reports);
+        drop(self.drained(&mut reports));
         reports.len()
     }
 
-    /// The state lock after a [`Self::drain`] under it, with the sweep's
-    /// outcome.
-    fn drained(
-        &self,
-        reports: &mut Vec<MaintReport>,
-    ) -> (MutexGuard<'_, ShardState>, crate::Result<()>) {
+    /// The state lock after a [`Self::drain`] under it.
+    fn drained(&self, reports: &mut Vec<MaintReport>) -> MutexGuard<'_, ShardState> {
         let state = self.shared.slot.state.lock();
         if self.pool.is_empty() {
-            return (state, Ok(()));
+            return state;
         }
-        sweep(&self.shared, state, reports)
+        sweep(&self.shared, state, reports).0
     }
 
-    /// Park every worker after it finishes its current sweep (updates
-    /// keep being noted — the deterministic way to observe a backlog).
-    /// Resume by dropping the guard.
+    /// Park every worker once its current sweep ends; see
+    /// [`PausedShards`].
     pub fn pause(&self) -> PausedShards {
         self.pool.pause()
     }
@@ -296,7 +264,6 @@ mod tests {
     use crate::middleware::{capture_stored, choose_partitions, Imp, ImpResponse, QueryMode};
     use crate::obs::ObsConfig;
     use crate::sched::shard::ShardWorker;
-    use crossbeam::channel::bounded;
     use imp_storage::{row, DataType, Field, Schema};
     use std::sync::atomic::Ordering;
 
@@ -332,8 +299,9 @@ mod tests {
         out
     }
 
-    /// Two workers, without a clock: no threads, two noted updates, and
-    /// one `work_once` of worker 1 run on this thread. Worker 0 never
+    /// Two workers, without a clock: no threads, two noted updates (each
+    /// raising the wake signal, as `note_update` does), and one
+    /// `work_once` of worker 1 run on this thread. Worker 0 never
     /// runs, so the sweep is worker 1's: there is no owner, every worker
     /// sweeps the one store. One run covers both updates, and the sketch
     /// equals the zero-worker store's.
@@ -362,11 +330,12 @@ mod tests {
         for sql in updates {
             db.write().execute_sql(sql).unwrap();
             shared.metrics.noted();
+            shared.wake.nudge();
         }
         assert_eq!(shared.metrics.snapshot().per_shard[0].depth, 2);
 
         let workers: Vec<ShardWorker> = (0..2)
-            .map(|id| ShardWorker::new(id, bounded(1).1, Arc::clone(&shared)))
+            .map(|id| ShardWorker::new(id, Arc::clone(&shared)))
             .collect();
         assert!(workers[1].work_once(false), "worker 1 found the backlog");
         let stats = shared.metrics.snapshot();
@@ -395,6 +364,45 @@ mod tests {
         let expected = &sequential.sketch_states()[0];
         assert_eq!(swept.maintainer.version(), expected.version);
         assert_eq!(swept.maintainer.sketch().bits(), &expected.bits);
+    }
+
+    /// A stale query that loses the race for the state lock to a sweep
+    /// finds its sketch current: it is answered as it is, with no run —
+    /// no `imp_sched_maintain_runs`, no flight `maintained` event and no
+    /// tracker maintenance record.
+    #[test]
+    fn a_current_sketch_is_answered_without_a_run() {
+        let config = ImpConfig {
+            fragments: 6,
+            sched_workers: 0,
+            ..ImpConfig::default()
+        };
+        let mut imp = Imp::new(seed_db(), config);
+        imp.execute(Q).unwrap();
+        imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
+        imp.maintain_all_stale().unwrap(); // the sweep that won the race
+        let sched = imp.scheduler().unwrap();
+        let key = SketchKey::new(template_of(Q).text(), Q);
+        let counts = || {
+            let flight = imp.obs().flight().events(u64::MAX).into_iter();
+            let maintained =
+                flight.filter(|r| matches!(r.event, crate::obs::FlightEvent::Maintained { .. }));
+            (
+                sched.stats().maintain_runs,
+                maintained.count(),
+                sched.shared.tracker.get(&key).maint_runs,
+            )
+        };
+        let before = counts();
+        assert_eq!(before, (1, 1, 1), "the sweep's run");
+
+        let plan = imp.db().plan_sql(Q).unwrap();
+        let answer = sched.maintain_sketch(&template_of(Q), &plan).unwrap();
+        assert_eq!(counts(), before, "no run for a current sketch");
+        let (sketch, mode) = answer.expect("the candidate is stored");
+        assert!(matches!(mode, QueryMode::UsedFresh), "{mode:?}");
+        let stored = imp.with_sketch(&template_of(Q), |e| e.maintainer.sketch().clone());
+        assert_eq!(Some(&*sketch), stored.as_ref());
     }
 
     /// The hand-over, without a clock: the zero-worker store (no
@@ -516,7 +524,7 @@ mod tests {
         }
         imp.execute("DELETE FROM t WHERE v = 7").unwrap();
 
-        let worker = ShardWorker::new(0, bounded(1).1, Arc::clone(&shared));
+        let worker = ShardWorker::new(0, Arc::clone(&shared));
         assert!(worker.work_once(true));
         let error = imp.scheduler().unwrap().last_error();
         assert!(error.is_some(), "the failure was parked");

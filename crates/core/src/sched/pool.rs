@@ -1,141 +1,163 @@
-//! Worker-pool lifecycle: spawn, pause/resume, join.
+//! Worker-pool lifecycle: spawn, the one wake signal, pause/resume, join.
 //!
-//! Deltas do not travel through the workers' channels — a sweep fetches
-//! them from the delta log — and neither do controls, which run on the
-//! calling thread. The channels carry sweep nudges, pause and stop;
-//! nudges are sent without blocking, so `SHARD_QUEUE_CAP` merely bounds
-//! how many messages can be queued ahead of a worker. A pool may have no
-//! workers at all (`sched_workers: 0`): then callers do all the work.
+//! A worker only needs to learn that there is work, that it must park,
+//! or that it must exit: one [`Wake`] signal, a small state behind one
+//! mutex with one condition variable every worker waits on. A sweep
+//! request is a flag, so no request is ever dropped.
 
-use crate::sched::shard::{ShardMsg, ShardWorker};
+use crate::sched::shard::ShardWorker;
 use crate::sched::store::SchedShared;
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// Capacity of each worker's message queue. Nudges are dropped (not
-/// blocked) when the queue is full, so a full queue never stalls an
-/// update or a maintenance tick.
-pub const SHARD_QUEUE_CAP: usize = 256;
+/// What the workers wait for (guarded by [`Wake`]'s mutex).
+#[derive(Default)]
+struct Signal {
+    /// A sweep was asked for and no worker has taken the request yet.
+    sweep: bool,
+    /// Live [`PausedShards`] guards: workers park while there is one.
+    pauses: usize,
+    /// Workers parked, or gone for good (see [`Wake::gone`]).
+    parked: usize,
+    /// The pool is dropping: every worker exits, paused or not.
+    stop: bool,
+}
 
-struct WorkerHandle {
-    tx: Sender<ShardMsg>,
-    handle: Option<JoinHandle<()>>,
+/// The workers' one wake signal.
+#[derive(Default)]
+pub(crate) struct Wake {
+    signal: Mutex<Signal>,
+    changed: Condvar,
+}
+
+impl Wake {
+    /// Nothing panics holding the signal: a poisoned one is consistent.
+    fn signal(&self) -> MutexGuard<'_, Signal> {
+        self.signal.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, signal: MutexGuard<'a, Signal>) -> MutexGuard<'a, Signal> {
+        (self.changed.wait(signal)).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Ask for a sweep and wake one idle worker; never blocks.
+    pub(crate) fn nudge(&self) {
+        self.signal().sweep = true;
+        self.changed.notify_one();
+    }
+
+    /// Take a pending sweep request without waiting.
+    pub(crate) fn take(&self) -> bool {
+        std::mem::take(&mut self.signal().sweep)
+    }
+
+    /// A worker's wait for its next sweep: parked while a pause lives,
+    /// idle until a sweep is asked for, whose request it takes. `false`
+    /// once the pool stops.
+    pub(crate) fn next_sweep(&self) -> bool {
+        let mut signal = self.signal();
+        loop {
+            if signal.stop {
+                return false;
+            } else if signal.pauses > 0 {
+                signal.parked += 1;
+                self.changed.notify_all(); // the pauser counts parked workers
+                while signal.pauses > 0 && !signal.stop {
+                    signal = self.wait(signal);
+                }
+                signal.parked -= 1;
+            } else if std::mem::take(&mut signal.sweep) {
+                return true;
+            } else {
+                signal = self.wait(signal);
+            }
+        }
+    }
+
+    /// A worker's thread ended (even by a panic): it counts as parked.
+    pub(crate) fn gone(&self) {
+        self.set(|signal| signal.parked += 1);
+    }
+
+    /// Change the signal and wake every waiter: workers and a pauser.
+    fn set(&self, change: impl FnOnce(&mut Signal)) {
+        change(&mut self.signal());
+        self.changed.notify_all();
+    }
 }
 
 /// `N` worker threads, all sweeping the one sketch store.
 pub struct ShardPool {
-    workers: Vec<WorkerHandle>,
-    /// Resume senders of outstanding pauses, so dropping the pool while a
-    /// [`PausedShards`] guard is still alive unparks the workers instead
-    /// of deadlocking the join (sends to already-resumed workers are
-    /// harmless no-ops).
-    paused: Mutex<Vec<Sender<()>>>,
+    shared: Arc<SchedShared>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl ShardPool {
     /// Spawn `workers` worker threads over `shared`.
     pub(crate) fn spawn(workers: usize, shared: &Arc<SchedShared>) -> ShardPool {
-        let mut txs = Vec::with_capacity(workers);
         let handles = (0..workers)
             .map(|id| {
-                let (tx, rx) = bounded::<ShardMsg>(SHARD_QUEUE_CAP);
-                txs.push(tx.clone());
-                let worker = ShardWorker::new(id, rx, Arc::clone(shared));
-                let handle = std::thread::Builder::new()
+                let worker = ShardWorker::new(id, Arc::clone(shared));
+                std::thread::Builder::new()
                     .name(format!("imp-worker-{id}"))
                     .spawn(move || worker.run())
-                    .expect("spawn worker");
-                WorkerHandle {
-                    tx,
-                    handle: Some(handle),
-                }
+                    .expect("spawn worker")
             })
             .collect();
-        shared.set_wakers(txs);
-        ShardPool {
-            workers: handles,
-            paused: Mutex::new(Vec::new()),
-        }
+        let shared = Arc::clone(shared);
+        ShardPool { shared, handles }
     }
 
     /// Number of worker threads.
     pub fn len(&self) -> usize {
-        self.workers.len()
+        self.handles.len()
     }
 
     /// True iff the pool has no workers (`sched_workers: 0`).
     pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
+        self.handles.is_empty()
     }
 
-    /// Send a message to one worker (blocking while its queue is full).
-    fn send(&self, worker: usize, msg: ShardMsg) {
-        let _ = self.workers[worker].tx.send(msg);
-    }
-
-    /// Park every worker (acked), returning the resume handles.
+    /// Raise the pause count and wait until every worker is parked.
     pub(crate) fn pause(&self) -> PausedShards {
-        let mut resumes = Vec::with_capacity(self.workers.len());
-        let mut acks = Vec::with_capacity(self.workers.len());
-        for worker in 0..self.workers.len() {
-            let (ack_tx, ack_rx) = bounded::<()>(1);
-            let (resume_tx, resume_rx) = bounded::<()>(1);
-            self.send(
-                worker,
-                ShardMsg::Pause {
-                    ack: ack_tx,
-                    resume: resume_rx,
-                },
-            );
-            acks.push(ack_rx);
-            resumes.push(resume_tx);
+        let wake = &self.shared.wake;
+        wake.set(|signal| signal.pauses += 1);
+        let mut signal = wake.signal();
+        while signal.parked < self.handles.len() {
+            signal = wake.wait(signal);
         }
-        for ack in acks {
-            let _ = ack.recv();
-        }
-        self.paused.lock().extend(resumes.iter().cloned());
-        PausedShards { resumes }
+        let shared = Arc::clone(&self.shared);
+        PausedShards { shared }
     }
 }
 
 impl Drop for ShardPool {
+    /// Stop every worker, paused ones too, and join them.
     fn drop(&mut self) {
-        // Unpark workers whose PausedShards guard is still alive — they
-        // must drain to their Stop message for the join to return.
-        for tx in self.paused.lock().drain(..) {
-            let _ = tx.send(());
-        }
-        for worker in 0..self.workers.len() {
-            self.send(worker, ShardMsg::Stop);
-        }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
+        self.shared.wake.set(|signal| signal.stop = true);
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
 /// Guard returned by [`crate::sched::Scheduler::pause`]: every worker is
 /// parked (updates keep being noted — the deterministic way to observe a
-/// backlog). Dropping the guard resumes them.
+/// backlog). Dropping the guard resumes them; a sweep asked for while
+/// they were parked is still pending, so one of them takes it.
 pub struct PausedShards {
-    resumes: Vec<Sender<()>>,
+    shared: Arc<SchedShared>,
 }
 
 impl PausedShards {
     /// Unpark all workers.
     pub fn resume(self) {
-        drop(self); // Drop impl sends the resumes
+        drop(self);
     }
 }
 
 impl Drop for PausedShards {
     fn drop(&mut self) {
-        for tx in &self.resumes {
-            let _ = tx.send(());
-        }
+        self.shared.wake.set(|signal| signal.pauses -= 1);
     }
 }

@@ -1,13 +1,11 @@
 //! Versioned published sketch snapshots.
 //!
-//! The live [`crate::middleware::StoredSketch`]s sit behind the store's
-//! state lock; the USE/rewrite path of [`crate::middleware::Imp::execute`]
-//! must read fresh sketches *without* blocking maintenance. After every
-//! state change, whoever holds the state lock publishes an immutable
-//! [`ShardSnapshot`] of the store — `Arc`-shared plans and sketch bits,
-//! stamped with a monotonically increasing board epoch — into the
-//! [`SnapshotBoard`]'s one slot. Readers lock the slot only long enough to
-//! clone the `Arc`; writers only long enough to swap it.
+//! The USE/rewrite path of [`crate::middleware::Imp::execute`] reads
+//! sketches *without* blocking maintenance: after every state change,
+//! whoever holds the state lock publishes an immutable, epoch-stamped
+//! [`ShardSnapshot`] of the store (`Arc`-shared plans and sketch bits)
+//! into the [`SnapshotBoard`]'s one slot. Readers and writers lock the
+//! slot only to clone or swap the `Arc`.
 
 use crate::advisor::Lifecycle;
 use imp_sketch::SketchSet;

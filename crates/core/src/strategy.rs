@@ -11,13 +11,15 @@
 //! primitives, e.g., triggering eager maintenance during times of low
 //! resource usage": [`BackgroundMaintainer`] is that primitive — a thread
 //! that periodically ticks maintenance while the system is otherwise
-//! idle. Without workers a tick maintains every stale sketch on the
-//! ticker thread; with a worker pool ([`crate::sched`]) a tick merely
-//! nudges one worker to sweep — the worker does the maintenance, and the
-//! `Imp` lock is held only for the nudge.
+//! idle. It waits for the next tick on its stop channel
+//! (`recv_timeout(interval)`), so stopping it is immediate. Without
+//! workers a tick maintains every stale sketch on the ticker thread; with
+//! a worker pool ([`crate::sched`]) a tick merely raises the workers'
+//! wake signal — a worker does the maintenance, and the `Imp` lock is
+//! held only for the request.
 
 use crate::middleware::Imp;
-use crossbeam::channel::{bounded, tick, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -26,7 +28,7 @@ use std::time::Duration;
 /// When sketches are maintained relative to updates. Either way a query
 /// that finds its sketch stale maintains it first. With workers
 /// (`ImpConfig::sched_workers ≥ 1`) neither applies to updates: each one
-/// nudges a worker to sweep every stale sketch.
+/// asks the workers to sweep every stale sketch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintenanceStrategy {
     /// Maintain affected sketches as soon as `batch_size` delta rows have
@@ -51,18 +53,14 @@ impl BackgroundMaintainer {
     /// Spawn a thread that maintains all stale sketches every `interval`.
     pub fn spawn(imp: Arc<Mutex<Imp>>, interval: Duration) -> BackgroundMaintainer {
         let (stop_tx, stop_rx) = bounded::<()>(1);
-        let ticker = tick(interval);
-        let handle = std::thread::spawn(move || loop {
-            crossbeam::channel::select! {
-                recv(stop_rx) -> _ => break,
-                recv(ticker) -> _ => {
-                    let mut guard = imp.lock();
-                    // Best effort: a failure here surfaces on the next
-                    // foreground maintenance of the same sketch. With a
-                    // worker pool this only nudges; a worker maintains
-                    // off this thread.
-                    let _ = guard.tick_maintenance();
-                }
+        let handle = std::thread::spawn(move || {
+            // A stop (or a dropped sender) ends the loop; a timeout is a tick.
+            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
+                // Best effort: a failure here surfaces on the next
+                // foreground maintenance of the same sketch. With a worker
+                // pool this only asks for a sweep; a worker maintains off
+                // this thread.
+                let _ = imp.lock().tick_maintenance();
             }
         });
         BackgroundMaintainer {

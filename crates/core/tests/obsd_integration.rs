@@ -8,6 +8,7 @@
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
 use imp_core::{HealthConfig, ObsConfig};
 use imp_engine::Database;
+use imp_sql::{QueryTemplate, Statement};
 use imp_storage::{row, DataType, Field, Schema};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -244,6 +245,48 @@ fn wedged_shard_flips_health_to_degraded_with_trip_dump() {
         assert!(Instant::now() < deadline, "health never recovered");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// No endpoint waits on the sketch store: while this thread holds the
+/// store's state lock (inside `Imp::with_sketch`), every endpoint still
+/// answers within a liveness deadline. This is the property the old
+/// wall-clock overhead gate of `fig_obsd` stood for: telemetry reads
+/// published snapshots and atomics, never the store, so a scrape cannot
+/// slow maintenance down by contending for it.
+#[test]
+fn no_endpoint_waits_on_the_sketch_store() {
+    let mut imp = Imp::new(seed_db(), config(1, true));
+    let addr = imp.obsd_addr().unwrap();
+    churn(&mut imp, 1);
+    let q = "SELECT ka, sum(va) AS s FROM ta GROUP BY ka HAVING sum(va) > 40";
+    let Statement::Select(select) = imp_sql::parse_one(q).unwrap() else {
+        panic!("not a select")
+    };
+    let held = imp.with_sketch(&QueryTemplate::of(&select), |_| {
+        for target in [
+            "/metrics",
+            "/metrics.json",
+            "/sketches",
+            "/flight",
+            "/health",
+            "/trace",
+        ] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            write!(stream, "GET {target} HTTP/1.1\r\nHost: imp\r\n\r\n").unwrap();
+            let mut raw = String::new();
+            if let Err(e) = stream.read_to_string(&mut raw) {
+                panic!("{target} did not answer while the store was held: {e}");
+            }
+            assert!(
+                raw.starts_with("HTTP/1.1 200") || raw.starts_with("HTTP/1.1 503"),
+                "{target}: {raw}"
+            );
+        }
+    });
+    assert!(held.is_some(), "the sketch is stored");
 }
 
 #[test]

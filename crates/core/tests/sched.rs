@@ -11,7 +11,7 @@ use imp_engine::Database;
 use imp_sql::{QueryTemplate, Statement};
 use imp_storage::{row, DataType, Field, Schema};
 use std::sync::mpsc::RecvTimeoutError;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const Q: &str = "SELECT g, sum(v) AS s FROM t GROUP BY g HAVING sum(v) > 100";
 
@@ -125,6 +125,40 @@ fn paused_shards_coalesce_same_table_batches() {
         truth
             .execute(&format!("INSERT INTO t VALUES (2, {})", 50 + i))
             .unwrap();
+    }
+    truth.maintain_all_stale().unwrap();
+    assert_eq!(imp.sketch_states(), truth.sketch_states());
+
+    // No wake-up is lost: more updates than the 256 nudges a per-worker
+    // queue once held are noted while the workers are parked, and only
+    // `resume` follows — no drain, no tick. The workers alone bring the
+    // sketch current, in one run.
+    let runs = imp.scheduler().unwrap().stats().maintain_runs;
+    let paused = imp.scheduler().unwrap().pause();
+    let inserts: Vec<String> = (0..300)
+        .map(|i| format!("INSERT INTO t VALUES ({}, {i})", i % 6))
+        .collect();
+    for sql in &inserts {
+        imp.execute(sql).unwrap();
+    }
+    paused.resume();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let current = imp.db().version();
+        let version = imp.with_sketch(&template_of(Q), |e| e.maintainer.version());
+        if version == Some(current) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the resumed workers never swept the parked backlog"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = imp.scheduler().unwrap().stats();
+    assert_eq!(stats.maintain_runs, runs + 1, "one run per stale sketch");
+    for sql in &inserts {
+        truth.execute(sql).unwrap();
     }
     truth.maintain_all_stale().unwrap();
     assert_eq!(imp.sketch_states(), truth.sketch_states());

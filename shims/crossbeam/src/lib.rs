@@ -1,67 +1,27 @@
 //! Offline shim for `crossbeam`, backed by `std::sync::mpsc`.
 //!
-//! Provides [`channel::bounded`], [`channel::tick`],
-//! [`channel::Receiver::recv_timeout`], and a [`select!`] macro
-//! supporting the two-arm `recv(rx) -> pat => body` form this workspace
-//! uses. `select!` *blocks*: every receiver carries a waker slot, the
-//! macro registers a shared wake channel on both arms and parks on it
-//! (`recv_timeout`) whenever both are empty, and each successful send
-//! nudges the registered waker — an idle selector wakes on the next
-//! message rather than on a poll tick. A short fallback timeout
-//! ([`SELECT_FALLBACK`](channel::SELECT_FALLBACK)) bounds the latency of
-//! events that do not nudge (sender disconnection). The scheduler's
-//! shard workers (`imp_core::sched`) avoid `select!` entirely: each
-//! worker drains a single queue with `recv`/`recv_timeout` plus
-//! non-blocking `try_recv` batches, which `std::sync::mpsc` backs with
-//! real OS blocking.
+//! Provides [`channel::bounded`] and its [`channel::Sender`] /
+//! [`channel::Receiver`] halves with their error types — the subset this
+//! workspace uses. The periodic threads (`imp_core::obs::health`'s
+//! ticker and `imp_core::strategy::BackgroundMaintainer`) each wait on a
+//! dedicated stop channel with [`channel::Receiver::recv_timeout`]: real
+//! OS blocking with an exact deadline, so stopping them is immediate. The
+//! scheduler's workers use no channel at all; they wait on one condition
+//! variable (`imp_core::sched::pool`).
 //!
-//! Remaining fidelity deltas vs. the real crate: no `unbounded`
-//! channels, no multi-receiver dynamic `Select`, `select!` supports
-//! exactly two `recv` arms (and one waker slot per receiver — concurrent
-//! selects on the same receiver fall back to the timeout), and a
-//! zero-capacity `bounded` degrades to capacity 1 (no rendezvous
-//! semantics).
-//!
-//! Anything needing **more than two arms** cannot use `select!` at all,
-//! and anything latency-sensitive should remember that waker-slot
-//! contention degrades a parked selector to a 10 ms
-//! [`SELECT_FALLBACK`](channel::SELECT_FALLBACK) poll. The periodic
-//! observability threads (`imp_core::obs::health::spawn_health_ticker`
-//! and the obsd endpoint plumbing) therefore pair one dedicated shutdown
-//! channel with `recv_timeout(tick)` directly — real OS blocking with an
-//! exact deadline, no waker slot shared, and immune to both limits by
-//! construction.
+//! Fidelity deltas vs. the real crate: no `unbounded` channels, no
+//! `select!` or `tick`, no dynamic `Select`, and a zero-capacity
+//! `bounded` degrades to capacity 1 (no rendezvous semantics).
 
 pub mod channel {
-    //! Multi-producer multi-consumer channels (mpsc-backed subset).
+    //! Multi-producer channels (mpsc-backed subset).
 
-    pub use crate::select;
-
-    use std::sync::{mpsc, Arc, Mutex};
-    use std::time::{Duration, Instant};
-
-    /// Upper bound on how long a parked [`select!`](crate::select) waits
-    /// between re-checking its arms when no waker nudge arrives — the
-    /// latency bound for non-nudging events (sender disconnection).
-    pub const SELECT_FALLBACK: Duration = Duration::from_millis(10);
-
-    /// One registered waker per channel: a parked selector's nudge
-    /// channel. `try_send` keeps nudging non-blocking; a full (1-slot)
-    /// nudge queue means a wake-up is already pending.
-    type WakerSlot = Arc<Mutex<Option<mpsc::SyncSender<()>>>>;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Error returned by [`Receiver::recv`] when the channel is closed.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// Channel currently has no message.
-        Empty,
-        /// Channel is closed and drained.
-        Disconnected,
-    }
 
     /// Error returned by [`Receiver::recv_timeout`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +49,6 @@ pub mod channel {
     #[derive(Debug)]
     pub struct Sender<T> {
         inner: mpsc::SyncSender<T>,
-        waker: WakerSlot,
     }
 
     // Manual impl: senders clone regardless of `T: Clone` (derive would
@@ -98,7 +57,6 @@ pub mod channel {
         fn clone(&self) -> Self {
             Sender {
                 inner: self.inner.clone(),
-                waker: Arc::clone(&self.waker),
             }
         }
     }
@@ -108,9 +66,7 @@ pub mod channel {
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
             self.inner
                 .send(msg)
-                .map_err(|mpsc::SendError(m)| SendError(m))?;
-            wake(&self.waker);
-            Ok(())
+                .map_err(|mpsc::SendError(m)| SendError(m))
         }
 
         /// Enqueue without blocking.
@@ -118,16 +74,7 @@ pub mod channel {
             self.inner.try_send(msg).map_err(|e| match e {
                 mpsc::TrySendError::Full(m) => TrySendError::Full(m),
                 mpsc::TrySendError::Disconnected(m) => TrySendError::Disconnected(m),
-            })?;
-            wake(&self.waker);
-            Ok(())
-        }
-    }
-
-    /// Nudge the parked selector registered on `slot`, if any.
-    fn wake(slot: &WakerSlot) {
-        if let Some(w) = slot.lock().expect("waker slot poisoned").as_ref() {
-            let _ = w.try_send(());
+            })
         }
     }
 
@@ -135,21 +82,12 @@ pub mod channel {
     #[derive(Debug)]
     pub struct Receiver<T> {
         inner: mpsc::Receiver<T>,
-        waker: WakerSlot,
     }
 
     impl<T> Receiver<T> {
         /// Block until a message arrives (or the channel closes).
         pub fn recv(&self) -> Result<T, RecvError> {
             self.inner.recv().map_err(|_| RecvError)
-        }
-
-        /// Dequeue without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.inner.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
         }
 
         /// Block until a message arrives, the channel closes, or `timeout`
@@ -161,149 +99,21 @@ pub mod channel {
                 mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
             })
         }
-
-        /// Register a parked selector's nudge channel on this receiver
-        /// (internal plumbing of [`select!`](crate::select); last
-        /// registration wins).
-        #[doc(hidden)]
-        pub fn register_waker(&self, tx: &mpsc::SyncSender<()>) {
-            *self.waker.lock().expect("waker slot poisoned") = Some(tx.clone());
-        }
-
-        /// Drop this receiver's registered selector nudge channel.
-        #[doc(hidden)]
-        pub fn clear_waker(&self) {
-            self.waker.lock().expect("waker slot poisoned").take();
-        }
     }
 
     /// Channel with capacity `cap` (`cap = 0` degrades to capacity 1; the
     /// rendezvous semantics of crossbeam's zero-capacity channel are not
     /// reproduced).
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap.max(1));
-        let waker: WakerSlot = Arc::new(Mutex::new(None));
-        (
-            Sender {
-                inner: tx,
-                waker: Arc::clone(&waker),
-            },
-            Receiver { inner: rx, waker },
-        )
+        let (inner, rx) = mpsc::sync_channel(cap.max(1));
+        (Sender { inner }, Receiver { inner: rx })
     }
-
-    /// A receiver that yields an [`Instant`] every `interval`, driven by a
-    /// background thread that exits once the receiver is dropped.
-    pub fn tick(interval: Duration) -> Receiver<Instant> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let waker: WakerSlot = Arc::new(Mutex::new(None));
-        let thread_waker = Arc::clone(&waker);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            // try_send: if the consumer is slow, skip a tick rather than
-            // queueing a burst; if it is gone, stop ticking.
-            match tx.try_send(Instant::now()) {
-                Ok(()) => wake(&thread_waker),
-                Err(mpsc::TrySendError::Full(_)) => {}
-                Err(mpsc::TrySendError::Disconnected(_)) => break,
-            }
-        });
-        Receiver { inner: rx, waker }
-    }
-}
-
-/// Two-arm `select!` over `recv(rx) -> pat => body` clauses. Registers a
-/// shared nudge channel as both receivers' waker and *blocks* on it
-/// while both arms are empty — a send on either arm wakes the selector
-/// immediately (no poll tick). The registration order (wakers first,
-/// then a `try_recv` sweep) makes a lost wake impossible: any message
-/// enqueued before registration is seen by the sweep, any message after
-/// finds the waker in place. Non-nudging events (sender disconnection)
-/// are picked up within [`channel::SELECT_FALLBACK`]. Bodies expand
-/// *outside* the internal loop, so `break`/`continue` inside a body bind
-/// to the caller's loop exactly as with the real macro.
-#[macro_export]
-macro_rules! select {
-    (
-        recv($rx1:expr) -> $p1:pat => $b1:expr,
-        recv($rx2:expr) -> $p2:pat => $b2:expr $(,)?
-    ) => {{
-        let (__sel_wake_tx, __sel_wake_rx) = ::std::sync::mpsc::sync_channel::<()>(1);
-        $rx1.register_waker(&__sel_wake_tx);
-        $rx2.register_waker(&__sel_wake_tx);
-        let mut __sel_r1: ::std::option::Option<
-            ::std::result::Result<_, $crate::channel::RecvError>,
-        > = ::std::option::Option::None;
-        let mut __sel_r2: ::std::option::Option<
-            ::std::result::Result<_, $crate::channel::RecvError>,
-        > = ::std::option::Option::None;
-        loop {
-            match $rx1.try_recv() {
-                ::std::result::Result::Ok(m) => {
-                    __sel_r1 = ::std::option::Option::Some(::std::result::Result::Ok(m));
-                    break;
-                }
-                ::std::result::Result::Err($crate::channel::TryRecvError::Disconnected) => {
-                    __sel_r1 = ::std::option::Option::Some(::std::result::Result::Err(
-                        $crate::channel::RecvError,
-                    ));
-                    break;
-                }
-                ::std::result::Result::Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            match $rx2.try_recv() {
-                ::std::result::Result::Ok(m) => {
-                    __sel_r2 = ::std::option::Option::Some(::std::result::Result::Ok(m));
-                    break;
-                }
-                ::std::result::Result::Err($crate::channel::TryRecvError::Disconnected) => {
-                    __sel_r2 = ::std::option::Option::Some(::std::result::Result::Err(
-                        $crate::channel::RecvError,
-                    ));
-                    break;
-                }
-                ::std::result::Result::Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            let _ = __sel_wake_rx.recv_timeout($crate::channel::SELECT_FALLBACK);
-        }
-        $rx1.clear_waker();
-        $rx2.clear_waker();
-        if let ::std::option::Option::Some(__sel_msg) = __sel_r1 {
-            let $p1 = __sel_msg;
-            $b1
-        } else if let ::std::option::Option::Some(__sel_msg) = __sel_r2 {
-            let $p2 = __sel_msg;
-            $b2
-        } else {
-            ::std::unreachable!()
-        }
-    }};
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, tick};
+    use super::channel::bounded;
     use std::time::Duration;
-
-    #[test]
-    fn select_prefers_ready_stop_channel() {
-        let (stop_tx, stop_rx) = bounded::<()>(1);
-        let ticker = tick(Duration::from_millis(5));
-        stop_tx.send(()).unwrap();
-        let stopped = loop {
-            crate::select! {
-                recv(stop_rx) -> _ => break true,
-                recv(ticker) -> _ => {},
-            }
-        };
-        assert!(stopped);
-    }
-
-    #[test]
-    fn ticker_ticks() {
-        let ticker = tick(Duration::from_millis(1));
-        assert!(ticker.recv().is_ok());
-    }
 
     #[test]
     fn recv_timeout_times_out_then_delivers() {
@@ -320,70 +130,5 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(1)),
             Err(RecvTimeoutError::Disconnected)
         );
-    }
-
-    #[test]
-    fn send_nudges_registered_waker() {
-        let (tx, rx) = bounded::<u32>(4);
-        let (wake_tx, wake_rx) = std::sync::mpsc::sync_channel::<()>(1);
-        rx.register_waker(&wake_tx);
-        tx.send(1).unwrap();
-        assert!(wake_rx.try_recv().is_ok(), "send must nudge the waker");
-        rx.clear_waker();
-        tx.send(2).unwrap();
-        assert!(
-            wake_rx.try_recv().is_err(),
-            "a cleared waker must not be nudged"
-        );
-    }
-
-    #[test]
-    fn parked_select_wakes_promptly_on_send() {
-        use std::time::Instant;
-        // The selector parks on two empty channels; a send from another
-        // thread must wake it via the nudge channel, not a poll sweep.
-        let (tx, rx) = bounded::<u32>(1);
-        let (_keep2, rx2) = bounded::<u32>(1);
-        let worker = std::thread::spawn(move || {
-            crate::select! {
-                recv(rx) -> m => m.unwrap(),
-                recv(rx2) -> m => m.unwrap(),
-            }
-        });
-        // Give the worker time to park.
-        std::thread::sleep(Duration::from_millis(30));
-        let sent = Instant::now();
-        tx.send(42).unwrap();
-        let got = worker.join().unwrap();
-        let latency = sent.elapsed();
-        assert_eq!(got, 42);
-        // Nudged wake-ups land in microseconds; even a missed nudge is
-        // bounded by the fallback. Allow generous CI slack below that.
-        assert!(
-            latency < Duration::from_millis(250),
-            "parked selector took {latency:?} to wake on send"
-        );
-    }
-
-    #[test]
-    fn break_in_body_binds_to_caller_loop() {
-        let (tx, rx) = bounded::<u32>(4);
-        let (_tx2, rx2) = bounded::<u32>(1);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        let mut seen = Vec::new();
-        loop {
-            crate::select! {
-                recv(rx) -> m => {
-                    match m {
-                        Ok(v) => seen.push(v),
-                        Err(_) => break,
-                    }
-                    if seen.len() == 2 { break }
-                },
-                recv(rx2) -> _ => {},
-            }
-        }
-        assert_eq!(seen, vec![1, 2]);
     }
 }
