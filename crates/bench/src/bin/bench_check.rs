@@ -31,10 +31,8 @@
 //!   and every exposition line carries a numeric value.
 //! * `--check-obsd` — standalone mode: validate the obsd endpoint
 //!   artifacts in DIR (written by `fig_obsd` or curled from a live
-//!   endpoint) — at least one `*.prom` scrape where every exposition
-//!   line parses as `name{labels} value`, `OBSD_HEALTH.json` carrying a
-//!   watchdog verdict, and `OBSD_FLIGHT.json` whose flight events each
-//!   carry `ticket`/`t_ns`/`kind` with tickets strictly increasing.
+//!   endpoint) — at least one `*.prom` scrape, and every exposition
+//!   line parses as `name{labels} value`.
 //! * `--self-test` — no files: build an in-memory baseline, inject a
 //!   synthetic 2× regression, and verify the gate catches it (and that a
 //!   clean run passes). Run in CI before the real gate so a silently
@@ -547,14 +545,6 @@ fn run_check_obsd(dir: &Path) -> ExitCode {
             dir.display()
         ));
     }
-    match check_health_file(&dir.join("OBSD_HEALTH.json")) {
-        Ok(verdict) => println!("OBSD_HEALTH.json: verdict {verdict:?} OK"),
-        Err(e) => problems.push(format!("OBSD_HEALTH.json: {e}")),
-    }
-    match check_flight_file(&dir.join("OBSD_FLIGHT.json")) {
-        Ok(events) => println!("OBSD_FLIGHT.json: {events} flight event(s) OK"),
-        Err(e) => problems.push(format!("OBSD_FLIGHT.json: {e}")),
-    }
     if !problems.is_empty() {
         for p in &problems {
             eprintln!("bench_check: {p}");
@@ -565,7 +555,7 @@ fn run_check_obsd(dir: &Path) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("\nbench_check: OK — {scrapes} scrape(s) + health + flight artifacts valid");
+    println!("\nbench_check: OK — {scrapes} scrape(s) valid");
     ExitCode::SUCCESS
 }
 
@@ -601,71 +591,6 @@ fn check_prom_scrape(path: &Path) -> Result<usize, String> {
         return Err("empty exposition — the endpoint served no series".into());
     }
     Ok(series)
-}
-
-/// `OBSD_HEALTH.json`: a `/health` capture whose report names a verdict
-/// and a tick counter; each firing rule (if any) must carry a `rule`
-/// name. Returns the verdict.
-fn check_health_file(path: &Path) -> Result<String, String> {
-    use imp_bench::report::json;
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let parsed = json::parse(&text)?;
-    let obj = parsed.as_object().ok_or("not a JSON object")?;
-    let Some(json::Value::Object(health)) = obj.get("health") else {
-        return Err("field \"health\": expected object".into());
-    };
-    let verdict = json::get_str(health, "verdict")?;
-    if verdict != "ok" && verdict != "degraded" {
-        return Err(format!("unknown verdict {verdict:?}"));
-    }
-    json::get_num(health, "tick")?;
-    let firing = json::get_array(health, "firing")?;
-    for (i, rule) in firing.iter().enumerate() {
-        let r = rule
-            .as_object()
-            .ok_or(format!("firing {i}: not an object"))?;
-        json::get_str(r, "rule").map_err(|e| format!("firing {i}: {e}"))?;
-    }
-    Ok(verdict)
-}
-
-/// `OBSD_FLIGHT.json`: a `/flight` capture — a non-empty `events` array
-/// where every record carries `ticket`/`t_ns`/`kind` and tickets are
-/// strictly increasing (the ring scan is ordered). Returns the event
-/// count.
-fn check_flight_file(path: &Path) -> Result<usize, String> {
-    use imp_bench::report::json;
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let parsed = json::parse(&text)?;
-    let obj = parsed.as_object().ok_or("not a JSON object")?;
-    let Some(json::Value::Object(flight)) = obj.get("flight") else {
-        return Err("field \"flight\": expected object".into());
-    };
-    json::get_num(flight, "cap")?;
-    json::get_num(flight, "recorded")?;
-    let events = json::get_array(flight, "events")?;
-    if events.is_empty() {
-        return Err("events is empty — the flight recorder captured nothing".into());
-    }
-    let mut last_ticket = f64::NEG_INFINITY;
-    for (i, event) in events.iter().enumerate() {
-        let e = event
-            .as_object()
-            .ok_or(format!("event {i} is not an object"))?;
-        let ticket = json::get_num(e, "ticket").map_err(|m| format!("event {i}: {m}"))?;
-        json::get_num(e, "t_ns").map_err(|m| format!("event {i}: {m}"))?;
-        let kind = json::get_str(e, "kind").map_err(|m| format!("event {i}: {m}"))?;
-        if kind.is_empty() {
-            return Err(format!("event {i}: empty kind"));
-        }
-        if ticket <= last_ticket {
-            return Err(format!(
-                "event {i}: ticket {ticket} not after {last_ticket} — dump out of order"
-            ));
-        }
-        last_ticket = ticket;
-    }
-    Ok(events.len())
 }
 
 /// Prove the gate actually gates: a clean pair passes, an injected 2×

@@ -1,34 +1,22 @@
 //! Live telemetry plane experiment (`imp_core::obsd`).
 //!
-//! One sharded `Imp` serves its obsd endpoint while a fleet of **64+
-//! concurrent scrape clients** hammers every route (`/metrics`,
-//! `/metrics.json`, `/trace`, `/health`, `/sketches`, `/flight`) and the
-//! main thread churns updates + maintenance through the scheduler.
+//! One `Imp` with a worker pool serves its obsd endpoint while a fleet of
+//! **64 concurrent scrape clients** hammers every route (`/metrics`,
+//! `/metrics.json`, `/trace`, `/sketches`) and the main thread churns
+//! updates + maintenance through the scheduler. One claim is **enforced
+//! by panic**: **no lost scrapes** — every request the fleet issues gets
+//! a well-formed response. Scrape latencies are printed, not gated; that
+//! no endpoint waits on the sketch store is tier-1's
+//! `obsd_integration::no_endpoint_waits_on_the_sketch_store`.
 //!
-//! It **prints** the overhead: windowed maintain-latency p99 under full
-//! scrape load vs. an identical obsd-off system running the same churn,
-//! best of [`imp_bench::reps`] attempts. A wall-clock tail at smoke scale
-//! reads scheduler jitter, so it gates nothing; the property it stands
-//! for — no endpoint waits on the sketch store — is tier-1's
-//! `obsd_integration::no_endpoint_waits_on_the_sketch_store`. Two claims
-//! are **enforced by panic**:
-//!
-//! 1. **Watchdog latency** — deliberately wedged workers (all parked,
-//!    updates waiting) flip `/health` to degraded within
-//!    **2 watchdog ticks**, naming `shard_liveness`, with a flight dump
-//!    captured at the transition (`/flight?trip=1`).
-//! 2. **No lost scrapes** — every request the fleet issues gets a
-//!    well-formed response.
-//!
-//! Artifacts for `bench_check --check-obsd`: `OBSD_METRICS.prom`,
-//! `OBSD_HEALTH.json`, `OBSD_FLIGHT.json` in `IMP_BENCH_OUT`. The
-//! endpoint address honors `IMP_OBSD_ADDR` (default ephemeral); CI sets
-//! a fixed port and `IMP_OBSD_LINGER_MS` to curl the live endpoint after
-//! the run.
+//! Artifact for `bench_check --check-obsd`: `OBSD_METRICS.prom` in
+//! `IMP_BENCH_OUT`. The endpoint address honors `IMP_OBSD_ADDR` (default
+//! ephemeral); CI sets a fixed port and `IMP_OBSD_LINGER_MS` to curl the
+//! live endpoint after the run.
 
 use imp_bench::*;
 use imp_core::middleware::{Imp, ImpConfig};
-use imp_core::{HealthConfig, HistSnapshot, ObsConfig};
+use imp_core::ObsConfig;
 use imp_data::queries;
 use imp_data::synthetic::{load, SyntheticConfig};
 use imp_data::workload::{insert_stream, WorkloadOp};
@@ -43,32 +31,22 @@ use std::time::{Duration, Instant};
 const TABLES: usize = 4;
 const ROUNDS: usize = 4;
 const SCRAPERS: usize = 64;
-const ENDPOINTS: [&str; 6] = [
-    "/metrics",
-    "/metrics.json",
-    "/trace",
-    "/health",
-    "/sketches",
-    "/flight",
-];
-/// Watchdog cadence: fast enough that the wedge phase converges in
-/// milliseconds, slow enough that a tick always sees fresh heartbeats.
-const HEALTH_TICK: Duration = Duration::from_millis(25);
+const ENDPOINTS: [&str; 4] = ["/metrics", "/metrics.json", "/trace", "/sketches"];
 /// Per-client poll interval. 64 clients at this cadence keep a steady
 /// ~640 req/s against the endpoint — an aggressive monitoring fleet,
 /// not a CPU-saturating busy-loop (which would measure host-core
 /// starvation, not obsd overhead; the harness must also pass on
 /// single-core CI runners).
 const SCRAPE_INTERVAL: Duration = Duration::from_millis(100);
-/// Liveness bound on the fleet's first whole scrape, which each attempt
-/// waits for before it churns.
+/// Liveness bound on the fleet's first whole scrape, which the churn
+/// waits for.
 const FIRST_SCRAPE_DEADLINE: Duration = Duration::from_secs(30);
 
 fn table_names() -> Vec<String> {
     (0..TABLES).map(|i| format!("o{i}")).collect()
 }
 
-fn build_imp(obsd: bool, rows: usize, groups: i64) -> Imp {
+fn build_imp(rows: usize, groups: i64) -> Imp {
     let mut db = Database::new();
     for name in table_names() {
         load(
@@ -93,20 +71,9 @@ fn build_imp(obsd: bool, rows: usize, groups: i64) -> Imp {
             } else {
                 ObsConfig::metrics_only()
             },
-            // Only the measured system gets the endpoint; the baseline
-            // must not consult IMP_OBSD_ADDR, or CI's fixed port would
-            // start a server on the obsd-"off" side too.
-            obsd_addr: if obsd {
-                std::env::var("IMP_OBSD_ADDR")
-                    .ok()
-                    .or_else(|| Some("127.0.0.1:0".to_string()))
-            } else {
-                Some(String::new()) // unbindable → explicit no endpoint
-            },
-            health: HealthConfig {
-                tick: HEALTH_TICK,
-                ..HealthConfig::default()
-            },
+            obsd_addr: Some(
+                std::env::var("IMP_OBSD_ADDR").unwrap_or_else(|_| "127.0.0.1:0".into()),
+            ),
             ..Default::default()
         },
     );
@@ -136,7 +103,7 @@ fn http_get(addr: SocketAddr, target: &str) -> Option<(u16, String)> {
     Some((status, body))
 }
 
-/// The update stream of one churn round-trip (identical per system).
+/// The update stream of the churn.
 fn update_stream(delta: usize, groups: i64, rows: usize) -> Vec<Vec<String>> {
     (0..ROUNDS)
         .map(|round| {
@@ -163,42 +130,6 @@ fn churn(imp: &mut Imp, updates: &[Vec<String>]) {
         imp.maintain_all_stale().unwrap();
     }
     imp.scheduler().unwrap().drain();
-}
-
-/// Maintain-latency histogram accumulated so far (empty before first run).
-fn maint_hist(imp: &Imp) -> HistSnapshot {
-    imp.obs()
-        .maintain_latency()
-        .unwrap_or_else(HistSnapshot::empty)
-}
-
-/// Bucket-wise window `cur − prev`: the p99 of only the samples recorded
-/// between two snapshots.
-fn hist_window(prev: &HistSnapshot, cur: &HistSnapshot) -> HistSnapshot {
-    let mut buckets = cur.buckets.clone();
-    for (b, p) in buckets.iter_mut().zip(prev.buckets.iter()) {
-        *b = b.saturating_sub(*p);
-    }
-    HistSnapshot {
-        buckets,
-        count: cur.count.saturating_sub(prev.count),
-        sum: cur.sum.wrapping_sub(prev.sum),
-        max: cur.max,
-    }
-}
-
-/// `"tick":N` from a `/health` body.
-fn health_tick(body: &str) -> u64 {
-    body.split("\"tick\":")
-        .nth(1)
-        .and_then(|rest| {
-            rest.chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .ok()
-        })
-        .unwrap_or_else(|| panic!("no tick in /health body: {body}"))
 }
 
 struct FleetResult {
@@ -229,9 +160,7 @@ fn scrape_fleet(
                         let target = ENDPOINTS[(i + n) % ENDPOINTS.len()];
                         let t0 = Instant::now();
                         match http_get(addr, target) {
-                            Some((status, body))
-                                if (status == 200 || status == 503) && !body.is_empty() =>
-                            {
+                            Some((200, body)) if !body.is_empty() => {
                                 lat.push(t0.elapsed().as_nanos() as u64);
                                 let _ = first_tx.try_send(());
                             }
@@ -273,191 +202,63 @@ fn main() {
     let delta = scaled(1_500, 25);
     let updates = update_stream(delta, groups, rows);
 
-    // ---- Phase 1: overhead under full scrape load, best of N attempts
-    // (printed, not gated).
-    // One system per side for the whole phase (a fixed IMP_OBSD_ADDR port
-    // cannot be rebound immediately); attempts are windowed bucket-diffs
-    // of the cumulative maintain histogram.
-    let mut off = build_imp(false, rows, groups);
-    assert!(off.obsd_addr().is_none(), "baseline must have no endpoint");
-    let mut on = build_imp(true, rows, groups);
-    let addr = on.obsd_addr().expect("obsd endpoint must bind");
+    let mut imp = build_imp(rows, groups);
+    let addr = imp.obsd_addr().expect("obsd endpoint must bind");
     println!("obsd endpoint live on http://{addr} ({SCRAPERS} scrape clients)");
 
-    let attempts = reps().max(3);
-    let mut best_ratio = f64::INFINITY;
-    let mut best = (0u64, 0u64); // (p99_on, p99_off) of the best attempt
-    let mut fleet_total = FleetResult {
-        requests: 0,
-        failures: 0,
-        latencies_ns: Vec::new(),
-    };
-    for attempt in 0..attempts {
-        let off_before = maint_hist(&off);
-        churn(&mut off, &updates);
-        let p99_off = hist_window(&off_before, &maint_hist(&off)).p99().max(1);
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let (fleet, first_scrape) = scrape_fleet(addr, Arc::clone(&stop));
-        // Churn only under load: at smoke scale it can finish before a
-        // scraper's first request comes back.
-        first_scrape
-            .recv_timeout(FIRST_SCRAPE_DEADLINE)
-            .unwrap_or_else(|_| panic!("attempt {attempt}: fleet never got a scrape through"));
-        let on_before = maint_hist(&on);
-        churn(&mut on, &updates);
-        stop.store(true, Ordering::Release);
-        let result = fleet.join().unwrap();
-        let p99_on = hist_window(&on_before, &maint_hist(&on)).p99().max(1);
-
-        assert_eq!(
-            result.failures, 0,
-            "attempt {attempt}: {} of {} scrapes failed",
-            result.failures, result.requests
-        );
-        assert!(result.requests > 0, "fleet never got a scrape through");
-        let ratio = p99_on as f64 / p99_off as f64;
-        println!(
-            "attempt {attempt}: maintain p99 on={p99_on}ns off={p99_off}ns \
-             ratio={ratio:.3} ({} scrapes)",
-            result.requests
-        );
-        if ratio < best_ratio {
-            best_ratio = ratio;
-            best = (p99_on, p99_off);
-        }
-        fleet_total.requests += result.requests;
-        fleet_total.latencies_ns.extend(result.latencies_ns);
-    }
-
-    fleet_total.latencies_ns.sort_unstable();
-    let scrape_p50 = percentile(&fleet_total.latencies_ns, 0.50);
-    let scrape_p99 = percentile(&fleet_total.latencies_ns, 0.99);
-
-    // ---- Phase 2: wedged workers → degraded within 2 watchdog ticks.
-    let paused = on.scheduler().unwrap().pause();
-    // Updates wait for the paused workers, so the liveness rule sees
-    // frozen heartbeats *with work waiting* — with none waiting they
-    // would just look idle.
-    for name in table_names() {
-        for op in insert_stream(&name, 6, delta, groups, rows * 8, 99) {
-            let WorkloadOp::Update { sql, .. } = op else {
-                unreachable!()
-            };
-            on.execute(&sql).unwrap();
-        }
-    }
-    let (_, body) = http_get(addr, "/health").expect("health scrape");
-    let t0 = health_tick(&body);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let (degraded_body, t1) = loop {
-        let (status, body) = http_get(addr, "/health").expect("health scrape");
-        if status == 503 {
-            let t1 = health_tick(&body);
-            break (body, t1);
-        }
-        assert!(
-            Instant::now() < deadline,
-            "watchdog never fired; last /health: {body}"
-        );
-        std::thread::sleep(HEALTH_TICK / 4);
-    };
-    let ticks_to_degraded = t1.saturating_sub(t0);
-    assert!(
-        ticks_to_degraded <= 2,
-        "degraded at tick {t1}, wedged at tick {t0}: {ticks_to_degraded} ticks \
-         (budget 2); body: {degraded_body}"
+    let stop = Arc::new(AtomicBool::new(false));
+    let (fleet, first_scrape) = scrape_fleet(addr, Arc::clone(&stop));
+    // Churn only under load: at smoke scale it can finish before a
+    // scraper's first request comes back.
+    first_scrape
+        .recv_timeout(FIRST_SCRAPE_DEADLINE)
+        .unwrap_or_else(|_| panic!("fleet never got a scrape through"));
+    churn(&mut imp, &updates);
+    stop.store(true, Ordering::Release);
+    let mut fleet = fleet.join().unwrap();
+    assert_eq!(
+        fleet.failures, 0,
+        "{} of {} scrapes failed",
+        fleet.failures, fleet.requests
     );
-    assert!(
-        degraded_body.contains("shard_liveness"),
-        "wrong firing rule: {degraded_body}"
-    );
-    let (trip_status, trip) = http_get(addr, "/flight?trip=1").expect("trip scrape");
-    assert_eq!(trip_status, 200, "no flight dump at the trip: {trip}");
-    assert!(trip.contains("\"events\""), "malformed trip dump: {trip}");
-    println!(
-        "wedged shard: degraded in {ticks_to_degraded} tick(s), \
-         shard_liveness fired, trip dump {} bytes",
-        trip.len()
-    );
+    fleet.latencies_ns.sort_unstable();
+    let scrape_p50 = percentile(&fleet.latencies_ns, 0.50);
+    let scrape_p99 = percentile(&fleet.latencies_ns, 0.99);
 
-    // Artifacts while degraded state and flight history are interesting.
     let out_dir =
         std::path::PathBuf::from(std::env::var("IMP_BENCH_OUT").unwrap_or_else(|_| ".".into()));
     std::fs::create_dir_all(&out_dir).expect("create IMP_BENCH_OUT");
     let (_, metrics_prom) = http_get(addr, "/metrics").expect("metrics scrape");
-    let (_, flight_json) = http_get(addr, "/flight").expect("flight scrape");
-    for (name, contents) in [
-        ("OBSD_METRICS.prom", &metrics_prom),
-        ("OBSD_HEALTH.json", &degraded_body),
-        ("OBSD_FLIGHT.json", &flight_json),
-    ] {
-        let path = out_dir.join(name);
-        std::fs::write(&path, contents)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        println!("wrote {}", path.display());
-    }
-
-    // Un-wedge and verify recovery before reporting.
-    drop(paused);
-    on.maintain_all_stale().unwrap();
-    on.scheduler().unwrap().drain();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let (status, _) = http_get(addr, "/health").expect("health scrape");
-        if status == 200 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "health never recovered");
-        std::thread::sleep(HEALTH_TICK / 4);
-    }
+    let path = out_dir.join("OBSD_METRICS.prom");
+    std::fs::write(&path, metrics_prom)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 
     if obs_enabled() {
-        write_obs_artifacts_from("fig_obsd", on.obs());
+        write_obs_artifacts_from("fig_obsd", imp.obs());
     }
 
     let mut report = BenchReport::new("fig_obsd");
     report.add(
-        Record::new("obsd", "overhead".to_string())
-            .ratio("maintain_p99_on_over_off", best_ratio)
-            .metric("maintain_ns_p99_on", best.0 as f64, Unit::Ns, false)
-            .metric("maintain_ns_p99_off", best.1 as f64, Unit::Ns, false)
+        Record::new("obsd", "scrape".to_string())
             .metric("scrape_ns_p50", scrape_p50 as f64, Unit::Ns, false)
             .metric("scrape_ns_p99", scrape_p99 as f64, Unit::Ns, false)
-            .count("scrape_requests", fleet_total.requests, false)
-            .count("scrape_failures", fleet_total.failures, false),
+            .count("scrape_requests", fleet.requests, false)
+            .count("scrape_failures", fleet.failures, false),
     );
-    report.add(
-        Record::new("obsd", "wedge".to_string())
-            .count("ticks_to_degraded", ticks_to_degraded, false)
-            .count("trip_dump_bytes", trip.len() as u64, false),
-    );
-
     print_table(
         &format!(
             "obsd: {SCRAPERS} scrape clients over {} endpoints during churn",
             ENDPOINTS.len()
         ),
-        &[
-            "p99 on",
-            "p99 off",
-            "ratio",
-            "scrape p50",
-            "scrape p99",
-            "scrapes",
-            "wedge ticks",
-        ],
+        &["scrape p50", "scrape p99", "scrapes"],
         &[vec![
-            format!("{}ns", best.0),
-            format!("{}ns", best.1),
-            format!("{best_ratio:.3}"),
             ms(scrape_p50 as f64 / 1e6),
             ms(scrape_p99 as f64 / 1e6),
-            fleet_total.requests.to_string(),
-            ticks_to_degraded.to_string(),
+            fleet.requests.to_string(),
         ]],
     );
-    println!("watchdog ≤ 2 ticks ✓  zero lost scrapes ✓");
+    println!("zero lost scrapes ✓");
     report.finish();
 
     let linger_ms: u64 = std::env::var("IMP_OBSD_LINGER_MS")
@@ -467,5 +268,5 @@ fn main() {
         println!("lingering {linger_ms}ms for external scrapes on http://{addr}");
         std::thread::sleep(Duration::from_millis(linger_ms));
     }
-    drop(on);
+    drop(imp);
 }

@@ -281,7 +281,7 @@ pub fn measure_inc_vs_full(
     let mut recaptures = 0usize;
     let mut metrics = MaintMetrics::default();
     for op in updates {
-        let WorkloadOp::Update { sql, rows } = op else {
+        let WorkloadOp::Update { sql, .. } = op else {
             continue;
         };
         db.execute_sql(sql).unwrap();
@@ -292,7 +292,7 @@ pub fn measure_inc_vs_full(
         let nanos = t.as_nanos() as u64;
         hist.record(nanos);
         if let Some(o) = obs {
-            o.maintain_observed_spanned("inc_vs_full", nanos, *rows as u64, 0, 0);
+            o.maintain_observed_spanned("inc_vs_full", nanos);
         }
         metrics.absorb(&report.metrics);
         imp_times.push(t);

@@ -293,16 +293,8 @@ pub(crate) fn apply_to_store(
             AdviseOp::Promote => {
                 let entry = &mut entries[pos];
                 let held = &DbAccess::Held(db);
-                let from_version = entry.maintainer.version();
                 if let Some(recapture) = restore_if_evicted(entry, held)? {
-                    record_run(
-                        entry,
-                        &action.template,
-                        &recapture,
-                        from_version,
-                        obs,
-                        tracker,
-                    );
+                    record_run(entry, &action.template, &recapture, obs, tracker);
                 } else if entry.maintainer.is_stale(db) {
                     maintain_entry(entry, &action.template, held, config, obs, tracker)?;
                 }

@@ -45,8 +45,7 @@
 //!   text and JSON exports, bounded per-thread span tracing over the full
 //!   maintenance pipeline (Chrome trace-event export) — gated by
 //!   [`middleware::ImpConfig::obs`] so the disabled hot path costs a
-//!   branch and allocates nothing — plus the always-on
-//!   [`obs::FlightRecorder`] and the [`obs::health`] watchdogs.
+//!   branch and allocates nothing — served live by [`obsd`].
 //! * [`strategy`] / [`middleware`] — eager / lazy / batched maintenance and
 //!   the user-facing [`middleware::Imp`] system over one sketch store,
 //!   with the worker count set by [`middleware::ImpConfig::sched_workers`]
@@ -80,9 +79,7 @@ pub use maintain::{MaintReport, SketchMaintainer};
 pub use metrics::{MaintMetrics, SchedMetrics, SchedStats};
 pub use middleware::{Imp, ImpConfig, ImpResponse, QueryMode, SketchStateView};
 pub use obs::{
-    FlightEvent, FlightRecord, FlightRecorder, HealthConfig, HealthReport, HealthState,
     HistSnapshot, LatencyHistogram, MetricSample, MetricsRegistry, Obs, ObsConfig, SampleValue,
-    Verdict,
 };
 pub use obsd::ObsdHandle;
 pub use sched::Scheduler;

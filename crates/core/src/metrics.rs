@@ -5,10 +5,10 @@
 //! The scheduler counters are [`crate::obs::registry`] handles: when the
 //! scheduler is built through [`crate::middleware::Imp`], they register in
 //! the `Imp`'s unified [`crate::obs::MetricsRegistry`] (names prefixed
-//! `imp_sched_`, per-worker heartbeats labeled `worker="i"`), so the text
-//! and JSON expositions show the backlog alongside the
-//! latency histograms. [`SchedMetrics::new`] without a registry keeps
-//! them detached (tests, standalone pools) — same behavior, unexported.
+//! `imp_sched_`), so the text and JSON expositions show the backlog
+//! alongside the latency histograms. [`SchedMetrics::default`] without a
+//! registry keeps them detached (tests, standalone pools) — same
+//! behavior, unexported.
 
 use crate::obs::registry::{Counter, Gauge, MetricsRegistry};
 use imp_storage::PoolStats;
@@ -102,11 +102,6 @@ pub struct SchedMetrics {
     pub staged_updates: Counter,
     /// Maintenance runs executed by the store (sweeps + on-demand).
     pub maintain_runs: Counter,
-    /// Per-worker liveness heartbeat (gauge): bumped each time the worker
-    /// takes a sweep request. The health watchdogs compare them across
-    /// ticks — no heartbeat advancing while updates wait means the
-    /// workers are wedged (parked, deadlocked, or stuck in one maintain).
-    heartbeat: Vec<Gauge>,
     /// Updates noted since the last sweep began (gauge): the work a
     /// worker has not started yet.
     queue_depth: Gauge,
@@ -114,32 +109,22 @@ pub struct SchedMetrics {
     max_queue_depth: Gauge,
 }
 
-impl SchedMetrics {
-    /// Fresh detached counters for `workers` workers (not exported by any
-    /// registry).
-    pub fn new(workers: usize) -> SchedMetrics {
-        SchedMetrics::registered(workers, &MetricsRegistry::new())
+impl Default for SchedMetrics {
+    /// Fresh detached counters (not exported by any registry).
+    fn default() -> SchedMetrics {
+        SchedMetrics::registered(&MetricsRegistry::new())
     }
+}
 
-    /// Counters for `workers` workers, registered in `registry` under
-    /// `imp_sched_*` names (heartbeats labeled `worker="i"`).
-    pub fn registered(workers: usize, registry: &MetricsRegistry) -> SchedMetrics {
+impl SchedMetrics {
+    /// Counters registered in `registry` under `imp_sched_*` names.
+    pub fn registered(registry: &MetricsRegistry) -> SchedMetrics {
         SchedMetrics {
             staged_updates: registry.counter("imp_sched_staged_updates"),
             maintain_runs: registry.counter("imp_sched_maintain_runs"),
-            heartbeat: (0..workers)
-                .map(|i| registry.gauge_with("imp_sched_heartbeat", &[("worker", &i.to_string())]))
-                .collect(),
             queue_depth: registry.gauge("imp_sched_queue_depth"),
             max_queue_depth: registry.gauge("imp_sched_max_queue_depth"),
         }
-    }
-
-    /// Record one loop iteration of worker `worker` (liveness heartbeat;
-    /// see [`Self::heartbeat`]).
-    #[inline]
-    pub fn beat(&self, worker: usize) {
-        self.heartbeat[worker].inc();
     }
 
     /// Record an update noted for the workers.
@@ -213,7 +198,7 @@ mod tests {
 
     #[test]
     fn a_sweep_takes_every_noted_update() {
-        let m = SchedMetrics::new(2);
+        let m = SchedMetrics::default();
         let depth = |m: &SchedMetrics| m.snapshot().per_shard[0].depth;
         assert_eq!(depth(&m), 0);
         m.noted();
@@ -230,15 +215,12 @@ mod tests {
     #[test]
     fn registered_metrics_share_registry_cells() {
         let registry = MetricsRegistry::new();
-        let m = SchedMetrics::registered(2, &registry);
+        let m = SchedMetrics::registered(&registry);
         m.noted();
         m.maintain_runs.add(3);
-        m.beat(1);
-        m.beat(1);
         let text = registry.render_text();
         assert!(text.contains("imp_sched_staged_updates 1"));
         assert!(text.contains("imp_sched_maintain_runs 3"));
-        assert!(text.contains("imp_sched_heartbeat{worker=\"1\"} 2"));
         assert!(text.contains("imp_sched_queue_depth 1"));
         assert!(text.contains("imp_sched_max_queue_depth 1"));
         assert_eq!(m.snapshot().routed_batches, 0, "nothing is routed");

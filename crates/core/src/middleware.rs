@@ -21,7 +21,7 @@ use crate::advisor::{
 };
 use crate::error::CoreError;
 use crate::maintain::{MaintReport, SketchMaintainer};
-use crate::obs::{HealthConfig, Obs, ObsConfig};
+use crate::obs::{Obs, ObsConfig};
 use crate::obsd::{start_obsd, ObsdHandle, ObsdState, OBSD_ADDR_ENV};
 use crate::ops::{DbAccess, OpConfig};
 use crate::sched::{PublishedSketch, Scheduler};
@@ -115,12 +115,7 @@ pub struct ImpConfig {
     /// e.g. `"127.0.0.1:9464"`; `"127.0.0.1:0"` binds an ephemeral port
     /// reported by [`Imp::obsd_addr`]. `None` (default) falls back to the
     /// `IMP_OBSD_ADDR` environment variable; unset means no endpoint.
-    /// Starting obsd also starts the [`crate::obs::health`] watchdog
-    /// ticker configured by `health`.
     pub obsd_addr: Option<String>,
-    /// Health watchdog thresholds and cadence (active only while the
-    /// obsd endpoint runs; see [`crate::obs::health`]).
-    pub health: HealthConfig,
 }
 
 impl Default for ImpConfig {
@@ -142,7 +137,6 @@ impl Default for ImpConfig {
             advisor: AdvisorParams::default(),
             obs: ObsConfig::default(),
             obsd_addr: None,
-            health: HealthConfig::default(),
         }
     }
 }
@@ -307,12 +301,11 @@ impl Imp {
         let obsd = obsd_addr.and_then(|addr| {
             let state = ObsdState {
                 obs: Arc::clone(&obs),
-                health: crate::obs::HealthState::new(),
                 board: sched.board_handle(),
                 tracker: Arc::clone(advisor.tracker()),
                 advisor: config.advisor,
             };
-            match start_obsd(&addr, state, config.health.clone()) {
+            match start_obsd(&addr, state) {
                 Ok(handle) => Some(handle),
                 Err(e) => {
                     // Telemetry must never take the system down with it:
@@ -338,18 +331,12 @@ impl Imp {
         self.obsd.as_ref().map(ObsdHandle::addr)
     }
 
-    /// Deterministic JSON dump of the always-on flight recorder (the
-    /// programmatic twin of obsd's `/flight`).
-    pub fn flight_dump(&self) -> String {
-        self.obs.flight_dump()
-    }
-
     /// The workload advisor (tracker access and cost-model parameters).
     pub fn advisor(&self) -> &Advisor {
         &self.advisor
     }
 
-    /// The observability hub (metrics registry, tracer, flight recorder).
+    /// The observability hub (metrics registry, tracer).
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
     }
@@ -693,7 +680,7 @@ impl Imp {
                     }
                     // Nudge a worker to sweep (no workers: a no-op).
                     _ => {
-                        self.sched.note_update(&table);
+                        self.sched.note_update();
                         Vec::new()
                     }
                 };
@@ -913,7 +900,6 @@ pub(crate) fn maintain_entry(
     obs: &Obs,
     tracker: &WorkloadTracker,
 ) -> Result<MaintReport> {
-    let from_version = entry.maintainer.version();
     let report = match restore_if_evicted(entry, db)? {
         Some(recapture) => recapture,
         // A store with workers splits a sketch's statements into runs by
@@ -923,31 +909,24 @@ pub(crate) fn maintain_entry(
             .maintain_with(db, config.sched_workers > 0)?,
     };
     entry.pending_rows = 0;
-    record_run(entry, template, &report, from_version, obs, tracker);
+    record_run(entry, template, &report, obs, tracker);
     Ok(report)
 }
 
-/// Book one finished maintenance run of `entry`: latency histogram and
-/// flight event (see [`Obs`]), and the advisor's cost window.
+/// Book one finished maintenance run of `entry`: latency histogram (see
+/// [`Obs`]) and the advisor's cost window.
 pub(crate) fn record_run(
     entry: &StoredSketch,
     template: &QueryTemplate,
     report: &MaintReport,
-    from_version: u64,
     obs: &Obs,
     tracker: &WorkloadTracker,
 ) {
-    let delta_rows = report.metrics.delta_rows_fetched;
-    obs.maintain_observed_spanned(
-        template.text(),
-        report.duration.as_nanos() as u64,
-        delta_rows,
-        from_version,
-        entry.maintainer.version(),
-    );
+    let nanos = report.duration.as_nanos() as u64;
+    obs.maintain_observed_spanned(template.text(), nanos);
     tracker.record_maintenance(
         SketchKey::new(template.text(), entry.sql.clone()),
-        delta_rows,
+        report.metrics.delta_rows_fetched,
     );
 }
 

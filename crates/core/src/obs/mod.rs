@@ -1,6 +1,5 @@
 //! `imp_core::obs` — unified observability: metrics registry, latency
-//! histograms, pipeline tracing, the flight recorder and health
-//! watchdogs.
+//! histograms and pipeline tracing.
 //!
 //! The paper's evaluation is built on post-hoc cost counters; this module
 //! is the runtime view. One [`Obs`] instance per [`crate::middleware::Imp`]
@@ -22,12 +21,12 @@
 //!   snapshot publish. Spans carry ids, parent links, and
 //!   monotonic timestamps; [`Obs::trace_chrome_json`] renders Chrome
 //!   trace-event JSON loadable in `chrome://tracing`.
-//! * **[`flight`]** — the always-on flight recorder: a bounded ring of
-//!   compact pipeline events (`staged`, `maintained`, `published`) that
-//!   harnesses and tests read instead of reaching into scheduler
-//!   internals, dumped on panic and when health degrades.
-//! * **[`health`]** — watchdog rules over registry snapshots (heartbeats
-//!   and queue depth), served on obsd's `/health`.
+//!
+//! Each pipeline event is counted once: an update noted for the workers
+//! in `imp_sched_staged_updates`, a maintenance run in
+//! `imp_sched_maintain_runs` (and, with obs on, in the template's
+//! `imp_maintain_latency_ns` histogram), a publish as the snapshot epoch
+//! that obsd's `/sketches` reports.
 //!
 //! Everything is gated by [`ObsConfig`] (`ImpConfig::obs`, `IMP_OBS=1` in
 //! the harnesses): with obs off, the hot-path cost is a branch on a plain
@@ -39,18 +38,12 @@
 //! statement (`tests/obs_overhead.rs`). Its wall-clock overhead is
 //! measured by the benchmarks, not by tier-1.
 
-pub mod flight;
-pub mod health;
 pub mod hist;
 pub mod registry;
 pub mod trace;
 
 use std::sync::Arc;
 
-pub use flight::{FlightEvent, FlightRecord, FlightRecorder};
-pub use health::{
-    FiringRule, HealthConfig, HealthMonitor, HealthReport, HealthState, HealthTicker, Verdict,
-};
 pub use hist::{HistSnapshot, LatencyHistogram};
 pub use registry::{Counter, Gauge, Histogram, MetricSample, MetricsRegistry, SampleValue};
 pub use trace::{SpanRecord, Tracer};
@@ -65,14 +58,9 @@ pub const QUERY_LATENCY: &str = "imp_query_latency_ns";
 pub struct ObsConfig {
     /// Master switch: latency histograms, timed paths, tracing.
     pub enabled: bool,
-    /// Record pipeline spans (only meaningful when `enabled`).
+    /// Record pipeline spans (only meaningful when `enabled`), in
+    /// per-thread rings of [`trace::DEFAULT_RING_CAP`] spans.
     pub trace: bool,
-    /// Per-thread span ring capacity.
-    pub trace_ring_cap: usize,
-    /// Flight-recorder ring capacity (slots). The flight recorder is
-    /// **always on** regardless of `enabled` — post-mortems must not
-    /// require reproducing under `IMP_OBS=1`.
-    pub flight_cap: usize,
 }
 
 impl Default for ObsConfig {
@@ -80,8 +68,6 @@ impl Default for ObsConfig {
         ObsConfig {
             enabled: false,
             trace: true,
-            trace_ring_cap: trace::DEFAULT_RING_CAP,
-            flight_cap: flight::DEFAULT_FLIGHT_CAP,
         }
     }
 }
@@ -100,7 +86,6 @@ impl ObsConfig {
         ObsConfig {
             enabled: true,
             trace: false,
-            ..ObsConfig::default()
         }
     }
 }
@@ -111,27 +96,20 @@ pub struct Obs {
     enabled: bool,
     registry: MetricsRegistry,
     tracer: Arc<Tracer>,
-    flight: Arc<FlightRecorder>,
 }
 
 impl Obs {
     /// Build from config. The registry always exists (scheduler counters
     /// register unconditionally — they predate this module and are nearly
-    /// free); `enabled` gates timing, histograms, and tracing. The
-    /// flight recorder is always on (and registered with the process
-    /// panic hook); only its capacity comes from the config.
+    /// free); `enabled` gates timing, histograms, and tracing.
     pub fn new(config: &ObsConfig) -> Arc<Obs> {
-        let registry = MetricsRegistry::new();
-        let flight = Arc::new(FlightRecorder::new(config.flight_cap));
-        flight::register_panic_dump(&flight);
         Arc::new(Obs {
             enabled: config.enabled,
-            registry,
+            registry: MetricsRegistry::new(),
             tracer: Arc::new(Tracer::new(
                 config.enabled && config.trace,
-                config.trace_ring_cap,
+                trace::DEFAULT_RING_CAP,
             )),
-            flight,
         })
     }
 
@@ -181,29 +159,14 @@ impl Obs {
         }
     }
 
-    /// Record one maintenance run over the database versions
-    /// `from_version..to_version` (`0, 0` when unknown): per-template
-    /// latency histogram (when enabled) and an always-on flight-recorder
-    /// event.
-    pub fn maintain_observed_spanned(
-        &self,
-        template: &str,
-        nanos: u64,
-        delta_rows: u64,
-        from_version: u64,
-        to_version: u64,
-    ) {
+    /// Record one maintenance run in the per-template latency histogram
+    /// (when enabled).
+    pub fn maintain_observed_spanned(&self, template: &str, nanos: u64) {
         if self.enabled {
             self.registry
                 .histogram_with(MAINTAIN_LATENCY, &[("template", template)])
                 .record(nanos);
         }
-        self.flight.record(FlightEvent::Maintained {
-            template: flight::fid(template),
-            versions: (from_version << 32) | (to_version & 0xffff_ffff),
-            rows: delta_rows,
-            dur_ns: nanos,
-        });
     }
 
     /// Record one answered SELECT in the mode-labeled latency histogram
@@ -235,16 +198,6 @@ impl Obs {
     pub fn trace_chrome_json(&self) -> String {
         self.tracer.export_chrome_json()
     }
-
-    /// The always-on flight recorder.
-    pub fn flight(&self) -> &Arc<FlightRecorder> {
-        &self.flight
-    }
-
-    /// Deterministic JSON dump of everything the flight recorder retains.
-    pub fn flight_dump(&self) -> String {
-        self.flight.dump_json(u64::MAX)
-    }
 }
 
 /// An attached entry-point span (see [`Obs::span`]). Field order matters:
@@ -268,7 +221,7 @@ mod tests {
     #[test]
     fn disabled_obs_records_no_metrics() {
         let obs = Obs::off();
-        obs.maintain_observed_spanned("q", 123, 4, 0, 0);
+        obs.maintain_observed_spanned("q", 123);
         obs.query_observed("fresh", 55);
         assert!(obs.registry().is_empty());
         assert!(obs.maintain_latency().is_none());
@@ -281,9 +234,9 @@ mod tests {
     #[test]
     fn enabled_obs_builds_per_template_histograms() {
         let obs = Obs::new(&ObsConfig::on());
-        obs.maintain_observed_spanned("q1", 100, 1, 0, 0);
-        obs.maintain_observed_spanned("q1", 200, 1, 0, 0);
-        obs.maintain_observed_spanned("q2", 300, 1, 0, 0);
+        obs.maintain_observed_spanned("q1", 100);
+        obs.maintain_observed_spanned("q1", 200);
+        obs.maintain_observed_spanned("q2", 300);
         let merged = obs.maintain_latency().unwrap();
         assert_eq!(merged.count, 3);
         let text = obs.metrics_text();
@@ -308,32 +261,13 @@ mod tests {
     }
 
     #[test]
-    fn flight_records_even_when_disabled() {
-        let obs = Obs::off();
-        obs.maintain_observed_spanned("q", 123, 4, 0, 0);
-        assert!(obs.registry().is_empty(), "flight must not touch metrics");
-        let events = obs.flight().events(u64::MAX);
-        assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].event,
-            FlightEvent::Maintained {
-                template: flight::fid("q"),
-                versions: 0,
-                rows: 4,
-                dur_ns: 123,
-            }
-        );
-        assert!(obs.flight_dump().contains("\"kind\":\"maintained\""));
-    }
-
-    #[test]
     fn metrics_only_disables_tracing() {
         let obs = Obs::new(&ObsConfig::metrics_only());
         {
             let _s = obs.span("invisible");
         }
         assert!(obs.tracer().export_spans().is_empty());
-        obs.maintain_observed_spanned("q", 10, 0, 0, 0);
+        obs.maintain_observed_spanned("q", 10);
         assert_eq!(obs.maintain_latency().unwrap().count, 1);
     }
 }

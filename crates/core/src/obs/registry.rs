@@ -92,8 +92,8 @@ impl Gauge {
     }
 
     /// Subtract 1, saturating at 0: a mismatched decrement must not wrap
-    /// the gauge to `u64::MAX` (which would poison consumers like the
-    /// `queue_depth` watchdog).
+    /// the gauge to `u64::MAX` (which would poison consumers like
+    /// `/sketches`' `queue_depth`).
     #[inline]
     pub fn dec_saturating(&self) {
         let _ = self
@@ -271,7 +271,7 @@ impl MetricsRegistry {
 
     /// Snapshot every registered series as plain values, sorted by name
     /// then labels (the registry's natural order). This is the read API
-    /// the health watchdogs and the obsd `/sketches` endpoint consume:
+    /// the obsd `/sketches` endpoint consumes:
     /// one lock hold, no references into the registry escape, so readers
     /// never block recorders beyond the snapshot instant.
     pub fn sample(&self) -> Vec<MetricSample> {
@@ -485,8 +485,8 @@ fn escape_into(out: &mut String, v: &str) {
     }
 }
 
-/// Append `v` as a JSON string literal (shared with the health and
-/// obsd JSON renderers).
+/// Append `v` as a JSON string literal (shared with the obsd JSON
+/// renderers).
 pub(crate) fn json_string(out: &mut String, v: &str) {
     out.push('"');
     for c in v.chars() {

@@ -8,21 +8,18 @@
 //! [`Imp::obsd_addr`](crate::middleware::Imp::obsd_addr).
 //!
 //! Every endpoint reads **snapshots only** — `MetricsRegistry::sample`,
-//! [`SnapshotBoard::read`], flight-ring scans, the published
-//! [`HealthState`] — never scheduler locks or the store, so a slow or
-//! hostile scraper cannot stall maintenance:
+//! [`SnapshotBoard::read`], the tracer's span rings — never scheduler
+//! locks or the store, so a slow or hostile scraper cannot stall
+//! maintenance:
 //!
 //! | Path            | Body                                                  |
 //! |-----------------|-------------------------------------------------------|
 //! | `/metrics`      | Prometheus text exposition of every registered metric |
 //! | `/metrics.json` | Deterministic JSON snapshot of the registry           |
 //! | `/trace`        | Chrome trace-event JSON of recorded pipeline spans    |
-//! | `/health`       | Watchdog verdict (`503` while degraded), firing rules |
 //! | `/sketches`     | Per-template introspection: lifecycle rung, heap bytes, advisor score, maintain p50/p95/p99; the updates waiting for a sweep |
-//! | `/flight`       | Flight-recorder dump (`?window_ns=` bounds the window)|
 //!
-//! Starting obsd also starts the [`health`](crate::obs::health) watchdog
-//! ticker; both shut down (threads joined) when the owning `Imp` drops.
+//! The server shuts down (threads joined) when the owning `Imp` drops.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -30,10 +27,8 @@ use std::sync::Arc;
 use imp_obsd::{Request, Response, Router, Server};
 
 use crate::advisor::{AdvisorParams, SketchKey, WorkloadTracker};
-use crate::obs::flight::fid;
-use crate::obs::health::spawn_health_ticker;
 use crate::obs::registry::json_string;
-use crate::obs::{HealthConfig, HealthState, HealthTicker, Obs, SampleValue, MAINTAIN_LATENCY};
+use crate::obs::{Obs, SampleValue, MAINTAIN_LATENCY};
 use crate::sched::SnapshotBoard;
 
 /// Worker threads of the exposition server: scrapes are cheap
@@ -50,10 +45,8 @@ pub const OBSD_ADDR_ENV: &str = "IMP_OBSD_ADDR";
 /// snapshot handles; the struct is built once and moved behind an `Arc`
 /// into the router closures.
 pub(crate) struct ObsdState {
-    /// The observability hub (registry, tracer, flight recorder).
+    /// The observability hub (registry, tracer).
     pub(crate) obs: Arc<Obs>,
-    /// Latest published watchdog verdict.
-    pub(crate) health: Arc<HealthState>,
     /// Snapshot board of the sketch store.
     pub(crate) board: Arc<SnapshotBoard>,
     /// Workload tracker feeding the advisor score on `/sketches`.
@@ -62,42 +55,29 @@ pub(crate) struct ObsdState {
     pub(crate) advisor: AdvisorParams,
 }
 
-/// A running obsd endpoint: the HTTP server plus the health watchdog
-/// ticker it owns. Dropping the handle shuts both down and joins their
-/// threads.
+/// A running obsd endpoint. Dropping the handle shuts the server down
+/// and joins its threads.
 pub struct ObsdHandle {
-    addr: SocketAddr,
-    _server: Server,
-    _ticker: HealthTicker,
+    server: Server,
 }
 
 impl ObsdHandle {
     /// The bound address (ephemeral ports resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 }
 
 impl std::fmt::Debug for ObsdHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsdHandle")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish()
     }
 }
 
-/// Bind `addr` and serve the telemetry plane for `state`; also spawns
-/// the health watchdog ticker with `health_config`.
-pub(crate) fn start_obsd(
-    addr: &str,
-    state: ObsdState,
-    health_config: HealthConfig,
-) -> std::io::Result<ObsdHandle> {
-    let ticker = spawn_health_ticker(
-        Arc::clone(&state.obs),
-        Arc::clone(&state.health),
-        health_config,
-    );
+/// Bind `addr` and serve the telemetry plane for `state`.
+pub(crate) fn start_obsd(addr: &str, state: ObsdState) -> std::io::Result<ObsdHandle> {
     let state = Arc::new(state);
     let mut router = Router::new();
 
@@ -121,32 +101,6 @@ pub(crate) fn start_obsd(
     }
     {
         let s = Arc::clone(&state);
-        router.get("/health", move |_req: &Request| {
-            let report = s.health.report();
-            let status = if s.health.is_degraded() { 503 } else { 200 };
-            Response::json(status, report.render_json())
-        });
-    }
-    {
-        let s = Arc::clone(&state);
-        router.get("/flight", move |req: &Request| {
-            // `?trip=1` returns the dump captured at the last ok→degraded
-            // watchdog transition instead of the live ring.
-            if req.query_param("trip").is_some() {
-                return match s.health.trip_dump() {
-                    Some(dump) => Response::json(200, dump),
-                    None => Response::json(404, "{\"flight\":null}"),
-                };
-            }
-            let window = req
-                .query_param("window_ns")
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(u64::MAX);
-            Response::json(200, s.obs.flight().dump_json(window))
-        });
-    }
-    {
-        let s = Arc::clone(&state);
         router.get("/sketches", move |_req: &Request| {
             Response::json(200, render_sketches(&s))
         });
@@ -154,16 +108,12 @@ pub(crate) fn start_obsd(
     router.get("/", |_req: &Request| {
         Response::text(
             200,
-            "imp obsd\n/metrics\n/metrics.json\n/trace\n/health\n/sketches\n/flight\n",
+            "imp obsd\n/metrics\n/metrics.json\n/trace\n/sketches\n",
         )
     });
 
     let server = Server::bind(addr, router, OBSD_THREADS)?;
-    Ok(ObsdHandle {
-        addr: server.local_addr(),
-        _server: server,
-        _ticker: ticker,
-    })
+    Ok(ObsdHandle { server })
 }
 
 /// Render `/sketches`: one entry per published sketch, joined against a
@@ -191,8 +141,6 @@ fn render_sketches(state: &ObsdState) -> String {
         let template = sketch.template.text();
         out.push_str("{\"template\":");
         json_string(&mut out, template);
-        out.push_str(",\"fid\":");
-        out.push_str(&fid(template).to_string());
         out.push_str(",\"lifecycle\":\"");
         out.push_str(sketch.lifecycle.label());
         out.push_str("\",\"state_bytes\":");
@@ -251,7 +199,6 @@ mod tests {
     fn test_state() -> ObsdState {
         let obs = Obs::new(&ObsConfig::metrics_only());
         ObsdState {
-            health: HealthState::new(),
             board: Arc::new(SnapshotBoard::new()),
             tracker: Arc::new(WorkloadTracker::new()),
             advisor: AdvisorParams::default(),
@@ -261,30 +208,13 @@ mod tests {
 
     #[test]
     fn all_endpoints_respond_without_a_scheduler() {
-        let handle = start_obsd("127.0.0.1:0", test_state(), HealthConfig::default()).unwrap();
+        let handle = start_obsd("127.0.0.1:0", test_state()).unwrap();
         let addr = handle.addr();
         assert!(read_url(addr, "/metrics").starts_with("HTTP/1.1 200"));
         assert!(read_url(addr, "/metrics.json").contains("\"metrics\""));
         assert!(read_url(addr, "/trace").contains("traceEvents"));
-        let health = read_url(addr, "/health");
-        assert!(health.contains("\"verdict\":\"ok\""), "{health}");
         let sketches = read_url(addr, "/sketches");
         assert!(sketches.contains("\"entries\":[]"), "{sketches}");
-        let flight = read_url(addr, "/flight");
-        assert!(flight.contains("\"flight\""), "{flight}");
         assert!(read_url(addr, "/").contains("/sketches"));
-    }
-
-    #[test]
-    fn flight_window_param_filters_events() {
-        let state = test_state();
-        let obs = Arc::clone(&state.obs);
-        let handle = start_obsd("127.0.0.1:0", state, HealthConfig::default()).unwrap();
-        obs.flight()
-            .record(crate::obs::FlightEvent::Staged { table: 7 });
-        let all = read_url(handle.addr(), "/flight");
-        assert!(all.contains("\"kind\":\"staged\""), "{all}");
-        let none = read_url(handle.addr(), "/flight?window_ns=0");
-        assert!(!none.contains("\"kind\":\"staged\""), "{none}");
     }
 }

@@ -112,17 +112,14 @@ impl Scheduler {
         self.shared.slot.state.lock().last_error.clone()
     }
 
-    /// Note that `table` committed an update: count it and ask the workers
-    /// for a sweep, without blocking. With no workers nothing would sweep,
-    /// so nothing is noted.
-    pub fn note_update(&self, table: &str) {
+    /// Note that an update committed: count it and ask the workers for a
+    /// sweep, without blocking. With no workers nothing would sweep, so
+    /// nothing is noted.
+    pub fn note_update(&self) {
         if self.pool.is_empty() {
             return;
         }
         self.shared.metrics.noted();
-        let table = crate::obs::flight::fid(table);
-        let staged = crate::obs::FlightEvent::Staged { table };
-        self.shared.obs.flight().record(staged);
         self.shared.wake.nudge();
     }
 
@@ -335,7 +332,7 @@ mod tests {
         assert_eq!(shared.metrics.snapshot().per_shard[0].depth, 2);
 
         let workers: Vec<ShardWorker> = (0..2)
-            .map(|id| ShardWorker::new(id, Arc::clone(&shared)))
+            .map(|_| ShardWorker::new(Arc::clone(&shared)))
             .collect();
         assert!(workers[1].work_once(false), "worker 1 found the backlog");
         let stats = shared.metrics.snapshot();
@@ -368,8 +365,7 @@ mod tests {
 
     /// A stale query that loses the race for the state lock to a sweep
     /// finds its sketch current: it is answered as it is, with no run —
-    /// no `imp_sched_maintain_runs`, no flight `maintained` event and no
-    /// tracker maintenance record.
+    /// no `imp_sched_maintain_runs` and no tracker maintenance record.
     #[test]
     fn a_current_sketch_is_answered_without_a_run() {
         let config = ImpConfig {
@@ -384,17 +380,13 @@ mod tests {
         let sched = imp.scheduler().unwrap();
         let key = SketchKey::new(template_of(Q).text(), Q);
         let counts = || {
-            let flight = imp.obs().flight().events(u64::MAX).into_iter();
-            let maintained =
-                flight.filter(|r| matches!(r.event, crate::obs::FlightEvent::Maintained { .. }));
             (
                 sched.stats().maintain_runs,
-                maintained.count(),
                 sched.shared.tracker.get(&key).maint_runs,
             )
         };
         let before = counts();
-        assert_eq!(before, (1, 1, 1), "the sweep's run");
+        assert_eq!(before, (1, 1), "the sweep's run");
 
         let plan = imp.db().plan_sql(Q).unwrap();
         let answer = sched.maintain_sketch(&template_of(Q), &plan).unwrap();
@@ -524,7 +516,7 @@ mod tests {
         }
         imp.execute("DELETE FROM t WHERE v = 7").unwrap();
 
-        let worker = ShardWorker::new(0, Arc::clone(&shared));
+        let worker = ShardWorker::new(Arc::clone(&shared));
         assert!(worker.work_once(true));
         let error = imp.scheduler().unwrap().last_error();
         assert!(error.is_some(), "the failure was parked");

@@ -97,7 +97,7 @@ impl ShardPool {
     pub(crate) fn spawn(workers: usize, shared: &Arc<SchedShared>) -> ShardPool {
         let handles = (0..workers)
             .map(|id| {
-                let worker = ShardWorker::new(id, Arc::clone(shared));
+                let worker = ShardWorker::new(Arc::clone(shared));
                 std::thread::Builder::new()
                     .name(format!("imp-worker-{id}"))
                     .spawn(move || worker.run())

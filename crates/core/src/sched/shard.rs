@@ -24,23 +24,19 @@ use imp_sql::QueryTemplate;
 use parking_lot::MutexGuard;
 use std::sync::Arc;
 
-/// One worker (runs on its own thread; `id` labels its heartbeat).
+/// One worker (runs on its own thread).
 pub(crate) struct ShardWorker {
-    id: usize,
     shared: Arc<SchedShared>,
 }
 
 impl ShardWorker {
-    pub(crate) fn new(id: usize, shared: Arc<SchedShared>) -> ShardWorker {
-        ShardWorker { id, shared }
+    pub(crate) fn new(shared: Arc<SchedShared>) -> ShardWorker {
+        ShardWorker { shared }
     }
 
     /// The worker loop: take a sweep request, sweep, until the pool stops.
     pub(crate) fn run(self) {
         while self.shared.wake.next_sweep() {
-            // Liveness heartbeat: all frozen while updates wait means the
-            // workers are wedged (see `obs::health`).
-            self.shared.metrics.beat(self.id);
             self.work_once(true);
         }
     }
@@ -166,10 +162,5 @@ pub(crate) fn publish(state: &mut ShardState, board: &SnapshotBoard, obs: &Obs) 
             })
         })
         .collect();
-    let count = sketches.len();
-    let epoch = board.publish(sketches);
-    obs.flight().record(crate::obs::FlightEvent::Published {
-        sketches: count as u64,
-        epoch,
-    });
+    board.publish(sketches);
 }

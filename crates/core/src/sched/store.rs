@@ -90,29 +90,28 @@ pub(crate) struct SchedShared {
     pub(crate) tracker: Arc<WorkloadTracker>,
     /// Shared scheduler counters.
     pub(crate) metrics: Arc<SchedMetrics>,
-    /// Observability hub (spans, latency histograms, flight recorder).
+    /// Observability hub (spans, latency histograms).
     pub(crate) obs: Arc<Obs>,
     /// The workers' one wake signal (sweep requests, pause, stop).
     pub(crate) wake: Wake,
 }
 
 impl SchedShared {
-    /// An empty store over `db`, with the scheduler counters of
-    /// `config.sched_workers` workers registered in `obs`'s registry.
+    /// An empty store over `db`, with the scheduler counters registered
+    /// in `obs`'s registry.
     pub(crate) fn new(
         db: Arc<RwLock<Database>>,
         config: &ImpConfig,
         tracker: Arc<WorkloadTracker>,
         obs: Arc<Obs>,
     ) -> SchedShared {
-        let workers = config.sched_workers;
         SchedShared {
             slot: ShardSlot::default(),
             db,
             config: config.clone(),
             board: Arc::new(SnapshotBoard::new()),
             tracker,
-            metrics: Arc::new(SchedMetrics::registered(workers, obs.registry())),
+            metrics: Arc::new(SchedMetrics::registered(obs.registry())),
             obs,
             wake: Wake::default(),
         }

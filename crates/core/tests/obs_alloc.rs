@@ -59,14 +59,14 @@ fn allocations() -> u64 {
 #[test]
 fn disabled_obs_hot_path_allocates_nothing() {
     let obs = Obs::off();
-    let metrics = SchedMetrics::new(2);
+    let metrics = SchedMetrics::default();
 
     // Warm up every call site once: lazy thread-locals, anything the
     // first call touches.
     let exercise = |n: u64| {
         for i in 0..n {
             let _span = obs.span("maintain_stale");
-            obs.maintain_observed_spanned("SELECT g, sum(v) FROM t GROUP BY g", 1234 + i, 10, 0, 0);
+            obs.maintain_observed_spanned("SELECT g, sum(v) FROM t GROUP BY g", 1234 + i);
             obs.query_observed("fresh", 777 + i);
             metrics.noted();
             metrics.maintain_runs.add(3);
@@ -88,6 +88,6 @@ fn disabled_obs_hot_path_allocates_nothing() {
     let on = Obs::new(&imp_core::ObsConfig::on());
     let before = allocations();
     let _s = on.span("x");
-    on.maintain_observed_spanned("q", 1, 1, 0, 0);
+    on.maintain_observed_spanned("q", 1);
     assert!(allocations() > before, "counting allocator inert");
 }

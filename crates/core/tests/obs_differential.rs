@@ -4,12 +4,12 @@
 //! query answers, both with zero workers (the caller maintains every
 //! sketch) and with a worker pool (sweeping workers). The enabled sides
 //! double-check that observation actually happened — latency histograms
-//! counting every query, recorded spans, one flight `maintained` event
+//! counting every query, recorded spans, one maintain-latency sample
 //! per maintenance run — so this can't pass vacuously.
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse, QueryMode};
 use imp_core::obs::QUERY_LATENCY;
-use imp_core::{FlightEvent, ObsConfig};
+use imp_core::ObsConfig;
 use imp_engine::Database;
 use imp_storage::{row, DataType, Field, Schema};
 
@@ -113,20 +113,6 @@ fn run_workload(imp: &mut Imp) -> Seen {
     seen
 }
 
-/// Flight `maintained` events retained by `imp`'s recorder.
-fn flight_maintained(imp: &Imp) -> u64 {
-    let flight = imp.obs().flight();
-    assert_eq!(flight.dropped(), 0, "a flight event was lost");
-    assert!(
-        flight.recorded() <= flight.capacity() as u64,
-        "ring wrapped"
-    );
-    let events = flight.events(u64::MAX).into_iter();
-    events
-        .filter(|r| matches!(r.event, FlightEvent::Maintained { .. }))
-        .count() as u64
-}
-
 #[test]
 fn obs_on_and_off_agree_on_both_backends() {
     // Four systems, one workload: in-line and sharded, obs off and on.
@@ -171,7 +157,7 @@ fn obs_on_and_off_agree_on_both_backends() {
 
     // The observed sides actually observed: per-template maintain
     // histograms, mode-labeled query histograms counting every query,
-    // spans, and one flight `maintained` event per maintenance run.
+    // spans, and one `imp_maintain_latency_ns` sample per maintenance run.
     for (name, imp) in [("inline+obs", &inline_on), ("sharded+obs", &sharded_on)] {
         let maint = imp
             .obs()
@@ -203,13 +189,13 @@ fn obs_on_and_off_agree_on_both_backends() {
         let runs = imp.scheduler().unwrap().stats().maintain_runs;
         assert!(runs > 0, "{name}: nothing was maintained");
         assert_eq!(
-            flight_maintained(imp),
-            runs,
-            "{name}: one flight event per maintenance run"
+            maint.count, runs,
+            "{name}: one maintain-latency sample per maintenance run"
         );
     }
     // Without workers, every run's report came back to this thread.
-    assert_eq!(flight_maintained(&inline_on), inline_reports);
+    let inline_samples = inline_on.obs().maintain_latency().unwrap().count;
+    assert_eq!(inline_samples, inline_reports);
     // The sharded+obs side goes through the scheduler pipeline, so its
     // counters must be live in the unified registry too.
     let text = sharded_on.metrics_text();

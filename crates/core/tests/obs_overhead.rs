@@ -141,9 +141,9 @@ fn allocations_of_run(obs: ObsConfig, insert_rows: i64) -> u64 {
 
 #[test]
 fn full_obs_within_ten_percent_of_disabled() {
-    // Warm both paths once: process-wide one-time setup (the flight
-    // recorder's panic hook, lazily built statics) is paid by whichever
-    // run comes first and must not land in either count.
+    // Warm both paths once: process-wide one-time setup (lazily built
+    // statics) is paid by whichever run comes first and must not land in
+    // either count.
     allocations_of_run(ObsConfig::default(), 20);
     allocations_of_run(ObsConfig::on(), 20);
 

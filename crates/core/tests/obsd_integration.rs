@@ -1,20 +1,25 @@
-//! End-to-end obsd endpoint tests (ISSUE 10 acceptance): a live `Imp`
-//! with the sharded backend serves all six telemetry endpoints over real
-//! TCP while maintenance churns, the Prometheus exposition parses, a
-//! deliberately wedged shard flips `/health` to degraded with a flight
-//! dump captured, and running with the endpoint on changes **nothing**
+//! End-to-end obsd endpoint tests: a live `Imp` with a worker pool
+//! serves all four telemetry endpoints over real TCP while maintenance
+//! churns, the Prometheus exposition parses, no endpoint waits on the
+//! sketch store, and running with the endpoint on changes **nothing**
 //! observable — sketch states stay byte-identical to obsd off.
+//!
+//! Three of the operator questions the telemetry exists to answer are
+//! asked here from obsd output alone, with no duration asserted: where
+//! an update's latency went (`/trace`), why a sketch is stale and why a
+//! sketch was demoted (`/sketches`).
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
-use imp_core::{HealthConfig, ObsConfig};
+use imp_core::ObsConfig;
 use imp_engine::Database;
 use imp_sql::{QueryTemplate, Statement};
 use imp_storage::{row, DataType, Field, Schema};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const KEYS: i64 = 6;
+const ROUTES: [&str; 4] = ["/metrics", "/metrics.json", "/trace", "/sketches"];
 
 fn seed_db() -> Database {
     let mut db = Database::new();
@@ -41,10 +46,6 @@ fn config(workers: usize, obsd: bool) -> ImpConfig {
         sched_workers: workers,
         obs: ObsConfig::metrics_only(),
         obsd_addr: obsd.then(|| "127.0.0.1:0".to_string()),
-        health: HealthConfig {
-            tick: Duration::from_millis(25),
-            ..HealthConfig::default()
-        },
         ..ImpConfig::default()
     }
 }
@@ -93,6 +94,58 @@ fn assert_prometheus_parses(text: &str) {
     assert!(series > 0, "empty exposition");
 }
 
+/// The value of the unlabeled series `name` in a Prometheus exposition.
+fn metric(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no series {name} in {text}"))
+}
+
+/// The number after the first `"key":` in a JSON body.
+fn number(body: &str, key: &str) -> f64 {
+    let (_, rest) = body
+        .split_once(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {key} in {body}"));
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+        .unwrap_or(rest.len());
+    rest[..end]
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} is not a number in {body}"))
+}
+
+/// The string after the first `"key":` in a JSON body.
+fn string<'a>(body: &'a str, key: &str) -> &'a str {
+    let (_, rest) = body
+        .split_once(&format!("\"{key}\":\""))
+        .unwrap_or_else(|| panic!("no {key} in {body}"));
+    rest.split('"').next().unwrap()
+}
+
+/// `/sketches` entries, one JSON object each.
+fn sketch_entries(body: &str) -> Vec<&str> {
+    body.split("{\"template\":").skip(1).collect()
+}
+
+/// One span of a `/trace` export.
+struct Span<'a> {
+    name: &'a str,
+    ts: f64,
+    id: f64,
+    parent: f64,
+}
+
+fn spans(trace: &str) -> Vec<Span<'_>> {
+    (trace.split("{\"name\":").skip(1))
+        .map(|event| Span {
+            name: event.trim_start_matches('"').split('"').next().unwrap(),
+            ts: number(event, "ts"),
+            id: number(event, "id"),
+            parent: number(event, "parent"),
+        })
+        .collect()
+}
+
 fn churn(imp: &mut Imp, rounds: i64) {
     let q = "SELECT ka, sum(va) AS s FROM ta GROUP BY ka HAVING sum(va) > 40";
     let ImpResponse::Rows { .. } = imp.execute(q).unwrap() else {
@@ -121,26 +174,15 @@ fn obsd_serves_all_endpoints_during_live_maintenance() {
     let scrapers: Vec<_> = (0..8)
         .map(|i| {
             std::thread::spawn(move || {
-                let targets = [
-                    "/metrics",
-                    "/metrics.json",
-                    "/trace",
-                    "/health",
-                    "/sketches",
-                    "/flight",
-                ];
                 for n in 0..12 {
-                    let (status, body) = http_get(addr, targets[(i + n) % targets.len()]);
-                    assert!(status == 200 || status == 503, "status {status} for {body}");
+                    let (status, body) = http_get(addr, ROUTES[(i + n) % ROUTES.len()]);
+                    assert_eq!(status, 200, "{body}");
                     assert!(!body.is_empty());
                 }
             })
         })
         .collect();
     churn(&mut imp, 6);
-    // Churn ended with `maintain_all_stale()`: no update waits and no
-    // maintenance runs from here on.
-    let settled_at = health_tick(addr);
     for h in scrapers {
         h.join().unwrap();
     }
@@ -148,7 +190,18 @@ fn obsd_serves_all_endpoints_during_live_maintenance() {
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
     assert_prometheus_parses(&metrics);
-    assert!(metrics.contains("imp_sched_heartbeat"), "{metrics}");
+    // Every pipeline event is counted: updates noted for the workers,
+    // maintenance runs (counter and per-template latency samples), and
+    // publishes as the snapshot epoch below.
+    assert!(
+        metric(&metrics, "imp_sched_staged_updates") > 0,
+        "{metrics}"
+    );
+    assert!(metric(&metrics, "imp_sched_maintain_runs") > 0, "{metrics}");
+    assert!(
+        metrics.contains("imp_maintain_latency_ns_count"),
+        "{metrics}"
+    );
 
     let (_, json) = http_get(addr, "/metrics.json");
     assert!(json.contains("\"metrics\""));
@@ -163,88 +216,7 @@ fn obsd_serves_all_endpoints_during_live_maintenance() {
         "{sketches}"
     );
     assert!(sketches.contains("\"maintain_ns\""), "{sketches}");
-
-    let (_, flight) = http_get(addr, "/flight");
-    for kind in ["staged", "maintained", "published"] {
-        assert!(
-            flight.contains(&format!("\"kind\":\"{kind}\"")),
-            "missing {kind}: {flight}"
-        );
-    }
-
-    // The verdict comes from a ticker over heartbeats, queue depth and
-    // windowed latencies, so a tick that lands mid-churn may judge a busy
-    // worker. Judge the settled system instead: tick `settled_at + 2`
-    // sampled after churn ended, and tick `settled_at + 3` compares it
-    // against a sample that did too, so every rule sees the same idle
-    // state however the threads were scheduled.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while health_tick(addr) < settled_at + 3 {
-        assert!(Instant::now() < deadline, "health ticker stopped ticking");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let (status, health) = http_get(addr, "/health");
-    assert_eq!(status, 200, "healthy system reported: {health}");
-    assert!(health.contains("\"verdict\":\"ok\""), "{health}");
-}
-
-/// The tick number of the latest `/health` report.
-fn health_tick(addr: SocketAddr) -> u64 {
-    let (_, body) = http_get(addr, "/health");
-    body.split_once("\"tick\":")
-        .and_then(|(_, rest)| rest.split(',').next())
-        .and_then(|tick| tick.parse().ok())
-        .unwrap_or_else(|| panic!("no tick in {body}"))
-}
-
-#[test]
-fn wedged_shard_flips_health_to_degraded_with_trip_dump() {
-    let mut imp = Imp::new(seed_db(), config(2, true));
-    let addr = imp.obsd_addr().unwrap();
-    churn(&mut imp, 2);
-
-    // Wedge: park every worker while updates keep being noted — frozen
-    // heartbeats with updates waiting.
-    let paused = imp.scheduler().unwrap().pause();
-    for k in 0..KEYS {
-        imp.execute(&format!("INSERT INTO ta VALUES ({k}, 1)"))
-            .unwrap();
-    }
-
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let degraded = loop {
-        let (status, body) = http_get(addr, "/health");
-        if status == 503 {
-            break body;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "watchdog never fired; last report: {body}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert!(degraded.contains("\"verdict\":\"degraded\""), "{degraded}");
-    assert!(
-        degraded.contains("shard_liveness"),
-        "wrong rule: {degraded}"
-    );
-
-    // The ok→degraded transition captured a flight dump.
-    let (status, trip) = http_get(addr, "/flight?trip=1");
-    assert_eq!(status, 200, "no trip dump: {trip}");
-    assert!(trip.contains("\"events\""), "{trip}");
-
-    drop(paused);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        imp.maintain_all_stale().unwrap();
-        let (status, _) = http_get(addr, "/health");
-        if status == 200 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "health never recovered");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert!(number(&sketches, "epoch") > 0.0, "{sketches}");
 }
 
 /// No endpoint waits on the sketch store: while this thread holds the
@@ -263,14 +235,7 @@ fn no_endpoint_waits_on_the_sketch_store() {
         panic!("not a select")
     };
     let held = imp.with_sketch(&QueryTemplate::of(&select), |_| {
-        for target in [
-            "/metrics",
-            "/metrics.json",
-            "/sketches",
-            "/flight",
-            "/health",
-            "/trace",
-        ] {
+        for target in ROUTES {
             let mut stream = TcpStream::connect(addr).unwrap();
             stream
                 .set_read_timeout(Some(Duration::from_secs(30)))
@@ -280,10 +245,7 @@ fn no_endpoint_waits_on_the_sketch_store() {
             if let Err(e) = stream.read_to_string(&mut raw) {
                 panic!("{target} did not answer while the store was held: {e}");
             }
-            assert!(
-                raw.starts_with("HTTP/1.1 200") || raw.starts_with("HTTP/1.1 503"),
-                "{target}: {raw}"
-            );
+            assert!(raw.starts_with("HTTP/1.1 200"), "{target}: {raw}");
         }
     });
     assert!(held.is_some(), "the sketch is stored");
@@ -302,4 +264,119 @@ fn sketch_states_identical_with_obsd_on_and_off() {
     let states = without.sketch_states();
     assert!(!states.is_empty());
     assert_eq!(states, with.sketch_states(), "obsd perturbed sketch state");
+}
+
+/// Q1, where did this update's latency go: `/trace` holds the `update`
+/// span, then the run that maintained its delta, and under that run the
+/// operator spans that did the work, linked by parent id.
+#[test]
+fn trace_answers_where_an_updates_latency_went() {
+    let config = ImpConfig {
+        obs: ObsConfig::on(),
+        ..config(0, true)
+    };
+    let mut imp = Imp::new(seed_db(), config);
+    let addr = imp.obsd_addr().unwrap();
+    let q = "SELECT ka, sum(va) AS s FROM ta GROUP BY ka HAVING sum(va) > 40";
+    imp.execute(q).unwrap();
+    imp.execute("INSERT INTO ta VALUES (1, 30)").unwrap();
+    imp.execute(q).unwrap(); // the stale query maintains the sketch
+
+    let (_, trace) = http_get(addr, "/trace");
+    let spans = spans(&trace);
+    let update = (spans.iter().find(|s| s.name == "update"))
+        .unwrap_or_else(|| panic!("no update span: {trace}"));
+    let maintain = (spans.iter())
+        .find(|s| s.name.starts_with("maintain") && s.ts >= update.ts)
+        .unwrap_or_else(|| panic!("no maintain span after the update: {trace}"));
+    let parent_of = |id: f64| spans.iter().find(|s| s.id == id).map(|s| s.parent);
+    let under_maintain = |span: &Span| {
+        let mut at = span.parent;
+        while at != 0.0 && at != maintain.id {
+            at = parent_of(at).unwrap_or(0.0);
+        }
+        at == maintain.id
+    };
+    let operators: Vec<&str> = (spans.iter())
+        .filter(|s| matches!(s.name, "aggregate_delta" | "nary_delta") && under_maintain(s))
+        .map(|s| s.name)
+        .collect();
+    assert!(
+        !operators.is_empty(),
+        "no operator span under {}: {trace}",
+        maintain.name
+    );
+}
+
+/// Q2, why is this sketch stale: with the workers paused, `/sketches`
+/// shows the update waiting for a sweep and the sketch's version behind
+/// the version the update committed.
+#[test]
+fn sketches_answer_why_a_sketch_is_stale() {
+    let mut imp = Imp::new(seed_db(), config(1, true));
+    let addr = imp.obsd_addr().unwrap();
+    imp.execute("SELECT ka, sum(va) AS s FROM ta GROUP BY ka HAVING sum(va) > 40")
+        .unwrap();
+    let paused = imp.scheduler().unwrap().pause();
+    let ImpResponse::Affected { version, .. } =
+        imp.execute("INSERT INTO ta VALUES (1, 30)").unwrap()
+    else {
+        panic!("expected an update");
+    };
+
+    let (_, sketches) = http_get(addr, "/sketches");
+    assert!(number(&sketches, "queue_depth") >= 1.0, "{sketches}");
+    let entries = sketch_entries(&sketches);
+    assert_eq!(entries.len(), 1, "{sketches}");
+    assert!(
+        number(entries[0], "version") < version as f64,
+        "the sketch is not behind commit {version}: {sketches}"
+    );
+    drop(paused);
+}
+
+/// Q4, why was this sketch demoted: after an advisor pass under a memory
+/// budget, `/sketches` shows the cold sketch below `maintained` with a
+/// lower advisor score than the hot one it kept.
+#[test]
+fn sketches_answer_why_a_sketch_was_demoted() {
+    let mut db = Database::new();
+    for table in ["hot_t", "cold_t"] {
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]);
+        db.create_table(table, schema).unwrap();
+        // Group 0 dominates the sums, so `sum(v) > 1000` marks one
+        // fragment (a selective sketch) and `sum(v) > 0` all of them.
+        let rows = (0..8).flat_map(|g| (0..50).map(move |_| row![g, if g == 0 { 100 } else { 1 }]));
+        db.table_mut(table).unwrap().bulk_load(rows).unwrap();
+    }
+    let config = ImpConfig {
+        fragments: 8,
+        sketch_memory_budget: Some(usize::MAX / 2),
+        ..config(0, true)
+    };
+    let mut imp = Imp::new(db, config);
+    let addr = imp.obsd_addr().unwrap();
+    let hot = "SELECT g, sum(v) AS s FROM hot_t GROUP BY g HAVING sum(v) > 1000";
+    imp.execute(hot).unwrap();
+    imp.execute("SELECT g, sum(v) AS s FROM cold_t GROUP BY g HAVING sum(v) > 0")
+        .unwrap();
+    imp.execute(hot).unwrap();
+    imp.advise().unwrap();
+
+    let (_, sketches) = http_get(addr, "/sketches");
+    let entries = sketch_entries(&sketches);
+    let entry = |table: &str| {
+        *(entries.iter().find(|e| e.contains(table)))
+            .unwrap_or_else(|| panic!("no {table} sketch: {sketches}"))
+    };
+    let (hot, cold) = (entry("hot_t"), entry("cold_t"));
+    assert_eq!(string(hot, "lifecycle"), "maintained", "{sketches}");
+    assert_ne!(string(cold, "lifecycle"), "maintained", "{sketches}");
+    assert!(
+        number(cold, "advisor_score") < number(hot, "advisor_score"),
+        "{sketches}"
+    );
 }

@@ -1,8 +1,8 @@
 //! # imp-obsd — minimal observability exposition server
 //!
 //! A deliberately tiny HTTP/1.1 server built on nothing but `std::net`,
-//! just capable enough to serve Prometheus scrapes, JSON introspection,
-//! and flight-recorder dumps from an in-process observability hub. It is
+//! just capable enough to serve Prometheus scrapes, JSON introspection
+//! and trace exports from an in-process observability hub. It is
 //! **not** a general web server:
 //!
 //! - `GET` only (anything else is `405`), no keep-alive
@@ -12,8 +12,8 @@
 //! - A blocking accept loop plus a small fixed worker pool. Handlers run
 //!   on pool threads and must never block on the process under
 //!   observation — by construction the IMP glue layer reads only
-//!   snapshots (`MetricsRegistry::sample`, `SnapshotBoard::read`,
-//!   flight-ring scans), so a slow scraper can never stall maintenance.
+//!   snapshots (`MetricsRegistry::sample`, `SnapshotBoard::read`, span
+//!   rings), so a slow scraper can never stall maintenance.
 //!
 //! Shutdown is cooperative: [`Server`] sets a flag and self-connects to
 //! unblock `accept`, then joins the accept thread and every worker.

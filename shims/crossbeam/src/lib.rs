@@ -2,10 +2,10 @@
 //!
 //! Provides [`channel::bounded`] and its [`channel::Sender`] /
 //! [`channel::Receiver`] halves with their error types — the subset this
-//! workspace uses. The periodic threads (`imp_core::obs::health`'s
-//! ticker and `imp_core::strategy::BackgroundMaintainer`) each wait on a
-//! dedicated stop channel with [`channel::Receiver::recv_timeout`]: real
-//! OS blocking with an exact deadline, so stopping them is immediate. The
+//! workspace uses. The one periodic thread
+//! (`imp_core::strategy::BackgroundMaintainer`) waits on a dedicated stop
+//! channel with [`channel::Receiver::recv_timeout`]: real OS blocking
+//! with an exact deadline, so stopping it is immediate. The
 //! scheduler's workers use no channel at all; they wait on one condition
 //! variable (`imp_core::sched::pool`).
 //!
