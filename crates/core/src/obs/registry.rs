@@ -91,16 +91,6 @@ impl Gauge {
         self.0.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Subtract 1, saturating at 0: a mismatched decrement must not wrap
-    /// the gauge to `u64::MAX` (which would poison consumers like
-    /// `/sketches`' `queue_depth`).
-    #[inline]
-    pub fn dec_saturating(&self) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-    }
-
     /// Raise the value to at least `v`.
     #[inline]
     pub fn max_of(&self, v: u64) {
@@ -529,16 +519,6 @@ mod tests {
         assert!(text.contains("c{shard=\"1\"} 5"));
         // One TYPE line for the shared name.
         assert_eq!(text.matches("# TYPE c counter").count(), 1);
-    }
-
-    #[test]
-    fn gauge_saturates() {
-        let g = Gauge::detached();
-        g.dec_saturating();
-        assert_eq!(g.get(), 0);
-        g.add(2);
-        g.dec_saturating();
-        assert_eq!(g.get(), 1);
     }
 
     #[test]

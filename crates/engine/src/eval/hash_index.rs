@@ -1,7 +1,7 @@
-//! Hash lookup by key *cells*: the keys stay where they are (in rows, in
-//! columns), the index maps a key's hash to the ids that carry it, and the
-//! caller compares cells on a hit. Group tables and hash joins share it, so
-//! neither allocates a key per input row.
+//! Hash lookup by key: the keys stay where they are (in rows, in columns,
+//! in a join's gathered `i64`s), the index maps a key's hash to the ids
+//! that carry it, and the caller compares keys on a hit. Group tables and
+//! hash joins share it, so neither allocates a key per input row.
 
 use imp_storage::{Cell, FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};

@@ -6,7 +6,10 @@
 //! input that is not one (aggregation, DISTINCT, EXCEPT, sort, top-k) — and
 //! per tuple one [`Pos`] per source and a multiplicity. Its *raw columns*
 //! are the sources' columns side by side, and its output is a list of
-//! expressions over them. A join concatenates position tuples, a filter
+//! expressions over them. A join concatenates position tuples — it hashes
+//! and compares its keys as `i64`s gathered once through the positions
+//! when every key column on both sides is a NULL-free Int column of a
+//! scan prefix, as cells read through the positions otherwise — a filter
 //! keeps tuples, reading the cells its predicate reaches, a projection
 //! rewrites the output expressions, an aggregation gathers each key and
 //! argument column once through the positions and hands them, with the
@@ -22,8 +25,9 @@ use super::{execute, new_row, Bag, ExecStats};
 use crate::database::Database;
 use crate::Result;
 use imp_sql::{AggSpec, Expr, LogicalPlan, SqlError};
-use imp_storage::{Cell, ColumnData, DataType, Value};
+use imp_storage::{Cell, ColumnData, DataType, FxHasher, Value};
 use std::borrow::Cow;
+use std::hash::Hasher;
 
 /// Where one source's part of a tuple lives: a batch of the source (a bag
 /// is one batch) and a row in it.
@@ -121,7 +125,11 @@ pub(super) fn relation<'t>(
 /// table is built on the side with fewer tuples (the right one on a tie),
 /// the other side probes in order, matches of a probe come in build order,
 /// and every output tuple is `left ◦ right`. A cross product runs
-/// left-major and counts no probes.
+/// left-major and counts no probes. When every key column on both sides
+/// is a NULL-free Int column of a scan prefix, the key columns are
+/// gathered once through the positions and keys are hashed and compared
+/// as `i64`s; otherwise they are cells read through the positions
+/// ([`Keys`]).
 pub(super) fn join<'t>(
     left: Relation<'t>,
     right: Relation<'t>,
@@ -135,29 +143,24 @@ pub(super) fn join<'t>(
     } else {
         ((&left, left_keys), (&right, right_keys))
     };
-    let mut build_key = JoinKey::new(build, build_keys);
-    let hashes = (0..build.len())
-        .map(|id| build_key.hash(build, id))
-        .collect::<Result<Vec<_>>>()?;
+    let keys = Keys::new((probe, probe_keys), (build, build_keys))?;
     // Linking back to front makes a chain run in build order.
     let mut index = HashIndex::with_capacity(build.len());
-    for (id, hash) in hashes.iter().enumerate().rev() {
-        if let Some(hash) = hash {
-            index.link(*hash, id);
+    for id in (0..build.len()).rev() {
+        if let Some(hash) = keys.hash(Side::Build, id) {
+            index.link(hash, id);
         }
     }
-    let mut probe_key = JoinKey::new(probe, probe_keys);
     let width = left.sources.len() + right.sources.len();
     let mut positions = Vec::with_capacity(probe.len() * width);
     let mut mults = Vec::with_capacity(probe.len());
     for t in 0..probe.len() {
         stats.join_probes += u64::from(!probe_keys.is_empty());
-        let Some(hash) = probe_key.hash(probe, t)? else {
+        let Some(hash) = keys.hash(Side::Probe, t) else {
             continue;
         };
         for id in index.chain(hash) {
-            let mut keys = 0..probe_keys.len();
-            if keys.all(|i| probe_key.cell(probe, t, i) == build_key.cell(build, id, i)) {
+            if keys.equal(t, id) {
                 let (l, r) = if swapped { (id, t) } else { (t, id) };
                 positions.extend_from_slice(left.tuple(l));
                 positions.extend_from_slice(right.tuple(r));
@@ -168,48 +171,143 @@ pub(super) fn join<'t>(
     Ok(Relation::joined(left, right, positions, mults))
 }
 
-/// One side's join key: key columns read as cells through the positions,
+/// Which side's key [`Keys::hash`] reads: an index into its `[probe,
+/// build]` pairs.
+#[derive(Clone, Copy)]
+enum Side {
+    Probe,
+    Build,
+}
+
+/// The join keys of the probe and the build side, in one of two forms
+/// (in the way the group table reads slices or cells).
+enum Keys<'r> {
+    /// Every key column, on both sides, a NULL-free Int column of a scan
+    /// prefix: gathered once through the positions, `[probe, build]`,
+    /// key column after key column.
+    Ints([Vec<Vec<i64>>; 2]),
+    /// Anything else: cells read through the positions.
+    Cells([CellKey<'r>; 2]),
+}
+
+impl<'r> Keys<'r> {
+    /// The keys of `probe` and `build`, each a relation and its key
+    /// columns; computed keys are evaluated here, the build side's first.
+    fn new(
+        probe: (&'r Relation<'r>, &[usize]),
+        build: (&'r Relation<'r>, &[usize]),
+    ) -> Result<Keys<'r>> {
+        let ints = |(rel, keys): (&Relation<'_>, &[usize])| {
+            let column = |&k: &usize| match rel.output(k) {
+                Operand::Column(c) => match rel.gather(c)? {
+                    Gathered::Int(v) => Some(v),
+                    Gathered::Float(_) => None,
+                },
+                Operand::Computed(_) => None,
+            };
+            keys.iter().map(column).collect::<Option<Vec<_>>>()
+        };
+        // A cross product has no key to gather. The build side is the
+        // smaller: gathered first, it is all that is gathered in vain when
+        // the probe side falls back.
+        let typed = || {
+            let build = ints(build).filter(|keys| !keys.is_empty())?;
+            Some([ints(probe)?, build])
+        };
+        match typed() {
+            Some(ints) => {
+                #[cfg(test)]
+                super::tests::TYPED_JOINS.with(|n| n.set(n.get() + 1));
+                Ok(Keys::Ints(ints))
+            }
+            None => {
+                let build = CellKey::new(build)?;
+                Ok(Keys::Cells([CellKey::new(probe)?, build]))
+            }
+        }
+    }
+
+    /// The hash of `side`'s tuple `t`'s key, `None` when a key cell is
+    /// NULL (SQL equi-join: NULL joins with nothing). Inlined, so that the
+    /// `i64` form costs no call in the build and probe loops.
+    #[inline]
+    fn hash(&self, side: Side, t: usize) -> Option<u64> {
+        match self {
+            Keys::Ints(sides) => Some(match &sides[side as usize][..] {
+                // One key is its own hash: the index hashes it again.
+                [keys] => keys[t] as u64,
+                columns => {
+                    let mut hasher = FxHasher::default();
+                    columns.iter().for_each(|keys| hasher.write_i64(keys[t]));
+                    hasher.finish()
+                }
+            }),
+            Keys::Cells(sides) => sides[side as usize].hash(t),
+        }
+    }
+
+    /// Does probe tuple `t`'s key equal build tuple `id`'s?
+    #[inline]
+    fn equal(&self, t: usize, id: usize) -> bool {
+        match self {
+            Keys::Ints([probe, build]) => (probe.iter().zip(build)).all(|(p, b)| p[t] == b[id]),
+            Keys::Cells([probe, build]) => {
+                (0..probe.operands.len()).all(|i| probe.cell(t, i) == build.cell(id, i))
+            }
+        }
+    }
+}
+
+/// One side's join key as cells: key columns read through the positions,
 /// computed keys evaluated once per tuple.
-struct JoinKey<'r> {
+struct CellKey<'r> {
+    rel: &'r Relation<'r>,
     operands: Vec<Operand<'r>>,
-    /// `stride` values per tuple hashed so far (a NULL stands in for a key
-    /// column); `stride` is 0 when no key is computed.
+    /// `stride` values per tuple (a NULL stands in for a key column);
+    /// `stride` is 0 when no key is computed.
     values: Vec<Value>,
     stride: usize,
 }
 
-impl<'r> JoinKey<'r> {
-    /// Output columns `keys` of `rel`.
-    fn new(rel: &'r Relation<'_>, keys: &[usize]) -> JoinKey<'r> {
+impl<'r> CellKey<'r> {
+    /// Output columns `keys` of `rel`, the computed ones evaluated for
+    /// every tuple, in order.
+    fn new((rel, keys): (&'r Relation<'r>, &[usize])) -> Result<CellKey<'r>> {
         let operands: Vec<_> = keys.iter().map(|&k| rel.output(k)).collect();
         let computed = operands.iter().any(|o| matches!(o, Operand::Computed(_)));
-        JoinKey {
-            stride: if computed { operands.len() } else { 0 },
+        let stride = if computed { operands.len() } else { 0 };
+        let mut values = Vec::with_capacity(stride * rel.len());
+        if computed {
+            for t in 0..rel.len() {
+                for operand in &operands {
+                    values.push(match operand {
+                        Operand::Computed(e) => e.eval_with(&|c| rel.value(t, c))?,
+                        Operand::Column(_) => Value::Null,
+                    });
+                }
+            }
+        }
+        Ok(CellKey {
+            rel,
             operands,
-            values: Vec::new(),
-        }
+            values,
+            stride,
+        })
     }
 
-    /// The hash of tuple `t`'s key, `None` when a key cell is NULL (SQL
-    /// equi-join: NULL joins with nothing). Tuples are hashed in order.
-    fn hash(&mut self, rel: &Relation<'_>, t: usize) -> Result<Option<u64>> {
-        for operand in self.operands.iter().take(self.stride) {
-            self.values.push(match operand {
-                Operand::Computed(e) => e.eval_with(&|c| rel.value(t, c))?,
-                Operand::Column(_) => Value::Null,
-            });
-        }
-        let cells = (0..self.operands.len()).map(|i| self.cell(rel, t, i));
+    /// [`Keys::hash`] of tuple `t`.
+    fn hash(&self, t: usize) -> Option<u64> {
+        let cells = (0..self.operands.len()).map(|i| self.cell(t, i));
         if cells.clone().any(|cell| cell.is_null()) {
-            return Ok(None);
+            return None;
         }
-        Ok(Some(hash_cells(cells)))
+        Some(hash_cells(cells))
     }
 
-    /// Key cell `i` of tuple `t`, which was hashed.
-    fn cell<'a>(&'a self, rel: &'a Relation<'_>, t: usize, i: usize) -> Cell<'a> {
+    /// Key cell `i` of tuple `t`.
+    fn cell(&self, t: usize, i: usize) -> Cell<'_> {
         match self.operands[i] {
-            Operand::Column(c) => rel.cell(t, c),
+            Operand::Column(c) => self.rel.cell(t, c),
             Operand::Computed(_) => self.values[t * self.stride + i].as_cell(),
         }
     }
@@ -426,6 +524,66 @@ mod tests {
         Relation::scanned(vec![columns], columns.len(), positions.collect(), None)
     }
 
+    /// Every row of several batches, batch after batch.
+    fn scanned_batches<'t>(batches: &[&'t [ColumnData]]) -> Relation<'t> {
+        let positions = (batches.iter().enumerate())
+            .flat_map(|(b, columns)| (0..columns[0].len()).map(move |row| Pos::new(b, row)));
+        let arity = batches[0].len();
+        Relation::scanned(batches.to_vec(), arity, positions.collect(), None)
+    }
+
+    /// `join`, and how many joins took the `i64` key form.
+    fn counted_join<'t>(
+        left: Relation<'t>,
+        right: Relation<'t>,
+        keys: (&[usize], &[usize]),
+        stats: &mut ExecStats,
+    ) -> (Relation<'t>, u64) {
+        let typed = || super::super::tests::TYPED_JOINS.with(std::cell::Cell::get);
+        let before = typed();
+        let out = join(left, right, keys.0, keys.1, stats).unwrap();
+        (out, typed() - before)
+    }
+
+    /// `rel` with output columns `keys` computed (`k + 0`): the same
+    /// tuples, joined on cells.
+    fn computed<'t>(mut rel: Relation<'t>, keys: &[usize]) -> Relation<'t> {
+        for &k in keys {
+            let plus_zero = Expr::binary(
+                imp_sql::ast::BinOp::Add,
+                rel.exprs[k].clone(),
+                Expr::Lit(Value::Int(0)),
+            );
+            rel.exprs[k] = plus_zero;
+        }
+        rel
+    }
+
+    /// Join `left()` and `right()` on `keys` twice, once on gathered
+    /// `i64`s and once on cells, and demand the same tuples, multiplicities
+    /// and probes. Returns the typed join's output.
+    fn pinned<'t>(
+        left: impl Fn() -> Relation<'t>,
+        right: impl Fn() -> Relation<'t>,
+        keys: (&[usize], &[usize]),
+    ) -> (Relation<'t>, ExecStats) {
+        let mut typed_stats = ExecStats::default();
+        let (typed, n) = counted_join(left(), right(), keys, &mut typed_stats);
+        assert_eq!(n, 1, "the i64 form");
+        let mut cell_stats = ExecStats::default();
+        let (cells, n) = counted_join(
+            computed(left(), keys.0),
+            computed(right(), keys.1),
+            keys,
+            &mut cell_stats,
+        );
+        assert_eq!(n, 0, "the cell form");
+        assert_eq!(typed.positions, cells.positions);
+        assert_eq!(typed.mults, cells.mults);
+        assert_eq!(typed_stats, cell_stats);
+        (typed, typed_stats)
+    }
+
     fn join_bags(l: Bag, r: Bag, lk: &[usize], rk: &[usize], stats: &mut ExecStats) -> Bag {
         let joined = join(bag(l), bag(r), lk, rk, stats).unwrap();
         joined.materialize().unwrap()
@@ -567,5 +725,148 @@ mod tests {
         };
         let groups = out.aggregate(&[Expr::Col(0)], &[count], &mut stats);
         assert_eq!(groups.unwrap(), vec![(row![1, 6], 1), (row![2, 2], 1)]);
+    }
+
+    /// `(k, v)` rows of Int columns.
+    fn ints(rows: &[(i64, i64)]) -> Vec<ColumnData> {
+        let rows: Vec<Row> = rows.iter().map(|&(k, v)| row![k, v]).collect();
+        batch(&[DataType::Int; 2], &rows)
+    }
+
+    #[test]
+    fn int_keys_join_as_on_cells_whichever_side_builds() {
+        let (a0, a1) = (ints(&[(1, 10), (2, 20)]), ints(&[(3, 30), (9, 90)]));
+        let b = ints(&[(2, 200), (3, 300), (4, 400)]);
+        // Left has four tuples in two batches: right builds.
+        let left = || scanned_batches(&[&a0, &a1]);
+        let (out, stats) = pinned(left, || scanned(&b), (&[0], &[0]));
+        let pairs = [(0, 1, 0), (1, 0, 1)].map(|(batch, row, r)| (Pos::new(batch, row), r));
+        let want: Vec<Pos> = (pairs.iter())
+            .flat_map(|&(l, r)| [l, Pos::new(0, r)])
+            .collect();
+        assert_eq!(out.positions, want);
+        assert_eq!(stats.join_probes, 4);
+        // Swapped: left has two tuples and builds, right probes in order.
+        let (out, stats) = pinned(|| scanned(&a1), || scanned(&b), (&[0], &[0]));
+        assert_eq!(out.positions, [Pos::new(0, 0), Pos::new(0, 1)]);
+        assert_eq!(out.materialize().unwrap(), vec![(row![3, 30, 3, 300], 1)]);
+        assert_eq!(stats.join_probes, 3);
+    }
+
+    #[test]
+    fn duplicate_int_build_keys_chain_in_build_order() {
+        let build = ints(&[(1, 0), (2, 1), (1, 2), (1, 3)]);
+        let probe = ints(&[(1, 0), (5, 0), (2, 0), (1, 1), (7, 0), (8, 0)]);
+        let (out, _) = pinned(|| scanned(&probe), || scanned(&build), (&[0], &[0]));
+        let rows: Vec<(i64, i64)> = (out.materialize().unwrap().iter())
+            .map(|(r, _)| (r[1].as_i64().unwrap(), r[3].as_i64().unwrap()))
+            .collect();
+        assert_eq!(
+            rows,
+            [(0, 0), (0, 2), (0, 3), (0, 1), (1, 0), (1, 2), (1, 3)]
+        );
+    }
+
+    #[test]
+    fn bag_multiplicities_above_an_int_key_join_carry_over() {
+        // (bag ⋈ a) on cells, then ⋈ b on a's Int column and b's.
+        let a = ints(&[(1, 5), (2, 6), (3, 5)]);
+        let b = ints(&[(5, 50), (6, 60), (5, 51), (7, 70)]);
+        let weighted = || {
+            let bag_rows: Bag = vec![(row![1], 2), (row![3], 3), (row![2], 4)];
+            let mut stats = ExecStats::default();
+            join(bag(bag_rows), scanned(&a), &[0], &[0], &mut stats).unwrap()
+        };
+        assert_eq!(weighted().mults, [2, 3, 4]);
+        // b is larger and probes, in its order, the bag-weighted tuples.
+        let (out, stats) = pinned(weighted, || scanned(&b), (&[2], &[0]));
+        assert_eq!(out.mults, [2, 3, 4, 2, 3]);
+        assert_eq!(stats.join_probes, 4);
+        let w: Vec<i64> = (out.materialize().unwrap().iter())
+            .map(|(r, _)| r[4].as_i64().unwrap())
+            .collect();
+        assert_eq!(w, [50, 50, 60, 51, 51]);
+    }
+
+    #[test]
+    fn two_int_keys_join_as_on_cells() {
+        let l = ints(&[(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)]);
+        let r = ints(&[(1, 1), (2, 2), (1, 2), (1, 1)]);
+        let (out, stats) = pinned(|| scanned(&l), || scanned(&r), (&[0, 1], &[0, 1]));
+        let ids = [(0, 0), (0, 3), (1, 2), (3, 1), (4, 0), (4, 3)];
+        let want: Vec<Pos> = (ids.iter())
+            .flat_map(|&(l, r)| [Pos::new(0, l), Pos::new(0, r)])
+            .collect();
+        assert_eq!(out.positions, want);
+        assert_eq!(stats.join_probes, 5);
+    }
+
+    #[test]
+    fn int_key_pairs_whose_hashes_collide_do_not_join() {
+        // FxHash of (a, b) is ((a·S).rotl(5) ^ b)·S: for any a' a b'
+        // collides with (a, b).
+        let fx = |words: &[i64]| {
+            let mut hasher = FxHasher::default();
+            words.iter().for_each(|&w| hasher.write_i64(w));
+            hasher.finish()
+        };
+        let (a, b, a2) = (1, 2, 3);
+        let b2 = (fx(&[a]).rotate_left(5) ^ fx(&[a2]).rotate_left(5) ^ b as u64) as i64;
+        assert_eq!(fx(&[a, b]), fx(&[a2, b2]));
+        let (l, r) = (ints(&[(a, b)]), ints(&[(a2, b2), (a, b)]));
+        let (out, _) = pinned(|| scanned(&l), || scanned(&r), (&[0, 1], &[0, 1]));
+        assert_eq!(out.positions, [Pos::new(0, 0), Pos::new(0, 1)]);
+    }
+
+    #[test]
+    fn keys_that_are_not_null_free_int_columns_of_scans_join_on_cells() {
+        let plain = ints(&[(1, 10), (2, 20)]);
+        let with_null = batch(&[DataType::Int; 2], &[row![1, 1], row![Value::Null, 2]]);
+        let floats = batch(
+            &[DataType::Float, DataType::Int],
+            &[row![1.0, 3], row![2.5, 4]],
+        );
+        let mut stats = ExecStats::default();
+        // A column that holds a NULL.
+        let (out, n) = counted_join(
+            scanned(&plain),
+            scanned(&with_null),
+            (&[0], &[0]),
+            &mut stats,
+        );
+        assert_eq!(
+            (out.materialize().unwrap(), n),
+            (vec![(row![1, 10, 1, 1], 1)], 0)
+        );
+        // An Int key meets a Float key: Int 1 joins Float 1.0.
+        let (out, n) = counted_join(scanned(&plain), scanned(&floats), (&[0], &[0]), &mut stats);
+        let want = vec![(row![1, 10, 1.0, 3], 1)];
+        assert_eq!((out.materialize().unwrap(), n), (want, 0));
+        // A computed key.
+        let (out, n) = counted_join(
+            computed(scanned(&plain), &[0]),
+            scanned(&plain),
+            (&[0], &[0]),
+            &mut stats,
+        );
+        assert_eq!((out.len(), n), (2, 0));
+        // A bag source.
+        let rows: Bag = vec![(row![2, 0], 1)];
+        let (out, n) = counted_join(bag(rows), scanned(&plain), (&[0], &[0]), &mut stats);
+        assert_eq!(
+            (out.materialize().unwrap(), n),
+            (vec![(row![2, 0, 2, 20], 1)], 0)
+        );
+        // No keys: the cross product.
+        let (out, n) = counted_join(scanned(&plain), scanned(&plain), (&[], &[]), &mut stats);
+        assert_eq!((out.len(), n), (4, 0));
+        // A NULL-free Int column on both sides: gathered.
+        let (out, n) = counted_join(
+            scanned(&plain),
+            scanned(&with_null),
+            (&[0], &[1]),
+            &mut stats,
+        );
+        assert_eq!((out.len(), n), (2, 1));
     }
 }

@@ -18,10 +18,13 @@
 //!
 //! Joins, and the filters, projections and aggregations above them, run
 //! on **position tuples** over those batches (`eval/join.rs`): a join
-//! concatenates positions, a filter reads the cells its predicate reaches,
-//! a projection stays a list of expressions, an aggregation gathers its
-//! key and argument columns through the positions and feeds them to the
-//! same group table with the tuples' multiplicities. Plan shape alone
+//! concatenates positions — its hash table keyed by `i64`s gathered once
+//! through the positions when every key column is a NULL-free Int column
+//! of a scan prefix, by cells read through the positions otherwise — a
+//! filter reads the cells its predicate reaches, a projection stays a
+//! list of expressions, an aggregation gathers its key and argument
+//! columns through the positions and feeds them to the same group table
+//! with the tuples' multiplicities. Plan shape alone
 //! selects the pipeline; inside the group table, a batch's column types
 //! and NULL bitmaps select slices or cells. A `Row` is built only for
 //! output: a group of the group table, a row of the query's result, or a
@@ -166,6 +169,9 @@ mod tests {
         pub(super) static GROUP_LOOKUPS: Cell<u64> = const { Cell::new(0) };
         /// Batches the group tables took a batch at a time on this thread.
         pub(super) static TYPED_BATCHES: Cell<u64> = const { Cell::new(0) };
+        /// Joins that hashed and compared gathered `i64` keys on this
+        /// thread.
+        pub(super) static TYPED_JOINS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// `plan`'s result, and how much `counter` grew while running it.

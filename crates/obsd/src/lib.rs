@@ -7,8 +7,8 @@
 //!
 //! - `GET` only (anything else is `405`), no keep-alive
 //!   (`Connection: close` on every response), no TLS, no chunked bodies.
-//! - Exact-path routing via [`Router`]; query strings are split off and
-//!   exposed through [`Request::query_param`].
+//! - Exact-path routing via [`Router`]; a query string is split off the
+//!   path and dropped.
 //! - A blocking accept loop plus a small fixed worker pool. Handlers run
 //!   on pool threads and must never block on the process under
 //!   observation — by construction the IMP glue layer reads only
@@ -45,13 +45,11 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// than pinning a worker thread forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// A parsed (GET) request: method, decoded path, and the raw query
-/// string, if any.
+/// A parsed (GET) request: method and path.
 #[derive(Debug, Clone)]
 pub struct Request {
     method: String,
     path: String,
-    query: Option<String>,
 }
 
 impl Request {
@@ -63,19 +61,6 @@ impl Request {
     /// Path without the query string, e.g. `/metrics`.
     pub fn path(&self) -> &str {
         &self.path
-    }
-
-    /// Raw query string (text after `?`), if present.
-    pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
-    }
-
-    /// Value of the first `key=value` pair in the query string.
-    pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query.as_deref()?.split('&').find_map(|pair| {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            (k == key).then_some(v)
-        })
     }
 }
 
@@ -344,10 +329,10 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ParseError> {
     if !version.starts_with("HTTP/1.") {
         return Err(ParseError::Malformed);
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
+    let path = target
+        .split_once('?')
+        .map_or(target, |(p, _)| p)
+        .to_string();
 
     // Consume headers until the blank line; contents are irrelevant for
     // GET-only exposition, but the head-size cap still applies.
@@ -363,11 +348,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ParseError> {
         }
     }
 
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-    }))
+    Ok(Some(Request { method, path }))
 }
 
 #[cfg(test)]
@@ -377,12 +358,6 @@ mod tests {
     fn test_router() -> Router {
         let mut router = Router::new();
         router.get("/ping", |_req| Response::text(200, "pong"));
-        router.get("/echo", |req: &Request| {
-            Response::json(
-                200,
-                format!("{{\"q\":\"{}\"}}", req.query_param("q").unwrap_or("")),
-            )
-        });
         router
     }
 
@@ -423,10 +398,11 @@ mod tests {
     }
 
     #[test]
-    fn query_params_reach_the_handler() {
+    fn a_query_string_is_split_off_the_path() {
         let server = Server::bind("127.0.0.1:0", test_router(), 1).unwrap();
-        let reply = get(server.local_addr(), "/echo?q=flight&x=1");
-        assert!(reply.ends_with("{\"q\":\"flight\"}"), "{reply}");
+        let reply = get(server.local_addr(), "/ping?x=1");
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+        assert!(reply.ends_with("pong"), "{reply}");
     }
 
     #[test]
