@@ -3,9 +3,11 @@
 //! One `Imp` with a worker pool serves its obsd endpoint while a fleet of
 //! **64 concurrent scrape clients** hammers every route (`/metrics`,
 //! `/metrics.json`, `/trace`, `/sketches`) and the main thread churns
-//! updates + maintenance through the scheduler. One claim is **enforced
-//! by panic**: **no lost scrapes** — every request the fleet issues gets
-//! a well-formed response. Scrape latencies are printed, not gated; that
+//! updates + maintenance through the scheduler, repeating its update
+//! stream until every client has completed at least
+//! [`SCRAPES_UNDER_CHURN`] requests since the churn began. One claim is
+//! **enforced by panic**: **no lost scrapes** — every request the fleet
+//! issues gets a well-formed response. Scrape latencies are printed, not gated; that
 //! no endpoint waits on the sketch store is tier-1's
 //! `obsd_integration::no_endpoint_waits_on_the_sketch_store`.
 //!
@@ -38,9 +40,13 @@ const ENDPOINTS: [&str; 4] = ["/metrics", "/metrics.json", "/trace", "/sketches"
 /// starvation, not obsd overhead; the harness must also pass on
 /// single-core CI runners).
 const SCRAPE_INTERVAL: Duration = Duration::from_millis(100);
-/// Liveness bound on the fleet's first whole scrape, which the churn
-/// waits for.
-const FIRST_SCRAPE_DEADLINE: Duration = Duration::from_secs(30);
+/// Requests each client completes while the churn runs: the churn repeats
+/// until every client has, so the gate sees scrapes beside the churn, not
+/// only after it.
+const SCRAPES_UNDER_CHURN: u64 = 2;
+/// Liveness bound on the fleet: its first whole scrape, which the churn
+/// waits for, and every client's [`SCRAPES_UNDER_CHURN`] requests.
+const LIVENESS_DEADLINE: Duration = Duration::from_secs(30);
 
 fn table_names() -> Vec<String> {
     (0..TABLES).map(|i| format!("o{i}")).collect()
@@ -138,14 +144,31 @@ struct FleetResult {
     latencies_ns: Vec<u64>,
 }
 
+/// Requests each client has completed (answered or failed), by client.
+type Completed = Arc<Vec<AtomicU64>>;
+
+fn completed_now(completed: &Completed) -> Vec<u64> {
+    completed
+        .iter()
+        .map(|n| n.load(Ordering::Acquire))
+        .collect()
+}
+
 /// Run `SCRAPERS` concurrent clients against every endpoint until `stop`
 /// flips, then return aggregate counts and per-request latencies. The
-/// receiver gets a message once the first scrape has come back whole.
+/// receiver gets a message once the first scrape has come back whole;
+/// [`Completed`] counts each client's requests as they complete.
 fn scrape_fleet(
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-) -> (std::thread::JoinHandle<FleetResult>, Receiver<()>) {
+) -> (
+    std::thread::JoinHandle<FleetResult>,
+    Receiver<()>,
+    Completed,
+) {
     let (first_tx, first_rx) = sync_channel(1);
+    let completed: Completed = Arc::new((0..SCRAPERS).map(|_| AtomicU64::new(0)).collect());
+    let counts = Arc::clone(&completed);
     let fleet = std::thread::spawn(move || {
         let failures = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..SCRAPERS)
@@ -153,6 +176,7 @@ fn scrape_fleet(
                 let stop = Arc::clone(&stop);
                 let failures = Arc::clone(&failures);
                 let first_tx = first_tx.clone();
+                let counts = Arc::clone(&counts);
                 std::thread::spawn(move || {
                     let mut lat = Vec::new();
                     let mut n = 0usize;
@@ -169,6 +193,7 @@ fn scrape_fleet(
                             }
                         }
                         n += 1;
+                        counts[i].fetch_add(1, Ordering::AcqRel);
                         std::thread::sleep(SCRAPE_INTERVAL);
                     }
                     lat
@@ -185,7 +210,7 @@ fn scrape_fleet(
             latencies_ns,
         }
     });
-    (fleet, first_rx)
+    (fleet, first_rx, completed)
 }
 
 fn percentile(sorted: &[u64], q: f64) -> u64 {
@@ -207,13 +232,35 @@ fn main() {
     println!("obsd endpoint live on http://{addr} ({SCRAPERS} scrape clients)");
 
     let stop = Arc::new(AtomicBool::new(false));
-    let (fleet, first_scrape) = scrape_fleet(addr, Arc::clone(&stop));
+    let (fleet, first_scrape, completed) = scrape_fleet(addr, Arc::clone(&stop));
     // Churn only under load: at smoke scale it can finish before a
     // scraper's first request comes back.
     first_scrape
-        .recv_timeout(FIRST_SCRAPE_DEADLINE)
+        .recv_timeout(LIVENESS_DEADLINE)
         .unwrap_or_else(|_| panic!("fleet never got a scrape through"));
-    churn(&mut imp, &updates);
+    // Repeat the stream until every client has scraped beside it: at smoke
+    // scale one pass is shorter than one scrape interval.
+    let began = completed_now(&completed);
+    let churn_start = Instant::now();
+    let mut passes = 0;
+    loop {
+        churn(&mut imp, &updates);
+        passes += 1;
+        let now = completed_now(&completed);
+        if now
+            .iter()
+            .zip(&began)
+            .all(|(n, b)| n - b >= SCRAPES_UNDER_CHURN)
+        {
+            break;
+        }
+        assert!(
+            churn_start.elapsed() < LIVENESS_DEADLINE,
+            "after {passes} churn passes a client has completed fewer than \
+             {SCRAPES_UNDER_CHURN} scrapes"
+        );
+    }
+    println!("{passes} churn passes until every client scraped {SCRAPES_UNDER_CHURN} times");
     stop.store(true, Ordering::Release);
     let mut fleet = fleet.join().unwrap();
     assert_eq!(

@@ -1,0 +1,302 @@
+//! The bootstrap differential (test-only): a from-empty run of an
+//! aggregation over a scan prefix groups on the engine's group table
+//! ([`crate::ops::AggOp`]'s capture path); the row path replays every base
+//! row as a delta instead. For random tables (Int, Float and NULL-bearing
+//! columns, several chunks, tombstones, an open tail), partitions and
+//! plans, both must leave the same state behind, byte for byte: the
+//! encoded maintainer state, the aggregation's heap total, the sketch and
+//! the result bag — and stay identical through the next maintenance run.
+//! A `#[cfg(test)]` counter says which path ran.
+
+use crate::maintain::SketchMaintainer;
+use crate::ops::aggregate::tests::{ROW_CAPTURES_ONLY, TYPED_CAPTURES};
+use crate::ops::{IncNode, OpConfig};
+use crate::state_codec::save_state;
+use imp_engine::database::canonical_bag;
+use imp_engine::{Bag, Database};
+use imp_sketch::{PartitionSet, RangePartition};
+use imp_sql::LogicalPlan;
+use imp_storage::{row, DataType, Field, Row, Schema, Table, Value};
+use proptest::prelude::*;
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// `t(id, g, h, x, y)`: `x` (Int) and `y` (Float) nullable.
+fn schema() -> Schema {
+    Schema::new(vec![
+        Field::new("id", DataType::Int),
+        Field::new("g", DataType::Int),
+        Field::new("h", DataType::Int),
+        Field::nullable("x", DataType::Int),
+        Field::nullable("y", DataType::Float),
+    ])
+}
+
+/// One generated row: `(g, h, x, y)`, where `x == 39` and `y == 20` stand
+/// for NULL when the table holds NULLs.
+type RowSpec = (i64, i64, i64, i64);
+
+fn to_row(id: i64, (g, h, x, y): RowSpec, nulls: bool) -> Row {
+    let x = if nulls && x == 39 {
+        Value::Null
+    } else {
+        Value::Int(x - 10)
+    };
+    let y = if nulls && y == 20 {
+        Value::Null
+    } else {
+        Value::Float((y - 10) as f64 / 2.0)
+    };
+    Row::new(vec![Value::Int(id), Value::Int(g), Value::Int(h), x, y])
+}
+
+/// `t` loaded in chunks of `chunk` rows with the last rows in the open
+/// tail, the ids `deleted` tombstoned, plus `u(k, w)` to join with.
+fn database(rows: &[RowSpec], nulls: bool, chunk: usize, deleted: &[i64]) -> Database {
+    let mut db = Database::new();
+    let mut t = Table::with_chunk_capacity("t", schema(), chunk);
+    let loaded = rows.iter().enumerate();
+    t.bulk_load(loaded.map(|(id, &spec)| to_row(id as i64, spec, nulls)))
+        .unwrap();
+    db.register_table(t).unwrap();
+    let u = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("w", DataType::Int),
+    ]);
+    db.create_table("u", u).unwrap();
+    let u_rows = (0..4).map(|k| row![k, 10 * k + 1]);
+    db.table_mut("u").unwrap().bulk_load(u_rows).unwrap();
+    for id in deleted {
+        db.execute_sql(&format!("DELETE FROM t WHERE id = {id}"))
+            .unwrap();
+    }
+    db
+}
+
+/// The partition of `t` numbered `choice`: none, an equi-depth one on
+/// `g`, `h`, `x`, `y` or `id`, or Int cuts on the Float column `y` (whose
+/// fragments are found cell by cell).
+fn partitions(db: &Database, choice: usize, fragments: usize) -> Arc<PartitionSet> {
+    let attribute = ["", "g", "h", "x", "y", "id"];
+    let partition = match choice {
+        0 => None,
+        6 => Some(RangePartition::new("t", "y", 4, vec![Value::Int(-1), Value::Int(2)]).unwrap()),
+        c => Some(RangePartition::equi_depth(db, "t", attribute[c], fragments).unwrap()),
+    };
+    Arc::new(PartitionSet::new(partition.into_iter().collect()).unwrap())
+}
+
+const KEYS: [&str; 4] = ["g", "h", "x", "y"];
+const AGGS: [&str; 8] = [
+    "sum(x)", "sum(y)", "count(x)", "count(*)", "avg(x)", "avg(y)", "sum(h)", "avg(g)",
+];
+const WHERES: [&str; 7] = [
+    "",
+    " WHERE g < 2",
+    " WHERE x >= 0",
+    " WHERE h = 3 OR h = 1",
+    " WHERE y < 1.5",
+    " WHERE g < 3 AND x < 4",
+    " WHERE id < -1",
+];
+
+/// The query of one generated case, and whether its aggregation groups on
+/// the engine's group table.
+fn query(shape: usize, keys: &[usize], aggs: &[usize], filter: usize) -> (String, bool) {
+    let keys: Vec<&str> = keys.iter().map(|&k| KEYS[k]).collect();
+    let mut select: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+    let aggs: Vec<String> = (aggs.iter().enumerate())
+        .map(|(i, &a)| format!("{} AS a{i}", AGGS[a]))
+        .collect();
+    select.extend(aggs.iter().cloned());
+    let group_by = if keys.is_empty() {
+        String::new()
+    } else {
+        format!(" GROUP BY {}", keys.join(", "))
+    };
+    let (select, filter) = (select.join(", "), WHERES[filter]);
+    match shape {
+        // HAVING above the aggregation.
+        1 => (
+            format!("SELECT {select} FROM t{filter}{group_by} HAVING count(*) > 1"),
+            true,
+        ),
+        // Top-k above it.
+        2 if !keys.is_empty() => (
+            format!(
+                "SELECT {select} FROM t{filter}{group_by} ORDER BY {} LIMIT 2",
+                keys[0]
+            ),
+            true,
+        ),
+        // Filters and a computed projection below it.
+        3 => (
+            format!(
+                "SELECT {select} FROM (SELECT id AS id, g AS g, h AS h, x + h AS x, y AS y \
+                 FROM t{filter}) tt{group_by}"
+            ),
+            true,
+        ),
+        // DISTINCT: an aggregation on every column, no aggregates.
+        4 if !keys.is_empty() => (
+            format!("SELECT DISTINCT {} FROM t{filter}", keys.join(", ")),
+            true,
+        ),
+        // MIN/MAX: the group table keeps no multiset; rows.
+        5 => (
+            format!("SELECT {select}, min(x) AS lo, max(y) AS hi FROM t{filter}{group_by}"),
+            false,
+        ),
+        // An aggregation over a join: rows.
+        6 if !keys.is_empty() => (
+            format!("SELECT {select}, sum(w) AS sw FROM t JOIN u ON (g = k){filter}{group_by}"),
+            false,
+        ),
+        _ => (format!("SELECT {select} FROM t{filter}{group_by}"), true),
+    }
+}
+
+/// Capture `plan` on the row path or the typed one; the counter's growth
+/// says which ran.
+fn capture(
+    db: &Database,
+    plan: &LogicalPlan,
+    pset: &Arc<PartitionSet>,
+    config: OpConfig,
+    rows_only: bool,
+) -> (SketchMaintainer, Bag, u64) {
+    ROW_CAPTURES_ONLY.with(|r| r.set(rows_only));
+    let before = TYPED_CAPTURES.with(Cell::get);
+    let (m, bag) = SketchMaintainer::capture(plan, db, Arc::clone(pset), config, true).unwrap();
+    ROW_CAPTURES_ONLY.with(|r| r.set(false));
+    (m, bag, TYPED_CAPTURES.with(Cell::get) - before)
+}
+
+/// The heap totals of every aggregation in the tree.
+fn aggregation_heaps(node: &IncNode, heaps: &mut Vec<usize>) {
+    if let IncNode::Aggregate(a) = node {
+        heaps.push(a.own_heap_size());
+    }
+    node.for_each_child(&mut |c| aggregation_heaps(c, heaps));
+}
+
+/// What must agree between the two paths, and with the heap oracle.
+fn assert_same(
+    rows: &SketchMaintainer,
+    typed: &SketchMaintainer,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        save_state(rows),
+        save_state(typed),
+        "state bytes: {}",
+        context
+    );
+    let heaps = |m: &SketchMaintainer| {
+        let mut heaps = Vec::new();
+        aggregation_heaps(m.parts().0, &mut heaps);
+        heaps
+    };
+    prop_assert_eq!(heaps(rows), heaps(typed), "aggregation heap: {}", context);
+    prop_assert_eq!(
+        rows.sketch().bits(),
+        typed.sketch().bits(),
+        "sketch: {}",
+        context
+    );
+    for m in [rows, typed] {
+        prop_assert_eq!(
+            m.walked_heap_size(),
+            (m.state_heap_size(), 0),
+            "heap oracle: {}",
+            context
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_typed_bootstrap_leaves_the_row_paths_state(
+        rows in prop::collection::vec((0i64..4, 0i64..6, 0i64..40, 0i64..21), 0..64),
+        nulls in any::<bool>(),
+        chunk in prop_oneof![Just(3usize), Just(4), Just(8)],
+        deleted in prop::collection::vec(0i64..64, 0..6),
+        partition in 0usize..7,
+        fragments in prop_oneof![1usize..6, 17usize..40],
+        shape in 0usize..8,
+        keys in prop::collection::btree_set(0usize..4, 0..3),
+        aggs in prop::collection::vec(0usize..8, 1..4),
+        filter in 0usize..7,
+        inserts in prop::collection::vec((0i64..4, 0i64..6, 0i64..40, 0i64..21), 0..5),
+        retract in 0i64..64,
+    ) {
+        let mut db = database(&rows, nulls, chunk, &deleted);
+        let pset = partitions(&db, partition, fragments);
+        let keys: Vec<usize> = keys.into_iter().collect();
+        let (sql, typed_shape) = query(shape, &keys, &aggs, filter);
+        let plan = db.plan_sql(&sql).unwrap();
+        let config = OpConfig {
+            topk_buffer: Some(3),
+            ..OpConfig::default()
+        };
+
+        let (mut by_rows, rows_bag, ran) = capture(&db, &plan, &pset, config, true);
+        prop_assert_eq!(ran, 0, "{}", sql);
+        let (mut typed, typed_bag, ran) = capture(&db, &plan, &pset, config, false);
+        prop_assert_eq!(ran, u64::from(typed_shape), "which path: {}", sql);
+        prop_assert_eq!(&rows_bag, &typed_bag, "result bag: {}", sql);
+        assert_same(&by_rows, &typed, &sql)?;
+        // Thm. 6.1: the captured sketch is the accurate one.
+        let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
+        prop_assert_eq!(typed.sketch().bits(), accurate.sketch.bits(), "{}", sql);
+        prop_assert_eq!(canonical_bag(&typed_bag), canonical_bag(&accurate.result), "{}", sql);
+
+        // The next maintenance run finds the same state either way.
+        for (i, &spec) in inserts.iter().enumerate() {
+            let row = to_row(100 + i as i64, spec, nulls);
+            let values: Vec<String> = row.values().iter().map(|v| match v {
+                Value::Float(f) => format!("{f:?}"),
+                other => other.to_string(),
+            }).collect();
+            db.execute_sql(&format!("INSERT INTO t VALUES ({})", values.join(", "))).unwrap();
+        }
+        db.execute_sql(&format!("DELETE FROM t WHERE id = {retract}")).unwrap();
+        let a = by_rows.maintain(&db).unwrap();
+        let b = typed.maintain(&db).unwrap();
+        prop_assert_eq!(a.recaptured, b.recaptured, "{}", sql);
+        assert_same(&by_rows, &typed, &format!("maintained: {sql}"))?;
+        let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
+        prop_assert_eq!(typed.sketch().bits(), accurate.sketch.bits(), "maintained: {}", sql);
+    }
+}
+
+/// A group over more fragments than a sorted vector holds keeps them in a
+/// hash map, whose iteration order — the order the state is encoded in —
+/// depends on the order fragments were first added: the typed path adds
+/// them in the order the scan met them, as the row path does.
+#[test]
+fn a_group_over_many_fragments_keeps_the_order_its_rows_met_them() {
+    // 100 groups of 30 rows; each meets 30 of `x`'s 1 000 fragments, out
+    // of order. Fragment ids spread wider than a group's hash map, so
+    // some collide in it.
+    let rows: Vec<RowSpec> = (0..3000)
+        .map(|i| (i % 100, 0, (i * 37) % 2003, 0))
+        .collect();
+    let db = database(&rows, false, 1024, &[5, 300]);
+    let pset = Arc::new(
+        PartitionSet::new(vec![
+            RangePartition::equi_depth(&db, "t", "x", 1000).unwrap()
+        ])
+        .unwrap(),
+    );
+    let sql = "SELECT g, count(*) AS n, sum(x) AS s FROM t GROUP BY g";
+    let plan = db.plan_sql(sql).unwrap();
+    let (by_rows, rows_bag, _) = capture(&db, &plan, &pset, OpConfig::default(), true);
+    let (typed, typed_bag, ran) = capture(&db, &plan, &pset, OpConfig::default(), false);
+    assert_eq!(ran, 1);
+    assert_eq!(rows_bag, typed_bag);
+    assert_same(&by_rows, &typed, sql).unwrap();
+}

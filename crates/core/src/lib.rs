@@ -52,6 +52,8 @@
 //!   (0: the caller does all the work).
 
 pub mod advisor;
+#[cfg(test)]
+mod bootstrap_differential;
 pub mod delta;
 pub mod error;
 pub mod fragcount;

@@ -8,6 +8,15 @@
 //! `I(Q, Φ, S, Δ𝒟) = (ΔP, S′)`: fetch the annotated delta since the last
 //! maintained version, push it through the operator tree, merge the
 //! result deltas into a sketch delta, apply it.
+//!
+//! Capture, recapture and full maintenance run the same tree once from the
+//! empty state (`bootstrap`). An aggregation over a scan prefix with no
+//! MIN/MAX builds its state on the engine's group table, counting each
+//! group's rows per fragment as the table is grouped (`ops/aggregate.rs`);
+//! every other operator reads its tables' rows as insertions. So only the
+//! tables some such operator reads are scanned into delta batches: none
+//! for an aggregation over one table, every table of an aggregation over a
+//! join.
 
 use crate::delta::{delta_heap_sizes, DeltaBatch, DeltaEntry, DeltaSeen};
 use crate::metrics::MaintMetrics;
@@ -130,9 +139,9 @@ pub struct SketchMaintainer {
 }
 
 impl SketchMaintainer {
-    /// Capture a sketch for `plan` and bootstrap operator state by feeding
-    /// the full current database through the incremental pipeline as
-    /// insertions from the empty state. Returns the maintainer plus the
+    /// Capture a sketch for `plan` and bootstrap operator state from the
+    /// full current database, run through the incremental pipeline from
+    /// the empty state (module docs). Returns the maintainer plus the
     /// query result (capture answers the query too, Fig. 2).
     pub fn capture(
         plan: &LogicalPlan,
@@ -164,16 +173,19 @@ impl SketchMaintainer {
     }
 
     /// Rebuild state + sketch from the full current database, accumulating
-    /// the work into `metrics` (recapture paths report it, Fig. 13/14).
-    /// The pool is kept — its ids stay canonical and memoized unions
-    /// remain valid.
+    /// the work into `metrics` (recapture paths report it, Fig. 13/14;
+    /// an aggregation on the group table counts the rows reaching it, not
+    /// the rows of the filters and projections below it). The pool is
+    /// kept — its ids stay canonical and memoized unions remain valid.
     fn bootstrap(&mut self, db: &Database, metrics: &mut MaintMetrics) -> Result<Bag> {
         self.root.reset();
         self.merge.reset();
         self.sketch = SketchSet::empty(Arc::clone(&self.pset));
 
+        let mut read = Vec::new();
+        self.root.tables_read_from_empty(&mut read);
         let mut deltas: FxHashMap<String, DeltaBatch> = FxHashMap::default();
-        for table in &self.tables {
+        for table in self.tables.iter().filter(|t| read.contains(&t.as_str())) {
             let t = db.table(table)?;
             let mut delta = DeltaBatch::with_capacity(t.row_count());
             let part = self.pset.for_table(table);

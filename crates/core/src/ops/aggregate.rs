@@ -16,15 +16,32 @@
 //! pair and removes the group if it died. A group whose rows all fall in
 //! one fragment takes that fragment's pooled singleton annotation instead
 //! of building and hashing a bitvector.
+//!
+//! From the empty state (capture, recapture, full maintenance) an
+//! aggregation whose input is a scan prefix (`(Project | Filter)* ← Scan`)
+//! and that has no MIN/MAX replays no rows: the engine runs the prefix into
+//! its group table ([`imp_engine::eval::capture_groups`]) and tells the
+//! operator each batch's selected rows and their groups; the operator maps
+//! the partition column's cells to fragments
+//! ([`imp_sketch::RangePartition::fragments_of`]) and counts each group's
+//! rows per fragment. Each finished group becomes the state the row path
+//! builds from the same rows — `CNT`, accumulators, and `ℱ_g` filled in
+//! the order the rows met its fragments — visited in the row path's key
+//! order, so state, output and encoding are byte-identical. An
+//! aggregation over a join (its inputs' deltas are joined anyway) and
+//! MIN/MAX (the group table keeps no bounded multiset) replay rows.
 
 use super::{IncNode, MaintCtx};
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::error::CoreError;
 use crate::fragcount::FragCounts;
 use crate::Result;
-use imp_engine::eval::NumAcc;
-use imp_sql::{AggFunc, AggSpec, Expr};
-use imp_storage::{key_runs, sort_keys_stable, AnnotId, AnnotPool, FxHashMap, Row, Value};
+use imp_engine::eval::{AggAcc, CapturedGroups, NumAcc};
+use imp_engine::ExecStats;
+use imp_sql::{AggFunc, AggSpec, Expr, LogicalPlan};
+use imp_storage::{
+    key_runs, sort_keys_stable, AnnotId, AnnotPool, ColumnData, FxHashMap, Row, Value,
+};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
@@ -35,6 +52,10 @@ pub struct AggOp {
     input: Box<IncNode>,
     group_by: Vec<Expr>,
     aggs: Vec<AggSpec>,
+    /// The aggregation's plan, when a from-empty run groups it on the
+    /// engine's group table: its input is a scan prefix and it has no
+    /// MIN/MAX.
+    capture: Option<LogicalPlan>,
     groups: FxHashMap<Row, GroupState>,
     /// Aggregation without GROUP BY: the single group always exists.
     global: bool,
@@ -144,6 +165,20 @@ impl IncAcc {
             }
         }
         Ok(needs_recapture)
+    }
+
+    /// The accumulator a group table's `acc` stands for. MIN/MAX never
+    /// come from the group table, which keeps no bounded multiset
+    /// ([`AggOp::new`] leaves them on rows).
+    fn captured(acc: &AggAcc) -> IncAcc {
+        match *acc {
+            AggAcc::Sum { sum, non_null } => IncAcc::Sum { sum, non_null },
+            AggAcc::Count { count } => IncAcc::Count { non_null: count },
+            AggAcc::Avg { sum, non_null } => IncAcc::Avg { sum, non_null },
+            AggAcc::Min { .. } | AggAcc::Max { .. } => {
+                unreachable!("MIN/MAX state is built from rows")
+            }
+        }
     }
 
     /// Current output value.
@@ -323,26 +358,46 @@ impl OrderedAcc {
 }
 
 impl AggOp {
-    /// New aggregation operator.
-    pub fn new(
-        input: IncNode,
-        group_by: Vec<Expr>,
-        aggs: Vec<AggSpec>,
-        config: &super::OpConfig,
-    ) -> AggOp {
-        let global = group_by.is_empty();
-        let minmax_buffer = config.minmax_buffer;
+    /// The operator maintaining `plan`, an aggregation whose input
+    /// `input` maintains.
+    pub fn new(input: IncNode, plan: &LogicalPlan, config: &super::OpConfig) -> Result<AggOp> {
+        let LogicalPlan::Aggregate { group_by, aggs, .. } = plan else {
+            return Err(CoreError::Unsupported(format!(
+                "an aggregation operator maintains an aggregation, not {}",
+                plan.explain()
+            )));
+        };
+        let minmax = |spec: &AggSpec| matches!(spec.func, AggFunc::Min | AggFunc::Max);
+        let capture = (!aggs.iter().any(minmax)
+            && imp_engine::eval::aggregates_a_scan_prefix(plan))
+        .then(|| plan.clone());
         let mut op = AggOp {
             input: Box::new(input),
-            group_by,
-            aggs,
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+            capture,
             groups: FxHashMap::default(),
-            global,
-            minmax_buffer,
+            global: group_by.is_empty(),
+            minmax_buffer: config.minmax_buffer,
             heap_bytes: 0,
         };
         op.clear_groups();
-        op
+        Ok(op)
+    }
+
+    /// Does a from-empty run group on the engine's group table instead of
+    /// replaying its input's rows?
+    pub fn captures_on_the_group_table(&self) -> bool {
+        self.group_table_plan().is_some()
+    }
+
+    /// The plan a from-empty run groups on the engine's group table.
+    fn group_table_plan(&self) -> Option<&LogicalPlan> {
+        #[cfg(test)]
+        if tests::ROW_CAPTURES_ONLY.with(std::cell::Cell::get) {
+            return None;
+        }
+        self.capture.as_ref()
     }
 
     /// Back to the empty state. The single group of a global aggregate
@@ -363,9 +418,15 @@ impl AggOp {
 
     /// Process one batch (see module docs).
     pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
+        if let Some(plan) = self.group_table_plan().filter(|_| ctx.from_empty) {
+            #[cfg(test)]
+            tests::TYPED_CAPTURES.with(|n| n.set(n.get() + 1));
+            let groups = group_table(plan, ctx)?;
+            return self.adopt_group_table(groups, ctx);
+        }
         let input = self.input.process(ctx)?;
         if input.is_empty() {
-            return Ok(DeltaBatch::new());
+            return Ok(self.no_input(ctx));
         }
         let _span = crate::obs::trace::span("aggregate_delta");
         ctx.metrics.rows_processed += input.len() as u64;
@@ -379,20 +440,82 @@ impl AggOp {
         for run in key_runs(&keys, &sort_keys_stable(&keys)) {
             ctx.metrics.groups_touched += 1;
             let rows = run.iter().map(|&i| &input[i as usize]);
-            self.visit_group(&keys[run[0] as usize], rows, total, &mut out, ctx)?;
+            let apply = |st: &mut GroupState, aggs: &[AggSpec], ctx: &mut MaintCtx<'_, '_>| {
+                rows.into_iter()
+                    .try_for_each(|d| apply_entry(st, d, aggs, ctx))
+            };
+            self.visit_group(&keys[run[0] as usize], apply, total, &mut out, ctx)?;
         }
         Ok(out)
     }
 
+    /// The from-empty run of an aggregation over a scan prefix, from its
+    /// [`group_table`]: each group becomes the state the row path would
+    /// have built from the same rows — the same `CNT`, accumulators, and
+    /// `ℱ_g` filled in the order the rows met its fragments — visited in
+    /// the row path's key order.
+    fn adopt_group_table(
+        &mut self,
+        (groups, mut counts): (CapturedGroups, Vec<GroupRows>),
+        ctx: &mut MaintCtx<'_, '_>,
+    ) -> Result<DeltaBatch> {
+        if counts.is_empty() {
+            return Ok(self.no_input(ctx));
+        }
+        let _span = crate::obs::trace::span("aggregate_delta");
+        ctx.metrics.rows_processed += counts.iter().map(|&(rows, _)| rows as u64).sum::<u64>();
+        let keys: Vec<Row> = (0..counts.len())
+            .map(|g| Row::new(groups.key(g).to_vec()))
+            .collect();
+        let total = ctx.pset.total_fragments();
+        let mut out = DeltaBatch::new();
+        for g in sort_keys_stable(&keys) {
+            let g = g as usize;
+            ctx.metrics.groups_touched += 1;
+            let (count, frags) = std::mem::take(&mut counts[g]);
+            let accs = groups.accumulators(g).iter().map(IncAcc::captured);
+            let captured = GroupState {
+                count,
+                frags,
+                accs: accs.collect(),
+            };
+            let apply = |st: &mut GroupState, _: &[AggSpec], _: &mut MaintCtx<'_, '_>| {
+                *st = captured;
+                Ok(())
+            };
+            self.visit_group(&keys[g], apply, total, &mut out, ctx)?;
+        }
+        Ok(out)
+    }
+
+    /// The output of a run whose input is empty: nothing, except from
+    /// empty, where a global aggregate's one group — empty, SUM NULL and
+    /// COUNT 0 — is the whole result.
+    fn no_input(&self, ctx: &mut MaintCtx<'_, '_>) -> DeltaBatch {
+        let mut out = DeltaBatch::new();
+        let key = Row::new(vec![]);
+        if let Some(st) = self.groups.get(&key).filter(|_| ctx.from_empty) {
+            let total = ctx.pset.total_fragments();
+            if let Some((row, annot)) = output(&key, st, self.global, total, ctx.pool) {
+                out.push(DeltaEntry {
+                    row,
+                    annot,
+                    mult: 1,
+                });
+            }
+        }
+        out
+    }
+
     /// One visit to the group of `key` (created on first sight): snapshot
-    /// its output, apply `rows`, check its counters, emit `Δ-old / Δ+new`
-    /// when the output changed, and remove it if it died. `heap_bytes`
-    /// moves by the group's before/after footprint — also when a row
-    /// fails, so the total never drifts from the state.
-    fn visit_group<'d>(
+    /// its output, `apply` its input, check its counters, emit
+    /// `Δ-old / Δ+new` when the output changed, and remove it if it died.
+    /// `heap_bytes` moves by the group's before/after footprint — also
+    /// when a row fails, so the total never drifts from the state.
+    fn visit_group(
         &mut self,
         key: &Row,
-        rows: impl Iterator<Item = &'d DeltaEntry>,
+        apply: impl FnOnce(&mut GroupState, &[AggSpec], &mut MaintCtx<'_, '_>) -> Result<()>,
         total: usize,
         out: &mut DeltaBatch,
         ctx: &mut MaintCtx<'_, '_>,
@@ -409,9 +532,7 @@ impl AggOp {
                 (v.insert_entry(st), None, 0)
             }
         };
-        let applied = rows
-            .into_iter()
-            .try_for_each(|d| apply_entry(group.get_mut(), d, &self.aggs, ctx));
+        let applied = apply(group.get_mut(), &self.aggs, ctx);
         let st = group.get();
         self.heap_bytes = self.heap_bytes + key_bytes + state_bytes(st) - before;
         applied?;
@@ -610,10 +731,66 @@ fn apply_entry(
     Ok(())
 }
 
+/// A group of the group table: its rows (`CNT`) and its rows per
+/// fragment (`ℱ_g`).
+type GroupRows = (i64, FragCounts);
+
+/// Group `plan`, an aggregation over a scan prefix, on the engine's group
+/// table, and count per group its rows and its rows in each fragment of
+/// the table's partition, in the order the scan meets them — one entry
+/// per group, numbered as the group table numbers them.
+fn group_table(
+    plan: &LogicalPlan,
+    ctx: &MaintCtx<'_, '_>,
+) -> Result<(CapturedGroups, Vec<GroupRows>)> {
+    let table = plan.tables().pop().unwrap_or_default();
+    let partition = ctx.pset.for_table(&table);
+    let mut counts: Vec<GroupRows> = Vec::new();
+    let mut frags = Vec::new();
+    let mut sink = |columns: &[ColumnData], rows: &[usize], groups: &[usize]| {
+        frags.clear();
+        if let Some((_, offset, p)) = partition {
+            p.fragments_of(&columns[p.column], rows, &mut frags);
+            frags.iter_mut().for_each(|f| *f += offset as u32);
+        }
+        // One step per run of rows with the same group and fragment.
+        let mut start = 0;
+        while start < groups.len() {
+            let run = (groups[start], frags.get(start));
+            let end = (start + 1..groups.len())
+                .find(|&i| (groups[i], frags.get(i)) != run)
+                .unwrap_or(groups.len());
+            if counts.len() <= run.0 {
+                counts.resize_with(run.0 + 1, GroupRows::default);
+            }
+            let (rows, in_frags) = &mut counts[run.0];
+            let n = (end - start) as i64;
+            *rows += n;
+            if let Some(&frag) = run.1 {
+                in_frags.add(frag, n);
+            }
+            start = end;
+        }
+    };
+    let mut stats = ExecStats::default();
+    let groups = imp_engine::eval::capture_groups(plan, ctx.db.get(), &mut sink, &mut stats)?;
+    Ok((groups, counts))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::heap_oracle::Walk;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// From-empty runs on this thread that grouped on the engine's
+        /// group table.
+        pub(crate) static TYPED_CAPTURES: Cell<u64> = const { Cell::new(0) };
+        /// Send every from-empty run on this thread down the row path
+        /// (the reference the bootstrap differential compares against).
+        pub(crate) static ROW_CAPTURES_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
 
     /// The accounting oracle: the walks the running totals replaced.
     impl OrderedAcc {

@@ -243,27 +243,26 @@ impl IncNode {
                 });
                 IncNode::Nary(Box::new(NaryJoinOp::new(&flat, config)?))
             }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-                ..
-            } => IncNode::Aggregate(Box::new(AggOp::new(
+            LogicalPlan::Aggregate { input, .. } => IncNode::Aggregate(Box::new(AggOp::new(
                 IncNode::build(input, config)?,
-                group_by.clone(),
-                aggs.clone(),
+                plan,
                 config,
-            ))),
+            )?)),
             LogicalPlan::Distinct { input } => {
                 // δ(R) = γ_{;all-cols}(R): grouping on the full row with no
                 // aggregation functions (paper Fig. 4).
                 let arity = input.schema().arity();
+                let grouping = LogicalPlan::Aggregate {
+                    input: input.clone(),
+                    group_by: (0..arity).map(Expr::Col).collect(),
+                    aggs: Vec::new(),
+                    schema: input.schema(),
+                };
                 IncNode::Aggregate(Box::new(AggOp::new(
                     IncNode::build(input, config)?,
-                    (0..arity).map(Expr::Col).collect(),
-                    vec![],
+                    &grouping,
                     config,
-                )))
+                )?))
             }
             LogicalPlan::TopK { input, keys, k } => IncNode::TopK(Box::new(TopKOp::new(
                 IncNode::build(input, config)?,
@@ -342,6 +341,18 @@ impl IncNode {
             IncNode::Nary(n) => n.reset(),
             IncNode::Aggregate(a) => a.reset(),
             IncNode::TopK(t) => t.reset(),
+        }
+    }
+
+    /// Add to `tables` every base table whose delta a from-empty run
+    /// (capture, recapture, full maintenance) reads: each table access
+    /// but those below an aggregation that groups on the engine's group
+    /// table ([`AggOp::captures_on_the_group_table`]).
+    pub fn tables_read_from_empty<'a>(&'a self, tables: &mut Vec<&'a str>) {
+        match self {
+            IncNode::TableAccess { table } => tables.push(table),
+            IncNode::Aggregate(a) if a.captures_on_the_group_table() => {}
+            _ => self.for_each_child(&mut |c| c.tables_read_from_empty(tables)),
         }
     }
 

@@ -595,4 +595,78 @@ mod tests {
             );
         }
     }
+
+    /// Both recaptures of an aggregation over a scan — a top-k buffer
+    /// that underflows and an evicted blob that does not decode — group
+    /// on the engine's group table, leave the accurate sketch (Thm. 6.1)
+    /// and maintain on from there: every answer is the engine's.
+    #[test]
+    fn recaptures_of_an_aggregation_over_a_scan_group_on_the_group_table() {
+        use crate::ops::aggregate::tests::TYPED_CAPTURES;
+        const TOPK: &str = "SELECT g, avg(v) AS a FROM t GROUP BY g ORDER BY g LIMIT 2";
+        let typed = || TYPED_CAPTURES.with(std::cell::Cell::get);
+        let config = ImpConfig {
+            fragments: 4,
+            topk_buffer: Some(3),
+            ..ImpConfig::default()
+        };
+        let mut imp = Imp::new(seed_db(), config);
+        // An answer through `imp`, how it was made, and whether it is the
+        // engine's and its sketch the accurate one.
+        let answer = |imp: &mut Imp| {
+            let ImpResponse::Rows { result, mode } = imp.execute(TOPK).unwrap() else {
+                panic!("rows expected")
+            };
+            let engine = imp.db().query(TOPK).unwrap();
+            assert_eq!(result.canonical(), engine.canonical(), "{mode:?}");
+            imp.scheduler()
+                .unwrap()
+                .with_sketch(&template_of(TOPK), |e| {
+                    let accurate =
+                        imp_sketch::capture(&e.plan, &imp.db(), e.maintainer.partitions()).unwrap();
+                    assert_eq!(
+                        e.maintainer.sketch().bits(),
+                        accurate.sketch.bits(),
+                        "{mode:?}"
+                    );
+                })
+                .expect("the sketch is stored");
+            mode
+        };
+        let before = typed();
+        assert!(matches!(answer(&mut imp), QueryMode::Captured));
+        assert_eq!(typed(), before + 1, "the capture groups on the group table");
+
+        // Groups 0 and 1 go: of the three buffered, one is left for k = 2.
+        imp.execute("DELETE FROM t WHERE g < 2").unwrap();
+        let QueryMode::Maintained(report) = answer(&mut imp) else {
+            panic!("the stale query maintains")
+        };
+        assert!(report.recaptured, "the top-k buffer underflows");
+        assert_eq!(typed(), before + 2);
+
+        assert!(imp.evict_state(&template_of(TOPK)).unwrap() > 0);
+        {
+            let mut state = imp.scheduler().unwrap().shared.slot.state.lock();
+            let entry = &mut state.store.get_mut(&template_of(TOPK)).unwrap()[0];
+            let blob = entry.evicted.take().unwrap();
+            entry.evicted = Some(blob.slice(..blob.len() / 2));
+        }
+        imp.execute("INSERT INTO t VALUES (0, 500)").unwrap();
+        let QueryMode::Maintained(report) = answer(&mut imp) else {
+            panic!("the stale query maintains")
+        };
+        assert!(report.recaptured, "the blob does not decode");
+        assert_eq!(typed(), before + 3);
+
+        // Maintained from the recaptured state, no recapture.
+        for update in ["INSERT INTO t VALUES (1, 7)", "DELETE FROM t WHERE v = 500"] {
+            imp.execute(update).unwrap();
+            let QueryMode::Maintained(report) = answer(&mut imp) else {
+                panic!("the stale query maintains")
+            };
+            assert!(!report.recaptured, "{update}");
+        }
+        assert_eq!(typed(), before + 3);
+    }
 }

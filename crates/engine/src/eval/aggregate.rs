@@ -1,19 +1,22 @@
 //! Batch (non-incremental) grouping and aggregation.
 //!
-//! One kernel, [`Grouping`], serves both feeders: the scan prefix hands it
+//! One kernel, [`Grouping`], serves three feeders: the scan prefix hands it
 //! each batch's columns and selection, a relation over joins hands it its
 //! key and argument columns gathered through the positions, with the
-//! tuples' multiplicities. A batch whose every key and argument is a plain
-//! NULL-free Int or Float column ([`Slice`]) is fed a batch at a time:
-//! first every row becomes a group id, then each aggregate is updated in
-//! one loop over those ids. Any other batch — a computed key or argument, a
-//! Str, Bool or nullable column, a bag source — is fed row by row, every
-//! key and aggregate of a row before the next row, so that the first
-//! expression to fail raises its error as operator-at-a-time evaluation
-//! would. On both paths a row whose key equals the previous row's joins
-//! that row's group without a hash lookup, and both find a key's group by
-//! the same hash and comparison, so batches that take different paths
-//! still form one group per key.
+//! tuples' multiplicities, and a sketch capture runs the scan prefix into
+//! it, is told the group of every row it feeds (to count each group's
+//! rows per fragment, `ℱ_g`), and takes the keys and accumulators as
+//! [`CapturedGroups`] instead of rows. A batch whose every key and
+//! argument is a plain NULL-free Int or Float column ([`Slice`]) is fed a
+//! batch at a time: first every row becomes a group id, then each
+//! aggregate is updated in one loop over those ids. Any other batch — a
+//! computed key or argument, a Str, Bool or nullable column, a bag source
+//! — is fed row by row, every key and aggregate of a row before the next
+//! row, so that the first expression to fail raises its error as
+//! operator-at-a-time evaluation would. On both paths a row whose key
+//! equals the previous row's joins that row's group without a hash
+//! lookup, and both find a key's group by the same hash and comparison,
+//! so batches that take different paths still form one group per key.
 
 use super::hash_index::{hash_cells, HashIndex};
 use super::{new_row, Bag, ExecStats};
@@ -113,14 +116,39 @@ fn overflow() -> EngineError {
     EngineError::Execution("integer overflow in SUM".into())
 }
 
-/// Per-aggregate batch accumulator.
+/// One aggregate of one group of the group table: what
+/// [`super::capture_groups`] hands a capture per group and aggregate.
 #[derive(Debug, Clone)]
-enum AggAcc {
-    Sum { sum: NumAcc, non_null: i64 },
-    Count { count: i64 },
-    Avg { sum: NumAcc, non_null: i64 },
-    Min { cur: Option<Value> },
-    Max { cur: Option<Value> },
+pub enum AggAcc {
+    /// `SUM(a)`.
+    Sum {
+        /// The running sum.
+        sum: NumAcc,
+        /// Non-NULL input multiplicity.
+        non_null: i64,
+    },
+    /// `COUNT(a)` / `COUNT(*)`.
+    Count {
+        /// Counted multiplicity.
+        count: i64,
+    },
+    /// `AVG(a)`.
+    Avg {
+        /// The running sum.
+        sum: NumAcc,
+        /// Non-NULL input multiplicity.
+        non_null: i64,
+    },
+    /// `MIN(a)`: the least value so far.
+    Min {
+        /// `None` until a non-NULL input.
+        cur: Option<Value>,
+    },
+    /// `MAX(a)`: the greatest value so far.
+    Max {
+        /// `None` until a non-NULL input.
+        cur: Option<Value>,
+    },
 }
 
 impl AggAcc {
@@ -403,14 +431,15 @@ impl<'a> Grouping<'a> {
     }
 
     /// Feed one row with multiplicity `mult`: `cell(c)` reads its column
-    /// `c`, `value(c)` hands the column to an expression.
+    /// `c`, `value(c)` hands the column to an expression. Returns the
+    /// row's group.
     #[inline]
     pub fn add<'c>(
         &mut self,
         cell: impl Fn(usize) -> Cell<'c>,
         value: impl Fn(usize) -> std::result::Result<Value, SqlError>,
         mult: i64,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         let Grouping {
             keys,
             args,
@@ -437,12 +466,63 @@ impl<'a> Grouping<'a> {
                 }
             }
         }
-        Ok(())
+        Ok(group)
+    }
+
+    /// The group of each row of the last batch [`Grouping::add_batch`]
+    /// took.
+    pub fn batch_groups(&self) -> &[usize] {
+        &self.ids
     }
 
     /// One row per group: key, then aggregates, in first-seen order.
     pub fn finish(self, stats: &mut ExecStats) -> Bag {
         self.table.finish(stats)
+    }
+
+    /// The groups as they stand, in first-seen order. No group is made up
+    /// for a global aggregate over no rows, and no row is built.
+    pub fn captured(self, stats: &mut ExecStats) -> CapturedGroups {
+        let GroupTable {
+            funcs,
+            width,
+            keys,
+            groups,
+            accs,
+            ..
+        } = self.table;
+        stats.agg_groups += groups as u64;
+        CapturedGroups {
+            width,
+            keys,
+            per_group: funcs.len(),
+            accs,
+        }
+    }
+}
+
+/// The groups of an aggregation over a scan prefix as a capture needs
+/// them ([`super::capture_groups`]): per group its key and its
+/// accumulators. Groups are numbered in the order the scan first met them.
+#[derive(Debug)]
+pub struct CapturedGroups {
+    width: usize,
+    /// `width` key values per group.
+    keys: Vec<Value>,
+    per_group: usize,
+    /// `per_group` accumulators per group.
+    accs: Vec<AggAcc>,
+}
+
+impl CapturedGroups {
+    /// Group `g`'s key.
+    pub fn key(&self, g: usize) -> &[Value] {
+        &self.keys[g * self.width..(g + 1) * self.width]
+    }
+
+    /// Group `g`'s accumulators, one per aggregate.
+    pub fn accumulators(&self, g: usize) -> &[AggAcc] {
+        &self.accs[g * self.per_group..(g + 1) * self.per_group]
     }
 }
 

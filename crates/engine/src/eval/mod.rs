@@ -10,7 +10,13 @@
 //! * the **group table** when the prefix ends in an aggregation — fed a
 //!   batch at a time: NULL-free Int and Float keys and arguments are read
 //!   as slices, anything else as cells, and a run of equal keys is looked
-//!   up once (`eval/aggregate.rs`);
+//!   up once (`eval/aggregate.rs`). A sketch capture feeds it too
+//!   ([`capture_groups`]): the same pipeline, and the capture is told
+//!   each selected row's group, from which it counts per group the rows
+//!   in each fragment of the partition — the state an incremental
+//!   aggregation starts from, with no row replayed (an incremental
+//!   aggregation over a join, or with MIN/MAX, still starts from its
+//!   input's rows);
 //! * **positions** when the prefix feeds a join, a filter or a projection
 //!   above it — the batches and their selected rows, nothing evaluated;
 //! * **rows** holding the prefix's output expressions only, in storage
@@ -38,9 +44,9 @@ mod ranges;
 mod scan;
 mod topk;
 
-pub use aggregate::NumAcc;
+pub use aggregate::{AggAcc, CapturedGroups, NumAcc};
 pub use ranges::{extract_prune_ranges, PruneRanges};
-pub use scan::scan_table;
+pub use scan::{capture_groups, scan_table};
 pub use topk::top_k;
 
 use crate::database::Database;
@@ -78,6 +84,17 @@ impl ExecStats {
         self.join_probes += other.join_probes;
         self.agg_groups += other.agg_groups;
     }
+}
+
+/// What a capture is told of each batch the scan prefix groups: the
+/// batch's columns, its selected rows, and the group of each of them.
+pub type GroupSink<'s> = dyn FnMut(&[imp_storage::ColumnData], &[usize], &[usize]) + 's;
+
+/// Is `plan` an aggregation whose input is a scan prefix
+/// (`Aggregate ← (Project | Filter)* ← Scan`)? Those are the plans
+/// [`capture_groups`] groups.
+pub fn aggregates_a_scan_prefix(plan: &LogicalPlan) -> bool {
+    scan::ScanPrefix::of(plan).is_some_and(|prefix| prefix.aggregates())
 }
 
 /// Evaluate `plan` against `db`.

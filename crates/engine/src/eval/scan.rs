@@ -19,9 +19,13 @@
 //!    whose keys and arguments are NULL-free Int or Float columns is read
 //!    as slices and grouped a batch at a time, any other batch row by row
 //!    as cells, and key values are copied once per new group
-//!    (`eval/aggregate.rs`); positions, the batches kept with their
-//!    selections and nothing evaluated — [`ScanPrefix::relation`], for the
-//!    joins, filters and projections above (`eval/join.rs`); or rows
+//!    (`eval/aggregate.rs`); the same group table for a sketch capture —
+//!    [`capture_groups`], which tells the capture each batch's selected
+//!    rows and their groups, from which it counts each group's rows per
+//!    fragment of the table's partition; positions, the
+//!    batches kept with their selections and nothing evaluated —
+//!    [`ScanPrefix::relation`], for the joins, filters and projections
+//!    above (`eval/join.rs`); or rows
 //!    holding the output expressions only, in storage order —
 //!    [`ScanPrefix::run`] otherwise, the one place a scan builds a `Row`.
 //!
@@ -31,11 +35,12 @@
 //! operator-at-a-time fails here too unless the failing expression is one
 //! the pipeline never needs.
 
-use super::aggregate::{Aggregation, Grouping, Slice};
+use super::aggregate::{Aggregation, CapturedGroups, Grouping, Slice};
 use super::join::{Pos, Relation};
 use super::ranges::{extract_prune_ranges, split, ColumnRanges, PruneRanges};
-use super::{new_row, Bag, ExecStats};
+use super::{new_row, Bag, ExecStats, GroupSink};
 use crate::database::Database;
+use crate::error::EngineError;
 use crate::Result;
 use imp_sql::{Expr, LogicalPlan, SqlError};
 use imp_storage::{ColumnData, Row, Table, Value};
@@ -63,6 +68,46 @@ pub fn scan_table(
         on_row,
         on_chunk_skipped,
     )
+}
+
+/// Group `plan`, an aggregation over a scan prefix
+/// ([`super::aggregates_a_scan_prefix`]), on the pipeline and group table
+/// [`super::execute`] runs it on — the group table's capture feeder — and
+/// hand `sink` each batch's columns, its selected rows and the group of
+/// each of them.
+pub fn capture_groups(
+    plan: &LogicalPlan,
+    db: &Database,
+    sink: &mut GroupSink<'_>,
+    stats: &mut ExecStats,
+) -> Result<CapturedGroups> {
+    let prefix = ScanPrefix::of(plan);
+    let Some((prefix, aggregation)) =
+        (prefix.as_ref()).and_then(|p| Some((p, p.aggregate.as_ref()?)))
+    else {
+        return Err(EngineError::Unsupported(format!(
+            "a capture groups an aggregation over a scan prefix, not {}",
+            plan.explain()
+        )));
+    };
+    let t = db.table(prefix.table)?;
+    let mut grouping = Grouping::new(aggregation, t.schema().arity());
+    let mut groups = Vec::new();
+    prefix.scan(t, stats, |columns, selection| {
+        let slice = |c: usize| Slice::of(&columns[c]);
+        if grouping.add_batch(selection.len(), slice, |i| selection[i], |_| 1)? {
+            sink(columns, selection, grouping.batch_groups());
+            return Ok(());
+        }
+        groups.clear();
+        for &idx in selection.iter() {
+            let cell = |c: usize| columns[c].cell(idx);
+            groups.push(grouping.add(cell, |c| column_value(columns, c, idx), 1)?);
+        }
+        sink(columns, selection, &groups);
+        Ok(())
+    })?;
+    Ok(grouping.captured(stats))
 }
 
 /// The scan prefix of a plan, composed over the scanned table's columns.
