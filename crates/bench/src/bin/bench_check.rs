@@ -29,10 +29,6 @@
 //!   every `METRICS_*.json` parses as a registry snapshot whose metric
 //!   names all appear in the paired `METRICS_*.prom` text exposition,
 //!   and every exposition line carries a numeric value.
-//! * `--check-obsd` — standalone mode: validate the obsd endpoint
-//!   artifacts in DIR (written by `fig_obsd` or curled from a live
-//!   endpoint) — at least one `*.prom` scrape, and every exposition
-//!   line parses as `name{labels} value`.
 //! * `--self-test` — no files: build an in-memory baseline, inject a
 //!   synthetic 2× regression, and verify the gate catches it (and that a
 //!   clean run passes). Run in CI before the real gate so a silently
@@ -55,7 +51,6 @@ fn main() -> ExitCode {
     let mut history: Option<PathBuf> = None;
     let mut trend: Option<PathBuf> = None;
     let mut check_obs: Option<PathBuf> = None;
-    let mut check_obsd: Option<PathBuf> = None;
     let mut self_test = false;
 
     let mut args = std::env::args().skip(1);
@@ -69,13 +64,12 @@ fn main() -> ExitCode {
             "--history" => history = Some(required(&mut args, "--history").into()),
             "--trend" => trend = Some(required(&mut args, "--trend").into()),
             "--check-obs" => check_obs = Some(required(&mut args, "--check-obs").into()),
-            "--check-obsd" => check_obsd = Some(required(&mut args, "--check-obsd").into()),
             "--self-test" => self_test = true,
             "--help" | "-h" => {
                 println!(
                     "bench_check [--baseline DIR] [--current DIR] [--factor F] \
                      [--history FILE] [--trend FILE] [--check-obs DIR] \
-                     [--check-obsd DIR] [--self-test]"
+                     [--self-test]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -94,9 +88,6 @@ fn main() -> ExitCode {
     }
     if let Some(dir) = check_obs {
         return run_check_obs(&dir);
-    }
-    if let Some(dir) = check_obsd {
-        return run_check_obsd(&dir);
     }
     run_gate(&baseline_dir, &current_dir, factor, history.as_deref())
 }
@@ -506,91 +497,6 @@ fn check_metrics_file(path: &Path) -> Result<usize, String> {
             .map_err(|_| format!("exposition line {}: value {value:?} is not numeric", i + 1))?;
     }
     Ok(list.len())
-}
-
-/// `--check-obsd`: validate obsd endpoint artifacts in `dir` (see the
-/// module docs). The CI smoke job curls a live endpoint and `fig_obsd`
-/// writes its own captures; either way a missing or malformed artifact
-/// fails the job so the telemetry plane can't silently regress to
-/// serving garbage.
-fn run_check_obsd(dir: &Path) -> ExitCode {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("bench_check: cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut names: Vec<String> = entries
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
-
-    let mut scrapes = 0usize;
-    let mut problems: Vec<String> = Vec::new();
-    for name in &names {
-        if !name.ends_with(".prom") || name.starts_with("METRICS_") {
-            continue; // METRICS_* pairs belong to --check-obs
-        }
-        scrapes += 1;
-        match check_prom_scrape(&dir.join(name)) {
-            Ok(series) => println!("{name}: {series} exposition series OK"),
-            Err(e) => problems.push(format!("{name}: {e}")),
-        }
-    }
-    if scrapes == 0 {
-        problems.push(format!(
-            "no *.prom endpoint scrapes under {}",
-            dir.display()
-        ));
-    }
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("bench_check: {p}");
-        }
-        eprintln!(
-            "\nbench_check: FAIL — {} obsd artifact problem(s)",
-            problems.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("\nbench_check: OK — {scrapes} scrape(s) valid");
-    ExitCode::SUCCESS
-}
-
-/// One `/metrics` scrape: every non-comment line must be
-/// `name{labels} value` with a numeric value and a sane metric-name
-/// charset, and at least one series must be present. Returns the series
-/// count.
-fn check_prom_scrape(path: &Path) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let mut series = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name_part, value) = line
-            .rsplit_once(' ')
-            .ok_or(format!("line {}: no value", i + 1))?;
-        value
-            .parse::<f64>()
-            .map_err(|_| format!("line {}: value {value:?} is not numeric", i + 1))?;
-        let name = name_part.split('{').next().unwrap_or_default();
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
-            return Err(format!("line {}: bad metric name in {line:?}", i + 1));
-        }
-        series += 1;
-    }
-    if series == 0 {
-        return Err("empty exposition — the endpoint served no series".into());
-    }
-    Ok(series)
 }
 
 /// Prove the gate actually gates: a clean pair passes, an injected 2×

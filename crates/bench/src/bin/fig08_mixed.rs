@@ -52,7 +52,6 @@ fn main() {
                 db,
                 ImpConfig {
                     fragments: 100,
-                    columnar_min: columnar_min(),
                     ..Default::default()
                 },
             );

@@ -89,7 +89,7 @@ fn run_scale(label: &str, tpch_scale: f64, report: &mut BenchReport) {
             let plan = db.plan_sql(sql).unwrap();
             let pset = pset_for(&db, ptable, pattr, 100);
             let updates = lineitem_inserts(reps(), delta, delta as u64);
-            let m = measure_inc_vs_full(&mut db, &plan, &pset, &updates, bench_op_config());
+            let m = measure_inc_vs_full(&mut db, &plan, &pset, &updates);
             let qtag = name.split(' ').next().unwrap_or(name);
             report.add(
                 Record::new("inc_vs_full", format!("{scale_tag}/{qtag}/d{delta}"))
@@ -132,9 +132,9 @@ fn main() {
     let mut rows = Vec::new();
     for delta in [10usize, 100, 1000] {
         let ins = lineitem_inserts(reps(), delta, 7 + delta as u64);
-        let m_ins = measure_inc_vs_full(&mut db, &plan, &pset, &ins, bench_op_config());
+        let m_ins = measure_inc_vs_full(&mut db, &plan, &pset, &ins);
         let del = lineitem_deletes(reps(), delta, 9 + delta as u64);
-        let m_del = measure_inc_vs_full(&mut db, &plan, &pset, &del, bench_op_config());
+        let m_del = measure_inc_vs_full(&mut db, &plan, &pset, &del);
         report.add(
             Record::new("insert_vs_delete", format!("d{delta}"))
                 .time_stats("insert", &m_ins.imp_stats)

@@ -53,7 +53,7 @@ fn main() {
             let plan = db.plan_sql(sql).unwrap();
             let pset = pset_for(&db, "crimes", "beat", 100);
             let updates = crime_inserts(reps(), delta, rows * 10, delta as u64);
-            let m = measure_inc_vs_full(&mut db, &plan, &pset, &updates, bench_op_config());
+            let m = measure_inc_vs_full(&mut db, &plan, &pset, &updates);
             report.add(
                 Record::new("inc_vs_full", format!("{name}/d{delta}"))
                     .time_stats("imp", &m.imp_stats)
@@ -83,9 +83,9 @@ fn main() {
         let plan = db.plan_sql(CRIMES_CQ1).unwrap();
         let pset = pset_for(&db, "crimes", "beat", 100);
         let ins = crime_inserts(reps(), delta, rows * 20, 31 + delta as u64);
-        let m_ins = measure_inc_vs_full(&mut db, &plan, &pset, &ins, bench_op_config());
+        let m_ins = measure_inc_vs_full(&mut db, &plan, &pset, &ins);
         let del = crime_deletes(reps(), delta, rows, 37 + delta as u64);
-        let m_del = measure_inc_vs_full(&mut db, &plan, &pset, &del, bench_op_config());
+        let m_del = measure_inc_vs_full(&mut db, &plan, &pset, &del);
         report.add(
             Record::new("insert_vs_delete", format!("d{delta}"))
                 .time_stats("insert", &m_ins.imp_stats)

@@ -92,7 +92,7 @@ fn sweep(
     for delta in [10usize, 100, 1000] {
         let pset = pset_for(db, table, "a", frags);
         let ups = insert_stream(table, reps(), delta, groups, table_rows * 8, delta as u64);
-        let m = measure_inc_vs_full(db, &plan, &pset, &ups, bench_op_config());
+        let m = measure_inc_vs_full(db, &plan, &pset, &ups);
         let memo_total = m.metrics.pool_unions_computed + m.metrics.pool_union_memo_hits;
         // Each measured iteration maintains one delta batch of `delta`
         // rows; the criterion-shim throughput over the median sample
@@ -145,7 +145,7 @@ fn sweep(
         let delta = (table_rows * pct / 100).max(1);
         let pset = pset_for(db, table, "a", frags);
         let ups = insert_stream(table, 1, delta, groups, table_rows * 16, 77 + pct as u64);
-        let m = measure_inc_vs_full(db, &plan, &pset, &ups, bench_op_config());
+        let m = measure_inc_vs_full(db, &plan, &pset, &ups);
         report.add(
             Record::new(format!("{experiment}_breakeven"), format!("{label}/p{pct}"))
                 .metric("imp_ns", m.imp_ms * 1e6, Unit::Ns, false)

@@ -51,7 +51,7 @@ fn exp_selpd(report: &mut BenchReport) {
                 &plan,
                 &db,
                 Arc::clone(&pset),
-                bench_op_config(),
+                OpConfig::default(),
                 pushdown,
             )
             .unwrap();
@@ -132,7 +132,7 @@ fn exp_index(report: &mut BenchReport) {
             let pset = pset_for(&db, &name, "a", 100);
             let cfg = OpConfig {
                 join_index_budget: index.then_some(imp_core::ops::DEFAULT_JOIN_INDEX_BUDGET),
-                ..bench_op_config()
+                ..OpConfig::default()
             };
             let ups = insert_stream(&name, batches, delta, groups, rows * 8, 3);
             let (mut m, _) =
@@ -218,7 +218,7 @@ fn exp_space(report: &mut BenchReport) {
         let cfg = OpConfig {
             topk_buffer: buffer,
             minmax_buffer: buffer,
-            ..bench_op_config()
+            ..OpConfig::default()
         };
         let (m, _) = SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true).unwrap();
         let (entries, bytes) = m.topk_state().unwrap_or((0, 0));

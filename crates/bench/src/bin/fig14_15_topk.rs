@@ -43,7 +43,7 @@ fn run_strategy(
         let cfg = OpConfig {
             topk_buffer: Some(l),
             minmax_buffer: Some(l),
-            ..bench_op_config()
+            ..OpConfig::default()
         };
         let (mut m, _) =
             SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true).unwrap();

@@ -7,6 +7,7 @@
 
 use imp_bench::*;
 use imp_core::maintain::SketchMaintainer;
+use imp_core::ops::OpConfig;
 use imp_data::queries;
 use imp_data::synthetic::{load, load_join_helper, SyntheticConfig};
 use imp_data::workload::{insert_stream, WorkloadOp};
@@ -41,7 +42,7 @@ fn run_query(
         let plan = db.plan_sql(sql).unwrap();
         let pset = pset_for(&db, table, "a", 100);
         let (mut m, _) =
-            SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), bench_op_config(), true)
+            SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
                 .unwrap();
         // Each "update" inserts one row (the paper batches row-level
         // updates); maintenance runs once per `batch` updates.

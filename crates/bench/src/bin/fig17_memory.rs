@@ -11,6 +11,7 @@
 
 use imp_bench::*;
 use imp_core::maintain::SketchMaintainer;
+use imp_core::ops::OpConfig;
 use imp_data::queries;
 use imp_data::synthetic::{load, load_join_helper, SyntheticConfig};
 use imp_data::workload::{insert_stream, WorkloadOp};
@@ -41,7 +42,7 @@ fn main() {
         let plan = db.plan_sql(&sql).unwrap();
         let pset = pset_for(&db, &name, "a", 100);
         let (mut m, _) =
-            SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), bench_op_config(), true)
+            SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
                 .unwrap();
         report.add(
             Record::new("state_memory", format!("groups{groups}/capture"))
@@ -104,7 +105,8 @@ fn main() {
     let plan = db.plan_sql(&sql).unwrap();
     let pset = pset_for(&db, "tmj", "a", 100);
     let (mut m, _) =
-        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), bench_op_config(), true).unwrap();
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
+            .unwrap();
     report.add(
         Record::new("state_memory", "joinsel5/capture".to_string())
             .heap("state_bytes", m.state_heap_size() as u64)

@@ -63,7 +63,6 @@ fn build_imp(budget: Option<usize>, workers: usize, rows: usize) -> Imp {
         db,
         ImpConfig {
             fragments: 50,
-            columnar_min: columnar_min(),
             sketch_memory_budget: budget,
             sched_workers: workers,
             ..Default::default()

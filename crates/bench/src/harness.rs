@@ -58,35 +58,13 @@ pub fn reps() -> usize {
     }
 }
 
-/// Columnar-kernel crossover from `IMP_COLUMNAR_MIN` (default
-/// [`imp_core::ops::DEFAULT_COLUMNAR_MIN`]): the batch size at which
-/// delta normalization, annotation, and aggregation switch to their
-/// columnar kernels. Harnesses thread it through [`OpConfig`] /
-/// [`imp_core::ImpConfig`], so a CI run can probe both paths. Panics on
-/// unparseable values.
-pub fn columnar_min() -> usize {
-    match std::env::var("IMP_COLUMNAR_MIN") {
-        Ok(s) => parse_env("IMP_COLUMNAR_MIN", &s),
-        Err(_) => imp_core::ops::DEFAULT_COLUMNAR_MIN,
-    }
-}
-
-/// The harnesses' default operator configuration: [`OpConfig::default`]
-/// with the [`columnar_min`] env override applied.
-pub fn bench_op_config() -> OpConfig {
-    OpConfig {
-        columnar_min: columnar_min(),
-        ..OpConfig::default()
-    }
-}
-
 /// Observability switch for the harnesses (`IMP_OBS`, default off): when
-/// on, harnesses run with full `imp_core::obs` instrumentation — latency
-/// histograms, pipeline tracing, scheduler counters — and write the
-/// trace/metrics artifacts next to their `BENCH_*.json` (see
-/// [`write_obs_artifacts`]; `bench_check --check-obs` validates them in
-/// CI). Panics on anything but `0`/`1`/`true`/`false`.
-pub fn obs_enabled() -> bool {
+/// on, [`measure_inc_vs_full`] records into the fully instrumented
+/// [`bench_obs`] hub — latency histograms and pipeline tracing — and
+/// [`write_obs_artifacts`] writes its trace/metrics artifacts next to the
+/// `BENCH_*.json` (`bench_check --check-obs` validates them in CI).
+/// Panics on anything but `0`/`1`/`true`/`false`.
+fn obs_enabled() -> bool {
     match std::env::var("IMP_OBS") {
         Ok(s) => match s.trim() {
             "" | "0" | "false" => false,
@@ -98,21 +76,25 @@ pub fn obs_enabled() -> bool {
 }
 
 /// The process-wide bench observability hub: `Some` (fully enabled,
-/// histograms + tracing) when [`obs_enabled`], `None` otherwise. The
-/// maintainer-level harness paths ([`measure_inc_vs_full`]) record here;
-/// middleware-level harnesses use their own per-`Imp` hub instead.
+/// histograms + tracing) when [`obs_enabled`], `None` otherwise.
+/// [`measure_inc_vs_full`] records here.
 pub fn bench_obs() -> Option<&'static Arc<Obs>> {
     static OBS: OnceLock<Option<Arc<Obs>>> = OnceLock::new();
     OBS.get_or_init(|| obs_enabled().then(|| Obs::new(&ObsConfig::on())))
         .as_ref()
 }
 
-/// Write one hub's observability artifacts into `IMP_BENCH_OUT` (default
-/// `.`, the same convention as `BenchReport::finish`):
-/// `TRACE_<harness>.json` (Chrome trace-event JSON, loadable in
+/// Write the [`bench_obs`] hub's artifacts into `IMP_BENCH_OUT` (default
+/// `.`, the same convention as `BenchReport::finish`; no-op with `IMP_OBS`
+/// off): `TRACE_<harness>.json` (Chrome trace-event JSON, loadable in
 /// `chrome://tracing`), `METRICS_<harness>.json` (deterministic registry
 /// snapshot), and `METRICS_<harness>.prom` (Prometheus text exposition).
-pub fn write_obs_artifacts_from(harness: &str, obs: &Obs) {
+/// Harnesses that measure through [`measure_inc_vs_full`] call this once
+/// after `BenchReport::finish`.
+pub fn write_obs_artifacts(harness: &str) {
+    let Some(obs) = bench_obs() else {
+        return;
+    };
     let dir =
         std::path::PathBuf::from(std::env::var("IMP_BENCH_OUT").unwrap_or_else(|_| ".".into()));
     std::fs::create_dir_all(&dir)
@@ -126,15 +108,6 @@ pub fn write_obs_artifacts_from(harness: &str, obs: &Obs) {
         std::fs::write(&path, contents)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         println!("wrote {}", path.display());
-    }
-}
-
-/// Write the [`bench_obs`] hub's artifacts (no-op with `IMP_OBS` off).
-/// Harnesses that measure through [`measure_inc_vs_full`] call this once
-/// after `BenchReport::finish`.
-pub fn write_obs_artifacts(harness: &str) {
-    if let Some(obs) = bench_obs() {
-        write_obs_artifacts_from(harness, obs);
     }
 }
 
@@ -266,10 +239,9 @@ pub fn measure_inc_vs_full(
     plan: &LogicalPlan,
     pset: &Arc<PartitionSet>,
     updates: &[WorkloadOp],
-    op_config: OpConfig,
 ) -> IncVsFull {
     let (mut maintainer, _) =
-        SketchMaintainer::capture(plan, db, Arc::clone(pset), op_config, true).unwrap();
+        SketchMaintainer::capture(plan, db, Arc::clone(pset), OpConfig::default(), true).unwrap();
     // Under IMP_OBS the measured maintains record into the bench hub:
     // attaching the tracer here makes the operator-level spans
     // (`join_delta`, `nary_probe`, `aggregate_delta`, …) land in its

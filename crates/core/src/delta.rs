@@ -14,8 +14,8 @@
 //! and cancels at zero multiplicity everywhere
 //! ([`crate::opt::SideIndex`], aggregation groups), and
 //! [`normalize_delta_with`] annihilates same-batch insert+delete pairs
-//! before an operator's output reaches its parent. The `nary_differential` and `fig_churn`/`fig_deep`
-//! suites drive eviction/restore cycles under such churn and require
+//! before an operator's output reaches its parent. The `nary_differential`
+//! suite drives eviction/restore cycles under such churn and requires
 //! byte-identical sketches against the oracles.
 //!
 //! # The `DeltaBatch` / `AnnotPool` design

@@ -229,34 +229,59 @@ mod tests {
     }
 
     /// The deterministic counts of one maintenance run.
-    fn counts(report: &MaintReport) -> (u64, u64, u64, Vec<u64>) {
+    fn counts(report: &MaintReport) -> (u64, u64, u64, Vec<u64>, u64, bool) {
         let m = &report.metrics;
         (
             m.delta_rows_fetched,
             m.rows_processed,
             m.join_index_probes,
             report.nary_input_probes.clone(),
+            m.db_roundtrips,
+            report.recaptured,
         )
     }
 
-    /// One single-row insert per chain table, then its retraction (no
-    /// base row of [`chain_db`] is `(1, 7)`).
-    fn single_row_deltas() -> Vec<String> {
-        let mut stmts = Vec::new();
+    /// Rows each churn batch of [`delta_batches`] inserts into every chain
+    /// table and deletes again.
+    const CHURN_WINDOWS: [i64; 2] = [2, 5];
+
+    /// The statements of each maintenance run: one single-row insert per
+    /// chain table, then its retraction (no base row of [`chain_db`] is
+    /// `(1, 7)`); then per [`CHURN_WINDOWS`] entry `w` one churned run, in
+    /// which `w` rows are inserted into every table and deleted again
+    /// (their value column is negative, so the delete hits no base row).
+    fn delta_batches() -> Vec<Vec<String>> {
+        let mut batches = Vec::new();
         for (table, key_col, val_col) in TABLES {
-            stmts.push(format!("INSERT INTO {table} VALUES (1, 7)"));
-            stmts.push(format!(
+            batches.push(vec![format!("INSERT INTO {table} VALUES (1, 7)")]);
+            batches.push(vec![format!(
                 "DELETE FROM {table} WHERE {key_col} = 1 AND {val_col} = 7"
-            ));
+            )]);
         }
-        stmts
+        for (i, w) in CHURN_WINDOWS.into_iter().enumerate() {
+            let mark = -1 - i as i64;
+            let mut batch = Vec::new();
+            for (table, _, _) in TABLES {
+                let rows: Vec<String> = (0..w).map(|k| format!("({k}, {mark})")).collect();
+                batch.push(format!("INSERT INTO {table} VALUES {}", rows.join(", ")));
+            }
+            for (table, _, val_col) in TABLES {
+                batch.push(format!("DELETE FROM {table} WHERE {val_col} = {mark}"));
+            }
+            batches.push(batch);
+        }
+        batches
     }
 
     /// Veldhuizen's bound as counts, the accounting rule as a tripwire:
     /// identical single-row deltas against a 4-table chain cost the same
     /// rows, index probes and per-input probes at 2 k and at 200 k base
     /// rows — and no run, sweep or publish visits one state entry to
-    /// size anything.
+    /// size anything. Under churn no run recaptures, the join indexes
+    /// hold exactly the live base rows (no intermediate pair state), a
+    /// run makes a database round trip only to build an input's index
+    /// the first time another input's delta probes it, and rows inserted
+    /// and deleted again before a run cancel before the operators.
     #[test]
     fn maintenance_cost_follows_the_delta_not_the_state() {
         let mut per_size = Vec::new();
@@ -270,8 +295,10 @@ mod tests {
             let mut inline = Imp::new(chain_db(rows_per_table, keys), config(0));
             inline.execute(QUERIES[0]).unwrap();
             let mut inline_counts = Vec::new();
-            for stmt in single_row_deltas() {
-                inline.execute(&stmt).unwrap();
+            for batch in delta_batches() {
+                for stmt in &batch {
+                    inline.execute(stmt).unwrap();
+                }
                 let ImpResponse::Rows { mode, .. } = inline.execute(QUERIES[0]).unwrap() else {
                     panic!("rows expected")
                 };
@@ -287,13 +314,19 @@ mod tests {
             let mut sharded = Imp::new(chain_db(rows_per_table, keys), config(1));
             sharded.execute(QUERIES[0]).unwrap();
             let mut runs = 0;
-            for stmt in single_row_deltas() {
+            for batch in delta_batches() {
                 let paused = sharded.scheduler().unwrap().pause();
-                sharded.execute(&stmt).unwrap();
+                for stmt in &batch {
+                    sharded.execute(stmt).unwrap();
+                }
                 runs += sharded.scheduler().unwrap().drain();
                 paused.resume();
             }
-            assert_eq!(runs, 2 * TABLES.len(), "every update is one run, made here");
+            assert_eq!(
+                runs,
+                delta_batches().len(),
+                "every batch is one run, made here"
+            );
             let mut shared_counts = Vec::new();
             {
                 let db = chain_db(rows_per_table, keys);
@@ -305,11 +338,21 @@ mod tests {
                     crate::SketchMaintainer::capture(&plan, &db, pset, config(0).op_config(), true)
                         .unwrap();
                 let db = RwLock::new(db);
-                for stmt in single_row_deltas() {
-                    db.write().execute_sql(&stmt).unwrap();
+                for batch in delta_batches() {
+                    for stmt in &batch {
+                        db.write().execute_sql(stmt).unwrap();
+                    }
                     let report = m.maintain_with(&DbAccess::shared(&db), true).unwrap();
                     shared_counts.push(counts(&report));
                 }
+                let live: usize = (TABLES.iter())
+                    .map(|(table, _, _)| db.read().table(table).unwrap().row_count())
+                    .sum();
+                assert_eq!(
+                    m.join_index_state().0,
+                    live,
+                    "the join indexes hold each live base row once, and nothing else"
+                );
             }
 
             assert_eq!(
@@ -319,13 +362,32 @@ mod tests {
             );
             assert_eq!(
                 inline_counts.len(),
-                2 * TABLES.len(),
-                "every update maintains"
+                delta_batches().len(),
+                "every batch maintains"
             );
             assert_eq!(
                 inline_counts, shared_counts,
                 "a query's run and a sweep's run agree"
             );
+            // The first delta on ta probes (and so indexes) tb, tc and td;
+            // the first on tb indexes ta. No other run leaves memory.
+            assert_eq!(
+                inline_counts[0].3,
+                [0, 1, 1, 1],
+                "one probe per other input"
+            );
+            let mut roundtrips = vec![0; inline_counts.len()];
+            (roundtrips[0], roundtrips[2]) = (3, 1);
+            assert_eq!(
+                inline_counts.iter().map(|c| c.4).collect::<Vec<_>>(),
+                roundtrips
+            );
+            assert!(inline_counts.iter().all(|c| !c.5), "churn recaptured");
+            let churned = &inline_counts[2 * TABLES.len()..];
+            for (&w, (fetched, processed, ..)) in CHURN_WINDOWS.iter().zip(churned) {
+                assert_eq!(*fetched, 2 * 4 * w as u64, "each inserted and deleted row");
+                assert_eq!(*processed, 0, "churned delta rows reached the operators");
+            }
             // The oracle still agrees at this size (and does visit state).
             assert_exact(&inline, "the scaling script").unwrap();
             assert_exact(&sharded, "the scaling script").unwrap();

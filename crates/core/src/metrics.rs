@@ -94,7 +94,7 @@ impl MaintMetrics {
 /// Shared atomic counters of the maintenance scheduler
 /// ([`crate::sched`]): writers and every worker update them lock-free;
 /// [`SchedMetrics::snapshot`] captures a consistent-enough view for
-/// reporting (the `fig_sched` harness and tests).
+/// reporting (`bench_cycle`'s `sched.*` metrics and tests).
 #[derive(Debug)]
 pub struct SchedMetrics {
     /// Updates noted for the workers (the writer returned without

@@ -32,8 +32,8 @@ use crate::obs::{Obs, SampleValue, MAINTAIN_LATENCY};
 use crate::sched::SnapshotBoard;
 
 /// Worker threads of the exposition server: scrapes are cheap
-/// snapshot-renders, so a handful of threads absorbs even aggressive
-/// fleets (the `fig_obsd` harness drives 64+ concurrent scrapers).
+/// snapshot-renders, so a handful of threads absorbs a scrape fleet
+/// (`obsd_integration` drives 8 clients beside live maintenance).
 const OBSD_THREADS: usize = 4;
 
 /// Environment variable that starts obsd when

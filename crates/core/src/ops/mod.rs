@@ -124,8 +124,8 @@ pub const DEFAULT_JOIN_INDEX_BUDGET: usize = 1 << 20;
 
 /// Default row-count crossover at which delta kernels switch from the
 /// row-at-a-time path to the columnar one (normalize, annotate).
-/// Measured on the smoke workloads; override per run via
-/// [`OpConfig::columnar_min`] (harnesses expose `IMP_COLUMNAR_MIN`).
+/// Priced by `bench_cycle`'s `core.normalize_ns_per_row` and
+/// `sketch.annotate_ns_per_row`; override via [`OpConfig::columnar_min`].
 pub const DEFAULT_COLUMNAR_MIN: usize = 32;
 
 /// Tuning knobs for operator construction.
@@ -435,8 +435,8 @@ impl IncNode {
         size
     }
 
-    /// Arity of the topmost join in the circuit, if any (`fig_deep` and
-    /// the differential tests assert how a plan flattened).
+    /// Arity of the topmost join in the circuit, if any (the differential
+    /// tests assert how a plan flattened).
     pub fn nary_arity(&self) -> Option<usize> {
         self.find_nary(&mut |n| n.arity())
     }

@@ -504,7 +504,7 @@ impl NaryJoinOp {
 
     /// `(entries, bytes)` across the n per-input indexes — the *only*
     /// state this operator holds (no intermediate pair indexes exist;
-    /// `fig_deep` asserts exactly this).
+    /// `heap_oracle`'s count test asserts exactly this).
     pub fn index_state(&self) -> (usize, usize) {
         let mut entries = 0;
         let mut bytes = 0;

@@ -9,8 +9,8 @@
 //! test compiles to its own binary, so the swap is contained). The count
 //! is per thread, so the test harness's own threads never land in it; the
 //! store runs without workers, so the whole workload runs on the test's
-//! thread. The wall-clock overhead bound lives in the benchmarks
-//! (`fig_obsd`, and `bench_cycle`'s `trace.overhead_frac`).
+//! thread. The wall-clock overhead is measured by `bench_cycle`'s
+//! `trace.overhead_frac`.
 
 use imp_core::middleware::{Imp, ImpConfig};
 use imp_core::ObsConfig;

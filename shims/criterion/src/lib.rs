@@ -1,21 +1,15 @@
 //! Offline shim for `criterion`.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors a minimal wall-clock benchmarking harness with the subset of
-//! the criterion API its benches use: [`Criterion::bench_function`],
-//! [`Bencher::iter`], [`black_box`], and the [`criterion_group!`] /
-//! [`criterion_main!`] macros (including the
-//! `name = ...; config = ...; targets = ...` form).
-//!
-//! No outlier rejection or HTML reports — each benchmark runs
-//! `sample_size` samples bounded by `measurement_time` and prints mean /
-//! median / stddev / min time per iteration (the median and stddev make
-//! run-to-run comparisons stable against scheduler noise without the
-//! real crate's full bootstrap statistics). Numbers are comparable
-//! run-to-run on the same machine, which is all the figure harnesses
-//! need.
+//! vendors the sample statistics its figure harnesses record:
+//! [`sample_stats`] (mean / median / stddev / min / max of a set of
+//! timed runs), [`SampleStats::throughput_per_sec`] with [`Throughput`],
+//! and [`black_box`]. There is no benchmark driver: the harnesses time
+//! their own runs. The median and stddev make run-to-run comparisons
+//! stable against scheduler noise without the real crate's bootstrap
+//! statistics.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use std::hint::black_box;
 
@@ -29,108 +23,8 @@ pub enum Throughput {
     Bytes(u64),
 }
 
-/// Benchmark driver holding measurement settings.
-#[derive(Debug, Clone)]
-pub struct Criterion {
-    sample_size: usize,
-    measurement_time: Duration,
-}
-
-impl Default for Criterion {
-    fn default() -> Criterion {
-        Criterion {
-            sample_size: 10,
-            measurement_time: Duration::from_secs(1),
-        }
-    }
-}
-
-impl Criterion {
-    /// Number of measured samples per benchmark.
-    pub fn sample_size(mut self, n: usize) -> Criterion {
-        assert!(n > 0, "sample_size must be positive");
-        self.sample_size = n;
-        self
-    }
-
-    /// Wall-clock budget per benchmark; sampling stops early when spent.
-    pub fn measurement_time(mut self, d: Duration) -> Criterion {
-        self.measurement_time = d;
-        self
-    }
-
-    /// Accepted for API compatibility; the shim's single warmup
-    /// iteration is not time-bounded.
-    pub fn warm_up_time(self, _d: Duration) -> Criterion {
-        self
-    }
-
-    /// Accepted for CLI compatibility with the real crate; no-op.
-    pub fn configure_from_args(self) -> Criterion {
-        self
-    }
-
-    /// Run one benchmark: `f` receives a [`Bencher`] and calls
-    /// [`Bencher::iter`] with the routine to measure.
-    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Criterion
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher {
-            sample_size: self.sample_size,
-            measurement_time: self.measurement_time,
-            samples: Vec::new(),
-        };
-        f(&mut b);
-        b.report(id);
-        self
-    }
-}
-
-/// Timer handed to each benchmark closure.
-#[derive(Debug)]
-pub struct Bencher {
-    sample_size: usize,
-    measurement_time: Duration,
-    samples: Vec<Duration>,
-}
-
-impl Bencher {
-    /// Measure `routine`, running one warmup plus up to `sample_size`
-    /// timed samples within the measurement budget.
-    pub fn iter<O, R>(&mut self, mut routine: R)
-    where
-        R: FnMut() -> O,
-    {
-        black_box(routine());
-        let budget_start = Instant::now();
-        self.samples.clear();
-        for _ in 0..self.sample_size {
-            let t = Instant::now();
-            black_box(routine());
-            self.samples.push(t.elapsed());
-            if budget_start.elapsed() > self.measurement_time {
-                break;
-            }
-        }
-    }
-
-    fn report(&self, id: &str) {
-        if self.samples.is_empty() {
-            println!("{id:<40} (no samples: routine never ran)");
-            return;
-        }
-        let s = sample_stats(&self.samples);
-        println!(
-            "{id:<40} mean {:>12?}  median {:>12?}  stddev {:>12?}  min {:>12?}  ({} samples)",
-            s.mean, s.median, s.stddev, s.min, s.count
-        );
-    }
-}
-
-/// The raw statistics of one measured sample set, exposed so downstream
-/// harnesses (the `BENCH_*.json` trajectory writer) can record the same
-/// numbers the console report prints.
+/// The raw statistics of one measured sample set, as the harnesses record
+/// them in their `BENCH_*.json` trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SampleStats {
     /// Arithmetic mean per iteration.
@@ -184,8 +78,8 @@ pub fn sample_stats(samples: &[Duration]) -> SampleStats {
 
 /// Median sample (upper median for even counts — bias is irrelevant at
 /// these sample sizes and keeps the computation allocation-light).
-/// [`Duration::ZERO`] for an empty set: a zero-sample run (a routine that
-/// never completed within the budget) must not panic the harness.
+/// [`Duration::ZERO`] for an empty set: a harness that timed nothing
+/// must not panic.
 pub fn median(samples: &[Duration]) -> Duration {
     if samples.is_empty() {
         return Duration::ZERO;
@@ -212,61 +106,9 @@ pub fn stddev(samples: &[Duration], mean: Duration) -> Duration {
     Duration::from_secs_f64(var.sqrt())
 }
 
-/// Group benchmark functions, optionally under a shared [`Criterion`]
-/// configuration.
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
-            $($target(&mut criterion);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        );
-    };
-}
-
-/// Entry point running every listed group.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bench_trivial(c: &mut Criterion) {
-        c.bench_function("trivial_add", |b| b.iter(|| black_box(1u64) + 1));
-    }
-
-    #[test]
-    fn harness_runs_a_group() {
-        let mut c = Criterion::default()
-            .sample_size(3)
-            .measurement_time(Duration::from_millis(50));
-        bench_trivial(&mut c);
-    }
-
-    criterion_group! {
-        name = benches;
-        config = Criterion::default().sample_size(2);
-        targets = bench_trivial
-    }
-
-    #[test]
-    fn grouped_entry_point_runs() {
-        benches();
-    }
 
     #[test]
     fn median_and_stddev_are_stable_statistics() {
@@ -291,8 +133,8 @@ mod tests {
 
     #[test]
     fn median_of_zero_samples_is_zero_not_a_panic() {
-        // A zero-sample run (routine never completed within the budget)
-        // must degrade to zeros, not index out of bounds.
+        // A harness that timed nothing must get zeros, not an index out
+        // of bounds.
         assert_eq!(median(&[]), Duration::ZERO);
         assert_eq!(sample_stats(&[]), SampleStats::default());
     }
