@@ -1,15 +1,33 @@
 //! The bootstrap differential (test-only): a from-empty run of an
-//! aggregation over a scan prefix groups on the engine's group table
-//! ([`crate::ops::AggOp`]'s capture path); the row path replays every base
-//! row as a delta instead. For random tables (Int, Float and NULL-bearing
-//! columns, several chunks, tombstones, an open tail), partitions and
-//! plans, both must leave the same state behind, byte for byte: the
-//! encoded maintainer state, the aggregation's heap total, the sketch and
-//! the result bag — and stay identical through the next maintenance run.
-//! A `#[cfg(test)]` counter says which path ran.
+//! aggregation over a select-project-join input groups on the engine's
+//! group table ([`crate::ops::AggOp`]'s capture path); the row path feeds
+//! it the input's rows instead. For random tables (Int, Float and
+//! NULL-bearing columns, several chunks, tombstones, an open tail),
+//! partitions and plans, both must leave the same state behind and stay
+//! the same through the next maintenance run. Over a scan prefix the state
+//! is byte for byte the same — encoded maintainer state, aggregation heap
+//! totals, sketch and result bag. Over a join (2–4 inputs, a cross
+//! product, self-joins, NULL and Float keys, an empty side) the row path's
+//! input is the join's annotated rows from the engine
+//! ([`crate::ops::IncNode::EngineSpj`]), and the group table adds a
+//! tuple's fragments in source order where the row path adds its
+//! annotation's in fragment order, so groups, `CNT` and `ℱ_g` are compared
+//! by value; both paths, and every join without such an aggregation above
+//! it, are checked against the independent annotated evaluator
+//! ([`imp_sketch::capture`]). A `#[cfg(test)]` counter says which path
+//! ran.
+//!
+//! Float sums depend on summation order, which over a join is the join's
+//! tuple order. The row path reads the engine's tuples in the engine's
+//! order, so both paths add alike; the annotated evaluator joins in its
+//! own order. The generated Float values are multiples of 1/2 below 2^4 in
+//! magnitude, summed over fewer than 2^12 tuples, so every partial sum is
+//! exact and the evaluator's results compare exactly too;
+//! [`float_sums_over_a_join_differ_by_rounding_only`] bounds the
+//! difference on values that do round.
 
 use crate::maintain::SketchMaintainer;
-use crate::ops::aggregate::tests::{ROW_CAPTURES_ONLY, TYPED_CAPTURES};
+use crate::ops::aggregate::tests::{GroupByValue, ROW_CAPTURES_ONLY, TYPED_CAPTURES};
 use crate::ops::{IncNode, OpConfig};
 use crate::state_codec::save_state;
 use imp_engine::database::canonical_bag;
@@ -51,7 +69,9 @@ fn to_row(id: i64, (g, h, x, y): RowSpec, nulls: bool) -> Row {
 }
 
 /// `t` loaded in chunks of `chunk` rows with the last rows in the open
-/// tail, the ids `deleted` tombstoned, plus `u(k, w)` to join with.
+/// tail, the ids `deleted` tombstoned, plus three tables to join with:
+/// `u(k, w)`, `v(k2, f)` (a nullable Int and a nullable Float column) and
+/// the empty `e(ke, we)`.
 fn database(rows: &[RowSpec], nulls: bool, chunk: usize, deleted: &[i64]) -> Database {
     let mut db = Database::new();
     let mut t = Table::with_chunk_capacity("t", schema(), chunk);
@@ -59,13 +79,30 @@ fn database(rows: &[RowSpec], nulls: bool, chunk: usize, deleted: &[i64]) -> Dat
     t.bulk_load(loaded.map(|(id, &spec)| to_row(id as i64, spec, nulls)))
         .unwrap();
     db.register_table(t).unwrap();
-    let u = Schema::new(vec![
-        Field::new("k", DataType::Int),
-        Field::new("w", DataType::Int),
-    ]);
-    db.create_table("u", u).unwrap();
+    let ints = |a: &str, b: &str| {
+        Schema::new(vec![
+            Field::new(a, DataType::Int),
+            Field::new(b, DataType::Int),
+        ])
+    };
+    db.create_table("u", ints("k", "w")).unwrap();
     let u_rows = (0..4).map(|k| row![k, 10 * k + 1]);
     db.table_mut("u").unwrap().bulk_load(u_rows).unwrap();
+    let v = Schema::new(vec![
+        Field::nullable("k2", DataType::Int),
+        Field::nullable("f", DataType::Float),
+    ]);
+    db.create_table("v", v).unwrap();
+    let v_rows = [
+        row![0, 0.5],
+        row![1, -1.0],
+        row![Value::Null, 1.5],
+        row![2, Value::Null],
+        row![1, 2.0],
+        row![-3, 0.0],
+    ];
+    db.table_mut("v").unwrap().bulk_load(v_rows).unwrap();
+    db.create_table("e", ints("ke", "we")).unwrap();
     for id in deleted {
         db.execute_sql(&format!("DELETE FROM t WHERE id = {id}"))
             .unwrap();
@@ -75,15 +112,20 @@ fn database(rows: &[RowSpec], nulls: bool, chunk: usize, deleted: &[i64]) -> Dat
 
 /// The partition of `t` numbered `choice`: none, an equi-depth one on
 /// `g`, `h`, `x`, `y` or `id`, or Int cuts on the Float column `y` (whose
-/// fragments are found cell by cell).
-fn partitions(db: &Database, choice: usize, fragments: usize) -> Arc<PartitionSet> {
+/// fragments are found cell by cell); with `others` 1 or 2 also `u` on
+/// `k`, with 2 also `v` on the nullable Float column `f` (Int cuts, found
+/// cell by cell).
+fn partitions(db: &Database, choice: usize, fragments: usize, others: usize) -> Arc<PartitionSet> {
     let attribute = ["", "g", "h", "x", "y", "id"];
     let partition = match choice {
         0 => None,
         6 => Some(RangePartition::new("t", "y", 4, vec![Value::Int(-1), Value::Int(2)]).unwrap()),
         c => Some(RangePartition::equi_depth(db, "t", attribute[c], fragments).unwrap()),
     };
-    Arc::new(PartitionSet::new(partition.into_iter().collect()).unwrap())
+    let u = RangePartition::new("u", "k", 0, vec![Value::Int(2)]).unwrap();
+    let v = RangePartition::new("v", "f", 1, vec![Value::Int(0), Value::Int(1)]).unwrap();
+    let others = [u, v].into_iter().take(others);
+    Arc::new(PartitionSet::new(partition.into_iter().chain(others).collect()).unwrap())
 }
 
 const KEYS: [&str; 4] = ["g", "h", "x", "y"];
@@ -145,11 +187,6 @@ fn query(shape: usize, keys: &[usize], aggs: &[usize], filter: usize) -> (String
         // MIN/MAX: the group table keeps no multiset; rows.
         5 => (
             format!("SELECT {select}, min(x) AS lo, max(y) AS hi FROM t{filter}{group_by}"),
-            false,
-        ),
-        // An aggregation over a join: rows.
-        6 if !keys.is_empty() => (
-            format!("SELECT {select}, sum(w) AS sw FROM t JOIN u ON (g = k){filter}{group_by}"),
             false,
         ),
         _ => (format!("SELECT {select} FROM t{filter}{group_by}"), true),
@@ -234,7 +271,7 @@ proptest! {
         retract in 0i64..64,
     ) {
         let mut db = database(&rows, nulls, chunk, &deleted);
-        let pset = partitions(&db, partition, fragments);
+        let pset = partitions(&db, partition, fragments, 0);
         let keys: Vec<usize> = keys.into_iter().collect();
         let (sql, typed_shape) = query(shape, &keys, &aggs, filter);
         let plan = db.plan_sql(&sql).unwrap();
@@ -299,4 +336,247 @@ fn a_group_over_many_fragments_keeps_the_order_its_rows_met_them() {
     assert_eq!(ran, 1);
     assert_eq!(rows_bag, typed_bag);
     assert_same(&by_rows, &typed, sql).unwrap();
+}
+
+/// The FROM clauses of the generated joins; `{t}` is the first scan of
+/// `t`, a filtered and computed subquery when the case filters below the
+/// join.
+const JOINS: [&str; 7] = [
+    "{t} JOIN u ON (g = k)",
+    // Three inputs; `x` and `k2` hold NULLs.
+    "{t} JOIN u ON (g = k) JOIN v ON (x = k2)",
+    // Four inputs, `u` twice.
+    "{t} JOIN u ON (g = k) JOIN v ON (k = k2) JOIN (SELECT k AS k3, w AS w3 FROM u) uu \
+     ON (h = k3)",
+    // A cross product.
+    "{t}, u",
+    // A self-join, one scan filtered.
+    "{t} JOIN (SELECT id AS id2, g AS g2, h AS h2 FROM t WHERE h < 3) t2 ON (g = g2)",
+    // Float keys, both nullable.
+    "{t} JOIN v ON (y = f)",
+    // An empty side.
+    "{t} JOIN e ON (g = ke)",
+];
+
+/// What sits above a generated join, and whether an aggregation groups it
+/// on the engine's group table.
+fn join_query(
+    join: usize,
+    below: usize,
+    top: usize,
+    keys: &[usize],
+    aggs: &[usize],
+    filter: usize,
+) -> (String, bool) {
+    let t = match below {
+        0 => "t".to_string(),
+        w => format!(
+            "(SELECT id AS id, g AS g, h AS h, x + h AS x, y AS y FROM t{}) tt",
+            WHERES[w]
+        ),
+    };
+    let from = format!("{}{}", JOINS[join].replace("{t}", &t), WHERES[filter]);
+    let keys: Vec<&str> = keys.iter().map(|&k| KEYS[k]).collect();
+    let key = keys.first().copied().unwrap_or("g");
+    let group_by = format!(" GROUP BY {}", keys.join(", "));
+    let group_by = if keys.is_empty() { "" } else { &group_by };
+    let mut select: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+    select.extend((aggs.iter().enumerate()).map(|(i, &a)| format!("{} AS a{i}", AGGS[a])));
+    let select = select.join(", ");
+    match top {
+        1 => (
+            format!("SELECT {select} FROM {from}{group_by} HAVING count(*) > 1"),
+            true,
+        ),
+        2 if !keys.is_empty() => (
+            format!("SELECT {select} FROM {from}{group_by} ORDER BY {key} LIMIT 2"),
+            true,
+        ),
+        3 => (format!("SELECT DISTINCT {key}, h FROM {from}"), true),
+        // MIN/MAX: rows, joined by the engine.
+        4 => (
+            format!("SELECT {select}, min(x) AS lo, max(y) AS hi FROM {from}{group_by}"),
+            false,
+        ),
+        // The join at the root, and under top-k.
+        5 => (format!("SELECT id, g, x + h AS s FROM {from}"), false),
+        6 => (
+            format!("SELECT id, h, y FROM {from} ORDER BY id, h LIMIT 3"),
+            false,
+        ),
+        _ => (format!("SELECT {select} FROM {from}{group_by}"), true),
+    }
+}
+
+/// Every aggregation's groups by value: key, `CNT`, `ℱ_g` by fragment, and
+/// output values.
+fn aggregation_groups(node: &IncNode, groups: &mut Vec<Vec<GroupByValue>>) {
+    if let IncNode::Aggregate(a) = node {
+        groups.push(a.groups_by_value());
+    }
+    node.for_each_child(&mut |c| aggregation_groups(c, groups));
+}
+
+/// What must agree between the row path and the typed one over a join,
+/// and with the heap oracle.
+fn assert_same_by_value(
+    rows: &SketchMaintainer,
+    typed: &SketchMaintainer,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    let groups = |m: &SketchMaintainer| {
+        let mut groups = Vec::new();
+        aggregation_groups(m.parts().0, &mut groups);
+        groups
+    };
+    prop_assert_eq!(groups(rows), groups(typed), "groups: {}", context);
+    let heaps = |m: &SketchMaintainer| {
+        let mut heaps = Vec::new();
+        aggregation_heaps(m.parts().0, &mut heaps);
+        heaps
+    };
+    prop_assert_eq!(heaps(rows), heaps(typed), "aggregation heap: {}", context);
+    prop_assert_eq!(
+        rows.sketch().bits(),
+        typed.sketch().bits(),
+        "sketch: {}",
+        context
+    );
+    prop_assert_eq!(rows.topk_state(), typed.topk_state(), "top-k: {}", context);
+    for m in [rows, typed] {
+        prop_assert_eq!(
+            m.walked_heap_size(),
+            (m.state_heap_size(), 0),
+            "heap oracle: {}",
+            context
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_join_bootstrap_agrees_with_the_row_path_and_the_annotated_evaluator(
+        rows in prop::collection::vec((0i64..4, 0i64..6, 0i64..40, 0i64..21), 0..48),
+        nulls in any::<bool>(),
+        chunk in prop_oneof![Just(3usize), Just(4), Just(8)],
+        deleted in prop::collection::vec(0i64..48, 0..4),
+        partition in 0usize..7,
+        fragments in prop_oneof![1usize..6, 17usize..40],
+        others in 0usize..3,
+        join in 0usize..7,
+        below in prop_oneof![Just(0usize), 0usize..7],
+        top in 0usize..8,
+        keys in prop::collection::btree_set(0usize..4, 0..3),
+        aggs in prop::collection::vec(0usize..8, 1..4),
+        filter in 0usize..7,
+        inserts in prop::collection::vec((0i64..4, 0i64..6, 0i64..40, 0i64..21), 0..4),
+        retract in 0i64..48,
+        touch_u in any::<bool>(),
+    ) {
+        let mut db = database(&rows, nulls, chunk, &deleted);
+        let pset = partitions(&db, partition, fragments, others);
+        let keys: Vec<usize> = keys.into_iter().collect();
+        let (sql, typed_shape) = join_query(join, below, top, &keys, &aggs, filter);
+        let plan = db.plan_sql(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let config = OpConfig {
+            topk_buffer: Some(3),
+            ..OpConfig::default()
+        };
+
+        let (mut by_rows, rows_bag, ran) = capture(&db, &plan, &pset, config, true);
+        prop_assert_eq!(ran, 0, "{}", sql);
+        let (mut typed, typed_bag, ran) = capture(&db, &plan, &pset, config, false);
+        prop_assert_eq!(ran, u64::from(typed_shape), "which path: {}", sql);
+        prop_assert_eq!(canonical_bag(&rows_bag), canonical_bag(&typed_bag), "result bag: {}", sql);
+        assert_same_by_value(&by_rows, &typed, &sql)?;
+        for m in [&by_rows, &typed] {
+            prop_assert_eq!(m.join_index_state(), (0, 0), "capture indexes nothing: {}", sql);
+        }
+        // Thm. 6.1: the captured sketch is the accurate one.
+        let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
+        prop_assert_eq!(typed.sketch().bits(), accurate.sketch.bits(), "{}", sql);
+        prop_assert_eq!(canonical_bag(&typed_bag), canonical_bag(&accurate.result), "{}", sql);
+
+        // One maintenance run later, both still agree, and with a fresh
+        // capture.
+        for (i, &spec) in inserts.iter().enumerate() {
+            let row = to_row(100 + i as i64, spec, nulls);
+            let values: Vec<String> = row.values().iter().map(|v| match v {
+                Value::Float(f) => format!("{f:?}"),
+                other => other.to_string(),
+            }).collect();
+            db.execute_sql(&format!("INSERT INTO t VALUES ({})", values.join(", "))).unwrap();
+        }
+        db.execute_sql(&format!("DELETE FROM t WHERE id = {retract}")).unwrap();
+        if touch_u {
+            db.execute_sql("INSERT INTO u VALUES (2, 99)").unwrap();
+        }
+        let a = by_rows.maintain(&db).unwrap();
+        let b = typed.maintain(&db).unwrap();
+        prop_assert_eq!(a.recaptured, b.recaptured, "{}", sql);
+        assert_same_by_value(&by_rows, &typed, &format!("maintained: {sql}"))?;
+        let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
+        prop_assert_eq!(typed.sketch().bits(), accurate.sketch.bits(), "maintained: {}", sql);
+    }
+}
+
+/// The row path reads the engine's join tuples in the engine's order, so
+/// it sums a group's Float arguments in the order the group table does.
+/// The annotated evaluator joins in its own order: its Float sums may
+/// differ from the capture's, each within `n · ε · Σ|x|` of the exact sum
+/// over a group's `n` tuples.
+#[test]
+fn float_sums_over_a_join_differ_by_rounding_only() {
+    let mut db = Database::new();
+    let schema = |a: &str, b: &str, kind| {
+        Schema::new(vec![Field::new(a, DataType::Int), Field::new(b, kind)])
+    };
+    db.create_table("a", schema("g", "x", DataType::Float))
+        .unwrap();
+    db.create_table("b", schema("k", "n", DataType::Int))
+        .unwrap();
+    // These do not sum exactly; each `a` row meets three `b` rows.
+    let x = |i: i64| (i * 7919 % 1009) as f64 * 0.013 - 5.1;
+    let a_rows = (0..300).map(|i| row![i % 7, x(i)]);
+    db.table_mut("a").unwrap().bulk_load(a_rows).unwrap();
+    let b_rows = (0..21).map(|i| row![i % 7, i]);
+    db.table_mut("b").unwrap().bulk_load(b_rows).unwrap();
+    // The engine probes with `a`, the larger side, tuple by tuple; the
+    // evaluator with `b`, the left one, meeting all of `a`'s group at once.
+    let sql = "SELECT g, sum(x) AS s, count(*) AS c FROM b JOIN a ON (k = g) GROUP BY g";
+    let plan = db.plan_sql(sql).unwrap();
+    let pset = Arc::new(
+        PartitionSet::new(vec![RangePartition::equi_depth(&db, "a", "x", 8).unwrap()]).unwrap(),
+    );
+    let (by_rows, rows_bag, _) = capture(&db, &plan, &pset, OpConfig::default(), true);
+    let (typed, typed_bag, ran) = capture(&db, &plan, &pset, OpConfig::default(), false);
+    assert_eq!(ran, 1);
+    assert_eq!(canonical_bag(&rows_bag), canonical_bag(&typed_bag));
+    assert_same_by_value(&by_rows, &typed, sql).unwrap();
+    let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
+    assert_eq!(typed.sketch().bits(), accurate.sketch.bits());
+    let (typed_bag, accurate) = (canonical_bag(&typed_bag), canonical_bag(&accurate.result));
+    assert_eq!(typed_bag.len(), 7);
+    let mut differ = 0;
+    for ((t, _), (a, _)) in typed_bag.iter().zip(&accurate) {
+        assert_eq!((&t[0], &t[2]), (&a[0], &a[2]), "keys and counts are exact");
+        let group = t[0].as_i64().unwrap();
+        let n = t[2].as_i64().unwrap() as f64;
+        let magnitude: f64 = (0..300)
+            .filter(|i| i % 7 == group)
+            .map(|i| 3.0 * x(i).abs())
+            .sum();
+        let diff = (t[1].as_f64().unwrap() - a[1].as_f64().unwrap()).abs();
+        assert!(
+            diff <= 2.0 * n * f64::EPSILON * magnitude,
+            "{} vs {}",
+            t[1],
+            a[1]
+        );
+        differ += usize::from(diff > 0.0);
+    }
+    assert!(differ > 0, "the two join orders round some sum differently");
 }

@@ -10,13 +10,15 @@
 //! result deltas into a sketch delta, apply it.
 //!
 //! Capture, recapture and full maintenance run the same tree once from the
-//! empty state (`bootstrap`). An aggregation over a scan prefix with no
-//! MIN/MAX builds its state on the engine's group table, counting each
-//! group's rows per fragment as the table is grouped (`ops/aggregate.rs`);
-//! every other operator reads its tables' rows as insertions. So only the
-//! tables some such operator reads are scanned into delta batches: none
-//! for an aggregation over one table, every table of an aggregation over a
-//! join.
+//! empty state (`bootstrap`). The engine does the evaluating there: an
+//! aggregation with no MIN/MAX over a select-project-join input builds its
+//! state on the engine's group table, counting each group's tuples per
+//! fragment as they are grouped (`ops/aggregate.rs`), and every other join
+//! takes its result from the engine's join, each tuple annotated with its
+//! sources' fragments (`ops/nary.rs`). Only an operator that reads a table
+//! directly — a top-k, a MIN/MAX aggregation or the root over a scan —
+//! reads its rows as insertions, so only its tables are scanned into delta
+//! batches: none for an aggregation or a join.
 
 use crate::delta::{delta_heap_sizes, DeltaBatch, DeltaEntry, DeltaSeen};
 use crate::metrics::MaintMetrics;
@@ -186,6 +188,8 @@ impl SketchMaintainer {
         self.root.tables_read_from_empty(&mut read);
         let mut deltas: FxHashMap<String, DeltaBatch> = FxHashMap::default();
         for table in self.tables.iter().filter(|t| read.contains(&t.as_str())) {
+            #[cfg(test)]
+            tests::TABLES_REPLAYED.with(|n| n.set(n.get() + 1));
             let t = db.table(table)?;
             let mut delta = DeltaBatch::with_capacity(t.row_count());
             let part = self.pset.for_table(table);
@@ -632,8 +636,15 @@ mod tests {
     use super::*;
     use crate::heap_oracle::Walk;
     use crate::middleware::{choose_partitions, ImpConfig};
+    use imp_engine::database::canonical_bag;
     use imp_storage::{row, DataType, Field, Schema};
     use parking_lot::RwLock;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Tables a bootstrap on this thread scanned into delta batches.
+        pub(crate) static TABLES_REPLAYED: Cell<u64> = const { Cell::new(0) };
+    }
 
     impl SketchMaintainer {
         /// The accounting oracle: [`Self::state_heap_size`] recomputed by
@@ -663,6 +674,48 @@ mod tests {
             db.table_mut(name).unwrap().bulk_load(rows).unwrap();
         }
         db
+    }
+
+    /// From the empty state a join is the engine's: capturing (and fully
+    /// maintaining) an aggregation over a join, a join at the root, under
+    /// top-k or under MIN/MAX scans no table into a delta batch, makes no
+    /// backend round trip and indexes no join input. Only an operator
+    /// reading a table's rows directly — a top-k over a scan — replays
+    /// them.
+    #[test]
+    fn a_capture_over_a_join_replays_no_table() {
+        let db = two_tables();
+        let config = ImpConfig {
+            fragments: 3,
+            ..ImpConfig::default()
+        };
+        let replayed = || TABLES_REPLAYED.with(Cell::get);
+        let joins = [
+            "SELECT a.k, sum(w) AS s FROM a JOIN b ON (a.k = b.k) GROUP BY a.k HAVING sum(w) > 10",
+            "SELECT v, w FROM a JOIN b ON (a.k = b.k) WHERE v > 10",
+            "SELECT v, w FROM a JOIN b ON (a.k = b.k) ORDER BY v LIMIT 2",
+            "SELECT a.k, min(w) AS m FROM a JOIN b ON (a.k = b.k) GROUP BY a.k",
+        ];
+        for sql in joins {
+            let plan = db.plan_sql(sql).unwrap();
+            let pset = choose_partitions(&db, &config, &plan).unwrap().unwrap();
+            let before = replayed();
+            let (mut m, bag) =
+                SketchMaintainer::capture(&plan, &db, pset, config.op_config(), true).unwrap();
+            let report = m.full_maintain(&db).unwrap();
+            assert_eq!(replayed(), before, "{sql}");
+            assert_eq!(report.metrics.db_roundtrips, 0, "{sql}");
+            assert_eq!(m.join_index_state(), (0, 0), "{sql}");
+            let engine = db.execute_plan(&plan).unwrap();
+            assert_eq!(canonical_bag(&bag), canonical_bag(&engine.rows), "{sql}");
+        }
+        let plan = db
+            .plan_sql("SELECT k, v FROM a ORDER BY v LIMIT 2")
+            .unwrap();
+        let pset = choose_partitions(&db, &config, &plan).unwrap().unwrap();
+        let before = replayed();
+        SketchMaintainer::capture(&plan, &db, pset, config.op_config(), true).unwrap();
+        assert_eq!(replayed(), before + 1);
     }
 
     /// Whether a run through the shared database, after `update`, kept

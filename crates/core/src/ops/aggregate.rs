@@ -18,30 +18,34 @@
 //! of building and hashing a bitvector.
 //!
 //! From the empty state (capture, recapture, full maintenance) an
-//! aggregation whose input is a scan prefix (`(Project | Filter)* ← Scan`)
-//! and that has no MIN/MAX replays no rows: the engine runs the prefix into
-//! its group table ([`imp_engine::eval::capture_groups`]) and tells the
-//! operator each batch's selected rows and their groups; the operator maps
-//! the partition column's cells to fragments
-//! ([`imp_sketch::RangePartition::fragments_of`]) and counts each group's
-//! rows per fragment. Each finished group becomes the state the row path
-//! builds from the same rows — `CNT`, accumulators, and `ℱ_g` filled in
-//! the order the rows met its fragments — visited in the row path's key
-//! order, so state, output and encoding are byte-identical. An
-//! aggregation over a join (its inputs' deltas are joined anyway) and
-//! MIN/MAX (the group table keeps no bounded multiset) replay rows.
+//! aggregation with no MIN/MAX whose input is select-project-join —
+//! a scan prefix (`(Project | Filter)* ← Scan`) or any tree of joins,
+//! filters and projections over scans — replays no rows: the engine groups
+//! its input on its group table ([`imp_engine::eval::capture_groups`]),
+//! streaming a scan prefix batch by batch or grouping a join's position
+//! tuples, and tells the operator each tuple's group and the partition
+//! column's value in each of its partitioned sources; the operator maps
+//! the values to fragments ([`imp_sketch::RangePartition::fragments_of`])
+//! and counts each group's tuples per fragment of their pooled union (a
+//! self-join whose two scans meet one fragment counts it once). Each
+//! finished group becomes the state the row path builds from the same
+//! tuples — `CNT`, accumulators and `ℱ_g` — visited in the row path's key
+//! order. Over a scan prefix `ℱ_g` is filled in the order the rows met its
+//! fragments, as on the row path, so state, output and encoding are
+//! byte-identical; over a join the engine's tuple order sets the order
+//! `ℱ_g` is filled in and Float sums are added in, so state equals the row
+//! path's by value, Float sums up to rounding. MIN/MAX (the group table
+//! keeps no bounded multiset) reads its input's rows.
 
-use super::{IncNode, MaintCtx};
+use super::{partition_column, source_fragments, IncNode, MaintCtx};
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::error::CoreError;
 use crate::fragcount::FragCounts;
 use crate::Result;
-use imp_engine::eval::{AggAcc, CapturedGroups, NumAcc};
+use imp_engine::eval::{AggAcc, CaptureBatch, CapturedGroups, NumAcc};
 use imp_engine::ExecStats;
 use imp_sql::{AggFunc, AggSpec, Expr, LogicalPlan};
-use imp_storage::{
-    key_runs, sort_keys_stable, AnnotId, AnnotPool, ColumnData, FxHashMap, Row, Value,
-};
+use imp_storage::{key_runs, sort_keys_stable, AnnotId, AnnotPool, FxHashMap, Row, Value};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
@@ -368,9 +372,8 @@ impl AggOp {
             )));
         };
         let minmax = |spec: &AggSpec| matches!(spec.func, AggFunc::Min | AggFunc::Max);
-        let capture = (!aggs.iter().any(minmax)
-            && imp_engine::eval::aggregates_a_scan_prefix(plan))
-        .then(|| plan.clone());
+        let capture = (!aggs.iter().any(minmax) && imp_engine::eval::aggregates_spj(plan))
+            .then(|| plan.clone());
         let mut op = AggOp {
             input: Box::new(input),
             group_by: group_by.clone(),
@@ -731,50 +734,74 @@ fn apply_entry(
     Ok(())
 }
 
-/// A group of the group table: its rows (`CNT`) and its rows per
+/// The end of the run of tuples from `start` on that `same` accepts
+/// (`start` itself always belongs), at most `len`.
+#[inline]
+fn run_end(start: usize, len: usize, same: impl Fn(usize) -> bool) -> usize {
+    (start + 1..len).find(|&i| !same(i)).unwrap_or(len)
+}
+
+/// A group of the group table: its tuples (`CNT`) and its tuples per
 /// fragment (`ℱ_g`).
 type GroupRows = (i64, FragCounts);
 
-/// Group `plan`, an aggregation over a scan prefix, on the engine's group
-/// table, and count per group its rows and its rows in each fragment of
-/// the table's partition, in the order the scan meets them — one entry
-/// per group, numbered as the group table numbers them.
+/// Group `plan`, an aggregation over a select-project-join input, on the
+/// engine's group table, and count per group its tuples and its tuples in
+/// each fragment of their pooled union, in the order the engine meets
+/// them — one entry per group, numbered as the group table numbers them.
 fn group_table(
     plan: &LogicalPlan,
     ctx: &MaintCtx<'_, '_>,
 ) -> Result<(CapturedGroups, Vec<GroupRows>)> {
-    let table = plan.tables().pop().unwrap_or_default();
-    let partition = ctx.pset.for_table(&table);
+    let pset = ctx.pset;
     let mut counts: Vec<GroupRows> = Vec::new();
     let mut frags = Vec::new();
-    let mut sink = |columns: &[ColumnData], rows: &[usize], groups: &[usize]| {
-        frags.clear();
-        if let Some((_, offset, p)) = partition {
-            p.fragments_of(&columns[p.column], rows, &mut frags);
-            frags.iter_mut().for_each(|f| *f += offset as u32);
-        }
-        // One step per run of rows with the same group and fragment.
-        let mut start = 0;
-        while start < groups.len() {
-            let run = (groups[start], frags.get(start));
-            let end = (start + 1..groups.len())
-                .find(|&i| (groups[i], frags.get(i)) != run)
-                .unwrap_or(groups.len());
-            if counts.len() <= run.0 {
-                counts.resize_with(run.0 + 1, GroupRows::default);
-            }
-            let (rows, in_frags) = &mut counts[run.0];
-            let n = (end - start) as i64;
-            *rows += n;
-            if let Some(&frag) = run.1 {
-                in_frags.add(frag, n);
-            }
-            start = end;
-        }
+    let mut sink = |batch: &CaptureBatch<'_>| {
+        source_fragments(pset, batch.partitioned, &mut frags);
+        count_fragments(&mut counts, batch.groups, &frags);
     };
     let mut stats = ExecStats::default();
-    let groups = imp_engine::eval::capture_groups(plan, ctx.db.get(), &mut sink, &mut stats)?;
+    let column = |table: &str| partition_column(pset, table);
+    let groups =
+        imp_engine::eval::capture_groups(plan, ctx.db.get(), &column, &mut sink, &mut stats)?;
     Ok((groups, counts))
+}
+
+/// Add tuples to their groups' counts: each tuple in `groups[t]` counts
+/// once to `CNT`, and once to each distinct fragment among its sources'
+/// `frags[_][t]` (the fragments of its pooled union: a self-join whose two
+/// scans meet one fragment counts it once). One step per run of tuples
+/// with the same group and fragments.
+fn count_fragments(counts: &mut Vec<GroupRows>, groups: &[usize], frags: &[Vec<u32>]) {
+    let mut start = 0;
+    while start < groups.len() {
+        let group = groups[start];
+        // Most captures partition one source: compare only what can differ.
+        let end = match frags {
+            [] => run_end(start, groups.len(), |i| groups[i] == group),
+            [f] => run_end(start, groups.len(), |i| {
+                groups[i] == group && f[i] == f[start]
+            }),
+            _ => run_end(start, groups.len(), |i| {
+                groups[i] == group && frags.iter().all(|f| f[i] == f[start])
+            }),
+        };
+        if counts.len() <= group {
+            counts.resize_with(group + 1, GroupRows::default);
+        }
+        let (rows, in_frags) = &mut counts[group];
+        let n = (end - start) as i64;
+        *rows += n;
+        for (source, f) in frags.iter().enumerate() {
+            if frags[..source]
+                .iter()
+                .all(|earlier| earlier[start] != f[start])
+            {
+                in_frags.add(f[start], n);
+            }
+        }
+        start = end;
+    }
 }
 
 #[cfg(test)]
@@ -800,7 +827,24 @@ pub(crate) mod tests {
         }
     }
 
+    /// One group by value: key, `CNT`, `ℱ_g` by fragment, output values.
+    pub(crate) type GroupByValue = (Row, i64, Vec<(u32, i64)>, Vec<Value>);
+
     impl AggOp {
+        /// Every group by value, by key.
+        pub(crate) fn groups_by_value(&self) -> Vec<GroupByValue> {
+            let mut groups: Vec<GroupByValue> = (self.groups.iter())
+                .map(|(key, st)| {
+                    let mut frags: Vec<(u32, i64)> = st.frags.iter().collect();
+                    frags.sort_unstable();
+                    let values = st.accs.iter().map(IncAcc::finish).collect();
+                    (key.clone(), st.count, frags, values)
+                })
+                .collect();
+            groups.sort_by(|a, b| a.0.cmp(&b.0));
+            groups
+        }
+
         pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
             w.visit(self.groups.len());
             let mut size = 0;

@@ -38,6 +38,7 @@ use crate::delta::DeltaBatch;
 use crate::error::CoreError;
 use crate::metrics::MaintMetrics;
 use crate::Result;
+use imp_engine::eval::{is_spj, PartitionValues};
 use imp_engine::Database;
 use imp_sketch::PartitionSet;
 use imp_sql::plan::NaryJoin;
@@ -201,6 +202,16 @@ pub enum IncNode {
     /// Join / cross product (§5.2.4) of any number of inputs, maintained
     /// by the telescoping delta rule with per-input indexes only.
     Nary(Box<NaryJoinOp>),
+    /// The top of a select-project-join subtree with a join: forwards its
+    /// input's deltas. From the empty state its output is the subtree's
+    /// whole result, which the engine evaluates (`engine_rows`); the
+    /// operators below do not run.
+    EngineSpj {
+        /// The subtree's plan.
+        plan: LogicalPlan,
+        /// The subtree's operators.
+        input: Box<IncNode>,
+    },
     /// Aggregation (§5.2.5/§5.2.6); also implements duplicate removal δ.
     Aggregate(Box<AggOp>),
     /// Top-k (§5.2.7).
@@ -215,20 +226,29 @@ pub enum IncNode {
 impl IncNode {
     /// Compile a logical plan into an incremental operator tree.
     pub fn build(plan: &LogicalPlan, config: &OpConfig) -> Result<IncNode> {
-        Ok(match plan {
+        IncNode::build_in(plan, config, false)
+    }
+
+    /// [`IncNode::build`] for `plan`, which lies inside a select-project-join
+    /// subtree with a join (`in_spj`) or not; the top of such a subtree is
+    /// wrapped in [`IncNode::EngineSpj`].
+    pub(crate) fn build_in(plan: &LogicalPlan, config: &OpConfig, in_spj: bool) -> Result<IncNode> {
+        let top = !in_spj && joins(plan) && is_spj(plan);
+        let in_spj = in_spj || top;
+        let node = match plan {
             LogicalPlan::Scan { table, .. } => IncNode::TableAccess {
                 table: table.clone(),
             },
             LogicalPlan::Filter { input, predicate } => IncNode::Selection {
-                input: Box::new(IncNode::build(input, config)?),
+                input: Box::new(IncNode::build_in(input, config, in_spj)?),
                 predicate: predicate.clone(),
             },
             LogicalPlan::Project { input, exprs, .. } => IncNode::Projection {
-                input: Box::new(IncNode::build(input, config)?),
+                input: Box::new(IncNode::build_in(input, config, in_spj)?),
                 exprs: exprs.clone(),
             },
             LogicalPlan::Join { left, right, .. } => {
-                if !is_stateless(left) || !is_stateless(right) {
+                if !is_spj(left) || !is_spj(right) {
                     return Err(CoreError::Unsupported(
                         "incremental joins require SPJ inputs; aggregation below a \
                          join is not supported (the paper's workloads join base \
@@ -280,6 +300,14 @@ impl IncNode {
                         .into(),
                 ))
             }
+        };
+        Ok(if top {
+            IncNode::EngineSpj {
+                plan: plan.clone(),
+                input: Box::new(node),
+            }
+        } else {
+            node
         })
     }
 
@@ -325,9 +353,10 @@ impl IncNode {
                 Ok(out)
             }
             IncNode::Nary(n) => n.process(ctx),
+            IncNode::EngineSpj { plan, .. } if ctx.from_empty => engine_rows(plan, ctx),
             IncNode::Aggregate(a) => a.process(ctx),
             IncNode::TopK(t) => t.process(ctx),
-            IncNode::Passthrough { input } => input.process(ctx),
+            IncNode::Passthrough { input } | IncNode::EngineSpj { input, .. } => input.process(ctx),
         }
     }
 
@@ -337,7 +366,8 @@ impl IncNode {
             IncNode::TableAccess { .. } => {}
             IncNode::Selection { input, .. }
             | IncNode::Projection { input, .. }
-            | IncNode::Passthrough { input } => input.reset(),
+            | IncNode::Passthrough { input }
+            | IncNode::EngineSpj { input, .. } => input.reset(),
             IncNode::Nary(n) => n.reset(),
             IncNode::Aggregate(a) => a.reset(),
             IncNode::TopK(t) => t.reset(),
@@ -346,11 +376,13 @@ impl IncNode {
 
     /// Add to `tables` every base table whose delta a from-empty run
     /// (capture, recapture, full maintenance) reads: each table access
-    /// but those below an aggregation that groups on the engine's group
-    /// table ([`AggOp::captures_on_the_group_table`]).
+    /// but those below a join, which the engine evaluates
+    /// ([`IncNode::EngineSpj`]), or below an aggregation that groups on
+    /// the engine's group table ([`AggOp::captures_on_the_group_table`]).
     pub fn tables_read_from_empty<'a>(&'a self, tables: &mut Vec<&'a str>) {
         match self {
             IncNode::TableAccess { table } => tables.push(table),
+            IncNode::EngineSpj { .. } => {}
             IncNode::Aggregate(a) if a.captures_on_the_group_table() => {}
             _ => self.for_each_child(&mut |c| c.tables_read_from_empty(tables)),
         }
@@ -362,7 +394,8 @@ impl IncNode {
             IncNode::TableAccess { .. } => {}
             IncNode::Selection { input, .. }
             | IncNode::Projection { input, .. }
-            | IncNode::Passthrough { input } => f(input),
+            | IncNode::Passthrough { input }
+            | IncNode::EngineSpj { input, .. } => f(input),
             IncNode::Nary(n) => n.children().iter().for_each(f),
             IncNode::Aggregate(a) => f(a.input_child()),
             IncNode::TopK(t) => f(t.input_child()),
@@ -463,18 +496,64 @@ impl IncNode {
     }
 }
 
-/// Is this plan free of stateful operators (pure select-project-join)?
-pub fn is_stateless(plan: &LogicalPlan) -> bool {
+/// Does `plan` have a join under its filters and projections?
+fn joins(plan: &LogicalPlan) -> bool {
     match plan {
-        LogicalPlan::Scan { .. } => true,
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-            is_stateless(input)
-        }
-        LogicalPlan::Join { left, right, .. } => is_stateless(left) && is_stateless(right),
-        LogicalPlan::Aggregate { .. }
-        | LogicalPlan::Distinct { .. }
-        | LogicalPlan::TopK { .. }
-        | LogicalPlan::Sort { .. }
-        | LogicalPlan::Except { .. } => false,
+        LogicalPlan::Join { .. } => true,
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => joins(input),
+        _ => false,
+    }
+}
+
+/// The whole result of `plan`, a select-project-join plan with a join, as
+/// a from-empty run's delta: the engine evaluates it
+/// ([`imp_engine::eval::capture_rows`]: position tuples, NULL-free Int
+/// keys hashed as `i64`s) and reads each partitioned source's partition
+/// column through the positions, and each row is annotated with the
+/// pooled union of its sources' fragment singletons. No input is replayed
+/// as a delta, no backend round trip is counted and no join input is
+/// indexed.
+fn engine_rows(plan: &LogicalPlan, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
+    let _span = crate::obs::trace::span("nary_delta");
+    let (db, pset) = (ctx.db, ctx.pset);
+    let column = |table: &str| partition_column(pset, table);
+    let mut stats = imp_engine::ExecStats::default();
+    let captured = imp_engine::eval::capture_rows(plan, db.get(), &column, &mut stats)?;
+    let mut frags = Vec::new();
+    source_fragments(pset, &captured.partitioned, &mut frags);
+    ctx.metrics.rows_processed += captured.rows.len() as u64;
+    let pool = &mut *ctx.pool;
+    let mut out = DeltaBatch::with_capacity(captured.rows.len());
+    for (t, (row, mult)) in captured.rows.into_iter().enumerate() {
+        let annot = (frags.iter()).fold(pool.empty_id(), |annot, f| {
+            let single = pool.singleton(f[t] as usize);
+            pool.union(annot, single)
+        });
+        out.push(DeltaEntry { row, annot, mult });
+    }
+    Ok(out)
+}
+
+/// The column `Φ` partitions `table` on, if it partitions it: what a
+/// from-empty run asks the engine to read per tuple.
+pub(crate) fn partition_column(pset: &PartitionSet, table: &str) -> Option<usize> {
+    pset.for_table(table).map(|(_, _, p)| p.column)
+}
+
+/// The global fragment of each tuple in each partitioned source, into
+/// `out[source]` (resized to one vector per source).
+pub(crate) fn source_fragments(
+    pset: &PartitionSet,
+    partitioned: &[(&str, PartitionValues<'_>)],
+    out: &mut Vec<Vec<u32>>,
+) {
+    out.resize_with(partitioned.len(), Vec::new);
+    for (frags, (table, values)) in out.iter_mut().zip(partitioned) {
+        let (_, offset, p) = pset
+            .for_table(table)
+            .expect("the engine reads partition columns of partitioned tables only");
+        frags.clear();
+        p.fragments_of(values, frags);
+        frags.iter_mut().for_each(|f| *f += offset as u32);
     }
 }

@@ -45,13 +45,20 @@
 //! transient index until the next reset, mirroring the bounded MIN/MAX
 //! state's fallback.
 //!
-//! # From the empty state: the join of the deltas, in memory
+//! # From the empty state: the engine's join
 //!
 //! Capture, recapture and full maintenance run the circuit from the empty
-//! state ([`MaintCtx::from_empty`]): each input's delta is its whole
-//! result, so the output is `ΔR₁ ⋈ … ⋈ ΔRₙ`. It is computed by seeding
-//! from the largest delta and probing transient indexes over the others;
-//! nothing is evaluated and nothing is kept.
+//! state ([`MaintCtx::from_empty`]), where a join's output is its whole
+//! result, and this operator does not run: the top of the join's
+//! select-project-join subtree ([`IncNode::EngineSpj`], with the filters
+//! and projections above the join) has the engine evaluate it
+//! ([`imp_engine::eval::capture_rows`]: position tuples, NULL-free Int
+//! keys hashed as `i64`s) and annotates each result row with the pooled
+//! union of its sources' fragment singletons. No input is replayed as a
+//! delta, no backend round trip is counted and no index is kept: every
+//! input stays `Absent` until a later delta probes it. (An aggregation
+//! over the join with no MIN/MAX does not even ask for the rows: it groups
+//! the join on the engine's group table, `ops/aggregate.rs`.)
 //!
 //! # Leapfrog-style probing, no pair state
 //!
@@ -182,7 +189,7 @@ impl NaryJoinOp {
         let children = nary
             .inputs
             .iter()
-            .map(|p| IncNode::build(p, config))
+            .map(|p| IncNode::build_in(p, config, true))
             .collect::<Result<Vec<_>>>()?;
         let mut specs: Vec<ClassSpec> = vec![Vec::new(); n];
         for (class, members) in nary.classes.iter().enumerate() {
@@ -238,20 +245,23 @@ impl NaryJoinOp {
     /// Process one batch (see module docs for the telescoping rule).
     pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let n = self.children.len();
+        self.probes_last = vec![0; n];
+        if ctx.from_empty {
+            // The engine evaluates a join from empty, at the top of its
+            // select-project-join subtree (`IncNode::EngineSpj`).
+            return Err(CoreError::StateCorrupt(
+                "a join runs from empty only through the engine".into(),
+            ));
+        }
         let mut deltas = Vec::with_capacity(n);
         for c in &mut self.children {
             deltas.push(c.process(ctx)?);
         }
-        self.probes_last = vec![0; n];
         if deltas.iter().all(|d| d.is_empty()) {
             return Ok(DeltaBatch::new());
         }
         let _span = trace::span("nary_delta");
         let mut out = DeltaBatch::new();
-        if ctx.from_empty {
-            self.join_deltas(&deltas, &mut out, ctx);
-            return Ok(crate::delta::normalize_delta_with(out, self.columnar_min));
-        }
         // Per-batch transient indexes for inputs whose persistent index
         // is disabled/over budget, plus evaluation bookkeeping so
         // "round trip avoided" is only claimed when none happened.
@@ -292,30 +302,6 @@ impl NaryJoinOp {
             state.retire_over(self.index_budget);
         }
         Ok(crate::delta::normalize_delta_with(out, self.columnar_min))
-    }
-
-    /// From the empty state every input *is* its delta: push
-    /// `ΔR₁ ⋈ … ⋈ ΔRₙ`, seeded from the largest delta and probing
-    /// transient indexes over the others. Nothing is evaluated or kept.
-    fn join_deltas(&self, deltas: &[DeltaBatch], out: &mut DeltaBatch, ctx: &mut MaintCtx<'_, '_>) {
-        if deltas.iter().any(|d| d.is_empty()) {
-            return;
-        }
-        let seed = (0..deltas.len())
-            .max_by_key(|&i| (deltas[i].len(), std::cmp::Reverse(i)))
-            .expect("a join has inputs");
-        let indexes: Vec<Option<SideIndex>> = (0..deltas.len())
-            .map(|j| {
-                (j != seed).then(|| {
-                    let mut idx = self.empty_index(j);
-                    idx.apply(&deltas[j], ctx.pool);
-                    idx
-                })
-            })
-            .collect();
-        let views: Vec<Option<&SideIndex>> = indexes.iter().map(Option::as_ref).collect();
-        self.extend(seed, &deltas[seed], &views, &mut |_, _, _| {}, out, ctx)
-            .expect("every input but the seed has a view");
     }
 
     /// Guarantee input `j` has a probe-able index at the state term `i`

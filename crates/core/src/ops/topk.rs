@@ -218,6 +218,16 @@ impl TopKOp {
         self.state.keys().next_back()
     }
 
+    /// Does the entry `(row, annot)` under `key` sort after every stored
+    /// entry — tuples of one key by `(row, annotation)` — so that evicted
+    /// entries may sort before it? Always, once nothing is stored.
+    fn past_horizon(&self, key: &OrderKey, row: &Row, annot: &Arc<BitVec>) -> bool {
+        self.state.last_key_value().is_none_or(|(last, entries)| {
+            let worst = entries.keys().next_back().map(|(r, a)| (r, a));
+            key.cmp(last).then_with(|| Some((row, annot)).cmp(&worst)) == Ordering::Greater
+        })
+    }
+
     /// Process one batch.
     pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let input = self.input.process(ctx)?;
@@ -242,7 +252,7 @@ impl TopKOp {
                 || old_topk.boundary.as_ref().is_none_or(|b| key <= *b);
             let annot = ctx.pool.share(d.annot);
             if d.mult > 0 {
-                if self.truncated && self.horizon().is_some_and(|h| key > *h) {
+                if self.truncated && self.past_horizon(&key, &d.row, &annot) {
                     // Beyond the horizon of a truncated buffer: cannot be
                     // in the top-k before a recapture happens (same prefix
                     // invariant as the bounded MIN/MAX state).
@@ -464,6 +474,76 @@ mod tests {
             }
             size
         }
+    }
+
+    /// Run `batches` of `(value, tag, mult)` rows, ordered by value,
+    /// through a top-`k` operator keeping `buffer` entries; returns the
+    /// top-k rows after each batch, or `None` where it asked for a
+    /// recapture.
+    fn top_k_runs(k: u64, buffer: usize, batches: &[&[(i64, &str, i64)]]) -> Vec<Option<Vec<Row>>> {
+        let input = IncNode::TableAccess { table: "r".into() };
+        let keys = vec![SortKey {
+            column: 0,
+            asc: true,
+        }];
+        let mut op = TopKOp::new(input, keys, k, Some(buffer));
+        let db = imp_engine::Database::new();
+        let db = crate::ops::DbAccess::Held(&db);
+        let pset = Arc::new(imp_sketch::PartitionSet::new(Vec::new()).unwrap());
+        let mut pool = AnnotPool::new(0);
+        let mut metrics = crate::metrics::MaintMetrics::default();
+        let mut out = Vec::new();
+        for batch in batches {
+            let empty = pool.empty_id();
+            let delta = batch.iter().map(|&(v, tag, mult)| DeltaEntry {
+                row: imp_storage::row![v, tag],
+                annot: empty,
+                mult,
+            });
+            let deltas = [("r".to_string(), delta.collect())].into_iter().collect();
+            let mut ctx = MaintCtx {
+                db: &db,
+                pset: &pset,
+                deltas: &deltas,
+                pool: &mut pool,
+                metrics: &mut metrics,
+                from_empty: false,
+                needs_recapture: false,
+            };
+            op.process(&mut ctx).unwrap();
+            let recapture = ctx.needs_recapture;
+            let top = op.compute_topk().rows.into_iter().map(|(_, row, _, _)| row);
+            out.push((!recapture).then(|| top.collect()));
+        }
+        out
+    }
+
+    /// A truncated buffer admits no insert that evicted entries may sort
+    /// before: not past its last stored entry, ties of one key included,
+    /// and nothing once deletions have emptied it. The top-k falls back to
+    /// a recapture instead of answering without the evicted entries.
+    #[test]
+    fn a_truncated_buffer_admits_no_insert_past_its_last_entry() {
+        // Buffer 1: (1, a) stays, (2, b) is evicted. Deleting (1, a) and
+        // inserting (3, c) in one batch must not make (3, c) the top-1.
+        let runs = top_k_runs(
+            1,
+            1,
+            &[&[(1, "a", 1), (2, "b", 1)], &[(1, "a", -1), (3, "c", 1)]],
+        );
+        assert_eq!(runs[0], Some(vec![imp_storage::row![1, "a"]]));
+        assert_eq!(runs[1], None);
+        // Ties: (1, b) is evicted behind (0, x) and (1, a); (1, c) sorts
+        // after (1, a) in the same key, so it is not admitted either, and
+        // once (0, x) and (1, a) go, the top-1 is unknown.
+        let batches: [&[_]; 3] = [
+            &[(0, "x", 1), (1, "a", 1), (1, "b", 1)],
+            &[(0, "x", -1), (1, "c", 1)],
+            &[(1, "a", -1)],
+        ];
+        let runs = top_k_runs(1, 2, &batches);
+        assert_eq!(runs[1], Some(vec![imp_storage::row![1, "a"]]));
+        assert_eq!(runs[2], None);
     }
 
     #[test]

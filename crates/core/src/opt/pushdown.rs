@@ -11,20 +11,26 @@
 //! records before they are annotated and handed to the incremental
 //! pipeline. The predicates eligible for push-down are exactly the filters
 //! sitting on a stateless path between a table access and the first
-//! stateful operator.
+//! stateful operator — of a table the plan scans once. A table's delta is
+//! fetched once per run and every scan of the table reads it, so a
+//! predicate over one scan of a table scanned twice (a self-join) would
+//! drop rows the other scan must see.
 
 use imp_sql::{Expr, LogicalPlan};
 
-/// Collect, per base table, the predicates that can be evaluated directly
-/// on that table's delta rows. Returns `(table, predicate-over-base-row)`
-/// pairs.
+/// Collect, per base table the plan scans once, the predicates that can
+/// be evaluated directly on that table's delta rows. Returns
+/// `(table, predicate-over-base-row)` pairs.
 pub fn pushable_predicates(plan: &LogicalPlan) -> Vec<(String, Expr)> {
-    let mut out = Vec::new();
-    walk(plan, &mut out);
+    let (mut out, mut scans) = (Vec::new(), Vec::new());
+    walk(plan, &mut out, &mut scans);
+    out.retain(|(table, _)| scans.iter().filter(|s| *s == table).count() == 1);
     out
 }
 
-fn walk(plan: &LogicalPlan, out: &mut Vec<(String, Expr)>) {
+/// Push the pushable predicates onto `out` and every scanned table onto
+/// `scans`, once per scan.
+fn walk(plan: &LogicalPlan, out: &mut Vec<(String, Expr)>, scans: &mut Vec<String>) {
     match plan {
         // The shape `Filter(Scan)` is the push-down target: everything
         // below the filter (just the scan) is stateless, and the filter's
@@ -32,19 +38,18 @@ fn walk(plan: &LogicalPlan, out: &mut Vec<(String, Expr)>) {
         LogicalPlan::Filter { input, predicate } => {
             if let LogicalPlan::Scan { table, .. } = input.as_ref() {
                 out.push((table.clone(), predicate.clone()));
-            } else {
-                walk(input, out);
             }
+            walk(input, out, scans);
         }
-        LogicalPlan::Scan { .. } => {}
+        LogicalPlan::Scan { table, .. } => scans.push(table.clone()),
         LogicalPlan::Project { input, .. }
         | LogicalPlan::Aggregate { input, .. }
         | LogicalPlan::Distinct { input }
         | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::TopK { input, .. } => walk(input, out),
+        | LogicalPlan::TopK { input, .. } => walk(input, out, scans),
         LogicalPlan::Join { left, right, .. } | LogicalPlan::Except { left, right, .. } => {
-            walk(left, out);
-            walk(right, out);
+            walk(left, out, scans);
+            walk(right, out, scans);
         }
     }
 }
@@ -100,6 +105,21 @@ mod tests {
         // Only r has a filter directly over its scan.
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].0, "r");
+    }
+
+    #[test]
+    fn a_table_scanned_twice_pushes_nothing() {
+        let db = db();
+        let plan = db
+            .plan_sql(
+                "SELECT a2, a FROM (SELECT a AS a2, b AS b2 FROM r WHERE a < 30) x \
+                 JOIN r ON (b2 = b) JOIN (SELECT c, d FROM s WHERE d > 1) y ON (a = c)",
+            )
+            .unwrap();
+        let p = pushable_predicates(&plan);
+        // r's filter would drop rows of r's unfiltered scan; s is scanned once.
+        assert_eq!(p.len(), 1);
+        assert_eq!(p[0].0, "s");
     }
 
     #[test]

@@ -596,38 +596,55 @@ mod tests {
         }
     }
 
-    /// Both recaptures of an aggregation over a scan — a top-k buffer
-    /// that underflows and an evicted blob that does not decode — group
-    /// on the engine's group table, leave the accurate sketch (Thm. 6.1)
-    /// and maintain on from there: every answer is the engine's.
+    /// Both recaptures of an aggregation over a scan, and over a join — a
+    /// top-k buffer that underflows and an evicted blob that does not
+    /// decode — group on the engine's group table, leave the accurate
+    /// sketch (Thm. 6.1) and maintain on from there: every answer is the
+    /// engine's.
     #[test]
     fn recaptures_of_an_aggregation_over_a_scan_group_on_the_group_table() {
+        const OVER_SCAN: &str = "SELECT g, avg(v) AS a FROM t GROUP BY g ORDER BY g LIMIT 2";
+        const OVER_JOIN: &str =
+            "SELECT g, avg(v) AS a FROM t JOIN u ON (g = k) GROUP BY g ORDER BY g LIMIT 2";
+        let mut joined = seed_db();
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("w", DataType::Int),
+        ]);
+        joined.create_table("u", schema).unwrap();
+        let u = (0..6).map(|k| row![k, 10 * k]);
+        joined.table_mut("u").unwrap().bulk_load(u).unwrap();
+        for (db, topk) in [(seed_db(), OVER_SCAN), (joined, OVER_JOIN)] {
+            recaptures_group_on_the_group_table(db, topk);
+        }
+    }
+
+    fn recaptures_group_on_the_group_table(db: Database, topk: &str) {
         use crate::ops::aggregate::tests::TYPED_CAPTURES;
-        const TOPK: &str = "SELECT g, avg(v) AS a FROM t GROUP BY g ORDER BY g LIMIT 2";
         let typed = || TYPED_CAPTURES.with(std::cell::Cell::get);
         let config = ImpConfig {
             fragments: 4,
             topk_buffer: Some(3),
             ..ImpConfig::default()
         };
-        let mut imp = Imp::new(seed_db(), config);
+        let mut imp = Imp::new(db, config);
         // An answer through `imp`, how it was made, and whether it is the
         // engine's and its sketch the accurate one.
         let answer = |imp: &mut Imp| {
-            let ImpResponse::Rows { result, mode } = imp.execute(TOPK).unwrap() else {
+            let ImpResponse::Rows { result, mode } = imp.execute(topk).unwrap() else {
                 panic!("rows expected")
             };
-            let engine = imp.db().query(TOPK).unwrap();
-            assert_eq!(result.canonical(), engine.canonical(), "{mode:?}");
+            let engine = imp.db().query(topk).unwrap();
+            assert_eq!(result.canonical(), engine.canonical(), "{topk}: {mode:?}");
             imp.scheduler()
                 .unwrap()
-                .with_sketch(&template_of(TOPK), |e| {
+                .with_sketch(&template_of(topk), |e| {
                     let accurate =
                         imp_sketch::capture(&e.plan, &imp.db(), e.maintainer.partitions()).unwrap();
                     assert_eq!(
                         e.maintainer.sketch().bits(),
                         accurate.sketch.bits(),
-                        "{mode:?}"
+                        "{topk}: {mode:?}"
                     );
                 })
                 .expect("the sketch is stored");
@@ -645,10 +662,10 @@ mod tests {
         assert!(report.recaptured, "the top-k buffer underflows");
         assert_eq!(typed(), before + 2);
 
-        assert!(imp.evict_state(&template_of(TOPK)).unwrap() > 0);
+        assert!(imp.evict_state(&template_of(topk)).unwrap() > 0);
         {
             let mut state = imp.scheduler().unwrap().shared.slot.state.lock();
-            let entry = &mut state.store.get_mut(&template_of(TOPK)).unwrap()[0];
+            let entry = &mut state.store.get_mut(&template_of(topk)).unwrap()[0];
             let blob = entry.evicted.take().unwrap();
             entry.evicted = Some(blob.slice(..blob.len() / 2));
         }
@@ -665,7 +682,7 @@ mod tests {
             let QueryMode::Maintained(report) = answer(&mut imp) else {
                 panic!("the stale query maintains")
             };
-            assert!(!report.recaptured, "{update}");
+            assert!(!report.recaptured, "{topk}: {update}");
         }
         assert_eq!(typed(), before + 3);
     }

@@ -84,7 +84,8 @@ fn decode_node(node: &mut IncNode, buf: &mut Bytes, pool: &mut AnnotPool) -> Res
         IncNode::TableAccess { .. } => Ok(()),
         IncNode::Selection { input, .. }
         | IncNode::Projection { input, .. }
-        | IncNode::Passthrough { input } => decode_node(input, buf, pool),
+        | IncNode::Passthrough { input }
+        | IncNode::EngineSpj { input, .. } => decode_node(input, buf, pool),
         IncNode::Nary(n) => {
             n.decode_state(buf, pool)?;
             for child in n.children_mut() {

@@ -3,9 +3,9 @@
 //! One kernel, [`Grouping`], serves three feeders: the scan prefix hands it
 //! each batch's columns and selection, a relation over joins hands it its
 //! key and argument columns gathered through the positions, with the
-//! tuples' multiplicities, and a sketch capture runs the scan prefix into
-//! it, is told the group of every row it feeds (to count each group's
-//! rows per fragment, `ℱ_g`), and takes the keys and accumulators as
+//! tuples' multiplicities, and a sketch capture runs either into it, is
+//! told the group of every row or tuple it feeds (to count each group's
+//! tuples per fragment, `ℱ_g`), and takes the keys and accumulators as
 //! [`CapturedGroups`] instead of rows. A batch whose every key and
 //! argument is a plain NULL-free Int or Float column ([`Slice`]) is fed a
 //! batch at a time: first every row becomes a group id, then each
@@ -501,9 +501,10 @@ impl<'a> Grouping<'a> {
     }
 }
 
-/// The groups of an aggregation over a scan prefix as a capture needs
-/// them ([`super::capture_groups`]): per group its key and its
-/// accumulators. Groups are numbered in the order the scan first met them.
+/// The groups of an aggregation as a capture needs them
+/// ([`super::capture_groups`]): per group its key and its accumulators.
+/// Groups are numbered in the order the scan, or the join's tuples, first
+/// met them.
 #[derive(Debug)]
 pub struct CapturedGroups {
     width: usize,

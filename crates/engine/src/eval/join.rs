@@ -18,10 +18,10 @@
 //! prefix); [`Relation::materialize`] builds one row per tuple, holding
 //! the output expressions only.
 
-use super::aggregate::{Aggregation, Grouping, Operand, Slice};
+use super::aggregate::{Aggregation, CapturedGroups, Grouping, Operand, Slice};
 use super::hash_index::{hash_cells, HashIndex};
 use super::scan::{out_of_bounds, ScanPrefix};
-use super::{execute, new_row, Bag, ExecStats};
+use super::{execute, new_row, Bag, ExecStats, PartitionValues};
 use crate::database::Database;
 use crate::Result;
 use imp_sql::{AggSpec, Expr, LogicalPlan, SqlError};
@@ -59,8 +59,11 @@ impl Gathered {
 /// One input of a relation.
 #[derive(Debug)]
 enum Source<'t> {
-    /// The surviving batches of a scan prefix: the table's columns.
-    Batches(Vec<&'t [ColumnData]>),
+    /// The surviving batches of a scan prefix of `table`: its columns.
+    Batches {
+        table: &'t str,
+        batches: Vec<&'t [ColumnData]>,
+    },
     /// A materialized bag.
     Bag(Bag),
 }
@@ -314,16 +317,17 @@ impl<'r> CellKey<'r> {
 }
 
 impl<'t> Relation<'t> {
-    /// The rows a scan prefix selected from `batches` of a table with
-    /// `arity` columns, and its output (`None`: the table's columns).
+    /// The rows a scan prefix selected from `batches` of `table`, which
+    /// has `arity` columns, and its output (`None`: the table's columns).
     pub fn scanned(
+        table: &'t str,
         batches: Vec<&'t [ColumnData]>,
         arity: usize,
         positions: Vec<Pos>,
         exprs: Option<Vec<Expr>>,
     ) -> Relation<'t> {
         Relation {
-            sources: vec![Source::Batches(batches)],
+            sources: vec![Source::Batches { table, batches }],
             columns: (0..arity).map(|c| (0, c)).collect(),
             mults: vec![1; positions.len()],
             positions,
@@ -379,7 +383,7 @@ impl<'t> Relation<'t> {
         let (source, column) = self.columns[c];
         let Pos(batch, row) = self.positions[t * self.sources.len() + source];
         match &self.sources[source] {
-            Source::Batches(batches) => batches[batch as usize][column].cell(row as usize),
+            Source::Batches { batches, .. } => batches[batch as usize][column].cell(row as usize),
             Source::Bag(rows) => rows[row as usize].0[column].as_cell(),
         }
     }
@@ -430,6 +434,34 @@ impl<'t> Relation<'t> {
     ) -> Result<Bag> {
         let aggregation = Aggregation::new(group_by, aggs, |e| Cow::Owned(self.over_raw(e)));
         let mut grouping = Grouping::new(&aggregation, self.columns.len());
+        self.group(&mut grouping, None)?;
+        Ok(grouping.finish(stats))
+    }
+
+    /// [`Relation::aggregate`] for a capture: the groups as they stand, and
+    /// the group of each tuple, in tuple order.
+    pub fn capture_groups(
+        &self,
+        group_by: &[Expr],
+        aggs: &[AggSpec],
+        stats: &mut ExecStats,
+    ) -> Result<(CapturedGroups, Vec<usize>)> {
+        let aggregation = Aggregation::new(group_by, aggs, |e| Cow::Owned(self.over_raw(e)));
+        let mut grouping = Grouping::new(&aggregation, self.columns.len());
+        let mut groups = Vec::with_capacity(self.len());
+        self.group(&mut grouping, Some(&mut groups))?;
+        Ok((grouping.captured(stats), groups))
+    }
+
+    /// Feed every tuple to `grouping` — its key and argument columns
+    /// gathered through the positions as one batch when they are all
+    /// NULL-free Int or Float columns of scan prefixes, tuple by tuple as
+    /// cells otherwise — and push each tuple's group onto `groups`.
+    fn group(
+        &self,
+        grouping: &mut Grouping<'_>,
+        mut groups: Option<&mut Vec<usize>>,
+    ) -> Result<()> {
         let gathered = grouping.plain_columns().and_then(|columns| {
             let gathered = columns.into_iter().map(|c| Some((c, self.gather(c)?)));
             gathered.collect::<Option<Vec<_>>>()
@@ -442,13 +474,51 @@ impl<'t> Relation<'t> {
                     .map(|(_, v)| v.slice())
             };
             if grouping.add_batch(self.len(), slice, |t| t, |t| self.mults[t])? {
-                return Ok(grouping.finish(stats));
+                if let Some(groups) = groups {
+                    groups.extend_from_slice(grouping.batch_groups());
+                }
+                return Ok(());
             }
         }
         for t in 0..self.len() {
-            grouping.add(|c| self.cell(t, c), |c| self.value(t, c), self.mults[t])?;
+            let group = grouping.add(|c| self.cell(t, c), |c| self.value(t, c), self.mults[t])?;
+            if let Some(groups) = groups.as_deref_mut() {
+                groups.push(group);
+            }
         }
-        Ok(grouping.finish(stats))
+        Ok(())
+    }
+
+    /// Per source that scans a table `partition_column` names a column of,
+    /// in source order: the table, and that column's value in each tuple,
+    /// gathered through the positions as `i64`s when the column is a
+    /// NULL-free Int column in every batch, read as cells otherwise.
+    pub fn partition_values(
+        &self,
+        partition_column: &dyn Fn(&str) -> Option<usize>,
+    ) -> Vec<(&'t str, PartitionValues<'t>)> {
+        let width = self.sources.len();
+        let sources = self.sources.iter().enumerate();
+        let partitioned = sources.filter_map(|(source, s)| {
+            let Source::Batches { table, batches } = s else {
+                return None;
+            };
+            let column = partition_column(table)?;
+            let rows = self.positions.iter().skip(source).step_by(width);
+            let ints = (batches.iter().map(|b| b[column].ints())).collect::<Option<Vec<_>>>();
+            let values = match ints {
+                Some(ints) => PartitionValues::Ints(
+                    rows.map(|&Pos(batch, row)| ints[batch as usize][row as usize])
+                        .collect(),
+                ),
+                None => PartitionValues::Cells(
+                    rows.map(|&Pos(batch, row)| batches[batch as usize][column].cell(row as usize))
+                        .collect(),
+                ),
+            };
+            Some((*table, values))
+        });
+        partitioned.collect()
     }
 
     /// Raw column `c` of every tuple, in tuple order, if its source is a
@@ -456,7 +526,7 @@ impl<'t> Relation<'t> {
     /// each of them.
     fn gather(&self, c: usize) -> Option<Gathered> {
         let (source, column) = self.columns[c];
-        let Source::Batches(batches) = &self.sources[source] else {
+        let Source::Batches { batches, .. } = &self.sources[source] else {
             return None;
         };
         let width = self.sources.len();
@@ -521,7 +591,7 @@ mod tests {
     /// Every row of one batch, as a scan prefix without filters hands it on.
     fn scanned(columns: &[ColumnData]) -> Relation<'_> {
         let positions = (0..columns[0].len()).map(|row| Pos::new(0, row));
-        Relation::scanned(vec![columns], columns.len(), positions.collect(), None)
+        Relation::scanned("t", vec![columns], columns.len(), positions.collect(), None)
     }
 
     /// Every row of several batches, batch after batch.
@@ -529,7 +599,7 @@ mod tests {
         let positions = (batches.iter().enumerate())
             .flat_map(|(b, columns)| (0..columns[0].len()).map(move |row| Pos::new(b, row)));
         let arity = batches[0].len();
-        Relation::scanned(batches.to_vec(), arity, positions.collect(), None)
+        Relation::scanned("t", batches.to_vec(), arity, positions.collect(), None)
     }
 
     /// `join`, and how many joins took the `i64` key form.

@@ -10,13 +10,7 @@
 //! * the **group table** when the prefix ends in an aggregation — fed a
 //!   batch at a time: NULL-free Int and Float keys and arguments are read
 //!   as slices, anything else as cells, and a run of equal keys is looked
-//!   up once (`eval/aggregate.rs`). A sketch capture feeds it too
-//!   ([`capture_groups`]): the same pipeline, and the capture is told
-//!   each selected row's group, from which it counts per group the rows
-//!   in each fragment of the partition — the state an incremental
-//!   aggregation starts from, with no row replayed (an incremental
-//!   aggregation over a join, or with MIN/MAX, still starts from its
-//!   input's rows);
+//!   up once (`eval/aggregate.rs`);
 //! * **positions** when the prefix feeds a join, a filter or a projection
 //!   above it — the batches and their selected rows, nothing evaluated;
 //! * **rows** holding the prefix's output expressions only, in storage
@@ -36,8 +30,19 @@
 //! output: a group of the group table, a row of the query's result, or a
 //! row of the bag a row-consuming operator (sort, top-k, distinct, except)
 //! needs, holding its input expressions only.
+//!
+//! A sketch capture runs on the same pipelines (`eval/capture.rs`): an
+//! aggregation over a select-project-join plan on the group table
+//! ([`capture_groups`]), the capture told each tuple's group and the
+//! partition column's value in each partitioned source, from which it
+//! counts per group the tuples in each fragment — the state an incremental
+//! aggregation starts from, with no row replayed — and a join's result as
+//! rows with the same values ([`capture_rows`]), for a join whose result
+//! an incremental operator starts from. (An incremental aggregation with
+//! MIN/MAX still starts from its input's rows.)
 
 mod aggregate;
+mod capture;
 mod hash_index;
 mod join;
 mod ranges;
@@ -45,8 +50,12 @@ mod scan;
 mod topk;
 
 pub use aggregate::{AggAcc, CapturedGroups, NumAcc};
+pub use capture::{
+    aggregates_spj, capture_groups, capture_rows, is_spj, CaptureBatch, CapturedRows, GroupSink,
+    PartitionValues,
+};
 pub use ranges::{extract_prune_ranges, PruneRanges};
-pub use scan::{capture_groups, scan_table};
+pub use scan::scan_table;
 pub use topk::top_k;
 
 use crate::database::Database;
@@ -84,17 +93,6 @@ impl ExecStats {
         self.join_probes += other.join_probes;
         self.agg_groups += other.agg_groups;
     }
-}
-
-/// What a capture is told of each batch the scan prefix groups: the
-/// batch's columns, its selected rows, and the group of each of them.
-pub type GroupSink<'s> = dyn FnMut(&[imp_storage::ColumnData], &[usize], &[usize]) + 's;
-
-/// Is `plan` an aggregation whose input is a scan prefix
-/// (`Aggregate ← (Project | Filter)* ← Scan`)? Those are the plans
-/// [`capture_groups`] groups.
-pub fn aggregates_a_scan_prefix(plan: &LogicalPlan) -> bool {
-    scan::ScanPrefix::of(plan).is_some_and(|prefix| prefix.aggregates())
 }
 
 /// Evaluate `plan` against `db`.
@@ -433,6 +431,94 @@ mod tests {
         let plan = group_sum(scan(&db, "c"), 0, doubled);
         let (rows, typed) = counted(&TYPED_BATCHES, &db, &plan);
         assert_eq!((rows[0].clone(), typed), ((row![0, 6, 3], 1), 0));
+    }
+
+    /// A capture of an aggregation over a join groups the join's tuples on
+    /// the group table after the typed hash join, as the query does, and
+    /// is told each tuple's group and its partitioned sources' values:
+    /// gathered as `i64`s from a NULL-free Int column, read as cells from
+    /// a nullable Float one. `capture_rows` hands the same values beside
+    /// the join's rows.
+    #[test]
+    fn a_capture_groups_a_join_and_reads_its_partition_columns_through_the_positions() {
+        let mut db = Database::new();
+        add_table(&mut db, "c", &[DataType::Int; 2], clustered());
+        let floats = (0..8).map(|k| {
+            row![
+                k % 4,
+                if k == 5 {
+                    Value::Null
+                } else {
+                    Value::Float(k as f64 / 2.0)
+                }
+            ]
+        });
+        add_table(
+            &mut db,
+            "f",
+            &[DataType::Int, DataType::Float],
+            floats.collect(),
+        );
+        let join = LogicalPlan::Join {
+            left: Box::new(scan(&db, "c")),
+            right: Box::new(scan(&db, "f")),
+            left_keys: vec![0],
+            right_keys: vec![0],
+        };
+        let plan = group_sum(join.clone(), 0, Expr::Col(1));
+        // Both tables are partitioned on their second column.
+        let column = |_: &str| Some(1);
+        let mut told = Vec::new();
+        let mut sink = |batch: &CaptureBatch<'_>| {
+            let values = |i: usize| match &batch.partitioned[i].1 {
+                PartitionValues::Ints(v) => v.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>(),
+                PartitionValues::Cells(v) => v.iter().map(|c| c.to_value()).collect(),
+                PartitionValues::Rows(..) => panic!("a join is not a scan batch"),
+            };
+            let forms = batch
+                .partitioned
+                .iter()
+                .map(|(t, v)| (t.to_string(), matches!(v, PartitionValues::Ints(_))));
+            told.push((
+                batch.groups.to_vec(),
+                forms.collect::<Vec<_>>(),
+                values(0),
+                values(1),
+            ));
+        };
+        let typed = TYPED_JOINS.with(Cell::get);
+        let groups =
+            capture_groups(&plan, &db, &column, &mut sink, &mut ExecStats::default()).unwrap();
+        assert_eq!(TYPED_JOINS.with(Cell::get), typed + 1, "the i64 join");
+        let [(ids, forms, c_values, f_values)] = &told[..] else {
+            panic!("one batch: the join's tuples")
+        };
+        assert_eq!(*forms, [("c".to_string(), true), ("f".to_string(), false)]);
+        // The tuples in the join's order, as `capture_rows` materializes
+        // them, with the same values beside them.
+        let rows = capture_rows(&join, &db, &column, &mut ExecStats::default()).unwrap();
+        assert_eq!(ids.len(), rows.rows.len());
+        for (t, (row, mult)) in rows.rows.iter().enumerate() {
+            assert_eq!(*mult, 1);
+            assert_eq!((&c_values[t], &f_values[t]), (&row[1], &row[3]));
+            assert_eq!(groups.key(ids[t]), &[row[0].clone()]);
+        }
+        // Keys and accumulators are the query's groups.
+        let mut answer = execute(&plan, &db, &mut ExecStats::default()).unwrap();
+        answer.sort();
+        let mut captured: Bag = (0..answer.len())
+            .map(|g| {
+                let sums = groups.accumulators(g);
+                let values = (sums.iter()).map(|acc| match acc {
+                    AggAcc::Sum { sum, .. } => sum.value(),
+                    AggAcc::Count { count } => Value::Int(*count),
+                    _ => unreachable!(),
+                });
+                (groups.key(g).iter().cloned().chain(values).collect(), 1)
+            })
+            .collect();
+        captured.sort();
+        assert_eq!(captured, answer);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!    as slices and grouped a batch at a time, any other batch row by row
 //!    as cells, and key values are copied once per new group
 //!    (`eval/aggregate.rs`); the same group table for a sketch capture —
-//!    [`capture_groups`], which tells the capture each batch's selected
-//!    rows and their groups, from which it counts each group's rows per
-//!    fragment of the table's partition; positions, the
-//!    batches kept with their selections and nothing evaluated —
+//!    [`super::capture_groups`], which tells the capture each batch's
+//!    groups and the partition column at its selected rows, from which it
+//!    counts each group's rows per fragment of the table's partition;
+//!    positions, the batches kept with their selections and nothing
+//!    evaluated —
 //!    [`ScanPrefix::relation`], for the joins, filters and projections
 //!    above (`eval/join.rs`); or rows
 //!    holding the output expressions only, in storage order —
@@ -35,12 +36,11 @@
 //! operator-at-a-time fails here too unless the failing expression is one
 //! the pipeline never needs.
 
-use super::aggregate::{Aggregation, CapturedGroups, Grouping, Slice};
+use super::aggregate::{Aggregation, Grouping, Slice};
 use super::join::{Pos, Relation};
 use super::ranges::{extract_prune_ranges, split, ColumnRanges, PruneRanges};
-use super::{new_row, Bag, ExecStats, GroupSink};
+use super::{new_row, Bag, ExecStats};
 use crate::database::Database;
-use crate::error::EngineError;
 use crate::Result;
 use imp_sql::{Expr, LogicalPlan, SqlError};
 use imp_storage::{ColumnData, Row, Table, Value};
@@ -70,55 +70,15 @@ pub fn scan_table(
     )
 }
 
-/// Group `plan`, an aggregation over a scan prefix
-/// ([`super::aggregates_a_scan_prefix`]), on the pipeline and group table
-/// [`super::execute`] runs it on — the group table's capture feeder — and
-/// hand `sink` each batch's columns, its selected rows and the group of
-/// each of them.
-pub fn capture_groups(
-    plan: &LogicalPlan,
-    db: &Database,
-    sink: &mut GroupSink<'_>,
-    stats: &mut ExecStats,
-) -> Result<CapturedGroups> {
-    let prefix = ScanPrefix::of(plan);
-    let Some((prefix, aggregation)) =
-        (prefix.as_ref()).and_then(|p| Some((p, p.aggregate.as_ref()?)))
-    else {
-        return Err(EngineError::Unsupported(format!(
-            "a capture groups an aggregation over a scan prefix, not {}",
-            plan.explain()
-        )));
-    };
-    let t = db.table(prefix.table)?;
-    let mut grouping = Grouping::new(aggregation, t.schema().arity());
-    let mut groups = Vec::new();
-    prefix.scan(t, stats, |columns, selection| {
-        let slice = |c: usize| Slice::of(&columns[c]);
-        if grouping.add_batch(selection.len(), slice, |i| selection[i], |_| 1)? {
-            sink(columns, selection, grouping.batch_groups());
-            return Ok(());
-        }
-        groups.clear();
-        for &idx in selection.iter() {
-            let cell = |c: usize| columns[c].cell(idx);
-            groups.push(grouping.add(cell, |c| column_value(columns, c, idx), 1)?);
-        }
-        sink(columns, selection, &groups);
-        Ok(())
-    })?;
-    Ok(grouping.captured(stats))
-}
-
 /// The scan prefix of a plan, composed over the scanned table's columns.
 pub(super) struct ScanPrefix<'p> {
-    table: &'p str,
+    pub table: &'p str,
     /// The chain's filters, innermost first.
     filters: Vec<Cow<'p, Expr>>,
     /// What the chain outputs; `None`: the table's columns as they are.
     exprs: Option<Vec<Expr>>,
     /// The aggregation on top of the chain.
-    aggregate: Option<Aggregation<'p>>,
+    pub aggregate: Option<Aggregation<'p>>,
 }
 
 impl<'p> ScanPrefix<'p> {
@@ -234,12 +194,18 @@ impl<'p> ScanPrefix<'p> {
             Ok(())
         })?;
         let (arity, exprs) = (t.schema().arity(), self.exprs.clone());
-        Ok(Relation::scanned(batches, arity, positions, exprs))
+        Ok(Relation::scanned(
+            t.name(),
+            batches,
+            arity,
+            positions,
+            exprs,
+        ))
     }
 
     /// Steps 1–3 over every batch, then hand `sink` the batch's columns and
     /// its selection.
-    fn scan<'t>(
+    pub fn scan<'t>(
         &self,
         t: &'t Table,
         stats: &mut ExecStats,
@@ -305,7 +271,7 @@ fn translate<'r>(
 
 /// The value of column `column` in row `idx` of a batch, as
 /// [`Expr::eval_with`] asks for it.
-fn column_value(
+pub(super) fn column_value(
     columns: &[ColumnData],
     column: usize,
     idx: usize,

@@ -2,8 +2,9 @@
 
 use crate::error::SketchError;
 use crate::Result;
+use imp_engine::eval::PartitionValues;
 use imp_engine::{equi_depth_cuts, Database};
-use imp_storage::{Cell, ColumnData, Value};
+use imp_storage::{Cell, Value};
 use std::sync::Arc;
 
 /// A range partition `F_{φ,a}(R)` of one table on one attribute.
@@ -91,38 +92,35 @@ impl RangePartition {
     }
 
     /// The typed fragment kernel: push [`RangePartition::fragment_of`] of
-    /// the cell in each of `rows` of `column` onto `out`. A NULL-free Int
-    /// column cut at Int points is decided on its `i64` slice, and a value
-    /// inside the last fragment found is not searched for: runs of a
-    /// clustered column cost two comparisons a row. Any other column is
-    /// decided cell by cell.
-    pub fn fragments_of(&self, column: &ColumnData, rows: &[usize], out: &mut Vec<u32>) {
+    /// each of `values` onto `out`, in order. NULL-free Int values (a
+    /// column's `i64` slice, or `i64`s gathered through a join's positions)
+    /// cut at Int points are decided as `i64`s, and a value inside the last
+    /// fragment found is not searched for: runs of a clustered column cost
+    /// two comparisons a value. Any other value is decided cell by cell.
+    pub fn fragments_of(&self, values: &PartitionValues<'_>, out: &mut Vec<u32>) {
         let fragment = |n: usize| n as u32;
-        if let Some(values) = column.ints() {
-            if let Some(cuts) = self
-                .cuts
-                .iter()
-                .map(Value::as_i64)
-                .collect::<Option<Vec<_>>>()
-            {
-                // The last fragment found, as `[lo, hi]`; none at first.
-                let (mut lo, mut hi, mut last) = (1, 0, 0);
-                out.extend(rows.iter().map(|&row| {
-                    let v = values[row];
-                    if !(lo..=hi).contains(&v) {
-                        let f = cuts.partition_point(|&c| c <= v);
-                        // The cut above `v` exceeds it, so `c - 1` cannot
-                        // overflow.
-                        lo = if f == 0 { i64::MIN } else { cuts[f - 1] };
-                        hi = cuts.get(f).map_or(i64::MAX, |&c| c - 1);
-                        last = fragment(f);
-                    }
-                    last
-                }));
+        let cuts = || (self.cuts.iter().map(Value::as_i64)).collect::<Option<Vec<_>>>();
+        let ints = match values {
+            PartitionValues::Rows(column, rows) => {
+                if let Some((ints, cuts)) = column.ints().zip(cuts()) {
+                    return int_fragments(&cuts, rows.iter().map(|&row| ints[row]), out);
+                }
+                let cells = rows.iter().map(|&row| column.cell(row));
+                out.extend(cells.map(|cell| fragment(self.fragment_of_cell(cell))));
                 return;
             }
+            PartitionValues::Ints(ints) => ints,
+            PartitionValues::Cells(cells) => {
+                out.extend((cells.iter()).map(|&cell| fragment(self.fragment_of_cell(cell))));
+                return;
+            }
+        };
+        match cuts() {
+            Some(cuts) => int_fragments(&cuts, ints.iter().copied(), out),
+            None => {
+                out.extend((ints.iter()).map(|&v| fragment(self.fragment_of_cell(Cell::Int(v)))))
+            }
         }
-        out.extend((rows.iter()).map(|&row| fragment(self.fragment_of_cell(column.cell(row)))));
     }
 
     /// Bounds of fragment `i`: inclusive lower, exclusive upper; `None`
@@ -150,6 +148,24 @@ impl RangePartition {
             + self.table.len()
             + self.attribute.len()
     }
+}
+
+/// [`RangePartition::fragments_of`] for Int `values` and the partition's
+/// Int `cuts`: the fragment of each value, the last fragment found
+/// reused while the values stay inside it.
+fn int_fragments(cuts: &[i64], values: impl Iterator<Item = i64>, out: &mut Vec<u32>) {
+    // The last fragment found, as `[lo, hi]`; none at first.
+    let (mut lo, mut hi, mut last) = (1, 0, 0);
+    out.extend(values.map(|v| {
+        if !(lo..=hi).contains(&v) {
+            let f = cuts.partition_point(|&c| c <= v);
+            // The cut above `v` exceeds it, so `c - 1` cannot overflow.
+            lo = if f == 0 { i64::MIN } else { cuts[f - 1] };
+            hi = cuts.get(f).map_or(i64::MAX, |&c| c - 1);
+            last = f as u32;
+        }
+        last
+    }));
 }
 
 /// The partitions `Φ` of every table a query touches, with a contiguous
@@ -247,7 +263,7 @@ impl PartitionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imp_storage::DataType;
+    use imp_storage::{ColumnData, DataType};
 
     /// The running-example partition φ_price of Ex. 1.1:
     /// ρ1=[1,600], ρ2=[601,1000], ρ3=[1001,1500], ρ4=[1501,10000].
@@ -325,12 +341,29 @@ mod tests {
         ];
         for (p, c) in cases {
             let rows: Vec<usize> = (0..c.len()).rev().chain(0..c.len()).collect();
-            let mut out = Vec::new();
-            p.fragments_of(&c, &rows, &mut out);
             let want: Vec<u32> = (rows.iter())
                 .map(|&row| p.fragment_of(&c.get(row)) as u32)
                 .collect();
-            assert_eq!(out, want, "{:?} cut at {:?}", c.dtype(), p.cuts());
+            // The same values as a batch's selected rows, as `i64`s gathered
+            // through a join's positions (a NULL-free Int column), and as
+            // cells read through them.
+            let gathered = c
+                .ints()
+                .map(|ints| rows.iter().map(|&row| ints[row]).collect());
+            let cells = rows.iter().map(|&row| c.cell(row)).collect();
+            let forms = [
+                Some(PartitionValues::Rows(&c, &rows)),
+                gathered.map(PartitionValues::Ints),
+            ];
+            for values in forms
+                .into_iter()
+                .flatten()
+                .chain([PartitionValues::Cells(cells)])
+            {
+                let mut out = Vec::new();
+                p.fragments_of(&values, &mut out);
+                assert_eq!(out, want, "{values:?} cut at {:?}", p.cuts());
+            }
         }
     }
 

@@ -3,15 +3,13 @@
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the sample statistics its figure harnesses record:
 //! [`sample_stats`] (mean / median / stddev / min / max of a set of
-//! timed runs), [`SampleStats::throughput_per_sec`] with [`Throughput`],
-//! and [`black_box`]. There is no benchmark driver: the harnesses time
+//! timed runs) and [`SampleStats::throughput_per_sec`] with
+//! [`Throughput`]. There is no benchmark runner: the harnesses time
 //! their own runs. The median and stddev make run-to-run comparisons
 //! stable against scheduler noise without the real crate's bootstrap
 //! statistics.
 
 use std::time::Duration;
-
-pub use std::hint::black_box;
 
 /// Work performed per iteration, for throughput reporting — the subset
 /// of the real crate's `Throughput` the harnesses use.
@@ -19,8 +17,6 @@ pub use std::hint::black_box;
 pub enum Throughput {
     /// Elements (rows, deltas, …) processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// The raw statistics of one measured sample set, as the harnesses record
@@ -51,9 +47,7 @@ impl SampleStats {
         if secs <= 0.0 {
             return None;
         }
-        let units = match throughput {
-            Throughput::Elements(n) | Throughput::Bytes(n) => n,
-        };
+        let Throughput::Elements(units) = throughput;
         Some(units as f64 / secs)
     }
 }
@@ -160,8 +154,6 @@ mod tests {
         let s = sample_stats(&[ms(10), ms(20), ms(500)]);
         let rate = s.throughput_per_sec(Throughput::Elements(1000)).unwrap();
         assert!((rate - 50_000.0).abs() < 1e-6, "rate {rate}");
-        let bytes = s.throughput_per_sec(Throughput::Bytes(2000)).unwrap();
-        assert!((bytes - 100_000.0).abs() < 1e-6, "rate {bytes}");
         // Nothing measured → no rate, not a division by zero.
         assert_eq!(
             SampleStats::default().throughput_per_sec(Throughput::Elements(1)),
