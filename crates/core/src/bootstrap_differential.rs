@@ -1,21 +1,21 @@
 //! The bootstrap differential (test-only): a from-empty run of an
 //! aggregation over a select-project-join input groups on the engine's
 //! group table ([`crate::ops::AggOp`]'s capture path); the row path feeds
-//! it the input's rows instead. For random tables (Int, Float and
+//! it the input's rows instead, which the engine evaluates and annotates
+//! ([`crate::ops::IncNode::EngineSpj`]). For random tables (Int, Float and
 //! NULL-bearing columns, several chunks, tombstones, an open tail),
 //! partitions and plans, both must leave the same state behind and stay
 //! the same through the next maintenance run. Over a scan prefix the state
 //! is byte for byte the same — encoded maintainer state, aggregation heap
 //! totals, sketch and result bag. Over a join (2–4 inputs, a cross
-//! product, self-joins, NULL and Float keys, an empty side) the row path's
-//! input is the join's annotated rows from the engine
-//! ([`crate::ops::IncNode::EngineSpj`]), and the group table adds a
-//! tuple's fragments in source order where the row path adds its
-//! annotation's in fragment order, so groups, `CNT` and `ℱ_g` are compared
-//! by value; both paths, and every join without such an aggregation above
-//! it, are checked against the independent annotated evaluator
-//! ([`imp_sketch::capture`]). A `#[cfg(test)]` counter says which path
-//! ran.
+//! product, self-joins, NULL and Float keys, an empty side) the group
+//! table adds a tuple's fragments in source order where the row path adds
+//! its annotation's in fragment order, so groups, `CNT` and `ℱ_g` are
+//! compared by value. Both paths, and every plan without such an
+//! aggregation — a top-k, MIN/MAX, a sort or the root over a scan or a
+//! join — are checked against the independent annotated evaluator
+//! ([`imp_sketch::capture`]) and the engine's answer, before and after a
+//! maintenance run. A `#[cfg(test)]` counter says which path ran.
 //!
 //! Float sums depend on summation order, which over a join is the join's
 //! tuple order. The row path reads the engine's tuples in the engine's
@@ -189,6 +189,19 @@ fn query(shape: usize, keys: &[usize], aggs: &[usize], filter: usize) -> (String
             format!("SELECT {select}, min(x) AS lo, max(y) AS hi FROM t{filter}{group_by}"),
             false,
         ),
+        // No aggregation on the group table: the engine's rows under a
+        // top-k, MIN/MAX alone, at the root, under a sort.
+        8 => (
+            format!("SELECT id, g, x FROM t{filter} ORDER BY x, id LIMIT 3"),
+            false,
+        ),
+        9 => {
+            let keys = keys.iter().map(|k| format!("{k}, ")).collect::<String>();
+            let sql = format!("SELECT {keys}min(x) AS lo, max(y) AS hi FROM t{filter}{group_by}");
+            (sql, false)
+        }
+        10 => (format!("SELECT id, x + h AS s, y FROM t{filter}"), false),
+        11 => (format!("SELECT id, h FROM t{filter} ORDER BY h"), false),
         _ => (format!("SELECT {select} FROM t{filter}{group_by}"), true),
     }
 }
@@ -263,7 +276,7 @@ proptest! {
         deleted in prop::collection::vec(0i64..64, 0..6),
         partition in 0usize..7,
         fragments in prop_oneof![1usize..6, 17usize..40],
-        shape in 0usize..8,
+        shape in 0usize..12,
         keys in prop::collection::btree_set(0usize..4, 0..3),
         aggs in prop::collection::vec(0usize..8, 1..4),
         filter in 0usize..7,
@@ -286,10 +299,9 @@ proptest! {
         prop_assert_eq!(ran, u64::from(typed_shape), "which path: {}", sql);
         prop_assert_eq!(&rows_bag, &typed_bag, "result bag: {}", sql);
         assert_same(&by_rows, &typed, &sql)?;
-        // Thm. 6.1: the captured sketch is the accurate one.
-        let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
-        prop_assert_eq!(typed.sketch().bits(), accurate.sketch.bits(), "{}", sql);
-        prop_assert_eq!(canonical_bag(&typed_bag), canonical_bag(&accurate.result), "{}", sql);
+        // Thm. 6.1: the captured sketch is the accurate one, and the
+        // capture answers as the engine does.
+        accurate_capture(&db, &plan, &pset, &typed, &typed_bag, &sql)?;
 
         // The next maintenance run finds the same state either way.
         for (i, &spec) in inserts.iter().enumerate() {
@@ -305,9 +317,29 @@ proptest! {
         let b = typed.maintain(&db).unwrap();
         prop_assert_eq!(a.recaptured, b.recaptured, "{}", sql);
         assert_same(&by_rows, &typed, &format!("maintained: {sql}"))?;
-        let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
-        prop_assert_eq!(typed.sketch().bits(), accurate.sketch.bits(), "maintained: {}", sql);
+        let (fresh, fresh_bag, _) = capture(&db, &plan, &pset, config, false);
+        accurate_capture(&db, &plan, &pset, &fresh, &fresh_bag, &format!("maintained: {sql}"))?;
+        prop_assert_eq!(typed.sketch().bits(), fresh.sketch().bits(), "maintained: {}", sql);
     }
+}
+
+/// A capture's sketch and result bag equal the annotated evaluator's
+/// (Thm. 6.1), and the bag the engine's answer.
+fn accurate_capture(
+    db: &Database,
+    plan: &LogicalPlan,
+    pset: &Arc<PartitionSet>,
+    m: &SketchMaintainer,
+    bag: &Bag,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    let accurate = imp_sketch::capture(plan, db, pset).unwrap();
+    prop_assert_eq!(m.sketch().bits(), accurate.sketch.bits(), "{}", context);
+    let bag = canonical_bag(bag);
+    prop_assert_eq!(&bag, &canonical_bag(&accurate.result), "{}", context);
+    let engine = db.execute_plan(plan).unwrap();
+    prop_assert_eq!(&bag, &canonical_bag(&engine.rows), "engine: {}", context);
+    Ok(())
 }
 
 /// A group over more fragments than a sorted vector holds keeps them in a
@@ -496,9 +528,7 @@ proptest! {
             prop_assert_eq!(m.join_index_state(), (0, 0), "capture indexes nothing: {}", sql);
         }
         // Thm. 6.1: the captured sketch is the accurate one.
-        let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
-        prop_assert_eq!(typed.sketch().bits(), accurate.sketch.bits(), "{}", sql);
-        prop_assert_eq!(canonical_bag(&typed_bag), canonical_bag(&accurate.result), "{}", sql);
+        accurate_capture(&db, &plan, &pset, &typed, &typed_bag, &sql)?;
 
         // One maintenance run later, both still agree, and with a fresh
         // capture.

@@ -10,17 +10,16 @@
 //! result deltas into a sketch delta, apply it.
 //!
 //! Capture, recapture and full maintenance run the same tree once from the
-//! empty state (`bootstrap`). The engine does the evaluating there: an
-//! aggregation with no MIN/MAX over a select-project-join input builds its
-//! state on the engine's group table, counting each group's tuples per
-//! fragment as they are grouped (`ops/aggregate.rs`), and every other join
-//! takes its result from the engine's join, each tuple annotated with its
-//! sources' fragments (`ops/nary.rs`). Only an operator that reads a table
-//! directly — a top-k, a MIN/MAX aggregation or the root over a scan —
-//! reads its rows as insertions, so only its tables are scanned into delta
-//! batches: none for an aggregation or a join.
+//! empty state (`bootstrap`), over no delta at all: the engine does the
+//! evaluating. Every maximal select-project-join subtree is wrapped in
+//! [`IncNode::EngineSpj`], which asks the engine for the subtree's rows,
+//! each annotated with its sources' fragments (`ops/mod.rs`), and an
+//! aggregation with no MIN/MAX over such a subtree builds its state on the
+//! engine's group table instead, counting each group's tuples per fragment
+//! as they are grouped (`ops/aggregate.rs`). No table is scanned into a
+//! delta batch.
 
-use crate::delta::{delta_heap_sizes, DeltaBatch, DeltaEntry, DeltaSeen};
+use crate::delta::{delta_heap_sizes, DeltaBatch, DeltaSeen};
 use crate::metrics::MaintMetrics;
 use crate::ops::{DbAccess, IncNode, MaintCtx, MergeOp, OpConfig};
 use crate::opt::pushdown::pushable_predicates;
@@ -184,41 +183,12 @@ impl SketchMaintainer {
         self.merge.reset();
         self.sketch = SketchSet::empty(Arc::clone(&self.pset));
 
-        let mut read = Vec::new();
-        self.root.tables_read_from_empty(&mut read);
-        let mut deltas: FxHashMap<String, DeltaBatch> = FxHashMap::default();
-        for table in self.tables.iter().filter(|t| read.contains(&t.as_str())) {
-            #[cfg(test)]
-            tests::TABLES_REPLAYED.with(|n| n.set(n.get() + 1));
-            let t = db.table(table)?;
-            let mut delta = DeltaBatch::with_capacity(t.row_count());
-            let part = self.pset.for_table(table);
-            let pool = &mut self.pool;
-            t.scan(
-                None,
-                |row| {
-                    let annot = match &part {
-                        Some((_, offset, p)) => {
-                            pool.singleton(offset + p.fragment_of(&row[p.column]))
-                        }
-                        None => pool.empty_id(),
-                    };
-                    delta.push(DeltaEntry {
-                        row,
-                        annot,
-                        mult: 1,
-                    });
-                },
-                |_| {},
-            );
-            deltas.insert(table.clone(), self.apply_pushdown(table, delta, None));
-        }
         let out = {
             let db = DbAccess::Held(db);
             let mut ctx = MaintCtx {
                 db: &db,
                 pset: &self.pset,
-                deltas: &deltas,
+                deltas: &FxHashMap::default(),
                 pool: &mut self.pool,
                 metrics,
                 from_empty: true,
@@ -228,7 +198,7 @@ impl SketchMaintainer {
         };
         let delta = self.merge.process(&out, &self.pool)?;
         self.sketch.apply_delta(&delta);
-        // Split-invariant versioning: the scan consumed every row of the
+        // Split-invariant versioning: the capture read every row of the
         // sketch's tables, i.e. everything up to the last logged record of
         // those tables. Using that (instead of the global `db.version()`)
         // makes the version a pure function of the consumed content, so one
@@ -249,7 +219,7 @@ impl SketchMaintainer {
         &self,
         table: &str,
         delta: DeltaBatch,
-        metrics: Option<&mut MaintMetrics>,
+        metrics: &mut MaintMetrics,
     ) -> DeltaBatch {
         let Some(preds) = &self.pushdown else {
             return delta;
@@ -271,9 +241,7 @@ impl SketchMaintainer {
                     .all(|p| p.eval_predicate(&d.row).unwrap_or(true))
             })
             .collect();
-        if let Some(m) = metrics {
-            m.delta_rows_pruned += (before - kept.len()) as u64;
-        }
+        metrics.delta_rows_pruned += (before - kept.len()) as u64;
         kept
     }
 
@@ -362,7 +330,7 @@ impl SketchMaintainer {
             } else {
                 annotate_delta_with(pool, rows, pset, table, records, columnar_min)
             };
-            let filtered = self.apply_pushdown(table, annotated, Some(&mut metrics));
+            let filtered = self.apply_pushdown(table, annotated, &mut metrics);
             let normalized =
                 crate::delta::normalize_delta_with(filtered, self.op_config.columnar_min);
             deltas.insert(table.clone(), normalized);
@@ -637,14 +605,9 @@ mod tests {
     use crate::heap_oracle::Walk;
     use crate::middleware::{choose_partitions, ImpConfig};
     use imp_engine::database::canonical_bag;
-    use imp_storage::{row, DataType, Field, Schema};
+    use imp_sketch::RangePartition;
+    use imp_storage::{row, DataType, Field, Schema, Value};
     use parking_lot::RwLock;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Tables a bootstrap on this thread scanned into delta batches.
-        pub(crate) static TABLES_REPLAYED: Cell<u64> = const { Cell::new(0) };
-    }
 
     impl SketchMaintainer {
         /// The accounting oracle: [`Self::state_heap_size`] recomputed by
@@ -676,46 +639,41 @@ mod tests {
         db
     }
 
-    /// From the empty state a join is the engine's: capturing (and fully
-    /// maintaining) an aggregation over a join, a join at the root, under
-    /// top-k or under MIN/MAX scans no table into a delta batch, makes no
-    /// backend round trip and indexes no join input. Only an operator
-    /// reading a table's rows directly — a top-k over a scan — replays
-    /// them.
+    /// From the empty state every table is read by the engine: capturing
+    /// (and fully maintaining) an aggregation over a join, a join at the
+    /// root, under top-k or under MIN/MAX, a top-k, MIN/MAX or sort over a
+    /// scan, or a filter and projection over a scan at the root makes no
+    /// backend round trip, indexes no join input and answers as the
+    /// engine does.
     #[test]
-    fn a_capture_over_a_join_replays_no_table() {
+    fn no_capture_replays_a_table() {
         let db = two_tables();
-        let config = ImpConfig {
-            fragments: 3,
-            ..ImpConfig::default()
-        };
-        let replayed = || TABLES_REPLAYED.with(Cell::get);
-        let joins = [
+        let on_k = |t| RangePartition::new(t, "k", 0, vec![Value::Int(2), Value::Int(4)]).unwrap();
+        let pset = Arc::new(PartitionSet::new(vec![on_k("a"), on_k("b")]).unwrap());
+        let queries = [
             "SELECT a.k, sum(w) AS s FROM a JOIN b ON (a.k = b.k) GROUP BY a.k HAVING sum(w) > 10",
             "SELECT v, w FROM a JOIN b ON (a.k = b.k) WHERE v > 10",
             "SELECT v, w FROM a JOIN b ON (a.k = b.k) ORDER BY v LIMIT 2",
             "SELECT a.k, min(w) AS m FROM a JOIN b ON (a.k = b.k) GROUP BY a.k",
+            "SELECT k, v FROM a WHERE v > 0 ORDER BY v LIMIT 2",
+            "SELECT k, max(v) AS m FROM a GROUP BY k",
+            "SELECT min(v) AS m FROM a",
+            "SELECT k + v AS s FROM a WHERE v < 40",
+            "SELECT k, v FROM a ORDER BY v",
         ];
-        for sql in joins {
+        for sql in queries {
             let plan = db.plan_sql(sql).unwrap();
-            let pset = choose_partitions(&db, &config, &plan).unwrap().unwrap();
-            let before = replayed();
             let (mut m, bag) =
-                SketchMaintainer::capture(&plan, &db, pset, config.op_config(), true).unwrap();
+                SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
+                    .unwrap();
             let report = m.full_maintain(&db).unwrap();
-            assert_eq!(replayed(), before, "{sql}");
             assert_eq!(report.metrics.db_roundtrips, 0, "{sql}");
             assert_eq!(m.join_index_state(), (0, 0), "{sql}");
             let engine = db.execute_plan(&plan).unwrap();
             assert_eq!(canonical_bag(&bag), canonical_bag(&engine.rows), "{sql}");
+            let accurate = imp_sketch::capture(&plan, &db, &pset).unwrap();
+            assert_eq!(m.sketch().bits(), accurate.sketch.bits(), "{sql}");
         }
-        let plan = db
-            .plan_sql("SELECT k, v FROM a ORDER BY v LIMIT 2")
-            .unwrap();
-        let pset = choose_partitions(&db, &config, &plan).unwrap().unwrap();
-        let before = replayed();
-        SketchMaintainer::capture(&plan, &db, pset, config.op_config(), true).unwrap();
-        assert_eq!(replayed(), before + 1);
     }
 
     /// Whether a run through the shared database, after `update`, kept

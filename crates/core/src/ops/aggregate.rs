@@ -20,7 +20,7 @@
 //! From the empty state (capture, recapture, full maintenance) an
 //! aggregation with no MIN/MAX whose input is select-project-join —
 //! a scan prefix (`(Project | Filter)* ← Scan`) or any tree of joins,
-//! filters and projections over scans — replays no rows: the engine groups
+//! filters and projections over scans — builds no input row: the engine groups
 //! its input on its group table ([`imp_engine::eval::capture_groups`]),
 //! streaming a scan prefix batch by batch or grouping a join's position
 //! tuples, and tells the operator each tuple's group and the partition
@@ -35,7 +35,8 @@
 //! byte-identical; over a join the engine's tuple order sets the order
 //! `ℱ_g` is filled in and Float sums are added in, so state equals the row
 //! path's by value, Float sums up to rounding. MIN/MAX (the group table
-//! keeps no bounded multiset) reads its input's rows.
+//! keeps no bounded multiset) takes the row path: its input's rows, which
+//! the engine evaluates ([`IncNode::EngineSpj`]).
 
 use super::{partition_column, source_fragments, IncNode, MaintCtx};
 use crate::delta::{DeltaBatch, DeltaEntry};
@@ -57,8 +58,8 @@ pub struct AggOp {
     group_by: Vec<Expr>,
     aggs: Vec<AggSpec>,
     /// The aggregation's plan, when a from-empty run groups it on the
-    /// engine's group table: its input is a scan prefix and it has no
-    /// MIN/MAX.
+    /// engine's group table: its input is select-project-join and it has
+    /// no MIN/MAX.
     capture: Option<LogicalPlan>,
     groups: FxHashMap<Row, GroupState>,
     /// Aggregation without GROUP BY: the single group always exists.
@@ -386,12 +387,6 @@ impl AggOp {
         };
         op.clear_groups();
         Ok(op)
-    }
-
-    /// Does a from-empty run group on the engine's group table instead of
-    /// replaying its input's rows?
-    pub fn captures_on_the_group_table(&self) -> bool {
-        self.group_table_plan().is_some()
     }
 
     /// The plan a from-empty run groups on the engine's group table.

@@ -50,8 +50,9 @@ use std::sync::Arc;
 
 /// How one maintenance run reaches the backend database.
 ///
-/// A run's operators read base tables only when they have to: a join side
-/// they do not keep materialized, or a recapture. An aggregation over its
+/// A run's operators read base tables only when they have to, and then
+/// through the engine ([`annotated_rows`]): a join side they do not keep
+/// materialized, or a recapture. An aggregation over its
 /// delta never does. So a sketch store's sweep keeps the database read
 /// lock past a run's fetch only when the run's operators probe a base
 /// table ([`IncNode::reads_base_tables`]); otherwise they run on
@@ -104,7 +105,8 @@ pub struct MaintCtx<'a, 'db> {
     /// Cost counters.
     pub metrics: &'a mut MaintMetrics,
     /// The run starts from the empty state (capture, recapture, full
-    /// maintenance): every delta is its operator's whole input.
+    /// maintenance): there is no delta, and every select-project-join
+    /// subtree's output is its whole result ([`IncNode::EngineSpj`]).
     pub from_empty: bool,
     /// Set by bounded-state operators when their buffer can no longer
     /// answer (paper §7.2 / §8.4.3: "our IMP will fully maintain the
@@ -202,7 +204,7 @@ pub enum IncNode {
     /// Join / cross product (§5.2.4) of any number of inputs, maintained
     /// by the telescoping delta rule with per-input indexes only.
     Nary(Box<NaryJoinOp>),
-    /// The top of a select-project-join subtree with a join: forwards its
+    /// The top of a maximal select-project-join subtree: forwards its
     /// input's deltas. From the empty state its output is the subtree's
     /// whole result, which the engine evaluates (`engine_rows`); the
     /// operators below do not run.
@@ -230,10 +232,11 @@ impl IncNode {
     }
 
     /// [`IncNode::build`] for `plan`, which lies inside a select-project-join
-    /// subtree with a join (`in_spj`) or not; the top of such a subtree is
-    /// wrapped in [`IncNode::EngineSpj`].
+    /// subtree (`in_spj`) or not; the top of each maximal such subtree —
+    /// every table is read inside one — is wrapped in
+    /// [`IncNode::EngineSpj`].
     pub(crate) fn build_in(plan: &LogicalPlan, config: &OpConfig, in_spj: bool) -> Result<IncNode> {
-        let top = !in_spj && joins(plan) && is_spj(plan);
+        let top = !in_spj && is_spj(plan);
         let in_spj = in_spj || top;
         let node = match plan {
             LogicalPlan::Scan { table, .. } => IncNode::TableAccess {
@@ -374,20 +377,6 @@ impl IncNode {
         }
     }
 
-    /// Add to `tables` every base table whose delta a from-empty run
-    /// (capture, recapture, full maintenance) reads: each table access
-    /// but those below a join, which the engine evaluates
-    /// ([`IncNode::EngineSpj`]), or below an aggregation that groups on
-    /// the engine's group table ([`AggOp::captures_on_the_group_table`]).
-    pub fn tables_read_from_empty<'a>(&'a self, tables: &mut Vec<&'a str>) {
-        match self {
-            IncNode::TableAccess { table } => tables.push(table),
-            IncNode::EngineSpj { .. } => {}
-            IncNode::Aggregate(a) if a.captures_on_the_group_table() => {}
-            _ => self.for_each_child(&mut |c| c.tables_read_from_empty(tables)),
-        }
-    }
-
     /// Visit this node's direct inputs, in plan order.
     pub(crate) fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a IncNode)) {
         match self {
@@ -496,33 +485,36 @@ impl IncNode {
     }
 }
 
-/// Does `plan` have a join under its filters and projections?
-fn joins(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Join { .. } => true,
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => joins(input),
-        _ => false,
-    }
-}
-
-/// The whole result of `plan`, a select-project-join plan with a join, as
-/// a from-empty run's delta: the engine evaluates it
-/// ([`imp_engine::eval::capture_rows`]: position tuples, NULL-free Int
-/// keys hashed as `i64`s) and reads each partitioned source's partition
-/// column through the positions, and each row is annotated with the
-/// pooled union of its sources' fragment singletons. No input is replayed
-/// as a delta, no backend round trip is counted and no join input is
-/// indexed.
+/// The whole result of `plan`, a select-project-join plan, as a
+/// from-empty run's delta ([`annotated_rows`]). No input is replayed as a
+/// delta, no backend round trip is counted and no join input is indexed.
 fn engine_rows(plan: &LogicalPlan, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
     let _span = crate::obs::trace::span("nary_delta");
-    let (db, pset) = (ctx.db, ctx.pset);
-    let column = |table: &str| partition_column(pset, table);
     let mut stats = imp_engine::ExecStats::default();
-    let captured = imp_engine::eval::capture_rows(plan, db.get(), &column, &mut stats)?;
+    let rows = annotated_rows(plan, ctx.db.get(), ctx.pset, ctx.pool, &mut stats)?;
+    ctx.metrics.rows_processed += rows.len() as u64;
+    Ok(rows)
+}
+
+/// The rows of `plan`, a select-project-join plan, as the engine evaluates
+/// it ([`imp_engine::eval::capture_rows`]: position tuples, NULL-free Int
+/// keys hashed as `i64`s), reading each partitioned source's partition
+/// column through the positions; each row is annotated with the pooled
+/// union of its sources' fragment singletons. Every row the maintainer
+/// reads from base tables comes from here — a from-empty run's input
+/// (`engine_rows`) and a join side's index ([`NaryJoinOp`]) — or from the
+/// engine's group table ([`AggOp`]).
+pub(crate) fn annotated_rows(
+    plan: &LogicalPlan,
+    db: &Database,
+    pset: &PartitionSet,
+    pool: &mut AnnotPool,
+    stats: &mut imp_engine::ExecStats,
+) -> Result<DeltaBatch> {
+    let column = |table: &str| partition_column(pset, table);
+    let captured = imp_engine::eval::capture_rows(plan, db, &column, stats)?;
     let mut frags = Vec::new();
     source_fragments(pset, &captured.partitioned, &mut frags);
-    ctx.metrics.rows_processed += captured.rows.len() as u64;
-    let pool = &mut *ctx.pool;
     let mut out = DeltaBatch::with_capacity(captured.rows.len());
     for (t, (row, mult)) in captured.rows.into_iter().enumerate() {
         let annot = (frags.iter()).fold(pool.empty_id(), |annot, f| {

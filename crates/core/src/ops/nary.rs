@@ -35,15 +35,16 @@
 //! The paper outsources the `Q ⋈ Δ` terms to the backend (§1, §7), a
 //! round trip per batch. Here an input is materialised as a [`SideIndex`]
 //! the first time another input's delta probes it — one backend
-//! evaluation, which always sees the *new* table state and is rewound to
-//! the old one with a negated delta when the input's own term is still
-//! ahead — and is maintained from the input's own deltas thereafter. An
-//! input whose partners never change is never evaluated and holds no
-//! bytes. The indexes are bounded by `OpConfig::join_index_budget`
-//! (annotated tuples per input): an input over budget is dropped at the
-//! end of the batch that outgrew it and evaluated per batch into a
-//! transient index until the next reset, mirroring the bounded MIN/MAX
-//! state's fallback.
+//! evaluation by the engine, annotated as a from-empty run's rows are
+//! ([`super::annotated_rows`]), which always sees the *new* table state
+//! and is rewound to the old one with a negated delta when the input's own
+//! term is still ahead — and is maintained from the input's own deltas
+//! thereafter. An input whose partners never change is never evaluated and
+//! holds no bytes. The indexes are bounded by
+//! `OpConfig::join_index_budget` (annotated tuples per input): an input
+//! over budget is dropped at the end of the batch that outgrew it and
+//! evaluated per batch into a transient index until the next reset,
+//! mirroring the bounded MIN/MAX state's fallback.
 //!
 //! # From the empty state: the engine's join
 //!
@@ -51,14 +52,13 @@
 //! state ([`MaintCtx::from_empty`]), where a join's output is its whole
 //! result, and this operator does not run: the top of the join's
 //! select-project-join subtree ([`IncNode::EngineSpj`], with the filters
-//! and projections above the join) has the engine evaluate it
-//! ([`imp_engine::eval::capture_rows`]: position tuples, NULL-free Int
-//! keys hashed as `i64`s) and annotates each result row with the pooled
-//! union of its sources' fragment singletons. No input is replayed as a
-//! delta, no backend round trip is counted and no index is kept: every
-//! input stays `Absent` until a later delta probes it. (An aggregation
-//! over the join with no MIN/MAX does not even ask for the rows: it groups
-//! the join on the engine's group table, `ops/aggregate.rs`.)
+//! and projections above the join) has the engine evaluate it and
+//! annotates each result row with the pooled union of its sources'
+//! fragment singletons. No input is replayed as a delta, no backend round
+//! trip is counted and no index is kept: every input stays `Absent` until
+//! a later delta probes it. (An aggregation over the join with no MIN/MAX
+//! does not even ask for the rows: it groups the join on the engine's
+//! group table, `ops/aggregate.rs`.)
 //!
 //! # Leapfrog-style probing, no pair state
 //!
@@ -85,7 +85,6 @@ use crate::metrics::MaintMetrics;
 use crate::obs::trace;
 use crate::opt::{ClassSpec, SideIndex};
 use crate::Result;
-use imp_sketch::capture::eval_annot;
 use imp_sql::plan::NaryJoin;
 use imp_sql::LogicalPlan;
 use imp_storage::{codec, AnnotId, AnnotPool, FxHashMap, Row, Value};
@@ -544,10 +543,10 @@ fn assemble(parts: &[Option<Row>], j: usize, row: &Row) -> Row {
 /// trip. Its annotations are interned into the run's pool.
 fn eval_side(plan: &LogicalPlan, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
     ctx.metrics.db_roundtrips += 1;
-    let mut scanned = 0u64;
-    let bag = eval_annot(plan, ctx.db.get(), ctx.pset, ctx.pool, &mut scanned)?;
-    ctx.metrics.db_rows_scanned += scanned;
-    Ok(bag)
+    let mut stats = imp_engine::ExecStats::default();
+    let rows = super::annotated_rows(plan, ctx.db.get(), ctx.pset, ctx.pool, &mut stats)?;
+    ctx.metrics.db_rows_scanned += stats.rows_scanned;
+    Ok(rows)
 }
 
 /// Greedy extension order per seeding input: repeatedly pick the input

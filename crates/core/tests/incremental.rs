@@ -858,9 +858,9 @@ fn a_join_side_whose_partner_never_changes_is_never_indexed() {
 
 #[test]
 fn capture_builds_no_join_state_and_a_first_batch_only_what_it_probes() {
-    // From the empty state every join is the join of its deltas, computed
-    // in memory, whatever its arity: capture and full maintenance
-    // evaluate no input and keep no index. The first batch then indexes
+    // From the empty state the engine evaluates every join, whatever its
+    // arity, in one pass: capture and full maintenance make no round trip
+    // and index no input. The first batch then indexes
     // exactly the inputs its delta probes — for a delta on one input of
     // an n-input chain, the other n − 1, one round trip each.
     let (db, pset) = two_key_join_db();

@@ -13,8 +13,11 @@
 //! scans emit cached singletons, joins and aggregates combine them with
 //! memoized pool unions, so no per-row bitvector is ever allocated.
 //!
-//! This evaluator is deliberately independent from the incremental engine
-//! in `imp-core`; property tests cross-validate the two implementations.
+//! This evaluator is the Thm. 6.1 oracle: reached only through [`capture`]
+//! — by tests, by the benchmark's output check and by the figure
+//! harnesses — never by the maintainer in `imp-core`, which reads every
+//! row through the engine. So it is independent of the code it checks;
+//! property tests cross-validate the two implementations.
 
 use crate::partition::PartitionSet;
 use crate::sketch::SketchSet;
@@ -27,7 +30,7 @@ use imp_storage::{AnnotId, AnnotPool, BitVec, DeltaBatch, FxHashMap, Row, Value}
 use std::sync::Arc;
 
 /// A bag of annotated tuples `⟨t, P⟩ⁿ` with pooled annotations.
-pub type AnnotBag = DeltaBatch;
+type AnnotBag = DeltaBatch;
 
 /// Output of capture: the accurate sketch plus the (plain) query result,
 /// so a capture run also answers the query (paper Fig. 2, blue pipeline).
@@ -68,7 +71,7 @@ pub fn capture(
 }
 
 /// Evaluate a plan under annotated semantics against `pool`.
-pub fn eval_annot(
+fn eval_annot(
     plan: &LogicalPlan,
     db: &Database,
     pset: &PartitionSet,

@@ -10,7 +10,8 @@
 //! * [`sketch`] — provenance sketches as bitvectors over fragments
 //!   (Def. 4.2), with deltas (`ΔP`, §4.2) and merged-range extraction.
 //! * [`capture`](mod@capture) — batch *annotated* evaluation of a query, producing its
-//!   accurate sketch `S(F(Q(𝒟)))`. Re-running capture is exactly the
+//!   accurate sketch `S(F(Q(𝒟)))`, the Thm. 6.1 oracle the maintainer is
+//!   checked against. Re-running capture is exactly the
 //!   "full maintenance" baseline of §8. Annotations flow as pooled
 //!   [`imp_storage::AnnotId`]s (hash-consed, memoized unions) rather than
 //!   per-row bitvectors.
@@ -31,7 +32,7 @@ pub use annotate::{
     annotate_delta, annotate_delta_with, annotation_for_row, annotation_id_for_row,
     annotation_ids_for_rows, ANNOTATE_COLUMNAR_MIN,
 };
-pub use capture::{capture, AnnotBag, CaptureResult};
+pub use capture::{capture, CaptureResult};
 pub use error::SketchError;
 pub use partition::{PartitionSet, RangePartition};
 pub use safety::{safe_attributes, SafeAttribute};
