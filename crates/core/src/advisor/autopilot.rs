@@ -4,10 +4,11 @@
 //! Every stored sketch sits on a rung of the **lifecycle ladder**:
 //!
 //! ```text
-//!   Maintained ──▶ Lazy ──▶ Evicted(-to-codec) ──▶ dropped
-//!        ▲__________│____________│    (promotion restores + maintains,
-//!                                      so the sketch lands byte-identical
-//!                                      to one that was never demoted)
+//!   Maintained ──▶ Lazy ──▶ Evicted ──▶ dropped
+//!        ▲__________│___________│    (promotion maintains a lazy sketch
+//!                                     and recaptures an evicted one, so
+//!                                     the sketch lands byte-identical to
+//!                                     one that was never demoted)
 //! ```
 //!
 //! * **Maintained** — proactively maintained: eager batches and the
@@ -16,12 +17,12 @@
 //!   proactively; the first query that needs it maintains it on demand
 //!   (split-invariant versioning makes the result identical to eager
 //!   upkeep).
-//! * **Evicted** — operator state is serialized through
-//!   [`crate::state_codec`] (the paper's §2 eviction hook) and the
-//!   in-memory structures are freed; the sketch bits stay available for
-//!   fresh reuse, and the state is restored transparently before the next
-//!   maintenance (a blob that does not decode is dropped and the sketch
-//!   recaptured from the database instead).
+//! * **Evicted** — operator state is dropped (the paper's §2 eviction
+//!   hook) and nothing of it is kept; the sketch bits stay available for
+//!   fresh reuse, and the next run that needs the state — a stale query
+//!   or a promotion — recaptures it from the database
+//!   ([`crate::maintain::SketchMaintainer::full_maintain`]). An evicted
+//!   sketch pins no delta-log record.
 //! * **dropped** — the sketch leaves the store entirely (its tracker
 //!   stats go too); a re-hot template re-captures on its next query and
 //!   re-enters the ladder at `Maintained` with a fresh capture-seeded
@@ -32,7 +33,7 @@
 //! `Evicted`, then to drop) on the enforcement rounds
 //! [`crate::advisor::Advisor`] runs while the store is still over budget.
 //! Decisions only ever change *cost*: demoted sketches answer queries
-//! through the same on-demand maintenance/restore/capture paths the
+//! through the same on-demand maintenance/recapture/capture paths the
 //! store already has, so answers are bit-for-bit unchanged.
 
 use crate::advisor::cost::AdvisorParams;
@@ -57,7 +58,7 @@ pub enum Lifecycle {
     Maintained,
     /// In memory, but only maintained on demand by a query.
     Lazy,
-    /// Operator state evicted to its serialized form; restored on demand.
+    /// Operator state dropped; recaptured on demand.
     Evicted,
 }
 
@@ -96,8 +97,8 @@ pub struct SketchCard {
     /// sum of these, matching `Imp::store_heap_size`).
     pub resident: usize,
     /// Heap bytes the sketch costs *if kept maintained*: the resident
-    /// footprint plus, for evicted sketches, the serialized state size
-    /// as a proxy for what restoring would bring back. The knapsack must
+    /// footprint plus, for evicted sketches, the state bytes the eviction
+    /// freed as a proxy for what a recapture brings back. The knapsack must
     /// price a promotion at its full cost — admitting an evicted sketch
     /// by its residual would promote it, overflow the budget, and
     /// re-evict it next round (thrash).
@@ -219,14 +220,13 @@ pub fn plan_round(
 pub struct ApplyOutcome {
     /// Sketches newly marked [`Lifecycle::Lazy`].
     pub demoted_lazy: usize,
-    /// Sketches whose state was evicted to its serialized form.
+    /// Sketches whose operator state was evicted.
     pub evicted: usize,
     /// Sketches removed from the store.
     pub dropped: usize,
-    /// Sketches restored/maintained back to [`Lifecycle::Maintained`].
+    /// Sketches recaptured/maintained back to [`Lifecycle::Maintained`].
     pub promoted: usize,
-    /// Heap bytes freed by evicting operator state to its serialized
-    /// form.
+    /// Heap bytes freed by evicting operator state.
     pub freed_bytes: usize,
 }
 

@@ -21,6 +21,9 @@
 //!   per byte: holding memory is a standing cost even for a sketch whose
 //!   table never changes. It prices the sketch by its own size, so it
 //!   does not depend on how a scheduler split the updates into runs.
+//!   An evicted sketch is priced at what promoting it costs: promotion
+//!   recaptures its operator state from the database, so the state
+//!   bytes its eviction freed count on top of what it still holds.
 //!
 //! The absolute numbers are heuristic; what matters is the *ordering* it
 //! induces (the greedy knapsack of [`crate::advisor::select`]) and the
@@ -43,7 +46,7 @@ pub struct AdvisorParams {
     /// factor when competing for the keep-set, so it must beat the
     /// incumbents by a real margin before displacing one. Without it two
     /// equally hot sketches under a one-sketch budget swap places every
-    /// pass, paying a restore + maintain each time (default 0.8 = a 25%
+    /// pass, paying a recapture each time (default 0.8 = a 25%
     /// advantage required).
     pub promote_margin: f64,
 }

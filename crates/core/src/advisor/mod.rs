@@ -37,15 +37,15 @@
 //!   keep-set under the configured memory budget.
 //! * [`autopilot`] — plans and applies lifecycle transitions along the
 //!   ladder `Maintained → Lazy → Evicted → dropped`, promoting re-hot
-//!   sketches back up (restore + maintain; a dropped template re-captures
-//!   on its next query).
+//!   sketches back up (maintain, or recapture an evicted one; a dropped
+//!   template re-captures on its next query).
 //!
 //! The autopilot runs from [`crate::middleware::Imp::tick_maintenance`]
 //! (and on demand via [`crate::middleware::Imp::advise`]); the
 //! gather/apply steps run on the calling thread under the
 //! [`crate::sched`] store's state lock, as every control does.
 //! Decisions change **cost, never answers**: every demoted sketch still
-//! answers through the store's existing on-demand maintenance / restore /
+//! answers through the store's existing on-demand maintenance /
 //! re-capture paths, and a demoted-then-promoted sketch is byte-identical
 //! (bits and version) to one that was maintained throughout —
 //! split-invariant versioning makes promotion a pure cost event.

@@ -6,16 +6,17 @@
 //! NULL-bearing columns, several chunks, tombstones, an open tail),
 //! partitions and plans, both must leave the same state behind and stay
 //! the same through the next maintenance run. Over a scan prefix the state
-//! is byte for byte the same — encoded maintainer state, aggregation heap
-//! totals, sketch and result bag. Over a join (2–4 inputs, a cross
-//! product, self-joins, NULL and Float keys, an empty side) the group
-//! table adds a tuple's fragments in source order where the row path adds
-//! its annotation's in fragment order, so groups, `CNT` and `ℱ_g` are
-//! compared by value. Both paths, and every plan without such an
-//! aggregation — a top-k, MIN/MAX, a sort or the root over a scan or a
-//! join — are checked against the independent annotated evaluator
-//! ([`imp_sketch::capture`]) and the engine's answer, before and after a
-//! maintenance run. A `#[cfg(test)]` counter says which path ran.
+//! is the same by value in full — groups, `CNT`, accumulators, `ℱ_g`, the
+//! merge counters, aggregation heap totals, the state's heap total (less
+//! the annotation pool and row interner), sketch and result bag. Over a
+//! join (2–4 inputs, a cross product, self-joins, NULL and Float keys, an
+//! empty side) the group table adds a tuple's fragments in source order
+//! where the row path adds its annotation's in fragment order, so groups,
+//! `CNT` and `ℱ_g` are compared by value. Both paths, and every plan
+//! without such an aggregation — a top-k, MIN/MAX, a sort or the root over
+//! a scan or a join — are checked against the independent annotated
+//! evaluator ([`imp_sketch::capture`]) and the engine's answer, before and
+//! after a maintenance run. A `#[cfg(test)]` counter says which path ran.
 //!
 //! Float sums depend on summation order, which over a join is the join's
 //! tuple order. The row path reads the engine's tuples in the engine's
@@ -29,7 +30,6 @@
 use crate::maintain::SketchMaintainer;
 use crate::ops::aggregate::tests::{GroupByValue, ROW_CAPTURES_ONLY, TYPED_CAPTURES};
 use crate::ops::{IncNode, OpConfig};
-use crate::state_codec::save_state;
 use imp_engine::database::canonical_bag;
 use imp_engine::{Bag, Database};
 use imp_sketch::{PartitionSet, RangePartition};
@@ -230,38 +230,36 @@ fn aggregation_heaps(node: &IncNode, heaps: &mut Vec<usize>) {
     node.for_each_child(&mut |c| aggregation_heaps(c, heaps));
 }
 
-/// What must agree between the two paths, and with the heap oracle.
+/// Every aggregation's groups spelled out in full.
+fn aggregation_states(node: &IncNode, states: &mut Vec<Vec<(Row, String)>>) {
+    if let IncNode::Aggregate(a) = node {
+        states.push(a.groups_spelled_out());
+    }
+    node.for_each_child(&mut |c| aggregation_states(c, states));
+}
+
+/// What must agree between the two paths over a scan prefix: everything
+/// [`assert_same_by_value`] compares, and the accumulators, `ℱ_g` in
+/// iteration order, μ's counters and the state's heap total too.
 fn assert_same(
     rows: &SketchMaintainer,
     typed: &SketchMaintainer,
     context: &str,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        save_state(rows),
-        save_state(typed),
-        "state bytes: {}",
-        context
-    );
-    let heaps = |m: &SketchMaintainer| {
-        let mut heaps = Vec::new();
-        aggregation_heaps(m.parts().0, &mut heaps);
-        heaps
+    assert_same_by_value(rows, typed, context)?;
+    let states = |m: &SketchMaintainer| {
+        let mut states = Vec::new();
+        aggregation_states(m.root(), &mut states);
+        states
     };
-    prop_assert_eq!(heaps(rows), heaps(typed), "aggregation heap: {}", context);
-    prop_assert_eq!(
-        rows.sketch().bits(),
-        typed.sketch().bits(),
-        "sketch: {}",
-        context
-    );
-    for m in [rows, typed] {
-        prop_assert_eq!(
-            m.walked_heap_size(),
-            (m.state_heap_size(), 0),
-            "heap oracle: {}",
-            context
-        );
-    }
+    prop_assert_eq!(states(rows), states(typed), "accumulators: {}", context);
+    prop_assert_eq!(rows.merge(), typed.merge(), "merge counters: {}", context);
+    // `state_heap_size` less the pools: the row path interns every row's
+    // annotation, the group table none.
+    let heap = |m: &SketchMaintainer| {
+        m.root().heap_size() + m.merge().heap_size() + m.sketch().heap_size()
+    };
+    prop_assert_eq!(heap(rows), heap(typed), "state heap: {}", context);
     Ok(())
 }
 
@@ -343,9 +341,9 @@ fn accurate_capture(
 }
 
 /// A group over more fragments than a sorted vector holds keeps them in a
-/// hash map, whose iteration order — the order the state is encoded in —
-/// depends on the order fragments were first added: the typed path adds
-/// them in the order the scan met them, as the row path does.
+/// hash map, whose iteration order depends on the order fragments were
+/// first added: the typed path adds them in the order the scan met them,
+/// as the row path does.
 #[test]
 fn a_group_over_many_fragments_keeps_the_order_its_rows_met_them() {
     // 100 groups of 30 rows; each meets 30 of `x`'s 1 000 fragments, out
@@ -458,13 +456,13 @@ fn assert_same_by_value(
 ) -> Result<(), TestCaseError> {
     let groups = |m: &SketchMaintainer| {
         let mut groups = Vec::new();
-        aggregation_groups(m.parts().0, &mut groups);
+        aggregation_groups(m.root(), &mut groups);
         groups
     };
     prop_assert_eq!(groups(rows), groups(typed), "groups: {}", context);
     let heaps = |m: &SketchMaintainer| {
         let mut heaps = Vec::new();
-        aggregation_heaps(m.parts().0, &mut heaps);
+        aggregation_heaps(m.root(), &mut heaps);
         heaps
     };
     prop_assert_eq!(heaps(rows), heaps(typed), "aggregation heap: {}", context);

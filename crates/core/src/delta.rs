@@ -15,7 +15,7 @@
 //! ([`crate::opt::SideIndex`], aggregation groups), and
 //! [`normalize_delta_with`] annihilates same-batch insert+delete pairs
 //! before an operator's output reaches its parent. The `nary_differential`
-//! suite drives eviction/restore cycles under such churn and requires
+//! suite drives eviction/recapture cycles under such churn and requires
 //! byte-identical sketches against the oracles.
 //!
 //! # The `DeltaBatch` / `AnnotPool` design
@@ -46,8 +46,8 @@
 //!
 //! Ordering-sensitive operator state (top-k) stores `Arc<BitVec>` handles
 //! obtained from [`AnnotPool::share`] instead of raw ids, so its ordering
-//! follows annotation *content* and survives state eviction / restore
-//! even though pool ids are reassigned on re-interning.
+//! follows annotation *content* and survives a pool flush even though
+//! pool ids are reassigned when the state is re-adopted.
 
 pub use imp_storage::{AnnotId, AnnotPool, DeltaBatch, DeltaEntry};
 use imp_storage::{BitVec, DeltaColumns, FxHashMap, FxHashSet, Row};

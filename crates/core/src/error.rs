@@ -16,8 +16,6 @@ pub enum CoreError {
     /// Operator state diverged from the database (e.g. negative counts) —
     /// indicates a delta was skipped or applied twice.
     StateCorrupt(String),
-    /// Persisted state could not be decoded.
-    Codec(String),
 }
 
 impl fmt::Display for CoreError {
@@ -27,7 +25,6 @@ impl fmt::Display for CoreError {
             CoreError::Sketch(e) => write!(f, "{e}"),
             CoreError::Unsupported(m) => write!(f, "unsupported: {m}"),
             CoreError::StateCorrupt(m) => write!(f, "operator state corrupt: {m}"),
-            CoreError::Codec(m) => write!(f, "state codec: {m}"),
         }
     }
 }

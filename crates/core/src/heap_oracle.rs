@@ -220,7 +220,7 @@ mod tests {
                 }
                 let context = format!("op {op}({t}, {key}, {val}) at step {step}");
                 assert_exact(&imp, &context)?;
-                // Bring everything current (restores evicted state, runs
+                // Bring everything current (recaptures evicted state, runs
                 // the deltas through every operator) and check again.
                 imp.maintain_all_stale().unwrap();
                 assert_exact(&imp, &format!("maintenance after {context}"))?;

@@ -67,7 +67,6 @@ pub mod obsd;
 pub mod ops;
 pub mod opt;
 pub mod sched;
-pub mod state_codec;
 pub mod strategy;
 
 pub use advisor::{Advisor, AdvisorParams, AdvisorReport, Lifecycle, WorkloadTracker};

@@ -199,13 +199,12 @@ impl SketchMaintainer {
         let delta = self.merge.process(&out, &self.pool)?;
         self.sketch.apply_delta(&delta);
         // Split-invariant versioning: the capture read every row of the
-        // sketch's tables, i.e. everything up to the last logged record of
+        // sketch's tables, i.e. everything up to the last change logged for
         // those tables. Using that (instead of the global `db.version()`)
         // makes the version a pure function of the consumed content, so one
         // run over a range and several runs over its pieces land on
-        // byte-identical versions. The `max` guards against
-        // regression when a vacuumed log no longer holds its tail.
-        self.last_version = self.last_version.max(tables_log_version(db, &self.tables)?);
+        // byte-identical versions.
+        self.last_version = tables_log_version(db, &self.tables)?;
         // Bootstrap output from the empty state is the full query result.
         Ok(out
             .into_iter()
@@ -245,13 +244,11 @@ impl SketchMaintainer {
         kept
     }
 
-    /// Is the sketch stale w.r.t. the current database?
+    /// Is the sketch stale w.r.t. the current database? Also when a
+    /// vacuum dropped the changes it missed (an evicted sketch pins no
+    /// log): the version of a table's last change outlives its record.
     pub fn is_stale(&self, db: &Database) -> bool {
-        self.tables.iter().any(|t| {
-            db.delta_since(t, self.last_version)
-                .map(|d| !d.is_empty())
-                .unwrap_or(false)
-        })
+        is_stale(db, &self.tables, self.last_version)
     }
 
     /// Incrementally maintain the sketch to the current database version.
@@ -502,12 +499,11 @@ impl SketchMaintainer {
         self.root.join_index_state()
     }
 
-    /// Drop the in-memory operator state (after persisting it via
-    /// [`crate::state_codec::save_state`]); the sketch and version stay
-    /// available for use-rewrites. The annotation pool and row interner
-    /// are flushed too — no batch is in flight, and restoring re-interns
-    /// what the state needs. Restore with
-    /// [`crate::state_codec::load_state`] before the next maintenance.
+    /// Drop the in-memory operator state (paper §2's eviction); the
+    /// sketch and version stay available for use-rewrites. The annotation
+    /// pool and row interner are flushed too — no batch is in flight. The
+    /// state is not kept anywhere: the next run must be
+    /// [`Self::full_maintain`], which recaptures it from the database.
     pub fn drop_state(&mut self) {
         self.root.reset();
         self.merge.reset();
@@ -546,42 +542,22 @@ impl SketchMaintainer {
         self.pool.clear();
         self.root.readopt_annots(&mut self.pool);
     }
-
-    /// Internal accessors for state persistence (see [`crate::state_codec`]).
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (
-        &mut IncNode,
-        &mut MergeOp,
-        &mut SketchSet,
-        &mut u64,
-        &mut AnnotPool,
-    ) {
-        (
-            &mut self.root,
-            &mut self.merge,
-            &mut self.sketch,
-            &mut self.last_version,
-            &mut self.pool,
-        )
-    }
-
-    /// Internal accessors for state persistence.
-    pub(crate) fn parts(&self) -> (&IncNode, &MergeOp, &SketchSet, u64) {
-        (&self.root, &self.merge, &self.sketch, self.last_version)
-    }
 }
 
-/// Highest logged record version across `tables` (0 when their logs are
-/// empty): the version a from-scratch scan of those tables represents.
+/// Highest version ever logged across `tables` (0 when nothing was):
+/// the version a from-scratch scan of those tables represents.
 fn tables_log_version(db: &Database, tables: &[String]) -> Result<u64> {
     let mut v = 0u64;
     for table in tables {
-        if let Some(last) = db.table(table)?.delta_log().all().last() {
-            v = v.max(last.version);
-        }
+        v = v.max(db.table(table)?.delta_log().last_version());
     }
     Ok(v)
+}
+
+/// Has any of `tables` changed after `version`?
+pub(crate) fn is_stale(db: &Database, tables: &[String], version: u64) -> bool {
+    let changed = |t: &String| db.table(t).map(|t| t.delta_log().last_version() > version);
+    tables.iter().any(|t| changed(t).unwrap_or(false))
 }
 
 /// Compute the delta between two sketch versions (`ΔP` with
@@ -621,6 +597,17 @@ mod tests {
                 + self.pool.heap_size()
                 + self.rows.heap_size();
             (walked, walk.unpooled())
+        }
+
+        /// The operator tree (the bootstrap differential compares its
+        /// state by value).
+        pub(crate) fn root(&self) -> &IncNode {
+            &self.root
+        }
+
+        /// μ's counters.
+        pub(crate) fn merge(&self) -> &MergeOp {
+            &self.merge
         }
     }
 

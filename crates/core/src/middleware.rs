@@ -20,7 +20,7 @@ use crate::advisor::{
     WorkloadTracker, MAX_ENFORCEMENT_ROUNDS,
 };
 use crate::error::CoreError;
-use crate::maintain::{MaintReport, SketchMaintainer};
+use crate::maintain::{is_stale, MaintReport, SketchMaintainer};
 use crate::obs::{Obs, ObsConfig};
 use crate::obsd::{start_obsd, ObsdHandle, ObsdState, OBSD_ADDR_ENV};
 use crate::ops::{DbAccess, OpConfig};
@@ -208,11 +208,11 @@ pub struct StoredSketch {
     pub maintainer: SketchMaintainer,
     /// Delta rows accumulated since the last maintenance (eager batching).
     pub pending_rows: u64,
-    /// Evicted operator state (paper §2: "when we are running out of
-    /// memory and need to evict the operator states for a query"). When
-    /// set, the in-memory state has been reset and must be restored from
-    /// these bytes before the next maintenance.
-    pub evicted: Option<bytes::Bytes>,
+    /// Set when the operator state was evicted (paper §2: "when we are
+    /// running out of memory and need to evict the operator states for a
+    /// query"): the state bytes the eviction freed. The state is gone;
+    /// the next run recaptures it from the database.
+    pub evicted: Option<usize>,
     /// Rung on the advisor's lifecycle ladder (see [`crate::advisor`]).
     /// Everything below [`Lifecycle::Maintained`] is excluded from
     /// proactive maintenance and only brought current on demand.
@@ -455,9 +455,9 @@ impl Imp {
         total
     }
 
-    /// Evict the operator state of every stored sketch to its serialized
-    /// form, freeing the in-memory structures (paper §2). State is
-    /// restored transparently before the next maintenance.
+    /// Evict the operator state of every stored sketch, freeing the
+    /// in-memory structures (paper §2), and return the bytes freed. The
+    /// next run of each sketch recaptures its state from the database.
     pub fn evict_all_states(&mut self) -> Result<usize> {
         Ok(self.for_each_sketch(None, evict_stored))
     }
@@ -497,12 +497,13 @@ impl Imp {
 
     /// VACUUM the backend: compact table storage and drop delta-log
     /// records that every stored sketch has already consumed. The horizon
-    /// is per table — the minimum maintained version across the sketches
-    /// *referencing* that table — so a low-traffic sketch does not pin
-    /// every other table's log (maintained versions are table-local, see
-    /// [`SketchMaintainer::maintain`]). An unreferenced table's log is
-    /// reclaimed entirely. Returns `(reclaimed row slots, dropped delta
-    /// records)`.
+    /// is per table — the minimum maintained version across the resident
+    /// sketches *referencing* that table — so a low-traffic sketch does
+    /// not pin every other table's log (maintained versions are
+    /// table-local, see [`SketchMaintainer::maintain`]). An evicted sketch
+    /// pins nothing: its next run recaptures and reads no log. A table
+    /// no resident sketch references has its log reclaimed entirely.
+    /// Returns `(reclaimed row slots, dropped delta records)`.
     pub fn vacuum(&mut self) -> (usize, usize) {
         let mut horizons: FxHashMap<String, u64> = FxHashMap::default();
         let _ = self.sched.visit(false, |store, _| {
@@ -757,14 +758,7 @@ impl Imp {
         // reuse condition (from [37]; here: structural subsumption) is
         // checked against every stored candidate.
         if let Some(published) = self.sched.find_published(&template, &plan) {
-            let stale = {
-                let db = self.db.read();
-                published.tables.iter().any(|t| {
-                    db.delta_since(t, published.version)
-                        .map(|d| !d.is_empty())
-                        .unwrap_or(false)
-                })
-            };
+            let stale = is_stale(&self.db.read(), &published.tables, published.version);
             let used = if stale {
                 // (iii): maintain it here (or find that a sweep did).
                 // `None`: the candidate vanished since the snapshot; fall
@@ -874,11 +868,11 @@ pub(crate) fn stored_heap_size(s: &StoredSketch) -> usize {
     s.maintainer.state_heap_size()
 }
 
-/// Per table, the minimum maintained version across the `entries`
-/// referencing it — the table's vacuum horizon.
+/// Per table, the minimum maintained version across the resident
+/// `entries` referencing it — the table's vacuum horizon.
 fn table_horizons<'a>(entries: impl Iterator<Item = &'a StoredSketch>) -> FxHashMap<String, u64> {
     let mut mins = FxHashMap::default();
-    for e in entries {
+    for e in entries.filter(|e| e.evicted.is_none()) {
         for table in e.maintainer.tables() {
             let v = mins.entry(table.clone()).or_insert(u64::MAX);
             *v = (*v).min(e.maintainer.version());
@@ -887,7 +881,7 @@ fn table_horizons<'a>(entries: impl Iterator<Item = &'a StoredSketch>) -> FxHash
     mins
 }
 
-/// Restore (if evicted) and maintain one stored sketch through the
+/// Recapture (if evicted) or maintain one stored sketch through the
 /// fetching path, resetting its eager batch counter — the per-entry
 /// maintenance step of every path (stale queries, sweeps, eager batches,
 /// advisor promotions), so their arithmetic and their bookkeeping cannot
@@ -966,22 +960,23 @@ fn repartition_store(store: &mut Store, db: &Database, config: &ImpConfig) -> Re
     Ok(recaptured)
 }
 
-/// Evict one sketch's operator state to its serialized form, returning
-/// the bytes freed (0 when already evicted).
+/// Evict one sketch's operator state, returning the bytes freed (0 when
+/// already evicted).
 pub(crate) fn evict_stored(entry: &mut StoredSketch) -> usize {
     if entry.evicted.is_some() {
         return 0;
     }
-    let freed = entry.maintainer.state_heap_size();
-    entry.evicted = Some(crate::state_codec::save_state(&entry.maintainer));
+    let before = entry.maintainer.state_heap_size();
     entry.maintainer.drop_state();
+    let freed = before - entry.maintainer.state_heap_size();
+    entry.evicted = Some(freed);
     freed
 }
 
 /// Build the advisor's [`SketchCard`] for one stored sketch. The card's
 /// `heap` prices the sketch at its *kept-maintained* footprint:
-/// resident bytes plus, when evicted, the serialized state size (the
-/// restore proxy).
+/// resident bytes plus, when evicted, the state bytes the eviction freed
+/// (the proxy for what a recapture brings back).
 fn advisor_card(template: &QueryTemplate, e: &StoredSketch) -> SketchCard {
     let resident = stored_heap_size(e);
     SketchCard {
@@ -989,7 +984,7 @@ fn advisor_card(template: &QueryTemplate, e: &StoredSketch) -> SketchCard {
         sql: e.sql.clone(),
         lifecycle: e.lifecycle,
         resident,
-        heap: resident + e.evicted.as_ref().map(|b| b.len()).unwrap_or(0),
+        heap: resident + e.evicted.unwrap_or(0),
     }
 }
 
@@ -1076,33 +1071,22 @@ fn sampled_distinct(db: &Database, table: &str, column: usize) -> usize {
     seen.len()
 }
 
-/// Reload evicted operator state before the maintainer is used ("fetched
-/// from the database" in paper §2 terms). A blob that does not decode is
-/// dropped and the sketch recaptured from `db` — the fallback an
-/// exhausted MIN/MAX or top-k buffer takes — so one bad blob cannot fail
-/// every later run. Returns the recapture's report (`recaptured: true`),
-/// which the caller books as the sketch's run.
+/// Rebuild evicted operator state before the maintainer is used: a
+/// recapture from `db` ([`SketchMaintainer::full_maintain`]), the run an
+/// exhausted MIN/MAX or top-k buffer takes. Returns its report
+/// (`recaptured: true`), which the caller books as the sketch's run. A
+/// recapture that fails leaves the sketch evicted, so the next run
+/// retries.
 pub(crate) fn restore_if_evicted(
     entry: &mut StoredSketch,
     db: &DbAccess<'_>,
 ) -> Result<Option<MaintReport>> {
-    let Some(bytes) = entry.evicted.take() else {
-        return Ok(None);
-    };
-    if crate::state_codec::load_state(&mut entry.maintainer, bytes).is_ok() {
+    if entry.evicted.is_none() {
         return Ok(None);
     }
-    // A partial load leaves operator state and the pools half-written:
-    // start from empty ones, as a fresh capture does.
-    entry.maintainer.drop_state();
-    match entry.maintainer.full_maintain(db.get()) {
-        Ok(report) => Ok(Some(report)),
-        Err(e) => {
-            // An empty blob never decodes: the next run retries.
-            entry.evicted = Some(bytes::Bytes::new());
-            Err(e)
-        }
-    }
+    let report = entry.maintainer.full_maintain(db.get())?;
+    entry.evicted = None;
+    Ok(Some(report))
 }
 
 /// Order a capture result the way the plan's top Sort/TopK demands (the

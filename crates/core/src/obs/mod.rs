@@ -17,7 +17,8 @@
 //!   ([`Obs::metrics_json`]).
 //! * **[`trace`]** — bounded per-thread span rings instrumenting the full
 //!   pipeline: update → a sweep's per-sketch run (`maintain_stale`) →
-//!   per-term join maintenance (`nary_delta` / `nary_probe` phases) →
+//!   per-term join maintenance (`nary_delta` / `nary_probe` phases; a
+//!   from-empty run's engine read is `capture_spj`) →
 //!   snapshot publish. Spans carry ids, parent links, and
 //!   monotonic timestamps; [`Obs::trace_chrome_json`] renders Chrome
 //!   trace-event JSON loadable in `chrome://tracing`.

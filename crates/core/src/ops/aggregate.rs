@@ -562,116 +562,14 @@ impl AggOp {
         self.input.reset();
     }
 
-    /// Input child (state persistence walks the tree).
+    /// Input child.
     pub fn input_child(&self) -> &IncNode {
         &self.input
-    }
-
-    /// Mutable input child.
-    pub fn input_child_mut(&mut self) -> &mut IncNode {
-        &mut self.input
     }
 
     /// Number of groups currently tracked.
     pub fn group_count(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Serialize the group state (paper §2: operator state can be
-    /// persisted in the database and restored later).
-    pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
-        use imp_storage::codec::*;
-        encode_u64(buf, self.groups.len() as u64);
-        // Deterministic order for reproducible encodings.
-        let mut keys: Vec<&Row> = self.groups.keys().collect();
-        keys.sort();
-        for key in keys {
-            let st = &self.groups[key];
-            encode_row(buf, key);
-            encode_i64(buf, st.count);
-            encode_u64(buf, st.frags.len() as u64);
-            for (f, c) in st.frags.iter() {
-                encode_u64(buf, f as u64);
-                encode_i64(buf, c);
-            }
-            for acc in &st.accs {
-                match acc {
-                    IncAcc::Sum { sum, non_null } | IncAcc::Avg { sum, non_null } => {
-                        let (i, f, isf) = sum.to_parts();
-                        encode_i64(buf, i);
-                        encode_f64(buf, f);
-                        encode_u64(buf, isf as u64);
-                        encode_i64(buf, *non_null);
-                    }
-                    IncAcc::Count { non_null } => encode_i64(buf, *non_null),
-                    IncAcc::Min(o) | IncAcc::Max(o) => {
-                        encode_u64(buf, o.truncated as u64);
-                        encode_u64(buf, o.tree.len() as u64);
-                        for (v, c) in &o.tree {
-                            encode_value(buf, v);
-                            encode_i64(buf, *c);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restore group state written by [`AggOp::encode_state`].
-    pub fn decode_state(&mut self, buf: &mut bytes::Bytes) -> crate::Result<()> {
-        use imp_storage::codec::*;
-        self.groups.clear();
-        self.heap_bytes = 0;
-        let n = decode_u64(buf)?;
-        for _ in 0..n {
-            let key = decode_row(buf)?;
-            let count = decode_i64(buf)?;
-            let mut frags = FragCounts::new();
-            let nf = decode_u64(buf)?;
-            for _ in 0..nf {
-                let f = decode_u64(buf)? as u32;
-                let c = decode_i64(buf)?;
-                frags.add(f, c);
-            }
-            let mut accs = Vec::with_capacity(self.aggs.len());
-            for spec in &self.aggs {
-                let acc = match spec.func {
-                    AggFunc::Sum | AggFunc::Avg => {
-                        let i = decode_i64(buf)?;
-                        let f = decode_f64(buf)?;
-                        let isf = decode_u64(buf)? != 0;
-                        let non_null = decode_i64(buf)?;
-                        let sum = NumAcc::from_parts(i, f, isf);
-                        if spec.func == AggFunc::Sum {
-                            IncAcc::Sum { sum, non_null }
-                        } else {
-                            IncAcc::Avg { sum, non_null }
-                        }
-                    }
-                    AggFunc::Count => IncAcc::Count {
-                        non_null: decode_i64(buf)?,
-                    },
-                    AggFunc::Min | AggFunc::Max => {
-                        let is_min = spec.func == AggFunc::Min;
-                        let mut o = OrderedAcc::new(is_min, self.minmax_buffer);
-                        o.truncated = decode_u64(buf)? != 0;
-                        for _ in 0..decode_u64(buf)? {
-                            let v = decode_value(buf)?;
-                            o.heap_bytes += tree_entry_bytes(&v);
-                            o.tree.insert(v, decode_i64(buf)?);
-                        }
-                        if is_min {
-                            IncAcc::Min(o)
-                        } else {
-                            IncAcc::Max(o)
-                        }
-                    }
-                };
-                accs.push(acc);
-            }
-            self.insert_group(key, GroupState { count, frags, accs });
-        }
-        Ok(())
     }
 
     /// Heap footprint of the group state (Fig. 15/17), input excluded.
@@ -838,6 +736,22 @@ pub(crate) mod tests {
                 .collect();
             groups.sort_by(|a, b| a.0.cmp(&b.0));
             groups
+        }
+
+        /// Every group's state by key, spelled out in full: `ℱ_g` in its
+        /// iteration order and the accumulators (a sum's integer and float
+        /// parts, a MIN/MAX multiset and its truncation flag). Two states
+        /// with equal spellings are equal.
+        pub(crate) fn groups_spelled_out(&self) -> Vec<(Row, String)> {
+            let spell = |st: &GroupState| {
+                let frags: Vec<(u32, i64)> = st.frags.iter().collect();
+                format!("{frags:?} {:?}", st.accs)
+            };
+            let mut accs: Vec<(Row, String)> = (self.groups.iter())
+                .map(|(key, st)| (key.clone(), spell(st)))
+                .collect();
+            accs.sort();
+            accs
         }
 
         pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {

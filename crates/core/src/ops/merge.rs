@@ -17,10 +17,6 @@ pub struct MergeOp {
     counts: Vec<i64>,
 }
 
-fn codec_err(e: imp_storage::StorageError) -> CoreError {
-    CoreError::Codec(e.to_string())
-}
-
 impl MergeOp {
     /// Fresh state over `total_fragments` counters.
     pub fn new(total_fragments: usize) -> MergeOp {
@@ -82,29 +78,6 @@ impl MergeOp {
             .filter(|(_, &c)| c > 0)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Serialize the counter map.
-    pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
-        imp_storage::codec::encode_u64(buf, self.counts.len() as u64);
-        for c in &self.counts {
-            imp_storage::codec::encode_i64(buf, *c);
-        }
-    }
-
-    /// Restore counters written by [`MergeOp::encode_state`].
-    pub fn decode_state(&mut self, buf: &mut bytes::Bytes) -> Result<()> {
-        let n = imp_storage::codec::decode_u64(buf).map_err(codec_err)? as usize;
-        if n != self.counts.len() {
-            return Err(CoreError::Codec(format!(
-                "merge counter count mismatch: stored {n}, expected {}",
-                self.counts.len()
-            )));
-        }
-        for c in self.counts.iter_mut() {
-            *c = imp_storage::codec::decode_i64(buf).map_err(codec_err)?;
-        }
-        Ok(())
     }
 
     /// Heap footprint.

@@ -488,8 +488,10 @@ impl IncNode {
 /// The whole result of `plan`, a select-project-join plan, as a
 /// from-empty run's delta ([`annotated_rows`]). No input is replayed as a
 /// delta, no backend round trip is counted and no join input is indexed.
+/// Traced as `capture_spj`, over a scan and a join alike: no join is
+/// maintained here.
 fn engine_rows(plan: &LogicalPlan, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
-    let _span = crate::obs::trace::span("nary_delta");
+    let _span = crate::obs::trace::span("capture_spj");
     let mut stats = imp_engine::ExecStats::default();
     let rows = annotated_rows(plan, ctx.db.get(), ctx.pset, ctx.pool, &mut stats)?;
     ctx.metrics.rows_processed += rows.len() as u64;
@@ -500,10 +502,12 @@ fn engine_rows(plan: &LogicalPlan, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBa
 /// it ([`imp_engine::eval::capture_rows`]: position tuples, NULL-free Int
 /// keys hashed as `i64`s), reading each partitioned source's partition
 /// column through the positions; each row is annotated with the pooled
-/// union of its sources' fragment singletons. Every row the maintainer
-/// reads from base tables comes from here — a from-empty run's input
-/// (`engine_rows`) and a join side's index ([`NaryJoinOp`]) — or from the
-/// engine's group table ([`AggOp`]).
+/// union of its sources' fragment singletons (the fold starts at the first
+/// source's singleton, so a single-source row asks the pool for no union;
+/// a row with no partitioned source gets the empty annotation). Every row
+/// the maintainer reads from base tables comes from here — a from-empty
+/// run's input (`engine_rows`) and a join side's index ([`NaryJoinOp`]) —
+/// or from the engine's group table ([`AggOp`]).
 pub(crate) fn annotated_rows(
     plan: &LogicalPlan,
     db: &Database,
@@ -517,10 +521,16 @@ pub(crate) fn annotated_rows(
     source_fragments(pset, &captured.partitioned, &mut frags);
     let mut out = DeltaBatch::with_capacity(captured.rows.len());
     for (t, (row, mult)) in captured.rows.into_iter().enumerate() {
-        let annot = (frags.iter()).fold(pool.empty_id(), |annot, f| {
-            let single = pool.singleton(f[t] as usize);
-            pool.union(annot, single)
-        });
+        let annot = match frags.split_first() {
+            None => pool.empty_id(),
+            Some((first, rest)) => {
+                let first = pool.singleton(first[t] as usize);
+                rest.iter().fold(first, |annot, f| {
+                    let single = pool.singleton(f[t] as usize);
+                    pool.union(annot, single)
+                })
+            }
+        };
         out.push(DeltaEntry { row, annot, mult });
     }
     Ok(out)
@@ -547,5 +557,76 @@ pub(crate) fn source_fragments(
         frags.clear();
         p.fragments_of(values, frags);
         frags.iter_mut().for_each(|f| *f += offset as u32);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use imp_sketch::RangePartition;
+    use imp_storage::{row, DataType, Field, Schema, Value};
+
+    /// `a(k, v)` and `b(k2, w)`, five rows each, keys 0..5.
+    fn two_tables() -> Database {
+        let mut db = Database::new();
+        for (name, key, col) in [("a", "k", "v"), ("b", "k2", "w")] {
+            let schema = Schema::new(vec![
+                Field::new(key, DataType::Int),
+                Field::new(col, DataType::Int),
+            ]);
+            db.create_table(name, schema).unwrap();
+            let rows = (0..5).map(|i| row![i, i * 10]);
+            db.table_mut(name).unwrap().bulk_load(rows).unwrap();
+        }
+        db
+    }
+
+    /// The union lookups `annotated_rows` asks the pool for, and its rows.
+    fn union_lookups(sql: &str, tables: &[&str]) -> (u64, DeltaBatch, AnnotPool) {
+        let db = two_tables();
+        let plan = db.plan_sql(sql).unwrap();
+        let key = |t: &str| if t == "a" { "k" } else { "k2" };
+        let cut = |t: &str| RangePartition::new(t, key(t), 0, vec![Value::Int(2)]).unwrap();
+        let pset = PartitionSet::new(tables.iter().map(|t| cut(t)).collect()).unwrap();
+        let mut pool = AnnotPool::new(pset.total_fragments());
+        let mut stats = imp_engine::ExecStats::default();
+        let rows = annotated_rows(&plan, &db, &pset, &mut pool, &mut stats).unwrap();
+        let s = pool.stats();
+        (s.unions_computed + s.union_memo_hits, rows, pool)
+    }
+
+    /// A row's fold starts at its first source's singleton: one union
+    /// lookup fewer per row than sources, none for a single source, and
+    /// the same annotations as a fold from the empty one.
+    #[test]
+    fn the_annotation_fold_starts_at_the_first_source() {
+        let scan = "SELECT k, v FROM a WHERE k < 4";
+        let (lookups, rows, pool) = union_lookups(scan, &["a"]);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(lookups, 0, "a single-source row unions nothing");
+        for d in &rows {
+            let k = d.row[0].as_i64().unwrap();
+            assert_eq!(
+                pool.get(d.annot).iter_ones().collect::<Vec<_>>(),
+                [usize::from(k >= 2)]
+            );
+        }
+
+        let join = "SELECT k, w FROM a JOIN b ON (k = k2)";
+        let (lookups, rows, pool) = union_lookups(join, &["a", "b"]);
+        assert_eq!(rows.len(), 5);
+        assert_eq!(lookups, 5, "two sources: one union per row");
+        for d in &rows {
+            let f = usize::from(d.row[0].as_i64().unwrap() >= 2);
+            assert_eq!(
+                pool.get(d.annot).iter_ones().collect::<Vec<_>>(),
+                [f, 2 + f]
+            );
+        }
+
+        // No partitioned source: the empty annotation, no lookup.
+        let (lookups, rows, pool) = union_lookups(scan, &["b"]);
+        assert_eq!(lookups, 0);
+        assert!(rows.iter().all(|d| d.annot == pool.empty_id()));
     }
 }

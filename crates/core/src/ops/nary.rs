@@ -87,7 +87,7 @@ use crate::opt::{ClassSpec, SideIndex};
 use crate::Result;
 use imp_sql::plan::NaryJoin;
 use imp_sql::LogicalPlan;
-use imp_storage::{codec, AnnotId, AnnotPool, FxHashMap, Row, Value};
+use imp_storage::{AnnotId, AnnotPool, FxHashMap, Row, Value};
 use std::sync::Arc;
 
 /// Lifecycle of one join input's materialised index.
@@ -117,33 +117,6 @@ impl SideState {
         if matches!(self, SideState::Ready(idx) if budget.is_some_and(|b| idx.len() > b)) {
             *self = SideState::Disabled;
         }
-    }
-
-    /// Persist: a tag, then a live index's own encoding.
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        match self {
-            SideState::Absent => codec::encode_u64(buf, 0),
-            SideState::Ready(idx) => {
-                codec::encode_u64(buf, 1);
-                idx.encode_state(buf);
-            }
-            SideState::Disabled => codec::encode_u64(buf, 2),
-        }
-    }
-
-    /// Restore what [`SideState::encode`] wrote, decoding a live index
-    /// into `empty`.
-    fn decode(buf: &mut bytes::Bytes, empty: SideIndex, pool: &mut AnnotPool) -> Result<SideState> {
-        Ok(match codec::decode_u64(buf)? {
-            0 => SideState::Absent,
-            1 => SideState::Ready(empty.decode_state(buf, pool)?),
-            2 => SideState::Disabled,
-            tag => {
-                return Err(CoreError::Codec(format!(
-                    "invalid join input index tag {tag}"
-                )))
-            }
-        })
     }
 }
 
@@ -457,14 +430,9 @@ impl NaryJoinOp {
         (0..n).any(|j| self.states[j].ready().is_none() && (0..n).any(|i| i != j && touched(i)))
     }
 
-    /// The input operators (state persistence walks the tree).
+    /// The input operators.
     pub fn children(&self) -> &[IncNode] {
         &self.children
-    }
-
-    /// Mutable input operators.
-    pub fn children_mut(&mut self) -> &mut [IncNode] {
-        &mut self.children
     }
 
     /// Drop all per-input indexes (a recapture rebuilds them on next
@@ -498,22 +466,6 @@ impl NaryJoinOp {
             bytes += idx.heap_size();
         }
         (entries, bytes)
-    }
-
-    /// Serialize the per-input indexes in input order.
-    pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
-        for state in &self.states {
-            state.encode(buf);
-        }
-    }
-
-    /// Restore state written by [`NaryJoinOp::encode_state`].
-    pub fn decode_state(&mut self, buf: &mut bytes::Bytes, pool: &mut AnnotPool) -> Result<()> {
-        for j in 0..self.states.len() {
-            let idx = self.empty_index(j);
-            self.states[j] = SideState::decode(buf, idx, pool)?;
-        }
-        Ok(())
     }
 
     /// An empty index for input `j`.

@@ -16,8 +16,8 @@
 //! Annotations are stored as `Arc<BitVec>` handles from
 //! [`AnnotPool::share`](imp_storage::AnnotPool::share) — O(1) to obtain,
 //! no per-entry bitvector copies — and keyed by *content*, so entry order
-//! is canonical and survives state eviction / restore even though pool
-//! ids are reassigned when the state is re-interned.
+//! is canonical and survives a pool flush even though pool ids are
+//! reassigned when the state is re-adopted.
 //!
 //! With a bounded buffer only the best `l ≥ k` entries are stored; if
 //! deletions exhaust the buffer below `k`, the operator requests a full
@@ -114,7 +114,7 @@ pub struct TopKOp {
     /// Running Σ [`key_bytes`] + [`entry_bytes`] over `state`, moved per
     /// key / entry inserted or removed.
     heap_bytes: usize,
-    /// Cached previous top-k; `None` after reset / restore (recomputed
+    /// Cached previous top-k; `None` after a reset (recomputed
     /// from the state before the next batch is ingested).
     cache: Option<TopKCache>,
 }
@@ -235,7 +235,7 @@ impl TopKOp {
             return Ok(DeltaBatch::new());
         }
         // Old top-k: the cache when valid, else (fresh operator or state
-        // just restored from the codec) one walk of the pre-batch state.
+        // just recaptured) one walk of the pre-batch state.
         let old_topk = match self.cache.take() {
             Some(c) => c,
             None => self.compute_topk(),
@@ -383,68 +383,9 @@ impl TopKOp {
         }
     }
 
-    /// Input child (state persistence walks the tree).
+    /// Input child.
     pub fn input_child(&self) -> &IncNode {
         &self.input
-    }
-
-    /// Mutable input child.
-    pub fn input_child_mut(&mut self) -> &mut IncNode {
-        &mut self.input
-    }
-
-    /// Serialize the top-k state (annotations by content, so the encoding
-    /// is independent of pool id assignment).
-    pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
-        use imp_storage::codec::*;
-        encode_u64(buf, self.truncated as u64);
-        encode_u64(buf, self.state.len() as u64);
-        for (key, entries) in &self.state {
-            encode_row(buf, &Row::new(key.vals.clone()));
-            encode_u64(buf, entries.len() as u64);
-            for ((row, annot), m) in entries {
-                encode_row(buf, row);
-                encode_bitvec(buf, annot);
-                encode_i64(buf, *m);
-            }
-        }
-    }
-
-    /// Restore state written by [`TopKOp::encode_state`], re-interning
-    /// every annotation into `pool` so restored state shares allocations
-    /// (and ids) with the live pipeline.
-    pub fn decode_state(
-        &mut self,
-        buf: &mut bytes::Bytes,
-        pool: &mut AnnotPool,
-    ) -> crate::Result<()> {
-        use imp_storage::codec::*;
-        self.state.clear();
-        self.entries = 0;
-        self.heap_bytes = 0;
-        self.cache = None;
-        self.truncated = decode_u64(buf)? != 0;
-        let n = decode_u64(buf)?;
-        let asc: Vec<bool> = self.keys.iter().map(|k| k.asc).collect();
-        for _ in 0..n {
-            let key_row = decode_row(buf)?;
-            let key = OrderKey {
-                vals: key_row.values().to_vec(),
-                asc: asc.clone(),
-            };
-            let len = decode_u64(buf)?;
-            let mut entries = Entries::new();
-            for _ in 0..len {
-                let row = decode_row(buf)?;
-                let id = pool.intern(decode_bitvec(buf)?);
-                self.heap_bytes += entry_bytes(&row);
-                entries.insert((row, pool.share(id)), decode_i64(buf)?);
-                self.entries += 1;
-            }
-            self.heap_bytes += key_bytes(&key);
-            self.state.insert(key, entries);
-        }
-        Ok(())
     }
 
     /// Heap footprint of this operator's own state (excludes children) —

@@ -40,9 +40,7 @@
 //! Deletion is lazy in the secondaries: a bucket whose entries cancel
 //! away frees its allocation and leaves the primary, while secondary
 //! chains keep the stale slot (probes skip empty buckets) until a
-//! compaction rebuilds the arena — amortized O(|Δ|). The codec writes, per
-//! live bucket, its entries; the keys and chains are derived data,
-//! rebuilt on decode.
+//! compaction rebuilds the arena — amortized O(|Δ|).
 //!
 //! Annotations are stored as `Arc<BitVec>` *content* handles from
 //! [`AnnotPool::share`], never as [`imp_storage::AnnotId`]s: the index is
@@ -56,7 +54,7 @@
 //! when an input outgrows the budget, mirroring the bounded MIN/MAX state.
 
 use crate::delta::DeltaBatch;
-use imp_storage::{codec, AnnotPool, BitVec, FxHashMap, FxHasher, Row, Value};
+use imp_storage::{AnnotPool, BitVec, FxHashMap, FxHasher, Row, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
@@ -358,10 +356,6 @@ impl SideIndex {
         }
     }
 
-    fn live(&self) -> impl Iterator<Item = &Vec<IndexEntry>> {
-        self.buckets.iter().filter(|b| !b.is_empty())
-    }
-
     /// Hand every annotation handle back to a just-flushed pool.
     pub fn readopt_annots(&self, pool: &mut AnnotPool) {
         for e in self.buckets.iter().flatten() {
@@ -393,57 +387,6 @@ impl SideIndex {
             + self.primary.heap_size()
             + secondary
             + size_of::<SideIndex>()
-    }
-
-    /// Serialize the index: per live bucket its entries (annotations by
-    /// content, so the encoding is independent of pool id assignment).
-    pub fn encode_state(&self, buf: &mut bytes::BytesMut) {
-        codec::encode_u64(buf, self.live().count() as u64);
-        for bucket in self.live() {
-            codec::encode_u64(buf, bucket.len() as u64);
-            for e in bucket {
-                codec::encode_row(buf, &e.row);
-                codec::encode_bitvec(buf, &e.annot);
-                codec::encode_i64(buf, e.mult);
-            }
-        }
-    }
-
-    /// Restore what [`SideIndex::encode_state`] wrote into this empty
-    /// index (the spec is operator metadata, derived from the plan, so it
-    /// travels beside the codec), re-interning every annotation into
-    /// `pool` so restored state shares allocations with the live pipeline.
-    pub fn decode_state(
-        mut self,
-        buf: &mut bytes::Bytes,
-        pool: &mut AnnotPool,
-    ) -> crate::Result<SideIndex> {
-        let n_keys = codec::decode_u64(buf)?;
-        for _ in 0..n_keys {
-            let len = codec::decode_u64(buf)?;
-            let mut bucket = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                let row = codec::decode_row(buf)?;
-                let id = pool.intern(codec::decode_bitvec(buf)?);
-                let e = IndexEntry {
-                    row,
-                    annot: pool.share(id),
-                    mult: codec::decode_i64(buf)?,
-                };
-                self.heap_bytes += entry_heap(&e);
-                self.entries += 1;
-                bucket.push(e);
-            }
-            let Some(hash) = bucket.first().and_then(|e| self.row_hash(&e.row)) else {
-                return Err(crate::CoreError::Codec(
-                    "side-index bucket without a key".into(),
-                ));
-            };
-            self.heap_bytes += bucket.capacity() * size_of::<IndexEntry>();
-            self.link(hash, &bucket[0].row);
-            self.buckets.push(bucket);
-        }
-        Ok(self)
     }
 }
 
@@ -524,6 +467,10 @@ mod tests {
 
     /// The accounting oracle: `heap_bytes` recomputed from the live arena.
     impl SideIndex {
+        fn live(&self) -> impl Iterator<Item = &Vec<IndexEntry>> {
+            self.buckets.iter().filter(|b| !b.is_empty())
+        }
+
         pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
             let mut bytes = 0;
             for b in self.live() {
@@ -662,36 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_roundtrip_reinterns() {
-        let mut p = AnnotPool::new(8);
-        let side = batch(
-            &mut p,
-            &[
-                (row![1, 10], 0, 1),
-                (row![1, 11], 2, 2),
-                (row![5, 50], 1, 1),
-            ],
-        );
-        let idx = build(on_first(), &side, &p);
-        let mut buf = bytes::BytesMut::new();
-        idx.encode_state(&mut buf);
-        // Restore into a *fresh* pool (mirrors post-eviction restore).
-        let mut p2 = AnnotPool::new(8);
-        let mut bytes = buf.freeze();
-        let restored = on_first().decode_state(&mut bytes, &mut p2).unwrap();
-        assert!(bytes.is_empty());
-        assert_eq!(restored.len(), idx.len());
-        let a = bucket(&idx, Value::Int(1)).unwrap();
-        let b = bucket(&restored, Value::Int(1)).unwrap();
-        assert_eq!(a.len(), b.len());
-        for e in a {
-            assert!(b
-                .iter()
-                .any(|r| r.row == e.row && *r.annot == *e.annot && r.mult == e.mult));
-        }
-    }
-
-    #[test]
     fn partial_probes_use_secondaries() {
         let mut p = AnnotPool::new(8);
         let side = batch(
@@ -792,28 +709,6 @@ mod tests {
             );
             assert_eq!(matched(&idx, &[int(i), None, int(i * 10)]), 1);
         }
-    }
-
-    #[test]
-    fn codec_roundtrip_rebuilds_secondaries() {
-        let mut p = AnnotPool::new(8);
-        let side = batch(
-            &mut p,
-            &[
-                (row![1, 10, 7], 0, 2),
-                (row![1, 11, 8], 1, 1),
-                (row![2, 10, 9], 2, -1),
-            ],
-        );
-        let idx = build(two_class(), &side, &p);
-        let mut buf = bytes::BytesMut::new();
-        idx.encode_state(&mut buf);
-        let mut p2 = AnnotPool::new(8);
-        let mut bytes = buf.freeze();
-        let restored = two_class().decode_state(&mut bytes, &mut p2).unwrap();
-        assert!(bytes.is_empty());
-        assert_eq!(restored.len(), idx.len());
-        assert_eq!(matched(&restored, &[None, None, int(10)]), 2);
     }
 
     #[test]

@@ -493,8 +493,9 @@ mod tests {
     }
 
     /// A sketch whose every run fails does not stall a worker's sweep:
-    /// one of two sketches loses its operator state (dropped, with no
-    /// blob to restore it from), so the aggregate reports a DELETE as
+    /// one of two sketches loses its operator state (dropped without
+    /// being marked evicted, so nothing recaptures it), so the aggregate
+    /// reports a DELETE as
     /// corrupt state. The sweep parks the error in `last_error` and
     /// brings the other sketch current; `maintain_all_stale` still
     /// returns the error.
@@ -520,10 +521,7 @@ mod tests {
         assert!(worker.work_once(true));
         let error = imp.scheduler().unwrap().last_error();
         assert!(error.is_some(), "the failure was parked");
-        assert!(
-            error.unwrap().contains("state corrupt"),
-            "not a codec error"
-        );
+        assert!(error.unwrap().contains("state corrupt"), "a state error");
         let current = imp.db().version();
         let state = versions(&shared.slot.state.lock());
         let version = |sql: &str| state.iter().find(|(s, _)| s == sql).unwrap().1;
@@ -535,14 +533,13 @@ mod tests {
         );
     }
 
-    /// An evicted sketch whose state blob does not decode is recaptured
-    /// from the database, as an exhausted MIN/MAX or top-k buffer is: the
-    /// run reports `recaptured`, the answer equals the engine's, and the
-    /// sketch equals a fresh capture on the final database (Thm. 6.1) —
-    /// with no workers and with one, paused so that the stale query is
-    /// the one that recaptures.
+    /// An evicted sketch is recaptured from the database, as an exhausted
+    /// MIN/MAX or top-k buffer is: the run reports `recaptured`, the
+    /// answer equals the engine's, and the sketch equals a fresh capture
+    /// on the final database (Thm. 6.1) — with no workers and with one,
+    /// paused so that the stale query is the one that recaptures.
     #[test]
-    fn an_undecodable_blob_is_recaptured_from_the_database() {
+    fn an_evicted_sketch_is_recaptured_from_the_database() {
         for workers in [0, 1] {
             let config = ImpConfig {
                 fragments: 6,
@@ -554,12 +551,6 @@ mod tests {
             assert!(imp.evict_state(&template_of(Q)).unwrap() > 0);
             let sched = imp.scheduler().unwrap();
             let paused = (workers > 0).then(|| sched.pause());
-            {
-                let mut state = sched.shared.slot.state.lock();
-                let entry = &mut state.store.get_mut(&template_of(Q)).unwrap()[0];
-                let blob = entry.evicted.take().unwrap();
-                entry.evicted = Some(blob.slice(..blob.len() / 2));
-            }
             imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
 
             let ImpResponse::Rows { result, mode } = imp.execute(Q).unwrap() else {
@@ -577,7 +568,7 @@ mod tests {
 
             let state = imp.scheduler().unwrap().shared.slot.state.lock();
             let entry = &state.store[&template_of(Q)][0];
-            assert!(entry.evicted.is_none(), "the bad blob is gone");
+            assert!(entry.evicted.is_none(), "the state is back");
             let db = imp.db();
             let (fresh, _) = SketchMaintainer::capture(
                 &entry.plan,
@@ -597,8 +588,8 @@ mod tests {
     }
 
     /// Both recaptures of an aggregation over a scan, and over a join — a
-    /// top-k buffer that underflows and an evicted blob that does not
-    /// decode — group on the engine's group table, leave the accurate
+    /// top-k buffer that underflows and an evicted sketch — group on the
+    /// engine's group table, leave the accurate
     /// sketch (Thm. 6.1) and maintain on from there: every answer is the
     /// engine's.
     #[test]
@@ -663,17 +654,11 @@ mod tests {
         assert_eq!(typed(), before + 2);
 
         assert!(imp.evict_state(&template_of(topk)).unwrap() > 0);
-        {
-            let mut state = imp.scheduler().unwrap().shared.slot.state.lock();
-            let entry = &mut state.store.get_mut(&template_of(topk)).unwrap()[0];
-            let blob = entry.evicted.take().unwrap();
-            entry.evicted = Some(blob.slice(..blob.len() / 2));
-        }
         imp.execute("INSERT INTO t VALUES (0, 500)").unwrap();
         let QueryMode::Maintained(report) = answer(&mut imp) else {
             panic!("the stale query maintains")
         };
-        assert!(report.recaptured, "the blob does not decode");
+        assert!(report.recaptured, "the state was evicted");
         assert_eq!(typed(), before + 3);
 
         // Maintained from the recaptured state, no recapture.

@@ -260,7 +260,7 @@ fn evict_state_targets_one_template_only() {
         // Unknown templates are a no-op.
         let other = template_of("SELECT g, sum(v) AS s FROM ta GROUP BY g");
         assert_eq!(imp.evict_state(&other).unwrap(), 0);
-        // The evicted sketch still answers (restore on demand).
+        // The evicted sketch still answers (recaptured on demand).
         imp.execute("INSERT INTO ta VALUES (2, 9)").unwrap();
         let rows = run(&mut imp, &selective("ta"));
         assert!(!rows.is_empty());

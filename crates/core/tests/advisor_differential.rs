@@ -150,7 +150,7 @@ proptest! {
 
             // Every query, every round: answers must match bit for bit —
             // whether the budgeted store reuses, maintains on demand,
-            // restores from the codec, or recaptures a dropped sketch.
+            // recaptures an evicted one, or captures a dropped one anew.
             for sql in QUERIES {
                 let a = run_query(&mut all, sql);
                 let b = run_query(&mut adv, sql);

@@ -1,6 +1,6 @@
 //! Heap-accounting consistency property: `Imp::store_heap_size()` must
 //! equal the sum of per-sketch `state_bytes` in `describe_sketches()`,
-//! on both backends, across capture / update / evict / restore /
+//! on both backends, across capture / update / evict / recapture /
 //! pool-flush / advisor cycles. The two numbers travel different paths
 //! (the heap total sums an inspection of the store; the summaries are
 //! built per sketch), so this guards the accounting against drift. With

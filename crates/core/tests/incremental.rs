@@ -269,28 +269,30 @@ fn middleware_reuses_sketch_for_more_selective_constant() {
 
 #[test]
 fn state_persistence_roundtrip() {
-    // Save state, restore into a fresh maintainer, continue maintaining:
-    // result must equal uninterrupted maintenance.
+    // Evict the state, update, restore it (a recapture), continue
+    // maintaining: the result must equal uninterrupted maintenance.
     let mut db = sales_db();
     let plan = db.plan_sql(QTOP).unwrap();
     let pset = price_pset();
-    let (mut live, _) =
-        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
-            .unwrap();
-    let saved = imp_core::state_codec::save_state(&live);
+    let capture_one = |db: &Database| {
+        SketchMaintainer::capture(&plan, db, Arc::clone(&pset), OpConfig::default(), true)
+            .unwrap()
+            .0
+    };
+    let (mut live, mut restored) = (capture_one(&db), capture_one(&db));
+    restored.drop_state();
 
     db.execute_sql("INSERT INTO sales VALUES (8, 'HP', 1299, 1)")
         .unwrap();
     live.maintain(&db).unwrap();
-
-    // Restore: fresh maintainer from the same plan (bootstrap runs on the
-    // *updated* db, but load_state overwrites everything).
-    let (mut restored, _) =
-        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
-            .unwrap();
-    imp_core::state_codec::load_state(&mut restored, saved).unwrap();
     assert!(restored.is_stale(&db));
-    restored.maintain(&db).unwrap();
+    assert!(restored.full_maintain(&db).unwrap().recaptured);
+    assert_eq!(restored.sketch(), live.sketch());
+    assert_eq!(restored.version(), live.version());
+
+    db.execute_sql("DELETE FROM sales WHERE sid = 8").unwrap();
+    live.maintain(&db).unwrap();
+    assert!(!restored.maintain(&db).unwrap().recaptured);
     assert_eq!(restored.sketch(), live.sketch());
 }
 
@@ -338,7 +340,7 @@ fn topk_incremental_diff_regression() {
     // The cached-old/merge-diff top-k path (incremental `compute_topk`
     // diff): batches entirely beyond the boundary of a full top-k emit an
     // empty sketch delta, batches crossing it emit the exact delta, and
-    // the cache survives eviction/restore (it is rebuilt, not persisted).
+    // the cache survives eviction/recapture (it is rebuilt, not kept).
     let mut db = sales_db();
     let sql = "SELECT brand, price FROM sales ORDER BY price DESC LIMIT 2";
     let plan = db.plan_sql(sql).unwrap();
@@ -373,11 +375,10 @@ fn topk_incremental_diff_regression() {
     assert_eq!(report.sketch_delta.removed, vec![2]);
     assert_eq!(m.sketch(), &capture(&plan, &db, &pset).unwrap().sketch);
 
-    // (4) Evict + restore drops the cache; the next batch rebuilds the
-    // old top-k from the restored state and stays exact.
-    let saved = imp_core::state_codec::save_state(&m);
+    // (4) Evict + recapture drops the cache; the next batch rebuilds the
+    // old top-k from the recaptured state and stays exact.
     m.drop_state();
-    imp_core::state_codec::load_state(&mut m, saved).unwrap();
+    m.full_maintain(&db).unwrap();
     db.execute_sql("DELETE FROM sales WHERE sid = 22").unwrap();
     db.execute_sql("INSERT INTO sales VALUES (23, 'Dell', 2000, 1)")
         .unwrap();
@@ -642,18 +643,28 @@ fn pool_owns_state_held_annotations_across_a_flush() {
             "a flush may only shed pool bytes for {sql}"
         );
         // What it kept is exactly the state-held annotations (plus the
-        // empty one), each distinct allocation once: an eviction round
-        // trip, which re-interns precisely the contents the state
-        // carries, lands on the same pool population and the same bytes.
+        // empty one), each distinct allocation once: a second flush keeps
+        // the same pool population.
         let pooled_after_flush = m.pool().len();
         assert!(
             pooled_after_flush > 1,
             "state-held contents vanished for {sql}"
         );
-        let saved = imp_core::state_codec::save_state(&m);
-        m.drop_state();
-        imp_core::state_codec::load_state(&mut m, saved).unwrap();
+        m.flush_pool_caches();
         assert_eq!(m.pool().len(), pooled_after_flush, "miscount for {sql}");
+        // An eviction sheds them all; after its recapture a flush keeps
+        // exactly what the rebuilt state holds again: the top-k entries,
+        // and for the join nothing (a recapture indexes no side).
+        m.drop_state();
+        assert_eq!(m.pool().len(), 1, "an eviction keeps no annotation");
+        m.full_maintain(&db).unwrap();
+        m.flush_pool_caches();
+        let held = if m.topk_state().is_some() {
+            pooled_after_flush
+        } else {
+            1
+        };
+        assert_eq!(m.pool().len(), held, "miscount after a recapture for {sql}");
 
         // And maintenance stays exact across the whole exercise.
         db.execute_sql("DELETE FROM sales WHERE sid = 30").unwrap();
@@ -666,9 +677,9 @@ fn pool_owns_state_held_annotations_across_a_flush() {
 
 #[test]
 fn eviction_clears_pool_and_roundtrips() {
-    // drop_state flushes the annotation pool / row interner; load_state
-    // re-interns what the persisted state needs, and maintenance over the
-    // rebuilt pool must match uninterrupted maintenance.
+    // drop_state flushes the annotation pool / row interner; the
+    // recapture interns what the rebuilt state needs, and maintenance
+    // over the rebuilt pool must match uninterrupted maintenance.
     let mut db = sales_db();
     let sql = "SELECT brand, price FROM sales ORDER BY price DESC LIMIT 3";
     let plan = db.plan_sql(sql).unwrap();
@@ -679,19 +690,25 @@ fn eviction_clears_pool_and_roundtrips() {
     let (mut evicted, _) =
         SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
             .unwrap();
-    let saved = imp_core::state_codec::save_state(&evicted);
     evicted.drop_state();
+    assert_eq!(evicted.pool().len(), 1, "only the empty annotation is left");
 
     db.execute_sql("INSERT INTO sales VALUES (8, 'HP', 1299, 1)")
         .unwrap();
     db.execute_sql("DELETE FROM sales WHERE sid = 4").unwrap();
 
-    imp_core::state_codec::load_state(&mut evicted, saved).unwrap();
+    evicted.full_maintain(&db).unwrap();
     live.maintain(&db).unwrap();
-    evicted.maintain(&db).unwrap();
     assert_eq!(live.sketch(), evicted.sketch());
     let truth = capture(&plan, &db, &pset).unwrap();
     assert_eq!(evicted.sketch(), &truth.sketch);
+
+    // Both maintain on alike from there.
+    db.execute_sql("INSERT INTO sales VALUES (9, 'Dell', 3000, 1)")
+        .unwrap();
+    live.maintain(&db).unwrap();
+    evicted.maintain(&db).unwrap();
+    assert_eq!(live.sketch(), evicted.sketch());
 }
 
 /// Two tables joined on their first column, two keys each, partitioned
@@ -735,12 +752,12 @@ fn two_key_join_db() -> (Database, Arc<PartitionSet>) {
 #[test]
 fn evicted_join_keeps_delete_delete_cancellation_without_indexes() {
     // Regression: r and s each hold the only partner of key 2. After a
-    // state eviction, deleting both partners in one batch makes the
-    // del×del term carry the removal itself: with no side indexes, both
-    // inputs are evaluated at the new state (where key 2 is gone), so
-    // the term is only found if the right input is rewound to its old
-    // state with its own delta. Losing it leaves the sketch with
-    // fragments a recapture would drop.
+    // state eviction and its recapture (which indexes no side), deleting
+    // both partners in one batch makes the del×del term carry the removal
+    // itself: with no side indexes, both inputs are evaluated at the new
+    // state (where key 2 is gone), so the term is only found if the right
+    // input is rewound to its old state with its own delta. Losing it
+    // leaves the sketch with fragments a recapture would drop.
     let (mut db, pset) = two_key_join_db();
     let plan = db
         .plan_sql("SELECT v, w FROM r JOIN s ON (k = k2)")
@@ -755,13 +772,13 @@ fn evicted_join_keeps_delete_delete_cancellation_without_indexes() {
         m.sketch().bits().iter_ones().collect::<Vec<_>>(),
         vec![0, 1, 2, 3]
     );
-    let saved = imp_core::state_codec::save_state(&m);
     m.drop_state();
+    m.full_maintain(&db).unwrap();
+    assert_eq!(m.join_index_state(), (0, 0));
 
     db.execute_sql("DELETE FROM r WHERE k = 2").unwrap();
     db.execute_sql("DELETE FROM s WHERE k2 = 2").unwrap();
 
-    imp_core::state_codec::load_state(&mut m, saved).unwrap();
     m.maintain(&db).unwrap();
     let truth = capture(&plan, &db, &pset).unwrap();
     assert_eq!(m.sketch(), &truth.sketch, "lost the del×del cancellation");
@@ -975,10 +992,11 @@ fn join_index_budget_falls_back_to_reevaluation() {
 }
 
 #[test]
-fn join_index_persistence_roundtrip_avoids_rebuild() {
-    // Eviction + restore must re-intern the indexed annotations and keep
-    // the zero-round-trip steady state: once a batch has probed (and so
-    // built) both sides, the restored indexes answer the next batch.
+fn a_recaptured_join_builds_each_side_index_once() {
+    // Eviction drops the side indexes and the recapture builds none: the
+    // first batch after it builds each side it probes once, as the first
+    // batch after a capture does, and the zero-round-trip steady state
+    // returns from the next batch on.
     let (mut db, pset) = two_key_join_db();
     let plan = db
         .plan_sql("SELECT v, w FROM r JOIN s ON (k = k2)")
@@ -990,23 +1008,37 @@ fn join_index_persistence_roundtrip_avoids_rebuild() {
     db.execute_sql("INSERT INTO s VALUES (2, 201)").unwrap();
     let report = live.maintain(&db).unwrap();
     assert_eq!(report.metrics.db_roundtrips, 2, "each side built once");
-    let saved = imp_core::state_codec::save_state(&live);
     live.drop_state();
 
     db.execute_sql("INSERT INTO r VALUES (2, 21)").unwrap();
     db.execute_sql("DELETE FROM s WHERE k2 = 1").unwrap();
 
-    imp_core::state_codec::load_state(&mut live, saved).unwrap();
+    let report = live.full_maintain(&db).unwrap();
+    assert_eq!(
+        report.metrics.db_roundtrips, 0,
+        "a recapture builds no index"
+    );
+    assert_eq!(live.join_index_state(), (0, 0));
+    let truth = capture(&plan, &db, &pset).unwrap();
+    assert_eq!(live.sketch(), &truth.sketch);
+
+    db.execute_sql("INSERT INTO r VALUES (1, 12)").unwrap();
+    db.execute_sql("INSERT INTO s VALUES (2, 202)").unwrap();
+    let report = live.maintain(&db).unwrap();
+    assert_eq!(report.metrics.db_roundtrips, 2, "each side rebuilt once");
+    let truth = capture(&plan, &db, &pset).unwrap();
+    assert_eq!(live.sketch(), &truth.sketch);
+
+    db.execute_sql("INSERT INTO r VALUES (2, 22)").unwrap();
+    db.execute_sql("DELETE FROM s WHERE k2 = 2").unwrap();
     let report = live.maintain(&db).unwrap();
     assert_eq!(
         report.metrics.db_roundtrips, 0,
-        "restored index must avoid the rebuild round trip"
+        "the rebuilt indexes answer"
     );
     assert!(report.metrics.db_roundtrips_avoided > 0);
     let truth = capture(&plan, &db, &pset).unwrap();
     assert_eq!(live.sketch(), &truth.sketch);
-
-    // Uninterrupted maintenance agrees.
     let (entries, _) = live.join_index_state();
     assert!(entries > 0);
 }

@@ -8,13 +8,13 @@
 //! setting may only change cost, never results: after every batch each
 //! maintainer's sketch must equal a fresh capture, and its report's
 //! added/removed bits must be exactly the difference between consecutive
-//! captures. Periodic state eviction/restore cycles are woven in so the
-//! persisted side indexes face in-flight deletes (the Δ⋈Δ cancellation
+//! captures. Periodic state evictions, each recaptured in place of a
+//! batch's maintenance, are woven in so the next batch's in-flight
+//! deletes meet a state with no side index (the Δ⋈Δ cancellation
 //! corner).
 
 use imp_core::maintain::SketchMaintainer;
 use imp_core::ops::{OpConfig, DEFAULT_JOIN_INDEX_BUDGET};
-use imp_core::state_codec::{load_state, save_state};
 use imp_engine::Database;
 use imp_sketch::{capture, PartitionSet, RangePartition};
 use imp_storage::{row, DataType, Field, Schema, Value};
@@ -127,15 +127,10 @@ proptest! {
                 };
                 db.execute_sql(&sql).unwrap();
             }
-            // Every other batch (when enabled): evict + restore state so
-            // the side indexes go through their codec round trip.
-            if evict && batch_no % 2 == 1 {
-                for m in maintainers.iter_mut() {
-                    let saved = save_state(m);
-                    m.drop_state();
-                    load_state(m, saved).unwrap();
-                }
-            }
+            // Every other batch (when enabled): evict, and recapture in
+            // place of the batch's maintenance, so the next batch's
+            // in-flight deletes meet a recaptured state with no index.
+            let recapture = evict && batch_no % 2 == 1;
             let truth = capture(&plan, &db, &pset).unwrap().sketch;
             let added: Vec<usize> = truth
                 .bits()
@@ -148,7 +143,12 @@ proptest! {
                 .filter(|&b| !truth.bits().get(b))
                 .collect();
             for (m, budget) in maintainers.iter_mut().zip(BUDGETS) {
-                let report = m.maintain(&db).unwrap();
+                let report = if recapture {
+                    m.drop_state();
+                    m.full_maintain(&db).unwrap()
+                } else {
+                    m.maintain(&db).unwrap()
+                };
                 prop_assert_eq!(
                     m.sketch(), &truth,
                     "{} with budget {:?} != capture at batch {}", sql, budget, batch_no

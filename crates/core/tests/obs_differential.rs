@@ -205,3 +205,32 @@ fn obs_on_and_off_agree_on_both_backends() {
     assert!(inline_off.obs().maintain_latency().is_none());
     assert!(inline_off.trace_export().contains("\"traceEvents\":[]"));
 }
+
+/// A from-empty run reads its input from the engine under a `capture_spj`
+/// span, over a plain scan and a join alike: only join maintenance records
+/// `nary_delta`, so `/trace` reports no capture as join maintenance.
+#[test]
+fn a_capture_is_traced_as_a_capture_not_as_join_maintenance() {
+    let mut imp = Imp::new(seed_db(), config(0, ObsConfig::on()));
+    let count = |imp: &Imp, name: &str| {
+        let spans = imp.obs().tracer().export_spans();
+        spans.iter().filter(|s| s.name == name).count()
+    };
+    let over_scan = "SELECT ka, va FROM ta ORDER BY va DESC LIMIT 2";
+    let over_join = "SELECT kb, min(va) AS m FROM ta JOIN tb ON (ka = kb) GROUP BY kb";
+    let mut seen = Seen::default();
+    run_query(&mut imp, over_scan, &mut seen);
+    assert_eq!(count(&imp, "capture_spj"), 1);
+    assert_eq!(count(&imp, "nary_delta"), 0, "a scan's capture is no join");
+    run_query(&mut imp, over_join, &mut seen);
+    assert_eq!(count(&imp, "capture_spj"), 2);
+    assert_eq!(
+        count(&imp, "nary_delta"),
+        0,
+        "a join's capture maintains none"
+    );
+    imp.execute("INSERT INTO tb VALUES (2, 3)").unwrap();
+    run_query(&mut imp, over_join, &mut seen);
+    assert_eq!(seen.reports, 1, "the stale query maintains");
+    assert!(count(&imp, "nary_delta") > 0, "join maintenance is traced");
+}

@@ -174,7 +174,7 @@ fn sharded_evict_restore_and_admin_ops() {
 
     let freed = imp.evict_all_states().unwrap();
     assert!(freed > 0);
-    // Maintenance after eviction restores transparently on the worker.
+    // Maintenance after eviction recaptures transparently on the worker.
     imp.execute("INSERT INTO t VALUES (1, 41)").unwrap();
     imp.scheduler().unwrap().drain();
     let ImpResponse::Rows { result, .. } = imp.execute(Q).unwrap() else {

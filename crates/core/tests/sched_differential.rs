@@ -6,7 +6,7 @@
 //! sweeps). After every round both sides must hold **byte-identical
 //! sketch sets and maintained versions** — how sweeps split the stream
 //! into runs, and worker parallelism, may change cost, never results.
-//! Eviction/restore cycles are woven in mid-run, and query answers
+//! Eviction/recapture cycles are woven in mid-run, and query answers
 //! through the USE/rewrite path are compared as well.
 
 use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
@@ -125,8 +125,8 @@ proptest! {
                 seq.execute(&sql).unwrap();
                 par.execute(&sql).unwrap();
             }
-            // Mid-run eviction: the pool must survive its sketches being
-            // serialized out and restored on the worker side.
+            // Mid-run eviction: the pool must survive its sketches' state
+            // being dropped and recaptured on the worker side.
             if evict && round % 2 == 1 {
                 seq.evict_all_states().unwrap();
                 par.evict_all_states().unwrap();

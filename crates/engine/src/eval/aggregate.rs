@@ -96,20 +96,6 @@ impl NumAcc {
             self.int as f64
         }
     }
-
-    /// Raw parts `(int, float, is_float)` for state persistence.
-    pub fn to_parts(&self) -> (i64, f64, bool) {
-        (self.int, self.float, self.is_float)
-    }
-
-    /// Rebuild from persisted parts.
-    pub fn from_parts(int: i64, float: f64, is_float: bool) -> NumAcc {
-        NumAcc {
-            int,
-            float,
-            is_float,
-        }
-    }
 }
 
 fn overflow() -> EngineError {

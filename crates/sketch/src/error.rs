@@ -19,8 +19,6 @@ pub enum SketchError {
     },
     /// The query shape is outside what sketches support.
     Unsupported(String),
-    /// Persisted sketch state could not be decoded.
-    Corrupt(String),
 }
 
 impl fmt::Display for SketchError {
@@ -32,7 +30,6 @@ impl fmt::Display for SketchError {
                 write!(f, "attribute {table}.{attribute} is not safe for sketching")
             }
             SketchError::Unsupported(m) => write!(f, "unsupported: {m}"),
-            SketchError::Corrupt(m) => write!(f, "corrupt sketch state: {m}"),
         }
     }
 }

@@ -172,15 +172,10 @@ impl BitVec {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Raw words (for the binary codec).
+    /// Raw words (the column kernels read NULL and tombstone masks a
+    /// word at a time).
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Rebuild from raw parts (for the binary codec).
-    pub(crate) fn from_raw(len: usize, words: Vec<u64>) -> BitVec {
-        debug_assert_eq!(words.len(), len.div_ceil(WORD_BITS));
-        BitVec { len, words }
     }
 }
 

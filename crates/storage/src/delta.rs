@@ -47,6 +47,8 @@ pub struct DeltaRecord {
 #[derive(Debug, Default, Clone)]
 pub struct DeltaLog {
     records: Vec<DeltaRecord>,
+    /// Version of the last record ever appended; truncation keeps it.
+    last_version: u64,
 }
 
 impl DeltaLog {
@@ -67,6 +69,14 @@ impl DeltaLog {
             row,
             mult,
         });
+        self.last_version = version;
+    }
+
+    /// Version of the last change ever logged (0 if none), whether or not
+    /// truncation has dropped it since: a consumer at a lower version has
+    /// changes to read, or lost them to truncation.
+    pub fn last_version(&self) -> u64 {
+        self.last_version
     }
 
     /// All records strictly after `version` (the delta an incremental

@@ -31,8 +31,6 @@ pub enum StorageError {
     UnknownTable(String),
     /// A table with this name already exists.
     DuplicateTable(String),
-    /// The binary codec encountered malformed input.
-    Corrupt(String),
 }
 
 impl fmt::Display for StorageError {
@@ -54,7 +52,6 @@ impl fmt::Display for StorageError {
             StorageError::UnknownColumn(c) => write!(f, "unknown column {c}"),
             StorageError::UnknownTable(t) => write!(f, "unknown table {t}"),
             StorageError::DuplicateTable(t) => write!(f, "table {t} already exists"),
-            StorageError::Corrupt(m) => write!(f, "corrupt encoded data: {m}"),
         }
     }
 }

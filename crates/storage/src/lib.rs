@@ -29,13 +29,9 @@
 //!   [`DeltaBatch`]: chunked extraction into contiguous tuple / annotation
 //!   / multiplicity arrays plus the sort-then-run-length group-by and
 //!   branch-free multiplicity-merge kernels the hot operators consume.
-//! * [`codec`] — a small length-prefixed binary codec used to persist
-//!   sketches and incremental operator state (paper §2: "the system can
-//!   persist the state that it maintains for its incremental operators").
 
 pub mod bitvec;
 pub mod chunk;
-pub mod codec;
 pub mod column;
 pub mod columns;
 pub mod delta;

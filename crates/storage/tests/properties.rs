@@ -1,8 +1,6 @@
-//! Property tests for the storage primitives: bitvector algebra, codec
-//! roundtrips, delta-log windowing, and value ordering laws.
+//! Property tests for the storage primitives: bitvector algebra,
+//! delta-log windowing, and value ordering laws.
 
-use bytes::BytesMut;
-use imp_storage::codec;
 use imp_storage::{BitVec, DeltaLog, DeltaOp, Row, Value};
 use proptest::prelude::*;
 
@@ -15,10 +13,6 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (-1e12f64..1e12).prop_map(Value::Float),
         "[a-zA-Z0-9 ]{0,12}".prop_map(Value::str),
     ]
-}
-
-fn arb_row() -> impl Strategy<Value = Row> {
-    prop::collection::vec(arb_value(), 0..6).prop_map(Row::new)
 }
 
 proptest! {
@@ -45,16 +39,6 @@ proptest! {
     }
 
     #[test]
-    fn codec_row_roundtrip(r in arb_row()) {
-        let mut buf = BytesMut::new();
-        codec::encode_row(&mut buf, &r);
-        let mut bytes = buf.freeze();
-        let back = codec::decode_row(&mut bytes).unwrap();
-        prop_assert_eq!(back, r);
-        prop_assert!(bytes.is_empty());
-    }
-
-    #[test]
     fn bitvec_algebra_laws(
         len in 1usize..300,
         xs in prop::collection::vec(any::<prop::sample::Index>(), 0..40),
@@ -69,11 +53,6 @@ proptest! {
         prop_assert!(a.is_subset(&a.union(&b)));
         // count_ones consistent with iter_ones.
         prop_assert_eq!(a.count_ones(), a.iter_ones().count());
-        // Codec roundtrip.
-        let mut buf = BytesMut::new();
-        codec::encode_bitvec(&mut buf, &a);
-        let mut bytes = buf.freeze();
-        prop_assert_eq!(codec::decode_bitvec(&mut bytes).unwrap(), a);
     }
 
     #[test]
@@ -94,16 +73,12 @@ proptest! {
         // ...and nothing after the watermark is missing.
         let expected = sorted.iter().filter(|e| e.0 > watermark).count();
         prop_assert_eq!(after.len(), expected);
-    }
-
-    #[test]
-    fn codec_rejects_truncation(r in arb_row()) {
-        let mut buf = BytesMut::new();
-        codec::encode_row(&mut buf, &r);
-        let full = buf.freeze();
-        if full.len() > 4 {
-            let mut cut = full.slice(..full.len() - 1);
-            prop_assert!(codec::decode_row(&mut cut).is_err());
-        }
+        // Truncating through the watermark keeps exactly that window, and
+        // the last logged version outlives the records it truncates.
+        let last = sorted.last().map_or(0, |e| e.0);
+        prop_assert_eq!(log.last_version(), last);
+        log.truncate_through(watermark);
+        prop_assert_eq!(log.len(), expected);
+        prop_assert_eq!(log.last_version(), last);
     }
 }

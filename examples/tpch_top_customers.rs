@@ -1,6 +1,7 @@
 //! TPC-H top customers: Q10-style top-k over joins (the paper's Q_space,
-//! Appendix A.4) with bounded top-l state (§7.2) and state persistence
-//! (§2: evict operator state, restore later, continue incrementally).
+//! Appendix A.4) with bounded top-l state (§7.2) and state eviction (§2:
+//! drop the operator state under memory pressure, recapture it when the
+//! sketch is next needed, continue incrementally).
 //!
 //! ```sh
 //! cargo run --release --example tpch_top_customers
@@ -8,7 +9,6 @@
 
 use imp::core::maintain::SketchMaintainer;
 use imp::core::ops::OpConfig;
-use imp::core::state_codec::{load_state, save_state};
 use imp::data::{queries, tpch};
 use imp::engine::Database;
 use imp::sketch::{PartitionSet, RangePartition};
@@ -46,6 +46,8 @@ fn main() {
     let t = Instant::now();
     let (mut m, result) =
         SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true).unwrap();
+    let (mut evicted, _) =
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true).unwrap();
     println!(
         "captured in {:?}; top-20 revenue customers: {} rows; state = {:.0} KB",
         t.elapsed(),
@@ -56,10 +58,15 @@ fn main() {
         println!("  {} -> revenue {}", row[1], row[2]);
     }
 
-    // Persist the operator state (as the middleware would when evicting),
-    // apply updates, restore, and continue maintaining incrementally.
-    let saved = save_state(&m);
-    println!("persisted state: {} bytes", saved.len());
+    // Evict one copy's operator state (as the middleware does under
+    // memory pressure), apply updates, recapture, and continue
+    // maintaining incrementally.
+    let before = evicted.state_heap_size();
+    evicted.drop_state();
+    println!(
+        "evicted: {:.0} KB freed",
+        (before - evicted.state_heap_size()) as f64 / 1e3
+    );
 
     db.execute_sql(
         "INSERT INTO lineitem VALUES \
@@ -68,25 +75,30 @@ fn main() {
     )
     .unwrap();
 
-    // A fresh maintainer (e.g. after restart) gets the saved state back.
-    let (mut restored, _) =
-        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), cfg, true).unwrap();
-    load_state(&mut restored, saved).unwrap();
-    assert!(restored.is_stale(&db));
+    // The evicted copy's next run is a recapture from the database.
+    assert!(evicted.is_stale(&db));
     let t = Instant::now();
-    let report = restored.maintain(&db).unwrap();
+    let report = evicted.full_maintain(&db).unwrap();
+    assert!(report.recaptured);
     println!(
-        "restored + maintained in {:?} ({} delta rows, recaptured: {})",
+        "recaptured in {:?}; state = {:.0} KB",
         t.elapsed(),
-        report.metrics.delta_rows_fetched,
-        report.recaptured,
+        evicted.state_heap_size() as f64 / 1e3,
     );
 
-    // The uninterrupted maintainer must agree.
+    // The uninterrupted maintainer must agree, and both maintain on alike.
     m.maintain(&db).unwrap();
-    assert_eq!(m.sketch(), restored.sketch());
+    assert_eq!(m.sketch(), evicted.sketch());
+    db.execute_sql("DELETE FROM lineitem WHERE l_orderkey = 2")
+        .unwrap();
+    let report = evicted.maintain(&db).unwrap();
+    m.maintain(&db).unwrap();
+    assert_eq!(m.sketch(), evicted.sketch());
     println!(
-        "sketch agrees with uninterrupted maintenance: {} fragments",
-        m.sketch().fragment_count()
+        "sketch agrees with uninterrupted maintenance: {} fragments \
+         ({} delta rows maintained after the recapture, recaptured: {})",
+        m.sketch().fragment_count(),
+        report.metrics.delta_rows_fetched,
+        report.recaptured,
     );
 }
