@@ -12,7 +12,9 @@
 //! ```
 //!
 //! * **Maintained** — proactively maintained: eager batches and the
-//!   sweeps of tick and worker alike include it.
+//!   sweeps of tick and worker alike include it, unless
+//!   `Imp::evict_state` dropped its state (then, like an evicted one, it
+//!   waits for a query or a promotion to recapture it).
 //! * **Lazy** — state stays in memory but nothing maintains it
 //!   proactively; the first query that needs it maintains it on demand
 //!   (split-invariant versioning makes the result identical to eager
@@ -39,15 +41,14 @@
 use crate::advisor::cost::AdvisorParams;
 use crate::advisor::select::{select_keep, Candidate};
 use crate::advisor::tracker::{SketchKey, WorkloadTracker};
-use crate::middleware::{
-    evict_stored, maintain_entry, record_run, restore_if_evicted, ImpConfig, StoredSketch,
-};
-use crate::obs::Obs;
+use crate::advisor::{Advisor, AdvisorReport, MAX_ENFORCEMENT_ROUNDS};
+use crate::middleware::{evict_stored, maintain_entry, Store, StoredSketch};
 use crate::ops::DbAccess;
+use crate::sched::store::SchedShared;
+use crate::sched::Scheduler;
 use crate::Result;
 use imp_engine::Database;
 use imp_sql::QueryTemplate;
-use imp_storage::FxHashMap;
 
 /// A stored sketch's rung on the advisor's lifecycle ladder (dropped
 /// sketches are removed from the store, so they need no variant).
@@ -246,15 +247,104 @@ impl ApplyOutcome {
     }
 }
 
+/// One autopilot pass over `sched`'s store (see
+/// [`crate::middleware::Imp::advise`]): the regular round, then
+/// enforcement rounds while the store is over the configured budget.
+/// Each round gathers the cards, plans, and applies on the calling
+/// thread under the state lock. A no-op without a budget.
+pub(crate) fn advise(sched: &Scheduler, advisor: &Advisor) -> Result<AdvisorReport> {
+    let Some(budget) = sched.ctx().config.sketch_memory_budget else {
+        return Ok(AdvisorReport::default());
+    };
+    let mut report = AdvisorReport {
+        budget,
+        ..AdvisorReport::default()
+    };
+    let tracker = advisor.tracker();
+    let mut applied_last = false;
+    for escalation in 0..=MAX_ENFORCEMENT_ROUNDS {
+        // One gather per round serves both planning and the budget
+        // check — the cards' resident sum equals `store_heap_size`.
+        let cards = gather_cards(sched);
+        let resident: usize = cards.iter().map(|c| c.resident).sum();
+        if escalation == 0 {
+            report.heap_before = resident;
+            // Prune tracker entries orphaned by store removals, so
+            // the tracker stays bounded by the live store.
+            let live: imp_storage::FxHashSet<SketchKey> =
+                cards.iter().map(SketchCard::key).collect();
+            tracker.retain_live(&live);
+        }
+        report.heap_after = resident;
+        applied_last = false;
+        if escalation > 0 && resident <= budget {
+            break;
+        }
+        let planned = plan_round(&cards, tracker, advisor.params(), budget, escalation);
+        if escalation == 0 {
+            // The regular round consumed the hot windows; cool them so
+            // benefit/cost estimates are moving averages over passes.
+            tracker.decay();
+        }
+        report.kept = planned.kept;
+        if planned.actions.is_empty() {
+            break;
+        }
+        report.rounds = escalation + 1;
+        sched.visit(true, |store, db| {
+            let outcome = apply_to_store(store, db, sched.ctx(), &planned.actions)?;
+            report.outcome.absorb(&outcome);
+            Ok(())
+        })?;
+        applied_last = true;
+    }
+    if applied_last {
+        // The final permitted round still applied actions: re-measure
+        // so the report reflects the settled store.
+        report.heap_after = gather_cards(sched).iter().map(|c| c.resident).sum();
+    }
+    Ok(report)
+}
+
+/// The advisor's view of every stored sketch, sorted by store key so
+/// every worker count (and repeated passes) plans over identical
+/// orders.
+fn gather_cards(sched: &Scheduler) -> Vec<SketchCard> {
+    let mut cards = Vec::new();
+    let _ = sched.visit(false, |store, _| {
+        for (template, entries) in store.iter() {
+            cards.extend(entries.iter().map(|e| advisor_card(template, e)));
+        }
+        Ok(())
+    });
+    cards
+        .sort_by(|a: &SketchCard, b| (a.template.text(), &a.sql).cmp(&(b.template.text(), &b.sql)));
+    cards
+}
+
+/// Build the advisor's [`SketchCard`] for one stored sketch. The card's
+/// `heap` prices the sketch at its *kept-maintained* footprint:
+/// resident bytes plus, when evicted, the state bytes the eviction freed
+/// (the proxy for what a recapture brings back).
+fn advisor_card(template: &QueryTemplate, e: &StoredSketch) -> SketchCard {
+    let resident = e.maintainer.state_heap_size();
+    SketchCard {
+        template: template.clone(),
+        sql: e.sql.clone(),
+        lifecycle: e.lifecycle,
+        resident,
+        heap: resident + e.evicted.unwrap_or(0),
+    }
+}
+
 /// Apply planned actions to the sketch store. Actions addressing
-/// sketches the store does not hold (dropped in between) are skipped. Promotion maintenance errors propagate; the
-/// maintenance cost of successful promotions is recorded in `tracker`.
-pub(crate) fn apply_to_store(
-    store: &mut FxHashMap<QueryTemplate, Vec<StoredSketch>>,
+/// sketches the store does not hold (dropped in between) are skipped.
+/// A promotion is one run of [`maintain_entry`] (booked like any other)
+/// when the sketch is evicted or stale; its errors propagate.
+fn apply_to_store(
+    store: &mut Store,
     db: &Database,
-    config: &ImpConfig,
-    obs: &Obs,
-    tracker: &WorkloadTracker,
+    ctx: &SchedShared,
     actions: &[AdviseAction],
 ) -> Result<ApplyOutcome> {
     let mut outcome = ApplyOutcome::default();
@@ -287,16 +377,14 @@ pub(crate) fn apply_to_store(
                 // The stats go too, or ad-hoc templates would grow the
                 // tracker without bound; a re-capture starts a fresh
                 // entry with the capture-seeded grace window.
-                tracker.forget(&SketchKey::new(action.template.text(), action.sql.clone()));
+                let key = SketchKey::new(action.template.text(), action.sql.clone());
+                ctx.tracker.forget(&key);
                 outcome.dropped += 1;
             }
             AdviseOp::Promote => {
                 let entry = &mut entries[pos];
-                let held = &DbAccess::Held(db);
-                if let Some(recapture) = restore_if_evicted(entry, held)? {
-                    record_run(entry, &action.template, &recapture, obs, tracker);
-                } else if entry.maintainer.is_stale(db) {
-                    maintain_entry(entry, &action.template, held, config, obs, tracker)?;
+                if entry.evicted.is_some() || entry.maintainer.is_stale(db) {
+                    maintain_entry(ctx, entry, &action.template, &DbAccess::Held(db))?;
                 }
                 entry.lifecycle = Lifecycle::Maintained;
                 outcome.promoted += 1;
@@ -379,5 +467,66 @@ mod tests {
         let round = plan_round(&[hot], &tracker, &params, 1_000, 1);
         assert!(round.actions.is_empty());
         assert_eq!(round.kept, 1);
+    }
+
+    /// A promotion is a run like any other: promoting a stale, demoted
+    /// sketch makes exactly one run, booked once in
+    /// `imp_sched_maintain_runs` and in the tracker's cost window, and
+    /// brings the sketch current.
+    #[test]
+    fn a_promotion_is_one_booked_run() {
+        use crate::middleware::{Imp, ImpConfig};
+        use imp_storage::{row, DataType, Field, Schema};
+        const Q: &str = "SELECT g, sum(v) AS s FROM t GROUP BY g HAVING sum(v) > 100";
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]);
+        db.create_table("t", schema).unwrap();
+        let rows = (0..60).map(|i| row![i % 6, i]);
+        db.table_mut("t").unwrap().bulk_load(rows).unwrap();
+        let config = ImpConfig {
+            fragments: 6,
+            ..ImpConfig::default()
+        };
+        let mut imp = Imp::new(db, config);
+        imp.execute(Q).unwrap();
+        let imp_sql::Statement::Select(sel) = imp_sql::parse_one(Q).unwrap() else {
+            unreachable!()
+        };
+        let template = QueryTemplate::of(&sel);
+        let sched = imp.scheduler().unwrap();
+        let demote = |store: &mut Store, _: &Database| {
+            store.get_mut(&template).unwrap()[0].lifecycle = Lifecycle::Lazy;
+            Ok(())
+        };
+        sched.visit(true, demote).unwrap();
+        imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
+        let sched = imp.scheduler().unwrap();
+        let key = SketchKey::new(template.text(), Q);
+        let runs = || {
+            let tracked = sched.ctx().tracker.get(&key).maint_runs;
+            (sched.stats().maintain_runs, tracked)
+        };
+        let before = runs();
+
+        let promote = [AdviseAction {
+            template: template.clone(),
+            sql: Q.to_string(),
+            op: AdviseOp::Promote,
+        }];
+        let mut outcome = ApplyOutcome::default();
+        sched
+            .visit(true, |store, db| {
+                outcome = apply_to_store(store, db, sched.ctx(), &promote)?;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(outcome.promoted, 1);
+        assert_eq!(runs(), (before.0 + 1, before.1 + 1), "one booked run");
+        let current = imp.db().version();
+        let settled = imp.with_sketch(&template, |e| (e.lifecycle, e.maintainer.version()));
+        assert_eq!(settled, Some((Lifecycle::Maintained, current)));
     }
 }

@@ -94,17 +94,6 @@ impl Advisor {
     pub fn params(&self) -> &AdvisorParams {
         &self.params
     }
-
-    /// Plan one autopilot round over gathered cards (see
-    /// [`autopilot::plan_round`]).
-    pub fn plan_round(&self, cards: &[SketchCard], budget: usize, escalation: u32) -> PlannedRound {
-        autopilot::plan_round(cards, &self.tracker, &self.params, budget, escalation)
-    }
-
-    /// Halve the tracker's hot windows (once per autopilot pass).
-    pub fn decay(&self) {
-        self.tracker.decay();
-    }
 }
 
 /// Outcome of one full autopilot pass ([`crate::middleware::Imp::advise`]):

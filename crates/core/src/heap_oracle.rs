@@ -78,7 +78,7 @@ impl IncNode {
 
 mod tests {
     use super::visits;
-    use crate::middleware::{stored_heap_size, Imp, ImpConfig, ImpResponse, QueryMode};
+    use crate::middleware::{Imp, ImpConfig, ImpResponse, QueryMode};
     use crate::ops::DbAccess;
     use crate::MaintReport;
     use imp_engine::Database;
@@ -149,11 +149,11 @@ mod tests {
         let mut failure = None;
         imp.for_each_stored(&mut |e| {
             let (walked, unpooled) = e.walked_heap_size();
-            if (stored_heap_size(e), 0) != (walked, unpooled) && failure.is_none() {
+            if (e.maintainer.state_heap_size(), 0) != (walked, unpooled) && failure.is_none() {
                 failure = Some(format!(
                     "{}: running {} != walked {} (unpooled {unpooled}) after {context}",
                     e.sql,
-                    stored_heap_size(e),
+                    e.maintainer.state_heap_size(),
                     walked
                 ));
             }
@@ -220,8 +220,9 @@ mod tests {
                 }
                 let context = format!("op {op}({t}, {key}, {val}) at step {step}");
                 assert_exact(&imp, &context)?;
-                // Bring everything current (recaptures evicted state, runs
-                // the deltas through every operator) and check again.
+                // Bring every proactively maintained sketch current (runs
+                // the deltas through every operator; evicted state waits
+                // for a query) and check again.
                 imp.maintain_all_stale().unwrap();
                 assert_exact(&imp, &format!("maintenance after {context}"))?;
             }
@@ -331,7 +332,7 @@ mod tests {
             {
                 let db = chain_db(rows_per_table, keys);
                 let plan = db.plan_sql(QUERIES[0]).unwrap();
-                let pset = crate::middleware::choose_partitions(&db, &config(0), &plan)
+                let pset = crate::middleware::capture::choose_partitions(&db, &config(0), &plan)
                     .unwrap()
                     .unwrap();
                 let (mut m, _) =

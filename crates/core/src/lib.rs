@@ -48,7 +48,8 @@
 //!   branch and allocates nothing — served live by [`obsd`].
 //! * [`strategy`] / [`middleware`] — eager / lazy / batched maintenance and
 //!   the user-facing [`middleware::Imp`] system over one sketch store,
-//!   with the worker count set by [`middleware::ImpConfig::sched_workers`]
+//!   split along Fig. 2 into configuration, capture, reuse, maintenance
+//!   and administration, with the worker count set by [`middleware::ImpConfig::sched_workers`]
 //!   (0: the caller does all the work).
 
 pub mod advisor;

@@ -468,15 +468,6 @@ impl SketchMaintainer {
         &self.pool
     }
 
-    /// Cumulative pool activity (hash-consing, union memoization, and
-    /// row interning).
-    pub fn pool_stats(&self) -> PoolStats {
-        let mut stats = self.pool.stats();
-        stats.rows_interned = self.rows.interned();
-        stats.row_hits = self.rows.hits();
-        stats
-    }
-
     /// Entries and bytes of the top-k operator state (Fig. 13e/f).
     pub fn topk_state(&self) -> Option<(usize, usize)> {
         self.root.topk_state()
@@ -579,7 +570,8 @@ pub fn diff_sketches(before: &SketchSet, after: &SketchSet) -> SketchDelta {
 mod tests {
     use super::*;
     use crate::heap_oracle::Walk;
-    use crate::middleware::{choose_partitions, ImpConfig};
+    use crate::middleware::capture::choose_partitions;
+    use crate::middleware::ImpConfig;
     use imp_engine::database::canonical_bag;
     use imp_sketch::RangePartition;
     use imp_storage::{row, DataType, Field, Schema, Value};

@@ -100,7 +100,9 @@ pub struct SchedMetrics {
     /// Updates noted for the workers (the writer returned without
     /// maintaining anything).
     pub staged_updates: Counter,
-    /// Maintenance runs executed by the store (sweeps + on-demand).
+    /// Every maintenance run of the store: a stale query's, a sweep's,
+    /// an eager batch's or an advisor promotion's (each booked once, in
+    /// `middleware::maintain_entry`).
     pub maintain_runs: Counter,
     /// Updates noted since the last sweep began (gauge): the work a
     /// worker has not started yet.

@@ -24,7 +24,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,7 +60,7 @@ struct Ring {
 /// Span collector (see the module docs).
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: AtomicBool,
+    enabled: bool,
     epoch: Instant,
     token: u64,
     ring_cap: usize,
@@ -93,7 +93,7 @@ impl Tracer {
     /// New tracer; `enabled` decides whether spans are recorded at all.
     pub fn new(enabled: bool, ring_cap: usize) -> Tracer {
         Tracer {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             epoch: Instant::now(),
             token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
             ring_cap: ring_cap.max(2),
@@ -105,12 +105,7 @@ impl Tracer {
 
     /// Is span recording on?
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Toggle span recording (harness convenience).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     fn now_ns(&self) -> u64 {

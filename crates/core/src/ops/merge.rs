@@ -70,16 +70,6 @@ impl MergeOp {
         self.counts.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// Fragments with positive counters (the sketch μ would report now).
-    pub fn active_fragments(&self) -> Vec<usize> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Heap footprint.
     pub fn heap_size(&self) -> usize {
         self.counts.capacity() * std::mem::size_of::<i64>()

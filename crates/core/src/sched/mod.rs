@@ -19,10 +19,12 @@
 //! * **Updates** — [`Scheduler::note_update`] counts the update and
 //!   raises the workers' one wake signal ([`pool::Wake`]); the delta
 //!   stays in the database's delta log, and the writer maintains nothing.
-//! * **Sweeps** — the worker that takes the request maintains every stale
-//!   [`crate::advisor::Lifecycle::Maintained`] sketch through the fetching
-//!   path a stale query uses, from that sketch's own version, so however
-//!   many updates it missed fold into one run ([`shard::sweep`]).
+//! * **Sweeps** — the worker that takes the request maintains every stale,
+//!   proactively maintained sketch (on the
+//!   [`crate::advisor::Lifecycle::Maintained`] rung, state not evicted)
+//!   through the fetching path a stale query uses, from that sketch's own
+//!   version, so however many updates it missed fold into one run
+//!   ([`shard::sweep`]).
 //! * **Snapshots** — [`SnapshotBoard`] publishes the store after every
 //!   state change, so the USE/rewrite path reads without blocking.
 //! * **Caller-side controls** — a stale query maintains *its own* sketch
@@ -51,14 +53,13 @@ use crate::middleware::{
     maintain_entry, plan_subsumes, ImpConfig, QueryMode, Store, StoredSketch,
     MAX_SKETCHES_PER_TEMPLATE,
 };
-use crate::obs::Obs;
 use crate::ops::DbAccess;
 use crate::sched::shard::{publish, sweep};
 use crate::sched::store::{SchedShared, ShardState};
 use imp_engine::Database;
 use imp_sketch::SketchSet;
 use imp_sql::{LogicalPlan, QueryTemplate};
-use parking_lot::{MutexGuard, RwLock};
+use parking_lot::MutexGuard;
 use std::sync::Arc;
 
 /// The sketch store: one state lock + worker pool + snapshot board.
@@ -68,16 +69,19 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// The store for `config.sched_workers` background threads (0: none).
-    pub(crate) fn new(
-        db: Arc<RwLock<Database>>,
-        config: &ImpConfig,
-        tracker: Arc<WorkloadTracker>,
-        obs: Arc<Obs>,
-    ) -> Scheduler {
-        let shared = Arc::new(SchedShared::new(db, config, tracker, obs));
-        let pool = ShardPool::spawn(config.sched_workers, &shared);
+    /// The store over `db` for `config.sched_workers` background threads
+    /// (0: none).
+    pub(crate) fn new(db: Database, config: ImpConfig, tracker: Arc<WorkloadTracker>) -> Scheduler {
+        let workers = config.sched_workers;
+        let shared = Arc::new(SchedShared::new(db, config, tracker));
+        let pool = ShardPool::spawn(workers, &shared);
         Scheduler { pool, shared }
+    }
+
+    /// The store's one context: database, configuration, obs hub,
+    /// tracker and counters.
+    pub(crate) fn ctx(&self) -> &SchedShared {
+        &self.shared
     }
 
     /// Number of workers (0: callers do all the work).
@@ -174,13 +178,10 @@ impl Scheduler {
                 return Ok(Some((sketch, QueryMode::UsedFresh)));
             }
             let _span = self.shared.obs.span("maintain_on_demand");
-            let (config, obs, tracker) =
-                (&self.shared.config, &self.shared.obs, &self.shared.tracker);
             let db = DbAccess::Held(&db);
-            maintain_entry(entry, template, &db, config, obs, tracker)?
+            maintain_entry(&self.shared, entry, template, &db)?
         };
         let sketch = Arc::new(entry.maintainer.sketch().clone());
-        self.shared.metrics.maintain_runs.inc();
         publish(&mut state, &self.shared.board, &self.shared.obs);
         Ok(Some((sketch, QueryMode::Maintained(Box::new(report)))))
     }
@@ -258,8 +259,8 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::maintain::SketchMaintainer;
-    use crate::middleware::{capture_stored, choose_partitions, Imp, ImpResponse, QueryMode};
-    use crate::obs::ObsConfig;
+    use crate::middleware::capture::{capture_stored, choose_partitions};
+    use crate::middleware::{Imp, ImpResponse, QueryMode};
     use crate::sched::shard::ShardWorker;
     use imp_storage::{row, DataType, Field, Schema};
     use std::sync::atomic::Ordering;
@@ -309,10 +310,9 @@ mod tests {
             sched_workers: 2,
             ..ImpConfig::default()
         };
-        let db = Arc::new(RwLock::new(seed_db()));
-        let obs = Obs::new(&ObsConfig::default());
         let tracker = Arc::new(WorkloadTracker::new());
-        let shared = Arc::new(SchedShared::new(Arc::clone(&db), &config, tracker, obs));
+        let shared = Arc::new(SchedShared::new(seed_db(), config.clone(), tracker));
+        let db = &shared.db;
         let stored = {
             let db = db.read();
             let plan = db.plan_sql(Q).unwrap();

@@ -11,9 +11,8 @@
 //! short read locks and publish immutable snapshots
 //! ([`crate::sched::snapshot`]).
 
-use crate::advisor::Lifecycle;
 use crate::maintain::MaintReport;
-use crate::middleware::{maintain_entry, stored_heap_size, StoredSketch};
+use crate::middleware::{maintain_entry, StoredSketch};
 use crate::obs::Obs;
 use crate::ops::DbAccess;
 use crate::sched::snapshot::{PublishedSketch, SnapshotBoard};
@@ -60,14 +59,14 @@ impl Drop for ShardWorker {
     }
 }
 
-/// Is `entry` one a sweep maintains: fully maintained, and stale?
-/// Advisor-demoted sketches wait for a query that needs them.
+/// Is `entry` one a sweep maintains: proactively maintained
+/// ([`StoredSketch::maintained_proactively`]), and stale?
 fn due(entry: &StoredSketch, db: &Database) -> bool {
-    entry.lifecycle == Lifecycle::Maintained && entry.maintainer.is_stale(db)
+    entry.maintained_proactively() && entry.maintainer.is_stale(db)
 }
 
-/// One sweep over the store, on the held state lock: every stale
-/// [`Lifecycle::Maintained`] sketch is brought current through the
+/// One sweep over the store, on the held state lock: every stale,
+/// proactively maintained sketch is brought current through the
 /// fetching path, one at a time, and its report pushed to `reports`.
 /// A worker and a caller run the identical pass. A run keeps the database
 /// read lock past its fetch only if its operators probe a base table
@@ -94,7 +93,7 @@ pub(crate) fn sweep<'a>(
             })
             .collect()
     };
-    let (config, obs, tracker) = (&shared.config, &shared.obs, &shared.tracker);
+    let obs = &shared.obs;
     let mut first_error = None;
     for (i, (template, sql)) in stale.iter().enumerate() {
         if i > 0 {
@@ -112,11 +111,8 @@ pub(crate) fn sweep<'a>(
         }
         let _span = obs.span("maintain_stale");
         let db = DbAccess::shared(&shared.db);
-        match maintain_entry(entry, template, &db, config, obs, tracker) {
-            Ok(report) => {
-                shared.metrics.maintain_runs.inc();
-                reports.push(report);
-            }
+        match maintain_entry(shared, entry, template, &db) {
+            Ok(report) => reports.push(report),
             Err(e) => {
                 *last_error = Some(e.to_string());
                 first_error.get_or_insert(e);
@@ -141,7 +137,8 @@ pub(crate) fn publish(state: &mut ShardState, board: &SnapshotBoard, obs: &Obs) 
         .iter_mut()
         .flat_map(|(template, entries)| {
             entries.iter_mut().map(|e| {
-                let (version, state_bytes) = (e.maintainer.version(), stored_heap_size(e));
+                let (version, state_bytes) =
+                    (e.maintainer.version(), e.maintainer.state_heap_size());
                 let live = e.maintainer.sketch();
                 let p = e.published.get_or_insert_with(|| PublishedSketch {
                     template: template.clone(),

@@ -76,20 +76,22 @@ impl ShardSlot {
     }
 }
 
-/// Everything a sweep needs, whichever thread runs it.
+/// The store's one context: everything a run, a capture or a control
+/// needs, whichever thread runs it. [`crate::middleware::Imp`] reads the
+/// database, its configuration and the obs hub from here too.
 pub(crate) struct SchedShared {
     /// The store.
     pub(crate) slot: ShardSlot,
     /// The backend database.
-    pub(crate) db: Arc<RwLock<Database>>,
+    pub(crate) db: RwLock<Database>,
     /// Middleware configuration (operator knobs).
     pub(crate) config: ImpConfig,
     /// Published sketch snapshots.
     pub(crate) board: Arc<SnapshotBoard>,
-    /// Workload tracker (maintenance costs, template evictions).
+    /// Workload tracker (uses, maintenance costs, template evictions).
     pub(crate) tracker: Arc<WorkloadTracker>,
-    /// Shared scheduler counters.
-    pub(crate) metrics: Arc<SchedMetrics>,
+    /// Scheduler counters.
+    pub(crate) metrics: SchedMetrics,
     /// Observability hub (spans, latency histograms).
     pub(crate) obs: Arc<Obs>,
     /// The workers' one wake signal (sweep requests, pause, stop).
@@ -97,21 +99,21 @@ pub(crate) struct SchedShared {
 }
 
 impl SchedShared {
-    /// An empty store over `db`, with the scheduler counters registered
-    /// in `obs`'s registry.
+    /// An empty store over `db`, with the obs hub `config.obs` asks for
+    /// and the scheduler counters registered in its registry.
     pub(crate) fn new(
-        db: Arc<RwLock<Database>>,
-        config: &ImpConfig,
+        db: Database,
+        config: ImpConfig,
         tracker: Arc<WorkloadTracker>,
-        obs: Arc<Obs>,
     ) -> SchedShared {
+        let obs = Obs::new(&config.obs);
         SchedShared {
             slot: ShardSlot::default(),
-            db,
-            config: config.clone(),
+            db: RwLock::new(db),
+            config,
             board: Arc::new(SnapshotBoard::new()),
             tracker,
-            metrics: Arc::new(SchedMetrics::registered(obs.registry())),
+            metrics: SchedMetrics::registered(obs.registry()),
             obs,
             wake: Wake::default(),
         }

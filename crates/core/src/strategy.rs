@@ -19,8 +19,8 @@
 //! held only for the request.
 
 use crate::middleware::Imp;
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -45,14 +45,14 @@ pub enum MaintenanceStrategy {
 
 /// Periodic background maintenance worker.
 pub struct BackgroundMaintainer {
-    stop: Sender<()>,
+    stop: SyncSender<()>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl BackgroundMaintainer {
     /// Spawn a thread that maintains all stale sketches every `interval`.
     pub fn spawn(imp: Arc<Mutex<Imp>>, interval: Duration) -> BackgroundMaintainer {
-        let (stop_tx, stop_rx) = bounded::<()>(1);
+        let (stop_tx, stop_rx) = sync_channel::<()>(1);
         let handle = std::thread::spawn(move || {
             // A stop (or a dropped sender) ends the loop; a timeout is a tick.
             while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {

@@ -174,7 +174,7 @@ fn sharded_evict_restore_and_admin_ops() {
 
     let freed = imp.evict_all_states().unwrap();
     assert!(freed > 0);
-    // Maintenance after eviction recaptures transparently on the worker.
+    // No sweep recaptures the evicted state: the next query does.
     imp.execute("INSERT INTO t VALUES (1, 41)").unwrap();
     imp.scheduler().unwrap().drain();
     let ImpResponse::Rows { result, .. } = imp.execute(Q).unwrap() else {
@@ -453,4 +453,73 @@ fn state_bytes_do_not_depend_on_how_statements_split_into_runs() {
     });
     assert_eq!(one_sweep, per_statement);
     assert_eq!(stale_query, per_statement);
+}
+
+/// An evicted sketch is recaptured only by a query that uses it (or by an
+/// advisor promotion): neither a worker's sweep nor `drain` nor
+/// `maintain_all_stale` brings its state back. At 0 and 1 workers, after
+/// capture, eviction and an insert, no run is made and the store stays
+/// at its post-eviction heap; the next query recaptures, answers as the
+/// engine does, and leaves the accurate sketch (Thm. 6.1).
+#[test]
+fn an_evicted_sketch_waits_for_a_query_to_recapture() {
+    for workers in [0, 1] {
+        let mut imp = Imp::new(seed_db(), sharded_config(workers));
+        imp.execute(Q).unwrap();
+        assert!(imp.evict_state(&template_of(Q)).unwrap() > 0);
+        let evicted_heap = imp.store_heap_size();
+        let runs = imp.scheduler().unwrap().stats().maintain_runs;
+
+        imp.execute("INSERT INTO t VALUES (2, 500)").unwrap();
+        assert_eq!(imp.scheduler().unwrap().drain(), 0, "workers {workers}");
+        let swept = imp.maintain_all_stale().unwrap();
+        assert!(swept.is_empty(), "workers {workers}: {swept:?}");
+        let stats = imp.scheduler().unwrap().stats();
+        assert_eq!(stats.maintain_runs, runs, "workers {workers}: no run");
+        assert!(imp.store_heap_size() <= evicted_heap, "workers {workers}");
+
+        let ImpResponse::Rows { result, mode } = imp.execute(Q).unwrap() else {
+            panic!("rows expected")
+        };
+        let QueryMode::Maintained(report) = mode else {
+            panic!("workers {workers}: the query recaptures, got {mode:?}")
+        };
+        assert!(report.recaptured, "workers {workers}: {report:?}");
+        let engine = imp.db().query(Q).unwrap();
+        assert_eq!(result.canonical(), engine.canonical(), "workers {workers}");
+        imp.with_sketch(&template_of(Q), |e| {
+            let db = imp.db();
+            let fresh = imp_sketch::capture(&e.plan, &db, e.maintainer.partitions()).unwrap();
+            assert_eq!(e.maintainer.version(), db.version(), "workers {workers}");
+            let bits = e.maintainer.sketch().bits();
+            assert_eq!(bits, fresh.sketch.bits(), "workers {workers}");
+        })
+        .expect("the sketch is stored");
+    }
+}
+
+/// Every maintenance run is booked in `imp_sched_maintain_runs`, whoever
+/// makes it: with no workers under `Eager { batch_size: 1 }`, each of N
+/// updates makes one eager run, and the counter reads N.
+#[test]
+fn eager_batches_are_booked_as_runs() {
+    let config = ImpConfig {
+        strategy: imp_core::MaintenanceStrategy::Eager { batch_size: 1 },
+        ..sharded_config(0)
+    };
+    let mut imp = Imp::new(seed_db(), config);
+    imp.execute(Q).unwrap();
+    let updates = [
+        "INSERT INTO t VALUES (2, 500)",
+        "DELETE FROM t WHERE v = 7",
+        "INSERT INTO t VALUES (3, 900)",
+    ];
+    for sql in updates {
+        let ImpResponse::Affected { maintenance, .. } = imp.execute(sql).unwrap() else {
+            panic!("an update")
+        };
+        assert_eq!(maintenance.len(), 1, "{sql}: one eager run");
+    }
+    let stats = imp.scheduler().unwrap().stats();
+    assert_eq!(stats.maintain_runs, updates.len() as u64);
 }

@@ -125,9 +125,13 @@ proptest! {
                 seq.execute(&sql).unwrap();
                 par.execute(&sql).unwrap();
             }
-            // Mid-run eviction: the pool must survive its sketches' state
-            // being dropped and recaptured on the worker side.
+            // Mid-run eviction. A worker store sweeps before it evicts (as
+            // before every control), so the zero-worker store is brought
+            // to the same point first. No sweep recaptures evicted state
+            // afterwards: the next query that uses a sketch does, on
+            // either store.
             if evict && round % 2 == 1 {
+                seq.maintain_all_stale().unwrap();
                 seq.evict_all_states().unwrap();
                 par.evict_all_states().unwrap();
             }

@@ -70,13 +70,6 @@ pub struct PoolStats {
     /// Union requests answered from the memo table or a fast path
     /// (identical / empty / subset operands) — no allocation.
     pub union_memo_hits: u64,
-    /// Distinct rows registered by the paired [`RowInterner`]. Zero in
-    /// [`AnnotPool::stats`] (the pool holds no rows); populated by
-    /// holders of both structures, e.g. a sketch maintainer.
-    pub rows_interned: u64,
-    /// Row intern requests answered by an existing allocation (same
-    /// population rule as [`PoolStats::rows_interned`]).
-    pub row_hits: u64,
 }
 
 /// Hash-consing arena for annotation bitvectors.
@@ -305,7 +298,6 @@ impl AnnotPool {
 pub struct RowInterner {
     set: FxHashSet<Row>,
     limit: usize,
-    interned: u64,
     hits: u64,
     /// Running Σ `Row::heap_size` of the held rows.
     row_bytes: usize,
@@ -325,7 +317,6 @@ impl RowInterner {
         RowInterner {
             set: FxHashSet::default(),
             limit: limit.max(1),
-            interned: 0,
             hits: 0,
             row_bytes: 0,
         }
@@ -341,7 +332,6 @@ impl RowInterner {
         if self.set.len() >= self.limit {
             self.clear();
         }
-        self.interned += 1;
         self.row_bytes += row.heap_size();
         self.set.insert(row.clone());
         row
@@ -360,11 +350,6 @@ impl RowInterner {
     /// Requests answered by an existing allocation.
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Distinct rows ever registered.
-    pub fn interned(&self) -> u64 {
-        self.interned
     }
 
     /// Drop all held rows (counters survive).
