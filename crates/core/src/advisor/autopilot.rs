@@ -33,7 +33,7 @@
 //! One [`plan_round`] demotes the losers of the budgeted selection a
 //! single rung — gentle by default — and escalates (straight to
 //! `Evicted`, then to drop) on the enforcement rounds
-//! [`crate::advisor::Advisor`] runs while the store is still over budget.
+//! [`advise`] runs while the store is still over budget.
 //! Decisions only ever change *cost*: demoted sketches answer queries
 //! through the same on-demand maintenance/recapture/capture paths the
 //! store already has, so answers are bit-for-bit unchanged.
@@ -41,7 +41,7 @@
 use crate::advisor::cost::AdvisorParams;
 use crate::advisor::select::{select_keep, Candidate};
 use crate::advisor::tracker::{SketchKey, WorkloadTracker};
-use crate::advisor::{Advisor, AdvisorReport, MAX_ENFORCEMENT_ROUNDS};
+use crate::advisor::{AdvisorReport, MAX_ENFORCEMENT_ROUNDS};
 use crate::middleware::{evict_stored, maintain_entry, Store, StoredSketch};
 use crate::ops::DbAccess;
 use crate::sched::store::SchedShared;
@@ -252,15 +252,16 @@ impl ApplyOutcome {
 /// enforcement rounds while the store is over the configured budget.
 /// Each round gathers the cards, plans, and applies on the calling
 /// thread under the state lock. A no-op without a budget.
-pub(crate) fn advise(sched: &Scheduler, advisor: &Advisor) -> Result<AdvisorReport> {
-    let Some(budget) = sched.ctx().config.sketch_memory_budget else {
+pub(crate) fn advise(sched: &Scheduler) -> Result<AdvisorReport> {
+    let ctx = sched.ctx();
+    let Some(budget) = ctx.config.sketch_memory_budget else {
         return Ok(AdvisorReport::default());
     };
     let mut report = AdvisorReport {
         budget,
         ..AdvisorReport::default()
     };
-    let tracker = advisor.tracker();
+    let tracker = &ctx.tracker;
     let mut applied_last = false;
     for escalation in 0..=MAX_ENFORCEMENT_ROUNDS {
         // One gather per round serves both planning and the budget
@@ -280,7 +281,7 @@ pub(crate) fn advise(sched: &Scheduler, advisor: &Advisor) -> Result<AdvisorRepo
         if escalation > 0 && resident <= budget {
             break;
         }
-        let planned = plan_round(&cards, tracker, advisor.params(), budget, escalation);
+        let planned = plan_round(&cards, tracker, &ctx.config.advisor, budget, escalation);
         if escalation == 0 {
             // The regular round consumed the hot windows; cool them so
             // benefit/cost estimates are moving averages over passes.

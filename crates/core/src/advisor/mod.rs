@@ -59,42 +59,11 @@ pub use autopilot::{AdviseAction, AdviseOp, ApplyOutcome, Lifecycle, PlannedRoun
 pub use cost::AdvisorParams;
 pub use tracker::{SketchKey, UseKind, UseStats, WorkloadTracker};
 
-use std::sync::Arc;
-
 /// Enforcement rounds an autopilot pass may run after the regular round
 /// while the store is still over budget (round 1 forces losers to
 /// [`Lifecycle::Evicted`], later rounds drop them). Two drop rounds give
 /// slack for heap measured mid-escalation.
 pub const MAX_ENFORCEMENT_ROUNDS: u32 = 3;
-
-/// The advisor facade: the shared workload tracker plus the cost-model
-/// parameters, owned by [`crate::middleware::Imp`].
-#[derive(Debug)]
-pub struct Advisor {
-    tracker: Arc<WorkloadTracker>,
-    params: AdvisorParams,
-}
-
-impl Advisor {
-    /// Fresh advisor with the given cost-model parameters.
-    pub fn new(params: AdvisorParams) -> Advisor {
-        Advisor {
-            tracker: Arc::new(WorkloadTracker::new()),
-            params,
-        }
-    }
-
-    /// The shared workload tracker (the sketch store hands clones to its
-    /// workers).
-    pub fn tracker(&self) -> &Arc<WorkloadTracker> {
-        &self.tracker
-    }
-
-    /// The cost-model parameters.
-    pub fn params(&self) -> &AdvisorParams {
-        &self.params
-    }
-}
 
 /// Outcome of one full autopilot pass ([`crate::middleware::Imp::advise`]):
 /// the regular round plus any enforcement rounds it took to get the store

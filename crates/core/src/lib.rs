@@ -70,7 +70,7 @@ pub mod opt;
 pub mod sched;
 pub mod strategy;
 
-pub use advisor::{Advisor, AdvisorParams, AdvisorReport, Lifecycle, WorkloadTracker};
+pub use advisor::{AdvisorParams, AdvisorReport, Lifecycle, WorkloadTracker};
 pub use delta::{
     delta_heap_sizes, delta_magnitude, normalize_delta, normalize_delta_with, AnnotId, AnnotPool,
     DeltaBatch, DeltaEntry,

@@ -186,7 +186,7 @@ impl Imp {
     /// configured. The gather/apply steps run on this thread under the
     /// store's state lock.
     pub fn advise(&mut self) -> Result<AdvisorReport> {
-        autopilot::advise(&self.sched, &self.advisor)
+        autopilot::advise(&self.sched)
     }
 }
 

@@ -30,10 +30,10 @@ pub use config::ImpConfig;
 pub(crate) use maintain::{evict_stored, maintain_entry};
 pub use reuse::plan_subsumes;
 
-use crate::advisor::{Advisor, Lifecycle};
+use crate::advisor::{Lifecycle, WorkloadTracker};
 use crate::maintain::{MaintReport, SketchMaintainer};
 use crate::obs::Obs;
-use crate::obsd::{start_obsd, ObsdHandle, ObsdState, OBSD_ADDR_ENV};
+use crate::obsd::{start_obsd, ObsdHandle, OBSD_ADDR_ENV};
 use crate::sched::store::SchedShared;
 use crate::sched::{PublishedSketch, Scheduler};
 use crate::Result;
@@ -123,11 +123,10 @@ pub(crate) const MAX_SKETCHES_PER_TEMPLATE: usize = 4;
 pub(crate) type Store = FxHashMap<QueryTemplate, Vec<StoredSketch>>;
 
 /// The IMP system: the sketch store (whose one context holds the
-/// database, the configuration and the obs hub), the advisor, and the
-/// telemetry endpoint.
+/// database, the configuration, the obs hub and the advisor's workload
+/// tracker) and the telemetry endpoint.
 pub struct Imp {
     sched: Scheduler,
-    advisor: Advisor,
     obsd: Option<ObsdHandle>,
 }
 
@@ -135,7 +134,6 @@ impl Imp {
     /// Wrap a backend database. With [`ImpConfig::sched_workers`] ≥ 1 the
     /// sketch store gets a worker pool (see [`crate::sched`]).
     pub fn new(db: Database, config: ImpConfig) -> Imp {
-        let advisor = Advisor::new(config.advisor);
         // An explicit empty address means "no endpoint", so a config can
         // override an inherited IMP_OBSD_ADDR environment variable off.
         let obsd_addr = config
@@ -143,15 +141,9 @@ impl Imp {
             .clone()
             .or_else(|| std::env::var(OBSD_ADDR_ENV).ok())
             .filter(|addr| !addr.is_empty());
-        let sched = Scheduler::new(db, config, Arc::clone(advisor.tracker()));
+        let sched = Scheduler::new(db, config);
         let obsd = obsd_addr.and_then(|addr| {
-            let state = ObsdState {
-                obs: Arc::clone(&sched.ctx().obs),
-                board: sched.board_handle(),
-                tracker: Arc::clone(advisor.tracker()),
-                advisor: *advisor.params(),
-            };
-            match start_obsd(&addr, state) {
+            match start_obsd(&addr, Arc::clone(sched.ctx())) {
                 Ok(handle) => Some(handle),
                 Err(e) => {
                     // Telemetry must never take the system down with it:
@@ -161,11 +153,7 @@ impl Imp {
                 }
             }
         });
-        Imp {
-            sched,
-            advisor,
-            obsd,
-        }
+        Imp { sched, obsd }
     }
 
     /// The store's one context.
@@ -179,9 +167,10 @@ impl Imp {
         self.obsd.as_ref().map(ObsdHandle::addr)
     }
 
-    /// The workload advisor (tracker access and cost-model parameters).
-    pub fn advisor(&self) -> &Advisor {
-        &self.advisor
+    /// The advisor's workload tracker (its cost-model parameters are
+    /// [`ImpConfig::advisor`]).
+    pub fn tracker(&self) -> &Arc<WorkloadTracker> {
+        &self.ctx().tracker
     }
 
     /// The observability hub (metrics registry, tracer).

@@ -58,7 +58,7 @@ impl Imp {
                     _ => UseKind::Fresh,
                 };
                 let db = self.db();
-                self.advisor.tracker().record_use(
+                self.tracker().record_use(
                     SketchKey::new(template.text(), published.sql.to_string()),
                     kind,
                     estimate_rows_skipped(&db, &sketch),
@@ -81,7 +81,7 @@ impl Imp {
                 });
             };
             let (stored, result) = capture_stored(&db, self.config(), sql, plan, pset)?;
-            self.advisor.tracker().record_use(
+            self.tracker().record_use(
                 SketchKey::new(template.text(), stored.sql.clone()),
                 UseKind::Captured,
                 estimate_rows_skipped(&db, stored.maintainer.sketch()),

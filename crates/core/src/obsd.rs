@@ -7,9 +7,10 @@
 //! `127.0.0.1:0` binds an ephemeral port, reported by
 //! [`Imp::obsd_addr`](crate::middleware::Imp::obsd_addr).
 //!
-//! Every endpoint reads **snapshots only** — `MetricsRegistry::sample`,
-//! [`SnapshotBoard::read`], the tracer's span rings — never scheduler
-//! locks or the store, so a slow or hostile scraper cannot stall
+//! Every endpoint reads the store context's lock-free handles only —
+//! `MetricsRegistry::sample`, [`crate::sched::SnapshotBoard::read`], the tracer's span
+//! rings, the workload tracker and `ImpConfig::advisor` — never the
+//! state lock or the database, so a slow or hostile scraper cannot stall
 //! maintenance:
 //!
 //! | Path            | Body                                                  |
@@ -26,10 +27,10 @@ use std::sync::Arc;
 
 use imp_obsd::{Request, Response, Router, Server};
 
-use crate::advisor::{AdvisorParams, SketchKey, WorkloadTracker};
+use crate::advisor::SketchKey;
 use crate::obs::registry::json_string;
-use crate::obs::{Obs, SampleValue, MAINTAIN_LATENCY};
-use crate::sched::SnapshotBoard;
+use crate::obs::{SampleValue, MAINTAIN_LATENCY};
+use crate::sched::store::SchedShared;
 
 /// Worker threads of the exposition server: scrapes are cheap
 /// snapshot-renders, so a handful of threads absorbs a scrape fleet
@@ -40,20 +41,6 @@ const OBSD_THREADS: usize = 4;
 /// [`ImpConfig::obsd_addr`](crate::middleware::ImpConfig::obsd_addr) is
 /// unset, e.g. `IMP_OBSD_ADDR=127.0.0.1:9464`.
 pub const OBSD_ADDR_ENV: &str = "IMP_OBSD_ADDR";
-
-/// Everything the endpoint handlers read from. All fields are shared
-/// snapshot handles; the struct is built once and moved behind an `Arc`
-/// into the router closures.
-pub(crate) struct ObsdState {
-    /// The observability hub (registry, tracer).
-    pub(crate) obs: Arc<Obs>,
-    /// Snapshot board of the sketch store.
-    pub(crate) board: Arc<SnapshotBoard>,
-    /// Workload tracker feeding the advisor score on `/sketches`.
-    pub(crate) tracker: Arc<WorkloadTracker>,
-    /// Cost-model weights used to score each published sketch.
-    pub(crate) advisor: AdvisorParams,
-}
 
 /// A running obsd endpoint. Dropping the handle shuts the server down
 /// and joins its threads.
@@ -76,31 +63,30 @@ impl std::fmt::Debug for ObsdHandle {
     }
 }
 
-/// Bind `addr` and serve the telemetry plane for `state`.
-pub(crate) fn start_obsd(addr: &str, state: ObsdState) -> std::io::Result<ObsdHandle> {
-    let state = Arc::new(state);
+/// Bind `addr` and serve the telemetry plane of the store context `ctx`.
+pub(crate) fn start_obsd(addr: &str, ctx: Arc<SchedShared>) -> std::io::Result<ObsdHandle> {
     let mut router = Router::new();
 
     {
-        let s = Arc::clone(&state);
+        let s = Arc::clone(&ctx);
         router.get("/metrics", move |_req: &Request| {
             Response::prometheus(s.obs.metrics_text())
         });
     }
     {
-        let s = Arc::clone(&state);
+        let s = Arc::clone(&ctx);
         router.get("/metrics.json", move |_req: &Request| {
             Response::json(200, s.obs.metrics_json())
         });
     }
     {
-        let s = Arc::clone(&state);
+        let s = Arc::clone(&ctx);
         router.get("/trace", move |_req: &Request| {
             Response::json(200, s.obs.trace_chrome_json())
         });
     }
     {
-        let s = Arc::clone(&state);
+        let s = Arc::clone(&ctx);
         router.get("/sketches", move |_req: &Request| {
             Response::json(200, render_sketches(&s))
         });
@@ -119,16 +105,16 @@ pub(crate) fn start_obsd(addr: &str, state: ObsdState) -> std::io::Result<ObsdHa
 /// Render `/sketches`: one entry per published sketch, joined against a
 /// single registry sample (per-template maintain-latency histograms, the
 /// updates waiting for a sweep) and the workload tracker (advisor score).
-fn render_sketches(state: &ObsdState) -> String {
+fn render_sketches(ctx: &SchedShared) -> String {
     let mut out = String::from("{\"sketches\":{");
-    let samples = state.obs.registry().sample();
+    let samples = ctx.obs.registry().sample();
     let queue_depth = samples
         .iter()
         .find(|s| s.name == "imp_sched_queue_depth")
         .and_then(|s| s.value.scalar())
         .unwrap_or(0);
 
-    let snapshot = state.board.read();
+    let snapshot = ctx.board.read();
     out.push_str("\"epoch\":");
     out.push_str(&snapshot.epoch.to_string());
     out.push_str(",\"queue_depth\":");
@@ -149,9 +135,7 @@ fn render_sketches(state: &ObsdState) -> String {
         out.push_str(&sketch.version.to_string());
 
         let key = SketchKey::new(template, sketch.sql.as_ref());
-        let score = state
-            .advisor
-            .score(&state.tracker.get(&key), sketch.state_bytes);
+        let score = (ctx.config.advisor).score(&ctx.tracker.get(&key), sketch.state_bytes);
         out.push_str(",\"advisor_score\":");
         out.push_str(&format!("{score:.3}"));
 
@@ -185,6 +169,7 @@ fn render_sketches(state: &ObsdState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::middleware::ImpConfig;
     use crate::obs::ObsConfig;
 
     fn read_url(addr: SocketAddr, target: &str) -> String {
@@ -196,14 +181,12 @@ mod tests {
         out
     }
 
-    fn test_state() -> ObsdState {
-        let obs = Obs::new(&ObsConfig::metrics_only());
-        ObsdState {
-            board: Arc::new(SnapshotBoard::new()),
-            tracker: Arc::new(WorkloadTracker::new()),
-            advisor: AdvisorParams::default(),
-            obs,
-        }
+    fn test_state() -> Arc<SchedShared> {
+        let config = ImpConfig {
+            obs: ObsConfig::metrics_only(),
+            ..ImpConfig::default()
+        };
+        Arc::new(SchedShared::new(imp_engine::Database::new(), config))
     }
 
     #[test]

@@ -120,14 +120,16 @@ pub struct TopKOp {
 }
 
 impl TopKOp {
-    /// New top-k operator.
+    /// New top-k operator. A buffer is never smaller than `k`: one of
+    /// `l < k` entries could not hold the top-k, and every run would end
+    /// in a recapture that truncates it again.
     pub fn new(input: IncNode, keys: Vec<SortKey>, k: u64, buffer: Option<usize>) -> TopKOp {
         TopKOp {
             input: Box::new(input),
             keys,
             k,
             state: BTreeMap::new(),
-            buffer,
+            buffer: buffer.map(|l| l.max(usize::try_from(k).unwrap_or(usize::MAX))),
             truncated: false,
             entries: 0,
             heap_bytes: 0,

@@ -46,7 +46,7 @@ pub(crate) mod store;
 pub use pool::{PausedShards, ShardPool};
 pub use snapshot::{PublishedSketch, ShardSnapshot, SnapshotBoard};
 
-use crate::advisor::{SketchKey, WorkloadTracker};
+use crate::advisor::SketchKey;
 use crate::maintain::MaintReport;
 use crate::metrics::SchedStats;
 use crate::middleware::{
@@ -71,16 +71,16 @@ pub struct Scheduler {
 impl Scheduler {
     /// The store over `db` for `config.sched_workers` background threads
     /// (0: none).
-    pub(crate) fn new(db: Database, config: ImpConfig, tracker: Arc<WorkloadTracker>) -> Scheduler {
+    pub(crate) fn new(db: Database, config: ImpConfig) -> Scheduler {
         let workers = config.sched_workers;
-        let shared = Arc::new(SchedShared::new(db, config, tracker));
+        let shared = Arc::new(SchedShared::new(db, config));
         let pool = ShardPool::spawn(workers, &shared);
         Scheduler { pool, shared }
     }
 
     /// The store's one context: database, configuration, obs hub,
     /// tracker and counters.
-    pub(crate) fn ctx(&self) -> &SchedShared {
+    pub(crate) fn ctx(&self) -> &Arc<SchedShared> {
         &self.shared
     }
 
@@ -310,8 +310,7 @@ mod tests {
             sched_workers: 2,
             ..ImpConfig::default()
         };
-        let tracker = Arc::new(WorkloadTracker::new());
-        let shared = Arc::new(SchedShared::new(seed_db(), config.clone(), tracker));
+        let shared = Arc::new(SchedShared::new(seed_db(), config.clone()));
         let db = &shared.db;
         let stored = {
             let db = db.read();

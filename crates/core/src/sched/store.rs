@@ -101,18 +101,14 @@ pub(crate) struct SchedShared {
 impl SchedShared {
     /// An empty store over `db`, with the obs hub `config.obs` asks for
     /// and the scheduler counters registered in its registry.
-    pub(crate) fn new(
-        db: Database,
-        config: ImpConfig,
-        tracker: Arc<WorkloadTracker>,
-    ) -> SchedShared {
+    pub(crate) fn new(db: Database, config: ImpConfig) -> SchedShared {
         let obs = Obs::new(&config.obs);
         SchedShared {
             slot: ShardSlot::default(),
             db: RwLock::new(db),
             config,
             board: Arc::new(SnapshotBoard::new()),
-            tracker,
+            tracker: Arc::new(WorkloadTracker::new()),
             metrics: SchedMetrics::registered(obs.registry()),
             obs,
             wake: Wake::default(),

@@ -123,7 +123,7 @@ fn zero_benefit_sketch_descends_the_ladder_one_rung_per_pass() {
     assert_eq!(lifecycle_of(&imp, &hot), Some(Lifecycle::Maintained));
     // The dropped sketch's tracker entry goes with it — the tracker is
     // bounded by the live store, not by every template ever captured.
-    assert_eq!(imp.advisor().tracker().len(), 1);
+    assert_eq!(imp.tracker().len(), 1);
 
     // The dropped template recaptures on its next query — correct
     // answers, re-entering the ladder at Maintained.
@@ -275,7 +275,7 @@ fn tracker_records_uses_and_maintenance() {
     imp.execute(&q).unwrap();
     imp.execute("INSERT INTO ta VALUES (1, 5)").unwrap();
     imp.execute(&q).unwrap();
-    let snapshot = imp.advisor().tracker().snapshot();
+    let snapshot = imp.tracker().snapshot();
     assert_eq!(snapshot.len(), 1);
     let (key, stats) = &snapshot[0];
     assert_eq!(key.sql, q);
@@ -362,10 +362,7 @@ fn advisor_decisions_repeat_exactly_across_runs_and_worker_counts() {
     let (first, a) = promotion_script(0, false);
     let (second, b) = promotion_script(0, false);
     assert_eq!(first, second, "advisor reports differ between runs");
-    assert_eq!(
-        a.advisor().tracker().snapshot(),
-        b.advisor().tracker().snapshot()
-    );
+    assert_eq!(a.tracker().snapshot(), b.tracker().snapshot());
     assert!(
         first.iter().any(|(r, _)| r.outcome.promoted > 0),
         "the script must exercise a promotion: {first:?}"

@@ -8,10 +8,14 @@
 //! every round, and the budgeted stores' `store_heap_size()` must be at
 //! or under budget after every pass.
 
-use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
+#[path = "support/small_scope.rs"]
+mod small_scope;
+
+use imp_core::middleware::{Imp, ImpConfig};
 use imp_engine::Database;
 use imp_storage::{row, DataType, Field, Schema};
 use proptest::prelude::*;
+use small_scope::run_query;
 
 const KEYS: i64 = 6;
 
@@ -77,13 +81,6 @@ const QUERIES: [&str; 3] = [
 ];
 
 const TABLES: [(&str, &str); 3] = [("ta", "ka"), ("tb", "kb"), ("tc", "kc")];
-
-fn run_query(imp: &mut Imp, sql: &str) -> Vec<(imp_storage::Row, i64)> {
-    let ImpResponse::Rows { result, .. } = imp.execute(sql).unwrap() else {
-        panic!("expected rows for {sql}")
-    };
-    result.canonical()
-}
 
 /// Keep-everything heap for the three captured sketches — the budget
 /// baseline (deterministic: depends only on the seed data and queries).

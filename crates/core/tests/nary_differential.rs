@@ -18,14 +18,18 @@
 //!    4-table join template: every run fetches all n inputs' deltas up to
 //!    one version frontier.
 
+#[path = "support/small_scope.rs"]
+mod small_scope;
+
 use imp_core::maintain::SketchMaintainer;
-use imp_core::middleware::{Imp, ImpConfig, ImpResponse};
+use imp_core::middleware::{Imp, ImpConfig};
 use imp_core::ops::OpConfig;
 use imp_engine::Database;
 use imp_sketch::{capture, PartitionSet, RangePartition};
 use imp_sql::{flatten_join, LogicalPlan};
 use imp_storage::{row, DataType, Field, Schema, Value};
 use proptest::prelude::*;
+use small_scope::run_query;
 use std::sync::Arc;
 
 const KEYS: i64 = 5;
@@ -252,13 +256,6 @@ fn imp_config(workers: usize) -> ImpConfig {
 
 const IMP_QUERY: &str = "SELECT va, sum(wd) AS s FROM ta JOIN tb ON (ka = kb1) \
      JOIN tc ON (kb2 = kc1) JOIN td ON (kc2 = kd) GROUP BY va HAVING sum(wd) > 100";
-
-fn run_query(imp: &mut Imp, sql: &str) -> Vec<(imp_storage::Row, i64)> {
-    let ImpResponse::Rows { result, .. } = imp.execute(sql).unwrap() else {
-        panic!("expected rows for {sql}")
-    };
-    result.canonical()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]

@@ -5,7 +5,8 @@
 //! This module recognizes that shape and simple comparisons `col ⋈ lit`
 //! among the conjuncts of a predicate and turns each into an **exact**
 //! [`ColumnRanges`]: the conjunct holds for a row iff the column is
-//! non-NULL and inside one of the ranges (excluded bounds stay excluded).
+//! non-NULL and inside one of the ranges (excluded bounds stay excluded),
+//! or is NULL and the union says `column IS NULL OR …`.
 //! Storage decides such a constraint on the typed column — one of them also
 //! drives zone-map pruning through its inclusive hull — so the batch scan
 //! drops those conjuncts from the predicate it still has to evaluate
@@ -27,6 +28,10 @@ pub struct ColumnRanges {
     pub column: usize,
     /// The union of ranges the column must lie in.
     pub ranges: Vec<KeyRange>,
+    /// NULL passes too: the union has a `column IS NULL` disjunct (the
+    /// use-rewrite adds one for a sketch's first fragment, which holds
+    /// the NULLs).
+    pub nulls: bool,
 }
 
 /// Inclusive prune ranges on one input column.
@@ -105,7 +110,8 @@ pub fn split<'a>(filters: impl IntoIterator<Item = &'a Expr>) -> Split {
 /// single column to a union or intersection of ranges: the inclusive hull
 /// of the constraint a batch scan of the same predicate prunes by.
 pub fn extract_prune_ranges(predicate: &Expr) -> Option<PruneRanges> {
-    let driver = split([predicate]).driver?;
+    // A hull holds no NULL: a constraint NULL passes prunes nothing here.
+    let driver = split([predicate]).driver.filter(|d| !d.nulls)?;
     let side = |bound: &Bound<Value>| match bound {
         Bound::Included(v) | Bound::Excluded(v) => Some(v.clone()),
         Bound::Unbounded => None,
@@ -164,6 +170,7 @@ fn strip_ranges(
                     None => per_column.push(ColumnRanges {
                         column,
                         ranges: vec![range],
+                        nulls: false,
                     }),
                 }
                 decided
@@ -211,8 +218,20 @@ fn range_union(e: &Expr) -> Option<ColumnRanges> {
                 return None;
             }
             union.ranges.extend(right.ranges);
+            union.nulls |= right.nulls;
             Some(union)
         }
+        Expr::IsNull {
+            expr,
+            negated: false,
+        } => match **expr {
+            Expr::Col(column) => Some(ColumnRanges {
+                column,
+                ranges: Vec::new(),
+                nulls: true,
+            }),
+            _ => None,
+        },
         _ => single_range(e),
     }
 }
@@ -239,6 +258,7 @@ fn single_range(e: &Expr) -> Option<ColumnRanges> {
         _ => comparison_bounds(e).map(|(column, range)| ColumnRanges {
             column,
             ranges: vec![range],
+            nulls: false,
         }),
     }
 }
@@ -369,6 +389,7 @@ mod tests {
                     Bound::Excluded(Value::Int(3)),
                     Bound::Included(Value::Int(9))
                 )],
+                nulls: false,
             })
         );
         assert_eq!(
@@ -376,6 +397,7 @@ mod tests {
             vec![ColumnRanges {
                 column: 1,
                 ranges: vec![(Bound::Unbounded, Bound::Excluded(Value::Int(5)))],
+                nulls: false,
             }]
         );
         // The decided conjuncts left `TRUE` behind; the second filter is gone.

@@ -262,11 +262,10 @@ fn translate<'r>(
     let field = fields
         .get(column)
         .ok_or_else(|| out_of_bounds(column, fields.len()))?;
-    Ok(imp_storage::PruneRanges::new(
-        column,
-        field.dtype,
-        &constraint.ranges,
-    ))
+    Ok(
+        imp_storage::PruneRanges::new(column, field.dtype, &constraint.ranges)
+            .or_null(constraint.nulls),
+    )
 }
 
 /// The value of column `column` in row `idx` of a batch, as

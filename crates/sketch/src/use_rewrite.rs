@@ -115,7 +115,10 @@ fn rewrite(plan: &LogicalPlan, sketch: &SketchSet) -> LogicalPlan {
     }
 }
 
-/// Build `col ∈ range₁ ∨ … ∨ col ∈ rangeₙ` (lo inclusive, hi exclusive).
+/// Build `col ∈ range₁ ∨ … ∨ col ∈ rangeₙ` (lo inclusive, hi exclusive),
+/// with `∨ col IS NULL` when the first fragment is among them: NULLs
+/// land there ([`crate::RangePartition::fragment_of`]), and no range
+/// holds a NULL.
 fn ranges_predicate(col: usize, ranges: &[(Option<Value>, Option<Value>)]) -> Expr {
     let mut preds = Vec::with_capacity(ranges.len());
     for (lo, hi) in ranges {
@@ -135,6 +138,12 @@ fn ranges_predicate(col: usize, ranges: &[(Option<Value>, Option<Value>)]) -> Ex
             ));
         }
         preds.push(Expr::conjunction(parts));
+    }
+    if ranges.first().is_some_and(|(lo, _)| lo.is_none()) {
+        preds.push(Expr::IsNull {
+            expr: Box::new(Expr::Col(col)),
+            negated: false,
+        });
     }
     Expr::disjunction(preds)
 }

@@ -123,7 +123,11 @@ impl DataChunk {
             return true;
         };
         let column = ranges.column();
-        if !ranges.narrow(|lo, hi| self.zone_map.may_overlap(column, lo, hi)) {
+        let reachable = ranges.narrow(|lo, hi| self.zone_map.may_overlap(column, lo, hi));
+        // The zone map knows values only: a chunk that may hold a NULL is
+        // kept when NULL passes.
+        let nulls_pass = ranges.admits_null() && self.columns[column].has_nulls();
+        if !(reachable || nulls_pass) {
             return false;
         }
         self.columns[column].select_ranges(ranges, self.deleted.as_ref(), out);

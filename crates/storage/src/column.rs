@@ -167,9 +167,15 @@ impl ColumnData {
         }
     }
 
-    /// The range kernel: append to `out`, ascending, every index whose
-    /// value is non-NULL, not set in `deleted`, and inside at least one of
-    /// the active `ranges` (see [`PruneRanges::narrow`]).
+    /// May the column hold a NULL? (Its bitmap, once allocated, stays.)
+    pub fn has_nulls(&self) -> bool {
+        self.nulls.is_some()
+    }
+
+    /// The range kernel: append to `out`, ascending, every index not set
+    /// in `deleted` whose value is inside at least one of the active
+    /// `ranges` (see [`PruneRanges::narrow`]) or, when the ranges admit
+    /// it ([`PruneRanges::or_null`]), is NULL.
     ///
     /// Membership is exact under [`Value`]'s `Ord` — the comparison
     /// [`crate::ZoneMap::may_overlap`] and the SQL evaluator use —
@@ -203,28 +209,42 @@ impl ColumnData {
             }
             _ => panic!("prune ranges were built for another column type"),
         }
+        if let (true, Some(nulls)) = (ranges.nulls, &self.nulls) {
+            let start = out.len();
+            out.extend(
+                nulls
+                    .iter_ones()
+                    .filter(|&i| !deleted.is_some_and(|d| d.get(i))),
+            );
+            out[start..].sort_unstable();
+        }
     }
 
     /// The same kernel over an existing selection vector: keep in
-    /// `selection` the indices whose value is non-NULL and inside at least
-    /// one of the active `ranges`, order preserved. A scan narrows its
-    /// selection with one call per further range constraint, each on its
-    /// own column; tombstones were dropped when the selection was first
-    /// made.
+    /// `selection` the indices whose value is inside at least one of the
+    /// active `ranges` (or NULL, when they admit it), order preserved. A
+    /// scan narrows its selection with one call per further range
+    /// constraint, each on its own column; tombstones were dropped when
+    /// the selection was first made.
     pub fn refine_ranges(&self, ranges: &PruneRanges<'_>, selection: &mut Vec<usize>) {
-        let null = |idx: usize| self.nulls.as_ref().is_some_and(|n| n.get(idx));
+        // `Some(passes)` for a NULL, `None` for a value the ranges decide.
+        let null = |idx: usize| {
+            (self.nulls.as_ref())
+                .is_some_and(|n| n.get(idx))
+                .then_some(ranges.nulls)
+        };
         match (&self.values, &ranges.keys) {
             (TypedVec::Int(vals), NativeKeys::Int(r)) => {
-                selection.retain(|&i| !null(i) && in_any(vals[i], &r.active))
+                selection.retain(|&i| null(i).unwrap_or_else(|| in_any(vals[i], &r.active)))
             }
-            (TypedVec::Float(vals), NativeKeys::Float(r)) => {
-                selection.retain(|&i| !null(i) && in_any(total_order_key(vals[i]), &r.active))
-            }
+            (TypedVec::Float(vals), NativeKeys::Float(r)) => selection.retain(|&i| {
+                null(i).unwrap_or_else(|| in_any(total_order_key(vals[i]), &r.active))
+            }),
             (TypedVec::Bool(vals), NativeKeys::Bool(r)) => {
-                selection.retain(|&i| !null(i) && in_any(vals[i], &r.active))
+                selection.retain(|&i| null(i).unwrap_or_else(|| in_any(vals[i], &r.active)))
             }
             (TypedVec::Str(vals), NativeKeys::Str(r)) => {
-                selection.retain(|&i| !null(i) && in_any(&*vals[i], &r.active))
+                selection.retain(|&i| null(i).unwrap_or_else(|| in_any(&*vals[i], &r.active)))
             }
             _ => panic!("prune ranges were built for another column type"),
         }
@@ -289,6 +309,8 @@ type Hull<'a> = (Option<&'a Value>, Option<&'a Value>);
 pub struct PruneRanges<'a> {
     column: usize,
     keys: NativeKeys<'a>,
+    /// NULL passes too ([`PruneRanges::or_null`]).
+    nulls: bool,
 }
 
 #[derive(Debug)]
@@ -349,7 +371,24 @@ impl<'a> PruneRanges<'a> {
                 map_bound(bound, Value::as_str)
             })),
         };
-        PruneRanges { column, keys }
+        PruneRanges {
+            column,
+            keys,
+            nulls: false,
+        }
+    }
+
+    /// Let NULL pass too when `nulls` is set: the constraint becomes
+    /// `column IS NULL OR column ∈ ranges` (a sketch's first fragment
+    /// holds the rows whose partition value is NULL).
+    pub fn or_null(mut self, nulls: bool) -> PruneRanges<'a> {
+        self.nulls = nulls;
+        self
+    }
+
+    /// Does NULL pass?
+    pub fn admits_null(&self) -> bool {
+        self.nulls
     }
 
     /// The constrained column's position in the schema.
