@@ -33,7 +33,7 @@ pub use reuse::plan_subsumes;
 use crate::advisor::{Lifecycle, WorkloadTracker};
 use crate::maintain::{MaintReport, SketchMaintainer};
 use crate::obs::Obs;
-use crate::obsd::{start_obsd, ObsdHandle, OBSD_ADDR_ENV};
+use crate::obsd::{start_obsd, ObsdHandle, ObsdState, OBSD_ADDR_ENV};
 use crate::sched::store::SchedShared;
 use crate::sched::{PublishedSketch, Scheduler};
 use crate::Result;
@@ -143,7 +143,8 @@ impl Imp {
             .filter(|addr| !addr.is_empty());
         let sched = Scheduler::new(db, config);
         let obsd = obsd_addr.and_then(|addr| {
-            match start_obsd(&addr, Arc::clone(sched.ctx())) {
+            let ctx = sched.ctx();
+            match start_obsd(&addr, ObsdState::of(ctx), ctx.config.advisor) {
                 Ok(handle) => Some(handle),
                 Err(e) => {
                     // Telemetry must never take the system down with it:

@@ -8,10 +8,11 @@
 //! [`Imp::obsd_addr`](crate::middleware::Imp::obsd_addr).
 //!
 //! Every endpoint reads the store context's lock-free handles only —
-//! `MetricsRegistry::sample`, [`crate::sched::SnapshotBoard::read`], the tracer's span
+//! `MetricsRegistry::sample`, [`SnapshotBoard::read`], the tracer's span
 //! rings, the workload tracker and `ImpConfig::advisor` — never the
 //! state lock or the database, so a slow or hostile scraper cannot stall
-//! maintenance:
+//! maintenance. The handlers hold an [`ObsdState`], which has no path
+//! to either:
 //!
 //! | Path            | Body                                                  |
 //! |-----------------|-------------------------------------------------------|
@@ -27,10 +28,11 @@ use std::sync::Arc;
 
 use imp_obsd::{Request, Response, Router, Server};
 
-use crate::advisor::SketchKey;
+use crate::advisor::{AdvisorParams, SketchKey, WorkloadTracker};
 use crate::obs::registry::json_string;
-use crate::obs::{SampleValue, MAINTAIN_LATENCY};
+use crate::obs::{Obs, SampleValue, MAINTAIN_LATENCY};
 use crate::sched::store::SchedShared;
+use crate::sched::SnapshotBoard;
 
 /// Worker threads of the exposition server: scrapes are cheap
 /// snapshot-renders, so a handful of threads absorbs a scrape fleet
@@ -41,6 +43,29 @@ const OBSD_THREADS: usize = 4;
 /// [`ImpConfig::obsd_addr`](crate::middleware::ImpConfig::obsd_addr) is
 /// unset, e.g. `IMP_OBSD_ADDR=127.0.0.1:9464`.
 pub const OBSD_ADDR_ENV: &str = "IMP_OBSD_ADDR";
+
+/// What the endpoint handlers read: the store context's shared handles,
+/// without its state lock or its database. Each field is the context's
+/// own `Arc`, not a copy.
+pub(crate) struct ObsdState {
+    /// The observability hub (registry, tracer).
+    obs: Arc<Obs>,
+    /// Snapshot board of the sketch store.
+    board: Arc<SnapshotBoard>,
+    /// Workload tracker feeding the advisor score on `/sketches`.
+    tracker: Arc<WorkloadTracker>,
+}
+
+impl ObsdState {
+    /// The handles of the store context `ctx`.
+    pub(crate) fn of(ctx: &SchedShared) -> ObsdState {
+        ObsdState {
+            obs: Arc::clone(&ctx.obs),
+            board: Arc::clone(&ctx.board),
+            tracker: Arc::clone(&ctx.tracker),
+        }
+    }
+}
 
 /// A running obsd endpoint. Dropping the handle shuts the server down
 /// and joins its threads.
@@ -63,32 +88,39 @@ impl std::fmt::Debug for ObsdHandle {
     }
 }
 
-/// Bind `addr` and serve the telemetry plane of the store context `ctx`.
-pub(crate) fn start_obsd(addr: &str, ctx: Arc<SchedShared>) -> std::io::Result<ObsdHandle> {
+/// Bind `addr` and serve the telemetry plane of `state`, scoring
+/// sketches with the cost-model weights `advisor` (`ImpConfig::advisor`,
+/// fixed for the store's life).
+pub(crate) fn start_obsd(
+    addr: &str,
+    state: ObsdState,
+    advisor: AdvisorParams,
+) -> std::io::Result<ObsdHandle> {
+    let state = Arc::new(state);
     let mut router = Router::new();
 
     {
-        let s = Arc::clone(&ctx);
+        let s = Arc::clone(&state);
         router.get("/metrics", move |_req: &Request| {
             Response::prometheus(s.obs.metrics_text())
         });
     }
     {
-        let s = Arc::clone(&ctx);
+        let s = Arc::clone(&state);
         router.get("/metrics.json", move |_req: &Request| {
             Response::json(200, s.obs.metrics_json())
         });
     }
     {
-        let s = Arc::clone(&ctx);
+        let s = Arc::clone(&state);
         router.get("/trace", move |_req: &Request| {
             Response::json(200, s.obs.trace_chrome_json())
         });
     }
     {
-        let s = Arc::clone(&ctx);
+        let s = Arc::clone(&state);
         router.get("/sketches", move |_req: &Request| {
-            Response::json(200, render_sketches(&s))
+            Response::json(200, render_sketches(&s, &advisor))
         });
     }
     router.get("/", |_req: &Request| {
@@ -105,16 +137,16 @@ pub(crate) fn start_obsd(addr: &str, ctx: Arc<SchedShared>) -> std::io::Result<O
 /// Render `/sketches`: one entry per published sketch, joined against a
 /// single registry sample (per-template maintain-latency histograms, the
 /// updates waiting for a sweep) and the workload tracker (advisor score).
-fn render_sketches(ctx: &SchedShared) -> String {
+fn render_sketches(state: &ObsdState, advisor: &AdvisorParams) -> String {
     let mut out = String::from("{\"sketches\":{");
-    let samples = ctx.obs.registry().sample();
+    let samples = state.obs.registry().sample();
     let queue_depth = samples
         .iter()
         .find(|s| s.name == "imp_sched_queue_depth")
         .and_then(|s| s.value.scalar())
         .unwrap_or(0);
 
-    let snapshot = ctx.board.read();
+    let snapshot = state.board.read();
     out.push_str("\"epoch\":");
     out.push_str(&snapshot.epoch.to_string());
     out.push_str(",\"queue_depth\":");
@@ -135,7 +167,7 @@ fn render_sketches(ctx: &SchedShared) -> String {
         out.push_str(&sketch.version.to_string());
 
         let key = SketchKey::new(template, sketch.sql.as_ref());
-        let score = (ctx.config.advisor).score(&ctx.tracker.get(&key), sketch.state_bytes);
+        let score = advisor.score(&state.tracker.get(&key), sketch.state_bytes);
         out.push_str(",\"advisor_score\":");
         out.push_str(&format!("{score:.3}"));
 
@@ -181,17 +213,14 @@ mod tests {
         out
     }
 
-    fn test_state() -> Arc<SchedShared> {
+    #[test]
+    fn all_endpoints_respond_without_a_scheduler() {
         let config = ImpConfig {
             obs: ObsConfig::metrics_only(),
             ..ImpConfig::default()
         };
-        Arc::new(SchedShared::new(imp_engine::Database::new(), config))
-    }
-
-    #[test]
-    fn all_endpoints_respond_without_a_scheduler() {
-        let handle = start_obsd("127.0.0.1:0", test_state()).unwrap();
+        let ctx = SchedShared::new(imp_engine::Database::new(), config);
+        let handle = start_obsd("127.0.0.1:0", ObsdState::of(&ctx), ctx.config.advisor).unwrap();
         let addr = handle.addr();
         assert!(read_url(addr, "/metrics").starts_with("HTTP/1.1 200"));
         assert!(read_url(addr, "/metrics.json").contains("\"metrics\""));

@@ -80,7 +80,7 @@ impl Scheduler {
 
     /// The store's one context: database, configuration, obs hub,
     /// tracker and counters.
-    pub(crate) fn ctx(&self) -> &Arc<SchedShared> {
+    pub(crate) fn ctx(&self) -> &SchedShared {
         &self.shared
     }
 

@@ -2,26 +2,32 @@
 //! of a small scope (see `support/small_scope.rs`): every case runs
 //! through the zero-worker store (`sched_workers = 0`: the caller
 //! maintains every sketch through the fetching path) and through pools
-//! of one and two workers (sweeping beside the caller's sweeps). After
-//! the capture and after every statement all stores must hold
-//! **byte-identical sketch sets and maintained versions**, answer the
-//! query as the engine does, and hold sketches equal to a fresh capture:
-//! how sweeps split the stream into runs, and worker parallelism, may
-//! change cost, never results. Every script evicts all operator state
-//! between its statements; the next query recaptures it.
+//! of one and two workers (sweeping beside the caller's sweeps). Each
+//! store holds three sketches over overlapping tables (`r`, `r ⋈ s`,
+//! `s`), and runs at the default join-index budget and at a budget of one
+//! tuple (every join side over budget, evaluated against the database
+//! while sweeps race). After the capture and after every statement all
+//! stores must hold **byte-identical sketch sets and maintained
+//! versions**, answer every query as the engine does, and hold sketches
+//! equal to a fresh capture: how sweeps split the stream into runs, and
+//! worker parallelism, may change cost, never results. Every script
+//! evicts all operator state between its statements; the next query
+//! recaptures it.
 
 #[path = "support/small_scope.rs"]
 mod small_scope;
 
-use small_scope::{ImpSlice, BOUNDED, JOINS, ONE_TABLE};
+use imp_core::ops::DEFAULT_JOIN_INDEX_BUDGET;
+use small_scope::{Between, ImpSlice, JOINS, ONE_TABLE, ON_S};
 
 #[test]
 fn shard_pool_matches_sequential_store() {
     let slice = ImpSlice {
-        // SUM with HAVING, top-k over SUM, and the self-join.
-        plans: &[ONE_TABLE[3], BOUNDED[3], JOINS[1]],
-        rows: 2,
-        paused: false,
+        // SUM with HAVING on `r`, SUM over `r ⋈ s`, top-k over SUM on `s`.
+        plans: &[ONE_TABLE[3], JOINS[3], ON_S],
+        rows: [1, 1],
+        between: Between::Evict,
+        budgets: &[Some(DEFAULT_JOIN_INDEX_BUDGET), Some(1)],
     };
-    assert_eq!(slice.walk("worker pools"), 720);
+    assert_eq!(slice.walk("worker pools"), 800);
 }

@@ -3,8 +3,10 @@
 //! workers takes both statements of a script while it is paused, so a
 //! backlog deterministically exists for the resumed workers to sweep
 //! (racing the caller's sweep); the zero-worker store takes the same
-//! statements. Afterwards all stores must hold byte-identical sketch
-//! sets and maintained versions, answer the query as the engine does,
+//! statements. Each store holds three sketches over overlapping tables
+//! (`r`, `r ⋈ s`, `s`), at the default join-index budget and at a budget
+//! of one tuple. Afterwards all stores must hold byte-identical sketch
+//! sets and maintained versions, answer every query as the engine does,
 //! and hold sketches equal to a fresh capture. (The suite keeps the name
 //! it had when idle workers stole from other shards' inboxes; every
 //! worker now sweeps the one store.)
@@ -12,15 +14,17 @@
 #[path = "support/small_scope.rs"]
 mod small_scope;
 
-use small_scope::{ImpSlice, BOUNDED, JOINS, ONE_TABLE};
+use imp_core::ops::DEFAULT_JOIN_INDEX_BUDGET;
+use small_scope::{Between, ImpSlice, JOINS, ONE_TABLE, ON_S};
 
 #[test]
 fn stealing_pool_matches_sequential_store() {
     let slice = ImpSlice {
-        // SUM with HAVING, top-k over SUM, and the self-join.
-        plans: &[ONE_TABLE[3], BOUNDED[3], JOINS[1]],
-        rows: 2,
-        paused: true,
+        // SUM with HAVING on `r`, SUM over `r ⋈ s`, top-k over SUM on `s`.
+        plans: &[ONE_TABLE[3], JOINS[3], ON_S],
+        rows: [1, 1],
+        between: Between::Batch,
+        budgets: &[Some(DEFAULT_JOIN_INDEX_BUDGET), Some(1)],
     };
-    assert_eq!(slice.walk("paused pools"), 720);
+    assert_eq!(slice.walk("paused pools"), 800);
 }

@@ -14,11 +14,11 @@
 //! |---|---|
 //! | schema | `r(a, b)`, `s(c, d)`; every column `Int` over {0, 1, 2, NULL} |
 //! | databases | every multiset of ≤ `rows` rows per table over the table's 4-row [`ALPHABET`], each once whatever its row order; a table the plan does not read stays empty; tables at the slice's chunk capacity (2, so 3 rows span a sealed chunk and an open tail, or the default) |
-//! | plans | [`ONE_TABLE`], [`BOUNDED`], [`JOINS`]: scan, WHERE, projection, GROUP BY with SUM / COUNT / AVG / MIN / MAX and HAVING, DISTINCT, ORDER BY … LIMIT k (k ∈ {1, 2}), ORDER BY without LIMIT, `r ⋈ s`, the self-join `r ⋈ r`, a comma cross product with a residual filter; up to depth 3 |
+//! | plans | [`ONE_TABLE`], [`BOUNDED`], [`JOINS`], [`JOIN_SHAPES`], [`ON_S`]: scan, WHERE, projection, GROUP BY with SUM / COUNT / AVG / MIN / MAX and HAVING, DISTINCT, ORDER BY … LIMIT k (k ∈ {1, 2}), ORDER BY without LIMIT, `r ⋈ s`, the self-join `r ⋈ r`, a comma cross product with a residual filter, a two-key join with a self-equality, an equi-join over a cross product, the three-input chain `r ⋈ s ⋈ r`; up to depth 3 |
 //! | partitions | per table the plan reads, the first attribute [`imp_sketch::safe_attributes`] allows, at every cut set of the slice (from [`CUTS`]: 1–3 fragments, cuts ⊆ {1, 2}); on a join, both tables at once; and one attribute the analysis cannot prove safe, where exactness is checked without safety |
-//! | scripts | two [`statements`] (INSERT of one row, DELETE WHERE col = v, DELETE WHERE col < v, UPDATE SET col = v WHERE col = w): both on the plan's table, or one on each table of a join (`r`'s first); per slice with or without an "evict, then recapture" step between them |
+//! | scripts | two [`statements`] (INSERT of one row, DELETE WHERE col = v, DELETE WHERE col < v, UPDATE SET col = v WHERE col = w): both on the plan's table, or one on each table of a join (`r`'s first); [`Between`] them, per slice: each maintained, an "evict, then recapture" step, or nothing (one run maintains both, one delta) |
 //! | configs | per slice: the default `OpConfig`, `selection_pushdown: false`, buffers of 1 (`minmax_buffer` / `topk_buffer`), `join_index_budget` `None` / `Some(1)` |
-//! | workers | [`Imp`] at `sched_workers` 0, 1 and 2; evicting between statements, or taking a script into paused pools |
+//! | workers | [`Imp`] at `sched_workers` 0, 1 and 2, each store holding three sketches (on `r`, `r ⋈ s` and `s`), at `join_index_budget` default and `Some(1)`; a statement on `r`, then one on `s`; evicting between them, or taking both into paused pools |
 //!
 //! Scripts of fewer statements are prefixes: every check runs after the
 //! capture and after each statement. Each slice prints its case count
@@ -29,11 +29,11 @@
 //! |---|---|---|
 //! | `theorem_6_1::incremental_maintenance_is_exact_and_safe` | one-table plans without MIN/MAX or top-k; rows ≤ 2 | 7 440 × 2 configs |
 //! | `theorem_6_1::bounded_buffers_remain_sound` | MIN/MAX and top-k plans; rows ≤ 2; evict | 4 320 × 3 configs |
-//! | `theorem_6_1::join_maintenance_matches_capture` | joins; rows ≤ 1; 3 fragments | 6 080 × 3 configs |
+//! | `theorem_6_1::join_maintenance_matches_capture` | [`JOINS`]; rows ≤ 1; 3 fragments | 6 080 × 3 configs |
 //! | `theorem_6_1::range_deletes_and_updates_keep_the_sketch_exact` | one-table plans; chunks of 2; rows ≤ 3; 3 fragments | 7 280 × 1 config |
-//! | `join_differential::index_settings_match_a_fresh_capture_on_every_batch` | joins; chunks of 2; rows ≤ 1; evict; 3 fragments | 6 080 × 3 configs |
-//! | `sched_differential::shard_pool_matches_sequential_store` | [`Imp`]: SUM with HAVING, top-k over SUM, the self-join; rows ≤ 2; evict | 720 × 3 worker counts |
-//! | `steal_differential::stealing_pool_matches_sequential_store` | the same plans and rows; paused pools | 720 × 3 worker counts |
+//! | `join_differential::index_settings_match_a_fresh_capture_on_every_batch` | [`JOINS`] and [`JOIN_SHAPES`]; chunks of 2; rows ≤ 1; batched, and evicting; 3 fragments | 19 360 × 3 configs |
+//! | `sched_differential::shard_pool_matches_sequential_store` | [`Imp`], every store holding SUM with HAVING on `r`, SUM over `r ⋈ s` and top-k over SUM on `s`; rows ≤ 1; evict | 800 × 3 worker counts |
+//! | `steal_differential::stealing_pool_matches_sequential_store` | the same plans and rows; paused pools | 800 × 3 worker counts |
 //!
 //! To widen a bound, add a row to [`ALPHABET`], a template to a plan list,
 //! a cut set to a slice or a statement to [`statements`], or raise a
@@ -41,7 +41,10 @@
 //! slice's databases, a statement its scripts quadratically: keep
 //! `cargo test -q` within its time budget.
 //!
-//! # The checks, after the capture and after every statement
+//! # The checks, after the capture and after every maintenance
+//!
+//! That is after each statement, or after both when one run maintains
+//! them ([`Between::Batch`]).
 //!
 //! One oracle, [`imp_sketch::capture`] on the current database together
 //! with the engine's answer:
@@ -52,10 +55,14 @@
 //!   under bounded buffers the sketch covers the capture's;
 //! - Q(D_P) = Q(D) on safe partitions, for the capture's sketch and for
 //!   every maintained sketch that differs from it;
-//! - through [`Imp`], at every worker count: the answer is the engine's,
-//!   the query's sketch is stored and equals a capture over its own
-//!   partitions, and `sketch_states()` and every answer are identical
-//!   across worker counts.
+//! - through [`Imp`], at every worker count and for every stored plan:
+//!   the answer is the engine's, the plan's sketch is stored and equals a
+//!   capture over its own partitions, and `sketch_states()` and every
+//!   answer are identical across worker counts.
+//!
+//! Cases that share a prefix share its oracle: the scripts of one
+//! (plan, partition, database) compute the capture's once, and each
+//! first statement's once.
 //!
 //! Before an eviction the zero-worker store is brought current. A worker
 //! store sweeps before every control and the zero-worker store does not
@@ -75,6 +82,7 @@ use imp_sketch::{
 };
 use imp_sql::{LogicalPlan, QueryTemplate, Statement};
 use imp_storage::{DataType, Field, Row, Schema, Table, Value};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,6 +135,10 @@ pub const BOUNDED: [&str; 5] = [
     "SELECT b FROM r ORDER BY b LIMIT 1",
 ];
 
+/// A top-k plan on `s`: the [`Imp`] slices store it beside plans on
+/// `r`, so a statement on one table leaves some sketches current.
+pub const ON_S: &str = "SELECT c, sum(d) AS x FROM s GROUP BY c ORDER BY x DESC, c LIMIT 2";
+
 /// Joins: equi-join, self-join, cross product with a residual filter,
 /// and joins under aggregation and top-k.
 pub const JOINS: [&str; 6] = [
@@ -136,6 +148,15 @@ pub const JOINS: [&str; 6] = [
     "SELECT a, sum(d) AS x FROM r JOIN s ON (b = c) GROUP BY a HAVING sum(d) > 0",
     "SELECT c, min(a) AS x FROM r JOIN s ON (b = c) GROUP BY c",
     "SELECT a, d FROM r JOIN s ON (b = c) ORDER BY a, d LIMIT 2",
+];
+
+/// Deeper join shapes: two keys, one a self-equality on `s`; an
+/// equi-join over a cross product (nested operators); a three-input
+/// chain.
+pub const JOIN_SHAPES: [&str; 3] = [
+    "SELECT a, d FROM r JOIN s ON (a = c AND a = d)",
+    "SELECT x.a, y.b FROM (SELECT * FROM r, s) AS x JOIN r y ON (x.d = y.a)",
+    "SELECT x.a, z.b FROM r x JOIN s ON (x.b = c) JOIN r z ON (d = z.a)",
 ];
 
 /// The statements of a script on table `t`: one of each kind.
@@ -179,7 +200,7 @@ fn tables_read(plan: &LogicalPlan) -> Vec<usize> {
 
 /// Each plan, resolved, with the tables it reads.
 fn resolve<'a>(plans: &[&'a str]) -> Vec<(&'a str, LogicalPlan, Vec<usize>)> {
-    let schema = Db::all(&[], 0, None).remove(0).build();
+    let schema = Db::all(&[], [0, 0], None).remove(0).build();
     (plans.iter())
         .map(|&sql| {
             let plan = schema.plan_sql(sql).unwrap();
@@ -198,11 +219,12 @@ pub struct Db {
 }
 
 impl Db {
-    /// Every database of ≤ `rows` rows per table the plan reads.
-    fn all(read: &[usize], rows: usize, capacity: Option<usize>) -> Vec<Db> {
+    /// Every database of ≤ `rows[t]` rows in each table `t` the plan
+    /// reads.
+    fn all(read: &[usize], rows: [usize; 2], capacity: Option<usize>) -> Vec<Db> {
         let per_table = |t: usize| {
             let sets = if read.contains(&t) {
-                multisets(ALPHABET[t].len(), rows)
+                multisets(ALPHABET[t].len(), rows[t])
             } else {
                 vec![Vec::new()]
             };
@@ -240,37 +262,56 @@ impl Db {
     }
 }
 
-/// One script: two statements, with or without an eviction between them.
-/// The eviction drops the operator state after the first statement, and
-/// the recapture takes that statement's maintenance's place; the second
-/// statement is then maintained over the recaptured state.
+/// What happens between a script's two statements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Between {
+    /// Each statement is maintained on its own.
+    Maintain,
+    /// The operator state is dropped after the first statement, and the
+    /// recapture takes that statement's maintenance's place; the second
+    /// statement is then maintained over the recaptured state.
+    Evict,
+    /// Nothing: one run maintains both statements, so one delta holds the
+    /// changes of both (on a join, a change to each input, or an insert
+    /// and a delete of the same row).
+    Batch,
+}
+
+/// One script: two statements, and what happens between them.
 #[derive(Debug, Clone)]
 pub struct Script {
     stmts: [String; 2],
-    evict: bool,
+    between: Between,
 }
 
 impl Script {
-    /// Every script over the tables a plan reads: any two statements on
-    /// one table, or one on each of two tables, `r`'s first.
-    fn all(read: &[usize], evict: bool) -> Vec<Script> {
+    /// Every script, for each mode in `between` and each table pair
+    /// `(t, u)` in `pairs`: a statement on `t`, then one on `u`.
+    fn all(pairs: &[(usize, usize)], between: &[Between]) -> Vec<Script> {
         let mut out = Vec::new();
-        for &t in read {
-            for &u in read {
-                if read.len() > 1 && t >= u {
-                    continue;
-                }
+        for &between in between {
+            for &(t, u) in pairs {
                 for first in statements(t) {
                     for second in statements(u) {
                         out.push(Script {
                             stmts: [first.clone(), second],
-                            evict,
+                            between,
                         });
                     }
                 }
             }
         }
         out
+    }
+
+    /// The table pairs of a plan's scripts: two statements on its one
+    /// table, or one on each of its two tables, `r`'s first.
+    fn pairs(read: &[usize]) -> Vec<(usize, usize)> {
+        match *read {
+            [t] => vec![(t, t)],
+            [t, u] => vec![(t, u)],
+            _ => unreachable!("plans read one or two tables"),
+        }
     }
 }
 
@@ -401,8 +442,8 @@ impl Config {
 
 /// A slice of the scope: `plans` over databases of
 /// ≤ `rows` rows per table at one chunk capacity, partitioned at the cut
-/// sets `cuts`, with or without the eviction step; each case runs under
-/// every one of `configs`.
+/// sets `cuts`, with the scripts of each mode in `between`; each case
+/// runs under every one of `configs`.
 pub struct Slice<'a> {
     /// SQL of the plans.
     pub plans: &'a [&'a str],
@@ -412,8 +453,9 @@ pub struct Slice<'a> {
     pub capacity: Option<usize>,
     /// Cut sets of each safe partition.
     pub cuts: &'a [&'a [i64]],
-    /// Scripts evict and recapture between their statements.
-    pub evict: bool,
+    /// What happens between a script's statements (one script set per
+    /// mode).
+    pub between: &'a [Between],
     /// Configurations each case runs under.
     pub configs: &'a [Config],
 }
@@ -423,37 +465,42 @@ impl Slice<'_> {
     /// [`SketchMaintainer`] under every config; print and return the
     /// number of cases.
     pub fn walk(&self, name: &str) -> usize {
-        let plans = resolve(self.plans);
-        let mut cases = Vec::new();
-        let mut parts = Vec::new();
-        for (sql, plan, read) in &plans {
-            let dbs = Db::all(read, self.rows, self.capacity);
-            let scripts = Script::all(read, self.evict);
+        let plans: Vec<_> = (resolve(self.plans).into_iter())
+            .map(|(sql, plan, read)| {
+                let scripts = Script::all(&Script::pairs(&read), self.between);
+                (sql, plan, read, scripts)
+            })
+            .collect();
+        // One work item per (plan, partition, database): its scripts share
+        // the oracle at the capture, and at each first statement.
+        let mut groups = Vec::new();
+        for (sql, plan, read, scripts) in &plans {
+            let dbs = Db::all(read, [self.rows; 2], self.capacity);
             for part in Part::all(plan, read, self.cuts) {
                 for db in &dbs {
-                    for script in &scripts {
-                        cases.push((*sql, plan, parts.len(), db.clone(), script.clone()));
-                    }
+                    groups.push((*sql, plan, part.clone(), db.clone(), scripts));
                 }
-                parts.push(part);
             }
         }
-        on_two_threads(&cases, |(sql, plan, part, db, script)| {
-            let case = Case {
-                sql,
-                plan,
-                db,
-                part: &parts[*part],
-                script,
-            };
-            case.check(self.configs);
+        on_two_threads(&groups, |(sql, plan, part, db, scripts)| {
+            let mut oracles = HashMap::new();
+            for script in scripts.iter() {
+                let case = Case {
+                    sql,
+                    plan,
+                    db,
+                    part,
+                    script,
+                };
+                case.check(self.configs, &mut oracles);
+            }
         });
+        let cases = groups.iter().map(|g| g.4.len()).sum();
         println!(
-            "small scope {name}: {} cases x {} configs",
-            cases.len(),
+            "small scope {name}: {cases} cases x {} configs",
             self.configs.len()
         );
-        cases.len()
+        cases
     }
 }
 
@@ -495,11 +542,20 @@ impl fmt::Display for Case<'_> {
     }
 }
 
+/// The oracle after a script prefix: the fresh capture's sketch and the
+/// engine's answer, keyed by the first statement (`None`: none yet).
+type Oracles = HashMap<Option<String>, (SketchSet, Vec<(Row, i64)>)>;
+
 impl Case<'_> {
-    fn check(&self, configs: &[Config]) {
+    /// Run the script under every config. `oracles` holds the oracles
+    /// at the prefixes this case shares with the cases of the same
+    /// (plan, partition, database) checked before it.
+    fn check(&self, configs: &[Config], oracles: &mut Oracles) {
         let (plan, pset) = (self.plan, &self.part.pset);
         let mut db = self.db.build();
-        let mut truth = self.oracle(&db, "the capture");
+        let (mut truth, engine) = (oracles.entry(None))
+            .or_insert_with(|| self.oracle(&db, "the capture"))
+            .clone();
         let mut ms: Vec<SketchMaintainer> = (configs.iter())
             .map(|c| {
                 let (m, first) =
@@ -507,7 +563,7 @@ impl Case<'_> {
                         .unwrap();
                 assert_eq!(
                     canonical_bag(&first),
-                    answer(&db, plan),
+                    engine,
                     "{}: capture answer != the engine's{self}",
                     c.name
                 );
@@ -515,17 +571,30 @@ impl Case<'_> {
                 m
             })
             .collect();
+        let between = self.script.between;
         for (step, sql) in self.script.stmts.iter().enumerate() {
             db.execute_sql(sql).unwrap();
+            if step == 0 && between == Between::Batch {
+                continue;
+            }
             let at = ["statement 1", "statement 2"][step];
-            let next = self.oracle(&db, at);
+            let next = match step {
+                0 => (oracles.entry(Some(sql.clone())))
+                    .or_insert_with(|| self.oracle(&db, at))
+                    .0
+                    .clone(),
+                _ => self.oracle(&db, at).0,
+            };
             for (c, m) in configs.iter().zip(&mut ms) {
-                let report = if self.script.evict && step == 0 {
+                let report = if step == 0 && between == Between::Evict {
                     m.drop_state();
-                    m.full_maintain(&db).unwrap()
+                    m.full_maintain(&db)
                 } else {
-                    m.maintain(&db).unwrap()
+                    m.maintain(&db)
                 };
+                let report = report.unwrap_or_else(|e| {
+                    panic!("{}: maintenance failed at {at}: {e}{self}", c.name)
+                });
                 self.check_sketch(&db, c, m, &next, Some((&report, &truth)), at);
             }
             truth = next;
@@ -533,8 +602,8 @@ impl Case<'_> {
     }
 
     /// The oracle: a fresh capture, whose answer must be the engine's and
-    /// which must be safe on a safe partition.
-    fn oracle(&self, db: &Database, at: &str) -> SketchSet {
+    /// which must be safe on a safe partition; its sketch and the answer.
+    fn oracle(&self, db: &Database, at: &str) -> (SketchSet, Vec<(Row, i64)>) {
         let fresh = capture(self.plan, db, &self.part.pset).unwrap();
         let engine = answer(db, self.plan);
         assert_eq!(
@@ -543,7 +612,7 @@ impl Case<'_> {
             "capture answer != the engine's at {at}{self}"
         );
         self.check_safe(db, &fresh.sketch, &engine, "capture", at);
-        fresh.sketch
+        (fresh.sketch, engine)
     }
 
     /// Q(D_P) = Q(D), on a safe partition.
@@ -621,90 +690,112 @@ pub fn run_query(imp: &mut Imp, sql: &str) -> Vec<(Row, i64)> {
 /// zero-worker store the others must match.
 pub const WORKERS: [usize; 3] = [0, 1, 2];
 
-/// A slice through [`Imp`]: `plans` over databases of ≤ `rows` rows per
-/// table, at every count of [`WORKERS`]. With `paused`, each store takes
-/// both statements of a script while its pool is paused (a backlog the
-/// resumed workers sweep); otherwise the scripts evict between their
-/// statements.
+/// A slice through [`Imp`]: every store captures all of `plans`, over
+/// databases of ≤ `rows[t]` rows in table `t`, under each join-index
+/// budget of `budgets`, at every count of [`WORKERS`]. The scripts are
+/// every two statements on `r` and `r`, `r` and `s`, or `s` and `s`, so
+/// most statements change a table some of the stored sketches do not
+/// read. Under [`Between::Batch`] each store takes both statements while
+/// its pool is paused (a backlog the resumed workers sweep); under
+/// [`Between::Evict`] every store evicts all operator state between them.
 pub struct ImpSlice<'a> {
-    /// SQL of the plans.
+    /// SQL of the plans every store captures.
     pub plans: &'a [&'a str],
     /// Rows per table.
-    pub rows: usize,
-    /// Pause the pools over each script (else: evict between statements).
-    pub paused: bool,
+    pub rows: [usize; 2],
+    /// What happens between a script's statements.
+    pub between: Between,
+    /// `join_index_budget` settings each case runs under.
+    pub budgets: &'a [Option<usize>],
 }
 
 impl ImpSlice<'_> {
-    /// Check every (database, plan, script) case at every worker count;
+    /// Check every (budget, database, script) case at every worker count;
     /// print and return the number of cases.
     pub fn walk(&self, name: &str) -> usize {
+        let plans: Vec<(&str, QueryTemplate)> = (self.plans.iter())
+            .map(|&sql| {
+                let Statement::Select(select) = imp_sql::parse_one(sql).unwrap() else {
+                    unreachable!("the plans are SELECTs")
+                };
+                (sql, QueryTemplate::of(&select))
+            })
+            .collect();
+        let scripts = Script::all(&[(0, 1)], &[self.between]);
         let mut cases = Vec::new();
-        for (sql, _, read) in resolve(self.plans) {
-            let Statement::Select(select) = imp_sql::parse_one(sql).unwrap() else {
-                unreachable!("the plans are SELECTs")
-            };
-            let template = QueryTemplate::of(&select);
-            for db in Db::all(&read, self.rows, None) {
-                for script in Script::all(&read, !self.paused) {
-                    cases.push((sql, template.clone(), db.clone(), script));
+        for &budget in self.budgets {
+            for db in Db::all(&[0, 1], self.rows, None) {
+                for script in &scripts {
+                    cases.push((budget, db.clone(), script.clone()));
                 }
             }
         }
-        on_two_threads(&cases, |(sql, template, db, script)| {
-            let case = format!("\n  plan: {sql}\n  db: {db:?}\n  script: {script:?}");
-            self.check(sql, template, db, script, &case);
+        on_two_threads(&cases, |(budget, db, script)| {
+            let case = format!("\n  budget: {budget:?}\n  db: {db:?}\n  script: {script:?}");
+            check_stores(&plans, *budget, db, script, &case);
         });
         println!(
-            "small scope {name}: {} cases x {} worker counts",
+            "small scope {name}: {} cases x {} worker counts, {} plans each",
             cases.len(),
-            WORKERS.len()
+            WORKERS.len(),
+            plans.len()
         );
         cases.len()
     }
+}
 
-    fn check(&self, sql: &str, template: &QueryTemplate, db: &Db, script: &Script, case: &str) {
-        let config = |workers| ImpConfig {
-            fragments: 3,
-            sched_workers: workers,
-            ..ImpConfig::default()
-        };
-        let mut imps: Vec<Imp> = (WORKERS.iter())
-            .map(|&w| Imp::new(db.build(), config(w)))
+/// One [`Imp`] case: a store per worker count captures every plan, takes
+/// the script, and converges after the capture and after each statement
+/// (after the backlog, under [`Between::Batch`]).
+fn check_stores(
+    plans: &[(&str, QueryTemplate)],
+    budget: Option<usize>,
+    db: &Db,
+    script: &Script,
+    case: &str,
+) {
+    let config = |workers| ImpConfig {
+        fragments: 3,
+        sched_workers: workers,
+        join_index_budget: budget,
+        ..ImpConfig::default()
+    };
+    let mut imps: Vec<Imp> = (WORKERS.iter())
+        .map(|&w| Imp::new(db.build(), config(w)))
+        .collect();
+    converge(&mut imps, plans, case, "the capture");
+    if script.between == Between::Batch {
+        let paused: Vec<_> = (imps.iter())
+            .map(|imp| imp.scheduler().unwrap().pause())
             .collect();
-        let converge = |imps: &mut [Imp], at: &str| converge(imps, sql, template, case, at);
-        converge(&mut imps, "the capture");
-        if self.paused {
-            let paused: Vec<_> = (imps.iter())
-                .map(|imp| imp.scheduler().unwrap().pause())
-                .collect();
-            for stmt in &script.stmts {
-                for imp in &mut imps {
-                    imp.execute(stmt).unwrap();
-                }
-            }
-            paused.into_iter().for_each(|p| p.resume());
-            return converge(&mut imps, "the backlog");
-        }
-        for (step, stmt) in script.stmts.iter().enumerate() {
+        for stmt in &script.stmts {
             for imp in &mut imps {
                 imp.execute(stmt).unwrap();
             }
-            if script.evict && step == 0 {
-                imps[0].maintain_all_stale().unwrap();
-                for imp in &mut imps {
-                    imp.evict_all_states().unwrap();
-                }
-            }
-            converge(&mut imps, ["statement 1", "statement 2"][step]);
         }
+        paused.into_iter().for_each(|p| p.resume());
+        return converge(&mut imps, plans, case, "the backlog");
+    }
+    for (step, stmt) in script.stmts.iter().enumerate() {
+        for imp in &mut imps {
+            imp.execute(stmt).unwrap();
+        }
+        if step == 0 && script.between == Between::Evict {
+            imps[0].maintain_all_stale().unwrap();
+            for imp in &mut imps {
+                imp.evict_all_states().unwrap();
+            }
+        }
+        converge(&mut imps, plans, case, ["statement 1", "statement 2"][step]);
     }
 }
 
-/// Bring every store current, then ask each the query: states and
-/// answers agree across worker counts, every answer is the engine's, and
-/// every stored sketch equals a capture over its own partitions.
-fn converge(imps: &mut [Imp], sql: &str, template: &QueryTemplate, case: &str, at: &str) {
+/// Bring every store current, then ask each every query: states agree
+/// across worker counts, every answer is the engine's, and every stored
+/// sketch equals a capture over its own partitions. The stores hold the
+/// same database, so the engine's answer and the capture are computed
+/// once, on the zero-worker store's.
+fn converge(imps: &mut [Imp], plans: &[(&str, QueryTemplate)], case: &str, at: &str) {
     let same_states = |imps: &[Imp], when: &str| {
         let states = imps[0].sketch_states();
         for (imp, w) in imps.iter().zip(WORKERS) {
@@ -715,28 +806,33 @@ fn converge(imps: &mut [Imp], sql: &str, template: &QueryTemplate, case: &str, a
     for imp in imps.iter_mut() {
         imp.maintain_all_stale().unwrap();
     }
-    same_states(imps, "before the query");
-    for (imp, w) in imps.iter_mut().zip(WORKERS) {
-        let got = run_query(imp, sql);
-        let db = imp.db();
-        let plan = db.plan_sql(sql).unwrap();
-        assert_eq!(
-            got,
-            answer(&db, &plan),
-            "{w} workers: answer != the engine's at {at}{case}"
-        );
-        let stored = imp.with_sketch(template, |e| {
-            let m = &e.maintainer;
-            (Arc::clone(m.partitions()), ones(m.sketch()))
-        });
-        let (pset, sketch) =
-            stored.unwrap_or_else(|| panic!("{w} workers: no sketch stored at {at}{case}"));
-        let truth = capture(&plan, &db, &pset).unwrap().sketch;
-        assert_eq!(
-            sketch,
-            ones(&truth),
-            "{w} workers: sketch != capture at {at}{case}"
-        );
+    same_states(imps, "before the queries");
+    for (sql, template) in plans {
+        let plan = imps[0].db().plan_sql(sql).unwrap();
+        let engine = answer(&imps[0].db(), &plan);
+        let mut stored = Vec::new();
+        for (imp, w) in imps.iter_mut().zip(WORKERS) {
+            let got = run_query(imp, sql);
+            assert_eq!(
+                got, engine,
+                "{w} workers: answer != the engine's for {sql} at {at}{case}"
+            );
+            let entry = imp.with_sketch(template, |e| {
+                let m = &e.maintainer;
+                (Arc::clone(m.partitions()), ones(m.sketch()))
+            });
+            stored.push(entry.unwrap_or_else(|| {
+                panic!("{w} workers: no sketch stored for {sql} at {at}{case}")
+            }));
+        }
+        let truth = capture(&plan, &imps[0].db(), &stored[0].0).unwrap().sketch;
+        for ((pset, sketch), w) in stored.iter().zip(WORKERS) {
+            assert_eq!(
+                (&**pset, sketch),
+                (&*stored[0].0, &ones(&truth)),
+                "{w} workers: sketch != capture for {sql} at {at}{case}"
+            );
+        }
     }
-    same_states(imps, "after the query");
+    same_states(imps, "after the queries");
 }

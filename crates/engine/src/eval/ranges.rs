@@ -364,6 +364,35 @@ mod tests {
     }
 
     #[test]
+    fn is_null_joins_a_union_on_the_same_column() {
+        let is_null = |col| Expr::IsNull {
+            expr: Box::new(Expr::Col(col)),
+            negated: false,
+        };
+        let below = Expr::binary(BinOp::Lt, Expr::Col(0), Expr::Lit(Value::Int(1)));
+        // c0 < 1 OR c0 IS NULL: the range, and NULL passes.
+        let union = Expr::disjunction([below.clone(), is_null(0)]);
+        let want = ColumnRanges {
+            column: 0,
+            ranges: vec![(Bound::Unbounded, Bound::Excluded(Value::Int(1)))],
+            nulls: true,
+        };
+        assert_eq!(split([&union]).driver, Some(want));
+        assert!(split([&union]).residual.is_empty());
+        // A hull holds no NULL, so the row path prunes nothing by it.
+        assert!(extract_prune_ranges(&union).is_none());
+        // IS NULL on another column, or IS NOT NULL, is no range.
+        let other = Expr::disjunction([below.clone(), is_null(1)]);
+        assert_eq!(split([&other]).driver, None);
+        let not_null = Expr::IsNull {
+            expr: Box::new(Expr::Col(0)),
+            negated: true,
+        };
+        let negated = Expr::disjunction([below, not_null]);
+        assert_eq!(split([&negated]).driver, None);
+    }
+
+    #[test]
     fn non_range_predicates_rejected() {
         let e = Expr::binary(BinOp::Eq, Expr::Col(0), Expr::Col(1));
         assert!(extract_prune_ranges(&e).is_none());

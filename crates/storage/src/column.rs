@@ -194,6 +194,7 @@ impl ColumnData {
             self.nulls.as_ref().map_or(0, |n| n.words()[word])
                 | deleted.map_or(0, |d| d.words()[word])
         };
+        let start = out.len();
         match (&self.values, &ranges.keys) {
             (TypedVec::Int(vals), NativeKeys::Int(r)) => {
                 select_keys(vals, |v| *v, &r.active, skip, out)
@@ -210,12 +211,12 @@ impl ColumnData {
             _ => panic!("prune ranges were built for another column type"),
         }
         if let (true, Some(nulls)) = (ranges.nulls, &self.nulls) {
-            let start = out.len();
             out.extend(
                 nulls
                     .iter_ones()
                     .filter(|&i| !deleted.is_some_and(|d| d.get(i))),
             );
+            // The NULLs join the values' ascending run.
             out[start..].sort_unstable();
         }
     }
@@ -818,5 +819,47 @@ mod tests {
         c.select_ranges(&prune, None, &mut got);
         assert_eq!(got, vec![8, 9]);
         assert!(!prune.narrow(|_, _| false));
+    }
+
+    #[test]
+    fn range_kernel_admits_nulls_in_storage_order() {
+        let column = |values: &[Option<i64>]| {
+            let mut c = ColumnData::new(DataType::Int);
+            for v in values {
+                c.push(&v.map_or(Value::Null, Value::Int)).unwrap();
+            }
+            c
+        };
+        // `c0 < 1 OR c0 IS NULL`, and the same range without the NULLs.
+        let below_one = [(Bound::Unbounded, Bound::Excluded(Value::Int(1)))];
+        let with_nulls = || PruneRanges::new(0, DataType::Int, &below_one).or_null(true);
+        assert!(with_nulls().admits_null());
+        assert!(!PruneRanges::new(0, DataType::Int, &below_one).admits_null());
+
+        // Values and NULLs mixed: ascending, NULLs in place.
+        let mixed = column(&[None, Some(0), Some(2), None, Some(1), Some(-1)]);
+        assert!(mixed.has_nulls());
+        assert_eq!(select(&mixed, with_nulls(), None), vec![0, 1, 3, 5]);
+        let without = PruneRanges::new(0, DataType::Int, &below_one);
+        assert_eq!(select(&mixed, without, None), vec![1, 5]);
+        // A tombstoned NULL stays out.
+        let mut deleted = BitVec::new(6);
+        deleted.set(3, true);
+        assert_eq!(select(&mixed, with_nulls(), Some(&deleted)), vec![0, 1, 5]);
+
+        // Every value NULL: every row passes, in order.
+        let all_null = column(&[None, None, None]);
+        assert_eq!(select(&all_null, with_nulls(), None), vec![0, 1, 2]);
+        // No NULL: the values alone.
+        let no_null = column(&[Some(3), Some(0)]);
+        assert!(!no_null.has_nulls());
+        assert_eq!(select(&no_null, with_nulls(), None), vec![1]);
+
+        // Appending keeps what `out` held, and sorts only the new run.
+        let mut out = vec![7];
+        let mut prune = with_nulls();
+        prune.narrow(|_, _| true);
+        mixed.select_ranges(&prune, None, &mut out);
+        assert_eq!(out, vec![7, 0, 1, 3, 5]);
     }
 }

@@ -16,7 +16,7 @@
 #[path = "../crates/core/tests/support/small_scope.rs"]
 mod small_scope;
 
-use small_scope::{Config, Slice, BOUNDED, CUTS, JOINS, ONE_TABLE};
+use small_scope::{Between, Config, Slice, BOUNDED, CUTS, JOINS, ONE_TABLE};
 
 /// One-table plans without MIN/MAX or top-k state, with and without
 /// selection pushdown.
@@ -27,7 +27,7 @@ fn incremental_maintenance_is_exact_and_safe() {
         rows: 2,
         capacity: None,
         cuts: &CUTS,
-        evict: false,
+        between: &[Between::Maintain],
         configs: &[Config::plain(), Config::no_pushdown()],
     };
     assert_eq!(slice.walk("exact and safe"), 7440);
@@ -43,7 +43,7 @@ fn bounded_buffers_remain_sound() {
         rows: 2,
         capacity: None,
         cuts: &CUTS,
-        evict: true,
+        between: &[Between::Evict],
         configs: &[
             Config::plain(),
             Config::no_pushdown(),
@@ -63,7 +63,7 @@ fn join_maintenance_matches_capture() {
         rows: 1,
         capacity: None,
         cuts: &[&[1, 2]],
-        evict: false,
+        between: &[Between::Maintain],
         configs: &[
             Config::plain(),
             Config::no_pushdown(),
@@ -83,7 +83,7 @@ fn range_deletes_and_updates_keep_the_sketch_exact() {
         rows: 3,
         capacity: Some(2),
         cuts: &[&[1, 2]],
-        evict: false,
+        between: &[Between::Maintain],
         configs: &[Config::plain()],
     };
     assert_eq!(slice.walk("range deletes and updates"), 7280);
