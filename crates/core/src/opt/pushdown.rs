@@ -15,6 +15,12 @@
 //! fetched once per run and every scan of the table reads it, so a
 //! predicate over one scan of a table scanned twice (a self-join) would
 //! drop rows the other scan must see.
+//!
+//! The resolver puts every WHERE or ON conjunct that reads one table of a
+//! join directly on that table's scan (`imp_sql::Resolver`), so each
+//! single-table predicate of a query arrives here as `Filter(Scan)`, below
+//! its joins; a conjunct over two tables stays above them and is not
+//! pushable.
 
 use imp_sql::{Expr, LogicalPlan};
 
@@ -118,6 +124,54 @@ mod tests {
             .unwrap();
         let p = pushable_predicates(&plan);
         // r's filter would drop rows of r's unfiltered scan; s is scanned once.
+        assert_eq!(p.len(), 1);
+        assert_eq!(p[0].0, "s");
+    }
+
+    /// Four tables `d0..d3` shaped like `bench_cycle`'s `chain-churn`.
+    fn chain_db() -> Database {
+        let mut db = Database::new();
+        for (t, cols) in [
+            ("d0", ["k0", "v0"]),
+            ("d1", ["k1a", "k1b"]),
+            ("d2", ["k2a", "k2b"]),
+            ("d3", ["k3", "v3"]),
+        ] {
+            let fields = cols.iter().map(|c| Field::new(*c, DataType::Int));
+            db.create_table(t, Schema::new(fields.collect())).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn the_chains_where_is_pushed_into_its_tables_delta() {
+        let db = chain_db();
+        let plan = db
+            .plan_sql(
+                "SELECT v0, v3 FROM d0 JOIN d1 ON (k0 = k1a) JOIN d2 ON (k1b = k2a) \
+                 JOIN d3 ON (k2b = k3) WHERE v3 < 1000",
+            )
+            .unwrap();
+        // `v3` is column 7 of the join and column 1 of `d3`.
+        let pred = Expr::binary(
+            imp_sql::BinOp::Lt,
+            Expr::Col(1),
+            Expr::Lit(imp_storage::Value::Int(1000)),
+        );
+        assert_eq!(pushable_predicates(&plan), vec![("d3".to_string(), pred)]);
+    }
+
+    #[test]
+    fn a_self_join_where_pushes_nothing_for_the_table_scanned_twice() {
+        let db = db();
+        let plan = db
+            .plan_sql(
+                "SELECT x.a, y.b, d FROM r x JOIN r y ON (x.b = y.a) JOIN s ON (y.b = c) \
+                 WHERE y.b < 2 AND d > 0",
+            )
+            .unwrap();
+        // `y.b < 2` sits on one scan of r, but both scans read r's delta.
+        let p = pushable_predicates(&plan);
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].0, "s");
     }

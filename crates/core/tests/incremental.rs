@@ -387,6 +387,48 @@ fn topk_incremental_diff_regression() {
 }
 
 #[test]
+fn a_truncated_top_k_admits_no_insert_tied_past_its_horizon() {
+    // ORDER BY b ties every row; within the tie the top-k orders rows by
+    // value, so (0, 1) < (1, 1) < (2, 1) < (3, 1). A buffer of two keeps
+    // (0, 1) and (1, 1) at the capture and evicts (2, 1). After (0, 1)
+    // goes, (3, 1) ties the last kept entry's key but sorts after the
+    // evicted (2, 1): it must stay out, so deleting (1, 1) empties the
+    // buffer and the top-1 is recaptured as (2, 1), not answered as
+    // (3, 1).
+    let mut db = Database::new();
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Int),
+        Field::new("b", DataType::Int),
+    ]);
+    db.create_table("r", schema).unwrap();
+    let rows = (0..3).map(|a| row![a, 1]);
+    db.table_mut("r").unwrap().bulk_load(rows).unwrap();
+    let plan = db
+        .plan_sql("SELECT a, b FROM r ORDER BY b LIMIT 1")
+        .unwrap();
+    let cuts = (1..4).map(Value::Int).collect();
+    let pset =
+        Arc::new(PartitionSet::new(vec![RangePartition::new("r", "a", 0, cuts).unwrap()]).unwrap());
+    let config = OpConfig {
+        topk_buffer: Some(2),
+        ..OpConfig::default()
+    };
+    let (mut m, _) =
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), config, true).unwrap();
+    for sql in [
+        "DELETE FROM r WHERE a = 0",
+        "INSERT INTO r VALUES (3, 1)",
+        "DELETE FROM r WHERE a = 1",
+    ] {
+        db.execute_sql(sql).unwrap();
+        m.maintain(&db).unwrap();
+        let truth = capture(&plan, &db, &pset).unwrap();
+        assert_eq!(m.sketch(), &truth.sketch, "after {sql}");
+    }
+    assert_eq!(m.sketch().fragments_of_partition(0), vec![2]);
+}
+
+#[test]
 fn min_max_aggregates_maintained() {
     let mut db = sales_db();
     let sql = "SELECT brand, min(price) AS mn, max(price) AS mx FROM sales \
@@ -1271,4 +1313,92 @@ fn a_filter_over_one_scan_of_a_self_join_filters_only_that_scan() {
     assert!(matches!(mode, QueryMode::Maintained(_)));
     // b = 7: 4 filtered rows × 11 rows; b = 3: 3 × 11; the rest 3 × 10.
     assert_eq!(rows, 4 * 11 + 3 * 11 + 8 * 3 * 10);
+}
+
+#[test]
+fn a_filter_on_one_scan_of_a_self_join_leaves_the_tables_delta_whole() {
+    // r(a, b) = (k, k % 10) for k < 60, partitioned on a at 30, 60 and 90.
+    // One scan of r keeps a < 30, the other every row; so far the join
+    // reads fragments 0 and 1. A row inserted at a = 70 passes no filter
+    // but joins the filtered scan's rows of its b: its fragment enters the
+    // sketch only if r's delta, which both scans read, keeps it.
+    for sql in [
+        "SELECT a2, a FROM (SELECT a AS a2, b AS b2 FROM r WHERE a < 30) x JOIN r ON (b2 = b)",
+        "SELECT x.a, y.a FROM r x JOIN r y ON (x.b = y.b) WHERE x.a < 30",
+    ] {
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+        ]);
+        db.create_table("r", schema).unwrap();
+        let rows = (0..60).map(|k| row![k, k % 10]);
+        db.table_mut("r").unwrap().bulk_load(rows).unwrap();
+        let plan = db.plan_sql(sql).unwrap();
+        let cuts = [30, 60, 90].map(Value::Int).to_vec();
+        let pset = Arc::new(
+            PartitionSet::new(vec![RangePartition::new("r", "a", 0, cuts).unwrap()]).unwrap(),
+        );
+        let (mut m, _) =
+            SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
+                .unwrap();
+        assert_eq!(m.sketch().fragments_of_partition(0), vec![0, 1], "{sql}");
+        for stmt in [
+            "INSERT INTO r VALUES (5, 7)",
+            "INSERT INTO r VALUES (70, 7)",
+        ] {
+            db.execute_sql(stmt).unwrap();
+            m.maintain(&db).unwrap();
+            let truth = capture(&plan, &db, &pset).unwrap();
+            assert_eq!(m.sketch(), &truth.sketch, "{sql}: after {stmt}");
+        }
+        assert_eq!(m.sketch().fragments_of_partition(0), vec![0, 1, 2], "{sql}");
+    }
+}
+
+#[test]
+fn an_on_residual_keeps_a_three_table_join_one_operator() {
+    // `d < 2` is not a key of its join: it binds on `s`'s scan, so the
+    // three inputs flatten into one n-ary operator. As a filter above
+    // `r ⋈ s` it would nest one join operator inside another.
+    const SQL: &str = "SELECT a, f FROM r JOIN s ON (b = c AND d < 2) JOIN t ON (d = e)";
+    let mut db = Database::new();
+    for (table, c1, c2) in [("r", "a", "b"), ("s", "c", "d"), ("t", "e", "f")] {
+        let schema = Schema::new(vec![
+            Field::new(c1, DataType::Int),
+            Field::new(c2, DataType::Int),
+        ]);
+        db.create_table(table, schema).unwrap();
+        let rows = (0..6i64).map(|k| row![k, k % 3]);
+        db.table_mut(table).unwrap().bulk_load(rows).unwrap();
+    }
+    let plan = db.plan_sql(SQL).unwrap();
+    let pset = Arc::new(
+        PartitionSet::new(vec![
+            RangePartition::new("r", "a", 0, vec![Value::Int(3)]).unwrap(),
+            RangePartition::new("s", "c", 0, vec![Value::Int(3)]).unwrap(),
+        ])
+        .unwrap(),
+    );
+    let (mut m, first) =
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
+            .unwrap();
+    assert_eq!(m.nary_arity(), Some(3));
+    let engine = |db: &Database| db.query(SQL).unwrap().canonical();
+    assert_eq!(imp_engine::database::canonical_bag(&first), engine(&db));
+    // One row of `s` passes `d < 2`, one does not; one old row goes.
+    for sql in [
+        "INSERT INTO s VALUES (1, 0)",
+        "INSERT INTO s VALUES (2, 2)",
+        "DELETE FROM s WHERE c = 0",
+    ] {
+        db.execute_sql(sql).unwrap();
+        m.maintain(&db).unwrap();
+        let truth = capture(&plan, &db, &pset).unwrap();
+        assert_eq!(m.sketch(), &truth.sketch, "after {sql}");
+        assert_eq!(
+            imp_engine::database::canonical_bag(&truth.result),
+            engine(&db)
+        );
+    }
 }

@@ -3,10 +3,10 @@
 //! through the zero-worker store (`sched_workers = 0`: the caller
 //! maintains every sketch through the fetching path) and through pools
 //! of one and two workers (sweeping beside the caller's sweeps). Each
-//! store holds three sketches over overlapping tables (`r`, `r ⋈ s`,
-//! `s`), and runs at the default join-index budget and at a budget of one
-//! tuple (every join side over budget, evaluated against the database
-//! while sweeps race). After the capture and after every statement all
+//! store holds four sketches over overlapping tables (`r`, `r ⋈ s`, `s`,
+//! and `r ⋈ s` filtered on `s` below the join), and runs at the default
+//! join-index budget and at a budget of one tuple (every join side over
+//! budget, evaluated against the database while sweeps race). After the capture and after every statement all
 //! stores must hold **byte-identical sketch sets and maintained
 //! versions**, answer every query as the engine does, and hold sketches
 //! equal to a fresh capture: how sweeps split the stream into runs, and
@@ -23,8 +23,9 @@ use small_scope::{Between, ImpSlice, JOINS, ONE_TABLE, ON_S};
 #[test]
 fn shard_pool_matches_sequential_store() {
     let slice = ImpSlice {
-        // SUM with HAVING on `r`, SUM over `r ⋈ s`, top-k over SUM on `s`.
-        plans: &[ONE_TABLE[3], JOINS[3], ON_S],
+        // SUM with HAVING on `r`, SUM over `r ⋈ s`, top-k over SUM on `s`,
+        // `r ⋈ s` with a WHERE on `s` (pushed into `s`'s delta).
+        plans: &[ONE_TABLE[3], JOINS[3], ON_S, JOINS[6]],
         rows: [1, 1],
         between: Between::Evict,
         budgets: &[Some(DEFAULT_JOIN_INDEX_BUDGET), Some(1)],

@@ -3,11 +3,12 @@
 //! workers takes both statements of a script while it is paused, so a
 //! backlog deterministically exists for the resumed workers to sweep
 //! (racing the caller's sweep); the zero-worker store takes the same
-//! statements. Each store holds three sketches over overlapping tables
-//! (`r`, `r ⋈ s`, `s`), at the default join-index budget and at a budget
-//! of one tuple. Afterwards all stores must hold byte-identical sketch
-//! sets and maintained versions, answer every query as the engine does,
-//! and hold sketches equal to a fresh capture. (The suite keeps the name
+//! statements. Each store holds four sketches over overlapping tables
+//! (`r`, `r ⋈ s`, `s`, and `r ⋈ s` filtered on `s` below the join), at
+//! the default join-index budget and at a budget of one tuple.
+//! Afterwards all stores must hold byte-identical sketch sets and
+//! maintained versions, answer every query as the engine does, and hold
+//! sketches equal to a fresh capture. (The suite keeps the name
 //! it had when idle workers stole from other shards' inboxes; every
 //! worker now sweeps the one store.)
 
@@ -20,8 +21,9 @@ use small_scope::{Between, ImpSlice, JOINS, ONE_TABLE, ON_S};
 #[test]
 fn stealing_pool_matches_sequential_store() {
     let slice = ImpSlice {
-        // SUM with HAVING on `r`, SUM over `r ⋈ s`, top-k over SUM on `s`.
-        plans: &[ONE_TABLE[3], JOINS[3], ON_S],
+        // SUM with HAVING on `r`, SUM over `r ⋈ s`, top-k over SUM on `s`,
+        // `r ⋈ s` with a WHERE on `s` (pushed into `s`'s delta).
+        plans: &[ONE_TABLE[3], JOINS[3], ON_S, JOINS[6]],
         rows: [1, 1],
         between: Between::Batch,
         budgets: &[Some(DEFAULT_JOIN_INDEX_BUDGET), Some(1)],

@@ -14,11 +14,11 @@
 //! |---|---|
 //! | schema | `r(a, b)`, `s(c, d)`; every column `Int` over {0, 1, 2, NULL} |
 //! | databases | every multiset of ≤ `rows` rows per table over the table's 4-row [`ALPHABET`], each once whatever its row order; a table the plan does not read stays empty; tables at the slice's chunk capacity (2, so 3 rows span a sealed chunk and an open tail, or the default) |
-//! | plans | [`ONE_TABLE`], [`BOUNDED`], [`JOINS`], [`JOIN_SHAPES`], [`ON_S`]: scan, WHERE, projection, GROUP BY with SUM / COUNT / AVG / MIN / MAX and HAVING, DISTINCT, ORDER BY … LIMIT k (k ∈ {1, 2}), ORDER BY without LIMIT, `r ⋈ s`, the self-join `r ⋈ r`, a comma cross product with a residual filter, a two-key join with a self-equality, an equi-join over a cross product, the three-input chain `r ⋈ s ⋈ r`; up to depth 3 |
+//! | plans | [`ONE_TABLE`], [`BOUNDED`], [`JOINS`], [`JOIN_SHAPES`], [`ON_S`]: scan, WHERE, projection, GROUP BY with SUM / COUNT / AVG / MIN / MAX and HAVING, DISTINCT, ORDER BY … LIMIT k (k ∈ {1, 2}), ORDER BY without LIMIT, `r ⋈ s`, the self-join `r ⋈ r`, each also with a WHERE on one input (placed on its scan, below the join), a comma cross product with a residual filter, a two-key join with a self-equality, an equi-join over a cross product, the three-input chain `r ⋈ s ⋈ r`; up to depth 3 |
 //! | partitions | per table the plan reads, the first attribute [`imp_sketch::safe_attributes`] allows, at every cut set of the slice (from [`CUTS`]: 1–3 fragments, cuts ⊆ {1, 2}); on a join, both tables at once; and one attribute the analysis cannot prove safe, where exactness is checked without safety |
 //! | scripts | two [`statements`] (INSERT of one row, DELETE WHERE col = v, DELETE WHERE col < v, UPDATE SET col = v WHERE col = w): both on the plan's table, or one on each table of a join (`r`'s first); [`Between`] them, per slice: each maintained, an "evict, then recapture" step, or nothing (one run maintains both, one delta) |
 //! | configs | per slice: the default `OpConfig`, `selection_pushdown: false`, buffers of 1 (`minmax_buffer` / `topk_buffer`), `join_index_budget` `None` / `Some(1)` |
-//! | workers | [`Imp`] at `sched_workers` 0, 1 and 2, each store holding three sketches (on `r`, `r ⋈ s` and `s`), at `join_index_budget` default and `Some(1)`; a statement on `r`, then one on `s`; evicting between them, or taking both into paused pools |
+//! | workers | [`Imp`] at `sched_workers` 0, 1 and 2, each store holding four sketches (on `r`, `r ⋈ s`, `s` and `r ⋈ s` with a WHERE on `s`), at `join_index_budget` default and `Some(1)`; a statement on `r`, then one on `s`; evicting between them, or taking both into paused pools |
 //!
 //! Scripts of fewer statements are prefixes: every check runs after the
 //! capture and after each statement. Each slice prints its case count
@@ -29,10 +29,10 @@
 //! |---|---|---|
 //! | `theorem_6_1::incremental_maintenance_is_exact_and_safe` | one-table plans without MIN/MAX or top-k; rows ≤ 2 | 7 440 × 2 configs |
 //! | `theorem_6_1::bounded_buffers_remain_sound` | MIN/MAX and top-k plans; rows ≤ 2; evict | 4 320 × 3 configs |
-//! | `theorem_6_1::join_maintenance_matches_capture` | [`JOINS`]; rows ≤ 1; 3 fragments | 6 080 × 3 configs |
+//! | `theorem_6_1::join_maintenance_matches_capture` | [`JOINS`]; rows ≤ 1; 3 fragments | 7 360 × 3 configs |
 //! | `theorem_6_1::range_deletes_and_updates_keep_the_sketch_exact` | one-table plans; chunks of 2; rows ≤ 3; 3 fragments | 7 280 × 1 config |
-//! | `join_differential::index_settings_match_a_fresh_capture_on_every_batch` | [`JOINS`] and [`JOIN_SHAPES`]; chunks of 2; rows ≤ 1; batched, and evicting; 3 fragments | 19 360 × 3 configs |
-//! | `sched_differential::shard_pool_matches_sequential_store` | [`Imp`], every store holding SUM with HAVING on `r`, SUM over `r ⋈ s` and top-k over SUM on `s`; rows ≤ 1; evict | 800 × 3 worker counts |
+//! | `join_differential::index_settings_match_a_fresh_capture_on_every_batch` | [`JOINS`] and [`JOIN_SHAPES`]; chunks of 2; rows ≤ 1; batched, and evicting; 3 fragments | 21 920 × 3 configs |
+//! | `sched_differential::shard_pool_matches_sequential_store` | [`Imp`], every store holding SUM with HAVING on `r`, SUM over `r ⋈ s`, top-k over SUM on `s` and `r ⋈ s` with a WHERE on `s`; rows ≤ 1; evict | 800 × 3 worker counts |
 //! | `steal_differential::stealing_pool_matches_sequential_store` | the same plans and rows; paused pools | 800 × 3 worker counts |
 //!
 //! To widen a bound, add a row to [`ALPHABET`], a template to a plan list,
@@ -140,14 +140,19 @@ pub const BOUNDED: [&str; 5] = [
 pub const ON_S: &str = "SELECT c, sum(d) AS x FROM s GROUP BY c ORDER BY x DESC, c LIMIT 2";
 
 /// Joins: equi-join, self-join, cross product with a residual filter,
-/// and joins under aggregation and top-k.
-pub const JOINS: [&str; 6] = [
+/// joins under aggregation and top-k, and a WHERE that binds on one
+/// input's scan below the join: on `s`, whose delta selection push-down
+/// filters, and on one scan of the self-join, where it must filter that
+/// input only and not `r`'s delta, which the other scan reads too.
+pub const JOINS: [&str; 8] = [
     "SELECT a, d FROM r JOIN s ON (b = c)",
     "SELECT x.a, y.b FROM r x JOIN r y ON (x.b = y.a)",
     "SELECT a, d FROM r, s WHERE a < d",
     "SELECT a, sum(d) AS x FROM r JOIN s ON (b = c) GROUP BY a HAVING sum(d) > 0",
     "SELECT c, min(a) AS x FROM r JOIN s ON (b = c) GROUP BY c",
     "SELECT a, d FROM r JOIN s ON (b = c) ORDER BY a, d LIMIT 2",
+    "SELECT a, d FROM r JOIN s ON (b = c) WHERE d < 2",
+    "SELECT x.a, y.b FROM r x JOIN r y ON (x.b = y.a) WHERE y.b < 2",
 ];
 
 /// Deeper join shapes: two keys, one a self-equality on `s`; an

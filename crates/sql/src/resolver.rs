@@ -33,18 +33,9 @@ impl<'a> Resolver<'a> {
 
     /// Resolve a SELECT statement into a logical plan.
     pub fn resolve_select(&self, stmt: &SelectStmt) -> Result<LogicalPlan> {
-        // 1. FROM clause → input plan (+ qualified schema).
-        let mut input = self.resolve_from(&stmt.from, stmt.filter.as_ref())?;
-        let input_schema = input.plan.schema();
-
-        // 2. Remaining WHERE conjuncts (those not claimed as join keys).
-        if !input.residual.is_empty() {
-            let predicate = Expr::conjunction(input.residual.drain(..));
-            input.plan = LogicalPlan::Filter {
-                input: Box::new(input.plan),
-                predicate,
-            };
-        }
+        // 1. FROM clause and WHERE → input plan (+ qualified schema), each
+        //    conjunct not claimed as a join key placed where it binds.
+        let (mut plan, input_schema) = self.resolve_from(&stmt.from, stmt.filter.as_ref())?;
 
         let has_aggregates = !stmt.group_by.is_empty()
             || stmt.projection.iter().any(|item| match item {
@@ -55,8 +46,6 @@ impl<'a> Resolver<'a> {
                 .having
                 .as_ref()
                 .is_some_and(AstExpr::contains_aggregate);
-
-        let mut plan = input.plan;
 
         let projected = if has_aggregates {
             // 3a. Build the Aggregate node.
@@ -231,7 +220,14 @@ impl<'a> Resolver<'a> {
 
     // ---- FROM clause ----
 
-    fn resolve_from(&self, from: &[TableRef], filter: Option<&AstExpr>) -> Result<FromResult> {
+    /// The FROM clause as a join tree with each WHERE or ON conjunct that
+    /// is not a join key placed once (see [`FromTree::place`]), and its
+    /// schema.
+    fn resolve_from(
+        &self,
+        from: &[TableRef],
+        filter: Option<&AstExpr>,
+    ) -> Result<(LogicalPlan, Schema)> {
         assert!(!from.is_empty(), "parser guarantees non-empty FROM");
         // Resolve the first item, then fold the rest in as (equi-)joins
         // using WHERE conjuncts as candidate keys (left-deep greedy plan —
@@ -241,45 +237,33 @@ impl<'a> Resolver<'a> {
         if let Some(f) = filter {
             collect_conjuncts(f, &mut pending);
         }
-        let mut residual: Vec<Expr> = Vec::new();
 
         for item in &from[1..] {
             let right = self.resolve_table_ref(item)?;
-            let left_schema = acc.schema();
-            let right_schema = right.schema();
-            let combined = left_schema.join(&right_schema);
+            let combined = acc.schema.join(&right.schema);
             // Claim equi conjuncts that span the two sides.
-            let mut left_keys = Vec::new();
-            let mut right_keys = Vec::new();
+            let mut keys = (Vec::new(), Vec::new());
             let mut remaining = Vec::new();
             for c in pending.drain(..) {
                 if let Some((l, r)) =
-                    self.try_equi_key(&c, &left_schema, &right_schema, &combined)?
+                    self.try_equi_key(&c, &acc.schema, &right.schema, &combined)?
                 {
-                    left_keys.push(l);
-                    right_keys.push(r);
+                    keys.0.push(l);
+                    keys.1.push(r);
                 } else {
                     remaining.push(c);
                 }
             }
             pending = remaining;
-            acc = LogicalPlan::Join {
-                left: Box::new(acc),
-                right: Box::new(right),
-                left_keys,
-                right_keys,
-            };
+            acc = acc.join(right, keys, combined);
         }
 
-        // Conjuncts not claimed as join keys become residual filters.
-        let schema = acc.schema();
+        // Conjuncts not claimed as join keys are placed with the ON ones.
         for c in pending {
-            residual.push(self.resolve_expr(&c, &schema)?);
+            let resolved = self.resolve_expr(&c, &acc.schema)?;
+            acc.residual.push(resolved);
         }
-        Ok(FromResult {
-            plan: acc,
-            residual,
-        })
+        Ok(acc.place())
     }
 
     /// Try to interpret `expr` as `left_col = right_col` across the join.
@@ -315,8 +299,8 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    fn resolve_table_ref(&self, tref: &TableRef) -> Result<LogicalPlan> {
-        match tref {
+    fn resolve_table_ref(&self, tref: &TableRef) -> Result<FromTree> {
+        let leaf = match tref {
             TableRef::Table { name, alias } => {
                 // Unquoted SQL identifiers are case-insensitive: fold table
                 // names to lowercase for catalog lookup and plan identity.
@@ -326,56 +310,53 @@ impl<'a> Resolver<'a> {
                     .table_schema(&name_lc)
                     .ok_or_else(|| SqlError::UnknownTable(name.clone()))?;
                 let q = alias.as_deref().unwrap_or(&name_lc);
-                Ok(LogicalPlan::Scan {
+                LogicalPlan::Scan {
                     table: name_lc.clone(),
                     schema: schema.with_qualifier(q),
-                })
+                }
             }
             TableRef::Subquery { query, alias } => {
                 let inner = self.resolve_select(query)?;
                 let schema = inner.schema().with_qualifier(alias);
                 // Re-qualify by wrapping in an identity projection.
                 let exprs = (0..schema.arity()).map(Expr::Col).collect();
-                Ok(LogicalPlan::Project {
+                LogicalPlan::Project {
                     input: Box::new(inner),
                     exprs,
                     schema,
-                })
+                }
             }
             TableRef::Join { left, right, on } => {
                 let l = self.resolve_table_ref(left)?;
                 let r = self.resolve_table_ref(right)?;
-                let ls = l.schema();
-                let rs = r.schema();
-                let combined = ls.join(&rs);
+                let combined = l.schema.join(&r.schema);
                 let mut conjuncts = Vec::new();
                 collect_conjuncts(on, &mut conjuncts);
-                let mut left_keys = Vec::new();
-                let mut right_keys = Vec::new();
+                let mut keys = (Vec::new(), Vec::new());
                 let mut residual = Vec::new();
                 for c in conjuncts {
-                    if let Some((lk, rk)) = self.try_equi_key(&c, &ls, &rs, &combined)? {
-                        left_keys.push(lk);
-                        right_keys.push(rk);
+                    if let Some((lk, rk)) =
+                        self.try_equi_key(&c, &l.schema, &r.schema, &combined)?
+                    {
+                        keys.0.push(lk);
+                        keys.1.push(rk);
                     } else {
                         residual.push(self.resolve_expr(&c, &combined)?);
                     }
                 }
-                let mut plan = LogicalPlan::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    left_keys,
-                    right_keys,
-                };
-                if !residual.is_empty() {
-                    plan = LogicalPlan::Filter {
-                        input: Box::new(plan),
-                        predicate: Expr::conjunction(residual),
-                    };
-                }
-                Ok(plan)
+                // Inner joins only: an ON conjunct that is not a key binds
+                // like a WHERE conjunct, so it waits for the same placement.
+                let mut tree = l.join(r, keys, combined);
+                tree.residual.extend(residual);
+                return Ok(tree);
             }
-        }
+        };
+        Ok(FromTree {
+            schema: leaf.schema(),
+            plan: leaf,
+            leaves: vec![0],
+            residual: Vec::new(),
+        })
     }
 
     // ---- expressions ----
@@ -654,9 +635,116 @@ pub fn collect_conjuncts(e: &AstExpr, out: &mut Vec<AstExpr>) {
     }
 }
 
-struct FromResult {
+/// A FROM clause resolved to a tree of joins over unfiltered leaves (base
+/// tables and subqueries), with the conjuncts that no join claimed as a
+/// key still to be placed.
+struct FromTree {
     plan: LogicalPlan,
+    schema: Schema,
+    /// First output column of each leaf, in output order.
+    leaves: Vec<usize>,
+    /// Conjuncts over `schema` that are not join keys.
     residual: Vec<Expr>,
+}
+
+impl FromTree {
+    /// `self ⋈ right` on `keys`; `schema` is the two schemas joined.
+    fn join(mut self, right: FromTree, keys: (Vec<usize>, Vec<usize>), schema: Schema) -> FromTree {
+        let base = self.schema.arity();
+        self.leaves.extend(right.leaves.iter().map(|o| base + o));
+        let shifted = right
+            .residual
+            .iter()
+            .map(|e| e.remap_columns(&|i| base + i));
+        self.residual.extend(shifted);
+        FromTree {
+            plan: LogicalPlan::Join {
+                left: Box::new(self.plan),
+                right: Box::new(right.plan),
+                left_keys: keys.0,
+                right_keys: keys.1,
+            },
+            schema,
+            leaves: self.leaves,
+            residual: self.residual,
+        }
+    }
+
+    /// Place each residual conjunct once: in a join, one that reads the
+    /// columns of one leaf only goes on that leaf, rebased to the leaf's
+    /// schema, in one `Filter` per leaf (over a table, `Filter(Scan)`: the
+    /// shape selection push-down and the scan kernels match); any other
+    /// stays above the whole tree, and so does every conjunct of a FROM
+    /// with one leaf. No filter lands between two joins, so an equi-join
+    /// tree still flattens into one n-ary join.
+    fn place(self) -> (LogicalPlan, Schema) {
+        let FromTree {
+            plan,
+            schema,
+            leaves,
+            residual,
+        } = self;
+        let arity = schema.arity();
+        let mut on_leaf: Vec<Vec<Expr>> = vec![Vec::new(); leaves.len()];
+        let mut above = Vec::new();
+        let mut cols = Vec::new();
+        for c in residual {
+            cols.clear();
+            c.columns(&mut cols);
+            let (Some(&lo), Some(&hi)) = (cols.iter().min(), cols.iter().max()) else {
+                above.push(c);
+                continue;
+            };
+            let leaf = leaves.partition_point(|&o| o <= lo) - 1;
+            let (start, end) = (leaves[leaf], leaves.get(leaf + 1).copied().unwrap_or(arity));
+            if hi < end && leaves.len() > 1 {
+                on_leaf[leaf].push(c.remap_columns(&|i| i - start));
+            } else {
+                above.push(c);
+            }
+        }
+        let mut on_leaf = on_leaf.into_iter();
+        let mut plan = filter_leaves(plan, &mut on_leaf);
+        if !above.is_empty() {
+            plan = LogicalPlan::Filter {
+                input: Box::new(plan),
+                predicate: Expr::conjunction(above),
+            };
+        }
+        (plan, schema)
+    }
+}
+
+/// Wrap each leaf of the join tree `plan`, in output order, in a `Filter`
+/// of its conjuncts from `conjuncts` (none: the leaf as it is).
+fn filter_leaves(
+    plan: LogicalPlan,
+    conjuncts: &mut impl Iterator<Item = Vec<Expr>>,
+) -> LogicalPlan {
+    match plan {
+        LogicalPlan::Join {
+            left,
+            right,
+            left_keys,
+            right_keys,
+        } => LogicalPlan::Join {
+            left: Box::new(filter_leaves(*left, conjuncts)),
+            right: Box::new(filter_leaves(*right, conjuncts)),
+            left_keys,
+            right_keys,
+        },
+        leaf => {
+            let preds = conjuncts.next().expect("one conjunct list per leaf");
+            if preds.is_empty() {
+                leaf
+            } else {
+                LogicalPlan::Filter {
+                    input: Box::new(leaf),
+                    predicate: Expr::conjunction(preds),
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -686,6 +774,10 @@ mod tests {
                 "s" => Some(Schema::new(vec![
                     Field::new("c", DataType::Int),
                     Field::new("d", DataType::Int),
+                ])),
+                "t" => Some(Schema::new(vec![
+                    Field::new("e", DataType::Int),
+                    Field::new("f", DataType::Int),
                 ])),
                 _ => None,
             }
@@ -807,5 +899,94 @@ mod tests {
             panic!()
         };
         assert_eq!(aggs.len(), 2);
+    }
+
+    /// The plan below the top projection, as EXPLAIN text.
+    fn from_tree(sql: &str) -> String {
+        let LogicalPlan::Project { input, .. } = plan(sql) else {
+            panic!("{sql}: no projection on top")
+        };
+        input.explain()
+    }
+
+    #[test]
+    fn single_table_conjuncts_sit_on_their_scans() {
+        // The chain's WHERE: `f` is column 5 of the joined schema and
+        // column 1 of `t`; `a < d` reads two tables and stays on top.
+        let text = from_tree(
+            "SELECT a, f FROM r JOIN s ON (b = c) JOIN t ON (d = e) \
+             WHERE f < 10 AND a > 1 AND a < d AND 2 > a",
+        );
+        let expected = "\
+Filter (#0 < #3)
+  Join on #3=#0
+    Join on #1=#0
+      Filter ((#0 > 1) AND (2 > #0))
+        Scan r
+      Scan s
+    Filter (#1 < 10)
+      Scan t
+";
+        assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn on_residuals_are_placed_like_where_conjuncts() {
+        // `d < 2` is not a key of its join: it goes on `s`, not above the
+        // join, so the tree stays one flattenable equi-join.
+        let text = from_tree("SELECT a FROM r JOIN s ON (b = c AND d < 2) JOIN t ON (d = e)");
+        let expected = "\
+Join on #3=#0
+  Join on #1=#0
+    Scan r
+    Filter (#1 < 2)
+      Scan s
+  Scan t
+";
+        assert_eq!(text, expected);
+        let LogicalPlan::Project { input, .. } =
+            plan("SELECT a FROM r JOIN s ON (b = c AND d < 2) JOIN t ON (d = e)")
+        else {
+            panic!()
+        };
+        assert_eq!(crate::plan::flatten_join(&input).unwrap().inputs.len(), 3);
+    }
+
+    #[test]
+    fn comma_join_conjuncts_split_by_the_tables_they_read() {
+        // A self-equality on `s` and a constant on `t` bind on their
+        // tables; the cross product's two-table conjunct and the one that
+        // reads no column stay above the tree.
+        let text = from_tree(
+            "SELECT a FROM r, s, t WHERE a = c AND c = d AND a + f > 2 AND 1 = 1 AND f IS NULL",
+        );
+        let expected = "\
+Filter (((#0 + #5) > 2) AND (1 = 1))
+  CrossJoin
+    Join on #0=#0
+      Scan r
+      Filter (#0 = #1)
+        Scan s
+    Filter (#1 IS NULL)
+      Scan t
+";
+        assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn a_subquery_leaf_keeps_its_filter_above_its_joins() {
+        // One FROM item: the WHERE stays over the subquery, whose own
+        // joins and filters are placed inside it.
+        let text =
+            from_tree("SELECT * FROM (SELECT * FROM r JOIN s ON (b = c)) q WHERE a < 1 AND a < d");
+        let expected = "\
+Filter ((#0 < 1) AND (#0 < #3))
+  Project #0 AS a, #1 AS b, #2 AS c, #3 AS d
+    Project #0 AS a, #1 AS b, #2 AS c, #3 AS d
+      Join on #1=#0
+        Scan r
+        Scan s
+";
+        assert_eq!(text, expected);
     }
 }

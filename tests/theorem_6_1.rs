@@ -53,8 +53,9 @@ fn bounded_buffers_remain_sound() {
     assert_eq!(slice.walk("bounded buffers"), 4320);
 }
 
-/// Joins (equi-join, self-join, cross product with a residual filter,
-/// under aggregation and top-k), partitioned on either table or on both
+/// Joins (equi-join, self-join, each also filtered on one input below
+/// the join, cross product with a residual filter, under aggregation and
+/// top-k), partitioned on either table or on both
 /// (the Fig. 5 configuration), updated on both sides.
 #[test]
 fn join_maintenance_matches_capture() {
@@ -70,7 +71,7 @@ fn join_maintenance_matches_capture() {
             Config::buffers_of_one(),
         ],
     };
-    assert_eq!(slice.walk("joins"), 6080);
+    assert_eq!(slice.walk("joins"), 7360);
 }
 
 /// Range DELETEs and UPDATEs find their victims through the pruned
