@@ -1,12 +1,13 @@
 //! Correctness of the bench harness itself: the FM baseline must answer
 //! every query in the stream (regression test for the first-occurrence
 //! branch that captured a sketch but never executed the rewritten
-//! query), and malformed env knobs must fail loudly instead of being
-//! silently replaced by defaults.
+//! query), maintenance counts are reported per update batch, and
+//! malformed env knobs must fail loudly instead of being silently replaced
+//! by defaults.
 
-use imp_bench::{parse_env, run_fm, run_ns};
+use imp_bench::{measure_inc_vs_full, parse_env, pset_for, run_fm, run_ns};
 use imp_data::synthetic::{load, SyntheticConfig};
-use imp_data::workload::{mixed_workload, WorkloadOp};
+use imp_data::workload::{insert_stream, mixed_workload, WorkloadOp};
 use imp_engine::Database;
 
 fn fresh_db(rows: usize, groups: i64) -> Database {
@@ -55,6 +56,23 @@ fn fm_answers_every_query_in_the_stream() {
     );
     // Every answered query is a capture or came from the stored path.
     assert!(fm.captures <= fm.queries_executed);
+}
+
+/// The counts of an IMP-vs-FM measurement are per batch: `n` insert
+/// batches of `d` rows each fetch `d` delta rows, whatever `n` is (so a
+/// gated count does not grow with `IMP_BENCH_REPS`).
+#[test]
+fn maintenance_counts_are_per_batch() {
+    let (rows, groups, d) = (2_000usize, 50i64, 40usize);
+    let sql = "SELECT a, sum(b) AS s FROM edb1 GROUP BY a HAVING sum(b) > 0";
+    for n in [1, 3] {
+        let mut db = fresh_db(rows, groups);
+        let plan = db.plan_sql(sql).unwrap();
+        let pset = pset_for(&db, "edb1", "a", 10);
+        let updates = insert_stream("edb1", n, d, groups, rows * 2, 5);
+        let m = measure_inc_vs_full(&mut db, &plan, &pset, &updates);
+        assert_eq!(m.metrics.delta_rows_fetched, d as u64, "{n} batches");
+    }
 }
 
 #[test]

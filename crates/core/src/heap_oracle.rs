@@ -9,6 +9,7 @@
 //! walks state to size it.
 
 use crate::ops::IncNode;
+use crate::opt::{Bounded, BoundedEntry};
 use imp_storage::{AnnotPool, BitVec, FxHashSet};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -60,6 +61,14 @@ impl<'a> Walk<'a> {
     /// Bytes of state-held annotation allocations the pool does not own.
     pub(crate) fn unpooled(&self) -> usize {
         self.unpooled
+    }
+}
+
+/// The bounded set of MIN / MAX and top-k: one walk for every user.
+impl<T: BoundedEntry> Bounded<T> {
+    pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
+        w.visit(self.len());
+        self.iter().map(|(e, _)| e.heap_bytes()).sum()
     }
 }
 

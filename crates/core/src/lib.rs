@@ -21,10 +21,11 @@
 //!   pair state.
 //! * [`opt`] — the optimizations of §7.2: selection push-down into delta
 //!   retrieval and bounded (top-l) state for MIN / MAX / top-k with
-//!   recapture fallback — plus the delta-maintained [`opt::SideIndex`],
-//!   one per join input, that answers steady-state `Q ⋈ Δ` join terms
-//!   without backend round trips. (§7.2's join bloom filters are not
-//!   kept: the round trip they could skip is one the indexes never make.)
+//!   recapture fallback, one [`opt::Bounded`] set for all three — plus
+//!   the delta-maintained [`opt::SideIndex`], one per join input, that
+//!   answers steady-state `Q ⋈ Δ` join terms without backend round trips.
+//!   (§7.2's join bloom filters are not kept: the round trip they could
+//!   skip is one the indexes never make.)
 //! * [`maintain`] — [`maintain::SketchMaintainer`], the incremental
 //!   maintenance procedure `I(Q, Φ, S, Δ𝒟) = (ΔP, S′)` of Def. 4.5.
 //! * [`advisor`] — workload-driven, cost-based sketch selection: a

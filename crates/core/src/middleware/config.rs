@@ -23,11 +23,15 @@ pub struct ImpConfig {
     pub bloom: bool,
     /// Push selections into delta retrieval (§7.2).
     pub selection_pushdown: bool,
-    /// Bounded MIN/MAX state: keep the best `l` values (§7.2). Bounded to
-    /// [`crate::ops::DEFAULT_MINMAX_BUFFER`] by default; the recapture
-    /// fallback keeps results exact when a buffer exhausts.
+    /// Bounded MIN/MAX state: keep the best `l` values (§7.2), the bound
+    /// of one [`crate::opt::Bounded`] set per aggregate, raised to at
+    /// least one value. Bounded to [`crate::ops::DEFAULT_MINMAX_BUFFER`]
+    /// by default; the recapture fallback keeps results exact when a
+    /// buffer exhausts.
     pub minmax_buffer: Option<usize>,
-    /// Bounded top-k state: keep the best `l` entries (§7.2/§8.4.3).
+    /// Bounded top-k state: keep the best `l` entries (§7.2/§8.4.3), the
+    /// bound of the operator's [`crate::opt::Bounded`] set, raised to at
+    /// least `k` entries.
     pub topk_buffer: Option<usize>,
     /// Per-side join-index budget (annotated tuples): materialise join
     /// sides as delta-maintained indexes so steady-state `Q ⋈ Δ` terms

@@ -1,10 +1,10 @@
 //! Incremental aggregation (paper §5.2.5 / §5.2.6).
 //!
 //! Per group `g` the state holds the running aggregates, the group's tuple
-//! count `CNT`, and the fragment counters `ℱ_g`. SUM / COUNT / AVG share a
-//! numeric accumulator; MIN / MAX keep an ordered multiset (`BTreeMap`, the
-//! paper's red-black tree) — optionally bounded to the best `l` values
-//! with a recapture fallback (§7.2).
+//! count `CNT`, and the fragment counters `ℱ_g`. SUM / COUNT / AVG keep
+//! the engine's own accumulator ([`AggAcc`]); MIN / MAX keep an ordered
+//! multiset, a [`Bounded`] set at `k = 1` — by default bounded to the best
+//! `l` values, with a recapture fallback (§7.2).
 //!
 //! Group results are emitted as one `Δ-⟨old⟩, Δ+⟨new⟩` pair per *touched*
 //! group per batch (§7.1: "to avoid producing multiple delta tuples per
@@ -42,13 +42,14 @@ use super::{partition_column, source_fragments, IncNode, MaintCtx};
 use crate::delta::{DeltaBatch, DeltaEntry};
 use crate::error::CoreError;
 use crate::fragcount::FragCounts;
+use crate::opt::{Bounded, BoundedEntry};
 use crate::Result;
-use imp_engine::eval::{AggAcc, CaptureBatch, CapturedGroups, NumAcc};
+use imp_engine::eval::{AggAcc, CaptureBatch, CapturedGroups};
 use imp_engine::ExecStats;
 use imp_sql::{AggFunc, AggSpec, Expr, LogicalPlan};
 use imp_storage::{key_runs, sort_keys_stable, AnnotId, AnnotPool, FxHashMap, Row, Value};
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
 
 /// Incremental aggregation operator (also implements δ when `aggs` is
 /// empty: output is the group key alone).
@@ -102,263 +103,66 @@ impl GroupState {
 /// Incremental accumulator for one aggregation function.
 #[derive(Debug, Clone)]
 pub enum IncAcc {
-    /// `SUM(a)`: running sum + count of non-NULL inputs.
-    Sum {
-        /// The running sum.
-        sum: NumAcc,
-        /// Non-NULL input multiplicity.
-        non_null: i64,
-    },
-    /// `COUNT(a)` / `COUNT(*)`.
-    Count {
-        /// Counted multiplicity.
-        non_null: i64,
-    },
-    /// `AVG(a)` = SUM / CNT (§5.2.5).
-    Avg {
-        /// The running sum.
-        sum: NumAcc,
-        /// Non-NULL input multiplicity.
-        non_null: i64,
-    },
-    /// `MIN(a)`: ordered multiset of values.
-    Min(OrderedAcc),
-    /// `MAX(a)`: ordered multiset of values.
-    Max(OrderedAcc),
+    /// SUM / COUNT / AVG: the engine's accumulator, run with signed
+    /// multiplicities (§5.2.5).
+    Plain(AggAcc),
+    /// `MIN(a)`: the least values (§5.2.6), bounded (§7.2).
+    Min(Bounded<Value>),
+    /// `MAX(a)`: the greatest values, MIN's set reversed.
+    Max(Bounded<Reverse<Value>>),
+}
+
+/// A MIN / MAX value's tree node: the value, its count and the node.
+impl BoundedEntry for Value {
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Value>() + std::mem::size_of::<i64>() + 48 + self.heap_size()
+    }
+}
+
+impl BoundedEntry for Reverse<Value> {
+    fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
+    }
 }
 
 impl IncAcc {
     fn new(func: AggFunc, buffer: Option<usize>) -> IncAcc {
         match func {
-            AggFunc::Sum => IncAcc::Sum {
-                sum: NumAcc::default(),
-                non_null: 0,
-            },
-            AggFunc::Count => IncAcc::Count { non_null: 0 },
-            AggFunc::Avg => IncAcc::Avg {
-                sum: NumAcc::default(),
-                non_null: 0,
-            },
-            AggFunc::Min => IncAcc::Min(OrderedAcc::new(true, buffer)),
-            AggFunc::Max => IncAcc::Max(OrderedAcc::new(false, buffer)),
+            AggFunc::Min => IncAcc::Min(Bounded::new(1, buffer)),
+            AggFunc::Max => IncAcc::Max(Bounded::new(1, buffer)),
+            _ => IncAcc::Plain(AggAcc::new(func)),
         }
     }
 
-    /// Apply one input (`arg = None` for `count(*)`).
-    fn update(&mut self, arg: Option<&Value>, mult: i64) -> Result<bool> {
-        let mut needs_recapture = false;
-        match self {
-            IncAcc::Count { non_null } => match arg {
-                None => *non_null += mult,
-                Some(v) if !v.is_null() => *non_null += mult,
-                _ => {}
-            },
-            IncAcc::Sum { sum, non_null } | IncAcc::Avg { sum, non_null } => {
-                if let Some(v) = arg {
-                    if !v.is_null() {
-                        sum.add(v, mult).map_err(CoreError::Engine)?;
-                        *non_null += mult;
-                    }
-                }
+    /// Apply `mult` copies of one input (`arg = None` for `count(*)`).
+    /// Returns `true` when a MIN / MAX set needs a recapture.
+    fn update(&mut self, arg: Option<Value>, mult: i64) -> Result<bool> {
+        Ok(match (self, arg) {
+            (IncAcc::Plain(acc), arg) => {
+                acc.update(arg.as_ref().map(Value::as_cell), mult)?;
+                false
             }
-            IncAcc::Min(acc) | IncAcc::Max(acc) => {
-                if let Some(v) = arg {
-                    if !v.is_null() {
-                        needs_recapture = acc.update(v, mult);
-                    }
-                }
-            }
-        }
-        Ok(needs_recapture)
-    }
-
-    /// The accumulator a group table's `acc` stands for. MIN/MAX never
-    /// come from the group table, which keeps no bounded multiset
-    /// ([`AggOp::new`] leaves them on rows).
-    fn captured(acc: &AggAcc) -> IncAcc {
-        match *acc {
-            AggAcc::Sum { sum, non_null } => IncAcc::Sum { sum, non_null },
-            AggAcc::Count { count } => IncAcc::Count { non_null: count },
-            AggAcc::Avg { sum, non_null } => IncAcc::Avg { sum, non_null },
-            AggAcc::Min { .. } | AggAcc::Max { .. } => {
-                unreachable!("MIN/MAX state is built from rows")
-            }
-        }
+            (_, None | Some(Value::Null)) => false,
+            (IncAcc::Min(set), Some(v)) => set.update(v, mult) || set.exhausted(),
+            (IncAcc::Max(set), Some(v)) => set.update(Reverse(v), mult) || set.exhausted(),
+        })
     }
 
     /// Current output value.
     fn finish(&self) -> Value {
         match self {
-            IncAcc::Count { non_null } => Value::Int(*non_null),
-            IncAcc::Sum { sum, non_null } => {
-                if *non_null == 0 {
-                    Value::Null
-                } else {
-                    sum.value()
-                }
-            }
-            IncAcc::Avg { sum, non_null } => {
-                if *non_null == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum.as_f64() / *non_null as f64)
-                }
-            }
-            IncAcc::Min(acc) | IncAcc::Max(acc) => acc.best().cloned().unwrap_or(Value::Null),
+            IncAcc::Plain(acc) => acc.finish(),
+            IncAcc::Min(set) => set.best().map_or(Value::Null, Value::clone),
+            IncAcc::Max(set) => set.best().map_or(Value::Null, |v| v.0.clone()),
         }
     }
 
     fn heap_size(&self) -> usize {
         match self {
-            IncAcc::Min(acc) | IncAcc::Max(acc) => acc.heap_size(),
-            _ => 0,
+            IncAcc::Plain(_) => 0,
+            IncAcc::Min(set) => set.heap_size(),
+            IncAcc::Max(set) => set.heap_size(),
         }
-    }
-}
-
-/// Ordered multiset (`CNT` tree of §5.2.6), optionally bounded to the best
-/// `l` distinct values (§7.2).
-#[derive(Debug, Clone)]
-pub struct OrderedAcc {
-    tree: BTreeMap<Value, i64>,
-    /// `true` = MIN (best = smallest); `false` = MAX.
-    is_min: bool,
-    buffer: Option<usize>,
-    /// Values beyond the horizon were evicted at some point.
-    truncated: bool,
-    /// Running Σ [`tree_entry_bytes`] over the stored values.
-    heap_bytes: usize,
-}
-
-/// Heap bytes one stored value of the ordered multiset accounts for.
-fn tree_entry_bytes(v: &Value) -> usize {
-    std::mem::size_of::<Value>() + std::mem::size_of::<i64>() + 48 + v.heap_size()
-}
-
-impl OrderedAcc {
-    fn new(is_min: bool, buffer: Option<usize>) -> OrderedAcc {
-        OrderedAcc {
-            tree: BTreeMap::new(),
-            is_min,
-            buffer,
-            truncated: false,
-            heap_bytes: 0,
-        }
-    }
-
-    /// Best value (minimum or maximum).
-    pub fn best(&self) -> Option<&Value> {
-        if self.is_min {
-            self.tree.keys().next()
-        } else {
-            self.tree.keys().next_back()
-        }
-    }
-
-    /// Worst *stored* value — the truncation horizon.
-    fn horizon(&self) -> Option<&Value> {
-        if self.is_min {
-            self.tree.keys().next_back()
-        } else {
-            self.tree.keys().next()
-        }
-    }
-
-    /// Is `v` strictly beyond the stored horizon (i.e. could only have
-    /// been evicted, never needed)?
-    fn beyond_horizon(&self, v: &Value) -> bool {
-        match self.horizon() {
-            None => true,
-            Some(h) => {
-                if self.is_min {
-                    v > h
-                } else {
-                    v < h
-                }
-            }
-        }
-    }
-
-    /// Apply `mult` copies of `v`. Returns `true` when the state can no
-    /// longer answer and a recapture is required.
-    fn update(&mut self, v: &Value, mult: i64) -> bool {
-        if mult > 0 {
-            if self.truncated && self.beyond_horizon(v) {
-                // Invariant: after truncation the tree holds exactly the
-                // best `len` values of the full multiset (evicted values
-                // are all beyond the horizon). Inserting past the horizon
-                // would break that prefix property, so such values are
-                // ignored — they cannot become the min/max before the
-                // recapture that any horizon underflow triggers.
-                return false;
-            }
-            match self.tree.get_mut(v) {
-                Some(c) => *c += mult,
-                None => {
-                    self.heap_bytes += tree_entry_bytes(v);
-                    self.tree.insert(v.clone(), mult);
-                }
-            }
-            if let Some(l) = self.buffer {
-                while self.tree.len() > l {
-                    let evicted = if self.is_min {
-                        self.tree.pop_last()
-                    } else {
-                        self.tree.pop_first()
-                    };
-                    if let Some((k, _)) = evicted {
-                        self.heap_bytes -= tree_entry_bytes(&k);
-                        self.truncated = true;
-                    }
-                }
-            }
-            return false;
-        }
-        // Deletion.
-        match self.tree.get_mut(v) {
-            Some(c) => {
-                *c += mult;
-                if *c <= 0 {
-                    let corrupt = *c < 0;
-                    self.tree.remove(v);
-                    self.heap_bytes -= tree_entry_bytes(v);
-                    if corrupt {
-                        // More deletions than insertions seen: only
-                        // explicable by truncation; recapture.
-                        return true;
-                    }
-                }
-                // Buffer exhausted: every stored value gone but older
-                // values were evicted — we no longer know the min/max.
-                self.truncated && self.tree.is_empty()
-            }
-            None => {
-                if self.truncated && self.beyond_horizon(v) {
-                    // Deleting an evicted value: no effect on the best l.
-                    false
-                } else if self.truncated {
-                    // Inside the horizon but unknown: state is stale.
-                    true
-                } else {
-                    // Deletion of a never-inserted value: inconsistent input.
-                    true
-                }
-            }
-        }
-    }
-
-    /// Number of stored distinct values.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// True iff no values are stored.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    fn heap_size(&self) -> usize {
-        self.heap_bytes
     }
 }
 
@@ -471,7 +275,7 @@ impl AggOp {
             let g = g as usize;
             ctx.metrics.groups_touched += 1;
             let (count, frags) = std::mem::take(&mut counts[g]);
-            let accs = groups.accumulators(g).iter().map(IncAcc::captured);
+            let accs = groups.accumulators(g).iter().cloned().map(IncAcc::Plain);
             let captured = GroupState {
                 count,
                 frags,
@@ -620,7 +424,7 @@ fn apply_entry(
             Some(e) => Some(e.eval(&d.row).map_err(imp_engine::EngineError::from)?),
             None => None,
         };
-        if acc.update(arg.as_ref(), d.mult)? {
+        if acc.update(arg, d.mult)? {
             ctx.needs_recapture = true;
         }
     }
@@ -712,14 +516,6 @@ pub(crate) mod tests {
         pub(crate) static ROW_CAPTURES_ONLY: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// The accounting oracle: the walks the running totals replaced.
-    impl OrderedAcc {
-        fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
-            w.visit(self.tree.len());
-            self.tree.keys().map(tree_entry_bytes).sum()
-        }
-    }
-
     /// One group by value: key, `CNT`, `ℱ_g` by fragment, output values.
     pub(crate) type GroupByValue = (Row, i64, Vec<(u32, i64)>, Vec<Value>);
 
@@ -740,7 +536,7 @@ pub(crate) mod tests {
 
         /// Every group's state by key, spelled out in full: `ℱ_g` in its
         /// iteration order and the accumulators (a sum's integer and float
-        /// parts, a MIN/MAX multiset and its truncation flag). Two states
+        /// parts, a MIN/MAX set and its truncation flag). Two states
         /// with equal spellings are equal.
         pub(crate) fn groups_spelled_out(&self) -> Vec<(Row, String)> {
             let spell = |st: &GroupState| {
@@ -760,67 +556,71 @@ pub(crate) mod tests {
             for (k, st) in &self.groups {
                 size += k.heap_size() + st.frags.heap_size() + std::mem::size_of::<GroupState>();
                 for acc in &st.accs {
-                    if let IncAcc::Min(o) | IncAcc::Max(o) = acc {
-                        size += o.walked_heap_size(w);
-                    }
+                    size += match acc {
+                        IncAcc::Plain(_) => 0,
+                        IncAcc::Min(set) => set.walked_heap_size(w),
+                        IncAcc::Max(set) => set.walked_heap_size(w),
+                    };
                 }
             }
             size
         }
     }
 
+    /// The MIN / MAX sets (`Bounded` at `k = 1`); every rule is checked
+    /// exhaustively in `opt::bounded`.
     #[test]
     fn ordered_acc_min_tracks_best() {
-        let mut a = OrderedAcc::new(true, None);
-        assert!(!a.update(&Value::Int(5), 1));
-        assert!(!a.update(&Value::Int(3), 2));
+        let mut a = Bounded::new(1, None);
+        assert!(!a.update(Value::Int(5), 1));
+        assert!(!a.update(Value::Int(3), 2));
         assert_eq!(a.best(), Some(&Value::Int(3)));
-        assert!(!a.update(&Value::Int(3), -2));
+        assert!(!a.update(Value::Int(3), -2));
         assert_eq!(a.best(), Some(&Value::Int(5)));
     }
 
     #[test]
     fn ordered_acc_bounded_recaptures_on_exhaustion() {
-        // Keep 2 smallest; delete them all → recapture required.
-        let mut a = OrderedAcc::new(true, Some(2));
-        for v in [1, 2, 3, 4] {
-            a.update(&Value::Int(v), 1);
+        // Keep the 2 smallest; deleting both leaves the minimum unknown.
+        let mut a = Bounded::new(1, Some(2));
+        for v in 1..=4 {
+            a.update(Value::Int(v), 1);
         }
         assert_eq!(a.len(), 2);
         assert_eq!(a.best(), Some(&Value::Int(1)));
-        assert!(!a.update(&Value::Int(1), -1));
-        // Deleting the last stored value with evicted values outstanding.
-        assert!(a.update(&Value::Int(2), -1));
+        assert!(!a.update(Value::Int(1), -1) && !a.exhausted());
+        assert!(!a.update(Value::Int(2), -1));
+        assert!(a.exhausted());
     }
 
     #[test]
     fn ordered_acc_bounded_ignores_beyond_horizon_deletes() {
-        let mut a = OrderedAcc::new(true, Some(2));
-        for v in [1, 2, 3, 4] {
-            a.update(&Value::Int(v), 1);
+        let mut a = Bounded::new(1, Some(2));
+        for v in 1..=4 {
+            a.update(Value::Int(v), 1);
         }
-        // 4 was evicted (beyond horizon 2): deleting it is a no-op.
-        assert!(!a.update(&Value::Int(4), -1));
+        // 4 was evicted (past horizon 2): deleting it is a no-op.
+        assert!(!a.update(Value::Int(4), -1));
         assert_eq!(a.best(), Some(&Value::Int(1)));
     }
 
     #[test]
     fn ordered_acc_max_direction() {
-        let mut a = OrderedAcc::new(false, Some(2));
-        for v in [1, 2, 3, 4] {
-            a.update(&Value::Int(v), 1);
+        let mut a = Bounded::new(1, Some(2));
+        for v in 1..=4 {
+            a.update(Reverse(Value::Int(v)), 1);
         }
-        assert_eq!(a.best(), Some(&Value::Int(4)));
-        // stored {3,4}; 1 evicted; deleting 1 safe
-        assert!(!a.update(&Value::Int(1), -1));
-        assert!(!a.update(&Value::Int(4), -1));
-        assert_eq!(a.best(), Some(&Value::Int(3)));
+        assert_eq!(a.best(), Some(&Reverse(Value::Int(4))));
+        // Stored {4, 3}; 1 was evicted, so deleting it is safe.
+        assert!(!a.update(Reverse(Value::Int(1)), -1));
+        assert!(!a.update(Reverse(Value::Int(4)), -1));
+        assert_eq!(a.best(), Some(&Reverse(Value::Int(3))));
     }
 
     #[test]
     fn delete_of_never_inserted_value_flags_recapture() {
-        let mut a = OrderedAcc::new(true, None);
-        a.update(&Value::Int(1), 1);
-        assert!(a.update(&Value::Int(9), -1));
+        let mut a = Bounded::new(1, None);
+        a.update(Value::Int(1), 1);
+        assert!(a.update(Value::Int(9), -1));
     }
 }

@@ -141,10 +141,14 @@ pub struct OpConfig {
     pub bloom: bool,
     /// Keep only the best `l` values per group in MIN/MAX state (§7.2
     /// "Optimizing Minimum, Maximum, and Top-k"); `None` = unbounded.
-    /// Bounded to [`DEFAULT_MINMAX_BUFFER`] by default, with the
-    /// recapture fallback restoring exactness when the buffer exhausts.
+    /// The bound of one [`crate::opt::Bounded`] set per aggregate, raised
+    /// to at least one value. Bounded to [`DEFAULT_MINMAX_BUFFER`] by
+    /// default, with the recapture fallback restoring exactness when the
+    /// buffer exhausts.
     pub minmax_buffer: Option<usize>,
     /// Keep only the best `l` entries in top-k state; `None` = unbounded.
+    /// The bound of the operator's [`crate::opt::Bounded`] set, raised to
+    /// at least `k` entries.
     pub topk_buffer: Option<usize>,
     /// Materialise each join input as a delta-maintained
     /// [`crate::opt::SideIndex`] holding at most this many annotated

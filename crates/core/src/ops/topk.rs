@@ -1,17 +1,17 @@
 //! Incremental top-k (paper §5.2.7) with bounded buffers (§7.2, §8.4.3).
 //!
-//! State is a nested ordered map: the outer map orders entries by the
-//! ORDER BY key (`BTreeMap` standing in for the paper's balanced search
-//! tree); the inner map stores, per key, the multiplicity of each
-//! annotated tuple `⟨t, P⟩`. The paper computes deltas the simple way —
-//! delete the previous top-k, insert the updated one ("as k is typically
-//! relatively small, we select a simple approach") — here the old/new
-//! diff is *incremental*: the previously emitted top-k is cached together
-//! with its boundary key, a batch whose touched keys all sort strictly
-//! beyond the boundary of a full top-k is recognised as a no-op without
-//! walking the state, and otherwise a single ordered merge of the cached
-//! old against the recomputed new emits only the entries that actually
-//! changed (instead of `-old ∪ +new` plus a normalization pass).
+//! State is an ordered multiset of annotated tuples `⟨t, P⟩`, ordered by
+//! the ORDER BY key and then by tuple and annotation (a `BTreeMap`
+//! standing in for the paper's balanced search tree). The paper computes
+//! deltas the simple way — delete the previous top-k, insert the updated
+//! one ("as k is typically relatively small, we select a simple
+//! approach") — here the old/new diff is *incremental*: the previously
+//! emitted top-k is cached together with its boundary key, a batch whose
+//! touched keys all sort strictly beyond the boundary of a full top-k is
+//! recognised as a no-op without walking the state, and otherwise a
+//! single ordered merge of the cached old against the recomputed new
+//! emits only the entries that actually changed (instead of
+//! `-old ∪ +new` plus a normalization pass).
 //!
 //! Annotations are stored as `Arc<BitVec>` handles from
 //! [`AnnotPool::share`](imp_storage::AnnotPool::share) — O(1) to obtain,
@@ -19,19 +19,20 @@
 //! is canonical and survives a pool flush even though pool ids are
 //! reassigned when the state is re-adopted.
 //!
-//! With a bounded buffer only the best `l ≥ k` entries are stored; if
-//! deletions exhaust the buffer below `k`, the operator requests a full
-//! recapture (§8.4.3: "if there are less than k groups stored in the
-//! state, our IMP will fully maintain the sketches").
+//! The multiset is a [`Bounded`] set at this `k`: with a buffer only the
+//! best `l ≥ k` entries are stored, and if deletions exhaust it below `k`
+//! the operator requests a full recapture (§8.4.3: "if there are less
+//! than k groups stored in the state, our IMP will fully maintain the
+//! sketches").
 
 use super::{IncNode, MaintCtx};
 use crate::delta::{DeltaBatch, DeltaEntry};
+use crate::opt::{Bounded, BoundedEntry};
 use crate::Result;
 use imp_sql::plan::sort_key_values;
 use imp_sql::SortKey;
 use imp_storage::{AnnotPool, BitVec, Row, Value};
 use std::cmp::Ordering;
-use std::collections::{btree_map, BTreeMap};
 use std::sync::Arc;
 
 /// ORDER BY key with per-column direction baked into its `Ord`.
@@ -71,20 +72,23 @@ impl Ord for OrderKey {
     }
 }
 
-type Entries = BTreeMap<(Row, Arc<BitVec>), i64>;
+/// One stored annotated tuple under its ORDER BY key.
+type TopEntry = (OrderKey, Row, Arc<BitVec>);
 
-/// Heap bytes one ORDER BY key of the state accounts for.
-fn key_bytes(key: &OrderKey) -> usize {
-    key.vals.len() * std::mem::size_of::<Value>()
-        + key.vals.iter().map(Value::heap_size).sum::<usize>()
-        + 48
-}
-
-/// Heap bytes one stored annotated tuple accounts for. Annotation
-/// *contents* are not ours: every stored `Arc<BitVec>` is a handle into
-/// the maintainer's pool, whose `heap_size` counts the bitvectors.
-fn entry_bytes(row: &Row) -> usize {
-    row.heap_size() + std::mem::size_of::<Arc<BitVec>>() + 56
+/// Heap bytes one stored entry accounts for: its ORDER BY key and its
+/// tuple. Annotation *contents* are not ours: every stored `Arc<BitVec>`
+/// is a handle into the maintainer's pool, whose `heap_size` counts the
+/// bitvectors.
+impl BoundedEntry for TopEntry {
+    fn heap_bytes(&self) -> usize {
+        let (key, row, _) = self;
+        key.vals.len() * std::mem::size_of::<Value>()
+            + key.vals.iter().map(Value::heap_size).sum::<usize>()
+            + 48
+            + row.heap_size()
+            + std::mem::size_of::<Arc<BitVec>>()
+            + 56
+    }
 }
 
 /// The top-k emitted at the end of the previous batch (`τ_{k,O}(S)`),
@@ -106,33 +110,22 @@ pub struct TopKOp {
     input: Box<IncNode>,
     keys: Vec<SortKey>,
     k: u64,
-    state: BTreeMap<OrderKey, Entries>,
-    /// Keep at most this many annotated tuples; `None` = unbounded.
-    buffer: Option<usize>,
-    truncated: bool,
-    entries: usize,
-    /// Running Σ [`key_bytes`] + [`entry_bytes`] over `state`, moved per
-    /// key / entry inserted or removed.
-    heap_bytes: usize,
+    /// The best `l ≥ k` annotated tuples (all of them when unbounded).
+    state: Bounded<TopEntry>,
     /// Cached previous top-k; `None` after a reset (recomputed
     /// from the state before the next batch is ingested).
     cache: Option<TopKCache>,
 }
 
 impl TopKOp {
-    /// New top-k operator. A buffer is never smaller than `k`: one of
-    /// `l < k` entries could not hold the top-k, and every run would end
-    /// in a recapture that truncates it again.
+    /// New top-k operator keeping the best `max(l, k)` entries when
+    /// `buffer` is `Some(l)`.
     pub fn new(input: IncNode, keys: Vec<SortKey>, k: u64, buffer: Option<usize>) -> TopKOp {
         TopKOp {
             input: Box::new(input),
             keys,
             k,
-            state: BTreeMap::new(),
-            buffer: buffer.map(|l| l.max(usize::try_from(k).unwrap_or(usize::MAX))),
-            truncated: false,
-            entries: 0,
-            heap_bytes: 0,
+            state: Bounded::new(k, buffer),
             cache: None,
         }
     }
@@ -144,16 +137,14 @@ impl TopKOp {
         let mut rows = Vec::new();
         let mut boundary = None;
         let mut remaining = self.k as i64;
-        'outer: for (key, entries) in &self.state {
-            for ((row, annot), m) in entries {
-                if remaining <= 0 {
-                    break 'outer;
-                }
-                let take = (*m).min(remaining);
-                rows.push((key.clone(), row.clone(), Arc::clone(annot), take));
-                boundary = Some(key.clone());
-                remaining -= take;
+        for ((key, row, annot), m) in self.state.iter() {
+            if remaining <= 0 {
+                break;
             }
+            let take = m.min(remaining);
+            rows.push((key.clone(), row.clone(), Arc::clone(annot), take));
+            boundary = Some(key.clone());
+            remaining -= take;
         }
         TopKCache {
             rows,
@@ -215,21 +206,6 @@ impl TopKOp {
         out
     }
 
-    /// Worst stored key (the truncation horizon).
-    fn horizon(&self) -> Option<&OrderKey> {
-        self.state.keys().next_back()
-    }
-
-    /// Does the entry `(row, annot)` under `key` sort after every stored
-    /// entry — tuples of one key by `(row, annotation)` — so that evicted
-    /// entries may sort before it? Always, once nothing is stored.
-    fn past_horizon(&self, key: &OrderKey, row: &Row, annot: &Arc<BitVec>) -> bool {
-        self.state.last_key_value().is_none_or(|(last, entries)| {
-            let worst = entries.keys().next_back().map(|(r, a)| (r, a));
-            key.cmp(last).then_with(|| Some((row, annot)).cmp(&worst)) == Ordering::Greater
-        })
-    }
-
     /// Process one batch.
     pub fn process(&mut self, ctx: &mut MaintCtx<'_, '_>) -> Result<DeltaBatch> {
         let input = self.input.process(ctx)?;
@@ -253,91 +229,14 @@ impl TopKOp {
                 || old_topk.total < self.k as i64
                 || old_topk.boundary.as_ref().is_none_or(|b| key <= *b);
             let annot = ctx.pool.share(d.annot);
-            if d.mult > 0 {
-                if self.truncated && self.past_horizon(&key, &d.row, &annot) {
-                    // Beyond the horizon of a truncated buffer: cannot be
-                    // in the top-k before a recapture happens (same prefix
-                    // invariant as the bounded MIN/MAX state).
-                    continue;
-                }
-                let entries = match self.state.entry(key) {
-                    btree_map::Entry::Occupied(o) => o.into_mut(),
-                    btree_map::Entry::Vacant(v) => {
-                        self.heap_bytes += key_bytes(v.key());
-                        v.insert(Entries::new())
-                    }
-                };
-                match entries.entry((d.row, annot)) {
-                    btree_map::Entry::Occupied(mut o) => *o.get_mut() += d.mult,
-                    btree_map::Entry::Vacant(v) => {
-                        self.entries += 1;
-                        self.heap_bytes += entry_bytes(&v.key().0);
-                        v.insert(d.mult);
-                    }
-                }
-                // Evict past the buffer bound.
-                if let Some(l) = self.buffer {
-                    while self.entries > l {
-                        let Some(mut last) = self.state.last_entry() else {
-                            break;
-                        };
-                        let victims = last.get_mut();
-                        if let Some(((row, _), _)) = victims.pop_last() {
-                            self.heap_bytes -= entry_bytes(&row);
-                        }
-                        self.entries -= 1;
-                        if victims.is_empty() {
-                            self.heap_bytes -= key_bytes(last.key());
-                            last.remove();
-                        }
-                        self.truncated = true;
-                    }
-                }
-            } else {
-                // Deletion.
-                let beyond = self.horizon().is_none_or(|h| key > *h);
-                match self.state.get_mut(&key) {
-                    Some(entries) => {
-                        let slot_key = (d.row, annot);
-                        match entries.get_mut(&slot_key) {
-                            Some(slot) => {
-                                *slot += d.mult;
-                                if *slot <= 0 {
-                                    let corrupt = *slot < 0;
-                                    entries.remove(&slot_key);
-                                    self.entries -= 1;
-                                    self.heap_bytes -= entry_bytes(&slot_key.0);
-                                    if entries.is_empty() {
-                                        self.heap_bytes -= key_bytes(&key);
-                                        self.state.remove(&key);
-                                    }
-                                    if corrupt {
-                                        ctx.needs_recapture = true;
-                                    }
-                                }
-                            }
-                            None => {
-                                if !(self.truncated && beyond) {
-                                    ctx.needs_recapture = true;
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        if !(self.truncated && beyond) {
-                            ctx.needs_recapture = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Buffer exhausted below k with evicted entries outstanding?
-        if self.truncated {
-            let total: i64 = self.state.values().flat_map(|e| e.values()).sum();
-            if total < self.k as i64 {
+            if self.state.update((key, d.row, annot), d.mult) {
                 ctx.needs_recapture = true;
             }
+        }
+        // Inserts may refill what deletions drained within one batch, so
+        // exhaustion is read at its end.
+        if self.state.exhausted() {
+            ctx.needs_recapture = true;
         }
         if ctx.needs_recapture {
             // The maintainer will bootstrap from scratch; the cache dies
@@ -365,22 +264,19 @@ impl TopKOp {
     /// Drop all state.
     pub fn reset(&mut self) {
         self.state.clear();
-        self.entries = 0;
-        self.heap_bytes = 0;
-        self.truncated = false;
         self.cache = None;
         self.input.reset();
     }
 
     /// Number of stored annotated tuples (`l` in §8.4.3 / Fig. 15).
     pub fn stored_entries(&self) -> usize {
-        self.entries
+        self.state.len()
     }
 
     /// Hand every annotation handle of the state back to a just-flushed
     /// pool (the diff cache only clones handles present in the state).
     pub fn readopt_annots(&self, pool: &mut AnnotPool) {
-        for (_, annot) in self.state.values().flat_map(Entries::keys) {
+        for ((_, _, annot), _) in self.state.iter() {
             pool.adopt(annot);
         }
     }
@@ -392,9 +288,9 @@ impl TopKOp {
 
     /// Heap footprint of this operator's own state (excludes children) —
     /// the quantity Fig. 13e/f plots against the buffer bound. O(1): a
-    /// running total of [`key_bytes`] and [`entry_bytes`].
+    /// running total.
     pub fn own_heap_size(&self) -> usize {
-        self.heap_bytes
+        self.state.heap_size()
     }
 }
 
@@ -406,16 +302,10 @@ mod tests {
     /// The accounting oracle: the walk the running total replaced.
     impl TopKOp {
         pub(crate) fn walked_heap_size(&self, w: &mut Walk<'_>) -> usize {
-            let mut size = 0;
-            for (key, entries) in &self.state {
-                w.visit(1 + entries.len());
-                size += key_bytes(key);
-                for (row, annot) in entries.keys() {
-                    size += entry_bytes(row);
-                    w.annot(annot);
-                }
+            for ((_, _, annot), _) in self.state.iter() {
+                w.annot(annot);
             }
-            size
+            self.state.walked_heap_size(w)
         }
     }
 

@@ -492,6 +492,49 @@ fn bounded_minmax_triggers_recapture() {
 }
 
 #[test]
+fn a_minmax_buffer_of_zero_keeps_one_value() {
+    // A buffer of 0 is raised to one value per group: without the clamp
+    // every insert evicted itself, MIN read NULL, the HAVING dropped both
+    // groups and maintenance saw nothing to recapture.
+    let mut db = Database::new();
+    db.create_table(
+        "t",
+        Schema::new(vec![
+            Field::new("g", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]),
+    )
+    .unwrap();
+    db.table_mut("t")
+        .unwrap()
+        .bulk_load((0..20).map(|i| row![i % 2, i]))
+        .unwrap();
+    let sql = "SELECT g, min(v) AS mv FROM t GROUP BY g HAVING min(v) < 100";
+    let plan = db.plan_sql(sql).unwrap();
+    let pset = Arc::new(
+        PartitionSet::new(vec![
+            RangePartition::new("t", "g", 0, vec![Value::Int(1)]).unwrap()
+        ])
+        .unwrap(),
+    );
+    let config = OpConfig {
+        minmax_buffer: Some(0),
+        ..OpConfig::default()
+    };
+    let (mut m, mut answer) =
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), config, true).unwrap();
+    let mut truth = db.query(sql).unwrap().rows;
+    answer.sort();
+    truth.sort();
+    assert_eq!(answer, truth);
+    assert_eq!(m.sketch(), &capture(&plan, &db, &pset).unwrap().sketch);
+    db.execute_sql("INSERT INTO t VALUES (0, 500)").unwrap();
+    m.maintain(&db).unwrap();
+    assert_eq!(m.sketch(), &capture(&plan, &db, &pset).unwrap().sketch);
+    assert_eq!(m.sketch().fragments_of_partition(0), vec![0, 1]);
+}
+
+#[test]
 fn default_minmax_buffer_is_bounded_with_recapture_fallback() {
     // Satellite of paper §7.2: MIN/MAX state is bounded *by default*;
     // when deletions exhaust a buffer, the maintainer falls back to a

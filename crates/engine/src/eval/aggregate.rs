@@ -17,6 +17,11 @@
 //! equals the previous row's joins that row's group without a hash
 //! lookup, and both find a key's group by the same hash and comparison,
 //! so batches that take different paths still form one group per key.
+//!
+//! [`AggAcc`] is also the accumulator incremental maintenance keeps for
+//! SUM / COUNT / AVG: it is updated with signed multiplicities (a deleted
+//! tuple adds `-1` copies), so a capture hands its groups' accumulators
+//! over as they are. MIN / MAX keep a bounded multiset there instead.
 
 use super::hash_index::{hash_cells, HashIndex};
 use super::{new_row, Bag, ExecStats};
@@ -35,12 +40,7 @@ pub struct NumAcc {
 }
 
 impl NumAcc {
-    /// Add `v * mult`.
-    pub fn add(&mut self, v: &Value, mult: i64) -> Result<()> {
-        self.add_cell(v.as_cell(), mult)
-    }
-
-    /// [`NumAcc::add`] for a cell read straight from a column.
+    /// Add `v * mult`, for a cell read straight from a column.
     pub fn add_cell(&mut self, v: Cell<'_>, mult: i64) -> Result<()> {
         match v {
             Cell::Int(i) => self.add_int(i, mult),
@@ -103,7 +103,8 @@ fn overflow() -> EngineError {
 }
 
 /// One aggregate of one group of the group table: what
-/// [`super::capture_groups`] hands a capture per group and aggregate.
+/// [`super::capture_groups`] hands a capture per group and aggregate, and
+/// the state incremental maintenance keeps for SUM / COUNT / AVG.
 #[derive(Debug, Clone)]
 pub enum AggAcc {
     /// `SUM(a)`.
@@ -138,7 +139,8 @@ pub enum AggAcc {
 }
 
 impl AggAcc {
-    fn new(func: AggFunc) -> AggAcc {
+    /// The accumulator of `func` over no input.
+    pub fn new(func: AggFunc) -> AggAcc {
         match func {
             AggFunc::Sum => AggAcc::Sum {
                 sum: NumAcc::default(),
@@ -154,7 +156,9 @@ impl AggAcc {
         }
     }
 
-    fn update(&mut self, arg: Option<Cell<'_>>, mult: i64) -> Result<()> {
+    /// Add `mult` copies (negative: remove) of `arg`, `None` for
+    /// `count(*)`.
+    pub fn update(&mut self, arg: Option<Cell<'_>>, mult: i64) -> Result<()> {
         // `count(*)` has no argument and counts rows; every other
         // aggregate skips NULL arguments.
         let arg = match arg {
@@ -213,7 +217,8 @@ impl AggAcc {
         }
     }
 
-    fn finish(&self) -> Value {
+    /// The aggregate's value.
+    pub fn finish(&self) -> Value {
         match self {
             AggAcc::Count { count } => Value::Int(*count),
             AggAcc::Sum { sum, non_null } => {
